@@ -56,6 +56,7 @@ import (
 	"agentrec/internal/coordinator"
 	"agentrec/internal/marketplace"
 	"agentrec/internal/ops"
+	"agentrec/internal/platform"
 	"agentrec/internal/recommend"
 	"agentrec/internal/replnet"
 	"agentrec/internal/security"
@@ -338,116 +339,93 @@ func run(ctx context.Context, cfg daemonConfig) error {
 	if err != nil {
 		return err
 	}
-	self := 0
-	if cfg.repl != nil {
-		self = cfg.repl.self
-	}
 	var bus *ops.Bus
-	engineOpts := []recommend.Option{recommend.WithNeighbors(10), recommend.WithShards(cfg.shards)}
 	if cfg.events {
 		bus = ops.NewBus()
-		engineOpts = append(engineOpts, recommend.WithEventBus(bus, self))
+	}
+	engineCfg := platform.EngineConfig{
+		Bus:          bus,
+		Shards:       cfg.shards,
+		CompactRatio: cfg.compactRatio, // keeps the community WAL, and with it restart time, bounded
+		Extra:        []recommend.Option{recommend.WithNeighbors(10)},
 	}
 	if cfg.ann {
-		engineOpts = append(engineOpts, recommend.WithNeighborSearch(recommend.SearchLSH))
-		if cfg.annProbes > 0 {
-			engineOpts = append(engineOpts, recommend.WithANNProbes(cfg.annProbes))
-		}
+		engineCfg.Search, engineCfg.ANNProbes = recommend.SearchLSH, cfg.annProbes
 	}
 	buyerOpts := []buyerserver.Option{
 		buyerserver.WithTracer(tracer),
 		buyerserver.WithMarkets(marketAddrs...),
 	}
-	if cfg.repl != nil {
-		engineOpts = append(engineOpts, recommend.WithJournalFeed(0))
-	}
 	if cfg.stateDir != "" {
-		engineOpts = append(engineOpts, recommend.WithPersistence(filepath.Join(cfg.stateDir, "engine")))
+		engineCfg.StateDir = filepath.Join(cfg.stateDir, "engine")
 		buyerOpts = append(buyerOpts, buyerserver.WithStateDir(filepath.Join(cfg.stateDir, "buyer-server-1")))
-		if cfg.compactRatio > 0 {
-			// Keep the community WAL (and with it restart time) bounded. A
-			// replicated server journals every record it applies from peers
-			// and rewrites whole shards on snapshot catch-up, so it gets the
-			// eager follower policy.
-			pol := recommend.CompactionPolicy{Ratio: cfg.compactRatio}
-			if cfg.repl != nil {
-				pol = recommend.FollowerCompactionPolicy(cfg.compactRatio)
-			}
-			engineOpts = append(engineOpts, recommend.WithAutoCompaction(pol))
+	}
+	caProxy := buyerHost.RemoteProxy(cfg.coordAddr, coordinator.CAID)
+	var engine *recommend.Engine
+	var replica *platform.Replica
+	// metrics is this server's slice of the unified stats view, served at
+	// /metrics/snapshot and published by the heartbeat.
+	var metrics func() ops.Snapshot
+	if cfg.repl == nil {
+		if engine, err = engineCfg.Open(union, 0, false); err != nil {
+			return err
 		}
+		defer engine.Close()
+		metrics = func() ops.Snapshot { return ops.NewSnapshot(recommend.ServerSnapshot(0, engine, nil)) }
+	} else {
+		// Serve our shards' journal to peer buyer servers, route writes to
+		// shard owners, and tail the shards we do not own. Every side of
+		// the wire is epoch-fenced through this server's ownership table,
+		// which starts from the same static epoch-1 map on every daemon;
+		// with -coordinator it is leased from the shared CA (local or
+		// remote — the same wire either way), without it never.
+		rc := platform.ReplicaConfig{
+			Self:    cfg.repl.self,
+			Servers: len(cfg.repl.servers),
+			Catalog: union,
+			Engine:  engineCfg,
+			Pull:    cfg.repl.interval,
+		}
+		if cfg.elastic {
+			rc.Renew = renewOverWire(caProxy)
+			rc.Lease = cfg.leaseInterval
+			rc.OnLeaseError = func(err error) { log.Printf("ownership lease renewal: %v", err) }
+			if bus != nil {
+				rc.OnTransition = func(ev ops.Event) { bus.Publish(ev) }
+			}
+		}
+		if replica, err = platform.NewReplica(rc); err != nil {
+			return err
+		}
+		defer replica.Close()
+		engine = replica.Engine
+		fenced := replnet.WithOwnership(replica.Table)
+		buyerSrv.SetJournalHandler(replnet.Handler(engine, rc.Self, rc.Servers, fenced))
+		writers := make([]recommend.Writer, rc.Servers)
+		peers := make([]recommend.Peer, rc.Servers)
+		for i, addr := range cfg.repl.servers {
+			if i == rc.Self {
+				continue
+			}
+			writers[i] = replnet.NewWriter(ctx, client, addr, fenced)
+			peers[i] = replnet.NewPeer(client, addr, fenced)
+		}
+		if err := replica.Connect(writers, peers); err != nil {
+			return err
+		}
+		buyerOpts = append(buyerOpts, buyerserver.WithCommunityWriter(replica.Router))
+		metrics = func() ops.Snapshot { return ops.NewSnapshot(replica.Snapshot()) }
+		log.Printf("replicating %d shards across %d buyer servers (self=%d, tail every %v)",
+			cfg.shards, rc.Servers, rc.Self, cfg.repl.interval)
 	}
-	engine, err := recommend.Open(union, engineOpts...)
-	if err != nil {
-		return err
-	}
-	defer engine.Close()
 	if cfg.stateDir != "" {
 		st := engine.Stats()
 		log.Printf("recovered community from %s: %d consumers, %d indexed categories", cfg.stateDir, st.Users, st.IndexedCategories)
-	}
-	var replicator *recommend.Replicator
-	var owners *recommend.OwnershipTable
-	if cfg.repl != nil {
-		// Serve our shards' journal to peer buyer servers, route writes to
-		// shard owners, and tail the shards we do not own. With
-		// -coordinator every side of the wire is epoch-fenced through this
-		// server's leased ownership table, which starts from the same
-		// static epoch-1 map on every daemon so routing is consistent
-		// before the first lease lands.
-		var wireOpts []replnet.Option
-		if cfg.elastic {
-			owners = recommend.NewOwnershipTable(recommend.StaticOwnership(cfg.shards, len(cfg.repl.servers)))
-			wireOpts = append(wireOpts, replnet.WithOwnership(owners))
-		}
-		buyerSrv.SetJournalHandler(replnet.Handler(engine, cfg.repl.self, len(cfg.repl.servers), wireOpts...))
-		writers := make([]recommend.Writer, len(cfg.repl.servers))
-		peers := make([]recommend.Peer, len(cfg.repl.servers))
-		for i, addr := range cfg.repl.servers {
-			if i == cfg.repl.self {
-				continue
-			}
-			writers[i] = replnet.NewWriter(ctx, client, addr, wireOpts...)
-			peers[i] = replnet.NewPeer(client, addr, wireOpts...)
-		}
-		var routerOpts []recommend.RouterOption
-		if owners != nil {
-			routerOpts = append(routerOpts, recommend.RouteWithOwnership(owners))
-		}
-		router, err := recommend.NewRouter(engine, cfg.repl.self, writers, routerOpts...)
-		if err != nil {
-			return err
-		}
-		buyerOpts = append(buyerOpts, buyerserver.WithCommunityWriter(router))
-		ropts := []recommend.ReplicatorOption{recommend.WithPullInterval(cfg.repl.interval)}
-		if bus != nil {
-			ropts = append(ropts, recommend.WithReplicationEvents(bus, self))
-		}
-		if owners != nil {
-			ropts = append(ropts, recommend.PullWithOwnership(owners))
-		}
-		replicator, err = recommend.NewReplicator(engine, cfg.repl.self, peers, ropts...)
-		if err != nil {
-			return err
-		}
-		defer replicator.Close()
-		log.Printf("replicating %d shards across %d buyer servers (self=%d, tail every %v)",
-			cfg.shards, len(cfg.repl.servers), cfg.repl.self, cfg.repl.interval)
-	}
-	// metrics is this server's slice of the unified stats view, served at
-	// /metrics/snapshot and published by the heartbeat.
-	metrics := func() ops.Snapshot {
-		sv := ops.ServerSnapshot{Server: self, Engine: engine.Stats().EventView()}
-		if replicator != nil {
-			rv := replicator.Stats().EventView()
-			sv.Replication = &rv
-		}
-		return ops.Snapshot{AtEpochMs: time.Now().UnixMilli(), Servers: []ops.ServerSnapshot{sv}}
 	}
 	buyerOpts = append(buyerOpts, buyerserver.WithMetrics(metrics))
 	if bus != nil {
 		buyerOpts = append(buyerOpts, buyerserver.WithEventBus(bus))
 	}
-	caProxy := buyerHost.RemoteProxy(cfg.coordAddr, coordinator.CAID)
 	buyer, err := buyerserver.New(buyerHost, buyerReg, engine, caProxy, buyerOpts...)
 	if err != nil {
 		return err
@@ -478,71 +456,23 @@ func run(ctx context.Context, cfg daemonConfig) error {
 		defer shutCancel()
 		return httpServer.Shutdown(shutCtx)
 	})
-	if replicator != nil {
+	if replica != nil {
 		g.Go(func() error {
-			if err := replicator.Run(gctx); !errors.Is(err, context.Canceled) {
+			if err := replica.Run(gctx); !errors.Is(err, context.Canceled) {
 				return err
 			}
 			return nil
 		})
 		// Startup map-consistency check: every reachable peer must agree
 		// on the ownership map before divergence can do damage.
-		g.Go(func() error { return checkOwnerMaps(gctx, client, owners, cfg) })
-	}
-	if owners != nil {
-		// Lease client: renew against the shared CA (local or remote — the
-		// same wire either way), adopt map transitions into this server's
-		// table, and publish each adopted transition on the event plane.
-		leaseCA := buyerHost.RemoteProxy(cfg.coordAddr, coordinator.CAID)
-		lc := &coordinator.LeaseClient{
-			Self:  cfg.repl.self,
-			Table: owners,
-			Renew: func(rctx context.Context, server int, applied []uint64) (coordinator.LeaseGrant, error) {
-				data, err := json.Marshal(coordinator.LeaseRequest{Server: server, Applied: applied})
-				if err != nil {
-					return coordinator.LeaseGrant{}, fmt.Errorf("platformd: encoding lease renewal: %w", err)
-				}
-				sctx, scancel := context.WithTimeout(rctx, 5*time.Second)
-				defer scancel()
-				reply, err := leaseCA.Send(sctx, aglet.Message{Kind: coordinator.KindLease, Data: data})
-				if err != nil {
-					return coordinator.LeaseGrant{}, err
-				}
-				var grant coordinator.LeaseGrant
-				if err := json.Unmarshal(reply.Data, &grant); err != nil {
-					return coordinator.LeaseGrant{}, fmt.Errorf("platformd: decoding lease grant: %w", err)
-				}
-				return grant, nil
-			},
-			Applied:  replicator.AppliedSeqs,
-			Interval: cfg.leaseInterval,
-			OnError:  func(err error) { log.Printf("ownership lease renewal: %v", err) },
+		g.Go(func() error { return checkOwnerMaps(gctx, client, replica.Table, cfg) })
+		if cfg.elastic {
+			log.Printf("elastic ownership on: leasing the map from %s every %v", cfg.coordAddr, cfg.leaseInterval)
 		}
-		if bus != nil {
-			lc.Publish = func(ev ops.Event) { bus.Publish(ev) }
-		}
-		g.Go(func() error { lc.Run(gctx); return nil })
-		log.Printf("elastic ownership on: leasing the map from %s every %v", cfg.coordAddr, cfg.leaseInterval)
 	}
 	if bus != nil {
-		interval := cfg.eventsInterval
-		if interval <= 0 {
-			interval = 5 * time.Second
-		}
-		g.Go(func() error {
-			t := time.NewTicker(interval)
-			defer t.Stop()
-			for {
-				select {
-				case <-gctx.Done():
-					return nil
-				case <-t.C:
-				}
-				snap := metrics()
-				bus.Publish(ops.Event{Kind: ops.KindSnapshot, AtEpochMs: snap.AtEpochMs, Snapshot: &snap})
-			}
-		})
-		log.Printf("event plane on: GET http://%s/events (snapshot every %v)", cfg.httpAddr, interval)
+		g.Go(func() error { bus.Heartbeat(gctx, cfg.eventsInterval, metrics); return nil })
+		log.Printf("event plane on: GET http://%s/events", cfg.httpAddr)
 	}
 	if cfg.verbose {
 		g.Go(func() error {
@@ -552,6 +482,28 @@ func run(ctx context.Context, cfg daemonConfig) error {
 	}
 	log.Printf("consumer web interface at http://%s", cfg.httpAddr)
 	return g.Wait()
+}
+
+// renewOverWire renews this server's ownership lease with a KindLease
+// round-trip to the CA behind ca.
+func renewOverWire(ca *aglet.Proxy) coordinator.RenewFunc {
+	return func(ctx context.Context, server int, applied []uint64) (coordinator.LeaseGrant, error) {
+		data, err := json.Marshal(coordinator.LeaseRequest{Server: server, Applied: applied})
+		if err != nil {
+			return coordinator.LeaseGrant{}, fmt.Errorf("platformd: encoding lease renewal: %w", err)
+		}
+		sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		defer cancel()
+		reply, err := ca.Send(sctx, aglet.Message{Kind: coordinator.KindLease, Data: data})
+		if err != nil {
+			return coordinator.LeaseGrant{}, err
+		}
+		var grant coordinator.LeaseGrant
+		if err := json.Unmarshal(reply.Data, &grant); err != nil {
+			return coordinator.LeaseGrant{}, fmt.Errorf("platformd: decoding lease grant: %w", err)
+		}
+		return grant, nil
+	}
 }
 
 // ownerMapProbeWindow bounds how long checkOwnerMaps keeps retrying an
@@ -569,12 +521,6 @@ var ownerMapProbeWindow = 60 * time.Second
 // not have started yet, and it runs the same check against us when it
 // does.
 func checkOwnerMaps(ctx context.Context, client *atp.Client, owners *recommend.OwnershipTable, cfg daemonConfig) error {
-	localMap := func() recommend.OwnershipMap {
-		if owners != nil {
-			return owners.Current()
-		}
-		return recommend.StaticOwnership(cfg.shards, len(cfg.repl.servers))
-	}
 	deadline := time.Now().Add(ownerMapProbeWindow)
 	agreed := 0
 	for i, addr := range cfg.repl.servers {
@@ -596,7 +542,7 @@ func checkOwnerMaps(ctx context.Context, client *atp.Client, owners *recommend.O
 				if info.Self == cfg.repl.self {
 					return fmt.Errorf("platformd: owner-map mismatch with %s: it also claims index %d in -buyer-peers — the lists must agree on order", addr, info.Self)
 				}
-				if local := localMap(); local.Epoch == 1 && info.Epoch == 1 && info.Hash != local.Hash() {
+				if local := owners.Current(); local.Epoch == 1 && info.Epoch == 1 && info.Hash != local.Hash() {
 					return fmt.Errorf("platformd: owner-map mismatch with %s: its epoch-1 map hashes %s, this server's %s — do the -buyer-peers lists agree on order and -engine-shards on value?", addr, info.Hash, local.Hash())
 				}
 				agreed++

@@ -6,9 +6,9 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"agentrec/internal/ops"
+	"agentrec/internal/recommend"
 )
 
 // This file is HttpA's observability surface: the live event stream
@@ -35,10 +35,7 @@ func (s *Server) metricsSnapshot() ops.Snapshot {
 	if s.metrics != nil {
 		return s.metrics()
 	}
-	return ops.Snapshot{
-		AtEpochMs: time.Now().UnixMilli(),
-		Servers:   []ops.ServerSnapshot{{Engine: s.engine.Stats().EventView()}},
-	}
+	return ops.NewSnapshot(recommend.ServerSnapshot(0, s.engine, nil))
 }
 
 func (s *Server) handleMetricsSnapshot(w http.ResponseWriter, _ *http.Request) {

@@ -15,6 +15,7 @@ import (
 	"agentrec/internal/catalog"
 	"agentrec/internal/coordinator"
 	"agentrec/internal/ops"
+	"agentrec/internal/platform"
 	"agentrec/internal/profile"
 	"agentrec/internal/recommend"
 	"agentrec/internal/workload"
@@ -128,30 +129,24 @@ func isOwnerUnavailable(err error) bool {
 		errors.Is(err, recommend.ErrNotOwner)
 }
 
-// failoverWorld is a recommend-level elastic deployment wired exactly like
-// the platform's coordinator mode: per-server ownership tables leased from
-// one in-process authority, epoch-stamped OwnedWriter routing, and
-// ownership-aware replicators. Mid-run the runner kills the victim (the
-// static owner of the most shards) through the staged gate; the authority
-// promotes the most caught-up survivor, and every driver write blocked by
-// the transition retries until the promoted owner accepts it — so the
-// open-loop latency trajectory carries the unavailability window instead
-// of an error count.
+// failoverWorld is an elastic deployment of platform.Replica servers, wired
+// like the platform's coordinator mode — tables leased from one in-process
+// authority, epoch-stamped fenced routing, ownership-aware pulls — with a
+// liveness gate in front of every server's surfaces. Mid-run the runner
+// kills the victim (the static owner of the most shards) through the staged
+// gate; the authority promotes the most caught-up survivor, and every
+// driver write blocked by the transition retries until the promoted owner
+// accepts it — so the open-loop latency trajectory carries the
+// unavailability window instead of an error count.
 type failoverWorld struct {
 	exec     *opExec
 	servers  int
 	victim   int
 	leaseTTL time.Duration
 
-	engines []*recommend.Engine
-	tables  []*recommend.OwnershipTable
-	routers []*recommend.Router
-	repls   []*recommend.Replicator
-	gates   []*atomic.Int32
-
-	auth         *coordinator.Authority
-	leaseCancels []context.CancelFunc
-	leaseWG      sync.WaitGroup
+	replicas []*platform.Replica
+	gates    []*atomic.Int32
+	auth     *coordinator.Authority
 
 	next    atomic.Uint64
 	blocked atomic.Int64
@@ -183,71 +178,11 @@ func newFailoverWorld(s Scenario, u *workload.Universe, profiles []*profile.Prof
 		acked:    make(map[string]bool),
 	}
 	for i := 0; i < servers; i++ {
-		opts := []recommend.Option{recommend.WithJournalFeed(0)}
-		if stateDir != "" {
-			opts = append(opts, recommend.WithPersistence(filepath.Join(stateDir, "server-"+strconv.Itoa(i))))
-		}
-		e, err := recommend.Open(cat, opts...)
-		if err != nil {
-			w.Close()
-			return nil, err
-		}
-		w.engines = append(w.engines, e)
 		var gate atomic.Int32
 		w.gates = append(w.gates, &gate)
-	}
-	shards := w.engines[0].Shards()
-	auth, err := coordinator.NewOwnershipAuthority(coordinator.OwnershipConfig{
-		Shards: shards, Servers: servers,
-		LeaseTTL: w.leaseTTL,
-	})
-	if err != nil {
-		w.Close()
-		return nil, err
-	}
-	w.auth = auth
-	for i := 0; i < servers; i++ {
-		w.tables = append(w.tables, recommend.NewOwnershipTable(recommend.StaticOwnership(shards, servers)))
-	}
-	for i := 0; i < servers; i++ {
-		writers := make([]recommend.Writer, servers)
-		for j := 0; j < servers; j++ {
-			if j == i {
-				continue // NewRouter substitutes the local engine
-			}
-			writers[j] = gatedWriter{gate: w.gates[j], w: recommend.OwnedWriter{
-				Local: w.engines[j], Self: j, Table: w.tables[j], Sender: w.tables[i],
-			}}
-		}
-		r, err := recommend.NewRouter(w.engines[i], i, writers, recommend.RouteWithOwnership(w.tables[i]))
-		if err != nil {
-			w.Close()
-			return nil, err
-		}
-		w.routers = append(w.routers, r)
-	}
-	peers := make([]recommend.Peer, servers)
-	for j := 0; j < servers; j++ {
-		peers[j] = gatedPeer{gate: w.gates[j], p: recommend.LocalPeer{Engine: w.engines[j]}}
-	}
-	for i := 0; i < servers; i++ {
-		r, err := recommend.NewReplicator(w.engines[i], i, peers,
-			recommend.WithPullInterval(25*time.Millisecond),
-			recommend.PullWithOwnership(w.tables[i]))
-		if err != nil {
-			w.Close()
-			return nil, err
-		}
-		r.Start()
-		w.repls = append(w.repls, r)
-	}
-	for i := 0; i < servers; i++ {
-		i := i
-		ctx, cancel := context.WithCancel(context.Background())
-		w.leaseCancels = append(w.leaseCancels, cancel)
-		lc := &coordinator.LeaseClient{
-			Self:  i,
-			Table: w.tables[i],
+		rc := platform.ReplicaConfig{
+			Self: i, Servers: servers, Catalog: cat,
+			Pull: 25 * time.Millisecond,
 			Renew: func(_ context.Context, server int, applied []uint64) (coordinator.LeaseGrant, error) {
 				// A write-dead server's renewal never reaches the authority
 				// — exactly how a crashed process misses its heartbeats.
@@ -256,14 +191,42 @@ func newFailoverWorld(s Scenario, u *workload.Universe, profiles []*profile.Prof
 				}
 				return w.auth.Renew(server, applied)
 			},
-			Applied:  w.repls[i].AppliedSeqs,
-			Interval: w.leaseTTL / 3,
+			Lease: w.leaseTTL / 3,
 		}
-		w.leaseWG.Add(1)
-		go func() {
-			defer w.leaseWG.Done()
-			lc.Run(ctx)
-		}()
+		if stateDir != "" {
+			rc.Engine.StateDir = filepath.Join(stateDir, "server-"+strconv.Itoa(i))
+		}
+		r, err := platform.NewReplica(rc)
+		if err != nil {
+			w.Close()
+			return nil, err
+		}
+		w.replicas = append(w.replicas, r)
+	}
+	auth, err := coordinator.NewOwnershipAuthority(coordinator.OwnershipConfig{
+		Shards: w.replicas[0].Engine.Shards(), Servers: servers,
+		LeaseTTL: w.leaseTTL,
+	})
+	if err != nil {
+		w.Close()
+		return nil, err
+	}
+	w.auth = auth
+	for i, r := range w.replicas {
+		writers, peers := platform.LocalLinks(w.replicas, i)
+		for j, gate := range w.gates {
+			if j != i {
+				writers[j] = gatedWriter{gate: gate, w: writers[j]}
+			}
+			peers[j] = gatedPeer{gate: gate, p: peers[j]}
+		}
+		if err := r.Connect(writers, peers); err != nil {
+			w.Close()
+			return nil, err
+		}
+	}
+	for _, r := range w.replicas {
+		r.Start()
 	}
 	return w, nil
 }
@@ -287,14 +250,14 @@ func (w *failoverWorld) Do(ctx context.Context, op workload.Op) error {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		i := w.liveServer()
-		err := w.exec.apply(w.engines[i], w.routers[i], op)
+		err := w.exec.apply(w.replicas[i].Engine, w.replicas[i].Router, op)
 		if err == nil {
 			if op.Kind == workload.OpSetProfile || op.Kind == workload.OpRecordPurchase {
 				w.ackedWrites.Add(1)
 				w.ackedMu.Lock()
 				w.acked[op.UserID] = true
 				w.ackedMu.Unlock()
-				if recommend.OwnerOf(w.engines[0].ShardOf(op.UserID), w.servers) == w.victim {
+				if recommend.OwnerOf(w.replicas[0].Engine.ShardOf(op.UserID), w.servers) == w.victim {
 					w.noteRecovered()
 				}
 			}
@@ -330,7 +293,7 @@ func (w *failoverWorld) noteRecovered() {
 func (w *failoverWorld) userOnShard(prefix string, shard int) string {
 	for k := 0; ; k++ {
 		id := prefix + "-" + strconv.Itoa(shard) + "-" + strconv.Itoa(k)
-		if w.engines[0].ShardOf(id) == shard {
+		if w.replicas[0].Engine.ShardOf(id) == shard {
 			return id
 		}
 	}
@@ -338,7 +301,7 @@ func (w *failoverWorld) userOnShard(prefix string, shard int) string {
 
 // victimShard returns one shard the victim owns under the static map.
 func (w *failoverWorld) victimShard() int {
-	static := recommend.StaticOwnership(w.engines[0].Shards(), w.servers)
+	static := recommend.StaticOwnership(w.replicas[0].Engine.Shards(), w.servers)
 	for s, owner := range static.Assign {
 		if owner == w.victim {
 			return s
@@ -347,7 +310,7 @@ func (w *failoverWorld) victimShard() int {
 	return 0
 }
 
-// Kill executes the staged owner death: stop renewals and refuse writes,
+// Kill executes the staged owner death: refuse writes and lease renewals,
 // drain the victim's already-acknowledged journal into the survivors (the
 // crashed process's durable tail outlives its write path), then take the
 // journal away too. A probe loop pinned to a victim-owned shard measures
@@ -358,22 +321,21 @@ func (w *failoverWorld) Kill(ctx context.Context) error {
 	w.killed = true
 	w.killedW = time.Now()
 	w.resMu.Unlock()
-	w.leaseCancels[w.victim]()
 	w.gates[w.victim].Store(gateWriteDead)
 	// The write path is closed, so the victim's feed heads are final: one
 	// survivor pass drains every acknowledged record before the journal
 	// disappears. The authority cannot promote before this completes — the
 	// victim's lease has a full TTL left and promotion needs the lapse.
-	for i, r := range w.repls {
+	for i, r := range w.replicas {
 		if i == w.victim {
 			continue
 		}
-		if err := r.Sync(ctx); err != nil {
+		if err := r.Replicator.Sync(ctx); err != nil {
 			return fmt.Errorf("draining victim journal into server %d: %w", i, err)
 		}
 	}
 	w.gates[w.victim].Store(gateDead)
-	w.repls[w.victim].Close()
+	w.replicas[w.victim].Stop()
 	// The probe bounds its own lifetime: Finish waits for it, and a run
 	// whose caller context never cancels must not hang on a window that
 	// never closes — it must report it.
@@ -400,7 +362,7 @@ func (w *failoverWorld) probe(ctx context.Context) {
 		case <-t.C:
 		}
 		i := w.liveServer()
-		err := w.routers[i].SetProfile(profile.NewProfile(user))
+		err := w.replicas[i].Router.SetProfile(profile.NewProfile(user))
 		if err == nil {
 			w.noteRecovered()
 			return
@@ -423,9 +385,9 @@ func (w *failoverWorld) probe(ctx context.Context) {
 // epoch on everything it forwards. Returns the rejected count and the
 // replays that were wrongly accepted.
 func (w *failoverWorld) replayStaleWrites() (rejected, accepted int) {
-	for s := 0; s < w.engines[0].Shards(); s++ {
+	for s := 0; s < w.replicas[0].Engine.Shards(); s++ {
 		user := w.userOnShard("failover-replay", s)
-		if err := w.routers[w.victim].SetProfile(profile.NewProfile(user)); err != nil {
+		if err := w.replicas[w.victim].Router.SetProfile(profile.NewProfile(user)); err != nil {
 			rejected++
 		} else {
 			accepted++
@@ -515,11 +477,11 @@ func (w *failoverWorld) Finish() (*FailoverResult, error) {
 	w.ackedMu.Unlock()
 	sort.Strings(users)
 	for _, u := range users {
-		for i, e := range w.engines {
+		for i, r := range w.replicas {
 			if i == w.victim {
 				continue
 			}
-			if _, err := e.Profile(u); err != nil {
+			if _, err := r.Engine.Profile(u); err != nil {
 				res.LostAckedWrites++
 				break
 			}
@@ -527,15 +489,15 @@ func (w *failoverWorld) Finish() (*FailoverResult, error) {
 	}
 
 	// Survivor replicas must agree shard by shard.
-	shards := w.engines[0].Shards()
+	shards := w.replicas[0].Engine.Shards()
 	for s := 0; s < shards; s++ {
 		var want uint64
 		first := true
-		for i, e := range w.engines {
+		for i, r := range w.replicas {
 			if i == w.victim {
 				continue
 			}
-			tr, err := e.JournalTail(s, 0, 0) // cursor epoch 0 never matches: forces a full snapshot
+			tr, err := r.Engine.JournalTail(s, 0, 0) // cursor epoch 0 never matches: forces a full snapshot
 			if err != nil {
 				return nil, fmt.Errorf("snapshotting shard %d on server %d: %w", s, i, err)
 			}
@@ -555,46 +517,19 @@ func (w *failoverWorld) Finish() (*FailoverResult, error) {
 }
 
 func (w *failoverWorld) Seed(profiles []*profile.Profile, purchases map[string][]string) error {
-	if err := w.routers[0].SetProfiles(profiles); err != nil {
-		return err
-	}
-	users := make([]string, 0, len(purchases))
-	for user := range purchases {
-		users = append(users, user)
-	}
-	sort.Strings(users) // deterministic journal order across runs
-	for _, user := range users {
-		for _, pid := range purchases[user] {
-			if err := w.routers[0].RecordPurchase(user, pid); err != nil {
-				return err
-			}
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	_, err := w.Drain(ctx)
-	return err
+	return seedReplicas(w, w.replicas[0].Router, profiles, purchases)
 }
 
-func (w *failoverWorld) Metrics() ops.Snapshot {
-	snap := ops.Snapshot{AtEpochMs: time.Now().UnixMilli()}
-	for i, e := range w.engines {
-		sv := ops.ServerSnapshot{Server: i, Engine: e.Stats().EventView()}
-		repl := w.repls[i].Stats().EventView()
-		sv.Replication = &repl
-		snap.Servers = append(snap.Servers, sv)
-	}
-	return snap
-}
+func (w *failoverWorld) Metrics() ops.Snapshot { return platform.Snapshots(w.replicas) }
 
 func (w *failoverWorld) Drain(ctx context.Context) (time.Duration, error) {
 	start := time.Now()
 	var first error
-	for i, r := range w.repls {
+	for i, r := range w.replicas {
 		if w.gates[i].Load() != gateLive {
 			continue
 		}
-		if err := r.Sync(ctx); err != nil && first == nil {
+		if err := r.Replicator.Sync(ctx); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -602,23 +537,8 @@ func (w *failoverWorld) Drain(ctx context.Context) (time.Duration, error) {
 }
 
 // ReadEngine returns a survivor: measurement must outlive the kill.
-func (w *failoverWorld) ReadEngine() *recommend.Engine { return w.engines[len(w.engines)-1] }
-
-func (w *failoverWorld) Close() error {
-	for _, cancel := range w.leaseCancels {
-		cancel()
-	}
-	w.leaseWG.Wait()
-	var first error
-	for _, r := range w.repls {
-		if err := r.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, e := range w.engines {
-		if err := e.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+func (w *failoverWorld) ReadEngine() *recommend.Engine {
+	return w.replicas[len(w.replicas)-1].Engine
 }
+
+func (w *failoverWorld) Close() error { return closeReplicas(w.replicas) }

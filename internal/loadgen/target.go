@@ -20,10 +20,11 @@ import (
 )
 
 // world is what RunScenario drives: a Target plus the seeding, metrics,
-// and convergence hooks the result document needs. Three implementations:
-// platformWorld (in-process replicated platform.Platform), coldWorld (a
-// recommend-level deployment with one delayed cold follower), and
-// httpWorld (live platformd daemons, read-only).
+// and convergence hooks the result document needs. Four implementations:
+// platformWorld (in-process replicated platform.Platform), coldWorld and
+// failoverWorld (platform.Replica servers with one delayed cold follower,
+// or a gate that kills an owner), and httpWorld (live platformd daemons,
+// read-only).
 type world interface {
 	Target
 	Seed(profiles []*profile.Profile, purchases map[string][]string) error
@@ -188,19 +189,16 @@ type ColdFollowerResult struct {
 	UsersOnWarm        int     `json:"users_on_warm"`
 }
 
-// coldWorld is a recommend-level replicated deployment of warm+1 servers:
-// the world is (re)started with the new server already owning its shard
-// slice — the static shard%N ownership the platform uses — but the new
-// server's *replicas* of everyone else's shards are empty. After DelayS of
-// load its replicator is created against pagedPeer-wrapped owners and one
-// Sync bootstraps every shard through paged snapshots while writes keep
-// flowing. Reads and writes round-robin the warm servers only.
+// coldWorld is a statically owned deployment of warm+1 platform.Replica
+// servers: the world is (re)started with the new server already owning its
+// shard slice — the static shard%N ownership the platform uses — but the
+// new server's *replicas* of everyone else's shards are empty. After DelayS
+// of load it is connected to pagedPeer-wrapped owners and one Sync
+// bootstraps every shard through paged snapshots while writes keep flowing.
+// Reads and writes round-robin the warm servers only.
 type coldWorld struct {
 	exec      *opExec
-	engines   []*recommend.Engine // warm servers first, cold server last
-	routers   []*recommend.Router // one per warm server
-	warmRepls []*recommend.Replicator
-	coldRepl  *recommend.Replicator
+	replicas  []*platform.Replica // warm servers first, cold server last
 	pageBytes int
 	warm      int
 	next      atomic.Uint64
@@ -214,77 +212,54 @@ func newColdWorld(s Scenario, u *workload.Universe, profiles []*profile.Profile,
 		}
 	}
 	w := &coldWorld{exec: newOpExec(cat, profiles), warm: warm, pageBytes: s.ColdFollowerPageBytes}
-	total := warm + 1
-	for i := 0; i < total; i++ {
-		e, err := recommend.Open(cat, recommend.WithJournalFeed(0))
+	for i := 0; i <= warm; i++ {
+		r, err := platform.NewReplica(platform.ReplicaConfig{
+			Self: i, Servers: warm + 1, Catalog: cat,
+			Pull: 50 * time.Millisecond,
+		})
 		if err != nil {
 			w.Close()
 			return nil, err
 		}
-		w.engines = append(w.engines, e)
+		w.replicas = append(w.replicas, r)
 	}
-	writers := make([]recommend.Writer, total)
-	for i, e := range w.engines {
-		writers[i] = e
-	}
-	for i := 0; i < warm; i++ {
-		r, err := recommend.NewRouter(w.engines[i], i, writers)
-		if err != nil {
-			w.Close()
-			return nil, err
-		}
-		w.routers = append(w.routers, r)
-	}
-	peers := make([]recommend.Peer, total)
-	for i, e := range w.engines {
-		peers[i] = recommend.LocalPeer{Engine: e}
-	}
-	for i := 0; i < warm; i++ {
-		r, err := recommend.NewReplicator(w.engines[i], i, peers,
-			recommend.WithPullInterval(50*time.Millisecond))
-		if err != nil {
+	for i, r := range w.replicas[:warm] {
+		if err := r.Connect(platform.LocalLinks(w.replicas, i)); err != nil {
 			w.Close()
 			return nil, err
 		}
 		r.Start()
-		w.warmRepls = append(w.warmRepls, r)
 	}
 	return w, nil
 }
 
-// Bootstrap joins the cold server: its replicator is created against
-// paged peers and one Sync pulls every non-owned shard cold → current.
-// Called once, mid-run, by the scenario runner.
+// Bootstrap joins the cold server: it is connected through paged peers and
+// one Sync pulls every non-owned shard cold → current. Called once,
+// mid-run, by the scenario runner.
 func (w *coldWorld) Bootstrap(ctx context.Context) (*ColdFollowerResult, error) {
-	total := w.warm + 1
-	cold := w.warm
-	peers := make([]recommend.Peer, total)
-	for i := 0; i < w.warm; i++ {
-		peers[i] = pagedPeer{e: w.engines[i], maxBytes: w.pageBytes}
+	cold := w.replicas[w.warm]
+	writers, peers := platform.LocalLinks(w.replicas, w.warm)
+	for i, r := range w.replicas[:w.warm] {
+		peers[i] = pagedPeer{e: r.Engine, maxBytes: w.pageBytes}
 	}
-	peers[cold] = recommend.LocalPeer{Engine: w.engines[cold]}
-	r, err := recommend.NewReplicator(w.engines[cold], cold, peers,
-		recommend.WithPullInterval(50*time.Millisecond))
-	if err != nil {
+	if err := cold.Connect(writers, peers); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	if err := r.Sync(ctx); err != nil {
-		r.Close()
+	if err := cold.Replicator.Sync(ctx); err != nil {
 		return nil, fmt.Errorf("loadgen: cold bootstrap: %w", err)
 	}
 	bootstrap := time.Since(start)
-	r.Start() // keep tailing for the rest of the run
-	w.coldRepl = r
+	cold.Start() // keep tailing for the rest of the run
 
 	res := &ColdFollowerResult{
 		WarmServers: w.warm,
 		PageBytes:   w.pageBytes,
 		BootstrapMs: float64(bootstrap) / float64(time.Millisecond),
 	}
-	st := r.Stats()
+	st := cold.Replicator.Stats()
 	for _, sh := range st.Shards {
-		if sh.Owner == cold {
+		if sh.Owner == w.warm {
 			continue
 		}
 		res.ShardsBootstrapped++
@@ -299,21 +274,47 @@ func (w *coldWorld) Bootstrap(ctx context.Context) (*ColdFollowerResult, error) 
 
 func (w *coldWorld) Do(_ context.Context, op workload.Op) error {
 	i := int(w.next.Add(1) % uint64(w.warm))
-	return w.exec.apply(w.engines[i], w.routers[i], op)
+	return w.exec.apply(w.replicas[i].Engine, w.replicas[i].Router, op)
 }
 
 func (w *coldWorld) Seed(profiles []*profile.Profile, purchases map[string][]string) error {
-	if err := w.routers[0].SetProfiles(profiles); err != nil {
+	return seedReplicas(w, w.replicas[0].Router, profiles, purchases)
+}
+
+func (w *coldWorld) Metrics() ops.Snapshot { return platform.Snapshots(w.replicas) }
+
+func (w *coldWorld) Drain(ctx context.Context) (time.Duration, error) {
+	start := time.Now()
+	var first error
+	for _, r := range w.replicas {
+		if r.Replicator == nil {
+			continue // the cold server before its bootstrap
+		}
+		if err := r.Replicator.Sync(ctx); err != nil && first == nil {
+			first = err
+		}
+	}
+	return time.Since(start), first
+}
+
+func (w *coldWorld) ReadEngine() *recommend.Engine { return w.replicas[0].Engine }
+
+func (w *coldWorld) Close() error { return closeReplicas(w.replicas) }
+
+// seedReplicas installs the community through one server's router, in a
+// deterministic journal order, and drains w so every replica reads it.
+func seedReplicas(w world, router recommend.Writer, profiles []*profile.Profile, purchases map[string][]string) error {
+	if err := router.SetProfiles(profiles); err != nil {
 		return err
 	}
 	users := make([]string, 0, len(purchases))
 	for user := range purchases {
 		users = append(users, user)
 	}
-	sort.Strings(users) // deterministic journal order across runs
+	sort.Strings(users)
 	for _, user := range users {
 		for _, pid := range purchases[user] {
-			if err := w.routers[0].RecordPurchase(user, pid); err != nil {
+			if err := router.RecordPurchase(user, pid); err != nil {
 				return err
 			}
 		}
@@ -324,54 +325,10 @@ func (w *coldWorld) Seed(profiles []*profile.Profile, purchases map[string][]str
 	return err
 }
 
-func (w *coldWorld) Metrics() ops.Snapshot {
-	snap := ops.Snapshot{AtEpochMs: time.Now().UnixMilli()}
-	for i, e := range w.engines {
-		sv := ops.ServerSnapshot{Server: i, Engine: e.Stats().EventView()}
-		if i < len(w.warmRepls) {
-			repl := w.warmRepls[i].Stats().EventView()
-			sv.Replication = &repl
-		} else if w.coldRepl != nil {
-			repl := w.coldRepl.Stats().EventView()
-			sv.Replication = &repl
-		}
-		snap.Servers = append(snap.Servers, sv)
-	}
-	return snap
-}
-
-func (w *coldWorld) Drain(ctx context.Context) (time.Duration, error) {
-	start := time.Now()
+func closeReplicas(rs []*platform.Replica) error {
 	var first error
-	for _, r := range w.warmRepls {
-		if err := r.Sync(ctx); err != nil && first == nil {
-			first = err
-		}
-	}
-	if w.coldRepl != nil {
-		if err := w.coldRepl.Sync(ctx); err != nil && first == nil {
-			first = err
-		}
-	}
-	return time.Since(start), first
-}
-
-func (w *coldWorld) ReadEngine() *recommend.Engine { return w.engines[0] }
-
-func (w *coldWorld) Close() error {
-	var first error
-	for _, r := range w.warmRepls {
+	for _, r := range rs {
 		if err := r.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	if w.coldRepl != nil {
-		if err := w.coldRepl.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, e := range w.engines {
-		if err := e.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -170,6 +170,30 @@ func (b *Bus) Subscribe(opt SubscribeOptions) *Subscription {
 	return s
 }
 
+// DefaultHeartbeatInterval is Heartbeat's period when given none.
+const DefaultHeartbeatInterval = 5 * time.Second
+
+// Heartbeat publishes snap() as a KindSnapshot event every interval
+// (DefaultHeartbeatInterval when <= 0) until ctx is cancelled. It is the
+// one snapshot ticker: the in-process platform and the daemon both run it
+// with their own snapshot func.
+func (b *Bus) Heartbeat(ctx context.Context, interval time.Duration, snap func() Snapshot) {
+	if interval <= 0 {
+		interval = DefaultHeartbeatInterval
+	}
+	t := time.NewTicker(interval)
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-t.C:
+		}
+		s := snap()
+		b.Publish(Event{Kind: KindSnapshot, AtEpochMs: s.AtEpochMs, Snapshot: &s})
+	}
+}
+
 // Close shuts the bus down: further publishes are dropped and every
 // subscription is closed (readers drain what is buffered, then see
 // ErrSubscriptionClosed).

@@ -16,6 +16,8 @@
 // into and subscribe from the same Bus without import cycles.
 package ops
 
+import "time"
+
 // Kind discriminates Event payloads. Exactly one payload field of an Event
 // is populated, the one matching its Kind.
 type Kind string
@@ -174,6 +176,11 @@ type Drop struct {
 type Snapshot struct {
 	AtEpochMs int64            `json:"at_epoch_ms"`
 	Servers   []ServerSnapshot `json:"servers"`
+}
+
+// NewSnapshot stamps the given per-server views with the current time.
+func NewSnapshot(servers ...ServerSnapshot) Snapshot {
+	return Snapshot{AtEpochMs: time.Now().UnixMilli(), Servers: servers}
 }
 
 // TotalLagRecords sums every server's replication backlog — the one number

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"agentrec/internal/ops"
+	"agentrec/internal/recommend"
 )
 
 // This file is the platform's event plane: one ops.Bus per process that
@@ -19,7 +20,7 @@ var ErrEventsDisabled = errors.New("platform: event plane disabled (set Config.E
 
 // DefaultEventsInterval is the snapshot heartbeat period unless
 // Config.EventsInterval overrides it.
-const DefaultEventsInterval = 5 * time.Second
+const DefaultEventsInterval = ops.DefaultHeartbeatInterval
 
 // Metrics returns the unified whole-platform snapshot: every buyer server's
 // engine sizing plus, when replicated, its replication status. This is the
@@ -28,16 +29,10 @@ const DefaultEventsInterval = 5 * time.Second
 // the KindSnapshot heartbeat publishes. It works with or without
 // Config.Events.
 func (p *Platform) Metrics() ops.Snapshot {
-	snap := ops.Snapshot{AtEpochMs: time.Now().UnixMilli()}
-	for i, e := range p.Engines {
-		sv := ops.ServerSnapshot{Server: i, Engine: e.Stats().EventView()}
-		if i < len(p.Replicators) {
-			repl := p.Replicators[i].Stats().EventView()
-			sv.Replication = &repl
-		}
-		snap.Servers = append(snap.Servers, sv)
+	if len(p.replicas) == 0 {
+		return ops.NewSnapshot(recommend.ServerSnapshot(0, p.Engine, nil))
 	}
-	return snap
+	return Snapshots(p.replicas)
 }
 
 // Subscribe attaches a consumer to the platform's event bus, filtered to
@@ -54,42 +49,16 @@ func (p *Platform) Subscribe(ctx context.Context, kinds ...ops.Kind) (*ops.Subsc
 	return sub, nil
 }
 
-// RunHeartbeat publishes a KindSnapshot heartbeat every interval until ctx
-// is cancelled (returning ctx.Err()) or the platform closes (returning
-// nil). New starts one automatically under Close's lifecycle; daemons that
-// want the heartbeat tied to their own shutdown context (platformd's task
-// group) build the platform pieces themselves and call this.
-func (p *Platform) RunHeartbeat(ctx context.Context, interval time.Duration) error {
-	if p.Events == nil {
-		return ErrEventsDisabled
-	}
-	if interval <= 0 {
-		interval = DefaultEventsInterval
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-p.stopHeartbeat:
-			return nil
-		case <-t.C:
-		}
-		snap := p.Metrics()
-		p.Events.Publish(ops.Event{Kind: ops.KindSnapshot, AtEpochMs: snap.AtEpochMs, Snapshot: &snap})
-	}
-}
-
-// startHeartbeat launches the heartbeat goroutine New owns. Called at the
-// end of New — after every engine and replicator is in place, so a tick
-// never races construction.
+// startHeartbeat launches the snapshot heartbeat New owns. Called at the end
+// of New — after every engine and replicator is in place, so a tick never
+// races construction.
 func (p *Platform) startHeartbeat(interval time.Duration) {
-	p.stopHeartbeat = make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	p.stopHeartbeat = cancel
 	p.heartbeatDone = make(chan struct{})
 	go func() {
 		defer close(p.heartbeatDone)
-		p.RunHeartbeat(context.Background(), interval)
+		p.Events.Heartbeat(ctx, interval, p.Metrics)
 	}()
 }
 
@@ -100,11 +69,7 @@ func (p *Platform) closeEventPlane() {
 		return
 	}
 	if p.stopHeartbeat != nil {
-		select {
-		case <-p.stopHeartbeat:
-		default:
-			close(p.stopHeartbeat)
-		}
+		p.stopHeartbeat()
 		<-p.heartbeatDone
 	}
 	p.Events.Close()

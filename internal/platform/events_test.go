@@ -94,9 +94,8 @@ func TestPlatformEventPlane(t *testing.T) {
 			t.Errorf("server %d replication view %+v != Stats lag %d", i, sv.Replication, rst.Lag())
 		}
 	}
-	legacy := p.ReplicationStats()
-	if len(legacy) != len(snap.Servers) {
-		t.Errorf("deprecated ReplicationStats has %d entries, Metrics %d", len(legacy), len(snap.Servers))
+	if len(p.Replicators) != len(snap.Servers) {
+		t.Errorf("platform has %d replicators, Metrics %d servers", len(p.Replicators), len(snap.Servers))
 	}
 	if snap.TotalLagRecords() != 0 {
 		t.Errorf("total lag after sync = %d", snap.TotalLagRecords())

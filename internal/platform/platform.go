@@ -6,8 +6,9 @@
 //
 // Engine topology is a Config choice. By default every Buyer Agent Server
 // shares one recommendation engine (the paper's single mechanism). With
-// ReplicateEngines each server gets its own engine: community shard s is
-// owned by server s%N, a recommend.Router forwards each server's writes to
+// ReplicateEngines each server is a Replica (replica.go, the assembly
+// platformd shares) with its own engine: community shard s is owned by
+// server s%N, a recommend.Router forwards each server's writes to
 // the owner, and a recommend.Replicator per server tails the owners'
 // journals so every server reads from a local replica. SeedCommunity and
 // SyncReplicas give deterministic post-write convergence barriers.
@@ -25,7 +26,6 @@ import (
 	"io"
 	"path/filepath"
 	"sort"
-	"sync"
 	"time"
 
 	"agentrec/internal/aglet"
@@ -126,20 +126,17 @@ type Platform struct {
 	Replicators []*recommend.Replicator // one per server when replicating
 
 	// Events is the platform's event bus (nil without Config.Events); see
-	// events.go for the embedder API (Metrics, Subscribe, RunHeartbeat).
+	// events.go for the embedder API (Metrics, Subscribe).
 	Events *ops.Bus
 
 	// Ownership is the coordinator's lease authority (nil without
 	// Config.ElasticOwnership).
 	Ownership *coordinator.Authority
 
-	writer        recommend.Writer            // seeding write surface (router 0 when replicating)
-	writers       []recommend.Writer          // per-server community write surface
-	tables        []*recommend.OwnershipTable // per-server leased maps (elastic only)
-	leaseCancel   context.CancelFunc          // stops the lease-client goroutines
-	leaseDone     sync.WaitGroup
+	replicas      []*Replica         // one per server when replicating
+	writers       []recommend.Writer // per-server community write surface
 	hosts         []*aglet.Host
-	stopHeartbeat chan struct{}
+	stopHeartbeat context.CancelFunc
 	heartbeatDone chan struct{}
 }
 
@@ -206,133 +203,18 @@ func New(cfg Config) (*Platform, error) {
 		p.Events = ops.NewBus()
 	}
 
-	// Prepend defaults so explicit EngineOpts still win.
-	baseOpts := func(server int, stateSub string) []recommend.Option {
-		var opts []recommend.Option
-		if p.Events != nil {
-			opts = append(opts, recommend.WithEventBus(p.Events, server))
-		}
-		if cfg.EngineShards > 0 {
-			opts = append(opts, recommend.WithShards(cfg.EngineShards))
-		}
-		if cfg.NeighborSearch != recommend.SearchExact {
-			opts = append(opts, recommend.WithNeighborSearch(cfg.NeighborSearch))
-		}
-		if cfg.ANNProbes > 0 {
-			opts = append(opts, recommend.WithANNProbes(cfg.ANNProbes))
-		}
-		if cfg.StateDir != "" {
-			// Each engine journals its community under the state root and
-			// recovers it here, so a platform restart keeps every consumer.
-			opts = append(opts, recommend.WithPersistence(filepath.Join(cfg.StateDir, stateSub)))
-			if cfg.CompactRatio > 0 {
-				pol := recommend.CompactionPolicy{Ratio: cfg.CompactRatio}
-				if cfg.ReplicateEngines {
-					pol = recommend.FollowerCompactionPolicy(cfg.CompactRatio)
-				}
-				opts = append(opts, recommend.WithAutoCompaction(pol))
-			}
-		}
-		return opts
-	}
 	if cfg.ReplicateEngines {
-		// One engine per buyer server: shard s is owned by server s%N,
-		// writes route to the owner, and each server tails the others.
-		for i := 0; i < cfg.BuyerServers; i++ {
-			opts := append(baseOpts(i, fmt.Sprintf("engine-%d", i)), recommend.WithJournalFeed(0))
-			engine, err := recommend.Open(p.Union, append(opts, cfg.EngineOpts...)...)
-			if err != nil {
-				return nil, err
-			}
-			p.Engines = append(p.Engines, engine)
-		}
-		peers := make([]recommend.Peer, cfg.BuyerServers)
-		for i, e := range p.Engines {
-			peers[i] = recommend.LocalPeer{Engine: e}
-		}
-		if cfg.ElasticOwnership {
-			// Every server starts from the same static epoch-1 map the
-			// authority does, so routing is consistent before the first
-			// lease lands; the lease clients below keep the tables moving.
-			shards := p.Engines[0].Shards()
-			var publish func(ops.Event)
-			if p.Events != nil {
-				publish = func(ev ops.Event) { p.Events.Publish(ev) }
-			}
-			lease := cfg.OwnershipLease
-			if lease <= 0 {
-				lease = time.Second
-			}
-			auth, err := coordinator.NewOwnershipAuthority(coordinator.OwnershipConfig{
-				Shards:   shards,
-				Servers:  cfg.BuyerServers,
-				LeaseTTL: 3 * lease,
-				Publish:  publish,
-			})
-			if err != nil {
-				return nil, err
-			}
-			coord.AttachOwnership(auth)
-			p.Ownership = auth
-			for i := 0; i < cfg.BuyerServers; i++ {
-				p.tables = append(p.tables,
-					recommend.NewOwnershipTable(recommend.StaticOwnership(shards, cfg.BuyerServers)))
-			}
-		}
-		pull := cfg.ReplicationPull
-		if pull <= 0 {
-			pull = 100 * time.Millisecond
-		}
-		for i, e := range p.Engines {
-			ropts := []recommend.ReplicatorOption{recommend.WithPullInterval(pull)}
-			if p.Events != nil {
-				ropts = append(ropts, recommend.WithReplicationEvents(p.Events, i))
-			}
-			if p.tables != nil {
-				ropts = append(ropts, recommend.PullWithOwnership(p.tables[i]))
-			}
-			r, err := recommend.NewReplicator(e, i, peers, ropts...)
-			if err != nil {
-				return nil, err
-			}
-			r.Start()
-			p.Replicators = append(p.Replicators, r)
-		}
-		if p.Ownership != nil {
-			// One lease client per server: renew directly against the
-			// in-process authority with the replicator's catch-up evidence.
-			lease := cfg.OwnershipLease
-			if lease <= 0 {
-				lease = time.Second
-			}
-			lctx, cancel := context.WithCancel(context.Background())
-			p.leaseCancel = cancel
-			for i := 0; i < cfg.BuyerServers; i++ {
-				client := &coordinator.LeaseClient{
-					Self:  i,
-					Table: p.tables[i],
-					Renew: func(_ context.Context, server int, applied []uint64) (coordinator.LeaseGrant, error) {
-						return p.Ownership.Renew(server, applied)
-					},
-					Applied:  p.Replicators[i].AppliedSeqs,
-					Interval: lease,
-				}
-				p.leaseDone.Add(1)
-				go func() {
-					defer p.leaseDone.Done()
-					client.Run(lctx)
-				}()
-			}
+		if err := p.replicate(cfg); err != nil {
+			return nil, err
 		}
 	} else {
-		engine, err := recommend.Open(p.Union, append(baseOpts(0, "engine"), cfg.EngineOpts...)...)
+		engine, err := p.engineConfig(cfg, "engine").Open(p.Union, 0, false)
 		if err != nil {
 			return nil, err
 		}
 		p.Engines = []*recommend.Engine{engine}
 	}
 	p.Engine = p.Engines[0]
-	p.writer = p.Engine
 
 	for i := 0; i < cfg.BuyerServers; i++ {
 		name := fmt.Sprintf("buyer-server-%d", i+1)
@@ -350,31 +232,8 @@ func New(cfg Config) (*Platform, error) {
 		engine := p.Engine
 		serverWriter := recommend.Writer(engine)
 		if cfg.ReplicateEngines {
-			engine = p.Engines[i]
-			writers := make([]recommend.Writer, cfg.BuyerServers)
-			for j, e := range p.Engines {
-				if p.tables != nil && j != i {
-					// Elastic: remote writes go through the receiver's
-					// fence, stamped with this server's epoch — the
-					// in-process analogue of replnet's fenced frames.
-					writers[j] = recommend.OwnedWriter{Local: e, Self: j, Table: p.tables[j], Sender: p.tables[i]}
-				} else {
-					writers[j] = e
-				}
-			}
-			var ropts []recommend.RouterOption
-			if p.tables != nil {
-				ropts = append(ropts, recommend.RouteWithOwnership(p.tables[i]))
-			}
-			router, err := recommend.NewRouter(engine, i, writers, ropts...)
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				p.writer = router
-			}
-			serverWriter = router
-			opts = append(opts, buyerserver.WithCommunityWriter(router))
+			engine, serverWriter = p.Engines[i], p.replicas[i].Router
+			opts = append(opts, buyerserver.WithCommunityWriter(serverWriter))
 		}
 		p.writers = append(p.writers, serverWriter)
 		if cfg.StateDir != "" {
@@ -394,21 +253,82 @@ func New(cfg Config) (*Platform, error) {
 	return p, nil
 }
 
-// ReplicationStats reports every buyer server's per-shard replication
-// status — applied vs owner sequence, lag, snapshot/page counts, last
-// errors — the signal an operator needs before trusting a server's local
-// reads. Empty without ReplicateEngines.
-//
-// Deprecated: use Metrics, whose ops.Snapshot carries the same data (per
-// server under Replication, with lags materialized as lag_records) plus
-// the engine sizing this walk omits. This delegate stays for embedders
-// that want the raw recommend structs.
-func (p *Platform) ReplicationStats() []recommend.ReplicationStats {
-	out := make([]recommend.ReplicationStats, 0, len(p.Replicators))
-	for _, r := range p.Replicators {
-		out = append(out, r.Stats())
+// engineConfig is the engine option set of the engine journaling under
+// stateSub of the state root; each engine recovers its community from
+// there, so a platform restart keeps every consumer.
+func (p *Platform) engineConfig(cfg Config, stateSub string) EngineConfig {
+	ec := EngineConfig{
+		Bus:          p.Events,
+		Shards:       cfg.EngineShards,
+		Search:       cfg.NeighborSearch,
+		ANNProbes:    cfg.ANNProbes,
+		CompactRatio: cfg.CompactRatio,
+		Extra:        cfg.EngineOpts,
 	}
-	return out
+	if cfg.StateDir != "" {
+		ec.StateDir = filepath.Join(cfg.StateDir, stateSub)
+	}
+	return ec
+}
+
+// replicate gives every buyer server its own Replica: shard s starts on
+// server s%N, writes route to the owner, and each server tails the others.
+// With ElasticOwnership every replica leases the map from an authority
+// attached to the coordinator; without it the static map is never leased.
+func (p *Platform) replicate(cfg Config) error {
+	var renew coordinator.RenewFunc
+	if cfg.ElasticOwnership {
+		renew = func(_ context.Context, server int, applied []uint64) (coordinator.LeaseGrant, error) {
+			return p.Ownership.Renew(server, applied)
+		}
+	}
+	for i := 0; i < cfg.BuyerServers; i++ {
+		r, err := NewReplica(ReplicaConfig{
+			Self:    i,
+			Servers: cfg.BuyerServers,
+			Catalog: p.Union,
+			Engine:  p.engineConfig(cfg, fmt.Sprintf("engine-%d", i)),
+			Pull:    cfg.ReplicationPull,
+			Renew:   renew,
+			Lease:   cfg.OwnershipLease,
+		})
+		if err != nil {
+			return err
+		}
+		p.replicas = append(p.replicas, r)
+		p.Engines = append(p.Engines, r.Engine)
+	}
+	if cfg.ElasticOwnership {
+		lease := cfg.OwnershipLease
+		if lease <= 0 {
+			lease = time.Second
+		}
+		var publish func(ops.Event)
+		if p.Events != nil {
+			publish = func(ev ops.Event) { p.Events.Publish(ev) }
+		}
+		auth, err := coordinator.NewOwnershipAuthority(coordinator.OwnershipConfig{
+			Shards:   p.Engines[0].Shards(),
+			Servers:  cfg.BuyerServers,
+			LeaseTTL: 3 * lease,
+			Publish:  publish,
+		})
+		if err != nil {
+			return err
+		}
+		p.Coordinator.AttachOwnership(auth)
+		p.Ownership = auth
+	}
+	for i, r := range p.replicas {
+		if err := r.Connect(LocalLinks(p.replicas, i)); err != nil {
+			return err
+		}
+		p.Replicators = append(p.Replicators, r.Replicator)
+	}
+	for _, r := range p.replicas {
+		r.Start()
+	}
+	return nil
 }
 
 // SyncReplicas runs one deterministic catch-up pass on every replicator:
@@ -446,13 +366,14 @@ func (p *Platform) Writer(i int) recommend.Writer {
 	return p.writers[i]
 }
 
-// OwnershipTable returns buyer server i's leased ownership table, or nil
-// outside ElasticOwnership deployments.
+// OwnershipTable returns buyer server i's ownership table (leased with
+// ElasticOwnership, the static epoch-1 map otherwise), or nil without
+// ReplicateEngines.
 func (p *Platform) OwnershipTable(i int) *recommend.OwnershipTable {
-	if i < 0 || i >= len(p.tables) {
+	if i < 0 || i >= len(p.replicas) {
 		return nil
 	}
-	return p.tables[i]
+	return p.replicas[i].Table
 }
 
 // Stock adds a product to marketplace index i and the integrated catalog.
@@ -514,7 +435,8 @@ func (p *Platform) integrate(i int, sellerID string, apply func(*catalog.Integra
 // WithMaxResidentShards faults a shard in and out per purchase instead of
 // once per shard.
 func (p *Platform) SeedCommunity(profiles []*profile.Profile, purchases map[string][]string) error {
-	if err := p.writer.SetProfiles(profiles); err != nil {
+	writer := p.writers[0] // server 0's surface: the engine, or its router when replicating
+	if err := writer.SetProfiles(profiles); err != nil {
 		return err
 	}
 	users := make([]string, 0, len(purchases))
@@ -530,7 +452,7 @@ func (p *Platform) SeedCommunity(profiles []*profile.Profile, purchases map[stri
 	})
 	for _, user := range users {
 		for _, pid := range purchases[user] {
-			if err := p.writer.RecordPurchase(user, pid); err != nil {
+			if err := writer.RecordPurchase(user, pid); err != nil {
 				return err
 			}
 		}
@@ -544,21 +466,16 @@ func (p *Platform) SeedCommunity(profiles []*profile.Profile, purchases map[stri
 }
 
 // Close shuts everything down: the event plane first (heartbeat stopped,
-// bus closed so wire consumers drain and disconnect), then replicators (no
-// new applies), buyer servers (they own live agents with in-flight trips),
-// marketplaces, the coordinator, and the engines' persistence journals.
+// bus closed so wire consumers drain and disconnect), then the replicas'
+// loops (no new applies or renewals), buyer servers (they own live agents
+// with in-flight trips), marketplaces, the coordinator, and the engines'
+// persistence journals.
 func (p *Platform) Close() error {
 	p.closeEventPlane()
-	if p.leaseCancel != nil {
-		p.leaseCancel()
-		p.leaseDone.Wait()
+	for _, r := range p.replicas {
+		r.Stop()
 	}
 	var first error
-	for _, r := range p.Replicators {
-		if err := r.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
 	for _, b := range p.Buyers {
 		if err := b.Close(); err != nil && first == nil {
 			first = err

@@ -156,6 +156,19 @@ func WithReplicationEvents(bus *ops.Bus, server int) ReplicatorOption {
 	}
 }
 
+// ServerSnapshot assembles one server's slice of the unified ops.Snapshot:
+// e's sizing plus, when r is non-nil, its replication status. Every stats
+// surface (heartbeats, /metrics/snapshot, the load harness) builds its view
+// through this one function.
+func ServerSnapshot(server int, e *Engine, r *Replicator) ops.ServerSnapshot {
+	sv := ops.ServerSnapshot{Server: server, Engine: e.Stats().EventView()}
+	if r != nil {
+		repl := r.Stats().EventView()
+		sv.Replication = &repl
+	}
+	return sv
+}
+
 // EventView is st in the unified ops model: the engine slice of an
 // ops.Snapshot heartbeat, with durations converted to the wire's
 // milliseconds.

@@ -714,8 +714,8 @@ func (st ReplicationStats) Lag() uint64 {
 
 // Replicator keeps one server's engine converged with the shards it does
 // not own by tailing each owner's journal. Construct with NewReplicator;
-// call Sync for a deterministic catch-up pass (tests, post-seed barriers)
-// or Start for the background loop, and Close when done.
+// call Sync for a deterministic catch-up pass (tests, post-seed barriers),
+// Run (or Start, its background form) for the pull loop, and Close when done.
 type Replicator struct {
 	e        *Engine
 	self     int
@@ -735,8 +735,8 @@ type Replicator struct {
 	lastLag map[int]uint64         // per-shard lag at the previous successful pull
 
 	startOnce sync.Once
-	stop      chan struct{}
-	done      chan struct{}
+	cancel    context.CancelFunc // set by Start; stops its Run
+	done      chan struct{}      // closed when Start's Run has returned
 }
 
 // NewReplicator returns a replicator for server self among len(peers)
@@ -755,8 +755,6 @@ func NewReplicator(e *Engine, self int, peers []Peer, opts ...ReplicatorOption) 
 		stats:    make(map[int]*ShardReplication),
 		xfers:    make(map[int]*pagedTransfer),
 		lastLag:  make(map[int]uint64),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 	}
 	for _, opt := range opts {
 		opt(r)
@@ -1048,32 +1046,24 @@ func (r *Replicator) pullShardPaged(ctx context.Context, shard, owner int, epoch
 	return nil
 }
 
-// Start launches the background tail loop. It is idempotent.
+// Start launches Run in a background goroutine that Close stops. It is
+// idempotent.
 func (r *Replicator) Start() {
 	r.startOnce.Do(func() {
+		ctx, cancel := context.WithCancel(context.Background())
+		r.cancel = cancel
+		r.done = make(chan struct{})
 		go func() {
 			defer close(r.done)
-			t := time.NewTicker(r.interval)
-			defer t.Stop()
-			for {
-				select {
-				case <-r.stop:
-					return
-				case <-t.C:
-				}
-				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				r.Sync(ctx) // per-shard errors are kept in Stats
-				cancel()
-			}
+			r.Run(ctx)
 		}()
 	})
 }
 
-// Run drives the pull loop under the caller's lifecycle: it ticks like
-// Start's background loop but in the calling goroutine, returning ctx.Err()
-// when ctx is cancelled or nil when Close is called. Run and Start are
-// alternatives — a daemon that owns a shutdown context (platformd's task
-// group) uses Run; embedders that just want fire-and-forget use Start.
+// Run is the pull loop: one Sync pass per interval until ctx is cancelled,
+// then ctx.Err(). Every pass runs under ctx, so cancellation also aborts an
+// in-flight pull against a slow peer. A daemon that owns a shutdown context
+// calls Run itself; Start is `go Run` under a context Close cancels.
 func (r *Replicator) Run(ctx context.Context) error {
 	t := time.NewTicker(r.interval)
 	defer t.Stop()
@@ -1081,8 +1071,6 @@ func (r *Replicator) Run(ctx context.Context) error {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-r.stop:
-			return nil
 		case <-t.C:
 		}
 		sctx, cancel := context.WithTimeout(ctx, 30*time.Second)
@@ -1091,15 +1079,14 @@ func (r *Replicator) Run(ctx context.Context) error {
 	}
 }
 
-// Close stops the background loop (if started) and waits for it.
+// Close stops the loop Start launched, if any, and waits for it; a later
+// Start is a no-op.
 func (r *Replicator) Close() error {
-	select {
-	case <-r.stop:
-	default:
-		close(r.stop)
+	r.startOnce.Do(func() {}) // orders this read of cancel after Start's write
+	if r.cancel != nil {
+		r.cancel()
+		<-r.done
 	}
-	r.startOnce.Do(func() { close(r.done) }) // never started: unblock the wait
-	<-r.done
 	return nil
 }
 

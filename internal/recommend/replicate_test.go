@@ -396,6 +396,57 @@ func TestReplicatorShardCountMismatch(t *testing.T) {
 	}
 }
 
+// hungPeer is a peer that never answers: every request blocks until its
+// context ends, like a TCP peer that accepted the connection and stalled.
+type hungPeer struct{ entered chan struct{} }
+
+func (p hungPeer) JournalTail(ctx context.Context, _ int, _, _ uint64) (TailResult, error) {
+	select {
+	case p.entered <- struct{}{}:
+	default:
+	}
+	<-ctx.Done()
+	return TailResult{}, ctx.Err()
+}
+
+func (p hungPeer) SnapshotPage(ctx context.Context, _ int, _, _ uint64, _ string) (SnapshotPage, error) {
+	<-ctx.Done()
+	return SnapshotPage{}, ctx.Err()
+}
+
+// TestReplicatorCloseAbortsHungPull: Close must cancel the background
+// loop's in-flight pull rather than wait out its 30 s timeout.
+func TestReplicatorCloseAbortsHungPull(t *testing.T) {
+	u, _ := soakUniverse(t)
+	follower, err := Open(u.Catalog, WithJournalFeed(0), WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	peer := hungPeer{entered: make(chan struct{}, 1)}
+	r, err := NewReplicator(follower, 1, []Peer{peer, nil}, WithPullInterval(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start()
+	select {
+	case <-peer.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("background loop never pulled")
+	}
+	closed := make(chan struct{})
+	start := time.Now()
+	go func() {
+		r.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatalf("Close still blocked behind a hung pull after %v", time.Since(start))
+	}
+}
+
 // TestReplicationSoak hammers the routers from many goroutines while the
 // background replicators tail on a tight interval — run under -race in CI
 // — then quiesces and checks all servers converge to the same answers.

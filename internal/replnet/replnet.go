@@ -15,7 +15,7 @@
 //   - Peer implements recommend.Peer over an atp.Client — the follower
 //     side of journal tailing.
 //   - Writer implements recommend.Writer over an atp.Client — the
-//     forwarding side of write routing (give it to recommend.NewRouter).
+//     forwarding side of write routing (a recommend.Router's remote surface).
 package replnet
 
 import (
@@ -376,7 +376,7 @@ func (p *Peer) OwnerMap(ctx context.Context) (OwnerMapInfo, error) {
 var _ recommend.Peer = (*Peer)(nil)
 
 // Writer forwards community writes to the shard owner's server over atp.
-// It implements recommend.Writer, so it slots into recommend.NewRouter as
+// It implements recommend.Writer, so it slots into a recommend.Router as
 // the write surface of a remote peer.
 type Writer struct {
 	base    context.Context
