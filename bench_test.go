@@ -107,6 +107,38 @@ func BenchmarkSimilarityPearson(b *testing.B) {
 	}
 }
 
+// BenchmarkDot prices one pair of the Fig 4.5 kernel both ways, on generated
+// profiles at the benchmark's shape (1 200 products, 16 categories): the map
+// path hashes a key string per term, the merge-join walks two sorted id
+// slices. Pairs cycle through 256 consumers so neither side scores one warm
+// pair.
+func BenchmarkDot(b *testing.B) {
+	u, err := workload.Generate(workload.Config{Seed: 11, Users: 256, Products: 1200, Categories: 16})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sums := make([]*profile.Summary, len(u.Users))
+	for i, usr := range u.Users {
+		p, err := u.BuildProfile(usr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sums[i] = p.Summary()
+	}
+	var sink float64
+	b.Run("map", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink += similarity.Dot(sums[0].Vec, sums[i%len(sums)].Vec)
+		}
+	})
+	b.Run("merge-join", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink += sums[0].Compact.Dot(sums[i%len(sums)].Compact)
+		}
+	})
+	_ = sink
+}
+
 // --- C5/C4: recommendation strategies ----------------------------------------
 
 func benchEngine(b *testing.B, users, products int) (*recommend.Engine, *workload.Universe) {
@@ -161,6 +193,31 @@ func BenchmarkRecommenderCommunitySize(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkIFilter prices information filtering alone in one category of a
+// 1 200-product catalogue: the read walks that category's slice of the
+// catalogue's content view and copies no product.
+func BenchmarkIFilter(b *testing.B) {
+	e, u := benchEngineSized(b, 500, 1200, 16)
+	taste := make([]string, len(u.Users)) // each consumer's strongest category
+	for i, usr := range u.Users {
+		p, err := e.Profile(usr.ID)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if top := p.TopCategories(1); len(top) > 0 {
+			taste[i] = top[0].Term
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(u.Users)
+		if _, err := e.Recommend(recommend.StrategyIF, u.Users[j].ID, taste[j], 10); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

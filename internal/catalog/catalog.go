@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"agentrec/internal/profile"
 )
@@ -112,6 +113,88 @@ type Match struct {
 type Catalog struct {
 	mu       sync.RWMutex
 	products map[string]*Product
+	// view caches the content view. Add, Upsert and Remove clear it while
+	// holding mu; AdjustStock leaves it alone, since stock is not content.
+	view atomic.Pointer[View]
+}
+
+// Item is the content of one product: what recommendation scoring reads.
+// Price, seller and stock are not part of it. Terms is shared with the
+// catalog and must not be mutated.
+type Item struct {
+	ID          string
+	Category    string
+	SubCategory string
+	Terms       map[string]float64
+}
+
+// View is an immutable listing of the catalog's content, grouped by
+// category, for read paths that walk many products per request: taking one
+// is an atomic load and copies no product. It shows the catalog as of the
+// last Add, Upsert or Remove before View was called.
+type View struct {
+	items      []Item            // ordered by category, then id
+	byCategory map[string][]Item // sub-slices of items
+	byID       map[string]int    // index into items
+}
+
+// Items returns the products of category ordered by id, or every product
+// when category is empty. The slice is shared and must not be mutated.
+func (v *View) Items(category string) []Item {
+	if category == "" {
+		return v.items
+	}
+	return v.byCategory[category]
+}
+
+// Lookup returns the content of the product with id.
+func (v *View) Lookup(id string) (Item, bool) {
+	i, ok := v.byID[id]
+	if !ok {
+		return Item{}, false
+	}
+	return v.items[i], true
+}
+
+// View returns the current content view, rebuilding it only when the
+// catalog's content changed since the last call.
+func (c *Catalog) View() *View {
+	if v := c.view.Load(); v != nil {
+		return v
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v := c.view.Load(); v != nil {
+		return v
+	}
+	v := &View{
+		items:      make([]Item, 0, len(c.products)),
+		byCategory: make(map[string][]Item),
+		byID:       make(map[string]int, len(c.products)),
+	}
+	// Stored products are replaced whole, never edited in place apart from
+	// Stock, so the view can share their term maps.
+	for _, p := range c.products {
+		v.items = append(v.items, Item{ID: p.ID, Category: p.Category, SubCategory: p.SubCategory, Terms: p.Terms})
+	}
+	sort.Slice(v.items, func(i, j int) bool {
+		a, b := &v.items[i], &v.items[j]
+		if a.Category != b.Category {
+			return a.Category < b.Category
+		}
+		return a.ID < b.ID
+	})
+	for lo := 0; lo < len(v.items); {
+		hi := lo
+		for hi < len(v.items) && v.items[hi].Category == v.items[lo].Category {
+			v.byID[v.items[hi].ID] = hi
+			hi++
+		}
+		v.byCategory[v.items[lo].Category] = v.items[lo:hi:hi]
+		lo = hi
+	}
+	c.view.Store(v)
+	return v
 }
 
 // New returns an empty catalog.
@@ -130,6 +213,7 @@ func (c *Catalog) Add(p *Product) error {
 		return fmt.Errorf("%w: %s", ErrDuplicateID, p.ID)
 	}
 	c.products[p.ID] = p.clone()
+	c.view.Store(nil)
 	return nil
 }
 
@@ -141,6 +225,7 @@ func (c *Catalog) Upsert(p *Product) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.products[p.ID] = p.clone()
+	c.view.Store(nil)
 	return nil
 }
 
@@ -163,6 +248,7 @@ func (c *Catalog) Remove(id string) error {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	delete(c.products, id)
+	c.view.Store(nil)
 	return nil
 }
 

@@ -1,0 +1,145 @@
+package profile
+
+import (
+	"math"
+	"slices"
+	"sort"
+	"strings"
+	"sync"
+)
+
+// Compact is a sparse vector in the form the similarity kernel scans: term
+// keys interned to process-local ids, ids strictly ascending, Weights[i] the
+// weight of IDs[i]. Two Compact values can be dotted by one merge-join over
+// the id slices, with no string hashed.
+//
+// Ids are handed out in first-seen order by a dictionary private to this
+// process, so a Compact means nothing outside it: it is never marshalled,
+// journaled or put on the wire. A Compact is immutable once published on a
+// Summary; Set is for a caller-owned scratch value.
+type Compact struct {
+	IDs     []uint32
+	Weights []float64
+}
+
+// Set makes c the compact form of vec, reusing c's backing arrays. Keys vec
+// holds that the dictionary has not seen are added to it.
+func (c *Compact) Set(vec map[string]float64) {
+	c.IDs, c.Weights = slices.Grow(c.IDs[:0], len(vec)), slices.Grow(c.Weights[:0], len(vec))
+	terms.mu.RLock()
+	for key, w := range vec {
+		c.IDs = append(c.IDs, terms.idRLocked(key))
+		c.Weights = append(c.Weights, w)
+	}
+	terms.mu.RUnlock()
+	c.sortByID()
+}
+
+// Dot returns the sparse dot product of c and o: the same value
+// similarity.Dot gives for the maps they were built from, summed in
+// ascending id order instead of map iteration order.
+func (c *Compact) Dot(o *Compact) float64 {
+	a, b := c.IDs, o.IDs
+	aw, bw := c.Weights[:len(a)], o.Weights[:len(b)]
+	var dot float64
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		x, y := a[i], b[j]
+		if x == y {
+			dot += aw[i] * bw[j]
+		}
+		if x <= y {
+			i++
+		}
+		if y <= x {
+			j++
+		}
+	}
+	return dot
+}
+
+// Norm returns the Euclidean norm of c, summed in ascending id order.
+func (c *Compact) Norm() float64 {
+	var sq float64
+	for _, w := range c.Weights {
+		sq += w * w
+	}
+	return math.Sqrt(sq)
+}
+
+// equal reports whether c and o hold the same ids with the same weights.
+func (c *Compact) equal(o *Compact) bool {
+	return slices.Equal(c.IDs, o.IDs) && slices.Equal(c.Weights, o.Weights)
+}
+
+// sortByID establishes the ascending-id invariant. Two entries share an id
+// only when two (category, sub-category, term) paths spell the same flat
+// key ("a/b" + "c" and "a" + "b/c"); the heavier one is kept, so the result
+// does not depend on the order the entries arrived in.
+func (c *Compact) sortByID() {
+	sort.Sort((*byID)(c))
+	n := 0
+	for i, id := range c.IDs {
+		if n > 0 && c.IDs[n-1] == id {
+			c.Weights[n-1] = max(c.Weights[n-1], c.Weights[i])
+			continue
+		}
+		c.IDs[n], c.Weights[n] = id, c.Weights[i]
+		n++
+	}
+	c.IDs, c.Weights = c.IDs[:n], c.Weights[:n]
+}
+
+type byID Compact
+
+func (c *byID) Len() int           { return len(c.IDs) }
+func (c *byID) Less(i, j int) bool { return c.IDs[i] < c.IDs[j] }
+func (c *byID) Swap(i, j int) {
+	c.IDs[i], c.IDs[j] = c.IDs[j], c.IDs[i]
+	c.Weights[i], c.Weights[j] = c.Weights[j], c.Weights[i]
+}
+
+// dictionary interns flattened term keys ("category/term",
+// "category/sub/term") to dense ids. It is append-only and bounded by the
+// vocabulary: it grows only by keys of profiles this process was asked to
+// summarize, which is what the process already stores. Each entry keeps the
+// one canonical copy of its key string, which every Summary.Vec shares, and
+// the key's dense projection slot, so Summary hashes no term string twice.
+type dictionary struct {
+	mu      sync.RWMutex
+	ids     map[string]uint32
+	entries []termEntry
+}
+
+type termEntry struct {
+	key      string
+	dim      uint8 // denseSlot of key
+	positive bool
+}
+
+// terms is the process's one dictionary. It is package state because
+// Summary is the single place fingerprints are made and takes no context;
+// nothing outside this file reads it.
+var terms = dictionary{ids: make(map[string]uint32)}
+
+// idRLocked returns key's id, adding key when it is new. The caller holds
+// d.mu for reading, and holds it again on return; key is not retained, so a
+// caller may pass a concatenation that lives on its stack.
+func (d *dictionary) idRLocked(key string) uint32 {
+	if id, ok := d.ids[key]; ok {
+		return id
+	}
+	d.mu.RUnlock()
+	d.mu.Lock()
+	id, ok := d.ids[key]
+	if !ok {
+		owned := strings.Clone(key)
+		dim, positive := denseSlot(owned)
+		id = uint32(len(d.entries))
+		d.entries = append(d.entries, termEntry{key: owned, dim: uint8(dim), positive: positive})
+		d.ids[owned] = id
+	}
+	d.mu.Unlock()
+	d.mu.RLock()
+	return id
+}

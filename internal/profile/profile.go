@@ -386,17 +386,21 @@ const DenseDims = 64
 // similarity vector plus the per-category preference values, computed once.
 // The recommendation engine builds one per SetProfile and hands it to the
 // per-category candidate index, so neighbour search never re-flattens or
-// re-sums stored profiles pair by pair. Norm and Dense are derived from Vec
-// at the same time: the Euclidean norm feeds cosine scoring without a
-// per-pair re-sum, and the signed feature-hash projection feeds the
-// random-hyperplane ANN index.
+// re-sums stored profiles pair by pair. Compact is the same vector in the
+// form the scoring kernel scans; Vec holds it as a map for callers that
+// look terms up by name, its keys shared with every other Summary's through
+// the term dictionary. Norm and Dense are summed over Compact in ascending
+// id order, so equal profile content gives bit-identical values: the
+// Euclidean norm feeds cosine scoring without a per-pair re-sum, and the
+// signed feature-hash projection feeds the random-hyperplane ANN index.
 type Summary struct {
-	UserID string
-	Vec    map[string]float64 // Vector(), flattened once
-	Prefs  map[string]float64 // category -> PreferenceValue; only > 0 entries
-	Terms  int                // TermCount()
-	Norm   float64            // Euclidean norm of Vec, cached at construction
-	Dense  []float32          // DenseDims-wide signed feature hash of Vec
+	UserID  string
+	Vec     map[string]float64 // Vector(), flattened once
+	Compact *Compact           // Vec with interned keys, ids ascending
+	Prefs   map[string]float64 // category -> PreferenceValue; only > 0 entries
+	Terms   int                // TermCount()
+	Norm    float64            // Euclidean norm of Vec, cached at construction
+	Dense   []float32          // DenseDims-wide signed feature hash of Vec
 }
 
 // Summary computes the profile's fingerprint. The returned maps are
@@ -404,7 +408,6 @@ type Summary struct {
 func (p *Profile) Summary() *Summary {
 	s := &Summary{
 		UserID: p.UserID,
-		Vec:    p.Vector(),
 		Prefs:  make(map[string]float64, len(p.Categories)),
 		Terms:  p.TermCount(),
 	}
@@ -413,19 +416,35 @@ func (p *Profile) Summary() *Summary {
 			s.Prefs[name] = v
 		}
 	}
-	var sq float64
-	dense := make([]float32, DenseDims)
-	for term, w := range s.Vec {
-		sq += w * w
-		dim, sign := denseSlot(term)
-		if sign {
-			dense[dim] += float32(w)
-		} else {
-			dense[dim] -= float32(w)
+	c := &Compact{IDs: make([]uint32, 0, s.Terms), Weights: make([]float64, 0, s.Terms)}
+	terms.mu.RLock()
+	for cname, cat := range p.Categories {
+		for term, w := range cat.Terms {
+			c.IDs = append(c.IDs, terms.idRLocked(cname+"/"+term))
+			c.Weights = append(c.Weights, w)
+		}
+		for sname, sub := range cat.Subs {
+			for term, w := range sub.Terms {
+				c.IDs = append(c.IDs, terms.idRLocked(cname+"/"+sname+"/"+term))
+				c.Weights = append(c.Weights, w)
+			}
 		}
 	}
-	s.Norm = math.Sqrt(sq)
-	s.Dense = dense
+	c.sortByID()
+	s.Vec = make(map[string]float64, len(c.IDs))
+	s.Dense = make([]float32, DenseDims)
+	for i, id := range c.IDs {
+		e, w := &terms.entries[id], c.Weights[i]
+		s.Vec[e.key] = w
+		if e.positive {
+			s.Dense[e.dim] += float32(w)
+		} else {
+			s.Dense[e.dim] -= float32(w)
+		}
+	}
+	terms.mu.RUnlock()
+	s.Compact = c
+	s.Norm = c.Norm()
 	return s
 }
 
@@ -443,25 +462,17 @@ func denseSlot(term string) (dim int, positive bool) {
 }
 
 // Equal reports whether two summaries describe identical profile content:
-// same flattened vector, term for term and weight for weight. The derived
-// fields (Prefs, Norm, Dense) are deliberately not compared — they are
-// float sums over Vec in map iteration order, so two computations of the
-// same content can differ in the last ulp. Identical Vec content makes
-// them equivalent. The replication catch-up path uses Equal to skip index
-// churn for consumers a shard snapshot did not actually change.
+// same flattened vector, term for term and weight for weight. Prefs, Norm
+// and Dense are functions of that content and are not compared. Both sides
+// must come from Profile.Summary. The replication catch-up path uses Equal
+// to skip index churn for consumers a shard snapshot did not actually
+// change, once per consumer, so it compares the compact slices and hashes
+// no string.
 func (s *Summary) Equal(o *Summary) bool {
 	if s == nil || o == nil {
 		return s == o
 	}
-	if s.UserID != o.UserID || s.Terms != o.Terms || len(s.Vec) != len(o.Vec) {
-		return false
-	}
-	for k, v := range s.Vec {
-		if w, ok := o.Vec[k]; !ok || w != v {
-			return false
-		}
-	}
-	return true
+	return s.UserID == o.UserID && s.Terms == o.Terms && s.Compact.equal(o.Compact)
 }
 
 // TermCount reports the total number of weighted terms in the profile,

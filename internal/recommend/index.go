@@ -2,6 +2,8 @@ package recommend
 
 import (
 	"iter"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -42,8 +44,19 @@ type categoryIndex struct {
 type indexShard struct {
 	mu       sync.RWMutex
 	postings map[string]map[string]similarity.Candidate // category -> userID -> candidate
-	cache    map[string][]similarity.Candidate          // per-category list, invalidated on write
+	cache    map[string][]similarity.Candidate          // per-category list in UserID order, immutable once built
+	dirty    map[string][]string                        // category -> consumers whose posting changed since cache[category] was built
 	ann      map[string]*annCat                         // category -> LSH buckets (used when index.ann != nil)
+}
+
+// candidateOf is the one place a stored summary becomes a similarity
+// candidate: everything the scorer can use rides along by reference, with ty
+// the consumer's preference value in the category being searched.
+func candidateOf(sum *profile.Summary, ty float64) similarity.Candidate {
+	return similarity.Candidate{
+		UserID: sum.UserID, Vec: sum.Vec, Ty: ty,
+		Norm: sum.Norm, Dense: sum.Dense, Compact: sum.Compact,
+	}
 }
 
 func newCategoryIndex(nshards int) *categoryIndex {
@@ -52,6 +65,7 @@ func newCategoryIndex(nshards int) *categoryIndex {
 		ix.shards[i] = &indexShard{
 			postings: make(map[string]map[string]similarity.Candidate),
 			cache:    make(map[string][]similarity.Candidate),
+			dirty:    make(map[string][]string),
 			ann:      make(map[string]*annCat),
 		}
 	}
@@ -81,7 +95,7 @@ func (ix *categoryIndex) removeLocked(s *indexShard, cat, userID string) {
 	if len(m) == 0 {
 		delete(s.postings, cat)
 	}
-	delete(s.cache, cat)
+	s.touchLocked(cat, userID)
 	ix.writes.Add(1)
 }
 
@@ -102,8 +116,26 @@ func (ix *categoryIndex) installLocked(s *indexShard, cat string, cand similarit
 	if ix.ann != nil {
 		s.annInstallLocked(ix.ann, cat, cand)
 	}
-	delete(s.cache, cat)
+	s.touchLocked(cat, cand.UserID)
 	ix.writes.Add(1)
+}
+
+// touchLocked notes that userID's posting for cat changed, so the next
+// reader brings the category's cached list up to date. A category with no
+// list (no reader has asked for it yet) has nothing to note; a list that
+// has fallen an eighth behind is dropped instead, which bounds the notes a
+// category nobody reads any more can collect. Caller holds s.mu for writing.
+func (s *indexShard) touchLocked(cat, userID string) {
+	list, built := s.cache[cat]
+	if !built {
+		return
+	}
+	if len(s.dirty[cat]) >= len(list)/8 {
+		delete(s.cache, cat)
+		delete(s.dirty, cat)
+		return
+	}
+	s.dirty[cat] = append(s.dirty[cat], userID)
 }
 
 // update applies one SetProfile transition: remove the consumer's postings
@@ -127,9 +159,7 @@ func (ix *categoryIndex) update(prev, sum *profile.Summary) {
 	for cat, ty := range sum.Prefs {
 		s := ix.shardFor(cat)
 		s.mu.Lock()
-		ix.installLocked(s, cat, similarity.Candidate{
-			UserID: sum.UserID, Vec: sum.Vec, Ty: ty, Norm: sum.Norm, Dense: sum.Dense,
-		})
+		ix.installLocked(s, cat, candidateOf(sum, ty))
 		s.mu.Unlock()
 	}
 }
@@ -167,13 +197,7 @@ func (ix *categoryIndex) updateBatch(changes []postingChange) {
 		}
 		for cat, ty := range ch.sum.Prefs {
 			s := ix.shardFor(cat)
-			byBucket[s] = append(byBucket[s], op{
-				cat: cat, userID: ch.sum.UserID,
-				cand: similarity.Candidate{
-					UserID: ch.sum.UserID, Vec: ch.sum.Vec, Ty: ty,
-					Norm: ch.sum.Norm, Dense: ch.sum.Dense,
-				},
-			})
+			byBucket[s] = append(byBucket[s], op{cat: cat, userID: ch.sum.UserID, cand: candidateOf(ch.sum, ty)})
 		}
 	}
 	for s, ops := range byBucket {
@@ -189,25 +213,25 @@ func (ix *categoryIndex) updateBatch(changes []postingChange) {
 	}
 }
 
-// candidates streams the posting list for category. The backing slice is
-// immutable once built (writes invalidate rather than mutate), so iteration
-// is lock-free; rebuild cost is paid once per category per write burst and
-// blocks only this category's bucket.
+// candidates streams the posting list for category in UserID order. The
+// order is part of what a read costs, not of its answer: consumers are
+// summarized in the order they arrive, so walking them by id walks their
+// summaries and vectors roughly in address order, and a read costs the same
+// from one list, and one process, to the next; in the posting map's order
+// it is a different random walk over the heap after every write. The
+// backing slice is immutable once built, so iteration is lock-free; a write
+// only notes which consumer changed, and the next reader pays for one copy
+// of the list with those consumers' entries replaced, under this category's
+// bucket lock alone.
 func (ix *categoryIndex) candidates(category string) iter.Seq[similarity.Candidate] {
 	s := ix.shardFor(category)
 	s.mu.RLock()
 	list, ok := s.cache[category]
+	ok = ok && len(s.dirty[category]) == 0
 	s.mu.RUnlock()
 	if !ok {
 		s.mu.Lock()
-		if list, ok = s.cache[category]; !ok {
-			m := s.postings[category]
-			list = make([]similarity.Candidate, 0, len(m))
-			for _, c := range m {
-				list = append(list, c)
-			}
-			s.cache[category] = list
-		}
+		list = s.refreshLocked(category)
 		s.mu.Unlock()
 	}
 	return func(yield func(similarity.Candidate) bool) {
@@ -217,6 +241,51 @@ func (ix *categoryIndex) candidates(category string) iter.Seq[similarity.Candida
 			}
 		}
 	}
+}
+
+func byUserID(a, b similarity.Candidate) int { return strings.Compare(a.UserID, b.UserID) }
+
+// refreshLocked returns category's cached list, brought up to date with the
+// posting map first: built and sorted when there is none, otherwise copied
+// with the changed consumers merged in. Caller holds s.mu for writing.
+func (s *indexShard) refreshLocked(category string) []similarity.Candidate {
+	old, built := s.cache[category]
+	dirty := s.dirty[category]
+	if built && len(dirty) == 0 {
+		return old
+	}
+	m := s.postings[category]
+	var list []similarity.Candidate
+	if !built {
+		list = make([]similarity.Candidate, 0, len(m))
+		for _, c := range m {
+			list = append(list, c)
+		}
+		slices.SortFunc(list, byUserID)
+	} else {
+		slices.Sort(dirty)
+		dirty = slices.Compact(dirty)
+		list = make([]similarity.Candidate, 0, len(old)+len(dirty))
+		for _, id := range dirty {
+			// Everything below id is unchanged; id's own old entry, if it
+			// had one, is dropped and its current posting takes the place.
+			n, had := slices.BinarySearchFunc(old, id, func(c similarity.Candidate, id string) int {
+				return strings.Compare(c.UserID, id)
+			})
+			list = append(list, old[:n]...)
+			old = old[n:]
+			if had {
+				old = old[1:]
+			}
+			if c, ok := m[id]; ok {
+				list = append(list, c)
+			}
+		}
+		list = append(list, old...)
+	}
+	s.cache[category] = list
+	delete(s.dirty, category)
+	return list
 }
 
 // size reports the number of indexed categories and total postings.

@@ -714,14 +714,21 @@ func (e *Engine) reconciled(snap *Snapshot, cat string, inner iter.Seq[similarit
 			if st == nil {
 				continue
 			}
+			if c.Compact != nil && c.Compact == st.sum.Compact {
+				// The posting was made from the very summary the snapshot
+				// holds (Summary makes a summary and its compact form
+				// together, once), so it already is what candidateOf would
+				// build, without the second look-up in Prefs.
+				if !yield(c) {
+					return
+				}
+				continue
+			}
 			ty := st.sum.Prefs[cat]
 			if ty <= 0 {
 				continue
 			}
-			if !yield(similarity.Candidate{
-				UserID: c.UserID, Vec: st.sum.Vec, Ty: ty,
-				Norm: st.sum.Norm, Dense: st.sum.Dense,
-			}) {
+			if !yield(candidateOf(st.sum, ty)) {
 				return
 			}
 		}
@@ -766,38 +773,36 @@ func (e *Engine) ifilter(snap *Snapshot, userID, category string, n int) ([]Rec,
 	}
 	own := snap.Purchases(userID)
 
+	// The content view lists the category's products without copying any:
+	// an in-taste read walks its own category, not the catalogue.
 	scores := make(map[string]float64)
-	for _, p := range e.catalog.All() {
-		if category != "" && p.Category != category {
+	for _, it := range e.catalog.View().Items(category) {
+		if own[it.ID] {
 			continue
 		}
-		if own[p.ID] {
-			continue
-		}
-		if s := contentScore(st.prof, p); s > 0 {
-			scores[p.ID] = s
+		if s := contentScore(st.prof, it.Category, it.SubCategory, it.Terms); s > 0 {
+			scores[it.ID] = s
 		}
 	}
 	return rank(scores, n, "if"), nil
 }
 
-// contentScore is the dot product of the product's terms with the profile's
+// contentScore is the dot product of a product's terms with the profile's
 // weights for the product's category and sub-category.
-func contentScore(prof *profile.Profile, p *catalog.Product) float64 {
-	cat := prof.Categories[p.Category]
+func contentScore(prof *profile.Profile, category, subCategory string, terms map[string]float64) float64 {
+	cat := prof.Categories[category]
 	if cat == nil {
 		return 0
 	}
-	var s float64
-	for t, w := range p.Terms {
-		s += w * cat.Terms[t]
-	}
-	if p.SubCategory != "" && cat.Subs != nil {
-		if sub := cat.Subs[p.SubCategory]; sub != nil {
-			for t, w := range p.Terms {
-				s += w * sub.Terms[t]
-			}
+	var subTerms map[string]float64 // nil reads as all-zero
+	if subCategory != "" {
+		if sub := cat.Subs[subCategory]; sub != nil {
+			subTerms = sub.Terms
 		}
+	}
+	var s float64
+	for t, w := range terms {
+		s += w * (cat.Terms[t] + subTerms[t])
 	}
 	return s
 }
@@ -827,12 +832,12 @@ func (e *Engine) hybrid(snap *Snapshot, userID, category string, n int) ([]Rec, 
 // because it is also the anonymous fallback. Counts are merged from the
 // per-shard atomic counters.
 func (e *Engine) topSellers(category string, n int, source string) []Rec {
+	view := e.catalog.View()
 	scores := make(map[string]float64)
 	for _, ss := range e.sells {
 		ss.each(func(pid string, count int64) {
 			if category != "" {
-				p, err := e.catalog.Get(pid)
-				if err != nil || p.Category != category {
+				if it, ok := view.Lookup(pid); !ok || it.Category != category {
 					return
 				}
 			}
@@ -925,7 +930,7 @@ func (e *Engine) RecommendForQueryWith(snap *Snapshot, userID string, matches []
 			maxNb = nbOwn[m.Product.ID]
 		}
 		if known {
-			contents[i] = contentScore(st.prof, m.Product)
+			contents[i] = contentScore(st.prof, m.Product.Category, m.Product.SubCategory, m.Product.Terms)
 			if contents[i] > maxContent {
 				maxContent = contents[i]
 			}

@@ -1,6 +1,8 @@
 package recommend
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -77,6 +79,27 @@ type shardView struct {
 	gen       uint64
 	profiles  map[string]*stored
 	purchases map[string]map[string]bool
+
+	orderOnce sync.Once
+	order     []*stored // profiles' entries by UserID; see inOrder
+}
+
+// inOrder returns the view's profile entries in UserID order, for the one
+// reader that walks every consumer: the full-community neighbour scan.
+// Consumers are summarized in the order they arrive, so walking them by id
+// walks their vectors roughly in address order, where ranging over the map
+// jumps about the heap, differently on every run. The order is worked out
+// on the first scan that asks, once per view: reads that follow a posting
+// list never pay for it.
+func (v *shardView) inOrder() []*stored {
+	v.orderOnce.Do(func() {
+		v.order = make([]*stored, 0, len(v.profiles))
+		for _, st := range v.profiles {
+			v.order = append(v.order, st)
+		}
+		slices.SortFunc(v.order, func(a, b *stored) int { return strings.Compare(a.sum.UserID, b.sum.UserID) })
+	})
+	return v.order
 }
 
 // snapshot returns the current immutable view, rebuilding it only when a

@@ -154,12 +154,8 @@ func (s *Snapshot) Len() int {
 func (s *Snapshot) candidates(category string) iter.Seq[similarity.Candidate] {
 	return func(yield func(similarity.Candidate) bool) {
 		for i := range s.views {
-			for id, st := range s.view(i).profiles {
-				c := similarity.Candidate{
-					UserID: id, Vec: st.sum.Vec, Ty: st.sum.Prefs[category],
-					Norm: st.sum.Norm, Dense: st.sum.Dense,
-				}
-				if !yield(c) {
+			for _, st := range s.view(i).inOrder() {
+				if !yield(candidateOf(st.sum, st.sum.Prefs[category])) {
 					return
 				}
 			}

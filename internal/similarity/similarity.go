@@ -190,15 +190,20 @@ type Neighbor struct {
 
 // Candidate is one consumer in a streaming neighbour search, carrying
 // precomputed profile data (see profile.Summary) so the ranking loop neither
-// re-flattens vectors nor re-sums preference values per pair. Norm and Dense
-// are optional precomputed acceleration data: a zero Norm makes TopKStream
-// recompute it from Vec, and Dense only matters to the ANN index.
+// re-flattens vectors nor re-sums preference values per pair. Norm, Dense and
+// Compact are optional precomputed acceleration data: a zero Norm makes
+// TopKStream recompute it from Vec, Dense only matters to the ANN index, and
+// a candidate built from a Summary carries its Compact, which TopKStream
+// scores by merge-join. The map-based Dot over Vec remains solely as the
+// fallback for candidates built without a Summary (nil Compact), and for
+// Cosine and PaperSimilarity.
 type Candidate struct {
-	UserID string
-	Vec    Vec       // flattened profile vector
-	Ty     float64   // preference value for the category under consideration
-	Norm   float64   // cached Euclidean norm of Vec (0 = unknown)
-	Dense  []float32 // shared profile.Summary.Dense projection (may be nil)
+	UserID  string
+	Vec     Vec              // flattened profile vector
+	Ty      float64          // preference value for the category under consideration
+	Norm    float64          // cached Euclidean norm of Vec (0 = unknown)
+	Dense   []float32        // shared profile.Summary.Dense projection (may be nil)
+	Compact *profile.Compact // shared profile.Summary.Compact (nil = score over Vec)
 }
 
 // TopK ranks candidates by PaperSimilarity against target with respect to
@@ -218,12 +223,13 @@ func TopK(target *profile.Profile, candidates []*profile.Profile, category strin
 }
 
 // topkScratch is the pooled working set of one TopKStream call: the
-// bounded min-heap (or unbounded accumulator when k < 0). Pooling it keeps
-// the inner scoring loop at zero heap allocations per candidate — the
-// read-path hot loop runs at memory speed regardless of community size
-// (TestTopKStreamZeroAlloc pins this).
+// bounded min-heap (or unbounded accumulator when k < 0) and the target's
+// compact form. Pooling it keeps the inner scoring loop at zero heap
+// allocations per candidate — the read-path hot loop runs at memory speed
+// regardless of community size (TestTopKStreamZeroAlloc pins this).
 type topkScratch struct {
-	heap []Neighbor
+	heap   []Neighbor
+	target profile.Compact // the target vector, interned once per call
 }
 
 var topkPool = sync.Pool{New: func() any { return new(topkScratch) }}
@@ -267,16 +273,22 @@ func heapFix(h []Neighbor, i int) {
 // deterministic score-then-UserID ordering. Candidates whose UserID equals
 // targetID are skipped. k < 0 returns all.
 //
-// The scoring loop is allocation-free per candidate: the target norm is
-// computed once, candidate norms come precomputed on the Candidate (falling
-// back to a re-sum when absent), and survivors go through a pooled bounded
-// heap sized k instead of an append-everything-then-sort buffer.
+// The scoring loop is allocation-free per candidate: the target's compact
+// form and norm are computed once, candidate norms come precomputed on the
+// Candidate (falling back to a re-sum when absent), and survivors go through
+// a pooled bounded heap sized k instead of an append-everything-then-sort
+// buffer. Scores of candidates that carry a Compact are summed in ascending
+// term-id order, so the same content gives bit-identical scores.
 func TopKStream(targetID string, targetVec Vec, tx, tolerance float64, candidates iter.Seq[Candidate], k int) ([]Neighbor, error) {
 	if tolerance < 0 || tolerance > 1 {
 		return nil, fmt.Errorf("%w: %v", ErrBadThreshold, tolerance)
 	}
-	na := Norm(targetVec)
+	if k == 0 {
+		return []Neighbor{}, nil
+	}
 	sc := topkPool.Get().(*topkScratch)
+	sc.target.Set(targetVec)
+	na := sc.target.Norm()
 	heap := sc.heap[:0]
 	if k >= 0 && cap(heap) < k {
 		heap = make([]Neighbor, 0, k)
@@ -298,7 +310,12 @@ func TopKStream(targetID string, targetVec Vec, tx, tolerance float64, candidate
 				continue
 			}
 		}
-		dot := Dot(targetVec, cand.Vec)
+		var dot float64
+		if cand.Compact != nil {
+			dot = sc.target.Dot(cand.Compact)
+		} else {
+			dot = Dot(targetVec, cand.Vec)
+		}
 		if dot <= 0 {
 			continue
 		}
@@ -306,11 +323,8 @@ func TopKStream(targetID string, targetVec Vec, tx, tolerance float64, candidate
 		n := Neighbor{UserID: cand.UserID, Score: score, Raw: score, Tx: tx, Ty: cand.Ty}
 		switch {
 		case k < 0 || len(heap) < k:
-			if k == 0 {
-				continue
-			}
 			heap = append(heap, n)
-			if k >= 0 && len(heap) == k {
+			if len(heap) == k {
 				// Heapify once, when the bound is first reached.
 				for i := len(heap)/2 - 1; i >= 0; i-- {
 					heapFix(heap, i)
