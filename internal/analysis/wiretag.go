@@ -34,7 +34,7 @@ var Wiretag = &Analyzer{
 // solely to be serialized).
 var wireRoots = map[string][]string{
 	opsPath:                         {"*"},
-	recommendPath:                   {"Stats", "ReplicationStats", "ShardReplication", "JournalRecord", "TailResult", "ShardSnapshot", "SnapshotPage", "OwnershipMap"},
+	recommendPath:                   {"Stats", "ReplicationStats", "ShardReplication", "JournalRecord", "TailResult", "SnapshotPage", "OwnershipMap"},
 	replnetPath:                     {"tailRequest", "snapPageRequest", "setProfilesRequest", "purchaseRequest", "OwnerMapInfo"},
 	"agentrec/internal/coordinator": {"LeaseRequest", "LeaseGrant"},
 	"agentrec/internal/loadgen":     {"ScenarioResult", "Scenario"},

@@ -396,12 +396,12 @@ func (w *failoverWorld) replayStaleWrites() (rejected, accepted int) {
 	return rejected, accepted
 }
 
-// shardFingerprint reduces one shard's full state to an order-insensitive
-// hash: profiles, purchase edges, and sell totals each hash independently
-// and XOR together, so two engines whose snapshots enumerate the same
-// state in different map orders still fingerprint identically.
-func shardFingerprint(snap *recommend.ShardSnapshot) uint64 {
-	var fp uint64
+// shardFingerprint reduces one shard's full state on e to an
+// order-insensitive hash: profiles, purchase edges, and sell totals each
+// hash independently and XOR together, page by page of the same paged
+// transfer a follower would run. The engines are quiescent by now; a cut
+// that moved mid-transfer is reported, not retried.
+func shardFingerprint(e *recommend.Engine, shard int) (uint64, error) {
 	item := func(parts ...string) uint64 {
 		h := fnv.New64a()
 		for _, p := range parts {
@@ -410,16 +410,32 @@ func shardFingerprint(snap *recommend.ShardSnapshot) uint64 {
 		}
 		return h.Sum64()
 	}
-	for _, data := range snap.Profiles {
-		fp ^= item("prof", string(data))
+	var fp uint64
+	var pin recommend.SnapshotPage // epoch 0 matches no feed: the first reply opens a fresh cut
+	for token := ""; ; {
+		pg, err := e.SnapshotPage(shard, pin.Epoch, pin.Seq, token, 0)
+		if err != nil {
+			return 0, err
+		}
+		if token == "" {
+			pin = pg
+		} else if pg.Epoch != pin.Epoch || pg.Seq != pin.Seq {
+			return 0, fmt.Errorf("cut moved mid-fingerprint: (%x, %d) -> (%x, %d)", pin.Epoch, pin.Seq, pg.Epoch, pg.Seq)
+		}
+		for _, data := range pg.Profiles {
+			fp ^= item("prof", string(data))
+		}
+		for _, pp := range pg.Purchases {
+			fp ^= item("purch", pp.UserID, pp.ProductID)
+		}
+		for _, sc := range pg.Sells {
+			fp ^= item("sell", sc.ProductID, strconv.FormatInt(sc.Total, 10))
+		}
+		if pg.Next == "" {
+			return fp, nil
+		}
+		token = pg.Next
 	}
-	for _, pp := range snap.Purchases {
-		fp ^= item("purch", pp.UserID, pp.ProductID)
-	}
-	for pid, total := range snap.Sells {
-		fp ^= item("sell", pid, strconv.FormatInt(total, 10))
-	}
-	return fp
 }
 
 // Finish runs the post-drain verdicts: the replay fencing check, the
@@ -497,14 +513,10 @@ func (w *failoverWorld) Finish() (*FailoverResult, error) {
 			if i == w.victim {
 				continue
 			}
-			tr, err := r.Engine.JournalTail(s, 0, 0) // cursor epoch 0 never matches: forces a full snapshot
+			fp, err := shardFingerprint(r.Engine, s)
 			if err != nil {
-				return nil, fmt.Errorf("snapshotting shard %d on server %d: %w", s, i, err)
+				return nil, fmt.Errorf("fingerprinting shard %d on server %d: %w", s, i, err)
 			}
-			if tr.Snapshot == nil {
-				return nil, fmt.Errorf("shard %d on server %d returned no snapshot", s, i)
-			}
-			fp := shardFingerprint(tr.Snapshot)
 			if first {
 				want, first = fp, false
 			} else if fp != want {

@@ -146,32 +146,6 @@ func (w *platformWorld) ReadEngine() *recommend.Engine { return w.p.Engine }
 
 func (w *platformWorld) Close() error { return w.p.Close() }
 
-// pagedPeer adapts an in-process engine as a Peer that refuses to inline
-// snapshots: a tail that would carry one instead reports Paged, forcing the
-// follower through the real paged bootstrap protocol (Engine.SnapshotPage)
-// under a page byte budget — the wire behaviour of a large-state owner,
-// without standing up TCP.
-type pagedPeer struct {
-	e        *recommend.Engine
-	maxBytes int
-}
-
-func (p pagedPeer) JournalTail(ctx context.Context, shard int, epoch, since uint64) (recommend.TailResult, error) {
-	tr, err := recommend.LocalPeer{Engine: p.e}.JournalTail(ctx, shard, epoch, since)
-	if err != nil {
-		return tr, err
-	}
-	if tr.Snapshot != nil {
-		tr.Snapshot = nil
-		tr.Paged = true
-	}
-	return tr, nil
-}
-
-func (p pagedPeer) SnapshotPage(_ context.Context, shard int, epoch, seq uint64, token string) (recommend.SnapshotPage, error) {
-	return p.e.SnapshotPage(shard, epoch, seq, token, p.maxBytes)
-}
-
 // ColdFollowerResult measures one cold server's paged bootstrap under
 // sustained write load.
 type ColdFollowerResult struct {
@@ -193,8 +167,9 @@ type ColdFollowerResult struct {
 // servers: the world is (re)started with the new server already owning its
 // shard slice — the static shard%N ownership the platform uses — but the
 // new server's *replicas* of everyone else's shards are empty. After DelayS
-// of load it is connected to pagedPeer-wrapped owners and one Sync
-// bootstraps every shard through paged snapshots while writes keep flowing.
+// of load it is connected to the owners under the scenario's snapshot page
+// budget (LocalPeer.PageBytes) and one Sync bootstraps every shard through
+// paged snapshots while writes keep flowing.
 // Reads and writes round-robin the warm servers only.
 type coldWorld struct {
 	exec      *opExec
@@ -233,14 +208,14 @@ func newColdWorld(s Scenario, u *workload.Universe, profiles []*profile.Profile,
 	return w, nil
 }
 
-// Bootstrap joins the cold server: it is connected through paged peers and
-// one Sync pulls every non-owned shard cold → current. Called once,
+// Bootstrap joins the cold server: it is connected to its peers and one
+// Sync pulls every non-owned shard cold → current. Called once,
 // mid-run, by the scenario runner.
 func (w *coldWorld) Bootstrap(ctx context.Context) (*ColdFollowerResult, error) {
 	cold := w.replicas[w.warm]
 	writers, peers := platform.LocalLinks(w.replicas, w.warm)
 	for i, r := range w.replicas[:w.warm] {
-		peers[i] = pagedPeer{e: r.Engine, maxBytes: w.pageBytes}
+		peers[i] = recommend.LocalPeer{Engine: r.Engine, PageBytes: w.pageBytes}
 	}
 	if err := cold.Connect(writers, peers); err != nil {
 		return nil, err

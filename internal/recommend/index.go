@@ -26,10 +26,10 @@ import (
 //
 // The index is partitioned by category hash so posting updates and cache
 // rebuilds contend per category bucket, never engine-wide. SetProfile
-// calls update while holding the consumer's shard lock, so updates for one
-// consumer are totally ordered and the index always matches the shard's
-// final state — no cross-consumer ordering is needed because postings are
-// keyed per consumer.
+// calls updateBatch while holding the consumer's shard lock, so updates
+// for one consumer are totally ordered and the index always matches the
+// shard's final state — no cross-consumer ordering is needed because
+// postings are keyed per consumer.
 type categoryIndex struct {
 	shards []*indexShard
 	// ann enables the LSH shortlist layer (ann.go); nil = exact only.
@@ -138,32 +138,6 @@ func (s *indexShard) touchLocked(cat, userID string) {
 	s.dirty[cat] = append(s.dirty[cat], userID)
 }
 
-// update applies one SetProfile transition: remove the consumer's postings
-// for categories only the previous summary had, install the new summary's.
-// prev is the summary the shard map held before this write (nil on first
-// install). The caller holds the consumer's shard lock, which serializes
-// same-consumer updates; prev summaries therefore chain, so the union of
-// prev and new categories covers every posting that needs touching.
-func (ix *categoryIndex) update(prev, sum *profile.Summary) {
-	if prev != nil {
-		for cat := range prev.Prefs {
-			if _, still := sum.Prefs[cat]; still {
-				continue // about to be overwritten below
-			}
-			s := ix.shardFor(cat)
-			s.mu.Lock()
-			ix.removeLocked(s, cat, sum.UserID)
-			s.mu.Unlock()
-		}
-	}
-	for cat, ty := range sum.Prefs {
-		s := ix.shardFor(cat)
-		s.mu.Lock()
-		ix.installLocked(s, cat, candidateOf(sum, ty))
-		s.mu.Unlock()
-	}
-}
-
 // postingChange is one SetProfile transition for updateBatch: the summary
 // the shard map held before the write (nil on first install) and the one
 // just installed.
@@ -171,12 +145,14 @@ type postingChange struct {
 	prev, sum *profile.Summary
 }
 
-// updateBatch applies many SetProfile transitions with one lock
-// acquisition per touched category bucket instead of one per (profile,
-// category) pair — the bulk-install path. Per-bucket op order follows the
-// changes order, so a consumer appearing twice resolves to the later
-// entry, exactly as sequential update calls would. The caller holds the
-// consumers' shard lock (all changes belong to one shard).
+// updateBatch applies SetProfile transitions — remove each consumer's
+// postings for categories only its previous summary had, install the new
+// summary's — with one lock acquisition per touched category bucket. The
+// caller holds the consumers' shard lock (all changes belong to one shard),
+// which serializes same-consumer updates; prev summaries therefore chain,
+// so the union of prev and new categories covers every posting that needs
+// touching. Per-bucket op order follows the changes order, so a consumer
+// appearing twice resolves to the later entry.
 func (ix *categoryIndex) updateBatch(changes []postingChange) {
 	type op struct {
 		cat    string

@@ -47,7 +47,7 @@ func TestPostingListFollowsWrites(t *testing.T) {
 				sum.Prefs[c] = 1 + rng.Float64()
 			}
 		}
-		ix.update(prev[id], sum)
+		ix.updateBatch([]postingChange{{prev: prev[id], sum: sum}})
 		prev[id] = sum
 		// Reads come in bursts, so a list sees anything from one changed
 		// consumer to more than an eighth of itself between two of them.
@@ -73,7 +73,7 @@ func TestPostingListFollowsWrites(t *testing.T) {
 func TestPostingNotesAreBounded(t *testing.T) {
 	ix := newCategoryIndex(1)
 	install := func(i int, ty float64) {
-		ix.update(nil, &profile.Summary{UserID: fmt.Sprintf("u%03d", i), Prefs: map[string]float64{"laptop": ty}})
+		ix.updateBatch([]postingChange{{sum: &profile.Summary{UserID: fmt.Sprintf("u%03d", i), Prefs: map[string]float64{"laptop": ty}}}})
 	}
 	for i := 0; i < 80; i++ {
 		install(i, 1)

@@ -44,6 +44,33 @@ type ShardData struct {
 	Sells     map[string]int64           // product -> sales by this shard's users
 }
 
+// addPurchase records user owning product; d.Purchases must be non-nil.
+func (d *ShardData) addPurchase(user, product string) {
+	set := d.Purchases[user]
+	if set == nil {
+		set = make(map[string]bool)
+		d.Purchases[user] = set
+	}
+	set[product] = true
+}
+
+// shardMaps turns data into the three maps a resident shard holds: every
+// profile paired with its computed summary, nil maps made empty. The maps
+// are adopted, not copied.
+func shardMaps(data ShardData) (map[string]*stored, map[string]map[string]bool, map[string]int64) {
+	profiles := make(map[string]*stored, len(data.Profiles))
+	for _, p := range data.Profiles {
+		profiles[p.UserID] = &stored{prof: p, sum: p.Summary()}
+	}
+	if data.Purchases == nil {
+		data.Purchases = make(map[string]map[string]bool)
+	}
+	if data.Sells == nil {
+		data.Sells = make(map[string]int64)
+	}
+	return profiles, data.Purchases, data.Sells
+}
+
 // Persister journals community mutations durably and replays them on
 // engine construction. Implementations must be safe for concurrent use;
 // the engine guarantees that calls touching one shard's buckets are
@@ -217,18 +244,7 @@ func (e *Engine) faultInLocked(sh *shard) error {
 	if err != nil {
 		return fmt.Errorf("recommend: faulting in shard %d: %w", sh.id, err)
 	}
-	sh.profiles = make(map[string]*stored, len(data.Profiles))
-	for _, prof := range data.Profiles {
-		sh.profiles[prof.UserID] = &stored{prof: prof, sum: prof.Summary()}
-	}
-	if data.Purchases == nil {
-		data.Purchases = make(map[string]map[string]bool)
-	}
-	sh.purchases = data.Purchases
-	if data.Sells == nil {
-		data.Sells = make(map[string]int64)
-	}
-	sh.sells = data.Sells
+	sh.profiles, sh.purchases, sh.sells = shardMaps(data)
 	sh.gen.Add(1)
 	sh.resident.Store(true)
 	e.resMu.Lock()
@@ -324,29 +340,20 @@ func (e *Engine) recover() error {
 		if err != nil {
 			return fmt.Errorf("recommend: recovering shard %d: %w", sh.id, err)
 		}
-		keep := e.maxResident <= 0 || e.residentN < e.maxResident
-		for _, prof := range data.Profiles {
-			sum := prof.Summary()
-			e.index.update(nil, sum)
-			if keep {
-				sh.profiles[prof.UserID] = &stored{prof: prof, sum: sum}
-			}
+		profiles, purchases, sells := shardMaps(data)
+		changes := make([]postingChange, len(data.Profiles))
+		for i, prof := range data.Profiles {
+			changes[i].sum = profiles[prof.UserID].sum
 		}
-		for pid, total := range data.Sells {
+		e.index.updateBatch(changes)
+		for pid, total := range sells {
 			e.sellFor(pid).add(pid, total)
 		}
-		if keep {
-			if data.Purchases != nil {
-				sh.purchases = data.Purchases
-			}
-			if data.Sells != nil {
-				sh.sells = data.Sells
-			}
+		if e.maxResident <= 0 || e.residentN < e.maxResident {
+			sh.profiles, sh.purchases, sh.sells = profiles, purchases, sells
 			e.residentN++
 		} else {
-			sh.profiles = nil
-			sh.purchases = nil
-			sh.sells = nil
+			sh.profiles, sh.purchases, sh.sells = nil, nil, nil
 			sh.resident.Store(false)
 		}
 	}
@@ -403,36 +410,56 @@ func profBucket(shard int) string  { return bucketProfiles + strconv.Itoa(shard)
 func purchBucket(shard int) string { return bucketPurchases + strconv.Itoa(shard) }
 func sellBucket(shard int) string  { return bucketSells + strconv.Itoa(shard) }
 
-func (kp *kvPersister) SaveProfiles(shard int, profs []*profile.Profile) error {
-	ops := make([]kvstore.Op, 0, len(profs))
-	pending := 0
-	flush := func() error {
-		if len(ops) == 0 {
-			return nil
-		}
-		if err := kp.store.Apply(ops); err != nil {
-			return err
-		}
-		ops, pending = ops[:0], 0
+// kvBatch queues one mutation's ops and applies them in atomic batches of at
+// most saveProfilesChunk encoded bytes each.
+type kvBatch struct {
+	store   *kvstore.Store
+	ops     []kvstore.Op
+	pending int
+}
+
+func (b *kvBatch) flush() error {
+	if len(b.ops) == 0 {
 		return nil
 	}
-	for _, p := range profs {
-		if strings.ContainsRune(p.UserID, 0) {
-			return fmt.Errorf("%w: user %q", ErrBadKey, p.UserID)
-		}
-		data, err := p.Marshal()
-		if err != nil {
-			return fmt.Errorf("recommend: encoding profile %s: %w", p.UserID, err)
-		}
-		if pending+len(data) > saveProfilesChunk {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-		ops = append(ops, kvstore.Op{Bucket: profBucket(shard), Key: p.UserID, Value: data})
-		pending += len(data)
+	if err := b.store.Apply(b.ops); err != nil {
+		return err
 	}
-	return flush()
+	b.ops, b.pending = b.ops[:0], 0
+	return nil
+}
+
+func (b *kvBatch) add(op kvstore.Op, size int) error {
+	if b.pending+size > saveProfilesChunk {
+		if err := b.flush(); err != nil {
+			return err
+		}
+	}
+	b.ops = append(b.ops, op)
+	b.pending += size
+	return nil
+}
+
+// addProfile queues p's upsert into shard's profile bucket.
+func (b *kvBatch) addProfile(shard int, p *profile.Profile) error {
+	if strings.ContainsRune(p.UserID, 0) {
+		return fmt.Errorf("%w: user %q", ErrBadKey, p.UserID)
+	}
+	data, err := p.Marshal()
+	if err != nil {
+		return fmt.Errorf("recommend: encoding profile %s: %w", p.UserID, err)
+	}
+	return b.add(kvstore.Op{Bucket: profBucket(shard), Key: p.UserID, Value: data}, len(data))
+}
+
+func (kp *kvPersister) SaveProfiles(shard int, profs []*profile.Profile) error {
+	b := kvBatch{store: kp.store, ops: make([]kvstore.Op, 0, len(profs))}
+	for _, p := range profs {
+		if err := b.addProfile(shard, p); err != nil {
+			return err
+		}
+	}
+	return b.flush()
 }
 
 func (kp *kvPersister) SavePurchase(shard int, userID, productID string, total int64) error {
@@ -450,28 +477,7 @@ func (kp *kvPersister) SavePurchase(shard int, userID, productID string, total i
 // Within one SaveShard the deletes land first, so a crash mid-replace can
 // only lose state the next snapshot catch-up rewrites anyway.
 func (kp *kvPersister) SaveShard(shard int, data ShardData) error {
-	var ops []kvstore.Op
-	pending := 0
-	flush := func() error {
-		if len(ops) == 0 {
-			return nil
-		}
-		if err := kp.store.Apply(ops); err != nil {
-			return err
-		}
-		ops, pending = ops[:0], 0
-		return nil
-	}
-	add := func(op kvstore.Op, size int) error {
-		if pending+size > saveProfilesChunk {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-		ops = append(ops, op)
-		pending += size
-		return nil
-	}
+	b := kvBatch{store: kp.store}
 
 	// Deletes for keys the new state no longer has.
 	live := make(map[string]map[string]bool, 3)
@@ -496,26 +502,19 @@ func (kp *kvPersister) SaveShard(shard int, data ShardData) error {
 		}
 		for _, ent := range ents {
 			if !keep[ent.Key] {
-				if err := add(kvstore.Op{Bucket: bucket, Key: ent.Key, Delete: true}, len(ent.Key)); err != nil {
+				if err := b.add(kvstore.Op{Bucket: bucket, Key: ent.Key, Delete: true}, len(ent.Key)); err != nil {
 					return err
 				}
 			}
 		}
 	}
-	if err := flush(); err != nil {
+	if err := b.flush(); err != nil {
 		return err
 	}
 
 	// Upserts for the new state.
 	for _, p := range data.Profiles {
-		if strings.ContainsRune(p.UserID, 0) {
-			return fmt.Errorf("%w: user %q", ErrBadKey, p.UserID)
-		}
-		enc, err := p.Marshal()
-		if err != nil {
-			return fmt.Errorf("recommend: encoding profile %s: %w", p.UserID, err)
-		}
-		if err := add(kvstore.Op{Bucket: profBucket(shard), Key: p.UserID, Value: enc}, len(enc)); err != nil {
+		if err := b.addProfile(shard, p); err != nil {
 			return err
 		}
 	}
@@ -524,7 +523,7 @@ func (kp *kvPersister) SaveShard(shard int, data ShardData) error {
 			if strings.ContainsRune(user, 0) || strings.ContainsRune(pid, 0) {
 				return fmt.Errorf("%w: purchase %q/%q", ErrBadKey, user, pid)
 			}
-			if err := add(kvstore.Op{Bucket: purchBucket(shard), Key: user + "\x00" + pid, Value: []byte{1}}, len(user)+len(pid)+1); err != nil {
+			if err := b.add(kvstore.Op{Bucket: purchBucket(shard), Key: user + "\x00" + pid, Value: []byte{1}}, len(user)+len(pid)+1); err != nil {
 				return err
 			}
 		}
@@ -533,11 +532,11 @@ func (kp *kvPersister) SaveShard(shard int, data ShardData) error {
 		if strings.ContainsRune(pid, 0) {
 			return fmt.Errorf("%w: product %q", ErrBadKey, pid)
 		}
-		if err := add(kvstore.Op{Bucket: sellBucket(shard), Key: pid, Value: []byte(strconv.FormatInt(total, 10))}, len(pid)+20); err != nil {
+		if err := b.add(kvstore.Op{Bucket: sellBucket(shard), Key: pid, Value: []byte(strconv.FormatInt(total, 10))}, len(pid)+20); err != nil {
 			return err
 		}
 	}
-	return flush()
+	return b.flush()
 }
 
 func (kp *kvPersister) LoadShard(shard int) (ShardData, error) {
@@ -565,12 +564,7 @@ func (kp *kvPersister) LoadShard(shard int) (ShardData, error) {
 		if !ok {
 			return data, fmt.Errorf("recommend: shard %d malformed purchase key %q", shard, ent.Key)
 		}
-		set := data.Purchases[user]
-		if set == nil {
-			set = make(map[string]bool)
-			data.Purchases[user] = set
-		}
-		set[product] = true
+		data.addPurchase(user, product)
 	}
 	sells, err := kp.store.Scan(sellBucket(shard), "")
 	if err != nil {

@@ -495,27 +495,35 @@ func (e *Engine) RecordPurchase(userID, productID string) error {
 	return nil
 }
 
-// Users returns the ids of all consumers with a profile, sorted. Resident
-// shards are read directly; spilled shards are answered from the
-// Persister's key space without faulting them in.
+// shardUsers counts sh's consumers, appending their ids to *ids when ids is
+// non-nil: a resident shard is read directly, a spilled one is answered
+// from the Persister's key space without faulting it in.
+func (e *Engine) shardUsers(sh *shard, ids *[]string) (n int, resident bool) {
+	sh.mu.RLock()
+	if resident = sh.resident.Load(); resident && ids != nil {
+		for id := range sh.profiles {
+			*ids = append(*ids, id)
+		}
+	}
+	n = len(sh.profiles)
+	sh.mu.RUnlock()
+	if resident {
+		return n, true
+	}
+	spilled, err := e.persist.ShardUsers(sh.id)
+	if err != nil {
+		e.setErr(err)
+	} else if ids != nil {
+		*ids = append(*ids, spilled...)
+	}
+	return len(spilled), false
+}
+
+// Users returns the ids of all consumers with a profile, sorted.
 func (e *Engine) Users() []string {
 	var out []string
 	for _, sh := range e.shards {
-		sh.mu.RLock()
-		if sh.resident.Load() {
-			for id := range sh.profiles {
-				out = append(out, id)
-			}
-			sh.mu.RUnlock()
-			continue
-		}
-		sh.mu.RUnlock()
-		ids, err := e.persist.ShardUsers(sh.id)
-		if err != nil {
-			e.setErr(err)
-			continue
-		}
-		out = append(out, ids...)
+		e.shardUsers(sh, &out)
 	}
 	sort.Strings(out)
 	return out
@@ -545,20 +553,11 @@ type Stats struct {
 func (e *Engine) Stats() Stats {
 	st := Stats{Shards: e.nshards}
 	for _, sh := range e.shards {
-		sh.mu.RLock()
-		if sh.resident.Load() {
-			st.Users += len(sh.profiles)
+		n, resident := e.shardUsers(sh, nil)
+		st.Users += n
+		if resident {
 			st.ResidentShards++
-			sh.mu.RUnlock()
-			continue
 		}
-		sh.mu.RUnlock()
-		ids, err := e.persist.ShardUsers(sh.id)
-		if err != nil {
-			e.setErr(err)
-			continue
-		}
-		st.Users += len(ids)
 	}
 	st.IndexedCategories, st.Postings = e.index.size()
 	st.IndexWrites = e.index.writes.Load()

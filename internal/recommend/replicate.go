@@ -25,10 +25,12 @@ import (
 // the records to its own engine through the same install paths local writes
 // use — so a follower's shard state, durable layout included, converges to
 // the owner's. When a follower's cursor predates the retained tail (cold
-// start, restart, or a pruned feed) the owner serves a full ShardSnapshot
-// instead, built from the same state LoadShard recovery uses; the follower
-// replaces the shard wholesale and resumes live tailing from the snapshot's
-// sequence number.
+// start, restart, or a pruned feed) the owner answers with a marker pinned
+// at its feed head, never a payload; the follower transfers the shard in
+// bounded pages (snappage.go) — in process and over TCP alike — assembles
+// them into the ShardData recovery and fault-in already speak, replaces the
+// shard wholesale (applyShardSnapshot) and resumes live tailing from the
+// pinned sequence number.
 //
 // The feed is in-memory: its epoch is regenerated each Open, so a follower
 // whose cursor carries a stale epoch is forced through snapshot catch-up
@@ -62,40 +64,30 @@ type JournalRecord struct {
 	ProductID string   `json:"product,omitempty"`  // OpPurchase
 }
 
-// PurchasePair is one (consumer, product) ownership edge in a ShardSnapshot.
+// PurchasePair is one (consumer, product) ownership edge in a SnapshotPage.
 type PurchasePair struct {
 	UserID    string `json:"user"`
 	ProductID string `json:"product"`
 }
 
-// ShardSnapshot is the catch-up payload: one shard's full state, the same
-// three components LoadShard recovers.
-type ShardSnapshot struct {
-	Profiles  [][]byte         `json:"profiles,omitempty"`
-	Purchases []PurchasePair   `json:"purchases,omitempty"`
-	Sells     map[string]int64 `json:"sells,omitempty"`
-}
-
-// TailResult is one answer to a journal-tail request. Exactly one of
-// Records, Snapshot, and Paged is meaningful: Records when the owner could
-// serve the cursor from its retained tail (possibly empty when the follower
-// is caught up), Snapshot when the follower must catch up wholesale, Paged
-// when a transport's frame budget could not carry the reply inline. Seq is
-// the sequence number the follower's cursor should hold after applying.
-// Head is the owner's feed head (the seq its next record will extend) when
-// the reply was built; it can run past Seq when the transport trimmed the
-// served records, which is exactly what makes reported lag real.
+// TailResult is one answer to a journal-tail request: Records when the
+// owner could serve the cursor from its retained tail (possibly empty when
+// the follower is caught up), Paged when the follower must catch up
+// wholesale. Seq is the sequence number the follower's cursor should hold
+// after applying. Head is the owner's feed head (the seq its next record
+// will extend) when the reply was built; it can run past Seq when the
+// transport trimmed the served records, which is exactly what makes
+// reported lag real.
 type TailResult struct {
-	Shards   int             `json:"shards"` // owner's shard count, for config-drift detection
-	Epoch    uint64          `json:"epoch"`
-	Seq      uint64          `json:"seq"`
-	Head     uint64          `json:"head"` // owner's feed head (next-1) at reply time
-	Records  []JournalRecord `json:"records,omitempty"`
-	Snapshot *ShardSnapshot  `json:"snapshot,omitempty"`
-	// Paged is set by a transport bridge (internal/replnet) in place of a
-	// snapshot its frame budget cannot carry: the follower must transfer
-	// the snapshot in pages (Peer.SnapshotPage), starting from the cut
-	// pinned at (Epoch, Seq).
+	Shards  int             `json:"shards"` // owner's shard count, for config-drift detection
+	Epoch   uint64          `json:"epoch"`
+	Seq     uint64          `json:"seq"`
+	Head    uint64          `json:"head"` // owner's feed head (next-1) at reply time
+	Records []JournalRecord `json:"records,omitempty"`
+	// Paged marks a cursor the retained tail cannot serve (the engine), or
+	// a single record no frame can carry (internal/replnet): the follower
+	// must transfer the shard in pages (Peer.SnapshotPage), starting from
+	// the cut pinned at (Epoch, Seq).
 	Paged bool `json:"paged,omitempty"`
 }
 
@@ -166,6 +158,19 @@ func (f *journalFeed) emit(shard int, rec JournalRecord) uint64 {
 	seq := rec.Seq
 	f.mu.Unlock()
 	return seq
+}
+
+// skip retires shard's retained tail and passes over one sequence number
+// without a record: the shard's state was just replaced wholesale, which no
+// record describes, so no pin or cursor taken before the replace may match
+// after it — an older cursor falls off the tail and pages. The caller holds
+// the shard's write lock, as for emit.
+func (f *journalFeed) skip(shard int) {
+	f.mu.Lock()
+	fs := &f.shards[shard]
+	fs.first += uint64(len(fs.records)) + 1
+	fs.records = nil
+	f.mu.Unlock()
 }
 
 // next returns the sequence number the shard's next record will get.
@@ -241,9 +246,10 @@ func (e *Engine) feedEncodeProfiles(profs []*profile.Profile) ([][]byte, error) 
 }
 
 // JournalTail answers a follower's tail request for one shard: records
-// after (epoch, since) when the retained tail covers the cursor, a full
-// ShardSnapshot otherwise. The snapshot is cut under the shard's read lock,
-// so it is consistent with the sequence number it carries.
+// after (epoch, since) when the retained tail covers the cursor, otherwise
+// the Paged marker pinned at (feed epoch, head) — constant work, no shard
+// lock: the state is cut page by page (SnapshotPage), each page verifying
+// the pin under the shard's read lock.
 func (e *Engine) JournalTail(shard int, epoch, since uint64) (TailResult, error) {
 	if e.feed == nil {
 		return TailResult{}, ErrNoJournalFeed
@@ -251,24 +257,12 @@ func (e *Engine) JournalTail(shard int, epoch, since uint64) (TailResult, error)
 	if shard < 0 || shard >= e.nshards {
 		return TailResult{}, fmt.Errorf("%w: %d of %d", ErrBadShard, shard, e.nshards)
 	}
-	if recs, head, ok := e.feed.tailSince(shard, epoch, since); ok {
-		return TailResult{
-			Shards:  e.nshards,
-			Epoch:   e.feed.epoch,
-			Seq:     since + uint64(len(recs)),
-			Head:    head,
-			Records: recs,
-		}, nil
+	recs, head, ok := e.feed.tailSince(shard, epoch, since)
+	tr := TailResult{Shards: e.nshards, Epoch: e.feed.epoch, Seq: head, Head: head, Paged: !ok}
+	if ok {
+		tr.Seq, tr.Records = since+uint64(len(recs)), recs
 	}
-	sh := e.shards[shard]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	seq := e.feed.next(shard) - 1
-	snap, err := e.shardSnapshotLocked(sh)
-	if err != nil {
-		return TailResult{}, err
-	}
-	return TailResult{Shards: e.nshards, Epoch: e.feed.epoch, Seq: seq, Head: seq, Snapshot: snap}, nil
+	return tr, nil
 }
 
 // FeedHeads reports each shard's journal feed head (the seq of the last
@@ -292,46 +286,19 @@ func (e *Engine) FeedHeads() []uint64 {
 // state is its state. Caller holds sh.mu (read suffices: writers are
 // excluded, so memory, journal, and feed agree); the returned maps must not
 // be mutated.
-func (e *Engine) shardStateLocked(sh *shard) (profs []*profile.Profile, purchases map[string]map[string]bool, sells map[string]int64, err error) {
+func (e *Engine) shardStateLocked(sh *shard) (ShardData, error) {
 	if sh.resident.Load() {
-		profs = make([]*profile.Profile, 0, len(sh.profiles))
+		profs := make([]*profile.Profile, 0, len(sh.profiles))
 		for _, st := range sh.profiles {
 			profs = append(profs, st.prof)
 		}
-		return profs, sh.purchases, sh.sells, nil
+		return ShardData{Profiles: profs, Purchases: sh.purchases, Sells: sh.sells}, nil
 	}
 	data, err := e.persist.LoadShard(sh.id)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("recommend: reading spilled shard %d state: %w", sh.id, err)
+		return data, fmt.Errorf("recommend: reading spilled shard %d state: %w", sh.id, err)
 	}
-	return data.Profiles, data.Purchases, data.Sells, nil
-}
-
-// shardSnapshotLocked serializes sh's full state. Caller holds sh.mu; see
-// shardStateLocked for the residency contract.
-func (e *Engine) shardSnapshotLocked(sh *shard) (*ShardSnapshot, error) {
-	profs, purchases, sells, err := e.shardStateLocked(sh)
-	if err != nil {
-		return nil, err
-	}
-	snap := &ShardSnapshot{Sells: make(map[string]int64, len(sells))}
-	snap.Profiles = make([][]byte, len(profs))
-	for i, p := range profs {
-		data, err := p.Marshal()
-		if err != nil {
-			return nil, fmt.Errorf("recommend: encoding profile %s for snapshot: %w", p.UserID, err)
-		}
-		snap.Profiles[i] = data
-	}
-	for user, set := range purchases {
-		for pid := range set {
-			snap.Purchases = append(snap.Purchases, PurchasePair{UserID: user, ProductID: pid})
-		}
-	}
-	for pid, total := range sells {
-		snap.Sells[pid] = total
-	}
-	return snap, nil
+	return data, nil
 }
 
 // applyJournalRecord applies one replicated mutation to shard, through the
@@ -362,47 +329,22 @@ func (e *Engine) applyJournalRecord(shard int, rec JournalRecord) error {
 	}
 }
 
-// applyShardSnapshot replaces shard's entire state with snap: durable
-// buckets (Persister.SaveShard), shard maps, candidate-index postings, and
-// the served sell totals (adjusted by delta so other shards' contributions
-// are untouched).
-func (e *Engine) applyShardSnapshot(shard int, snap *ShardSnapshot) error {
+// applyShardSnapshot replaces shard's entire state with data, whose maps it
+// adopts: durable buckets (Persister.SaveShard), shard maps, candidate-index
+// postings, and the served sell totals (adjusted by delta so other shards'
+// contributions are untouched). Every profile must hash to shard;
+// ShardData.addPage checks that as pages arrive.
+func (e *Engine) applyShardSnapshot(shard int, data ShardData) error {
 	if shard < 0 || shard >= e.nshards {
 		return fmt.Errorf("%w: %d of %d", ErrBadShard, shard, e.nshards)
 	}
-	newProfiles := make(map[string]*stored, len(snap.Profiles))
-	profs := make([]*profile.Profile, 0, len(snap.Profiles))
-	for _, data := range snap.Profiles {
-		p, err := profile.Unmarshal(data)
-		if err != nil {
-			return fmt.Errorf("recommend: decoding snapshot profile: %w", err)
-		}
-		if e.ShardOf(p.UserID) != shard {
-			return fmt.Errorf("%w: user %s", ErrShardMismatch, p.UserID)
-		}
-		newProfiles[p.UserID] = &stored{prof: p, sum: p.Summary()}
-		profs = append(profs, p)
-	}
-	newPurchases := make(map[string]map[string]bool)
-	for _, pp := range snap.Purchases {
-		set := newPurchases[pp.UserID]
-		if set == nil {
-			set = make(map[string]bool)
-			newPurchases[pp.UserID] = set
-		}
-		set[pp.ProductID] = true
-	}
-	newSells := make(map[string]int64, len(snap.Sells))
-	for pid, total := range snap.Sells {
-		newSells[pid] = total
-	}
+	newProfiles, newPurchases, newSells := shardMaps(data)
 
 	sh := e.shards[shard]
 	if err := e.lockResidentW(sh); err != nil {
 		return err
 	}
 	if e.persist != nil {
-		data := ShardData{Profiles: profs, Purchases: newPurchases, Sells: newSells}
 		if err := e.persist.SaveShard(sh.id, data); err != nil {
 			sh.mu.Unlock()
 			return err
@@ -443,11 +385,12 @@ func (e *Engine) applyShardSnapshot(shard int, snap *ShardSnapshot) error {
 			e.sellFor(pid).add(pid, -old)
 		}
 	}
-	sh.profiles = newProfiles
-	sh.purchases = newPurchases
-	sh.sells = newSells
+	sh.profiles, sh.purchases, sh.sells = newProfiles, newPurchases, newSells
 	sh.gen.Add(1)
 	e.index.updateBatch(changes)
+	if e.feed != nil {
+		e.feed.skip(sh.id)
+	}
 	sh.mu.Unlock()
 	e.maybeEvict(sh)
 	// One snapshot catch-up rewrites a whole shard's durable buckets — the
@@ -617,18 +560,20 @@ func (r *Router) RecordPurchaseAt(userID, productID string, at time.Time) error 
 
 // Peer is one remote server's journal-tail surface. LocalPeer adapts an
 // in-process engine; internal/replnet adapts a TCP peer over atp.
-// SnapshotPage is the paged catch-up path: only a transport that answered a
-// tail request with TailResult.Paged ever receives it.
+// SnapshotPage is the whole-shard catch-up: the follower calls it after a
+// tail request came back TailResult.Paged.
 type Peer interface {
 	JournalTail(ctx context.Context, shard int, epoch, since uint64) (TailResult, error)
 	SnapshotPage(ctx context.Context, shard int, epoch, seq uint64, token string) (SnapshotPage, error)
 }
 
 // LocalPeer adapts an in-process Engine as a Peer (the platform.Config
-// single-process deployment of Fig 3.1). It never sets TailResult.Paged —
-// there is no frame budget in process — so its SnapshotPage exists only to
-// satisfy the interface.
-type LocalPeer struct{ Engine *Engine }
+// single-process deployment of Fig 3.1). PageBytes is the snapshot page
+// budget; zero means the engine's default (maxFeedRecordBytes).
+type LocalPeer struct {
+	Engine    *Engine
+	PageBytes int
+}
 
 // JournalTail implements Peer.
 func (p LocalPeer) JournalTail(_ context.Context, shard int, epoch, since uint64) (TailResult, error) {
@@ -637,7 +582,7 @@ func (p LocalPeer) JournalTail(_ context.Context, shard int, epoch, since uint64
 
 // SnapshotPage implements Peer.
 func (p LocalPeer) SnapshotPage(_ context.Context, shard int, epoch, seq uint64, token string) (SnapshotPage, error) {
-	return p.Engine.SnapshotPage(shard, epoch, seq, token, 0)
+	return p.Engine.SnapshotPage(shard, epoch, seq, token, p.PageBytes)
 }
 
 // ReplicatorOption configures a Replicator.
@@ -656,9 +601,9 @@ func WithPullInterval(d time.Duration) ReplicatorOption {
 // PullWithOwnership makes the replicator resolve shard owners through t (a
 // live, coordinator-leased table) instead of the static map. Each Sync
 // pass re-reads the table, so a map transition re-targets pulls on the
-// next pass: a newly followed shard starts a fresh cursor (the new owner's
-// feed epoch differs, forcing snapshot catch-up — the existing
-// cursor-reset path), and a newly owned shard stops being pulled.
+// next pass: a newly followed shard keeps its old cursor (the new owner's
+// feed epoch differs, forcing snapshot catch-up), and a newly owned shard
+// stops being pulled.
 func PullWithOwnership(t *OwnershipTable) ReplicatorOption {
 	return func(r *Replicator) {
 		if t != nil {
@@ -900,27 +845,30 @@ func (r *Replicator) pullShard(ctx context.Context, shard, owner int) (err error
 	r.mu.Lock()
 	delete(r.xfers, shard)
 	r.mu.Unlock()
-	if tr.Snapshot != nil {
-		if err := r.e.applyShardSnapshot(shard, tr.Snapshot); err != nil {
-			return err
-		}
+	// reset forgets the cursor, so the next pull pages.
+	reset := func(err error) error {
 		r.mu.Lock()
-		r.curs[shard] = replCursor{epoch: tr.Epoch, seq: tr.Seq}
-		st := r.stats[shard]
-		st.Epoch, st.AppliedSeq, st.OwnerSeq = tr.Epoch, tr.Seq, headOf(tr, tr.Seq)
-		st.Snapshots++
+		r.curs[shard] = replCursor{}
 		r.mu.Unlock()
-		return nil
+		return err
+	}
+	if tr.Epoch != cur.epoch {
+		// An owner serves records only to a cursor of its own feed epoch;
+		// anything else it answers Paged. A reply under another epoch (a
+		// peer of another version, or a hostile one) continues a history
+		// this replica never held: adopting it would apply that history's
+		// records onto stale state.
+		return reset(fmt.Errorf("recommend: shard %d: server %d answered cursor epoch %x with a tail of epoch %x",
+			shard, owner, cur.epoch, tr.Epoch))
 	}
 	seq := cur.seq
 	for _, rec := range tr.Records {
 		if rec.Seq != seq+1 {
-			// A hole means the tail and our cursor disagree; reset so the
-			// next pull falls back to snapshot catch-up.
-			r.mu.Lock()
-			r.curs[shard] = replCursor{}
-			r.mu.Unlock()
-			return fmt.Errorf("recommend: shard %d journal gap: have %d, next record %d", shard, seq, rec.Seq)
+			// A hole means the tail and our cursor disagree.
+			return reset(fmt.Errorf("recommend: shard %d journal gap: have %d, next record %d", shard, seq, rec.Seq))
+		}
+		if err := r.stillOwner(shard, owner); err != nil {
+			return err
 		}
 		if err := r.e.applyJournalRecord(shard, rec); err != nil {
 			return err
@@ -932,13 +880,26 @@ func (r *Replicator) pullShard(ctx context.Context, shard, owner int) (err error
 		r.mu.Unlock()
 	}
 	r.mu.Lock()
-	r.curs[shard] = replCursor{epoch: tr.Epoch, seq: seq}
 	st := r.stats[shard]
 	// OwnerSeq is the owner's feed head, not the reply's last seq: a reply
 	// the transport trimmed to a prefix leaves the follower genuinely
 	// behind, and Lag() must say so.
 	st.Epoch, st.AppliedSeq, st.OwnerSeq = tr.Epoch, seq, headOf(tr, seq)
 	r.mu.Unlock()
+	return nil
+}
+
+// stillOwner errors unless owner still owns shard in the live table. A pull
+// holds no lock across its fetch — a paged bootstrap keeps that window open
+// for seconds — so the table can move, this server's own promotion
+// included, between choosing the peer and applying its reply; a deposed
+// owner's reply must not land over writes the new owner has acked. Checked
+// immediately before each apply; the caller drops the reply, leaving cursor
+// and state alone.
+func (r *Replicator) stillOwner(shard, owner int) error {
+	if now := r.owners.Owner(shard); now != owner {
+		return fmt.Errorf("recommend: dropping shard %d reply from server %d: server %d owns the shard now", shard, owner, now)
+	}
 	return nil
 }
 
@@ -970,7 +931,7 @@ const maxPagedRestarts = 8
 
 // pagedTransfer is the saved progress of one interrupted paged transfer:
 // the pin it runs under, the continuation token to ask for next, and the
-// pages accumulated so far. Saving it across pulls means a bootstrap too
+// pages assembled so far. Saving it across pulls means a bootstrap too
 // large for one pull's context (the background loop bounds each Sync) makes
 // forward progress every tick instead of re-downloading from scratch; the
 // pin check keeps resumption exact — if the owner's cut moved meanwhile,
@@ -979,23 +940,23 @@ const maxPagedRestarts = 8
 type pagedTransfer struct {
 	epoch, seq uint64
 	token      string
-	asm        snapshotAssembler
+	data       ShardData
 }
 
-// pullShardPaged transfers shard's snapshot from owner in bounded pages
-// pinned at (epoch, seq), buffering them and applying the reassembled
-// snapshot wholesale. A page carrying a different (epoch, seq) than
+// pullShardPaged transfers shard's state from owner in bounded pages pinned
+// at (epoch, seq), decoding each as it arrives and applying the assembled
+// ShardData wholesale. A page carrying a different (epoch, seq) than
 // requested is the first page of a transfer the owner restarted because the
-// pinned cut was gone; the buffered pages are discarded and accumulation
+// pinned cut was gone; the assembled pages are discarded and accumulation
 // starts over at the new pin.
 func (r *Replicator) pullShardPaged(ctx context.Context, shard, owner int, epoch, seq uint64) error {
 	// Resume the saved transfer when the owner's pin has not moved since
 	// the pull that was interrupted.
-	var asm snapshotAssembler
+	var data ShardData
 	token := ""
 	r.mu.Lock()
 	if x := r.xfers[shard]; x != nil && x.epoch == epoch && x.seq == seq {
-		asm, token = x.asm, x.token
+		data, token = x.data, x.token
 	}
 	delete(r.xfers, shard)
 	r.noteOwnerHead(shard, seq)
@@ -1007,7 +968,7 @@ func (r *Replicator) pullShardPaged(ctx context.Context, shard, owner int, epoch
 			// Save progress: if the pin is still live on the next pull, the
 			// transfer resumes at this token instead of starting over.
 			r.mu.Lock()
-			r.xfers[shard] = &pagedTransfer{epoch: epoch, seq: seq, token: token, asm: asm}
+			r.xfers[shard] = &pagedTransfer{epoch: epoch, seq: seq, token: token, data: data}
 			r.mu.Unlock()
 			return fmt.Errorf("recommend: paging shard %d snapshot from server %d: %w", shard, owner, err)
 		}
@@ -1018,14 +979,15 @@ func (r *Replicator) pullShardPaged(ctx context.Context, shard, owner int, epoch
 			if restarts++; restarts > maxPagedRestarts {
 				return fmt.Errorf("recommend: shard %d snapshot cut moved %d times mid-transfer (hot shard); retrying on the next pull", shard, restarts)
 			}
-			epoch, seq, token = pg.Epoch, pg.Seq, ""
-			asm.reset()
+			epoch, seq, token, data = pg.Epoch, pg.Seq, "", ShardData{}
 			r.mu.Lock()
 			r.stats[shard].Restarts++
 			r.noteOwnerHead(shard, seq)
 			r.mu.Unlock()
 		}
-		asm.add(pg)
+		if err := data.addPage(r.e, shard, pg); err != nil {
+			return err
+		}
 		r.mu.Lock()
 		r.stats[shard].Pages++
 		r.mu.Unlock()
@@ -1034,7 +996,10 @@ func (r *Replicator) pullShardPaged(ctx context.Context, shard, owner int, epoch
 		}
 		token = pg.Next
 	}
-	if err := r.e.applyShardSnapshot(shard, asm.snapshot()); err != nil {
+	if err := r.stillOwner(shard, owner); err != nil {
+		return err
+	}
+	if err := r.e.applyShardSnapshot(shard, data); err != nil {
 		return err
 	}
 	r.mu.Lock()

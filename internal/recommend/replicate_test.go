@@ -8,6 +8,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -394,6 +395,269 @@ func TestReplicatorShardCountMismatch(t *testing.T) {
 	if err := r.Sync(ctx); !errors.Is(err, ErrShardMismatch) {
 		t.Fatalf("Sync with mismatched shard counts = %v, want ErrShardMismatch", err)
 	}
+}
+
+// followerOfOne returns an owner engine (server 0 of 2) holding profiles on
+// its single shard, and a cold follower engine (server 1) for it.
+func followerOfOne(t *testing.T, u *workload.Universe, profiles []*profile.Profile) (owner, follower *Engine) {
+	t.Helper()
+	owner, err := Open(u.Catalog, WithJournalFeed(0), WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { owner.Close() })
+	if err := owner.SetProfiles(profiles); err != nil {
+		t.Fatal(err)
+	}
+	for user, pids := range u.Purchases() {
+		if err := owner.RecordPurchase(user, pids[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	follower, err = Open(u.Catalog, WithJournalFeed(0), WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { follower.Close() })
+	return owner, follower
+}
+
+// TestInProcessFollowerPages: an in-process follower catches up through the
+// same paged transfer a TCP one does — under a small LocalPeer.PageBytes a
+// shard many pages long arrives as one wholesale install over many pages.
+func TestInProcessFollowerPages(t *testing.T) {
+	u, profiles := soakUniverse(t)
+	owner, follower := followerOfOne(t, u, profiles)
+	r, err := NewReplicator(follower, 1, []Peer{LocalPeer{Engine: owner, PageBytes: 1024}, nil})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	st := r.Stats().Shards[0]
+	if st.Snapshots != 1 || st.Pages < 2 || st.Records != 0 || st.Lag() != 0 {
+		t.Fatalf("cold in-process catch-up = %+v, want one snapshot over several pages and no lag", st)
+	}
+	communityEqual(t, owner, follower)
+}
+
+// tamperPeer serves owner's pages under a 1 KiB budget and swaps the last
+// profile of the first continuation page for bad, counting the page
+// requests that still follow it.
+type tamperPeer struct {
+	LocalPeer
+	bad      []byte
+	tampered bool
+	after    int
+}
+
+func (p *tamperPeer) SnapshotPage(ctx context.Context, shard int, epoch, seq uint64, token string) (SnapshotPage, error) {
+	pg, err := p.LocalPeer.SnapshotPage(ctx, shard, epoch, seq, token)
+	if p.tampered {
+		p.after++
+	} else if err == nil && token != "" && len(pg.Profiles) > 0 {
+		pg.Profiles[len(pg.Profiles)-1] = p.bad
+		p.tampered = true
+	}
+	return pg, err
+}
+
+// TestBadPageFailsPullOnArrival: pages are decoded and shard-checked as
+// they arrive, so a page carrying an undecodable profile, or one that
+// hashes to another shard, ends the pull right there — no later page is
+// requested, and the follower's shard, WAL and index are untouched.
+func TestBadPageFailsPullOnArrival(t *testing.T) {
+	u, profiles := soakUniverse(t)
+	stranger, err := profile.NewProfile("stranger").Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		bad     []byte
+		wantErr error
+	}{
+		"undecodable":   {bad: []byte("{not a profile")},
+		"foreign-shard": {bad: stranger, wantErr: ErrShardMismatch},
+	} {
+		t.Run(name, func(t *testing.T) {
+			// Two shards, so that a consumer can hash to the other one; the
+			// follower follows shard 0 only (server 1 owns shard 1).
+			owner, err := Open(u.Catalog, WithJournalFeed(0), WithShards(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer owner.Close()
+			if err := owner.SetProfiles(profiles); err != nil {
+				t.Fatal(err)
+			}
+			if tc.wantErr != nil && owner.ShardOf("stranger") == 0 {
+				t.Fatal("the stranger hashes to the followed shard; pick another id")
+			}
+			follower, err := Open(u.Catalog, WithJournalFeed(0), WithShards(2), WithPersistence(t.TempDir()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer follower.Close()
+			clean, err := NewReplicator(follower, 1, []Peer{LocalPeer{Engine: owner}, nil})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := clean.Sync(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			users, before := follower.Users(), follower.Stats()
+			if len(users) < 8 {
+				t.Fatalf("follower holds %d consumers after the clean catch-up; universe too small", len(users))
+			}
+
+			// A fresh cursor pages the shard again, through the tampering peer.
+			peer := &tamperPeer{LocalPeer: LocalPeer{Engine: owner, PageBytes: 1024}, bad: tc.bad}
+			r, err := NewReplicator(follower, 1, []Peer{peer, nil})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = r.Sync(context.Background())
+			if err == nil || !peer.tampered || (tc.wantErr != nil && !errors.Is(err, tc.wantErr)) {
+				t.Fatalf("pull over a bad page = %v (tampered %v), want %v", err, peer.tampered, tc.wantErr)
+			}
+			if peer.after != 0 {
+				t.Fatalf("%d more page(s) requested after the bad one; the pull must fail on arrival", peer.after)
+			}
+			if st := r.Stats().Shards[0]; st.LastError == "" || st.Snapshots != 0 {
+				t.Fatalf("failed pull recorded as %+v, want an error and no snapshot", st)
+			}
+			after := follower.Stats()
+			if after.IndexWrites != before.IndexWrites || after.JournalBytes != before.JournalBytes {
+				t.Fatalf("failed pull wrote: index writes %d -> %d, journal bytes %d -> %d",
+					before.IndexWrites, after.IndexWrites, before.JournalBytes, after.JournalBytes)
+			}
+			if got := follower.Users(); !reflect.DeepEqual(got, users) {
+				t.Fatalf("failed pull changed the follower's consumers: %d -> %d", len(users), len(got))
+			}
+		})
+	}
+}
+
+// promotingPeer answers tails from owner, but once armed it first advances
+// table to next: the coordinator moves the shard while the pull is in
+// flight.
+type promotingPeer struct {
+	LocalPeer
+	table *OwnershipTable
+	next  OwnershipMap
+	armed bool
+}
+
+func (p *promotingPeer) JournalTail(ctx context.Context, shard int, epoch, since uint64) (TailResult, error) {
+	tr, err := p.LocalPeer.JournalTail(ctx, shard, epoch, since)
+	if p.armed {
+		p.table.Advance(p.next)
+	}
+	return tr, err
+}
+
+// TestPullDropsReplyAfterPromotion: a pull that fetched from a server the
+// table has since deposed — this server itself promoted, here — must drop
+// the reply instead of installing the old owner's state over a shard it now
+// owns (and may already have acked writes on). Both apply paths: the
+// wholesale install of a cold follower, and the records of a live tail.
+func TestPullDropsReplyAfterPromotion(t *testing.T) {
+	u, profiles := soakUniverse(t)
+	promoted := OwnershipMap{Epoch: 2, Assign: []int{1}}
+	for _, live := range []bool{false, true} {
+		name := "wholesale"
+		if live {
+			name = "records"
+		}
+		t.Run(name, func(t *testing.T) {
+			owner, follower := followerOfOne(t, u, profiles)
+			table := NewOwnershipTable(StaticOwnership(1, 2))
+			peer := &promotingPeer{LocalPeer: LocalPeer{Engine: owner}, table: table, next: promoted}
+			r, err := NewReplicator(follower, 1, []Peer{peer, nil}, PullWithOwnership(table))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if live {
+				if err := r.Sync(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				if err := owner.SetProfile(profile.NewProfile("late-write")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			users, before := follower.Users(), r.Stats().Shards[0]
+			peer.armed = true
+			if err := r.Sync(context.Background()); err == nil {
+				t.Fatal("Sync applied a reply fetched from a server deposed mid-pull")
+			}
+			if got := follower.Users(); !reflect.DeepEqual(got, users) {
+				t.Fatalf("deposed owner's reply changed the promoted shard: %d -> %d consumers", len(users), len(got))
+			}
+			st := r.Stats().Shards[0]
+			if st.LastError == "" || st.AppliedSeq != before.AppliedSeq || st.Snapshots != before.Snapshots || st.Records != before.Records {
+				t.Fatalf("dropped reply recorded as %+v (before %+v), want an error and an unmoved cursor", st, before)
+			}
+			// The next pass sees the shard as owned and stops following it.
+			if err := r.Sync(context.Background()); err != nil || len(r.Stats().Shards) != 0 {
+				t.Fatalf("pass after the promotion: %v, still following %d shard(s)", err, len(r.Stats().Shards))
+			}
+		})
+	}
+}
+
+// foreignEpochPeer answers tails from owner, but once armed it continues the
+// follower's cursor under another feed epoch with a record of its own — what
+// only a peer of another version, or a hostile one, can send now that an
+// owner answers every cursor it cannot serve with the paged marker.
+type foreignEpochPeer struct {
+	LocalPeer
+	armed bool
+}
+
+func (p *foreignEpochPeer) JournalTail(ctx context.Context, shard int, epoch, since uint64) (TailResult, error) {
+	if !p.armed {
+		return p.LocalPeer.JournalTail(ctx, shard, epoch, since)
+	}
+	intruder, err := profile.NewProfile("intruder").Marshal()
+	rec := JournalRecord{Shard: shard, Seq: since + 1, Op: OpProfiles, Profiles: [][]byte{intruder}}
+	return TailResult{Shards: 1, Epoch: epoch + 2, Seq: since + 1, Head: since + 1, Records: []JournalRecord{rec}}, err
+}
+
+// TestPullRefusesTailOfForeignEpoch: records served under an epoch other
+// than the cursor's continue a history this replica never held. The pull
+// must refuse them — not adopt the epoch and apply them onto stale state —
+// and reset the cursor, so the next pull pages.
+func TestPullRefusesTailOfForeignEpoch(t *testing.T) {
+	u, profiles := soakUniverse(t)
+	owner, follower := followerOfOne(t, u, profiles)
+	peer := &foreignEpochPeer{LocalPeer: LocalPeer{Engine: owner}}
+	r, err := NewReplicator(follower, 1, []Peer{peer, nil})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	before := r.Stats().Shards[0]
+	peer.armed = true
+	if err := r.Sync(context.Background()); err == nil {
+		t.Fatal("Sync accepted a tail under a foreign feed epoch")
+	}
+	if _, err := follower.Profile("intruder"); !errors.Is(err, ErrUnknownUser) {
+		t.Fatalf("foreign-epoch record was applied (Profile error %v)", err)
+	}
+	if st := r.Stats().Shards[0]; st.LastError == "" || st.Epoch != before.Epoch || st.Records != before.Records {
+		t.Fatalf("refused reply recorded as %+v (before %+v), want an error and the epoch kept", st, before)
+	}
+	peer.armed = false
+	if err := r.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats().Shards[0]; st.Snapshots != before.Snapshots+1 || st.LastError != "" {
+		t.Fatalf("pull after the refusal = %+v, want a paged catch-up from a reset cursor", st)
+	}
+	communityEqual(t, owner, follower)
 }
 
 // hungPeer is a peer that never answers: every request blocks until its

@@ -1,15 +1,16 @@
 package recommend
 
-// Paged snapshot catch-up. A whole-shard ShardSnapshot can outgrow any
-// transport frame budget, so a cold follower of a large shard must be able
-// to transfer the snapshot in bounded pages instead of one reply. The
-// protocol is stateless on the owner:
+// Paged snapshot catch-up: the one way a follower — in process or over TCP —
+// replaces a shard wholesale. A whole shard can outgrow any transport frame
+// budget, so its state always travels in bounded pages, never inside a tail
+// reply. The protocol is stateless on the owner:
 //
 //   - The cut is pinned to one (epoch, seq): the follower's first page
 //     request names the pin it was handed (or a stale one), and every page
 //     is cut from live state under the shard's read lock only after
-//     verifying the feed still sits exactly at that pin. Any write moves
-//     the seq, so an unchanged pin proves the state is the same cut.
+//     verifying the feed still sits exactly at that pin. Every state change
+//     of a shard moves its feed head — a write emits a record, a wholesale
+//     replace skips a number — so an unchanged pin proves the same cut.
 //   - Pages walk the shard in a stable key order — profiles ascending by
 //     consumer id, then purchases ascending by (consumer, product), then
 //     sell totals ascending by product — so a continuation token (an opaque
@@ -18,9 +19,10 @@ package recommend
 //     restarted and regenerated its feed epoch), the owner restarts the
 //     transfer: it re-pins at its current cut and serves the first page of
 //     the new transfer. The follower detects the changed (epoch, seq),
-//     discards the pages it buffered, and accumulates afresh.
+//     discards the pages it assembled, and accumulates afresh.
 //
-// The follower side lives in Replicator.pullShardPaged; the transport
+// The follower side lives in Replicator.pullShardPaged, which decodes and
+// shard-checks each page as it arrives (ShardData.addPage); the transport
 // bridge (the "snap-page" journal sub-operation and the per-page byte
 // budget) in internal/replnet.
 
@@ -34,7 +36,7 @@ import (
 )
 
 // SellCount is one product's sell total attributed to the paged shard, the
-// ordered-page form of ShardSnapshot.Sells.
+// ordered-page form of ShardData.Sells.
 type SellCount struct {
 	ProductID string `json:"product"`
 	Total     int64  `json:"total"`
@@ -160,10 +162,11 @@ func (e *Engine) SnapshotPage(shard int, epoch, seq uint64, token string, maxByt
 	if err != nil {
 		return SnapshotPage{}, err
 	}
-	profs, purchases, sells, err := e.shardStateLocked(sh)
+	data, err := e.shardStateLocked(sh)
 	if err != nil {
 		return SnapshotPage{}, err
 	}
+	profs, purchases, sells := data.Profiles, data.Purchases, data.Sells
 
 	pg := SnapshotPage{Shards: e.nshards, Epoch: epoch, Seq: seq}
 	used := 0
@@ -246,25 +249,31 @@ func (e *Engine) SnapshotPage(shard int, epoch, seq uint64, token string, maxByt
 // every printable byte, so a consumer's pairs group contiguously.
 func purchaseKey(p PurchasePair) string { return p.UserID + "\x00" + p.ProductID }
 
-// snapshotAssembler accumulates the pages of one transfer back into the
-// ShardSnapshot the install path applies wholesale.
-type snapshotAssembler struct {
-	snap ShardSnapshot
-}
-
-func (a *snapshotAssembler) reset() { a.snap = ShardSnapshot{} }
-
-func (a *snapshotAssembler) add(pg SnapshotPage) {
-	a.snap.Profiles = append(a.snap.Profiles, pg.Profiles...)
-	a.snap.Purchases = append(a.snap.Purchases, pg.Purchases...)
-	if len(pg.Sells) > 0 {
-		if a.snap.Sells == nil {
-			a.snap.Sells = make(map[string]int64)
+// addPage decodes pg onto d, the state a paged transfer assembles and the
+// install path applies wholesale. Decoding as pages arrive fails the pull at
+// a bad page, before anything is installed, and holds no second, encoded
+// copy of the shard meanwhile; a profile that does not hash to shard on e
+// (server shard counts differ, or a hostile page) is refused.
+func (d *ShardData) addPage(e *Engine, shard int, pg SnapshotPage) error {
+	for _, enc := range pg.Profiles {
+		p, err := profile.Unmarshal(enc)
+		if err != nil {
+			return fmt.Errorf("recommend: decoding snapshot profile: %w", err)
 		}
-		for _, sc := range pg.Sells {
-			a.snap.Sells[sc.ProductID] = sc.Total
+		if e.ShardOf(p.UserID) != shard {
+			return fmt.Errorf("%w: user %s", ErrShardMismatch, p.UserID)
 		}
+		d.Profiles = append(d.Profiles, p)
 	}
+	if d.Purchases == nil {
+		d.Purchases = make(map[string]map[string]bool)
+		d.Sells = make(map[string]int64)
+	}
+	for _, pp := range pg.Purchases {
+		d.addPurchase(pp.UserID, pp.ProductID)
+	}
+	for _, sc := range pg.Sells {
+		d.Sells[sc.ProductID] = sc.Total
+	}
+	return nil
 }
-
-func (a *snapshotAssembler) snapshot() *ShardSnapshot { return &a.snap }

@@ -13,38 +13,52 @@ import (
 )
 
 // Unit tests for the paged snapshot protocol: page reassembly equals the
-// whole-shard snapshot, a moved pin restarts the transfer, spilled shards
-// page without faulting in, and trimmed tail replies leave real lag in
-// Stats. The TCP end of the protocol is tested in internal/replnet.
+// live shard, a moved pin restarts the transfer, spilled shards page without
+// faulting in, and trimmed tail replies leave real lag in Stats. The TCP end
+// of the protocol is tested in internal/replnet.
 
-// pagedShard returns a shard of e that actually holds consumers, with its
-// whole-shard snapshot and pin for comparison.
+// liveShard returns shard's live state (shardStateLocked), the reference a
+// paged transfer is compared against. The maps are the shard's own.
+func liveShard(t *testing.T, e *Engine, shard int) ShardData {
+	t.Helper()
+	sh := e.shards[shard]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	data, err := e.shardStateLocked(sh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// pagedShard returns the shard of e that holds the most consumers, with the
+// pinned marker a stale cursor is answered with.
 func pagedShard(t *testing.T, e *Engine) (shard int, tr TailResult) {
 	t.Helper()
 	best, bestUsers := -1, 0
 	for s := 0; s < e.nshards; s++ {
-		res, err := e.JournalTail(s, 0, 0) // stale cursor: forces a snapshot
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Snapshot == nil {
-			t.Fatalf("shard %d: stale cursor served records, want snapshot", s)
-		}
-		if n := len(res.Snapshot.Profiles); n > bestUsers {
-			best, bestUsers, tr = s, n, res
+		if n := len(liveShard(t, e, s).Profiles); n > bestUsers {
+			best, bestUsers = s, n
 		}
 	}
 	if best < 0 || bestUsers < 4 {
 		t.Fatalf("no shard with enough consumers to page (best %d: %d users)", best, bestUsers)
+	}
+	tr, err := e.JournalTail(best, 0, 0) // stale cursor: answered with the marker
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tr.Paged || tr.Records != nil {
+		t.Fatalf("shard %d: stale cursor answered %+v, want the paged marker", best, tr)
 	}
 	return best, tr
 }
 
 // pageAll drives a full paged transfer against e at the given pin,
 // asserting it takes more than one page.
-func pageAll(t *testing.T, e *Engine, shard int, epoch, seq uint64, maxBytes int) *ShardSnapshot {
+func pageAll(t *testing.T, e *Engine, shard int, epoch, seq uint64, maxBytes int) ShardData {
 	t.Helper()
-	var asm snapshotAssembler
+	var data ShardData
 	token := ""
 	pages := 0
 	for {
@@ -55,7 +69,9 @@ func pageAll(t *testing.T, e *Engine, shard int, epoch, seq uint64, maxBytes int
 		if pg.Epoch != epoch || pg.Seq != seq {
 			t.Fatalf("pin moved mid-transfer: (%d,%d) -> (%d,%d)", epoch, seq, pg.Epoch, pg.Seq)
 		}
-		asm.add(pg)
+		if err := data.addPage(e, shard, pg); err != nil {
+			t.Fatal(err)
+		}
 		pages++
 		if pg.Next == "" {
 			break
@@ -68,21 +84,28 @@ func pageAll(t *testing.T, e *Engine, shard int, epoch, seq uint64, maxBytes int
 	if pages < 2 {
 		t.Fatalf("transfer took %d page(s); shrink the budget so paging is exercised", pages)
 	}
-	return asm.snapshot()
+	return data
 }
 
-// snapshotsEqual compares two shard snapshots order-insensitively (the
-// whole-shard cut follows map iteration order, pages follow key order).
-func snapshotsEqual(t *testing.T, got, want *ShardSnapshot) {
+// snapshotsEqual compares two shard states order-insensitively (the live
+// shard follows map iteration order, pages follow key order), profiles by
+// their marshaled bytes.
+func snapshotsEqual(t *testing.T, got, want ShardData) {
 	t.Helper()
-	toSets := func(s *ShardSnapshot) (profs map[string]bool, purch map[PurchasePair]bool, sells map[string]int64) {
+	toSets := func(s ShardData) (profs map[string]bool, purch map[PurchasePair]bool, sells map[string]int64) {
 		profs = make(map[string]bool, len(s.Profiles))
-		for _, enc := range s.Profiles {
+		for _, p := range s.Profiles {
+			enc, err := p.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
 			profs[string(enc)] = true
 		}
-		purch = make(map[PurchasePair]bool, len(s.Purchases))
-		for _, pp := range s.Purchases {
-			purch[pp] = true
+		purch = make(map[PurchasePair]bool)
+		for user, set := range s.Purchases {
+			for pid := range set {
+				purch[PurchasePair{UserID: user, ProductID: pid}] = true
+			}
 		}
 		sells = make(map[string]int64, len(s.Sells))
 		for pid, n := range s.Sells {
@@ -93,18 +116,18 @@ func snapshotsEqual(t *testing.T, got, want *ShardSnapshot) {
 	gp, gu, gs := toSets(got)
 	wp, wu, ws := toSets(want)
 	if !reflect.DeepEqual(gp, wp) {
-		t.Fatalf("paged profiles differ from whole snapshot: %d vs %d", len(gp), len(wp))
+		t.Fatalf("paged profiles differ from the live shard: %d vs %d", len(gp), len(wp))
 	}
 	if !reflect.DeepEqual(gu, wu) {
-		t.Fatalf("paged purchases differ from whole snapshot: %d vs %d", len(gu), len(wu))
+		t.Fatalf("paged purchases differ from the live shard: %d vs %d", len(gu), len(wu))
 	}
 	if !reflect.DeepEqual(gs, ws) {
-		t.Fatalf("paged sells differ from whole snapshot: %v vs %v", gs, ws)
+		t.Fatalf("paged sells differ from the live shard: %v vs %v", gs, ws)
 	}
 }
 
 // TestSnapshotPagesReassembleWholeShard: a paged transfer under a tiny
-// budget must reassemble exactly the whole-shard snapshot.
+// budget must reassemble exactly the live shard.
 func TestSnapshotPagesReassembleWholeShard(t *testing.T) {
 	u, profiles := soakUniverse(t)
 	e, err := Open(u.Catalog, WithJournalFeed(0), WithShards(8))
@@ -124,7 +147,7 @@ func TestSnapshotPagesReassembleWholeShard(t *testing.T) {
 	}
 	shard, tr := pagedShard(t, e)
 	paged := pageAll(t, e, shard, tr.Epoch, tr.Seq, 1024)
-	snapshotsEqual(t, paged, tr.Snapshot)
+	snapshotsEqual(t, paged, liveShard(t, e, shard))
 }
 
 // TestSnapshotPageRestartsOnMovedPin: a write between pages moves the
@@ -172,23 +195,109 @@ func TestSnapshotPageRestartsOnMovedPin(t *testing.T) {
 	}
 	// Completing the restarted transfer yields the post-write state.
 	paged := pageAll(t, e, shard, second.Epoch, second.Seq, 1024)
-	want, err := e.JournalTail(shard, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapshotsEqual(t, paged, want.Snapshot)
+	snapshotsEqual(t, paged, liveShard(t, e, shard))
 	found := false
-	for _, enc := range paged.Profiles {
-		p, err := profile.Unmarshal(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, p := range paged.Profiles {
 		if p.UserID == moved.UserID {
 			found = true
 		}
 	}
 	if !found {
 		t.Fatalf("restarted transfer misses the mid-transfer write %s", moved.UserID)
+	}
+}
+
+// TestSnapshotPagePinMovesOnWholesaleReplace: a wholesale install changes a
+// shard's state without a journal record, so it must move the feed head all
+// the same — a page request pinned before the replace is answered with the
+// first page of a fresh cut, never the old pin over the new state (a torn
+// snapshot a server promoted mid-catch-up could hand a joiner), and a tail
+// cursor taken before the replace pages instead of resuming.
+func TestSnapshotPagePinMovesOnWholesaleReplace(t *testing.T) {
+	u, profiles := soakUniverse(t)
+	e, err := Open(u.Catalog, WithJournalFeed(0), WithShards(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.SetProfiles(profiles); err != nil {
+		t.Fatal(err)
+	}
+	shard, tr := pagedShard(t, e)
+	first, err := e.SnapshotPage(shard, tr.Epoch, tr.Seq, "", 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Next == "" {
+		t.Fatal("transfer fit one page; shrink the budget")
+	}
+
+	live := liveShard(t, e, shard).Profiles
+	half := ShardData{}
+	for _, p := range live[:len(live)/2] {
+		half.Profiles = append(half.Profiles, p.Clone())
+	}
+	if err := e.applyShardSnapshot(shard, half); err != nil {
+		t.Fatal(err)
+	}
+
+	second, err := e.SnapshotPage(shard, tr.Epoch, tr.Seq, first.Next, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Epoch == tr.Epoch && second.Seq == tr.Seq {
+		t.Fatalf("page after a wholesale replace still answers at the old pin (%x, %d): torn snapshot", tr.Epoch, tr.Seq)
+	}
+	paged := pageAll(t, e, shard, second.Epoch, second.Seq, 1024)
+	snapshotsEqual(t, paged, liveShard(t, e, shard))
+	if len(paged.Profiles) != len(half.Profiles) {
+		t.Fatalf("restarted transfer carries %d consumers, want the %d installed", len(paged.Profiles), len(half.Profiles))
+	}
+	if stale, err := e.JournalTail(shard, tr.Epoch, tr.Seq); err != nil || !stale.Paged {
+		t.Fatalf("cursor from before the replace answered %+v (%v), want the paged marker", stale, err)
+	}
+	// The feed keeps working past the skipped number: a cursor at the new
+	// head tails the next write as a record.
+	head, err := e.JournalTail(shard, second.Epoch, second.Seq)
+	if err != nil || head.Paged || len(head.Records) != 0 {
+		t.Fatalf("cursor at the new head answered %+v (%v), want an empty tail", head, err)
+	}
+	if err := e.SetProfile(half.Profiles[0]); err != nil {
+		t.Fatal(err)
+	}
+	if next, err := e.JournalTail(shard, second.Epoch, second.Seq); err != nil || len(next.Records) != 1 || next.Records[0].Seq != second.Seq+1 {
+		t.Fatalf("write after the replace tailed as %+v (%v), want one record at seq %d", next, err, second.Seq+1)
+	}
+}
+
+// TestStaleCursorTailIsConstantWork: a cursor the owner cannot serve is
+// answered with the pinned marker alone — no shard lock, no profile
+// marshalled — so the reply costs the same for a 50- and a 2 000-consumer
+// shard.
+func TestStaleCursorTailIsConstantWork(t *testing.T) {
+	u, _ := soakUniverse(t)
+	allocs := func(consumers int) float64 {
+		e, err := Open(u.Catalog, WithJournalFeed(0), WithShards(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		profs := make([]*profile.Profile, consumers)
+		for i := range profs {
+			profs[i] = profile.NewProfile(fmt.Sprintf("consumer-%04d", i))
+		}
+		if err := e.SetProfiles(profs); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(100, func() {
+			if tr, err := e.JournalTail(0, 0, 0); err != nil || !tr.Paged {
+				t.Fatalf("stale cursor answered %+v (%v), want the paged marker", tr, err)
+			}
+		})
+	}
+	small, large := allocs(50), allocs(2000)
+	if small > 2 || small != large {
+		t.Fatalf("stale-cursor tail allocates %.0f times on 50 consumers, %.0f on 2000; want <= 2 and equal", small, large)
 	}
 }
 
@@ -222,7 +331,7 @@ func TestSnapshotPageSpilledShardStaysSpilled(t *testing.T) {
 		t.Fatal(err)
 	}
 	paged := pageAll(t, e, spilled, tr.Epoch, tr.Seq, 1024)
-	snapshotsEqual(t, paged, tr.Snapshot)
+	snapshotsEqual(t, paged, liveShard(t, e, spilled))
 	if e.shards[spilled].resident.Load() {
 		t.Fatalf("paging faulted shard %d in", spilled)
 	}
@@ -319,10 +428,9 @@ func TestTrimmedReplyLeavesRealLag(t *testing.T) {
 	communityEqual(t, owner, follower)
 }
 
-// pagingPeer adapts an in-process engine the way replnet does: snapshot
-// tail replies become Paged markers, forcing the follower through the page
-// loop. It can fail one page call to simulate a cut transport, and counts
-// token requests so tests can prove resumption versus re-download.
+// pagingPeer serves an in-process engine under a 512-byte page budget. It
+// can fail one page call to simulate a cut transport, and counts token
+// requests so tests can prove resumption versus re-download.
 type pagingPeer struct {
 	e      *Engine
 	failAt int // 1-based page call to fail once; 0 = never
@@ -331,11 +439,7 @@ type pagingPeer struct {
 }
 
 func (p *pagingPeer) JournalTail(_ context.Context, shard int, epoch, since uint64) (TailResult, error) {
-	tr, err := p.e.JournalTail(shard, epoch, since)
-	if err == nil && tr.Snapshot != nil {
-		tr = TailResult{Shards: tr.Shards, Epoch: tr.Epoch, Seq: tr.Seq, Head: tr.Head, Paged: true}
-	}
-	return tr, err
+	return p.e.JournalTail(shard, epoch, since)
 }
 
 func (p *pagingPeer) SnapshotPage(_ context.Context, shard int, epoch, seq uint64, token string) (SnapshotPage, error) {

@@ -8,10 +8,10 @@
 // Three pieces:
 //
 //   - Handler(engine) serves a server's journal surface: "tail" requests
-//     from followers, "snap-page" requests transferring an oversized shard
-//     snapshot in bounded pages, and forwarded writes ("set-profiles",
-//     "purchase") from peers that do not own the consumer's shard. Install
-//     it with atp.Server.SetJournalHandler.
+//     from followers, "snap-page" requests transferring a whole shard in
+//     bounded pages (the one catch-up path), and forwarded writes
+//     ("set-profiles", "purchase") from peers that do not own the
+//     consumer's shard. Install it with atp.Server.SetJournalHandler.
 //   - Peer implements recommend.Peer over an atp.Client — the follower
 //     side of journal tailing.
 //   - Writer implements recommend.Writer over an atp.Client — the
@@ -69,9 +69,8 @@ func WithOwnership(t *recommend.OwnershipTable) Option {
 // Replies over the bound are trimmed to a prefix of the records — the
 // follower's cursor advances and the next pull continues — so a burst of
 // large journal records never wedges replication on frame size. A reply
-// that cannot shrink (a whole ShardSnapshot, or a single oversized record)
-// falls back to the paged snapshot transfer instead. A var so tests can
-// shrink it.
+// that cannot shrink (a single oversized record) becomes the paged-transfer
+// marker instead. A var so tests can shrink it.
 var maxTailBytes = (atp.MaxFrame - (1 << 20)) / 4 * 3
 
 // SetMaxTailBytes overrides the tail reply budget, returning a restore
@@ -266,33 +265,24 @@ func Handler(e *recommend.Engine, self, servers int, opts ...Option) atp.Journal
 
 // marshalTailBounded encodes shard's tail reply, bounding it to
 // maxTailBytes. Served records are trimmed to a prefix — the follower's
-// cursor advances and the next pull continues. A reply that cannot shrink
-// any further — a whole ShardSnapshot, or a single journal record over the
-// budget (one poison record must never wedge the shard's replication
-// forever) — is replaced by a TailResult.Paged marker: the follower
-// transfers the snapshot through bounded snap-page requests instead,
-// pinned at the owner's feed head, which also carries it past the
-// oversized record.
+// cursor advances and the next pull continues. A single journal record over
+// the budget cannot shrink, and one poison record must never wedge the
+// shard's replication forever: the reply becomes the marker the engine
+// itself gives a cursor it cannot serve, pinned at the owner's feed head,
+// so the follower pages the shard and lands past the oversized record.
 func marshalTailBounded(shard int, tr recommend.TailResult) ([]byte, error) {
 	out, err := json.Marshal(tr)
+	for err == nil && len(out) > maxTailBytes && !tr.Paged {
+		if len(tr.Records) <= 1 {
+			tr = recommend.TailResult{Shards: tr.Shards, Epoch: tr.Epoch, Seq: tr.Head, Head: tr.Head, Paged: true}
+		} else {
+			tr.Records = tr.Records[:len(tr.Records)/2]
+			tr.Seq = tr.Records[len(tr.Records)-1].Seq
+		}
+		out, err = json.Marshal(tr)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("replnet: encoding shard %d tail result: %w", shard, err)
-	}
-	for len(out) > maxTailBytes {
-		if tr.Snapshot != nil || len(tr.Records) <= 1 {
-			marker := recommend.TailResult{
-				Shards: tr.Shards, Epoch: tr.Epoch, Seq: tr.Head, Head: tr.Head, Paged: true,
-			}
-			if out, err = json.Marshal(marker); err != nil {
-				return nil, fmt.Errorf("replnet: encoding shard %d paged-snapshot marker: %w", shard, err)
-			}
-			return out, nil
-		}
-		tr.Records = tr.Records[:len(tr.Records)/2]
-		tr.Seq = tr.Records[len(tr.Records)-1].Seq
-		if out, err = json.Marshal(tr); err != nil {
-			return nil, fmt.Errorf("replnet: encoding shard %d trimmed tail result: %w", shard, err)
-		}
 	}
 	return out, nil
 }
@@ -341,8 +331,8 @@ func (p *Peer) JournalTail(ctx context.Context, shard int, epoch, since uint64) 
 	return tr, nil
 }
 
-// SnapshotPage implements recommend.Peer: one bounded page of a paged
-// shard-snapshot transfer (served when a tail reply came back Paged).
+// SnapshotPage implements recommend.Peer: one bounded page of a
+// shard-snapshot transfer (requested after a tail reply came back Paged).
 func (p *Peer) SnapshotPage(ctx context.Context, shard int, epoch, seq uint64, token string) (recommend.SnapshotPage, error) {
 	req, err := json.Marshal(snapPageRequest{Shard: shard, Epoch: epoch, Seq: seq, Token: token, OwnerEpoch: p.cfg.stamp()})
 	if err != nil {
