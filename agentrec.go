@@ -338,6 +338,8 @@ func (p *Platform) Subscribe(ctx context.Context, kinds ...EventKind) (*Subscrip
 
 // Hottest returns the trending merchandise of the window ending now — the
 // "weekly hottest merchandise" of the paper's future work (§5.2 item 2).
+// Like TiedSales it reads the community's purchase sets, which replicate:
+// WithReplicatedEngines changes neither answer.
 func (p *Platform) Hottest(now time.Time, window time.Duration, n int) []recommend.TrendEntry {
 	return p.inner.Engine.Trending(now, window, n)
 }

@@ -258,6 +258,17 @@ func TestHTTPTrendingAndTiedSales(t *testing.T) {
 	if resp.StatusCode != 400 {
 		t.Errorf("missing product = %d, want 400", resp.StatusCode)
 	}
+	// The three listing routes share one ?n= parser.
+	for _, path := range []string{"/trending?n=0", "/tiedsales?product=lap1&n=many", "/recommendations?user=alice&n=-1"} {
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 400 {
+			t.Errorf("%s = %d, want 400", path, resp.StatusCode)
+		}
+	}
 }
 
 // TestWithStateDirSurvivesRestart exercises the public durability option:

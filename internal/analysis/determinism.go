@@ -10,8 +10,10 @@ import (
 // byte-identical WAL files (TestReplicatedWALByteIdentical,
 // TestCompactDeterministic), snapshot pages must cut identically on every
 // server (snappage's stable key order), LSH must bucket identically on
-// owner and follower (fixed compile-time seed), and scenario traffic must
-// replay byte-equal across runs (workload determinism property tests). In
+// owner and follower (fixed compile-time seed), a purchase's time must be
+// the caller's on owner and follower alike (extensions.go: the one purchase
+// write, and the Trending window), and scenario traffic must replay
+// byte-equal across runs (workload determinism property tests). In
 // the files that implement those surfaces, three things are banned:
 //
 //   - time.Now — wall-clock values diverge across replicas and runs;
@@ -26,7 +28,7 @@ var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: "no wall clock, global rand, or map-ordered serialization in the byte-identical packages\n\n" +
 		"Scoped to the deterministic writer files (workload traffic, similarity LSH seeding, kvstore, recommend " +
-		"snapshot paging): flags time.Now, global math/rand functions, and map-range loops that serialize in " +
+		"snapshot paging and purchase times): flags time.Now, global math/rand functions, and map-range loops that serialize in " +
 		"iteration order instead of sorting keys first.",
 	Run: runDeterminism,
 }
@@ -38,7 +40,7 @@ var deterministicFiles = map[string][]string{
 	"agentrec/internal/workload":   {"traffic.go"},
 	"agentrec/internal/similarity": {"lsh.go"},
 	kvstorePath:                    {},
-	recommendPath:                  {"snappage.go", "snapshot.go"},
+	recommendPath:                  {"snappage.go", "snapshot.go", "extensions.go"},
 }
 
 // sinkCall matches serialization sinks: a map-range loop whose body calls

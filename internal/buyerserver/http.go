@@ -127,6 +127,21 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
+// limitParam parses the optional ?n= listing limit (default 10). A bad
+// value is answered 400 here and reported as !ok.
+func limitParam(w http.ResponseWriter, r *http.Request) (n int, ok bool) {
+	raw := r.URL.Query().Get("n")
+	if raw == "" {
+		return 10, true
+	}
+	n, err := strconv.Atoi(raw)
+	if err != nil || n <= 0 {
+		writeJSON(w, http.StatusBadRequest, httpError{Error: fmt.Sprintf("bad n %q", raw)})
+		return 0, false
+	}
+	return n, true
+}
+
 // handleTrending serves the "weekly hottest merchandise" listing (§5.2):
 // GET /trending?window=168h&n=10.
 func (s *Server) handleTrending(w http.ResponseWriter, r *http.Request) {
@@ -139,14 +154,9 @@ func (s *Server) handleTrending(w http.ResponseWriter, r *http.Request) {
 		}
 		window = parsed
 	}
-	n := 10
-	if raw := r.URL.Query().Get("n"); raw != "" {
-		parsed, err := strconv.Atoi(raw)
-		if err != nil || parsed <= 0 {
-			writeJSON(w, http.StatusBadRequest, httpError{Error: fmt.Sprintf("bad n %q", raw)})
-			return
-		}
-		n = parsed
+	n, ok := limitParam(w, r)
+	if !ok {
+		return
 	}
 	writeJSON(w, http.StatusOK, s.engine.Trending(time.Now(), window, n))
 }
@@ -159,14 +169,9 @@ func (s *Server) handleTiedSales(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, httpError{Error: "product parameter required"})
 		return
 	}
-	n := 10
-	if raw := r.URL.Query().Get("n"); raw != "" {
-		parsed, err := strconv.Atoi(raw)
-		if err != nil || parsed <= 0 {
-			writeJSON(w, http.StatusBadRequest, httpError{Error: fmt.Sprintf("bad n %q", raw)})
-			return
-		}
-		n = parsed
+	n, ok := limitParam(w, r)
+	if !ok {
+		return
 	}
 	ties := s.engine.TiedSales(product, 1, n)
 	if ties == nil {
@@ -181,14 +186,9 @@ func (s *Server) handleRecommendations(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, httpError{Error: "user parameter required"})
 		return
 	}
-	n := 10
-	if raw := r.URL.Query().Get("n"); raw != "" {
-		parsed, err := strconv.Atoi(raw)
-		if err != nil || parsed <= 0 {
-			writeJSON(w, http.StatusBadRequest, httpError{Error: fmt.Sprintf("bad n %q", raw)})
-			return
-		}
-		n = parsed
+	n, ok := limitParam(w, r)
+	if !ok {
+		return
 	}
 	recs, err := s.Recommendations(user, r.URL.Query().Get("category"), n)
 	if err != nil {

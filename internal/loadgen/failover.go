@@ -83,10 +83,7 @@ func (g gatedWriter) SetProfiles(ps []*profile.Profile) error {
 }
 
 func (g gatedWriter) RecordPurchase(userID, productID string) error {
-	if err := g.check(); err != nil {
-		return err
-	}
-	return g.w.RecordPurchase(userID, productID)
+	return g.RecordPurchaseAt(userID, productID, time.Time{})
 }
 
 func (g gatedWriter) RecordPurchaseAt(userID, productID string, at time.Time) error {
@@ -426,7 +423,7 @@ func shardFingerprint(e *recommend.Engine, shard int) (uint64, error) {
 			fp ^= item("prof", string(data))
 		}
 		for _, pp := range pg.Purchases {
-			fp ^= item("purch", pp.UserID, pp.ProductID)
+			fp ^= item("purch", pp.UserID, pp.ProductID, strconv.FormatInt(pp.AtEpochMS, 10))
 		}
 		for _, sc := range pg.Sells {
 			fp ^= item("sell", sc.ProductID, strconv.FormatInt(sc.Total, 10))

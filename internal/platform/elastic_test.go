@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -80,6 +81,23 @@ func TestPlatformElasticOwnership(t *testing.T) {
 	if err := p.SyncReplicas(ctx); err != nil {
 		t.Fatal(err)
 	}
+	// Purchase times live in the replicated shards, so the §5.2 listings do
+	// not care who owns what: every server answers alike now, and — nobody
+	// buying meanwhile — keeps answering that through the fail-over.
+	bought := time.Now()
+	listingsAgree := func(when string, now time.Time, buyers int) {
+		t.Helper()
+		hot0, ties0 := purchaseListings(p.Engine, now, true)
+		if len(hot0) == 0 || hot0[0].Count != buyers {
+			t.Fatalf("%s: server 0 trending = %+v, want %d buyers of the hottest product", when, hot0, buyers)
+		}
+		for i, e := range p.Engines[1:] {
+			if hot, ties := purchaseListings(e, now, true); !reflect.DeepEqual(hot, hot0) || !reflect.DeepEqual(ties, ties0) {
+				t.Fatalf("%s: server %d lists\n %+v\n %+v\nserver 0\n %+v\n %+v", when, i+1, hot, ties, hot0, ties0)
+			}
+		}
+	}
+	listingsAgree("before the leave", bought, len(users))
 
 	// Server 2 leaves: its shards fail over to the survivors under a leave
 	// transition published by the authority (Server -1). Its lease client
@@ -107,6 +125,7 @@ func TestPlatformElasticOwnership(t *testing.T) {
 		switch o.Reason {
 		case ops.OwnershipLeave:
 			sawLeave = true
+			listingsAgree("after the fail-over", bought, len(users))
 			for _, mv := range o.Moved {
 				if mv.From != 2 {
 					t.Fatalf("leave moved shard %d from server %d, want only server 2's shards", mv.Shard, mv.From)
@@ -166,6 +185,7 @@ func TestPlatformElasticOwnership(t *testing.T) {
 	if err := p.SyncReplicas(ctx); err != nil {
 		t.Fatal(err)
 	}
+	listingsAgree("after the rejoin", time.Now(), len(users))
 	for i, e := range p.Engines {
 		if got := len(e.Users()); got != len(users) {
 			t.Errorf("engine %d community = %d users, want %d", i, got, len(users))

@@ -132,11 +132,61 @@ func TestReplicaRunStopsOnCancel(t *testing.T) {
 	waitFor(t, "goroutines to drain", func() bool { return runtime.NumGoroutine() <= before })
 }
 
+// shop runs the Fig 4.3 buy workflow for a fixed set of new consumers, spread
+// over every buyer server of p, and returns the listing window's end: a
+// moment after the last purchase, which the PA stamped with its own clock.
+func shop(t *testing.T, p *Platform) time.Time {
+	t.Helper()
+	ctx := testCtx(t)
+	baskets := [][]string{{"p1", "p2"}, {"p1"}, {"p2", "p3"}, {"p1", "p2"}, {"p4"}, {"p1", "p3"}}
+	for i, basket := range baskets {
+		user, b := fmt.Sprintf("shopper-%d", i), p.Buyers[i%len(p.Buyers)]
+		if err := b.Register(ctx, user); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Login(ctx, user); err != nil {
+			t.Fatal(err)
+		}
+		for _, pid := range basket {
+			if _, err := b.Buy(ctx, user, pid, 0, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := p.SyncReplicas(ctx); err != nil {
+		t.Fatal(err)
+	}
+	return time.Now()
+}
+
+// purchaseListings is what a server answers for the §5.2 reads: the hour's
+// trending products, and the tied sales of each product on sale. Scores
+// weigh a purchase by its age, so withScores is for comparing servers that
+// share one set of purchases; across platforms that shopped at different
+// moments only products and counts compare.
+func purchaseListings(e *recommend.Engine, now time.Time, withScores bool) ([]recommend.TrendEntry, [][]recommend.TiedSale) {
+	hot := e.Trending(now, time.Hour, 10)
+	if !withScores {
+		for i := range hot {
+			hot[i].Score = 0
+		}
+	}
+	var ties [][]recommend.TiedSale
+	for _, prod := range demoProducts() {
+		ties = append(ties, e.TiedSales(prod.ID, 1, 10))
+	}
+	return hot, ties
+}
+
 // TestReplicatedStaticAndElasticAgree: the static deployment is the elastic
 // one minus the leases — same routed, fenced path — so after the same seed
-// both answer exactly like a single engine and report the same topology.
+// and the same shopping both answer exactly like a single engine, on every
+// server, and report the same topology.
 func TestReplicatedStaticAndElasticAgree(t *testing.T) {
 	products := demoProducts()
+	for _, prod := range products {
+		prod.Stock = 100 // three platforms shop from the same stock
+	}
 	profiles := make([]*profile.Profile, 0, 12)
 	for i := 0; i < 12; i++ {
 		pr := profile.NewProfile(fmt.Sprintf("u%d", i))
@@ -156,6 +206,10 @@ func TestReplicatedStaticAndElasticAgree(t *testing.T) {
 	defer reference.Close()
 	if err := reference.SeedCommunity(profiles, purchases); err != nil {
 		t.Fatal(err)
+	}
+	wantHot, wantTies := purchaseListings(reference.Engine, shop(t, reference), false)
+	if len(wantHot) != len(products) || wantHot[0].ProductID != "p1" || wantHot[0].Count != 4 {
+		t.Fatalf("reference trending = %+v, want all four products, p1 first with 4 buyers", wantHot)
 	}
 
 	// topology is the part of Metrics that must not depend on the mode:
@@ -191,8 +245,19 @@ func TestReplicatedStaticAndElasticAgree(t *testing.T) {
 			if err := p.SeedCommunity(profiles, purchases); err != nil {
 				t.Fatal(err)
 			}
+			now := shop(t, p)
+			hot0, ties0 := purchaseListings(p.Engine, now, true)
 
 			for i, e := range p.Engines {
+				// Every server holds the whole community's purchases, times
+				// included: it lists what a single engine would, and exactly
+				// what Platform.Hottest/TiedSales (server 0) does.
+				if hot, ties := purchaseListings(e, now, false); !reflect.DeepEqual(hot, wantHot) || !reflect.DeepEqual(ties, wantTies) {
+					t.Errorf("server %d lists\n %+v\n %+v\nthe single engine\n %+v\n %+v", i, hot, ties, wantHot, wantTies)
+				}
+				if hot, ties := purchaseListings(e, now, true); !reflect.DeepEqual(hot, hot0) || !reflect.DeepEqual(ties, ties0) {
+					t.Errorf("server %d lists\n %+v\n %+v\nserver 0\n %+v\n %+v", i, hot, ties, hot0, ties0)
+				}
 				for _, pr := range profiles {
 					for _, strategy := range []recommend.Strategy{recommend.StrategyAuto, recommend.StrategyTopSeller} {
 						want, err := reference.Engine.Recommend(strategy, pr.UserID, "", 5)

@@ -1,8 +1,11 @@
 package recommend
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
-	"sync"
+	"strings"
 	"time"
 )
 
@@ -10,17 +13,23 @@ import (
 // "Provide the more kinds of recommendation information such as weekly
 // hottest merchandise, and tied-sale information."
 //
-//   - Trending ("weekly hottest"): purchases carry timestamps; the hottest
-//     list counts purchases inside a sliding window, optionally weighting
-//     recent ones higher.
+//   - Trending ("weekly hottest"): a purchase's marker in the consumer's
+//     purchase set is its time; the hottest list ranks the purchases inside
+//     a sliding window, weighting recent ones higher.
 //   - TiedSales ("tied-sale information", frequently-bought-together):
 //     co-purchase pair counts across consumers, ranked by confidence
 //     P(other | product), with a minimum support to keep noise out.
+//
+// Both are reads over the engine's ordinary shards, so they are journaled,
+// replicated, spilled and recovered with them: every caught-up replica and
+// every reopened journal answers the same. Nothing here reads the wall
+// clock — the purchase's time and the window's end come from the caller
+// (agentlint's determinism check holds this file to that).
 
 // TrendEntry is one product in a trending listing.
 type TrendEntry struct {
 	ProductID string
-	Count     int     // purchases inside the window
+	Count     int     // distinct buyers whose latest purchase of it is inside the window
 	Score     float64 // recency-weighted count
 }
 
@@ -31,99 +40,119 @@ type TiedSale struct {
 	Confidence float64 // P(ProductID | anchor) among the anchor's buyers
 }
 
-// purchaseEvent is a timestamped purchase for the trending window.
-type purchaseEvent struct {
-	productID string
-	at        time.Time
-}
-
-// history tracks timestamped purchases and per-user baskets for the
-// extension features. Like the Engine's core state it is partitioned into
-// user-keyed shards so concurrent RecordPurchaseAt calls contend only per
-// shard; Trending and TiedSales merge the shards on read.
-type history struct {
-	shards []*histShard
-}
-
-type histShard struct {
-	mu      sync.Mutex
-	events  []purchaseEvent
-	baskets map[string]map[string]bool // user -> distinct products bought
-}
-
-func newHistory(nshards int) *history {
-	h := &history{shards: make([]*histShard, nshards)}
-	for i := range h.shards {
-		h.shards[i] = &histShard{baskets: make(map[string]map[string]bool)}
+// epochMS is the marker a purchase made at at leaves in the purchase set:
+// milliseconds since the Unix epoch, truncated toward the past so a purchase
+// stamped `now` lies inside a window ending `now`. The zero time — and the
+// epoch instant itself — is 0, an undated purchase.
+func epochMS(at time.Time) int64 {
+	if at.IsZero() {
+		return 0
 	}
-	return h
+	return at.UnixMilli()
 }
 
-func (h *history) shardFor(userID string) *histShard {
-	return h.shards[fnv32a(userID)%uint32(len(h.shards))]
-}
-
-func (h *history) record(userID, productID string, at time.Time) {
-	hs := h.shardFor(userID)
-	hs.mu.Lock()
-	defer hs.mu.Unlock()
-	hs.events = append(hs.events, purchaseEvent{productID: productID, at: at})
-	basket := hs.baskets[userID]
-	if basket == nil {
-		basket = make(map[string]bool)
-		hs.baskets[userID] = basket
-	}
-	basket[productID] = true
-}
-
-// RecordPurchaseAt is RecordPurchase with an explicit timestamp, feeding
-// the trending window. RecordPurchase uses time.Now. The timestamped
-// history is an in-memory extension: it is not journaled, so Trending and
-// TiedSales start empty after a restart even with persistence.
+// RecordPurchaseAt notes that userID bought productID at at (the zero time:
+// undated), feeding the CF history, the top-seller counts, Trending and
+// TiedSales. Duplicate records are idempotent per user — the set keeps the
+// later time — but still bump popularity. With persistence the purchase and
+// the product's new sell count attributed to the user's shard are journaled
+// as one atomic batch — under the shard lock alone, which serializes the
+// shard's attributed totals — before the in-memory update; the error is
+// always nil for memory-only engines. The time journaled, and carried to
+// followers in the OpPurchase record, is the time kept, so a follower
+// replays the owner's value rather than reading a clock of its own. The
+// served per-product total is the sum of every shard's attribution, bumped
+// after the shard commit.
 func (e *Engine) RecordPurchaseAt(userID, productID string, at time.Time) error {
-	if err := e.RecordPurchase(userID, productID); err != nil {
+	ms := epochMS(at)
+	sh := e.shardFor(userID)
+	if err := e.lockResidentW(sh); err != nil {
 		return err
 	}
-	e.ext.record(userID, productID, at)
+	set := sh.purchases[userID]
+	if old, again := set[productID]; again && old > ms {
+		ms = old
+	}
+	total := sh.sells[productID] + 1
+	if e.persist != nil {
+		if err := e.persist.SavePurchase(sh.id, userID, productID, ms, total); err != nil {
+			sh.mu.Unlock()
+			return err
+		}
+	}
+	if set == nil {
+		set = make(map[string]int64)
+		sh.purchases[userID] = set
+	}
+	set[productID] = ms
+	sh.sells[productID] = total
+	seq := sh.gen.Add(1)
+	if e.feed != nil {
+		seq = e.feed.emit(sh.id, JournalRecord{Op: OpPurchase, UserID: userID, ProductID: productID, AtEpochMS: ms})
+	}
+	sh.mu.Unlock()
+	e.sellFor(productID).bump(productID)
+	e.publishJournal(sh.id, seq, OpPurchase, 1, 0)
+	e.maybeEvict(sh)
+	e.noteJournalWrite()
 	return nil
 }
 
-// Trending returns up to n products ranked by purchases within the window
-// ending at now. Score halves per half-window of age, so a spike earlier in
+// eachBasket calls fn with every consumer's purchase set (product ->
+// at_epoch_ms), one shard at a time under that shard's read lock; fn must
+// not keep or mutate the map. A spilled shard is faulted in first, like any
+// other whole-community read; a fault-in failure becomes the engine's
+// sticky error and the shard is skipped.
+func (e *Engine) eachBasket(fn func(basket map[string]int64)) {
+	for _, sh := range e.shards {
+		err := e.readResident(sh, func() {
+			for _, basket := range sh.purchases {
+				fn(basket)
+			}
+		})
+		if err != nil {
+			e.setErr(err)
+		}
+	}
+}
+
+// Trending returns up to n products ranked by the dated purchases within the
+// window ending at now. A consumer counts once per product, at their latest
+// purchase of it. Score halves per half-window of age, so a spike earlier in
 // the window ranks below the same spike just now.
 func (e *Engine) Trending(now time.Time, window time.Duration, n int) []TrendEntry {
-	cutoff := now.Add(-window)
-	type agg struct {
-		count int
-		score float64
+	nowMS, cutoff := now.UnixMilli(), now.Add(-window).UnixMilli()
+	type hit struct {
+		productID string
+		at        int64
 	}
-	byProduct := make(map[string]*agg)
-	for _, hs := range e.ext.shards {
-		hs.mu.Lock()
-		for _, ev := range hs.events {
-			if ev.at.Before(cutoff) || ev.at.After(now) {
-				continue
+	var hits []hit
+	e.eachBasket(func(basket map[string]int64) {
+		for pid, at := range basket {
+			if at != 0 && at >= cutoff && at <= nowMS {
+				hits = append(hits, hit{pid, at})
 			}
-			a := byProduct[ev.productID]
-			if a == nil {
-				a = &agg{}
-				byProduct[ev.productID] = a
-			}
-			a.count++
-			age := now.Sub(ev.at)
-			// Halve per half-window: weight = 2^(-2·age/window).
-			weight := 1.0
-			if window > 0 {
-				frac := float64(age) / float64(window) // 0..1
-				weight = pow2(-2 * frac)
-			}
-			a.score += weight
 		}
-		hs.mu.Unlock()
-	}
-	out := make([]TrendEntry, 0, len(byProduct))
-	for pid, a := range byProduct {
-		out = append(out, TrendEntry{ProductID: pid, Count: a.count, Score: a.score})
+	})
+	// Scores are float sums: adding each product's weights in time order,
+	// not map order, makes every replica's answer the same to the last bit.
+	slices.SortFunc(hits, func(a, b hit) int {
+		return cmp.Or(strings.Compare(a.productID, b.productID), cmp.Compare(a.at, b.at))
+	})
+	out := make([]TrendEntry, 0)
+	for _, h := range hits {
+		if len(out) == 0 || out[len(out)-1].ProductID != h.productID {
+			out = append(out, TrendEntry{ProductID: h.productID})
+		}
+		entry := &out[len(out)-1]
+		entry.Count++
+		// Halve per half-window: weight = 2^(-2·age/window).
+		weight := 1.0
+		if window > 0 {
+			age := time.Duration(nowMS-h.at) * time.Millisecond
+			weight = math.Exp2(-2 * float64(age) / float64(window))
+		}
+		entry.Score += weight
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Score != out[j].Score {
@@ -137,48 +166,26 @@ func (e *Engine) Trending(now time.Time, window time.Duration, n int) []TrendEnt
 	return out
 }
 
-// pow2 computes 2^x for small negative x without importing math just for
-// this; accuracy is plenty for ranking weights.
-func pow2(x float64) float64 {
-	// 2^x = e^(x·ln2); use a short series via repeated squaring on the
-	// fractional exponent. For ranking purposes a 7-term series suffices.
-	const ln2 = 0.6931471805599453
-	y := x * ln2
-	sum, term := 1.0, 1.0
-	for i := 1; i <= 8; i++ {
-		term *= y / float64(i)
-		sum += term
-	}
-	if sum < 0 {
-		return 0
-	}
-	return sum
-}
-
 // TiedSales returns up to n products frequently bought together with
 // productID: associations with at least minSupport co-buyers, ranked by
-// confidence then support.
+// confidence then support. Undated purchases count like dated ones.
 func (e *Engine) TiedSales(productID string, minSupport, n int) []TiedSale {
 	if minSupport < 1 {
 		minSupport = 1
 	}
 	co := make(map[string]int)
 	anchorBuyers := 0
-	for _, hs := range e.ext.shards {
-		hs.mu.Lock()
-		for _, basket := range hs.baskets {
-			if !basket[productID] {
-				continue
-			}
-			anchorBuyers++
-			for other := range basket {
-				if other != productID {
-					co[other]++
-				}
+	e.eachBasket(func(basket map[string]int64) {
+		if _, bought := basket[productID]; !bought {
+			return
+		}
+		anchorBuyers++
+		for other := range basket {
+			if other != productID {
+				co[other]++
 			}
 		}
-		hs.mu.Unlock()
-	}
+	})
 	if anchorBuyers == 0 {
 		return nil
 	}

@@ -81,16 +81,6 @@ func TestTrendingLimitsAndEmpty(t *testing.T) {
 	}
 }
 
-func TestPow2(t *testing.T) {
-	for _, x := range []float64{0, -0.5, -1, -2} {
-		want := math.Pow(2, x)
-		got := pow2(x)
-		if math.Abs(got-want) > 0.01 {
-			t.Errorf("pow2(%v) = %v, want %v", x, got, want)
-		}
-	}
-}
-
 func TestTiedSales(t *testing.T) {
 	e := extEngine(t)
 	now := time.Now()

@@ -277,10 +277,7 @@ func (w OwnedWriter) SetProfiles(ps []*profile.Profile) error {
 
 // RecordPurchase implements Writer.
 func (w OwnedWriter) RecordPurchase(userID, productID string) error {
-	if err := w.fence(userID); err != nil {
-		return err
-	}
-	return w.Local.RecordPurchase(userID, productID)
+	return w.RecordPurchaseAt(userID, productID, time.Time{})
 }
 
 // RecordPurchaseAt implements Writer.

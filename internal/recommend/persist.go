@@ -1,6 +1,7 @@
 package recommend
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -32,7 +33,8 @@ var (
 )
 
 // ShardData is one community shard as recovered from a Persister: the
-// shard's profiles, its consumers' purchase sets, and the sell counts
+// shard's profiles, its consumers' purchase sets (each product marked with
+// the time of its latest purchase, at_epoch_ms; 0 = undated), and the sell counts
 // *attributed to this shard* — how many times this shard's consumers bought
 // each product. Attributing sells to the buyer's shard (rather than hashing
 // by product) makes every shard's durable state self-contained, which is
@@ -40,30 +42,31 @@ var (
 // engine's served totals are the sum of all shards' attributions.
 type ShardData struct {
 	Profiles  []*profile.Profile
-	Purchases map[string]map[string]bool // user -> product set
-	Sells     map[string]int64           // product -> sales by this shard's users
+	Purchases map[string]map[string]int64 // user -> product -> at_epoch_ms
+	Sells     map[string]int64            // product -> sales by this shard's users
 }
 
-// addPurchase records user owning product; d.Purchases must be non-nil.
-func (d *ShardData) addPurchase(user, product string) {
+// addPurchase records user owning product since at; d.Purchases must be
+// non-nil.
+func (d *ShardData) addPurchase(user, product string, at int64) {
 	set := d.Purchases[user]
 	if set == nil {
-		set = make(map[string]bool)
+		set = make(map[string]int64)
 		d.Purchases[user] = set
 	}
-	set[product] = true
+	set[product] = at
 }
 
 // shardMaps turns data into the three maps a resident shard holds: every
 // profile paired with its computed summary, nil maps made empty. The maps
 // are adopted, not copied.
-func shardMaps(data ShardData) (map[string]*stored, map[string]map[string]bool, map[string]int64) {
+func shardMaps(data ShardData) (map[string]*stored, map[string]map[string]int64, map[string]int64) {
 	profiles := make(map[string]*stored, len(data.Profiles))
 	for _, p := range data.Profiles {
 		profiles[p.UserID] = &stored{prof: p, sum: p.Summary()}
 	}
 	if data.Purchases == nil {
-		data.Purchases = make(map[string]map[string]bool)
+		data.Purchases = make(map[string]map[string]int64)
 	}
 	if data.Sells == nil {
 		data.Sells = make(map[string]int64)
@@ -82,10 +85,11 @@ type Persister interface {
 	// first), so a crash can lose an acknowledged write only if SaveProfiles
 	// itself errored.
 	SaveProfiles(shard int, profs []*profile.Profile) error
-	// SavePurchase durably records userID buying productID together with
-	// the product's new sell count attributed to the user's shard, as one
-	// atomic batch.
-	SavePurchase(shard int, userID, productID string, total int64) error
+	// SavePurchase durably records userID buying productID at at (epoch
+	// milliseconds, 0 = undated; the value the purchase set keeps) together
+	// with the product's new sell count attributed to the user's shard, as
+	// one atomic batch.
+	SavePurchase(shard int, userID, productID string, at, total int64) error
 	// SaveShard durably replaces shard's entire state with data — the
 	// replication snapshot catch-up path. Stale keys are removed; the write
 	// need not be one atomic batch (a crash mid-replace is healed by the
@@ -236,6 +240,27 @@ func (e *Engine) lockResidentW(sh *shard) error {
 	return nil
 }
 
+// readResident runs read under sh's read lock with the shard's maps in
+// memory, faulting the shard in first (and as often as eviction undoes it)
+// when it was spilled.
+func (e *Engine) readResident(sh *shard, read func()) error {
+	for {
+		sh.mu.RLock()
+		resident := sh.resident.Load()
+		if resident {
+			read()
+		}
+		sh.mu.RUnlock()
+		if resident {
+			e.touch(sh)
+			return nil
+		}
+		if err := e.faultIn(sh); err != nil {
+			return err
+		}
+	}
+}
+
 // faultInLocked reloads a spilled shard from the Persister. Caller holds
 // sh.mu for writing. The candidate index is untouched: postings survive
 // spilling, so they are already exact for the shard's durable state.
@@ -369,7 +394,7 @@ func (e *Engine) recover() error {
 // replication layer (replicate.go) ships between servers.
 //
 //	prof/<shard>  : <userID>                  -> profile JSON
-//	purch/<shard> : <userID> \x00 <productID> -> 0x01
+//	purch/<shard> : <userID> \x00 <productID> -> uvarint at_epoch_ms (one 0x00 byte when undated)
 //	sell/<shard>  : <productID>               -> decimal sales by this shard's users
 const (
 	bucketProfiles  = "prof/"
@@ -409,6 +434,17 @@ const saveProfilesChunk = 4 << 20 // 4 MiB of encoded profiles
 func profBucket(shard int) string  { return bucketProfiles + strconv.Itoa(shard) }
 func purchBucket(shard int) string { return bucketPurchases + strconv.Itoa(shard) }
 func sellBucket(shard int) string  { return bucketSells + strconv.Itoa(shard) }
+
+// purchaseOp is the upsert of one purchase-set entry. The value is the
+// purchase's at_epoch_ms as a uvarint: one byte for an undated purchase,
+// and the 0x01 marker journals written before purchases carried a time reads
+// as 1 ms past the epoch — outside every window anyone asks for.
+func purchaseOp(shard int, userID, productID string, at int64) (kvstore.Op, error) {
+	if strings.ContainsRune(userID, 0) || strings.ContainsRune(productID, 0) {
+		return kvstore.Op{}, fmt.Errorf("%w: purchase %q/%q", ErrBadKey, userID, productID)
+	}
+	return kvstore.Op{Bucket: purchBucket(shard), Key: userID + "\x00" + productID, Value: binary.AppendUvarint(nil, uint64(at))}, nil
+}
 
 // kvBatch queues one mutation's ops and applies them in atomic batches of at
 // most saveProfilesChunk encoded bytes each.
@@ -462,12 +498,13 @@ func (kp *kvPersister) SaveProfiles(shard int, profs []*profile.Profile) error {
 	return b.flush()
 }
 
-func (kp *kvPersister) SavePurchase(shard int, userID, productID string, total int64) error {
-	if strings.ContainsRune(userID, 0) || strings.ContainsRune(productID, 0) {
-		return fmt.Errorf("%w: purchase %q/%q", ErrBadKey, userID, productID)
+func (kp *kvPersister) SavePurchase(shard int, userID, productID string, at, total int64) error {
+	op, err := purchaseOp(shard, userID, productID, at)
+	if err != nil {
+		return err
 	}
 	return kp.store.Apply([]kvstore.Op{
-		{Bucket: purchBucket(shard), Key: userID + "\x00" + productID, Value: []byte{1}},
+		op,
 		{Bucket: sellBucket(shard), Key: productID, Value: []byte(strconv.FormatInt(total, 10))},
 	})
 }
@@ -519,11 +556,12 @@ func (kp *kvPersister) SaveShard(shard int, data ShardData) error {
 		}
 	}
 	for user, set := range data.Purchases {
-		for pid := range set {
-			if strings.ContainsRune(user, 0) || strings.ContainsRune(pid, 0) {
-				return fmt.Errorf("%w: purchase %q/%q", ErrBadKey, user, pid)
+		for pid, at := range set {
+			op, err := purchaseOp(shard, user, pid, at)
+			if err != nil {
+				return err
 			}
-			if err := b.add(kvstore.Op{Bucket: purchBucket(shard), Key: user + "\x00" + pid, Value: []byte{1}}, len(user)+len(pid)+1); err != nil {
+			if err := b.add(op, len(op.Key)+len(op.Value)); err != nil {
 				return err
 			}
 		}
@@ -541,7 +579,7 @@ func (kp *kvPersister) SaveShard(shard int, data ShardData) error {
 
 func (kp *kvPersister) LoadShard(shard int) (ShardData, error) {
 	data := ShardData{
-		Purchases: make(map[string]map[string]bool),
+		Purchases: make(map[string]map[string]int64),
 		Sells:     make(map[string]int64),
 	}
 	profs, err := kp.store.Scan(profBucket(shard), "")
@@ -564,7 +602,11 @@ func (kp *kvPersister) LoadShard(shard int) (ShardData, error) {
 		if !ok {
 			return data, fmt.Errorf("recommend: shard %d malformed purchase key %q", shard, ent.Key)
 		}
-		data.addPurchase(user, product)
+		at, n := binary.Uvarint(ent.Value)
+		if n != len(ent.Value) || n == 0 {
+			return data, fmt.Errorf("recommend: shard %d malformed purchase time for %q", shard, ent.Key)
+		}
+		data.addPurchase(user, product, int64(at))
 	}
 	sells, err := kp.store.Scan(sellBucket(shard), "")
 	if err != nil {

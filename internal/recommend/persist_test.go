@@ -43,7 +43,8 @@ func loadEngineErr(t *testing.T, u *workload.Universe, profiles []*profile.Profi
 }
 
 // communityEqual asserts b holds exactly a's community: users, profiles,
-// purchase sets, index sizing, and per-strategy recommendations.
+// purchase sets, index sizing, per-strategy recommendations, and the §5.2
+// reads over the purchase sets (purchaseReadsEqual).
 func communityEqual(t *testing.T, a, b *Engine) {
 	t.Helper()
 	usersA, usersB := a.Users(), b.Users()
@@ -79,6 +80,7 @@ func communityEqual(t *testing.T, a, b *Engine) {
 			}
 		}
 	}
+	purchaseReadsEqual(t, a, b)
 }
 
 func TestPersistentRestartIdenticalRecommendations(t *testing.T) {
@@ -543,7 +545,7 @@ type failingPersister struct{}
 var errInjected = errors.New("injected persister failure")
 
 func (failingPersister) SaveProfiles(int, []*profile.Profile) error { return errInjected }
-func (failingPersister) SavePurchase(int, string, string, int64) error {
+func (failingPersister) SavePurchase(int, string, string, int64, int64) error {
 	return errInjected
 }
 func (failingPersister) SaveShard(int, ShardData) error   { return errInjected }

@@ -232,8 +232,6 @@ type Engine struct {
 	sells  []*sellShard   // sell counts, fnv(productID) % nshards
 	index  *categoryIndex // per-category candidate posting lists
 
-	ext *history // timestamped purchases for Trending/TiedSales
-
 	// Durability (nil/zero for a memory-only engine; see persist.go).
 	persist     Persister
 	stateDir    string
@@ -306,7 +304,6 @@ func Open(cat *catalog.Catalog, opts ...Option) (*Engine, error) {
 			probes: e.annProbes,
 		}
 	}
-	e.ext = newHistory(e.nshards)
 	if e.feedCap > 0 {
 		feed, err := newJournalFeed(e.nshards, e.feedCap)
 		if err != nil {
@@ -438,61 +435,21 @@ func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile) error
 // consumer's shard in when it was spilled.
 func (e *Engine) Profile(userID string) (*profile.Profile, error) {
 	sh := e.shardFor(userID)
-	for {
-		sh.mu.RLock()
-		if sh.resident.Load() {
-			st := sh.profiles[userID]
-			sh.mu.RUnlock()
-			e.touch(sh)
-			if st == nil {
-				return nil, fmt.Errorf("%w: %s", ErrUnknownUser, userID)
-			}
-			return st.prof.Clone(), nil
-		}
-		sh.mu.RUnlock()
-		if err := e.faultIn(sh); err != nil {
-			return nil, err
-		}
+	var st *stored
+	if err := e.readResident(sh, func() { st = sh.profiles[userID] }); err != nil {
+		return nil, err
 	}
+	if st == nil {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownUser, userID)
+	}
+	return st.prof.Clone(), nil
 }
 
-// RecordPurchase notes that userID bought productID, feeding both the CF
-// history and the top-seller counts. Duplicate records are idempotent per
-// user but still bump popularity. With persistence the purchase and the
-// product's new sell count attributed to the user's shard are journaled as
-// one atomic batch — under the shard lock alone, which serializes the
-// shard's attributed totals — before the in-memory update; the error is
-// always nil for memory-only engines. The served per-product total is the
-// sum of every shard's attribution, bumped after the shard commit.
+// RecordPurchase is RecordPurchaseAt for a purchase whose time is not
+// known: it feeds the CF history, the top-seller counts and TiedSales, and
+// never trends.
 func (e *Engine) RecordPurchase(userID, productID string) error {
-	sh := e.shardFor(userID)
-	if err := e.lockResidentW(sh); err != nil {
-		return err
-	}
-	total := sh.sells[productID] + 1
-	if e.persist != nil {
-		if err := e.persist.SavePurchase(sh.id, userID, productID, total); err != nil {
-			sh.mu.Unlock()
-			return err
-		}
-	}
-	set := sh.purchases[userID]
-	if set == nil {
-		set = make(map[string]bool)
-		sh.purchases[userID] = set
-	}
-	set[productID] = true
-	sh.sells[productID] = total
-	seq := sh.gen.Add(1)
-	if e.feed != nil {
-		seq = e.feed.emit(sh.id, JournalRecord{Op: OpPurchase, UserID: userID, ProductID: productID})
-	}
-	sh.mu.Unlock()
-	e.sellFor(productID).bump(productID)
-	e.publishJournal(sh.id, seq, OpPurchase, 1, 0)
-	e.maybeEvict(sh)
-	e.noteJournalWrite()
-	return nil
+	return e.RecordPurchaseAt(userID, productID, time.Time{})
 }
 
 // shardUsers counts sh's consumers, appending their ids to *ids when ids is

@@ -62,12 +62,17 @@ type JournalRecord struct {
 	Profiles  [][]byte `json:"profiles,omitempty"` // OpProfiles: marshaled profiles, install order
 	UserID    string   `json:"user,omitempty"`     // OpPurchase
 	ProductID string   `json:"product,omitempty"`  // OpPurchase
+	// OpPurchase: the time the owner's purchase set kept (absent = undated);
+	// a follower installs it as is.
+	AtEpochMS int64 `json:"at_epoch_ms,omitempty"`
 }
 
-// PurchasePair is one (consumer, product) ownership edge in a SnapshotPage.
+// PurchasePair is one (consumer, product) ownership edge in a SnapshotPage,
+// with the time of the consumer's latest purchase of it (absent = undated).
 type PurchasePair struct {
 	UserID    string `json:"user"`
 	ProductID string `json:"product"`
+	AtEpochMS int64  `json:"at_epoch_ms,omitempty"`
 }
 
 // TailResult is one answer to a journal-tail request: Records when the
@@ -323,7 +328,7 @@ func (e *Engine) applyJournalRecord(shard int, rec JournalRecord) error {
 		if e.ShardOf(rec.UserID) != shard {
 			return fmt.Errorf("%w: user %s", ErrShardMismatch, rec.UserID)
 		}
-		return e.RecordPurchase(rec.UserID, rec.ProductID)
+		return e.RecordPurchaseAt(rec.UserID, rec.ProductID, time.UnixMilli(rec.AtEpochMS))
 	default:
 		return fmt.Errorf("recommend: unknown journal op %q", rec.Op)
 	}
@@ -538,16 +543,12 @@ func (r *Router) SetProfiles(ps []*profile.Profile) error {
 	return nil
 }
 
-// RecordPurchase records the purchase on the owning server.
+// RecordPurchase records the undated purchase on the owning server.
 func (r *Router) RecordPurchase(userID, productID string) error {
-	w, err := r.writerFor(userID)
-	if err != nil {
-		return err
-	}
-	return w.RecordPurchase(userID, productID)
+	return r.RecordPurchaseAt(userID, productID, time.Time{})
 }
 
-// RecordPurchaseAt records the timestamped purchase on the owning server.
+// RecordPurchaseAt records the purchase made at at on the owning server.
 func (r *Router) RecordPurchaseAt(userID, productID string, at time.Time) error {
 	w, err := r.writerFor(userID)
 	if err != nil {

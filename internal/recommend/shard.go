@@ -50,8 +50,8 @@ type stored struct {
 type shard struct {
 	mu        sync.RWMutex
 	profiles  map[string]*stored
-	purchases map[string]map[string]bool // user -> product set
-	sells     map[string]int64           // product -> sales by THIS shard's users
+	purchases map[string]map[string]int64 // user -> product -> at_epoch_ms of the latest purchase (0 = undated)
+	sells     map[string]int64            // product -> sales by THIS shard's users
 
 	id         int         // position in Engine.shards, names persister buckets
 	resident   atomic.Bool // maps are in memory (always true without spilling)
@@ -65,7 +65,7 @@ func newShard(id int) *shard {
 	sh := &shard{
 		id:        id,
 		profiles:  make(map[string]*stored),
-		purchases: make(map[string]map[string]bool),
+		purchases: make(map[string]map[string]int64),
 		sells:     make(map[string]int64),
 	}
 	sh.resident.Store(true)
@@ -74,7 +74,8 @@ func newShard(id int) *shard {
 
 // shardView is an immutable snapshot of one shard. profiles entries are
 // shared (they are immutable in place); purchase sets are deep-copied at
-// build time so later RecordPurchase calls cannot tear a reader.
+// build time so later RecordPurchase calls cannot tear a reader, and carry
+// ownership only: the CF read path never asks when.
 type shardView struct {
 	gen       uint64
 	profiles  map[string]*stored

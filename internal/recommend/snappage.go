@@ -97,7 +97,11 @@ func decodePageToken(token string) (section, startKey string, err error) {
 // whose id strings are charged at their escaped length.
 func profileEntryCost(encLen int) int { return (encLen+2)/3*4 + 4 }
 func purchaseEntryCost(p PurchasePair) int {
-	return jsonStringCost(p.UserID) + jsonStringCost(p.ProductID) + 24
+	cost := jsonStringCost(p.UserID) + jsonStringCost(p.ProductID) + 24
+	if p.AtEpochMS != 0 {
+		cost += 36 // ,"at_epoch_ms": and up to 20 digits with the sign
+	}
+	return cost
 }
 func sellEntryCost(pid string) int { return jsonStringCost(pid) + 40 }
 
@@ -212,8 +216,8 @@ func (e *Engine) SnapshotPage(shard int, epoch, seq uint64, token string, maxByt
 	if section == pageSecPurchases {
 		pairs := make([]PurchasePair, 0, len(purchases))
 		for user, set := range purchases {
-			for pid := range set {
-				pp := PurchasePair{UserID: user, ProductID: pid}
+			for pid, at := range set {
+				pp := PurchasePair{UserID: user, ProductID: pid, AtEpochMS: at}
 				if purchaseKey(pp) >= startKey {
 					pairs = append(pairs, pp)
 				}
@@ -266,11 +270,11 @@ func (d *ShardData) addPage(e *Engine, shard int, pg SnapshotPage) error {
 		d.Profiles = append(d.Profiles, p)
 	}
 	if d.Purchases == nil {
-		d.Purchases = make(map[string]map[string]bool)
+		d.Purchases = make(map[string]map[string]int64)
 		d.Sells = make(map[string]int64)
 	}
 	for _, pp := range pg.Purchases {
-		d.addPurchase(pp.UserID, pp.ProductID)
+		d.addPurchase(pp.UserID, pp.ProductID, pp.AtEpochMS)
 	}
 	for _, sc := range pg.Sells {
 		d.Sells[sc.ProductID] = sc.Total

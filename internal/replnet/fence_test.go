@@ -41,12 +41,11 @@ func TestHandlerFencesStaleEpochFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := time.Now()
 	frames := map[string][]byte{
 		kindTail:        mustJSON(t, tailRequest{Shard: 0, OwnerEpoch: 1}),
 		kindSnapPage:    mustJSON(t, snapPageRequest{Shard: 0, OwnerEpoch: 1}),
 		kindSetProfiles: mustJSON(t, setProfilesRequest{Profiles: [][]byte{prof}, OwnerEpoch: 1}),
-		kindPurchase:    mustJSON(t, purchaseRequest{UserID: "user-1", ProductID: "p1", At: &now, OwnerEpoch: 1}),
+		kindPurchase:    mustJSON(t, purchaseRequest{UserID: "user-1", ProductID: "p1", AtEpochMS: time.Now().UnixMilli(), OwnerEpoch: 1}),
 	}
 
 	// At matching epoch every kind passes the fence (the tail may still

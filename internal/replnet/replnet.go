@@ -125,10 +125,10 @@ type setProfilesRequest struct {
 }
 
 type purchaseRequest struct {
-	UserID     string     `json:"user"`
-	ProductID  string     `json:"product"`
-	At         *time.Time `json:"at,omitempty"` // nil: untimestamped RecordPurchase
-	OwnerEpoch uint64     `json:"owner_epoch,omitempty"`
+	UserID     string `json:"user"`
+	ProductID  string `json:"product"`
+	AtEpochMS  int64  `json:"at_epoch_ms,omitempty"` // absent: an undated purchase
+	OwnerEpoch uint64 `json:"owner_epoch,omitempty"`
 }
 
 // OwnerMapInfo is the owner-map frame's reply: the receiving server's view
@@ -240,10 +240,7 @@ func Handler(e *recommend.Engine, self, servers int, opts ...Option) atp.Journal
 			if err := checkOwned(req.OwnerEpoch, req.UserID); err != nil {
 				return nil, err
 			}
-			if req.At != nil {
-				return nil, e.RecordPurchaseAt(req.UserID, req.ProductID, *req.At)
-			}
-			return nil, e.RecordPurchase(req.UserID, req.ProductID)
+			return nil, e.RecordPurchaseAt(req.UserID, req.ProductID, time.UnixMilli(req.AtEpochMS))
 		case kindOwnerMap:
 			// The consistency probe is deliberately unfenced: it is how
 			// peers discover they disagree in the first place.
@@ -440,12 +437,17 @@ func (w *Writer) SetProfiles(ps []*profile.Profile) error {
 
 // RecordPurchase implements recommend.Writer.
 func (w *Writer) RecordPurchase(userID, productID string) error {
-	return w.send(kindPurchase, purchaseRequest{UserID: userID, ProductID: productID, OwnerEpoch: w.cfg.stamp()})
+	return w.RecordPurchaseAt(userID, productID, time.Time{})
 }
 
-// RecordPurchaseAt implements recommend.Writer.
+// RecordPurchaseAt implements recommend.Writer. The zero time travels as an
+// absent at_epoch_ms, the frame an undated purchase always was.
 func (w *Writer) RecordPurchaseAt(userID, productID string, at time.Time) error {
-	return w.send(kindPurchase, purchaseRequest{UserID: userID, ProductID: productID, At: &at, OwnerEpoch: w.cfg.stamp()})
+	req := purchaseRequest{UserID: userID, ProductID: productID, OwnerEpoch: w.cfg.stamp()}
+	if !at.IsZero() {
+		req.AtEpochMS = at.UnixMilli()
+	}
+	return w.send(kindPurchase, req)
 }
 
 var _ recommend.Writer = (*Writer)(nil)

@@ -140,7 +140,9 @@ func TestTCPReplicationConverges(t *testing.T) {
 }
 
 // TestTCPForwardedTimestampedPurchase pins that RecordPurchaseAt survives
-// the wire: the timestamp reaches the owner's trending history.
+// the wire in both directions: the timestamp reaches the owner's purchase
+// set in the forwarded frame, and comes back to the forwarding server in the
+// journal record, so both answer Trending alike.
 func TestTCPForwardedTimestampedPurchase(t *testing.T) {
 	servers := startCluster(t, 2)
 	// Find a user owned by server 1, so server 0's router must forward.
@@ -162,6 +164,14 @@ func TestTCPForwardedTimestampedPurchase(t *testing.T) {
 	trending := servers[1].engine.Trending(at.Add(time.Minute), time.Hour, 5)
 	if len(trending) != 1 || trending[0].ProductID != "p1" || trending[0].Count != 1 {
 		t.Fatalf("owner trending = %+v, want one p1 purchase", trending)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := servers[0].repl.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := servers[0].engine.Trending(at.Add(time.Minute), time.Hour, 5); !reflect.DeepEqual(got, trending) {
+		t.Fatalf("forwarding server trending = %+v, owner %+v", got, trending)
 	}
 }
 
