@@ -94,6 +94,7 @@ type daemonConfig struct {
 	elastic        bool
 	leaseInterval  time.Duration
 	verbose        bool
+	onTracer       func(*trace.Recorder) // test seam: sees the recorder run built (nil unless verbose)
 }
 
 func main() {
@@ -219,7 +220,16 @@ func run(ctx context.Context, cfg daemonConfig) error {
 
 	signer := security.NewSigner([]byte(cfg.key))
 	client := atp.NewClient(signer)
-	tracer := trace.New()
+	// Only -trace pays for a recorder: nothing else reads one, and every
+	// task would append its steps to it for the daemon's whole life. A nil
+	// *trace.Recorder is valid everywhere and records nothing.
+	var tracer *trace.Recorder
+	if cfg.verbose {
+		tracer = trace.New()
+	}
+	if cfg.onTracer != nil {
+		cfg.onTracer(tracer)
+	}
 
 	var servers []*atp.Server
 	var hosts []*aglet.Host
@@ -569,20 +579,19 @@ func checkOwnerMaps(ctx context.Context, client *atp.Client, owners *recommend.O
 }
 
 // watchTrace tails the workflow recorder until ctx cancels, printing each
-// step once.
+// step once and draining what it printed, so a traced daemon's recorder
+// stays bounded too.
 func watchTrace(ctx context.Context, tracer *trace.Recorder) {
 	t := time.NewTicker(100 * time.Millisecond)
 	defer t.Stop()
-	seen := 0
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-t.C:
 		}
-		events := tracer.Events()
-		for ; seen < len(events); seen++ {
-			log.Printf("step %s", events[seen])
+		for _, ev := range tracer.Drain() {
+			log.Printf("step %s", ev)
 		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"agentrec/internal/analysis"
 	"agentrec/internal/loadgen"
 	"agentrec/internal/ops"
-	"agentrec/internal/recommend"
 )
 
 func readDoc(t *testing.T, name string) string {
@@ -117,20 +116,14 @@ func jsonLeafTags(t *testing.T, typ reflect.Type, into map[string]bool) {
 	}
 }
 
-// TestDocsStatsFieldNamesInDesign checks that every wire field of the
-// stats structs and the ops event/snapshot model is named (in backticks)
-// in DESIGN.md's event-plane vocabulary, so the agent-first naming story
-// cannot drift from the shipped JSON.
+// TestDocsStatsFieldNamesInDesign checks that every wire field of the ops
+// event/snapshot model is named (in backticks) in DESIGN.md's event-plane
+// vocabulary, so the agent-first naming story cannot drift from the shipped
+// JSON.
 func TestDocsStatsFieldNamesInDesign(t *testing.T) {
 	design := readDoc(t, "DESIGN.md")
 	tags := make(map[string]bool)
-	for _, v := range []any{
-		recommend.Stats{},
-		recommend.ReplicationStats{},
-		recommend.ShardReplication{},
-		ops.Event{},
-		ops.Snapshot{},
-	} {
+	for _, v := range []any{ops.Event{}, ops.Snapshot{}} {
 		jsonLeafTags(t, reflect.TypeOf(v), tags)
 	}
 	if len(tags) < 20 {

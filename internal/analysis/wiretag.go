@@ -9,12 +9,12 @@ import (
 // Wiretag encodes the wire vocabulary rule (DESIGN.md "Event plane",
 // SNIPPETS.md agent-first convention): every struct that crosses a wire —
 // /events and /metrics/snapshot bodies, BENCH_*.json scenario documents,
-// replnet journal frames, the engine's stats and journal records — carries
+// replnet journal frames, the engine's journal records — carries
 // an explicit snake_case `json:` tag on every exported field. Implicit
 // field names drift with Go renames and break recorded documents and wire
 // consumers silently; the reflective docs test
-// (TestDocsStatsFieldNamesInDesign) covers only the stats structs, while
-// this analyzer covers the full closure.
+// (TestDocsStatsFieldNamesInDesign) covers only the ops model, while this
+// analyzer covers the full closure.
 //
 // Scope: per-package root types (the frame/document entry points) plus
 // every package-local struct reachable from them through fields, slices,
@@ -23,7 +23,7 @@ import (
 var Wiretag = &Analyzer{
 	Name: "wiretag",
 	Doc: "wire-bound structs carry explicit snake_case json tags on every exported field\n\n" +
-		"Walks the per-package wire roots (ops events, recommend stats/journal/snapshot shapes, replnet frames, " +
+		"Walks the per-package wire roots (ops events and snapshots, recommend journal/snapshot-page shapes, replnet frames, " +
 		"coordinator lease wire, loadgen BENCH documents) and their package-local field closure; flags exported " +
 		"fields with no json tag or with a non-snake_case name.",
 	Run: runWiretag,
@@ -34,7 +34,7 @@ var Wiretag = &Analyzer{
 // solely to be serialized).
 var wireRoots = map[string][]string{
 	opsPath:                         {"*"},
-	recommendPath:                   {"Stats", "ReplicationStats", "ShardReplication", "JournalRecord", "TailResult", "SnapshotPage", "OwnershipMap"},
+	recommendPath:                   {"JournalRecord", "TailResult", "SnapshotPage", "OwnershipMap"},
 	replnetPath:                     {"tailRequest", "snapPageRequest", "setProfilesRequest", "purchaseRequest", "OwnerMapInfo"},
 	"agentrec/internal/coordinator": {"LeaseRequest", "LeaseGrant"},
 	"agentrec/internal/loadgen":     {"ScenarioResult", "Scenario"},

@@ -487,8 +487,10 @@ func (a *braAgent) launch(ctx *aglet.Context, req taskReq) (aglet.Message, error
 	s := a.srv
 	wf := workflowName(req.Spec.Kind)
 	s.tracer.Record(wf, 4, "BRA", "UserDB", "load consumer profile")
-	if _, err := s.loadProfile(a.st.UserID); err != nil {
-		return aglet.Message{}, err
+	// The MBA carries no profile, so only its existence matters here; the
+	// PA reads it where it is used (loadProfile).
+	if ok, err := s.userDB.Has(bucketProfiles, a.st.UserID); err != nil || !ok {
+		return aglet.Message{}, fmt.Errorf("%w: %s", ErrUnknownUser, a.st.UserID)
 	}
 	s.tracer.Record(wf, 5, "UserDB", "BRA", "profile loaded")
 

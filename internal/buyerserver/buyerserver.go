@@ -130,12 +130,6 @@ func WithMarkets(addrs ...string) Option {
 	return func(s *Server) { s.markets = append([]string(nil), addrs...) }
 }
 
-// WithEngine replaces the recommendation engine (e.g. to tune neighbourhood
-// size or the discard tolerance).
-func WithEngine(e *recommend.Engine) Option {
-	return func(s *Server) { s.engine = e }
-}
-
 // WithCommunityWriter routes community writes — profile installs and
 // purchase records — through w instead of the local engine. This is the
 // replication seam: in a multi-server deployment w is a recommend.Router
@@ -170,8 +164,8 @@ func WithTokenTTL(ttl time.Duration) Option {
 
 // New creates a Buyer Agent Server on host, wiring all resident agents. The
 // registry must be host-specific: New registers the bsma/pa/httpa/bra/mba
-// factories on it. engine must not be nil unless WithEngine is given — pass
-// the platform's shared engine built over the integrated catalog.
+// factories on it. engine must not be nil — pass the platform's shared
+// engine built over the integrated catalog.
 //
 // If coordCA is non-nil, creation follows Fig 4.1: the server requests
 // admission from the Coordinator Agent (step 1) and the BSMA arrives by

@@ -320,13 +320,18 @@ func (c *LeaseClient) RenewOnce(ctx context.Context) error {
 	if c.Applied != nil {
 		applied = c.Applied()
 	}
+	// The authority counts the TTL from when it processed the request, so
+	// the lease runs from before the request left: counted from the reply,
+	// a slow renewal would outlive the authority's view by its latency and
+	// a deposed owner would still ack writes.
+	sent := time.Now()
 	grant, err := c.Renew(ctx, c.Self, applied)
 	if err != nil {
 		return err
 	}
 	prev := c.Table.Current()
 	advanced := c.Table.Advance(grant.Map)
-	c.Table.Lease(time.Now().Add(time.Duration(grant.TTLMs) * time.Millisecond))
+	c.Table.Lease(sent.Add(time.Duration(grant.TTLMs) * time.Millisecond))
 	if advanced && c.Publish != nil {
 		c.Publish(ops.Event{Kind: ops.KindOwnership, Ownership: ops.OwnershipEvent{
 			Server:    c.Self,

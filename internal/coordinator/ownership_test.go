@@ -2,6 +2,7 @@ package coordinator
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -255,5 +256,32 @@ func TestLeaseClientAdvancesAndArmsTable(t *testing.T) {
 	ev := published[0].Ownership
 	if ev.Server != 0 || ev.Epoch != 2 || ev.PrevEpoch != 1 || ev.Reason != ops.OwnershipLeave {
 		t.Fatalf("published transition = %+v", ev)
+	}
+}
+
+// TestLeaseCountsFromRequestNotReply: the authority starts a lease's TTL
+// when it processes the renewal, so the table must stop believing in it one
+// TTL after the request left — not one TTL after a slow reply came back,
+// which would let a deposed owner ack writes for a reply-latency longer
+// than the authority honours its lease.
+func TestLeaseCountsFromRequestNotReply(t *testing.T) {
+	const ttl, latency = 400 * time.Millisecond, 300 * time.Millisecond
+	table := recommend.NewOwnershipTable(recommend.StaticOwnership(4, 2))
+	client := &LeaseClient{
+		Self:  0,
+		Table: table,
+		Renew: func(context.Context, int, []uint64) (LeaseGrant, error) {
+			time.Sleep(latency)
+			return LeaseGrant{Map: table.Current(), TTLMs: ttl.Milliseconds()}, nil
+		},
+	}
+	sent := time.Now()
+	if err := client.RenewOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(time.Until(sent.Add(ttl + 50*time.Millisecond)))
+	if err := table.Expired(); !errors.Is(err, recommend.ErrLeaseExpired) {
+		t.Fatalf("%v after the renewal was sent under a %v TTL: Expired() = %v, want ErrLeaseExpired",
+			time.Since(sent), ttl, err)
 	}
 }

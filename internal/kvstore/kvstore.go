@@ -91,8 +91,8 @@ var (
 type Op struct {
 	Bucket string
 	Key    string
-	Value  []byte // nil means delete
-	Delete bool
+	Value  []byte // stored as given; a nil Value stores an empty one
+	Delete bool   // remove Key instead; Value is ignored
 }
 
 // Entry is one key/value pair returned by scans.

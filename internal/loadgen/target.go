@@ -243,7 +243,7 @@ func (w *coldWorld) Bootstrap(ctx context.Context) (*ColdFollowerResult, error) 
 		res.PagedRestarts += sh.Restarts
 		res.RecordsApplied += sh.Records
 	}
-	res.LagAfterBootstrap = st.Lag()
+	res.LagAfterBootstrap = st.LagRecords
 	return res, nil
 }
 

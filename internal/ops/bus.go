@@ -99,14 +99,6 @@ func (b *Bus) Publish(ev Event) uint64 {
 	return seq
 }
 
-// LastSeq returns the sequence number of the most recently published event
-// (0 when nothing has been published).
-func (b *Bus) LastSeq() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.seq
-}
-
 // SubscribeOptions configures a Subscription.
 //
 //agentlint:allow wiretag -- in-process subscription config, never serialized; the SSE handler derives it from query params
@@ -239,7 +231,6 @@ type Subscription struct {
 	head, n      int
 	pendingDrops uint64 // drops not yet surfaced as a marker
 	dropped      uint64 // lifetime drops, for accounting
-	delivered    uint64
 	closed       bool
 	notify       chan struct{}
 }
@@ -293,7 +284,6 @@ func (s *Subscription) Next(ctx context.Context) (Event, error) {
 			s.ring[s.head] = Event{}
 			s.head = (s.head + 1) % len(s.ring)
 			s.n--
-			s.delivered++
 			s.mu.Unlock()
 			return ev, nil
 		}
@@ -316,14 +306,6 @@ func (s *Subscription) Dropped() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dropped
-}
-
-// Delivered returns how many events Next has handed out (drop markers
-// excluded).
-func (s *Subscription) Delivered() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.delivered
 }
 
 // Close detaches the subscription from the bus. Buffered events remain

@@ -48,13 +48,9 @@ const (
 	KindDropped Kind = "dropped"
 )
 
-// AllKinds returns every publishable kind plus the synthetic dropped
-// marker, the vocabulary wire endpoints validate ?kinds= against.
-func AllKinds() []Kind {
-	return []Kind{KindSnapshot, KindRecDelta, KindJournal, KindLag, KindCompaction, KindOwnership, KindDropped}
-}
-
-// ValidKind reports whether k is a known event kind.
+// ValidKind reports whether k is a known event kind: every publishable kind
+// plus the synthetic dropped marker, the vocabulary wire endpoints validate
+// ?kinds= against.
 func ValidKind(k Kind) bool {
 	switch k {
 	case KindSnapshot, KindRecDelta, KindJournal, KindLag, KindCompaction, KindOwnership, KindDropped:
@@ -203,22 +199,24 @@ type ServerSnapshot struct {
 }
 
 // EngineSnapshot is one recommendation engine's sizing and journal state,
-// the wire form of the engine's Stats.
+// what the engine's Stats returns.
 type EngineSnapshot struct {
-	Shards            int     `json:"shards"`
-	ResidentShards    int     `json:"resident_shards"`
-	Users             int     `json:"users"`
-	IndexedCategories int     `json:"indexed_categories"`
-	Postings          int     `json:"postings"`
-	IndexWrites       uint64  `json:"index_writes"`
-	JournalBytes      int64   `json:"journal_bytes"`
-	LiveBytes         int64   `json:"live_bytes"`
-	Compactions       uint64  `json:"compactions"`
-	LastCompactionMs  float64 `json:"last_compaction_ms"`
+	Shards            int    `json:"shards"`
+	ResidentShards    int    `json:"resident_shards"` // < Shards when cold shards are spilled
+	Users             int    `json:"users"`
+	IndexedCategories int    `json:"indexed_categories"`
+	Postings          int    `json:"postings"`
+	IndexWrites       uint64 `json:"index_writes"` // posting mutations since construction (catch-up cost gauge)
+
+	// Journal sizing and compaction (all zero without persistence).
+	JournalBytes     int64   `json:"journal_bytes"`      // persistence journal size on disk
+	LiveBytes        int64   `json:"live_bytes"`         // what the journal would compact down to
+	Compactions      uint64  `json:"compactions"`        // CompactState successes (manual + automatic)
+	LastCompactionMs float64 `json:"last_compaction_ms"` // duration of the most recent compaction
 }
 
 // ReplicationSnapshot is one follower's replication status across every
-// shard it does not own, the wire form of the replicator's stats.
+// shard it does not own, what the replicator's Stats returns.
 type ReplicationSnapshot struct {
 	Self       int        `json:"self"`
 	Servers    int        `json:"servers"`
@@ -226,17 +224,21 @@ type ReplicationSnapshot struct {
 	Shards     []ShardLag `json:"shards,omitempty"`
 }
 
+// Lag is LagRecords under the name the frozen benchmark calls
+// (bench/replicated.go); it goes with ROADMAP item 1's unfreeze.
+func (s ReplicationSnapshot) Lag() uint64 { return s.LagRecords }
+
 // ShardLag is one shard's replication status on a follower.
 type ShardLag struct {
 	Shard      int    `json:"shard"`
 	Owner      int    `json:"owner"`
-	Epoch      uint64 `json:"epoch,omitempty"`
-	AppliedSeq uint64 `json:"applied_seq"`
-	OwnerSeq   uint64 `json:"owner_seq"`
-	LagRecords uint64 `json:"lag_records"`
-	Records    uint64 `json:"records"`
-	Snapshots  uint64 `json:"snapshots,omitempty"`
-	Pages      uint64 `json:"pages,omitempty"`
-	Restarts   uint64 `json:"restarts,omitempty"`
-	LastError  string `json:"last_error,omitempty"`
+	Epoch      uint64 `json:"epoch,omitempty"`      // owner feed epoch the cursor belongs to (0 = never synced)
+	AppliedSeq uint64 `json:"applied_seq"`          // last journal record applied locally
+	OwnerSeq   uint64 `json:"owner_seq"`            // owner's feed head as of the last successful pull
+	LagRecords uint64 `json:"lag_records"`          // OwnerSeq - AppliedSeq, never negative
+	Records    uint64 `json:"records"`              // journal records applied since construction
+	Snapshots  uint64 `json:"snapshots,omitempty"`  // snapshot catch-ups since construction
+	Pages      uint64 `json:"pages,omitempty"`      // snapshot pages transferred
+	Restarts   uint64 `json:"restarts,omitempty"`   // paged transfers restarted because the owner's cut moved
+	LastError  string `json:"last_error,omitempty"` // most recent pull/apply error ("" when healthy)
 }

@@ -24,10 +24,9 @@ const DefaultEventsInterval = ops.DefaultHeartbeatInterval
 
 // Metrics returns the unified whole-platform snapshot: every buyer server's
 // engine sizing plus, when replicated, its replication status. This is the
-// redesigned stats API — one self-describing ops.Snapshot instead of the
-// three structs it subsumes — and exactly what /metrics/snapshot serves and
-// the KindSnapshot heartbeat publishes. It works with or without
-// Config.Events.
+// stats API — one self-describing ops.Snapshot — and exactly what
+// /metrics/snapshot serves and the KindSnapshot heartbeat publishes. It
+// works with or without Config.Events.
 func (p *Platform) Metrics() ops.Snapshot {
 	if len(p.replicas) == 0 {
 		return ops.NewSnapshot(recommend.ServerSnapshot(0, p.Engine, nil))

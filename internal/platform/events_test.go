@@ -13,8 +13,7 @@ import (
 
 // TestPlatformEventPlane: a replicated platform with Config.Events streams
 // journal events for writes, heartbeat snapshots on the configured
-// interval, and Metrics agrees with the deprecated per-struct stats it
-// subsumes.
+// interval, and Metrics reports what the deployment actually holds.
 func TestPlatformEventPlane(t *testing.T) {
 	p, err := New(Config{
 		Marketplaces:     1,
@@ -70,7 +69,8 @@ func TestPlatformEventPlane(t *testing.T) {
 		}
 	}
 
-	// Metrics subsumes the deprecated stats structs: same numbers, one view.
+	// Metrics against the ground truth: one consumer registered, replicated
+	// to both servers, each reporting under its own index with no backlog.
 	if err := p.SyncReplicas(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -82,16 +82,14 @@ func TestPlatformEventPlane(t *testing.T) {
 		if sv.Server != i {
 			t.Errorf("server %d labelled %d", i, sv.Server)
 		}
-		st := p.Engines[i].Stats()
-		if sv.Engine.Users != st.Users || sv.Engine.JournalBytes != st.JournalBytes {
-			t.Errorf("server %d engine view %+v != Stats %+v", i, sv.Engine, st)
+		if sv.Engine.Users != 1 || sv.Engine.Shards != p.Engines[i].Shards() {
+			t.Errorf("server %d engine view %+v, want 1 user over %d shards", i, sv.Engine, p.Engines[i].Shards())
 		}
 		if sv.Replication == nil {
 			t.Fatalf("server %d missing replication view", i)
 		}
-		rst := p.Replicators[i].Stats()
-		if sv.Replication.LagRecords != rst.Lag() || sv.Replication.Self != rst.Self {
-			t.Errorf("server %d replication view %+v != Stats lag %d", i, sv.Replication, rst.Lag())
+		if sv.Replication.Self != i || sv.Replication.LagRecords != 0 {
+			t.Errorf("server %d replication view %+v, want self %d and no lag after sync", i, sv.Replication, i)
 		}
 	}
 	if len(p.Replicators) != len(snap.Servers) {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"agentrec/internal/kvstore"
+	"agentrec/internal/ops"
 )
 
 // This file is the engine's automatic journal compaction policy. The
@@ -94,7 +95,7 @@ func (e *Engine) noteJournalWrite() {
 // must strictly exceed the live state: a freshly compacted journal
 // (journal == live) never fires, which is what terminates the background
 // re-evaluation loop even for ratios at or below 1.
-func (e *Engine) policyExceeded(js JournalStats) bool {
+func (e *Engine) policyExceeded(js kvstore.SizeStats) bool {
 	min := e.compactPolicy.MinBytes
 	if min <= 0 {
 		min = DefaultCompactMinBytes
@@ -169,12 +170,12 @@ func (e *Engine) checkCompaction() {
 	}()
 }
 
-// fillJournalStats populates st's journal sizing and compaction fields.
+// fillJournalSizing populates st's journal sizing and compaction fields.
 // Errors other than a concurrently closed store surface as the engine's
 // sticky error, like any other read-path persistence failure.
-func (e *Engine) fillJournalStats(st *Stats) {
+func (e *Engine) fillJournalSizing(st *ops.EngineSnapshot) {
 	st.Compactions = e.compactions.Load()
-	st.LastCompaction = time.Duration(e.compactNanos.Load())
+	st.LastCompactionMs = float64(e.compactNanos.Load()) / float64(time.Millisecond)
 	if e.persist == nil {
 		return
 	}

@@ -14,11 +14,12 @@ import (
 	"time"
 
 	"agentrec/internal/kvstore"
+	"agentrec/internal/ops"
 )
 
 // withinPolicy reports whether the engine's journal satisfies
 // journal <= ratio x live.
-func withinPolicy(st Stats, ratio float64) bool {
+func withinPolicy(st ops.EngineSnapshot, ratio float64) bool {
 	return float64(st.JournalBytes) <= ratio*float64(st.LiveBytes)
 }
 
@@ -51,8 +52,8 @@ func TestManualCompactionOnlyWithoutPolicy(t *testing.T) {
 	if st.Compactions != 1 {
 		t.Errorf("Compactions = %d after manual CompactState, want 1", st.Compactions)
 	}
-	if st.LastCompaction <= 0 {
-		t.Errorf("LastCompaction = %v, want > 0", st.LastCompaction)
+	if st.LastCompactionMs <= 0 {
+		t.Errorf("LastCompactionMs = %v, want > 0", st.LastCompactionMs)
 	}
 	if st.JournalBytes != st.LiveBytes {
 		t.Errorf("quiet engine after compaction: journal %d != live %d", st.JournalBytes, st.LiveBytes)

@@ -3,12 +3,13 @@ package recommend
 import (
 	"time"
 
+	"agentrec/internal/kvstore"
 	"agentrec/internal/ops"
 )
 
 // This file is the engine's event-plane integration: the producer hooks
 // that publish the engine's and replicator's activity onto an ops.Bus, and
-// the conversions from the legacy stats structs to the unified ops model.
+// the assembler of one server's slice of the ops.Snapshot.
 //
 // Everything here is opt-in (WithEventBus / WithReplicationEvents) and
 // costless when disabled: the hot paths test one nil pointer. When enabled,
@@ -49,7 +50,7 @@ func (e *Engine) publishJournal(shard int, seq uint64, op string, records, paylo
 
 // publishCompaction emits one KindCompaction event for a completed
 // CompactState pass. No-op without a bus.
-func (e *Engine) publishCompaction(elapsed time.Duration, before, after JournalStats) {
+func (e *Engine) publishCompaction(elapsed time.Duration, before, after kvstore.SizeStats) {
 	if e.events == nil {
 		return
 	}
@@ -161,51 +162,10 @@ func WithReplicationEvents(bus *ops.Bus, server int) ReplicatorOption {
 // surface (heartbeats, /metrics/snapshot, the load harness) builds its view
 // through this one function.
 func ServerSnapshot(server int, e *Engine, r *Replicator) ops.ServerSnapshot {
-	sv := ops.ServerSnapshot{Server: server, Engine: e.Stats().EventView()}
+	sv := ops.ServerSnapshot{Server: server, Engine: e.Stats()}
 	if r != nil {
-		repl := r.Stats().EventView()
+		repl := r.Stats()
 		sv.Replication = &repl
 	}
 	return sv
-}
-
-// EventView is st in the unified ops model: the engine slice of an
-// ops.Snapshot heartbeat, with durations converted to the wire's
-// milliseconds.
-func (st Stats) EventView() ops.EngineSnapshot {
-	return ops.EngineSnapshot{
-		Shards:            st.Shards,
-		ResidentShards:    st.ResidentShards,
-		Users:             st.Users,
-		IndexedCategories: st.IndexedCategories,
-		Postings:          st.Postings,
-		IndexWrites:       st.IndexWrites,
-		JournalBytes:      st.JournalBytes,
-		LiveBytes:         st.LiveBytes,
-		Compactions:       st.Compactions,
-		LastCompactionMs:  float64(st.LastCompaction) / float64(time.Millisecond),
-	}
-}
-
-// EventView is st in the unified ops model: the replication slice of an
-// ops.Snapshot heartbeat, with the derived lags materialized as
-// `lag_records` fields.
-func (st ReplicationStats) EventView() ops.ReplicationSnapshot {
-	out := ops.ReplicationSnapshot{Self: st.Self, Servers: st.Servers, LagRecords: st.Lag()}
-	for _, s := range st.Shards {
-		out.Shards = append(out.Shards, ops.ShardLag{
-			Shard:      s.Shard,
-			Owner:      s.Owner,
-			Epoch:      s.Epoch,
-			AppliedSeq: s.AppliedSeq,
-			OwnerSeq:   s.OwnerSeq,
-			LagRecords: s.Lag(),
-			Records:    s.Records,
-			Snapshots:  s.Snapshots,
-			Pages:      s.Pages,
-			Restarts:   s.Restarts,
-			LastError:  s.LastError,
-		})
-	}
-	return out
 }

@@ -108,17 +108,9 @@ type Persister interface {
 	// SizeStats reports the journal's size accounting. The automatic
 	// compaction policy (WithAutoCompaction) keys off it, so it is called
 	// from write paths and must be cheap.
-	SizeStats() (JournalStats, error)
+	SizeStats() (kvstore.SizeStats, error)
 	// Close flushes and releases the journal. Must be idempotent.
 	Close() error
-}
-
-// JournalStats is a Persister's size accounting: how big the journal is
-// now versus what it would shrink to if compacted.
-type JournalStats struct {
-	JournalBytes int64  // bytes in the append-only journal
-	LiveBytes    int64  // bytes the journal would hold after a compaction
-	Compactions  uint64 // successful compactions since the journal opened
 }
 
 // WithPersistence journals the engine's community to a WAL-backed kvstore
@@ -197,7 +189,7 @@ func (e *Engine) CompactState() error {
 	if e.persist == nil {
 		return ErrNoPersistence
 	}
-	var before JournalStats
+	var before kvstore.SizeStats
 	if e.events != nil {
 		before, _ = e.persist.SizeStats()
 	}
@@ -636,16 +628,6 @@ func (kp *kvPersister) ShardUsers(shard int) ([]string, error) {
 
 func (kp *kvPersister) Compact() error { return kp.store.Compact() }
 
-func (kp *kvPersister) SizeStats() (JournalStats, error) {
-	st, err := kp.store.SizeStats()
-	if err != nil {
-		return JournalStats{}, err
-	}
-	return JournalStats{
-		JournalBytes: st.JournalBytes,
-		LiveBytes:    st.LiveBytes,
-		Compactions:  st.Compactions,
-	}, nil
-}
+func (kp *kvPersister) SizeStats() (kvstore.SizeStats, error) { return kp.store.SizeStats() }
 
 func (kp *kvPersister) Close() error { return kp.store.Close() }

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	"agentrec/internal/kvstore"
 	"agentrec/internal/profile"
 	"agentrec/internal/workload"
 )
@@ -552,7 +553,9 @@ func (failingPersister) SaveShard(int, ShardData) error   { return errInjected }
 func (failingPersister) LoadShard(int) (ShardData, error) { return ShardData{}, errInjected }
 func (failingPersister) ShardUsers(int) ([]string, error) { return nil, errInjected }
 func (failingPersister) Compact() error                   { return nil }
-func (failingPersister) SizeStats() (JournalStats, error) { return JournalStats{}, errInjected }
-func (failingPersister) Close() error                     { return nil }
+func (failingPersister) SizeStats() (kvstore.SizeStats, error) {
+	return kvstore.SizeStats{}, errInjected
+}
+func (failingPersister) Close() error { return nil }
 
 var _ = fmt.Sprintf // keep fmt imported for debugging edits

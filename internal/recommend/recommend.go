@@ -486,29 +486,11 @@ func (e *Engine) Users() []string {
 	return out
 }
 
-// Stats reports engine sizing, for observability and tests. JSON tags
-// follow the agent-first convention (units in the field name) so the
-// struct is self-describing on the wire; EventView converts it to the
-// unified ops.EngineSnapshot the event plane publishes.
-type Stats struct {
-	Shards            int    `json:"shards"`
-	ResidentShards    int    `json:"resident_shards"` // < Shards when cold shards are spilled
-	Users             int    `json:"users"`
-	IndexedCategories int    `json:"indexed_categories"`
-	Postings          int    `json:"postings"`
-	IndexWrites       uint64 `json:"index_writes"` // posting mutations since construction (catch-up cost gauge)
-
-	// Journal sizing and compaction (all zero without persistence).
-	JournalBytes   int64         `json:"journal_bytes"`      // persistence journal size on disk
-	LiveBytes      int64         `json:"live_bytes"`         // what the journal would compact down to
-	Compactions    uint64        `json:"compactions"`        // CompactState successes (manual + automatic)
-	LastCompaction time.Duration `json:"last_compaction_ns"` // duration of the most recent compaction
-}
-
-// Stats returns the engine's current sizing. Spilled shards are counted
-// through the Persister rather than faulted in.
-func (e *Engine) Stats() Stats {
-	st := Stats{Shards: e.nshards}
+// Stats returns the engine's current sizing and journal state in the ops
+// model. Spilled shards are counted through the Persister rather than
+// faulted in.
+func (e *Engine) Stats() ops.EngineSnapshot {
+	st := ops.EngineSnapshot{Shards: e.nshards}
 	for _, sh := range e.shards {
 		n, resident := e.shardUsers(sh, nil)
 		st.Users += n
@@ -518,7 +500,7 @@ func (e *Engine) Stats() Stats {
 	}
 	st.IndexedCategories, st.Postings = e.index.size()
 	st.IndexWrites = e.index.writes.Load()
-	e.fillJournalStats(&st)
+	e.fillJournalSizing(&st)
 	return st
 }
 

@@ -616,46 +616,24 @@ func PullWithOwnership(t *OwnershipTable) ReplicatorOption {
 // replCursor is the follower's position in one shard's journal.
 type replCursor struct{ epoch, seq uint64 }
 
-// ShardReplication is one shard's replication status on this follower.
-// JSON tags follow the agent-first convention; EventView materializes the
-// derived Lag as the wire's `lag_records`.
-type ShardReplication struct {
-	Shard      int    `json:"shard"`
-	Owner      int    `json:"owner"`
-	Epoch      uint64 `json:"epoch"`                // owner feed epoch the cursor belongs to (0 = never synced)
-	AppliedSeq uint64 `json:"applied_seq"`          // last journal record applied locally
-	OwnerSeq   uint64 `json:"owner_seq"`            // owner's feed head as of the last successful pull
-	Records    uint64 `json:"records"`              // journal records applied since construction
-	Snapshots  uint64 `json:"snapshots"`            // snapshot catch-ups since construction
-	Pages      uint64 `json:"pages"`                // snapshot pages transferred (paged catch-ups only)
-	Restarts   uint64 `json:"restarts"`             // paged transfers restarted because the owner's cut moved
-	LastError  string `json:"last_error,omitempty"` // most recent pull/apply error ("" when healthy)
+// follower is everything a Replicator keeps for one shard it follows, made
+// when the shard is first followed and deleted whole on promotion. Fields
+// are guarded by Replicator.mu; the pointer is stable while followed, and
+// only Sync (serialized by syncMu) adds or removes one.
+type follower struct {
+	st      ops.ShardLag   // as Stats reports it (LagRecords is derived there)
+	cur     replCursor     // next tail request; st.AppliedSeq advances with it
+	xfer    *pagedTransfer // interrupted paged transfer, resumable across pulls
+	lastLag uint64         // lag at the previous successful pull (lag events are edges)
 }
 
-// Lag is how many journal records this shard's replica was behind the
-// owner at the last successful pull.
-func (s ShardReplication) Lag() uint64 {
-	if s.OwnerSeq <= s.AppliedSeq {
+// lag is how many journal records the shard's replica was behind the owner
+// at the last successful pull.
+func (f *follower) lag() uint64 {
+	if f.st.OwnerSeq <= f.st.AppliedSeq {
 		return 0
 	}
-	return s.OwnerSeq - s.AppliedSeq
-}
-
-// ReplicationStats is a Replicator's view of every shard it follows.
-type ReplicationStats struct {
-	Self    int                `json:"self"`
-	Servers int                `json:"servers"`
-	Shards  []ShardReplication `json:"shards,omitempty"` // one entry per non-owned shard
-}
-
-// Lag sums the per-shard lags: total journal records this server's replicas
-// were behind their owners at the last pulls.
-func (st ReplicationStats) Lag() uint64 {
-	var total uint64
-	for _, s := range st.Shards {
-		total += s.Lag()
-	}
-	return total
+	return f.st.OwnerSeq - f.st.AppliedSeq
 }
 
 // Replicator keeps one server's engine converged with the shards it does
@@ -673,12 +651,9 @@ type Replicator struct {
 	events      *ops.Bus
 	eventServer int
 
-	syncMu  sync.Mutex // serializes passes (ticker vs explicit Sync)
-	mu      sync.Mutex // guards cursors, stats, saved transfers, and lastLag
-	curs    []replCursor
-	stats   map[int]*ShardReplication
-	xfers   map[int]*pagedTransfer // in-flight paged transfers, resumable across pulls
-	lastLag map[int]uint64         // per-shard lag at the previous successful pull
+	syncMu   sync.Mutex        // serializes passes (ticker vs explicit Sync)
+	mu       sync.Mutex        // guards followed and every follower's fields
+	followed map[int]*follower // by shard; exactly the shards this server does not own
 
 	startOnce sync.Once
 	cancel    context.CancelFunc // set by Start; stops its Run
@@ -697,10 +672,7 @@ func NewReplicator(e *Engine, self int, peers []Peer, opts ...ReplicatorOption) 
 		self:     self,
 		peers:    append([]Peer(nil), peers...),
 		interval: 100 * time.Millisecond,
-		curs:     make([]replCursor, e.nshards),
-		stats:    make(map[int]*ShardReplication),
-		xfers:    make(map[int]*pagedTransfer),
-		lastLag:  make(map[int]uint64),
+		followed: make(map[int]*follower),
 	}
 	for _, opt := range opts {
 		opt(r)
@@ -714,7 +686,7 @@ func NewReplicator(e *Engine, self int, peers []Peer, opts ...ReplicatorOption) 
 			if owner < 0 || owner >= len(peers) || peers[owner] == nil {
 				return nil, fmt.Errorf("recommend: replicator has no peer for server %d (owner of shard %d)", owner, s)
 			}
-			r.stats[s] = &ShardReplication{Shard: s, Owner: owner}
+			r.followed[s] = &follower{st: ops.ShardLag{Shard: s, Owner: owner}}
 		}
 	}
 	return r, nil
@@ -732,42 +704,35 @@ func (r *Replicator) Sync(ctx context.Context) error {
 		owner := r.owners.Owner(s)
 		if owner == r.self {
 			// Promoted (or always owned): this server's feed is now the
-			// shard's history — drop the follower bookkeeping so Stats
-			// reports only shards actually followed.
+			// shard's history — drop the follower record so Stats reports
+			// only shards actually followed.
 			r.mu.Lock()
-			if _, followed := r.stats[s]; followed {
-				delete(r.stats, s)
-				delete(r.lastLag, s)
-				delete(r.xfers, s)
-				r.curs[s] = replCursor{}
-			}
+			delete(r.followed, s)
 			r.mu.Unlock()
 			continue
 		}
-		// Ensure follower bookkeeping exists and tracks the current owner.
-		// A changed owner keeps the old cursor: its feed epoch belongs to
-		// the previous owner, so the first pull from the new owner falls
-		// back to snapshot catch-up — the same path a feed restart takes.
+		// Ensure a follower record exists and tracks the current owner. A
+		// changed owner keeps the old cursor: its feed epoch belongs to the
+		// previous owner, so the first pull from the new owner falls back
+		// to snapshot catch-up — the same path a feed restart takes.
 		r.mu.Lock()
-		st := r.stats[s]
-		if st == nil {
-			st = &ShardReplication{Shard: s, Owner: owner}
-			r.stats[s] = st
-		} else if st.Owner != owner {
-			st.Owner = owner
+		f := r.followed[s]
+		if f == nil {
+			f = &follower{st: ops.ShardLag{Shard: s}}
+			r.followed[s] = f
 		}
+		f.st.Owner = owner
 		r.mu.Unlock()
+		var err error
 		if owner < 0 || owner >= len(r.peers) || r.peers[owner] == nil {
-			err := fmt.Errorf("recommend: no peer for server %d (owner of shard %d)", owner, s)
+			err = fmt.Errorf("recommend: no peer for server %d (owner of shard %d)", owner, s)
 			r.mu.Lock()
-			st.LastError = err.Error()
+			f.st.LastError = err.Error()
 			r.mu.Unlock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+		} else {
+			err = r.pullShard(ctx, f, owner)
 		}
-		if err := r.pullShard(ctx, s, owner); err != nil && firstErr == nil {
+		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -785,8 +750,8 @@ func (r *Replicator) AppliedSeqs() []uint64 {
 	out := make([]uint64, r.e.nshards)
 	r.mu.Lock()
 	for s := 0; s < r.e.nshards; s++ {
-		if st, ok := r.stats[s]; ok {
-			out[s] = st.AppliedSeq
+		if f, ok := r.followed[s]; ok {
+			out[s] = f.st.AppliedSeq
 		} else if heads != nil {
 			out[s] = heads[s]
 		}
@@ -795,27 +760,27 @@ func (r *Replicator) AppliedSeqs() []uint64 {
 	return out
 }
 
-// pullShard tails shard from owner once and applies what came back.
-func (r *Replicator) pullShard(ctx context.Context, shard, owner int) (err error) {
+// pullShard tails f's shard from owner once and applies what came back.
+func (r *Replicator) pullShard(ctx context.Context, f *follower, owner int) (err error) {
+	shard := f.st.Shard
 	defer func() {
 		var lagEv ops.Event
 		publish := false
 		r.mu.Lock()
-		st := r.stats[shard]
 		if err != nil {
-			st.LastError = err.Error()
+			f.st.LastError = err.Error()
 		} else {
-			st.LastError = ""
+			f.st.LastError = ""
 			if r.events != nil {
 				// Lag transition: this pull observed a different backlog
 				// than the previous one. Falling behind and catching up are
 				// both edges; steady lag is silent.
-				if lag, prev := st.Lag(), r.lastLag[shard]; lag != prev {
-					r.lastLag[shard] = lag
+				if lag, prev := f.lag(), f.lastLag; lag != prev {
+					f.lastLag = lag
 					lagEv = ops.Event{Kind: ops.KindLag, Lag: ops.LagEvent{
 						Server:         r.eventServer,
 						Shard:          shard,
-						Owner:          st.Owner,
+						Owner:          owner,
 						LagRecords:     lag,
 						PrevLagRecords: prev,
 					}}
@@ -830,7 +795,7 @@ func (r *Replicator) pullShard(ctx context.Context, shard, owner int) (err error
 	}()
 
 	r.mu.Lock()
-	cur := r.curs[shard]
+	cur := f.cur
 	r.mu.Unlock()
 	tr, err := r.peers[owner].JournalTail(ctx, shard, cur.epoch, cur.seq)
 	if err != nil {
@@ -840,16 +805,16 @@ func (r *Replicator) pullShard(ctx context.Context, shard, owner int) (err error
 		return fmt.Errorf("%w: owner has %d shards, follower %d", ErrShardMismatch, tr.Shards, r.e.nshards)
 	}
 	if tr.Paged {
-		return r.pullShardPaged(ctx, shard, owner, tr.Epoch, tr.Seq)
+		return r.pullShardPaged(ctx, f, owner, tr.Epoch, tr.Seq)
 	}
 	// Any non-paged reply obsoletes a saved partial transfer for the shard.
 	r.mu.Lock()
-	delete(r.xfers, shard)
+	f.xfer = nil
 	r.mu.Unlock()
 	// reset forgets the cursor, so the next pull pages.
 	reset := func(err error) error {
 		r.mu.Lock()
-		r.curs[shard] = replCursor{}
+		f.cur = replCursor{}
 		r.mu.Unlock()
 		return err
 	}
@@ -876,16 +841,15 @@ func (r *Replicator) pullShard(ctx context.Context, shard, owner int) (err error
 		}
 		seq = rec.Seq
 		r.mu.Lock()
-		r.curs[shard] = replCursor{epoch: tr.Epoch, seq: seq}
-		r.stats[shard].Records++
+		f.cur.seq, f.st.AppliedSeq = seq, seq
+		f.st.Records++
 		r.mu.Unlock()
 	}
 	r.mu.Lock()
-	st := r.stats[shard]
 	// OwnerSeq is the owner's feed head, not the reply's last seq: a reply
 	// the transport trimmed to a prefix leaves the follower genuinely
-	// behind, and Lag() must say so.
-	st.Epoch, st.AppliedSeq, st.OwnerSeq = tr.Epoch, seq, headOf(tr, seq)
+	// behind, and the reported lag must say so.
+	f.st.Epoch, f.st.OwnerSeq = tr.Epoch, headOf(tr, seq)
 	r.mu.Unlock()
 	return nil
 }
@@ -914,12 +878,12 @@ func headOf(tr TailResult, seq uint64) uint64 {
 }
 
 // noteOwnerHead advances the shard's observed owner head without touching
-// the applied cursor, so Lag() is real while a multi-pull paged bootstrap
-// is still in flight (the follower is maximally behind exactly then).
-// Caller holds r.mu.
-func (r *Replicator) noteOwnerHead(shard int, head uint64) {
-	if st := r.stats[shard]; st.OwnerSeq < head {
-		st.OwnerSeq = head
+// the applied cursor, so the reported lag is real while a multi-pull paged
+// bootstrap is still in flight (the follower is maximally behind exactly
+// then). Caller holds r.mu.
+func (f *follower) noteOwnerHead(head uint64) {
+	if f.st.OwnerSeq < head {
+		f.st.OwnerSeq = head
 	}
 }
 
@@ -950,17 +914,18 @@ type pagedTransfer struct {
 // requested is the first page of a transfer the owner restarted because the
 // pinned cut was gone; the assembled pages are discarded and accumulation
 // starts over at the new pin.
-func (r *Replicator) pullShardPaged(ctx context.Context, shard, owner int, epoch, seq uint64) error {
+func (r *Replicator) pullShardPaged(ctx context.Context, f *follower, owner int, epoch, seq uint64) error {
+	shard := f.st.Shard
 	// Resume the saved transfer when the owner's pin has not moved since
 	// the pull that was interrupted.
 	var data ShardData
 	token := ""
 	r.mu.Lock()
-	if x := r.xfers[shard]; x != nil && x.epoch == epoch && x.seq == seq {
+	if x := f.xfer; x != nil && x.epoch == epoch && x.seq == seq {
 		data, token = x.data, x.token
 	}
-	delete(r.xfers, shard)
-	r.noteOwnerHead(shard, seq)
+	f.xfer = nil
+	f.noteOwnerHead(seq)
 	r.mu.Unlock()
 	restarts := 0
 	for {
@@ -969,7 +934,7 @@ func (r *Replicator) pullShardPaged(ctx context.Context, shard, owner int, epoch
 			// Save progress: if the pin is still live on the next pull, the
 			// transfer resumes at this token instead of starting over.
 			r.mu.Lock()
-			r.xfers[shard] = &pagedTransfer{epoch: epoch, seq: seq, token: token, data: data}
+			f.xfer = &pagedTransfer{epoch: epoch, seq: seq, token: token, data: data}
 			r.mu.Unlock()
 			return fmt.Errorf("recommend: paging shard %d snapshot from server %d: %w", shard, owner, err)
 		}
@@ -982,15 +947,15 @@ func (r *Replicator) pullShardPaged(ctx context.Context, shard, owner int, epoch
 			}
 			epoch, seq, token, data = pg.Epoch, pg.Seq, "", ShardData{}
 			r.mu.Lock()
-			r.stats[shard].Restarts++
-			r.noteOwnerHead(shard, seq)
+			f.st.Restarts++
+			f.noteOwnerHead(seq)
 			r.mu.Unlock()
 		}
 		if err := data.addPage(r.e, shard, pg); err != nil {
 			return err
 		}
 		r.mu.Lock()
-		r.stats[shard].Pages++
+		f.st.Pages++
 		r.mu.Unlock()
 		if pg.Next == "" {
 			break
@@ -1004,10 +969,9 @@ func (r *Replicator) pullShardPaged(ctx context.Context, shard, owner int, epoch
 		return err
 	}
 	r.mu.Lock()
-	r.curs[shard] = replCursor{epoch: epoch, seq: seq}
-	st := r.stats[shard]
-	st.Epoch, st.AppliedSeq, st.OwnerSeq = epoch, seq, seq
-	st.Snapshots++
+	f.cur = replCursor{epoch: epoch, seq: seq}
+	f.st.Epoch, f.st.AppliedSeq, f.st.OwnerSeq = epoch, seq, seq
+	f.st.Snapshots++
 	r.mu.Unlock()
 	return nil
 }
@@ -1056,14 +1020,18 @@ func (r *Replicator) Close() error {
 	return nil
 }
 
-// Stats reports per-shard replication status and lag, ordered by shard.
-func (r *Replicator) Stats() ReplicationStats {
+// Stats reports per-shard replication status, ordered by shard, in the ops
+// model. This is the one place lag is materialized as `lag_records`.
+func (r *Replicator) Stats() ops.ReplicationSnapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := ReplicationStats{Self: r.self, Servers: len(r.peers)}
+	out := ops.ReplicationSnapshot{Self: r.self, Servers: len(r.peers)}
 	for s := 0; s < r.e.nshards; s++ {
-		if st, ok := r.stats[s]; ok {
-			out.Shards = append(out.Shards, *st)
+		if f, ok := r.followed[s]; ok {
+			st := f.st
+			st.LagRecords = f.lag()
+			out.LagRecords += st.LagRecords
+			out.Shards = append(out.Shards, st)
 		}
 	}
 	return out

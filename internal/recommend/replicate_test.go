@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"agentrec/internal/kvstore"
+	"agentrec/internal/ops"
 	"agentrec/internal/profile"
 	"agentrec/internal/workload"
 )
@@ -221,14 +222,14 @@ func TestLiveTailAfterCatchUp(t *testing.T) {
 	communityEqual(t, ref, c.engines[1])
 }
 
-func sumRecords(st ReplicationStats) (n uint64) {
+func sumRecords(st ops.ReplicationSnapshot) (n uint64) {
 	for _, s := range st.Shards {
 		n += s.Records
 	}
 	return n
 }
 
-func sumSnapshots(st ReplicationStats) (n uint64) {
+func sumSnapshots(st ops.ReplicationSnapshot) (n uint64) {
 	for _, s := range st.Shards {
 		n += s.Snapshots
 	}
@@ -436,7 +437,7 @@ func TestInProcessFollowerPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := r.Stats().Shards[0]
-	if st.Snapshots != 1 || st.Pages < 2 || st.Records != 0 || st.Lag() != 0 {
+	if st.Snapshots != 1 || st.Pages < 2 || st.Records != 0 || st.LagRecords != 0 {
 		t.Fatalf("cold in-process catch-up = %+v, want one snapshot over several pages and no lag", st)
 	}
 	communityEqual(t, owner, follower)
@@ -602,8 +603,93 @@ func TestPullDropsReplyAfterPromotion(t *testing.T) {
 			if err := r.Sync(context.Background()); err != nil || len(r.Stats().Shards) != 0 {
 				t.Fatalf("pass after the promotion: %v, still following %d shard(s)", err, len(r.Stats().Shards))
 			}
+			// Handed back: promotion dropped the shard's whole follower
+			// record, so the shard is followed again from an empty cursor.
+			peer.armed = false
+			table.Advance(OwnershipMap{Epoch: 3, Assign: []int{0}})
+			if err := r.Sync(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if st := r.Stats().Shards[0]; st.Snapshots != 1 || st.Records != 0 || st.LastError != "" {
+				t.Fatalf("shard followed again as %+v, want one paged catch-up from an empty cursor and no stale error", st)
+			}
+			communityEqual(t, owner, follower)
 		})
 	}
+}
+
+// strangerTailPeer answers tails from owner, with the third record of a
+// reply swapped for one carrying bad while bad is set.
+type strangerTailPeer struct {
+	LocalPeer
+	bad []byte
+}
+
+func (p *strangerTailPeer) JournalTail(ctx context.Context, shard int, epoch, since uint64) (TailResult, error) {
+	tr, err := p.LocalPeer.JournalTail(ctx, shard, epoch, since)
+	if p.bad != nil && len(tr.Records) >= 3 {
+		tr.Records = append([]JournalRecord(nil), tr.Records...)
+		tr.Records[2].Profiles = [][]byte{p.bad}
+	}
+	return tr, err
+}
+
+// TestAppliedSeqAdvancesWithCursor: the catch-up evidence a follower reports
+// is its cursor. A pull that applied two records before a third failed
+// reports the two — to Stats and to the coordinator (AppliedSeqs) — rather
+// than its pre-pull position, and the next pull continues behind them.
+func TestAppliedSeqAdvancesWithCursor(t *testing.T) {
+	u, _ := soakUniverse(t)
+	stranger, err := profile.NewProfile("stranger").Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two shards; the follower (server 1) follows shard 0 only.
+	owner, err := Open(u.Catalog, WithJournalFeed(0), WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer owner.Close()
+	if owner.ShardOf("stranger") == 0 {
+		t.Fatal("the stranger hashes to the followed shard; pick another id")
+	}
+	follower, err := Open(u.Catalog, WithJournalFeed(0), WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	peer := &strangerTailPeer{LocalPeer: LocalPeer{Engine: owner}, bad: stranger}
+	r, err := NewReplicator(follower, 1, []Peer{peer, nil})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Sync(context.Background()); err != nil { // empty shard: cursor at (epoch, 0)
+		t.Fatal(err)
+	}
+	for i, wrote := 0, 0; wrote < 3; i++ {
+		if id := fmt.Sprintf("late-%d", i); owner.ShardOf(id) == 0 {
+			if err := owner.SetProfile(profile.NewProfile(id)); err != nil {
+				t.Fatal(err)
+			}
+			wrote++
+		}
+	}
+	if err := r.Sync(context.Background()); !errors.Is(err, ErrShardMismatch) {
+		t.Fatalf("Sync over a foreign third record = %v, want ErrShardMismatch", err)
+	}
+	st := r.Stats().Shards[0]
+	if st.AppliedSeq != 2 || st.Records != 2 || st.LastError == "" || r.AppliedSeqs()[0] != 2 {
+		t.Fatalf("after two of three records applied: %+v, AppliedSeqs %v; want applied_seq 2, records 2 and an error",
+			st, r.AppliedSeqs())
+	}
+	peer.bad = nil
+	if err := r.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats().Shards[0]; st.AppliedSeq != 3 || st.Records != 3 || st.Snapshots != 1 || st.LastError != "" {
+		t.Fatalf("honest pull after the failure: %+v, want the third record tailed from cursor 2", st)
+	}
+	communityEqual(t, owner, follower)
 }
 
 // foreignEpochPeer answers tails from owner, but once armed it continues the

@@ -405,7 +405,7 @@ func TestTrimmedReplyLeavesRealLag(t *testing.T) {
 	}
 	behind := 0
 	for _, sh := range st.Shards {
-		if sh.Lag() > 0 {
+		if sh.LagRecords > 0 {
 			behind++
 			if sh.OwnerSeq <= sh.AppliedSeq {
 				t.Fatalf("shard %d: lag without OwnerSeq (%d) past AppliedSeq (%d)",

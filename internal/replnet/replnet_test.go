@@ -11,6 +11,7 @@ import (
 	"agentrec/internal/aglet"
 	"agentrec/internal/atp"
 	"agentrec/internal/catalog"
+	"agentrec/internal/ops"
 	"agentrec/internal/profile"
 	"agentrec/internal/recommend"
 	"agentrec/internal/security"
@@ -255,8 +256,8 @@ func TestTailTrimmedToFrameBudget(t *testing.T) {
 		t.Fatalf("cold follower paged bootstrap: %v", err)
 	}
 	st := repl.Stats()
-	if snaps, pages := sumField(st, func(s recommend.ShardReplication) uint64 { return s.Snapshots }),
-		sumField(st, func(s recommend.ShardReplication) uint64 { return s.Pages }); snaps == 0 || pages <= snaps {
+	if snaps, pages := sumField(st, func(s ops.ShardLag) uint64 { return s.Snapshots }),
+		sumField(st, func(s ops.ShardLag) uint64 { return s.Pages }); snaps == 0 || pages <= snaps {
 		t.Fatalf("paged bootstrap stats: %d snapshots, %d pages; want paging (pages > snapshots > 0)", snaps, pages)
 	}
 	for _, u := range servers[0].engine.Users() {
@@ -269,7 +270,7 @@ func TestTailTrimmedToFrameBudget(t *testing.T) {
 	}
 }
 
-func sumField(st recommend.ReplicationStats, f func(recommend.ShardReplication) uint64) (n uint64) {
+func sumField(st ops.ReplicationSnapshot, f func(ops.ShardLag) uint64) (n uint64) {
 	for _, s := range st.Shards {
 		n += f(s)
 	}

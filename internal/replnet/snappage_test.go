@@ -13,6 +13,7 @@ import (
 	"agentrec/internal/aglet"
 	"agentrec/internal/atp"
 	"agentrec/internal/kvstore"
+	"agentrec/internal/ops"
 	"agentrec/internal/profile"
 	"agentrec/internal/recommend"
 	"agentrec/internal/security"
@@ -355,11 +356,11 @@ func TestPoisonRecordFallsBackToPagedSnapshot(t *testing.T) {
 	if _, err := servers[1].engine.Profile(poison); err != nil {
 		t.Fatalf("poison-record consumer missing on follower: %v", err)
 	}
-	snapshots := func(st recommend.ReplicationStats) uint64 {
-		return sumField(st, func(s recommend.ShardReplication) uint64 { return s.Snapshots })
+	snapshots := func(st ops.ReplicationSnapshot) uint64 {
+		return sumField(st, func(s ops.ShardLag) uint64 { return s.Snapshots })
 	}
-	records := func(st recommend.ReplicationStats) uint64 {
-		return sumField(st, func(s recommend.ShardReplication) uint64 { return s.Records })
+	records := func(st ops.ReplicationSnapshot) uint64 {
+		return sumField(st, func(s ops.ShardLag) uint64 { return s.Records })
 	}
 	stBefore := servers[1].repl.Stats()
 	if snapshots(stBefore) == 0 {

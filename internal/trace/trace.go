@@ -90,6 +90,20 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
+// Drain returns every recorded event in record order and forgets them, so a
+// long-running consumer tails the recorder in bounded memory. Unlike Reset
+// it leaves the Seq counter running.
+func (r *Recorder) Drain() []Event {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := r.events
+	r.events = nil
+	return out
+}
+
 // Workflow returns the events of one workflow, ordered by step number and,
 // within a step, by record order. Workflows driven by concurrent agents may
 // record steps slightly out of arrival order; ordering by the figure's step

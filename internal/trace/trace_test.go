@@ -35,6 +35,9 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if got := r.Events(); got != nil {
 		t.Errorf("nil recorder Events = %v, want nil", got)
 	}
+	if got := r.Drain(); got != nil {
+		t.Errorf("nil recorder Drain = %v, want nil", got)
+	}
 }
 
 func TestWorkflowFiltersAndSortsBySteps(t *testing.T) {
@@ -129,6 +132,22 @@ func TestResetClearsEventsAndSeq(t *testing.T) {
 	r.Record("w", 1, "a", "b", "x")
 	if got := r.Events(); got[0].Seq != 1 {
 		t.Errorf("Seq after Reset = %d, want 1", got[0].Seq)
+	}
+}
+
+func TestDrainEmptiesAndKeepsSeq(t *testing.T) {
+	r := New()
+	r.Record("w", 1, "a", "b", "x")
+	r.Record("w", 2, "b", "a", "y")
+	if got := r.Drain(); len(got) != 2 || got[0].Step != 1 || got[1].Step != 2 {
+		t.Fatalf("Drain = %v, want both events in record order", got)
+	}
+	if r.Len() != 0 || r.Drain() != nil {
+		t.Fatalf("recorder holds %d events after Drain", r.Len())
+	}
+	r.Record("w", 3, "a", "b", "z")
+	if got := r.Events(); got[0].Seq != 3 {
+		t.Errorf("Seq after Drain = %d, want 3 (Drain is not Reset)", got[0].Seq)
 	}
 }
 
