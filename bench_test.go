@@ -323,7 +323,32 @@ func BenchmarkRecommendPersistent(b *testing.B) {
 	})
 }
 
-func benchEngineSized(b *testing.B, users, products, categories int) (*recommend.Engine, *workload.Universe) {
+// BenchmarkSnapshotAfterWrite prices what the first reader after a write
+// pays for a current view of the written shard: one purchase, then
+// Snapshot(), on a single shard the size of the benchmark's (312 consumers)
+// and on one sixteen times that. The writes walk the consumers — the worst
+// case — so every seventeenth read folds a full overlay into a new base, and
+// that copy of two maps of pointers is the part of the number that still
+// grows with the shard; the other sixteen re-read one consumer.
+func BenchmarkSnapshotAfterWrite(b *testing.B) {
+	for _, users := range []int{312, 5000} {
+		b.Run(fmt.Sprintf("shard=%d", users), func(b *testing.B) {
+			e, u := benchEngineSized(b, users, 500, 8, recommend.WithShards(1))
+			e.Snapshot()
+			pid := u.Catalog.All()[0].ID
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := e.RecordPurchase(u.Users[i%users].ID, pid); err != nil {
+					b.Fatal(err)
+				}
+				e.Snapshot()
+			}
+		})
+	}
+}
+
+func benchEngineSized(b *testing.B, users, products, categories int, opts ...recommend.Option) (*recommend.Engine, *workload.Universe) {
 	b.Helper()
 	u, err := workload.Generate(workload.Config{
 		Seed: 17, Users: users, Products: products, Categories: categories, RelevantPerUser: 12,
@@ -331,7 +356,7 @@ func benchEngineSized(b *testing.B, users, products, categories int) (*recommend
 	if err != nil {
 		b.Fatal(err)
 	}
-	e := recommend.NewEngine(u.Catalog, recommend.WithNeighbors(10))
+	e := recommend.NewEngine(u.Catalog, append(opts, recommend.WithNeighbors(10))...)
 	for _, usr := range u.Users {
 		p, err := u.BuildProfile(usr)
 		if err != nil {

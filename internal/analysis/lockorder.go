@@ -265,14 +265,16 @@ func isUnlockCall(pass *Pass, call *ast.CallExpr) *string {
 }
 
 // mutexOwner resolves the receiver of a mutex method: for `sh.mu` it
-// returns ("sh", lockShard) based on sh's type; for a bare mutex variable
-// it returns the variable itself as an lockOther owner.
+// returns ("sh", lockShard) based on sh's type; for a bare mutex variable,
+// or a shard's mutex under another name (sh.build, which serializes view
+// builders and is taken before sh.mu), it returns the expression itself as
+// an lockOther owner.
 func mutexOwner(pass *Pass, recv ast.Expr) (string, lockKind) {
 	recv = ast.Unparen(recv)
 	if !isMutexType(pass.TypesInfo.Types[recv].Type) {
 		return "", lockOther
 	}
-	if sel, ok := recv.(*ast.SelectorExpr); ok {
+	if sel, ok := recv.(*ast.SelectorExpr); ok && sel.Sel.Name == "mu" {
 		owner := sel.X
 		kind := lockOther
 		if t := pass.TypesInfo.Types[owner].Type; t != nil {

@@ -9,7 +9,10 @@ import (
 	"agentrec/internal/kvstore"
 )
 
-type shard struct{ mu sync.RWMutex }
+type shard struct {
+	mu    sync.RWMutex
+	build sync.Mutex
+}
 
 type sellShard struct{ mu sync.RWMutex }
 
@@ -28,6 +31,22 @@ func goodNestedSell(sh *shard, ss *sellShard) {
 	ss.mu.Lock()
 	ss.mu.Unlock()
 	sh.mu.Unlock()
+}
+
+// goodBuildThenShard is the view builder: a shard's build mutex is not its
+// community lock, and is taken before it.
+func goodBuildThenShard(sh *shard) {
+	sh.build.Lock()
+	defer sh.build.Unlock()
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+}
+
+// fsyncUnderBuild: any held mutex counts against the fsync rule.
+func fsyncUnderBuild(sh *shard, st *kvstore.Store) error {
+	sh.build.Lock()
+	defer sh.build.Unlock()
+	return st.Sync() // want `fsync barrier with unbounded latency`
 }
 
 // nestedShards is the deadlock shape: two shard locks held at once.

@@ -208,6 +208,13 @@ type EngineSnapshot struct {
 	Postings          int    `json:"postings"`
 	IndexWrites       uint64 `json:"index_writes"` // posting mutations since construction (catch-up cost gauge)
 
+	// Which path the first reader after a write took to a current shard view,
+	// since construction: re-reading the consumers written (O(writes)), or
+	// building a base (O(shard): a shard's first read, a dropped view, or an
+	// overlay grown past its cap and folded in).
+	ViewPatches  uint64 `json:"view_patches_total"`
+	ViewRebuilds uint64 `json:"view_rebuilds_total"`
+
 	// Journal sizing and compaction (all zero without persistence).
 	JournalBytes     int64   `json:"journal_bytes"`      // persistence journal size on disk
 	LiveBytes        int64   `json:"live_bytes"`         // what the journal would compact down to

@@ -74,8 +74,8 @@ func TestSummaryBitReproducible(t *testing.T) {
 			if math.Float64bits(a.Norm) != math.Float64bits(b.Norm) {
 				t.Fatalf("Norm differs between two summaries of one profile: %.17g vs %.17g", a.Norm, b.Norm)
 			}
-			if !slices.Equal(a.Dense, b.Dense) {
-				t.Fatalf("Dense differs between two summaries of one profile:\n%v\n%v", a.Dense, b.Dense)
+			if !slices.Equal(a.Dense(), b.Dense()) {
+				t.Fatalf("Dense differs between two summaries of one profile:\n%v\n%v", a.Dense(), b.Dense())
 			}
 			if !a.Equal(b) || !b.Equal(a) {
 				t.Fatal("Equal is false for two summaries of one profile")

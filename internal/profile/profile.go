@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 )
 
@@ -375,7 +376,7 @@ func Unmarshal(data []byte) (*Profile, error) {
 	return &p, nil
 }
 
-// DenseDims is the dimensionality of Summary.Dense, the feature-hashed
+// DenseDims is the dimensionality of Summary.Dense(), the feature-hashed
 // projection of the sparse profile vector. 64 dimensions keep a projection
 // at 256 bytes while preserving cosine structure well enough for
 // locality-sensitive hashing (the projection shortlists; exact scoring
@@ -389,7 +390,7 @@ const DenseDims = 64
 // re-sums stored profiles pair by pair. Compact is the same vector in the
 // form the scoring kernel scans; Vec holds it as a map for callers that
 // look terms up by name, its keys shared with every other Summary's through
-// the term dictionary. Norm and Dense are summed over Compact in ascending
+// the term dictionary. Norm and Dense() are summed over Compact in ascending
 // id order, so equal profile content gives bit-identical values: the
 // Euclidean norm feeds cosine scoring without a per-pair re-sum, and the
 // signed feature-hash projection feeds the random-hyperplane ANN index.
@@ -400,7 +401,33 @@ type Summary struct {
 	Prefs   map[string]float64 // category -> PreferenceValue; only > 0 entries
 	Terms   int                // TermCount()
 	Norm    float64            // Euclidean norm of Vec, cached at construction
-	Dense   []float32          // DenseDims-wide signed feature hash of Vec
+
+	denseOnce sync.Once
+	dense     *[DenseDims]float32 // see Dense; a pointer keeps Summary at 80 bytes
+}
+
+// Dense returns the DenseDims-wide signed feature hash of the vector, worked
+// out from Compact the first time anyone asks: only the ANN index does, and
+// an engine searching exactly never holds these 256 bytes per consumer. The
+// returned slice is shared and must not be mutated.
+func (s *Summary) Dense() []float32 {
+	s.denseOnce.Do(func() {
+		s.dense = new([DenseDims]float32)
+		if s.Compact == nil {
+			return
+		}
+		terms.mu.RLock()
+		for i, id := range s.Compact.IDs {
+			e, w := &terms.entries[id], s.Compact.Weights[i]
+			if e.positive {
+				s.dense[e.dim] += float32(w)
+			} else {
+				s.dense[e.dim] -= float32(w)
+			}
+		}
+		terms.mu.RUnlock()
+	})
+	return s.dense[:]
 }
 
 // Summary computes the profile's fingerprint. The returned maps are
@@ -432,15 +459,8 @@ func (p *Profile) Summary() *Summary {
 	}
 	c.sortByID()
 	s.Vec = make(map[string]float64, len(c.IDs))
-	s.Dense = make([]float32, DenseDims)
 	for i, id := range c.IDs {
-		e, w := &terms.entries[id], c.Weights[i]
-		s.Vec[e.key] = w
-		if e.positive {
-			s.Dense[e.dim] += float32(w)
-		} else {
-			s.Dense[e.dim] -= float32(w)
-		}
+		s.Vec[terms.entries[id].key] = c.Weights[i]
 	}
 	terms.mu.RUnlock()
 	s.Compact = c
@@ -463,7 +483,7 @@ func denseSlot(term string) (dim int, positive bool) {
 
 // Equal reports whether two summaries describe identical profile content:
 // same flattened vector, term for term and weight for weight. Prefs, Norm
-// and Dense are functions of that content and are not compared. Both sides
+// and Dense() are functions of that content and are not compared. Both sides
 // must come from Profile.Summary. The replication catch-up path uses Equal
 // to skip index churn for consumers a shard snapshot did not actually
 // change, once per consumer, so it compares the compact slices and hashes

@@ -4,12 +4,13 @@ import (
 	"iter"
 	"sync"
 
+	"agentrec/internal/profile"
 	"agentrec/internal/similarity"
 )
 
 // This file is the approximate-neighbour layer of the candidate index:
-// per-category random-hyperplane LSH buckets over the dense projections
-// profile.Summary precomputes (similarity/lsh.go holds the geometry). The
+// per-category random-hyperplane LSH buckets over the dense projections of
+// profile.Summary (similarity/lsh.go holds the geometry). The
 // buckets are maintained inside the same index-bucket critical sections as
 // the postings themselves — the postings stay the canonical summaries, so
 // replication, snapshot catch-up, and warm restart rebuild the hashes for
@@ -168,15 +169,17 @@ func (q *annShortlist) seq() iter.Seq[similarity.Candidate] {
 	}
 }
 
-// shortlist probes category's LSH buckets for dense's neighbours and
-// hydrates the deduped ids back into posting candidates, all under one
-// bucket read lock. Nil means "no shortlist — score exactly": ANN off, the
-// category too small, an unindexed category, or a zero projection.
-func (ix *categoryIndex) shortlist(category string, dense []float32) *annShortlist {
+// shortlist probes category's LSH buckets for the neighbours of target's
+// dense projection and hydrates the deduped ids back into posting
+// candidates, all under one bucket read lock. Nil means "no shortlist —
+// score exactly": ANN off, the category too small, an unindexed category,
+// or a zero projection.
+func (ix *categoryIndex) shortlist(category string, target *profile.Summary) *annShortlist {
 	ann := ix.ann
-	if ann == nil || len(dense) == 0 {
+	if ann == nil {
 		return nil
 	}
+	dense := target.Dense()
 	zero := true
 	for _, v := range dense {
 		if v != 0 {

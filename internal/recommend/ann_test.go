@@ -93,7 +93,7 @@ func TestLSHRecallAtTen(t *testing.T) {
 	// The shortlist must actually engage, or recall is trivially 1.
 	snap := e.Snapshot()
 	st := snap.stored(profs[0].UserID)
-	q := e.index.shortlist("hot", st.sum.Dense)
+	q := e.index.shortlist("hot", st.sum)
 	if q == nil {
 		t.Fatal("LSH shortlist did not engage on a 6000-consumer category")
 	}

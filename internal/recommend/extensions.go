@@ -86,6 +86,7 @@ func (e *Engine) RecordPurchaseAt(userID, productID string, at time.Time) error 
 	}
 	set[productID] = ms
 	sh.sells[productID] = total
+	sh.noteWrite(userID)
 	seq := sh.gen.Add(1)
 	if e.feed != nil {
 		seq = e.feed.emit(sh.id, JournalRecord{Op: OpPurchase, UserID: userID, ProductID: productID, AtEpochMS: ms})

@@ -51,11 +51,13 @@ type indexShard struct {
 
 // candidateOf is the one place a stored summary becomes a similarity
 // candidate: everything the scorer can use rides along by reference, with ty
-// the consumer's preference value in the category being searched.
+// the consumer's preference value in the category being searched. The dense
+// projection is not among it: only a posting in an LSH engine carries one
+// (updateBatch).
 func candidateOf(sum *profile.Summary, ty float64) similarity.Candidate {
 	return similarity.Candidate{
 		UserID: sum.UserID, Vec: sum.Vec, Ty: ty,
-		Norm: sum.Norm, Dense: sum.Dense, Compact: sum.Compact,
+		Norm: sum.Norm, Compact: sum.Compact,
 	}
 }
 
@@ -173,7 +175,11 @@ func (ix *categoryIndex) updateBatch(changes []postingChange) {
 		}
 		for cat, ty := range ch.sum.Prefs {
 			s := ix.shardFor(cat)
-			byBucket[s] = append(byBucket[s], op{cat: cat, userID: ch.sum.UserID, cand: candidateOf(ch.sum, ty)})
+			cand := candidateOf(ch.sum, ty)
+			if ix.ann != nil {
+				cand.Dense = ch.sum.Dense() // locates the posting's LSH buckets
+			}
+			byBucket[s] = append(byBucket[s], op{cat: cat, userID: ch.sum.UserID, cand: cand})
 		}
 	}
 	for s, ops := range byBucket {
@@ -240,24 +246,9 @@ func (s *indexShard) refreshLocked(category string) []similarity.Candidate {
 		slices.SortFunc(list, byUserID)
 	} else {
 		slices.Sort(dirty)
-		dirty = slices.Compact(dirty)
-		list = make([]similarity.Candidate, 0, len(old)+len(dirty))
-		for _, id := range dirty {
-			// Everything below id is unchanged; id's own old entry, if it
-			// had one, is dropped and its current posting takes the place.
-			n, had := slices.BinarySearchFunc(old, id, func(c similarity.Candidate, id string) int {
-				return strings.Compare(c.UserID, id)
-			})
-			list = append(list, old[:n]...)
-			old = old[n:]
-			if had {
-				old = old[1:]
-			}
-			if c, ok := m[id]; ok {
-				list = append(list, c)
-			}
-		}
-		list = append(list, old...)
+		list = spliceByID(old, slices.Compact(dirty),
+			func(c similarity.Candidate) string { return c.UserID },
+			func(id string) (similarity.Candidate, bool) { c, ok := m[id]; return c, ok })
 	}
 	s.cache[category] = list
 	delete(s.dirty, category)

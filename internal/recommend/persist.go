@@ -306,7 +306,7 @@ func (e *Engine) maybeEvict(keep *shard) {
 			victim.sells = nil
 			victim.resident.Store(false)
 			victim.gen.Add(1) // invalidate any cached view
-			victim.view.Store(nil)
+			victim.dropView()
 			e.resMu.Lock()
 			e.residentN--
 			e.resMu.Unlock()

@@ -30,8 +30,9 @@
 //     iterates only the consumers active in the target category — an exact
 //     restriction under the Fig 4.5 gate, not an approximation.
 //   - Recommendation requests run lock-free against immutable Snapshots
-//     assembled from per-shard copy-on-read views; sell counts live in
-//     atomic per-shard counters merged on read.
+//     assembled from per-shard views, which a write dirties one consumer
+//     of and the next reader patches; sell counts live in atomic per-shard
+//     counters merged on read.
 //   - With persistence (Open + WithPersistence) every mutation is
 //     journaled to a WAL-backed store before it mutates memory
 //     (journal-first: an acknowledged write is durable), state is
@@ -407,6 +408,7 @@ func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile) error
 			prev = old.sum
 		}
 		sh.profiles[p.UserID] = &stored{prof: p, sum: sum}
+		sh.noteWrite(p.UserID)
 		changes = append(changes, postingChange{prev: prev, sum: sum})
 	}
 	seq := sh.gen.Add(1)
@@ -497,6 +499,8 @@ func (e *Engine) Stats() ops.EngineSnapshot {
 		if resident {
 			st.ResidentShards++
 		}
+		st.ViewPatches += sh.patches.Load()
+		st.ViewRebuilds += sh.rebuilds.Load()
 	}
 	st.IndexedCategories, st.Postings = e.index.size()
 	st.IndexWrites = e.index.writes.Load()
@@ -586,7 +590,7 @@ func (e *Engine) neighborsMode(snap *Snapshot, st *stored, cat string, tol float
 		return similarity.TopKStream(st.prof.UserID, st.sum.Vec, tx, tol, snap.candidates(cat), e.k)
 	}
 	if mode == SearchLSH {
-		if q := e.index.shortlist(cat, st.sum.Dense); q != nil {
+		if q := e.index.shortlist(cat, st.sum); q != nil {
 			defer q.release()
 			return similarity.TopKStream(st.prof.UserID, st.sum.Vec, tx, tol, e.reconciled(snap, cat, q.seq()), e.k)
 		}

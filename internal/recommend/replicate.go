@@ -391,6 +391,7 @@ func (e *Engine) applyShardSnapshot(shard int, data ShardData) error {
 		}
 	}
 	sh.profiles, sh.purchases, sh.sells = newProfiles, newPurchases, newSells
+	sh.dropView()
 	sh.gen.Add(1)
 	e.index.updateBatch(changes)
 	if e.feed != nil {

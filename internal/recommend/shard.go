@@ -1,6 +1,7 @@
 package recommend
 
 import (
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -12,14 +13,29 @@ import (
 // The engine partitions its community state into user-keyed shards (fnv-1a
 // on the consumer id) so profile installs, purchase records, and
 // recommendation reads contend only per shard, never on one engine-wide
-// lock. Each shard additionally maintains a copy-on-read immutable view
-// (shardView) so the recommendation hot path runs lock-free against a
-// consistent picture of the shard: a view is rebuilt at most once per write
-// generation and then shared by every reader until the next write.
+// lock. Each shard additionally maintains an immutable view (shardView) so
+// the recommendation hot path runs lock-free against a consistent picture of
+// the shard: a write only notes which consumer it touched, and the first
+// reader after it brings the cached view up to date by re-reading those
+// consumers alone, then shares the result with every reader until the next
+// write.
 
 // DefaultShards is the shard count NewEngine uses unless WithShards
 // overrides it.
 const DefaultShards = 16
+
+const (
+	// viewOverlayCap is how many consumers a view's overlay may hold; the
+	// build that would pass it folds the overlay into a fresh base instead.
+	// It bounds what every look-up in a written shard pays for the overlay,
+	// and the superseded records a base keeps reachable, at this many per
+	// shard.
+	viewOverlayCap = 16
+	// viewLogCap bounds the consumers a shard notes between two view builds.
+	// A shard nobody reads, or a bulk install, stops noting here and leaves
+	// the next reader a build from scratch.
+	viewLogCap = 64
+)
 
 // fnv32a is the 32-bit FNV-1a hash, inlined to keep user-to-shard routing
 // allocation-free.
@@ -58,7 +74,17 @@ type shard struct {
 	lastAccess atomic.Uint64
 
 	gen  atomic.Uint64             // bumped under mu on every write
-	view atomic.Pointer[shardView] // cached immutable view; stale when gen moved
+	view atomic.Pointer[shardView] // cached immutable view; stale when gen moved, nil when only a build from scratch will do
+
+	// dirty lists the consumers written since view was built (meaningless
+	// while view is nil). Writers append under mu; the one view builder, who
+	// holds build and mu for reading — so no writer runs beside it — empties
+	// it once the view it stores covers them.
+	dirty []string
+	build sync.Mutex // one view builder at a time; taken before mu, never by a writer
+
+	patches  atomic.Uint64 // views brought up to date from the previous one
+	rebuilds atomic.Uint64 // bases built: from scratch, or an overlay folded in
 }
 
 func newShard(id int) *shard {
@@ -72,71 +98,232 @@ func newShard(id int) *shard {
 	return sh
 }
 
-// shardView is an immutable snapshot of one shard. profiles entries are
-// shared (they are immutable in place); purchase sets are deep-copied at
-// build time so later RecordPurchase calls cannot tear a reader, and carry
-// ownership only: the CF read path never asks when.
-type shardView struct {
-	gen       uint64
+// noteWrite records that userID's profile or purchase set changed, for the
+// next view build. Caller holds mu for writing. The log is bounded: a shard
+// written viewLogCap times with no reader between gives its cached view up.
+func (sh *shard) noteWrite(userID string) {
+	if sh.view.Load() == nil {
+		return
+	}
+	if len(sh.dirty) >= viewLogCap {
+		sh.dropView()
+		return
+	}
+	sh.dirty = append(sh.dirty, userID)
+}
+
+// dropView forgets the cached view, so the next reader builds from the shard
+// maps alone: for writes that replace or release the maps wholesale. Views
+// readers already hold are untouched. Caller holds mu for writing.
+func (sh *shard) dropView() {
+	sh.view.Store(nil)
+	sh.dirty = sh.dirty[:0]
+}
+
+// viewEntry is one consumer as a view holds them. st is nil for a consumer
+// with purchases and no profile, bought nil for one who has bought nothing.
+// bought carries ownership only — the CF read path never asks when — and,
+// like st, is never written once a view holds it.
+type viewEntry struct {
+	st     *stored
+	bought map[string]bool
+}
+
+// viewBase is the bulk of a view: every consumer of the shard as of some
+// build, shared unchanged by each view patched from it.
+type viewBase struct {
 	profiles  map[string]*stored
 	purchases map[string]map[string]bool
 
 	orderOnce sync.Once
-	order     []*stored // profiles' entries by UserID; see inOrder
+	order     []*stored // profiles' entries by UserID; see shardView.inOrder
 }
 
-// inOrder returns the view's profile entries in UserID order, for the one
-// reader that walks every consumer: the full-community neighbour scan.
-// Consumers are summarized in the order they arrive, so walking them by id
-// walks their vectors roughly in address order, where ranging over the map
-// jumps about the heap, differently on every run. The order is worked out
-// on the first scan that asks, once per view: reads that follow a posting
-// list never pay for it.
+// shardView is an immutable snapshot of one shard: a base, and over it the
+// consumers written since the base was built, whose entries win. Nothing in
+// a view is ever written after it is published, so a reader holding one
+// keeps reading exactly what it read first whatever the shard does next.
+type shardView struct {
+	gen  uint64
+	base *viewBase
+	over map[string]viewEntry // at most viewOverlayCap consumers
+
+	orderOnce sync.Once
+	order     []*stored // see inOrder
+}
+
+// stored returns the view's profile entry for userID, nil when it has none.
+func (v *shardView) stored(userID string) *stored {
+	if len(v.over) != 0 {
+		if e, ok := v.over[userID]; ok {
+			return e.st
+		}
+	}
+	return v.base.profiles[userID]
+}
+
+// bought returns the view's purchase set for userID, nil when it has none.
+func (v *shardView) bought(userID string) map[string]bool {
+	if len(v.over) != 0 {
+		if e, ok := v.over[userID]; ok {
+			return e.bought
+		}
+	}
+	return v.base.purchases[userID]
+}
+
+// inOrder returns the view's profile entries in UserID order, for the
+// readers that walk every consumer: above all the full-community neighbour
+// scan. Consumers are summarized in the order they arrive, so walking them
+// by id walks their vectors roughly in address order, where ranging over the
+// map jumps about the heap, differently on every run. The order is worked
+// out on the first scan that asks: sorted once per base, and per view one
+// copy of that with the overlay's few consumers spliced in. Reads that
+// follow a posting list never pay for it.
 func (v *shardView) inOrder() []*stored {
 	v.orderOnce.Do(func() {
-		v.order = make([]*stored, 0, len(v.profiles))
-		for _, st := range v.profiles {
-			v.order = append(v.order, st)
+		b := v.base
+		b.orderOnce.Do(func() {
+			b.order = make([]*stored, 0, len(b.profiles))
+			for _, st := range b.profiles {
+				b.order = append(b.order, st)
+			}
+			slices.SortFunc(b.order, func(a, b *stored) int { return strings.Compare(a.sum.UserID, b.sum.UserID) })
+		})
+		v.order = b.order
+		if len(v.over) == 0 {
+			return
 		}
-		slices.SortFunc(v.order, func(a, b *stored) int { return strings.Compare(a.sum.UserID, b.sum.UserID) })
+		ids := make([]string, 0, len(v.over))
+		for id, e := range v.over {
+			if e.st != nil {
+				ids = append(ids, id)
+			}
+		}
+		slices.Sort(ids)
+		v.order = spliceByID(b.order, ids,
+			func(st *stored) string { return st.sum.UserID },
+			func(id string) (*stored, bool) { return v.over[id].st, true })
 	})
 	return v.order
 }
 
-// snapshot returns the current immutable view, rebuilding it only when a
-// write happened since the last build. The fast path is two atomic loads.
-// A spilled shard has no materializable view: snapshot returns nil and the
+// spliceByID returns a copy of old, which is sorted by idOf, with every
+// consumer in ids (sorted, distinct) brought up to date: their old entry, if
+// they had one, dropped, and what cur knows of them now, if anything, put in
+// its place. It costs one search of old per id and one copy of old, never a
+// sort.
+func spliceByID[T any](old []T, ids []string, idOf func(T) string, cur func(id string) (T, bool)) []T {
+	list := make([]T, 0, len(old)+len(ids))
+	for _, id := range ids {
+		n, had := slices.BinarySearchFunc(old, id, func(e T, id string) int {
+			return strings.Compare(idOf(e), id)
+		})
+		list = append(list, old[:n]...)
+		old = old[n:]
+		if had {
+			old = old[1:]
+		}
+		if e, ok := cur(id); ok {
+			list = append(list, e)
+		}
+	}
+	return append(list, old...)
+}
+
+// snapshot returns the current immutable view. The fast path — no write
+// since the cached view was built — is two atomic loads. Otherwise one
+// reader at a time (build) brings the view up to date under the shard's
+// read lock, and the readers that queued behind it take what it stored. A
+// spilled shard has no materializable view: snapshot returns nil and the
 // caller must fault the shard in first (eviction bumps gen, so a stale
 // cached view can never satisfy the fast path).
 func (sh *shard) snapshot() *shardView {
 	if v := sh.view.Load(); v != nil && v.gen == sh.gen.Load() {
 		return v
 	}
+	sh.build.Lock()
+	defer sh.build.Unlock()
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	if !sh.resident.Load() {
 		return nil
 	}
-	if v := sh.view.Load(); v != nil && v.gen == sh.gen.Load() {
-		return v
+	prev := sh.view.Load()
+	if prev != nil && prev.gen == sh.gen.Load() {
+		return prev
 	}
-	v := &shardView{
-		gen:       sh.gen.Load(),
-		profiles:  make(map[string]*stored, len(sh.profiles)),
-		purchases: make(map[string]map[string]bool, len(sh.purchases)),
-	}
-	for id, st := range sh.profiles {
-		v.profiles[id] = st
-	}
-	for id, set := range sh.purchases {
-		cp := make(map[string]bool, len(set))
-		for pid := range set {
-			cp[pid] = true
+	v := &shardView{gen: sh.gen.Load()}
+	if prev == nil {
+		v.base = sh.newBase()
+		sh.rebuilds.Add(1)
+	} else {
+		v.base, v.over = prev.base, sh.patched(prev)
+		if len(v.over) > viewOverlayCap {
+			v.base, v.over = prev.base.folded(v.over), nil
+			sh.rebuilds.Add(1)
+		} else {
+			sh.patches.Add(1)
 		}
-		v.purchases[id] = cp
 	}
+	sh.dirty = sh.dirty[:0]
 	sh.view.Store(v)
 	return v
+}
+
+// newBase copies the shard as it stands: the O(shard) build, which only the
+// first reader of a shard, or of one whose view was dropped, pays. Stored
+// profiles are shared (they are immutable in place); purchase sets are
+// copied down to ownership so later RecordPurchase calls cannot tear a
+// reader. Caller holds mu.
+func (sh *shard) newBase() *viewBase {
+	b := &viewBase{
+		profiles:  maps.Clone(sh.profiles),
+		purchases: make(map[string]map[string]bool, len(sh.purchases)),
+	}
+	for id, set := range sh.purchases {
+		b.purchases[id] = ownership(set)
+	}
+	return b
+}
+
+// ownership is a purchase set without its times, in a map of its own.
+func ownership(set map[string]int64) map[string]bool {
+	if set == nil {
+		return nil
+	}
+	cp := make(map[string]bool, len(set))
+	for pid := range set {
+		cp[pid] = true
+	}
+	return cp
+}
+
+// patched returns prev's overlay brought up to date: a copy of it with every
+// consumer in the dirty log read again from the shard maps. Caller holds mu.
+func (sh *shard) patched(prev *shardView) map[string]viewEntry {
+	over := make(map[string]viewEntry, len(prev.over)+len(sh.dirty))
+	maps.Copy(over, prev.over)
+	for _, id := range sh.dirty {
+		over[id] = viewEntry{st: sh.profiles[id], bought: ownership(sh.purchases[id])}
+	}
+	return over
+}
+
+// folded returns a base holding b with over applied. It copies two maps of
+// pointers; every consumer over does not name keeps the very purchase set b
+// holds, which nothing writes.
+func (b *viewBase) folded(over map[string]viewEntry) *viewBase {
+	nb := &viewBase{profiles: maps.Clone(b.profiles), purchases: maps.Clone(b.purchases)}
+	for id, e := range over {
+		if e.st != nil {
+			nb.profiles[id] = e.st
+		}
+		if e.bought != nil {
+			nb.purchases[id] = e.bought
+		}
+	}
+	return nb
 }
 
 // sellShard is one partition of the product sell counts (fnv-1a on the

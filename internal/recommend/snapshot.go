@@ -10,7 +10,7 @@ import (
 )
 
 // Snapshot is an immutable view of the consumer community assembled from
-// the per-shard copy-on-read views. Every recommendation strategy runs
+// the per-shard views (shardView). Every recommendation strategy runs
 // against one Snapshot, so a request sees a stable community even while
 // Profile Agents install profiles and record purchases concurrently —
 // readers never hold a lock while scoring.
@@ -72,7 +72,7 @@ func (s *Snapshot) view(i int) *shardView {
 	v, err := s.e.residentView(s.e.shards[i])
 	if err != nil {
 		s.e.setErr(err)
-		v = &shardView{}
+		v = &shardView{base: &viewBase{}}
 	}
 	s.views[i] = v
 	return v
@@ -88,7 +88,7 @@ func (s *Snapshot) viewFor(userID string) *shardView {
 
 // stored returns the profile entry for userID, or nil when unknown.
 func (s *Snapshot) stored(userID string) *stored {
-	return s.viewFor(userID).profiles[userID]
+	return s.viewFor(userID).stored(userID)
 }
 
 // peek is stored without fault-in: it reports the entry and whether this
@@ -98,7 +98,7 @@ func (s *Snapshot) stored(userID string) *stored {
 func (s *Snapshot) peek(userID string) (*stored, bool) {
 	i := s.shardIdx(userID)
 	if s.e == nil {
-		return s.views[i].profiles[userID], true
+		return s.views[i].stored(userID), true
 	}
 	s.mu.Lock()
 	v := s.views[i]
@@ -106,7 +106,7 @@ func (s *Snapshot) peek(userID string) (*stored, bool) {
 	if v == nil {
 		return nil, false
 	}
-	return v.profiles[userID], true
+	return v.stored(userID), true
 }
 
 // Profile returns the profile stored for userID, or nil when unknown. The
@@ -121,7 +121,7 @@ func (s *Snapshot) Profile(userID string) *profile.Profile {
 // Purchases returns userID's purchase set in this view (nil when none).
 // The returned set is shared and must not be mutated.
 func (s *Snapshot) Purchases(userID string) map[string]bool {
-	return s.viewFor(userID).purchases[userID]
+	return s.viewFor(userID).bought(userID)
 }
 
 // Users returns the ids of all consumers with a profile in the view,
@@ -129,8 +129,8 @@ func (s *Snapshot) Purchases(userID string) map[string]bool {
 func (s *Snapshot) Users() []string {
 	var out []string
 	for i := range s.views {
-		for id := range s.view(i).profiles {
-			out = append(out, id)
+		for _, st := range s.view(i).inOrder() {
+			out = append(out, st.sum.UserID)
 		}
 	}
 	sort.Strings(out)
@@ -142,7 +142,7 @@ func (s *Snapshot) Users() []string {
 func (s *Snapshot) Len() int {
 	n := 0
 	for i := range s.views {
-		n += len(s.view(i).profiles)
+		n += len(s.view(i).inOrder())
 	}
 	return n
 }

@@ -202,7 +202,7 @@ type Candidate struct {
 	Vec     Vec              // flattened profile vector
 	Ty      float64          // preference value for the category under consideration
 	Norm    float64          // cached Euclidean norm of Vec (0 = unknown)
-	Dense   []float32        // shared profile.Summary.Dense projection (may be nil)
+	Dense   []float32        // shared profile.Summary.Dense() projection; nil outside the ANN index
 	Compact *profile.Compact // shared profile.Summary.Compact (nil = score over Vec)
 }
 
