@@ -220,6 +220,7 @@ func run(ctx context.Context, cfg daemonConfig) error {
 
 	signer := security.NewSigner([]byte(cfg.key))
 	client := atp.NewClient(signer)
+	defer client.Close()
 	// Only -trace pays for a recorder: nothing else reads one, and every
 	// task would append its steps to it for the daemon's whole life. A nil
 	// *trace.Recorder is valid everywhere and records nothing.
@@ -374,14 +375,21 @@ func run(ctx context.Context, cfg daemonConfig) error {
 	var engine *recommend.Engine
 	var replica *platform.Replica
 	// metrics is this server's slice of the unified stats view, served at
-	// /metrics/snapshot and published by the heartbeat.
-	var metrics func() ops.Snapshot
+	// /metrics/snapshot and published by the heartbeat: its engine and
+	// replication status (server), and how its atp client reached its peers.
+	var server func() ops.ServerSnapshot
+	metrics := func() ops.Snapshot {
+		sv := server()
+		dials, reuses := client.ConnStats()
+		sv.Transport = &ops.TransportSnapshot{Dials: dials, Reuses: reuses}
+		return ops.NewSnapshot(sv)
+	}
 	if cfg.repl == nil {
 		if engine, err = engineCfg.Open(union, 0, false); err != nil {
 			return err
 		}
 		defer engine.Close()
-		metrics = func() ops.Snapshot { return ops.NewSnapshot(recommend.ServerSnapshot(0, engine, nil)) }
+		server = func() ops.ServerSnapshot { return recommend.ServerSnapshot(0, engine, nil) }
 	} else {
 		// Serve our shards' journal to peer buyer servers, route writes to
 		// shard owners, and tail the shards we do not own. Every side of
@@ -424,7 +432,7 @@ func run(ctx context.Context, cfg daemonConfig) error {
 			return err
 		}
 		buyerOpts = append(buyerOpts, buyerserver.WithCommunityWriter(replica.Router))
-		metrics = func() ops.Snapshot { return ops.NewSnapshot(replica.Snapshot()) }
+		server = replica.Snapshot
 		log.Printf("replicating %d shards across %d buyer servers (self=%d, tail every %v)",
 			cfg.shards, rc.Servers, rc.Self, cfg.repl.interval)
 	}

@@ -8,9 +8,17 @@
 // from peers holding the shared platform key — the "comprehensive and simple"
 // security goal the Aglets design states.
 //
-// One request is exchanged per connection. That matches the paper's traffic
-// pattern (an agent dispatch or a single query), keeps the protocol trivially
-// robust, and makes the byte accounting used by experiment C2 exact.
+// Connections are kept alive. The paper's Buyer Agent Servers talk to each
+// other all day (Fig 3.2: every buy ends in a forwarded Profile Agent write,
+// every follower tails its owners' journals), so a client keeps a few idle
+// connections per destination and sends a frame on one of them, dialling only
+// when none is free; the server answers frame after frame on a connection
+// until the peer hangs up, a frame is refused, or nothing arrives for
+// serverIdle. One request is in flight per connection — there is no
+// multiplexing — and each request is signed and verified on its own, so a
+// long-lived connection carries no more authority than a fresh one. The byte
+// accounting used by experiment C2 counts payload bytes per request and does
+// not depend on how many connections carried them.
 package atp
 
 import (
@@ -21,7 +29,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"agentrec/internal/aglet"
@@ -37,6 +47,17 @@ var (
 
 // MaxFrame bounds a single frame; a migrating agent image comfortably fits.
 const MaxFrame = 16 << 20
+
+// Connection lifetimes. A connection nobody uses must end on its own: the
+// server hangs up one that has waited serverIdle for its next frame. The
+// client gives up on an idle connection sooner, so it never picks one the
+// server is about to drop.
+const (
+	clientIdle     = 2 * time.Second
+	serverIdle     = 5 * time.Second
+	maxIdlePerDest = 4                // idle connections a client keeps per destination
+	requestTimeout = 30 * time.Second // reading one frame, serving it and writing its reply
+)
 
 // request operations.
 const (
@@ -71,14 +92,20 @@ func (r request) signable() ([]byte, error) {
 	return json.Marshal(r)
 }
 
-func writeFrame(w io.Writer, v any) error {
+// encodeBody returns v as a frame's JSON body.
+func encodeBody(v any) ([]byte, error) {
 	body, err := json.Marshal(v)
 	if err != nil {
-		return fmt.Errorf("atp: encoding frame: %w", err)
+		return nil, fmt.Errorf("atp: encoding frame: %w", err)
 	}
 	if len(body) > MaxFrame {
-		return ErrFrameTooLarge
+		return nil, ErrFrameTooLarge
 	}
+	return body, nil
+}
+
+// writeBody writes body behind its length prefix.
+func writeBody(w io.Writer, body []byte) error {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -90,16 +117,31 @@ func writeFrame(w io.Writer, v any) error {
 	return nil
 }
 
-func readFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func writeFrame(w io.Writer, v any) error {
+	body, err := encodeBody(v)
+	if err != nil {
 		return err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
+	return writeBody(w, body)
+}
+
+// readHeader reads a frame's length prefix; got is how many of its four
+// bytes arrived, which on a kept-alive connection tells a peer that hung up
+// between frames (none) from one that broke off inside a frame.
+func readHeader(r io.Reader) (size uint32, got int, err error) {
+	var hdr [4]byte
+	if got, err = io.ReadFull(r, hdr[:]); err != nil {
+		return 0, got, err
+	}
+	return binary.BigEndian.Uint32(hdr[:]), got, nil
+}
+
+// readBody reads and decodes the size-byte body that follows a header.
+func readBody(r io.Reader, size uint32, v any) error {
+	if size > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	body := make([]byte, n)
+	body := make([]byte, size)
 	if _, err := io.ReadFull(r, body); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
@@ -109,14 +151,24 @@ func readFrame(r io.Reader, v any) error {
 	return nil
 }
 
+func readFrame(r io.Reader, v any) error {
+	size, _, err := readHeader(r)
+	if err != nil {
+		return err
+	}
+	return readBody(r, size, v)
+}
+
 // JournalHandler serves engine journal-stream frames: kind names the
 // sub-operation (e.g. "tail", "set-profiles", "purchase" — see
 // internal/replnet) and data/reply are opaque JSON payloads, keeping the
 // transport decoupled from the recommendation engine's types.
 type JournalHandler func(kind string, data []byte) ([]byte, error)
 
-// Server accepts ATP connections for one aglet host. Construct with Serve;
-// Close stops accepting and waits for in-flight connections.
+// Server accepts ATP connections for one aglet host and answers the frames
+// arriving on each, one at a time, until the connection ends. Construct with
+// Serve; Close stops accepting, hangs up connections waiting between frames
+// and waits for requests in flight to be answered.
 type Server struct {
 	host     *aglet.Host
 	signer   *security.Signer
@@ -125,6 +177,7 @@ type Server struct {
 	mu      sync.Mutex
 	closed  bool
 	journal JournalHandler
+	waiting map[net.Conn]struct{} // connections between frames, for Close to hang up
 	wg      sync.WaitGroup
 }
 
@@ -135,7 +188,7 @@ func Serve(host *aglet.Host, signer *security.Signer, addr string) (*Server, err
 	if err != nil {
 		return nil, fmt.Errorf("atp: listening on %s: %w", addr, err)
 	}
-	s := &Server{host: host, signer: signer, listener: ln}
+	s := &Server{host: host, signer: signer, listener: ln, waiting: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -174,77 +227,118 @@ func (s *Server) acceptLoop() {
 		}
 		s.wg.Add(1)
 		s.mu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			defer conn.Close()
-			s.handle(conn)
-		}()
+		go s.serveConn(conn)
 	}
 }
 
-func (s *Server) handle(conn net.Conn) {
-	conn.SetDeadline(time.Now().Add(30 * time.Second))
+// serveConn answers conn's frames until the peer hangs up or goes quiet, the
+// server closes, or a frame is refused: after a frame it could not parse or
+// verify the server has no reason to trust where the next one starts, or who
+// is sending it, so that connection ends with its error reply.
+func (s *Server) serveConn(conn net.Conn) {
+	defer s.wg.Done()
+	defer conn.Close()
+	for {
+		size, ok := s.awaitFrame(conn)
+		if !ok {
+			return
+		}
+		conn.SetDeadline(time.Now().Add(requestTimeout))
+		resp, keep := s.answer(conn, size)
+		if err := writeFrame(conn, resp); err != nil || !keep {
+			return
+		}
+	}
+}
+
+// awaitFrame waits for the header of conn's next frame. Whether the server
+// is closed is decided, and the wait made visible to Close, under one lock:
+// Close either finds the connection waiting and hangs it up, or the
+// connection finds the server closed and leaves. Neither waits out the idle
+// limit, and a header read counts as a request in flight only once the
+// connection is off the waiting list with the server still open.
+func (s *Server) awaitFrame(conn net.Conn) (size uint32, ok bool) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return 0, false
+	}
+	s.waiting[conn] = struct{}{}
+	s.mu.Unlock()
+
+	conn.SetReadDeadline(time.Now().Add(serverIdle))
+	size, _, err := readHeader(conn)
+
+	s.mu.Lock()
+	delete(s.waiting, conn)
+	closed := s.closed
+	s.mu.Unlock()
+	return size, err == nil && !closed
+}
+
+// answer reads the body of the frame whose header announced size bytes and
+// serves it. Nothing is acted on before its signature verifies. keep reports
+// whether the connection may carry another frame.
+func (s *Server) answer(conn net.Conn, size uint32) (resp response, keep bool) {
 	var req request
-	if err := readFrame(conn, &req); err != nil {
-		writeFrame(conn, response{Error: err.Error()})
-		return
+	if err := readBody(conn, size, &req); err != nil {
+		return response{Error: err.Error()}, false
 	}
 	payload, err := req.signable()
 	if err != nil {
-		writeFrame(conn, response{Error: err.Error()})
-		return
+		return response{Error: err.Error()}, false
 	}
 	if err := s.signer.Verify(payload, req.Sig); err != nil {
-		writeFrame(conn, response{Error: "signature rejected"})
-		return
+		return response{Error: "signature rejected"}, false
 	}
+	return s.serve(req), true
+}
+
+// serve performs a verified request.
+func (s *Server) serve(req request) response {
 	switch req.Op {
 	case opPing:
-		writeFrame(conn, response{OK: true})
+		return response{OK: true}
 	case opDispatch:
 		if req.Image == nil {
-			writeFrame(conn, response{Error: "dispatch without image"})
-			return
+			return response{Error: "dispatch without image"}
 		}
 		if err := s.host.Receive(*req.Image); err != nil {
-			writeFrame(conn, response{Error: err.Error()})
-			return
+			return response{Error: err.Error()}
 		}
-		writeFrame(conn, response{OK: true})
+		return response{OK: true}
 	case opRetract:
 		img, err := s.host.Surrender(req.AgentID)
 		if err != nil {
-			writeFrame(conn, response{Error: err.Error()})
-			return
+			return response{Error: err.Error()}
 		}
-		writeFrame(conn, response{OK: true, Image: &img})
+		return response{OK: true, Image: &img}
 	case opCall:
 		ctx, cancel := context.WithTimeout(context.Background(), 25*time.Second)
 		defer cancel()
 		reply, err := s.host.Send(ctx, req.AgentID, aglet.Message{Kind: req.Kind, Data: req.Data})
 		if err != nil {
-			writeFrame(conn, response{Error: err.Error()})
-			return
+			return response{Error: err.Error()}
 		}
-		writeFrame(conn, response{OK: true, Kind: reply.Kind, Data: reply.Data})
+		return response{OK: true, Kind: reply.Kind, Data: reply.Data}
 	case opJournal:
 		h := s.journalHandler()
 		if h == nil {
-			writeFrame(conn, response{Error: "no journal handler"})
-			return
+			return response{Error: "no journal handler"}
 		}
 		out, err := h(req.Kind, req.Data)
 		if err != nil {
-			writeFrame(conn, response{Error: err.Error()})
-			return
+			return response{Error: err.Error()}
 		}
-		writeFrame(conn, response{OK: true, Kind: req.Kind, Data: out})
+		return response{OK: true, Kind: req.Kind, Data: out}
 	default:
-		writeFrame(conn, response{Error: "unknown op"})
+		return response{Error: "unknown op"}
 	}
 }
 
-// Close stops the server and waits for active connections to finish.
+// Close stops the server: no new connection is accepted, every connection
+// waiting between frames is hung up at once, and a request already in flight
+// is answered before its connection ends. Close returns when all have.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -252,6 +346,9 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	for conn := range s.waiting {
+		conn.Close()
+	}
 	s.mu.Unlock()
 	err := s.listener.Close()
 	s.wg.Wait()
@@ -265,6 +362,12 @@ type Client struct {
 	dialer  net.Dialer
 	timeout time.Duration
 
+	poolMu sync.Mutex
+	idle   map[string][]idleConn // per destination, longest idle first
+
+	dials  atomic.Uint64
+	reuses atomic.Uint64
+
 	statsMu    sync.Mutex
 	dispatches int
 	calls      int
@@ -272,9 +375,68 @@ type Client struct {
 	bytesSent  int64
 }
 
+// idleConn is a connection whose last response was read whole, and when.
+type idleConn struct {
+	conn  net.Conn
+	since time.Time
+}
+
 // NewClient returns a transport client signing requests with signer.
 func NewClient(signer *security.Signer) *Client {
-	return &Client{signer: signer, timeout: 30 * time.Second}
+	return &Client{signer: signer, timeout: 30 * time.Second, idle: make(map[string][]idleConn)}
+}
+
+// Close hangs up the client's idle connections. The client stays usable: the
+// next request dials.
+func (c *Client) Close() error {
+	c.poolMu.Lock()
+	defer c.poolMu.Unlock()
+	for dest, list := range c.idle {
+		for _, ic := range list {
+			ic.conn.Close()
+		}
+		delete(c.idle, dest)
+	}
+	return nil
+}
+
+// freshIdle closes dest's connections that have sat idle past clientIdle at
+// now and returns the rest. The caller holds poolMu.
+func (c *Client) freshIdle(dest string, now time.Time) []idleConn {
+	list := c.idle[dest]
+	cutoff := now.Add(-clientIdle)
+	for len(list) > 0 && list[0].since.Before(cutoff) {
+		list[0].conn.Close()
+		list = list[1:]
+	}
+	return list
+}
+
+// takeIdle returns the most recently used idle connection to dest, or nil.
+func (c *Client) takeIdle(dest string) net.Conn {
+	c.poolMu.Lock()
+	defer c.poolMu.Unlock()
+	list := c.freshIdle(dest, time.Now())
+	if len(list) == 0 {
+		delete(c.idle, dest)
+		return nil
+	}
+	c.idle[dest] = list[:len(list)-1]
+	return list[len(list)-1].conn
+}
+
+// putIdle keeps conn for dest's next request, or closes it if dest has
+// enough.
+func (c *Client) putIdle(dest string, conn net.Conn) {
+	c.poolMu.Lock()
+	defer c.poolMu.Unlock()
+	now := time.Now()
+	list := c.freshIdle(dest, now)
+	if len(list) >= maxIdlePerDest {
+		conn.Close()
+		return
+	}
+	c.idle[dest] = append(list, idleConn{conn, now})
 }
 
 func (c *Client) roundTrip(ctx context.Context, dest string, req request) (response, error) {
@@ -283,24 +445,36 @@ func (c *Client) roundTrip(ctx context.Context, dest string, req request) (respo
 		return response{}, err
 	}
 	req.Sig = c.signer.Sign(payload)
-
-	conn, err := c.dialer.DialContext(ctx, "tcp", dest)
+	// Encoded before a connection is taken: a request that cannot go on the
+	// wire costs no connection, and a retry sends the same bytes.
+	body, err := encodeBody(req)
 	if err != nil {
-		return response{}, fmt.Errorf("atp: dialing %s: %w", dest, err)
-	}
-	defer conn.Close()
-	if deadline, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(deadline)
-	} else {
-		conn.SetDeadline(time.Now().Add(c.timeout))
-	}
-
-	if err := writeFrame(conn, req); err != nil {
 		return response{}, err
 	}
+	if err := ctx.Err(); err != nil {
+		return response{}, fmt.Errorf("atp: request to %s: %w", dest, err)
+	}
+
 	var resp response
-	if err := readFrame(conn, &resp); err != nil {
-		return response{}, fmt.Errorf("atp: reading response from %s: %w", dest, err)
+	dial := true
+	if conn := c.takeIdle(dest); conn != nil {
+		c.reuses.Add(1)
+		resp, dial, err = c.exchange(ctx, dest, conn, body)
+	}
+	// Either no connection was idle, or the one taken was hung up before a
+	// byte of the response arrived: the server dropped it while it sat
+	// idle, which is no verdict on this request, so it goes out once more on
+	// a connection of its own. A fresh connection's failure is final.
+	if dial {
+		conn, derr := c.dialer.DialContext(ctx, "tcp", dest)
+		if derr != nil {
+			return response{}, fmt.Errorf("atp: dialing %s: %w", dest, derr)
+		}
+		c.dials.Add(1)
+		resp, _, err = c.exchange(ctx, dest, conn, body)
+	}
+	if err != nil {
+		return response{}, err
 	}
 	if !resp.OK {
 		return response{}, fmt.Errorf("%w: %s", ErrRejected, resp.Error)
@@ -322,6 +496,48 @@ func (c *Client) roundTrip(ctx context.Context, dest string, req request) (respo
 	}
 	c.statsMu.Unlock()
 	return resp, nil
+}
+
+// exchange sends a request's frame body on conn and reads its response. The
+// connection returns to the idle list only after a whole response frame; on
+// any error, timeout or cancellation it is closed instead, because a
+// connection with an unread or half-read response would hand the next caller
+// this caller's reply. hungUp reports that the peer ended the connection
+// before any byte of a response arrived.
+func (c *Client) exchange(ctx context.Context, dest string, conn net.Conn, body []byte) (resp response, hungUp bool, err error) {
+	deadline, ok := ctx.Deadline()
+	if !ok {
+		deadline = time.Now().Add(c.timeout)
+	}
+	conn.SetDeadline(deadline)
+	// A cancel carries no deadline, so it reaches a blocked read by expiring
+	// the connection.
+	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
+
+	var size uint32
+	var got int
+	if err = writeBody(conn, body); err == nil {
+		if size, got, err = readHeader(conn); err == nil {
+			err = readBody(conn, size, &resp)
+		}
+		if err != nil {
+			err = fmt.Errorf("atp: reading response from %s: %w", dest, err)
+		}
+	}
+	// A stop that comes too late means the expiry above has run, or is about
+	// to: the connection is not one to hand to the next caller.
+	if !stop() || err != nil {
+		conn.Close()
+	} else {
+		c.putIdle(dest, conn)
+	}
+	if err == nil {
+		return resp, false, nil
+	}
+	if ctx.Err() != nil {
+		return response{}, false, fmt.Errorf("atp: request to %s: %w", dest, ctx.Err())
+	}
+	return response{}, got == 0 && !errors.Is(err, os.ErrDeadlineExceeded), err
 }
 
 // Dispatch implements aglet.Transport.
@@ -374,6 +590,13 @@ func (c *Client) Stats() (dispatches, calls int, bytesSent int64) {
 	c.statsMu.Lock()
 	defer c.statsMu.Unlock()
 	return c.dispatches, c.calls, c.bytesSent
+}
+
+// ConnStats reports, since construction, how many connections the client
+// dialled and how many requests it sent on a kept-alive one instead. Reuses
+// standing still while dials climb is a pool that is not being hit.
+func (c *Client) ConnStats() (dials, reuses uint64) {
+	return c.dials.Load(), c.reuses.Load()
 }
 
 var _ aglet.Transport = (*Client)(nil)

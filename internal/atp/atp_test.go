@@ -1,6 +1,7 @@
 package atp
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -244,12 +245,14 @@ func TestClientStats(t *testing.T) {
 	c.Call(testCtx(t), srv.Addr(), "a1", aglet.Message{Data: []byte("xxxx")})
 	c.Dispatch(testCtx(t), srv.Addr(), aglet.Image{Type: "counter", ID: "fresh", State: []byte(`{"n":5}`)})
 
-	d, calls, bytes := c.Stats()
+	d, calls, sent := c.Stats()
 	if d != 1 || calls != 1 {
 		t.Errorf("Stats = %d dispatches, %d calls", d, calls)
 	}
-	if bytes <= 0 {
-		t.Errorf("bytesSent = %d", bytes)
+	// Payload bytes only, however many connections carried them: the call's
+	// "xxxx" and its `{"n":1}` reply, then the dispatched image's state.
+	if want := int64(len("xxxx") + len(`{"n":1}`) + len(`{"n":5}`)); sent != want {
+		t.Errorf("bytesSent = %d, want %d", sent, want)
 	}
 }
 
@@ -348,4 +351,34 @@ func TestJournalFrameSigned(t *testing.T) {
 	if _, err := bad.Journal(testCtx(t), srv.Addr(), "tail", nil); err == nil || !strings.Contains(err.Error(), "signature rejected") {
 		t.Fatalf("wrong-key journal frame not rejected: %v", err)
 	}
+}
+
+// BenchmarkJournalRoundTrip is one forwarded write's worth of transport: a
+// 2 KB journal frame to a loopback server and its ack. dials/op is what the
+// kept-alive connections are for: 1 means every frame paid a TCP dial.
+func BenchmarkJournalRoundTrip(b *testing.B) {
+	h := aglet.NewHost("bench", reg())
+	defer h.Close()
+	srv, err := Serve(h, key(), "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	srv.SetJournalHandler(func(string, []byte) ([]byte, error) { return []byte(`{}`), nil })
+	c := NewClient(key())
+	defer c.Close()
+	payload := bytes.Repeat([]byte("x"), 2048)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	b.SetBytes(int64(len(payload)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Journal(ctx, srv.Addr(), "set-profiles", payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	dials, _ := c.ConnStats()
+	b.ReportMetric(float64(dials)/float64(b.N), "dials/op")
 }

@@ -196,6 +196,16 @@ type ServerSnapshot struct {
 	Server      int                  `json:"server"`
 	Engine      EngineSnapshot       `json:"engine"`
 	Replication *ReplicationSnapshot `json:"replication,omitempty"`
+	Transport   *TransportSnapshot   `json:"transport,omitempty"`
+}
+
+// TransportSnapshot is how one server's atp client has reached its peers
+// since it started: connections dialled, and requests sent on a kept-alive
+// connection instead. Dials climbing in step with traffic while reuses stand
+// still is a connection pool that is not being hit.
+type TransportSnapshot struct {
+	Dials  uint64 `json:"atp_dials_total"`
+	Reuses uint64 `json:"atp_reuses_total"`
 }
 
 // EngineSnapshot is one recommendation engine's sizing and journal state,
