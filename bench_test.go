@@ -440,6 +440,7 @@ func BenchmarkQueryWorkflow(b *testing.B) {
 	benchConsumer(b, p, "u")
 	ctx := context.Background()
 	q := catalog.Query{Category: "laptop", Terms: []string{"ssd"}}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := p.Buyer().Query(ctx, "u", q); err != nil {
@@ -453,6 +454,7 @@ func BenchmarkBuyWorkflow(b *testing.B) {
 	p := benchPlatform(b, 2)
 	benchConsumer(b, p, "u")
 	ctx := context.Background()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := p.Buyer().Buy(ctx, "u", "p0", 0, false)

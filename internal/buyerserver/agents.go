@@ -52,15 +52,23 @@ type taskAck struct {
 // route, what it has gathered, and its credentials for re-entry (§4.1
 // principle 2). It is the agent's serialized form for every migration.
 type mbaState struct {
-	UserID   string            `json:"user_id"`
-	Spec     TaskSpec          `json:"spec"`
-	It       aglet.Itinerary   `json:"itinerary"`
-	Results  []MarketResult    `json:"results,omitempty"`
-	Sale     *marketplace.Sale `json:"sale,omitempty"`
-	Token    string            `json:"token"`
-	Nonce    string            `json:"nonce"`
-	Response string            `json:"response"`
-	TripLog  []string          `json:"trip_log,omitempty"`
+	mbaHeader
+	It      aglet.Itinerary   `json:"itinerary"`
+	Results []MarketResult    `json:"results,omitempty"`
+	Sale    *marketplace.Sale `json:"sale,omitempty"`
+}
+
+// mbaHeader is the part of a returning MBA's state the BSMA reads: whom it
+// works for, its assignment, its credentials and where it went. The BSMA
+// authenticates from the header alone and hands the MBA's bytes on to the
+// BRA as they came home, so the haul is decoded once, by the BRA.
+type mbaHeader struct {
+	UserID   string   `json:"user_id"`
+	Spec     TaskSpec `json:"spec"`
+	Token    string   `json:"token"`
+	Nonce    string   `json:"nonce"`
+	Response string   `json:"response"`
+	TripLog  []string `json:"trip_log,omitempty"`
 }
 
 type mbaHomeReply struct {
@@ -165,11 +173,11 @@ func (a *bsmaAgent) HandleMessage(ctx *aglet.Context, msg aglet.Message) (aglet.
 		}
 		return a.assignTask(ctx, req)
 	case kindMBAHome:
-		var st mbaState
-		if err := json.Unmarshal(msg.Data, &st); err != nil {
+		var h mbaHeader
+		if err := json.Unmarshal(msg.Data, &h); err != nil {
 			return aglet.Message{}, fmt.Errorf("buyerserver: bad mba-home: %w", err)
 		}
-		return a.mbaHome(ctx, st)
+		return a.mbaHome(ctx, h, msg.Data)
 	default:
 		return aglet.Message{}, fmt.Errorf("buyerserver: BSMA does not understand %q", msg.Kind)
 	}
@@ -325,12 +333,13 @@ func (a *bsmaAgent) assignTask(ctx *aglet.Context, req taskReq) (aglet.Message, 
 }
 
 // mbaHome runs the back half of the workflows: authenticate the returning
-// MBA (§4.1 principle 2), revive the BRA, deliver the gathered results, and
-// hand the final answer to the waiting consumer.
-func (a *bsmaAgent) mbaHome(ctx *aglet.Context, st mbaState) (aglet.Message, error) {
+// MBA (§4.1 principle 2) from its header h, revive the BRA and hand it the
+// MBA's state — data, the bytes the MBA came home as. The BRA delivers the
+// final answer to the waiting consumer.
+func (a *bsmaAgent) mbaHome(ctx *aglet.Context, h mbaHeader, data []byte) (aglet.Message, error) {
 	s := a.srv
-	wf := workflowName(st.Spec.Kind)
-	mbaID := mbaID(st.Spec.TaskID)
+	wf := workflowName(h.Spec.Kind)
+	mbaID := mbaID(h.Spec.TaskID)
 	outStep, inStep, homeStep := 9, 10, 11
 	if wf == "buy" {
 		outStep, inStep, homeStep = 8, 9, 10
@@ -338,28 +347,28 @@ func (a *bsmaAgent) mbaHome(ctx *aglet.Context, st mbaState) (aglet.Message, err
 
 	// Authentication gate: the travel token must verify for this exact
 	// agent and the single-use nonce must answer the challenge.
-	if _, err := s.tokens.Verify(st.Token, mbaID); err != nil {
-		return a.rejectMBA(mbaID, st, err)
+	if _, err := s.tokens.Verify(h.Token, mbaID); err != nil {
+		return a.rejectMBA(mbaID, h, err)
 	}
-	if err := s.challenger.VerifyResponse(mbaID, st.Nonce, st.Response); err != nil {
-		return a.rejectMBA(mbaID, st, err)
+	if err := s.challenger.VerifyResponse(mbaID, h.Nonce, h.Response); err != nil {
+		return a.rejectMBA(mbaID, h, err)
 	}
 
 	// Replay the trip into the trace: each visited marketplace is one
 	// out/in pair in the figure.
-	for _, market := range st.TripLog {
+	for _, market := range h.TripLog {
 		s.tracer.Record(wf, outStep, "MBA", "Marketplace", "migrate and execute at "+market)
 		s.tracer.Record(wf, inStep, "Marketplace", "MBA", "results from "+market)
 	}
 	s.tracer.Record(wf, homeStep, "MBA", "BSMA", "return home and authenticate")
 	a.updateMBARecord(mbaID, "returned")
 
-	id := braID(st.UserID)
+	id := braID(h.UserID)
 	if !s.host.Has(id) && !s.host.HasStored(id) {
 		// Consumer logged out mid-task (§3.2: the mechanism keeps serving
 		// offline consumers): update the profile directly and park the
 		// result in the inbox for the next login.
-		return a.completeOffline(ctx, st)
+		return a.completeOffline(ctx, data)
 	}
 	if s.host.HasStored(id) {
 		if _, err := s.host.Activate(id); err != nil {
@@ -369,33 +378,18 @@ func (a *bsmaAgent) mbaHome(ctx *aglet.Context, st mbaState) (aglet.Message, err
 	s.tracer.Record(wf, homeStep+1, "BSMA", "BRA", "activate BRA; deliver results")
 	cctx, cancel := agentCtx()
 	defer cancel()
-	msg, err := marshalMsg(kindTaskDone, st)
-	if err != nil {
+	if _, err := ctx.Send(cctx, id, aglet.Message{Kind: kindTaskDone, Data: data}); err != nil {
 		return aglet.Message{}, err
 	}
-	reply, err := ctx.Send(cctx, id, msg)
-	if err != nil {
-		return aglet.Message{}, err
-	}
-	var res TaskResult
-	if err := json.Unmarshal(reply.Data, &res); err != nil {
-		return aglet.Message{}, fmt.Errorf("buyerserver: bad task result: %w", err)
-	}
-	finalStep := 15
-	if wf == "buy" {
-		finalStep = 14
-	}
-	s.tracer.Record(wf, finalStep, "BRA", "Buyer", "recommendation information and results")
-	s.fulfil(st.Spec.TaskID, res)
 	return marshalMsg(kindMBAHome, mbaHomeReply{Accepted: true})
 }
 
 // rejectMBA records the failed authentication and reports the outcome to
 // any waiter. The MBA disposes itself regardless.
-func (a *bsmaAgent) rejectMBA(mbaID string, st mbaState, cause error) (aglet.Message, error) {
+func (a *bsmaAgent) rejectMBA(mbaID string, h mbaHeader, cause error) (aglet.Message, error) {
 	a.updateMBARecord(mbaID, "rejected")
-	a.srv.fulfil(st.Spec.TaskID, TaskResult{
-		TaskID: st.Spec.TaskID, UserID: st.UserID, Kind: st.Spec.Kind, AuthFailed: true,
+	a.srv.fulfil(h.Spec.TaskID, TaskResult{
+		TaskID: h.Spec.TaskID, UserID: h.UserID, Kind: h.Spec.Kind, AuthFailed: true,
 	})
 	reply, err := marshalMsg(kindMBAHome, mbaHomeReply{Accepted: false})
 	if err != nil {
@@ -415,9 +409,14 @@ func (a *bsmaAgent) updateMBARecord(mbaID, status string) {
 }
 
 // completeOffline finishes a task whose consumer is gone: profile updates
-// still happen (through the PA) and the result waits in the inbox.
-func (a *bsmaAgent) completeOffline(ctx *aglet.Context, st mbaState) (aglet.Message, error) {
+// still happen (through the PA) and the result waits in the inbox. It is
+// the one homecoming on which the BSMA decodes the MBA's whole state.
+func (a *bsmaAgent) completeOffline(ctx *aglet.Context, data []byte) (aglet.Message, error) {
 	s := a.srv
+	var st mbaState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return aglet.Message{}, fmt.Errorf("buyerserver: bad mba-home: %w", err)
+	}
 	batch := observeBatchFor(st, workflowName(st.Spec.Kind), 0)
 	cctx, cancel := agentCtx()
 	defer cancel()
@@ -500,12 +499,14 @@ func (a *braAgent) launch(ctx *aglet.Context, req taskReq) (aglet.Message, error
 		return aglet.Message{}, err
 	}
 	st := mbaState{
-		UserID:   a.st.UserID,
-		Spec:     req.Spec,
-		It:       aglet.NewItinerary(s.host.Name(), req.Spec.Markets...),
-		Token:    s.tokens.Issue(id, string(req.Spec.Kind), s.tokenTTL),
-		Nonce:    nonce,
-		Response: s.challenger.Respond(nonce, id),
+		mbaHeader: mbaHeader{
+			UserID:   a.st.UserID,
+			Spec:     req.Spec,
+			Token:    s.tokens.Issue(id, string(req.Spec.Kind), s.tokenTTL),
+			Nonce:    nonce,
+			Response: s.challenger.Respond(nonce, id),
+		},
+		It: aglet.NewItinerary(s.host.Name(), req.Spec.Markets...),
 	}
 	init, err := json.Marshal(st)
 	if err != nil {
@@ -520,14 +521,15 @@ func (a *braAgent) launch(ctx *aglet.Context, req taskReq) (aglet.Message, error
 }
 
 // complete turns what the MBA brought home into the consumer's answer:
-// behaviour goes to the Profile Agent (Fig 4.2 steps 13–14), and the
-// recommendation information is generated per §4.4.
+// behaviour goes to the Profile Agent (Fig 4.2 steps 13–14), the
+// recommendation information is generated per §4.4, and the BRA hands it
+// to the waiting consumer (step 15; step 14 of Fig 4.3).
 func (a *braAgent) complete(ctx *aglet.Context, st mbaState) (aglet.Message, error) {
 	s := a.srv
 	wf := workflowName(st.Spec.Kind)
-	paStep := 13
+	paStep, finalStep := 13, 15
 	if wf == "buy" {
-		paStep = 12
+		paStep, finalStep = 12, 14
 	}
 	s.tracer.Record(wf, paStep, "BRA", "PA", "report consumer behaviour")
 	batch := observeBatchFor(st, wf, paStep+1)
@@ -548,8 +550,8 @@ func (a *braAgent) complete(ctx *aglet.Context, st mbaState) (aglet.Message, err
 	switch st.Spec.Kind {
 	case TaskQuery:
 		// One snapshot serves both the query re-rank and the cross-sell:
-		// all scoring in this task reads one community view (neighbour
-		// enumeration tracks the live index; see Engine.indexCandidates).
+		// all scoring in this task reads one community view, and the two
+		// reads, asking for the same neighbours, share one search.
 		snap := s.engine.Snapshot()
 		recs, err := s.engine.RecommendForQueryWith(snap, st.UserID, res.AllMatches(), 10)
 		if err != nil {
@@ -566,7 +568,9 @@ func (a *braAgent) complete(ctx *aglet.Context, st mbaState) (aglet.Message, err
 			res.CrossSell = cross
 		}
 	}
-	return marshalMsg(kindTaskDone, res)
+	s.tracer.Record(wf, finalStep, "BRA", "Buyer", "recommendation information and results")
+	s.fulfil(st.Spec.TaskID, res)
+	return aglet.Message{Kind: kindOK}, nil
 }
 
 // --- PA ---------------------------------------------------------------

@@ -29,6 +29,7 @@ func TestAgentsRejectBadMessages(t *testing.T) {
 		{BSMAID, aglet.Message{Kind: kindLogout, Data: []byte("{")}, "bad logout"},
 		{BSMAID, aglet.Message{Kind: kindTask, Data: []byte("{")}, "bad task"},
 		{BSMAID, aglet.Message{Kind: kindMBAHome, Data: []byte("{")}, "bad mba-home"},
+		{BSMAID, aglet.Message{Kind: kindMBAHome, Data: []byte(`{"spec":[]}`)}, "bad mba-home"},
 		{PAID, aglet.Message{Kind: "dance"}, "does not understand"},
 		{PAID, aglet.Message{Kind: kindObserve, Data: []byte("{")}, "bad observe"},
 		{HttpAID, aglet.Message{Kind: "dance"}, "does not understand"},
@@ -36,6 +37,7 @@ func TestAgentsRejectBadMessages(t *testing.T) {
 		{braID("alice"), aglet.Message{Kind: "dance"}, "does not understand"},
 		{braID("alice"), aglet.Message{Kind: kindTask, Data: []byte("{")}, "bad task"},
 		{braID("alice"), aglet.Message{Kind: kindTaskDone, Data: []byte("{")}, "bad task-complete"},
+		{braID("alice"), aglet.Message{Kind: kindTaskDone, Data: []byte(`{"results":{}}`)}, "bad task-complete"},
 	}
 	for _, tc := range cases {
 		_, err := m.srv.Host().Send(ctx, tc.agent, tc.msg)
@@ -74,9 +76,8 @@ func TestTaskForUnknownUser(t *testing.T) {
 func TestObserveBatchForBuyMarksOnlyPurchasedProduct(t *testing.T) {
 	sale := &marketplace.Sale{Receipt: "r", ProductID: "p1", BuyerID: "u", PriceCents: 1}
 	st := mbaState{
-		UserID: "u",
-		Spec:   TaskSpec{TaskID: "t", Kind: TaskBuy, ProductID: "p1"},
-		Sale:   sale,
+		mbaHeader: mbaHeader{UserID: "u", Spec: TaskSpec{TaskID: "t", Kind: TaskBuy, ProductID: "p1"}},
+		Sale:      sale,
 		Results: []MarketResult{
 			{
 				Market: "m1",
@@ -119,13 +120,13 @@ func TestObserveBatchForBuyMarksOnlyPurchasedProduct(t *testing.T) {
 }
 
 func TestObserveBatchForQueryUsesQueryTerms(t *testing.T) {
-	st := mbaState{
+	st := mbaState{mbaHeader: mbaHeader{
 		UserID: "u",
 		Spec: TaskSpec{
 			TaskID: "t", Kind: TaskQuery,
 			Query: catalog.Query{Category: "laptop", SubCategory: "notebook", Terms: []string{"ssd", "light"}},
 		},
-	}
+	}}
 	batch := observeBatchFor(st, "query", 14)
 	if len(batch.Events) != 1 {
 		t.Fatalf("events = %d", len(batch.Events))
@@ -144,8 +145,7 @@ func TestObserveBatchForQueryUsesQueryTerms(t *testing.T) {
 
 func TestObserveBatchForAuctionUsesBidBehaviour(t *testing.T) {
 	st := mbaState{
-		UserID: "u",
-		Spec:   TaskSpec{TaskID: "t", Kind: TaskAuction, AuctionID: "a"},
+		mbaHeader: mbaHeader{UserID: "u", Spec: TaskSpec{TaskID: "t", Kind: TaskAuction, AuctionID: "a"}},
 		Results: []MarketResult{{
 			Market: "m1",
 			Matches: []catalog.Match{

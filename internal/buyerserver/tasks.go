@@ -98,7 +98,9 @@ func (s *Server) RunTask(ctx context.Context, userID string, spec TaskSpec) (Tas
 }
 
 // runTask drives the workflow through the agents: HttpA → BSMA → BRA → MBA
-// trip → BSMA → BRA → result, then waits on the rendezvous channel.
+// trip → BSMA (authenticates the MBA from its header and forwards its bytes)
+// → BRA, which generates the recommendation information, records the final
+// step and fulfils the rendezvous channel this call waits on.
 func (s *Server) runTask(ctx context.Context, userID string, spec TaskSpec) (TaskResult, error) {
 	s.mu.Lock()
 	closed := s.closed

@@ -533,6 +533,8 @@ func (e *Engine) Recommend(strategy Strategy, userID, category string, n int) ([
 // RecommendWith is Recommend against an existing Snapshot, letting callers
 // issue several recommendations for one consistent community view (the
 // Fig 4.2 task completion asks for both a query re-rank and cross-sell).
+// Consecutive reads on one snapshot that need the same neighbours share
+// one search (Snapshot.lastSearch).
 func (e *Engine) RecommendWith(snap *Snapshot, strategy Strategy, userID, category string, n int) ([]Rec, error) {
 	switch strategy {
 	case StrategyCF:
@@ -569,13 +571,38 @@ func neighborCategory(p *profile.Profile, category string) string {
 	return ""
 }
 
-// neighbors runs the streaming neighbour search for the target entry in
-// the engine's configured search mode.
-func (e *Engine) neighbors(snap *Snapshot, st *stored, cat string, tol float64) ([]similarity.Neighbor, error) {
-	return e.neighborsMode(snap, st, cat, tol, e.search)
+// searchTolerance is the discard tolerance every neighbour search runs
+// with: the configured one, or 1 when the gate is ablated.
+func (e *Engine) searchTolerance() float64 {
+	if !e.gate {
+		return 1 // gate never fires: |Tx-Ty|/max <= 1 always
+	}
+	return e.tolerance
 }
 
-// neighborsMode is neighbors with the search mode explicit. When the
+// neighbors runs the streaming neighbour search for the target entry in
+// the engine's configured search mode and tolerance.
+func (e *Engine) neighbors(snap *Snapshot, st *stored, cat string) ([]similarity.Neighbor, error) {
+	return e.neighborsMode(snap, st, cat, e.searchTolerance(), e.search)
+}
+
+// neighborsMode is neighbors with the search mode explicit. A search the
+// snapshot has just answered is answered again from its memo
+// (Snapshot.lastSearch); any other search runs and replaces the memo.
+func (e *Engine) neighborsMode(snap *Snapshot, st *stored, cat string, tol float64, mode NeighborSearch) ([]similarity.Neighbor, error) {
+	key := neighborKey{target: st, cat: cat, tol: tol, mode: mode}
+	if m := snap.lastSearch.Load(); m != nil && m.key == key {
+		return m.neighbors, nil
+	}
+	nbs, err := e.searchNeighbors(snap, st, cat, tol, mode)
+	if err != nil {
+		return nil, err
+	}
+	snap.lastSearch.Store(&neighborMemo{key: key, neighbors: nbs})
+	return nbs, nil
+}
+
+// searchNeighbors runs one neighbour search against snap. When the
 // discard gate is live (tolerance below 1) and the target has evidence in
 // the category, the per-category posting list is an exact substitute for
 // the whole community — every consumer missing from it would be gated out
@@ -584,7 +611,7 @@ func (e *Engine) neighbors(snap *Snapshot, st *stored, cat string, tol float64) 
 // re-rank; everything the gate or scorer sees is identical, only the
 // candidate enumeration narrows. Otherwise fall back to scanning the
 // snapshot.
-func (e *Engine) neighborsMode(snap *Snapshot, st *stored, cat string, tol float64, mode NeighborSearch) ([]similarity.Neighbor, error) {
+func (e *Engine) searchNeighbors(snap *Snapshot, st *stored, cat string, tol float64, mode NeighborSearch) ([]similarity.Neighbor, error) {
 	tx := st.sum.Prefs[cat]
 	if cat == "" || tol >= 1 || tx <= 0 {
 		return similarity.TopKStream(st.prof.UserID, st.sum.Vec, tx, tol, snap.candidates(cat), e.k)
@@ -610,12 +637,7 @@ func (e *Engine) Neighbors(userID, category string, mode NeighborSearch) ([]simi
 	if st == nil {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownUser, userID)
 	}
-	cat := neighborCategory(st.prof, category)
-	tol := e.tolerance
-	if !e.gate {
-		tol = 1
-	}
-	return e.neighborsMode(snap, st, cat, tol, mode)
+	return e.searchNeighbors(snap, st, neighborCategory(st.prof, category), e.searchTolerance(), mode)
 }
 
 // indexCandidates streams the category's full posting list reconciled
@@ -683,12 +705,7 @@ func (e *Engine) cf(snap *Snapshot, userID, category string, n int) ([]Rec, erro
 	if st == nil {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownUser, userID)
 	}
-	cat := neighborCategory(st.prof, category)
-	tol := e.tolerance
-	if !e.gate {
-		tol = 1 // gate never fires: |Tx-Ty|/max <= 1 always
-	}
-	neighbors, err := e.neighbors(snap, st, cat, tol)
+	neighbors, err := e.neighbors(snap, st, neighborCategory(st.prof, category))
 	if err != nil {
 		return nil, err
 	}
@@ -850,7 +867,7 @@ func (e *Engine) RecommendForQueryWith(snap *Snapshot, userID string, matches []
 			cat = matches[0].Product.Category
 		}
 		var err error
-		neighbors, err = e.neighbors(snap, st, neighborCategory(st.prof, cat), e.tolerance)
+		neighbors, err = e.neighbors(snap, st, neighborCategory(st.prof, cat))
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"iter"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"agentrec/internal/profile"
 	"agentrec/internal/similarity"
@@ -30,11 +31,34 @@ import (
 //
 // Accessors return shared internal state. Callers must treat returned
 // profiles and purchase sets as read-only.
+//
+// A Snapshot also remembers its last neighbour search (lastSearch), so the
+// Fig 4.2 task's re-rank and cross-sell, which ask for the same neighbours
+// of the same consumer, search once. The memo needs no invalidation: its
+// key names the target's entry in this immutable view, and the snapshot —
+// memo included — dies with the request that took it.
 type Snapshot struct {
 	views []*shardView
 
 	e  *Engine    // non-nil only for lazy (spilling) snapshots
 	mu sync.Mutex // guards views when lazy
+
+	lastSearch atomic.Pointer[neighborMemo]
+}
+
+// neighborKey names one neighbour search against a snapshot.
+type neighborKey struct {
+	target *stored
+	cat    string
+	tol    float64
+	mode   NeighborSearch
+}
+
+// neighborMemo is one neighbour search's key and answer. The answer is
+// shared by every read that hits the memo and must not be mutated.
+type neighborMemo struct {
+	key       neighborKey
+	neighbors []similarity.Neighbor
 }
 
 // Snapshot captures the current community view. Taking one is cheap when

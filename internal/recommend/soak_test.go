@@ -246,7 +246,7 @@ func TestIndexedNeighborsMatchFullScan(t *testing.T) {
 			t.Fatalf("missing %s", target.UserID)
 		}
 		cat := neighborCategory(st.prof, "")
-		got, err := e.neighbors(snap, st, cat, e.tolerance)
+		got, err := e.neighbors(snap, st, cat)
 		if err != nil {
 			t.Fatal(err)
 		}
