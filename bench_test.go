@@ -1,8 +1,8 @@
 package agentrec
 
-// The benchmark suite regenerates the performance side of every experiment
-// in EXPERIMENTS.md (run with `go test -bench=. -benchmem`). Each benchmark
-// names the DESIGN.md experiment it belongs to.
+// The benchmark suite measures the performance side of the experiments
+// whose tables `recbench -run` prints (run with `go test -bench=. -benchmem`).
+// Each benchmark names the DESIGN.md experiment it belongs to.
 
 import (
 	"context"

@@ -106,7 +106,7 @@ func main() {
 		buyerAddr    = flag.String("buyer", "127.0.0.1:7201", "buyer agent server ATP address")
 		buyerPeers   = flag.String("buyer-peers", "", "ordered ATP addresses of ALL buyer servers (including -buyer) for shard replication; empty = standalone")
 		shards       = flag.Int("engine-shards", recommend.DefaultShards, "engine shard count (every buyer server must agree)")
-		replPull     = flag.Duration("repl-interval", 200*time.Millisecond, "journal tail interval for shard replication")
+		replPull     = flag.Duration("repl-interval", recommend.DefaultPullInterval, "journal tail interval for shard replication")
 		httpAddr     = flag.String("http", "127.0.0.1:8080", "consumer web interface address")
 		key          = flag.String("key", "agentrec-demo-platform-key", "shared HMAC platform key")
 		stateDir     = flag.String("state-dir", "", "durable state directory (empty = memory-only)")

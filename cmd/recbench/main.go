@@ -1,6 +1,6 @@
-// recbench regenerates the experiment tables recorded in EXPERIMENTS.md,
-// the neighbour-search perf snapshot in BENCH_recommend.json, and the
-// scenario trajectory files BENCH_<scenario>.json.
+// recbench prints the experiment tables to stdout (-run), and writes the
+// neighbour-search perf snapshot BENCH_recommend.json and the scenario
+// trajectory files BENCH_<scenario>.json.
 //
 // Usage:
 //

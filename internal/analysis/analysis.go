@@ -3,9 +3,8 @@
 // container has no golang.org/x/tools) plus the six analyzers that encode
 // the platform's hardest invariants at vet time:
 //
-//   - fencegate: write surfaces in recommend/replnet reach the ownership
-//     fence (OwnershipTable.Fence / OwnedWriter) before mutating engine
-//     state.
+//   - fencegate: write surfaces in recommend/replnet write through a gated
+//     writer (OwnedWriter, Router), never the Engine's ungated write API.
 //   - lockorder: shard locks before sellShard locks, never nested shard
 //     locks, no lock held across a Persister fsync.
 //   - determinism: no wall clock, global rand, or unsorted map iteration

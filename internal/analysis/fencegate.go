@@ -2,31 +2,28 @@ package analysis
 
 import (
 	"go/ast"
-	"go/types"
 )
 
-// Fencegate encodes the ownership invariant of DESIGN.md "Ownership &
-// failover": in internal/recommend and internal/replnet, every write
-// surface — an exported function, or a frame-handler closure — that
-// mutates engine/shard state must reach the ownership fence
-// (OwnershipTable.Fence, or a helper that calls it, e.g. OwnedWriter's
-// stamp-and-fence methods or replnet's fence/checkOwned closures) before
-// the mutation. A surface that calls the Engine write API without any path
-// to the fence is exactly the unfenced handler that reintroduces
-// split-brain after a failover.
+// Fencegate encodes the ownership invariant of DESIGN.md "Fencing at every
+// layer": a shard mutation is admitted by ownership inside the engine's
+// write primitive, with the shard lock held, and the only ways in from
+// outside the engine are the gated writers — OwnedWriter, the Router's own
+// slot, the Replicator's apply. The Engine's public write API admits every
+// write (it serves the single-engine deployments that have no table), so in
+// internal/recommend and internal/replnet no exported surface other than an
+// Engine method may call it. A surface that checks OwnershipTable.Fence and
+// then calls the public API is the check-then-act shape the in-lock
+// admission replaced, and is a finding like any other ungated call.
 //
-// The Engine's own methods and the Replicator are exempt by design: the
-// engine IS the fenced resource (its methods are the mutation primitive
-// below the fence), and the replicator applies journal records a fencing
-// owner handler already admitted. The runtime complements are
-// TestOwnedWriterFencesRoutedWrites and replnet's fence_test over real TCP.
+// The runtime complements are TestOwnedWriterFencesRoutedWrites, the
+// held-lock admission tests (admission_test.go) and replnet's fence_test.
 var Fencegate = &Analyzer{
 	Name: "fencegate",
-	Doc: "write surfaces in recommend/replnet must reach OwnershipTable.Fence before mutating engine state\n\n" +
-		"Flags exported functions (and the frame-handler closures inside them) that call the Engine write API " +
-		"(SetProfile, SetProfiles, RecordPurchase, RecordPurchaseAt, applyShardSnapshot) without any call path to " +
-		"OwnershipTable.Fence/Expired in the same surface. Engine and Replicator methods are exempt: they sit " +
-		"below the fence by design.",
+	Doc: "write surfaces in recommend/replnet write through a gated writer, never the ungated Engine write API\n\n" +
+		"Flags exported functions and methods (and the closures inside them) in recommend/replnet, other than Engine " +
+		"methods, that call the Engine's public write API (SetProfile, SetProfiles, RecordPurchase, RecordPurchaseAt), " +
+		"which admits every write. A Fence check before the call does not count: ownership is admitted under the shard " +
+		"lock, by writing through OwnedWriter or a Router.",
 	Run: runFencegate,
 }
 
@@ -38,19 +35,13 @@ const (
 	platformPath  = "agentrec/internal/platform"
 )
 
-// engineMutators are the *Engine methods that mutate shard state.
+// engineMutators are the *Engine methods that mutate shard state without an
+// ownership admission.
 var engineMutators = map[string]bool{
-	"SetProfile":         true,
-	"SetProfiles":        true,
-	"RecordPurchase":     true,
-	"RecordPurchaseAt":   true,
-	"applyShardSnapshot": true,
-}
-
-// fenceExemptRecv are recommend types whose methods sit below the fence.
-var fenceExemptRecv = map[string]bool{
-	"Engine":     true,
-	"Replicator": true,
+	"SetProfile":       true,
+	"SetProfiles":      true,
+	"RecordPurchase":   true,
+	"RecordPurchaseAt": true,
 }
 
 func runFencegate(pass *Pass) error {
@@ -58,117 +49,32 @@ func runFencegate(pass *Pass) error {
 	if path != recommendPath && path != replnetPath {
 		return nil
 	}
-
-	// Pass 1: find every "fence carrier" — a function or closure-holding
-	// variable whose body calls OwnershipTable.Fence/Expired, directly or
-	// through another carrier. Iterate to a fixpoint so one level of local
-	// indirection per round (OwnedWriter.fence, replnet's checkOwned
-	// closure) is recognized at any depth.
-	carriers := make(map[types.Object]bool)
-	isFenceCall := func(call *ast.CallExpr) bool {
-		f := calleeFunc(pass.TypesInfo, call)
-		if f == nil {
-			// Call through a closure variable: carrier if the variable is.
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-				return carriers[pass.TypesInfo.Uses[id]]
-			}
-			return false
-		}
-		if isMethodOn(f, recommendPath, "OwnershipTable", "Fence") ||
-			isMethodOn(f, recommendPath, "OwnershipTable", "Expired") {
-			return true
-		}
-		return carriers[f]
-	}
-	bodyFences := func(body ast.Node) bool {
-		found := false
-		ast.Inspect(body, func(n ast.Node) bool {
-			if found {
-				return false
-			}
-			if call, ok := n.(*ast.CallExpr); ok && isFenceCall(call) {
-				found = true
-			}
-			return !found
-		})
-		return found
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, file := range pass.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				switch d := n.(type) {
-				case *ast.FuncDecl:
-					if d.Body == nil {
-						return true
-					}
-					obj := pass.TypesInfo.Defs[d.Name]
-					if obj != nil && !carriers[obj] && bodyFences(d.Body) {
-						carriers[obj] = true
-						changed = true
-					}
-				case *ast.AssignStmt:
-					// x := func(...) {...} — mark x a carrier when the
-					// closure fences, so calls through x count.
-					for i, rhs := range d.Rhs {
-						lit, ok := rhs.(*ast.FuncLit)
-						if !ok || i >= len(d.Lhs) {
-							continue
-						}
-						id, ok := d.Lhs[i].(*ast.Ident)
-						if !ok {
-							continue
-						}
-						obj := pass.TypesInfo.Defs[id]
-						if obj == nil {
-							obj = pass.TypesInfo.Uses[id]
-						}
-						if obj != nil && !carriers[obj] && bodyFences(lit.Body) {
-							carriers[obj] = true
-							changed = true
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-
-	// Pass 2: every exported surface that calls an engine mutator must
-	// also reach a fence somewhere in the same surface (the declaration
-	// including its closures — a handler factory's fence closure guards the
-	// handler closure it returns).
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || !fd.Name.IsExported() {
 				continue
 			}
-			if recv := receiverTypeName(fd); recv != "" && path == recommendPath && fenceExemptRecv[recv] {
+			if path == recommendPath && receiverTypeName(fd) == "Engine" {
 				continue
 			}
-			var mutations []*ast.CallExpr
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
 				}
-				if f := calleeFunc(pass.TypesInfo, call); f != nil && engineMutators[f.Name()] {
-					if named := recvNamed(f); named != nil &&
-						named.Obj().Name() == "Engine" && pkgPathIs(named.Obj().Pkg(), recommendPath) {
-						mutations = append(mutations, call)
-					}
+				f := calleeFunc(pass.TypesInfo, call)
+				if f == nil || !engineMutators[f.Name()] {
+					return true
+				}
+				if named := recvNamed(f); named != nil &&
+					named.Obj().Name() == "Engine" && pkgPathIs(named.Obj().Pkg(), recommendPath) {
+					pass.Reportf(call.Pos(),
+						"ungated engine write in exported surface %s: %s admits every write — write through OwnedWriter or a Router, whose ownership rule the engine checks under the shard lock",
+						fd.Name.Name, exprString(call.Fun))
 				}
 				return true
 			})
-			if len(mutations) == 0 || bodyFences(fd.Body) {
-				continue
-			}
-			for _, call := range mutations {
-				pass.Reportf(call.Pos(),
-					"unfenced engine mutation in exported surface %s: %s mutates shard state with no path to OwnershipTable.Fence — route the write through OwnedWriter or fence it first",
-					fd.Name.Name, exprString(call.Fun))
-			}
 		}
 	}
 	return nil

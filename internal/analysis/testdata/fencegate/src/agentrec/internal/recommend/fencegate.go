@@ -3,76 +3,68 @@
 // package matching fire exactly as on the repo.
 package recommend
 
-// Engine is the fenced resource; its write methods are the mutation
-// primitives below the fence.
+// Engine is the fenced resource. Its public write methods admit every
+// write; setProfile is the gated primitive that checks admit under the
+// shard lock.
 type Engine struct{}
 
-func (e *Engine) SetProfile(p int) error                { return nil }
-func (e *Engine) RecordPurchase(user, pid string) error { return nil }
-func (e *Engine) applyShardSnapshot(b []byte) error     { return nil }
+func (e *Engine) SetProfile(p int) error                        { return e.setProfile(p, nil) }
+func (e *Engine) RecordPurchase(user, pid string) error         { return nil }
+func (e *Engine) setProfile(p int, admit func(int) error) error { return nil }
 
-// OwnershipTable is the fence.
+// OwnershipTable holds the admission rules.
 type OwnershipTable struct{}
 
 func (t *OwnershipTable) Fence(epoch uint64, shard, self int) error { return nil }
-func (t *OwnershipTable) Expired() bool                             { return false }
 
-// Rebuild is an Engine method: exempt by design (below the fence).
+// Rebuild is an Engine method: exempt, it is the engine itself.
 func (e *Engine) Rebuild(p int) {
 	_ = e.SetProfile(p) // no diagnostic: Engine receiver is exempt
 }
 
-// ApplyUnfenced is the violation shape: an exported surface mutating the
-// engine with no path to the fence.
-func ApplyUnfenced(e *Engine, p int) {
-	_ = e.SetProfile(p) // want `unfenced engine mutation in exported surface ApplyUnfenced`
+// OwnedWriter is the gated shape: its writes are admitted inside the
+// engine, so it never calls the public API.
+type OwnedWriter struct {
+	Local *Engine
+	Table *OwnershipTable
 }
 
-// ApplyFenced consults the fence before mutating: compliant.
+func (w OwnedWriter) SetProfile(p int) error {
+	return w.Local.setProfile(p, func(shard int) error { return w.Table.Fence(1, shard, 0) })
+}
+
+// ApplyUnfenced is the violation shape: an exported surface mutating the
+// engine through the ungated API.
+func ApplyUnfenced(e *Engine, p int) {
+	_ = e.SetProfile(p) // want `ungated engine write in exported surface ApplyUnfenced`
+}
+
+// ApplyFenced consults the fence and then writes: check-then-act, which
+// leaves the fence's verdict open until the shard lock is taken.
 func ApplyFenced(e *Engine, t *OwnershipTable, p int) error {
 	if err := t.Fence(1, 0, 0); err != nil {
 		return err
 	}
-	return e.SetProfile(p)
+	return e.SetProfile(p) // want `ungated engine write in exported surface ApplyFenced`
 }
 
-// ApplyViaExpired uses the read-side fence check (the Router pattern).
-func ApplyViaExpired(e *Engine, t *OwnershipTable, p int) error {
-	if t.Expired() {
-		return nil
-	}
-	return e.SetProfile(p)
-}
-
-// fencedHelper is a fence carrier: callers reach the fence through it.
-func fencedHelper(t *OwnershipTable) error { return t.Fence(1, 0, 0) }
-
-// ApplyViaHelper fences through one level of indirection: compliant.
-func ApplyViaHelper(e *Engine, t *OwnershipTable, p int) error {
-	if err := fencedHelper(t); err != nil {
-		return err
-	}
-	return e.SetProfile(p)
-}
-
-// Handler is the replnet shape: a factory whose fence closure guards the
-// handler closure it returns. The whole declaration is one surface.
+// Handler is the replnet shape done right: the handler closure writes
+// through a gated writer.
 func Handler(e *Engine, t *OwnershipTable) func(p int) error {
-	fence := func() error { return t.Fence(1, 0, 0) }
 	return func(p int) error {
-		if err := fence(); err != nil {
-			return err
-		}
-		return e.SetProfile(p)
+		return OwnedWriter{Local: e, Table: t}.SetProfile(p)
 	}
 }
 
-// BadHandler returns a mutating closure with no fence anywhere: violation.
+// BadHandler returns a closure writing through the ungated API: violation.
 func BadHandler(e *Engine) func(p int) error {
 	return func(p int) error {
-		return e.SetProfile(p) // want `unfenced engine mutation in exported surface BadHandler`
+		return e.SetProfile(p) // want `ungated engine write in exported surface BadHandler`
 	}
 }
 
-// ReadOnly never mutates: no diagnostic regardless of fencing.
+// seed is unexported: not a surface, no diagnostic.
+func seed(e *Engine, p int) error { return e.SetProfile(p) }
+
+// ReadOnly never mutates: no diagnostic.
 func ReadOnly(e *Engine) *Engine { return e }

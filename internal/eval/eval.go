@@ -1,8 +1,8 @@
 // Package eval provides the measurement half of the experiment harness:
 // standard top-N recommendation metrics (precision, recall, F1, coverage)
 // computed against the workload generator's held-out relevance sets, plus a
-// fixed-width table renderer so every experiment in EXPERIMENTS.md can be
-// regenerated byte-comparably by cmd/recbench.
+// fixed-width table renderer in which `recbench -run` prints every
+// experiment's table to stdout, byte-comparably from run to run.
 package eval
 
 import (
@@ -80,7 +80,7 @@ func Aggregate(recommendations, relevants [][]string) Metrics {
 }
 
 // Table renders experiment rows with aligned columns, the output format of
-// cmd/recbench and EXPERIMENTS.md.
+// `recbench -run`.
 type Table struct {
 	Title   string
 	Columns []string

@@ -1,12 +1,12 @@
-// Package experiments regenerates every table in EXPERIMENTS.md: the
+// Package experiments runs the experiments and prints their tables: the
 // paper's figures turned into measurements (F4.4, F4.5) and its qualitative
 // claims turned into quantified experiments (C2, C4, C5). cmd/recbench is a
-// thin CLI over this package; the root benchmark suite reuses the same
-// fixtures.
+// thin CLI over this package (`recbench -run` prints the tables to stdout);
+// the root benchmark suite reuses the same fixtures.
 //
 // The paper itself reports no numbers, so expectations are *shapes* (who
-// wins, what degrades, where crossovers sit), documented per experiment in
-// EXPERIMENTS.md.
+// wins, what degrades, where crossovers sit), stated per experiment in its
+// doc comment and asserted by this package's tests.
 package experiments
 
 import (

@@ -7,7 +7,7 @@ import (
 
 // Each experiment must run at Quick size and emit a well-formed table. The
 // shape assertions here are the machine-checked versions of the
-// expectations recorded in EXPERIMENTS.md.
+// expectations each experiment's doc comment states.
 
 func runQuick(t *testing.T, name string) string {
 	t.Helper()

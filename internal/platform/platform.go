@@ -75,7 +75,8 @@ type Config struct {
 	// state — the paper's Fig 3.1 scaled out. SeedCommunity then ends with
 	// a SyncReplicas barrier so freshly seeded platforms read consistently.
 	ReplicateEngines bool
-	// ReplicationPull is the background tail interval [100ms].
+	// ReplicationPull is the background tail interval
+	// [recommend.DefaultPullInterval].
 	ReplicationPull time.Duration
 
 	// ElasticOwnership (only with ReplicateEngines) puts shard ownership

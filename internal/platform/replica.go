@@ -72,7 +72,7 @@ type ReplicaConfig struct {
 	Servers int
 	Catalog *catalog.Catalog
 	Engine  EngineConfig
-	Pull    time.Duration // journal tail interval [100ms]
+	Pull    time.Duration // journal tail interval [recommend.DefaultPullInterval]
 
 	// Renew leases the ownership map from a coordinator — a direct
 	// Authority call in process, a CA round-trip over the wire. Nil is the
@@ -155,9 +155,9 @@ func (r *Replica) Connect(writers []recommend.Writer, peers []recommend.Peer) er
 
 // LocalLinks returns the surfaces in-process server i reaches its peers
 // through, ready for rs[i].Connect: each remote write is stamped with i's
-// map epoch and admitted through the receiver's fence (the in-process
-// analogue of replnet's fenced frames), each tail reads the peer's engine
-// directly.
+// map epoch and admitted by the receiver's Fence under the shard lock (the
+// in-process analogue of replnet's fenced frames), each tail reads the
+// peer's engine directly.
 func LocalLinks(rs []*Replica, i int) ([]recommend.Writer, []recommend.Peer) {
 	writers := make([]recommend.Writer, len(rs))
 	peers := make([]recommend.Peer, len(rs))

@@ -62,11 +62,15 @@ func epochMS(at time.Time) int64 {
 // followers in the OpPurchase record, is the time kept, so a follower
 // replays the owner's value rather than reading a clock of its own. The
 // served per-product total is the sum of every shard's attribution, bumped
-// after the shard commit.
+// after the shard commit. Like SetProfile it admits every write.
 func (e *Engine) RecordPurchaseAt(userID, productID string, at time.Time) error {
+	return e.recordPurchaseAt(userID, productID, at, nil)
+}
+
+func (e *Engine) recordPurchaseAt(userID, productID string, at time.Time, admit admitFunc) error {
 	ms := epochMS(at)
 	sh := e.shardFor(userID)
-	if err := e.lockResidentW(sh); err != nil {
+	if err := e.lockResidentW(sh, admit); err != nil {
 		return err
 	}
 	set := sh.purchases[userID]

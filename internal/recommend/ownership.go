@@ -29,8 +29,16 @@ import (
 // deposed owner therefore fails loudly on both sides of every exchange:
 // its outgoing frames carry a stale epoch, its incoming frames arrive at a
 // server whose epoch has moved on, and its own local writes are refused
-// once its lease has expired (Expired) — the classic lease discipline that
-// keeps a SIGSTOP'd owner from silently acking writes after waking up.
+// once its lease has expired — the classic lease discipline that keeps a
+// SIGSTOP'd owner from silently acking writes after waking up.
+//
+// A write is admitted inside the engine's write primitive, with the shard
+// lock held (lockResidentW), by one of three rules on the table: the
+// owner's local write (admitOwner), a stamped forwarded write (Fence), and
+// a follower's apply of a pulled reply (admitApply). So a check and the
+// mutation it guards can no longer straddle another role's mutation of the
+// same shard. Lock order is shard.mu → OwnershipTable.mu; the table lock is
+// a leaf, and no table method calls into the engine.
 //
 // StaticOwnership(shards, servers) at epoch 1 is exactly the historical
 // shard%N map, so deployments without a coordinator keep today's behaviour
@@ -194,20 +202,29 @@ func (t *OwnershipTable) Lease(validUntil time.Time) {
 	t.mu.Unlock()
 }
 
+// read is one consistent look at the table for shard: the map's epoch, the
+// shard's owner (-1 when uncovered) and the lease's verdict (nil for static
+// tables and live leases). Every admission rule decides from one read.
+func (t *OwnershipTable) read(shard int) (epoch uint64, owner int, lease error) {
+	t.mu.RLock()
+	epoch, owner = t.m.Epoch, t.m.Owner(shard)
+	leased, until := t.leased, t.validUntil
+	t.mu.RUnlock()
+	if leased && time.Now().After(until) {
+		lease = fmt.Errorf("%w (was valid until %s): renew against the coordinator before serving writes",
+			ErrLeaseExpired, until.Format(time.RFC3339Nano))
+	}
+	return epoch, owner, lease
+}
+
 // Expired reports the lease discipline violation, if any: nil for static
 // (never-leased) tables and live leases, ErrLeaseExpired once a leased
 // table's expiry has passed. A server whose lease lapsed must treat its
 // own ownership as suspect — the coordinator may already have promoted a
-// follower — so routers check this before acking local writes.
+// follower — so it admits no write of its own until it renews.
 func (t *OwnershipTable) Expired() error {
-	t.mu.RLock()
-	leased, until := t.leased, t.validUntil
-	t.mu.RUnlock()
-	if leased && time.Now().After(until) {
-		return fmt.Errorf("%w (was valid until %s): renew against the coordinator before serving writes",
-			ErrLeaseExpired, until.Format(time.RFC3339Nano))
-	}
-	return nil
+	_, _, err := t.read(-1)
+	return err
 }
 
 // Fence admits a frame stamped with senderEpoch for shard, arriving at
@@ -217,13 +234,13 @@ func (t *OwnershipTable) Expired() error {
 // lease must be live. Any violation is an error wrapping ErrStaleEpoch,
 // ErrNotOwner, or ErrLeaseExpired — a deposed owner's replayed frames and
 // a stale receiver both fail loudly instead of split-braining replicas.
+// It is the admission rule of a forwarded write (OwnedWriter) and the
+// fence of replnet's tails and pages.
 func (t *OwnershipTable) Fence(senderEpoch uint64, shard, self int) error {
-	if err := t.Expired(); err != nil {
+	epoch, owner, err := t.read(shard)
+	if err != nil {
 		return err
 	}
-	t.mu.RLock()
-	epoch, owner := t.m.Epoch, t.m.Owner(shard)
-	t.mu.RUnlock()
 	if senderEpoch != epoch {
 		side := "sender"
 		if senderEpoch > epoch {
@@ -232,6 +249,33 @@ func (t *OwnershipTable) Fence(senderEpoch uint64, shard, self int) error {
 		return fmt.Errorf("%w: frame at epoch %d, server %d at epoch %d (%s is stale)",
 			ErrStaleEpoch, senderEpoch, self, epoch, side)
 	}
+	return owns(shard, owner, epoch, self)
+}
+
+// admitOwner is the admission rule of the owner's local write: server
+// self's lease is live and it owns shard under the held map.
+func (t *OwnershipTable) admitOwner(shard, self int) error {
+	epoch, owner, err := t.read(shard)
+	if err != nil {
+		return err
+	}
+	return owns(shard, owner, epoch, self)
+}
+
+// admitApply is the admission rule of a follower's apply: a reply pulled
+// from server from lands only while from still owns shard. A pull holds no
+// lock across its fetch — a paged bootstrap keeps that window open for
+// seconds — so the table can move, this server's own promotion included,
+// between choosing the peer and applying its reply; a deposed owner's reply
+// must not land over writes the new owner has acked.
+func (t *OwnershipTable) admitApply(shard, from int) error {
+	if _, owner, _ := t.read(shard); owner != from {
+		return fmt.Errorf("recommend: dropping shard %d reply from server %d: server %d owns the shard now", shard, from, owner)
+	}
+	return nil
+}
+
+func owns(shard, owner int, epoch uint64, self int) error {
 	if owner != self {
 		return fmt.Errorf("%w: shard %d owned by server %d at epoch %d, not server %d",
 			ErrNotOwner, shard, owner, epoch, self)
@@ -239,53 +283,71 @@ func (t *OwnershipTable) Fence(senderEpoch uint64, shard, self int) error {
 	return nil
 }
 
-// OwnedWriter is the in-process analogue of a forwarded write frame: each
-// write is stamped with the sender's current map epoch and admitted
-// through the receiver's fence before touching the engine, exactly as
-// replnet's Writer/Handler pair does over TCP. Routers in replicated
-// in-process deployments use it as the write surface of every remote
-// server, so a deposed sender's routed writes fail loudly there too.
-type OwnedWriter struct {
-	Local  *Engine         // receiving server's engine
-	Self   int             // receiving server's index
-	Table  *OwnershipTable // receiving server's table (fences)
-	Sender *OwnershipTable // sending server's table (stamps the epoch)
+// admitFunc is one write's admission rule: lockResidentW runs it with the
+// shard's write lock held and refuses the write on error. nil admits every
+// write — the public Engine write API of a deployment without a table.
+type admitFunc func(shard int) error
+
+// gatedWriter is a Writer over the engine's gated write path: every
+// mutation is admitted by admit under its shard's lock. The Router's own
+// slot is one, with the owner's local-write rule.
+type gatedWriter struct {
+	e     *Engine
+	admit admitFunc
 }
 
-func (w OwnedWriter) fence(userID string) error {
-	return w.Table.Fence(w.Sender.Epoch(), w.Local.ShardOf(userID), w.Self)
+func (w gatedWriter) SetProfile(p *profile.Profile) error { return w.e.setProfile(p, w.admit) }
+
+func (w gatedWriter) SetProfiles(ps []*profile.Profile) error { return w.e.setProfiles(ps, w.admit) }
+
+func (w gatedWriter) RecordPurchase(userID, productID string) error {
+	return w.RecordPurchaseAt(userID, productID, time.Time{})
+}
+
+func (w gatedWriter) RecordPurchaseAt(userID, productID string, at time.Time) error {
+	return w.e.recordPurchaseAt(userID, productID, at, w.admit)
+}
+
+// OwnedWriter is the fenced write surface of a receiving server: each
+// write is stamped with the sender's map epoch as it is made and admitted
+// by the receiver's Fence under the shard lock, exactly as replnet's
+// Handler admits a forwarded frame (it builds one per frame). Routers in
+// replicated in-process deployments use it as the write surface of every
+// remote server, so a deposed sender's routed writes fail loudly there too.
+//
+// A batch the receiver refuses on arrival — a stale stamp, or a shard it
+// does not own — is refused before anything is installed. Only a table that
+// moves in the middle of a batch splits it: the shards installed before the
+// move stay, the rest are refused.
+type OwnedWriter struct {
+	Local *Engine         // receiving server's engine
+	Self  int             // receiving server's index
+	Table *OwnershipTable // receiving server's table (fences)
+	// Sender is the sending server's epoch source: its table in process,
+	// the frame's stamp over the wire.
+	Sender interface{ Epoch() uint64 }
+}
+
+// gated is the write path of one write, stamped now.
+func (w OwnedWriter) gated() gatedWriter {
+	epoch := w.Sender.Epoch()
+	return gatedWriter{e: w.Local, admit: func(shard int) error { return w.Table.Fence(epoch, shard, w.Self) }}
 }
 
 // SetProfile implements Writer.
-func (w OwnedWriter) SetProfile(p *profile.Profile) error {
-	if err := w.fence(p.UserID); err != nil {
-		return err
-	}
-	return w.Local.SetProfile(p)
-}
+func (w OwnedWriter) SetProfile(p *profile.Profile) error { return w.gated().SetProfile(p) }
 
-// SetProfiles implements Writer: the whole batch is fenced before any
-// profile is installed, so a stale epoch cannot half-apply a batch.
-func (w OwnedWriter) SetProfiles(ps []*profile.Profile) error {
-	for _, p := range ps {
-		if err := w.fence(p.UserID); err != nil {
-			return err
-		}
-	}
-	return w.Local.SetProfiles(ps)
-}
+// SetProfiles implements Writer.
+func (w OwnedWriter) SetProfiles(ps []*profile.Profile) error { return w.gated().SetProfiles(ps) }
 
 // RecordPurchase implements Writer.
 func (w OwnedWriter) RecordPurchase(userID, productID string) error {
-	return w.RecordPurchaseAt(userID, productID, time.Time{})
+	return w.gated().RecordPurchase(userID, productID)
 }
 
 // RecordPurchaseAt implements Writer.
 func (w OwnedWriter) RecordPurchaseAt(userID, productID string, at time.Time) error {
-	if err := w.fence(userID); err != nil {
-		return err
-	}
-	return w.Local.RecordPurchaseAt(userID, productID, at)
+	return w.gated().RecordPurchaseAt(userID, productID, at)
 }
 
 var _ Writer = OwnedWriter{}

@@ -217,11 +217,20 @@ func (e *Engine) touch(sh *shard) {
 	}
 }
 
-// lockResidentW acquires sh.mu for writing with the shard guaranteed
-// resident, faulting it in from the Persister if it was spilled. The caller
+// lockResidentW acquires sh.mu for writing, admits the write, and makes
+// sure the shard is resident, faulting it in from the Persister if it was
+// spilled. It is the one place a shard mutation takes its lock, so it is
+// the one ownership admission point: admit (nil: every write) runs with the
+// lock held, and a refusal releases the lock and is returned. The caller
 // must Unlock and then call maybeEvict.
-func (e *Engine) lockResidentW(sh *shard) error {
+func (e *Engine) lockResidentW(sh *shard, admit admitFunc) error {
 	sh.mu.Lock()
+	if admit != nil {
+		if err := admit(sh.id); err != nil {
+			sh.mu.Unlock()
+			return err
+		}
+	}
 	if !sh.resident.Load() {
 		if err := e.faultInLocked(sh); err != nil {
 			sh.mu.Unlock()

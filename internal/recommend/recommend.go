@@ -354,9 +354,14 @@ func (e *Engine) sellFor(productID string) *sellShard {
 // (Lock order is shard -> index bucket; no path acquires them in reverse.)
 //
 // With persistence the profile is journaled (durably) before the in-memory
-// install; the error is always nil for memory-only engines.
-func (e *Engine) SetProfile(p *profile.Profile) error {
-	return e.installShardProfiles(e.shardFor(p.UserID), []*profile.Profile{p.Clone()})
+// install; the error is always nil for memory-only engines. Like the rest
+// of the public write API it admits every write: a replicated server
+// writes through its Router or an OwnedWriter instead, whose ownership
+// rule the engine checks under the shard lock.
+func (e *Engine) SetProfile(p *profile.Profile) error { return e.setProfile(p, nil) }
+
+func (e *Engine) setProfile(p *profile.Profile, admit admitFunc) error {
+	return e.installShardProfiles(e.shardFor(p.UserID), []*profile.Profile{p.Clone()}, admit)
 }
 
 // SetProfiles bulk-installs profiles: one shard lock acquisition, one
@@ -365,17 +370,31 @@ func (e *Engine) SetProfile(p *profile.Profile) error {
 // (later duplicates win). This is the SeedCommunity path: installing a
 // warm community one profile at a time pays nshards times the locking and
 // journaling it needs to.
-func (e *Engine) SetProfiles(ps []*profile.Profile) error {
+func (e *Engine) SetProfiles(ps []*profile.Profile) error { return e.setProfiles(ps, nil) }
+
+func (e *Engine) setProfiles(ps []*profile.Profile, admit admitFunc) error {
 	byShard := make([][]*profile.Profile, e.nshards)
 	for _, p := range ps {
 		i := e.ShardOf(p.UserID)
 		byShard[i] = append(byShard[i], p.Clone())
 	}
+	if admit != nil {
+		// A batch refused on arrival is refused whole, so a misrouted batch
+		// cannot half-apply. This is only an early refusal: each shard is
+		// admitted again under its lock, where the decision is made.
+		for i, group := range byShard {
+			if len(group) > 0 {
+				if err := admit(i); err != nil {
+					return err
+				}
+			}
+		}
+	}
 	for i, group := range byShard {
 		if len(group) == 0 {
 			continue
 		}
-		if err := e.installShardProfiles(e.shards[i], group); err != nil {
+		if err := e.installShardProfiles(e.shards[i], group, admit); err != nil {
 			return err
 		}
 	}
@@ -384,14 +403,15 @@ func (e *Engine) SetProfiles(ps []*profile.Profile) error {
 
 // installShardProfiles installs profs — already private copies, all
 // belonging to sh — journal-first, then into the shard map, candidate
-// index, and journal feed, all inside the shard critical section. Shared by
-// SetProfile, SetProfiles, and the replication apply path.
-func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile) error {
+// index, and journal feed, all inside the shard critical section, once
+// admit (nil: always) admitted the write there. Shared by SetProfile,
+// SetProfiles, and the replication apply path.
+func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile, admit admitFunc) error {
 	encoded, err := e.feedEncodeProfiles(profs)
 	if err != nil {
 		return err
 	}
-	if err := e.lockResidentW(sh); err != nil {
+	if err := e.lockResidentW(sh, admit); err != nil {
 		return err
 	}
 	if e.persist != nil {

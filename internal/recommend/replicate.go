@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -308,8 +309,9 @@ func (e *Engine) shardStateLocked(sh *shard) (ShardData, error) {
 
 // applyJournalRecord applies one replicated mutation to shard, through the
 // same install paths local writes take (so it is journaled to this engine's
-// own Persister, indexed, and re-emitted on this engine's feed).
-func (e *Engine) applyJournalRecord(shard int, rec JournalRecord) error {
+// own Persister, indexed, and re-emitted on this engine's feed), admitted
+// by admit under the shard lock.
+func (e *Engine) applyJournalRecord(shard int, rec JournalRecord, admit admitFunc) error {
 	switch rec.Op {
 	case OpProfiles:
 		profs := make([]*profile.Profile, len(rec.Profiles))
@@ -323,12 +325,12 @@ func (e *Engine) applyJournalRecord(shard int, rec JournalRecord) error {
 			}
 			profs[i] = p
 		}
-		return e.installShardProfiles(e.shards[shard], profs)
+		return e.installShardProfiles(e.shards[shard], profs, admit)
 	case OpPurchase:
 		if e.ShardOf(rec.UserID) != shard {
 			return fmt.Errorf("%w: user %s", ErrShardMismatch, rec.UserID)
 		}
-		return e.RecordPurchaseAt(rec.UserID, rec.ProductID, time.UnixMilli(rec.AtEpochMS))
+		return e.recordPurchaseAt(rec.UserID, rec.ProductID, time.UnixMilli(rec.AtEpochMS), admit)
 	default:
 		return fmt.Errorf("recommend: unknown journal op %q", rec.Op)
 	}
@@ -337,16 +339,17 @@ func (e *Engine) applyJournalRecord(shard int, rec JournalRecord) error {
 // applyShardSnapshot replaces shard's entire state with data, whose maps it
 // adopts: durable buckets (Persister.SaveShard), shard maps, candidate-index
 // postings, and the served sell totals (adjusted by delta so other shards'
-// contributions are untouched). Every profile must hash to shard;
-// ShardData.addPage checks that as pages arrive.
-func (e *Engine) applyShardSnapshot(shard int, data ShardData) error {
+// contributions are untouched), once admit admitted it under the shard lock.
+// Every profile must hash to shard; ShardData.addPage checks that as pages
+// arrive.
+func (e *Engine) applyShardSnapshot(shard int, data ShardData, admit admitFunc) error {
 	if shard < 0 || shard >= e.nshards {
 		return fmt.Errorf("%w: %d of %d", ErrBadShard, shard, e.nshards)
 	}
 	newProfiles, newPurchases, newSells := shardMaps(data)
 
 	sh := e.shards[shard]
-	if err := e.lockResidentW(sh); err != nil {
+	if err := e.lockResidentW(sh, admit); err != nil {
 		return err
 	}
 	if e.persist != nil {
@@ -439,12 +442,13 @@ var (
 )
 
 // Router routes community writes to the shard owner's engine while reads
-// stay on the local engine. writers[i] is the write surface of server i
-// (the local engine for self, a remote forwarder for peers). Ownership
-// comes from the router's OwnershipTable, re-read per write so a map the
-// coordinator advances re-targets routing immediately; without
-// RouteWithOwnership the table holds the static epoch-1 map and routing is
-// the historical shard%N.
+// stay on the local engine. writers[i] is the write surface of server i (a
+// remote forwarder for peers; for self, the local engine's gated write
+// path, which admits a write under the shard lock only while the lease is
+// live and this server owns the shard). Ownership comes from the router's
+// OwnershipTable, re-read per write so a map the coordinator advances
+// re-targets routing immediately; without RouteWithOwnership the table
+// holds the static epoch-1 map and routing is the historical shard%N.
 type Router struct {
 	local   *Engine
 	self    int
@@ -468,41 +472,33 @@ func RouteWithOwnership(t *OwnershipTable) RouterOption {
 }
 
 // NewRouter returns a write router for server self among len(writers)
-// servers. writers[self] may be nil; the local engine is used.
+// servers. writers[self] is ignored; the local engine is used.
 func NewRouter(local *Engine, self int, writers []Writer, opts ...RouterOption) (*Router, error) {
 	if self < 0 || self >= len(writers) {
 		return nil, fmt.Errorf("recommend: router self %d out of %d servers", self, len(writers))
 	}
-	ws := make([]Writer, len(writers))
-	copy(ws, writers)
-	ws[self] = local
-	for i, w := range ws {
-		if w == nil {
-			return nil, fmt.Errorf("recommend: router writer %d is nil", i)
-		}
-	}
-	r := &Router{local: local, self: self, writers: ws}
+	r := &Router{local: local, self: self, writers: slices.Clone(writers)}
 	for _, opt := range opts {
 		opt(r)
 	}
 	if r.owners == nil {
-		r.owners = NewOwnershipTable(StaticOwnership(local.nshards, len(ws)))
+		r.owners = NewOwnershipTable(StaticOwnership(local.nshards, len(writers)))
+	}
+	r.writers[self] = gatedWriter{e: local, admit: func(shard int) error { return r.owners.admitOwner(shard, self) }}
+	for i, w := range r.writers {
+		if w == nil {
+			return nil, fmt.Errorf("recommend: router writer %d is nil", i)
+		}
 	}
 	return r, nil
 }
 
-// writerFor resolves userID's current owner to a write surface, enforcing
-// the lease discipline on the local branch.
+// writerFor resolves userID's current owner to a write surface.
 func (r *Router) writerFor(userID string) (Writer, error) {
 	owner := r.owners.Owner(r.local.ShardOf(userID))
 	if owner < 0 || owner >= len(r.writers) {
 		return nil, fmt.Errorf("%w: no server owns user %s (owner %d of %d)",
 			ErrNotOwner, userID, owner, len(r.writers))
-	}
-	if owner == r.self {
-		if err := r.owners.Expired(); err != nil {
-			return nil, err
-		}
 	}
 	return r.writers[owner], nil
 }
@@ -531,11 +527,6 @@ func (r *Router) SetProfiles(ps []*profile.Profile) error {
 	for i, group := range byServer {
 		if len(group) == 0 {
 			continue
-		}
-		if i == r.self {
-			if err := r.owners.Expired(); err != nil {
-				return err
-			}
 		}
 		if err := r.writers[i].SetProfiles(group); err != nil {
 			return err
@@ -590,8 +581,12 @@ func (p LocalPeer) SnapshotPage(_ context.Context, shard int, epoch, seq uint64,
 // ReplicatorOption configures a Replicator.
 type ReplicatorOption func(*Replicator)
 
+// DefaultPullInterval is how often a replicator's background loop tails
+// every owner unless WithPullInterval overrides it.
+const DefaultPullInterval = 100 * time.Millisecond
+
 // WithPullInterval sets how often the background loop tails every owner
-// (default 100ms).
+// (default DefaultPullInterval).
 func WithPullInterval(d time.Duration) ReplicatorOption {
 	return func(r *Replicator) {
 		if d > 0 {
@@ -672,7 +667,7 @@ func NewReplicator(e *Engine, self int, peers []Peer, opts ...ReplicatorOption) 
 		e:        e,
 		self:     self,
 		peers:    append([]Peer(nil), peers...),
-		interval: 100 * time.Millisecond,
+		interval: DefaultPullInterval,
 		followed: make(map[int]*follower),
 	}
 	for _, opt := range opts {
@@ -828,16 +823,13 @@ func (r *Replicator) pullShard(ctx context.Context, f *follower, owner int) (err
 		return reset(fmt.Errorf("recommend: shard %d: server %d answered cursor epoch %x with a tail of epoch %x",
 			shard, owner, cur.epoch, tr.Epoch))
 	}
-	seq := cur.seq
+	seq, admit := cur.seq, r.from(owner)
 	for _, rec := range tr.Records {
 		if rec.Seq != seq+1 {
 			// A hole means the tail and our cursor disagree.
 			return reset(fmt.Errorf("recommend: shard %d journal gap: have %d, next record %d", shard, seq, rec.Seq))
 		}
-		if err := r.stillOwner(shard, owner); err != nil {
-			return err
-		}
-		if err := r.e.applyJournalRecord(shard, rec); err != nil {
+		if err := r.e.applyJournalRecord(shard, rec, admit); err != nil {
 			return err
 		}
 		seq = rec.Seq
@@ -855,18 +847,11 @@ func (r *Replicator) pullShard(ctx context.Context, f *follower, owner int) (err
 	return nil
 }
 
-// stillOwner errors unless owner still owns shard in the live table. A pull
-// holds no lock across its fetch — a paged bootstrap keeps that window open
-// for seconds — so the table can move, this server's own promotion
-// included, between choosing the peer and applying its reply; a deposed
-// owner's reply must not land over writes the new owner has acked. Checked
-// immediately before each apply; the caller drops the reply, leaving cursor
-// and state alone.
-func (r *Replicator) stillOwner(shard, owner int) error {
-	if now := r.owners.Owner(shard); now != owner {
-		return fmt.Errorf("recommend: dropping shard %d reply from server %d: server %d owns the shard now", shard, owner, now)
-	}
-	return nil
+// from is the admission rule of an apply pulled from owner: the engine
+// drops the reply, under the shard lock, unless owner still owns the shard
+// (admitApply). The caller then leaves cursor and state alone.
+func (r *Replicator) from(owner int) admitFunc {
+	return func(shard int) error { return r.owners.admitApply(shard, owner) }
 }
 
 // headOf is the owner's feed head carried in the reply, clamped so lag can
@@ -963,10 +948,7 @@ func (r *Replicator) pullShardPaged(ctx context.Context, f *follower, owner int,
 		}
 		token = pg.Next
 	}
-	if err := r.stillOwner(shard, owner); err != nil {
-		return err
-	}
-	if err := r.e.applyShardSnapshot(shard, data); err != nil {
+	if err := r.e.applyShardSnapshot(shard, data, r.from(owner)); err != nil {
 		return err
 	}
 	r.mu.Lock()

@@ -237,7 +237,7 @@ func TestSnapshotPagePinMovesOnWholesaleReplace(t *testing.T) {
 	for _, p := range live[:len(live)/2] {
 		half.Profiles = append(half.Profiles, p.Clone())
 	}
-	if err := e.applyShardSnapshot(shard, half); err != nil {
+	if err := e.applyShardSnapshot(shard, half, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -3,6 +3,7 @@ package replnet
 import (
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -98,6 +99,29 @@ func TestHandlerFencesUnownedShardAndLapsedLease(t *testing.T) {
 	}
 }
 
+// TestHandlerRefusesMisroutedBatchWhole: a set-profiles frame naming one
+// shard this server owns and one it does not is refused before either is
+// installed (found by FuzzHandlerFrames: the owned shard used to land).
+func TestHandlerRefusesMisroutedBatchWhole(t *testing.T) {
+	e := fenceEngine(t)
+	h := Handler(e, 0, 2, WithOwnership(recommend.NewOwnershipTable(recommend.StaticOwnership(8, 2))))
+	var batch [][]byte
+	for _, owner := range []int{0, 1} {
+		prof, err := testProfile(ownedUsers(e, owner, 2, 1)[0]).Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch = append(batch, prof)
+	}
+	heads := e.FeedHeads()
+	if _, err := h(kindSetProfiles, mustJSON(t, setProfilesRequest{Profiles: batch, OwnerEpoch: 1})); !errors.Is(err, recommend.ErrNotOwner) {
+		t.Fatalf("batch naming an unowned shard: err = %v, want ErrNotOwner", err)
+	}
+	if got := e.FeedHeads(); !reflect.DeepEqual(got, heads) || len(e.Users()) != 0 {
+		t.Fatalf("refused batch installed %d consumer(s): heads %v -> %v", len(e.Users()), heads, got)
+	}
+}
+
 func TestOwnerMapProbeUnfenced(t *testing.T) {
 	e := fenceEngine(t)
 	table := recommend.NewOwnershipTable(recommend.StaticOwnership(8, 2))
@@ -135,7 +159,7 @@ func TestOwnerMapProbeUnfenced(t *testing.T) {
 	}
 }
 
-func mustJSON(t *testing.T, v any) []byte {
+func mustJSON(t testing.TB, v any) []byte {
 	t.Helper()
 	data, err := json.Marshal(v)
 	if err != nil {

@@ -11,7 +11,10 @@
 //     from followers, "snap-page" requests transferring a whole shard in
 //     bounded pages (the one catch-up path), and forwarded writes
 //     ("set-profiles", "purchase") from peers that do not own the
-//     consumer's shard. Install it with atp.Server.SetJournalHandler.
+//     consumer's shard. Install it with atp.Server.SetJournalHandler. A
+//     forwarded write is admitted by the engine under the shard lock
+//     (recommend.OwnedWriter); a handler without an ownership table takes
+//     an unstamped frame at the static epoch 1.
 //   - Peer implements recommend.Peer over an atp.Client — the follower
 //     side of journal tailing.
 //   - Writer implements recommend.Writer over an atp.Client — the
@@ -21,6 +24,7 @@ package replnet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -99,10 +103,17 @@ func pageBudget() int {
 const maxForwardBytes = 4 << 20
 
 // Every request carries OwnerEpoch, the sender's ownership map epoch, when
-// the sending side was built WithOwnership; fencing handlers reject frames
-// whose stamp does not match their own table (0 = unstamped, never passes
-// a fencing handler). Note the distinction from the tail/page Epoch field,
+// the sending side was built WithOwnership; a handler built WithOwnership
+// rejects frames whose stamp does not match its own table (0 = unstamped,
+// never passes), and a handler built without takes every forwarded write at
+// the static epoch 1. Note the distinction from the tail/page Epoch field,
 // which is the owner's journal-feed epoch (a replication cursor concern).
+
+// ownerEpoch is a frame's OwnerEpoch as the sender's epoch source of the
+// recommend.OwnedWriter that admits the frame's writes.
+type ownerEpoch uint64
+
+func (s ownerEpoch) Epoch() uint64 { return uint64(s) }
 
 type tailRequest struct {
 	Shard      int    `json:"shard"`
@@ -146,42 +157,46 @@ type OwnerMapInfo struct {
 
 // Handler returns the journal surface for e, ready for
 // atp.Server.SetJournalHandler. self and servers describe this server's
-// position in the replicated deployment: forwarded writes for consumers
-// whose shard this server does not own are rejected loudly, so peer lists
-// that disagree on order (each side computing a different ownership map)
-// fail on the first routed write instead of silently diverging replicas.
-// Pass servers <= 0 to skip the ownership check (single-surface setups).
+// position in the replicated deployment. A forwarded write is admitted by
+// the engine under the shard lock through a recommend.OwnedWriter stamped
+// with the frame's owner epoch: only when the stamp matches, this server
+// owns the shard, and its lease is live. Built WithOwnership, the table is
+// the one given, and journal tails and snapshot pages pass its Fence too.
 //
-// Built WithOwnership, the handler instead epoch-fences every frame kind
-// through the table: forwarded writes, journal tails, and snapshot pages
-// are all admitted only when the sender's stamped epoch matches, this
-// server owns the shard, and this server's lease is live.
+// Without WithOwnership the table is the static epoch-1 map of servers and
+// every forwarded write is taken as stamped at epoch 1, so a write for a
+// shard this server does not own is still refused loudly: peer lists that
+// disagree on order (each side computing a different ownership map) fail
+// on the first routed write instead of silently diverging replicas. Tails
+// and pages are then unfenced.
 func Handler(e *recommend.Engine, self, servers int, opts ...Option) atp.JournalHandler {
 	var cfg wireCfg
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	// fence admits one frame for one shard; checkOwned is its per-consumer
-	// form for forwarded writes. Without a table only the legacy static
-	// write check applies, and tails are unfenced (epoch 0 everywhere).
-	fence := func(senderEpoch uint64, shard int) error {
-		if cfg.owners == nil {
-			return nil
-		}
-		return cfg.owners.Fence(senderEpoch, shard, self)
+	table, static := cfg.owners, cfg.owners == nil
+	if static {
+		table = recommend.NewOwnershipTable(recommend.StaticOwnership(e.Shards(), servers))
 	}
-	checkOwned := func(senderEpoch uint64, userID string) error {
-		if cfg.owners != nil {
-			return cfg.owners.Fence(senderEpoch, e.ShardOf(userID), self)
-		}
-		if servers <= 0 {
+	fence := func(senderEpoch uint64, shard int) error {
+		if static {
 			return nil
 		}
-		if owner := recommend.OwnerOf(e.ShardOf(userID), servers); owner != self {
-			return fmt.Errorf("replnet: write for %s routed to server %d but shard %d is owned by server %d — do the -buyer-peers lists agree on order?",
-				userID, self, e.ShardOf(userID), owner)
+		return table.Fence(senderEpoch, shard, self)
+	}
+	// writer is the fenced write surface of one forwarded frame; hint says
+	// what a refusal on a static table most likely means.
+	writer := func(senderEpoch uint64) recommend.OwnedWriter {
+		if static {
+			senderEpoch = 1
 		}
-		return nil
+		return recommend.OwnedWriter{Local: e, Self: self, Table: table, Sender: ownerEpoch(senderEpoch)}
+	}
+	hint := func(err error) error {
+		if static && errors.Is(err, recommend.ErrNotOwner) {
+			return fmt.Errorf("replnet: write routed to server %d: %w — do the -buyer-peers lists agree on order?", self, err)
+		}
+		return err
 	}
 	return func(kind string, data []byte) ([]byte, error) {
 		switch kind {
@@ -226,28 +241,19 @@ func Handler(e *recommend.Engine, self, servers int, opts ...Option) atp.Journal
 				if err != nil {
 					return nil, fmt.Errorf("replnet: decoding forwarded profile: %w", err)
 				}
-				if err := checkOwned(req.OwnerEpoch, p.UserID); err != nil {
-					return nil, err
-				}
 				profs[i] = p
 			}
-			return nil, e.SetProfiles(profs)
+			return nil, hint(writer(req.OwnerEpoch).SetProfiles(profs))
 		case kindPurchase:
 			var req purchaseRequest
 			if err := json.Unmarshal(data, &req); err != nil {
 				return nil, fmt.Errorf("replnet: decoding purchase write: %w", err)
 			}
-			if err := checkOwned(req.OwnerEpoch, req.UserID); err != nil {
-				return nil, err
-			}
-			return nil, e.RecordPurchaseAt(req.UserID, req.ProductID, time.UnixMilli(req.AtEpochMS))
+			return nil, hint(writer(req.OwnerEpoch).RecordPurchaseAt(req.UserID, req.ProductID, time.UnixMilli(req.AtEpochMS)))
 		case kindOwnerMap:
 			// The consistency probe is deliberately unfenced: it is how
 			// peers discover they disagree in the first place.
-			m := recommend.StaticOwnership(e.Shards(), servers)
-			if cfg.owners != nil {
-				m = cfg.owners.Current()
-			}
+			m := table.Current()
 			info := OwnerMapInfo{Hash: m.Hash(), Epoch: m.Epoch, Shards: e.Shards(), Servers: servers, Self: self}
 			out, err := json.Marshal(info)
 			if err != nil {
