@@ -3,9 +3,12 @@ package agentrec
 import (
 	"context"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"agentrec/internal/recommend"
 )
 
 func demoPlatform(t *testing.T, opts ...Option) *Platform {
@@ -304,5 +307,92 @@ func TestWithStateDirSurvivesRestart(t *testing.T) {
 	}
 	if !p2.Internal().Engine.Snapshot().Purchases("alice")["lap1"] {
 		t.Error("purchase lost across restart")
+	}
+}
+
+// TestDeploymentOptionsTogether boots every deployment option README
+// documents at once — two buyer servers with replicated engines under
+// elastic ownership, a shard count, durable state with automatic
+// compaction, and the event plane — and runs the quickstart flow on it.
+func TestDeploymentOptionsTogether(t *testing.T) {
+	const shards = 4
+	p := demoPlatform(t,
+		WithBuyerServers(2),
+		WithReplicatedEngines(),
+		WithElasticOwnership(0),
+		WithEngineShards(shards),
+		WithStateDir(t.TempDir()),
+		WithCompaction(2),
+		WithEvents(time.Hour),
+	)
+	ctx := testCtx(t)
+	for i := range 2 {
+		for p.Internal().OwnershipTable(i).Expired() != nil {
+			if ctx.Err() != nil {
+				t.Fatalf("server %d lease never landed", i)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	m := p.Metrics()
+	if len(m.Servers) != 2 {
+		t.Fatalf("Metrics reports %d servers, want 2", len(m.Servers))
+	}
+	for _, sv := range m.Servers {
+		if sv.Replication == nil {
+			t.Errorf("server %d has no replication section", sv.Server)
+		}
+		if sv.Engine.Shards != shards {
+			t.Errorf("server %d runs %d shards, want %d", sv.Server, sv.Engine.Shards, shards)
+		}
+	}
+
+	sub, err := p.Subscribe(ctx, KindJournal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alice, err := p.NewConsumer(ctx, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := alice.Query(ctx, Query{Category: "laptop", Terms: []string{"ssd"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.AllMatches()) == 0 {
+		t.Fatal("query found nothing")
+	}
+	buy, err := alice.Buy(ctx, "lap1", 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if buy.Sale == nil {
+		t.Fatal("no sale")
+	}
+	for {
+		ev, err := sub.Next(ctx)
+		if err != nil {
+			t.Fatalf("no journal event for the purchase: %v", err)
+		}
+		if ev.Journal.Op == recommend.OpPurchase {
+			break
+		}
+	}
+
+	if err := p.Internal().SyncReplicas(ctx); err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	engines := p.Internal().Engines
+	hot0 := engines[0].Trending(now, time.Hour, 5)
+	if len(hot0) != 1 || hot0[0].ProductID != "lap1" {
+		t.Fatalf("server 0 trending = %+v, want lap1", hot0)
+	}
+	if hot1 := engines[1].Trending(now, time.Hour, 5); !reflect.DeepEqual(hot1, hot0) {
+		t.Fatalf("server 1 trending = %+v, server 0 %+v", hot1, hot0)
+	}
+	if hot := p.Hottest(now, time.Hour, 5); !reflect.DeepEqual(hot, hot0) {
+		t.Fatalf("Hottest = %+v, server 0 %+v", hot, hot0)
 	}
 }

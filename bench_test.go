@@ -98,15 +98,6 @@ func BenchmarkSimilarityCosine(b *testing.B) {
 	}
 }
 
-func BenchmarkSimilarityPearson(b *testing.B) {
-	p1, p2 := benchProfiles(b)
-	v1, v2 := p1.Vector(), p2.Vector()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		similarity.Pearson(v1, v2)
-	}
-}
-
 // BenchmarkDot prices one pair of the Fig 4.5 kernel both ways, on generated
 // profiles at the benchmark's shape (1 200 products, 16 categories): the map
 // path hashes a key string per term, the merge-join walks two sorted id

@@ -334,10 +334,9 @@ func TestEventsOverTCP(t *testing.T) {
 	// the owner the way a forwarding router would. Server 2 tails them
 	// through the shrunken budget: lag rises, then drains.
 	client := atp.NewClient(security.NewSigner([]byte(cfg1.key)))
-	// Stamped with the static epoch-1 map the daemons hold: every
-	// replicated daemon's wire is fenced, coordinator or not.
-	static := recommend.NewOwnershipTable(recommend.StaticOwnership(shards, len(peers)))
-	writer := replnet.NewWriter(ctx, client, buyer1, replnet.WithOwnership(static))
+	// A writer without a table stamps the static epoch 1, the map the
+	// daemons hold: every replicated daemon's wire is fenced.
+	writer := replnet.NewWriter(ctx, client, buyer1)
 	for i := 0; i < 60; i++ {
 		remote := userOwnedBy(t, probe, 0, len(peers), fmt.Sprintf("remote-%d", i))
 		if err := writer.SetProfile(burstProfile(remote)); err != nil {

@@ -81,14 +81,14 @@ func (Base) State() ([]byte, error)            { return nil, nil }
 func (Base) SetState([]byte) error             { return nil }
 
 // Image is the wire form of a migrating agent: everything a destination
-// host needs to re-instantiate it. Meta carries application credentials
-// (travel tokens, nonces) that the security layer checks.
+// host needs to re-instantiate it. The runtime carries no credentials of
+// its own; an agent that must prove where it has been (the buyer server's
+// MBA) carries its token in State, and its home host checks it there.
 type Image struct {
-	Type  string            `json:"type"`
-	ID    string            `json:"id"`
-	Owner string            `json:"owner"` // originating host name
-	State []byte            `json:"state"`
-	Meta  map[string]string `json:"meta,omitempty"`
+	Type  string `json:"type"`
+	ID    string `json:"id"`
+	Owner string `json:"owner"` // originating host name
+	State []byte `json:"state"`
 }
 
 // Transport moves images and messages between hosts. The atp package
@@ -147,24 +147,6 @@ func (r *Registry) Types() []string {
 	return out
 }
 
-// LifecycleEvent identifies a lifecycle transition reported to hooks.
-type LifecycleEvent string
-
-// Lifecycle events, in the order an agent can experience them.
-const (
-	EventCreated     LifecycleEvent = "created"
-	EventCloned      LifecycleEvent = "cloned"
-	EventDispatched  LifecycleEvent = "dispatched" // left this host
-	EventArrived     LifecycleEvent = "arrived"    // materialized here
-	EventDeactivated LifecycleEvent = "deactivated"
-	EventActivated   LifecycleEvent = "activated"
-	EventDisposed    LifecycleEvent = "disposed"
-)
-
-// Hook observes lifecycle transitions; used by tests and the platform's
-// agent-management bookkeeping (the paper's BSMA duties).
-type Hook func(event LifecycleEvent, agentType, agentID string)
-
 // DispatchFailureHandler is an optional interface for travel-aware agents:
 // when a self-requested dispatch cannot reach its destination, the runtime
 // invokes OnDispatchFailure instead of silently parking the agent, and the
@@ -176,18 +158,17 @@ type DispatchFailureHandler interface {
 }
 
 // Context is the agent's view of its host, passed to every callback. It is
-// also how a running agent requests its own migration or termination: the
+// also how a running agent requests its own migration or disposal: the
 // request takes effect after the current callback returns, mirroring the
-// Aglets behaviour where dispatch() unwinds the current event.
+// Aglets behaviour where dispatch() unwinds the current event. Parking an
+// agent is never self-requested; its host's owner calls Host.Deactivate
+// (the BSMA parks the BRA that way).
 type Context struct {
 	host *Host
 	cell *cell
 
 	pendingDispatch string
 	pendingDispose  bool
-	pendingDeactive bool
-
-	meta map[string]string
 }
 
 // ID returns the agent's identifier.
@@ -199,14 +180,6 @@ func (c *Context) Type() string { return c.cell.typ }
 // HostName returns the name of the host the agent currently runs on.
 func (c *Context) HostName() string { return c.host.name }
 
-// Meta returns the credential metadata the agent arrived with, nil for
-// locally created agents.
-func (c *Context) Meta() map[string]string { return c.meta }
-
-// SetMeta replaces the agent's credential metadata; it travels with the
-// agent on the next dispatch.
-func (c *Context) SetMeta(meta map[string]string) { c.meta = meta }
-
 // RequestDispatch asks the runtime to migrate this agent to dest after the
 // current callback returns.
 func (c *Context) RequestDispatch(dest string) { c.pendingDispatch = dest }
@@ -214,10 +187,6 @@ func (c *Context) RequestDispatch(dest string) { c.pendingDispatch = dest }
 // RequestDispose asks the runtime to destroy this agent after the current
 // callback returns.
 func (c *Context) RequestDispose() { c.pendingDispose = true }
-
-// RequestDeactivate asks the runtime to serialize this agent to the host
-// store after the current callback returns.
-func (c *Context) RequestDeactivate() { c.pendingDeactive = true }
 
 // Send delivers msg to another agent on the same host and waits for the
 // reply. Agents on other hosts are reached through Proxy.
@@ -228,5 +197,4 @@ func (c *Context) Send(ctx context.Context, agentID string, msg Message) (Messag
 func (c *Context) clearPending() {
 	c.pendingDispatch = ""
 	c.pendingDispose = false
-	c.pendingDeactive = false
 }

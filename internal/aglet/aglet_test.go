@@ -57,11 +57,14 @@ func (e *echoAgent) SetState(data []byte) error {
 }
 
 // hopperAgent walks an itinerary: on each arrival it requests the next hop
-// until the itinerary is done, then deactivates at home.
+// until the itinerary is done, then reports its trip on landed (if set) and
+// stays at home.
 type hopperAgent struct {
 	Base
 	It      Itinerary `json:"it"`
 	Visited []string  `json:"visited"`
+
+	landed chan<- []string
 }
 
 func (a *hopperAgent) OnCreation(ctx *Context, init []byte) error {
@@ -71,7 +74,9 @@ func (a *hopperAgent) OnCreation(ctx *Context, init []byte) error {
 func (a *hopperAgent) OnArrival(ctx *Context) error {
 	a.Visited = append(a.Visited, ctx.HostName())
 	if ctx.HostName() == a.It.Home {
-		ctx.RequestDeactivate()
+		if a.landed != nil {
+			a.landed <- append([]string(nil), a.Visited...)
+		}
 		return nil
 	}
 	next, updated := a.It.Advance()
@@ -107,6 +112,27 @@ func testRegistry() *Registry {
 	r.Register("echo", func() Aglet { return &echoAgent{} })
 	r.Register("hopper", func() Aglet { return &hopperAgent{} })
 	return r
+}
+
+// hopperRegistry is testRegistry whose hoppers report their trip on the
+// returned channel once they are home.
+func hopperRegistry() (*Registry, <-chan []string) {
+	landed := make(chan []string, 1)
+	r := testRegistry()
+	r.Register("hopper", func() Aglet { return &hopperAgent{landed: landed} })
+	return r, landed
+}
+
+// awaitTrip waits for a hopper to come home and returns the hosts it visited.
+func awaitTrip(t *testing.T, landed <-chan []string) []string {
+	t.Helper()
+	select {
+	case visited := <-landed:
+		return visited
+	case <-time.After(5 * time.Second):
+		t.Fatal("agent never returned home")
+		return nil
+	}
 }
 
 func testCtx(t *testing.T) context.Context {
@@ -262,21 +288,24 @@ func TestStoredStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// A second host restores the stored agent, as the buyer server does
-	// after a restart.
-	h2 := NewHost("h2", testRegistry())
-	defer h2.Close()
-	if err := h2.RestoreStored("e1", data); err != nil {
+	// The bytes name the type and carry the agent's own State.
+	var rec struct {
+		Type  string `json:"type"`
+		State []byte `json:"state"`
+	}
+	if err := json.Unmarshal(data, &rec); err != nil {
 		t.Fatal(err)
 	}
-	p2, err := h2.Activate("e1")
+	if rec.Type != "echo" || string(rec.State) != `{"Handled":1}` {
+		t.Errorf("stored = %s %s", rec.Type, rec.State)
+	}
+	p2, err := h.Activate("e1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	reply, _ := p2.Send(testCtx(t), Message{Data: []byte("y")})
 	if string(reply.Data) != "y#2" {
-		t.Errorf("restored agent reply = %q, want y#2", reply.Data)
+		t.Errorf("activated agent reply = %q, want y#2", reply.Data)
 	}
 }
 
@@ -373,10 +402,11 @@ func TestDispatchToUnknownHostRestoresAgent(t *testing.T) {
 
 func TestSelfDispatchViaItinerary(t *testing.T) {
 	lb := NewLoopback()
-	home := NewHost("home", testRegistry())
-	m1 := NewHost("m1", testRegistry())
-	m2 := NewHost("m2", testRegistry())
-	m3 := NewHost("m3", testRegistry())
+	reg, landed := hopperRegistry()
+	home := NewHost("home", reg)
+	m1 := NewHost("m1", reg)
+	m2 := NewHost("m2", reg)
+	m3 := NewHost("m3", reg)
 	for _, h := range []*Host{home, m1, m2, m3} {
 		defer h.Close()
 		lb.Attach(h)
@@ -393,42 +423,13 @@ func TestSelfDispatchViaItinerary(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The trip is asynchronous; wait for the agent to come home and park.
-	deadline := time.After(5 * time.Second)
-	for !home.HasStored("mba-1") {
-		select {
-		case <-deadline:
-			t.Fatal("agent never returned home")
-		case <-time.After(time.Millisecond):
-		}
+	// The trip is asynchronous; wait for the agent to come home.
+	visited := awaitTrip(t, landed)
+	if got, want := strings.Join(visited, ","), "m1,m2,m3,home"; got != want {
+		t.Fatalf("Visited = %s, want %s", got, want)
 	}
-
-	p2, err := home.Activate("mba-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = p2
-	// Inspect trip log via stored state of a fresh snapshot.
-	if err := home.Deactivate("mba-1"); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := home.StoredState("mba-1")
-	var rec struct {
-		State []byte `json:"state"`
-	}
-	json.Unmarshal(data, &rec)
-	var a hopperAgent
-	if err := json.Unmarshal(rec.State, &a); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"m1", "m2", "m3", "home"}
-	if len(a.Visited) != len(want) {
-		t.Fatalf("Visited = %v, want %v", a.Visited, want)
-	}
-	for i := range want {
-		if a.Visited[i] != want[i] {
-			t.Fatalf("Visited = %v, want %v", a.Visited, want)
-		}
+	if !home.Has("mba-1") {
+		t.Error("agent not live at home after its trip")
 	}
 }
 
@@ -452,42 +453,70 @@ func TestRemoteProxyCall(t *testing.T) {
 	}
 }
 
+// lifecycleLog records every lifecycle callback its agents receive.
+type lifecycleLog struct {
+	mu     sync.Mutex
+	events []string
+}
+
+func (l *lifecycleLog) add(event string, ctx *Context) {
+	l.mu.Lock()
+	l.events = append(l.events, event+":"+ctx.ID())
+	l.mu.Unlock()
+}
+
+func (l *lifecycleLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return strings.Join(l.events, ",")
+}
+
+// loggedAgent reports each lifecycle callback to its log.
+type loggedAgent struct {
+	Base
+	log *lifecycleLog
+}
+
+func (a *loggedAgent) OnCreation(ctx *Context, _ []byte) error {
+	a.log.add("creation", ctx)
+	return nil
+}
+func (a *loggedAgent) OnArrival(ctx *Context) error      { a.log.add("arrival", ctx); return nil }
+func (a *loggedAgent) OnDeactivating(ctx *Context) error { a.log.add("deactivating", ctx); return nil }
+func (a *loggedAgent) OnActivation(ctx *Context) error   { a.log.add("activation", ctx); return nil }
+func (a *loggedAgent) OnDisposing(ctx *Context)          { a.log.add("disposing", ctx) }
+func (a *loggedAgent) HandleMessage(*Context, Message) (Message, error) {
+	return Message{}, nil
+}
+
+func loggedRegistry(log *lifecycleLog) *Registry {
+	r := NewRegistry()
+	r.Register("logged", func() Aglet { return &loggedAgent{log: log} })
+	return r
+}
+
 func TestLifecycleHooks(t *testing.T) {
-	var mu sync.Mutex
-	var events []string
-	hook := func(e LifecycleEvent, typ, id string) {
-		mu.Lock()
-		events = append(events, string(e)+":"+id)
-		mu.Unlock()
-	}
-	h := NewHost("h1", testRegistry(), WithHook(hook))
+	log := &lifecycleLog{}
+	h := NewHost("h1", loggedRegistry(log))
 	defer h.Close()
 
-	h.Create("echo", "e1", nil)
+	h.Create("logged", "e1", nil)
 	h.Clone("e1", "e2")
 	h.Deactivate("e1")
 	h.Activate("e1")
 	h.Dispose("e2")
 
-	mu.Lock()
-	got := strings.Join(events, ",")
-	mu.Unlock()
-	want := "created:e1,cloned:e2,deactivated:e1,activated:e1,disposed:e2"
-	if got != want {
-		t.Errorf("events = %s, want %s", got, want)
+	want := "creation:e1,arrival:e2,deactivating:e1,activation:e1,disposing:e2"
+	if got := log.String(); got != want {
+		t.Errorf("callbacks = %s, want %s", got, want)
 	}
 }
 
 func TestCloseDisposesAllAndIsIdempotent(t *testing.T) {
-	var disposed int64
-	hook := func(e LifecycleEvent, typ, id string) {
-		if e == EventDisposed {
-			atomic.AddInt64(&disposed, 1)
-		}
-	}
-	h := NewHost("h1", testRegistry(), WithHook(hook))
+	log := &lifecycleLog{}
+	h := NewHost("h1", loggedRegistry(log))
 	for i := 0; i < 10; i++ {
-		h.Create("echo", fmt.Sprintf("e%d", i), nil)
+		h.Create("logged", fmt.Sprintf("e%d", i), nil)
 	}
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
@@ -495,10 +524,10 @@ func TestCloseDisposesAllAndIsIdempotent(t *testing.T) {
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := atomic.LoadInt64(&disposed); got != 10 {
+	if got := strings.Count(log.String(), "disposing:"); got != 10 {
 		t.Errorf("disposed = %d, want 10", got)
 	}
-	if _, err := h.Create("echo", "late", nil); !errors.Is(err, ErrHostClosed) {
+	if _, err := h.Create("logged", "late", nil); !errors.Is(err, ErrHostClosed) {
 		t.Errorf("Create after Close = %v", err)
 	}
 }
@@ -580,30 +609,6 @@ func TestSelfDisposeViaContext(t *testing.T) {
 	}
 }
 
-func TestSelfDeactivateViaContext(t *testing.T) {
-	r := NewRegistry()
-	r.Register("sleeper", func() Aglet {
-		return &funcAgent{fn: func(ctx *Context, m Message) (Message, error) {
-			ctx.RequestDeactivate()
-			return Message{Kind: "zzz"}, nil
-		}}
-	})
-	h := NewHost("h1", r)
-	defer h.Close()
-	h.Create("sleeper", "s1", nil)
-	if _, err := h.Send(testCtx(t), "s1", Message{}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(2 * time.Second)
-	for !h.HasStored("s1") {
-		select {
-		case <-deadline:
-			t.Fatal("agent never deactivated itself")
-		case <-time.After(time.Millisecond):
-		}
-	}
-}
-
 func TestAgentsListing(t *testing.T) {
 	h := NewHost("h1", testRegistry())
 	defer h.Close()
@@ -613,56 +618,6 @@ func TestAgentsListing(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("Agents = %v", got)
 	}
-}
-
-func TestMetaTravelsWithAgent(t *testing.T) {
-	lb := NewLoopback()
-	r := NewRegistry()
-	var gotMeta map[string]string
-	var metaMu sync.Mutex
-	r.Register("courier", func() Aglet {
-		return &metaAgent{onArrive: func(m map[string]string) {
-			metaMu.Lock()
-			gotMeta = m
-			metaMu.Unlock()
-		}}
-	})
-	h1 := NewHost("h1", r)
-	h2 := NewHost("h2", r)
-	defer h1.Close()
-	defer h2.Close()
-	lb.Attach(h1)
-	lb.Attach(h2)
-
-	h1.Create("courier", "c1", nil)
-	h1.Send(testCtx(t), "c1", Message{Kind: "set-meta"})
-	if err := h1.Dispatch(testCtx(t), "c1", "h2"); err != nil {
-		t.Fatal(err)
-	}
-	metaMu.Lock()
-	defer metaMu.Unlock()
-	if gotMeta["token"] != "travel-credential" {
-		t.Errorf("meta after dispatch = %v", gotMeta)
-	}
-}
-
-type metaAgent struct {
-	Base
-	onArrive func(map[string]string)
-}
-
-func (m *metaAgent) OnArrival(ctx *Context) error {
-	if m.onArrive != nil {
-		m.onArrive(ctx.Meta())
-	}
-	return nil
-}
-
-func (m *metaAgent) HandleMessage(ctx *Context, msg Message) (Message, error) {
-	if msg.Kind == "set-meta" {
-		ctx.SetMeta(map[string]string{"token": "travel-credential"})
-	}
-	return Message{Kind: "ok"}, nil
 }
 
 func TestLoopbackStats(t *testing.T) {
@@ -854,22 +809,6 @@ func TestSurrenderDirect(t *testing.T) {
 	}
 }
 
-func TestRestoreStoredGarbage(t *testing.T) {
-	h := NewHost("h1", testRegistry())
-	defer h.Close()
-	if err := h.RestoreStored("x", []byte("{bad")); err == nil {
-		t.Fatal("garbage stored-state accepted")
-	}
-}
-
-func TestRestoreStoredAfterClose(t *testing.T) {
-	h := NewHost("h1", testRegistry())
-	h.Close()
-	if err := h.RestoreStored("x", []byte(`{"type":"echo"}`)); !errors.Is(err, ErrHostClosed) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestStoredStateMissing(t *testing.T) {
 	h := NewHost("h1", testRegistry())
 	defer h.Close()
@@ -899,9 +838,7 @@ func TestActivateWithUnregisteredType(t *testing.T) {
 	// revived; the error names the type.
 	h := NewHost("h1", testRegistry())
 	defer h.Close()
-	if err := h.RestoreStored("alien", []byte(`{"type":"martian","state":null}`)); err != nil {
-		t.Fatal(err)
-	}
+	h.stored["alien"] = storedAgent{Type: "martian"}
 	if _, err := h.Activate("alien"); !errors.Is(err, ErrUnknownType) {
 		t.Fatalf("err = %v", err)
 	}
@@ -911,14 +848,11 @@ func TestProxyAccessors(t *testing.T) {
 	h := NewHost("h1", testRegistry())
 	defer h.Close()
 	p, _ := h.Create("echo", "e1", nil)
-	if p.ID() != "e1" || p.HostAddr() != "h1" {
-		t.Errorf("proxy = %s@%s", p.ID(), p.HostAddr())
+	if p.ID() != "e1" {
+		t.Errorf("proxy id = %s", p.ID())
 	}
-	if _, err := h.Proxy("e1"); err != nil {
-		t.Errorf("Proxy: %v", err)
-	}
-	if _, err := h.Proxy("ghost"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Proxy(ghost): %v", err)
+	if id := h.RemoteProxy("h2", "e2").ID(); id != "e2" {
+		t.Errorf("remote proxy id = %s", id)
 	}
 }
 
@@ -931,30 +865,11 @@ func TestRemoteProxyWithoutTransport(t *testing.T) {
 	}
 }
 
-func TestWithInboxCapacity(t *testing.T) {
-	h := NewHost("h1", testRegistry(), WithInboxCapacity(1))
-	defer h.Close()
-	if _, err := h.Create("echo", "e", nil); err != nil {
-		t.Fatal(err)
-	}
-	// Capacity 1 still serves sequential traffic fine.
-	for i := 0; i < 5; i++ {
-		if _, err := h.Send(testCtx(t), "e", Message{Data: []byte("x")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Invalid capacity ignored.
-	h2 := NewHost("h2", testRegistry(), WithInboxCapacity(-3))
-	defer h2.Close()
-	if _, err := h2.Create("echo", "e", nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDispatchFailureHandlerSkipsDeadHost(t *testing.T) {
 	lb := NewLoopback()
-	home := NewHost("home", testRegistry())
-	m2 := NewHost("m2", testRegistry())
+	reg, landed := hopperRegistry()
+	home := NewHost("home", reg)
+	m2 := NewHost("m2", reg)
 	defer home.Close()
 	defer m2.Close()
 	lb.Attach(home)
@@ -969,27 +884,9 @@ func TestDispatchFailureHandlerSkipsDeadHost(t *testing.T) {
 	if _, err := p.Send(testCtx(t), Message{Kind: "go"}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.After(5 * time.Second)
-	for !home.HasStored("resilient") {
-		select {
-		case <-deadline:
-			t.Fatal("agent never returned home")
-		case <-time.After(time.Millisecond):
-		}
-	}
-	data, _ := home.StoredState("resilient")
-	var rec struct {
-		State []byte `json:"state"`
-	}
-	json.Unmarshal(data, &rec)
-	var a hopperAgent
-	if err := json.Unmarshal(rec.State, &a); err != nil {
-		t.Fatal(err)
-	}
 	// m1 skipped, m2 and home visited.
-	want := []string{"m2", "home"}
-	if len(a.Visited) != len(want) || a.Visited[0] != want[0] || a.Visited[1] != want[1] {
-		t.Fatalf("Visited = %v, want %v", a.Visited, want)
+	if got, want := strings.Join(awaitTrip(t, landed), ","), "m2,home"; got != want {
+		t.Fatalf("Visited = %s, want %s", got, want)
 	}
 }
 

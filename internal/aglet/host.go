@@ -33,9 +33,8 @@ type outcome struct {
 
 // storedAgent is the at-rest form of a deactivated agent.
 type storedAgent struct {
-	Type  string            `json:"type"`
-	State []byte            `json:"state"`
-	Meta  map[string]string `json:"meta,omitempty"`
+	Type  string `json:"type"`
+	State []byte `json:"state"`
 }
 
 // Host runs agents. Construct with NewHost; the zero value is not usable.
@@ -44,13 +43,11 @@ type storedAgent struct {
 type Host struct {
 	name     string
 	registry *Registry
-	inboxCap int
 
 	mu        sync.Mutex
 	transport Transport
 	agents    map[string]*cell
 	stored    map[string]storedAgent
-	hooks     []Hook
 	closed    bool
 
 	wg sync.WaitGroup
@@ -64,26 +61,14 @@ func WithTransport(t Transport) Option {
 	return func(h *Host) { h.transport = t }
 }
 
-// WithHook adds a lifecycle observer.
-func WithHook(hook Hook) Option {
-	return func(h *Host) { h.hooks = append(h.hooks, hook) }
-}
-
-// WithInboxCapacity sets each agent's inbox buffer (default 64).
-func WithInboxCapacity(n int) Option {
-	return func(h *Host) {
-		if n > 0 {
-			h.inboxCap = n
-		}
-	}
-}
+// inboxCap is each agent's inbox buffer.
+const inboxCap = 64
 
 // NewHost returns a host named name instantiating agents from registry.
 func NewHost(name string, registry *Registry, opts ...Option) *Host {
 	h := &Host{
 		name:     name,
 		registry: registry,
-		inboxCap: 64,
 		agents:   make(map[string]*cell),
 		stored:   make(map[string]storedAgent),
 	}
@@ -96,23 +81,17 @@ func NewHost(name string, registry *Registry, opts ...Option) *Host {
 // Name returns the host's name, which is also its transport address.
 func (h *Host) Name() string { return h.name }
 
-func (h *Host) emit(event LifecycleEvent, typ, id string) {
-	for _, hook := range h.hooks {
-		hook(event, typ, id)
-	}
-}
-
 // newCell builds a cell and its context; the caller starts the loop.
-func (h *Host) newCell(typ, id string, agent Aglet, meta map[string]string) *cell {
+func (h *Host) newCell(typ, id string, agent Aglet) *cell {
 	c := &cell{
 		id:    id,
 		typ:   typ,
 		agent: agent,
-		inbox: make(chan envelope, h.inboxCap),
+		inbox: make(chan envelope, inboxCap),
 		quit:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
-	c.ctx = &Context{host: h, cell: c, meta: meta}
+	c.ctx = &Context{host: h, cell: c}
 	return c
 }
 
@@ -141,14 +120,13 @@ func (h *Host) Create(typ, id string, init []byte) (*Proxy, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := h.newCell(typ, id, agent, nil)
+	c := h.newCell(typ, id, agent)
 	if err := agent.OnCreation(c.ctx, init); err != nil {
 		return nil, fmt.Errorf("aglet: OnCreation of %s/%s: %w", typ, id, err)
 	}
 	if err := h.install(c); err != nil {
 		return nil, err
 	}
-	h.emit(EventCreated, typ, id)
 	return &Proxy{host: h, hostAddr: h.name, agentID: id}, nil
 }
 
@@ -174,14 +152,13 @@ func (h *Host) Clone(id, newID string) (*Proxy, error) {
 	if err := agent.SetState(state); err != nil {
 		return nil, fmt.Errorf("aglet: restoring clone state: %w", err)
 	}
-	c := h.newCell(parent.typ, newID, agent, nil)
+	c := h.newCell(parent.typ, newID, agent)
 	if err := agent.OnArrival(c.ctx); err != nil {
 		return nil, fmt.Errorf("aglet: OnArrival of clone %s: %w", newID, err)
 	}
 	if err := h.install(c); err != nil {
 		return nil, err
 	}
-	h.emit(EventCloned, parent.typ, newID)
 	return &Proxy{host: h, hostAddr: h.name, agentID: newID}, nil
 }
 
@@ -260,14 +237,12 @@ const maxSettleDepth = 64
 // own callbacks. It reports whether the loop must exit.
 func (h *Host) settlePending(c *cell, depth int) bool {
 	if depth > maxSettleDepth {
-		h.emit(LifecycleEvent("settle-depth-exceeded"), c.typ, c.id)
 		return false
 	}
 	switch {
 	case c.ctx.pendingDispatch != "":
 		dest := c.ctx.pendingDispatch
 		if err := h.completeDispatch(c, dest); err != nil {
-			h.emit(LifecycleEvent("dispatch-failed"), c.typ, c.id)
 			// A travel-aware agent decides what to do about the failed hop
 			// (skip the stop, head home, dispose); others stay put and stay
 			// reachable.
@@ -282,13 +257,6 @@ func (h *Host) settlePending(c *cell, depth int) bool {
 	case c.ctx.pendingDispose:
 		h.detach(c)
 		c.agent.OnDisposing(c.ctx)
-		h.emit(EventDisposed, c.typ, c.id)
-		return true
-	case c.ctx.pendingDeactive:
-		if err := h.completeDeactivate(c); err != nil {
-			h.emit(LifecycleEvent("deactivate-failed"), c.typ, c.id)
-			return false
-		}
 		return true
 	}
 	return false
@@ -316,7 +284,7 @@ func (h *Host) completeDispatch(c *cell, dest string) error {
 	if err != nil {
 		return err
 	}
-	img := Image{Type: c.typ, ID: c.id, Owner: h.name, State: state, Meta: c.ctx.meta}
+	img := Image{Type: c.typ, ID: c.id, Owner: h.name, State: state}
 	h.detach(c)
 	if err := tr.Dispatch(context.Background(), dest, img); err != nil {
 		// Reinstall: the agent never left. If the host closed while the
@@ -332,7 +300,6 @@ func (h *Host) completeDispatch(c *cell, dest string) error {
 		}
 		return fmt.Errorf("aglet: dispatching %s/%s to %s: %w", c.typ, c.id, dest, err)
 	}
-	h.emit(EventDispatched, c.typ, c.id)
 	return nil
 }
 
@@ -356,13 +323,12 @@ func (h *Host) Dispatch(ctx context.Context, id, dest string) error {
 		h.restart(c)
 		return err
 	}
-	img := Image{Type: c.typ, ID: c.id, Owner: h.name, State: state, Meta: c.ctx.meta}
+	img := Image{Type: c.typ, ID: c.id, Owner: h.name, State: state}
 	h.detach(c)
 	if err := tr.Dispatch(ctx, dest, img); err != nil {
 		h.restart(c)
 		return fmt.Errorf("aglet: dispatching %s/%s to %s: %w", c.typ, c.id, dest, err)
 	}
-	h.emit(EventDispatched, c.typ, c.id)
 	return nil
 }
 
@@ -383,7 +349,7 @@ func (h *Host) stopAgent(id string) (*cell, error) {
 // restart resumes a stopped agent with a fresh goroutine (after a failed
 // lifecycle transition).
 func (h *Host) restart(c *cell) {
-	fresh := h.newCell(c.typ, c.id, c.agent, c.ctx.meta)
+	fresh := h.newCell(c.typ, c.id, c.agent)
 	h.mu.Lock()
 	if h.closed {
 		delete(h.agents, c.id)
@@ -406,20 +372,15 @@ func (h *Host) Receive(img Image) error {
 	if err := agent.SetState(img.State); err != nil {
 		return fmt.Errorf("aglet: restoring state of %s/%s: %w", img.Type, img.ID, err)
 	}
-	c := h.newCell(img.Type, img.ID, agent, img.Meta)
+	c := h.newCell(img.Type, img.ID, agent)
 	if err := agent.OnArrival(c.ctx); err != nil {
 		return fmt.Errorf("aglet: OnArrival of %s/%s: %w", img.Type, img.ID, err)
 	}
-	// OnArrival may itself have requested an onward move, a deactivation,
-	// or disposal (an itinerary hop executed on landing); the agent's own
+	// OnArrival may itself have requested an onward move or disposal (an itinerary hop executed on landing); the agent's own
 	// loop settles it right after install, so each hop runs decoupled from
 	// the sender — arrival acknowledgment is not trip completion, exactly
 	// like a store-and-forward agent transfer.
-	if err := h.install(c); err != nil {
-		return err
-	}
-	h.emit(EventArrived, img.Type, img.ID)
-	return nil
+	return h.install(c)
 }
 
 // Surrender stops agent id, serializes it, and removes it from this host,
@@ -436,8 +397,7 @@ func (h *Host) Surrender(id string) (Image, error) {
 		return Image{}, err
 	}
 	h.detach(c)
-	h.emit(EventDispatched, c.typ, c.id)
-	return Image{Type: c.typ, ID: c.id, Owner: h.name, State: state, Meta: c.ctx.meta}, nil
+	return Image{Type: c.typ, ID: c.id, Owner: h.name, State: state}, nil
 }
 
 // Retract pulls agent id back from the remote host at from, the Aglets
@@ -473,32 +433,11 @@ func (h *Host) Deactivate(id string) error {
 		h.restart(c)
 		return err
 	}
-	h.park(c, state)
-	return nil
-}
-
-// completeDeactivate is the self-requested variant, called from the agent's
-// own loop which exits right after on success and keeps running on failure
-// (so no restart here — the goroutine never stopped).
-func (h *Host) completeDeactivate(c *cell) error {
-	if err := c.agent.OnDeactivating(c.ctx); err != nil {
-		return fmt.Errorf("aglet: OnDeactivating %s/%s: %w", c.typ, c.id, err)
-	}
-	state, err := h.snapshotAgent(c)
-	if err != nil {
-		return err
-	}
-	h.park(c, state)
-	return nil
-}
-
-// park moves the cell from the live table to the deactivated store.
-func (h *Host) park(c *cell, state []byte) {
 	h.mu.Lock()
 	delete(h.agents, c.id)
-	h.stored[c.id] = storedAgent{Type: c.typ, State: state, Meta: c.ctx.meta}
+	h.stored[c.id] = storedAgent{Type: c.typ, State: state}
 	h.mu.Unlock()
-	h.emit(EventDeactivated, c.typ, c.id)
+	return nil
 }
 
 // Activate revives a deactivated agent, running its OnActivation callback.
@@ -519,14 +458,13 @@ func (h *Host) Activate(id string) (*Proxy, error) {
 	if err := agent.SetState(rec.State); err != nil {
 		return nil, fmt.Errorf("aglet: restoring %s/%s: %w", rec.Type, id, err)
 	}
-	c := h.newCell(rec.Type, id, agent, rec.Meta)
+	c := h.newCell(rec.Type, id, agent)
 	if err := agent.OnActivation(c.ctx); err != nil {
 		return nil, fmt.Errorf("aglet: OnActivation %s/%s: %w", rec.Type, id, err)
 	}
 	if err := h.install(c); err != nil {
 		return nil, err
 	}
-	h.emit(EventActivated, rec.Type, id)
 	return &Proxy{host: h, hostAddr: h.name, agentID: id}, nil
 }
 
@@ -543,22 +481,6 @@ func (h *Host) StoredState(id string) ([]byte, error) {
 	return json.Marshal(rec)
 }
 
-// RestoreStored re-registers a deactivated agent from bytes produced by
-// StoredState, e.g. after a host restart.
-func (h *Host) RestoreStored(id string, data []byte) error {
-	var rec storedAgent
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return fmt.Errorf("aglet: decoding stored agent %q: %w", id, err)
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return ErrHostClosed
-	}
-	h.stored[id] = rec
-	return nil
-}
-
 // Dispose permanently destroys agent id.
 func (h *Host) Dispose(id string) error {
 	c, err := h.stopAgent(id)
@@ -567,7 +489,6 @@ func (h *Host) Dispose(id string) error {
 	}
 	h.detach(c)
 	c.agent.OnDisposing(c.ctx)
-	h.emit(EventDisposed, c.typ, c.id)
 	return nil
 }
 
@@ -603,24 +524,11 @@ func (h *Host) HasStored(id string) bool {
 func (h *Host) DiscardStored(id string) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	rec, ok := h.stored[id]
-	if !ok {
+	if _, ok := h.stored[id]; !ok {
 		return fmt.Errorf("%w: %q", ErrNotStored, id)
 	}
 	delete(h.stored, id)
-	h.emit(EventDisposed, rec.Type, id)
 	return nil
-}
-
-// Proxy returns a proxy to a live local agent, or an error if absent.
-func (h *Host) Proxy(id string) (*Proxy, error) {
-	h.mu.Lock()
-	_, ok := h.agents[id]
-	h.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q on %s", ErrNotFound, id, h.name)
-	}
-	return &Proxy{host: h, hostAddr: h.name, agentID: id}, nil
 }
 
 // RemoteProxy returns a proxy addressing agent agentID on another host via
@@ -652,7 +560,6 @@ func (h *Host) Close() error {
 	h.wg.Wait()
 	for _, c := range cells {
 		c.agent.OnDisposing(c.ctx)
-		h.emit(EventDisposed, c.typ, c.id)
 	}
 	return nil
 }
@@ -667,9 +574,6 @@ type Proxy struct {
 
 // ID returns the target agent's identifier.
 func (p *Proxy) ID() string { return p.agentID }
-
-// HostAddr returns the address of the host the proxy targets.
-func (p *Proxy) HostAddr() string { return p.hostAddr }
 
 // Send delivers msg to the proxied agent and returns its reply.
 func (p *Proxy) Send(ctx context.Context, msg Message) (Message, error) {

@@ -42,11 +42,9 @@ const (
 	KindSeller      ServerKind = "seller"
 )
 
-// Errors reported by the coordinator.
-var (
-	ErrUnknownKind = errors.New("coordinator: unknown server kind")
-	ErrNoSuchEntry = errors.New("coordinator: server not registered")
-)
+// ErrUnknownKind reports a registration of a kind the directory does not
+// hold.
+var ErrUnknownKind = errors.New("coordinator: unknown server kind")
 
 // Registration is one directory entry.
 type Registration struct {
@@ -188,18 +186,6 @@ func (c *Coordinator) Lookup(kind ServerKind) []Registration {
 		return out[i].Name < out[j].Name
 	})
 	return out
-}
-
-// Deregister removes an entry.
-func (c *Coordinator) Deregister(kind ServerKind, name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	key := string(kind) + "/" + name
-	if _, ok := c.entries[key]; !ok {
-		return fmt.Errorf("%w: %s", ErrNoSuchEntry, key)
-	}
-	delete(c.entries, key)
-	return nil
 }
 
 // Admit performs Fig 4.1 steps 2 and 3: create a BSMA on the coordinator

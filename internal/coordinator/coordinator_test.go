@@ -70,17 +70,6 @@ func TestRegisterReplaces(t *testing.T) {
 	}
 }
 
-func TestDeregister(t *testing.T) {
-	c, _, _ := testCoord(t)
-	c.Register(Registration{Kind: KindSeller, Name: "s", Addr: "a"})
-	if err := c.Deregister(KindSeller, "s"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Deregister(KindSeller, "s"); !errors.Is(err, ErrNoSuchEntry) {
-		t.Errorf("second deregister: %v", err)
-	}
-}
-
 func TestCAMessages(t *testing.T) {
 	_, host, _ := testCoord(t)
 	reg, _ := json.Marshal(Registration{Kind: KindMarketplace, Name: "m1", Addr: "m1"})

@@ -8,7 +8,6 @@ package eval
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -104,19 +103,6 @@ func (t *Table) AddRow(cells ...any) {
 		}
 	}
 	t.rows = append(t.rows, row)
-}
-
-// SortRows orders rows by the given column, numerically when possible.
-func (t *Table) SortRows(col int) {
-	sort.SliceStable(t.rows, func(i, j int) bool {
-		var a, b float64
-		_, errA := fmt.Sscanf(t.rows[i][col], "%g", &a)
-		_, errB := fmt.Sscanf(t.rows[j][col], "%g", &b)
-		if errA == nil && errB == nil {
-			return a < b
-		}
-		return t.rows[i][col] < t.rows[j][col]
-	})
 }
 
 // Render writes the table to w.

@@ -108,17 +108,6 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestTableSortRows(t *testing.T) {
-	tb := NewTable("", "density", "value")
-	tb.AddRow("10.0", "c")
-	tb.AddRow("2.0", "a")
-	tb.SortRows(0)
-	out := tb.String()
-	if strings.Index(out, "2.0") > strings.Index(out, "10.0") {
-		t.Errorf("numeric sort failed:\n%s", out)
-	}
-}
-
 func TestTableNoTitle(t *testing.T) {
 	tb := NewTable("", "a")
 	tb.AddRow("x")

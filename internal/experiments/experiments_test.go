@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -55,8 +56,7 @@ func cell(t *testing.T, rows [][]string, row, col int) float64 {
 }
 
 func parseFloat(s string, v *float64) (int, error) {
-	n, err := sscanf(s, v)
-	return n, err
+	return fmt.Sscanf(s, "%g", v)
 }
 
 func TestF44Shape(t *testing.T) {
@@ -154,7 +154,7 @@ func TestC5Shape(t *testing.T) {
 	}
 	prec := func(name string) float64 {
 		var v float64
-		sscanf(byName[name][1], &v)
+		parseFloat(byName[name][1], &v)
 		return v
 	}
 	// The paper's §2.3 ordering: personalization beats popularity.

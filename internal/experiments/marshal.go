@@ -19,8 +19,3 @@ func unmarshal(data []byte, v any) error {
 	}
 	return nil
 }
-
-// sscanf parses one float, shared by the table-shape tests.
-func sscanf(s string, v *float64) (int, error) {
-	return fmt.Sscanf(s, "%g", v)
-}

@@ -6,8 +6,8 @@
 //   - ordered prefix scans (the only query shape the paper's workflows need),
 //   - optional durability through an append-only write-ahead log that is
 //     replayed on open, and
-//   - whole-store snapshots for agent deactivation (§4.1 principle 3 stores
-//     a serialized BRA while its MBA is travelling).
+//   - whole-store snapshots in the record form a compacted log holds, so
+//     Open restores one and equal states snapshot to equal bytes.
 //
 // Values are opaque bytes; EncodeJSON/DecodeJSON helpers cover the common
 // case of structured records.
@@ -80,8 +80,6 @@ var (
 	ErrEmptyKey      = errors.New("kvstore: empty key")
 	ErrEmptyBucket   = errors.New("kvstore: empty bucket name")
 	ErrInvalidName   = errors.New("kvstore: bucket name contains NUL")
-	ErrStoreDirty    = errors.New("kvstore: snapshot target not empty")
-	ErrBadSnapshot   = errors.New("kvstore: malformed snapshot")
 	ErrBatchTooLarge = errors.New("kvstore: batch exceeds max record size")
 	errShortRecord   = errors.New("kvstore: short record")
 	errBadRecordTag  = errors.New("kvstore: unknown record tag")
@@ -300,23 +298,6 @@ func (s *Store) Count(bucket string) (int, error) {
 	return len(s.buckets[bucket]), nil
 }
 
-// Buckets returns the sorted names of all non-empty buckets, or ErrClosed.
-func (s *Store) Buckets() ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	out := make([]string, 0, len(s.buckets))
-	for name, b := range s.buckets {
-		if len(b) > 0 {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
 // SizeStats is the store's size accounting, the signal automatic
 // compaction policies key off. All fields are maintained incrementally
 // under the store lock — reading them is cheap enough for a write path.
@@ -477,8 +458,9 @@ func (s *Store) DecodeJSON(bucket, key string, v any) error {
 	return nil
 }
 
-// Snapshot serializes the entire store to w in a self-delimiting format
-// suitable for RestoreInto. It holds the read lock for the duration.
+// Snapshot serializes the entire store to w as the records a compacted log
+// of it would hold, so two stores with identical state snapshot to
+// identical bytes. It holds the read lock for the duration.
 func (s *Store) Snapshot(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -528,42 +510,8 @@ func writeSortedRecords(w io.Writer, buckets map[string]map[string][]byte, each 
 	return written, nil
 }
 
-// RestoreInto loads a Snapshot stream into an empty memory store. It fails
-// with ErrStoreDirty if the store already holds data.
-func (s *Store) RestoreInto(r io.Reader) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	for _, b := range s.buckets {
-		if len(b) > 0 {
-			return ErrStoreDirty
-		}
-	}
-	br := bufio.NewReader(r)
-	for {
-		ops, err := decodeRecord(br)
-		if err == io.EOF {
-			s.recomputeLive()
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-		}
-		for _, op := range ops {
-			b := s.buckets[op.Bucket]
-			if b == nil {
-				b = make(map[string][]byte)
-				s.buckets[op.Bucket] = b
-			}
-			b[op.Key] = op.Value
-		}
-	}
-}
-
-// recomputeLive rebuilds liveBytes from the bucket maps. Open and
-// RestoreInto use it; steady-state maintenance is incremental in Apply.
+// recomputeLive rebuilds liveBytes from the bucket maps. Open uses it;
+// steady-state maintenance is incremental in Apply.
 func (s *Store) recomputeLive() {
 	var n int64
 	for name, b := range s.buckets {
@@ -603,7 +551,8 @@ const (
 	// write can never be dropped later), and replay treats an oversized
 	// length header — necessarily garbage, given the write-side cap — as a
 	// torn tail rather than allocating up to 4 GiB before the CRC check
-	// could reject it.
+	// could reject it. Replay also treats a header claiming more bytes than
+	// the log still holds as torn, so a garbage tail allocates nothing.
 	maxRecordLen = 1 << 28 // 256 MiB
 )
 
@@ -639,19 +588,29 @@ func encodeRecord(ops []Op) []byte {
 	return out
 }
 
-func decodeRecord(r *bufio.Reader) ([]Op, error) {
+// decodeRecord reads one record from r, which holds at most avail more
+// bytes, and returns its ops and its size in the log. The size is the
+// record's own, not the canonical encoding's: a CRC-valid record need not
+// be canonical.
+func decodeRecord(r *bufio.Reader, avail int64) ([]Op, int64, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
-			return nil, errShortRecord
+			return nil, 0, errShortRecord
 		}
-		return nil, err // io.EOF = clean end
+		return nil, 0, err // io.EOF = clean end
 	}
 	length := binary.BigEndian.Uint32(hdr[0:4])
 	sum := binary.BigEndian.Uint32(hdr[4:8])
-	if length > maxRecordLen {
-		return nil, errShortRecord
+	if length > maxRecordLen || int64(length) > avail-8 {
+		return nil, 0, errShortRecord
 	}
+	ops, err := decodePayload(r, length, sum)
+	return ops, 8 + int64(length), err
+}
+
+// decodePayload reads a record's length-byte payload and decodes its ops.
+func decodePayload(r *bufio.Reader, length, sum uint32) ([]Op, error) {
 	payload := make([]byte, length)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, errShortRecord
@@ -665,8 +624,10 @@ func decodeRecord(r *bufio.Reader) ([]Op, error) {
 	n := int(binary.BigEndian.Uint16(payload[:2]))
 	br := bytes.NewReader(payload[2:])
 	readBytes := func() ([]byte, error) {
+		// A length past the payload's end is garbage, never an allocation:
+		// a CRC does not vouch for a hostile writer's field lengths.
 		l, err := binary.ReadUvarint(br)
-		if err != nil {
+		if err != nil || l > uint64(br.Len()) {
 			return nil, errShortRecord
 		}
 		buf := make([]byte, l)
@@ -894,10 +855,14 @@ func syncDir(path string) {
 // replayWAL loads every intact record from f into s and truncates a torn
 // tail if one is found.
 func replayWAL(f *os.File, s *Store) error {
+	fi, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("kvstore: sizing log: %w", err)
+	}
 	r := bufio.NewReader(f)
 	var offset int64
 	for {
-		ops, err := decodeRecord(r)
+		ops, size, err := decodeRecord(r, fi.Size()-offset)
 		if err == io.EOF {
 			return nil
 		}
@@ -923,12 +888,11 @@ func replayWAL(f *os.File, s *Store) error {
 			}
 			b[op.Key] = op.Value
 		}
-		offset += int64(8 + payloadLen(ops))
+		offset += size
 	}
 }
 
-// payloadLen recomputes the encoded payload size of ops; used only to track
-// replay offsets without re-reading the file.
+// payloadLen computes the encoded payload size of ops.
 func payloadLen(ops []Op) int {
 	n := 2
 	var scratch [binary.MaxVarintLen64]byte

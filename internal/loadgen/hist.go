@@ -99,25 +99,6 @@ func (h *Histogram) Record(v int64) {
 	}
 }
 
-// RecordCorrected records v and, when v exceeds expectedInterval,
-// additionally records the observations a coordinated-omission-free
-// sampler would have seen during the stall: v-expectedInterval,
-// v-2*expectedInterval, ... down to expectedInterval. This is the
-// standard HDR correction for closed-loop measurements, where a stalled
-// server silently suppresses the requests that would have been issued
-// (and would have stalled) during the pause. The open-loop driver does
-// not need it — it measures from scheduled start — but mergers of
-// closed-loop samples do.
-func (h *Histogram) RecordCorrected(v, expectedInterval int64) {
-	h.Record(v)
-	if expectedInterval <= 0 || v <= expectedInterval {
-		return
-	}
-	for missing := v - expectedInterval; missing >= expectedInterval; missing -= expectedInterval {
-		h.Record(missing)
-	}
-}
-
 // Merge adds o's observations into h.
 func (h *Histogram) Merge(o *Histogram) {
 	if o == nil || o.count == 0 {

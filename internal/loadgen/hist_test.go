@@ -136,44 +136,6 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
-// TestHistogramCoordinatedOmission is the regression case from the issue: a
-// stalled server must inflate p99, not hide it. 990 fast ops at 1ms, then
-// one 5s stall. A naive closed-loop record keeps p99 at 1ms — the stall
-// suppressed the samples that would have queued behind it. RecordCorrected
-// back-fills those phantom samples, so the corrected p99 surfaces the stall.
-func TestHistogramCoordinatedOmission(t *testing.T) {
-	const msec = int64(1_000_000) // ns
-	naive, corrected := NewHistogram(), NewHistogram()
-	interval := 10 * msec
-	for i := 0; i < 990; i++ {
-		naive.Record(1 * msec)
-		corrected.RecordCorrected(1*msec, interval)
-	}
-	naive.Record(5000 * msec)
-	corrected.RecordCorrected(5000*msec, interval)
-
-	naiveP99 := naive.Quantile(0.99)
-	correctedP99 := corrected.Quantile(0.99)
-	if naiveP99 > 2*msec {
-		t.Fatalf("naive p99 = %dns; the stall should be hidden in the naive histogram", naiveP99)
-	}
-	if correctedP99 < 100*naiveP99 {
-		t.Errorf("corrected p99 = %dns, naive = %dns: correction failed to surface the stall",
-			correctedP99, naiveP99)
-	}
-	// The correction adds one synthetic sample per missed interval.
-	wantSynthetic := int64(5000*msec-interval) / interval
-	if got := corrected.Count() - naive.Count(); got != wantSynthetic {
-		t.Errorf("corrected added %d synthetic samples, want %d", got, wantSynthetic)
-	}
-	// Values at or below the interval are never synthesized.
-	fast := NewHistogram()
-	fast.RecordCorrected(interval, interval)
-	if fast.Count() != 1 {
-		t.Errorf("RecordCorrected(interval) synthesized samples: count %d", fast.Count())
-	}
-}
-
 // TestHistogramEmptyAndNegative: edge behaviour.
 func TestHistogramEmptyAndNegative(t *testing.T) {
 	h := NewHistogram()

@@ -170,16 +170,3 @@ func (s *Server) AuctionStatus(auctionID string) (AuctionStatus, error) {
 	}
 	return a.status(), nil
 }
-
-// OpenAuctions lists the ids of auctions still accepting bids.
-func (s *Server) OpenAuctions() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.auctions))
-	for id, a := range s.auctions {
-		if !a.closed {
-			out = append(out, id)
-		}
-	}
-	return out
-}

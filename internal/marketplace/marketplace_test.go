@@ -282,20 +282,6 @@ func TestAuctionErrors(t *testing.T) {
 	}
 }
 
-func TestOpenAuctionsListing(t *testing.T) {
-	srv, _ := testServer(t)
-	id1, _ := srv.AuctionOpen("cam1", 0)
-	id2, _ := srv.AuctionOpen("lap1", 0)
-	if got := srv.OpenAuctions(); len(got) != 2 {
-		t.Fatalf("OpenAuctions = %v", got)
-	}
-	srv.AuctionClose(id1)
-	got := srv.OpenAuctions()
-	if len(got) != 1 || got[0] != id2 {
-		t.Fatalf("OpenAuctions after close = %v", got)
-	}
-}
-
 // --- MSA message interface ---
 
 func msaCall(t *testing.T, host *aglet.Host, kind string, req any) aglet.Message {

@@ -127,14 +127,8 @@ func (r *Replica) Connect(writers []recommend.Writer, peers []recommend.Peer) er
 	if err != nil {
 		return err
 	}
-	ropts := []recommend.ReplicatorOption{
-		recommend.WithPullInterval(r.cfg.Pull),
-		recommend.PullWithOwnership(r.Table),
-	}
-	if bus := r.cfg.Engine.Bus; bus != nil {
-		ropts = append(ropts, recommend.WithReplicationEvents(bus, r.cfg.Self))
-	}
-	repl, err := recommend.NewReplicator(r.Engine, r.cfg.Self, peers, ropts...)
+	repl, err := recommend.NewReplicator(r.Engine, r.cfg.Self, peers,
+		recommend.WithPullInterval(r.cfg.Pull), recommend.PullWithOwnership(r.Table))
 	if err != nil {
 		return err
 	}

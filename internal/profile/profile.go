@@ -293,29 +293,6 @@ func (p *Profile) TopCategories(n int) []WeightedTerm {
 	return out
 }
 
-// TopTerms returns up to n terms of one category (sub-category terms
-// included, keyed "sub/term") ranked by weight.
-func (p *Profile) TopTerms(category string, n int) []WeightedTerm {
-	cat := p.Categories[category]
-	if cat == nil {
-		return nil
-	}
-	out := make([]WeightedTerm, 0, len(cat.Terms))
-	for term, w := range cat.Terms {
-		out = append(out, WeightedTerm{Term: term, Weight: w})
-	}
-	for sname, sub := range cat.Subs {
-		for term, w := range sub.Terms {
-			out = append(out, WeightedTerm{Term: sname + "/" + term, Weight: w})
-		}
-	}
-	sortWeighted(out)
-	if n >= 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
-}
-
 // sortWeighted orders by weight descending, breaking ties by term name so
 // listings are deterministic.
 func sortWeighted(ts []WeightedTerm) {
@@ -361,7 +338,11 @@ func (p *Profile) Marshal() ([]byte, error) {
 	return json.Marshal(p)
 }
 
-// Unmarshal restores a profile serialized by Marshal.
+// Unmarshal restores a profile serialized by Marshal. The bytes may come
+// from a peer, so a shape Marshal never writes is refused (a null category
+// or sub-category) or repaired (absent term maps are empty, an absent
+// alpha is DefaultAlpha): an accepted profile is safe to summarize and to
+// observe into.
 func Unmarshal(data []byte) (*Profile, error) {
 	var p Profile
 	if err := json.Unmarshal(data, &p); err != nil {
@@ -369,6 +350,22 @@ func Unmarshal(data []byte) (*Profile, error) {
 	}
 	if p.Categories == nil {
 		p.Categories = make(map[string]*Category)
+	}
+	for cname, cat := range p.Categories {
+		if cat == nil {
+			return nil, fmt.Errorf("profile: decoding: category %q is null", cname)
+		}
+		if cat.Terms == nil {
+			cat.Terms = make(map[string]float64)
+		}
+		for sname, sub := range cat.Subs {
+			if sub == nil {
+				return nil, fmt.Errorf("profile: decoding: sub-category %q of %q is null", sname, cname)
+			}
+			if sub.Terms == nil {
+				sub.Terms = make(map[string]float64)
+			}
+		}
 	}
 	if p.Alpha == 0 {
 		p.Alpha = DefaultAlpha

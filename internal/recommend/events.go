@@ -11,20 +11,24 @@ import (
 // that publish the engine's and replicator's activity onto an ops.Bus, and
 // the assembler of one server's slice of the ops.Snapshot.
 //
-// Everything here is opt-in (WithEventBus / WithReplicationEvents) and
-// costless when disabled: the hot paths test one nil pointer. When enabled,
-// publishing is a bounded copy into the bus's rings (zero-alloc, never
-// blocking on consumers — see ops.Bus), so an engine write never waits on
-// an observer. Events are published after the shard critical section
-// releases; each journal event carries the shard's journal sequence number,
-// which is the per-shard order consumers should trust, not bus arrival
-// order.
+// Everything here is opt-in (WithEventBus, which a Replicator inherits from
+// its engine) and costless when disabled: the hot paths test one nil
+// pointer. When enabled, publishing is a bounded copy into the bus's rings
+// (zero-alloc, never blocking on consumers — see ops.Bus), so an engine
+// write never waits on an observer. Events are published after the shard
+// critical section releases; each journal event carries the shard's
+// journal sequence number, which is the per-shard order consumers should
+// trust, not bus arrival order.
 
 // WithEventBus publishes the engine's activity onto bus as ops events:
 // journal appends (KindJournal), compaction passes (KindCompaction), and —
-// on the Recommend entry point — served top-N changes (KindRecDelta).
-// server is the identity stamped into every event, the buyer server index
-// in a platform deployment.
+// on the Recommend entry point — served top-N changes (KindRecDelta). A
+// Replicator of the engine publishes its lag transitions (KindLag) there
+// too: whenever a pull observes a different backlog for a shard than the
+// previous pull did, an event records the edge — falling behind (prev 0,
+// now N) and catching up (prev N, now 0) included. server is the identity
+// stamped into every event, the buyer server index in a platform
+// deployment.
 func WithEventBus(bus *ops.Bus, server int) Option {
 	return func(e *Engine) {
 		e.events = bus
@@ -143,18 +147,6 @@ func diffIDs(prev, cur []string) (entered, exited []string) {
 		}
 	}
 	return entered, exited
-}
-
-// WithReplicationEvents publishes the replicator's lag transitions onto bus
-// (KindLag): whenever a pull observes a different backlog for a shard than
-// the previous pull did, an event records the edge — falling behind (prev 0,
-// now N) and catching up (prev N, now 0) included. server identifies this
-// follower in the events.
-func WithReplicationEvents(bus *ops.Bus, server int) ReplicatorOption {
-	return func(r *Replicator) {
-		r.events = bus
-		r.eventServer = server
-	}
 }
 
 // ServerSnapshot assembles one server's slice of the unified ops.Snapshot:

@@ -11,7 +11,7 @@ import (
 )
 
 // Event-plane producer tests: the engine and replicator hooks behind
-// WithEventBus / WithReplicationEvents must publish faithful events for
+// WithEventBus (an engine's and its replicator's) must publish faithful events for
 // journal appends, served-top-N changes, compaction passes, and lag
 // transitions — and publish nothing at all when nothing changed.
 
@@ -172,15 +172,18 @@ func (p trimmingPeer) SnapshotPage(ctx context.Context, shard int, epoch, seq ui
 
 func TestReplicationLagTransitionEvents(t *testing.T) {
 	u, _ := soakUniverse(t)
-	newEngine := func() *Engine {
-		e, err := Open(u.Catalog, WithJournalFeed(0), WithShards(4))
+	bus := ops.NewBus()
+	sub := bus.Subscribe(ops.SubscribeOptions{Kinds: []ops.Kind{ops.KindLag}})
+	newEngine := func(opts ...Option) *Engine {
+		e, err := Open(u.Catalog, append([]Option{WithJournalFeed(0), WithShards(4)}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { e.Close() })
 		return e
 	}
-	owner, follower := newEngine(), newEngine()
+	// The follower's replicator publishes on its engine's bus, as server 1.
+	owner, follower := newEngine(), newEngine(WithEventBus(bus, 1))
 
 	// A consumer whose shard server 0 owns (shard % 2 == 0).
 	user := ""
@@ -195,10 +198,8 @@ func TestReplicationLagTransitionEvents(t *testing.T) {
 		t.Fatal("no server-0-owned consumer found")
 	}
 
-	bus := ops.NewBus()
-	sub := bus.Subscribe(ops.SubscribeOptions{Kinds: []ops.Kind{ops.KindLag}})
 	peers := []Peer{trimmingPeer{LocalPeer{Engine: owner}}, LocalPeer{Engine: follower}}
-	repl, err := NewReplicator(follower, 1, peers, WithReplicationEvents(bus, 1))
+	repl, err := NewReplicator(follower, 1, peers)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,10 +128,18 @@ type journalFeed struct {
 	shards []feedShard
 }
 
+// feedShard is one shard's retained tail: a ring of the last cap records.
+// It grows by append until it holds cap records (start stays 0 meanwhile);
+// from then on each emit overwrites the oldest record in place, so a full
+// feed's emit allocates nothing and copies one record.
 type feedShard struct {
-	first   uint64 // seq of records[0]; the first record ever is seq 1
-	records []JournalRecord
+	first uint64          // seq of the oldest retained record; the first record ever is seq 1
+	start int             // ring index of that record
+	ring  []JournalRecord // retained records, oldest at start
 }
+
+// next returns the sequence number the shard's next record will get.
+func (fs *feedShard) next() uint64 { return fs.first + uint64(len(fs.ring)) }
 
 func newJournalFeed(nshards, cap int) (*journalFeed, error) {
 	var b [8]byte
@@ -155,11 +163,13 @@ func (f *journalFeed) emit(shard int, rec JournalRecord) uint64 {
 	f.mu.Lock()
 	fs := &f.shards[shard]
 	rec.Shard = shard
-	rec.Seq = fs.first + uint64(len(fs.records))
-	fs.records = append(fs.records, rec)
-	if over := len(fs.records) - f.cap; over > 0 {
-		fs.records = append(fs.records[:0:0], fs.records[over:]...)
-		fs.first += uint64(over)
+	rec.Seq = fs.next()
+	if len(fs.ring) < f.cap {
+		fs.ring = append(fs.ring, rec)
+	} else {
+		fs.ring[fs.start] = rec
+		fs.start = (fs.start + 1) % len(fs.ring)
+		fs.first++
 	}
 	seq := rec.Seq
 	f.mu.Unlock()
@@ -174,8 +184,8 @@ func (f *journalFeed) emit(shard int, rec JournalRecord) uint64 {
 func (f *journalFeed) skip(shard int) {
 	f.mu.Lock()
 	fs := &f.shards[shard]
-	fs.first += uint64(len(fs.records)) + 1
-	fs.records = nil
+	fs.first = fs.next() + 1
+	fs.ring, fs.start = nil, 0
 	f.mu.Unlock()
 }
 
@@ -183,8 +193,7 @@ func (f *journalFeed) skip(shard int) {
 func (f *journalFeed) next(shard int) uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	fs := &f.shards[shard]
-	return fs.first + uint64(len(fs.records))
+	return f.shards[shard].next()
 }
 
 // tailSince returns a copy of shard's records after seq since plus the
@@ -195,7 +204,7 @@ func (f *journalFeed) tailSince(shard int, epoch, since uint64) (recs []JournalR
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	fs := &f.shards[shard]
-	next := fs.first + uint64(len(fs.records))
+	next := fs.next()
 	head = next - 1
 	if epoch != f.epoch {
 		return nil, head, false
@@ -204,7 +213,11 @@ func (f *journalFeed) tailSince(shard int, epoch, since uint64) (recs []JournalR
 		return nil, head, false
 	}
 	out := make([]JournalRecord, next-(since+1))
-	copy(out, fs.records[since+1-fs.first:])
+	if len(out) > 0 {
+		i := (fs.start + int(since+1-fs.first)) % len(fs.ring)
+		n := copy(out, fs.ring[i:])
+		copy(out[n:], fs.ring)
+	}
 	return out, head, true
 }
 
@@ -643,10 +656,6 @@ type Replicator struct {
 	interval time.Duration
 	owners   *OwnershipTable
 
-	// Event plane (nil unless WithReplicationEvents; see events.go).
-	events      *ops.Bus
-	eventServer int
-
 	syncMu   sync.Mutex        // serializes passes (ticker vs explicit Sync)
 	mu       sync.Mutex        // guards followed and every follower's fields
 	followed map[int]*follower // by shard; exactly the shards this server does not own
@@ -767,14 +776,14 @@ func (r *Replicator) pullShard(ctx context.Context, f *follower, owner int) (err
 			f.st.LastError = err.Error()
 		} else {
 			f.st.LastError = ""
-			if r.events != nil {
+			if r.e.events != nil {
 				// Lag transition: this pull observed a different backlog
 				// than the previous one. Falling behind and catching up are
 				// both edges; steady lag is silent.
 				if lag, prev := f.lag(), f.lastLag; lag != prev {
 					f.lastLag = lag
 					lagEv = ops.Event{Kind: ops.KindLag, Lag: ops.LagEvent{
-						Server:         r.eventServer,
+						Server:         r.e.eventServer,
 						Shard:          shard,
 						Owner:          owner,
 						LagRecords:     lag,
@@ -786,7 +795,7 @@ func (r *Replicator) pullShard(ctx context.Context, f *follower, owner int) (err
 		}
 		r.mu.Unlock()
 		if publish {
-			r.events.Publish(lagEv)
+			r.e.events.Publish(lagEv)
 		}
 	}()
 

@@ -11,10 +11,11 @@
 //     from followers, "snap-page" requests transferring a whole shard in
 //     bounded pages (the one catch-up path), and forwarded writes
 //     ("set-profiles", "purchase") from peers that do not own the
-//     consumer's shard. Install it with atp.Server.SetJournalHandler. A
-//     forwarded write is admitted by the engine under the shard lock
-//     (recommend.OwnedWriter); a handler without an ownership table takes
-//     an unstamped frame at the static epoch 1.
+//     consumer's shard. Install it with atp.Server.SetJournalHandler. Every
+//     frame but the owner-map probe is fenced against the server's
+//     ownership table — the one given WithOwnership, else the static
+//     epoch-1 map — and a forwarded write is admitted by the engine under
+//     the shard lock (recommend.OwnedWriter).
 //   - Peer implements recommend.Peer over an atp.Client — the follower
 //     side of journal tailing.
 //   - Writer implements recommend.Writer over an atp.Client — the
@@ -24,7 +25,6 @@ package replnet
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"time"
 
@@ -50,14 +50,16 @@ type wireCfg struct {
 // Option configures the ownership behaviour of Handler, Peer, and Writer.
 type Option func(*wireCfg)
 
-// WithOwnership epoch-fences the wire against t, this server's ownership
-// table. A Handler built with it admits a frame only through t.Fence —
-// matching epoch, shard owned by this server, live lease — for every frame
-// kind (forwarded writes, journal tails, snapshot pages), so a deposed
-// owner replaying buffered frames at its old epoch is rejected loudly. A
-// Peer or Writer built with it stamps every outgoing request with t's
-// current epoch. Both sides of a deployment must agree on using it: an
-// unstamped frame (epoch 0) never passes a fencing handler.
+// WithOwnership fences the wire against t, this server's ownership table,
+// in place of the static epoch-1 map of the deployment's servers. A Handler
+// admits a frame only through its table's Fence — matching epoch, shard
+// owned by this server, live lease — for every frame kind (forwarded
+// writes, journal tails, snapshot pages), so a deposed owner replaying
+// buffered frames at its old epoch is rejected loudly. A Peer or Writer
+// stamps every outgoing request with its table's current epoch, the static
+// epoch 1 without one. Both sides of a deployment must agree on the table:
+// a leased frame never passes a static handler, nor a static frame a
+// handler whose map has moved on.
 func WithOwnership(t *recommend.OwnershipTable) Option {
 	return func(c *wireCfg) {
 		if t != nil {
@@ -102,12 +104,11 @@ func pageBudget() int {
 // larger batches are split into several frames, in order.
 const maxForwardBytes = 4 << 20
 
-// Every request carries OwnerEpoch, the sender's ownership map epoch, when
-// the sending side was built WithOwnership; a handler built WithOwnership
-// rejects frames whose stamp does not match its own table (0 = unstamped,
-// never passes), and a handler built without takes every forwarded write at
-// the static epoch 1. Note the distinction from the tail/page Epoch field,
-// which is the owner's journal-feed epoch (a replication cursor concern).
+// Every request carries OwnerEpoch, the sender's ownership map epoch, and a
+// handler rejects frames whose stamp does not match its own table (0 =
+// unstamped, never passes). Note the distinction from the tail/page Epoch
+// field, which is the owner's journal-feed epoch (a replication cursor
+// concern).
 
 // ownerEpoch is a frame's OwnerEpoch as the sender's epoch source of the
 // recommend.OwnedWriter that admits the frame's writes.
@@ -157,46 +158,27 @@ type OwnerMapInfo struct {
 
 // Handler returns the journal surface for e, ready for
 // atp.Server.SetJournalHandler. self and servers describe this server's
-// position in the replicated deployment. A forwarded write is admitted by
-// the engine under the shard lock through a recommend.OwnedWriter stamped
-// with the frame's owner epoch: only when the stamp matches, this server
-// owns the shard, and its lease is live. Built WithOwnership, the table is
-// the one given, and journal tails and snapshot pages pass its Fence too.
-//
-// Without WithOwnership the table is the static epoch-1 map of servers and
-// every forwarded write is taken as stamped at epoch 1, so a write for a
-// shard this server does not own is still refused loudly: peer lists that
-// disagree on order (each side computing a different ownership map) fail
-// on the first routed write instead of silently diverging replicas. Tails
-// and pages are then unfenced.
+// position in the replicated deployment. Its ownership table is the one
+// given WithOwnership, else the static epoch-1 map of servers. A journal
+// tail or snapshot page is served only when it passes the table's Fence,
+// and a forwarded write is admitted by the engine under the shard lock
+// through a recommend.OwnedWriter stamped with the frame's owner epoch:
+// both need the stamp to match, this server to own the shard, and its
+// lease to be live. So a frame for a shard this server does not own is
+// refused loudly: peer lists that disagree on order (each side computing a
+// different ownership map) fail on the first routed frame instead of
+// silently diverging replicas.
 func Handler(e *recommend.Engine, self, servers int, opts ...Option) atp.JournalHandler {
 	var cfg wireCfg
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	table, static := cfg.owners, cfg.owners == nil
-	if static {
+	table := cfg.owners
+	if table == nil {
 		table = recommend.NewOwnershipTable(recommend.StaticOwnership(e.Shards(), servers))
 	}
-	fence := func(senderEpoch uint64, shard int) error {
-		if static {
-			return nil
-		}
-		return table.Fence(senderEpoch, shard, self)
-	}
-	// writer is the fenced write surface of one forwarded frame; hint says
-	// what a refusal on a static table most likely means.
 	writer := func(senderEpoch uint64) recommend.OwnedWriter {
-		if static {
-			senderEpoch = 1
-		}
 		return recommend.OwnedWriter{Local: e, Self: self, Table: table, Sender: ownerEpoch(senderEpoch)}
-	}
-	hint := func(err error) error {
-		if static && errors.Is(err, recommend.ErrNotOwner) {
-			return fmt.Errorf("replnet: write routed to server %d: %w — do the -buyer-peers lists agree on order?", self, err)
-		}
-		return err
 	}
 	return func(kind string, data []byte) ([]byte, error) {
 		switch kind {
@@ -205,7 +187,7 @@ func Handler(e *recommend.Engine, self, servers int, opts ...Option) atp.Journal
 			if err := json.Unmarshal(data, &req); err != nil {
 				return nil, fmt.Errorf("replnet: decoding tail request: %w", err)
 			}
-			if err := fence(req.OwnerEpoch, req.Shard); err != nil {
+			if err := table.Fence(req.OwnerEpoch, req.Shard, self); err != nil {
 				return nil, err
 			}
 			tr, err := e.JournalTail(req.Shard, req.Epoch, req.Since)
@@ -218,7 +200,7 @@ func Handler(e *recommend.Engine, self, servers int, opts ...Option) atp.Journal
 			if err := json.Unmarshal(data, &req); err != nil {
 				return nil, fmt.Errorf("replnet: decoding snapshot page request: %w", err)
 			}
-			if err := fence(req.OwnerEpoch, req.Shard); err != nil {
+			if err := table.Fence(req.OwnerEpoch, req.Shard, self); err != nil {
 				return nil, err
 			}
 			pg, err := e.SnapshotPage(req.Shard, req.Epoch, req.Seq, req.Token, pageBudget())
@@ -243,13 +225,13 @@ func Handler(e *recommend.Engine, self, servers int, opts ...Option) atp.Journal
 				}
 				profs[i] = p
 			}
-			return nil, hint(writer(req.OwnerEpoch).SetProfiles(profs))
+			return nil, writer(req.OwnerEpoch).SetProfiles(profs)
 		case kindPurchase:
 			var req purchaseRequest
 			if err := json.Unmarshal(data, &req); err != nil {
 				return nil, fmt.Errorf("replnet: decoding purchase write: %w", err)
 			}
-			return nil, hint(writer(req.OwnerEpoch).RecordPurchaseAt(req.UserID, req.ProductID, time.UnixMilli(req.AtEpochMS)))
+			return nil, writer(req.OwnerEpoch).RecordPurchaseAt(req.UserID, req.ProductID, time.UnixMilli(req.AtEpochMS))
 		case kindOwnerMap:
 			// The consistency probe is deliberately unfenced: it is how
 			// peers discover they disagree in the first place.
@@ -298,9 +280,9 @@ type Peer struct {
 	cfg    wireCfg
 }
 
-// NewPeer returns a Peer tailing the ATP server at dest through client.
-// Built WithOwnership, it stamps every request with the table's current
-// map epoch for the receiving handler's fence.
+// NewPeer returns a Peer tailing the ATP server at dest through client. It
+// stamps every request with its table's current map epoch (see
+// WithOwnership) for the receiving handler's fence.
 func NewPeer(client *atp.Client, dest string, opts ...Option) *Peer {
 	p := &Peer{client: client, dest: dest}
 	for _, opt := range opts {
@@ -309,10 +291,11 @@ func NewPeer(client *atp.Client, dest string, opts ...Option) *Peer {
 	return p
 }
 
-// stamp is the sender's current ownership epoch (0 without a table).
+// stamp is the sender's current ownership epoch: its table's, else the
+// static map's epoch 1.
 func (c wireCfg) stamp() uint64 {
 	if c.owners == nil {
-		return 0
+		return 1
 	}
 	return c.owners.Epoch()
 }
@@ -383,8 +366,8 @@ type Writer struct {
 // the forwarding server's lifecycle context: cancelling it (shutdown)
 // aborts in-flight forwards immediately instead of letting them ride out
 // the full send timeout. nil means context.Background (no lifecycle).
-// Built WithOwnership, every forwarded frame is stamped with the table's
-// current map epoch for the receiving handler's fence.
+// Every forwarded frame is stamped with its table's current map epoch (see
+// WithOwnership) for the receiving handler's fence.
 func NewWriter(base context.Context, client *atp.Client, dest string, opts ...Option) *Writer {
 	if base == nil {
 		base = context.Background()

@@ -316,3 +316,35 @@ func TestMisorderedPeerListRejected(t *testing.T) {
 		t.Fatalf("misrouted purchase error = %v, want ownership rejection", err)
 	}
 }
+
+// TestStaticHandlerFencesTails: a handler built without WithOwnership
+// fences journal tails and snapshot pages through its static epoch-1 map,
+// like every other handler: it serves a shard it owns to a peer that
+// stamps the static epoch, and refuses one it does not own.
+func TestStaticHandlerFencesTails(t *testing.T) {
+	servers := startCluster(t, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	peer := NewPeer(atpClient(), servers[1].srv.Addr())
+	owned, foreign := -1, -1
+	for s := range servers[1].engine.Shards() {
+		if recommend.OwnerOf(s, 2) == 1 {
+			owned = s
+		} else {
+			foreign = s
+		}
+	}
+	tr, err := peer.JournalTail(ctx, owned, 0, 0)
+	if err != nil {
+		t.Fatalf("tail of owned shard %d: %v", owned, err)
+	}
+	if _, err := peer.SnapshotPage(ctx, owned, tr.Epoch, tr.Seq, ""); err != nil {
+		t.Fatalf("page of owned shard %d: %v", owned, err)
+	}
+	if _, err := peer.JournalTail(ctx, foreign, 0, 0); err == nil || !strings.Contains(err.Error(), "owned by") {
+		t.Fatalf("tail of foreign shard %d: err = %v, want ownership refusal", foreign, err)
+	}
+	if _, err := peer.SnapshotPage(ctx, foreign, tr.Epoch, tr.Seq, ""); err == nil || !strings.Contains(err.Error(), "owned by") {
+		t.Fatalf("page of foreign shard %d: err = %v, want ownership refusal", foreign, err)
+	}
+}

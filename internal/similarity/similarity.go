@@ -1,6 +1,6 @@
 // Package similarity implements the profile-to-profile similarity the
 // recommendation mechanism uses to find like-minded consumers (§4.4,
-// Fig 4.5), plus the standard measures it is compared against.
+// Fig 4.5), and the cosine kernels it is built from.
 //
 // The paper's algorithm (quoted from Middleton) works on the weighted term
 // vectors of two consumer profiles, with one twist spelled out in §4.4: "If
@@ -61,75 +61,6 @@ func Dot(a, b Vec) float64 {
 		}
 	}
 	return dot
-}
-
-// Jaccard returns |keys(a) ∩ keys(b)| / |keys(a) ∪ keys(b)|, ignoring
-// weights; 0 for two empty vectors.
-func Jaccard(a, b Vec) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 0
-	}
-	inter := 0
-	for k := range a {
-		if _, ok := b[k]; ok {
-			inter++
-		}
-	}
-	union := len(a) + len(b) - inter
-	return float64(inter) / float64(union)
-}
-
-// Overlap returns the overlap coefficient |∩| / min(|a|, |b|); 0 when
-// either vector is empty.
-func Overlap(a, b Vec) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	inter := 0
-	for k := range a {
-		if _, ok := b[k]; ok {
-			inter++
-		}
-	}
-	m := len(a)
-	if len(b) < m {
-		m = len(b)
-	}
-	return float64(inter) / float64(m)
-}
-
-// Pearson returns the Pearson correlation of a and b over the union of
-// their keys (absent keys contribute 0), in [-1, 1]; 0 when either side has
-// no variance.
-func Pearson(a, b Vec) float64 {
-	keys := make(map[string]struct{}, len(a)+len(b))
-	for k := range a {
-		keys[k] = struct{}{}
-	}
-	for k := range b {
-		keys[k] = struct{}{}
-	}
-	n := float64(len(keys))
-	if n == 0 {
-		return 0
-	}
-	var sa, sb float64
-	for k := range keys {
-		sa += a[k]
-		sb += b[k]
-	}
-	ma, mb := sa/n, sb/n
-	var cov, va, vb float64
-	for k := range keys {
-		dx, dy := a[k]-ma, b[k]-mb
-		cov += dx * dy
-		va += dx * dx
-		vb += dy * dy
-	}
-	if va == 0 || vb == 0 {
-		return 0
-	}
-	return cov / math.Sqrt(va*vb)
 }
 
 // Result is the outcome of the paper's similarity computation for a pair of

@@ -50,49 +50,6 @@ func TestCosineSymmetricProperty(t *testing.T) {
 	}
 }
 
-func TestJaccard(t *testing.T) {
-	if got := Jaccard(Vec{"a": 1, "b": 1}, Vec{"b": 9, "c": 9}); !almostEq(got, 1.0/3) {
-		t.Errorf("Jaccard = %v, want 1/3", got)
-	}
-	if Jaccard(Vec{}, Vec{}) != 0 {
-		t.Error("Jaccard of empties must be 0")
-	}
-	if got := Jaccard(Vec{"a": 1}, Vec{"a": 5}); !almostEq(got, 1) {
-		t.Errorf("Jaccard ignores weights: %v", got)
-	}
-}
-
-func TestOverlap(t *testing.T) {
-	if got := Overlap(Vec{"a": 1}, Vec{"a": 1, "b": 1, "c": 1}); !almostEq(got, 1) {
-		t.Errorf("Overlap = %v, want 1 (subset)", got)
-	}
-	if Overlap(Vec{}, Vec{"a": 1}) != 0 {
-		t.Error("Overlap with empty must be 0")
-	}
-}
-
-func TestPearson(t *testing.T) {
-	// Perfectly linearly related over the union.
-	a := Vec{"x": 1, "y": 2, "z": 3}
-	b := Vec{"x": 2, "y": 4, "z": 6}
-	if got := Pearson(a, b); !almostEq(got, 1) {
-		t.Errorf("Pearson = %v, want 1", got)
-	}
-	// Anti-correlated.
-	c := Vec{"x": 3, "y": 2, "z": 1}
-	if got := Pearson(a, c); !almostEq(got, -1) {
-		t.Errorf("Pearson = %v, want -1", got)
-	}
-	// No variance on one side.
-	d := Vec{"x": 5, "y": 5, "z": 5}
-	if got := Pearson(a, d); got != 0 {
-		t.Errorf("Pearson with flat vector = %v, want 0", got)
-	}
-	if Pearson(Vec{}, Vec{}) != 0 {
-		t.Error("Pearson of empties must be 0")
-	}
-}
-
 func buyer(id, cat string, terms map[string]float64, times int) *profile.Profile {
 	p, _ := profile.NewProfileAlpha(id, 1.0)
 	for i := 0; i < times; i++ {
