@@ -172,9 +172,7 @@ func WithElasticOwnership(interval time.Duration) Option {
 // community on New, and each Buyer Agent Server persists its UserDB and
 // BSMDB the same way. A platform restarted on the same dir answers with
 // the same recommendations it gave before the restart. Combine with
-// WithEngineOptions(recommend.WithMaxResidentShards(n)) to bound how much
-// of the community stays in memory, and WithCompaction to bound the
-// journal itself.
+// WithCompaction to bound the journal itself.
 func WithStateDir(dir string) Option {
 	return func(c *platform.Config) { c.StateDir = dir }
 }

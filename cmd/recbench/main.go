@@ -10,7 +10,7 @@
 //	recbench -neighbors -quick             # small sizes, no 1M build
 //	recbench -scenario list                # list the shipped scenarios
 //	recbench -scenario flash-sale          # full-size open-loop run, 2 servers
-//	recbench -scenario churn-spill -quick  # CI-sized smoke reduction
+//	recbench -scenario flash-sale -quick   # CI-sized smoke reduction
 //	recbench -scenario my.json -rate 500 -duration 10s -servers 3
 //	recbench -scenario flash-sale -servers localhost:8080,localhost:8081
 //
@@ -52,7 +52,7 @@ func main() {
 	servers := flag.String("servers", "2", "in-process buyer server count, or comma-separated HTTP addresses of live platformd daemons")
 	users := flag.Int("users", 0, "override the scenario's consumer count (must be > 0 when set)")
 	workers := flag.Int("workers", 0, "driver worker count (default 16)")
-	stateDir := flag.String("state-dir", "", "durable state root for spilling scenarios (default: temp dir)")
+	stateDir := flag.String("state-dir", "", "durable state root for the failover scenario's servers (default: memory-only)")
 	flag.Parse()
 
 	set := map[string]bool{}

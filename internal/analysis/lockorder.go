@@ -228,7 +228,7 @@ func release(held []heldLock, key string) []heldLock {
 }
 
 // isLockCall matches X.mu.Lock() / X.mu.RLock() and the engine's
-// lockResidentW(sh, admit) helper, classifying the owner X.
+// lockShardW(sh, admit) helper, classifying the owner X.
 func isLockCall(pass *Pass, call *ast.CallExpr) *heldLock {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -241,10 +241,10 @@ func isLockCall(pass *Pass, call *ast.CallExpr) *heldLock {
 			return nil
 		}
 		return &heldLock{kind: kind, key: owner}
-	case "lockResidentW":
-		// e.lockResidentW(sh, admit) acquires sh.mu for writing.
+	case "lockShardW":
+		// e.lockShardW(sh, admit) acquires sh.mu for writing.
 		if f := calleeFunc(pass.TypesInfo, call); f != nil &&
-			isMethodOn(f, recommendPath, "Engine", "lockResidentW") && len(call.Args) == 2 {
+			isMethodOn(f, recommendPath, "Engine", "lockShardW") && len(call.Args) == 2 {
 			return &heldLock{kind: lockShard, key: exprString(call.Args[0])}
 		}
 	}

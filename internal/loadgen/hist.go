@@ -17,9 +17,9 @@
 //     trap closed-loop drivers fall into).
 //   - Scenario (scenario.go): the scenario library, shipped as data. Each
 //     scenario is a plain JSON-serializable struct; the built-in Library
-//     covers flash-sale skew, diurnal load, consumer churn under shard
-//     spilling, cold-follower paged bootstrap under writes, and
-//     profile-shilling poisoning.
+//     covers flash-sale skew, diurnal load, cold-follower paged bootstrap
+//     under writes, kill-the-owner failover, and profile-shilling
+//     poisoning.
 //   - RunScenario (run.go): boots the target world (an in-process
 //     replicated platform, a recommend-level world with a cold follower, or
 //     live platformd daemons over HTTP), seeds the universe, drives the

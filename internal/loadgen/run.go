@@ -42,7 +42,7 @@ func summarize(h *Histogram) LatencySummary {
 
 // MetricsDelta is the ops.Snapshot movement over the run: platform-level
 // proof that the load actually exercised the subsystem the scenario claims
-// (journal growth, compactions, spilling, replication backlog).
+// (journal growth, compactions, replication backlog).
 type MetricsDelta struct {
 	UsersBefore        int     `json:"users_before"`
 	UsersAfter         int     `json:"users_after"`
@@ -51,9 +51,8 @@ type MetricsDelta struct {
 	CompactionsBefore  uint64  `json:"compactions_before"`
 	CompactionsAfter   uint64  `json:"compactions_after"`
 	ShardsPerEngine    int     `json:"shards_per_engine"`
-	ResidentShardsMin  int     `json:"resident_shards_min"` // smallest residency at end (< shards ⇒ spilling)
-	LagRecordsEnd      uint64  `json:"lag_records_end"`     // replication backlog when load stopped
-	DrainMs            float64 `json:"drain_ms"`            // time to sync that backlog away
+	LagRecordsEnd      uint64  `json:"lag_records_end"` // replication backlog when load stopped
+	DrainMs            float64 `json:"drain_ms"`        // time to sync that backlog away
 }
 
 // ScenarioResult is the BENCH_<scenario>.json document: the committed
@@ -163,8 +162,8 @@ type RunOptions struct {
 	// HTTPAddrs drives live platformd daemons instead (read-only: the
 	// scenario mix must be recommend-only).
 	HTTPAddrs []string
-	// StateDir is the durable state root for spilling scenarios; empty
-	// uses a temp dir removed after the run.
+	// StateDir is the durable state root of the failover world's servers;
+	// empty keeps them memory-only.
 	StateDir string
 	// Workers is the driver's concurrent issuer count [16].
 	Workers int
@@ -238,7 +237,7 @@ func RunScenario(ctx context.Context, s Scenario, opt RunOptions) (*ScenarioResu
 		if s.MixSetProfile > 0 || s.MixPurchase > 0 {
 			return nil, fmt.Errorf("loadgen: scenario %q mixes writes; the HTTP target is read-only", s.Name)
 		}
-		if s.ColdFollower || s.Failover || s.MaxResidentShards > 0 {
+		if s.ColdFollower || s.Failover {
 			return nil, fmt.Errorf("loadgen: scenario %q needs an in-process world", s.Name)
 		}
 		w, err = newHTTPWorld(opt.HTTPAddrs)
@@ -254,15 +253,7 @@ func RunScenario(ctx context.Context, s Scenario, opt RunOptions) (*ScenarioResu
 		foW, err = newFailoverWorld(s, u, profiles, servers, opt.StateDir)
 		w, target = foW, "failover"
 	default:
-		stateDir := opt.StateDir
-		if s.MaxResidentShards > 0 && stateDir == "" {
-			stateDir, err = os.MkdirTemp("", "loadgen-state-*")
-			if err != nil {
-				return nil, err
-			}
-			defer os.RemoveAll(stateDir)
-		}
-		w, err = newPlatformWorld(s, u, profiles, servers, stateDir)
+		w, err = newPlatformWorld(u, profiles, servers)
 	}
 	if err != nil {
 		return nil, err
@@ -449,14 +440,11 @@ func metricsDelta(before, atEnd, final ops.Snapshot, drain time.Duration) *Metri
 		d.JournalBytesBefore += sv.Engine.JournalBytes
 		d.CompactionsBefore += sv.Engine.Compactions
 	}
-	for i, sv := range final.Servers {
+	for _, sv := range final.Servers {
 		d.UsersAfter = max(d.UsersAfter, sv.Engine.Users)
 		d.JournalBytesAfter += sv.Engine.JournalBytes
 		d.CompactionsAfter += sv.Engine.Compactions
 		d.ShardsPerEngine = sv.Engine.Shards
-		if i == 0 || sv.Engine.ResidentShards < d.ResidentShardsMin {
-			d.ResidentShardsMin = sv.Engine.ResidentShards
-		}
 	}
 	return d
 }

@@ -67,25 +67,6 @@ func TestRunScenarioDiurnal(t *testing.T) {
 	}
 }
 
-// TestRunScenarioChurnSpill: churn must grow the community and the
-// residency cap must actually spill shards.
-func TestRunScenarioChurnSpill(t *testing.T) {
-	s := tiny(t, "churn-spill")
-	res := runTiny(t, s, RunOptions{Servers: 2})
-	if res.Metrics.UsersAfter <= res.Metrics.UsersBefore {
-		t.Fatalf("churn did not grow the community: %d -> %d",
-			res.Metrics.UsersBefore, res.Metrics.UsersAfter)
-	}
-	if res.Metrics.ResidentShardsMin > s.MaxResidentShards {
-		t.Fatalf("residency %d exceeds cap %d: spilling never engaged",
-			res.Metrics.ResidentShardsMin, s.MaxResidentShards)
-	}
-	if res.Metrics.ShardsPerEngine <= s.MaxResidentShards {
-		t.Fatalf("scenario too small to force spilling: %d shards vs cap %d",
-			res.Metrics.ShardsPerEngine, s.MaxResidentShards)
-	}
-}
-
 // TestRunScenarioColdFollower: a server joining mid-run must bootstrap via
 // the paged snapshot protocol and end caught up.
 func TestRunScenarioColdFollower(t *testing.T) {

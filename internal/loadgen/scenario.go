@@ -1,8 +1,10 @@
 package loadgen
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -38,11 +40,6 @@ type Scenario struct {
 	UserZipfS        float64 `json:"user_zipf_s,omitempty"`
 	HotCategoryShare float64 `json:"hot_category_share,omitempty"`
 	ChurnFraction    float64 `json:"churn_fraction,omitempty"`
-
-	// MaxResidentShards > 0 bounds how many community shards each engine
-	// keeps in memory (recommend.WithMaxResidentShards); the runner then
-	// backs the engines with a durable state dir so cold shards spill.
-	MaxResidentShards int `json:"max_resident_shards,omitempty"`
 
 	// ColdFollower adds one extra cold server to the replicated world: it
 	// owns nothing, starts with empty replicas after ColdFollowerDelayS of
@@ -162,9 +159,6 @@ func (s Scenario) Validate() error {
 		if s.ColdFollower {
 			return bad("failover and cold_follower are mutually exclusive chaos modes")
 		}
-		if s.MaxResidentShards > 0 {
-			return bad("the failover world does not support max_resident_shards")
-		}
 		if s.FailoverDelayS >= s.DurationS {
 			return bad("failover_delay_s %g must fall inside duration_s %g",
 				s.FailoverDelayS, s.DurationS)
@@ -221,15 +215,6 @@ var Library = []Scenario{
 		MixRecommend: 0.70, MixSetProfile: 0.15, MixPurchase: 0.15,
 	},
 	{
-		Name:        "churn-spill",
-		Description: "sustained consumer churn growing the community under WithMaxResidentShards memory pressure, so cold shards spill and fault back in",
-		Users:       6000, Products: 800, Categories: 16, Seed: 1,
-		RateOpsS: 120, DurationS: 25,
-		MixRecommend: 0.50, MixSetProfile: 0.40, MixPurchase: 0.10,
-		ChurnFraction:     0.6,
-		MaxResidentShards: 4,
-	},
-	{
 		Name:        "cold-follower",
 		Description: "a cold server joins a replicated deployment mid-run and bootstraps every shard via paged snapshots while sustained writes continue",
 		Users:       8000, Products: 1000, Categories: 16, Seed: 1,
@@ -278,15 +263,22 @@ func Lookup(name string) (Scenario, bool) {
 
 // LoadScenario reads a scenario document from a JSON file — the escape
 // hatch that keeps the library data: a scenario nobody shipped is a file,
-// not a fork.
+// not a fork. A key the Scenario does not have is refused by name rather
+// than dropped, so a misspelt or retired setting never runs silently
+// without the effect it asks for.
 func LoadScenario(path string) (Scenario, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Scenario{}, err
 	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var s Scenario
-	if err := json.Unmarshal(data, &s); err != nil {
+	if err := dec.Decode(&s); err != nil {
 		return Scenario{}, fmt.Errorf("loadgen: parsing scenario %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Scenario{}, fmt.Errorf("loadgen: parsing scenario %s: data after the scenario document", path)
 	}
 	return s, nil
 }

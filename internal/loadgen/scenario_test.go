@@ -3,6 +3,7 @@ package loadgen
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -22,7 +23,7 @@ func TestLibraryScenariosValid(t *testing.T) {
 			t.Errorf("smoke reduction of %q invalid: %v", s.Name, err)
 		}
 	}
-	for _, want := range []string{"flash-sale", "diurnal", "churn-spill", "cold-follower", "shilling"} {
+	for _, want := range []string{"flash-sale", "diurnal", "cold-follower", "failover", "shilling"} {
 		if !seen[want] {
 			t.Errorf("library is missing the %s scenario the ROADMAP names", want)
 		}
@@ -99,6 +100,20 @@ func TestLoadScenarioFile(t *testing.T) {
 	os.WriteFile(bad, []byte("{"), 0o644)
 	if _, err := LoadScenario(bad); err == nil {
 		t.Error("malformed JSON accepted")
+	}
+	// A key the Scenario does not have — a retired setting or a misspelt
+	// one — is refused by name, never silently dropped.
+	for field, doc := range map[string]string{
+		"max_resident_shards": `{"name":"spill","rate_ops_s":50,"duration_s":2,"mix_recommend":1,"max_resident_shards":4}`,
+		"mix_recomend":        `{"name":"typo","rate_ops_s":50,"duration_s":2,"mix_recomend":1}`,
+	} {
+		path := filepath.Join(t.TempDir(), field+".json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadScenario(path); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("document setting %s loaded with %v, want an error naming the field", field, err)
+		}
 	}
 }
 

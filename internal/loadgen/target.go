@@ -103,21 +103,12 @@ type platformWorld struct {
 	next    atomic.Uint64
 }
 
-func newPlatformWorld(s Scenario, u *workload.Universe, profiles []*profile.Profile, servers int, stateDir string) (*platformWorld, error) {
-	cfg := platform.Config{
+func newPlatformWorld(u *workload.Universe, profiles []*profile.Profile, servers int) (*platformWorld, error) {
+	p, err := platform.New(platform.Config{
 		BuyerServers:     servers,
 		Products:         u.Products,
 		ReplicateEngines: servers > 1,
-	}
-	if s.MaxResidentShards > 0 {
-		// Spilling needs a Persister behind the engines.
-		if stateDir == "" {
-			return nil, fmt.Errorf("loadgen: scenario %q sets max_resident_shards and needs a state dir", s.Name)
-		}
-		cfg.StateDir = stateDir
-		cfg.EngineOpts = append(cfg.EngineOpts, recommend.WithMaxResidentShards(s.MaxResidentShards))
-	}
-	p, err := platform.New(cfg)
+	})
 	if err != nil {
 		return nil, err
 	}

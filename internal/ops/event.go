@@ -212,7 +212,6 @@ type TransportSnapshot struct {
 // what the engine's Stats returns.
 type EngineSnapshot struct {
 	Shards            int    `json:"shards"`
-	ResidentShards    int    `json:"resident_shards"` // < Shards when cold shards are spilled
 	Users             int    `json:"users"`
 	IndexedCategories int    `json:"indexed_categories"`
 	Postings          int    `json:"postings"`

@@ -431,10 +431,9 @@ func (p *Platform) integrate(i int, sellerID string, apply func(*catalog.Integra
 // SeedCommunity installs pre-built consumer profiles and purchase histories
 // into the engine, for examples and experiments that need a warm community.
 // Profiles go through the engine's bulk-install path (one lock acquisition
-// and one durable batch per shard). Purchases replay grouped by shard —
-// map-order iteration would touch a random shard per record, which under
-// WithMaxResidentShards faults a shard in and out per purchase instead of
-// once per shard.
+// and one durable batch per shard). Purchases replay grouped by shard and
+// then by consumer, never in map order, so the journal a seeding writes is
+// the same on every run.
 func (p *Platform) SeedCommunity(profiles []*profile.Profile, purchases map[string][]string) error {
 	writer := p.writers[0] // server 0's surface: the engine, or its router when replicating
 	if err := writer.SetProfiles(profiles); err != nil {

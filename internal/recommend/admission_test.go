@@ -19,14 +19,14 @@ import (
 // still admissible; the check made under the lock sees the move.
 
 // awaitLockWait returns once a goroutine started by the running test is
-// parked on a shard lock inside lockResidentW.
+// parked on a shard lock inside lockShardW.
 func awaitLockWait(t *testing.T) {
 	t.Helper()
 	buf := make([]byte, 1<<20)
 	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		n := runtime.Stack(buf, true)
 		for _, g := range strings.Split(string(buf[:n]), "\n\n") {
-			if strings.Contains(g, "(*RWMutex).Lock") && strings.Contains(g, "(*Engine).lockResidentW") &&
+			if strings.Contains(g, "(*RWMutex).Lock") && strings.Contains(g, "(*Engine).lockShardW") &&
 				strings.Contains(g, "recommend.TestHeldLock") {
 				return
 			}

@@ -21,7 +21,7 @@ import (
 //     P(other | product), with a minimum support to keep noise out.
 //
 // Both are reads over the engine's ordinary shards, so they are journaled,
-// replicated, spilled and recovered with them: every caught-up replica and
+// replicated and recovered with them: every caught-up replica and
 // every reopened journal answers the same. Nothing here reads the wall
 // clock — the purchase's time and the window's end come from the caller
 // (agentlint's determinism check holds this file to that).
@@ -70,7 +70,7 @@ func (e *Engine) RecordPurchaseAt(userID, productID string, at time.Time) error 
 func (e *Engine) recordPurchaseAt(userID, productID string, at time.Time, admit admitFunc) error {
 	ms := epochMS(at)
 	sh := e.shardFor(userID)
-	if err := e.lockResidentW(sh, admit); err != nil {
+	if err := e.lockShardW(sh, admit); err != nil {
 		return err
 	}
 	set := sh.purchases[userID]
@@ -98,26 +98,20 @@ func (e *Engine) recordPurchaseAt(userID, productID string, at time.Time, admit 
 	sh.mu.Unlock()
 	e.sellFor(productID).bump(productID)
 	e.publishJournal(sh.id, seq, OpPurchase, 1, 0)
-	e.maybeEvict(sh)
 	e.noteJournalWrite()
 	return nil
 }
 
 // eachBasket calls fn with every consumer's purchase set (product ->
 // at_epoch_ms), one shard at a time under that shard's read lock; fn must
-// not keep or mutate the map. A spilled shard is faulted in first, like any
-// other whole-community read; a fault-in failure becomes the engine's
-// sticky error and the shard is skipped.
+// not keep or mutate the map.
 func (e *Engine) eachBasket(fn func(basket map[string]int64)) {
 	for _, sh := range e.shards {
-		err := e.readResident(sh, func() {
-			for _, basket := range sh.purchases {
-				fn(basket)
-			}
-		})
-		if err != nil {
-			e.setErr(err)
+		sh.mu.RLock()
+		for _, basket := range sh.purchases {
+			fn(basket)
 		}
+		sh.mu.RUnlock()
 	}
 }
 

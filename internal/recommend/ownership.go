@@ -33,7 +33,7 @@ import (
 // SIGSTOP'd owner from silently acking writes after waking up.
 //
 // A write is admitted inside the engine's write primitive, with the shard
-// lock held (lockResidentW), by one of three rules on the table: the
+// lock held (lockShardW), by one of three rules on the table: the
 // owner's local write (admitOwner), a stamped forwarded write (Fence), and
 // a follower's apply of a pulled reply (admitApply). So a check and the
 // mutation it guards can no longer straddle another role's mutation of the
@@ -283,7 +283,7 @@ func owns(shard, owner int, epoch uint64, self int) error {
 	return nil
 }
 
-// admitFunc is one write's admission rule: lockResidentW runs it with the
+// admitFunc is one write's admission rule: lockShardW runs it with the
 // shard's write lock held and refuses the write on error. nil admits every
 // write — the public Engine write API of a deployment without a table.
 type admitFunc func(shard int) error

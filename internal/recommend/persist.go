@@ -15,21 +15,20 @@ import (
 )
 
 // This file is the engine's durability layer. The paper's Buyer Agent
-// Server holds every consumer's interest profile and purchase history; at
-// production scale that community must survive a server restart and must
-// not be forced to fit in memory. The engine therefore write-through
-// journals every mutation to a Persister (one atomic batch per mutation),
-// recovers the full community — profiles, purchase sets, sell counts, and
-// the per-category candidate index — on construction, and can spill cold
-// shards out of memory entirely: because every write is already durable,
-// spilling is just dropping the maps, and fault-in is a bucket scan.
+// Server holds every consumer's interest profile and purchase history, and
+// that community must survive a server restart. The engine therefore
+// write-through journals every mutation to a Persister (one atomic batch
+// per mutation) and recovers the full community — profiles, purchase sets,
+// sell counts, and the per-category candidate index — on construction.
+// Every shard stays in memory; the journal is for restart and replication,
+// not for paging state out.
 //
-// See DESIGN.md "Durability" for the WAL layout and spill policy.
+// See DESIGN.md "Durability" for the WAL layout.
 
 // Errors reported by the persistence layer.
 var (
 	ErrNoPersistence = errors.New("recommend: engine has no persistence configured")
-	ErrBadKey        = errors.New("recommend: id contains NUL byte")
+	ErrBadKey        = errors.New("recommend: id is empty or contains a NUL byte")
 )
 
 // ShardData is one community shard as recovered from a Persister: the
@@ -57,7 +56,7 @@ func (d *ShardData) addPurchase(user, product string, at int64) {
 	set[product] = at
 }
 
-// shardMaps turns data into the three maps a resident shard holds: every
+// shardMaps turns data into the three maps a shard holds: every
 // profile paired with its computed summary, nil maps made empty. The maps
 // are adopted, not copied.
 func shardMaps(data ShardData) (map[string]*stored, map[string]map[string]int64, map[string]int64) {
@@ -98,9 +97,6 @@ type Persister interface {
 	// LoadShard recovers one shard's profiles, purchase sets, and
 	// shard-attributed sell counts.
 	LoadShard(shard int) (ShardData, error)
-	// ShardUsers lists the consumer ids stored in shard without loading
-	// profiles, so Users/Stats can answer for spilled shards cheaply.
-	ShardUsers(shard int) ([]string, error)
 	// Compact rewrites the journal down to live state. Implementations
 	// must be crash-safe: a crash mid-compaction may lose the compaction
 	// but never acknowledged writes.
@@ -127,37 +123,21 @@ func WithPersister(p Persister) Option {
 	return func(e *Engine) { e.persist = p }
 }
 
-// WithMaxResidentShards bounds how many community shards stay in memory at
-// once (LRU by last access); the rest spill to the Persister and fault back
-// in transparently on access. Only meaningful with persistence; n is
-// clamped to at least 1. Zero (the default) keeps every shard resident.
-func WithMaxResidentShards(n int) Option {
-	return func(e *Engine) {
-		if n > 0 {
-			e.maxResident = n
-		}
-	}
-}
-
-// spilling reports whether shards may leave memory.
-func (e *Engine) spilling() bool {
-	return e.persist != nil && e.maxResident > 0 && e.maxResident < e.nshards
-}
-
-// Err returns the sticky persistence error, if any: a fault-in failure on
-// a read path that had no error return. Close surfaces it too.
+// Err returns the sticky persistence error, if any: a failure on a path
+// that had no caller to return it to, which is background compaction.
+// Close surfaces it too.
 func (e *Engine) Err() error {
-	e.resMu.Lock()
-	defer e.resMu.Unlock()
+	e.errMu.Lock()
+	defer e.errMu.Unlock()
 	return e.stickyErr
 }
 
 func (e *Engine) setErr(err error) {
-	e.resMu.Lock()
+	e.errMu.Lock()
 	if e.stickyErr == nil {
 		e.stickyErr = err
 	}
-	e.resMu.Unlock()
+	e.errMu.Unlock()
 }
 
 // Close releases the engine's Persister (a no-op for memory-only engines)
@@ -208,22 +188,11 @@ func (e *Engine) CompactState() error {
 	return nil
 }
 
-// --- residency: touch, fault-in, LRU eviction ---
-
-// touch bumps the shard's LRU clock.
-func (e *Engine) touch(sh *shard) {
-	if e.spilling() {
-		sh.lastAccess.Store(e.clock.Add(1))
-	}
-}
-
-// lockResidentW acquires sh.mu for writing, admits the write, and makes
-// sure the shard is resident, faulting it in from the Persister if it was
-// spilled. It is the one place a shard mutation takes its lock, so it is
-// the one ownership admission point: admit (nil: every write) runs with the
-// lock held, and a refusal releases the lock and is returned. The caller
-// must Unlock and then call maybeEvict.
-func (e *Engine) lockResidentW(sh *shard, admit admitFunc) error {
+// lockShardW acquires sh.mu for writing and admits the write. It is the one
+// place a shard mutation takes its lock, so it is the one ownership
+// admission point: admit (nil: every write) runs with the lock held, and a
+// refusal releases the lock and is returned. The caller must Unlock.
+func (e *Engine) lockShardW(sh *shard, admit admitFunc) error {
 	sh.mu.Lock()
 	if admit != nil {
 		if err := admit(sh.id); err != nil {
@@ -231,135 +200,13 @@ func (e *Engine) lockResidentW(sh *shard, admit admitFunc) error {
 			return err
 		}
 	}
-	if !sh.resident.Load() {
-		if err := e.faultInLocked(sh); err != nil {
-			sh.mu.Unlock()
-			return err
-		}
-	}
-	e.touch(sh)
 	return nil
 }
 
-// readResident runs read under sh's read lock with the shard's maps in
-// memory, faulting the shard in first (and as often as eviction undoes it)
-// when it was spilled.
-func (e *Engine) readResident(sh *shard, read func()) error {
-	for {
-		sh.mu.RLock()
-		resident := sh.resident.Load()
-		if resident {
-			read()
-		}
-		sh.mu.RUnlock()
-		if resident {
-			e.touch(sh)
-			return nil
-		}
-		if err := e.faultIn(sh); err != nil {
-			return err
-		}
-	}
-}
-
-// faultInLocked reloads a spilled shard from the Persister. Caller holds
-// sh.mu for writing. The candidate index is untouched: postings survive
-// spilling, so they are already exact for the shard's durable state.
-func (e *Engine) faultInLocked(sh *shard) error {
-	data, err := e.persist.LoadShard(sh.id)
-	if err != nil {
-		return fmt.Errorf("recommend: faulting in shard %d: %w", sh.id, err)
-	}
-	sh.profiles, sh.purchases, sh.sells = shardMaps(data)
-	sh.gen.Add(1)
-	sh.resident.Store(true)
-	e.resMu.Lock()
-	e.residentN++
-	e.resMu.Unlock()
-	return nil
-}
-
-// maybeEvict spills least-recently-accessed shards until the resident
-// count is back under the cap. keep is the shard just served; it is never
-// the victim. At most one shard lock is held at a time (lock order shard
-// -> resMu, same as fault-in), so eviction can never deadlock with
-// concurrent fault-ins.
-func (e *Engine) maybeEvict(keep *shard) {
-	if !e.spilling() {
-		return
-	}
-	for {
-		e.resMu.Lock()
-		over := e.residentN > e.maxResident
-		e.resMu.Unlock()
-		if !over {
-			return
-		}
-		var victim *shard
-		var oldest uint64
-		for _, sh := range e.shards {
-			if sh == keep || !sh.resident.Load() {
-				continue
-			}
-			if at := sh.lastAccess.Load(); victim == nil || at < oldest {
-				victim, oldest = sh, at
-			}
-		}
-		if victim == nil {
-			return
-		}
-		victim.mu.Lock()
-		if victim.resident.Load() {
-			victim.profiles = nil
-			victim.purchases = nil
-			victim.sells = nil
-			victim.resident.Store(false)
-			victim.gen.Add(1) // invalidate any cached view
-			victim.dropView()
-			e.resMu.Lock()
-			e.residentN--
-			e.resMu.Unlock()
-		}
-		victim.mu.Unlock()
-	}
-}
-
-// faultIn makes sh resident (no-op if it already is), then rebalances the
-// resident set. Takes and releases sh.mu.
-func (e *Engine) faultIn(sh *shard) error {
-	sh.mu.Lock()
-	if !sh.resident.Load() {
-		if err := e.faultInLocked(sh); err != nil {
-			sh.mu.Unlock()
-			return err
-		}
-	}
-	e.touch(sh)
-	sh.mu.Unlock()
-	e.maybeEvict(sh)
-	return nil
-}
-
-// residentView returns an immutable view of sh, faulting the shard in if
-// it was spilled. Used by lazy Snapshots.
-func (e *Engine) residentView(sh *shard) (*shardView, error) {
-	for tries := 0; tries < 16; tries++ {
-		if v := sh.snapshot(); v != nil {
-			e.touch(sh)
-			return v, nil
-		}
-		if err := e.faultIn(sh); err != nil {
-			return nil, err
-		}
-	}
-	return nil, fmt.Errorf("recommend: shard %d thrashing between fault-in and eviction", sh.id)
-}
-
-// recover replays the Persister into the engine: postings for every
-// consumer (the index is always fully resident), shard maps up to the
-// resident cap, and the sell counters (each shard's attributed sells
-// accumulate into the served per-product totals). Called by Open before the
-// engine is shared, so no locks are needed.
+// recover replays the Persister into the engine: every shard's maps,
+// postings for every consumer, and the sell counters (each shard's
+// attributed sells accumulate into the served per-product totals). Called
+// by Open before the engine is shared, so no locks are needed.
 func (e *Engine) recover() error {
 	for _, sh := range e.shards {
 		data, err := e.persist.LoadShard(sh.id)
@@ -375,21 +222,15 @@ func (e *Engine) recover() error {
 		for pid, total := range sells {
 			e.sellFor(pid).add(pid, total)
 		}
-		if e.maxResident <= 0 || e.residentN < e.maxResident {
-			sh.profiles, sh.purchases, sh.sells = profiles, purchases, sells
-			e.residentN++
-		} else {
-			sh.profiles, sh.purchases, sh.sells = nil, nil, nil
-			sh.resident.Store(false)
-		}
+		sh.profiles, sh.purchases, sh.sells = profiles, purchases, sells
 	}
 	return nil
 }
 
 // --- the kvstore-backed Persister ---
 
-// Bucket scheme: one bucket per shard and kind, so recovery and fault-in
-// are single ordered prefix scans and shard buckets never interleave. All
+// Bucket scheme: one bucket per shard and kind, so recovering a shard is
+// a few ordered prefix scans and shard buckets never interleave. All
 // three buckets for shard N are keyed by the *user* shard, so a shard's
 // buckets are a self-contained, totally ordered change log — the unit the
 // replication layer (replicate.go) ships between servers.
@@ -447,6 +288,26 @@ func purchaseOp(shard int, userID, productID string, at int64) (kvstore.Op, erro
 	return kvstore.Op{Bucket: purchBucket(shard), Key: userID + "\x00" + productID, Value: binary.AppendUvarint(nil, uint64(at))}, nil
 }
 
+// profileOp is the upsert of one profile.
+func profileOp(shard int, p *profile.Profile) (kvstore.Op, error) {
+	if p.UserID == "" || strings.ContainsRune(p.UserID, 0) {
+		return kvstore.Op{}, fmt.Errorf("%w: user %q", ErrBadKey, p.UserID)
+	}
+	data, err := p.Marshal()
+	if err != nil {
+		return kvstore.Op{}, fmt.Errorf("recommend: encoding profile %s: %w", p.UserID, err)
+	}
+	return kvstore.Op{Bucket: profBucket(shard), Key: p.UserID, Value: data}, nil
+}
+
+// sellOp is the upsert of one product's sell count attributed to shard.
+func sellOp(shard int, productID string, total int64) (kvstore.Op, error) {
+	if productID == "" || strings.ContainsRune(productID, 0) {
+		return kvstore.Op{}, fmt.Errorf("%w: product %q", ErrBadKey, productID)
+	}
+	return kvstore.Op{Bucket: sellBucket(shard), Key: productID, Value: []byte(strconv.FormatInt(total, 10))}, nil
+}
+
 // kvBatch queues one mutation's ops and applies them in atomic batches of at
 // most saveProfilesChunk encoded bytes each.
 type kvBatch struct {
@@ -477,22 +338,14 @@ func (b *kvBatch) add(op kvstore.Op, size int) error {
 	return nil
 }
 
-// addProfile queues p's upsert into shard's profile bucket.
-func (b *kvBatch) addProfile(shard int, p *profile.Profile) error {
-	if strings.ContainsRune(p.UserID, 0) {
-		return fmt.Errorf("%w: user %q", ErrBadKey, p.UserID)
-	}
-	data, err := p.Marshal()
-	if err != nil {
-		return fmt.Errorf("recommend: encoding profile %s: %w", p.UserID, err)
-	}
-	return b.add(kvstore.Op{Bucket: profBucket(shard), Key: p.UserID, Value: data}, len(data))
-}
-
 func (kp *kvPersister) SaveProfiles(shard int, profs []*profile.Profile) error {
 	b := kvBatch{store: kp.store, ops: make([]kvstore.Op, 0, len(profs))}
 	for _, p := range profs {
-		if err := b.addProfile(shard, p); err != nil {
+		op, err := profileOp(shard, p)
+		if err != nil {
+			return err
+		}
+		if err := b.add(op, len(op.Value)); err != nil {
 			return err
 		}
 	}
@@ -504,35 +357,51 @@ func (kp *kvPersister) SavePurchase(shard int, userID, productID string, at, tot
 	if err != nil {
 		return err
 	}
-	return kp.store.Apply([]kvstore.Op{
-		op,
-		{Bucket: sellBucket(shard), Key: productID, Value: []byte(strconv.FormatInt(total, 10))},
-	})
+	sell, err := sellOp(shard, productID, total)
+	if err != nil {
+		return err
+	}
+	return kp.store.Apply([]kvstore.Op{op, sell})
 }
 
 // SaveShard replaces the shard's three buckets with data: stale keys are
 // deleted, live ones upserted, split into batches under the record cap.
-// Within one SaveShard the deletes land first, so a crash mid-replace can
-// only lose state the next snapshot catch-up rewrites anyway.
+// Every upsert is encoded before the first delete is queued, so data the
+// journal cannot hold (an empty or NUL id) refuses the replace with the
+// buckets untouched. The deletes then land first, so a crash mid-replace
+// can only lose state the next snapshot catch-up rewrites anyway.
 func (kp *kvPersister) SaveShard(shard int, data ShardData) error {
-	b := kvBatch{store: kp.store}
-
-	// Deletes for keys the new state no longer has.
-	live := make(map[string]map[string]bool, 3)
-	live[profBucket(shard)] = make(map[string]bool, len(data.Profiles))
+	ups := make([]kvstore.Op, 0, len(data.Profiles)+len(data.Sells))
 	for _, p := range data.Profiles {
-		live[profBucket(shard)][p.UserID] = true
+		op, err := profileOp(shard, p)
+		if err != nil {
+			return err
+		}
+		ups = append(ups, op)
 	}
-	live[purchBucket(shard)] = make(map[string]bool)
 	for user, set := range data.Purchases {
-		for pid := range set {
-			live[purchBucket(shard)][user+"\x00"+pid] = true
+		for pid, at := range set {
+			op, err := purchaseOp(shard, user, pid, at)
+			if err != nil {
+				return err
+			}
+			ups = append(ups, op)
 		}
 	}
-	live[sellBucket(shard)] = make(map[string]bool, len(data.Sells))
-	for pid := range data.Sells {
-		live[sellBucket(shard)][pid] = true
+	for pid, total := range data.Sells {
+		op, err := sellOp(shard, pid, total)
+		if err != nil {
+			return err
+		}
+		ups = append(ups, op)
 	}
+
+	// Deletes for keys the new state no longer has.
+	live := map[string]map[string]bool{profBucket(shard): {}, purchBucket(shard): {}, sellBucket(shard): {}}
+	for _, op := range ups {
+		live[op.Bucket][op.Key] = true
+	}
+	b := kvBatch{store: kp.store}
 	for bucket, keep := range live {
 		ents, err := kp.store.Scan(bucket, "")
 		if err != nil {
@@ -551,27 +420,8 @@ func (kp *kvPersister) SaveShard(shard int, data ShardData) error {
 	}
 
 	// Upserts for the new state.
-	for _, p := range data.Profiles {
-		if err := b.addProfile(shard, p); err != nil {
-			return err
-		}
-	}
-	for user, set := range data.Purchases {
-		for pid, at := range set {
-			op, err := purchaseOp(shard, user, pid, at)
-			if err != nil {
-				return err
-			}
-			if err := b.add(op, len(op.Key)+len(op.Value)); err != nil {
-				return err
-			}
-		}
-	}
-	for pid, total := range data.Sells {
-		if strings.ContainsRune(pid, 0) {
-			return fmt.Errorf("%w: product %q", ErrBadKey, pid)
-		}
-		if err := b.add(kvstore.Op{Bucket: sellBucket(shard), Key: pid, Value: []byte(strconv.FormatInt(total, 10))}, len(pid)+20); err != nil {
+	for _, op := range ups {
+		if err := b.add(op, len(op.Key)+len(op.Value)); err != nil {
 			return err
 		}
 	}
@@ -621,18 +471,6 @@ func (kp *kvPersister) LoadShard(shard int) (ShardData, error) {
 		data.Sells[ent.Key] = total
 	}
 	return data, nil
-}
-
-func (kp *kvPersister) ShardUsers(shard int) ([]string, error) {
-	ents, err := kp.store.Scan(profBucket(shard), "")
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(ents))
-	for i, ent := range ents {
-		out[i] = ent.Key
-	}
-	return out, nil
 }
 
 func (kp *kvPersister) Compact() error { return kp.store.Compact() }

@@ -1,9 +1,8 @@
 package recommend
 
 // Durability tests: warm restart recovers the exact community, a crash
-// mid-batch (torn WAL tail) recovers the intact prefix, spilled shards
-// answer identically to resident ones, and the whole persistence path
-// survives a -race soak.
+// mid-batch (torn WAL tail) recovers the intact prefix, and the whole
+// persistence path survives a -race soak.
 
 import (
 	"errors"
@@ -209,77 +208,6 @@ func TestCrashMidBatchRecoversPrefix(t *testing.T) {
 	communityEqual(t, mem, e3)
 }
 
-func TestSpilledShardsAnswerIdentically(t *testing.T) {
-	u, profiles := soakUniverse(t)
-	dir := t.TempDir()
-	const shards = 8
-	mem := loadEngine(u, profiles, WithNeighbors(8), WithShards(shards))
-
-	e := loadEngineErr(t, u, profiles,
-		WithPersistence(dir), WithNeighbors(8), WithShards(shards), WithMaxResidentShards(2))
-	defer e.Close()
-	if st := e.Stats(); st.ResidentShards > 2 {
-		t.Fatalf("ResidentShards = %d, want <= 2", st.ResidentShards)
-	}
-	// Every read faults shards in transparently and answers exactly like
-	// the fully resident engine; eviction keeps the cap between requests.
-	communityEqual(t, mem, e)
-	if err := e.Err(); err != nil {
-		t.Fatalf("sticky persistence error: %v", err)
-	}
-
-	// Restart with the cap still in place: warm restart + spilling compose.
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	e2, err := Open(u.Catalog,
-		WithPersistence(dir), WithNeighbors(8), WithShards(shards), WithMaxResidentShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	if st := e2.Stats(); st.ResidentShards > 2 {
-		t.Fatalf("after restart ResidentShards = %d, want <= 2", st.ResidentShards)
-	}
-	communityEqual(t, mem, e2)
-	if err := e2.Err(); err != nil {
-		t.Fatalf("sticky persistence error after restart: %v", err)
-	}
-}
-
-func TestSpillEvictsToPersister(t *testing.T) {
-	u, profiles := soakUniverse(t)
-	e := loadEngineErr(t, u, profiles,
-		WithPersistence(t.TempDir()), WithShards(8), WithMaxResidentShards(2))
-	defer e.Close()
-
-	// Touch every user: each access may fault a shard in and evict
-	// another, but profile reads always see the durable state.
-	for _, p := range profiles {
-		got, err := e.Profile(p.UserID)
-		if err != nil {
-			t.Fatalf("Profile(%s) after spill churn: %v", p.UserID, err)
-		}
-		if !reflect.DeepEqual(got.Vector(), p.Vector()) {
-			t.Fatalf("faulted-in profile for %s differs", p.UserID)
-		}
-		if st := e.Stats(); st.ResidentShards > 2 {
-			t.Fatalf("ResidentShards = %d, want <= 2", st.ResidentShards)
-		}
-	}
-	// Writes to spilled shards fault in and stay durable.
-	for _, p := range profiles[:20] {
-		if err := e.RecordPurchase(p.UserID, u.Catalog.All()[0].ID); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, p := range profiles[:20] {
-		if !e.Snapshot().Purchases(p.UserID)[u.Catalog.All()[0].ID] {
-			t.Fatalf("purchase for %s lost after spill churn", p.UserID)
-		}
-	}
-}
-
 func TestSetProfilesEquivalence(t *testing.T) {
 	u, profiles := soakUniverse(t)
 
@@ -432,13 +360,12 @@ func TestCompactState(t *testing.T) {
 
 // TestPersistentConcurrentSoak is the -race soak for the durable path:
 // concurrent writers (SetProfile, RecordPurchase, bulk SetProfiles) and
-// readers (Recommend, Profile, Users, Snapshot) churn a spilling engine,
+// readers (Recommend, Profile, Users, Snapshot) churn a durable engine,
 // then a restart must recover a community identical to a serial replay.
 func TestPersistentConcurrentSoak(t *testing.T) {
 	u, profiles := soakUniverse(t)
 	dir := t.TempDir()
-	e, err := Open(u.Catalog,
-		WithPersistence(dir), WithNeighbors(8), WithShards(8), WithMaxResidentShards(3))
+	e, err := Open(u.Catalog, WithPersistence(dir), WithNeighbors(8), WithShards(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +478,6 @@ func (failingPersister) SavePurchase(int, string, string, int64, int64) error {
 }
 func (failingPersister) SaveShard(int, ShardData) error   { return errInjected }
 func (failingPersister) LoadShard(int) (ShardData, error) { return ShardData{}, errInjected }
-func (failingPersister) ShardUsers(int) ([]string, error) { return nil, errInjected }
 func (failingPersister) Compact() error                   { return nil }
 func (failingPersister) SizeStats() (kvstore.SizeStats, error) {
 	return kvstore.SizeStats{}, errInjected

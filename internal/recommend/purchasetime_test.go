@@ -4,7 +4,7 @@ package recommend
 // TiedSales are functions of ordinary shard state. These tests drive dated
 // traffic — repeats, older repeats, undated repeats — and hold every way the
 // engine copies a shard (journal records, paged catch-up, the WAL, a crash
-// image, compaction, spilling) to the same answers as one in-memory engine.
+// image, compaction) to the same answers as one in-memory engine.
 
 import (
 	"bytes"
@@ -114,54 +114,44 @@ func datedReference(t *testing.T, u *workload.Universe) *Engine {
 // TestDatedTrafficReplicatesByteIdentical: followers that tail dated
 // purchases as journal records answer Trending and TiedSales like the owner
 // and like one in-memory engine, and their WALs — live state and compacted
-// file — are byte-identical to the owner's, resident or spilling: the dated
-// variant of TestReplicatedWALByteIdentical.
+// file — are byte-identical to the owner's: the dated variant of
+// TestReplicatedWALByteIdentical.
 func TestDatedTrafficReplicatesByteIdentical(t *testing.T) {
-	for _, spill := range []bool{false, true} {
-		name := "resident"
-		if spill {
-			name = "spilling"
-		}
-		t.Run(name, func(t *testing.T) {
-			u, profiles := soakUniverse(t)
-			dirs := []string{t.TempDir(), t.TempDir()}
-			c := newReplCluster(t, u, 2, func(i int) []Option {
-				opts := []Option{WithPersistence(dirs[i])}
-				if spill {
-					opts = append(opts, WithMaxResidentShards(1))
-				}
-				return opts
-			})
-			if err := c.routers[0].SetProfiles(profiles); err != nil {
-				t.Fatal(err)
-			}
-			c.sync(t) // cold followers page the profiles in; from here they tail records
-			before := sumSnapshots(c.repls[0].Stats()) + sumSnapshots(c.repls[1].Stats())
-			buyDated(t, u, c.routers[0])
-			c.sync(t)
-			if after := sumSnapshots(c.repls[0].Stats()) + sumSnapshots(c.repls[1].Stats()); after != before {
-				t.Fatalf("purchases travelled by snapshot (%d -> %d catch-ups), want journal records", before, after)
-			}
-			ref := datedReference(t, u)
-			if err := ref.SetProfiles(profiles); err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range c.engines {
-				purchaseReadsEqual(t, ref, e)
-				communityEqual(t, ref, e)
-				if err := e.Err(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			c.close(t)
-			if snap0, snap1 := walSnapshot(t, dirs[0]), walSnapshot(t, dirs[1]); len(snap0) == 0 || !bytes.Equal(snap0, snap1) {
-				t.Fatalf("WAL live states differ: %d vs %d bytes", len(snap0), len(snap1))
-			}
-			if raw0, raw1 := compactedWAL(t, dirs[0]), compactedWAL(t, dirs[1]); len(raw0) == 0 || !bytes.Equal(raw0, raw1) {
-				t.Fatalf("compacted WALs differ: %d vs %d bytes", len(raw0), len(raw1))
-			}
+	t.Run("resident", func(t *testing.T) {
+		u, profiles := soakUniverse(t)
+		dirs := []string{t.TempDir(), t.TempDir()}
+		c := newReplCluster(t, u, 2, func(i int) []Option {
+			return []Option{WithPersistence(dirs[i])}
 		})
-	}
+		if err := c.routers[0].SetProfiles(profiles); err != nil {
+			t.Fatal(err)
+		}
+		c.sync(t) // cold followers page the profiles in; from here they tail records
+		before := sumSnapshots(c.repls[0].Stats()) + sumSnapshots(c.repls[1].Stats())
+		buyDated(t, u, c.routers[0])
+		c.sync(t)
+		if after := sumSnapshots(c.repls[0].Stats()) + sumSnapshots(c.repls[1].Stats()); after != before {
+			t.Fatalf("purchases travelled by snapshot (%d -> %d catch-ups), want journal records", before, after)
+		}
+		ref := datedReference(t, u)
+		if err := ref.SetProfiles(profiles); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range c.engines {
+			purchaseReadsEqual(t, ref, e)
+			communityEqual(t, ref, e)
+			if err := e.Err(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.close(t)
+		if snap0, snap1 := walSnapshot(t, dirs[0]), walSnapshot(t, dirs[1]); len(snap0) == 0 || !bytes.Equal(snap0, snap1) {
+			t.Fatalf("WAL live states differ: %d vs %d bytes", len(snap0), len(snap1))
+		}
+		if raw0, raw1 := compactedWAL(t, dirs[0]), compactedWAL(t, dirs[1]); len(raw0) == 0 || !bytes.Equal(raw0, raw1) {
+			t.Fatalf("compacted WALs differ: %d vs %d bytes", len(raw0), len(raw1))
+		}
+	})
 }
 
 // TestDatedTrafficSurvivesPagedCatchUp: a cold follower that pages the shard
@@ -214,11 +204,11 @@ func TestDatedTrafficSurvivesPagedCatchUp(t *testing.T) {
 	purchaseReadsEqual(t, ref, reopened)
 }
 
-// TestDatedTrafficSurvivesCrashCompactionAndSpill: a copy of a live engine's
-// WAL directory taken without Close — what a crash leaves — reopens to the
-// same Trending and TiedSales, answers the same after CompactState, and
-// the same again when all but one shard at a time is spilled.
-func TestDatedTrafficSurvivesCrashCompactionAndSpill(t *testing.T) {
+// TestDatedTrafficSurvivesCrashAndCompaction: a copy of a live engine's WAL
+// directory taken without Close — what a crash leaves — reopens to the same
+// Trending and TiedSales, and answers the same after CompactState and after
+// reopening the compacted journal.
+func TestDatedTrafficSurvivesCrashAndCompaction(t *testing.T) {
 	u, _ := soakUniverse(t)
 	ref := datedReference(t, u)
 	live, err := Open(u.Catalog, WithNeighbors(8), WithShards(8), WithPersistence(t.TempDir()))
@@ -250,18 +240,12 @@ func TestDatedTrafficSurvivesCrashCompactionAndSpill(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	spilled, err := Open(u.Catalog, WithNeighbors(8), WithShards(8), WithPersistence(image), WithMaxResidentShards(1))
+	compacted, err := Open(u.Catalog, WithNeighbors(8), WithShards(8), WithPersistence(image))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer spilled.Close()
-	purchaseReadsEqual(t, ref, spilled)
-	if st := spilled.Stats(); st.ResidentShards > 1 {
-		t.Fatalf("ResidentShards = %d after whole-community reads, want <= 1", st.ResidentShards)
-	}
-	if err := spilled.Err(); err != nil {
-		t.Fatal(err)
-	}
+	defer compacted.Close()
+	purchaseReadsEqual(t, ref, compacted)
 }
 
 // TestRepeatPurchaseKeepsLaterTime: buying the same product again with an

@@ -35,9 +35,8 @@
 //     counters merged on read.
 //   - With persistence (Open + WithPersistence) every mutation is
 //     journaled to a WAL-backed store before it mutates memory
-//     (journal-first: an acknowledged write is durable), state is
-//     recovered on construction, and cold shards can spill out of memory
-//     entirely (persist.go).
+//     (journal-first: an acknowledged write is durable) and state is
+//     recovered on construction (persist.go).
 //   - With a journal feed (WithJournalFeed) the engine supports per-shard
 //     ownership across servers: writes route to a shard's owning server
 //     (Router), followers tail the owner's journal and converge to
@@ -46,10 +45,9 @@
 // # Invariants
 //
 //   - Recommendation results are identical for any shard count, with or
-//     without spilling, on owner or caught-up follower.
-//   - Lock order: shard → index bucket, shard → residency bookkeeping
-//     (resMu), shard → journal feed. No path acquires these in reverse,
-//     and no path holds two shard locks at once.
+//     without persistence, on owner or caught-up follower.
+//   - Lock order: shard → index bucket, shard → journal feed. No path
+//     acquires these in reverse, and no path holds two shard locks at once.
 //   - A shard's writes are totally ordered by its lock; the journal, the
 //     feed, and memory all observe that one order. Sell counts are
 //     attributed to the buyer's shard durably, so one shard's journal
@@ -216,9 +214,9 @@ func WithANNProbes(n int) Option {
 // and answers recommendation requests. Safe for concurrent use: state is
 // partitioned into user-keyed shards and reads run against immutable
 // snapshots (see Snapshot). With WithPersistence (construct via Open) every
-// mutation is write-through journaled to a WAL-backed store, the community
-// is recovered on construction, and cold shards can spill out of memory
-// (WithMaxResidentShards) with transparent fault-in; see persist.go.
+// mutation is write-through journaled to a WAL-backed store and the
+// community is recovered on construction; see persist.go. Every shard is
+// always in memory.
 type Engine struct {
 	catalog   *catalog.Catalog
 	k         int
@@ -234,13 +232,10 @@ type Engine struct {
 	index  *categoryIndex // per-category candidate posting lists
 
 	// Durability (nil/zero for a memory-only engine; see persist.go).
-	persist     Persister
-	stateDir    string
-	maxResident int
-	clock       atomic.Uint64 // logical LRU clock for shard spilling
-	resMu       sync.Mutex    // guards residentN and stickyErr
-	residentN   int
-	stickyErr   error
+	persist   Persister
+	stateDir  string
+	errMu     sync.Mutex // guards stickyErr
+	stickyErr error
 
 	// Automatic journal compaction (zero Ratio = manual only; compact.go).
 	compactPolicy CompactionPolicy
@@ -411,7 +406,7 @@ func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile, admit
 	if err != nil {
 		return err
 	}
-	if err := e.lockResidentW(sh, admit); err != nil {
+	if err := e.lockShardW(sh, admit); err != nil {
 		return err
 	}
 	if e.persist != nil {
@@ -448,19 +443,16 @@ func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile, admit
 		}
 		e.publishJournal(sh.id, seq, OpProfiles, len(profs), payload)
 	}
-	e.maybeEvict(sh)
 	e.noteJournalWrite()
 	return nil
 }
 
-// Profile returns a copy of the stored profile for userID, faulting the
-// consumer's shard in when it was spilled.
+// Profile returns a copy of the stored profile for userID.
 func (e *Engine) Profile(userID string) (*profile.Profile, error) {
 	sh := e.shardFor(userID)
-	var st *stored
-	if err := e.readResident(sh, func() { st = sh.profiles[userID] }); err != nil {
-		return nil, err
-	}
+	sh.mu.RLock()
+	st := sh.profiles[userID]
+	sh.mu.RUnlock()
 	if st == nil {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownUser, userID)
 	}
@@ -474,51 +466,28 @@ func (e *Engine) RecordPurchase(userID, productID string) error {
 	return e.RecordPurchaseAt(userID, productID, time.Time{})
 }
 
-// shardUsers counts sh's consumers, appending their ids to *ids when ids is
-// non-nil: a resident shard is read directly, a spilled one is answered
-// from the Persister's key space without faulting it in.
-func (e *Engine) shardUsers(sh *shard, ids *[]string) (n int, resident bool) {
-	sh.mu.RLock()
-	if resident = sh.resident.Load(); resident && ids != nil {
-		for id := range sh.profiles {
-			*ids = append(*ids, id)
-		}
-	}
-	n = len(sh.profiles)
-	sh.mu.RUnlock()
-	if resident {
-		return n, true
-	}
-	spilled, err := e.persist.ShardUsers(sh.id)
-	if err != nil {
-		e.setErr(err)
-	} else if ids != nil {
-		*ids = append(*ids, spilled...)
-	}
-	return len(spilled), false
-}
-
 // Users returns the ids of all consumers with a profile, sorted.
 func (e *Engine) Users() []string {
 	var out []string
 	for _, sh := range e.shards {
-		e.shardUsers(sh, &out)
+		sh.mu.RLock()
+		for id := range sh.profiles {
+			out = append(out, id)
+		}
+		sh.mu.RUnlock()
 	}
 	sort.Strings(out)
 	return out
 }
 
 // Stats returns the engine's current sizing and journal state in the ops
-// model. Spilled shards are counted through the Persister rather than
-// faulted in.
+// model.
 func (e *Engine) Stats() ops.EngineSnapshot {
 	st := ops.EngineSnapshot{Shards: e.nshards}
 	for _, sh := range e.shards {
-		n, resident := e.shardUsers(sh, nil)
-		st.Users += n
-		if resident {
-			st.ResidentShards++
-		}
+		sh.mu.RLock()
+		st.Users += len(sh.profiles)
+		sh.mu.RUnlock()
 		st.ViewPatches += sh.patches.Load()
 		st.ViewRebuilds += sh.rebuilds.Load()
 	}
@@ -678,23 +647,10 @@ func (e *Engine) indexCandidates(snap *Snapshot, cat string) iter.Seq[similarity
 // concurrently removed is dropped even though the snapshot still holds
 // them. A candidate is never mis-scored; on a quiet community the posting
 // list matches the snapshot exactly (TestIndexedNeighborsMatchFullScan).
-//
-// Under shard spilling a candidate may live in a shard the snapshot never
-// materialized (it was spilled when the snapshot was taken). Its posting
-// is then used as-is rather than faulting the shard in: a spilled shard
-// accepts no writes, so its postings are exactly its durable state — the
-// same values a fault-in would reload.
 func (e *Engine) reconciled(snap *Snapshot, cat string, inner iter.Seq[similarity.Candidate]) iter.Seq[similarity.Candidate] {
 	return func(yield func(similarity.Candidate) bool) {
 		for c := range inner {
-			st, known := snap.peek(c.UserID)
-			if !known {
-				// Shard spilled at snapshot time: the posting is canonical.
-				if c.Ty > 0 && !yield(c) {
-					return
-				}
-				continue
-			}
+			st := snap.stored(c.UserID)
 			if st == nil {
 				continue
 			}

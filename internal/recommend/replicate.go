@@ -29,7 +29,7 @@ import (
 // start, restart, or a pruned feed) the owner answers with a marker pinned
 // at its feed head, never a payload; the follower transfers the shard in
 // bounded pages (snappage.go) — in process and over TCP alike — assembles
-// them into the ShardData recovery and fault-in already speak, replaces the
+// them into the ShardData recovery already speaks, replaces the
 // shard wholesale (applyShardSnapshot) and resumes live tailing from the
 // pinned sequence number.
 //
@@ -299,25 +299,15 @@ func (e *Engine) FeedHeads() []uint64 {
 	return out
 }
 
-// shardStateLocked returns sh's live state: the in-memory maps for a
-// resident shard, the Persister's recovered state for a spilled one — a
-// spilled shard accepts no writes while the lock is held, so its durable
-// state is its state. Caller holds sh.mu (read suffices: writers are
-// excluded, so memory, journal, and feed agree); the returned maps must not
-// be mutated.
-func (e *Engine) shardStateLocked(sh *shard) (ShardData, error) {
-	if sh.resident.Load() {
-		profs := make([]*profile.Profile, 0, len(sh.profiles))
-		for _, st := range sh.profiles {
-			profs = append(profs, st.prof)
-		}
-		return ShardData{Profiles: profs, Purchases: sh.purchases, Sells: sh.sells}, nil
+// stateLocked returns sh's live state. Caller holds sh.mu (read suffices:
+// writers are excluded, so memory, journal, and feed agree); the returned
+// maps are the shard's own and must not be mutated.
+func (sh *shard) stateLocked() ShardData {
+	profs := make([]*profile.Profile, 0, len(sh.profiles))
+	for _, st := range sh.profiles {
+		profs = append(profs, st.prof)
 	}
-	data, err := e.persist.LoadShard(sh.id)
-	if err != nil {
-		return data, fmt.Errorf("recommend: reading spilled shard %d state: %w", sh.id, err)
-	}
-	return data, nil
+	return ShardData{Profiles: profs, Purchases: sh.purchases, Sells: sh.sells}
 }
 
 // applyJournalRecord applies one replicated mutation to shard, through the
@@ -362,7 +352,7 @@ func (e *Engine) applyShardSnapshot(shard int, data ShardData, admit admitFunc) 
 	newProfiles, newPurchases, newSells := shardMaps(data)
 
 	sh := e.shards[shard]
-	if err := e.lockResidentW(sh, admit); err != nil {
+	if err := e.lockShardW(sh, admit); err != nil {
 		return err
 	}
 	if e.persist != nil {
@@ -414,7 +404,6 @@ func (e *Engine) applyShardSnapshot(shard int, data ShardData, admit admitFunc) 
 		e.feed.skip(sh.id)
 	}
 	sh.mu.Unlock()
-	e.maybeEvict(sh)
 	// One snapshot catch-up rewrites a whole shard's durable buckets — the
 	// follower pressure that outgrows WALs fastest — so evaluate the
 	// compaction policy unconditionally rather than sampling.

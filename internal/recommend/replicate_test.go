@@ -263,57 +263,46 @@ func TestPrunedTailFallsBackToSnapshot(t *testing.T) {
 
 // TestReplicatedWALByteIdentical is the durable half of the acceptance
 // gate: after catch-up, every server's community WAL holds byte-identical
-// live state — including under shard spilling, where replicas apply into
-// sometimes-spilled shards.
+// live state.
 func TestReplicatedWALByteIdentical(t *testing.T) {
-	for _, spill := range []bool{false, true} {
-		name := "resident"
-		if spill {
-			name = "spilling"
-		}
-		t.Run(name, func(t *testing.T) {
-			u, profiles := soakUniverse(t)
-			dirs := []string{t.TempDir(), t.TempDir()}
-			c := newReplCluster(t, u, 2, func(i int) []Option {
-				opts := []Option{WithPersistence(dirs[i])}
-				if spill {
-					opts = append(opts, WithMaxResidentShards(2))
-				}
-				return opts
-			})
-			c.seed(t, u, profiles)
-			c.sync(t)
-			ref := loadEngine(u, profiles, WithNeighbors(8), WithShards(8))
-			communityEqual(t, ref, c.engines[0])
-			communityEqual(t, ref, c.engines[1])
-			for _, e := range c.engines {
-				if err := e.Err(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			c.close(t)
-			snap0, snap1 := walSnapshot(t, dirs[0]), walSnapshot(t, dirs[1])
-			if len(snap0) == 0 {
-				t.Fatal("empty WAL snapshot")
-			}
-			if !bytes.Equal(snap0, snap1) {
-				t.Fatalf("WAL live states differ: %d vs %d bytes", len(snap0), len(snap1))
-			}
-			// Stronger than live-state equality: compacting both journals
-			// must leave byte-identical log FILES — the sorted (bucket, key)
-			// rewrite erases each replica's distinct write history.
-			raws := make([][]byte, len(dirs))
-			for i, dir := range dirs {
-				raws[i] = compactedWAL(t, dir)
-			}
-			if len(raws[0]) == 0 {
-				t.Fatal("empty compacted WAL")
-			}
-			if !bytes.Equal(raws[0], raws[1]) {
-				t.Fatalf("compacted WALs differ: %d vs %d bytes", len(raws[0]), len(raws[1]))
-			}
+	t.Run("resident", func(t *testing.T) {
+		u, profiles := soakUniverse(t)
+		dirs := []string{t.TempDir(), t.TempDir()}
+		c := newReplCluster(t, u, 2, func(i int) []Option {
+			return []Option{WithPersistence(dirs[i])}
 		})
-	}
+		c.seed(t, u, profiles)
+		c.sync(t)
+		ref := loadEngine(u, profiles, WithNeighbors(8), WithShards(8))
+		communityEqual(t, ref, c.engines[0])
+		communityEqual(t, ref, c.engines[1])
+		for _, e := range c.engines {
+			if err := e.Err(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.close(t)
+		snap0, snap1 := walSnapshot(t, dirs[0]), walSnapshot(t, dirs[1])
+		if len(snap0) == 0 {
+			t.Fatal("empty WAL snapshot")
+		}
+		if !bytes.Equal(snap0, snap1) {
+			t.Fatalf("WAL live states differ: %d vs %d bytes", len(snap0), len(snap1))
+		}
+		// Stronger than live-state equality: compacting both journals
+		// must leave byte-identical log FILES — the sorted (bucket, key)
+		// rewrite erases each replica's distinct write history.
+		raws := make([][]byte, len(dirs))
+		for i, dir := range dirs {
+			raws[i] = compactedWAL(t, dir)
+		}
+		if len(raws[0]) == 0 {
+			t.Fatal("empty compacted WAL")
+		}
+		if !bytes.Equal(raws[0], raws[1]) {
+			t.Fatalf("compacted WALs differ: %d vs %d bytes", len(raws[0]), len(raws[1]))
+		}
+	})
 }
 
 // TestFollowerRestartCatchesUp: a restarted follower (fresh cursor, stale

@@ -57,21 +57,13 @@ type stored struct {
 
 // shard is one partition of the community: the profiles and purchase
 // histories of the consumers that hash here.
-//
-// With persistence enabled a shard may be spilled: its maps dropped from
-// memory while its state lives on in the engine's Persister (and its
-// postings stay in the candidate index). resident is written under mu and
-// read atomically so the eviction scan never takes shard locks; lastAccess
-// is a logical LRU clock bumped on every access.
 type shard struct {
 	mu        sync.RWMutex
 	profiles  map[string]*stored
 	purchases map[string]map[string]int64 // user -> product -> at_epoch_ms of the latest purchase (0 = undated)
 	sells     map[string]int64            // product -> sales by THIS shard's users
 
-	id         int         // position in Engine.shards, names persister buckets
-	resident   atomic.Bool // maps are in memory (always true without spilling)
-	lastAccess atomic.Uint64
+	id int // position in Engine.shards, names persister buckets
 
 	gen  atomic.Uint64             // bumped under mu on every write
 	view atomic.Pointer[shardView] // cached immutable view; stale when gen moved, nil when only a build from scratch will do
@@ -88,14 +80,12 @@ type shard struct {
 }
 
 func newShard(id int) *shard {
-	sh := &shard{
+	return &shard{
 		id:        id,
 		profiles:  make(map[string]*stored),
 		purchases: make(map[string]map[string]int64),
 		sells:     make(map[string]int64),
 	}
-	sh.resident.Store(true)
-	return sh
 }
 
 // noteWrite records that userID's profile or purchase set changed, for the
@@ -113,8 +103,8 @@ func (sh *shard) noteWrite(userID string) {
 }
 
 // dropView forgets the cached view, so the next reader builds from the shard
-// maps alone: for writes that replace or release the maps wholesale. Views
-// readers already hold are untouched. Caller holds mu for writing.
+// maps alone: for writes that replace the maps wholesale. Views readers
+// already hold are untouched. Caller holds mu for writing.
 func (sh *shard) dropView() {
 	sh.view.Store(nil)
 	sh.dirty = sh.dirty[:0]
@@ -234,10 +224,7 @@ func spliceByID[T any](old []T, ids []string, idOf func(T) string, cur func(id s
 // snapshot returns the current immutable view. The fast path — no write
 // since the cached view was built — is two atomic loads. Otherwise one
 // reader at a time (build) brings the view up to date under the shard's
-// read lock, and the readers that queued behind it take what it stored. A
-// spilled shard has no materializable view: snapshot returns nil and the
-// caller must fault the shard in first (eviction bumps gen, so a stale
-// cached view can never satisfy the fast path).
+// read lock, and the readers that queued behind it take what it stored.
 func (sh *shard) snapshot() *shardView {
 	if v := sh.view.Load(); v != nil && v.gen == sh.gen.Load() {
 		return v
@@ -246,9 +233,6 @@ func (sh *shard) snapshot() *shardView {
 	defer sh.build.Unlock()
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if !sh.resident.Load() {
-		return nil
-	}
 	prev := sh.view.Load()
 	if prev != nil && prev.gen == sh.gen.Load() {
 		return prev

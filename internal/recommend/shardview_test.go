@@ -120,8 +120,8 @@ func TestPatchedViewEqualsRebuiltView(t *testing.T) {
 		opts   func(t *testing.T) []Option
 	}{
 		{"memory", 2, func(*testing.T) []Option { return nil }},
-		{"spilling", 4, func(t *testing.T) []Option {
-			return []Option{WithPersistence(t.TempDir()), WithMaxResidentShards(2)}
+		{"persisted", 4, func(t *testing.T) []Option {
+			return []Option{WithPersistence(t.TempDir())}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -138,11 +138,6 @@ func jsonStringCost(s string) int {
 // only real ceiling. If the pin no longer matches the owner's live state
 // the transfer restarts: the reply is the first page of a fresh cut, its
 // changed (Epoch, Seq) telling the follower to discard what it buffered.
-// A spilled shard is paged from the Persister without faulting it in —
-// note that costs one full LoadShard per page while the lock is held;
-// followers of routinely-spilled large shards should raise the resident
-// cap on the owner (paging straight from the Persister's ordered buckets
-// is the eventual fix).
 func (e *Engine) SnapshotPage(shard int, epoch, seq uint64, token string, maxBytes int) (SnapshotPage, error) {
 	if e.feed == nil {
 		return SnapshotPage{}, ErrNoJournalFeed
@@ -166,10 +161,7 @@ func (e *Engine) SnapshotPage(shard int, epoch, seq uint64, token string, maxByt
 	if err != nil {
 		return SnapshotPage{}, err
 	}
-	data, err := e.shardStateLocked(sh)
-	if err != nil {
-		return SnapshotPage{}, err
-	}
+	data := sh.stateLocked()
 	profs, purchases, sells := data.Profiles, data.Purchases, data.Sells
 
 	pg := SnapshotPage{Shards: e.nshards, Epoch: epoch, Seq: seq}
@@ -256,8 +248,9 @@ func purchaseKey(p PurchasePair) string { return p.UserID + "\x00" + p.ProductID
 // addPage decodes pg onto d, the state a paged transfer assembles and the
 // install path applies wholesale. Decoding as pages arrive fails the pull at
 // a bad page, before anything is installed, and holds no second, encoded
-// copy of the shard meanwhile; a profile that does not hash to shard on e
-// (server shard counts differ, or a hostile page) is refused.
+// copy of the shard meanwhile; a profile or purchase whose consumer does
+// not hash to shard on e (server shard counts differ, or a hostile page) is
+// refused.
 func (d *ShardData) addPage(e *Engine, shard int, pg SnapshotPage) error {
 	for _, enc := range pg.Profiles {
 		p, err := profile.Unmarshal(enc)
@@ -274,6 +267,9 @@ func (d *ShardData) addPage(e *Engine, shard int, pg SnapshotPage) error {
 		d.Sells = make(map[string]int64)
 	}
 	for _, pp := range pg.Purchases {
+		if e.ShardOf(pp.UserID) != shard {
+			return fmt.Errorf("%w: purchase by %s", ErrShardMismatch, pp.UserID)
+		}
 		d.addPurchase(pp.UserID, pp.ProductID, pp.AtEpochMS)
 	}
 	for _, sc := range pg.Sells {

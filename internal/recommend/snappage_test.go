@@ -13,22 +13,19 @@ import (
 )
 
 // Unit tests for the paged snapshot protocol: page reassembly equals the
-// live shard, a moved pin restarts the transfer, spilled shards page without
-// faulting in, and trimmed tail replies leave real lag in Stats. The TCP end
-// of the protocol is tested in internal/replnet.
+// live shard, a moved pin restarts the transfer, a page the follower's
+// journal cannot hold leaves journal and memory agreeing, and trimmed tail
+// replies leave real lag in Stats. The TCP end of the protocol is tested in
+// internal/replnet.
 
-// liveShard returns shard's live state (shardStateLocked), the reference a
+// liveShard returns shard's live state (shard.stateLocked), the reference a
 // paged transfer is compared against. The maps are the shard's own.
 func liveShard(t *testing.T, e *Engine, shard int) ShardData {
 	t.Helper()
 	sh := e.shards[shard]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	data, err := e.shardStateLocked(sh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
+	return sh.stateLocked()
 }
 
 // pagedShard returns the shard of e that holds the most consumers, with the
@@ -89,7 +86,7 @@ func pageAll(t *testing.T, e *Engine, shard int, epoch, seq uint64, maxBytes int
 
 // snapshotsEqual compares two shard states order-insensitively (the live
 // shard follows map iteration order, pages follow key order), profiles by
-// their marshaled bytes.
+// their marshaled bytes, purchases with their times.
 func snapshotsEqual(t *testing.T, got, want ShardData) {
 	t.Helper()
 	toSets := func(s ShardData) (profs map[string]bool, purch map[PurchasePair]bool, sells map[string]int64) {
@@ -103,8 +100,8 @@ func snapshotsEqual(t *testing.T, got, want ShardData) {
 		}
 		purch = make(map[PurchasePair]bool)
 		for user, set := range s.Purchases {
-			for pid := range set {
-				purch[PurchasePair{UserID: user, ProductID: pid}] = true
+			for pid, at := range set {
+				purch[PurchasePair{UserID: user, ProductID: pid, AtEpochMS: at}] = true
 			}
 		}
 		sells = make(map[string]int64, len(s.Sells))
@@ -116,13 +113,13 @@ func snapshotsEqual(t *testing.T, got, want ShardData) {
 	gp, gu, gs := toSets(got)
 	wp, wu, ws := toSets(want)
 	if !reflect.DeepEqual(gp, wp) {
-		t.Fatalf("paged profiles differ from the live shard: %d vs %d", len(gp), len(wp))
+		t.Fatalf("shard profiles differ: got %d, want %d", len(gp), len(wp))
 	}
 	if !reflect.DeepEqual(gu, wu) {
-		t.Fatalf("paged purchases differ from the live shard: %d vs %d", len(gu), len(wu))
+		t.Fatalf("shard purchases differ: got %v, want %v", gu, wu)
 	}
 	if !reflect.DeepEqual(gs, ws) {
-		t.Fatalf("paged sells differ from the live shard: %v vs %v", gs, ws)
+		t.Fatalf("shard sells differ: got %v, want %v", gs, ws)
 	}
 }
 
@@ -301,39 +298,36 @@ func TestStaleCursorTailIsConstantWork(t *testing.T) {
 	}
 }
 
-// TestSnapshotPageSpilledShardStaysSpilled: pages of a spilled shard are
-// served from the Persister without faulting the shard in.
-func TestSnapshotPageSpilledShardStaysSpilled(t *testing.T) {
-	u, profiles := soakUniverse(t)
-	e, err := Open(u.Catalog, WithJournalFeed(0), WithShards(8),
-		WithPersistence(t.TempDir()), WithMaxResidentShards(1))
+// TestRefusedPageLeavesJournalAndMemoryAgreeing: a page a persisted
+// follower's journal cannot hold — a purchase whose product id holds a NUL,
+// which a memory-only owner accepts — is refused before the follower's
+// journal changes, so a restart recovers what memory went on serving; and a
+// page carrying a purchase by another shard's consumer is refused as it
+// arrives.
+func TestRefusedPageLeavesJournalAndMemoryAgreeing(t *testing.T) {
+	e := pageFollower(t)
+	ids := shardIDs(e, 0, 4)
+	enc, err := profile.NewProfile(ids[3]).Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
-	if err := e.SetProfiles(profiles); err != nil {
+	var data ShardData
+	pg := SnapshotPage{Shards: 2, Profiles: [][]byte{enc}, Purchases: []PurchasePair{{UserID: ids[3], ProductID: "p\x00x"}}}
+	if err := data.addPage(e, 0, pg); err != nil {
 		t.Fatal(err)
 	}
-	spilled := -1
-	for s := 0; s < e.nshards; s++ {
-		if !e.shards[s].resident.Load() {
-			if ids, err := e.persist.ShardUsers(s); err == nil && len(ids) >= 4 {
-				spilled = s
-				break
-			}
-		}
+	if err := e.applyShardSnapshot(0, data, nil); !errors.Is(err, ErrBadKey) {
+		t.Fatalf("page with a NUL product id applied with %v, want ErrBadKey", err)
 	}
-	if spilled < 0 {
-		t.Fatal("no populated spilled shard under WithMaxResidentShards(1)")
+	if _, err := e.Profile(ids[0]); err != nil {
+		t.Fatalf("refused page dropped %s from memory: %v", ids[0], err)
 	}
-	tr, err := e.JournalTail(spilled, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	paged := pageAll(t, e, spilled, tr.Epoch, tr.Seq, 1024)
-	snapshotsEqual(t, paged, liveShard(t, e, spilled))
-	if e.shards[spilled].resident.Load() {
-		t.Fatalf("paging faulted shard %d in", spilled)
+	journalMatchesMemory(t, e, 0)
+
+	foreign := shardIDs(e, 1, 1)[0]
+	pg = SnapshotPage{Shards: 2, Purchases: []PurchasePair{{UserID: foreign, ProductID: "p1"}}}
+	if err := new(ShardData).addPage(e, 0, pg); !errors.Is(err, ErrShardMismatch) {
+		t.Fatalf("purchase by %s (shard 1) in a page of shard 0 assembled with %v, want ErrShardMismatch", foreign, err)
 	}
 }
 

@@ -3,7 +3,6 @@ package recommend
 import (
 	"iter"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"agentrec/internal/profile"
@@ -21,14 +20,6 @@ import (
 // since both live in the consumer's shard); cross-shard skew is bounded by
 // the writes that landed while the snapshot was being assembled.
 //
-// With shard spilling enabled the snapshot is lazy: views of resident
-// shards are captured eagerly (still lock-free), while a spilled shard is
-// faulted in and materialized only if the request actually touches it —
-// so one recommendation faults in the target's and its neighbours' shards,
-// not the whole community. A lazily materialized view reflects the shard
-// at first touch rather than at Snapshot() time; that is the same
-// cross-shard skew bound as above, just deferred.
-//
 // Accessors return shared internal state. Callers must treat returned
 // profiles and purchase sets as read-only.
 //
@@ -38,11 +29,7 @@ import (
 // key names the target's entry in this immutable view, and the snapshot —
 // memo included — dies with the request that took it.
 type Snapshot struct {
-	views []*shardView
-
-	e  *Engine    // non-nil only for lazy (spilling) snapshots
-	mu sync.Mutex // guards views when lazy
-
+	views      []*shardView
 	lastSearch atomic.Pointer[neighborMemo]
 }
 
@@ -63,43 +50,13 @@ type neighborMemo struct {
 
 // Snapshot captures the current community view. Taking one is cheap when
 // the community is quiet — each untouched shard contributes its cached
-// view via two atomic loads. Spilled shards are left unmaterialized until
-// a request touches them.
+// view via two atomic loads.
 func (e *Engine) Snapshot() *Snapshot {
 	views := make([]*shardView, len(e.shards))
-	if e.spilling() {
-		for i, sh := range e.shards {
-			if sh.resident.Load() {
-				views[i] = sh.snapshot() // nil if evicted this instant: stays lazy
-			}
-		}
-		return &Snapshot{views: views, e: e}
-	}
 	for i, sh := range e.shards {
 		views[i] = sh.snapshot()
 	}
 	return &Snapshot{views: views}
-}
-
-// view returns the materialized view for shard i, faulting it in for lazy
-// snapshots. A fault-in failure is recorded as the engine's sticky error
-// and an empty view is returned so scoring stays deterministic.
-func (s *Snapshot) view(i int) *shardView {
-	if s.e == nil {
-		return s.views[i]
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if v := s.views[i]; v != nil {
-		return v
-	}
-	v, err := s.e.residentView(s.e.shards[i])
-	if err != nil {
-		s.e.setErr(err)
-		v = &shardView{base: &viewBase{}}
-	}
-	s.views[i] = v
-	return v
 }
 
 func (s *Snapshot) shardIdx(userID string) int {
@@ -107,30 +64,12 @@ func (s *Snapshot) shardIdx(userID string) int {
 }
 
 func (s *Snapshot) viewFor(userID string) *shardView {
-	return s.view(s.shardIdx(userID))
+	return s.views[s.shardIdx(userID)]
 }
 
 // stored returns the profile entry for userID, or nil when unknown.
 func (s *Snapshot) stored(userID string) *stored {
 	return s.viewFor(userID).stored(userID)
-}
-
-// peek is stored without fault-in: it reports the entry and whether this
-// snapshot has a materialized view for the consumer's shard at all. A
-// false second return means the shard was spilled when the snapshot was
-// taken, so the candidate index's posting for the consumer is canonical.
-func (s *Snapshot) peek(userID string) (*stored, bool) {
-	i := s.shardIdx(userID)
-	if s.e == nil {
-		return s.views[i].stored(userID), true
-	}
-	s.mu.Lock()
-	v := s.views[i]
-	s.mu.Unlock()
-	if v == nil {
-		return nil, false
-	}
-	return v.stored(userID), true
 }
 
 // Profile returns the profile stored for userID, or nil when unknown. The
@@ -149,11 +88,11 @@ func (s *Snapshot) Purchases(userID string) map[string]bool {
 }
 
 // Users returns the ids of all consumers with a profile in the view,
-// sorted. On a lazy snapshot this materializes every shard.
+// sorted.
 func (s *Snapshot) Users() []string {
 	var out []string
-	for i := range s.views {
-		for _, st := range s.view(i).inOrder() {
+	for _, v := range s.views {
+		for _, st := range v.inOrder() {
 			out = append(out, st.sum.UserID)
 		}
 	}
@@ -161,12 +100,11 @@ func (s *Snapshot) Users() []string {
 	return out
 }
 
-// Len reports the number of consumers with a profile in the view. On a
-// lazy snapshot this materializes every shard.
+// Len reports the number of consumers with a profile in the view.
 func (s *Snapshot) Len() int {
 	n := 0
-	for i := range s.views {
-		n += len(s.view(i).inOrder())
+	for _, v := range s.views {
+		n += len(v.inOrder())
 	}
 	return n
 }
@@ -174,11 +112,11 @@ func (s *Snapshot) Len() int {
 // candidates streams every profile in the view as a similarity candidate
 // for category — the full-community fallback for when the posting-list
 // restriction does not apply (gate ablated, or a target with no evidence
-// in the category). On a lazy snapshot this materializes every shard.
+// in the category).
 func (s *Snapshot) candidates(category string) iter.Seq[similarity.Candidate] {
 	return func(yield func(similarity.Candidate) bool) {
-		for i := range s.views {
-			for _, st := range s.view(i).inOrder() {
+		for _, v := range s.views {
+			for _, st := range v.inOrder() {
 				if !yield(candidateOf(st.sum, st.sum.Prefs[category])) {
 					return
 				}

@@ -141,107 +141,93 @@ func walSnapshot(t *testing.T, dir string) []byte {
 // TestColdFollowerPagedBootstrapByteIdentical is the acceptance gate: a
 // cold follower with an empty state dir bootstraps shards whose encoded
 // snapshots exceed the frame budget over real TCP, ending byte-identical
-// to the owner's WAL live state — including with both sides spilling
-// shards under WithMaxResidentShards.
+// to the owner's WAL live state.
 func TestColdFollowerPagedBootstrapByteIdentical(t *testing.T) {
-	for _, spill := range []bool{false, true} {
-		name := "resident"
-		if spill {
-			name = "spilling"
+	t.Run("resident", func(t *testing.T) {
+		old := maxTailBytes
+		maxTailBytes = 2048
+		t.Cleanup(func() { maxTailBytes = old })
+
+		ownerDir, followerDir := t.TempDir(), t.TempDir()
+		f := newPagedFixture(t, recommend.WithPersistence(ownerDir))
+		users := f.seed(48, 24)
+		follower, repl := f.follower(nil, recommend.WithPersistence(followerDir))
+
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		if err := repl.Sync(ctx); err != nil {
+			t.Fatalf("cold paged bootstrap: %v", err)
 		}
-		t.Run(name, func(t *testing.T) {
-			old := maxTailBytes
-			maxTailBytes = 2048
-			t.Cleanup(func() { maxTailBytes = old })
-
-			ownerDir, followerDir := t.TempDir(), t.TempDir()
-			durable := func(dir string) []recommend.Option {
-				opts := []recommend.Option{recommend.WithPersistence(dir)}
-				if spill {
-					opts = append(opts, recommend.WithMaxResidentShards(2))
-				}
-				return opts
+		st := repl.Stats()
+		var snaps, pages uint64
+		for _, sh := range st.Shards {
+			snaps += sh.Snapshots
+			pages += sh.Pages
+			if sh.LastError != "" {
+				t.Fatalf("shard %d: %s", sh.Shard, sh.LastError)
 			}
-			f := newPagedFixture(t, durable(ownerDir)...)
-			users := f.seed(48, 24)
-			follower, repl := f.follower(nil, durable(followerDir)...)
-
-			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-			defer cancel()
-			if err := repl.Sync(ctx); err != nil {
-				t.Fatalf("cold paged bootstrap: %v", err)
+		}
+		if snaps == 0 || pages <= snaps {
+			t.Fatalf("bootstrap stats: %d snapshots over %d pages; want multi-page transfers", snaps, pages)
+		}
+		if lag := st.Lag(); lag != 0 {
+			t.Fatalf("lag = %d after bootstrap", lag)
+		}
+		if got, want := follower.Users(), f.owner.Users(); !reflect.DeepEqual(got, want) || len(got) != len(users) {
+			t.Fatalf("user sets differ: %d vs %d (want %d)", len(got), len(want), len(users))
+		}
+		for _, u := range users[:8] {
+			r0, err0 := f.owner.Recommend(recommend.StrategyTopSeller, u, "", 5)
+			r1, err1 := follower.Recommend(recommend.StrategyTopSeller, u, "", 5)
+			if err0 != nil || err1 != nil {
+				t.Fatalf("recommend errors: %v / %v", err0, err1)
 			}
-			st := repl.Stats()
-			var snaps, pages uint64
-			for _, sh := range st.Shards {
-				snaps += sh.Snapshots
-				pages += sh.Pages
-				if sh.LastError != "" {
-					t.Fatalf("shard %d: %s", sh.Shard, sh.LastError)
-				}
+			if !reflect.DeepEqual(r0, r1) {
+				t.Fatalf("answers for %s differ: %v vs %v", u, r0, r1)
 			}
-			if snaps == 0 || pages <= snaps {
-				t.Fatalf("bootstrap stats: %d snapshots over %d pages; want multi-page transfers", snaps, pages)
-			}
-			if lag := st.Lag(); lag != 0 {
-				t.Fatalf("lag = %d after bootstrap", lag)
-			}
-			if got, want := follower.Users(), f.owner.Users(); !reflect.DeepEqual(got, want) || len(got) != len(users) {
-				t.Fatalf("user sets differ: %d vs %d (want %d)", len(got), len(want), len(users))
-			}
-			for _, u := range users[:8] {
-				r0, err0 := f.owner.Recommend(recommend.StrategyTopSeller, u, "", 5)
-				r1, err1 := follower.Recommend(recommend.StrategyTopSeller, u, "", 5)
-				if err0 != nil || err1 != nil {
-					t.Fatalf("recommend errors: %v / %v", err0, err1)
-				}
-				if !reflect.DeepEqual(r0, r1) {
-					t.Fatalf("answers for %s differ: %v vs %v", u, r0, r1)
-				}
-			}
-			for _, e := range []*recommend.Engine{f.owner, follower} {
-				if err := e.Err(); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			// A second, cursor-less replicator re-pages the same snapshots.
-			// Every summary is content-identical, so the bounded rebuild must
-			// skip them all: zero candidate-index writes, not a full rebuild
-			// per catch-up.
-			w0 := follower.Stats().IndexWrites
-			if w0 == 0 {
-				t.Fatal("bootstrap installed no index postings")
-			}
-			repl2, err := recommend.NewReplicator(follower, 1, []recommend.Peer{NewPeer(f.client, f.srv.Addr()), nil})
-			if err != nil {
+		}
+		for _, e := range []*recommend.Engine{f.owner, follower} {
+			if err := e.Err(); err != nil {
 				t.Fatal(err)
 			}
-			if err := repl2.Sync(ctx); err != nil {
-				t.Fatalf("identical re-bootstrap: %v", err)
-			}
-			repl2.Close()
-			if dw := follower.Stats().IndexWrites - w0; dw != 0 {
-				t.Fatalf("identical re-bootstrap rewrote %d postings; want 0 (unchanged summaries must be skipped)", dw)
-			}
+		}
 
-			// Close both engines and compare durable live state byte for byte.
-			repl.Close()
-			if err := follower.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.owner.Close(); err != nil {
-				t.Fatal(err)
-			}
-			s0, s1 := walSnapshot(t, ownerDir), walSnapshot(t, followerDir)
-			if len(s0) == 0 {
-				t.Fatal("empty owner WAL snapshot")
-			}
-			if !bytes.Equal(s0, s1) {
-				t.Fatalf("WAL live states differ: %d vs %d bytes", len(s0), len(s1))
-			}
-		})
-	}
+		// A second, cursor-less replicator re-pages the same snapshots.
+		// Every summary is content-identical, so the bounded rebuild must
+		// skip them all: zero candidate-index writes, not a full rebuild
+		// per catch-up.
+		w0 := follower.Stats().IndexWrites
+		if w0 == 0 {
+			t.Fatal("bootstrap installed no index postings")
+		}
+		repl2, err := recommend.NewReplicator(follower, 1, []recommend.Peer{NewPeer(f.client, f.srv.Addr()), nil})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := repl2.Sync(ctx); err != nil {
+			t.Fatalf("identical re-bootstrap: %v", err)
+		}
+		repl2.Close()
+		if dw := follower.Stats().IndexWrites - w0; dw != 0 {
+			t.Fatalf("identical re-bootstrap rewrote %d postings; want 0 (unchanged summaries must be skipped)", dw)
+		}
+
+		// Close both engines and compare durable live state byte for byte.
+		repl.Close()
+		if err := follower.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.owner.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s0, s1 := walSnapshot(t, ownerDir), walSnapshot(t, followerDir)
+		if len(s0) == 0 {
+			t.Fatal("empty owner WAL snapshot")
+		}
+		if !bytes.Equal(s0, s1) {
+			t.Fatalf("WAL live states differ: %d vs %d bytes", len(s0), len(s1))
+		}
+	})
 }
 
 // interceptPeer delegates to a real TCP peer but runs onFirstPage once,

@@ -78,8 +78,7 @@ type TrafficConfig struct {
 
 	// ChurnFraction is the fraction of set_profile ops that introduce a
 	// brand-new consumer (outside the seeded universe) instead of
-	// refreshing a seeded one — sustained churn grows the community and,
-	// under WithMaxResidentShards, forces shard spilling.
+	// refreshing a seeded one — sustained churn grows the community.
 	ChurnFraction float64 `json:"churn_fraction,omitempty"`
 
 	// ShillFraction is the fraction of set_profile ops that install an
