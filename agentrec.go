@@ -10,7 +10,9 @@
 // marketplace hosts to shop. Consumer behaviour feeds hierarchical interest
 // profiles (Fig 4.4 of the paper); profile similarity with a
 // preference-value discard gate (Fig 4.5) drives collaborative filtering,
-// combined with content-based information filtering.
+// combined with content-based information filtering. The neighbour search
+// behind collaborative filtering is exact: it scores every consumer with
+// evidence in the category, never a sampled shortlist.
 //
 // # Quickstart
 //
@@ -102,36 +104,6 @@ func WithEngineOptions(opts ...recommend.Option) Option {
 // results are identical for any shard count.
 func WithEngineShards(n int) Option {
 	return func(c *platform.Config) { c.EngineShards = n }
-}
-
-// NeighborSearch selects how CF's neighbour search enumerates candidates;
-// see the SearchExact and SearchLSH modes.
-type NeighborSearch = recommend.NeighborSearch
-
-// Neighbor search modes for WithNeighborSearch.
-const (
-	// SearchExact scans the exact per-category candidate lists — the
-	// paper-faithful default and the online recall baseline.
-	SearchExact = recommend.SearchExact
-	// SearchLSH shortlists large categories through a random-hyperplane
-	// LSH index and re-ranks the shortlist with the exact Fig 4.5 scorer:
-	// approximate in who gets scored, exact in how.
-	SearchLSH = recommend.SearchLSH
-)
-
-// WithNeighborSearch sets the neighbour search mode of every
-// recommendation engine (default SearchExact). SearchLSH breaks the
-// linear read-path ceiling for categories with very large communities at
-// a small, measured recall cost; see DESIGN.md "Neighbor search".
-func WithNeighborSearch(m NeighborSearch) Option {
-	return func(c *platform.Config) { c.NeighborSearch = m }
-}
-
-// WithANNProbes sets the LSH multi-probe width per hash table (the recall
-// knob; engine default when zero). Only meaningful with
-// WithNeighborSearch(SearchLSH).
-func WithANNProbes(n int) Option {
-	return func(c *platform.Config) { c.ANNProbes = n }
 }
 
 // WithBuyerServers boots n Buyer Agent Servers (default 1) — the paper's

@@ -86,8 +86,6 @@ type daemonConfig struct {
 	stateDir       string
 	shards         int
 	compactRatio   float64
-	ann            bool
-	annProbes      int
 	events         bool
 	eventsInterval time.Duration
 	repl           *replConfig
@@ -111,8 +109,6 @@ func main() {
 		key          = flag.String("key", "agentrec-demo-platform-key", "shared HMAC platform key")
 		stateDir     = flag.String("state-dir", "", "durable state directory (empty = memory-only)")
 		compactRatio = flag.Float64("compact-ratio", 4, "auto-compact the engine WAL when it exceeds this multiple of the live state (0 = manual only; needs -state-dir)")
-		ann          = flag.Bool("ann", false, "LSH approximate neighbour search for large categories (shortlist + exact re-rank; off = exact scans)")
-		annProbes    = flag.Int("ann-probes", 0, "LSH multi-probe width per hash table (0 = engine default; needs -ann)")
 		events       = flag.Bool("events", false, "event plane: stream journal/lag/compaction/rec-delta events and snapshots at GET /events and /metrics/snapshot")
 		eventsEvery  = flag.Duration("events-interval", 5*time.Second, "snapshot heartbeat period on the event plane (needs -events)")
 		elastic      = flag.Bool("coordinator", false, "coordinator-mediated elastic shard ownership: lease the ownership map from the CA at -coord and epoch-fence every replication frame (all daemons must share one -coord address; needs -buyer-peers)")
@@ -159,8 +155,6 @@ func main() {
 		stateDir:       *stateDir,
 		shards:         *shards,
 		compactRatio:   *compactRatio,
-		ann:            *ann,
-		annProbes:      *annProbes,
 		events:         *events,
 		eventsInterval: *eventsEvery,
 		repl:           repl,
@@ -359,9 +353,6 @@ func run(ctx context.Context, cfg daemonConfig) error {
 		Shards:       cfg.shards,
 		CompactRatio: cfg.compactRatio, // keeps the community WAL, and with it restart time, bounded
 		Extra:        []recommend.Option{recommend.WithNeighbors(10)},
-	}
-	if cfg.ann {
-		engineCfg.Search, engineCfg.ANNProbes = recommend.SearchLSH, cfg.annProbes
 	}
 	buyerOpts := []buyerserver.Option{
 		buyerserver.WithTracer(tracer),

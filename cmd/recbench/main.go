@@ -1,13 +1,10 @@
 // recbench prints the experiment tables to stdout (-run), and writes the
-// neighbour-search perf snapshot BENCH_recommend.json and the scenario
-// trajectory files BENCH_<scenario>.json.
+// scenario trajectory files BENCH_<scenario>.json.
 //
 // Usage:
 //
 //	recbench -run=all                      # every experiment, full size
 //	recbench -run=C5 -quick                # one experiment, small fixtures
-//	recbench -neighbors -out BENCH_recommend.json
-//	recbench -neighbors -quick             # small sizes, no 1M build
 //	recbench -scenario list                # list the shipped scenarios
 //	recbench -scenario flash-sale          # full-size open-loop run, 2 servers
 //	recbench -scenario flash-sale -quick   # CI-sized smoke reduction
@@ -42,10 +39,7 @@ import (
 func main() {
 	run := flag.String("run", "all", "experiment id or 'all' ("+strings.Join(experiments.Names(), ", ")+")")
 	quick := flag.Bool("quick", false, "small fixtures (fast, noisier numbers); with -scenario, the CI smoke reduction")
-	neighbors := flag.Bool("neighbors", false, "run the exact-vs-LSH neighbour search benchmark instead of the paper experiments")
-	sizes := flag.String("sizes", "", "comma-separated community sizes for -neighbors (default 10000,100000,1000000)")
-	out := flag.String("out", "", "output file (default BENCH_recommend.json / BENCH_<scenario>.json)")
-	queries := flag.Int("queries", 24, "query users per size for -neighbors")
+	out := flag.String("out", "", "output file for -scenario (default BENCH_<scenario>.json)")
 	scenario := flag.String("scenario", "", "open-loop load scenario: a built-in name, a JSON file, or 'list' ("+strings.Join(loadgen.Scenarios(), ", ")+")")
 	rate := flag.Float64("rate", 0, "override the scenario's arrival rate, ops/sec (must be > 0 when set)")
 	duration := flag.Duration("duration", 0, "override the scenario's load window (must be > 0 when set)")
@@ -72,9 +66,6 @@ func main() {
 	if *workers < 0 {
 		usageErr("-workers must be non-negative, got %d", *workers)
 	}
-	if *queries <= 0 {
-		usageErr("-queries must be positive, got %d", *queries)
-	}
 
 	switch {
 	case *scenario != "":
@@ -82,15 +73,6 @@ func main() {
 			name: *scenario, rate: *rate, duration: *duration, servers: *servers,
 			users: *users, workers: *workers, stateDir: *stateDir, out: *out, quick: *quick,
 		}); err != nil {
-			fmt.Fprintln(os.Stderr, "recbench:", err)
-			os.Exit(1)
-		}
-	case *neighbors:
-		dest := *out
-		if dest == "" {
-			dest = "BENCH_recommend.json"
-		}
-		if err := runNeighbors(*sizes, dest, *queries, *quick); err != nil {
 			fmt.Fprintln(os.Stderr, "recbench:", err)
 			os.Exit(1)
 		}
@@ -208,35 +190,4 @@ func runScenario(opt scenarioOptions) error {
 	}
 	fmt.Printf("wrote %s\n", dest)
 	return nil
-}
-
-func runNeighbors(sizesCSV, out string, queries int, quick bool) error {
-	ns := []int{10000, 100000, 1000000}
-	if quick {
-		ns = []int{2000, 10000}
-	}
-	if sizesCSV != "" {
-		ns = ns[:0]
-		for _, f := range strings.Split(sizesCSV, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n <= 0 {
-				return fmt.Errorf("bad -sizes entry %q", f)
-			}
-			ns = append(ns, n)
-		}
-	}
-	bench, err := experiments.NeighborSearchBench(os.Stdout, ns, queries)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := experiments.WriteNeighborBench(f, bench); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return f.Close()
 }

@@ -197,9 +197,6 @@ func TestBenchScenarioDocsValid(t *testing.T) {
 	}
 	found := make(map[string]*loadgen.ScenarioResult)
 	for _, path := range paths {
-		if filepath.Base(path) == "BENCH_recommend.json" {
-			continue // the microbenchmark snapshot has its own schema
-		}
 		res, err := loadgen.ReadResult(path)
 		if err != nil {
 			t.Errorf("%s: %v", path, err)
@@ -258,7 +255,7 @@ func TestBenchScenarioDocsValid(t *testing.T) {
 // Replication and Durability sections the README links into.
 func TestReadmePromisedSectionsExist(t *testing.T) {
 	readme := readDoc(t, "README.md")
-	for _, want := range []string{"examples/quickstart", "-state-dir", "-buyer-peers", "-ann", "DESIGN.md"} {
+	for _, want := range []string{"examples/quickstart", "-state-dir", "-buyer-peers", "DESIGN.md"} {
 		if !strings.Contains(readme, want) {
 			t.Errorf("README.md does not mention %q", want)
 		}
@@ -267,7 +264,7 @@ func TestReadmePromisedSectionsExist(t *testing.T) {
 		t.Error("README.md does not contain the Load & scenarios section")
 	}
 	design := readDoc(t, "DESIGN.md")
-	for _, want := range []string{"## Replication", "## Durability", "## Neighbor search", "## Load harness", "prof/<shard>", "purch/<shard>", "sell/<shard>", "BENCH_recommend.json", "coordinated omission"} {
+	for _, want := range []string{"## Replication", "## Durability", "## Neighbor search", "## Load harness", "prof/<shard>", "purch/<shard>", "sell/<shard>", "coordinated omission"} {
 		if !strings.Contains(design, want) {
 			t.Errorf("DESIGN.md does not contain %q", want)
 		}

@@ -9,9 +9,8 @@ import (
 // Determinism guards the byte-identical surfaces: replicas must produce
 // byte-identical WAL files (TestReplicatedWALByteIdentical,
 // TestCompactDeterministic), snapshot pages must cut identically on every
-// server (snappage's stable key order), LSH must bucket identically on
-// owner and follower (fixed compile-time seed), a purchase's time must be
-// the caller's on owner and follower alike (extensions.go: the one purchase
+// server (snappage's stable key order), a purchase's time must be the
+// caller's on owner and follower alike (extensions.go: the one purchase
 // write, and the Trending window), and scenario traffic must replay
 // byte-equal across runs (workload determinism property tests). In
 // the files that implement those surfaces, three things are banned:
@@ -27,7 +26,7 @@ import (
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: "no wall clock, global rand, or map-ordered serialization in the byte-identical packages\n\n" +
-		"Scoped to the deterministic writer files (workload traffic, similarity LSH seeding, kvstore, recommend " +
+		"Scoped to the deterministic writer files (workload traffic, kvstore, recommend " +
 		"snapshot paging and purchase times): flags time.Now, global math/rand functions, and map-range loops that serialize in " +
 		"iteration order instead of sorting keys first.",
 	Run: runDeterminism,
@@ -37,10 +36,9 @@ var Determinism = &Analyzer{
 // names that must stay byte-deterministic. An empty list means every file
 // in the package.
 var deterministicFiles = map[string][]string{
-	"agentrec/internal/workload":   {"traffic.go"},
-	"agentrec/internal/similarity": {"lsh.go"},
-	kvstorePath:                    {},
-	recommendPath:                  {"snappage.go", "snapshot.go", "extensions.go"},
+	"agentrec/internal/workload": {"traffic.go"},
+	kvstorePath:                  {},
+	recommendPath:                {"snappage.go", "snapshot.go", "extensions.go"},
 }
 
 // sinkCall matches serialization sinks: a map-range loop whose body calls

@@ -353,6 +353,12 @@ func (a *bsmaAgent) mbaHome(ctx *aglet.Context, h mbaHeader, data []byte) (aglet
 	if err := s.challenger.VerifyResponse(mbaID, h.Nonce, h.Response); err != nil {
 		return a.rejectMBA(mbaID, h, err)
 	}
+	// Any host the MBA visited could have rewritten the rest of its header:
+	// it must still name the consumer and task kind this server dispatched
+	// it for, as BSMDB recorded them in assignTask.
+	if err := a.checkDispatch(mbaID, h); err != nil {
+		return a.rejectMBA(mbaID, h, err)
+	}
 
 	// Replay the trip into the trace: each visited marketplace is one
 	// out/in pair in the figure.
@@ -397,6 +403,20 @@ func (a *bsmaAgent) rejectMBA(mbaID string, h mbaHeader, cause error) (aglet.Mes
 	}
 	_ = cause // recorded via status; the waiter sees ErrAuthFailed
 	return reply, nil
+}
+
+// checkDispatch returns an error unless h names the consumer and task kind
+// mbaID was dispatched for.
+func (a *bsmaAgent) checkDispatch(mbaID string, h mbaHeader) error {
+	var rec MBARecord
+	if err := a.srv.bsmDB.DecodeJSON(bucketMBAs, mbaID, &rec); err != nil {
+		return fmt.Errorf("buyerserver: %s was never dispatched: %w", mbaID, err)
+	}
+	if h.UserID != rec.UserID || string(h.Spec.Kind) != rec.Kind {
+		return fmt.Errorf("buyerserver: %s came home as %s's %s task, dispatched as %s's %s task",
+			mbaID, h.UserID, h.Spec.Kind, rec.UserID, rec.Kind)
+	}
+	return nil
 }
 
 func (a *bsmaAgent) updateMBARecord(mbaID, status string) {

@@ -139,16 +139,10 @@ func WithCommunityWriter(w recommend.Writer) Option {
 	return func(s *Server) { s.writes = w }
 }
 
-// WithUserDB uses a pre-opened (possibly durable) UserDB store.
-func WithUserDB(db *kvstore.Store) Option {
-	return func(s *Server) { s.userDB = db }
-}
-
 // WithStateDir persists the mechanism's databases under dir (created if
 // absent): UserDB (accounts, profiles, transactions, inbox) in userdb.wal
 // and BSMDB (directory cache, MBA trip records) in bsmdb.wal, both
-// WAL-backed and recovered on New. A store given explicitly via WithUserDB
-// takes precedence over the one this would open.
+// WAL-backed and recovered on New.
 func WithStateDir(dir string) Option {
 	return func(s *Server) { s.stateDir = dir }
 }
@@ -203,28 +197,19 @@ func New(host *aglet.Host, reg *aglet.Registry, engine *recommend.Engine, coordC
 		if err := os.MkdirAll(s.stateDir, 0o755); err != nil {
 			return nil, fmt.Errorf("buyerserver: creating state dir: %w", err)
 		}
-		if s.userDB == nil {
-			db, err := kvstore.Open(filepath.Join(s.stateDir, "userdb.wal"))
-			if err != nil {
-				return nil, fmt.Errorf("buyerserver: opening UserDB: %w", err)
-			}
-			s.userDB = db
-			opened = append(opened, db)
+		db, err := kvstore.Open(filepath.Join(s.stateDir, "userdb.wal"))
+		if err != nil {
+			return nil, fmt.Errorf("buyerserver: opening UserDB: %w", err)
 		}
-		if s.bsmDB == nil {
-			db, err := kvstore.Open(filepath.Join(s.stateDir, "bsmdb.wal"))
-			if err != nil {
-				return nil, fmt.Errorf("buyerserver: opening BSMDB: %w", err)
-			}
-			s.bsmDB = db
-			opened = append(opened, db)
+		s.userDB = db
+		opened = append(opened, db)
+		if db, err = kvstore.Open(filepath.Join(s.stateDir, "bsmdb.wal")); err != nil {
+			return nil, fmt.Errorf("buyerserver: opening BSMDB: %w", err)
 		}
-	}
-	if s.userDB == nil {
-		s.userDB = kvstore.New()
-	}
-	if s.bsmDB == nil {
-		s.bsmDB = kvstore.New()
+		s.bsmDB = db
+		opened = append(opened, db)
+	} else {
+		s.userDB, s.bsmDB = kvstore.New(), kvstore.New()
 	}
 	s.tokens = security.NewTokenIssuer(s.signer, nil)
 	s.challenger = security.NewChallenger(s.signer)

@@ -38,7 +38,7 @@ func marketProducts(seller string) []*catalog.Product {
 	}
 }
 
-func newMechanism(t *testing.T, nMarkets int, opts ...Option) *mechanism {
+func newMechanism(t testing.TB, nMarkets int, opts ...Option) *mechanism {
 	t.Helper()
 	m := &mechanism{lb: aglet.NewLoopback(), tracer: trace.New()}
 
@@ -107,7 +107,7 @@ func testCtx(t *testing.T) context.Context {
 }
 
 // register + login a user, failing the test on error.
-func (m *mechanism) user(t *testing.T, id string) {
+func (m *mechanism) user(t testing.TB, id string) {
 	t.Helper()
 	ctx := context.Background()
 	if err := m.srv.Register(ctx, id); err != nil {

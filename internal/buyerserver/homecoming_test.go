@@ -13,10 +13,11 @@ import (
 )
 
 // A returning MBA is authenticated from its header before its bytes go
-// anywhere: a forged token, nonce or challenge response is rejected — the
-// waiter's result is flagged AuthFailed, which RunTask reports as
-// ErrAuthFailed — and the BRA never hears of it. The intact row shows the
-// probe would see the BRA if it did.
+// anywhere: a forged token, nonce or challenge response, or a header
+// rewritten to name another consumer or task kind than the one dispatched,
+// is rejected — the waiter's result is flagged AuthFailed, which RunTask
+// reports as ErrAuthFailed — and the BRA never hears of it. The intact row
+// shows the probe would see the BRA if it did.
 func TestTamperedMBANeverReachesBRA(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -27,6 +28,8 @@ func TestTamperedMBANeverReachesBRA(t *testing.T) {
 		{"token", func(h *mbaHeader) { h.Token += "x" }, true},
 		{"nonce", func(h *mbaHeader) { h.Nonce = "replayed" }, true},
 		{"response", func(h *mbaHeader) { h.Response = "forged" }, true},
+		{"user", func(h *mbaHeader) { h.UserID = "bob" }, true},
+		{"kind", func(h *mbaHeader) { h.Spec.Kind = TaskBuy }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := newMechanism(t, 1)
@@ -36,6 +39,10 @@ func TestTamperedMBANeverReachesBRA(t *testing.T) {
 			id := mbaID(taskID)
 			nonce, err := s.challenger.Challenge(id)
 			if err != nil {
+				t.Fatal(err)
+			}
+			dispatched := MBARecord{MBAID: id, TaskID: taskID, UserID: "alice", Kind: string(TaskQuery), Status: "dispatched"}
+			if err := s.bsmDB.EncodeJSON(bucketMBAs, id, dispatched); err != nil {
 				t.Fatal(err)
 			}
 			st := mbaState{

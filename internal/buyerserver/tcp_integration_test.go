@@ -2,7 +2,6 @@ package buyerserver
 
 import (
 	"context"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -10,7 +9,6 @@ import (
 	"agentrec/internal/atp"
 	"agentrec/internal/catalog"
 	"agentrec/internal/coordinator"
-	"agentrec/internal/kvstore"
 	"agentrec/internal/marketplace"
 	"agentrec/internal/recommend"
 	"agentrec/internal/security"
@@ -125,23 +123,18 @@ func TestWorkflowsOverTCP(t *testing.T) {
 }
 
 // TestDurableUserDB proves profiles and transactions survive a buyer
-// server restart when UserDB is WAL-backed.
+// server restart when UserDB is WAL-backed under a state directory.
 func TestDurableUserDB(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "userdb.wal")
+	dir := t.TempDir()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	boot := func(db *kvstore.Store) (*mechanism, *Server) {
+	boot := func() *Server {
 		t.Helper()
-		m := newMechanism(t, 1, WithUserDB(db))
-		return m, m.srv
+		return newMechanism(t, 1, WithStateDir(dir)).srv
 	}
 
-	db, err := kvstore.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, srv := boot(db)
+	srv := boot()
 	if err := srv.Register(ctx, "alice"); err != nil {
 		t.Fatal(err)
 	}
@@ -155,12 +148,8 @@ func TestDurableUserDB(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// "Restart": a fresh server over the same WAL.
-	db2, err := kvstore.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, srv2 := boot(db2)
+	// "Restart": a fresh server over the same state directory.
+	srv2 := boot()
 	// No re-registration needed; the profile learned before the restart.
 	if _, err := srv2.Login(ctx, "alice"); err != nil {
 		t.Fatalf("login after restart: %v", err)

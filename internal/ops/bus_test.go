@@ -316,7 +316,7 @@ func TestEventBusPublishZeroAlloc(t *testing.T) {
 
 // BenchmarkEventBusPublish measures the publish hot path with a dropping
 // subscriber attached — the cost an engine write pays per emitted event.
-// Gated in CI's bench smoke alongside Recommend/Replicat/Compact/ANN.
+// Gated in CI's bench smoke alongside Recommend/Replicat/Compact.
 func BenchmarkEventBusPublish(b *testing.B) {
 	bus := NewBus()
 	bus.Subscribe(SubscribeOptions{Buffer: 1024})

@@ -92,16 +92,6 @@ type Config struct {
 	// three times it. [1s]
 	OwnershipLease time.Duration
 
-	// NeighborSearch selects how every engine's CF neighbour search
-	// enumerates candidates: recommend.SearchExact (default) scans the
-	// exact per-category posting lists; recommend.SearchLSH shortlists
-	// large categories through the random-hyperplane LSH index and
-	// re-ranks the shortlist exactly. [recommend.SearchExact]
-	NeighborSearch recommend.NeighborSearch
-	// ANNProbes is the LSH multi-probe width per hash table; zero keeps
-	// the engine default. Only meaningful with SearchLSH. [0]
-	ANNProbes int
-
 	Tracer     *trace.Recorder    // optional workflow tracer
 	EngineOpts []recommend.Option // tuning for every engine
 	BuyerOpts  []buyerserver.Option
@@ -261,8 +251,6 @@ func (p *Platform) engineConfig(cfg Config, stateSub string) EngineConfig {
 	ec := EngineConfig{
 		Bus:          p.Events,
 		Shards:       cfg.EngineShards,
-		Search:       cfg.NeighborSearch,
-		ANNProbes:    cfg.ANNProbes,
 		CompactRatio: cfg.CompactRatio,
 		Extra:        cfg.EngineOpts,
 	}

@@ -22,13 +22,11 @@ import (
 // EngineConfig is the engine option set every Buyer Agent Server of a
 // deployment shares. Zero fields take the engine default.
 type EngineConfig struct {
-	Bus          *ops.Bus                 // event plane the engine publishes into; nil = none
-	Shards       int                      // user-keyed shard count; every server must agree
-	Search       recommend.NeighborSearch // CF neighbour search
-	ANNProbes    int                      // LSH multi-probe width; only with SearchLSH
-	StateDir     string                   // this engine's WAL directory; "" = memory-only
-	CompactRatio float64                  // auto-compaction trigger; 0 = manual; needs StateDir
-	Extra        []recommend.Option       // applied last, so explicit tuning wins
+	Bus          *ops.Bus           // event plane the engine publishes into; nil = none
+	Shards       int                // user-keyed shard count; every server must agree
+	StateDir     string             // this engine's WAL directory; "" = memory-only
+	CompactRatio float64            // auto-compaction trigger; 0 = manual; needs StateDir
+	Extra        []recommend.Option // applied last, so explicit tuning wins
 }
 
 // Open opens server's engine over cat. A replicated engine also serves its
@@ -42,12 +40,6 @@ func (c EngineConfig) Open(cat *catalog.Catalog, server int, replicated bool) (*
 	}
 	if c.Shards > 0 {
 		opts = append(opts, recommend.WithShards(c.Shards))
-	}
-	if c.Search != recommend.SearchExact {
-		opts = append(opts, recommend.WithNeighborSearch(c.Search))
-	}
-	if c.ANNProbes > 0 {
-		opts = append(opts, recommend.WithANNProbes(c.ANNProbes))
 	}
 	if c.StateDir != "" {
 		opts = append(opts, recommend.WithPersistence(c.StateDir))

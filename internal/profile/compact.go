@@ -102,19 +102,12 @@ func (c *byID) Swap(i, j int) {
 // dictionary interns flattened term keys ("category/term",
 // "category/sub/term") to dense ids. It is append-only and bounded by the
 // vocabulary: it grows only by keys of profiles this process was asked to
-// summarize, which is what the process already stores. Each entry keeps the
-// one canonical copy of its key string, which every Summary.Vec shares, and
-// the key's dense projection slot, so Summary hashes no term string twice.
+// summarize, which is what the process already stores. keys[id] is the one
+// canonical copy of id's key string, which every Summary.Vec shares.
 type dictionary struct {
-	mu      sync.RWMutex
-	ids     map[string]uint32
-	entries []termEntry
-}
-
-type termEntry struct {
-	key      string
-	dim      uint8 // denseSlot of key
-	positive bool
+	mu   sync.RWMutex
+	ids  map[string]uint32
+	keys []string
 }
 
 // terms is the process's one dictionary. It is package state because
@@ -134,9 +127,8 @@ func (d *dictionary) idRLocked(key string) uint32 {
 	id, ok := d.ids[key]
 	if !ok {
 		owned := strings.Clone(key)
-		dim, positive := denseSlot(owned)
-		id = uint32(len(d.entries))
-		d.entries = append(d.entries, termEntry{key: owned, dim: uint8(dim), positive: positive})
+		id = uint32(len(d.keys))
+		d.keys = append(d.keys, owned)
 		d.ids[owned] = id
 	}
 	d.mu.Unlock()

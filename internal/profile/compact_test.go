@@ -49,8 +49,8 @@ func TestSummaryCompactAgreesWithVector(t *testing.T) {
 			if j > 0 && c.IDs[j-1] >= id {
 				t.Fatalf("ids not strictly ascending: %v", c.IDs)
 			}
-			if w := s.Vec[terms.entries[id].key]; w != c.Weights[j] {
-				t.Fatalf("id %d (%q): compact weight %v, Vec weight %v", id, terms.entries[id].key, c.Weights[j], w)
+			if w := s.Vec[terms.keys[id]]; w != c.Weights[j] {
+				t.Fatalf("id %d (%q): compact weight %v, Vec weight %v", id, terms.keys[id], c.Weights[j], w)
 			}
 		}
 		var scratch Compact
@@ -62,7 +62,7 @@ func TestSummaryCompactAgreesWithVector(t *testing.T) {
 }
 
 // TestSummaryBitReproducible: two computations over equal content agree to
-// the last bit in Norm and Dense, whatever order the maps iterate in, and
+// the last bit in Norm, whatever order the maps iterate in, and
 // Equal sees them as equal; any change to the content breaks Equal.
 func TestSummaryBitReproducible(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
@@ -73,9 +73,6 @@ func TestSummaryBitReproducible(t *testing.T) {
 			b := p.Clone().Summary()
 			if math.Float64bits(a.Norm) != math.Float64bits(b.Norm) {
 				t.Fatalf("Norm differs between two summaries of one profile: %.17g vs %.17g", a.Norm, b.Norm)
-			}
-			if !slices.Equal(a.Dense(), b.Dense()) {
-				t.Fatalf("Dense differs between two summaries of one profile:\n%v\n%v", a.Dense(), b.Dense())
 			}
 			if !a.Equal(b) || !b.Equal(a) {
 				t.Fatal("Equal is false for two summaries of one profile")
@@ -126,17 +123,17 @@ func TestSummarySharesKeyStrings(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	before := len(terms.entries)
+	before := len(terms.keys)
 	p.Summary()
-	grown := len(terms.entries)
+	grown := len(terms.keys)
 	p.Clone().Summary()
-	if len(terms.entries) != grown {
-		t.Fatalf("dictionary grew from %d to %d entries on a vocabulary it had seen", grown, len(terms.entries))
+	if len(terms.keys) != grown {
+		t.Fatalf("dictionary grew from %d to %d entries on a vocabulary it had seen", grown, len(terms.keys))
 	}
 	if grown-before > 3 {
 		t.Fatalf("dictionary grew by %d entries for 3 terms", grown-before)
 	}
-	// Fixed overhead only: the Summary, its two maps, Dense, the compact
+	// Fixed overhead only: the Summary, its two maps, the compact
 	// form's three pieces. A key string per term would add three.
 	base := testing.AllocsPerRun(100, func() { p.Summary() })
 	if err := p.Observe(Evidence{Category: "shared", Terms: map[string]float64{"c": 1, "d": 1, "e": 1}, Behaviour: BehaviourBuy}); err != nil {

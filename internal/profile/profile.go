@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -373,13 +372,6 @@ func Unmarshal(data []byte) (*Profile, error) {
 	return &p, nil
 }
 
-// DenseDims is the dimensionality of Summary.Dense(), the feature-hashed
-// projection of the sparse profile vector. 64 dimensions keep a projection
-// at 256 bytes while preserving cosine structure well enough for
-// locality-sensitive hashing (the projection shortlists; exact scoring
-// still runs on the sparse vector).
-const DenseDims = 64
-
 // Summary is a cheap immutable fingerprint of a profile: the flattened
 // similarity vector plus the per-category preference values, computed once.
 // The recommendation engine builds one per SetProfile and hands it to the
@@ -387,10 +379,9 @@ const DenseDims = 64
 // re-sums stored profiles pair by pair. Compact is the same vector in the
 // form the scoring kernel scans; Vec holds it as a map for callers that
 // look terms up by name, its keys shared with every other Summary's through
-// the term dictionary. Norm and Dense() are summed over Compact in ascending
-// id order, so equal profile content gives bit-identical values: the
-// Euclidean norm feeds cosine scoring without a per-pair re-sum, and the
-// signed feature-hash projection feeds the random-hyperplane ANN index.
+// the term dictionary. Norm is summed over Compact in ascending id order, so
+// equal profile content gives a bit-identical value, and it feeds cosine
+// scoring without a per-pair re-sum.
 type Summary struct {
 	UserID  string
 	Vec     map[string]float64 // Vector(), flattened once
@@ -398,33 +389,6 @@ type Summary struct {
 	Prefs   map[string]float64 // category -> PreferenceValue; only > 0 entries
 	Terms   int                // TermCount()
 	Norm    float64            // Euclidean norm of Vec, cached at construction
-
-	denseOnce sync.Once
-	dense     *[DenseDims]float32 // see Dense; a pointer keeps Summary at 80 bytes
-}
-
-// Dense returns the DenseDims-wide signed feature hash of the vector, worked
-// out from Compact the first time anyone asks: only the ANN index does, and
-// an engine searching exactly never holds these 256 bytes per consumer. The
-// returned slice is shared and must not be mutated.
-func (s *Summary) Dense() []float32 {
-	s.denseOnce.Do(func() {
-		s.dense = new([DenseDims]float32)
-		if s.Compact == nil {
-			return
-		}
-		terms.mu.RLock()
-		for i, id := range s.Compact.IDs {
-			e, w := &terms.entries[id], s.Compact.Weights[i]
-			if e.positive {
-				s.dense[e.dim] += float32(w)
-			} else {
-				s.dense[e.dim] -= float32(w)
-			}
-		}
-		terms.mu.RUnlock()
-	})
-	return s.dense[:]
 }
 
 // Summary computes the profile's fingerprint. The returned maps are
@@ -457,7 +421,7 @@ func (p *Profile) Summary() *Summary {
 	c.sortByID()
 	s.Vec = make(map[string]float64, len(c.IDs))
 	for i, id := range c.IDs {
-		s.Vec[terms.entries[id].key] = c.Weights[i]
+		s.Vec[terms.keys[id]] = c.Weights[i]
 	}
 	terms.mu.RUnlock()
 	s.Compact = c
@@ -465,22 +429,9 @@ func (p *Profile) Summary() *Summary {
 	return s
 }
 
-// denseSlot hashes a term to its projection dimension and sign (fnv-1a
-// 64-bit: low bits pick the dimension, the next bit the sign). The signed
-// "hashing trick" makes colliding terms cancel in expectation, so the dense
-// dot product is an unbiased estimate of the sparse one.
-func denseSlot(term string) (dim int, positive bool) {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(term); i++ {
-		h ^= uint64(term[i])
-		h *= 1099511628211
-	}
-	return int(h % DenseDims), h>>63 == 0
-}
-
 // Equal reports whether two summaries describe identical profile content:
-// same flattened vector, term for term and weight for weight. Prefs, Norm
-// and Dense() are functions of that content and are not compared. Both sides
+// same flattened vector, term for term and weight for weight. Prefs and Norm
+// are functions of that content and are not compared. Both sides
 // must come from Profile.Summary. The replication catch-up path uses Equal
 // to skip index churn for consumers a shard snapshot did not actually
 // change, once per consumer, so it compares the compact slices and hashes

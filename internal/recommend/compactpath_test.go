@@ -83,21 +83,17 @@ func neighborsEquivalent(got, want []similarity.Neighbor) bool {
 // TestCompactPathMatchesMapPath: the merge-join kernel changes what a pair
 // costs and nothing else. On the benchmark-shaped universe every consumer's
 // neighbours and StrategyAuto answer equal those of an engine whose
-// candidates were stripped of their compact form — exact and LSH search,
-// gate on and off. With the gate off every read scans the community, so
+// candidates were stripped of their compact form, gate on and off. With the gate off every read scans the community, so
 // that half probes every eighth consumer.
 func TestCompactPathMatchesMapPath(t *testing.T) {
 	u, profiles := benchUniverse(t)
 	for _, tc := range []struct {
 		name   string
 		opts   []Option
-		mode   NeighborSearch
 		stride int
 	}{
-		{"exact/gate", nil, SearchExact, 1},
-		{"lsh/gate", []Option{WithNeighborSearch(SearchLSH)}, SearchLSH, 1},
-		{"exact/nogate", []Option{WithDiscardGate(false)}, SearchExact, 8},
-		{"lsh/nogate", []Option{WithNeighborSearch(SearchLSH), WithDiscardGate(false)}, SearchLSH, 8},
+		{"exact/gate", nil, 1},
+		{"exact/nogate", []Option{WithDiscardGate(false)}, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			compact := bulkEngine(t, u, profiles, tc.opts...)
@@ -106,11 +102,11 @@ func TestCompactPathMatchesMapPath(t *testing.T) {
 			scored := 0
 			for i := 0; i < len(profiles); i += tc.stride {
 				id := profiles[i].UserID
-				got, err := compact.Neighbors(id, "", tc.mode)
+				got, err := compact.Neighbors(id, "", SearchExact)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := viaMap.Neighbors(id, "", tc.mode)
+				want, err := viaMap.Neighbors(id, "", SearchExact)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -32,9 +32,6 @@ import (
 // postings are keyed per consumer.
 type categoryIndex struct {
 	shards []*indexShard
-	// ann enables the LSH shortlist layer (ann.go); nil = exact only.
-	// Set once at engine construction, before any postings exist.
-	ann *annState
 	// writes counts posting-map mutations since construction. The paged
 	// catch-up path is asserted against it: re-applying an unchanged shard
 	// snapshot must not rebuild the index (Stats.IndexWrites).
@@ -46,14 +43,11 @@ type indexShard struct {
 	postings map[string]map[string]similarity.Candidate // category -> userID -> candidate
 	cache    map[string][]similarity.Candidate          // per-category list in UserID order, immutable once built
 	dirty    map[string][]string                        // category -> consumers whose posting changed since cache[category] was built
-	ann      map[string]*annCat                         // category -> LSH buckets (used when index.ann != nil)
 }
 
 // candidateOf is the one place a stored summary becomes a similarity
 // candidate: everything the scorer can use rides along by reference, with ty
-// the consumer's preference value in the category being searched. The dense
-// projection is not among it: only a posting in an LSH engine carries one
-// (updateBatch).
+// the consumer's preference value in the category being searched.
 func candidateOf(sum *profile.Summary, ty float64) similarity.Candidate {
 	return similarity.Candidate{
 		UserID: sum.UserID, Vec: sum.Vec, Ty: ty,
@@ -68,7 +62,6 @@ func newCategoryIndex(nshards int) *categoryIndex {
 			postings: make(map[string]map[string]similarity.Candidate),
 			cache:    make(map[string][]similarity.Candidate),
 			dirty:    make(map[string][]string),
-			ann:      make(map[string]*annCat),
 		}
 	}
 	return ix
@@ -78,20 +71,15 @@ func (ix *categoryIndex) shardFor(category string) *indexShard {
 	return ix.shards[fnv32a(category)%uint32(len(ix.shards))]
 }
 
-// removeLocked drops userID's posting for cat, and its ANN bucket entries
-// with it. No-op (and no write counted) when the posting does not exist.
-// Caller holds s.mu for writing.
+// removeLocked drops userID's posting for cat. No-op (and no write counted)
+// when the posting does not exist. Caller holds s.mu for writing.
 func (ix *categoryIndex) removeLocked(s *indexShard, cat, userID string) {
 	m := s.postings[cat]
 	if m == nil {
 		return
 	}
-	old, ok := m[userID]
-	if !ok {
+	if _, ok := m[userID]; !ok {
 		return
-	}
-	if ix.ann != nil {
-		s.annRemoveLocked(ix.ann, cat, old)
 	}
 	delete(m, userID)
 	if len(m) == 0 {
@@ -101,23 +89,15 @@ func (ix *categoryIndex) removeLocked(s *indexShard, cat, userID string) {
 	ix.writes.Add(1)
 }
 
-// installLocked installs or replaces cand's posting for cat, keeping the
-// ANN buckets in step. Caller holds s.mu for writing.
+// installLocked installs or replaces cand's posting for cat. Caller holds
+// s.mu for writing.
 func (ix *categoryIndex) installLocked(s *indexShard, cat string, cand similarity.Candidate) {
 	m := s.postings[cat]
 	if m == nil {
 		m = make(map[string]similarity.Candidate)
 		s.postings[cat] = m
 	}
-	if ix.ann != nil {
-		if old, ok := m[cand.UserID]; ok {
-			s.annRemoveLocked(ix.ann, cat, old)
-		}
-	}
 	m[cand.UserID] = cand
-	if ix.ann != nil {
-		s.annInstallLocked(ix.ann, cat, cand)
-	}
 	s.touchLocked(cat, cand.UserID)
 	ix.writes.Add(1)
 }
@@ -175,11 +155,7 @@ func (ix *categoryIndex) updateBatch(changes []postingChange) {
 		}
 		for cat, ty := range ch.sum.Prefs {
 			s := ix.shardFor(cat)
-			cand := candidateOf(ch.sum, ty)
-			if ix.ann != nil {
-				cand.Dense = ch.sum.Dense() // locates the posting's LSH buckets
-			}
-			byBucket[s] = append(byBucket[s], op{cat: cat, userID: ch.sum.UserID, cand: cand})
+			byBucket[s] = append(byBucket[s], op{cat: cat, userID: ch.sum.UserID, cand: candidateOf(ch.sum, ty)})
 		}
 	}
 	for s, ops := range byBucket {

@@ -59,8 +59,9 @@ func TestQueryAndCrossSellShareOneSearch(t *testing.T) {
 	}
 }
 
-// Any change of target, category, tolerance or mode is a different search
-// and runs again on the same snapshot.
+// Any change of target, category or tolerance is a different search and
+// runs again on the same snapshot. The tolerance leg ablates the gate, which
+// searches at tolerance 1.
 func TestNeighborMemoKeyedOnTheWholeSearch(t *testing.T) {
 	e := fixture(t)
 	snap := e.Snapshot()
@@ -68,12 +69,14 @@ func TestNeighborMemoKeyedOnTheWholeSearch(t *testing.T) {
 	tol := e.searchTolerance()
 	search := func(key neighborKey) *neighborMemo {
 		t.Helper()
-		if _, err := e.neighborsMode(snap, key.target, key.cat, key.tol, key.mode); err != nil {
+		e.gate = key.tol < 1
+		defer func() { e.gate = true }()
+		if _, err := e.neighbors(snap, key.target, key.cat); err != nil {
 			t.Fatal(err)
 		}
 		return snap.lastSearch.Load()
 	}
-	base := neighborKey{target: alice, cat: "laptop", tol: tol, mode: SearchExact}
+	base := neighborKey{target: alice, cat: "laptop", tol: tol}
 	first := search(base)
 	if again := search(base); again != first {
 		t.Fatal("the same search ran twice on one snapshot")
@@ -82,10 +85,9 @@ func TestNeighborMemoKeyedOnTheWholeSearch(t *testing.T) {
 		name string
 		key  neighborKey
 	}{
-		{"target", neighborKey{target: bob, cat: "laptop", tol: tol, mode: SearchExact}},
-		{"category", neighborKey{target: alice, cat: "camera", tol: tol, mode: SearchExact}},
-		{"tolerance", neighborKey{target: alice, cat: "laptop", tol: 1, mode: SearchExact}},
-		{"mode", neighborKey{target: alice, cat: "laptop", tol: tol, mode: SearchLSH}},
+		{"target", neighborKey{target: bob, cat: "laptop", tol: tol}},
+		{"category", neighborKey{target: alice, cat: "camera", tol: tol}},
+		{"tolerance", neighborKey{target: alice, cat: "laptop", tol: 1}},
 	} {
 		prev := search(base)
 		got := search(tc.key)

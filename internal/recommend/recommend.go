@@ -161,54 +161,14 @@ func WithShards(n int) Option {
 	}
 }
 
-// NeighborSearch selects how CF's neighbour search enumerates candidates.
+// NeighborSearch is the mode parameter of Engine.Neighbors. It has one
+// value, SearchExact: CF's neighbour search is always the exact scan of the
+// per-category posting list (or of the whole community when the gate is
+// ablated).
 type NeighborSearch int
 
-// Neighbor search modes. SearchExact scans the exact per-category posting
-// list (or the whole community when the gate is ablated) — the F4.5
-// experiment path and the online recall baseline. SearchLSH shortlists
-// candidates through the random-hyperplane LSH index and re-ranks the
-// shortlist with the same exact scorer; approximate in who gets scored,
-// exact in how.
-const (
-	SearchExact NeighborSearch = iota
-	SearchLSH
-)
-
-// String returns the mode name.
-func (m NeighborSearch) String() string {
-	switch m {
-	case SearchExact:
-		return "exact"
-	case SearchLSH:
-		return "lsh"
-	default:
-		return fmt.Sprintf("search(%d)", int(m))
-	}
-}
-
-// WithNeighborSearch sets the engine's default neighbour search mode
-// (default SearchExact). With SearchLSH the engine maintains per-category
-// LSH buckets incrementally inside the same critical sections as the
-// candidate index, and queries over large categories score only a
-// shortlisted fraction of the community; small categories and gate-ablated
-// queries still scan exactly. Engine.Neighbors overrides the mode per
-// call, which is how recall against the exact baseline is measured online.
-func WithNeighborSearch(m NeighborSearch) Option {
-	return func(e *Engine) { e.search = m }
-}
-
-// WithANNProbes sets the multi-probe width of the LSH shortlist: how many
-// buckets per hash table a query inspects (default
-// similarity.DefaultProbes). More probes raise recall and shortlist size;
-// only meaningful with WithNeighborSearch(SearchLSH).
-func WithANNProbes(n int) Option {
-	return func(e *Engine) {
-		if n > 0 {
-			e.annProbes = n
-		}
-	}
-}
+// SearchExact is the one neighbour search mode.
+const SearchExact NeighborSearch = 0
 
 // Engine holds the consumer community's profiles and transaction history
 // and answers recommendation requests. Safe for concurrent use: state is
@@ -224,8 +184,6 @@ type Engine struct {
 	hybridW   float64
 	gate      bool
 	nshards   int
-	search    NeighborSearch // default neighbour search mode
-	annProbes int            // multi-probe width when search is SearchLSH
 
 	shards []*shard       // community state, fnv(userID) % nshards
 	sells  []*sellShard   // sell counts, fnv(productID) % nshards
@@ -279,7 +237,6 @@ func Open(cat *catalog.Catalog, opts ...Option) (*Engine, error) {
 		hybridW:   0.6,
 		gate:      true,
 		nshards:   DefaultShards,
-		annProbes: similarity.DefaultProbes,
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -291,15 +248,6 @@ func Open(cat *catalog.Catalog, opts ...Option) (*Engine, error) {
 		e.sells[i] = newSellShard(i)
 	}
 	e.index = newCategoryIndex(e.nshards)
-	if e.search == SearchLSH {
-		// Armed before recovery and replication ever install a posting, so
-		// warm restart and snapshot catch-up rebuild the hashes from the
-		// replicated summaries through the ordinary install path.
-		e.index.ann = &annState{
-			hasher: similarity.NewHasher(similarity.DefaultTables, annSeed),
-			probes: e.annProbes,
-		}
-	}
 	if e.feedCap > 0 {
 		feed, err := newJournalFeed(e.nshards, e.feedCap)
 		if err != nil {
@@ -569,21 +517,17 @@ func (e *Engine) searchTolerance() float64 {
 	return e.tolerance
 }
 
-// neighbors runs the streaming neighbour search for the target entry in
-// the engine's configured search mode and tolerance.
+// neighbors runs the streaming neighbour search for the target entry at
+// the engine's tolerance. A search the snapshot has just answered is
+// answered again from its memo (Snapshot.lastSearch); any other search runs
+// and replaces the memo.
 func (e *Engine) neighbors(snap *Snapshot, st *stored, cat string) ([]similarity.Neighbor, error) {
-	return e.neighborsMode(snap, st, cat, e.searchTolerance(), e.search)
-}
-
-// neighborsMode is neighbors with the search mode explicit. A search the
-// snapshot has just answered is answered again from its memo
-// (Snapshot.lastSearch); any other search runs and replaces the memo.
-func (e *Engine) neighborsMode(snap *Snapshot, st *stored, cat string, tol float64, mode NeighborSearch) ([]similarity.Neighbor, error) {
-	key := neighborKey{target: st, cat: cat, tol: tol, mode: mode}
+	tol := e.searchTolerance()
+	key := neighborKey{target: st, cat: cat, tol: tol}
 	if m := snap.lastSearch.Load(); m != nil && m.key == key {
 		return m.neighbors, nil
 	}
-	nbs, err := e.searchNeighbors(snap, st, cat, tol, mode)
+	nbs, err := e.searchNeighbors(snap, st, cat, tol)
 	if err != nil {
 		return nil, err
 	}
@@ -595,49 +539,30 @@ func (e *Engine) neighborsMode(snap *Snapshot, st *stored, cat string, tol float
 // discard gate is live (tolerance below 1) and the target has evidence in
 // the category, the per-category posting list is an exact substitute for
 // the whole community — every consumer missing from it would be gated out
-// anyway (Ty = 0 against Tx > 0). In SearchLSH mode a sufficiently large
-// category is further shortlisted through the LSH buckets before the exact
-// re-rank; everything the gate or scorer sees is identical, only the
-// candidate enumeration narrows. Otherwise fall back to scanning the
+// anyway (Ty = 0 against Tx > 0). Otherwise fall back to scanning the
 // snapshot.
-func (e *Engine) searchNeighbors(snap *Snapshot, st *stored, cat string, tol float64, mode NeighborSearch) ([]similarity.Neighbor, error) {
+func (e *Engine) searchNeighbors(snap *Snapshot, st *stored, cat string, tol float64) ([]similarity.Neighbor, error) {
 	tx := st.sum.Prefs[cat]
 	if cat == "" || tol >= 1 || tx <= 0 {
 		return similarity.TopKStream(st.prof.UserID, st.sum.Vec, tx, tol, snap.candidates(cat), e.k)
-	}
-	if mode == SearchLSH {
-		if q := e.index.shortlist(cat, st.sum); q != nil {
-			defer q.release()
-			return similarity.TopKStream(st.prof.UserID, st.sum.Vec, tx, tol, e.reconciled(snap, cat, q.seq()), e.k)
-		}
 	}
 	return similarity.TopKStream(st.prof.UserID, st.sum.Vec, tx, tol, e.indexCandidates(snap, cat), e.k)
 }
 
 // Neighbors exposes the CF neighbour search directly: the k most similar
 // consumers to userID with respect to category (or their top category when
-// empty), in the given search mode regardless of the engine default. This
-// is the online recall surface — comparing SearchLSH against SearchExact
-// on the same engine measures shortlist recall with zero test scaffolding —
-// and what cmd/recbench's neighbour benchmarks drive.
+// empty). mode has one value, SearchExact, and is ignored.
 func (e *Engine) Neighbors(userID, category string, mode NeighborSearch) ([]similarity.Neighbor, error) {
 	snap := e.Snapshot()
 	st := snap.stored(userID)
 	if st == nil {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownUser, userID)
 	}
-	return e.searchNeighbors(snap, st, neighborCategory(st.prof, category), e.searchTolerance(), mode)
+	return e.searchNeighbors(snap, st, neighborCategory(st.prof, category), e.searchTolerance())
 }
 
-// indexCandidates streams the category's full posting list reconciled
-// against snap.
-func (e *Engine) indexCandidates(snap *Snapshot, cat string) iter.Seq[similarity.Candidate] {
-	return e.reconciled(snap, cat, e.index.candidates(cat))
-}
-
-// reconciled streams index-derived candidates (the full posting list or an
-// LSH shortlist of it) reconciled against snap: the index only enumerates
-// candidates; vectors and preference values are taken from the snapshot's
+// indexCandidates streams the category's posting list reconciled against
+// snap: the index only enumerates candidates; vectors and preference values are taken from the snapshot's
 // stored summaries, so scoring is always consistent with the view the rest
 // of the request sees even while SetProfile runs concurrently. Consumers
 // the snapshot does not know (installed after it was taken) are skipped.
@@ -647,9 +572,9 @@ func (e *Engine) indexCandidates(snap *Snapshot, cat string) iter.Seq[similarity
 // concurrently removed is dropped even though the snapshot still holds
 // them. A candidate is never mis-scored; on a quiet community the posting
 // list matches the snapshot exactly (TestIndexedNeighborsMatchFullScan).
-func (e *Engine) reconciled(snap *Snapshot, cat string, inner iter.Seq[similarity.Candidate]) iter.Seq[similarity.Candidate] {
+func (e *Engine) indexCandidates(snap *Snapshot, cat string) iter.Seq[similarity.Candidate] {
 	return func(yield func(similarity.Candidate) bool) {
-		for c := range inner {
+		for c := range e.index.candidates(cat) {
 			st := snap.stored(c.UserID)
 			if st == nil {
 				continue

@@ -38,7 +38,6 @@ type neighborKey struct {
 	target *stored
 	cat    string
 	tol    float64
-	mode   NeighborSearch
 }
 
 // neighborMemo is one neighbour search's key and answer. The answer is

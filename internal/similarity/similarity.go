@@ -121,19 +121,17 @@ type Neighbor struct {
 
 // Candidate is one consumer in a streaming neighbour search, carrying
 // precomputed profile data (see profile.Summary) so the ranking loop neither
-// re-flattens vectors nor re-sums preference values per pair. Norm, Dense and
+// re-flattens vectors nor re-sums preference values per pair. Norm and
 // Compact are optional precomputed acceleration data: a zero Norm makes
-// TopKStream recompute it from Vec, Dense only matters to the ANN index, and
-// a candidate built from a Summary carries its Compact, which TopKStream
-// scores by merge-join. The map-based Dot over Vec remains solely as the
-// fallback for candidates built without a Summary (nil Compact), and for
-// Cosine and PaperSimilarity.
+// TopKStream recompute it from Vec, and a candidate built from a Summary
+// carries its Compact, which TopKStream scores by merge-join. The map-based
+// Dot over Vec remains solely as the fallback for candidates built without a
+// Summary (nil Compact), and for Cosine and PaperSimilarity.
 type Candidate struct {
 	UserID  string
 	Vec     Vec              // flattened profile vector
 	Ty      float64          // preference value for the category under consideration
 	Norm    float64          // cached Euclidean norm of Vec (0 = unknown)
-	Dense   []float32        // shared profile.Summary.Dense() projection; nil outside the ANN index
 	Compact *profile.Compact // shared profile.Summary.Compact (nil = score over Vec)
 }
 
