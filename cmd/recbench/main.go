@@ -9,12 +9,11 @@
 //	recbench -scenario flash-sale          # full-size open-loop run, 2 servers
 //	recbench -scenario flash-sale -quick   # CI-sized smoke reduction
 //	recbench -scenario my.json -rate 500 -duration 10s -servers 3
-//	recbench -scenario flash-sale -servers localhost:8080,localhost:8081
 //
 // A scenario run replays the scenario's op mix open-loop (arrivals fixed by
-// the rate shape, never by completions) against a replicated in-process
-// platform (-servers N) or live platformd daemons (-servers addr,addr) and
-// writes the BENCH_<scenario>.json latency/throughput document.
+// the constant rate, never by completions) against a replicated in-process
+// platform of -servers N buyer servers and writes the BENCH_<scenario>.json
+// latency/throughput document.
 //
 // Experiments: F4.4 (learning rate), F4.5 (discard gate), C2 (mobile agent
 // vs RPC network cost), C4 (sparsity and cold start), C5 (technique
@@ -27,7 +26,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -43,7 +41,7 @@ func main() {
 	scenario := flag.String("scenario", "", "open-loop load scenario: a built-in name, a JSON file, or 'list' ("+strings.Join(loadgen.Scenarios(), ", ")+")")
 	rate := flag.Float64("rate", 0, "override the scenario's arrival rate, ops/sec (must be > 0 when set)")
 	duration := flag.Duration("duration", 0, "override the scenario's load window (must be > 0 when set)")
-	servers := flag.String("servers", "2", "in-process buyer server count, or comma-separated HTTP addresses of live platformd daemons")
+	servers := flag.Int("servers", 2, "in-process buyer server count (>= 1)")
 	users := flag.Int("users", 0, "override the scenario's consumer count (must be > 0 when set)")
 	workers := flag.Int("workers", 0, "driver worker count (default 16)")
 	stateDir := flag.String("state-dir", "", "durable state root for the failover scenario's servers (default: memory-only)")
@@ -62,6 +60,9 @@ func main() {
 	}
 	if set["users"] && *users <= 0 {
 		usageErr("-users must be positive, got %d", *users)
+	}
+	if *servers < 1 {
+		usageErr("-servers must be >= 1, got %d", *servers)
 	}
 	if *workers < 0 {
 		usageErr("-workers must be non-negative, got %d", *workers)
@@ -99,36 +100,12 @@ type scenarioOptions struct {
 	name     string
 	rate     float64
 	duration time.Duration
-	servers  string
+	servers  int
 	users    int
 	workers  int
 	stateDir string
 	out      string
 	quick    bool
-}
-
-// parseServers splits -servers into either an in-process server count or a
-// list of live daemon addresses, mirroring platformd's -buyer-peers
-// validation: an empty entry is a usage error, not a skipped server.
-func parseServers(spec string) (count int, addrs []string, err error) {
-	if spec == "" {
-		return 0, nil, fmt.Errorf("-servers must not be empty")
-	}
-	if n, convErr := strconv.Atoi(spec); convErr == nil {
-		if n < 1 {
-			return 0, nil, fmt.Errorf("-servers count must be >= 1, got %d", n)
-		}
-		return n, nil, nil
-	}
-	for _, addr := range strings.Split(spec, ",") {
-		addr = strings.TrimSpace(addr)
-		if addr == "" {
-			// An empty entry would silently shrink the target set.
-			return 0, nil, fmt.Errorf("-servers %q contains an empty address", spec)
-		}
-		addrs = append(addrs, addr)
-	}
-	return 0, addrs, nil
 }
 
 func runScenario(opt scenarioOptions) error {
@@ -161,19 +138,13 @@ func runScenario(opt scenarioOptions) error {
 	if opt.users > 0 {
 		s.Users = opt.users
 	}
-	count, addrs, err := parseServers(opt.servers)
-	if err != nil {
-		usageErr("%v", err)
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	res, err := loadgen.RunScenario(ctx, s, loadgen.RunOptions{
-		Servers:   count,
-		HTTPAddrs: addrs,
-		StateDir:  opt.stateDir,
-		Workers:   opt.workers,
-		Out:       os.Stdout,
+		Servers:  opt.servers,
+		StateDir: opt.stateDir,
+		Workers:  opt.workers,
+		Out:      os.Stdout,
 	})
 	if err != nil {
 		return err

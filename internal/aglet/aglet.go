@@ -1,12 +1,15 @@
 // Package aglet is a mobile-agent runtime modeled on the IBM Aglets API the
 // paper builds on (§2.1): agents are created on a host, exchange messages,
-// can be cloned, can be *dispatched* to another host (carrying their state),
-// *retracted* back, *deactivated* into stable storage and later *activated*
-// (the paper's §4.1 principle 3 uses exactly this to park a Buyer Recommend
-// Agent while its Mobile Buyer Agent is travelling), and finally disposed.
+// can be *dispatched* to another host (carrying their state), *deactivated*
+// into stable storage and later *activated* (the paper's §4.1 principle 3
+// uses exactly this to park a Buyer Recommend Agent while its Mobile Buyer
+// Agent is travelling), and finally disposed.
 //
-// Differences from Aglets, chosen deliberately for Go:
+// Differences from Aglets, chosen deliberately:
 //
+//   - Only the five operations above, the ones the paper's mechanism uses.
+//     There is no clone and no retract: an agent leaves a host only by its
+//     own or its host's decision, and no peer can pull one off.
 //   - Each agent runs as one goroutine owning an inbox channel; message
 //     handling is therefore serialized per agent, which is the Aglets
 //     threading model too.
@@ -43,26 +46,22 @@ type Message struct {
 	Data []byte
 }
 
-// Aglet is the behaviour contract every agent implements. Lifecycle
-// callbacks run on the agent's own goroutine except OnCreation, which runs
-// on the creator's goroutine before the agent is visible to anyone else.
+// Aglet is the behaviour contract every agent implements. OnCreation runs
+// on the creator's goroutine before the agent is visible to anyone else;
+// OnArrival runs on the receiving host before the agent's loop starts; and
+// HandleMessage runs on the agent's own goroutine. Deactivation, activation
+// and disposal call no agent code: an agent's state is whatever State
+// returns, and a revived agent is rebuilt from it by SetState alone.
 type Aglet interface {
 	// OnCreation initializes a brand-new agent with its init payload.
 	OnCreation(ctx *Context, init []byte) error
 	// OnArrival runs after the agent materializes on a new host following a
-	// dispatch, and after a clone materializes.
+	// dispatch.
 	OnArrival(ctx *Context) error
-	// OnDeactivating runs just before the agent's state is serialized to the
-	// host store.
-	OnDeactivating(ctx *Context) error
-	// OnActivation runs after the agent is re-instantiated from the store.
-	OnActivation(ctx *Context) error
-	// OnDisposing runs as the agent is permanently destroyed.
-	OnDisposing(ctx *Context)
 	// HandleMessage processes one message and returns the reply.
 	HandleMessage(ctx *Context, msg Message) (Message, error)
-	// State serializes the agent's mutable state for migration,
-	// deactivation, and cloning.
+	// State serializes the agent's mutable state for migration and
+	// deactivation.
 	State() ([]byte, error)
 	// SetState restores state produced by State.
 	SetState(data []byte) error
@@ -74,9 +73,6 @@ type Base struct{}
 
 func (Base) OnCreation(*Context, []byte) error { return nil }
 func (Base) OnArrival(*Context) error          { return nil }
-func (Base) OnDeactivating(*Context) error     { return nil }
-func (Base) OnActivation(*Context) error       { return nil }
-func (Base) OnDisposing(*Context)              {}
 func (Base) State() ([]byte, error)            { return nil, nil }
 func (Base) SetState([]byte) error             { return nil }
 
@@ -98,9 +94,6 @@ type Transport interface {
 	Dispatch(ctx context.Context, dest string, img Image) error
 	// Call sends msg to agent agentID on host dest and returns the reply.
 	Call(ctx context.Context, dest, agentID string, msg Message) (Message, error)
-	// Retract asks dest to surrender agent agentID, returning its image;
-	// the agent no longer runs at dest afterwards.
-	Retract(ctx context.Context, dest, agentID string) (Image, error)
 }
 
 // Factory constructs a zero agent of one type.
@@ -134,17 +127,6 @@ func (r *Registry) New(name string) (Aglet, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownType, name)
 	}
 	return factory(), nil
-}
-
-// Types returns the registered type names in arbitrary order.
-func (r *Registry) Types() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.factories))
-	for name := range r.factories {
-		out = append(out, name)
-	}
-	return out
 }
 
 // DispatchFailureHandler is an optional interface for travel-aware agents:

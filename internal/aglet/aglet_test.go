@@ -21,15 +21,13 @@ type echoAgent struct {
 	Handled int `json:"handled"`
 	Created bool
 	Arrived bool
-	Active  bool
 }
 
 func (e *echoAgent) OnCreation(_ *Context, init []byte) error {
 	e.Created = true
 	return nil
 }
-func (e *echoAgent) OnArrival(*Context) error    { e.Arrived = true; return nil }
-func (e *echoAgent) OnActivation(*Context) error { e.Active = true; return nil }
+func (e *echoAgent) OnArrival(*Context) error { e.Arrived = true; return nil }
 
 func (e *echoAgent) HandleMessage(_ *Context, msg Message) (Message, error) {
 	e.mu.Lock()
@@ -309,36 +307,6 @@ func TestStoredStateRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCloneCopiesState(t *testing.T) {
-	h := NewHost("h1", testRegistry())
-	defer h.Close()
-	p, _ := h.Create("echo", "e1", nil)
-	p.Send(testCtx(t), Message{Data: []byte("a")})
-	p.Send(testCtx(t), Message{Data: []byte("b")})
-
-	clone, err := h.Clone("e1", "e1-clone")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reply, _ := clone.Send(testCtx(t), Message{Data: []byte("c")})
-	if string(reply.Data) != "c#3" {
-		t.Errorf("clone reply = %q, want c#3 (inherited Handled=2)", reply.Data)
-	}
-	// Parent and clone now diverge.
-	reply, _ = p.Send(testCtx(t), Message{Data: []byte("d")})
-	if string(reply.Data) != "d#3" {
-		t.Errorf("parent reply = %q, want d#3", reply.Data)
-	}
-}
-
-func TestCloneMissingParent(t *testing.T) {
-	h := NewHost("h1", testRegistry())
-	defer h.Close()
-	if _, err := h.Clone("ghost", "c"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestDispatchMovesAgentBetweenHosts(t *testing.T) {
 	lb := NewLoopback()
 	h1 := NewHost("h1", testRegistry())
@@ -481,10 +449,7 @@ func (a *loggedAgent) OnCreation(ctx *Context, _ []byte) error {
 	a.log.add("creation", ctx)
 	return nil
 }
-func (a *loggedAgent) OnArrival(ctx *Context) error      { a.log.add("arrival", ctx); return nil }
-func (a *loggedAgent) OnDeactivating(ctx *Context) error { a.log.add("deactivating", ctx); return nil }
-func (a *loggedAgent) OnActivation(ctx *Context) error   { a.log.add("activation", ctx); return nil }
-func (a *loggedAgent) OnDisposing(ctx *Context)          { a.log.add("disposing", ctx) }
+func (a *loggedAgent) OnArrival(ctx *Context) error { a.log.add("arrival", ctx); return nil }
 func (a *loggedAgent) HandleMessage(*Context, Message) (Message, error) {
 	return Message{}, nil
 }
@@ -495,28 +460,44 @@ func loggedRegistry(log *lifecycleLog) *Registry {
 	return r
 }
 
+// TestLifecycleHooks: OnCreation runs once where the agent is made and
+// OnArrival once where it lands; parking, reviving and disposing call no
+// agent code.
 func TestLifecycleHooks(t *testing.T) {
 	log := &lifecycleLog{}
-	h := NewHost("h1", loggedRegistry(log))
-	defer h.Close()
+	lb := NewLoopback()
+	h1 := NewHost("h1", loggedRegistry(log))
+	h2 := NewHost("h2", loggedRegistry(log))
+	defer h1.Close()
+	defer h2.Close()
+	lb.Attach(h1)
+	lb.Attach(h2)
 
-	h.Create("logged", "e1", nil)
-	h.Clone("e1", "e2")
-	h.Deactivate("e1")
-	h.Activate("e1")
-	h.Dispose("e2")
+	if _, err := h1.Create("logged", "e1", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := h1.Dispatch(testCtx(t), "e1", "h2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := h2.Deactivate("e1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h2.Activate("e1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := h2.Dispose("e1"); err != nil {
+		t.Fatal(err)
+	}
 
-	want := "creation:e1,arrival:e2,deactivating:e1,activation:e1,disposing:e2"
-	if got := log.String(); got != want {
+	if got, want := log.String(), "creation:e1,arrival:e1"; got != want {
 		t.Errorf("callbacks = %s, want %s", got, want)
 	}
 }
 
 func TestCloseDisposesAllAndIsIdempotent(t *testing.T) {
-	log := &lifecycleLog{}
-	h := NewHost("h1", loggedRegistry(log))
+	h := NewHost("h1", testRegistry())
 	for i := 0; i < 10; i++ {
-		h.Create("logged", fmt.Sprintf("e%d", i), nil)
+		h.Create("echo", fmt.Sprintf("e%d", i), nil)
 	}
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
@@ -524,10 +505,13 @@ func TestCloseDisposesAllAndIsIdempotent(t *testing.T) {
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Count(log.String(), "disposing:"); got != 10 {
-		t.Errorf("disposed = %d, want 10", got)
+	if got := h.Agents(); len(got) != 0 {
+		t.Errorf("live after Close = %v, want none", got)
 	}
-	if _, err := h.Create("logged", "late", nil); !errors.Is(err, ErrHostClosed) {
+	if _, err := h.Send(testCtx(t), "e0", Message{}); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Send after Close = %v, want ErrNotFound", err)
+	}
+	if _, err := h.Create("echo", "late", nil); !errors.Is(err, ErrHostClosed) {
 		t.Errorf("Create after Close = %v", err)
 	}
 }
@@ -669,20 +653,20 @@ func TestPerHopLatency(t *testing.T) {
 
 func TestItinerary(t *testing.T) {
 	it := NewItinerary("home", "a", "b")
-	if it.Current() != "a" || it.Done() || it.Remaining() != 2 {
+	if it.Current() != "a" || it.Done() || it.Index != 0 {
 		t.Fatalf("fresh itinerary: %+v", it)
 	}
 	next, it := it.Advance()
-	if next != "b" || it.Remaining() != 1 {
+	if next != "b" || it.Done() || it.Index != 1 {
 		t.Fatalf("after first advance: next=%s %+v", next, it)
 	}
 	next, it = it.Advance()
-	if next != "home" || !it.Done() || it.Remaining() != 0 {
+	if next != "home" || !it.Done() || it.Index != 2 {
 		t.Fatalf("after second advance: next=%s %+v", next, it)
 	}
 	// Advancing a done itinerary keeps pointing home.
 	next, it = it.Advance()
-	if next != "home" || !it.Done() {
+	if next != "home" || !it.Done() || it.Index != 2 {
 		t.Fatalf("after extra advance: next=%s %+v", next, it)
 	}
 }
@@ -691,14 +675,6 @@ func TestItineraryEmptyTripGoesHome(t *testing.T) {
 	it := NewItinerary("home")
 	if !it.Done() || it.Current() != "home" {
 		t.Fatalf("empty itinerary: %+v", it)
-	}
-}
-
-func TestRegistryTypes(t *testing.T) {
-	r := testRegistry()
-	got := r.Types()
-	if len(got) != 2 {
-		t.Errorf("Types = %v", got)
 	}
 }
 
@@ -733,79 +709,6 @@ func TestConcurrentLifecycleChurn(t *testing.T) {
 	wg.Wait()
 	if n := len(h.Agents()); n != 0 {
 		t.Errorf("agents leaked: %d live", n)
-	}
-}
-
-func TestRetractPullsAgentBack(t *testing.T) {
-	lb := NewLoopback()
-	h1 := NewHost("h1", testRegistry())
-	h2 := NewHost("h2", testRegistry())
-	defer h1.Close()
-	defer h2.Close()
-	lb.Attach(h1)
-	lb.Attach(h2)
-
-	p, _ := h1.Create("echo", "wanderer", nil)
-	p.Send(testCtx(t), Message{Data: []byte("x")}) // Handled=1
-	if err := h1.Dispatch(testCtx(t), "wanderer", "h2"); err != nil {
-		t.Fatal(err)
-	}
-	// Pull it back from h2.
-	if err := h1.Retract(testCtx(t), "h2", "wanderer"); err != nil {
-		t.Fatal(err)
-	}
-	if h2.Has("wanderer") {
-		t.Error("agent still on h2 after retract")
-	}
-	if !h1.Has("wanderer") {
-		t.Fatal("agent not back on h1")
-	}
-	reply, err := h1.Send(testCtx(t), "wanderer", Message{Data: []byte("y")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(reply.Data) != "y#2" {
-		t.Errorf("state lost in retract: %s", reply.Data)
-	}
-}
-
-func TestRetractMissingAgent(t *testing.T) {
-	lb := NewLoopback()
-	h1 := NewHost("h1", testRegistry())
-	h2 := NewHost("h2", testRegistry())
-	defer h1.Close()
-	defer h2.Close()
-	lb.Attach(h1)
-	lb.Attach(h2)
-	if err := h1.Retract(testCtx(t), "h2", "ghost"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v, want ErrNotFound", err)
-	}
-}
-
-func TestRetractWithoutTransport(t *testing.T) {
-	h := NewHost("h1", testRegistry())
-	defer h.Close()
-	if err := h.Retract(testCtx(t), "h2", "x"); !errors.Is(err, ErrNoTransport) {
-		t.Fatalf("err = %v, want ErrNoTransport", err)
-	}
-}
-
-func TestSurrenderDirect(t *testing.T) {
-	h := NewHost("h1", testRegistry())
-	defer h.Close()
-	h.Create("echo", "a", nil)
-	img, err := h.Surrender("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if img.Type != "echo" || img.ID != "a" || img.Owner != "h1" {
-		t.Errorf("image = %+v", img)
-	}
-	if h.Has("a") {
-		t.Error("agent still live after Surrender")
-	}
-	if _, err := h.Surrender("a"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("second surrender: %v", err)
 	}
 }
 
@@ -903,7 +806,7 @@ func TestItineraryJSONRoundTripProperty(t *testing.T) {
 			return false
 		}
 		return got.Current() == it.Current() && got.Done() == it.Done() &&
-			got.Remaining() == it.Remaining()
+			got.Index == it.Index
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

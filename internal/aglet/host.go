@@ -130,42 +130,9 @@ func (h *Host) Create(typ, id string, init []byte) (*Proxy, error) {
 	return &Proxy{host: h, hostAddr: h.name, agentID: id}, nil
 }
 
-// Clone copies the agent id into a new agent newID of the same type on the
-// same host. The clone receives the parent's serialized state and then its
-// OnArrival callback, mirroring the Aglets clone semantics where the copy
-// wakes up as if it had just landed.
-func (h *Host) Clone(id, newID string) (*Proxy, error) {
-	h.mu.Lock()
-	parent, ok := h.agents[id]
-	h.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
-	}
-	state, err := h.snapshotAgent(parent)
-	if err != nil {
-		return nil, err
-	}
-	agent, err := h.registry.New(parent.typ)
-	if err != nil {
-		return nil, err
-	}
-	if err := agent.SetState(state); err != nil {
-		return nil, fmt.Errorf("aglet: restoring clone state: %w", err)
-	}
-	c := h.newCell(parent.typ, newID, agent)
-	if err := agent.OnArrival(c.ctx); err != nil {
-		return nil, fmt.Errorf("aglet: OnArrival of clone %s: %w", newID, err)
-	}
-	if err := h.install(c); err != nil {
-		return nil, err
-	}
-	return &Proxy{host: h, hostAddr: h.name, agentID: newID}, nil
-}
-
-// snapshotAgent serializes a live agent's state. The agent's handler loop
-// may be running; State implementations must be safe to call from another
-// goroutine (the provided agents synchronize internally or are quiescent
-// when snapshotted, which the workflows guarantee).
+// snapshotAgent serializes an agent's state. Every caller runs while no
+// message is being handled: either on the agent's own goroutine between
+// messages (a self-requested dispatch) or after stopAgent has halted it.
 func (h *Host) snapshotAgent(c *cell) ([]byte, error) {
 	state, err := c.agent.State()
 	if err != nil {
@@ -256,7 +223,6 @@ func (h *Host) settlePending(c *cell, depth int) bool {
 		return true
 	case c.ctx.pendingDispose:
 		h.detach(c)
-		c.agent.OnDisposing(c.ctx)
 		return true
 	}
 	return false
@@ -383,50 +349,12 @@ func (h *Host) Receive(img Image) error {
 	return h.install(c)
 }
 
-// Surrender stops agent id, serializes it, and removes it from this host,
-// returning the image. It is the remote half of Retract: the requesting
-// host re-instantiates the agent from the image.
-func (h *Host) Surrender(id string) (Image, error) {
-	c, err := h.stopAgent(id)
-	if err != nil {
-		return Image{}, err
-	}
-	state, err := h.snapshotAgent(c)
-	if err != nil {
-		h.restart(c)
-		return Image{}, err
-	}
-	h.detach(c)
-	return Image{Type: c.typ, ID: c.id, Owner: h.name, State: state}, nil
-}
-
-// Retract pulls agent id back from the remote host at from, the Aglets
-// proxy.retract() operation: the agent stops running there and resumes
-// here, its OnArrival callback running as after any migration.
-func (h *Host) Retract(ctx context.Context, from, id string) error {
-	h.mu.Lock()
-	tr := h.transport
-	h.mu.Unlock()
-	if tr == nil {
-		return ErrNoTransport
-	}
-	img, err := tr.Retract(ctx, from, id)
-	if err != nil {
-		return fmt.Errorf("aglet: retracting %s from %s: %w", id, from, err)
-	}
-	return h.Receive(img)
-}
-
 // Deactivate stops agent id and serializes it into the host store; it no
 // longer consumes a goroutine. Activate revives it.
 func (h *Host) Deactivate(id string) error {
 	c, err := h.stopAgent(id)
 	if err != nil {
 		return err
-	}
-	if err := c.agent.OnDeactivating(c.ctx); err != nil {
-		h.restart(c)
-		return fmt.Errorf("aglet: OnDeactivating %s/%s: %w", c.typ, c.id, err)
 	}
 	state, err := h.snapshotAgent(c)
 	if err != nil {
@@ -440,7 +368,7 @@ func (h *Host) Deactivate(id string) error {
 	return nil
 }
 
-// Activate revives a deactivated agent, running its OnActivation callback.
+// Activate revives a deactivated agent from its stored state.
 func (h *Host) Activate(id string) (*Proxy, error) {
 	h.mu.Lock()
 	rec, ok := h.stored[id]
@@ -458,11 +386,7 @@ func (h *Host) Activate(id string) (*Proxy, error) {
 	if err := agent.SetState(rec.State); err != nil {
 		return nil, fmt.Errorf("aglet: restoring %s/%s: %w", rec.Type, id, err)
 	}
-	c := h.newCell(rec.Type, id, agent)
-	if err := agent.OnActivation(c.ctx); err != nil {
-		return nil, fmt.Errorf("aglet: OnActivation %s/%s: %w", rec.Type, id, err)
-	}
-	if err := h.install(c); err != nil {
+	if err := h.install(h.newCell(rec.Type, id, agent)); err != nil {
 		return nil, err
 	}
 	return &Proxy{host: h, hostAddr: h.name, agentID: id}, nil
@@ -488,7 +412,6 @@ func (h *Host) Dispose(id string) error {
 		return err
 	}
 	h.detach(c)
-	c.agent.OnDisposing(c.ctx)
 	return nil
 }
 
@@ -558,9 +481,6 @@ func (h *Host) Close() error {
 		close(c.quit)
 	}
 	h.wg.Wait()
-	for _, c := range cells {
-		c.agent.OnDisposing(c.ctx)
-	}
 	return nil
 }
 

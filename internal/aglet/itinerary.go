@@ -38,11 +38,3 @@ func (it Itinerary) Advance() (next string, updated Itinerary) {
 	}
 	return it.Current(), it
 }
-
-// Remaining returns how many stops are still unvisited.
-func (it Itinerary) Remaining() int {
-	if it.Done() {
-		return 0
-	}
-	return len(it.Stops) - it.Index
-}

@@ -7,14 +7,15 @@ import (
 )
 
 // Loopback is an in-process Transport connecting hosts registered with it by
-// name. It is the transport used by single-process platforms, examples and
-// benchmarks; the atp package provides the TCP equivalent with the same
-// semantics.
+// name: a Dispatch hands the image to the destination host's Receive, a Call
+// to its Send. It is the transport used by single-process platforms,
+// examples and benchmarks; the atp package provides the TCP equivalent with
+// the same semantics.
 //
 // Loopback can also simulate a wide-area network for the C2 experiment: a
-// per-hop latency callback and byte counters let the benchmark harness
-// compare mobile-agent trips against conventional request/response traffic
-// under identical conditions.
+// per-hop latency callback and dispatch/call/byte counters let the benchmark
+// harness compare mobile-agent trips against conventional request/response
+// traffic under identical conditions.
 type Loopback struct {
 	mu    sync.RWMutex
 	hosts map[string]*Host
@@ -114,29 +115,6 @@ func (l *Loopback) Call(ctx context.Context, dest, agentID string, msg Message) 
 	l.bytesMoved += int64(len(reply.Data))
 	l.hookMu.Unlock()
 	return reply, nil
-}
-
-// Retract implements Transport by asking the destination host to surrender
-// the agent.
-func (l *Loopback) Retract(ctx context.Context, dest, agentID string) (Image, error) {
-	h, err := l.lookup(dest)
-	if err != nil {
-		return Image{}, err
-	}
-	if hop := l.account(true, 0); hop != nil {
-		hop(dest)
-	}
-	if err := ctx.Err(); err != nil {
-		return Image{}, err
-	}
-	img, err := h.Surrender(agentID)
-	if err != nil {
-		return Image{}, err
-	}
-	l.hookMu.Lock()
-	l.bytesMoved += int64(len(img.State))
-	l.hookMu.Unlock()
-	return img, nil
 }
 
 // Stats reports dispatch count, call count, and total payload bytes moved

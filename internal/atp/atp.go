@@ -59,11 +59,11 @@ const (
 	requestTimeout = 30 * time.Second // reading one frame, serving it and writing its reply
 )
 
-// request operations.
+// request operations. None of them takes an agent off the host it runs on:
+// an agent leaves only by its own or its host's decision.
 const (
 	opDispatch = "dispatch"
 	opCall     = "call"
-	opRetract  = "retract"
 	opPing     = "ping"
 	opJournal  = "journal"
 )
@@ -78,11 +78,10 @@ type request struct {
 }
 
 type response struct {
-	OK    bool         `json:"ok"`
-	Error string       `json:"error,omitempty"`
-	Kind  string       `json:"kind,omitempty"`
-	Data  []byte       `json:"data,omitempty"`
-	Image *aglet.Image `json:"image,omitempty"`
+	OK    bool   `json:"ok"`
+	Error string `json:"error,omitempty"`
+	Kind  string `json:"kind,omitempty"`
+	Data  []byte `json:"data,omitempty"`
 }
 
 // signable returns the canonical bytes covered by the signature: the JSON
@@ -307,12 +306,6 @@ func (s *Server) serve(req request) response {
 			return response{Error: err.Error()}
 		}
 		return response{OK: true}
-	case opRetract:
-		img, err := s.host.Surrender(req.AgentID)
-		if err != nil {
-			return response{Error: err.Error()}
-		}
-		return response{OK: true, Image: &img}
 	case opCall:
 		ctx, cancel := context.WithTimeout(context.Background(), 25*time.Second)
 		defer cancel()
@@ -553,18 +546,6 @@ func (c *Client) Call(ctx context.Context, dest, agentID string, msg aglet.Messa
 		return aglet.Message{}, err
 	}
 	return aglet.Message{Kind: resp.Kind, Data: resp.Data}, nil
-}
-
-// Retract implements aglet.Transport: it asks dest to surrender agentID.
-func (c *Client) Retract(ctx context.Context, dest, agentID string) (aglet.Image, error) {
-	resp, err := c.roundTrip(ctx, dest, request{Op: opRetract, AgentID: agentID})
-	if err != nil {
-		return aglet.Image{}, err
-	}
-	if resp.Image == nil {
-		return aglet.Image{}, fmt.Errorf("%w: retract returned no image", ErrBadFrame)
-	}
-	return *resp.Image, nil
 }
 
 // Ping checks liveness of the ATP server at dest.

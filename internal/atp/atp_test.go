@@ -277,40 +277,6 @@ func TestConcurrentCalls(t *testing.T) {
 	}
 }
 
-func TestRetractOverTCP(t *testing.T) {
-	client := NewClient(key())
-	h1 := aglet.NewHost("h1", reg(), aglet.WithTransport(client))
-	defer h1.Close()
-	h2, srv := startHost(t, "h2")
-
-	h2.Create("counter", "roamer", nil)
-	h2.Send(testCtx(t), "roamer", aglet.Message{}) // N=1
-
-	if err := h1.Retract(testCtx(t), srv.Addr(), "roamer"); err != nil {
-		t.Fatal(err)
-	}
-	if h2.Has("roamer") {
-		t.Error("agent still on remote host")
-	}
-	reply, err := h1.Send(testCtx(t), "roamer", aglet.Message{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(reply.Data), `"n":2`) {
-		t.Errorf("state lost over TCP retract: %s", reply.Data)
-	}
-}
-
-func TestRetractMissingOverTCP(t *testing.T) {
-	client := NewClient(key())
-	h1 := aglet.NewHost("h1", reg(), aglet.WithTransport(client))
-	defer h1.Close()
-	_, srv := startHost(t, "h2")
-	if err := h1.Retract(testCtx(t), srv.Addr(), "ghost"); err == nil {
-		t.Fatal("retract of missing agent succeeded")
-	}
-}
-
 // TestJournalFrame exercises the engine journal-stream op: a handler
 // echoes, the client round-trips kind and payload, and a host with no
 // handler rejects.

@@ -32,18 +32,24 @@ func signedFrame(t testing.TB, req request) []byte {
 // server. A kept-alive connection is a long-lived parser: whatever arrives,
 // the server must not panic, must end the connection once the peer has, must
 // leave no goroutine behind after Close, and must still answer a valid frame
-// on a new connection.
+// on a new connection. Nor may any frame, signed or not, take an agent off
+// the host: the live keeper agent is still there after every stream.
 func FuzzServerFrames(f *testing.F) {
 	// Frames signed by today's code, so the corpus keeps valid ones even if
 	// the encoding moves under the bytes committed in testdata/fuzz (a
 	// truncated header, a length over MaxFrame, valid-then-garbage, a wrong
-	// signature).
+	// signature, and a signed "retract" naming the keeper, an op the server
+	// does not serve).
 	f.Add(signedFrame(f, request{Op: opPing}))
 	f.Add(signedFrame(f, request{Op: opJournal, Kind: "tail", Data: []byte(`{"shard":1}`)}))
 	f.Add(signedFrame(f, request{Op: opCall, AgentID: "ghost", Kind: "inc"}))
 
 	host := aglet.NewHost("fuzzed", reg())
 	f.Cleanup(func() { host.Close() })
+	// The counter type never disposes or dispatches itself.
+	if _, err := host.Create("counter", "keeper", nil); err != nil {
+		f.Fatal(err)
+	}
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		before := runtime.NumGoroutine()
@@ -74,6 +80,9 @@ func FuzzServerFrames(f *testing.F) {
 		}
 		<-wrote
 		conn.Close()
+		if !host.Has("keeper") {
+			t.Error("the stream took the keeper agent off the host")
+		}
 
 		c := NewClient(key())
 		if err := c.Ping(testCtx(t), srv.Addr()); err != nil {

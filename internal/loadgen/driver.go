@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -23,21 +22,12 @@ type TargetFunc func(ctx context.Context, op workload.Op) error
 // Do implements Target.
 func (f TargetFunc) Do(ctx context.Context, op workload.Op) error { return f(ctx, op) }
 
-// Rate shapes.
-const (
-	ShapeConstant = "constant" // fixed arrival rate
-	ShapeSine     = "sine"     // diurnal: rate swings between SineMinFrac*Rate and Rate
-)
-
-// DriveConfig parameterizes one open-loop run.
+// DriveConfig parameterizes one open-loop run at a constant arrival rate. A
+// rate that changes over time (a capacity sweep) is one Drive per step.
 type DriveConfig struct {
-	Rate     float64       // peak arrival rate, ops/sec (> 0)
+	Rate     float64       // arrival rate, ops/sec (> 0)
 	Duration time.Duration // how long arrivals are scheduled for (> 0)
 	Workers  int           // concurrent issuers [16]
-
-	Shape       string        // ShapeConstant (default) or ShapeSine
-	SinePeriod  time.Duration // full sine cycle [Duration]
-	SineMinFrac float64       // trough rate as a fraction of Rate [0.25]
 }
 
 func (c DriveConfig) withDefaults() (DriveConfig, error) {
@@ -50,57 +40,21 @@ func (c DriveConfig) withDefaults() (DriveConfig, error) {
 	if c.Workers <= 0 {
 		c.Workers = 16
 	}
-	switch c.Shape {
-	case "", ShapeConstant:
-		c.Shape = ShapeConstant
-	case ShapeSine:
-		if c.SinePeriod <= 0 {
-			c.SinePeriod = c.Duration
-		}
-		if c.SineMinFrac <= 0 || c.SineMinFrac > 1 {
-			c.SineMinFrac = 0.25
-		}
-	default:
-		return c, fmt.Errorf("loadgen: unknown rate shape %q", c.Shape)
-	}
 	return c, nil
 }
 
-// schedule precomputes every arrival's offset from the run start. Open
-// loop: the schedule is fixed by the rate shape alone — completions never
-// influence arrivals, so a slow server faces the same incoming traffic a
-// fast one does and the backlog shows up as latency.
+// schedule precomputes every arrival's offset from the run start: arrival i
+// at i/Rate seconds. Open loop: the schedule is fixed by the rate alone —
+// completions never influence arrivals, so a slow server faces the same
+// incoming traffic a fast one does and the backlog shows up as latency.
 func (c DriveConfig) schedule() []time.Duration {
-	if c.Shape == ShapeConstant {
-		n := int(c.Rate * c.Duration.Seconds())
-		if n < 1 {
-			n = 1
-		}
-		out := make([]time.Duration, n)
-		for i := range out {
-			out[i] = time.Duration(float64(i) / c.Rate * float64(time.Second))
-		}
-		return out
+	n := int(c.Rate * c.Duration.Seconds())
+	if n < 1 {
+		n = 1
 	}
-	// Sine: integrate the instantaneous rate in 1ms steps and emit an
-	// arrival each time the accumulated expectation crosses 1.
-	// r(t) starts at the trough, peaks mid-period.
-	mean := c.Rate * (1 + c.SineMinFrac) / 2
-	amp := c.Rate * (1 - c.SineMinFrac) / 2
-	const step = time.Millisecond
-	out := make([]time.Duration, 0, int(mean*c.Duration.Seconds())+1)
-	acc := 0.0
-	for t := time.Duration(0); t < c.Duration; t += step {
-		phase := 2 * math.Pi * float64(t) / float64(c.SinePeriod)
-		r := mean - amp*math.Cos(phase)
-		acc += r * step.Seconds()
-		for acc >= 1 {
-			acc--
-			out = append(out, t)
-		}
-	}
-	if len(out) == 0 {
-		out = append(out, 0)
+	out := make([]time.Duration, n)
+	for i := range out {
+		out[i] = time.Duration(float64(i) / c.Rate * float64(time.Second))
 	}
 	return out
 }
@@ -122,7 +76,7 @@ type DriveResult struct {
 	All       *Histogram    // successful ops' latency, ns, across kinds
 	ByKind    map[workload.OpKind]*KindResult
 
-	ErrorSample []string // up to one distinct error message per worker
+	ErrorSample []string // the first error of each failing worker, at most five
 }
 
 // driveWorker is one issuer's private tally; merged after the run so the

@@ -142,42 +142,25 @@ func TestDriveOpenLoopBacklog(t *testing.T) {
 	}
 }
 
-// TestDriveSineSchedule: the diurnal shape integrates to roughly the mean
-// rate and stays inside the run window, monotonically.
-func TestDriveSineSchedule(t *testing.T) {
-	cfg, err := DriveConfig{
-		Rate: 1000, Duration: 2 * time.Second, Shape: ShapeSine, SineMinFrac: 0.25,
-	}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestDriveConstantSchedule: arrival i lands at exactly i/Rate, so every
+// arrival falls inside the run window in order, and a sub-one-arrival run
+// still schedules one.
+func TestDriveConstantSchedule(t *testing.T) {
+	cfg := DriveConfig{Rate: 300, Duration: 2 * time.Second}
 	offsets := cfg.schedule()
-	mean := cfg.Rate * (1 + cfg.SineMinFrac) / 2
-	want := mean * cfg.Duration.Seconds()
-	if got := float64(len(offsets)); got < want*0.95 || got > want*1.05 {
-		t.Fatalf("sine schedule emitted %d arrivals, want ~%.0f", len(offsets), want)
+	if len(offsets) != 600 {
+		t.Fatalf("%d arrivals, want 600", len(offsets))
 	}
 	for i, off := range offsets {
-		if off < 0 || off >= cfg.Duration {
+		if want := time.Duration(float64(i) / cfg.Rate * float64(time.Second)); off != want {
+			t.Fatalf("arrival %d at %v, want %v", i, off, want)
+		}
+		if off >= cfg.Duration {
 			t.Fatalf("arrival %d at %v outside the run window", i, off)
 		}
-		if i > 0 && off < offsets[i-1] {
-			t.Fatalf("arrival %d at %v before its predecessor %v", i, off, offsets[i-1])
-		}
 	}
-	// The second half-period (peak) must carry more arrivals than the first
-	// (trough-centred) quarter: the shape actually modulates.
-	quarter, half := 0, 0
-	for _, off := range offsets {
-		if off < cfg.Duration/4 {
-			quarter++
-		}
-		if off >= cfg.Duration/4 && off < 3*cfg.Duration/4 {
-			half++
-		}
-	}
-	if half <= 2*quarter {
-		t.Fatalf("sine shape flat: %d arrivals in the peak half vs %d in the trough quarter", half, quarter)
+	if got := (DriveConfig{Rate: 0.5, Duration: time.Second}).schedule(); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("sub-one-arrival schedule = %v, want one arrival at 0", got)
 	}
 }
 
@@ -190,7 +173,6 @@ func TestDriveRejectsBadConfig(t *testing.T) {
 		{Rate: -10, Duration: time.Second},
 		{Rate: 100, Duration: 0},
 		{Rate: 100, Duration: -time.Second},
-		{Rate: 100, Duration: time.Second, Shape: "sawtooth"},
 	}
 	for _, cfg := range cases {
 		if _, err := Drive(context.Background(), cfg, synthNext, ok); err == nil {

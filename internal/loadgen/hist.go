@@ -11,19 +11,18 @@
 //     coordinated-omission correction. Mergeable, fixed-size, allocation-
 //     free on the record path.
 //   - Drive (driver.go): the open-loop driver. Arrival times are fixed by
-//     the scenario's rate shape before the run starts; latency is measured
-//     from the *scheduled* start, so a stalled server inflates the recorded
-//     tail instead of silently slowing the load (the coordinated-omission
-//     trap closed-loop drivers fall into).
+//     the scenario's constant rate before the run starts; latency is
+//     measured from the *scheduled* start, so a stalled server inflates the
+//     recorded tail instead of silently slowing the load (the
+//     coordinated-omission trap closed-loop drivers fall into).
 //   - Scenario (scenario.go): the scenario library, shipped as data. Each
 //     scenario is a plain JSON-serializable struct; the built-in Library
-//     covers flash-sale skew, diurnal load, cold-follower paged bootstrap
-//     under writes, kill-the-owner failover, and profile-shilling
-//     poisoning.
-//   - RunScenario (run.go): boots the target world (an in-process
+//     covers flash-sale skew, cold-follower paged bootstrap under writes,
+//     kill-the-owner failover, and profile-shilling poisoning.
+//   - RunScenario (run.go): boots the in-process target world (a
 //     replicated platform, a recommend-level world with a cold follower, or
-//     live platformd daemons over HTTP), seeds the universe, drives the
-//     load, and assembles the ScenarioResult document cmd/recbench writes.
+//     a failover drill), seeds the universe, drives the load, and assembles
+//     the ScenarioResult document cmd/recbench writes.
 package loadgen
 
 import "math/bits"

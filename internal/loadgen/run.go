@@ -60,7 +60,7 @@ type MetricsDelta struct {
 type ScenarioResult struct {
 	Scenario    string `json:"scenario"`
 	Description string `json:"description,omitempty"`
-	Target      string `json:"target"` // "platform" | "cold-follower" | "http"
+	Target      string `json:"target"` // "platform" | "cold-follower" | "failover"
 
 	Seed       uint64 `json:"seed"`
 	Users      int    `json:"users"`
@@ -72,7 +72,6 @@ type ScenarioResult struct {
 
 	RateOpsS  float64 `json:"rate_ops_s"`
 	DurationS float64 `json:"duration_s"`
-	Shape     string  `json:"shape"`
 
 	ElapsedS       float64 `json:"elapsed_s"`
 	Scheduled      int64   `json:"scheduled_ops"`
@@ -154,14 +153,11 @@ func (r *ScenarioResult) Check() error {
 	return nil
 }
 
-// RunOptions selects the world a scenario runs against.
+// RunOptions sizes the in-process world a scenario runs against.
 type RunOptions struct {
 	// Servers is the in-process buyer server count [2]; > 1 runs the
-	// replicated owner-routed topology. Ignored with HTTPAddrs.
+	// replicated owner-routed topology.
 	Servers int
-	// HTTPAddrs drives live platformd daemons instead (read-only: the
-	// scenario mix must be recommend-only).
-	HTTPAddrs []string
 	// StateDir is the durable state root of the failover world's servers;
 	// empty keeps them memory-only.
 	StateDir string
@@ -170,8 +166,6 @@ type RunOptions struct {
 	// Out receives progress lines; nil is silent.
 	Out io.Writer
 }
-
-func decodeJSONBody(r io.Reader, v any) error { return json.NewDecoder(r).Decode(v) }
 
 // RunScenario generates the scenario's universe, boots its world, seeds
 // the community, drives the open-loop load, and assembles the result
@@ -233,15 +227,6 @@ func RunScenario(ctx context.Context, s Scenario, opt RunOptions) (*ScenarioResu
 		servers = opt.Servers
 	)
 	switch {
-	case len(opt.HTTPAddrs) > 0:
-		if s.MixSetProfile > 0 || s.MixPurchase > 0 {
-			return nil, fmt.Errorf("loadgen: scenario %q mixes writes; the HTTP target is read-only", s.Name)
-		}
-		if s.ColdFollower || s.Failover {
-			return nil, fmt.Errorf("loadgen: scenario %q needs an in-process world", s.Name)
-		}
-		w, err = newHTTPWorld(opt.HTTPAddrs)
-		target, servers = "http", len(opt.HTTPAddrs)
 	case s.ColdFollower:
 		coldW, err = newColdWorld(s, u, profiles, servers)
 		w, target = coldW, "cold-follower"
@@ -268,11 +253,7 @@ func RunScenario(ctx context.Context, s Scenario, opt RunOptions) (*ScenarioResu
 
 	var shillState *shillProbeState
 	if s.ShillFraction > 0 {
-		eng := w.ReadEngine()
-		if eng == nil {
-			return nil, fmt.Errorf("loadgen: scenario %q measures shilling and needs an in-process world", s.Name)
-		}
-		shillState = shillBaseline(eng, u, traffic, shillTarget, s.ShillProbes, traffic.TopN())
+		shillState = shillBaseline(w.ReadEngine(), u, traffic, shillTarget, s.ShillProbes, traffic.TopN())
 		logf("scenario %s: shill target %s, %d probes baselined", s.Name, shillTarget, len(shillState.probes))
 	}
 
@@ -329,7 +310,7 @@ func RunScenario(ctx context.Context, s Scenario, opt RunOptions) (*ScenarioResu
 		}()
 	}
 
-	logf("scenario %s: driving %s load at %.0f ops/s for %.0fs", s.Name, s.Shape, s.RateOpsS, s.DurationS)
+	logf("scenario %s: driving load at %.0f ops/s for %.0fs", s.Name, s.RateOpsS, s.DurationS)
 	dr, err := Drive(ctx, s.driveConfig(opt.Workers), traffic.Op, w)
 	coldWG.Wait()
 	foWG.Wait()
@@ -365,7 +346,6 @@ func RunScenario(ctx context.Context, s Scenario, opt RunOptions) (*ScenarioResu
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		RateOpsS:    s.RateOpsS,
 		DurationS:   s.DurationS,
-		Shape:       s.Shape,
 
 		ElapsedS:    dr.Elapsed.Seconds(),
 		Scheduled:   dr.Scheduled,

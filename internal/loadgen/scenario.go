@@ -26,12 +26,9 @@ type Scenario struct {
 	Products   int    `json:"products,omitempty"`   // catalog size [Users/10, min 500]
 	Categories int    `json:"categories,omitempty"` // [16]
 
-	// Arrival process (open loop).
-	RateOpsS    float64 `json:"rate_ops_s"`              // peak arrival rate
-	DurationS   float64 `json:"duration_s"`              // scheduled load window
-	Shape       string  `json:"shape,omitempty"`         // "constant" (default) | "sine"
-	SinePeriodS float64 `json:"sine_period_s,omitempty"` // [DurationS]
-	SineMinFrac float64 `json:"sine_min_frac,omitempty"` // trough fraction [0.25]
+	// Arrival process (open loop, constant rate).
+	RateOpsS  float64 `json:"rate_ops_s"` // arrival rate
+	DurationS float64 `json:"duration_s"` // scheduled load window
 
 	// Traffic mix and skew (workload.TrafficConfig).
 	MixRecommend     float64 `json:"mix_recommend"`
@@ -83,9 +80,6 @@ func (s Scenario) withDefaults() Scenario {
 	if s.Categories <= 0 {
 		s.Categories = 16
 	}
-	if s.Shape == "" {
-		s.Shape = ShapeConstant
-	}
 	if s.ColdFollower {
 		if s.ColdFollowerDelayS <= 0 {
 			s.ColdFollowerDelayS = s.DurationS / 10
@@ -132,14 +126,10 @@ func (s Scenario) Validate() error {
 	if s.MixRecommend+s.MixSetProfile+s.MixPurchase <= 0 {
 		return bad("mix weights sum to zero")
 	}
-	if s.Shape != "" && s.Shape != ShapeConstant && s.Shape != ShapeSine {
-		return bad("unknown shape %q", s.Shape)
-	}
 	for name, v := range map[string]float64{
 		"hot_category_share": s.HotCategoryShare,
 		"churn_fraction":     s.ChurnFraction,
 		"shill_fraction":     s.ShillFraction,
-		"sine_min_frac":      s.SineMinFrac,
 	} {
 		if v < 0 || v > 1 {
 			return bad("%s must be in [0,1], got %g", name, v)
@@ -171,15 +161,15 @@ func (s Scenario) Validate() error {
 }
 
 // Smoke returns the scenario scaled down to CI size — seconds of load over
-// thousands of users — preserving its shape, mix, and skew.
+// thousands of users — preserving its mix and skew. Defaults are filled
+// first, so a field the document leaves unset is capped at its default's
+// size rather than left for RunScenario to fill at full size.
 func (s Scenario) Smoke() Scenario {
+	s = s.withDefaults()
 	s.Users = min(s.Users, 2000)
-	s.Products = min(max(s.Products, 1), 400)
+	s.Products = min(s.Products, 400)
 	s.RateOpsS = min(s.RateOpsS, 400)
 	s.DurationS = min(s.DurationS, 3)
-	if s.Shape == ShapeSine {
-		s.SinePeriodS = min(s.SinePeriodS, s.DurationS)
-	}
 	if s.ColdFollower {
 		s.ColdFollowerDelayS = min(s.ColdFollowerDelayS, s.DurationS/4)
 	}
@@ -206,13 +196,6 @@ var Library = []Scenario{
 		RateOpsS: 300, DurationS: 15,
 		MixRecommend: 0.80, MixSetProfile: 0.05, MixPurchase: 0.15,
 		UserZipfS: 1.2, HotCategoryShare: 0.8,
-	},
-	{
-		Name:        "diurnal",
-		Description: "sine-wave arrival rate between trough and peak, uniform mix — the daily cycle",
-		Users:       10000, Products: 1200, Categories: 16, Seed: 1,
-		RateOpsS: 200, DurationS: 40, Shape: ShapeSine, SineMinFrac: 0.2,
-		MixRecommend: 0.70, MixSetProfile: 0.15, MixPurchase: 0.15,
 	},
 	{
 		Name:        "cold-follower",
@@ -285,14 +268,7 @@ func LoadScenario(path string) (Scenario, error) {
 
 // driveConfig translates the scenario's arrival process.
 func (s Scenario) driveConfig(workers int) DriveConfig {
-	return DriveConfig{
-		Rate:        s.RateOpsS,
-		Duration:    secs(s.DurationS),
-		Workers:     workers,
-		Shape:       s.Shape,
-		SinePeriod:  secs(s.SinePeriodS),
-		SineMinFrac: s.SineMinFrac,
-	}
+	return DriveConfig{Rate: s.RateOpsS, Duration: secs(s.DurationS), Workers: workers}
 }
 
 // trafficConfig translates the scenario's mix for a generated universe.

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,7 +24,7 @@ func TestLibraryScenariosValid(t *testing.T) {
 			t.Errorf("smoke reduction of %q invalid: %v", s.Name, err)
 		}
 	}
-	for _, want := range []string{"flash-sale", "diurnal", "cold-follower", "failover", "shilling"} {
+	for _, want := range []string{"flash-sale", "cold-follower", "failover", "shilling"} {
 		if !seen[want] {
 			t.Errorf("library is missing the %s scenario the ROADMAP names", want)
 		}
@@ -42,7 +43,6 @@ func TestScenarioValidateRejects(t *testing.T) {
 		{"no name", func(s *Scenario) { s.Name = "" }},
 		{"negative mix", func(s *Scenario) { s.MixRecommend = -1 }},
 		{"zero mix", func(s *Scenario) { s.MixRecommend = 0 }},
-		{"bad shape", func(s *Scenario) { s.Shape = "sawtooth" }},
 		{"fraction range", func(s *Scenario) { s.HotCategoryShare = 1.5 }},
 		{"churn without writes", func(s *Scenario) { s.ChurnFraction = 0.5 }},
 		{"shill without writes", func(s *Scenario) { s.ShillFraction = 0.5 }},
@@ -105,6 +105,7 @@ func TestLoadScenarioFile(t *testing.T) {
 	// one — is refused by name, never silently dropped.
 	for field, doc := range map[string]string{
 		"max_resident_shards": `{"name":"spill","rate_ops_s":50,"duration_s":2,"mix_recommend":1,"max_resident_shards":4}`,
+		"shape":               `{"name":"sine","rate_ops_s":50,"duration_s":2,"mix_recommend":1,"shape":"sine"}`,
 		"mix_recomend":        `{"name":"typo","rate_ops_s":50,"duration_s":2,"mix_recomend":1}`,
 	} {
 		path := filepath.Join(t.TempDir(), field+".json")
@@ -118,15 +119,21 @@ func TestLoadScenarioFile(t *testing.T) {
 }
 
 // TestSmokeScaling: Smoke caps the knobs CI cares about without touching
-// the shape or mix.
+// the mix, including for a document that leaves the universe size to the
+// defaults — which must be capped too, and still run.
 func TestSmokeScaling(t *testing.T) {
-	for _, s := range Library {
+	unsized := Scenario{Name: "custom", RateOpsS: 50, DurationS: 1, MixRecommend: 1}
+	for _, s := range append(Library[:len(Library):len(Library)], unsized) {
 		sm := s.Smoke()
-		if sm.Users > 2000 || sm.RateOpsS > 400 || sm.DurationS > 3 {
-			t.Errorf("%s smoke too big: %d users, %g ops/s, %gs", s.Name, sm.Users, sm.RateOpsS, sm.DurationS)
+		if sm.Users > 2000 || sm.Products > 400 || sm.RateOpsS > 400 || sm.DurationS > 3 {
+			t.Errorf("%s smoke too big: %d users, %d products, %g ops/s, %gs",
+				s.Name, sm.Users, sm.Products, sm.RateOpsS, sm.DurationS)
 		}
-		if sm.Shape != s.Shape || sm.MixRecommend != s.MixRecommend || sm.ChurnFraction != s.ChurnFraction {
+		if sm.MixRecommend != s.MixRecommend || sm.ChurnFraction != s.ChurnFraction {
 			t.Errorf("%s smoke changed the scenario character", s.Name)
 		}
+	}
+	if _, err := RunScenario(context.Background(), unsized.Smoke(), RunOptions{Servers: 1}); err != nil {
+		t.Fatalf("smoke of a scenario with default sizes: %v", err)
 	}
 }

@@ -3,11 +3,7 @@ package loadgen
 import (
 	"context"
 	"fmt"
-	"io"
-	"net/http"
-	"net/url"
 	"sort"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -20,17 +16,16 @@ import (
 )
 
 // world is what RunScenario drives: a Target plus the seeding, metrics,
-// and convergence hooks the result document needs. Four implementations:
-// platformWorld (in-process replicated platform.Platform), coldWorld and
-// failoverWorld (platform.Replica servers with one delayed cold follower,
-// or a gate that kills an owner), and httpWorld (live platformd daemons,
-// read-only).
+// and convergence hooks the result document needs. Three in-process
+// implementations: platformWorld (replicated platform.Platform), and
+// coldWorld and failoverWorld (platform.Replica servers with one delayed
+// cold follower, or a gate that kills an owner).
 type world interface {
 	Target
 	Seed(profiles []*profile.Profile, purchases map[string][]string) error
 	Metrics() ops.Snapshot
 	Drain(ctx context.Context) (time.Duration, error)
-	ReadEngine() *recommend.Engine // measurement engine; nil over HTTP
+	ReadEngine() *recommend.Engine // the engine shilling probes measure
 	Close() error
 }
 
@@ -300,75 +295,3 @@ func closeReplicas(rs []*platform.Replica) error {
 	}
 	return first
 }
-
-// httpWorld drives live platformd buyer daemons over their HTTP surface.
-// Read-only: the HTTP surface's write paths are session-scoped (login +
-// tasks), so only recommend ops are supported and RunScenario rejects
-// scenarios with write mixes. The community is whatever the daemons
-// already hold — unknown consumers exercise the top-seller fallback.
-type httpWorld struct {
-	bases  []string
-	client *http.Client
-	next   atomic.Uint64
-}
-
-func newHTTPWorld(addrs []string) (*httpWorld, error) {
-	w := &httpWorld{client: &http.Client{Timeout: 30 * time.Second}}
-	for _, a := range addrs {
-		base := a
-		if base == "" {
-			return nil, fmt.Errorf("loadgen: empty server address")
-		}
-		if u, err := url.Parse(base); err != nil || u.Scheme == "" {
-			base = "http://" + base
-		}
-		w.bases = append(w.bases, base)
-	}
-	return w, nil
-}
-
-func (w *httpWorld) Do(ctx context.Context, op workload.Op) error {
-	if op.Kind != workload.OpRecommend {
-		return fmt.Errorf("loadgen: http target is read-only, cannot execute %v", op.Kind)
-	}
-	base := w.bases[int(w.next.Add(1)%uint64(len(w.bases)))]
-	q := url.Values{"user": {op.UserID}, "n": {strconv.Itoa(op.TopN)}}
-	if op.Category != "" {
-		q.Set("category", op.Category)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/recommendations?"+q.Encode(), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("loadgen: %s: HTTP %d", base, resp.StatusCode)
-	}
-	return nil
-}
-
-// Seed is a no-op over HTTP: the daemons own their community.
-func (w *httpWorld) Seed([]*profile.Profile, map[string][]string) error { return nil }
-
-// Metrics asks server 0 for the platform snapshot.
-func (w *httpWorld) Metrics() ops.Snapshot {
-	var snap ops.Snapshot
-	resp, err := w.client.Get(w.bases[0] + "/metrics/snapshot")
-	if err != nil {
-		return snap
-	}
-	defer resp.Body.Close()
-	decodeJSONBody(resp.Body, &snap)
-	return snap
-}
-
-func (w *httpWorld) Drain(context.Context) (time.Duration, error) { return 0, nil }
-
-func (w *httpWorld) ReadEngine() *recommend.Engine { return nil }
-
-func (w *httpWorld) Close() error { return nil }
