@@ -5,8 +5,8 @@
 //
 //   - fencegate: write surfaces in recommend/replnet write through a gated
 //     writer (OwnedWriter, Router), never the Engine's ungated write API.
-//   - lockorder: shard locks before sellShard locks, never nested shard
-//     locks, no lock held across a Persister fsync.
+//   - lockorder: never nested shard locks, no lock held across a Persister
+//     fsync.
 //   - determinism: no wall clock, global rand, or unsorted map iteration
 //     near the byte-identical wire/WAL writers.
 //   - buspublish: nothing reachable from ops.Bus.Publish blocks, and every

@@ -6,28 +6,26 @@ import (
 )
 
 // Lockorder encodes the engine's lock-order invariant (recommend package
-// godoc "Invariants"): a shard's mutex is the innermost community lock —
-// acquired before any sellShard lock, never nested with another shard
-// lock — and no lock is held across a Persister fsync barrier
-// (Store.Sync / Store.Compact), whose latency is unbounded.
+// godoc "Invariants"): a shard's mutex is never nested with another shard's
+// — every cross-shard read takes one shard lock at a time — and no lock is
+// held across a Persister fsync barrier (Store.Sync / Store.Compact), whose
+// latency is unbounded.
 //
-// The check is an intra-function linear scan: it tracks which shard /
-// sellShard / engine mutexes are held at each statement (deferred unlocks
-// hold to function end; a branch that unlocks and returns does not leak
-// its effect past the branch) and flags
+// The check is an intra-function linear scan: it tracks which shard and
+// other mutexes are held at each statement (deferred unlocks hold to
+// function end; a branch that unlocks and returns does not leak its effect
+// past the branch) and flags
 //
-//   - a shard lock acquired while another shard lock is held,
-//   - a shard lock acquired while a sellShard lock is held (order
-//     inversion), and
+//   - a shard lock acquired while another shard lock is held, and
 //   - a Sync/Compact fsync call while any tracked lock is held.
 //
 // The runtime complement is the -race soak suite; the analyzer catches the
 // deadlock shapes the soak only hits probabilistically.
 var Lockorder = &Analyzer{
 	Name: "lockorder",
-	Doc: "shard locks before sellShard locks, never nested shard locks, no lock held across a Persister fsync\n\n" +
-		"Linear intra-function scan over internal/recommend tracking held shard/sellShard mutexes; flags nested " +
-		"shard locks, sellShard->shard inversions, and Store.Sync/Compact calls under any held lock.",
+	Doc: "never nested shard locks, no lock held across a Persister fsync\n\n" +
+		"Linear intra-function scan over internal/recommend tracking held mutexes; flags a shard lock taken " +
+		"under another and Store.Sync/Compact calls under any held lock.",
 	Run: runLockorder,
 }
 
@@ -36,7 +34,6 @@ type lockKind int
 
 const (
 	lockShard lockKind = iota
-	lockSell
 	lockOther
 )
 
@@ -203,14 +200,9 @@ func (s *lockScan) exprInGoroutine(call *ast.CallExpr) {
 func (s *lockScan) acquire(call *ast.CallExpr, hl heldLock, held []heldLock) []heldLock {
 	if hl.kind == lockShard {
 		for _, h := range held {
-			switch h.kind {
-			case lockShard:
+			if h.kind == lockShard {
 				s.pass.Reportf(call.Pos(),
 					"shard lock %s acquired while shard lock %s is held — the engine never nests shard locks (deadlock by lock-order cycle)",
-					hl.key, h.key)
-			case lockSell:
-				s.pass.Reportf(call.Pos(),
-					"shard lock %s acquired while sellShard lock %s is held — lock order is shard before sellShard, never the reverse",
 					hl.key, h.key)
 			}
 		}
@@ -277,13 +269,8 @@ func mutexOwner(pass *Pass, recv ast.Expr) (string, lockKind) {
 	if sel, ok := recv.(*ast.SelectorExpr); ok && sel.Sel.Name == "mu" {
 		owner := sel.X
 		kind := lockOther
-		if t := pass.TypesInfo.Types[owner].Type; t != nil {
-			switch baseTypeName(t) {
-			case "shard":
-				kind = lockShard
-			case "sellShard":
-				kind = lockSell
-			}
+		if t := pass.TypesInfo.Types[owner].Type; t != nil && baseTypeName(t) == "shard" {
+			kind = lockShard
 		}
 		return exprString(owner), kind
 	}
@@ -341,12 +328,9 @@ func describeHeld(held []heldLock) string {
 		if i > 0 {
 			out += ", "
 		}
-		switch h.kind {
-		case lockShard:
+		if h.kind == lockShard {
 			out += "shard lock " + h.key
-		case lockSell:
-			out += "sellShard lock " + h.key
-		default:
+		} else {
 			out += "lock " + h.key
 		}
 	}

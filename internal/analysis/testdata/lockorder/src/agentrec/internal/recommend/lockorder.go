@@ -1,6 +1,6 @@
 // Fixture: a minimal shadow of internal/recommend's lock hierarchy
-// exercising lockorder. shard and sellShard are classified by type name,
-// matching the real engine.
+// exercising lockorder. shard is classified by type name, matching the real
+// engine.
 package recommend
 
 import (
@@ -14,23 +14,13 @@ type shard struct {
 	build sync.Mutex
 }
 
-type sellShard struct{ mu sync.RWMutex }
-
-// goodOrder is the engine's real discipline: shard first, release, then
-// sellShard.
-func goodOrder(sh *shard, ss *sellShard) {
-	sh.mu.Lock()
-	sh.mu.Unlock()
-	ss.mu.Lock()
-	ss.mu.Unlock()
-}
-
-// goodNestedSell acquires sellShard under shard: allowed (shard is outer).
-func goodNestedSell(sh *shard, ss *sellShard) {
-	sh.mu.Lock()
-	ss.mu.Lock()
-	ss.mu.Unlock()
-	sh.mu.Unlock()
+// goodOneAtATime is every cross-shard read (top sellers, Trending): each
+// shard's lock is released before the next one is taken.
+func goodOneAtATime(shards []*shard) {
+	for _, sh := range shards {
+		sh.mu.RLock()
+		sh.mu.RUnlock()
+	}
 }
 
 // goodBuildThenShard is the view builder: a shard's build mutex is not its
@@ -55,14 +45,6 @@ func nestedShards(a, b *shard) {
 	defer a.mu.Unlock()
 	b.mu.Lock() // want `shard lock b acquired while shard lock a is held`
 	b.mu.Unlock()
-}
-
-// inversion acquires a shard lock under a sellShard lock: order reversed.
-func inversion(sh *shard, ss *sellShard) {
-	ss.mu.Lock()
-	sh.mu.Lock() // want `lock order is shard before sellShard`
-	sh.mu.Unlock()
-	ss.mu.Unlock()
 }
 
 // unlockInBranchThenRelock: the early-unlock branch returns, so the

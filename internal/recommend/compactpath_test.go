@@ -93,7 +93,7 @@ func TestCompactPathMatchesMapPath(t *testing.T) {
 		stride int
 	}{
 		{"exact/gate", nil, 1},
-		{"exact/nogate", []Option{WithDiscardGate(false)}, 8},
+		{"exact/nogate", []Option{WithTolerance(1)}, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			compact := bulkEngine(t, u, profiles, tc.opts...)

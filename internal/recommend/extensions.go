@@ -54,15 +54,14 @@ func epochMS(at time.Time) int64 {
 // RecordPurchaseAt notes that userID bought productID at at (the zero time:
 // undated), feeding the CF history, the top-seller counts, Trending and
 // TiedSales. Duplicate records are idempotent per user — the set keeps the
-// later time — but still bump popularity. With persistence the purchase and
-// the product's new sell count attributed to the user's shard are journaled
-// as one atomic batch — under the shard lock alone, which serializes the
-// shard's attributed totals — before the in-memory update; the error is
-// always nil for memory-only engines. The time journaled, and carried to
-// followers in the OpPurchase record, is the time kept, so a follower
-// replays the owner's value rather than reading a clock of its own. The
-// served per-product total is the sum of every shard's attribution, bumped
-// after the shard commit. Like SetProfile it admits every write.
+// later time — but still bump popularity. The purchase touches the user's
+// shard alone: its purchase set and the product's sell count attributed to
+// the shard, which top sellers sum over shards. With persistence both are
+// journaled as one atomic batch, under the shard lock, before the in-memory
+// update; the error is always nil for memory-only engines. The time
+// journaled, and carried to followers in the OpPurchase record, is the time
+// kept, so a follower replays the owner's value rather than reading a clock
+// of its own. Like SetProfile it admits every write.
 func (e *Engine) RecordPurchaseAt(userID, productID string, at time.Time) error {
 	return e.recordPurchaseAt(userID, productID, at, nil)
 }
@@ -96,7 +95,6 @@ func (e *Engine) recordPurchaseAt(userID, productID string, at time.Time, admit 
 		seq = e.feed.emit(sh.id, JournalRecord{Op: OpPurchase, UserID: userID, ProductID: productID, AtEpochMS: ms})
 	}
 	sh.mu.Unlock()
-	e.sellFor(productID).bump(productID)
 	e.publishJournal(sh.id, seq, OpPurchase, 1, 0)
 	e.noteJournalWrite()
 	return nil

@@ -55,15 +55,17 @@ func journalMatchesMemory(t *testing.T, e *Engine, shard int) {
 // FuzzSnapshotPage feeds a follower arbitrary bytes as a snapshot page of
 // shard 0: decoded as SnapshotPage JSON, assembled by addPage and installed
 // by applyShardSnapshot over the state the follower already holds. Whether
-// the page is accepted or refused, nothing panics and the shard's journal
-// equals its memory. The token is handed to the owner side: SnapshotPage
-// at the live pin never panics and refuses a token it cannot decode.
+// the page is accepted or refused, nothing panics, the shard's journal
+// equals its memory, and every sell count the shard attributes is at least
+// one (a purchase never writes less, and the served total is their sum).
+// The token is handed to the owner side: SnapshotPage at the live pin never
+// panics and refuses a token it cannot decode.
 func FuzzSnapshotPage(f *testing.F) {
 	// A valid page built by today's code, beside the committed corpus in
 	// testdata/fuzz (a valid page, a purchase whose product id holds a NUL, a
-	// sell count with an empty product id, a purchase by another shard's
-	// consumer, a truncated token), so a valid page survives a change of the
-	// profile encoding.
+	// sell count with an empty product id, a negative sell count, a purchase
+	// by another shard's consumer, a truncated token), so a valid page
+	// survives a change of the profile encoding.
 	e := pageFollower(f)
 	enc, err := profile.NewProfile(shardIDs(e, 0, 4)[3]).Marshal()
 	if err != nil {
@@ -85,6 +87,11 @@ func FuzzSnapshotPage(f *testing.F) {
 			}
 		}
 		journalMatchesMemory(t, e, 0)
+		for pid, n := range liveShard(t, e, 0).Sells {
+			if n < 1 {
+				t.Fatalf("shard 0 attributes %d sales of %q, want at least 1", n, pid)
+			}
+		}
 
 		tr, err := e.JournalTail(0, 0, 0) // a stale cursor is answered with the live pin
 		if err != nil {

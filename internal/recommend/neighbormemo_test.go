@@ -66,11 +66,11 @@ func TestNeighborMemoKeyedOnTheWholeSearch(t *testing.T) {
 	e := fixture(t)
 	snap := e.Snapshot()
 	alice, bob := snap.stored("alice"), snap.stored("bob")
-	tol := e.searchTolerance()
+	tol := e.tolerance
 	search := func(key neighborKey) *neighborMemo {
 		t.Helper()
-		e.gate = key.tol < 1
-		defer func() { e.gate = true }()
+		e.tolerance = key.tol
+		defer func() { e.tolerance = tol }()
 		if _, err := e.neighbors(snap, key.target, key.cat); err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestSharedSnapshotConcurrentReadsMatchSerial(t *testing.T) {
 // tolerance every other neighbour search uses: its neighbour-ownership term
 // is built from exactly the neighbours Neighbors returns.
 func TestRecommendForQueryHonoursGateAblation(t *testing.T) {
-	e := fixture(t, WithTolerance(0.05), WithDiscardGate(false))
+	e := fixture(t, WithTolerance(1))
 	nbs, err := e.Neighbors("alice", "laptop", SearchExact)
 	if err != nil {
 		t.Fatal(err)

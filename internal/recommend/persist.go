@@ -56,10 +56,12 @@ func (d *ShardData) addPurchase(user, product string, at int64) {
 	set[product] = at
 }
 
-// shardMaps turns data into the three maps a shard holds: every
-// profile paired with its computed summary, nil maps made empty. The maps
-// are adopted, not copied.
-func shardMaps(data ShardData) (map[string]*stored, map[string]map[string]int64, map[string]int64) {
+// replaceShardLocked makes data sh's whole state: the one way a shard is
+// installed wholesale, by restart recovery and snapshot catch-up alike. It
+// adopts data's maps (nil ones made empty) and pairs every profile with its
+// summary, reconciles the candidate index, drops the view and bumps gen.
+// Caller holds sh.mu for writing.
+func (e *Engine) replaceShardLocked(sh *shard, data ShardData) {
 	profiles := make(map[string]*stored, len(data.Profiles))
 	for _, p := range data.Profiles {
 		profiles[p.UserID] = &stored{prof: p, sum: p.Summary()}
@@ -70,7 +72,32 @@ func shardMaps(data ShardData) (map[string]*stored, map[string]map[string]int64,
 	if data.Sells == nil {
 		data.Sells = make(map[string]int64)
 	}
-	return profiles, data.Purchases, data.Sells
+	// Consumers gone from the shard lose their postings (an empty
+	// replacement summary removes without installing); everyone else
+	// transitions prev -> new. A consumer whose profile content did not
+	// change produces no transition at all, so catching up a fat shard whose
+	// snapshot repeats most profiles touches only the postings that moved
+	// instead of rebuilding the index (asserted via Stats.IndexWrites).
+	changes := make([]postingChange, 0, len(profiles))
+	for id, old := range sh.profiles {
+		if _, still := profiles[id]; !still {
+			changes = append(changes, postingChange{prev: old.sum, sum: &profile.Summary{UserID: id}})
+		}
+	}
+	for _, st := range profiles {
+		var prev *profile.Summary
+		if old := sh.profiles[st.prof.UserID]; old != nil {
+			prev = old.sum
+			if prev.Equal(st.sum) {
+				continue // identical content: postings already canonical
+			}
+		}
+		changes = append(changes, postingChange{prev: prev, sum: st.sum})
+	}
+	sh.profiles, sh.purchases, sh.sells = profiles, data.Purchases, data.Sells
+	sh.dropView()
+	sh.gen.Add(1)
+	e.index.updateBatch(changes)
 }
 
 // Persister journals community mutations durably and replays them on
@@ -203,26 +230,18 @@ func (e *Engine) lockShardW(sh *shard, admit admitFunc) error {
 	return nil
 }
 
-// recover replays the Persister into the engine: every shard's maps,
-// postings for every consumer, and the sell counters (each shard's
-// attributed sells accumulate into the served per-product totals). Called
-// by Open before the engine is shared, so no locks are needed.
+// recover installs every shard the Persister holds through the same
+// wholesale install snapshot catch-up uses. Nothing is journaled again and
+// the feed is fresh, so there is no sequence number to skip.
 func (e *Engine) recover() error {
 	for _, sh := range e.shards {
 		data, err := e.persist.LoadShard(sh.id)
 		if err != nil {
 			return fmt.Errorf("recommend: recovering shard %d: %w", sh.id, err)
 		}
-		profiles, purchases, sells := shardMaps(data)
-		changes := make([]postingChange, len(data.Profiles))
-		for i, prof := range data.Profiles {
-			changes[i].sum = profiles[prof.UserID].sum
-		}
-		e.index.updateBatch(changes)
-		for pid, total := range sells {
-			e.sellFor(pid).add(pid, total)
-		}
-		sh.profiles, sh.purchases, sh.sells = profiles, purchases, sells
+		sh.mu.Lock()
+		e.replaceShardLocked(sh, data)
+		sh.mu.Unlock()
 	}
 	return nil
 }
@@ -467,6 +486,10 @@ func (kp *kvPersister) LoadShard(shard int) (ShardData, error) {
 		total, err := strconv.ParseInt(string(ent.Value), 10, 64)
 		if err != nil {
 			return data, fmt.Errorf("recommend: shard %d sell count for %s: %w", shard, ent.Key, err)
+		}
+		if total < 1 {
+			// A purchase only ever journals a count of one or more.
+			return data, fmt.Errorf("recommend: shard %d malformed sell count %d for %s", shard, total, ent.Key)
 		}
 		data.Sells[ent.Key] = total
 	}

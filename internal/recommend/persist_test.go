@@ -317,6 +317,29 @@ func TestOpenErrorPaths(t *testing.T) {
 	NewEngine(u.Catalog, WithPersistence(f))
 }
 
+// TestOpenRefusesNonPositiveSellCount: a purchase only ever journals a sell
+// count of one or more, so a journal holding less is corrupt, and recovery
+// says so rather than serving a total that cancels other shards' sales.
+func TestOpenRefusesNonPositiveSellCount(t *testing.T) {
+	for _, total := range []string{"0", "-5"} {
+		dir := t.TempDir()
+		store, err := kvstore.Open(filepath.Join(dir, CommunityWAL))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Apply([]kvstore.Op{{Bucket: sellBucket(0), Key: "p1", Value: []byte(total)}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if e, err := Open(nil, WithShards(2), WithPersistence(dir)); err == nil {
+			e.Close()
+			t.Fatalf("journal with sell count %s for p1 opened", total)
+		}
+	}
+}
+
 func TestCompactState(t *testing.T) {
 	u, profiles := soakUniverse(t)
 	if err := NewEngine(u.Catalog).CompactState(); !errors.Is(err, ErrNoPersistence) {

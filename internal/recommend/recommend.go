@@ -31,8 +31,8 @@
 //     restriction under the Fig 4.5 gate, not an approximation.
 //   - Recommendation requests run lock-free against immutable Snapshots
 //     assembled from per-shard views, which a write dirties one consumer
-//     of and the next reader patches; sell counts live in atomic per-shard
-//     counters merged on read.
+//     of and the next reader patches. A product's sell count is the sum of
+//     what each shard's consumers bought, read one shard lock at a time.
 //   - With persistence (Open + WithPersistence) every mutation is
 //     journaled to a WAL-backed store before it mutates memory
 //     (journal-first: an acknowledged write is durable) and state is
@@ -129,7 +129,9 @@ func WithNeighbors(k int) Option {
 	}
 }
 
-// WithTolerance sets the Fig 4.5 discard tolerance (default 0.5).
+// WithTolerance sets the Fig 4.5 discard tolerance (default 0.5). At 1 the
+// gate never fires (|Tx-Ty|/max <= 1 always): that is the F4.5 ablation,
+// plain cosine neighbours.
 func WithTolerance(tol float64) Option {
 	return func(e *Engine) { e.tolerance = tol }
 }
@@ -142,12 +144,6 @@ func WithHybridWeight(w float64) Option {
 			e.hybridW = w
 		}
 	}
-}
-
-// WithDiscardGate enables or disables the preference-value discard gate;
-// disabling it is the F4.5 ablation (plain cosine neighbours).
-func WithDiscardGate(enabled bool) Option {
-	return func(e *Engine) { e.gate = enabled }
 }
 
 // WithShards sets the number of user-keyed state shards (default
@@ -182,11 +178,9 @@ type Engine struct {
 	k         int
 	tolerance float64
 	hybridW   float64
-	gate      bool
 	nshards   int
 
 	shards []*shard       // community state, fnv(userID) % nshards
-	sells  []*sellShard   // sell counts, fnv(productID) % nshards
 	index  *categoryIndex // per-category candidate posting lists
 
 	// Durability (nil/zero for a memory-only engine; see persist.go).
@@ -235,17 +229,14 @@ func Open(cat *catalog.Catalog, opts ...Option) (*Engine, error) {
 		k:         10,
 		tolerance: 0.5,
 		hybridW:   0.6,
-		gate:      true,
 		nshards:   DefaultShards,
 	}
 	for _, opt := range opts {
 		opt(e)
 	}
 	e.shards = make([]*shard, e.nshards)
-	e.sells = make([]*sellShard, e.nshards)
 	for i := 0; i < e.nshards; i++ {
 		e.shards[i] = newShard(i)
-		e.sells[i] = newSellShard(i)
 	}
 	e.index = newCategoryIndex(e.nshards)
 	if e.feedCap > 0 {
@@ -284,10 +275,6 @@ func (e *Engine) ShardOf(userID string) int {
 // Shards reports the engine's shard count. Replication requires every
 // server to agree on it.
 func (e *Engine) Shards() int { return e.nshards }
-
-func (e *Engine) sellFor(productID string) *sellShard {
-	return e.sells[fnv32a(productID)%uint32(len(e.sells))]
-}
 
 // SetProfile installs or replaces a consumer's profile. The engine keeps a
 // deep copy; later mutation by the caller has no effect. The consumer's
@@ -508,26 +495,16 @@ func neighborCategory(p *profile.Profile, category string) string {
 	return ""
 }
 
-// searchTolerance is the discard tolerance every neighbour search runs
-// with: the configured one, or 1 when the gate is ablated.
-func (e *Engine) searchTolerance() float64 {
-	if !e.gate {
-		return 1 // gate never fires: |Tx-Ty|/max <= 1 always
-	}
-	return e.tolerance
-}
-
 // neighbors runs the streaming neighbour search for the target entry at
 // the engine's tolerance. A search the snapshot has just answered is
 // answered again from its memo (Snapshot.lastSearch); any other search runs
 // and replaces the memo.
 func (e *Engine) neighbors(snap *Snapshot, st *stored, cat string) ([]similarity.Neighbor, error) {
-	tol := e.searchTolerance()
-	key := neighborKey{target: st, cat: cat, tol: tol}
+	key := neighborKey{target: st, cat: cat, tol: e.tolerance}
 	if m := snap.lastSearch.Load(); m != nil && m.key == key {
 		return m.neighbors, nil
 	}
-	nbs, err := e.searchNeighbors(snap, st, cat, tol)
+	nbs, err := e.searchNeighbors(snap, st, cat, e.tolerance)
 	if err != nil {
 		return nil, err
 	}
@@ -558,7 +535,7 @@ func (e *Engine) Neighbors(userID, category string, mode NeighborSearch) ([]simi
 	if st == nil {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownUser, userID)
 	}
-	return e.searchNeighbors(snap, st, neighborCategory(st.prof, category), e.searchTolerance())
+	return e.searchNeighbors(snap, st, neighborCategory(st.prof, category), e.tolerance)
 }
 
 // indexCandidates streams the category's posting list reconciled against
@@ -689,20 +666,33 @@ func (e *Engine) hybrid(snap *Snapshot, userID, category string, n int) ([]Rec, 
 }
 
 // topSellers is the popularity baseline; own purchases are not excluded
-// because it is also the anonymous fallback. Counts are merged from the
-// per-shard atomic counters.
+// because it is also the anonymous fallback. A product's count is the sum
+// of the sales each shard attributes to its own consumers, read under one
+// shard's read lock at a time: without a category, for everything sold;
+// with one, for the category's products.
 func (e *Engine) topSellers(category string, n int, source string) []Rec {
-	view := e.catalog.View()
 	scores := make(map[string]float64)
-	for _, ss := range e.sells {
-		ss.each(func(pid string, count int64) {
-			if category != "" {
-				if it, ok := view.Lookup(pid); !ok || it.Category != category {
-					return
-				}
+	if category == "" {
+		for _, sh := range e.shards {
+			sh.mu.RLock()
+			for pid, count := range sh.sells {
+				scores[pid] += float64(count)
 			}
-			scores[pid] = float64(count)
-		})
+			sh.mu.RUnlock()
+		}
+		return rank(scores, n, source)
+	}
+	items := e.catalog.View().Items(category)
+	counts := make([]int64, len(items))
+	for _, sh := range e.shards {
+		sh.mu.RLock()
+		for i, it := range items {
+			counts[i] += sh.sells[it.ID]
+		}
+		sh.mu.RUnlock()
+	}
+	for i, it := range items {
+		scores[it.ID] = float64(counts[i])
 	}
 	return rank(scores, n, source)
 }

@@ -241,7 +241,7 @@ func TestDiscardGateAblation(t *testing.T) {
 	// gated away from alice (1 purchase); with the gate off he is always a
 	// neighbour. The ablation must never *reduce* the candidate pool.
 	strict := fixture(t, WithTolerance(0.05))
-	open := fixture(t, WithTolerance(0.05), WithDiscardGate(false))
+	open := fixture(t, WithTolerance(1))
 	rs, err := strict.Recommend(StrategyCF, "alice", "laptop", 5)
 	if err != nil {
 		t.Fatal(err)

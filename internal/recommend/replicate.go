@@ -36,9 +36,10 @@ import (
 // The feed is in-memory: its epoch is regenerated each Open, so a follower
 // whose cursor carries a stale epoch is forced through snapshot catch-up
 // rather than silently resuming against a different history. Sell counts
-// replicate exactly because the durable layout attributes them to the
-// buyer's shard (see ShardData): a shard's journal alone determines its
-// replica, and served totals are the sum over shards.
+// replicate exactly because they are attributed to the buyer's shard (see
+// ShardData), in memory as in the journal: a shard's journal alone
+// determines its replica, and a wholesale replace swaps only that shard's
+// term of the served sum.
 
 // Errors reported by the replication layer.
 var (
@@ -340,17 +341,14 @@ func (e *Engine) applyJournalRecord(shard int, rec JournalRecord, admit admitFun
 }
 
 // applyShardSnapshot replaces shard's entire state with data, whose maps it
-// adopts: durable buckets (Persister.SaveShard), shard maps, candidate-index
-// postings, and the served sell totals (adjusted by delta so other shards'
-// contributions are untouched), once admit admitted it under the shard lock.
-// Every profile must hash to shard; ShardData.addPage checks that as pages
-// arrive.
+// adopts, once admit admitted it under the shard lock: the durable buckets
+// (Persister.SaveShard), then memory (replaceShardLocked), then the feed
+// head. Every profile must hash to shard; ShardData.addPage checks that as
+// pages arrive.
 func (e *Engine) applyShardSnapshot(shard int, data ShardData, admit admitFunc) error {
 	if shard < 0 || shard >= e.nshards {
 		return fmt.Errorf("%w: %d of %d", ErrBadShard, shard, e.nshards)
 	}
-	newProfiles, newPurchases, newSells := shardMaps(data)
-
 	sh := e.shards[shard]
 	if err := e.lockShardW(sh, admit); err != nil {
 		return err
@@ -361,45 +359,7 @@ func (e *Engine) applyShardSnapshot(shard int, data ShardData, admit admitFunc) 
 			return err
 		}
 	}
-	// Reconcile the candidate index: consumers gone from the shard lose
-	// their postings (an empty replacement summary removes without
-	// installing), everyone else transitions prev -> new. A consumer whose
-	// profile content the snapshot did not change produces no transition
-	// at all — steady-state catch-up of a fat shard (most snapshots repeat
-	// most profiles) touches only the postings that actually moved instead
-	// of rebuilding the whole index, so paged bootstraps cannot stall the
-	// pull loop on index churn (asserted via Stats.IndexWrites).
-	changes := make([]postingChange, 0, len(newProfiles))
-	for id, old := range sh.profiles {
-		if _, still := newProfiles[id]; !still {
-			changes = append(changes, postingChange{prev: old.sum, sum: &profile.Summary{UserID: id}})
-		}
-	}
-	for _, st := range newProfiles {
-		var prev *profile.Summary
-		if old := sh.profiles[st.prof.UserID]; old != nil {
-			prev = old.sum
-			if prev.Equal(st.sum) {
-				continue // identical content: postings already canonical
-			}
-		}
-		changes = append(changes, postingChange{prev: prev, sum: st.sum})
-	}
-	// Move the served totals by the attribution delta.
-	for pid, total := range newSells {
-		if d := total - sh.sells[pid]; d != 0 {
-			e.sellFor(pid).add(pid, d)
-		}
-	}
-	for pid, old := range sh.sells {
-		if _, still := newSells[pid]; !still {
-			e.sellFor(pid).add(pid, -old)
-		}
-	}
-	sh.profiles, sh.purchases, sh.sells = newProfiles, newPurchases, newSells
-	sh.dropView()
-	sh.gen.Add(1)
-	e.index.updateBatch(changes)
+	e.replaceShardLocked(sh, data)
 	if e.feed != nil {
 		e.feed.skip(sh.id)
 	}

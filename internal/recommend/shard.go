@@ -309,47 +309,3 @@ func (b *viewBase) folded(over map[string]viewEntry) *viewBase {
 	}
 	return nb
 }
-
-// sellShard is one partition of the product sell counts (fnv-1a on the
-// product id). Counters are atomic so concurrent purchases of the same
-// product never serialize beyond the map lookup; the map lock is taken for
-// writing only on a product's first sale.
-type sellShard struct {
-	mu     sync.RWMutex
-	counts map[string]*atomic.Int64
-	id     int // position in Engine.sells, names the persister bucket
-}
-
-func newSellShard(id int) *sellShard {
-	return &sellShard{counts: make(map[string]*atomic.Int64), id: id}
-}
-
-func (ss *sellShard) bump(productID string) { ss.add(productID, 1) }
-
-// add moves the product's served count by delta (negative when a replica
-// snapshot shrinks a shard's attributed sells).
-func (ss *sellShard) add(productID string, delta int64) {
-	ss.mu.RLock()
-	c := ss.counts[productID]
-	ss.mu.RUnlock()
-	if c == nil {
-		ss.mu.Lock()
-		if c = ss.counts[productID]; c == nil {
-			c = new(atomic.Int64)
-			ss.counts[productID] = c
-		}
-		ss.mu.Unlock()
-	}
-	c.Add(delta)
-}
-
-// each calls fn for every product with a positive count.
-func (ss *sellShard) each(fn func(productID string, count int64)) {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	for pid, c := range ss.counts {
-		if n := c.Load(); n > 0 {
-			fn(pid, n)
-		}
-	}
-}

@@ -250,7 +250,8 @@ func purchaseKey(p PurchasePair) string { return p.UserID + "\x00" + p.ProductID
 // a bad page, before anything is installed, and holds no second, encoded
 // copy of the shard meanwhile; a profile or purchase whose consumer does
 // not hash to shard on e (server shard counts differ, or a hostile page) is
-// refused.
+// refused, and so is a sell total below one, which no purchase writes and
+// which would cancel other shards' sales in the served sum.
 func (d *ShardData) addPage(e *Engine, shard int, pg SnapshotPage) error {
 	for _, enc := range pg.Profiles {
 		p, err := profile.Unmarshal(enc)
@@ -273,6 +274,9 @@ func (d *ShardData) addPage(e *Engine, shard int, pg SnapshotPage) error {
 		d.addPurchase(pp.UserID, pp.ProductID, pp.AtEpochMS)
 	}
 	for _, sc := range pg.Sells {
+		if sc.Total < 1 {
+			return fmt.Errorf("recommend: snapshot sell count %d for %q is not positive", sc.Total, sc.ProductID)
+		}
 		d.Sells[sc.ProductID] = sc.Total
 	}
 	return nil

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"testing"
 	"time"
 
+	"agentrec/internal/catalog"
 	"agentrec/internal/profile"
 	"agentrec/internal/workload"
 )
@@ -328,6 +330,103 @@ func TestRefusedPageLeavesJournalAndMemoryAgreeing(t *testing.T) {
 	pg = SnapshotPage{Shards: 2, Purchases: []PurchasePair{{UserID: foreign, ProductID: "p1"}}}
 	if err := new(ShardData).addPage(e, 0, pg); !errors.Is(err, ErrShardMismatch) {
 		t.Fatalf("purchase by %s (shard 1) in a page of shard 0 assembled with %v, want ErrShardMismatch", foreign, err)
+	}
+}
+
+// cloneShardData deep-copies d, so two engines can each adopt the same
+// state without sharing maps.
+func cloneShardData(d ShardData) ShardData {
+	out := ShardData{Purchases: make(map[string]map[string]int64, len(d.Purchases)), Sells: maps.Clone(d.Sells)}
+	for _, p := range d.Profiles {
+		out.Profiles = append(out.Profiles, p.Clone())
+	}
+	for user, set := range d.Purchases {
+		out.Purchases[user] = maps.Clone(set)
+	}
+	return out
+}
+
+// TestWholesaleReplaceServesItsOwnSells: a wholesale replace of shard 0 that
+// lowers one product's attributed count and drops another's leaves top
+// sellers — for every product and per category — equal to those of a fresh
+// engine that only ever installed the same shard states, and a restart
+// recovers that answer. Shard 1's sales of the same products stay counted.
+func TestWholesaleReplaceServesItsOwnSells(t *testing.T) {
+	cat := catalog.New()
+	for _, p := range []struct{ id, category string }{{"lap1", "laptop"}, {"lap2", "laptop"}, {"cam1", "camera"}, {"cam2", "camera"}} {
+		if err := cat.Add(&catalog.Product{ID: p.id, Name: p.id, Category: p.category, Terms: map[string]float64{"x": 1}, PriceCents: 100, SellerID: "s", Stock: 5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	e, err := Open(cat, WithShards(2), WithPersistence(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ids0, ids1 := shardIDs(e, 0, 3), shardIDs(e, 1, 2)
+	buys := map[string][]string{
+		ids0[0]: {"lap1", "lap2", "cam1"}, ids0[1]: {"lap1", "lap2"}, ids0[2]: {"lap1"},
+		ids1[0]: {"lap1", "lap2", "cam2"}, ids1[1]: {"lap2"},
+	}
+	for user, pids := range buys {
+		if err := e.SetProfile(profile.NewProfile(user)); err != nil {
+			t.Fatal(err)
+		}
+		for _, pid := range pids {
+			if err := e.RecordPurchase(user, pid); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	topSellers := func(e *Engine) map[string][]Rec {
+		t.Helper()
+		out := make(map[string][]Rec)
+		for _, category := range []string{"", "laptop", "camera"} {
+			recs, err := e.Recommend(StrategyTopSeller, "", category, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[category] = recs
+		}
+		return out
+	}
+	before := topSellers(e)
+
+	// Shard 0 now holds one buyer of lap1 and of cam1, and no buyer of lap2.
+	replaced := ShardData{
+		Profiles:  []*profile.Profile{profile.NewProfile(ids0[0])},
+		Purchases: map[string]map[string]int64{ids0[0]: {"lap1": 0, "cam1": 0}},
+		Sells:     map[string]int64{"lap1": 1, "cam1": 1},
+	}
+	shard1 := cloneShardData(liveShard(t, e, 1))
+	if err := e.applyShardSnapshot(0, cloneShardData(replaced), nil); err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewEngine(cat, WithShards(2))
+	for shard, data := range []ShardData{replaced, shard1} {
+		if err := fresh.applyShardSnapshot(shard, data, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := topSellers(fresh)
+	if reflect.DeepEqual(want, before) {
+		t.Fatalf("the replace left top sellers as they were (%v): the test no longer bites", before)
+	}
+	if got := topSellers(e); !reflect.DeepEqual(got, want) {
+		t.Fatalf("top sellers after the replace = %v, want the fresh engine's %v", got, want)
+	}
+
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(cat, WithShards(2), WithPersistence(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if got := topSellers(reopened); !reflect.DeepEqual(got, want) {
+		t.Fatalf("top sellers after a restart = %v, want %v", got, want)
 	}
 }
 

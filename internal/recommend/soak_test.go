@@ -396,8 +396,8 @@ func TestIndexCandidatesReconcileWithSnapshot(t *testing.T) {
 // TestWithShardsOption pins the option's validation behaviour.
 func TestWithShardsOption(t *testing.T) {
 	e := NewEngine(nil, WithShards(5))
-	if len(e.shards) != 5 || len(e.sells) != 5 {
-		t.Fatalf("shards = %d/%d, want 5", len(e.shards), len(e.sells))
+	if len(e.shards) != 5 {
+		t.Fatalf("shards = %d, want 5", len(e.shards))
 	}
 	e = NewEngine(nil, WithShards(-2))
 	if len(e.shards) != DefaultShards {
