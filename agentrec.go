@@ -107,19 +107,13 @@ func WithEngineShards(n int) Option {
 }
 
 // WithBuyerServers boots n Buyer Agent Servers (default 1) — the paper's
-// multi-server deployment of Fig 3.1. Combine with WithReplicatedEngines
-// so each server answers recommendations from its own replica of the
-// community instead of sharing one in-process engine.
+// multi-server deployment of Fig 3.1. Each server has its own
+// recommendation engine: every community shard has one owner server,
+// writes are routed to it, and the other servers tail its journal, so each
+// answers from its own replica of the community. A server reads another's
+// writes once it has pulled them. See DESIGN.md "Replication".
 func WithBuyerServers(n int) Option {
 	return func(c *platform.Config) { c.BuyerServers = n }
-}
-
-// WithReplicatedEngines gives every Buyer Agent Server its own
-// recommendation engine, with per-shard ownership, owner-routed writes,
-// and journal-tail replication keeping the replicas converged. See
-// DESIGN.md "Replication".
-func WithReplicatedEngines() Option {
-	return func(c *platform.Config) { c.ReplicateEngines = true }
 }
 
 // WithElasticOwnership puts shard ownership under the Coordinator Server's
@@ -129,8 +123,8 @@ func WithReplicatedEngines() Option {
 // epoch-versioned ownership map, every routed write and replication pull
 // is epoch-fenced, and when an owner's lease lapses its shards are
 // promoted to the most caught-up live follower. Map transitions surface as
-// `ownership` events with WithEvents. Requires WithReplicatedEngines; see
-// DESIGN.md "Ownership & failover".
+// `ownership` events with WithEvents. Requires WithBuyerServers(n) with
+// n >= 2; see DESIGN.md "Ownership & failover".
 func WithElasticOwnership(interval time.Duration) Option {
 	return func(c *platform.Config) {
 		c.ElasticOwnership = true
@@ -295,8 +289,8 @@ func (p *Platform) MarketName(i int) string {
 func (p *Platform) HTTPHandler() http.Handler { return p.inner.Buyer().HTTPHandler() }
 
 // Metrics returns the unified whole-platform stats snapshot — every buyer
-// server's engine sizing plus replication status when replicated. Works
-// with or without WithEvents.
+// server's engine sizing and replication status. Works with or without
+// WithEvents.
 func (p *Platform) Metrics() Snapshot { return p.inner.Metrics() }
 
 // Subscribe attaches an in-process consumer to the event plane, filtered
@@ -308,8 +302,9 @@ func (p *Platform) Subscribe(ctx context.Context, kinds ...EventKind) (*Subscrip
 
 // Hottest returns the trending merchandise of the window ending now — the
 // "weekly hottest merchandise" of the paper's future work (§5.2 item 2).
-// Like TiedSales it reads the community's purchase sets, which replicate:
-// WithReplicatedEngines changes neither answer.
+// Like TiedSales it reads buyer server 0's replica of the community's
+// purchase sets, which every server converges on: WithBuyerServers changes
+// neither answer once the servers have caught up.
 func (p *Platform) Hottest(now time.Time, window time.Duration, n int) []recommend.TrendEntry {
 	return p.inner.Engine.Trending(now, window, n)
 }

@@ -311,14 +311,13 @@ func TestWithStateDirSurvivesRestart(t *testing.T) {
 }
 
 // TestDeploymentOptionsTogether boots every deployment option README
-// documents at once — two buyer servers with replicated engines under
-// elastic ownership, a shard count, durable state with automatic
-// compaction, and the event plane — and runs the quickstart flow on it.
+// documents at once — two replicated buyer servers under elastic
+// ownership, a shard count, durable state with automatic compaction, and
+// the event plane — and runs the quickstart flow on it.
 func TestDeploymentOptionsTogether(t *testing.T) {
 	const shards = 4
 	p := demoPlatform(t,
 		WithBuyerServers(2),
-		WithReplicatedEngines(),
 		WithElasticOwnership(0),
 		WithEngineShards(shards),
 		WithStateDir(t.TempDir()),
@@ -327,7 +326,7 @@ func TestDeploymentOptionsTogether(t *testing.T) {
 	)
 	ctx := testCtx(t)
 	for i := range 2 {
-		for p.Internal().OwnershipTable(i).Expired() != nil {
+		for p.Internal().Replicas[i].Table.Expired() != nil {
 			if ctx.Err() != nil {
 				t.Fatalf("server %d lease never landed", i)
 			}
@@ -384,12 +383,12 @@ func TestDeploymentOptionsTogether(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := time.Now()
-	engines := p.Internal().Engines
-	hot0 := engines[0].Trending(now, time.Hour, 5)
+	replicas := p.Internal().Replicas
+	hot0 := replicas[0].Engine.Trending(now, time.Hour, 5)
 	if len(hot0) != 1 || hot0[0].ProductID != "lap1" {
 		t.Fatalf("server 0 trending = %+v, want lap1", hot0)
 	}
-	if hot1 := engines[1].Trending(now, time.Hour, 5); !reflect.DeepEqual(hot1, hot0) {
+	if hot1 := replicas[1].Engine.Trending(now, time.Hour, 5); !reflect.DeepEqual(hot1, hot0) {
 		t.Fatalf("server 1 trending = %+v, server 0 %+v", hot1, hot0)
 	}
 	if hot := p.Hottest(now, time.Hour, 5); !reflect.DeepEqual(hot, hot0) {

@@ -63,10 +63,10 @@ import (
 	"agentrec/internal/trace"
 )
 
-// replConfig is the multi-buyer-server replication setup parsed from
-// -buyer-peers: the ordered list of every buyer server's ATP address
-// (ownership map: shard s is owned by servers[s % len(servers)]) and this
-// process's index in it.
+// replConfig is the buyer-server deployment parsed from -buyer-peers: the
+// ordered list of every buyer server's ATP address (ownership map: shard s
+// is owned by servers[s % len(servers)]) and this process's index in it.
+// Without -buyer-peers, run makes it the one-server list [-buyer].
 type replConfig struct {
 	servers  []string
 	self     int
@@ -102,7 +102,7 @@ func main() {
 		marketIP     = flag.String("market-ip", "127.0.0.1", "marketplace bind IP")
 		basePort     = flag.Int("market-base-port", 7101, "first marketplace ATP port")
 		buyerAddr    = flag.String("buyer", "127.0.0.1:7201", "buyer agent server ATP address")
-		buyerPeers   = flag.String("buyer-peers", "", "ordered ATP addresses of ALL buyer servers (including -buyer) for shard replication; empty = standalone")
+		buyerPeers   = flag.String("buyer-peers", "", "ordered ATP addresses of ALL buyer servers (including -buyer) for shard replication; empty = a one-server deployment")
 		shards       = flag.Int("engine-shards", recommend.DefaultShards, "engine shard count (every buyer server must agree)")
 		replPull     = flag.Duration("repl-interval", recommend.DefaultPullInterval, "journal tail interval for shard replication")
 		httpAddr     = flag.String("http", "127.0.0.1:8080", "consumer web interface address")
@@ -205,8 +205,13 @@ func run(ctx context.Context, cfg daemonConfig) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	if cfg.elastic && cfg.repl == nil {
-		return errors.New("platformd: -coordinator requires -buyer-peers (elastic ownership is a property of a replicated deployment)")
+	if cfg.repl == nil {
+		// Without -buyer-peers this daemon is the one buyer server of its
+		// deployment.
+		cfg.repl = &replConfig{servers: []string{cfg.buyerAddr}, interval: recommend.DefaultPullInterval}
+	}
+	if cfg.elastic && len(cfg.repl.servers) < 2 {
+		return errors.New("platformd: -coordinator requires -buyer-peers listing at least two buyer servers (elastic ownership moves shards between servers)")
 	}
 	if cfg.leaseInterval <= 0 {
 		cfg.leaseInterval = time.Second
@@ -247,8 +252,8 @@ func run(ctx context.Context, cfg daemonConfig) error {
 		return host, srv, nil
 	}
 
-	// Coordinator. A standalone or statically replicated daemon hosts its
-	// own; a -coordinator deployment shares ONE CA address across daemons —
+	// Coordinator. A statically owned daemon hosts its own; a -coordinator
+	// deployment shares ONE CA address across daemons —
 	// the first to bind hosts the ownership authority, everyone else joins
 	// it over the wire (registration, admission, and lease renewals all
 	// speak to the same CA).
@@ -348,94 +353,80 @@ func run(ctx context.Context, cfg daemonConfig) error {
 	if cfg.events {
 		bus = ops.NewBus()
 	}
-	engineCfg := platform.EngineConfig{
-		Bus:          bus,
-		Shards:       cfg.shards,
-		CompactRatio: cfg.compactRatio, // keeps the community WAL, and with it restart time, bounded
-		Extra:        []recommend.Option{recommend.WithNeighbors(10)},
+	// This server is a Replica: it serves its shards' journal to peer buyer
+	// servers, routes writes to shard owners, and tails the shards it does
+	// not own; alone it owns every shard and follows none. Every side of the
+	// wire is epoch-fenced through its ownership table, which starts from
+	// the same static epoch-1 map on every daemon; with -coordinator it is
+	// leased from the shared CA (local or remote — the same wire either
+	// way), without it never.
+	rc := platform.ReplicaConfig{
+		Self:    cfg.repl.self,
+		Servers: len(cfg.repl.servers),
+		Catalog: union,
+		Engine: platform.EngineConfig{
+			Bus:          bus,
+			Shards:       cfg.shards,
+			CompactRatio: cfg.compactRatio, // keeps the community WAL, and with it restart time, bounded
+		},
+		Pull: cfg.repl.interval,
 	}
 	buyerOpts := []buyerserver.Option{
 		buyerserver.WithTracer(tracer),
 		buyerserver.WithMarkets(marketAddrs...),
 	}
 	if cfg.stateDir != "" {
-		engineCfg.StateDir = filepath.Join(cfg.stateDir, "engine")
+		rc.Engine.StateDir = filepath.Join(cfg.stateDir, "engine")
 		buyerOpts = append(buyerOpts, buyerserver.WithStateDir(filepath.Join(cfg.stateDir, "buyer-server-1")))
 	}
 	caProxy := buyerHost.RemoteProxy(cfg.coordAddr, coordinator.CAID)
-	var engine *recommend.Engine
-	var replica *platform.Replica
+	if cfg.elastic {
+		rc.Renew = renewOverWire(caProxy)
+		rc.Lease = cfg.leaseInterval
+		rc.OnLeaseError = func(err error) { log.Printf("ownership lease renewal: %v", err) }
+		if bus != nil {
+			rc.OnTransition = func(ev ops.Event) { bus.Publish(ev) }
+		}
+	}
+	replica, err := platform.NewReplica(rc)
+	if err != nil {
+		return err
+	}
+	defer replica.Close()
+	fenced := replnet.WithOwnership(replica.Table)
+	buyerSrv.SetJournalHandler(replnet.Handler(replica.Engine, rc.Self, rc.Servers, fenced))
+	writers := make([]recommend.Writer, rc.Servers)
+	peers := make([]recommend.Peer, rc.Servers)
+	for i, addr := range cfg.repl.servers {
+		if i == rc.Self {
+			continue
+		}
+		writers[i] = replnet.NewWriter(ctx, client, addr, fenced)
+		peers[i] = replnet.NewPeer(client, addr, fenced)
+	}
+	if err := replica.Connect(writers, peers); err != nil {
+		return err
+	}
+	log.Printf("%d shards over %d buyer server(s) (self=%d, tail every %v)",
+		cfg.shards, rc.Servers, rc.Self, cfg.repl.interval)
+	if cfg.stateDir != "" {
+		st := replica.Engine.Stats()
+		log.Printf("recovered community from %s: %d consumers, %d indexed categories", cfg.stateDir, st.Users, st.IndexedCategories)
+	}
 	// metrics is this server's slice of the unified stats view, served at
 	// /metrics/snapshot and published by the heartbeat: its engine and
-	// replication status (server), and how its atp client reached its peers.
-	var server func() ops.ServerSnapshot
+	// replication status, and how its atp client reached its peers.
 	metrics := func() ops.Snapshot {
-		sv := server()
+		sv := replica.Snapshot()
 		dials, reuses := client.ConnStats()
 		sv.Transport = &ops.TransportSnapshot{Dials: dials, Reuses: reuses}
 		return ops.NewSnapshot(sv)
 	}
-	if cfg.repl == nil {
-		if engine, err = engineCfg.Open(union, 0, false); err != nil {
-			return err
-		}
-		defer engine.Close()
-		server = func() ops.ServerSnapshot { return recommend.ServerSnapshot(0, engine, nil) }
-	} else {
-		// Serve our shards' journal to peer buyer servers, route writes to
-		// shard owners, and tail the shards we do not own. Every side of
-		// the wire is epoch-fenced through this server's ownership table,
-		// which starts from the same static epoch-1 map on every daemon;
-		// with -coordinator it is leased from the shared CA (local or
-		// remote — the same wire either way), without it never.
-		rc := platform.ReplicaConfig{
-			Self:    cfg.repl.self,
-			Servers: len(cfg.repl.servers),
-			Catalog: union,
-			Engine:  engineCfg,
-			Pull:    cfg.repl.interval,
-		}
-		if cfg.elastic {
-			rc.Renew = renewOverWire(caProxy)
-			rc.Lease = cfg.leaseInterval
-			rc.OnLeaseError = func(err error) { log.Printf("ownership lease renewal: %v", err) }
-			if bus != nil {
-				rc.OnTransition = func(ev ops.Event) { bus.Publish(ev) }
-			}
-		}
-		if replica, err = platform.NewReplica(rc); err != nil {
-			return err
-		}
-		defer replica.Close()
-		engine = replica.Engine
-		fenced := replnet.WithOwnership(replica.Table)
-		buyerSrv.SetJournalHandler(replnet.Handler(engine, rc.Self, rc.Servers, fenced))
-		writers := make([]recommend.Writer, rc.Servers)
-		peers := make([]recommend.Peer, rc.Servers)
-		for i, addr := range cfg.repl.servers {
-			if i == rc.Self {
-				continue
-			}
-			writers[i] = replnet.NewWriter(ctx, client, addr, fenced)
-			peers[i] = replnet.NewPeer(client, addr, fenced)
-		}
-		if err := replica.Connect(writers, peers); err != nil {
-			return err
-		}
-		buyerOpts = append(buyerOpts, buyerserver.WithCommunityWriter(replica.Router))
-		server = replica.Snapshot
-		log.Printf("replicating %d shards across %d buyer servers (self=%d, tail every %v)",
-			cfg.shards, rc.Servers, rc.Self, cfg.repl.interval)
-	}
-	if cfg.stateDir != "" {
-		st := engine.Stats()
-		log.Printf("recovered community from %s: %d consumers, %d indexed categories", cfg.stateDir, st.Users, st.IndexedCategories)
-	}
-	buyerOpts = append(buyerOpts, buyerserver.WithMetrics(metrics))
+	buyerOpts = append(buyerOpts, buyerserver.WithCommunityWriter(replica.Router), buyerserver.WithMetrics(metrics))
 	if bus != nil {
 		buyerOpts = append(buyerOpts, buyerserver.WithEventBus(bus))
 	}
-	buyer, err := buyerserver.New(buyerHost, buyerReg, engine, caProxy, buyerOpts...)
+	buyer, err := buyerserver.New(buyerHost, buyerReg, replica.Engine, caProxy, buyerOpts...)
 	if err != nil {
 		return err
 	}
@@ -465,19 +456,17 @@ func run(ctx context.Context, cfg daemonConfig) error {
 		defer shutCancel()
 		return httpServer.Shutdown(shutCtx)
 	})
-	if replica != nil {
-		g.Go(func() error {
-			if err := replica.Run(gctx); !errors.Is(err, context.Canceled) {
-				return err
-			}
-			return nil
-		})
-		// Startup map-consistency check: every reachable peer must agree
-		// on the ownership map before divergence can do damage.
-		g.Go(func() error { return checkOwnerMaps(gctx, client, replica.Table, cfg) })
-		if cfg.elastic {
-			log.Printf("elastic ownership on: leasing the map from %s every %v", cfg.coordAddr, cfg.leaseInterval)
+	g.Go(func() error {
+		if err := replica.Run(gctx); !errors.Is(err, context.Canceled) {
+			return err
 		}
+		return nil
+	})
+	// Startup map-consistency check: every reachable peer must agree on the
+	// ownership map before divergence can do damage.
+	g.Go(func() error { return checkOwnerMaps(gctx, client, replica.Table, cfg) })
+	if cfg.elastic {
+		log.Printf("elastic ownership on: leasing the map from %s every %v", cfg.coordAddr, cfg.leaseInterval)
 	}
 	if bus != nil {
 		g.Go(func() error { bus.Heartbeat(gctx, cfg.eventsInterval, metrics); return nil })

@@ -526,7 +526,7 @@ func (w *failoverWorld) Finish() (*FailoverResult, error) {
 }
 
 func (w *failoverWorld) Seed(profiles []*profile.Profile, purchases map[string][]string) error {
-	return seedReplicas(w, w.replicas[0].Router, profiles, purchases)
+	return platform.Seed(w.replicas[0], profiles, purchases)
 }
 
 func (w *failoverWorld) Metrics() ops.Snapshot { return platform.Snapshots(w.replicas) }

@@ -250,6 +250,12 @@ func RunScenario(ctx context.Context, s Scenario, opt RunOptions) (*ScenarioResu
 	if err := w.Seed(profiles, u.Purchases()); err != nil {
 		return nil, fmt.Errorf("loadgen: seeding: %w", err)
 	}
+	seedCtx, cancelSeed := context.WithTimeout(ctx, 30*time.Second)
+	_, err = w.Drain(seedCtx)
+	cancelSeed()
+	if err != nil {
+		return nil, fmt.Errorf("loadgen: seeding: %w", err)
+	}
 
 	var shillState *shillProbeState
 	if s.ShillFraction > 0 {

@@ -106,7 +106,8 @@ func TestRunScenarioShilling(t *testing.T) {
 	}
 }
 
-// TestRunScenarioSingleServer: the unreplicated topology works too.
+// TestRunScenarioSingleServer: a one-server platform, following no shard,
+// works too.
 func TestRunScenarioSingleServer(t *testing.T) {
 	res := runTiny(t, tiny(t, "flash-sale"), RunOptions{Servers: 1})
 	if res.Servers != 1 {

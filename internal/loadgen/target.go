@@ -3,7 +3,6 @@ package loadgen
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -17,11 +16,13 @@ import (
 
 // world is what RunScenario drives: a Target plus the seeding, metrics,
 // and convergence hooks the result document needs. Three in-process
-// implementations: platformWorld (replicated platform.Platform), and
-// coldWorld and failoverWorld (platform.Replica servers with one delayed
-// cold follower, or a gate that kills an owner).
+// implementations: platformWorld (platform.Platform), and coldWorld and
+// failoverWorld (platform.Replica servers with one delayed cold follower,
+// or a gate that kills an owner).
 type world interface {
 	Target
+	// Seed writes the community through server 0 (platform.Seed);
+	// RunScenario drains the world after it so every replica reads it.
 	Seed(profiles []*profile.Profile, purchases map[string][]string) error
 	Metrics() ops.Snapshot
 	Drain(ctx context.Context) (time.Duration, error)
@@ -89,35 +90,28 @@ func (x *opExec) apply(eng *recommend.Engine, w recommend.Writer, op workload.Op
 
 // platformWorld drives a full in-process platform.Platform: reads hit each
 // buyer server's engine round-robin, writes go through each server's own
-// community write surface (the ownership router when replicated), exactly
-// as buyer agent traffic would.
+// ownership router, exactly as buyer agent traffic would.
 type platformWorld struct {
-	p       *platform.Platform
-	exec    *opExec
-	servers int
-	next    atomic.Uint64
+	p    *platform.Platform
+	exec *opExec
+	next atomic.Uint64
 }
 
 func newPlatformWorld(u *workload.Universe, profiles []*profile.Profile, servers int) (*platformWorld, error) {
-	p, err := platform.New(platform.Config{
-		BuyerServers:     servers,
-		Products:         u.Products,
-		ReplicateEngines: servers > 1,
-	})
+	p, err := platform.New(platform.Config{BuyerServers: servers, Products: u.Products})
 	if err != nil {
 		return nil, err
 	}
-	return &platformWorld{p: p, exec: newOpExec(p.Union, profiles), servers: servers}, nil
+	return &platformWorld{p: p, exec: newOpExec(p.Union, profiles)}, nil
 }
 
 func (w *platformWorld) Do(_ context.Context, op workload.Op) error {
-	i := int(w.next.Add(1) % uint64(w.servers))
-	eng := w.p.Engines[i%len(w.p.Engines)]
-	return w.exec.apply(eng, w.p.Writer(i), op)
+	r := w.p.Replicas[w.next.Add(1)%uint64(len(w.p.Replicas))]
+	return w.exec.apply(r.Engine, r.Router, op)
 }
 
 func (w *platformWorld) Seed(profiles []*profile.Profile, purchases map[string][]string) error {
-	return w.p.SeedCommunity(profiles, purchases)
+	return platform.Seed(w.p.Replicas[0], profiles, purchases)
 }
 
 func (w *platformWorld) Metrics() ops.Snapshot { return w.p.Metrics() }
@@ -239,7 +233,7 @@ func (w *coldWorld) Do(_ context.Context, op workload.Op) error {
 }
 
 func (w *coldWorld) Seed(profiles []*profile.Profile, purchases map[string][]string) error {
-	return seedReplicas(w, w.replicas[0].Router, profiles, purchases)
+	return platform.Seed(w.replicas[0], profiles, purchases)
 }
 
 func (w *coldWorld) Metrics() ops.Snapshot { return platform.Snapshots(w.replicas) }
@@ -261,30 +255,6 @@ func (w *coldWorld) Drain(ctx context.Context) (time.Duration, error) {
 func (w *coldWorld) ReadEngine() *recommend.Engine { return w.replicas[0].Engine }
 
 func (w *coldWorld) Close() error { return closeReplicas(w.replicas) }
-
-// seedReplicas installs the community through one server's router, in a
-// deterministic journal order, and drains w so every replica reads it.
-func seedReplicas(w world, router recommend.Writer, profiles []*profile.Profile, purchases map[string][]string) error {
-	if err := router.SetProfiles(profiles); err != nil {
-		return err
-	}
-	users := make([]string, 0, len(purchases))
-	for user := range purchases {
-		users = append(users, user)
-	}
-	sort.Strings(users)
-	for _, user := range users {
-		for _, pid := range purchases[user] {
-			if err := router.RecordPurchase(user, pid); err != nil {
-				return err
-			}
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	_, err := w.Drain(ctx)
-	return err
-}
 
 func closeReplicas(rs []*platform.Replica) error {
 	var first error

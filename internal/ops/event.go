@@ -165,8 +165,8 @@ type Drop struct {
 }
 
 // Snapshot is the unified whole-platform stats view: one entry per buyer
-// server, each carrying its engine sizing and (when replicated) its
-// replication status. It subsumes the engine's, the replicator's, and the
+// server, each carrying its engine sizing and its replication status. It
+// subsumes the engine's, the replicator's, and the
 // platform's previously separate stats structs, and is both the periodic
 // heartbeat event payload and the /metrics/snapshot response.
 type Snapshot struct {

@@ -25,7 +25,6 @@ func TestPlatformElasticOwnership(t *testing.T) {
 	p, err := New(Config{
 		Marketplaces:     1,
 		BuyerServers:     3,
-		ReplicateEngines: true,
 		ElasticOwnership: true,
 		OwnershipLease:   20 * time.Millisecond,
 		ReplicationPull:  10 * time.Millisecond,
@@ -44,7 +43,7 @@ func TestPlatformElasticOwnership(t *testing.T) {
 	// moving (static-first placement means a healthy boot never churns).
 	deadline := time.Now().Add(10 * time.Second)
 	for i := 0; i < 3; i++ {
-		tab := p.OwnershipTable(i)
+		tab := p.Replicas[i].Table
 		if tab == nil {
 			t.Fatalf("server %d has no ownership table", i)
 		}
@@ -91,7 +90,7 @@ func TestPlatformElasticOwnership(t *testing.T) {
 		if len(hot0) == 0 || hot0[0].Count != buyers {
 			t.Fatalf("%s: server 0 trending = %+v, want %d buyers of the hottest product", when, hot0, buyers)
 		}
-		for i, e := range p.Engines[1:] {
+		for i, e := range engines(p)[1:] {
 			if hot, ties := purchaseListings(e, now, true); !reflect.DeepEqual(hot, hot0) || !reflect.DeepEqual(ties, ties0) {
 				t.Fatalf("%s: server %d lists\n %+v\n %+v\nserver 0\n %+v\n %+v", when, i+1, hot, ties, hot0, ties0)
 			}
@@ -167,9 +166,9 @@ func TestPlatformElasticOwnership(t *testing.T) {
 		final = p.Ownership.Map()
 	}
 	for i := 0; i < 3; i++ {
-		for p.OwnershipTable(i).Epoch() != final.Epoch {
+		for p.Replicas[i].Table.Epoch() != final.Epoch {
 			if time.Now().After(deadline) {
-				t.Fatalf("server %d table stuck at epoch %d, authority at %d", i, p.OwnershipTable(i).Epoch(), final.Epoch)
+				t.Fatalf("server %d table stuck at epoch %d, authority at %d", i, p.Replicas[i].Table.Epoch(), final.Epoch)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -186,7 +185,7 @@ func TestPlatformElasticOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 	listingsAgree("after the rejoin", time.Now(), len(users))
-	for i, e := range p.Engines {
+	for i, e := range engines(p) {
 		if got := len(e.Users()); got != len(users) {
 			t.Errorf("engine %d community = %d users, want %d", i, got, len(users))
 		}
@@ -207,6 +206,6 @@ func TestPlatformElasticOwnership(t *testing.T) {
 
 func TestPlatformElasticRequiresReplication(t *testing.T) {
 	if _, err := New(Config{Marketplaces: 1, ElasticOwnership: true, Products: []*catalog.Product{}}); err == nil {
-		t.Fatal("ElasticOwnership without ReplicateEngines must refuse")
+		t.Fatal("ElasticOwnership on one buyer server must refuse")
 	}
 }

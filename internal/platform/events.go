@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"agentrec/internal/ops"
-	"agentrec/internal/recommend"
 )
 
 // This file is the platform's event plane: one ops.Bus per process that
@@ -23,16 +22,11 @@ var ErrEventsDisabled = errors.New("platform: event plane disabled (set Config.E
 const DefaultEventsInterval = ops.DefaultHeartbeatInterval
 
 // Metrics returns the unified whole-platform snapshot: every buyer server's
-// engine sizing plus, when replicated, its replication status. This is the
-// stats API — one self-describing ops.Snapshot — and exactly what
-// /metrics/snapshot serves and the KindSnapshot heartbeat publishes. It
-// works with or without Config.Events.
-func (p *Platform) Metrics() ops.Snapshot {
-	if len(p.replicas) == 0 {
-		return ops.NewSnapshot(recommend.ServerSnapshot(0, p.Engine, nil))
-	}
-	return Snapshots(p.replicas)
-}
+// engine sizing and replication status. This is the stats API — one
+// self-describing ops.Snapshot — and exactly what /metrics/snapshot serves
+// and the KindSnapshot heartbeat publishes. It works with or without
+// Config.Events.
+func (p *Platform) Metrics() ops.Snapshot { return Snapshots(p.Replicas) }
 
 // Subscribe attaches a consumer to the platform's event bus, filtered to
 // kinds (none = all). The subscription is closed when ctx is cancelled;

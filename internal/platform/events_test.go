@@ -16,12 +16,11 @@ import (
 // interval, and Metrics reports what the deployment actually holds.
 func TestPlatformEventPlane(t *testing.T) {
 	p, err := New(Config{
-		Marketplaces:     1,
-		BuyerServers:     2,
-		ReplicateEngines: true,
-		Products:         demoProducts(),
-		Events:           true,
-		EventsInterval:   20 * time.Millisecond,
+		Marketplaces:   1,
+		BuyerServers:   2,
+		Products:       demoProducts(),
+		Events:         true,
+		EventsInterval: 20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,8 +81,8 @@ func TestPlatformEventPlane(t *testing.T) {
 		if sv.Server != i {
 			t.Errorf("server %d labelled %d", i, sv.Server)
 		}
-		if sv.Engine.Users != 1 || sv.Engine.Shards != p.Engines[i].Shards() {
-			t.Errorf("server %d engine view %+v, want 1 user over %d shards", i, sv.Engine, p.Engines[i].Shards())
+		if sv.Engine.Users != 1 || sv.Engine.Shards != engines(p)[i].Shards() {
+			t.Errorf("server %d engine view %+v, want 1 user over %d shards", i, sv.Engine, engines(p)[i].Shards())
 		}
 		if sv.Replication == nil {
 			t.Fatalf("server %d missing replication view", i)
@@ -92,8 +91,8 @@ func TestPlatformEventPlane(t *testing.T) {
 			t.Errorf("server %d replication view %+v, want self %d and no lag after sync", i, sv.Replication, i)
 		}
 	}
-	if len(p.Replicators) != len(snap.Servers) {
-		t.Errorf("platform has %d replicators, Metrics %d servers", len(p.Replicators), len(snap.Servers))
+	if len(p.Replicas) != len(snap.Servers) {
+		t.Errorf("platform has %d replicas, Metrics %d servers", len(p.Replicas), len(snap.Servers))
 	}
 	if snap.TotalLagRecords() != 0 {
 		t.Errorf("total lag after sync = %d", snap.TotalLagRecords())
@@ -112,7 +111,8 @@ func TestPlatformEventPlane(t *testing.T) {
 }
 
 // TestPlatformEventsDisabled: without Config.Events the bus is absent,
-// Subscribe refuses, and Metrics still works.
+// Subscribe refuses, and Metrics still works: one server, owning every
+// shard, follows none.
 func TestPlatformEventsDisabled(t *testing.T) {
 	p, err := New(Config{Marketplaces: 1, Products: demoProducts()})
 	if err != nil {
@@ -126,8 +126,11 @@ func TestPlatformEventsDisabled(t *testing.T) {
 		t.Fatalf("Subscribe error = %v, want ErrEventsDisabled", err)
 	}
 	snap := p.Metrics()
-	if len(snap.Servers) != 1 || snap.Servers[0].Replication != nil {
-		t.Fatalf("Metrics without events = %+v, want 1 unreplicated server", snap)
+	if len(snap.Servers) != 1 {
+		t.Fatalf("Metrics without events = %+v, want 1 server", snap)
+	}
+	if repl := snap.Servers[0].Replication; repl == nil || repl.Self != 0 || repl.Servers != 1 || len(repl.Shards) != 0 || repl.LagRecords != 0 {
+		t.Fatalf("one server's replication view = %+v, want self 0 of 1 following no shard", repl)
 	}
 }
 

@@ -4,19 +4,18 @@
 // mechanism), all running in-process over the loopback agent transport.
 // cmd/platformd assembles the same pieces over TCP with the atp transport.
 //
-// Engine topology is a Config choice. By default every Buyer Agent Server
-// shares one recommendation engine (the paper's single mechanism). With
-// ReplicateEngines each server is a Replica (replica.go, the assembly
-// platformd shares) with its own engine: community shard s is owned by
-// server s%N, a recommend.Router forwards each server's writes to
-// the owner, and a recommend.Replicator per server tails the owners'
-// journals so every server reads from a local replica. SeedCommunity and
-// SyncReplicas give deterministic post-write convergence barriers.
+// Every Buyer Agent Server is a Replica (replica.go, the assembly platformd
+// shares) with its own engine: community shard s is owned by server s%N, a
+// recommend.Router forwards each server's writes to the owner, and a
+// recommend.Replicator per server tails the owners' journals so every
+// server reads from a local replica. One server is the degenerate case: it
+// owns every shard and follows none. SeedCommunity and SyncReplicas give
+// deterministic post-write convergence barriers.
 //
-// With StateDir set, every store is WAL-backed under one root — the
-// engine(s) under engine/ (engine-<i>/ when replicated), each server's
-// UserDB and BSMDB under buyer-server-<n>/ — and New recovers all of it,
-// so a restarted platform answers as it did before the restart.
+// With StateDir set, every store is WAL-backed under one root — the engine
+// under engine/ (engine-<i>/ per server when there are several), each
+// server's UserDB and BSMDB under buyer-server-<n>/ — and New recovers all
+// of it, so a restarted platform answers as it did before the restart.
 package platform
 
 import (
@@ -50,7 +49,7 @@ type Config struct {
 	// engine's community WAL: the journal is rewritten down to live state
 	// in the background whenever it exceeds CompactRatio times the encoded
 	// live size. Zero keeps compaction manual (Engine.CompactState), and
-	// it is meaningless without StateDir. Replicated deployments apply the
+	// it is meaningless without StateDir. Several buyer servers apply the
 	// ratio with eager follower defaults (smaller minimum size, tighter
 	// check interval): a follower journals every applied record AND
 	// rewrites whole shards on snapshot catch-up, so its WAL outgrows an
@@ -68,18 +67,11 @@ type Config struct {
 	// [DefaultEventsInterval]. Only meaningful with Events.
 	EventsInterval time.Duration
 
-	// ReplicateEngines gives every Buyer Agent Server its own engine
-	// instead of one shared in-process engine: each shard is owned by
-	// server shard%N, writes are routed to the owner, and every server's
-	// Replicator tails the owners' journals so reads answer from local
-	// state — the paper's Fig 3.1 scaled out. SeedCommunity then ends with
-	// a SyncReplicas barrier so freshly seeded platforms read consistently.
-	ReplicateEngines bool
 	// ReplicationPull is the background tail interval
 	// [recommend.DefaultPullInterval].
 	ReplicationPull time.Duration
 
-	// ElasticOwnership (only with ReplicateEngines) puts shard ownership
+	// ElasticOwnership (only with BuyerServers >= 2) puts shard ownership
 	// under the coordinator's lease authority instead of the static
 	// shard%N map: every server renews an ownership lease each
 	// OwnershipLease, routing and fencing follow the leased
@@ -109,12 +101,12 @@ type Platform struct {
 	Buyers      []*buyerserver.Server
 	Union       *catalog.Catalog // integrated view of all marketplace merchandise
 
-	// Engine is buyer server 0's engine. Without ReplicateEngines it is
-	// the one engine every server shares; with replication each server has
-	// its own replica in Engines and converges on the same answers.
-	Engine      *recommend.Engine
-	Engines     []*recommend.Engine
-	Replicators []*recommend.Replicator // one per server when replicating
+	// Replicas holds buyer server i's engine, ownership table, write router
+	// and replicator at index i.
+	Replicas []*Replica
+	// Engine is Replicas[0].Engine, buyer server 0's engine. Every other
+	// server reads its own replica and converges on the same answers.
+	Engine *recommend.Engine
 
 	// Events is the platform's event bus (nil without Config.Events); see
 	// events.go for the embedder API (Metrics, Subscribe).
@@ -124,8 +116,6 @@ type Platform struct {
 	// Config.ElasticOwnership).
 	Ownership *coordinator.Authority
 
-	replicas      []*Replica         // one per server when replicating
-	writers       []recommend.Writer // per-server community write surface
 	hosts         []*aglet.Host
 	stopHeartbeat context.CancelFunc
 	heartbeatDone chan struct{}
@@ -142,8 +132,8 @@ func New(cfg Config) (*Platform, error) {
 	if cfg.BuyerServers < 0 {
 		return nil, ErrNoBuyerServers
 	}
-	if cfg.ElasticOwnership && !cfg.ReplicateEngines {
-		return nil, errors.New("platform: ElasticOwnership requires ReplicateEngines")
+	if cfg.ElasticOwnership && cfg.BuyerServers < 2 {
+		return nil, errors.New("platform: ElasticOwnership requires BuyerServers >= 2")
 	}
 
 	p := &Platform{
@@ -194,20 +184,12 @@ func New(cfg Config) (*Platform, error) {
 		p.Events = ops.NewBus()
 	}
 
-	if cfg.ReplicateEngines {
-		if err := p.replicate(cfg); err != nil {
-			return nil, err
-		}
-	} else {
-		engine, err := p.engineConfig(cfg, "engine").Open(p.Union, 0, false)
-		if err != nil {
-			return nil, err
-		}
-		p.Engines = []*recommend.Engine{engine}
+	if err := p.replicate(cfg); err != nil {
+		return nil, err
 	}
-	p.Engine = p.Engines[0]
+	p.Engine = p.Replicas[0].Engine
 
-	for i := 0; i < cfg.BuyerServers; i++ {
+	for i, r := range p.Replicas {
 		name := fmt.Sprintf("buyer-server-%d", i+1)
 		reg := aglet.NewRegistry()
 		host := p.newHost(name, reg)
@@ -216,22 +198,16 @@ func New(cfg Config) (*Platform, error) {
 			buyerserver.WithTracer(cfg.Tracer),
 			buyerserver.WithMarkets(marketNames...),
 			buyerserver.WithMetrics(p.Metrics),
+			buyerserver.WithCommunityWriter(r.Router),
 		}
 		if p.Events != nil {
 			opts = append(opts, buyerserver.WithEventBus(p.Events))
 		}
-		engine := p.Engine
-		serverWriter := recommend.Writer(engine)
-		if cfg.ReplicateEngines {
-			engine, serverWriter = p.Engines[i], p.replicas[i].Router
-			opts = append(opts, buyerserver.WithCommunityWriter(serverWriter))
-		}
-		p.writers = append(p.writers, serverWriter)
 		if cfg.StateDir != "" {
 			// Each mechanism persists its own UserDB/BSMDB beside the engine.
 			opts = append(opts, buyerserver.WithStateDir(filepath.Join(cfg.StateDir, name)))
 		}
-		srv, err := buyerserver.New(host, reg, engine, caProxy, append(opts, cfg.BuyerOpts...)...)
+		srv, err := buyerserver.New(host, reg, r.Engine, caProxy, append(opts, cfg.BuyerOpts...)...)
 		if err != nil {
 			return nil, err
 		}
@@ -244,24 +220,10 @@ func New(cfg Config) (*Platform, error) {
 	return p, nil
 }
 
-// engineConfig is the engine option set of the engine journaling under
-// stateSub of the state root; each engine recovers its community from
-// there, so a platform restart keeps every consumer.
-func (p *Platform) engineConfig(cfg Config, stateSub string) EngineConfig {
-	ec := EngineConfig{
-		Bus:          p.Events,
-		Shards:       cfg.EngineShards,
-		CompactRatio: cfg.CompactRatio,
-		Extra:        cfg.EngineOpts,
-	}
-	if cfg.StateDir != "" {
-		ec.StateDir = filepath.Join(cfg.StateDir, stateSub)
-	}
-	return ec
-}
-
 // replicate gives every buyer server its own Replica: shard s starts on
 // server s%N, writes route to the owner, and each server tails the others.
+// Each engine journals under its own directory of the state root and
+// recovers its community from there, so a restart keeps every consumer.
 // With ElasticOwnership every replica leases the map from an authority
 // attached to the coordinator; without it the static map is never leased.
 func (p *Platform) replicate(cfg Config) error {
@@ -271,12 +233,25 @@ func (p *Platform) replicate(cfg Config) error {
 			return p.Ownership.Renew(server, applied)
 		}
 	}
+	ec := EngineConfig{
+		Bus:          p.Events,
+		Shards:       cfg.EngineShards,
+		CompactRatio: cfg.CompactRatio,
+		Extra:        cfg.EngineOpts,
+	}
 	for i := 0; i < cfg.BuyerServers; i++ {
+		if cfg.StateDir != "" {
+			sub := "engine"
+			if cfg.BuyerServers > 1 {
+				sub = fmt.Sprintf("engine-%d", i)
+			}
+			ec.StateDir = filepath.Join(cfg.StateDir, sub)
+		}
 		r, err := NewReplica(ReplicaConfig{
 			Self:    i,
 			Servers: cfg.BuyerServers,
 			Catalog: p.Union,
-			Engine:  p.engineConfig(cfg, fmt.Sprintf("engine-%d", i)),
+			Engine:  ec,
 			Pull:    cfg.ReplicationPull,
 			Renew:   renew,
 			Lease:   cfg.OwnershipLease,
@@ -284,8 +259,7 @@ func (p *Platform) replicate(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		p.replicas = append(p.replicas, r)
-		p.Engines = append(p.Engines, r.Engine)
+		p.Replicas = append(p.Replicas, r)
 	}
 	if cfg.ElasticOwnership {
 		lease := cfg.OwnershipLease
@@ -297,7 +271,7 @@ func (p *Platform) replicate(cfg Config) error {
 			publish = func(ev ops.Event) { p.Events.Publish(ev) }
 		}
 		auth, err := coordinator.NewOwnershipAuthority(coordinator.OwnershipConfig{
-			Shards:   p.Engines[0].Shards(),
+			Shards:   p.Replicas[0].Engine.Shards(),
 			Servers:  cfg.BuyerServers,
 			LeaseTTL: 3 * lease,
 			Publish:  publish,
@@ -308,13 +282,12 @@ func (p *Platform) replicate(cfg Config) error {
 		p.Coordinator.AttachOwnership(auth)
 		p.Ownership = auth
 	}
-	for i, r := range p.replicas {
-		if err := r.Connect(LocalLinks(p.replicas, i)); err != nil {
+	for i, r := range p.Replicas {
+		if err := r.Connect(LocalLinks(p.Replicas, i)); err != nil {
 			return err
 		}
-		p.Replicators = append(p.Replicators, r.Replicator)
 	}
-	for _, r := range p.replicas {
+	for _, r := range p.Replicas {
 		r.Start()
 	}
 	return nil
@@ -322,12 +295,12 @@ func (p *Platform) replicate(cfg Config) error {
 
 // SyncReplicas runs one deterministic catch-up pass on every replicator:
 // after a nil return, every buyer server's engine has applied all writes
-// the owners had journaled when the pass began. A no-op without
-// ReplicateEngines.
+// the owners had journaled when the pass began. A lone server follows no
+// shard, so its pass does nothing.
 func (p *Platform) SyncReplicas(ctx context.Context) error {
 	var first error
-	for _, r := range p.Replicators {
-		if err := r.Sync(ctx); err != nil && first == nil {
+	for _, r := range p.Replicas {
+		if err := r.Replicator.Sync(ctx); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -344,25 +317,14 @@ func (p *Platform) newHost(name string, reg *aglet.Registry) *aglet.Host {
 // Buyer returns the first buyer agent server, the common case.
 func (p *Platform) Buyer() *buyerserver.Server { return p.Buyers[0] }
 
-// Writer returns buyer server i's community write surface — the surface
-// its own agents write through: the shared engine in the default topology,
-// or server i's ownership router when replicating. Load drivers use it to
-// spread writes across servers the way real buyer traffic would.
+// Writer returns buyer server i's community write surface, the ownership
+// router its own agents write through. Load drivers use it to spread
+// writes across servers the way real buyer traffic would.
 func (p *Platform) Writer(i int) recommend.Writer {
-	if i < 0 || i >= len(p.writers) {
+	if i < 0 || i >= len(p.Replicas) {
 		return nil
 	}
-	return p.writers[i]
-}
-
-// OwnershipTable returns buyer server i's ownership table (leased with
-// ElasticOwnership, the static epoch-1 map otherwise), or nil without
-// ReplicateEngines.
-func (p *Platform) OwnershipTable(i int) *recommend.OwnershipTable {
-	if i < 0 || i >= len(p.replicas) {
-		return nil
-	}
-	return p.replicas[i].Table
+	return p.Replicas[i].Router
 }
 
 // Stock adds a product to marketplace index i and the integrated catalog.
@@ -417,14 +379,26 @@ func (p *Platform) integrate(i int, sellerID string, apply func(*catalog.Integra
 }
 
 // SeedCommunity installs pre-built consumer profiles and purchase histories
-// into the engine, for examples and experiments that need a warm community.
-// Profiles go through the engine's bulk-install path (one lock acquisition
-// and one durable batch per shard). Purchases replay grouped by shard and
-// then by consumer, never in map order, so the journal a seeding writes is
-// the same on every run.
+// through buyer server 0 (Seed), for examples and experiments that need a
+// warm community, and ends with a SyncReplicas barrier so every server
+// reads the seeded community at once.
 func (p *Platform) SeedCommunity(profiles []*profile.Profile, purchases map[string][]string) error {
-	writer := p.writers[0] // server 0's surface: the engine, or its router when replicating
-	if err := writer.SetProfiles(profiles); err != nil {
+	if err := Seed(p.Replicas[0], profiles, purchases); err != nil {
+		return err
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	return p.SyncReplicas(ctx)
+}
+
+// Seed writes pre-built consumer profiles and purchase histories through
+// r's router. Profiles go through the bulk-install path (one lock
+// acquisition and one durable batch per shard). Purchases replay grouped by
+// shard and then by consumer, never in map order, so the journal a seeding
+// writes is the same on every run. Other servers read the community once
+// they have pulled it.
+func Seed(r *Replica, profiles []*profile.Profile, purchases map[string][]string) error {
+	if err := r.Router.SetProfiles(profiles); err != nil {
 		return err
 	}
 	users := make([]string, 0, len(purchases))
@@ -432,7 +406,7 @@ func (p *Platform) SeedCommunity(profiles []*profile.Profile, purchases map[stri
 		users = append(users, user)
 	}
 	sort.Slice(users, func(i, j int) bool {
-		si, sj := p.Engine.ShardOf(users[i]), p.Engine.ShardOf(users[j])
+		si, sj := r.Engine.ShardOf(users[i]), r.Engine.ShardOf(users[j])
 		if si != sj {
 			return si < sj
 		}
@@ -440,15 +414,10 @@ func (p *Platform) SeedCommunity(profiles []*profile.Profile, purchases map[stri
 	})
 	for _, user := range users {
 		for _, pid := range purchases[user] {
-			if err := writer.RecordPurchase(user, pid); err != nil {
+			if err := r.Router.RecordPurchase(user, pid); err != nil {
 				return err
 			}
 		}
-	}
-	if len(p.Replicators) > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		return p.SyncReplicas(ctx)
 	}
 	return nil
 }
@@ -460,7 +429,7 @@ func (p *Platform) SeedCommunity(profiles []*profile.Profile, purchases map[stri
 // persistence journals.
 func (p *Platform) Close() error {
 	p.closeEventPlane()
-	for _, r := range p.replicas {
+	for _, r := range p.Replicas {
 		r.Stop()
 	}
 	var first error
@@ -474,8 +443,8 @@ func (p *Platform) Close() error {
 			first = err
 		}
 	}
-	for _, e := range p.Engines {
-		if err := e.Close(); err != nil && first == nil {
+	for _, r := range p.Replicas {
+		if err := r.Engine.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -3,6 +3,7 @@ package platform
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"agentrec/internal/profile"
 	"agentrec/internal/recommend"
 	"agentrec/internal/trace"
+	"agentrec/internal/workload"
 )
 
 func demoProducts() []*catalog.Product {
@@ -141,29 +143,88 @@ func TestPlatformStockErrors(t *testing.T) {
 	}
 }
 
-func TestPlatformMultipleBuyerServers(t *testing.T) {
-	p, err := New(Config{Marketplaces: 1, BuyerServers: 2, Products: demoProducts()})
+// engines lists every buyer server's engine in server order.
+func engines(p *Platform) []*recommend.Engine {
+	out := make([]*recommend.Engine, len(p.Replicas))
+	for i, r := range p.Replicas {
+		out[i] = r.Engine
+	}
+	return out
+}
+
+// TestDeploymentShapesAnswerAlike: one community seeded into a one-server
+// and a three-server platform, with the same few writes entering at
+// different servers, is one community. After SyncReplicas every engine of
+// the three holds the one server's consumers and ranks what it ranks, for
+// every consumer and strategy, over the whole catalogue and in the
+// consumer's top category.
+func TestDeploymentShapesAnswerAlike(t *testing.T) {
+	u, err := workload.Generate(workload.Config{Seed: 32, Users: 80, Products: 200, Categories: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
-	ctx := testCtx(t)
-	// Users on different buyer servers share the engine (one consumer
-	// community across servers).
-	for i, b := range p.Buyers {
-		user := []string{"alice", "bob"}[i]
-		if err := b.Register(ctx, user); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b.Login(ctx, user); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b.Query(ctx, user, catalog.Query{Category: "laptop"}); err != nil {
+	profiles := make([]*profile.Profile, len(u.Users))
+	for i, usr := range u.Users {
+		if profiles[i], err = u.BuildProfile(usr); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := len(p.Engine.Users()); got != 2 {
-		t.Errorf("community size = %d, want 2", got)
+	var shapes []*Platform
+	for _, servers := range []int{1, 3} {
+		p, err := New(Config{Marketplaces: 1, BuyerServers: servers, Products: u.Products})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		if err := p.SeedCommunity(profiles, u.Purchases()); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 6; k++ {
+			user, prod := profiles[k*11], u.Products[k*13]
+			refreshed := user.Clone()
+			if err := refreshed.Observe(prod.Evidence(profile.BehaviourBuy)); err != nil {
+				t.Fatal(err)
+			}
+			w := p.Writer(k % servers)
+			if err := w.SetProfile(refreshed); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.RecordPurchase(user.UserID, prod.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.SyncReplicas(testCtx(t)); err != nil {
+			t.Fatal(err)
+		}
+		shapes = append(shapes, p)
+	}
+
+	ranked := func(e *recommend.Engine, s recommend.Strategy, user, category string) []string {
+		recs, err := e.Recommend(s, user, category, 10)
+		if err != nil {
+			return []string{"error: " + err.Error()}
+		}
+		ids := make([]string, len(recs))
+		for i, r := range recs {
+			ids[i] = r.ProductID
+		}
+		return ids
+	}
+	want := shapes[0].Engine
+	strategies := []recommend.Strategy{recommend.StrategyCF, recommend.StrategyIF, recommend.StrategyHybrid, recommend.StrategyTopSeller, recommend.StrategyAuto}
+	for i, e := range engines(shapes[1]) {
+		if got := e.Users(); !slices.Equal(got, want.Users()) {
+			t.Fatalf("server %d holds %d consumers, the one server %d", i, len(got), len(want.Users()))
+		}
+		for _, pr := range profiles {
+			for _, category := range []string{"", pr.TopCategories(1)[0].Term} {
+				for _, s := range strategies {
+					if got, exp := ranked(e, s, pr.UserID, category), ranked(want, s, pr.UserID, category); !slices.Equal(got, exp) {
+						t.Fatalf("server %d, %s in %q, %v: ranks %v, the one server %v", i, pr.UserID, category, s, got, exp)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -296,19 +357,18 @@ func TestReplicatedBuyerServers(t *testing.T) {
 		prod.Stock = 100 // six consumers each buy p1
 	}
 	p, err := New(Config{
-		Marketplaces:     1,
-		BuyerServers:     3,
-		ReplicateEngines: true,
-		Products:         products,
+		Marketplaces: 1,
+		BuyerServers: 3,
+		Products:     products,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if len(p.Engines) != 3 || len(p.Replicators) != 3 {
-		t.Fatalf("replicated platform has %d engines, %d replicators", len(p.Engines), len(p.Replicators))
+	if len(p.Replicas) != 3 {
+		t.Fatalf("replicated platform has %d replicas", len(p.Replicas))
 	}
-	if p.Engine != p.Engines[0] {
+	if p.Engine != engines(p)[0] {
 		t.Fatal("Engine is not server 0's engine")
 	}
 
@@ -332,14 +392,14 @@ func TestReplicatedBuyerServers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every server's engine now holds the whole community locally.
-	for i, e := range p.Engines {
+	for i, e := range engines(p) {
 		if got := len(e.Users()); got != len(users) {
 			t.Errorf("engine %d community = %d users, want %d", i, got, len(users))
 		}
 	}
 	// And answers identically: the purchase-driven top seller is p1 with
 	// one sale per consumer, on every server.
-	for i, e := range p.Engines {
+	for i, e := range engines(p) {
 		recs, err := e.Recommend(recommend.StrategyTopSeller, "", "", 1)
 		if err != nil {
 			t.Fatal(err)
@@ -349,8 +409,8 @@ func TestReplicatedBuyerServers(t *testing.T) {
 		}
 	}
 	// Replication stats see every non-owned shard healthy.
-	for i, r := range p.Replicators {
-		st := r.Stats()
+	for i, r := range p.Replicas {
+		st := r.Replicator.Stats()
 		if st.Lag() != 0 {
 			t.Errorf("replicator %d lag = %d after sync", i, st.Lag())
 		}
@@ -367,10 +427,9 @@ func TestReplicatedBuyerServers(t *testing.T) {
 // reads the seeded community immediately after.
 func TestReplicatedSeedCommunity(t *testing.T) {
 	p, err := New(Config{
-		Marketplaces:     1,
-		BuyerServers:     2,
-		ReplicateEngines: true,
-		Products:         demoProducts(),
+		Marketplaces: 1,
+		BuyerServers: 2,
+		Products:     demoProducts(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -389,7 +448,7 @@ func TestReplicatedSeedCommunity(t *testing.T) {
 	if err := p.SeedCommunity(profiles, map[string][]string{"u0": {"p1"}, "u1": {"p2"}}); err != nil {
 		t.Fatal(err)
 	}
-	for i, e := range p.Engines {
+	for i, e := range engines(p) {
 		if st := e.Stats(); st.Users != 8 {
 			t.Errorf("engine %d seeded users = %d, want 8", i, st.Users)
 		}
@@ -407,7 +466,7 @@ func TestPlatformCompactRatioBoundsJournal(t *testing.T) {
 	dir := t.TempDir()
 	const ratio = 2
 	cfg := Config{
-		Marketplaces: 1, BuyerServers: 2, ReplicateEngines: true,
+		Marketplaces: 1, BuyerServers: 2,
 		StateDir: dir, CompactRatio: ratio, Products: demoProducts(),
 	}
 	p, err := New(cfg)
@@ -447,7 +506,7 @@ func TestPlatformCompactRatioBoundsJournal(t *testing.T) {
 			t.Fatal(err)
 		}
 		done := true
-		for _, e := range p.Engines {
+		for _, e := range engines(p) {
 			st := e.Stats()
 			if st.Compactions == 0 || float64(st.JournalBytes) > ratio*float64(st.LiveBytes) {
 				done = false
@@ -457,7 +516,7 @@ func TestPlatformCompactRatioBoundsJournal(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			for i, e := range p.Engines {
+			for i, e := range engines(p) {
 				t.Logf("engine %d stats: %+v", i, e.Stats())
 			}
 			t.Fatal("engine journals never converged under Config.CompactRatio")
@@ -475,7 +534,7 @@ func TestPlatformCompactRatioBoundsJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	for i, e := range p2.Engines {
+	for i, e := range engines(p2) {
 		if got := e.Stats().Users; got != len(profiles) {
 			t.Errorf("engine %d recovered %d users, want %d", i, got, len(profiles))
 		}

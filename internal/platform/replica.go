@@ -12,12 +12,13 @@ import (
 	"agentrec/internal/recommend"
 )
 
-// This file is the single assembly of one replicated Buyer Agent Server:
-// engine, ownership table, write router, journal replicator and lease
-// client, with one lifecycle and one stats view. platform.New, platformd
-// and the load harness's replicated worlds all build their servers here and
-// differ only in the ReplicaConfig values and the write/tail surfaces they
-// hand to Connect.
+// This file is the single assembly of every Buyer Agent Server: engine,
+// ownership table, write router, journal replicator and lease client, with
+// one lifecycle and one stats view. platform.New, platformd and the load
+// harness's worlds all build their servers here and differ only in the
+// ReplicaConfig values and the write/tail surfaces they hand to Connect. A
+// one-server deployment is the degenerate case: its router admits every
+// write locally and its replicator follows no shard.
 
 // EngineConfig is the engine option set every Buyer Agent Server of a
 // deployment shares. Zero fields take the engine default.
@@ -29,36 +30,8 @@ type EngineConfig struct {
 	Extra        []recommend.Option // applied last, so explicit tuning wins
 }
 
-// Open opens server's engine over cat. A replicated engine also serves its
-// journal feed and compacts with the eager follower policy: it journals
-// every record it applies from peers and rewrites whole shards on snapshot
-// catch-up, so its WAL outgrows a lone engine's.
-func (c EngineConfig) Open(cat *catalog.Catalog, server int, replicated bool) (*recommend.Engine, error) {
-	var opts []recommend.Option
-	if c.Bus != nil {
-		opts = append(opts, recommend.WithEventBus(c.Bus, server))
-	}
-	if c.Shards > 0 {
-		opts = append(opts, recommend.WithShards(c.Shards))
-	}
-	if c.StateDir != "" {
-		opts = append(opts, recommend.WithPersistence(c.StateDir))
-		if c.CompactRatio > 0 {
-			pol := recommend.CompactionPolicy{Ratio: c.CompactRatio}
-			if replicated {
-				pol = recommend.FollowerCompactionPolicy(c.CompactRatio)
-			}
-			opts = append(opts, recommend.WithAutoCompaction(pol))
-		}
-	}
-	if replicated {
-		opts = append(opts, recommend.WithJournalFeed(0))
-	}
-	return recommend.Open(cat, append(opts, c.Extra...)...)
-}
-
 // ReplicaConfig is what distinguishes one deployment's servers from
-// another's; everything else about a replicated server is fixed by Replica.
+// another's; everything else about a server is fixed by Replica.
 type ReplicaConfig struct {
 	Self    int // this server's index among Servers
 	Servers int
@@ -76,7 +49,7 @@ type ReplicaConfig struct {
 	OnLeaseError func(error)     // renewal failures (transient by design); may be nil
 }
 
-// Replica is one server of a replicated deployment. NewReplica opens the
+// Replica is one Buyer Agent Server of a deployment. NewReplica opens the
 // engine and the ownership table; Connect joins it to its peers; Run (or
 // Start, its background form) drives journal pulls and lease renewals.
 type Replica struct {
@@ -98,9 +71,34 @@ type Replica struct {
 
 // NewReplica opens server cfg.Self's engine and its ownership table at the
 // static epoch-1 map every server (and the authority) starts from, so
-// routing is consistent before the first lease lands.
+// routing is consistent before the first lease lands. The engine of a
+// multi-server deployment also serves its journal feed and compacts with
+// the eager follower policy: it journals every record it applies from
+// peers and rewrites whole shards on snapshot catch-up, so its WAL outgrows
+// a lone server's.
 func NewReplica(cfg ReplicaConfig) (*Replica, error) {
-	engine, err := cfg.Engine.Open(cfg.Catalog, cfg.Self, true)
+	ec, replicated := cfg.Engine, cfg.Servers > 1
+	var opts []recommend.Option
+	if ec.Bus != nil {
+		opts = append(opts, recommend.WithEventBus(ec.Bus, cfg.Self))
+	}
+	if ec.Shards > 0 {
+		opts = append(opts, recommend.WithShards(ec.Shards))
+	}
+	if ec.StateDir != "" {
+		opts = append(opts, recommend.WithPersistence(ec.StateDir))
+		if ec.CompactRatio > 0 {
+			pol := recommend.CompactionPolicy{Ratio: ec.CompactRatio}
+			if replicated {
+				pol = recommend.FollowerCompactionPolicy(ec.CompactRatio)
+			}
+			opts = append(opts, recommend.WithAutoCompaction(pol))
+		}
+	}
+	if replicated {
+		opts = append(opts, recommend.WithJournalFeed(0))
+	}
+	engine, err := recommend.Open(cfg.Catalog, append(opts, ec.Extra...)...)
 	if err != nil {
 		return nil, err
 	}

@@ -225,7 +225,6 @@ func TestReplicatedStaticAndElasticAgree(t *testing.T) {
 			p, err := New(Config{
 				Marketplaces:     1,
 				BuyerServers:     3,
-				ReplicateEngines: true,
 				ElasticOwnership: mode.elastic,
 				OwnershipLease:   200 * time.Millisecond,
 				ReplicationPull:  10 * time.Millisecond,
@@ -236,9 +235,9 @@ func TestReplicatedStaticAndElasticAgree(t *testing.T) {
 			}
 			defer p.Close()
 			if mode.elastic {
-				for i := range p.Engines {
+				for i := range engines(p) {
 					waitFor(t, fmt.Sprintf("server %d's first lease", i), func() bool {
-						return p.OwnershipTable(i).Expired() == nil
+						return p.Replicas[i].Table.Expired() == nil
 					})
 				}
 			}
@@ -248,7 +247,7 @@ func TestReplicatedStaticAndElasticAgree(t *testing.T) {
 			now := shop(t, p)
 			hot0, ties0 := purchaseListings(p.Engine, now, true)
 
-			for i, e := range p.Engines {
+			for i, e := range engines(p) {
 				// Every server holds the whole community's purchases, times
 				// included: it lists what a single engine would, and exactly
 				// what Platform.Hottest/TiedSales (server 0) does.
@@ -296,12 +295,12 @@ func TestReplicatedStaticAndElasticAgree(t *testing.T) {
 			if err := p.Writer(0).SetProfile(profile.NewProfile(user)); err != nil {
 				t.Fatalf("static routed remote write refused: %v", err)
 			}
-			if _, err := p.Engines[2].Profile(user); err != nil {
+			if _, err := engines(p)[2].Profile(user); err != nil {
 				t.Fatalf("routed write did not land on its owner: %v", err)
 			}
 			shard := p.Engine.ShardOf(user)
-			for i := range p.Engines {
-				tab := p.OwnershipTable(i)
+			for i := range engines(p) {
+				tab := p.Replicas[i].Table
 				if tab.Epoch() != 1 {
 					t.Errorf("server %d static table at epoch %d", i, tab.Epoch())
 				}
@@ -309,14 +308,14 @@ func TestReplicatedStaticAndElasticAgree(t *testing.T) {
 					t.Errorf("server %d never-leased table expired: %v", i, err)
 				}
 			}
-			if err := p.OwnershipTable(2).Fence(p.OwnershipTable(0).Epoch(), shard, 2); err != nil {
+			if err := p.Replicas[2].Table.Fence(p.Replicas[0].Table.Epoch(), shard, 2); err != nil {
 				t.Errorf("receiver's fence refuses the static sender: %v", err)
 			}
 			// The fence is on the path, not beside it: once the sender's map
 			// moves ahead of the receiver's, the same routed write is refused.
-			ahead := p.OwnershipTable(0).Current()
+			ahead := p.Replicas[0].Table.Current()
 			ahead.Epoch++
-			p.OwnershipTable(0).Advance(ahead)
+			p.Replicas[0].Table.Advance(ahead)
 			if err := p.Writer(0).SetProfile(profile.NewProfile(user)); !errors.Is(err, recommend.ErrStaleEpoch) {
 				t.Errorf("routed write across mismatched epochs = %v, want ErrStaleEpoch", err)
 			}

@@ -57,8 +57,8 @@ const (
 )
 
 // FollowerCompactionPolicy returns the eager policy for ratio, the variant
-// replicated deployments (platform.Config.ReplicateEngines, platformd
-// -buyer-peers) apply to every server's engine.
+// deployments of several buyer servers (platform.Config.BuyerServers >= 2,
+// platformd -buyer-peers) apply to every server's engine.
 func FollowerCompactionPolicy(ratio float64) CompactionPolicy {
 	return CompactionPolicy{
 		Ratio:      ratio,

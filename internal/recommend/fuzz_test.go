@@ -1,7 +1,9 @@
 package recommend
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -101,5 +103,131 @@ func FuzzSnapshotPage(f *testing.F) {
 		if _, _, bad := decodePageToken(token); bad != nil && err == nil {
 			t.Fatalf("malformed token %q accepted", token)
 		}
+	})
+}
+
+// The pin tailReplyPeer bootstraps a follower's cursor to.
+const (
+	tailEpoch uint64 = 0x5eed
+	tailSeq   uint64 = 3
+)
+
+// tailReplyPeer is the owner of shard 0 as a follower sees it. Until
+// replying is set it answers a tail with the paged marker pinned at
+// (tailEpoch, tailSeq) and serves boot as the one page of that cut; from
+// then on it answers every tail with reply decoded as a TailResult, and
+// refuses every page.
+type tailReplyPeer struct {
+	boot     SnapshotPage
+	replying bool
+	reply    []byte
+}
+
+func (p *tailReplyPeer) JournalTail(_ context.Context, _ int, _, _ uint64) (TailResult, error) {
+	if !p.replying {
+		return TailResult{Shards: 2, Epoch: tailEpoch, Seq: tailSeq, Head: tailSeq, Paged: true}, nil
+	}
+	var tr TailResult
+	err := json.Unmarshal(p.reply, &tr)
+	return tr, err
+}
+
+func (p *tailReplyPeer) SnapshotPage(_ context.Context, _ int, _, _ uint64, _ string) (SnapshotPage, error) {
+	if p.replying {
+		return SnapshotPage{}, errors.New("no pages once replying")
+	}
+	return p.boot, nil
+}
+
+// FuzzTailReply feeds a persisted follower arbitrary bytes as the owner's
+// answer to its tail request for shard 0. With booted the follower first
+// pages the state it already holds in at (tailEpoch, tailSeq), so the reply
+// meets a live cursor; without it the reply meets the zero cursor of a
+// follower that has never pulled. Accepted or refused, the shard's journal
+// equals its memory and the follower's feed head moves by exactly the
+// records it reports applied. A reply no owner could send (undecodable, a
+// zero or foreign epoch, a seq gap anywhere, a shard-count mismatch, or a
+// paged marker whose pages are refused) changes nothing.
+func FuzzTailReply(f *testing.F) {
+	// A valid two-record reply encoded by the current profile format, beside
+	// the committed corpus in testdata/fuzz (the zero-epoch reply, a seq
+	// gap, a foreign epoch, a record for another shard's consumer, an
+	// unknown op, garbage profile bytes, a valid two-record reply).
+	e := pageFollower(f)
+	user := shardIDs(e, 0, 4)[3]
+	enc, err := profile.NewProfile(user).Marshal()
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid, err := json.Marshal(TailResult{Shards: 2, Epoch: tailEpoch, Seq: tailSeq + 2, Head: tailSeq + 2, Records: []JournalRecord{
+		{Seq: tailSeq + 1, Op: OpProfiles, Profiles: [][]byte{enc}},
+		{Seq: tailSeq + 2, Op: OpPurchase, UserID: user, ProductID: "p2"},
+	}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(true, valid)
+
+	f.Fuzz(func(t *testing.T, booted bool, reply []byte) {
+		ctx := context.Background()
+		e := pageFollower(t)
+		marker, err := e.JournalTail(0, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		boot, err := e.SnapshotPage(0, marker.Epoch, marker.Seq, "", 0)
+		if err != nil || boot.Next != "" {
+			t.Fatalf("follower's own shard 0 as one page: %+v, %v", boot, err)
+		}
+		boot.Epoch, boot.Seq = tailEpoch, tailSeq
+		peer := &tailReplyPeer{boot: boot}
+		r, err := NewReplicator(e, 1, []Peer{peer, nil})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cur replCursor
+		if booted {
+			if err := r.Sync(ctx); err != nil {
+				t.Fatal(err)
+			}
+			cur = replCursor{epoch: tailEpoch, seq: tailSeq}
+		}
+		headBefore, recordsBefore := e.FeedHeads()[0], r.Stats().Shards[0].Records
+		durable, err := e.persist.LoadShard(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		peer.replying, peer.reply = true, reply
+		syncErr := r.Sync(ctx)
+
+		for s := 0; s < 2; s++ {
+			journalMatchesMemory(t, e, s)
+		}
+		head, records := e.FeedHeads()[0], r.Stats().Shards[0].Records
+		if head-headBefore != records-recordsBefore {
+			t.Fatalf("feed head moved %d -> %d while %d records were applied", headBefore, head, records-recordsBefore)
+		}
+
+		var tr TailResult
+		impossible := json.Unmarshal(reply, &tr) != nil || tr.Shards != 2 || tr.Paged ||
+			cur.epoch == 0 || tr.Epoch != cur.epoch
+		for i, rec := range tr.Records {
+			impossible = impossible || rec.Seq != cur.seq+uint64(i)+1
+		}
+		if !impossible {
+			return
+		}
+		if syncErr == nil {
+			t.Fatalf("Sync accepted a reply no owner could send: %s", reply)
+		}
+		if head != headBefore || records != recordsBefore {
+			t.Fatalf("refused reply moved the feed head %d -> %d and records %d -> %d", headBefore, head, recordsBefore, records)
+		}
+		after, err := e.persist.LoadShard(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snapshotsEqual(t, after, durable)
 	})
 }

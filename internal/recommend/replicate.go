@@ -318,6 +318,12 @@ func (sh *shard) stateLocked() ShardData {
 func (e *Engine) applyJournalRecord(shard int, rec JournalRecord, admit admitFunc) error {
 	switch rec.Op {
 	case OpProfiles:
+		if len(rec.Profiles) == 0 {
+			// An owner emits a profiles record only for an install; an
+			// empty one would advance the cursor past a record that moves
+			// no state and no feed head.
+			return errors.New("recommend: replicated profiles record carries no profile")
+		}
 		profs := make([]*profile.Profile, len(rec.Profiles))
 		for i, data := range rec.Profiles {
 			p, err := profile.Unmarshal(data)
@@ -772,21 +778,25 @@ func (r *Replicator) pullShard(ctx context.Context, f *follower, owner int) (err
 		r.mu.Unlock()
 		return err
 	}
-	if tr.Epoch != cur.epoch {
-		// An owner serves records only to a cursor of its own feed epoch;
-		// anything else it answers Paged. A reply under another epoch (a
-		// peer of another version, or a hostile one) continues a history
-		// this replica never held: adopting it would apply that history's
-		// records onto stale state.
+	if cur.epoch == 0 || tr.Epoch != cur.epoch {
+		// An owner serves records only to a cursor of its own feed epoch,
+		// which is never 0; anything else, the zero cursor of a follower
+		// that has not pulled yet included, it answers Paged. A reply under
+		// another epoch (a peer of another version, or a hostile one)
+		// continues a history this replica never held: adopting it would
+		// apply that history's records onto stale state.
 		return reset(fmt.Errorf("recommend: shard %d: server %d answered cursor epoch %x with a tail of epoch %x",
 			shard, owner, cur.epoch, tr.Epoch))
 	}
+	for i, rec := range tr.Records {
+		if want := cur.seq + uint64(i) + 1; rec.Seq != want {
+			// A hole means the tail and our cursor disagree; checked before
+			// the first apply, so a reply with one changes nothing.
+			return reset(fmt.Errorf("recommend: shard %d journal gap: want record %d, got %d", shard, want, rec.Seq))
+		}
+	}
 	seq, admit := cur.seq, r.from(owner)
 	for _, rec := range tr.Records {
-		if rec.Seq != seq+1 {
-			// A hole means the tail and our cursor disagree.
-			return reset(fmt.Errorf("recommend: shard %d journal gap: have %d, next record %d", shard, seq, rec.Seq))
-		}
 		if err := r.e.applyJournalRecord(shard, rec, admit); err != nil {
 			return err
 		}

@@ -24,9 +24,9 @@ import (
 // replica to the owner's state — answer-identical through communityEqual,
 // and byte-identical at the durable layer through walSnapshot.
 
-// replCluster is n in-process engines wired exactly like
-// platform.Config{ReplicateEngines: true}: shard s is owned by engine
-// s%n, writes go through routers, every engine tails the others.
+// replCluster is n in-process engines wired like an n-server
+// platform.Platform: shard s is owned by engine s%n, writes go through
+// routers, every engine tails the others.
 type replCluster struct {
 	engines []*Engine
 	routers []*Router
@@ -694,9 +694,50 @@ func (p *foreignEpochPeer) JournalTail(ctx context.Context, shard int, epoch, si
 	if !p.armed {
 		return p.LocalPeer.JournalTail(ctx, shard, epoch, since)
 	}
+	return intruderTail(shard, epoch+2, since)
+}
+
+// intruderTail is a one-shard owner's tail under epoch that continues the
+// cursor since with one record installing the consumer "intruder".
+func intruderTail(shard int, epoch, since uint64) (TailResult, error) {
 	intruder, err := profile.NewProfile("intruder").Marshal()
 	rec := JournalRecord{Shard: shard, Seq: since + 1, Op: OpProfiles, Profiles: [][]byte{intruder}}
-	return TailResult{Shards: 1, Epoch: epoch + 2, Seq: since + 1, Head: since + 1, Records: []JournalRecord{rec}}, err
+	return TailResult{Shards: 1, Epoch: epoch, Seq: since + 1, Head: since + 1, Records: []JournalRecord{rec}}, err
+}
+
+// zeroEpochPeer answers every tail under epoch 0 with a record continuing
+// the cursor: for a follower that has never pulled, a tail that matches its
+// zero cursor.
+type zeroEpochPeer struct{ LocalPeer }
+
+func (zeroEpochPeer) JournalTail(_ context.Context, shard int, _, since uint64) (TailResult, error) {
+	return intruderTail(shard, 0, since)
+}
+
+// TestPullRefusesTailToCursorlessFollower: a follower that has never pulled
+// holds the cursor (0, 0). No feed epoch is 0, so an owner answers that
+// cursor Paged, and records under epoch 0 are refused like a foreign
+// epoch's: nothing installed, nothing re-emitted on the follower's own feed,
+// and the error kept.
+func TestPullRefusesTailToCursorlessFollower(t *testing.T) {
+	u, profiles := soakUniverse(t)
+	owner, follower := followerOfOne(t, u, profiles)
+	r, err := NewReplicator(follower, 1, []Peer{zeroEpochPeer{LocalPeer{Engine: owner}}, nil})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Sync(context.Background()); err == nil {
+		t.Fatal("Sync accepted a tail under epoch 0")
+	}
+	if _, err := follower.Profile("intruder"); !errors.Is(err, ErrUnknownUser) {
+		t.Fatalf("epoch-0 record was applied (Profile error %v)", err)
+	}
+	if heads := follower.FeedHeads(); heads[0] != 0 {
+		t.Fatalf("follower feed heads = %v after a refused tail, want [0]", heads)
+	}
+	if st := r.Stats().Shards[0]; st.LastError == "" || st.Records != 0 || st.AppliedSeq != 0 {
+		t.Fatalf("refused reply recorded as %+v, want an error and nothing applied", st)
+	}
 }
 
 // TestPullRefusesTailOfForeignEpoch: records served under an epoch other
