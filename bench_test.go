@@ -528,42 +528,25 @@ func BenchmarkMBAvsRPC(b *testing.B) {
 }
 
 func rpcProbeBench(ctx context.Context, msa *aglet.Proxy, productID string) error {
-	offer := int64(80000)
-	msg, err := marshalBench(marketplace.KindNegoOpen, marketplace.NegoOpenRequest{
-		BuyerID: "rpc", ProductID: productID, OfferCents: offer,
-	})
-	if err != nil {
-		return err
-	}
-	replyMsg, err := msa.Send(ctx, msg)
-	if err != nil {
-		return err
-	}
-	var reply marketplace.NegoReply
-	if err := unmarshalBench(replyMsg.Data, &reply); err != nil {
-		return err
-	}
-	for !reply.Over {
-		next, done := marketplace.ProbeNextOffer(offer, reply.AskCents)
-		if done {
-			return nil
+	call := func(kind string, req any) (marketplace.NegoReply, error) {
+		var reply marketplace.NegoReply
+		msg, err := aglet.Encode(kind, req)
+		if err == nil {
+			msg, err = msa.Send(ctx, msg)
 		}
-		offer = next
-		msg, err := marshalBench(marketplace.KindNegoOffer, marketplace.NegoOfferRequest{
-			SessionID: reply.SessionID, OfferCents: offer,
+		if err == nil {
+			err = aglet.Decode(msg, &reply)
+		}
+		return reply, err
+	}
+	_, err := marketplace.Bargain(80000, marketplace.ProbeNextOffer,
+		func(offer int64) (marketplace.NegoReply, error) {
+			return call(marketplace.KindNegoOpen, marketplace.NegoOpenRequest{BuyerID: "rpc", ProductID: productID, OfferCents: offer})
+		},
+		func(sessionID string, offer int64) (marketplace.NegoReply, error) {
+			return call(marketplace.KindNegoOffer, marketplace.NegoOfferRequest{SessionID: sessionID, OfferCents: offer})
 		})
-		if err != nil {
-			return err
-		}
-		replyMsg, err = msa.Send(ctx, msg)
-		if err != nil {
-			return err
-		}
-		if err := unmarshalBench(replyMsg.Data, &reply); err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // BenchmarkLoginChurn is C6: consumer session turnover (BRA create/dispose).

@@ -35,7 +35,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -290,15 +289,15 @@ func run(ctx context.Context, cfg daemonConfig) error {
 		if coord != nil {
 			return coord.Register(entry)
 		}
-		data, err := json.Marshal(entry)
+		msg, err := aglet.Encode(coordinator.KindRegister, entry)
 		if err != nil {
-			return fmt.Errorf("platformd: encoding registration: %w", err)
+			return err
 		}
 		proxy := from.RemoteProxy(cfg.coordAddr, coordinator.CAID)
 		deadline := time.Now().Add(30 * time.Second)
 		for {
 			sctx, scancel := context.WithTimeout(ctx, 5*time.Second)
-			_, err := proxy.Send(sctx, aglet.Message{Kind: coordinator.KindRegister, Data: data})
+			_, err := proxy.Send(sctx, msg)
 			scancel()
 			if err == nil || ctx.Err() != nil || time.Now().After(deadline) {
 				return err
@@ -486,19 +485,19 @@ func run(ctx context.Context, cfg daemonConfig) error {
 // round-trip to the CA behind ca.
 func renewOverWire(ca *aglet.Proxy) coordinator.RenewFunc {
 	return func(ctx context.Context, server int, applied []uint64) (coordinator.LeaseGrant, error) {
-		data, err := json.Marshal(coordinator.LeaseRequest{Server: server, Applied: applied})
+		msg, err := aglet.Encode(coordinator.KindLease, coordinator.LeaseRequest{Server: server, Applied: applied})
 		if err != nil {
-			return coordinator.LeaseGrant{}, fmt.Errorf("platformd: encoding lease renewal: %w", err)
+			return coordinator.LeaseGrant{}, err
 		}
 		sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 		defer cancel()
-		reply, err := ca.Send(sctx, aglet.Message{Kind: coordinator.KindLease, Data: data})
+		reply, err := ca.Send(sctx, msg)
 		if err != nil {
 			return coordinator.LeaseGrant{}, err
 		}
 		var grant coordinator.LeaseGrant
-		if err := json.Unmarshal(reply.Data, &grant); err != nil {
-			return coordinator.LeaseGrant{}, fmt.Errorf("platformd: decoding lease grant: %w", err)
+		if err := aglet.Decode(reply, &grant); err != nil {
+			return coordinator.LeaseGrant{}, err
 		}
 		return grant, nil
 	}

@@ -14,7 +14,11 @@
 //     handling is therefore serialized per agent, which is the Aglets
 //     threading model too.
 //   - Java serialization is replaced by each agent implementing
-//     State/SetState ([]byte round-trip, typically JSON).
+//     State/SetState, a []byte round-trip through the package's codec.
+//   - One codec for the agent plane (codec.go): Encode and Decode are the
+//     only places a message payload or a state image becomes bytes, and an
+//     agent answers through Handlers, one typed handler per message kind.
+//     No package outside this one knows the encoding.
 //   - Code does not travel: every host registers the agent types it can
 //     instantiate (a Registry), and a migrating agent is re-instantiated
 //     from its registered factory at the destination. This is the standard
@@ -39,8 +43,9 @@ var (
 	ErrNoTransport = errors.New("aglet: host has no transport")
 )
 
-// Message is the unit of agent communication. Kind selects the handler
-// behaviour; Data is an opaque payload, JSON by convention.
+// Message is the unit of agent communication. Kind selects the receiving
+// agent's handler; Data is the payload, written by Encode and read by
+// Decode.
 type Message struct {
 	Kind string
 	Data []byte

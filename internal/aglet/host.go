@@ -2,7 +2,6 @@ package aglet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 )
@@ -402,7 +401,8 @@ func (h *Host) StoredState(id string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotStored, id)
 	}
-	return json.Marshal(rec)
+	img, err := Encode(rec.Type, rec)
+	return img.Data, err
 }
 
 // Dispose permanently destroys agent id.

@@ -88,12 +88,16 @@ type observeBatch struct {
 	Step     int            `json:"step"`
 }
 
-func marshalMsg(kind string, v any) (aglet.Message, error) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return aglet.Message{}, fmt.Errorf("buyerserver: encoding %s: %w", kind, err)
-	}
-	return aglet.Message{Kind: kind, Data: data}, nil
+// resident is a stateless agent that answers through its message table,
+// which every instance of its type shares. Agents with state embed it and
+// add their callbacks.
+type resident struct {
+	aglet.Base
+	h aglet.Handlers
+}
+
+func (r *resident) HandleMessage(ctx *aglet.Context, msg aglet.Message) (aglet.Message, error) {
+	return r.h.Handle(ctx, msg)
 }
 
 func agentCtx() (context.Context, context.CancelFunc) {
@@ -104,29 +108,32 @@ func agentCtx() (context.Context, context.CancelFunc) {
 
 // bsmaAgent is the Buyer Server Management Agent: "the manager of Buyer
 // Agent Server" (§3.3) — registration and login, agent management, and the
-// authentication gate for returning MBAs.
+// authentication gate for returning MBAs. It embeds the embryo the CA
+// dispatched, and with it the embryo's state.
 type bsmaAgent struct {
-	aglet.Base
+	coordinator.GenericBSMA
 	srv *Server
-	st  coordinator.BSMAState
+	h   aglet.Handlers
 }
 
-// OnCreation handles standalone creation (no coordinator): init is the home
-// host name; setup runs immediately (Fig 4.1 steps 4–6).
-func (a *bsmaAgent) OnCreation(ctx *aglet.Context, init []byte) error {
-	a.st.Home = string(init)
-	return a.setup(ctx)
+func newBSMA(s *Server) *bsmaAgent {
+	a := &bsmaAgent{srv: s}
+	a.h = aglet.Handlers{kindMBAHome: a.mbaHome}
+	aglet.On(a.h, kindRegister, a.register)
+	aglet.On(a.h, kindLogin, a.login)
+	aglet.On(a.h, kindLogout, a.logout)
+	aglet.On(a.h, kindTask, a.assignTask)
+	return a
 }
 
-// OnArrival completes a coordinated Fig 4.1 creation: the BSMA just landed
-// (dispatched by the CA) and now sets up the mechanism.
-func (a *bsmaAgent) OnArrival(ctx *aglet.Context) error {
-	return a.setup(ctx)
+func (a *bsmaAgent) HandleMessage(ctx *aglet.Context, msg aglet.Message) (aglet.Message, error) {
+	return a.h.Handle(ctx, msg)
 }
 
-// setup performs Fig 4.1 steps 4–6: create the Profile Agent, create the
-// HttpA agent, initialize the databases.
-func (a *bsmaAgent) setup(ctx *aglet.Context) error {
+// OnArrival completes the Fig 4.1 creation: the BSMA just landed
+// (dispatched by the CA) and performs steps 4–6: create the Profile Agent,
+// create the HttpA agent, initialize the databases.
+func (a *bsmaAgent) OnArrival(*aglet.Context) error {
 	s := a.srv
 	s.tracer.Record("creation", 4, "BSMA", "PA", "create profile agent")
 	if _, err := s.host.Create("pa", PAID, nil); err != nil {
@@ -143,48 +150,9 @@ func (a *bsmaAgent) setup(ctx *aglet.Context) error {
 	return s.bsmDB.Put(bucketMeta, "created", []byte(s.host.Name()))
 }
 
-func (a *bsmaAgent) State() ([]byte, error)     { return json.Marshal(a.st) }
-func (a *bsmaAgent) SetState(data []byte) error { return json.Unmarshal(data, &a.st) }
-
-func (a *bsmaAgent) HandleMessage(ctx *aglet.Context, msg aglet.Message) (aglet.Message, error) {
-	switch msg.Kind {
-	case kindRegister:
-		var req userReq
-		if err := json.Unmarshal(msg.Data, &req); err != nil {
-			return aglet.Message{}, fmt.Errorf("buyerserver: bad register: %w", err)
-		}
-		return a.register(req.UserID)
-	case kindLogin:
-		var req userReq
-		if err := json.Unmarshal(msg.Data, &req); err != nil {
-			return aglet.Message{}, fmt.Errorf("buyerserver: bad login: %w", err)
-		}
-		return a.login(req.UserID)
-	case kindLogout:
-		var req userReq
-		if err := json.Unmarshal(msg.Data, &req); err != nil {
-			return aglet.Message{}, fmt.Errorf("buyerserver: bad logout: %w", err)
-		}
-		return a.logout(req.UserID)
-	case kindTask:
-		var req taskReq
-		if err := json.Unmarshal(msg.Data, &req); err != nil {
-			return aglet.Message{}, fmt.Errorf("buyerserver: bad task: %w", err)
-		}
-		return a.assignTask(ctx, req)
-	case kindMBAHome:
-		var h mbaHeader
-		if err := json.Unmarshal(msg.Data, &h); err != nil {
-			return aglet.Message{}, fmt.Errorf("buyerserver: bad mba-home: %w", err)
-		}
-		return a.mbaHome(ctx, h, msg.Data)
-	default:
-		return aglet.Message{}, fmt.Errorf("buyerserver: BSMA does not understand %q", msg.Kind)
-	}
-}
-
-func (a *bsmaAgent) register(userID string) (aglet.Message, error) {
+func (a *bsmaAgent) register(_ *aglet.Context, req userReq) (aglet.Message, error) {
 	s := a.srv
+	userID := req.UserID
 	exists, err := s.userDB.Has(bucketUsers, userID)
 	if err != nil {
 		return aglet.Message{}, err
@@ -206,36 +174,37 @@ func (a *bsmaAgent) register(userID string) (aglet.Message, error) {
 	return aglet.Message{Kind: kindOK}, nil
 }
 
-func (a *bsmaAgent) login(userID string) (aglet.Message, error) {
+func (a *bsmaAgent) login(_ *aglet.Context, req userReq) (loginReply, error) {
 	s := a.srv
+	userID := req.UserID
 	var rec UserRecord
 	if err := s.userDB.DecodeJSON(bucketUsers, userID, &rec); err != nil {
-		return aglet.Message{}, fmt.Errorf("%w: %s", ErrUnknownUser, userID)
+		return loginReply{}, fmt.Errorf("%w: %s", ErrUnknownUser, userID)
 	}
 	id := braID(userID)
 	if s.host.Has(id) {
-		return aglet.Message{}, fmt.Errorf("%w: %s", ErrAlreadyOnline, userID)
+		return loginReply{}, fmt.Errorf("%w: %s", ErrAlreadyOnline, userID)
 	}
 	if s.host.HasStored(id) {
 		// A parked BRA from an interrupted session: revive it.
 		if _, err := s.host.Activate(id); err != nil {
-			return aglet.Message{}, err
+			return loginReply{}, err
 		}
 	} else {
 		if _, err := s.host.Create("bra", id, []byte(userID)); err != nil {
-			return aglet.Message{}, err
+			return loginReply{}, err
 		}
 	}
 	rec.Logins++
 	rec.Online = true
 	if err := s.userDB.EncodeJSON(bucketUsers, userID, rec); err != nil {
-		return aglet.Message{}, err
+		return loginReply{}, err
 	}
 	// Deliver results that completed while the consumer was offline.
 	var inbox []TaskResult
 	entries, err := s.userDB.Scan(bucketInbox, userID+"/")
 	if err != nil {
-		return aglet.Message{}, err
+		return loginReply{}, err
 	}
 	for _, e := range entries {
 		var res TaskResult
@@ -243,14 +212,15 @@ func (a *bsmaAgent) login(userID string) (aglet.Message, error) {
 			inbox = append(inbox, res)
 		}
 		if err := s.userDB.Delete(bucketInbox, e.Key); err != nil {
-			return aglet.Message{}, err
+			return loginReply{}, err
 		}
 	}
-	return marshalMsg(kindLogin, loginReply{Inbox: inbox})
+	return loginReply{Inbox: inbox}, nil
 }
 
-func (a *bsmaAgent) logout(userID string) (aglet.Message, error) {
+func (a *bsmaAgent) logout(_ *aglet.Context, req userReq) (aglet.Message, error) {
 	s := a.srv
+	userID := req.UserID
 	id := braID(userID)
 	switch {
 	case s.host.Has(id):
@@ -296,7 +266,7 @@ func (a *bsmaAgent) assignTask(ctx *aglet.Context, req taskReq) (aglet.Message, 
 	s.tracer.Record(wf, 3, "BSMA", "BRA", "assign "+string(req.Spec.Kind)+" task")
 	cctx, cancel := agentCtx()
 	defer cancel()
-	msg, err := marshalMsg(kindTask, req)
+	msg, err := aglet.Encode(kindTask, req)
 	if err != nil {
 		return aglet.Message{}, err
 	}
@@ -305,8 +275,8 @@ func (a *bsmaAgent) assignTask(ctx *aglet.Context, req taskReq) (aglet.Message, 
 		return aglet.Message{}, err
 	}
 	var ack taskAck
-	if err := json.Unmarshal(reply.Data, &ack); err != nil {
-		return aglet.Message{}, fmt.Errorf("buyerserver: bad task ack: %w", err)
+	if err := aglet.Decode(reply, &ack); err != nil {
+		return aglet.Message{}, err
 	}
 
 	// Fig 4.2 step 8 (folded into step 7 in Fig 4.3): note the MBA in BSMDB
@@ -333,10 +303,15 @@ func (a *bsmaAgent) assignTask(ctx *aglet.Context, req taskReq) (aglet.Message, 
 }
 
 // mbaHome runs the back half of the workflows: authenticate the returning
-// MBA (§4.1 principle 2) from its header h, revive the BRA and hand it the
-// MBA's state — data, the bytes the MBA came home as. The BRA delivers the
-// final answer to the waiting consumer.
-func (a *bsmaAgent) mbaHome(ctx *aglet.Context, h mbaHeader, data []byte) (aglet.Message, error) {
+// MBA (§4.1 principle 2) from its header alone, revive the BRA and hand it
+// the MBA's state — the bytes the MBA came home as, so the haul is decoded
+// once, by the BRA. The BRA delivers the final answer to the waiting
+// consumer.
+func (a *bsmaAgent) mbaHome(ctx *aglet.Context, msg aglet.Message) (aglet.Message, error) {
+	var h mbaHeader
+	if err := aglet.Decode(msg, &h); err != nil {
+		return aglet.Message{}, err
+	}
 	s := a.srv
 	wf := workflowName(h.Spec.Kind)
 	mbaID := mbaID(h.Spec.TaskID)
@@ -374,7 +349,7 @@ func (a *bsmaAgent) mbaHome(ctx *aglet.Context, h mbaHeader, data []byte) (aglet
 		// Consumer logged out mid-task (§3.2: the mechanism keeps serving
 		// offline consumers): update the profile directly and park the
 		// result in the inbox for the next login.
-		return a.completeOffline(ctx, data)
+		return a.completeOffline(ctx, msg)
 	}
 	if s.host.HasStored(id) {
 		if _, err := s.host.Activate(id); err != nil {
@@ -384,10 +359,10 @@ func (a *bsmaAgent) mbaHome(ctx *aglet.Context, h mbaHeader, data []byte) (aglet
 	s.tracer.Record(wf, homeStep+1, "BSMA", "BRA", "activate BRA; deliver results")
 	cctx, cancel := agentCtx()
 	defer cancel()
-	if _, err := ctx.Send(cctx, id, aglet.Message{Kind: kindTaskDone, Data: data}); err != nil {
+	if _, err := ctx.Send(cctx, id, aglet.Message{Kind: kindTaskDone, Data: msg.Data}); err != nil {
 		return aglet.Message{}, err
 	}
-	return marshalMsg(kindMBAHome, mbaHomeReply{Accepted: true})
+	return aglet.Encode(kindMBAHome, mbaHomeReply{Accepted: true})
 }
 
 // rejectMBA records the failed authentication and reports the outcome to
@@ -397,12 +372,8 @@ func (a *bsmaAgent) rejectMBA(mbaID string, h mbaHeader, cause error) (aglet.Mes
 	a.srv.fulfil(h.Spec.TaskID, TaskResult{
 		TaskID: h.Spec.TaskID, UserID: h.UserID, Kind: h.Spec.Kind, AuthFailed: true,
 	})
-	reply, err := marshalMsg(kindMBAHome, mbaHomeReply{Accepted: false})
-	if err != nil {
-		return aglet.Message{}, err
-	}
 	_ = cause // recorded via status; the waiter sees ErrAuthFailed
-	return reply, nil
+	return aglet.Encode(kindMBAHome, mbaHomeReply{Accepted: false})
 }
 
 // checkDispatch returns an error unless h names the consumer and task kind
@@ -431,20 +402,13 @@ func (a *bsmaAgent) updateMBARecord(mbaID, status string) {
 // completeOffline finishes a task whose consumer is gone: profile updates
 // still happen (through the PA) and the result waits in the inbox. It is
 // the one homecoming on which the BSMA decodes the MBA's whole state.
-func (a *bsmaAgent) completeOffline(ctx *aglet.Context, data []byte) (aglet.Message, error) {
+func (a *bsmaAgent) completeOffline(ctx *aglet.Context, msg aglet.Message) (aglet.Message, error) {
 	s := a.srv
 	var st mbaState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return aglet.Message{}, fmt.Errorf("buyerserver: bad mba-home: %w", err)
-	}
-	batch := observeBatchFor(st, workflowName(st.Spec.Kind), 0)
-	cctx, cancel := agentCtx()
-	defer cancel()
-	msg, err := marshalMsg(kindObserve, batch)
-	if err != nil {
+	if err := aglet.Decode(msg, &st); err != nil {
 		return aglet.Message{}, err
 	}
-	if _, err := ctx.Send(cctx, PAID, msg); err != nil {
+	if err := observe(ctx, observeBatchFor(st, workflowName(st.Spec.Kind), 0)); err != nil {
 		return aglet.Message{}, err
 	}
 	res := TaskResult{
@@ -455,18 +419,27 @@ func (a *bsmaAgent) completeOffline(ctx *aglet.Context, data []byte) (aglet.Mess
 		return aglet.Message{}, err
 	}
 	s.fulfil(st.Spec.TaskID, res)
-	return marshalMsg(kindMBAHome, mbaHomeReply{Accepted: true})
+	return aglet.Encode(kindMBAHome, mbaHomeReply{Accepted: true})
 }
 
 // --- BRA --------------------------------------------------------------
 
 // braAgent is the Buyer Recommend Agent: one per online consumer, it loads
 // the profile, launches Mobile Buyer Agents, and creates the recommendation
-// information (§3.3).
+// information (§3.3). Its state is whom it serves; its handlers, shared by
+// every BRA of the server, read the consumer from the message, which the
+// BSMA addressed to this consumer's BRA.
 type braAgent struct {
-	aglet.Base
-	srv *Server
-	st  braState
+	resident
+	st braState
+}
+
+// braHandlers is the BRA's message table.
+func (s *Server) braHandlers() aglet.Handlers {
+	h := aglet.Handlers{}
+	aglet.On(h, kindTask, s.launch)
+	aglet.On(h, kindTaskDone, s.complete)
+	return h
 }
 
 type braState struct {
@@ -478,49 +451,35 @@ func (a *braAgent) OnCreation(_ *aglet.Context, init []byte) error {
 	return nil
 }
 
-func (a *braAgent) State() ([]byte, error)     { return json.Marshal(a.st) }
-func (a *braAgent) SetState(data []byte) error { return json.Unmarshal(data, &a.st) }
+func (a *braAgent) State() ([]byte, error) {
+	img, err := aglet.Encode("bra", a.st)
+	return img.Data, err
+}
 
-func (a *braAgent) HandleMessage(ctx *aglet.Context, msg aglet.Message) (aglet.Message, error) {
-	switch msg.Kind {
-	case kindTask:
-		var req taskReq
-		if err := json.Unmarshal(msg.Data, &req); err != nil {
-			return aglet.Message{}, fmt.Errorf("buyerserver: bad task: %w", err)
-		}
-		return a.launch(ctx, req)
-	case kindTaskDone:
-		var st mbaState
-		if err := json.Unmarshal(msg.Data, &st); err != nil {
-			return aglet.Message{}, fmt.Errorf("buyerserver: bad task-complete: %w", err)
-		}
-		return a.complete(ctx, st)
-	default:
-		return aglet.Message{}, fmt.Errorf("buyerserver: BRA does not understand %q", msg.Kind)
-	}
+func (a *braAgent) SetState(data []byte) error {
+	return aglet.Decode(aglet.Message{Kind: "bra", Data: data}, &a.st)
 }
 
 // launch performs Figs 4.2/4.3 steps 4–7: load the profile, create the MBA
 // with its assignment and travel credentials, and note it to the BSMA.
-func (a *braAgent) launch(ctx *aglet.Context, req taskReq) (aglet.Message, error) {
-	s := a.srv
+func (s *Server) launch(_ *aglet.Context, req taskReq) (taskAck, error) {
 	wf := workflowName(req.Spec.Kind)
 	s.tracer.Record(wf, 4, "BRA", "UserDB", "load consumer profile")
 	// The MBA carries no profile, so only its existence matters here; the
 	// PA reads it where it is used (loadProfile).
-	if ok, err := s.userDB.Has(bucketProfiles, a.st.UserID); err != nil || !ok {
-		return aglet.Message{}, fmt.Errorf("%w: %s", ErrUnknownUser, a.st.UserID)
+	if ok, err := s.userDB.Has(bucketProfiles, req.UserID); err != nil || !ok {
+		return taskAck{}, fmt.Errorf("%w: %s", ErrUnknownUser, req.UserID)
 	}
 	s.tracer.Record(wf, 5, "UserDB", "BRA", "profile loaded")
 
 	id := mbaID(req.Spec.TaskID)
 	nonce, err := s.challenger.Challenge(id)
 	if err != nil {
-		return aglet.Message{}, err
+		return taskAck{}, err
 	}
 	st := mbaState{
 		mbaHeader: mbaHeader{
-			UserID:   a.st.UserID,
+			UserID:   req.UserID,
 			Spec:     req.Spec,
 			Token:    s.tokens.Issue(id, string(req.Spec.Kind), s.tokenTTL),
 			Nonce:    nonce,
@@ -528,38 +487,30 @@ func (a *braAgent) launch(ctx *aglet.Context, req taskReq) (aglet.Message, error
 		},
 		It: aglet.NewItinerary(s.host.Name(), req.Spec.Markets...),
 	}
-	init, err := json.Marshal(st)
+	init, err := aglet.Encode("mba", st)
 	if err != nil {
-		return aglet.Message{}, fmt.Errorf("buyerserver: encoding MBA state: %w", err)
+		return taskAck{}, err
 	}
 	s.tracer.Record(wf, 6, "BRA", "MBA", "create MBA and assign task")
-	if _, err := s.host.Create("mba", id, init); err != nil {
-		return aglet.Message{}, err
+	if _, err := s.host.Create("mba", id, init.Data); err != nil {
+		return taskAck{}, err
 	}
 	s.tracer.Record(wf, 7, "BRA", "BSMA", "note MBA information")
-	return marshalMsg(kindTask, taskAck{TaskID: req.Spec.TaskID, MBAID: id})
+	return taskAck{TaskID: req.Spec.TaskID, MBAID: id}, nil
 }
 
 // complete turns what the MBA brought home into the consumer's answer:
 // behaviour goes to the Profile Agent (Fig 4.2 steps 13–14), the
 // recommendation information is generated per §4.4, and the BRA hands it
 // to the waiting consumer (step 15; step 14 of Fig 4.3).
-func (a *braAgent) complete(ctx *aglet.Context, st mbaState) (aglet.Message, error) {
-	s := a.srv
+func (s *Server) complete(ctx *aglet.Context, st mbaState) (aglet.Message, error) {
 	wf := workflowName(st.Spec.Kind)
 	paStep, finalStep := 13, 15
 	if wf == "buy" {
 		paStep, finalStep = 12, 14
 	}
 	s.tracer.Record(wf, paStep, "BRA", "PA", "report consumer behaviour")
-	batch := observeBatchFor(st, wf, paStep+1)
-	cctx, cancel := agentCtx()
-	defer cancel()
-	msg, err := marshalMsg(kindObserve, batch)
-	if err != nil {
-		return aglet.Message{}, err
-	}
-	if _, err := ctx.Send(cctx, PAID, msg); err != nil {
+	if err := observe(ctx, observeBatchFor(st, wf, paStep+1)); err != nil {
 		return aglet.Message{}, err
 	}
 
@@ -595,23 +546,29 @@ func (a *braAgent) complete(ctx *aglet.Context, st mbaState) (aglet.Message, err
 
 // --- PA ---------------------------------------------------------------
 
-// paAgent is the Profile Agent — exactly one per mechanism (§3.3) — which
-// applies the Fig 4.4 update rule for every observed behaviour and keeps
-// UserDB and the recommendation engine in sync.
-type paAgent struct {
-	aglet.Base
-	srv *Server
+// paHandlers is the message table of the Profile Agent — exactly one per
+// mechanism (§3.3) — which applies the Fig 4.4 update rule for every
+// observed behaviour and keeps UserDB and the recommendation engine in
+// sync.
+func (s *Server) paHandlers() aglet.Handlers {
+	h := aglet.Handlers{}
+	aglet.On(h, kindObserve, s.updateProfile)
+	return h
 }
 
-func (a *paAgent) HandleMessage(_ *aglet.Context, msg aglet.Message) (aglet.Message, error) {
-	if msg.Kind != kindObserve {
-		return aglet.Message{}, fmt.Errorf("buyerserver: PA does not understand %q", msg.Kind)
+// observe reports a batch of behaviour to the Profile Agent.
+func observe(ctx *aglet.Context, batch observeBatch) error {
+	msg, err := aglet.Encode(kindObserve, batch)
+	if err != nil {
+		return err
 	}
-	var batch observeBatch
-	if err := json.Unmarshal(msg.Data, &batch); err != nil {
-		return aglet.Message{}, fmt.Errorf("buyerserver: bad observe batch: %w", err)
-	}
-	s := a.srv
+	cctx, cancel := agentCtx()
+	defer cancel()
+	_, err = ctx.Send(cctx, PAID, msg)
+	return err
+}
+
+func (s *Server) updateProfile(_ *aglet.Context, batch observeBatch) (aglet.Message, error) {
 	p, err := s.loadProfile(batch.UserID)
 	if err != nil {
 		if !errors.Is(err, ErrUnknownUser) {
@@ -710,20 +667,28 @@ type mbaAgent struct {
 	st mbaState
 }
 
-func (a *mbaAgent) OnCreation(_ *aglet.Context, init []byte) error {
-	return json.Unmarshal(init, &a.st)
+// OnCreation installs the state the BRA encoded: the MBA's assignment.
+func (a *mbaAgent) OnCreation(_ *aglet.Context, init []byte) error { return a.SetState(init) }
+
+func (a *mbaAgent) State() ([]byte, error) {
+	img, err := aglet.Encode("mba", a.st)
+	return img.Data, err
 }
 
-func (a *mbaAgent) State() ([]byte, error)     { return json.Marshal(a.st) }
-func (a *mbaAgent) SetState(data []byte) error { return json.Unmarshal(data, &a.st) }
+func (a *mbaAgent) SetState(data []byte) error {
+	return aglet.Decode(aglet.Message{Kind: "mba", Data: data}, &a.st)
+}
 
-// HandleMessage accepts the embark order: the reply goes out first, then
-// the runtime performs the requested dispatch, so the whole journey runs on
-// this agent's own goroutine.
+// HandleMessage answers the one message an MBA receives in its life: the
+// embark order, which carries no payload.
 func (a *mbaAgent) HandleMessage(ctx *aglet.Context, msg aglet.Message) (aglet.Message, error) {
-	if msg.Kind != kindEmbark {
-		return aglet.Message{}, fmt.Errorf("buyerserver: MBA does not understand %q", msg.Kind)
-	}
+	return aglet.Handlers{kindEmbark: a.embark}.Handle(ctx, msg)
+}
+
+// embark accepts the order: the reply goes out first, then the runtime
+// performs the requested dispatch, so the whole journey runs on this
+// agent's own goroutine.
+func (a *mbaAgent) embark(ctx *aglet.Context, _ aglet.Message) (aglet.Message, error) {
 	ctx.RequestDispatch(a.st.It.Current())
 	return aglet.Message{Kind: kindOK}, nil
 }
@@ -776,7 +741,7 @@ var _ aglet.DispatchFailureHandler = (*mbaAgent)(nil)
 func (a *mbaAgent) deliver(ctx *aglet.Context) {
 	cctx, cancel := agentCtx()
 	defer cancel()
-	msg, err := marshalMsg(kindMBAHome, a.st)
+	msg, err := aglet.Encode(kindMBAHome, a.st)
 	if err != nil {
 		return
 	}
@@ -814,11 +779,17 @@ func (a *mbaAgent) performBuy(ctx *aglet.Context, res *MarketResult) {
 	budget := a.st.Spec.BudgetCents
 
 	if a.st.Spec.Probe {
-		a.probe(ctx, res, gr.Product)
+		// Price discovery: open at 80% of list and raise below the ask
+		// until the seller's concessions dry up; never buy.
+		a.bargain(ctx, res, gr.Product.ID, int64(0.8*float64(gr.Product.PriceCents)), marketplace.ProbeNextOffer)
 		return
 	}
 	if a.st.Spec.Negotiate && budget > 0 {
-		a.haggle(ctx, res, gr.Product, budget)
+		within := func(offer, ask int64) (int64, bool) {
+			next := marketplace.BuyerNextOffer(offer, ask, budget)
+			return next, next <= offer
+		}
+		a.bargain(ctx, res, gr.Product.ID, min(int64(0.7*float64(gr.Product.PriceCents)), budget), within)
 		return
 	}
 	var br marketplace.BuyReply
@@ -833,67 +804,29 @@ func (a *mbaAgent) performBuy(ctx *aglet.Context, res *MarketResult) {
 	a.st.Sale = &br.Sale
 }
 
-// haggle negotiates with the local seller using the shared concession rule.
-func (a *mbaAgent) haggle(ctx *aglet.Context, res *MarketResult, p *catalog.Product, budget int64) {
-	offer := int64(0.7 * float64(p.PriceCents))
-	if offer > budget {
-		offer = budget
-	}
-	var reply marketplace.NegoReply
-	err := a.call(ctx, marketplace.KindNegoOpen, marketplace.NegoOpenRequest{
-		BuyerID: a.st.UserID, ProductID: p.ID, OfferCents: offer,
-	}, &reply)
+// bargain negotiates for productID with the local seller's MSA, opening
+// with first and countering by next; a deal is the trip's purchase.
+func (a *mbaAgent) bargain(ctx *aglet.Context, res *MarketResult, productID string, first int64, next func(offer, ask int64) (int64, bool)) {
+	reply, err := marketplace.Bargain(first, next,
+		func(offer int64) (marketplace.NegoReply, error) {
+			var r marketplace.NegoReply
+			err := a.call(ctx, marketplace.KindNegoOpen, marketplace.NegoOpenRequest{BuyerID: a.st.UserID, ProductID: productID, OfferCents: offer}, &r)
+			return r, err
+		},
+		func(sessionID string, offer int64) (marketplace.NegoReply, error) {
+			var r marketplace.NegoReply
+			err := a.call(ctx, marketplace.KindNegoOffer, marketplace.NegoOfferRequest{SessionID: sessionID, OfferCents: offer}, &r)
+			return r, err
+		})
 	if err != nil {
 		res.Err = err.Error()
 		return
-	}
-	for !reply.Over {
-		next := marketplace.BuyerNextOffer(offer, reply.AskCents, budget)
-		if next <= offer {
-			break // cannot improve within budget
-		}
-		offer = next
-		if err := a.call(ctx, marketplace.KindNegoOffer, marketplace.NegoOfferRequest{
-			SessionID: reply.SessionID, OfferCents: offer,
-		}, &reply); err != nil {
-			res.Err = err.Error()
-			return
-		}
 	}
 	res.Nego = &reply
 	if reply.Accepted && reply.Sale != nil {
 		res.Sale = reply.Sale
 		a.st.Sale = reply.Sale
 	}
-}
-
-// probe runs the price-discovery negotiation: raise offers below the ask
-// until the seller's concessions dry up, learning the achievable floor
-// without buying. The final NegoReply (with the settled ask) is the answer.
-func (a *mbaAgent) probe(ctx *aglet.Context, res *MarketResult, p *catalog.Product) {
-	offer := int64(0.8 * float64(p.PriceCents))
-	var reply marketplace.NegoReply
-	err := a.call(ctx, marketplace.KindNegoOpen, marketplace.NegoOpenRequest{
-		BuyerID: a.st.UserID, ProductID: p.ID, OfferCents: offer,
-	}, &reply)
-	if err != nil {
-		res.Err = err.Error()
-		return
-	}
-	for !reply.Over {
-		next, done := marketplace.ProbeNextOffer(offer, reply.AskCents)
-		if done {
-			break
-		}
-		offer = next
-		if err := a.call(ctx, marketplace.KindNegoOffer, marketplace.NegoOfferRequest{
-			SessionID: reply.SessionID, OfferCents: offer,
-		}, &reply); err != nil {
-			res.Err = err.Error()
-			return
-		}
-	}
-	res.Nego = &reply
 }
 
 // performAuction inspects the auction and places one bid within budget.
@@ -951,7 +884,7 @@ func nextBid(st marketplace.AuctionStatus, budget int64) int64 {
 func (a *mbaAgent) call(ctx *aglet.Context, kind string, req, out any) error {
 	cctx, cancel := agentCtx()
 	defer cancel()
-	msg, err := marshalMsg(kind, req)
+	msg, err := aglet.Encode(kind, req)
 	if err != nil {
 		return err
 	}
@@ -959,42 +892,34 @@ func (a *mbaAgent) call(ctx *aglet.Context, kind string, req, out any) error {
 	if err != nil {
 		return err
 	}
-	if err := json.Unmarshal(reply.Data, out); err != nil {
-		return fmt.Errorf("buyerserver: decoding %s reply: %w", kind, err)
-	}
-	return nil
+	return aglet.Decode(reply, out)
 }
 
 // --- HttpA ------------------------------------------------------------
 
-// httpaAgent is the web-interface agent: it receives the buyer's requests
-// (Fig 4.2/4.3 step 1) and forwards them to the BSMA (step 2). The actual
-// net/http plumbing lives in http.go and talks to this agent.
-type httpaAgent struct {
-	aglet.Base
-	srv *Server
-}
-
-func (a *httpaAgent) HandleMessage(ctx *aglet.Context, msg aglet.Message) (aglet.Message, error) {
-	cctx, cancel := agentCtx()
-	defer cancel()
-	switch msg.Kind {
-	case kindHTTPTask:
+// httpaHandlers is the message table of HttpA, the web-interface agent: it
+// receives the buyer's requests (Fig 4.2/4.3 step 1) and forwards them to
+// the BSMA (step 2). The actual net/http plumbing lives in http.go and
+// enters the mechanism through the Server methods, which send here.
+// Account operations pass through to the BSMA untraced; the figures cover
+// only the shopping workflows.
+func (s *Server) httpaHandlers() aglet.Handlers {
+	pass := func(ctx *aglet.Context, msg aglet.Message) (aglet.Message, error) {
+		cctx, cancel := agentCtx()
+		defer cancel()
+		return ctx.Send(cctx, BSMAID, msg)
+	}
+	task := func(ctx *aglet.Context, msg aglet.Message) (aglet.Message, error) {
 		var req taskReq
-		if err := json.Unmarshal(msg.Data, &req); err != nil {
-			return aglet.Message{}, fmt.Errorf("buyerserver: bad http task: %w", err)
+		if err := aglet.Decode(msg, &req); err != nil {
+			return aglet.Message{}, err
 		}
 		wf := workflowName(req.Spec.Kind)
-		a.srv.tracer.Record(wf, 1, "Buyer", "HttpA", string(req.Spec.Kind)+" request")
-		a.srv.tracer.Record(wf, 2, "HttpA", "BSMA", "forward request")
-		return ctx.Send(cctx, BSMAID, aglet.Message{Kind: kindTask, Data: msg.Data})
-	case kindRegister, kindLogin, kindLogout:
-		// Account operations pass through to the BSMA untraced; the figures
-		// cover only the shopping workflows.
-		return ctx.Send(cctx, BSMAID, msg)
-	default:
-		return aglet.Message{}, fmt.Errorf("buyerserver: HttpA does not understand %q", msg.Kind)
+		s.tracer.Record(wf, 1, "Buyer", "HttpA", string(req.Spec.Kind)+" request")
+		s.tracer.Record(wf, 2, "HttpA", "BSMA", "forward request")
+		return pass(ctx, aglet.Message{Kind: kindTask, Data: msg.Data})
 	}
+	return aglet.Handlers{kindHTTPTask: task, kindRegister: pass, kindLogin: pass, kindLogout: pass}
 }
 
 // --- profile storage helpers ------------------------------------------

@@ -33,7 +33,7 @@ func TestAgentsRejectBadMessages(t *testing.T) {
 		{PAID, aglet.Message{Kind: "dance"}, "does not understand"},
 		{PAID, aglet.Message{Kind: kindObserve, Data: []byte("{")}, "bad observe"},
 		{HttpAID, aglet.Message{Kind: "dance"}, "does not understand"},
-		{HttpAID, aglet.Message{Kind: kindHTTPTask, Data: []byte("{")}, "bad http task"},
+		{HttpAID, aglet.Message{Kind: kindHTTPTask, Data: []byte("{")}, "bad http-task"},
 		{braID("alice"), aglet.Message{Kind: "dance"}, "does not understand"},
 		{braID("alice"), aglet.Message{Kind: kindTask, Data: []byte("{")}, "bad task"},
 		{braID("alice"), aglet.Message{Kind: kindTaskDone, Data: []byte("{")}, "bad task-complete"},

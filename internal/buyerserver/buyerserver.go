@@ -24,7 +24,6 @@ package buyerserver
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -69,6 +68,7 @@ var (
 	ErrNotLoggedIn   = errors.New("buyerserver: user not logged in")
 	ErrAlreadyOnline = errors.New("buyerserver: user already logged in")
 	ErrNoMarkets     = errors.New("buyerserver: no marketplaces known")
+	ErrUnknownMarket = errors.New("buyerserver: itinerary names a marketplace this server does not know")
 	ErrAuthFailed    = errors.New("buyerserver: returning MBA failed authentication")
 	ErrClosed        = errors.New("buyerserver: server closed")
 )
@@ -161,11 +161,10 @@ func WithTokenTTL(ttl time.Duration) Option {
 // factories on it. engine must not be nil — pass the platform's shared
 // engine built over the integrated catalog.
 //
-// If coordCA is non-nil, creation follows Fig 4.1: the server requests
-// admission from the Coordinator Agent (step 1) and the BSMA arrives by
-// dispatch (steps 2–3) before setting up PA, HttpA and the databases
-// (steps 4–6). With a nil coordCA the BSMA is created locally (standalone
-// mode, same steps 4–6).
+// Creation follows Fig 4.1: the server requests admission from the
+// Coordinator Agent behind coordCA (step 1), and the BSMA arrives by
+// dispatch (steps 2–3) and sets up PA, HttpA and the databases (steps 4–6).
+// coordCA must not be nil.
 func New(host *aglet.Host, reg *aglet.Registry, engine *recommend.Engine, coordCA *aglet.Proxy, opts ...Option) (*Server, error) {
 	signer, err := security.NewRandomSigner()
 	if err != nil {
@@ -216,36 +215,34 @@ func New(host *aglet.Host, reg *aglet.Registry, engine *recommend.Engine, coordC
 	if s.engine == nil {
 		return nil, errors.New("buyerserver: nil recommendation engine")
 	}
+	if coordCA == nil {
+		return nil, errors.New("buyerserver: nil coordinator agent proxy")
+	}
 	if s.writes == nil {
 		s.writes = s.engine
 	}
 
-	reg.Register(coordinator.BSMAType, func() aglet.Aglet { return &bsmaAgent{srv: s} })
-	reg.Register("pa", func() aglet.Aglet { return &paAgent{srv: s} })
-	reg.Register("httpa", func() aglet.Aglet { return &httpaAgent{srv: s} })
-	reg.Register("bra", func() aglet.Aglet { return &braAgent{srv: s} })
+	pa, httpa, bra := s.paHandlers(), s.httpaHandlers(), s.braHandlers()
+	reg.Register(coordinator.BSMAType, func() aglet.Aglet { return newBSMA(s) })
+	reg.Register("pa", func() aglet.Aglet { return &resident{h: pa} })
+	reg.Register("httpa", func() aglet.Aglet { return &resident{h: httpa} })
+	reg.Register("bra", func() aglet.Aglet { return &braAgent{resident: resident{h: bra}} })
 	RegisterMBAType(reg)
 
-	if coordCA != nil {
-		// Fig 4.1 step 1: ask the coordinator to set us up; the CA creates
-		// and dispatches the BSMA (steps 2–3), which performs steps 4–6 in
-		// its OnArrival on this host.
-		req, err := json.Marshal(coordinator.AdmitRequest{Name: host.Name(), Addr: host.Name()})
-		if err != nil {
-			return nil, fmt.Errorf("buyerserver: encoding admission request: %w", err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if _, err := coordCA.Send(ctx, aglet.Message{Kind: coordinator.KindAdmit, Data: req}); err != nil {
-			return nil, fmt.Errorf("buyerserver: admission: %w", err)
-		}
-		if err := s.waitFor(ctx, BSMAID); err != nil {
-			return nil, fmt.Errorf("buyerserver: BSMA never arrived: %w", err)
-		}
-	} else {
-		if _, err := host.Create(coordinator.BSMAType, BSMAID, []byte(host.Name())); err != nil {
-			return nil, fmt.Errorf("buyerserver: creating BSMA: %w", err)
-		}
+	// Fig 4.1 step 1: ask the coordinator to set us up; the CA creates and
+	// dispatches the BSMA (steps 2–3), which performs steps 4–6 in its
+	// OnArrival on this host.
+	req, err := aglet.Encode(coordinator.KindAdmit, coordinator.AdmitRequest{Name: host.Name(), Addr: host.Name()})
+	if err != nil {
+		return nil, err
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := coordCA.Send(ctx, req); err != nil {
+		return nil, fmt.Errorf("buyerserver: admission: %w", err)
+	}
+	if err := s.waitFor(ctx, BSMAID); err != nil {
+		return nil, fmt.Errorf("buyerserver: BSMA never arrived: %w", err)
 	}
 	ok = true
 	return s, nil
@@ -306,11 +303,14 @@ func (s *Server) Close() error {
 }
 
 // --- consumer account operations (driven through the agents) ---
+//
+// Like tasks, account operations enter the mechanism at HttpA, the web
+// interface agent, which hands them to the BSMA.
 
 // Register creates a consumer account and an empty profile. Per §4.1
 // principle 1, no BRA is created at registration.
 func (s *Server) Register(ctx context.Context, userID string) error {
-	_, err := s.sendBSMA(ctx, kindRegister, userReq{UserID: userID})
+	_, err := s.sendHttpA(ctx, kindRegister, userReq{UserID: userID})
 	return err
 }
 
@@ -318,13 +318,13 @@ func (s *Server) Register(ctx context.Context, userID string) error {
 // the profile (§4.1 principle 1). Results that completed while the consumer
 // was offline are returned (§3.2: the mechanism serves consumers offline).
 func (s *Server) Login(ctx context.Context, userID string) ([]TaskResult, error) {
-	reply, err := s.sendBSMA(ctx, kindLogin, userReq{UserID: userID})
+	reply, err := s.sendHttpA(ctx, kindLogin, userReq{UserID: userID})
 	if err != nil {
 		return nil, err
 	}
 	var lr loginReply
-	if err := json.Unmarshal(reply.Data, &lr); err != nil {
-		return nil, fmt.Errorf("buyerserver: decoding login reply: %w", err)
+	if err := aglet.Decode(reply, &lr); err != nil {
+		return nil, err
 	}
 	return lr.Inbox, nil
 }
@@ -332,7 +332,7 @@ func (s *Server) Login(ctx context.Context, userID string) ([]TaskResult, error)
 // Logout takes the consumer offline and terminates their BRA (§4.1
 // principle 1).
 func (s *Server) Logout(ctx context.Context, userID string) error {
-	_, err := s.sendBSMA(ctx, kindLogout, userReq{UserID: userID})
+	_, err := s.sendHttpA(ctx, kindLogout, userReq{UserID: userID})
 	return err
 }
 
@@ -347,12 +347,14 @@ func (s *Server) Recommendations(userID, category string, n int) ([]recommend.Re
 	return s.engine.Recommend(recommend.StrategyAuto, userID, category, n)
 }
 
-func (s *Server) sendBSMA(ctx context.Context, kind string, v any) (aglet.Message, error) {
-	data, err := json.Marshal(v)
+// sendHttpA hands one request to HttpA, where the buyer enters the
+// mechanism.
+func (s *Server) sendHttpA(ctx context.Context, kind string, v any) (aglet.Message, error) {
+	msg, err := aglet.Encode(kind, v)
 	if err != nil {
-		return aglet.Message{}, fmt.Errorf("buyerserver: encoding %s: %w", kind, err)
+		return aglet.Message{}, err
 	}
-	return s.host.Send(ctx, BSMAID, aglet.Message{Kind: kind, Data: data})
+	return s.host.Send(ctx, HttpAID, msg)
 }
 
 func braID(userID string) string { return "bra:" + userID }

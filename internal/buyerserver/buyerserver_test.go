@@ -132,6 +132,17 @@ func TestCreationWorkflow(t *testing.T) {
 	}
 }
 
+// Every Buyer Agent Server is created through Fig 4.1: without a
+// Coordinator Agent to admit it no BSMA arrives, so New refuses.
+func TestNewRequiresCoordinator(t *testing.T) {
+	reg := aglet.NewRegistry()
+	host := aglet.NewHost("lonely", reg)
+	defer host.Close()
+	if _, err := New(host, reg, recommend.NewEngine(catalog.New()), nil); err == nil {
+		t.Fatal("New without a coordinator succeeded")
+	}
+}
+
 // --- F3.2: mechanism architecture ----------------------------------------
 
 func TestMechanismArchitecture(t *testing.T) {

@@ -1,6 +1,7 @@
 package buyerserver
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,13 +24,14 @@ import (
 //	GET  /events           ?kinds=&format=                     live event stream (SSE/NDJSON; events.go)
 //	GET  /metrics/snapshot                                     unified ops.Snapshot
 //
-// Each route converts the request into agent messages; the shopping task
-// route blocks until the Mobile Buyer Agent's round trip completes.
+// Each route calls the Server method of the same operation, which enters
+// the mechanism at HttpA; the shopping task route blocks until the Mobile
+// Buyer Agent's round trip completes.
 func (s *Server) HTTPHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /users", s.handleAccount(kindRegister))
+	mux.HandleFunc("POST /users", s.handleAccount(s.Register))
 	mux.HandleFunc("POST /login", s.handleLogin)
-	mux.HandleFunc("POST /logout", s.handleAccount(kindLogout))
+	mux.HandleFunc("POST /logout", s.handleAccount(s.Logout))
 	mux.HandleFunc("POST /tasks", s.handleTask)
 	mux.HandleFunc("GET /recommendations", s.handleRecommendations)
 	mux.HandleFunc("GET /trending", s.handleTrending)
@@ -57,24 +59,31 @@ func statusFor(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, ErrAuthFailed):
 		return http.StatusForbidden
+	case errors.Is(err, ErrUnknownMarket):
+		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError
 	}
 }
 
-func (s *Server) handleAccount(kind string) http.HandlerFunc {
+// userBody decodes a {"user_id": ...} body; on failure it answers 400
+// itself and reports !ok.
+func userBody(w http.ResponseWriter, r *http.Request) (userID string, ok bool) {
+	var req userReq
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.UserID == "" {
+		writeJSON(w, http.StatusBadRequest, httpError{Error: "body must be {\"user_id\": ...}"})
+		return "", false
+	}
+	return req.UserID, true
+}
+
+func (s *Server) handleAccount(op func(context.Context, string) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var req userReq
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.UserID == "" {
-			writeJSON(w, http.StatusBadRequest, httpError{Error: "body must be {\"user_id\": ...}"})
+		userID, ok := userBody(w, r)
+		if !ok {
 			return
 		}
-		msg, err := marshalMsg(kind, req)
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, httpError{Error: err.Error()})
-			return
-		}
-		if _, err := s.host.Send(r.Context(), HttpAID, msg); err != nil {
+		if err := op(r.Context(), userID); err != nil {
 			writeJSON(w, statusFor(err), httpError{Error: err.Error()})
 			return
 		}
@@ -83,27 +92,16 @@ func (s *Server) handleAccount(kind string) http.HandlerFunc {
 }
 
 func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {
-	var req userReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.UserID == "" {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "body must be {\"user_id\": ...}"})
+	userID, ok := userBody(w, r)
+	if !ok {
 		return
 	}
-	msg, err := marshalMsg(kindLogin, req)
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, httpError{Error: err.Error()})
-		return
-	}
-	reply, err := s.host.Send(r.Context(), HttpAID, msg)
+	inbox, err := s.Login(r.Context(), userID)
 	if err != nil {
 		writeJSON(w, statusFor(err), httpError{Error: err.Error()})
 		return
 	}
-	var lr loginReply
-	if err := json.Unmarshal(reply.Data, &lr); err != nil {
-		writeJSON(w, http.StatusInternalServerError, httpError{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, lr)
+	writeJSON(w, http.StatusOK, loginReply{Inbox: inbox})
 }
 
 func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {

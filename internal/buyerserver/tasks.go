@@ -2,10 +2,9 @@ package buyerserver
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
+	"slices"
 
-	"agentrec/internal/aglet"
 	"agentrec/internal/catalog"
 	"agentrec/internal/marketplace"
 	"agentrec/internal/recommend"
@@ -109,22 +108,26 @@ func (s *Server) runTask(ctx context.Context, userID string, spec TaskSpec) (Tas
 		return TaskResult{}, ErrClosed
 	}
 	spec.TaskID = s.nextTaskID()
+	known := s.Markets()
 	if len(spec.Markets) == 0 {
-		spec.Markets = s.Markets()
+		spec.Markets = known
 	}
 	if len(spec.Markets) == 0 {
 		return TaskResult{}, ErrNoMarkets
 	}
+	// An itinerary is the caller's choice of this server's marketplaces,
+	// never an address of its own: the MBA carries its credentials to every
+	// stop.
+	for _, m := range spec.Markets {
+		if !slices.Contains(known, m) {
+			return TaskResult{}, fmt.Errorf("%w: %q", ErrUnknownMarket, m)
+		}
+	}
 	ch := s.registerPending(spec.TaskID)
 
-	req, err := json.Marshal(taskReq{UserID: userID, Spec: spec})
-	if err != nil {
-		s.dropPending(spec.TaskID)
-		return TaskResult{}, fmt.Errorf("buyerserver: encoding task: %w", err)
-	}
 	// Step 1 of Figs 4.2/4.3: the buyer talks to the web interface agent,
 	// which forwards to the BSMA (step 2).
-	if _, err := s.host.Send(ctx, HttpAID, aglet.Message{Kind: kindHTTPTask, Data: req}); err != nil {
+	if _, err := s.sendHttpA(ctx, kindHTTPTask, taskReq{UserID: userID, Spec: spec}); err != nil {
 		s.dropPending(spec.TaskID)
 		return TaskResult{}, err
 	}

@@ -11,7 +11,6 @@ package coordinator
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -110,7 +109,8 @@ func New(host *aglet.Host, reg *aglet.Registry, opts ...Option) (*Coordinator, e
 		opt(c)
 	}
 	typeName := "ca:" + host.Name()
-	reg.Register(typeName, func() aglet.Aglet { return &caAgent{coord: c} })
+	h := c.caHandlers()
+	reg.Register(typeName, func() aglet.Aglet { return &caAgent{h: h} })
 	reg.Register(BSMAType, func() aglet.Aglet { return &GenericBSMA{} })
 	if _, err := host.Create(typeName, CAID, nil); err != nil {
 		return nil, fmt.Errorf("coordinator: creating CA on %s: %w", host.Name(), err)
@@ -147,10 +147,15 @@ func (g *GenericBSMA) HandleMessage(_ *aglet.Context, _ aglet.Message) (aglet.Me
 }
 
 // State serializes the destination address.
-func (g *GenericBSMA) State() ([]byte, error) { return json.Marshal(g.St) }
+func (g *GenericBSMA) State() ([]byte, error) {
+	img, err := aglet.Encode(BSMAType, g.St)
+	return img.Data, err
+}
 
 // SetState restores the destination address.
-func (g *GenericBSMA) SetState(data []byte) error { return json.Unmarshal(data, &g.St) }
+func (g *GenericBSMA) SetState(data []byte) error {
+	return aglet.Decode(aglet.Message{Kind: BSMAType, Data: data}, &g.St)
+}
 
 // Host returns the coordinator's aglet host.
 func (c *Coordinator) Host() *aglet.Host { return c.host }
@@ -210,59 +215,32 @@ func (c *Coordinator) Admit(name, addr string) error {
 // caAgent is the CA's message interface.
 type caAgent struct {
 	aglet.Base
-	coord *Coordinator
+	h aglet.Handlers
 }
 
-func (a *caAgent) HandleMessage(_ *aglet.Context, msg aglet.Message) (aglet.Message, error) {
-	switch msg.Kind {
-	case KindRegister:
-		var reg Registration
-		if err := json.Unmarshal(msg.Data, &reg); err != nil {
-			return aglet.Message{}, fmt.Errorf("coordinator: bad register: %w", err)
-		}
-		if err := a.coord.Register(reg); err != nil {
-			return aglet.Message{}, err
-		}
-		return marshalReply(KindRegister, AckReply{OK: true})
-	case KindLookup:
-		var req LookupRequest
-		if err := json.Unmarshal(msg.Data, &req); err != nil {
-			return aglet.Message{}, fmt.Errorf("coordinator: bad lookup: %w", err)
-		}
-		return marshalReply(KindLookup, LookupReply{Entries: a.coord.Lookup(req.Kind)})
-	case KindAdmit:
-		var req AdmitRequest
-		if err := json.Unmarshal(msg.Data, &req); err != nil {
-			return aglet.Message{}, fmt.Errorf("coordinator: bad admit: %w", err)
-		}
-		a.coord.tracer.Record("creation", 1, "Server", "CA", "request to be buyer agent server")
-		if err := a.coord.Admit(req.Name, req.Addr); err != nil {
-			return aglet.Message{}, err
-		}
-		return marshalReply(KindAdmit, AckReply{OK: true})
-	case KindLease:
-		auth := a.coord.Ownership()
+func (a *caAgent) HandleMessage(ctx *aglet.Context, msg aglet.Message) (aglet.Message, error) {
+	return a.h.Handle(ctx, msg)
+}
+
+// caHandlers is the CA's message table over the coordinator.
+func (c *Coordinator) caHandlers() aglet.Handlers {
+	h := aglet.Handlers{}
+	aglet.On(h, KindRegister, func(_ *aglet.Context, reg Registration) (AckReply, error) {
+		return AckReply{OK: true}, c.Register(reg)
+	})
+	aglet.On(h, KindLookup, func(_ *aglet.Context, req LookupRequest) (LookupReply, error) {
+		return LookupReply{Entries: c.Lookup(req.Kind)}, nil
+	})
+	aglet.On(h, KindAdmit, func(_ *aglet.Context, req AdmitRequest) (AckReply, error) {
+		c.tracer.Record("creation", 1, "Server", "CA", "request to be buyer agent server")
+		return AckReply{OK: true}, c.Admit(req.Name, req.Addr)
+	})
+	aglet.On(h, KindLease, func(_ *aglet.Context, req LeaseRequest) (LeaseGrant, error) {
+		auth := c.Ownership()
 		if auth == nil {
-			return aglet.Message{}, errors.New("coordinator: no ownership authority attached (static ownership deployment?)")
+			return LeaseGrant{}, errors.New("coordinator: no ownership authority attached (static ownership deployment?)")
 		}
-		var req LeaseRequest
-		if err := json.Unmarshal(msg.Data, &req); err != nil {
-			return aglet.Message{}, fmt.Errorf("coordinator: bad lease renewal: %w", err)
-		}
-		grant, err := auth.Renew(req.Server, req.Applied)
-		if err != nil {
-			return aglet.Message{}, err
-		}
-		return marshalReply(KindLease, grant)
-	default:
-		return aglet.Message{}, fmt.Errorf("coordinator: CA does not understand %q", msg.Kind)
-	}
-}
-
-func marshalReply(kind string, v any) (aglet.Message, error) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return aglet.Message{}, fmt.Errorf("coordinator: encoding %s reply: %w", kind, err)
-	}
-	return aglet.Message{Kind: kind, Data: data}, nil
+		return auth.Renew(req.Server, req.Applied)
+	})
+	return h
 }

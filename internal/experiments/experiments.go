@@ -311,38 +311,25 @@ func c2Row(markets int, latency time.Duration) (c2Result, error) {
 // rpcProbe is the conventional client's price-discovery loop: every offer
 // is a remote call. listPrice mirrors the MBA's 80%-of-list opening.
 func rpcProbe(ctx context.Context, msa *aglet.Proxy, productID string, listPrice int64) error {
-	offer := int64(0.8 * float64(listPrice))
-	req, err := marshal(marketplace.NegoOpenRequest{BuyerID: "rpc", ProductID: productID, OfferCents: offer})
-	if err != nil {
-		return err
-	}
-	replyMsg, err := msa.Send(ctx, aglet.Message{Kind: marketplace.KindNegoOpen, Data: req})
-	if err != nil {
-		return err
-	}
-	var reply marketplace.NegoReply
-	if err := unmarshal(replyMsg.Data, &reply); err != nil {
-		return err
-	}
-	for !reply.Over {
-		next, done := marketplace.ProbeNextOffer(offer, reply.AskCents)
-		if done {
-			return nil
+	call := func(kind string, req any) (marketplace.NegoReply, error) {
+		var reply marketplace.NegoReply
+		msg, err := aglet.Encode(kind, req)
+		if err == nil {
+			msg, err = msa.Send(ctx, msg)
 		}
-		offer = next
-		req, err := marshal(marketplace.NegoOfferRequest{SessionID: reply.SessionID, OfferCents: offer})
-		if err != nil {
-			return err
+		if err == nil {
+			err = aglet.Decode(msg, &reply)
 		}
-		replyMsg, err = msa.Send(ctx, aglet.Message{Kind: marketplace.KindNegoOffer, Data: req})
-		if err != nil {
-			return err
-		}
-		if err := unmarshal(replyMsg.Data, &reply); err != nil {
-			return err
-		}
+		return reply, err
 	}
-	return nil
+	_, err := marketplace.Bargain(int64(0.8*float64(listPrice)), marketplace.ProbeNextOffer,
+		func(offer int64) (marketplace.NegoReply, error) {
+			return call(marketplace.KindNegoOpen, marketplace.NegoOpenRequest{BuyerID: "rpc", ProductID: productID, OfferCents: offer})
+		},
+		func(sessionID string, offer int64) (marketplace.NegoReply, error) {
+			return call(marketplace.KindNegoOffer, marketplace.NegoOfferRequest{SessionID: sessionID, OfferCents: offer})
+		})
+	return err
 }
 
 // --- C4: sparsity and cold start ---------------------------------------------

@@ -12,7 +12,6 @@
 package marketplace
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -72,7 +71,8 @@ func NewServer(host *aglet.Host, cat *catalog.Catalog, reg *aglet.Registry) (*Se
 		auctions: make(map[string]*Auction),
 	}
 	typeName := "msa:" + host.Name()
-	reg.Register(typeName, func() aglet.Aglet { return &msaAgent{srv: s} })
+	h := s.msaHandlers()
+	reg.Register(typeName, func() aglet.Aglet { return &msaAgent{h: h} })
 	if _, err := host.Create(typeName, MSAID, nil); err != nil {
 		return nil, fmt.Errorf("marketplace: creating MSA on %s: %w", host.Name(), err)
 	}
@@ -178,110 +178,54 @@ type BuyReply struct {
 	Sale Sale `json:"sale"`
 }
 
-// msaAgent adapts Server methods to aglet messages. It never migrates; its
-// state is the server pointer injected at construction.
+// msaAgent is the Server's agent face. It never migrates; it answers
+// through the table msaHandlers builds over the server.
 type msaAgent struct {
 	aglet.Base
-	srv *Server
+	h aglet.Handlers
 }
 
-func (a *msaAgent) HandleMessage(_ *aglet.Context, msg aglet.Message) (aglet.Message, error) {
-	switch msg.Kind {
-	case KindQuery:
-		var req QueryRequest
-		if err := json.Unmarshal(msg.Data, &req); err != nil {
-			return aglet.Message{}, fmt.Errorf("marketplace: bad query request: %w", err)
-		}
-		return marshalReply(KindQuery, QueryReply{Market: a.srv.host.Name(), Matches: a.srv.Query(req.Query)})
-	case KindGet:
-		var req GetRequest
-		if err := json.Unmarshal(msg.Data, &req); err != nil {
-			return aglet.Message{}, fmt.Errorf("marketplace: bad get request: %w", err)
-		}
-		p, err := a.srv.cat.Get(req.ProductID)
-		if err != nil {
-			return aglet.Message{}, fmt.Errorf("%w: %s", ErrNotFound, req.ProductID)
-		}
-		return marshalReply(KindGet, GetReply{Product: p})
-	case KindBuy:
-		var req BuyRequest
-		if err := json.Unmarshal(msg.Data, &req); err != nil {
-			return aglet.Message{}, fmt.Errorf("marketplace: bad buy request: %w", err)
-		}
-		sale, err := a.srv.Buy(req.BuyerID, req.ProductID, req.MaxPriceCents)
-		if err != nil {
-			return aglet.Message{}, err
-		}
-		return marshalReply(KindBuy, BuyReply{Sale: sale})
-	case KindNegoOpen:
-		var req NegoOpenRequest
-		if err := json.Unmarshal(msg.Data, &req); err != nil {
-			return aglet.Message{}, fmt.Errorf("marketplace: bad nego-open: %w", err)
-		}
-		rep, err := a.srv.NegotiateOpen(req.BuyerID, req.ProductID, req.OfferCents)
-		if err != nil {
-			return aglet.Message{}, err
-		}
-		return marshalReply(KindNegoOpen, rep)
-	case KindNegoOffer:
-		var req NegoOfferRequest
-		if err := json.Unmarshal(msg.Data, &req); err != nil {
-			return aglet.Message{}, fmt.Errorf("marketplace: bad nego-offer: %w", err)
-		}
-		rep, err := a.srv.NegotiateOffer(req.SessionID, req.OfferCents)
-		if err != nil {
-			return aglet.Message{}, err
-		}
-		return marshalReply(KindNegoOffer, rep)
-	case KindAuctionOpen:
-		var req AuctionOpenRequest
-		if err := json.Unmarshal(msg.Data, &req); err != nil {
-			return aglet.Message{}, fmt.Errorf("marketplace: bad auction-open: %w", err)
-		}
-		id, err := a.srv.AuctionOpen(req.ProductID, req.ReserveCents)
-		if err != nil {
-			return aglet.Message{}, err
-		}
-		return marshalReply(KindAuctionOpen, AuctionOpenReply{AuctionID: id})
-	case KindAuctionBid:
-		var req AuctionBidRequest
-		if err := json.Unmarshal(msg.Data, &req); err != nil {
-			return aglet.Message{}, fmt.Errorf("marketplace: bad auction-bid: %w", err)
-		}
-		st, err := a.srv.AuctionBid(req.AuctionID, req.BidderID, req.AmountCents)
-		if err != nil {
-			return aglet.Message{}, err
-		}
-		return marshalReply(KindAuctionBid, st)
-	case KindAuctionClose:
-		var req AuctionCloseRequest
-		if err := json.Unmarshal(msg.Data, &req); err != nil {
-			return aglet.Message{}, fmt.Errorf("marketplace: bad auction-close: %w", err)
-		}
-		st, err := a.srv.AuctionClose(req.AuctionID)
-		if err != nil {
-			return aglet.Message{}, err
-		}
-		return marshalReply(KindAuctionClose, st)
-	case KindAuctionState:
-		var req AuctionCloseRequest // same shape: just the id
-		if err := json.Unmarshal(msg.Data, &req); err != nil {
-			return aglet.Message{}, fmt.Errorf("marketplace: bad auction-status: %w", err)
-		}
-		st, err := a.srv.AuctionStatus(req.AuctionID)
-		if err != nil {
-			return aglet.Message{}, err
-		}
-		return marshalReply(KindAuctionState, st)
-	default:
-		return aglet.Message{}, fmt.Errorf("marketplace: MSA does not understand %q", msg.Kind)
-	}
+func (a *msaAgent) HandleMessage(ctx *aglet.Context, msg aglet.Message) (aglet.Message, error) {
+	return a.h.Handle(ctx, msg)
 }
 
-func marshalReply(kind string, v any) (aglet.Message, error) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return aglet.Message{}, fmt.Errorf("marketplace: encoding %s reply: %w", kind, err)
-	}
-	return aglet.Message{Kind: kind, Data: data}, nil
+// msaHandlers is the MSA's message table: each kind calls the Server method
+// it names.
+func (s *Server) msaHandlers() aglet.Handlers {
+	h := aglet.Handlers{}
+	aglet.On(h, KindQuery, func(_ *aglet.Context, req QueryRequest) (QueryReply, error) {
+		return QueryReply{Market: s.host.Name(), Matches: s.Query(req.Query)}, nil
+	})
+	aglet.On(h, KindGet, func(_ *aglet.Context, req GetRequest) (GetReply, error) {
+		p, err := s.cat.Get(req.ProductID)
+		if err != nil {
+			return GetReply{}, fmt.Errorf("%w: %s", ErrNotFound, req.ProductID)
+		}
+		return GetReply{Product: p}, nil
+	})
+	aglet.On(h, KindBuy, func(_ *aglet.Context, req BuyRequest) (BuyReply, error) {
+		sale, err := s.Buy(req.BuyerID, req.ProductID, req.MaxPriceCents)
+		return BuyReply{Sale: sale}, err
+	})
+	aglet.On(h, KindNegoOpen, func(_ *aglet.Context, req NegoOpenRequest) (NegoReply, error) {
+		return s.NegotiateOpen(req.BuyerID, req.ProductID, req.OfferCents)
+	})
+	aglet.On(h, KindNegoOffer, func(_ *aglet.Context, req NegoOfferRequest) (NegoReply, error) {
+		return s.NegotiateOffer(req.SessionID, req.OfferCents)
+	})
+	aglet.On(h, KindAuctionOpen, func(_ *aglet.Context, req AuctionOpenRequest) (AuctionOpenReply, error) {
+		id, err := s.AuctionOpen(req.ProductID, req.ReserveCents)
+		return AuctionOpenReply{AuctionID: id}, err
+	})
+	aglet.On(h, KindAuctionBid, func(_ *aglet.Context, req AuctionBidRequest) (AuctionStatus, error) {
+		return s.AuctionBid(req.AuctionID, req.BidderID, req.AmountCents)
+	})
+	aglet.On(h, KindAuctionClose, func(_ *aglet.Context, req AuctionCloseRequest) (AuctionStatus, error) {
+		return s.AuctionClose(req.AuctionID)
+	})
+	// Status takes the same request shape as close: just the id.
+	aglet.On(h, KindAuctionState, func(_ *aglet.Context, req AuctionCloseRequest) (AuctionStatus, error) {
+		return s.AuctionStatus(req.AuctionID)
+	})
+	return h
 }

@@ -12,7 +12,7 @@ import (
 	"agentrec/internal/catalog"
 )
 
-func testServer(t *testing.T) (*Server, *aglet.Host) {
+func testServer(t testing.TB) (*Server, *aglet.Host) {
 	t.Helper()
 	reg := aglet.NewRegistry()
 	host := aglet.NewHost("market-1", reg)

@@ -133,34 +133,42 @@ func (s *Server) NegotiateOffer(sessionID string, offerCents int64) (NegoReply, 
 	}
 }
 
-// HaggleToBudget is a convenience buyer strategy used by Mobile Buyer
-// Agents: open at openFraction of list, raise toward the seller's counter
-// while staying within budgetCents. It returns the final reply (accepted or
-// not) after at most maxNegoRounds offers.
+// HaggleToBudget is the buyer strategy Mobile Buyer Agents use, driven by
+// direct calls: open at 70% of list (capped at budgetCents), then follow
+// BuyerNextOffer within budget. It returns the final reply, accepted or
+// not, after at most maxNegoRounds offers.
 func (s *Server) HaggleToBudget(buyerID, productID string, budgetCents int64) (NegoReply, error) {
 	p, err := s.cat.Get(productID)
 	if err != nil {
 		return NegoReply{}, fmt.Errorf("%w: %s", ErrNotFound, productID)
 	}
-	offer := int64(0.7 * float64(p.PriceCents))
-	if offer > budgetCents {
-		offer = budgetCents
+	within := func(offer, ask int64) (int64, bool) {
+		next := BuyerNextOffer(offer, ask, budgetCents)
+		return next, next <= offer
 	}
-	reply, err := s.NegotiateOpen(buyerID, productID, offer)
+	open := func(offer int64) (NegoReply, error) { return s.NegotiateOpen(buyerID, productID, offer) }
+	return Bargain(min(int64(0.7*float64(p.PriceCents)), budgetCents), within, open, s.NegotiateOffer)
+}
+
+// Bargain is the buyer's side of one alternating-offers session: open with
+// first, then counter with each offer next derives from the last offer and
+// the seller's ask, until the session is over or next reports that the
+// offer cannot move (ProbeNextOffer has this shape). open and counter carry
+// the offers to the seller, by direct call or by message. It returns the
+// seller's last reply.
+func Bargain(first int64, next func(offer, ask int64) (int64, bool),
+	open func(offer int64) (NegoReply, error), counter func(sessionID string, offer int64) (NegoReply, error)) (NegoReply, error) {
+	offer := first
+	reply, err := open(offer)
+	for err == nil && !reply.Over {
+		var done bool
+		if offer, done = next(offer, reply.AskCents); done {
+			break
+		}
+		reply, err = counter(reply.SessionID, offer)
+	}
 	if err != nil {
 		return NegoReply{}, err
-	}
-	for !reply.Over {
-		next := BuyerNextOffer(offer, reply.AskCents, budgetCents)
-		if next <= offer {
-			// Cannot improve within budget: give up.
-			return reply, nil
-		}
-		offer = next
-		reply, err = s.NegotiateOffer(reply.SessionID, offer)
-		if err != nil {
-			return NegoReply{}, err
-		}
 	}
 	return reply, nil
 }
