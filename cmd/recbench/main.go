@@ -11,8 +11,8 @@
 //	recbench -scenario my.json -rate 500 -duration 10s -servers 3
 //
 // A scenario run replays the scenario's op mix open-loop (arrivals fixed by
-// the constant rate, never by completions) against a replicated in-process
-// platform of -servers N buyer servers and writes the BENCH_<scenario>.json
+// the constant rate, never by completions) against an in-process replica
+// set of -servers N buyer servers and writes the BENCH_<scenario>.json
 // latency/throughput document.
 //
 // Experiments: F4.4 (learning rate), F4.5 (discard gate), C2 (mobile agent
@@ -44,7 +44,7 @@ func main() {
 	servers := flag.Int("servers", 2, "in-process buyer server count (>= 1)")
 	users := flag.Int("users", 0, "override the scenario's consumer count (must be > 0 when set)")
 	workers := flag.Int("workers", 0, "driver worker count (default 16)")
-	stateDir := flag.String("state-dir", "", "durable state root for the failover scenario's servers (default: memory-only)")
+	stateDir := flag.String("state-dir", "", "durable state root for the scenario's servers, one directory each (default: memory-only)")
 	flag.Parse()
 
 	set := map[string]bool{}

@@ -139,14 +139,12 @@ func run() error {
 // logins and trips just to warm the community).
 func seed(p *agentrec.Platform, u *workload.Universe) error {
 	inner := platformOf(p)
-	for _, usr := range u.Users {
-		prof, err := u.BuildProfile(usr)
-		if err != nil {
-			return err
-		}
-		if err := inner.Engine.SetProfile(prof); err != nil {
-			return err
-		}
+	profiles, err := u.Profiles()
+	if err != nil {
+		return err
+	}
+	if err := inner.Engine.SetProfiles(profiles); err != nil {
+		return err
 	}
 	// Timestamps spread over the past week so the §5.2 trending window and
 	// tied-sale baskets see the seeded history too.

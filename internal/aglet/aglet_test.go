@@ -275,38 +275,6 @@ func TestActivateMissing(t *testing.T) {
 	}
 }
 
-func TestStoredStateRoundTrip(t *testing.T) {
-	h := NewHost("h1", testRegistry())
-	defer h.Close()
-	p, _ := h.Create("echo", "e1", nil)
-	p.Send(testCtx(t), Message{Data: []byte("x")})
-	h.Deactivate("e1")
-
-	data, err := h.StoredState("e1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The bytes name the type and carry the agent's own State.
-	var rec struct {
-		Type  string `json:"type"`
-		State []byte `json:"state"`
-	}
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Type != "echo" || string(rec.State) != `{"Handled":1}` {
-		t.Errorf("stored = %s %s", rec.Type, rec.State)
-	}
-	p2, err := h.Activate("e1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reply, _ := p2.Send(testCtx(t), Message{Data: []byte("y")})
-	if string(reply.Data) != "y#2" {
-		t.Errorf("activated agent reply = %q, want y#2", reply.Data)
-	}
-}
-
 func TestDispatchMovesAgentBetweenHosts(t *testing.T) {
 	lb := NewLoopback()
 	h1 := NewHost("h1", testRegistry())
@@ -709,14 +677,6 @@ func TestConcurrentLifecycleChurn(t *testing.T) {
 	wg.Wait()
 	if n := len(h.Agents()); n != 0 {
 		t.Errorf("agents leaked: %d live", n)
-	}
-}
-
-func TestStoredStateMissing(t *testing.T) {
-	h := NewHost("h1", testRegistry())
-	defer h.Close()
-	if _, err := h.StoredState("ghost"); !errors.Is(err, ErrNotStored) {
-		t.Fatalf("err = %v", err)
 	}
 }
 

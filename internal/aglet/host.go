@@ -391,20 +391,6 @@ func (h *Host) Activate(id string) (*Proxy, error) {
 	return &Proxy{host: h, hostAddr: h.name, agentID: id}, nil
 }
 
-// StoredState returns the serialized bytes of a deactivated agent, so the
-// application can persist them (the paper stores deactivated BRAs in the
-// mechanism's storage).
-func (h *Host) StoredState(id string) ([]byte, error) {
-	h.mu.Lock()
-	rec, ok := h.stored[id]
-	h.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotStored, id)
-	}
-	img, err := Encode(rec.Type, rec)
-	return img.Data, err
-}
-
 // Dispose permanently destroys agent id.
 func (h *Host) Dispose(id string) error {
 	c, err := h.stopAgent(id)

@@ -106,9 +106,9 @@ type Server struct {
 	challenger *security.Challenger
 	events     *ops.Bus            // event plane (nil = /events disabled; see events.go)
 	metrics    func() ops.Snapshot // /metrics/snapshot source (nil = own engine only)
+	markets    []string            // MBA itinerary, fixed at New
 
 	mu       sync.Mutex
-	markets  []string
 	pending  map[string]chan TaskResult
 	taskSeq  int
 	closed   bool
@@ -266,21 +266,9 @@ func (s *Server) Host() *aglet.Host { return s.host }
 // Engine returns the recommendation engine.
 func (s *Server) Engine() *recommend.Engine { return s.engine }
 
-// Tracer returns the workflow tracer (possibly nil).
-func (s *Server) Tracer() *trace.Recorder { return s.tracer }
-
-// Markets returns the marketplaces MBAs will visit.
+// Markets returns the marketplaces MBAs will visit, fixed at New.
 func (s *Server) Markets() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return append([]string(nil), s.markets...)
-}
-
-// SetMarkets replaces the marketplace itinerary.
-func (s *Server) SetMarkets(addrs ...string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.markets = append([]string(nil), addrs...)
 }
 
 // Close shuts down all resident agents and the databases.
@@ -334,11 +322,6 @@ func (s *Server) Login(ctx context.Context, userID string) ([]TaskResult, error)
 func (s *Server) Logout(ctx context.Context, userID string) error {
 	_, err := s.sendHttpA(ctx, kindLogout, userReq{UserID: userID})
 	return err
-}
-
-// Online reports whether userID has a live or parked BRA.
-func (s *Server) Online(userID string) bool {
-	return s.host.Has(braID(userID)) || s.host.HasStored(braID(userID))
 }
 
 // Recommendations returns personalized recommendations outside any task

@@ -164,7 +164,7 @@ func TestRegisterLoginLogout(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Registration does not create a BRA (§4.1 principle 1).
-	if m.srv.Online("alice") {
+	if m.srv.Host().Has(braID("alice")) || m.srv.Host().HasStored(braID("alice")) {
 		t.Error("BRA exists before login")
 	}
 	if err := m.srv.Register(ctx, "alice"); !errors.Is(err, ErrUserExists) {
@@ -249,9 +249,8 @@ func TestQueryRequiresLogin(t *testing.T) {
 }
 
 func TestQueryNoMarkets(t *testing.T) {
-	m := newMechanism(t, 1)
+	m := newMechanism(t, 0)
 	m.user(t, "alice")
-	m.srv.SetMarkets()
 	_, err := m.srv.Query(testCtx(t), "alice", catalog.Query{Category: "laptop"})
 	if !errors.Is(err, ErrNoMarkets) {
 		t.Fatalf("err = %v", err)

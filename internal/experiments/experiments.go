@@ -140,25 +140,17 @@ func F45DiscardGate(w io.Writer, size Size) error {
 	if err != nil {
 		return err
 	}
-	profiles := make([]*profile.Profile, 0, len(u.Users))
-	byID := make(map[string]*workload.User, len(u.Users))
-	for _, usr := range u.Users {
-		p, err := u.BuildProfile(usr)
-		if err != nil {
-			return err
-		}
-		profiles = append(profiles, p)
-		byID[usr.ID] = usr
+	profiles, err := u.Profiles()
+	if err != nil {
+		return err
 	}
 
 	table := eval.NewTable("F4.5 — discard-gate tolerance vs CF quality (k=10, top-10)",
 		"tolerance", "precision", "recall", "mean_neighbors")
 	for _, tol := range []float64{0.1, 0.3, 0.5, 0.7, 1.0} {
 		engine := recommend.NewEngine(u.Catalog, recommend.WithNeighbors(10), recommend.WithTolerance(tol))
-		for _, p := range profiles {
-			if err := engine.SetProfile(p); err != nil {
-				return err
-			}
+		if err := engine.SetProfiles(profiles); err != nil {
+			return err
 		}
 		for user, pids := range u.Purchases() {
 			for _, pid := range pids {
@@ -169,8 +161,8 @@ func F45DiscardGate(w io.Writer, size Size) error {
 		}
 		var recLists, relLists [][]string
 		var neighborSum float64
-		for _, p := range profiles {
-			usr := byID[p.UserID]
+		for i, p := range profiles {
+			usr := u.Users[i]
 			if usr.ColdStart {
 				continue
 			}
@@ -354,16 +346,16 @@ func C4SparsityColdStart(w io.Writer, size Size) error {
 		if err != nil {
 			return err
 		}
+		profiles, err := u.Profiles()
+		if err != nil {
+			return err
+		}
 		engine := recommend.NewEngine(u.Catalog, recommend.WithNeighbors(10))
+		if err := engine.SetProfiles(profiles); err != nil {
+			return err
+		}
 		events := 0
 		for _, usr := range u.Users {
-			p, err := u.BuildProfile(usr)
-			if err != nil {
-				return err
-			}
-			if err := engine.SetProfile(p); err != nil {
-				return err
-			}
 			events += len(usr.Train)
 		}
 		for user, pids := range u.Purchases() {
@@ -424,22 +416,16 @@ func C5StrategyQuality(w io.Writer, size Size) error {
 	if err != nil {
 		return err
 	}
-	profiles := make([]*profile.Profile, 0, len(u.Users))
-	for _, usr := range u.Users {
-		p, err := u.BuildProfile(usr)
-		if err != nil {
-			return err
-		}
-		profiles = append(profiles, p)
+	profiles, err := u.Profiles()
+	if err != nil {
+		return err
 	}
 	purchases := u.Purchases()
 
 	build := func(opts ...recommend.Option) (*recommend.Engine, error) {
 		e := recommend.NewEngine(u.Catalog, opts...)
-		for _, p := range profiles {
-			if err := e.SetProfile(p); err != nil {
-				return nil, err
-			}
+		if err := e.SetProfiles(profiles); err != nil {
+			return nil, err
 		}
 		for user, pids := range purchases {
 			for _, pid := range pids {

@@ -5,20 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"path/filepath"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"agentrec/internal/catalog"
-	"agentrec/internal/coordinator"
-	"agentrec/internal/ops"
-	"agentrec/internal/platform"
 	"agentrec/internal/profile"
 	"agentrec/internal/recommend"
-	"agentrec/internal/workload"
 )
 
 // FailoverResult measures one kill-the-owner chaos drill: how long writes
@@ -126,149 +119,20 @@ func isOwnerUnavailable(err error) bool {
 		errors.Is(err, recommend.ErrNotOwner)
 }
 
-// failoverWorld is an elastic deployment of platform.Replica servers, wired
-// like the platform's coordinator mode — tables leased from one in-process
-// authority, epoch-stamped fenced routing, ownership-aware pulls — with a
-// liveness gate in front of every server's surfaces. Mid-run the runner
-// kills the victim (the static owner of the most shards) through the staged
-// gate; the authority promotes the most caught-up survivor, and every
-// driver write blocked by the transition retries until the promoted owner
-// accepts it — so the open-loop latency trajectory carries the
-// unavailability window instead of an error count.
-type failoverWorld struct {
-	exec     *opExec
-	servers  int
-	victim   int
-	leaseTTL time.Duration
+// victim is the server the drill kills: static shard%N ownership gives
+// server 0 the most shards.
+const victim = 0
 
-	replicas []*platform.Replica
-	gates    []*atomic.Int32
-	auth     *coordinator.Authority
-
-	next    atomic.Uint64
-	blocked atomic.Int64
-
-	ackedWrites atomic.Int64
-	ackedMu     sync.Mutex
-	acked       map[string]bool // users with >=1 acknowledged write
-
-	probeWG sync.WaitGroup
-	resMu   sync.Mutex
-	killed  bool
-	killedW time.Time
-	recovW  time.Time // zero until the first post-kill write lands
-	probeEr error
-}
-
-func newFailoverWorld(s Scenario, u *workload.Universe, profiles []*profile.Profile, servers int, stateDir string) (*failoverWorld, error) {
-	cat := catalog.New()
-	for _, p := range u.Products {
-		if err := cat.Upsert(p); err != nil {
-			return nil, err
-		}
-	}
-	w := &failoverWorld{
-		exec:     newOpExec(cat, profiles),
-		servers:  servers,
-		victim:   0, // static shard%N gives server 0 the most shards
-		leaseTTL: time.Duration(s.FailoverLeaseMs) * time.Millisecond,
-		acked:    make(map[string]bool),
-	}
-	for i := 0; i < servers; i++ {
-		var gate atomic.Int32
-		w.gates = append(w.gates, &gate)
-		rc := platform.ReplicaConfig{
-			Self: i, Servers: servers, Catalog: cat,
-			Pull: 25 * time.Millisecond,
-			Renew: func(_ context.Context, server int, applied []uint64) (coordinator.LeaseGrant, error) {
-				// A write-dead server's renewal never reaches the authority
-				// — exactly how a crashed process misses its heartbeats.
-				if w.gates[server].Load() != gateLive {
-					return coordinator.LeaseGrant{}, errServerDown
-				}
-				return w.auth.Renew(server, applied)
-			},
-			Lease: w.leaseTTL / 3,
-		}
-		if stateDir != "" {
-			rc.Engine.StateDir = filepath.Join(stateDir, "server-"+strconv.Itoa(i))
-		}
-		r, err := platform.NewReplica(rc)
-		if err != nil {
-			w.Close()
-			return nil, err
-		}
-		w.replicas = append(w.replicas, r)
-	}
-	auth, err := coordinator.NewOwnershipAuthority(coordinator.OwnershipConfig{
-		Shards: w.replicas[0].Engine.Shards(), Servers: servers,
-		LeaseTTL: w.leaseTTL,
-	})
-	if err != nil {
-		w.Close()
-		return nil, err
-	}
-	w.auth = auth
-	for i, r := range w.replicas {
-		writers, peers := platform.LocalLinks(w.replicas, i)
-		for j, gate := range w.gates {
-			if j != i {
-				writers[j] = gatedWriter{gate: gate, w: writers[j]}
-			}
-			peers[j] = gatedPeer{gate: gate, p: peers[j]}
-		}
-		if err := r.Connect(writers, peers); err != nil {
-			w.Close()
-			return nil, err
-		}
-	}
-	for _, r := range w.replicas {
-		r.Start()
-	}
-	return w, nil
-}
-
-// liveServer picks the next round-robin server whose gate is live.
-func (w *failoverWorld) liveServer() int {
-	n := int(w.next.Add(1))
-	for k := 0; k < w.servers; k++ {
-		if i := (n + k) % w.servers; w.gates[i].Load() == gateLive {
-			return i
-		}
-	}
-	return 0
-}
-
-// Do executes one driver op on a live server, retrying writes that hit
-// the ownership fence until the promoted owner accepts them: an open-loop
-// client does not lose a write to a failover, it waits it out, and the
-// stall lands in the latency histogram where it belongs.
-func (w *failoverWorld) Do(ctx context.Context, op workload.Op) error {
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		i := w.liveServer()
-		err := w.exec.apply(w.replicas[i].Engine, w.replicas[i].Router, op)
-		if err == nil {
-			if op.Kind == workload.OpSetProfile || op.Kind == workload.OpRecordPurchase {
-				w.ackedWrites.Add(1)
-				w.ackedMu.Lock()
-				w.acked[op.UserID] = true
-				w.ackedMu.Unlock()
-				if recommend.OwnerOf(w.replicas[0].Engine.ShardOf(op.UserID), w.servers) == w.victim {
-					w.noteRecovered()
-				}
-			}
-			return nil
-		}
-		if !isOwnerUnavailable(err) || time.Now().After(deadline) {
-			return err
-		}
-		w.blocked.Add(1)
-		select {
-		case <-ctx.Done():
-			return err
-		case <-time.After(5 * time.Millisecond):
-		}
+// noteAcked records one acknowledged driver write for the lost-write audit.
+// A write to a victim-owned shard after the kill also closes the
+// unavailability window.
+func (w *world) noteAcked(user string) {
+	w.ackedWrites.Add(1)
+	w.ackedMu.Lock()
+	w.acked[user] = true
+	w.ackedMu.Unlock()
+	if recommend.OwnerOf(w.replicas[0].Engine.ShardOf(user), len(w.replicas)) == victim {
+		w.noteRecovered()
 	}
 }
 
@@ -276,10 +140,10 @@ func (w *failoverWorld) Do(ctx context.Context, op workload.Op) error {
 // accepted for a victim-owned shard after the kill — a driver write that
 // happened to land there, or the dedicated probe loop. Writes to shards the
 // survivors own are accepted throughout and say nothing about the window,
-// so Do only calls this for victim-shard writes.
-func (w *failoverWorld) noteRecovered() {
+// so noteAcked only calls this for victim-shard writes.
+func (w *world) noteRecovered() {
 	w.resMu.Lock()
-	if w.killed && w.recovW.IsZero() {
+	if !w.killedW.IsZero() && w.recovW.IsZero() {
 		w.recovW = time.Now()
 	}
 	w.resMu.Unlock()
@@ -287,7 +151,7 @@ func (w *failoverWorld) noteRecovered() {
 
 // userOnShard generates a deterministic user id living on shard, with a
 // prefix that cannot collide with workload-generated consumers.
-func (w *failoverWorld) userOnShard(prefix string, shard int) string {
+func (w *world) userOnShard(prefix string, shard int) string {
 	for k := 0; ; k++ {
 		id := prefix + "-" + strconv.Itoa(shard) + "-" + strconv.Itoa(k)
 		if w.replicas[0].Engine.ShardOf(id) == shard {
@@ -297,10 +161,10 @@ func (w *failoverWorld) userOnShard(prefix string, shard int) string {
 }
 
 // victimShard returns one shard the victim owns under the static map.
-func (w *failoverWorld) victimShard() int {
-	static := recommend.StaticOwnership(w.replicas[0].Engine.Shards(), w.servers)
+func (w *world) victimShard() int {
+	static := recommend.StaticOwnership(w.replicas[0].Engine.Shards(), len(w.replicas))
 	for s, owner := range static.Assign {
-		if owner == w.victim {
+		if owner == victim {
 			return s
 		}
 	}
@@ -313,26 +177,25 @@ func (w *failoverWorld) victimShard() int {
 // journal away too. A probe loop pinned to a victim-owned shard measures
 // the window until the promoted owner accepts writes again. Called once,
 // mid-run, by the scenario runner.
-func (w *failoverWorld) Kill(ctx context.Context) error {
+func (w *world) Kill(ctx context.Context) error {
 	w.resMu.Lock()
-	w.killed = true
 	w.killedW = time.Now()
 	w.resMu.Unlock()
-	w.gates[w.victim].Store(gateWriteDead)
+	w.gates[victim].Store(gateWriteDead)
 	// The write path is closed, so the victim's feed heads are final: one
 	// survivor pass drains every acknowledged record before the journal
 	// disappears. The authority cannot promote before this completes — the
 	// victim's lease has a full TTL left and promotion needs the lapse.
 	for i, r := range w.replicas {
-		if i == w.victim {
+		if i == victim {
 			continue
 		}
 		if err := r.Replicator.Sync(ctx); err != nil {
 			return fmt.Errorf("draining victim journal into server %d: %w", i, err)
 		}
 	}
-	w.gates[w.victim].Store(gateDead)
-	w.replicas[w.victim].Stop()
+	w.gates[victim].Store(gateDead)
+	w.replicas[victim].Stop()
 	// The probe bounds its own lifetime: Finish waits for it, and a run
 	// whose caller context never cancels must not hang on a window that
 	// never closes — it must report it.
@@ -347,7 +210,7 @@ func (w *failoverWorld) Kill(ctx context.Context) error {
 
 // probe writes to one victim-owned shard every few milliseconds until a
 // write is accepted, bounding the write-unavailability window from above.
-func (w *failoverWorld) probe(ctx context.Context) {
+func (w *world) probe(ctx context.Context) {
 	defer w.probeWG.Done()
 	user := w.userOnShard("failover-probe", w.victimShard())
 	t := time.NewTicker(5 * time.Millisecond)
@@ -381,10 +244,10 @@ func (w *failoverWorld) probe(ctx context.Context) {
 // it thinks it still owns, and the survivors' fences refuse the stale
 // epoch on everything it forwards. Returns the rejected count and the
 // replays that were wrongly accepted.
-func (w *failoverWorld) replayStaleWrites() (rejected, accepted int) {
+func (w *world) replayStaleWrites() (rejected, accepted int) {
 	for s := 0; s < w.replicas[0].Engine.Shards(); s++ {
 		user := w.userOnShard("failover-replay", s)
-		if err := w.replicas[w.victim].Router.SetProfile(profile.NewProfile(user)); err != nil {
+		if err := w.replicas[victim].Router.SetProfile(profile.NewProfile(user)); err != nil {
 			rejected++
 		} else {
 			accepted++
@@ -439,7 +302,7 @@ func shardFingerprint(e *recommend.Engine, shard int) (uint64, error) {
 // lost-acked-write audit against every survivor, and the cross-survivor
 // divergence fingerprint. Called after the final Drain, when the
 // survivors' replicas have converged.
-func (w *failoverWorld) Finish() (*FailoverResult, error) {
+func (w *world) Finish() (*FailoverResult, error) {
 	w.probeWG.Wait()
 	w.resMu.Lock()
 	killedW, recovW, probeEr := w.killedW, w.recovW, w.probeEr
@@ -456,8 +319,8 @@ func (w *failoverWorld) Finish() (*FailoverResult, error) {
 
 	m := w.auth.Map()
 	res := &FailoverResult{
-		Victim:                w.victim,
-		LeaseTTLMs:            int(w.leaseTTL / time.Millisecond),
+		Victim:                victim,
+		LeaseTTLMs:            w.s.FailoverLeaseMs,
 		PromotedEpoch:         m.Epoch,
 		WriteUnavailabilityMs: float64(recovW.Sub(killedW)) / float64(time.Millisecond),
 		BlockedWrites:         w.blocked.Load(),
@@ -467,7 +330,7 @@ func (w *failoverWorld) Finish() (*FailoverResult, error) {
 		return nil, fmt.Errorf("authority never promoted: map still at epoch %d", m.Epoch)
 	}
 	for s, owner := range m.Assign {
-		if owner != recommend.OwnerOf(s, w.servers) {
+		if owner != recommend.OwnerOf(s, len(w.replicas)) {
 			res.ShardsMoved++
 		}
 	}
@@ -491,7 +354,7 @@ func (w *failoverWorld) Finish() (*FailoverResult, error) {
 	sort.Strings(users)
 	for _, u := range users {
 		for i, r := range w.replicas {
-			if i == w.victim {
+			if i == victim {
 				continue
 			}
 			if _, err := r.Engine.Profile(u); err != nil {
@@ -507,7 +370,7 @@ func (w *failoverWorld) Finish() (*FailoverResult, error) {
 		var want uint64
 		first := true
 		for i, r := range w.replicas {
-			if i == w.victim {
+			if i == victim {
 				continue
 			}
 			fp, err := shardFingerprint(r.Engine, s)
@@ -524,30 +387,3 @@ func (w *failoverWorld) Finish() (*FailoverResult, error) {
 	}
 	return res, nil
 }
-
-func (w *failoverWorld) Seed(profiles []*profile.Profile, purchases map[string][]string) error {
-	return platform.Seed(w.replicas[0], profiles, purchases)
-}
-
-func (w *failoverWorld) Metrics() ops.Snapshot { return platform.Snapshots(w.replicas) }
-
-func (w *failoverWorld) Drain(ctx context.Context) (time.Duration, error) {
-	start := time.Now()
-	var first error
-	for i, r := range w.replicas {
-		if w.gates[i].Load() != gateLive {
-			continue
-		}
-		if err := r.Replicator.Sync(ctx); err != nil && first == nil {
-			first = err
-		}
-	}
-	return time.Since(start), first
-}
-
-// ReadEngine returns a survivor: measurement must outlive the kill.
-func (w *failoverWorld) ReadEngine() *recommend.Engine {
-	return w.replicas[len(w.replicas)-1].Engine
-}
-
-func (w *failoverWorld) Close() error { return closeReplicas(w.replicas) }

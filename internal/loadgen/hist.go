@@ -19,10 +19,12 @@
 //     scenario is a plain JSON-serializable struct; the built-in Library
 //     covers flash-sale skew, cold-follower paged bootstrap under writes,
 //     kill-the-owner failover, and profile-shilling poisoning.
-//   - RunScenario (run.go): boots the in-process target world (a
-//     replicated platform, a recommend-level world with a cold follower, or
-//     a failover drill), seeds the universe, drives the load, and assembles
-//     the ScenarioResult document cmd/recbench writes.
+//   - RunScenario (run.go): boots the in-process world (target.go: a
+//     replica set of platform.Replica servers behind liveness gates), seeds
+//     the universe, drives the load while firing the scenario's one
+//     mid-run incident — a cold server's paged join or the owner kill
+//     (failover.go) — if it has one, and assembles the ScenarioResult
+//     document cmd/recbench writes.
 package loadgen
 
 import "math/bits"

@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"agentrec/internal/ops"
-	"agentrec/internal/profile"
+	"agentrec/internal/platform"
 	"agentrec/internal/workload"
 )
 
@@ -158,8 +158,8 @@ type RunOptions struct {
 	// Servers is the in-process buyer server count [2]; > 1 runs the
 	// replicated owner-routed topology.
 	Servers int
-	// StateDir is the durable state root of the failover world's servers;
-	// empty keeps them memory-only.
+	// StateDir is the durable state root of the world's servers, one
+	// server-<i> directory each; empty keeps them memory-only.
 	StateDir string
 	// Workers is the driver's concurrent issuer count [16].
 	Workers int
@@ -191,13 +191,9 @@ func RunScenario(ctx context.Context, s Scenario, opt RunOptions) (*ScenarioResu
 	if err != nil {
 		return nil, err
 	}
-	profiles := make([]*profile.Profile, 0, len(u.Users))
-	for _, usr := range u.Users {
-		p, err := u.BuildProfile(usr)
-		if err != nil {
-			return nil, err
-		}
-		profiles = append(profiles, p)
+	profiles, err := u.Profiles()
+	if err != nil {
+		return nil, err
 	}
 
 	// The shill target is picked from the hot category's Zipf mid-rank —
@@ -219,125 +215,84 @@ func RunScenario(ctx context.Context, s Scenario, opt RunOptions) (*ScenarioResu
 		return nil, err
 	}
 
-	var (
-		w       world
-		coldW   *coldWorld
-		foW     *failoverWorld
-		target  = "platform"
-		servers = opt.Servers
-	)
-	switch {
-	case s.ColdFollower:
-		coldW, err = newColdWorld(s, u, profiles, servers)
-		w, target = coldW, "cold-follower"
-	case s.Failover:
-		// A promotion needs a follower left over after the kill.
-		if servers < 3 {
-			servers = 3
-		}
-		foW, err = newFailoverWorld(s, u, profiles, servers, opt.StateDir)
-		w, target = foW, "failover"
-	default:
-		w, err = newPlatformWorld(u, profiles, servers)
-	}
+	w, err := newWorld(s, u, profiles, opt.Servers, opt.StateDir)
 	if err != nil {
 		return nil, err
 	}
 	defer w.Close()
+	target, incidentS := s.incident()
 
 	logf("scenario %s: seeding %d consumers into %s world (%d servers)",
-		s.Name, len(profiles), target, servers)
-	if err := w.Seed(profiles, u.Purchases()); err != nil {
+		s.Name, len(profiles), target, w.serving)
+	if err := platform.Seed(w.replicas[0], profiles, u.Purchases()); err != nil {
 		return nil, fmt.Errorf("loadgen: seeding: %w", err)
 	}
 	seedCtx, cancelSeed := context.WithTimeout(ctx, 30*time.Second)
-	_, err = w.Drain(seedCtx)
+	err = w.Drain(seedCtx)
 	cancelSeed()
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: seeding: %w", err)
 	}
 
+	// Shilling probes read the last serving server: a survivor of any kill.
+	read := w.replicas[w.serving-1].Engine
 	var shillState *shillProbeState
 	if s.ShillFraction > 0 {
-		shillState = shillBaseline(w.ReadEngine(), u, traffic, shillTarget, s.ShillProbes, traffic.TopN())
+		shillState = shillBaseline(read, u, traffic, shillTarget, s.ShillProbes, traffic.TopN())
 		logf("scenario %s: shill target %s, %d probes baselined", s.Name, shillTarget, len(shillState.probes))
 	}
 
-	before := w.Metrics()
+	before := platform.Snapshots(w.replicas)
 
-	// The cold follower joins mid-run, concurrently with the load.
+	// The scenario's one mid-run incident — the cold server's join or the
+	// owner kill — fires concurrently with the load.
 	var (
-		coldRes *ColdFollowerResult
-		coldErr error
-		coldWG  sync.WaitGroup
-	)
-	if coldW != nil {
-		coldWG.Add(1)
-		go func() {
-			defer coldWG.Done()
-			t := time.NewTimer(secs(s.ColdFollowerDelayS))
-			defer t.Stop()
-			select {
-			case <-ctx.Done():
-				coldErr = ctx.Err()
-				return
-			case <-t.C:
-			}
-			logf("scenario %s: cold server joining after %.1fs", s.Name, s.ColdFollowerDelayS)
-			coldRes, coldErr = coldW.Bootstrap(ctx)
-			if coldRes != nil {
-				coldRes.DelayS = s.ColdFollowerDelayS
-			}
-		}()
-	}
-
-	// The owner kill fires mid-run, concurrently with the load.
-	var (
-		foKilledAtS float64
-		foErr       error
-		foWG        sync.WaitGroup
+		incident    sync.WaitGroup
+		incidentAtS float64
+		incidentErr error
 	)
 	loadStart := time.Now()
-	if foW != nil {
-		foWG.Add(1)
+	if incidentS > 0 {
+		incident.Add(1)
 		go func() {
-			defer foWG.Done()
-			t := time.NewTimer(secs(s.FailoverDelayS))
+			defer incident.Done()
+			t := time.NewTimer(secs(incidentS))
 			defer t.Stop()
 			select {
 			case <-ctx.Done():
-				foErr = ctx.Err()
+				incidentErr = ctx.Err()
 				return
 			case <-t.C:
 			}
-			foKilledAtS = time.Since(loadStart).Seconds()
-			logf("scenario %s: killing owner server %d after %.1fs", s.Name, foW.victim, foKilledAtS)
-			foErr = foW.Kill(ctx)
+			incidentAtS = time.Since(loadStart).Seconds()
+			logf("scenario %s: %s incident after %.1fs", s.Name, target, incidentAtS)
+			if s.ColdFollower {
+				incidentErr = w.Bootstrap(ctx)
+			} else {
+				incidentErr = w.Kill(ctx)
+			}
 		}()
 	}
 
 	logf("scenario %s: driving load at %.0f ops/s for %.0fs", s.Name, s.RateOpsS, s.DurationS)
 	dr, err := Drive(ctx, s.driveConfig(opt.Workers), traffic.Op, w)
-	coldWG.Wait()
-	foWG.Wait()
+	incident.Wait()
 	if err != nil {
 		return nil, err
 	}
-	if coldErr != nil {
-		return nil, fmt.Errorf("loadgen: cold follower: %w", coldErr)
-	}
-	if foErr != nil {
-		return nil, fmt.Errorf("loadgen: failover kill: %w", foErr)
+	if incidentErr != nil {
+		return nil, fmt.Errorf("loadgen: %s: %w", target, incidentErr)
 	}
 
-	atEnd := w.Metrics() // replication backlog at load stop, pre-drain
+	atEnd := platform.Snapshots(w.replicas) // replication backlog at load stop, pre-drain
 	drainCtx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	drainDur, drainErr := w.Drain(drainCtx)
-	if drainErr != nil {
-		return nil, fmt.Errorf("loadgen: draining replicas: %w", drainErr)
+	drainStart := time.Now()
+	if err := w.Drain(drainCtx); err != nil {
+		return nil, fmt.Errorf("loadgen: draining replicas: %w", err)
 	}
-	final := w.Metrics()
+	drainDur := time.Since(drainStart)
+	final := platform.Snapshots(w.replicas)
 
 	res := &ScenarioResult{
 		Scenario:    s.Name,
@@ -347,7 +302,7 @@ func RunScenario(ctx context.Context, s Scenario, opt RunOptions) (*ScenarioResu
 		Users:       s.Users,
 		Products:    s.Products,
 		Categories:  s.Categories,
-		Servers:     servers,
+		Servers:     w.serving,
 		Workers:     max(opt.Workers, 0),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		RateOpsS:    s.RateOpsS,
@@ -360,8 +315,6 @@ func RunScenario(ctx context.Context, s Scenario, opt RunOptions) (*ScenarioResu
 		ErrorCount:  dr.Errors,
 		ErrorSample: dr.ErrorSample,
 		LatencyMs:   map[string]LatencySummary{"all": summarize(dr.All)},
-
-		ColdFollower: coldRes,
 	}
 	if res.Workers == 0 {
 		res.Workers = 16
@@ -373,43 +326,28 @@ func RunScenario(ctx context.Context, s Scenario, opt RunOptions) (*ScenarioResu
 		res.LatencyMs[kind.String()] = summarize(kr.Hist)
 	}
 	res.Metrics = metricsDelta(before, atEnd, final, drainDur)
-	if coldRes != nil && len(final.Servers) > servers {
-		coldRes.UsersOnWarm = final.Servers[0].Engine.Users
-		coldRes.UsersOnCold = final.Servers[servers].Engine.Users
-	}
-	if foW != nil {
-		foRes, err := foW.Finish()
+	switch {
+	case s.ColdFollower:
+		w.cold.UsersOnWarm = final.Servers[0].Engine.Users
+		w.cold.UsersOnCold = final.Servers[w.serving].Engine.Users
+		res.ColdFollower = w.cold
+	case s.Failover:
+		fo, err := w.Finish()
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: failover: %w", err)
 		}
-		foRes.KilledAtS = foKilledAtS
-		res.Failover = foRes
+		fo.KilledAtS = incidentAtS
+		res.Failover = fo
 		logf("scenario %s: failover epoch %d, window %.0fms, %d blocked, %d stale rejected, %d/%d acked writes lost, %d divergent shards",
-			s.Name, foRes.PromotedEpoch, foRes.WriteUnavailabilityMs, foRes.BlockedWrites,
-			foRes.StaleWritesRejected, foRes.LostAckedWrites, foRes.AckedWrites, foRes.DivergentShards)
+			s.Name, fo.PromotedEpoch, fo.WriteUnavailabilityMs, fo.BlockedWrites,
+			fo.StaleWritesRejected, fo.LostAckedWrites, fo.AckedWrites, fo.DivergentShards)
 	}
 	if shillState != nil {
-		if exec := execOf(w); exec != nil {
-			res.Shilling = shillState.finish(w.ReadEngine(), exec.shills.Load())
-		}
+		res.Shilling = shillState.finish(read, w.exec.shills.Load())
 	}
 	logf("scenario %s: %d/%d ops ok, %.0f ops/s, p99 %.2fms",
 		s.Name, dr.Completed, dr.Scheduled, res.ThroughputOpsS, res.LatencyMs["all"].P99Ms)
 	return res, nil
-}
-
-// execOf digs the op executor out of an in-process world.
-func execOf(w world) *opExec {
-	switch t := w.(type) {
-	case *platformWorld:
-		return t.exec
-	case *coldWorld:
-		return t.exec
-	case *failoverWorld:
-		return t.exec
-	default:
-		return nil
-	}
 }
 
 // metricsDelta reduces the before/end/final snapshots to the delta block.

@@ -39,9 +39,10 @@ type Scenario struct {
 	ChurnFraction    float64 `json:"churn_fraction,omitempty"`
 
 	// ColdFollower adds one extra cold server to the replicated world: it
-	// owns nothing, starts with empty replicas after ColdFollowerDelayS of
-	// load, and bootstraps every shard through the paged snapshot protocol
-	// (page budget ColdFollowerPageBytes) while writes continue.
+	// owns its static shard slice but takes no driver traffic, joins with
+	// empty replicas after ColdFollowerDelayS of load, and bootstraps every
+	// other shard through the paged snapshot protocol (page budget
+	// ColdFollowerPageBytes) while writes continue.
 	ColdFollower          bool    `json:"cold_follower,omitempty"`
 	ColdFollowerDelayS    float64 `json:"cold_follower_delay_s,omitempty"`    // [10% of DurationS]
 	ColdFollowerPageBytes int     `json:"cold_follower_page_bytes,omitempty"` // [256 KiB]
@@ -284,4 +285,16 @@ func (s Scenario) trafficConfig(shillTarget string) workload.TrafficConfig {
 		ShillFraction:    s.ShillFraction,
 		ShillTarget:      shillTarget,
 	}
+}
+
+// incident names the world the scenario runs on and when its one mid-run
+// incident fires (0 = none): the cold server's join or the owner kill.
+func (s Scenario) incident() (target string, delayS float64) {
+	switch {
+	case s.ColdFollower:
+		return "cold-follower", s.ColdFollowerDelayS
+	case s.Failover:
+		return "failover", s.FailoverDelayS
+	}
+	return "platform", 0
 }

@@ -2,37 +2,24 @@ package loadgen
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"path/filepath"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"agentrec/internal/catalog"
-	"agentrec/internal/ops"
+	"agentrec/internal/coordinator"
 	"agentrec/internal/platform"
 	"agentrec/internal/profile"
 	"agentrec/internal/recommend"
 	"agentrec/internal/workload"
 )
 
-// world is what RunScenario drives: a Target plus the seeding, metrics,
-// and convergence hooks the result document needs. Three in-process
-// implementations: platformWorld (platform.Platform), and coldWorld and
-// failoverWorld (platform.Replica servers with one delayed cold follower,
-// or a gate that kills an owner).
-type world interface {
-	Target
-	// Seed writes the community through server 0 (platform.Seed);
-	// RunScenario drains the world after it so every replica reads it.
-	Seed(profiles []*profile.Profile, purchases map[string][]string) error
-	Metrics() ops.Snapshot
-	Drain(ctx context.Context) (time.Duration, error)
-	ReadEngine() *recommend.Engine // the engine shilling probes measure
-	Close() error
-}
-
-// opExec interprets workload ops against an engine/writer pair. Shared by
-// the in-process worlds; safe for concurrent use (the base profile map is
-// read-only after construction).
+// opExec interprets workload ops against an engine/writer pair. Safe for
+// concurrent use (the base profile map is read-only after construction).
 type opExec struct {
 	cat    *catalog.Catalog
 	base   map[string]*profile.Profile // seeded profiles, for refresh ops
@@ -88,43 +75,181 @@ func (x *opExec) apply(eng *recommend.Engine, w recommend.Writer, op workload.Op
 	}
 }
 
-// platformWorld drives a full in-process platform.Platform: reads hit each
-// buyer server's engine round-robin, writes go through each server's own
-// ownership router, exactly as buyer agent traffic would.
-type platformWorld struct {
-	p    *platform.Platform
-	exec *opExec
-	next atomic.Uint64
+// world is what RunScenario drives: platform.Replica servers over one
+// catalogue, each behind a liveness gate and joined to the others by
+// platform.LocalLinks, so writes route to the shard owner and every server
+// tails the owners' journals. Servers 0..serving-1 take driver traffic
+// round-robin. The Scenario decides the rest:
+//   - ColdFollower adds one more server that owns its static shard slice
+//     from the start but joins — connects and bootstraps every other shard
+//     through paged snapshots — only mid-run (Bootstrap);
+//   - Failover leases ownership from an in-process coordinator.Authority
+//     over at least three servers and kills the owner of the most shards
+//     mid-run (Kill, failover.go).
+type world struct {
+	s        Scenario
+	exec     *opExec
+	replicas []*platform.Replica
+	gates    []atomic.Int32 // one liveness gate per server (failover.go)
+	serving  int
+	next     atomic.Uint64
+
+	cold *ColdFollowerResult // the cold join's measurement, set by Bootstrap
+
+	// The owner kill's bookkeeping (failover.go).
+	auth        *coordinator.Authority // nil under the static map
+	blocked     atomic.Int64
+	ackedWrites atomic.Int64
+	ackedMu     sync.Mutex
+	acked       map[string]bool // users with >=1 acknowledged write
+	probeWG     sync.WaitGroup
+	resMu       sync.Mutex
+	killedW     time.Time
+	recovW      time.Time // zero until the first post-kill write lands
+	probeEr     error
 }
 
-func newPlatformWorld(u *workload.Universe, profiles []*profile.Profile, servers int) (*platformWorld, error) {
-	p, err := platform.New(platform.Config{BuyerServers: servers, Products: u.Products})
-	if err != nil {
-		return nil, err
+// newWorld boots the scenario's servers, seeds nothing, and starts every
+// server but a cold one. stateDir, if set, roots one durable engine
+// directory per server (server-<i>).
+func newWorld(s Scenario, u *workload.Universe, profiles []*profile.Profile, serving int, stateDir string) (w *world, err error) {
+	cat := catalog.New()
+	for _, p := range u.Products {
+		if err := cat.Upsert(p); err != nil {
+			return nil, err
+		}
 	}
-	return &platformWorld{p: p, exec: newOpExec(p.Union, profiles)}, nil
+	pull, servers := recommend.DefaultPullInterval, serving
+	leaseTTL := time.Duration(s.FailoverLeaseMs) * time.Millisecond
+	switch {
+	case s.ColdFollower:
+		pull, servers = 50*time.Millisecond, serving+1
+	case s.Failover:
+		// A promotion needs a follower left over after the kill.
+		serving = max(serving, 3)
+		pull, servers = 25*time.Millisecond, serving
+	}
+	w = &world{
+		s: s, exec: newOpExec(cat, profiles), serving: serving,
+		gates: make([]atomic.Int32, servers),
+		acked: make(map[string]bool),
+	}
+	defer func() {
+		if err != nil {
+			w.Close()
+		}
+	}()
+	for i := 0; i < servers; i++ {
+		rc := platform.ReplicaConfig{Self: i, Servers: servers, Catalog: cat, Pull: pull}
+		if s.Failover {
+			rc.Renew = func(_ context.Context, server int, applied []uint64) (coordinator.LeaseGrant, error) {
+				// A write-dead server's renewal never reaches the authority
+				// — exactly how a crashed process misses its heartbeats.
+				if w.gates[server].Load() != gateLive {
+					return coordinator.LeaseGrant{}, errServerDown
+				}
+				return w.auth.Renew(server, applied)
+			}
+			rc.Lease = leaseTTL / 3
+		}
+		if stateDir != "" {
+			rc.Engine.StateDir = filepath.Join(stateDir, "server-"+strconv.Itoa(i))
+		}
+		r, err := platform.NewReplica(rc)
+		if err != nil {
+			return w, err
+		}
+		w.replicas = append(w.replicas, r)
+	}
+	if s.Failover {
+		if w.auth, err = coordinator.NewOwnershipAuthority(coordinator.OwnershipConfig{
+			Shards: w.replicas[0].Engine.Shards(), Servers: servers, LeaseTTL: leaseTTL,
+		}); err != nil {
+			return w, err
+		}
+	}
+	for i := range w.replicas[:serving] {
+		if err := w.connect(i); err != nil {
+			return w, err
+		}
+	}
+	for _, r := range w.replicas[:serving] {
+		r.Start()
+	}
+	return w, nil
 }
 
-func (w *platformWorld) Do(_ context.Context, op workload.Op) error {
-	r := w.p.Replicas[w.next.Add(1)%uint64(len(w.p.Replicas))]
-	return w.exec.apply(r.Engine, r.Router, op)
+// connect joins server i to the others through their gates. Tails are read
+// under the cold join's snapshot page budget (unbounded without one).
+func (w *world) connect(i int) error {
+	writers, peers := platform.LocalLinks(w.replicas, i)
+	for j := range w.gates {
+		gate := &w.gates[j]
+		if j != i {
+			writers[j] = gatedWriter{gate: gate, w: writers[j]}
+		}
+		peers[j] = gatedPeer{gate: gate, p: recommend.LocalPeer{Engine: w.replicas[j].Engine, PageBytes: w.s.ColdFollowerPageBytes}}
+	}
+	return w.replicas[i].Connect(writers, peers)
 }
 
-func (w *platformWorld) Seed(profiles []*profile.Profile, purchases map[string][]string) error {
-	return platform.Seed(w.p.Replicas[0], profiles, purchases)
+// liveServer picks the next round-robin serving server whose gate is live.
+func (w *world) liveServer() int {
+	n := int(w.next.Add(1))
+	for k := 0; k < w.serving; k++ {
+		if i := (n + k) % w.serving; w.gates[i].Load() == gateLive {
+			return i
+		}
+	}
+	return 0
 }
 
-func (w *platformWorld) Metrics() ops.Snapshot { return w.p.Metrics() }
-
-func (w *platformWorld) Drain(ctx context.Context) (time.Duration, error) {
-	start := time.Now()
-	err := w.p.SyncReplicas(ctx)
-	return time.Since(start), err
+// Do executes one driver op on a live server, retrying writes that hit the
+// ownership fence until the promoted owner accepts them: an open-loop
+// client does not lose a write to a failover, it waits it out, and the
+// stall lands in the latency histogram where it belongs. Only a kill makes
+// such refusals; a static world never retries.
+func (w *world) Do(ctx context.Context, op workload.Op) error {
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		r := w.replicas[w.liveServer()]
+		err := w.exec.apply(r.Engine, r.Router, op)
+		if err == nil {
+			if w.s.Failover && (op.Kind == workload.OpSetProfile || op.Kind == workload.OpRecordPurchase) {
+				w.noteAcked(op.UserID)
+			}
+			return nil
+		}
+		if !isOwnerUnavailable(err) || time.Now().After(deadline) {
+			return err
+		}
+		w.blocked.Add(1)
+		select {
+		case <-ctx.Done():
+			return err
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
 }
 
-func (w *platformWorld) ReadEngine() *recommend.Engine { return w.p.Engine }
+// Drain runs one catch-up pass on every connected live server.
+func (w *world) Drain(ctx context.Context) error {
+	var errs []error
+	for i, r := range w.replicas {
+		if r.Replicator != nil && w.gates[i].Load() == gateLive {
+			errs = append(errs, r.Replicator.Sync(ctx))
+		}
+	}
+	return errors.Join(errs...)
+}
 
-func (w *platformWorld) Close() error { return w.p.Close() }
+func (w *world) Close() error {
+	var errs []error
+	for _, r := range w.replicas {
+		errs = append(errs, r.Close())
+	}
+	return errors.Join(errs...)
+}
 
 // ColdFollowerResult measures one cold server's paged bootstrap under
 // sustained write load.
@@ -143,78 +268,31 @@ type ColdFollowerResult struct {
 	UsersOnWarm        int     `json:"users_on_warm"`
 }
 
-// coldWorld is a statically owned deployment of warm+1 platform.Replica
-// servers: the world is (re)started with the new server already owning its
-// shard slice — the static shard%N ownership the platform uses — but the
-// new server's *replicas* of everyone else's shards are empty. After DelayS
-// of load it is connected to the owners under the scenario's snapshot page
-// budget (LocalPeer.PageBytes) and one Sync bootstraps every shard through
-// paged snapshots while writes keep flowing.
-// Reads and writes round-robin the warm servers only.
-type coldWorld struct {
-	exec      *opExec
-	replicas  []*platform.Replica // warm servers first, cold server last
-	pageBytes int
-	warm      int
-	next      atomic.Uint64
-}
-
-func newColdWorld(s Scenario, u *workload.Universe, profiles []*profile.Profile, warm int) (*coldWorld, error) {
-	cat := catalog.New()
-	for _, p := range u.Products {
-		if err := cat.Upsert(p); err != nil {
-			return nil, err
-		}
-	}
-	w := &coldWorld{exec: newOpExec(cat, profiles), warm: warm, pageBytes: s.ColdFollowerPageBytes}
-	for i := 0; i <= warm; i++ {
-		r, err := platform.NewReplica(platform.ReplicaConfig{
-			Self: i, Servers: warm + 1, Catalog: cat,
-			Pull: 50 * time.Millisecond,
-		})
-		if err != nil {
-			w.Close()
-			return nil, err
-		}
-		w.replicas = append(w.replicas, r)
-	}
-	for i, r := range w.replicas[:warm] {
-		if err := r.Connect(platform.LocalLinks(w.replicas, i)); err != nil {
-			w.Close()
-			return nil, err
-		}
-		r.Start()
-	}
-	return w, nil
-}
-
-// Bootstrap joins the cold server: it is connected to its peers and one
-// Sync pulls every non-owned shard cold → current. Called once,
+// Bootstrap joins the cold server (the last one): it is connected to its
+// peers and one Sync pulls every non-owned shard cold → current, paged
+// under the scenario's page budget, while writes keep flowing. Called once,
 // mid-run, by the scenario runner.
-func (w *coldWorld) Bootstrap(ctx context.Context) (*ColdFollowerResult, error) {
-	cold := w.replicas[w.warm]
-	writers, peers := platform.LocalLinks(w.replicas, w.warm)
-	for i, r := range w.replicas[:w.warm] {
-		peers[i] = recommend.LocalPeer{Engine: r.Engine, PageBytes: w.pageBytes}
-	}
-	if err := cold.Connect(writers, peers); err != nil {
-		return nil, err
+func (w *world) Bootstrap(ctx context.Context) error {
+	cold := w.replicas[w.serving]
+	if err := w.connect(w.serving); err != nil {
+		return err
 	}
 	start := time.Now()
 	if err := cold.Replicator.Sync(ctx); err != nil {
-		return nil, fmt.Errorf("loadgen: cold bootstrap: %w", err)
+		return fmt.Errorf("loadgen: cold bootstrap: %w", err)
 	}
 	bootstrap := time.Since(start)
 	cold.Start() // keep tailing for the rest of the run
 
 	res := &ColdFollowerResult{
-		WarmServers: w.warm,
-		PageBytes:   w.pageBytes,
+		WarmServers: w.serving,
+		DelayS:      w.s.ColdFollowerDelayS,
+		PageBytes:   w.s.ColdFollowerPageBytes,
 		BootstrapMs: float64(bootstrap) / float64(time.Millisecond),
 	}
 	st := cold.Replicator.Stats()
 	for _, sh := range st.Shards {
-		if sh.Owner == w.warm {
+		if sh.Owner == w.serving {
 			continue
 		}
 		res.ShardsBootstrapped++
@@ -224,44 +302,6 @@ func (w *coldWorld) Bootstrap(ctx context.Context) (*ColdFollowerResult, error) 
 		res.RecordsApplied += sh.Records
 	}
 	res.LagAfterBootstrap = st.LagRecords
-	return res, nil
-}
-
-func (w *coldWorld) Do(_ context.Context, op workload.Op) error {
-	i := int(w.next.Add(1) % uint64(w.warm))
-	return w.exec.apply(w.replicas[i].Engine, w.replicas[i].Router, op)
-}
-
-func (w *coldWorld) Seed(profiles []*profile.Profile, purchases map[string][]string) error {
-	return platform.Seed(w.replicas[0], profiles, purchases)
-}
-
-func (w *coldWorld) Metrics() ops.Snapshot { return platform.Snapshots(w.replicas) }
-
-func (w *coldWorld) Drain(ctx context.Context) (time.Duration, error) {
-	start := time.Now()
-	var first error
-	for _, r := range w.replicas {
-		if r.Replicator == nil {
-			continue // the cold server before its bootstrap
-		}
-		if err := r.Replicator.Sync(ctx); err != nil && first == nil {
-			first = err
-		}
-	}
-	return time.Since(start), first
-}
-
-func (w *coldWorld) ReadEngine() *recommend.Engine { return w.replicas[0].Engine }
-
-func (w *coldWorld) Close() error { return closeReplicas(w.replicas) }
-
-func closeReplicas(rs []*platform.Replica) error {
-	var first error
-	for _, r := range rs {
-		if err := r.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	w.cold = res
+	return nil
 }

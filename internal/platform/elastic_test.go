@@ -101,7 +101,10 @@ func TestPlatformElasticOwnership(t *testing.T) {
 	// Server 2 leaves: its shards fail over to the survivors under a leave
 	// transition published by the authority (Server -1). Its lease client
 	// is still running, so it rejoins and — replicas caught up — reclaims
-	// its static shards under a join transition.
+	// its static shards under a join transition. A leave hands each shard to
+	// the most caught-up survivor, so while server 2 is out a join may also
+	// rebalance a shard onto its rendezvous-preferred survivor; once server 2
+	// is back, every join moves shards home to it.
 	if err := p.Ownership.DeregisterServer(2); err != nil {
 		t.Fatal(err)
 	}
@@ -131,10 +134,15 @@ func TestPlatformElasticOwnership(t *testing.T) {
 				}
 			}
 		case ops.OwnershipJoin:
-			sawJoin = true
 			for _, mv := range o.Moved {
-				if mv.To != 2 {
-					t.Fatalf("join moved shard %d to server %d, want only back to server 2", mv.Shard, mv.To)
+				switch {
+				case mv.To == 2:
+					sawJoin = true
+				case sawJoin:
+					t.Fatalf("join moved shard %d to server %d after server 2 rejoined, want only back to server 2", mv.Shard, mv.To)
+				case mv.To != recommend.RendezvousOwner(mv.Shard, []int{0, 1}):
+					t.Fatalf("join moved shard %d to server %d while server 2 was out, want its rendezvous survivor %d",
+						mv.Shard, mv.To, recommend.RendezvousOwner(mv.Shard, []int{0, 1}))
 				}
 			}
 		case ops.OwnershipFailover:

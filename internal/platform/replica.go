@@ -15,7 +15,7 @@ import (
 // This file is the single assembly of every Buyer Agent Server: engine,
 // ownership table, write router, journal replicator and lease client, with
 // one lifecycle and one stats view. platform.New, platformd and the load
-// harness's worlds all build their servers here and differ only in the
+// harness's world all build their servers here and differ only in the
 // ReplicaConfig values and the write/tail surfaces they hand to Connect. A
 // one-server deployment is the degenerate case: its router admits every
 // write locally and its replicator follows no shard.

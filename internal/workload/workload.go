@@ -251,6 +251,20 @@ func (u *Universe) BuildProfile(usr *User) (*profile.Profile, error) {
 	return u.BuildProfileAlpha(usr, profile.DefaultAlpha)
 }
 
+// Profiles builds every user's learned profile, in Users order: the seeded
+// community a harness installs before it drives load or measures quality.
+func (u *Universe) Profiles() ([]*profile.Profile, error) {
+	out := make([]*profile.Profile, len(u.Users))
+	for i, usr := range u.Users {
+		p, err := u.BuildProfile(usr)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = p
+	}
+	return out, nil
+}
+
 // BuildProfileAlpha is BuildProfile with an explicit learning rate, for the
 // F4.4 sweep.
 func (u *Universe) BuildProfileAlpha(usr *User, alpha float64) (*profile.Profile, error) {
