@@ -145,20 +145,7 @@ func checkPackage(fset *token.FileSet, imp types.Importer, importPath, dir strin
 		}
 		files = append(files, f)
 	}
-	info := NewTypesInfo()
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(importPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking %s: %w", importPath, err)
-	}
-	return &Package{
-		ImportPath: importPath,
-		Dir:        dir,
-		Fset:       fset,
-		Files:      files,
-		Types:      tpkg,
-		TypesInfo:  info,
-	}, nil
+	return CheckFiles(fset, files, importPath, dir, imp)
 }
 
 // NewTypesInfo allocates the types.Info maps every analyzer relies on.

@@ -86,7 +86,6 @@ type Config struct {
 
 	Tracer     *trace.Recorder    // optional workflow tracer
 	EngineOpts []recommend.Option // tuning for every engine
-	BuyerOpts  []buyerserver.Option
 	Products   []*catalog.Product // initial merchandise, distributed round-robin
 }
 
@@ -207,7 +206,7 @@ func New(cfg Config) (*Platform, error) {
 			// Each mechanism persists its own UserDB/BSMDB beside the engine.
 			opts = append(opts, buyerserver.WithStateDir(filepath.Join(cfg.StateDir, name)))
 		}
-		srv, err := buyerserver.New(host, reg, r.Engine, caProxy, append(opts, cfg.BuyerOpts...)...)
+		srv, err := buyerserver.New(host, reg, r.Engine, caProxy, opts...)
 		if err != nil {
 			return nil, err
 		}

@@ -296,9 +296,13 @@ type gatedWriter struct {
 	admit admitFunc
 }
 
-func (w gatedWriter) SetProfile(p *profile.Profile) error { return w.e.setProfile(p, w.admit) }
+func (w gatedWriter) SetProfile(p *profile.Profile) error {
+	return w.SetProfiles([]*profile.Profile{p})
+}
 
-func (w gatedWriter) SetProfiles(ps []*profile.Profile) error { return w.e.setProfiles(ps, w.admit) }
+func (w gatedWriter) SetProfiles(ps []*profile.Profile) error {
+	return w.e.setProfiles(ps, nil, w.admit)
+}
 
 func (w gatedWriter) RecordPurchase(userID, productID string) error {
 	return w.RecordPurchaseAt(userID, productID, time.Time{})
@@ -339,6 +343,17 @@ func (w OwnedWriter) SetProfile(p *profile.Profile) error { return w.gated().Set
 
 // SetProfiles implements Writer.
 func (w OwnedWriter) SetProfiles(ps []*profile.Profile) error { return w.gated().SetProfiles(ps) }
+
+// SetEncodedProfiles is SetProfiles for a write its sender encoded, as a
+// forwarded frame is: the WAL and journal feed keep encoded as it arrived.
+func (w OwnedWriter) SetEncodedProfiles(encoded [][]byte) error {
+	profs, err := decodeProfiles(encoded, 0, 0)
+	if err != nil {
+		return err
+	}
+	g := w.gated()
+	return g.e.setProfiles(profs, encoded, g.admit)
+}
 
 // RecordPurchase implements Writer.
 func (w OwnedWriter) RecordPurchase(userID, productID string) error {

@@ -45,17 +45,6 @@ type ShardData struct {
 	Sells     map[string]int64            // product -> sales by this shard's users
 }
 
-// addPurchase records user owning product since at; d.Purchases must be
-// non-nil.
-func (d *ShardData) addPurchase(user, product string, at int64) {
-	set := d.Purchases[user]
-	if set == nil {
-		set = make(map[string]int64)
-		d.Purchases[user] = set
-	}
-	set[product] = at
-}
-
 // replaceShardLocked makes data sh's whole state: the one way a shard is
 // installed wholesale, by restart recovery and snapshot catch-up alike. It
 // adopts data's maps (nil ones made empty) and pairs every profile with its
@@ -106,11 +95,11 @@ func (e *Engine) replaceShardLocked(sh *shard, data ShardData) {
 // serialized by that shard's lock, so per-shard write order in the journal
 // matches in-memory order.
 type Persister interface {
-	// SaveProfiles durably installs profiles into shard's bucket, as one
-	// atomic batch. It is called before the in-memory install (journal
-	// first), so a crash can lose an acknowledged write only if SaveProfiles
-	// itself errored.
-	SaveProfiles(shard int, profs []*profile.Profile) error
+	// SaveProfiles durably installs profiles, as encoded, into shard's
+	// bucket, as one atomic batch. It is called before the in-memory install
+	// (journal first), so a crash can lose an acknowledged write only if
+	// SaveProfiles itself errored.
+	SaveProfiles(shard int, profs []*profile.Profile, encoded [][]byte) error
 	// SavePurchase durably records userID buying productID at at (epoch
 	// milliseconds, 0 = undated; the value the purchase set keeps) together
 	// with the product's new sell count attributed to the user's shard, as
@@ -234,6 +223,11 @@ func (e *Engine) lockShardW(sh *shard, admit admitFunc) error {
 // wholesale install snapshot catch-up uses. Nothing is journaled again and
 // the feed is fresh, so there is no sequence number to skip.
 func (e *Engine) recover() error {
+	if kp, ok := e.persist.(*kvPersister); ok {
+		if err := kp.bind(e.nshards); err != nil {
+			return err
+		}
+	}
 	for _, sh := range e.shards {
 		data, err := e.persist.LoadShard(sh.id)
 		if err != nil {
@@ -270,7 +264,8 @@ const CommunityWAL = "community.wal"
 // kvstore.Store whose WAL provides atomic batches, torn-tail recovery, and
 // its own synchronization.
 type kvPersister struct {
-	store *kvstore.Store
+	store  *kvstore.Store
+	shards int // the recovering engine's shard count; 0 reads records as filed
 }
 
 // OpenPersister opens (creating if needed) the kvstore-backed Persister
@@ -285,6 +280,33 @@ func OpenPersister(dir string) (Persister, error) {
 		return nil, err
 	}
 	return &kvPersister{store: store}, nil
+}
+
+// bind keys the journal's reads to an engine of n shards, refusing one with
+// a live record past the buckets of shards 0..n-1, which recovery would
+// never load. The store reports only its live size, so buckets are copied.
+func (kp *kvPersister) bind(n int) error {
+	var loaded int64
+	for s := 0; s < n; s++ {
+		for _, bucket := range []string{profBucket(s), purchBucket(s), sellBucket(s)} {
+			ents, err := kp.store.Scan(bucket, "")
+			m := kvstore.New()
+			for i := 0; err == nil && i < len(ents); i++ {
+				err = m.Put(bucket, ents[i].Key, ents[i].Value)
+			}
+			if err != nil {
+				return err
+			}
+			st, _ := m.SizeStats() // an open memory store reports no error
+			loaded += st.LiveBytes
+		}
+	}
+	all, err := kp.store.SizeStats()
+	if err == nil && all.LiveBytes != loaded {
+		err = fmt.Errorf("%w: journal holds records past the buckets of %d shards", ErrShardMismatch, n)
+	}
+	kp.shards = n
+	return err
 }
 
 // saveProfilesChunk bounds one durable batch well under the kvstore record
@@ -307,16 +329,12 @@ func purchaseOp(shard int, userID, productID string, at int64) (kvstore.Op, erro
 	return kvstore.Op{Bucket: purchBucket(shard), Key: userID + "\x00" + productID, Value: binary.AppendUvarint(nil, uint64(at))}, nil
 }
 
-// profileOp is the upsert of one profile.
-func profileOp(shard int, p *profile.Profile) (kvstore.Op, error) {
-	if p.UserID == "" || strings.ContainsRune(p.UserID, 0) {
-		return kvstore.Op{}, fmt.Errorf("%w: user %q", ErrBadKey, p.UserID)
+// profileOp is the upsert of userID's profile, encoded as enc.
+func profileOp(shard int, userID string, enc []byte) (kvstore.Op, error) {
+	if userID == "" || strings.ContainsRune(userID, 0) {
+		return kvstore.Op{}, fmt.Errorf("%w: user %q", ErrBadKey, userID)
 	}
-	data, err := p.Marshal()
-	if err != nil {
-		return kvstore.Op{}, fmt.Errorf("recommend: encoding profile %s: %w", p.UserID, err)
-	}
-	return kvstore.Op{Bucket: profBucket(shard), Key: p.UserID, Value: data}, nil
+	return kvstore.Op{Bucket: profBucket(shard), Key: userID, Value: enc}, nil
 }
 
 // sellOp is the upsert of one product's sell count attributed to shard.
@@ -357,10 +375,10 @@ func (b *kvBatch) add(op kvstore.Op, size int) error {
 	return nil
 }
 
-func (kp *kvPersister) SaveProfiles(shard int, profs []*profile.Profile) error {
+func (kp *kvPersister) SaveProfiles(shard int, profs []*profile.Profile, encoded [][]byte) error {
 	b := kvBatch{store: kp.store, ops: make([]kvstore.Op, 0, len(profs))}
-	for _, p := range profs {
-		op, err := profileOp(shard, p)
+	for i, p := range profs {
+		op, err := profileOp(shard, p.UserID, encoded[i])
 		if err != nil {
 			return err
 		}
@@ -390,9 +408,13 @@ func (kp *kvPersister) SavePurchase(shard int, userID, productID string, at, tot
 // buckets untouched. The deletes then land first, so a crash mid-replace
 // can only lose state the next snapshot catch-up rewrites anyway.
 func (kp *kvPersister) SaveShard(shard int, data ShardData) error {
+	encoded, err := encodeProfiles(data.Profiles)
+	if err != nil {
+		return err
+	}
 	ups := make([]kvstore.Op, 0, len(data.Profiles)+len(data.Sells))
-	for _, p := range data.Profiles {
-		op, err := profileOp(shard, p)
+	for i, p := range data.Profiles {
+		op, err := profileOp(shard, p.UserID, encoded[i])
 		if err != nil {
 			return err
 		}
@@ -447,21 +469,16 @@ func (kp *kvPersister) SaveShard(shard int, data ShardData) error {
 	return b.flush()
 }
 
+// LoadShard assembles the shard's buckets as paged catch-up assembles pages.
 func (kp *kvPersister) LoadShard(shard int) (ShardData, error) {
-	data := ShardData{
-		Purchases: make(map[string]map[string]int64),
-		Sells:     make(map[string]int64),
-	}
+	var data ShardData
+	var pg SnapshotPage
 	profs, err := kp.store.Scan(profBucket(shard), "")
 	if err != nil {
 		return data, err
 	}
 	for _, ent := range profs {
-		p, err := profile.Unmarshal(ent.Value)
-		if err != nil {
-			return data, fmt.Errorf("recommend: shard %d profile %s: %w", shard, ent.Key, err)
-		}
-		data.Profiles = append(data.Profiles, p)
+		pg.Profiles = append(pg.Profiles, ent.Value)
 	}
 	purchs, err := kp.store.Scan(purchBucket(shard), "")
 	if err != nil {
@@ -476,7 +493,7 @@ func (kp *kvPersister) LoadShard(shard int) (ShardData, error) {
 		if n != len(ent.Value) || n == 0 {
 			return data, fmt.Errorf("recommend: shard %d malformed purchase time for %q", shard, ent.Key)
 		}
-		data.addPurchase(user, product, int64(at))
+		pg.Purchases = append(pg.Purchases, PurchasePair{UserID: user, ProductID: product, AtEpochMS: int64(at)})
 	}
 	sells, err := kp.store.Scan(sellBucket(shard), "")
 	if err != nil {
@@ -487,13 +504,10 @@ func (kp *kvPersister) LoadShard(shard int) (ShardData, error) {
 		if err != nil {
 			return data, fmt.Errorf("recommend: shard %d sell count for %s: %w", shard, ent.Key, err)
 		}
-		if total < 1 {
-			// A purchase only ever journals a count of one or more.
-			return data, fmt.Errorf("recommend: shard %d malformed sell count %d for %s", shard, total, ent.Key)
-		}
-		data.Sells[ent.Key] = total
+		pg.Sells = append(pg.Sells, SellCount{ProductID: ent.Key, Total: total})
 	}
-	return data, nil
+	err = data.add(shard, kp.shards, pg)
+	return data, err
 }
 
 func (kp *kvPersister) Compact() error { return kp.store.Compact() }

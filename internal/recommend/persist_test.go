@@ -453,7 +453,7 @@ func TestPersistentConcurrentSoak(t *testing.T) {
 	// Every profile write wrote one of the same immutable profiles, so the
 	// recovered community must match a serial install exactly; purchases
 	// are a subset of Held per user, all durable.
-	e2, err := Open(u.Catalog, WithPersistence(dir), WithNeighbors(8))
+	e2, err := Open(u.Catalog, WithPersistence(dir), WithNeighbors(8), WithShards(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ type failingPersister struct{}
 
 var errInjected = errors.New("injected persister failure")
 
-func (failingPersister) SaveProfiles(int, []*profile.Profile) error { return errInjected }
+func (failingPersister) SaveProfiles(int, []*profile.Profile, [][]byte) error { return errInjected }
 func (failingPersister) SavePurchase(int, string, string, int64, int64) error {
 	return errInjected
 }

@@ -263,14 +263,12 @@ func Open(cat *catalog.Catalog, opts ...Option) (*Engine, error) {
 }
 
 func (e *Engine) shardFor(userID string) *shard {
-	return e.shards[fnv32a(userID)%uint32(len(e.shards))]
+	return e.shards[e.ShardOf(userID)]
 }
 
 // ShardOf reports which shard userID's community state lives in. Write
 // routing across replicated servers keys ownership off this.
-func (e *Engine) ShardOf(userID string) int {
-	return int(fnv32a(userID) % uint32(e.nshards))
-}
+func (e *Engine) ShardOf(userID string) int { return shardOf(userID, e.nshards) }
 
 // Shards reports the engine's shard count. Replication requires every
 // server to agree on it.
@@ -288,11 +286,7 @@ func (e *Engine) Shards() int { return e.nshards }
 // of the public write API it admits every write: a replicated server
 // writes through its Router or an OwnedWriter instead, whose ownership
 // rule the engine checks under the shard lock.
-func (e *Engine) SetProfile(p *profile.Profile) error { return e.setProfile(p, nil) }
-
-func (e *Engine) setProfile(p *profile.Profile, admit admitFunc) error {
-	return e.installShardProfiles(e.shardFor(p.UserID), []*profile.Profile{p.Clone()}, admit)
-}
+func (e *Engine) SetProfile(p *profile.Profile) error { return e.SetProfiles([]*profile.Profile{p}) }
 
 // SetProfiles bulk-installs profiles: one shard lock acquisition, one
 // durable batch, and one index pass per touched shard, instead of one each
@@ -300,13 +294,21 @@ func (e *Engine) setProfile(p *profile.Profile, admit admitFunc) error {
 // (later duplicates win). This is the SeedCommunity path: installing a
 // warm community one profile at a time pays nshards times the locking and
 // journaling it needs to.
-func (e *Engine) SetProfiles(ps []*profile.Profile) error { return e.setProfiles(ps, nil) }
+func (e *Engine) SetProfiles(ps []*profile.Profile) error { return e.setProfiles(ps, nil, nil) }
 
-func (e *Engine) setProfiles(ps []*profile.Profile, admit admitFunc) error {
+// setProfiles installs ps, encoded as encs. nil encs means ps are still
+// the caller's: each is installed as a copy and encoded by the engine.
+func (e *Engine) setProfiles(ps []*profile.Profile, encs [][]byte, admit admitFunc) error {
 	byShard := make([][]*profile.Profile, e.nshards)
-	for _, p := range ps {
-		i := e.ShardOf(p.UserID)
-		byShard[i] = append(byShard[i], p.Clone())
+	encShard := make([][][]byte, e.nshards)
+	for i, p := range ps {
+		s := e.ShardOf(p.UserID)
+		if encs == nil {
+			p = p.Clone()
+		} else {
+			encShard[s] = append(encShard[s], encs[i])
+		}
+		byShard[s] = append(byShard[s], p)
 	}
 	if admit != nil {
 		// A batch refused on arrival is refused whole, so a misrouted batch
@@ -324,28 +326,30 @@ func (e *Engine) setProfiles(ps []*profile.Profile, admit admitFunc) error {
 		if len(group) == 0 {
 			continue
 		}
-		if err := e.installShardProfiles(e.shards[i], group, admit); err != nil {
+		if err := e.installShardProfiles(e.shards[i], group, encShard[i], admit); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// installShardProfiles installs profs — already private copies, all
-// belonging to sh — journal-first, then into the shard map, candidate
-// index, and journal feed, all inside the shard critical section, once
-// admit (nil: always) admitted the write there. Shared by SetProfile,
-// SetProfiles, and the replication apply path.
-func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile, admit admitFunc) error {
-	encoded, err := e.feedEncodeProfiles(profs)
-	if err != nil {
-		return err
+// installShardProfiles installs profs — private copies, all belonging to
+// sh, encoded as encs (nil: here, if a sink needs them) — journal-first,
+// then into the shard map, candidate index, and journal feed, all inside
+// the shard critical section, once admit (nil: always) admitted the write
+// there. Shared by every profile write and the replication apply path.
+func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile, encs [][]byte, admit admitFunc) error {
+	if encs == nil && (e.persist != nil || e.feed != nil) {
+		var err error
+		if encs, err = encodeProfiles(profs); err != nil {
+			return err
+		}
 	}
 	if err := e.lockShardW(sh, admit); err != nil {
 		return err
 	}
 	if e.persist != nil {
-		if err := e.persist.SaveProfiles(sh.id, profs); err != nil {
+		if err := e.persist.SaveProfiles(sh.id, profs, encs); err != nil {
 			sh.mu.Unlock()
 			return err
 		}
@@ -366,14 +370,14 @@ func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile, admit
 	if e.feed != nil {
 		// Bulk installs split into several bounded records, so no single
 		// journal record outgrows a network frame when peers tail the feed.
-		for _, chunk := range chunkEncoded(encoded, maxFeedRecordBytes) {
+		for _, chunk := range chunkEncoded(encs, maxFeedRecordBytes) {
 			seq = e.feed.emit(sh.id, JournalRecord{Op: OpProfiles, Profiles: chunk})
 		}
 	}
 	sh.mu.Unlock()
 	if e.events != nil {
 		var payload int
-		for _, enc := range encoded {
+		for _, enc := range encs {
 			payload += len(enc)
 		}
 		e.publishJournal(sh.id, seq, OpProfiles, len(profs), payload)

@@ -1,0 +1,188 @@
+package recommend
+
+import (
+	"errors"
+	"fmt"
+	"path/filepath"
+	"strconv"
+	"testing"
+
+	"agentrec/internal/catalog"
+	"agentrec/internal/kvstore"
+	"agentrec/internal/profile"
+)
+
+// TestReopenUnderOtherShardCountRefused: a journal files each consumer
+// under the shard count it was written with. Reopened under fewer shards
+// (buckets the engine never loads) or more (consumers filed where lookups
+// do not reach), Open refuses it with ErrShardMismatch; under its own
+// count it opens with every consumer.
+func TestReopenUnderOtherShardCountRefused(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(catalog.New(), WithPersistence(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]string, 200)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("user-%04d", i)
+		if err := e.SetProfile(profile.NewProfile(ids[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{4, 5, 2 * DefaultShards} {
+		e, err := Open(catalog.New(), WithShards(n), WithPersistence(dir))
+		if err == nil {
+			found := 0
+			for _, id := range ids {
+				if _, err := e.Profile(id); err == nil {
+					found++
+				}
+			}
+			e.Close()
+			t.Fatalf("a %d-shard journal opened under %d shards: %d users listed, %d of 200 found",
+				DefaultShards, n, len(e.Users()), found)
+		}
+		if !errors.Is(err, ErrShardMismatch) {
+			t.Fatalf("under %d shards: %v, want ErrShardMismatch", n, err)
+		}
+	}
+	e, err = Open(catalog.New(), WithPersistence(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for _, id := range ids {
+		if _, err := e.Profile(id); err != nil {
+			t.Fatalf("under its own count: %v", err)
+		}
+	}
+}
+
+// writeJournal writes ops to a fresh community journal under a new dir,
+// one batch each, skipping any the store refuses, and returns the dir.
+func writeJournal(t testing.TB, ops []kvstore.Op) string {
+	dir := t.TempDir()
+	store, err := kvstore.Open(filepath.Join(dir, CommunityWAL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range ops {
+		store.Apply([]kvstore.Op{op})
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestJournalPastTheShardCount: a journal with a bucket of a shard the
+// engine lacks — profiles, purchases or sells — is refused, since recovery
+// would never load it, and opens under a count that has the shard.
+func TestJournalPastTheShardCount(t *testing.T) {
+	for _, bucket := range []string{profBucket(3), purchBucket(3), sellBucket(3)} {
+		dir := writeJournal(t, []kvstore.Op{{Bucket: bucket, Key: "user-0001\x00p1", Value: []byte("1")}})
+		if e, err := Open(catalog.New(), WithShards(3), WithPersistence(dir)); !errors.Is(err, ErrShardMismatch) {
+			if err == nil {
+				e.Close()
+			}
+			t.Fatalf("%s under 3 shards: %v, want ErrShardMismatch", bucket, err)
+		}
+	}
+	dir := writeJournal(t, []kvstore.Op{{Bucket: sellBucket(3), Key: "p1", Value: []byte("2")}})
+	e, err := Open(catalog.New(), WithShards(4), WithPersistence(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if got := e.shards[3].sells["p1"]; got != 2 {
+		t.Fatalf("shard 3 sells %d of p1, want 2", got)
+	}
+}
+
+// Fuzzed journal records: kind (profile, purchase or sell bucket), the
+// shard number of the bucket, then a key and a value, each one length
+// byte and its bytes. A truncated record ends the journal.
+var recoverBuckets = []string{bucketProfiles, bucketPurchases, bucketSells}
+
+func recoverRecord(kind, shard int, key string, value []byte) []byte {
+	out := []byte{byte(kind), byte(shard), byte(len(key))}
+	out = append(out, key...)
+	out = append(out, byte(len(value)))
+	return append(out, value...)
+}
+
+func recoverOps(data []byte) []kvstore.Op {
+	var ops []kvstore.Op
+	for len(data) >= 3 {
+		bucket := recoverBuckets[int(data[0])%len(recoverBuckets)] + strconv.Itoa(int(data[1]))
+		klen := int(data[2])
+		data = data[3:]
+		if len(data) < klen+1 {
+			break
+		}
+		key := string(data[:klen])
+		vlen := int(data[klen])
+		data = data[klen+1:]
+		if len(data) < vlen {
+			break
+		}
+		ops = append(ops, kvstore.Op{Bucket: bucket, Key: key, Value: data[:vlen]})
+		data = data[vlen:]
+	}
+	return ops
+}
+
+// FuzzRecoverShard opens an engine under a fuzzed shard count over a
+// journal of arbitrary (CRC-valid, as the store writes them) records in the
+// profile, purchase and sell buckets. Open may refuse the journal; if it
+// opens, every consumer Users lists is found by Profile and by a Snapshot —
+// recovery never files a consumer where lookups do not reach.
+func FuzzRecoverShard(f *testing.F) {
+	const seedShards = 2
+	user := "user-0001"
+	home := shardOf(user, seedShards)
+	enc, err := profile.NewProfile(user).Marshal()
+	if err != nil {
+		f.Fatal(err)
+	}
+	join := func(recs ...[]byte) (out []byte) {
+		for _, r := range recs {
+			out = append(out, r...)
+		}
+		return out
+	}
+	valid := join(
+		recoverRecord(0, home, user, enc),
+		recoverRecord(1, home, user+"\x00p1", []byte{0}),
+		recoverRecord(2, home, "p1", []byte("1")),
+	)
+	f.Add(uint8(seedShards-1), valid)                                       // a valid one-consumer journal
+	f.Add(uint8(seedShards-1), recoverRecord(0, 1-home, user, enc))         // a profile in another shard's bucket
+	f.Add(uint8(seedShards-1), join(valid, recoverRecord(0, 7, user, enc))) // a bucket for a shard past the count
+	f.Add(uint8(seedShards-1), recoverRecord(0, home, user,
+		[]byte(`{"user_id":"`+user+`","categories":{"c":null}}`))) // a profile with a null category
+	f.Add(uint8(seedShards-1), recoverRecord(1, home, user+"p1", []byte{0})) // a purchase key with no NUL
+
+	f.Fuzz(func(t *testing.T, shards uint8, data []byte) {
+		n := int(shards)%16 + 1
+		dir := writeJournal(t, recoverOps(data))
+		e, err := Open(catalog.New(), WithShards(n), WithPersistence(dir))
+		if err != nil {
+			return
+		}
+		defer e.Close()
+		snap := e.Snapshot()
+		for _, id := range e.Users() {
+			if _, err := e.Profile(id); err != nil {
+				t.Fatalf("listed %q not found: %v", id, err)
+			}
+			if snap.Profile(id) == nil {
+				t.Fatalf("listed %q not in a snapshot", id)
+			}
+		}
+	})
+}

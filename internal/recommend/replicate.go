@@ -247,24 +247,6 @@ func chunkEncoded(encoded [][]byte, limit int) [][][]byte {
 	return out
 }
 
-// feedEncodeProfiles marshals profs for feed emission, before any locks are
-// taken so an encoding failure never leaves a half-applied write. Returns
-// nil without a feed.
-func (e *Engine) feedEncodeProfiles(profs []*profile.Profile) ([][]byte, error) {
-	if e.feed == nil {
-		return nil, nil
-	}
-	out := make([][]byte, len(profs))
-	for i, p := range profs {
-		data, err := p.Marshal()
-		if err != nil {
-			return nil, fmt.Errorf("recommend: encoding profile %s for journal feed: %w", p.UserID, err)
-		}
-		out[i] = data
-	}
-	return out, nil
-}
-
 // JournalTail answers a follower's tail request for one shard: records
 // after (epoch, since) when the retained tail covers the cursor, otherwise
 // the Paged marker pinned at (feed epoch, head) — constant work, no shard
@@ -324,18 +306,11 @@ func (e *Engine) applyJournalRecord(shard int, rec JournalRecord, admit admitFun
 			// no state and no feed head.
 			return errors.New("recommend: replicated profiles record carries no profile")
 		}
-		profs := make([]*profile.Profile, len(rec.Profiles))
-		for i, data := range rec.Profiles {
-			p, err := profile.Unmarshal(data)
-			if err != nil {
-				return fmt.Errorf("recommend: decoding replicated profile: %w", err)
-			}
-			if e.ShardOf(p.UserID) != shard {
-				return fmt.Errorf("%w: user %s", ErrShardMismatch, p.UserID)
-			}
-			profs[i] = p
+		profs, err := decodeProfiles(rec.Profiles, shard, e.nshards)
+		if err != nil {
+			return err
 		}
-		return e.installShardProfiles(e.shards[shard], profs, admit)
+		return e.installShardProfiles(e.shards[shard], profs, rec.Profiles, admit)
 	case OpPurchase:
 		if e.ShardOf(rec.UserID) != shard {
 			return fmt.Errorf("%w: user %s", ErrShardMismatch, rec.UserID)
@@ -472,13 +447,7 @@ func (r *Router) writerFor(userID string) (Writer, error) {
 }
 
 // SetProfile installs the profile on the owning server.
-func (r *Router) SetProfile(p *profile.Profile) error {
-	w, err := r.writerFor(p.UserID)
-	if err != nil {
-		return err
-	}
-	return w.SetProfile(p)
-}
+func (r *Router) SetProfile(p *profile.Profile) error { return r.SetProfiles([]*profile.Profile{p}) }
 
 // SetProfiles bulk-installs profiles, grouped per owning server with
 // per-server order preserved.

@@ -245,37 +245,39 @@ func (e *Engine) SnapshotPage(shard int, epoch, seq uint64, token string, maxByt
 // every printable byte, so a consumer's pairs group contiguously.
 func purchaseKey(p PurchasePair) string { return p.UserID + "\x00" + p.ProductID }
 
-// addPage decodes pg onto d, the state a paged transfer assembles and the
-// install path applies wholesale. Decoding as pages arrive fails the pull at
-// a bad page, before anything is installed, and holds no second, encoded
-// copy of the shard meanwhile; a profile or purchase whose consumer does
-// not hash to shard on e (server shard counts differ, or a hostile page) is
-// refused, and so is a sell total below one, which no purchase writes and
-// which would cancel other shards' sales in the served sum.
+// addPage decodes pg onto d, the state a paged transfer assembles, as the
+// page arrives: a bad page fails the pull before anything is installed, and
+// no second, encoded copy of the shard is held meanwhile.
 func (d *ShardData) addPage(e *Engine, shard int, pg SnapshotPage) error {
-	for _, enc := range pg.Profiles {
-		p, err := profile.Unmarshal(enc)
-		if err != nil {
-			return fmt.Errorf("recommend: decoding snapshot profile: %w", err)
-		}
-		if e.ShardOf(p.UserID) != shard {
-			return fmt.Errorf("%w: user %s", ErrShardMismatch, p.UserID)
-		}
-		d.Profiles = append(d.Profiles, p)
+	return d.add(shard, e.nshards, pg)
+}
+
+// add is addPage for shard of shards (0: unchecked), and restart recovery's
+// assembly too. A consumer filed under another shard is refused, and so is
+// a sell total below one, which no purchase writes and which would cancel
+// other shards' sales in the served sum.
+func (d *ShardData) add(shard, shards int, pg SnapshotPage) error {
+	profs, err := decodeProfiles(pg.Profiles, shard, shards)
+	if err != nil {
+		return err
 	}
+	d.Profiles = append(d.Profiles, profs...)
 	if d.Purchases == nil {
 		d.Purchases = make(map[string]map[string]int64)
 		d.Sells = make(map[string]int64)
 	}
 	for _, pp := range pg.Purchases {
-		if e.ShardOf(pp.UserID) != shard {
-			return fmt.Errorf("%w: purchase by %s", ErrShardMismatch, pp.UserID)
+		if shards > 0 && shardOf(pp.UserID, shards) != shard {
+			return fmt.Errorf("%w: purchase by %s in shard %d", ErrShardMismatch, pp.UserID, shard)
 		}
-		d.addPurchase(pp.UserID, pp.ProductID, pp.AtEpochMS)
+		if d.Purchases[pp.UserID] == nil {
+			d.Purchases[pp.UserID] = make(map[string]int64)
+		}
+		d.Purchases[pp.UserID][pp.ProductID] = pp.AtEpochMS
 	}
 	for _, sc := range pg.Sells {
 		if sc.Total < 1 {
-			return fmt.Errorf("recommend: snapshot sell count %d for %q is not positive", sc.Total, sc.ProductID)
+			return fmt.Errorf("recommend: sell count %d for %q is not positive", sc.Total, sc.ProductID)
 		}
 		d.Sells[sc.ProductID] = sc.Total
 	}

@@ -207,25 +207,13 @@ func Handler(e *recommend.Engine, self, servers int, opts ...Option) atp.Journal
 			if err != nil {
 				return nil, err
 			}
-			out, err := json.Marshal(pg)
-			if err != nil {
-				return nil, fmt.Errorf("replnet: encoding snapshot page for shard %d: %w", req.Shard, err)
-			}
-			return out, nil
+			return json.Marshal(pg)
 		case kindSetProfiles:
 			var req setProfilesRequest
 			if err := json.Unmarshal(data, &req); err != nil {
 				return nil, fmt.Errorf("replnet: decoding profile write: %w", err)
 			}
-			profs := make([]*profile.Profile, len(req.Profiles))
-			for i, enc := range req.Profiles {
-				p, err := profile.Unmarshal(enc)
-				if err != nil {
-					return nil, fmt.Errorf("replnet: decoding forwarded profile: %w", err)
-				}
-				profs[i] = p
-			}
-			return nil, writer(req.OwnerEpoch).SetProfiles(profs)
+			return nil, writer(req.OwnerEpoch).SetEncodedProfiles(req.Profiles)
 		case kindPurchase:
 			var req purchaseRequest
 			if err := json.Unmarshal(data, &req); err != nil {
@@ -236,12 +224,7 @@ func Handler(e *recommend.Engine, self, servers int, opts ...Option) atp.Journal
 			// The consistency probe is deliberately unfenced: it is how
 			// peers discover they disagree in the first place.
 			m := table.Current()
-			info := OwnerMapInfo{Hash: m.Hash(), Epoch: m.Epoch, Shards: e.Shards(), Servers: servers, Self: self}
-			out, err := json.Marshal(info)
-			if err != nil {
-				return nil, fmt.Errorf("replnet: encoding owner map info: %w", err)
-			}
-			return out, nil
+			return json.Marshal(OwnerMapInfo{Hash: m.Hash(), Epoch: m.Epoch, Shards: e.Shards(), Servers: servers, Self: self})
 		default:
 			return nil, fmt.Errorf("replnet: unknown journal kind %q", kind)
 		}
@@ -300,53 +283,40 @@ func (c wireCfg) stamp() uint64 {
 	return c.owners.Epoch()
 }
 
+// call sends req as a journal frame of kind to dest, decoding any reply.
+func call(ctx context.Context, client *atp.Client, dest, kind string, req, reply any) error {
+	data, err := json.Marshal(req)
+	if err != nil {
+		return fmt.Errorf("replnet: encoding %s request: %w", kind, err)
+	}
+	out, err := client.Journal(ctx, dest, kind, data)
+	if err != nil || reply == nil {
+		return err
+	}
+	if err := json.Unmarshal(out, reply); err != nil {
+		return fmt.Errorf("replnet: decoding %s reply from %s: %w", kind, dest, err)
+	}
+	return nil
+}
+
 // JournalTail implements recommend.Peer.
-func (p *Peer) JournalTail(ctx context.Context, shard int, epoch, since uint64) (recommend.TailResult, error) {
-	req, err := json.Marshal(tailRequest{Shard: shard, Epoch: epoch, Since: since, OwnerEpoch: p.cfg.stamp()})
-	if err != nil {
-		return recommend.TailResult{}, fmt.Errorf("replnet: encoding tail request: %w", err)
-	}
-	out, err := p.client.Journal(ctx, p.dest, kindTail, req)
-	if err != nil {
-		return recommend.TailResult{}, err
-	}
-	var tr recommend.TailResult
-	if err := json.Unmarshal(out, &tr); err != nil {
-		return recommend.TailResult{}, fmt.Errorf("replnet: decoding tail result from %s: %w", p.dest, err)
-	}
-	return tr, nil
+func (p *Peer) JournalTail(ctx context.Context, shard int, epoch, since uint64) (tr recommend.TailResult, err error) {
+	err = call(ctx, p.client, p.dest, kindTail, tailRequest{Shard: shard, Epoch: epoch, Since: since, OwnerEpoch: p.cfg.stamp()}, &tr)
+	return tr, err
 }
 
 // SnapshotPage implements recommend.Peer: one bounded page of a
 // shard-snapshot transfer (requested after a tail reply came back Paged).
-func (p *Peer) SnapshotPage(ctx context.Context, shard int, epoch, seq uint64, token string) (recommend.SnapshotPage, error) {
-	req, err := json.Marshal(snapPageRequest{Shard: shard, Epoch: epoch, Seq: seq, Token: token, OwnerEpoch: p.cfg.stamp()})
-	if err != nil {
-		return recommend.SnapshotPage{}, fmt.Errorf("replnet: encoding snapshot page request: %w", err)
-	}
-	out, err := p.client.Journal(ctx, p.dest, kindSnapPage, req)
-	if err != nil {
-		return recommend.SnapshotPage{}, err
-	}
-	var pg recommend.SnapshotPage
-	if err := json.Unmarshal(out, &pg); err != nil {
-		return recommend.SnapshotPage{}, fmt.Errorf("replnet: decoding snapshot page from %s: %w", p.dest, err)
-	}
-	return pg, nil
+func (p *Peer) SnapshotPage(ctx context.Context, shard int, epoch, seq uint64, token string) (pg recommend.SnapshotPage, err error) {
+	err = call(ctx, p.client, p.dest, kindSnapPage, snapPageRequest{Shard: shard, Epoch: epoch, Seq: seq, Token: token, OwnerEpoch: p.cfg.stamp()}, &pg)
+	return pg, err
 }
 
 // OwnerMap fetches the remote server's ownership map fingerprint — the
 // probe behind platformd's startup map-consistency check.
-func (p *Peer) OwnerMap(ctx context.Context) (OwnerMapInfo, error) {
-	out, err := p.client.Journal(ctx, p.dest, kindOwnerMap, []byte("{}"))
-	if err != nil {
-		return OwnerMapInfo{}, err
-	}
-	var info OwnerMapInfo
-	if err := json.Unmarshal(out, &info); err != nil {
-		return OwnerMapInfo{}, fmt.Errorf("replnet: decoding owner map info from %s: %w", p.dest, err)
-	}
-	return info, nil
+func (p *Peer) OwnerMap(ctx context.Context) (info OwnerMapInfo, err error) {
+	err = call(ctx, p.client, p.dest, kindOwnerMap, struct{}{}, &info)
+	return info, err
 }
 
 var _ recommend.Peer = (*Peer)(nil)
@@ -380,14 +350,9 @@ func NewWriter(base context.Context, client *atp.Client, dest string, opts ...Op
 }
 
 func (w *Writer) send(kind string, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("replnet: encoding %s: %w", kind, err)
-	}
 	ctx, cancel := context.WithTimeout(w.base, w.timeout)
 	defer cancel()
-	_, err = w.client.Journal(ctx, w.dest, kind, data)
-	return err
+	return call(ctx, w.client, w.dest, kind, v, nil)
 }
 
 // SetProfile implements recommend.Writer.
