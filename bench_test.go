@@ -100,9 +100,11 @@ func BenchmarkSimilarityCosine(b *testing.B) {
 
 // BenchmarkDot prices one pair of the Fig 4.5 kernel both ways, on generated
 // profiles at the benchmark's shape (1 200 products, 16 categories): the map
-// path hashes a key string per term, the merge-join walks two sorted id
-// slices. Pairs cycle through 256 consumers so neither side scores one warm
-// pair.
+// path hashes a key string per term, the gather reads one dense-table entry
+// per candidate term. Pairs cycle through 256 consumers so neither side
+// scores one warm pair; the gather's target changes once per cycle, and its
+// scatter and unscatter are timed, spread over the cycle's 256 candidates
+// as a search spreads them over its own.
 func BenchmarkDot(b *testing.B) {
 	u, err := workload.Generate(workload.Config{Seed: 11, Users: 256, Products: 1200, Categories: 16})
 	if err != nil {
@@ -122,9 +124,18 @@ func BenchmarkDot(b *testing.B) {
 			sink += similarity.Dot(sums[0].Vec, sums[i%len(sums)].Vec)
 		}
 	})
-	b.Run("merge-join", func(b *testing.B) {
+	b.Run("gather", func(b *testing.B) {
+		var dense []float64
+		var target *profile.Compact
 		for i := 0; i < b.N; i++ {
-			sink += sums[0].Compact.Dot(sums[i%len(sums)].Compact)
+			if i%len(sums) == 0 {
+				if target != nil {
+					target.Unscatter(dense)
+				}
+				target = sums[i/len(sums)%len(sums)].Compact
+				dense = target.Scatter(dense)
+			}
+			sink += sums[i%len(sums)].Compact.Gather(dense)
 		}
 	})
 	_ = sink

@@ -10,8 +10,9 @@ import (
 
 // Compact is a sparse vector in the form the similarity kernel scans: term
 // keys interned to process-local ids, ids strictly ascending, Weights[i] the
-// weight of IDs[i]. Two Compact values can be dotted by one merge-join over
-// the id slices, with no string hashed.
+// weight of IDs[i]. A Compact is dotted with another by scattering one into
+// a dense table indexed by id and gathering the other's ids from it, with no
+// string hashed.
 //
 // Ids are handed out in first-seen order by a dictionary private to this
 // process, so a Compact means nothing outside it: it is never marshalled,
@@ -35,27 +36,49 @@ func (c *Compact) Set(vec map[string]float64) {
 	c.sortByID()
 }
 
-// Dot returns the sparse dot product of c and o: the same value
-// similarity.Dot gives for the maps they were built from, summed in
-// ascending id order instead of map iteration order.
-func (c *Compact) Dot(o *Compact) float64 {
-	a, b := c.IDs, o.IDs
-	aw, bw := c.Weights[:len(a)], o.Weights[:len(b)]
+// Scatter writes c's weights into dense at their ids and returns dense
+// resliced to c's largest id + 1, reallocated when its capacity is short.
+// Every entry of dense's backing array must be zero on entry; Unscatter
+// restores that, so a table can be reused for the next vector.
+func (c *Compact) Scatter(dense []float64) []float64 {
+	n := 0
+	if len(c.IDs) > 0 {
+		n = int(c.IDs[len(c.IDs)-1]) + 1
+	}
+	if cap(dense) < n {
+		dense = make([]float64, n)
+	}
+	dense = dense[:n]
+	for i, id := range c.IDs {
+		dense[id] = c.Weights[i]
+	}
+	return dense
+}
+
+// Gather returns the sparse dot product of c with the vector Scatter wrote
+// into dense. It adds one product per id of c, in ascending id order, and
+// stops at the first id past the table, which the scattered vector cannot
+// hold. A term the scattered vector lacks adds w·0 = +0, which leaves a sum
+// of finite products unchanged, so for finite weights the result equals,
+// bit for bit, the merge-join that adds only the matching products in the
+// same order.
+func (c *Compact) Gather(dense []float64) float64 {
+	w := c.Weights[:len(c.IDs)]
 	var dot float64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		x, y := a[i], b[j]
-		if x == y {
-			dot += aw[i] * bw[j]
+	for i, id := range c.IDs {
+		if uint(id) >= uint(len(dense)) {
+			break
 		}
-		if x <= y {
-			i++
-		}
-		if y <= x {
-			j++
-		}
+		dot += w[i] * dense[id]
 	}
 	return dot
+}
+
+// Unscatter zeroes the entries of dense that Scatter(dense) set for c.
+func (c *Compact) Unscatter(dense []float64) {
+	for _, id := range c.IDs {
+		dense[id] = 0
+	}
 }
 
 // Norm returns the Euclidean norm of c, summed in ascending id order.

@@ -78,7 +78,7 @@ func TestSummaryBitReproducible(t *testing.T) {
 				t.Fatal("Equal is false for two summaries of one profile")
 			}
 		}
-		if want := math.Sqrt(a.Compact.Dot(a.Compact)); math.Abs(a.Norm-want) > 1e-12*want {
+		if want := math.Sqrt(a.Compact.Gather(a.Compact.Scatter(nil))); math.Abs(a.Norm-want) > 1e-12*want {
 			t.Fatalf("Norm = %v, sqrt(v·v) = %v", a.Norm, want)
 		}
 

@@ -131,7 +131,7 @@ func WithNeighbors(k int) Option {
 
 // WithTolerance sets the Fig 4.5 discard tolerance (default 0.5). At 1 the
 // gate never fires (|Tx-Ty|/max <= 1 always): that is the F4.5 ablation,
-// plain cosine neighbours.
+// plain cosine neighbours. Open refuses a tolerance outside [0, 1].
 func WithTolerance(tol float64) Option {
 	return func(e *Engine) { e.tolerance = tol }
 }
@@ -210,19 +210,22 @@ type Engine struct {
 	lastTop     map[string][]string // served top-N per (user, category, strategy), for delta detection
 }
 
-// NewEngine returns an engine over cat. Persistence options are rejected
-// here because recovery can fail: build durable engines with Open.
+// NewEngine returns an engine over cat, and panics where Open would fail:
+// on a tolerance outside [0, 1], or when recovery under a persistence
+// option fails. Build durable engines with Open.
 func NewEngine(cat *catalog.Catalog, opts ...Option) *Engine {
 	e, err := Open(cat, opts...)
 	if err != nil {
-		panic(fmt.Sprintf("recommend: NewEngine with persistence options: %v (use Open)", err))
+		panic(fmt.Sprintf("recommend: NewEngine: %v", err))
 	}
 	return e
 }
 
 // Open is NewEngine with error reporting: required for engines built with
-// WithPersistence / WithPersister, whose recovery replay can fail. The
-// caller should Close a persistent engine when done with it.
+// WithPersistence / WithPersister, whose recovery replay can fail. A
+// tolerance outside [0, 1], NaN included, is refused with a wrapped
+// similarity.ErrBadThreshold. The caller should Close a persistent engine
+// when done with it.
 func Open(cat *catalog.Catalog, opts ...Option) (*Engine, error) {
 	e := &Engine{
 		catalog:   cat,
@@ -233,6 +236,9 @@ func Open(cat *catalog.Catalog, opts ...Option) (*Engine, error) {
 	}
 	for _, opt := range opts {
 		opt(e)
+	}
+	if err := similarity.CheckTolerance(e.tolerance); err != nil {
+		return nil, err
 	}
 	e.shards = make([]*shard, e.nshards)
 	for i := 0; i < e.nshards; i++ {

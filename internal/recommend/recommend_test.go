@@ -2,10 +2,14 @@ package recommend
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"agentrec/internal/catalog"
 	"agentrec/internal/profile"
+	"agentrec/internal/similarity"
 	"agentrec/internal/workload"
 )
 
@@ -256,6 +260,30 @@ func TestDiscardGateAblation(t *testing.T) {
 	if len(ro) == 0 {
 		t.Error("gate off should find bob's purchases")
 	}
+}
+
+// TestOpenRefusesBadTolerance: a tolerance outside [0, 1] is refused when
+// the engine is built, not by every CF read later. NaN above all: it passed
+// the [0, 1] check, switched the gate off while the posting-list restriction
+// that assumes a live gate still applied, and never hit the neighbour memo.
+func TestOpenRefusesBadTolerance(t *testing.T) {
+	for _, tol := range []float64{2, -1, math.NaN()} {
+		if _, err := Open(catalog.New(), WithTolerance(tol)); !errors.Is(err, similarity.ErrBadThreshold) {
+			t.Errorf("Open(WithTolerance(%v)) = %v; want ErrBadThreshold", tol, err)
+		}
+	}
+	for _, tol := range []float64{0, 1} {
+		if _, err := Open(catalog.New(), WithTolerance(tol)); err != nil {
+			t.Errorf("Open(WithTolerance(%v)): %v", tol, err)
+		}
+	}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "threshold") || strings.Contains(msg, "persistence") {
+			t.Errorf("NewEngine panic %q; want the tolerance named, not persistence", msg)
+		}
+	}()
+	NewEngine(catalog.New(), WithTolerance(math.NaN()))
 }
 
 func TestRecommendForQueryRanksOwnedLast(t *testing.T) {

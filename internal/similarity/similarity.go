@@ -28,6 +28,17 @@ import (
 // ErrBadThreshold reports a discard threshold outside [0, 1].
 var ErrBadThreshold = errors.New("similarity: discard threshold must be in [0, 1]")
 
+// CheckTolerance returns a wrapped ErrBadThreshold unless tolerance is in
+// [0, 1]. NaN is refused too: no gate comparison is true for it, so it
+// would switch the gate off while a caller that assumes a live gate below
+// 1 still restricts its candidates.
+func CheckTolerance(tolerance float64) error {
+	if !(tolerance >= 0 && tolerance <= 1) {
+		return fmt.Errorf("%w: %v", ErrBadThreshold, tolerance)
+	}
+	return nil
+}
+
 // Vec is a sparse non-negative weight vector, keyed by term.
 type Vec = map[string]float64
 
@@ -84,8 +95,8 @@ type Result struct {
 // never discarded when both T values are 0 — no evidence is not
 // disagreement; the raw cosine (likely 0 anyway) stands.
 func PaperSimilarity(x, y *profile.Profile, category string, tolerance float64) (Result, error) {
-	if tolerance < 0 || tolerance > 1 {
-		return Result{}, fmt.Errorf("%w: %v", ErrBadThreshold, tolerance)
+	if err := CheckTolerance(tolerance); err != nil {
+		return Result{}, err
 	}
 	res := Result{
 		Tx: x.PreferenceValue(category),
@@ -124,9 +135,10 @@ type Neighbor struct {
 // re-flattens vectors nor re-sums preference values per pair. Norm and
 // Compact are optional precomputed acceleration data: a zero Norm makes
 // TopKStream recompute it from Vec, and a candidate built from a Summary
-// carries its Compact, which TopKStream scores by merge-join. The map-based
-// Dot over Vec remains solely as the fallback for candidates built without a
-// Summary (nil Compact), and for Cosine and PaperSimilarity.
+// carries its Compact, which TopKStream scores by a gather against the
+// scattered target. The map-based Dot over Vec remains solely as the
+// fallback for candidates built without a Summary (nil Compact), and for
+// Cosine and PaperSimilarity.
 type Candidate struct {
 	UserID  string
 	Vec     Vec              // flattened profile vector
@@ -152,13 +164,15 @@ func TopK(target *profile.Profile, candidates []*profile.Profile, category strin
 }
 
 // topkScratch is the pooled working set of one TopKStream call: the
-// bounded min-heap (or unbounded accumulator when k < 0) and the target's
-// compact form. Pooling it keeps the inner scoring loop at zero heap
-// allocations per candidate — the read-path hot loop runs at memory speed
-// regardless of community size (TestTopKStreamZeroAlloc pins this).
+// bounded min-heap (or unbounded accumulator when k < 0), the target's
+// compact form and the dense table it is scattered into. Pooling it keeps
+// the inner scoring loop at zero heap allocations per candidate — the
+// read-path hot loop runs at memory speed regardless of community size
+// (TestTopKStreamZeroAlloc pins this).
 type topkScratch struct {
 	heap   []Neighbor
 	target profile.Compact // the target vector, interned once per call
+	dense  []float64       // target weights by term id; all zero while pooled
 }
 
 var topkPool = sync.Pool{New: func() any { return new(topkScratch) }}
@@ -203,14 +217,16 @@ func heapFix(h []Neighbor, i int) {
 // targetID are skipped. k < 0 returns all.
 //
 // The scoring loop is allocation-free per candidate: the target's compact
-// form and norm are computed once, candidate norms come precomputed on the
-// Candidate (falling back to a re-sum when absent), and survivors go through
-// a pooled bounded heap sized k instead of an append-everything-then-sort
-// buffer. Scores of candidates that carry a Compact are summed in ascending
-// term-id order, so the same content gives bit-identical scores.
+// form and norm are computed once and the target is scattered into a pooled
+// dense table, candidate norms come precomputed on the Candidate (falling
+// back to a re-sum when absent), and survivors go through a pooled bounded
+// heap sized k instead of an append-everything-then-sort buffer. A candidate
+// that carries a Compact is scored by one gather over its own ids, summed in
+// ascending term-id order, so the same content gives bit-identical scores.
+// An empty or zero target has no neighbour and reads no candidate.
 func TopKStream(targetID string, targetVec Vec, tx, tolerance float64, candidates iter.Seq[Candidate], k int) ([]Neighbor, error) {
-	if tolerance < 0 || tolerance > 1 {
-		return nil, fmt.Errorf("%w: %v", ErrBadThreshold, tolerance)
+	if err := CheckTolerance(tolerance); err != nil {
+		return nil, err
 	}
 	if k == 0 {
 		return []Neighbor{}, nil
@@ -218,6 +234,11 @@ func TopKStream(targetID string, targetVec Vec, tx, tolerance float64, candidate
 	sc := topkPool.Get().(*topkScratch)
 	sc.target.Set(targetVec)
 	na := sc.target.Norm()
+	if na == 0 {
+		topkPool.Put(sc)
+		return []Neighbor{}, nil
+	}
+	sc.dense = sc.target.Scatter(sc.dense)
 	heap := sc.heap[:0]
 	if k >= 0 && cap(heap) < k {
 		heap = make([]Neighbor, 0, k)
@@ -229,9 +250,6 @@ func TopKStream(targetID string, targetVec Vec, tx, tolerance float64, candidate
 		if GateDiscards(tx, cand.Ty, tolerance) {
 			continue
 		}
-		if na == 0 {
-			continue // empty target: every cosine is 0, filtered anyway
-		}
 		nb := cand.Norm
 		if nb == 0 {
 			nb = Norm(cand.Vec)
@@ -241,7 +259,7 @@ func TopKStream(targetID string, targetVec Vec, tx, tolerance float64, candidate
 		}
 		var dot float64
 		if cand.Compact != nil {
-			dot = sc.target.Dot(cand.Compact)
+			dot = cand.Compact.Gather(sc.dense)
 		} else {
 			dot = Dot(targetVec, cand.Vec)
 		}
@@ -267,6 +285,7 @@ func TopKStream(targetID string, targetVec Vec, tx, tolerance float64, candidate
 	out := make([]Neighbor, len(heap))
 	copy(out, heap)
 	sc.heap = heap[:0]
+	sc.target.Unscatter(sc.dense)
 	topkPool.Put(sc)
 	slices.SortFunc(out, func(a, b Neighbor) int {
 		if a.Score != b.Score {

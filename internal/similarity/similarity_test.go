@@ -131,7 +131,7 @@ func TestPaperSimilarityBothZeroNotDiscarded(t *testing.T) {
 
 func TestPaperSimilarityBadTolerance(t *testing.T) {
 	x, y := buyer("x", "c", map[string]float64{"t": 1}, 1), buyer("y", "c", map[string]float64{"t": 1}, 1)
-	for _, tol := range []float64{-0.1, 1.1} {
+	for _, tol := range []float64{-0.1, 1.1, math.NaN()} {
 		if _, err := PaperSimilarity(x, y, "c", tol); !errors.Is(err, ErrBadThreshold) {
 			t.Errorf("tolerance %v accepted", tol)
 		}
@@ -201,8 +201,10 @@ func TestTopKDeterministicTieBreak(t *testing.T) {
 
 func TestTopKPropagatesBadTolerance(t *testing.T) {
 	target := buyer("t", "c", map[string]float64{"x": 1}, 1)
-	if _, err := TopK(target, []*profile.Profile{buyer("a", "c", map[string]float64{"x": 1}, 1)}, "c", 2, 1); err == nil {
-		t.Fatal("bad tolerance accepted")
+	for _, tol := range []float64{2, -1, math.NaN()} {
+		if _, err := TopK(target, []*profile.Profile{buyer("a", "c", map[string]float64{"x": 1}, 1)}, "c", tol, 1); !errors.Is(err, ErrBadThreshold) {
+			t.Errorf("tolerance %v: err = %v, want ErrBadThreshold", tol, err)
+		}
 	}
 }
 
