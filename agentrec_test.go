@@ -326,7 +326,7 @@ func TestDeploymentOptionsTogether(t *testing.T) {
 	)
 	ctx := testCtx(t)
 	for i := range 2 {
-		for p.Internal().Replicas[i].Table.Expired() != nil {
+		for p.Internal().Replicas[i].Engine.Ownership().Expired() != nil {
 			if ctx.Err() != nil {
 				t.Fatalf("server %d lease never landed", i)
 			}

@@ -67,7 +67,7 @@ func TestStandaloneList(t *testing.T) {
 	if err != nil {
 		t.Fatalf("-list: %v", err)
 	}
-	for _, name := range []string{"fencegate", "lockorder", "determinism", "buspublish", "wiretag", "errflow"} {
+	for _, name := range []string{"lockorder", "determinism", "buspublish", "wiretag", "errflow"} {
 		if !strings.Contains(string(out), name) {
 			t.Errorf("-list output missing %s:\n%s", name, out)
 		}

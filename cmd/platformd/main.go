@@ -392,8 +392,8 @@ func run(ctx context.Context, cfg daemonConfig) error {
 		return err
 	}
 	defer replica.Close()
-	fenced := replnet.WithOwnership(replica.Table)
-	buyerSrv.SetJournalHandler(replnet.Handler(replica.Engine, rc.Self, rc.Servers, fenced))
+	fenced := replnet.WithOwnership(replica.Engine.Ownership())
+	buyerSrv.SetJournalHandler(replnet.Handler(replica.Engine, rc.Self, rc.Servers))
 	writers := make([]recommend.Writer, rc.Servers)
 	peers := make([]recommend.Peer, rc.Servers)
 	for i, addr := range cfg.repl.servers {
@@ -463,7 +463,7 @@ func run(ctx context.Context, cfg daemonConfig) error {
 	})
 	// Startup map-consistency check: every reachable peer must agree on the
 	// ownership map before divergence can do damage.
-	g.Go(func() error { return checkOwnerMaps(gctx, client, replica.Table, cfg) })
+	g.Go(func() error { return checkOwnerMaps(gctx, client, replica.Engine.Ownership(), cfg) })
 	if cfg.elastic {
 		log.Printf("elastic ownership on: leasing the map from %s every %v", cfg.coordAddr, cfg.leaseInterval)
 	}

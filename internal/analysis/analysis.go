@@ -1,10 +1,8 @@
 // Package analysis is the repo's static-analysis suite: a small
 // go/analysis-style framework (built on the standard library alone — the
-// container has no golang.org/x/tools) plus the six analyzers that encode
+// container has no golang.org/x/tools) plus the five analyzers that encode
 // the platform's hardest invariants at vet time:
 //
-//   - fencegate: write surfaces in recommend/replnet write through a gated
-//     writer (OwnedWriter, Router), never the Engine's ungated write API.
 //   - lockorder: never nested shard locks, no lock held across a Persister
 //     fsync.
 //   - determinism: no wall clock, global rand, or unsorted map iteration
@@ -38,6 +36,15 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+)
+
+// Import paths of the packages the analyzers key on.
+const (
+	recommendPath = "agentrec/internal/recommend"
+	replnetPath   = "agentrec/internal/replnet"
+	opsPath       = "agentrec/internal/ops"
+	kvstorePath   = "agentrec/internal/kvstore"
+	platformPath  = "agentrec/internal/platform"
 )
 
 // Analyzer is one named invariant check. Run inspects a single type-checked

@@ -8,7 +8,6 @@ import (
 	"testing"
 )
 
-func TestFencegateFixtures(t *testing.T)   { runFixtures(t, Fencegate) }
 func TestLockorderFixtures(t *testing.T)   { runFixtures(t, Lockorder) }
 func TestDeterminismFixtures(t *testing.T) { runFixtures(t, Determinism) }
 func TestBuspublishFixtures(t *testing.T)  { runFixtures(t, Buspublish) }
@@ -73,7 +72,7 @@ var b int
 // TestAnalyzerNamesAreStable pins the suite's names and order: docs, allow
 // comments, and the DESIGN.md table all key on them.
 func TestAnalyzerNamesAreStable(t *testing.T) {
-	want := []string{"fencegate", "lockorder", "determinism", "buspublish", "wiretag", "errflow"}
+	want := []string{"lockorder", "determinism", "buspublish", "wiretag", "errflow"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("All() returned %d analyzers, want %d", len(all), len(want))

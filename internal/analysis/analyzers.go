@@ -6,7 +6,6 @@ package analysis
 // DESIGN.md "Static analysis" table.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Fencegate,
 		Lockorder,
 		Determinism,
 		Buspublish,

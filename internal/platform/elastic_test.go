@@ -43,7 +43,7 @@ func TestPlatformElasticOwnership(t *testing.T) {
 	// moving (static-first placement means a healthy boot never churns).
 	deadline := time.Now().Add(10 * time.Second)
 	for i := 0; i < 3; i++ {
-		tab := p.Replicas[i].Table
+		tab := p.Replicas[i].Engine.Ownership()
 		if tab == nil {
 			t.Fatalf("server %d has no ownership table", i)
 		}
@@ -174,9 +174,9 @@ func TestPlatformElasticOwnership(t *testing.T) {
 		final = p.Ownership.Map()
 	}
 	for i := 0; i < 3; i++ {
-		for p.Replicas[i].Table.Epoch() != final.Epoch {
+		for p.Replicas[i].Engine.Ownership().Epoch() != final.Epoch {
 			if time.Now().After(deadline) {
-				t.Fatalf("server %d table stuck at epoch %d, authority at %d", i, p.Replicas[i].Table.Epoch(), final.Epoch)
+				t.Fatalf("server %d table stuck at epoch %d, authority at %d", i, p.Replicas[i].Engine.Ownership().Epoch(), final.Epoch)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}

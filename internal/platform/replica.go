@@ -50,14 +50,13 @@ type ReplicaConfig struct {
 }
 
 // Replica is one Buyer Agent Server of a deployment. NewReplica opens the
-// engine and the ownership table; Connect joins it to its peers; Run (or
-// Start, its background form) drives journal pulls and lease renewals.
+// engine and binds it to its ownership map; Connect joins it to its peers;
+// Run (or Start, its background form) drives journal pulls and lease
+// renewals. The engine's table (Engine.Ownership) is the server's one map,
+// so routing, pulling and fencing take one path: static deployments hold
+// the never-leased epoch-1 shard%N map, leased ones advance it per grant.
 type Replica struct {
-	Engine *recommend.Engine
-	// Table is this server's ownership map — always present, so routing,
-	// pulling and fencing take one path: static deployments hold the
-	// never-leased epoch-1 shard%N map, leased ones advance it per grant.
-	Table      *recommend.OwnershipTable
+	Engine     *recommend.Engine
 	Router     *recommend.Router     // nil until Connect
 	Replicator *recommend.Replicator // nil until Connect
 
@@ -69,9 +68,9 @@ type Replica struct {
 	done      chan struct{}      // closed when Start's Run has returned
 }
 
-// NewReplica opens server cfg.Self's engine and its ownership table at the
-// static epoch-1 map every server (and the authority) starts from, so
-// routing is consistent before the first lease lands. The engine of a
+// NewReplica opens server cfg.Self's engine and binds it to the static
+// epoch-1 map every server (and the authority) starts from, so routing is
+// consistent before the first lease lands. The engine of a
 // multi-server deployment also serves its journal feed and compacts with
 // the eager follower policy: it journals every record it applies from
 // peers and rewrites whole shards on snapshot catch-up, so its WAL outgrows
@@ -102,23 +101,22 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Replica{
-		Engine: engine,
-		Table:  recommend.NewOwnershipTable(recommend.StaticOwnership(engine.Shards(), cfg.Servers)),
-		cfg:    cfg,
-	}, nil
+	if _, err := engine.BindOwnership(recommend.NewOwnershipTable(recommend.StaticOwnership(engine.Shards(), cfg.Servers)), cfg.Self); err != nil {
+		engine.Close()
+		return nil, err
+	}
+	return &Replica{Engine: engine, cfg: cfg}, nil
 }
 
 // Connect joins the replica to its deployment: writers[i] is the write
 // surface of server i and peers[i] its journal-tail surface (the entries at
 // Self are ignored). Call it once, before Run.
 func (r *Replica) Connect(writers []recommend.Writer, peers []recommend.Peer) error {
-	router, err := recommend.NewRouter(r.Engine, r.cfg.Self, writers, recommend.RouteWithOwnership(r.Table))
+	router, err := recommend.NewRouter(r.Engine, r.cfg.Self, writers)
 	if err != nil {
 		return err
 	}
-	repl, err := recommend.NewReplicator(r.Engine, r.cfg.Self, peers,
-		recommend.WithPullInterval(r.cfg.Pull), recommend.PullWithOwnership(r.Table))
+	repl, err := recommend.NewReplicator(r.Engine, r.cfg.Self, peers, recommend.WithPullInterval(r.cfg.Pull))
 	if err != nil {
 		return err
 	}
@@ -126,7 +124,7 @@ func (r *Replica) Connect(writers []recommend.Writer, peers []recommend.Peer) er
 	if r.cfg.Renew != nil {
 		r.lease = &coordinator.LeaseClient{
 			Self:     r.cfg.Self,
-			Table:    r.Table,
+			Table:    r.Engine.Ownership(),
 			Renew:    r.cfg.Renew,
 			Applied:  repl.AppliedSeqs,
 			Interval: r.cfg.Lease,
@@ -148,7 +146,7 @@ func LocalLinks(rs []*Replica, i int) ([]recommend.Writer, []recommend.Peer) {
 	for j, r := range rs {
 		peers[j] = recommend.LocalPeer{Engine: r.Engine}
 		if j != i {
-			writers[j] = recommend.OwnedWriter{Local: r.Engine, Self: j, Table: r.Table, Sender: rs[i].Table}
+			writers[j] = recommend.OwnedWriter{Local: r.Engine, Sender: rs[i].Engine.Ownership()}
 		}
 	}
 	return writers, peers

@@ -86,7 +86,7 @@ func TestReplicaRunStopsOnCancel(t *testing.T) {
 	// through server 1's router, reaches server 1's replica by the pull loop.
 	for i, r := range rs {
 		waitFor(t, fmt.Sprintf("server %d's first lease", i), func() bool {
-			return r.Table.Expired() == nil && renewals.Load() > 0
+			return r.Engine.Ownership().Expired() == nil && renewals.Load() > 0
 		})
 	}
 	user := userOwnedBy(rs[0].Engine, "early", 0, 2)
@@ -237,7 +237,7 @@ func TestReplicatedStaticAndElasticAgree(t *testing.T) {
 			if mode.elastic {
 				for i := range engines(p) {
 					waitFor(t, fmt.Sprintf("server %d's first lease", i), func() bool {
-						return p.Replicas[i].Table.Expired() == nil
+						return p.Replicas[i].Engine.Ownership().Expired() == nil
 					})
 				}
 			}
@@ -300,7 +300,7 @@ func TestReplicatedStaticAndElasticAgree(t *testing.T) {
 			}
 			shard := p.Engine.ShardOf(user)
 			for i := range engines(p) {
-				tab := p.Replicas[i].Table
+				tab := p.Replicas[i].Engine.Ownership()
 				if tab.Epoch() != 1 {
 					t.Errorf("server %d static table at epoch %d", i, tab.Epoch())
 				}
@@ -308,14 +308,14 @@ func TestReplicatedStaticAndElasticAgree(t *testing.T) {
 					t.Errorf("server %d never-leased table expired: %v", i, err)
 				}
 			}
-			if err := p.Replicas[2].Table.Fence(p.Replicas[0].Table.Epoch(), shard, 2); err != nil {
+			if err := p.Replicas[2].Engine.Ownership().Fence(p.Replicas[0].Engine.Ownership().Epoch(), shard, 2); err != nil {
 				t.Errorf("receiver's fence refuses the static sender: %v", err)
 			}
 			// The fence is on the path, not beside it: once the sender's map
 			// moves ahead of the receiver's, the same routed write is refused.
-			ahead := p.Replicas[0].Table.Current()
+			ahead := p.Replicas[0].Engine.Ownership().Current()
 			ahead.Epoch++
-			p.Replicas[0].Table.Advance(ahead)
+			p.Replicas[0].Engine.Ownership().Advance(ahead)
 			if err := p.Writer(0).SetProfile(profile.NewProfile(user)); !errors.Is(err, recommend.ErrStaleEpoch) {
 				t.Errorf("routed write across mismatched epochs = %v, want ErrStaleEpoch", err)
 			}
@@ -323,5 +323,57 @@ func TestReplicatedStaticAndElasticAgree(t *testing.T) {
 	}
 	if len(topologies) == 2 && !reflect.DeepEqual(topologies[0], topologies[1]) {
 		t.Errorf("static and elastic report different topologies:\nstatic  %+v\nelastic %+v", topologies[0], topologies[1])
+	}
+}
+
+// TestDirectEngineWriteFenced: the engine's public write API is the owner's
+// local write on every server. A direct write on server 1, for a shard
+// server 0 owns, is refused with ErrNotOwner before it reaches server 1's
+// journal feed, so no sync spreads it and the replicas cannot diverge; and
+// once server 1's lease has lapsed, a direct write for a shard it owns is
+// refused with ErrLeaseExpired.
+func TestDirectEngineWriteFenced(t *testing.T) {
+	p, err := New(Config{Marketplaces: 1, BuyerServers: 2, Products: demoProducts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	eng := p.Replicas[1].Engine
+	at := time.Now()
+	writes := map[string]func(user string) error{
+		"set-profile":  func(u string) error { return eng.SetProfile(profile.NewProfile(u)) },
+		"set-profiles": func(u string) error { return eng.SetProfiles([]*profile.Profile{profile.NewProfile(u)}) },
+		"purchase":     func(u string) error { return eng.RecordPurchaseAt(u, "p1", at) },
+	}
+	refused := func(name, user string, want error) {
+		t.Helper()
+		heads := eng.FeedHeads()
+		if err := writes[name](user); !errors.Is(err, want) {
+			t.Fatalf("%s on server 1 for %s: err = %v, want %v", name, user, err, want)
+		}
+		if got := eng.FeedHeads(); !reflect.DeepEqual(got, heads) {
+			t.Fatalf("refused %s moved server 1's feed: heads %v -> %v", name, heads, got)
+		}
+	}
+
+	for name := range writes {
+		user := userOwnedBy(eng, name, 0, 2)
+		refused(name, user, recommend.ErrNotOwner)
+		if err := p.SyncReplicas(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range p.Replicas {
+			if _, err := r.Engine.Profile(user); err == nil {
+				t.Errorf("%s: server %d holds %s after a refused write", name, i, user)
+			}
+			if got := r.Engine.Snapshot().Purchases(user); len(got) != 0 {
+				t.Errorf("%s: server %d holds purchases %v of %s after a refused write", name, i, got, user)
+			}
+		}
+	}
+
+	eng.Ownership().Lease(time.Now().Add(-time.Millisecond))
+	for name := range writes {
+		refused(name, userOwnedBy(eng, "own-"+name, 1, 2), recommend.ErrLeaseExpired)
 	}
 }

@@ -82,7 +82,7 @@ const DefaultAlpha = 0.3
 var (
 	ErrBadAlpha    = errors.New("profile: learning rate must be in (0, 1]")
 	ErrNoCategory  = errors.New("profile: observation has no category")
-	ErrBadEvidence = errors.New("profile: negative term weight in evidence")
+	ErrBadEvidence = errors.New("profile: negative or non-finite term weight in evidence")
 )
 
 // SubCategory is the inner level of Fig 4.4: a named bucket of weighted
@@ -143,18 +143,20 @@ type Evidence struct {
 
 // Observe applies the Fig 4.4 update rule for one piece of evidence:
 // every term i gains α · w_ji · quality. Unknown categories, sub-categories
-// and terms are created on first sight.
+// and terms are created on first sight. Weights stay finite: evidence with
+// a negative, NaN or infinite weight is refused, and a sum past the largest
+// float64 saturates there.
 func (p *Profile) Observe(ev Evidence) error {
 	if ev.Category == "" {
 		return ErrNoCategory
 	}
 	for _, w := range ev.Terms {
-		if w < 0 || math.IsNaN(w) {
+		if w < 0 || math.IsNaN(w) || math.IsInf(w, 1) {
 			return fmt.Errorf("%w: category terms", ErrBadEvidence)
 		}
 	}
 	for _, w := range ev.SubTerms {
-		if w < 0 || math.IsNaN(w) {
+		if w < 0 || math.IsNaN(w) || math.IsInf(w, 1) {
 			return fmt.Errorf("%w: sub-category terms", ErrBadEvidence)
 		}
 	}
@@ -166,7 +168,7 @@ func (p *Profile) Observe(ev Evidence) error {
 		p.Categories[ev.Category] = cat
 	}
 	for term, wji := range ev.Terms {
-		cat.Terms[term] += p.Alpha * wji * quality
+		addWeight(cat.Terms, term, p.Alpha*wji*quality)
 	}
 	if ev.SubCategory != "" {
 		if cat.Subs == nil {
@@ -178,7 +180,7 @@ func (p *Profile) Observe(ev Evidence) error {
 			cat.Subs[ev.SubCategory] = sub
 		}
 		for term, wji := range ev.SubTerms {
-			sub.Terms[term] += p.Alpha * wji * quality
+			addWeight(sub.Terms, term, p.Alpha*wji*quality)
 		}
 	}
 	p.Observed++
@@ -186,6 +188,17 @@ func (p *Profile) Observe(ev Evidence) error {
 		p.UpdatedAt = ev.At
 	}
 	return nil
+}
+
+// addWeight adds the finite gain g >= 0 to m[term], saturating at the
+// largest float64. A gain below 2^970, half an ulp of MaxFloat64, cannot
+// round a finite sum past it, so only larger gains pay for the clamp.
+func addWeight(m map[string]float64, term string, g float64) {
+	if g < 0x1p970 {
+		m[term] += g
+		return
+	}
+	m[term] = min(m[term]+g, math.MaxFloat64)
 }
 
 // Decay multiplies every weight by factor in [0,1), aging out stale

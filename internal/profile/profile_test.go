@@ -91,6 +91,42 @@ func TestObserveValidation(t *testing.T) {
 	if !errors.Is(err, ErrBadEvidence) {
 		t.Errorf("NaN sub weight: %v", err)
 	}
+	err = p.Observe(Evidence{Category: "c", Terms: map[string]float64{"t": math.Inf(1)}})
+	if !errors.Is(err, ErrBadEvidence) {
+		t.Errorf("+Inf weight: %v", err)
+	}
+	err = p.Observe(Evidence{Category: "c", SubCategory: "s", SubTerms: map[string]float64{"t": math.Inf(1)}, Behaviour: BehaviourBuy})
+	if !errors.Is(err, ErrBadEvidence) {
+		t.Errorf("+Inf sub weight: %v", err)
+	}
+	if len(p.Categories) != 0 || p.Observed != 0 {
+		t.Errorf("refused evidence changed the profile: %+v", p)
+	}
+}
+
+// TestObserveSaturatesWeights: finite evidence whose sum would overflow
+// saturates at the largest float64, so every weight stays finite.
+func TestObserveSaturatesWeights(t *testing.T) {
+	p := NewProfile("u1")
+	huge := Evidence{Category: "c", Terms: map[string]float64{"t": math.MaxFloat64},
+		SubCategory: "s", SubTerms: map[string]float64{"u": math.MaxFloat64}, Behaviour: BehaviourBuy}
+	for range 6 {
+		if err := p.Observe(huge); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Gains below the clamp's threshold, at the ceiling, stay there too.
+	below := Evidence{Category: "c", Terms: map[string]float64{"t": 0x1p970}, Behaviour: BehaviourBuy}
+	for range 3 {
+		if err := p.Observe(below); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, w := range []float64{p.Categories["c"].Terms["t"], p.Categories["c"].Subs["s"].Terms["u"]} {
+		if w != math.MaxFloat64 {
+			t.Fatalf("weight summed past the largest float64 = %v, want it saturated there", w)
+		}
+	}
 }
 
 func TestNewProfileAlphaValidation(t *testing.T) {

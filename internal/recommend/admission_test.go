@@ -64,12 +64,12 @@ func TestHeldLockApplyDropsDeposedReply(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			owner, follower := followerOfOne(t, u, profiles)
-			table := NewOwnershipTable(StaticOwnership(1, 2))
 			peer := &signallingPeer{LocalPeer: LocalPeer{Engine: owner}, tailed: make(chan struct{}, 1)}
-			r, err := NewReplicator(follower, 1, []Peer{peer, nil}, PullWithOwnership(table))
+			r, err := NewReplicator(follower, 1, []Peer{peer, nil})
 			if err != nil {
 				t.Fatal(err)
 			}
+			table := follower.Ownership()
 			if live {
 				if err := r.Sync(context.Background()); err != nil {
 					t.Fatal(err)
@@ -119,9 +119,12 @@ func TestHeldLockForwardedWriteRefusedAfterDeposition(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer eng.Close()
-			recv := NewOwnershipTable(StaticOwnership(1, 2)) // server 0 owns the shard
+			recv, err := eng.BindOwnership(NewOwnershipTable(StaticOwnership(1, 2)), 0) // server 0 owns the shard
+			if err != nil {
+				t.Fatal(err)
+			}
 			send := NewOwnershipTable(StaticOwnership(1, 2))
-			w := OwnedWriter{Local: eng, Self: 0, Table: recv, Sender: send}
+			w := OwnedWriter{Local: eng, Sender: send}
 			heads := eng.FeedHeads()
 
 			eng.shards[0].mu.Lock()
@@ -141,34 +144,50 @@ func TestHeldLockForwardedWriteRefusedAfterDeposition(t *testing.T) {
 	}
 }
 
-// TestHeldLockRouterLocalWriteRefusedAfterLeaseLapse: the Router's own
-// write waiting for the shard lock when the lease lapses is refused.
-func TestHeldLockRouterLocalWriteRefusedAfterLeaseLapse(t *testing.T) {
+// TestHeldLockLocalWriteRefusedAfterLeaseLapse: the owner's local write —
+// through the Router's own slot and through the engine's public write API
+// alike — waiting for the shard lock when the lease lapses is refused.
+func TestHeldLockLocalWriteRefusedAfterLeaseLapse(t *testing.T) {
 	u, _ := soakUniverse(t)
-	eng, err := Open(u.Catalog, WithJournalFeed(0), WithShards(1))
-	if err != nil {
-		t.Fatal(err)
+	writes := map[string]func(Writer) error{
+		"set-profile":  func(w Writer) error { return w.SetProfile(profile.NewProfile("local")) },
+		"set-profiles": func(w Writer) error { return w.SetProfiles([]*profile.Profile{profile.NewProfile("local")}) },
+		"purchase":     func(w Writer) error { return w.RecordPurchaseAt("local", "p1", time.Now()) },
 	}
-	defer eng.Close()
-	table := NewOwnershipTable(StaticOwnership(1, 1))
-	table.Lease(time.Now().Add(time.Hour))
-	router, err := NewRouter(eng, 0, []Writer{nil}, RouteWithOwnership(table))
-	if err != nil {
-		t.Fatal(err)
-	}
-	heads := eng.FeedHeads()
+	for _, via := range []string{"router", "engine"} {
+		for name, write := range writes {
+			t.Run(via+"/"+name, func(t *testing.T) {
+				eng, err := Open(u.Catalog, WithJournalFeed(0), WithShards(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer eng.Close()
+				router, err := NewRouter(eng, 0, []Writer{nil})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var w Writer = eng
+				if via == "router" {
+					w = router
+				}
+				table := eng.Ownership()
+				table.Lease(time.Now().Add(time.Hour))
+				heads := eng.FeedHeads()
 
-	eng.shards[0].mu.Lock()
-	done := make(chan error, 1)
-	go func() { done <- router.SetProfile(profile.NewProfile("local")) }()
-	awaitLockWait(t)
-	table.Lease(time.Now().Add(-time.Millisecond))
-	eng.shards[0].mu.Unlock()
+				eng.shards[0].mu.Lock()
+				done := make(chan error, 1)
+				go func() { done <- write(w) }()
+				awaitLockWait(t)
+				table.Lease(time.Now().Add(-time.Millisecond))
+				eng.shards[0].mu.Unlock()
 
-	if err := <-done; !errors.Is(err, ErrLeaseExpired) {
-		t.Fatalf("local write under a lease lapsed while it waited: err = %v, want ErrLeaseExpired", err)
-	}
-	if got := eng.FeedHeads(); !reflect.DeepEqual(got, heads) {
-		t.Fatalf("refused write moved the feed: heads %v -> %v", heads, got)
+				if err := <-done; !errors.Is(err, ErrLeaseExpired) {
+					t.Fatalf("local write under a lease lapsed while it waited: err = %v, want ErrLeaseExpired", err)
+				}
+				if got := eng.FeedHeads(); !reflect.DeepEqual(got, heads) {
+					t.Fatalf("refused write moved the feed: heads %v -> %v", heads, got)
+				}
+			})
+		}
 	}
 }

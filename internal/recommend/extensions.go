@@ -58,12 +58,12 @@ func epochMS(at time.Time) int64 {
 // shard alone: its purchase set and the product's sell count attributed to
 // the shard, which top sellers sum over shards. With persistence both are
 // journaled as one atomic batch, under the shard lock, before the in-memory
-// update; the error is always nil for memory-only engines. The time
+// update. The time
 // journaled, and carried to followers in the OpPurchase record, is the time
 // kept, so a follower replays the owner's value rather than reading a clock
-// of its own. Like SetProfile it admits every write.
+// of its own. Like SetProfile it is the owner's local write.
 func (e *Engine) RecordPurchaseAt(userID, productID string, at time.Time) error {
-	return e.recordPurchaseAt(userID, productID, at, nil)
+	return e.recordPurchaseAt(userID, productID, at, (*OwnershipTable).admitOwner)
 }
 
 func (e *Engine) recordPurchaseAt(userID, productID string, at time.Time, admit admitFunc) error {

@@ -85,7 +85,7 @@ func FuzzSnapshotPage(f *testing.F) {
 		if json.Unmarshal(page, &pg) == nil {
 			var data ShardData
 			if data.addPage(e, 0, pg) == nil {
-				_ = e.applyShardSnapshot(0, data, nil) // refused or not, journal and memory must agree
+				_ = e.applyShardSnapshot(0, data, (*OwnershipTable).admitOwner) // refused or not, journal and memory must agree
 			}
 		}
 		journalMatchesMemory(t, e, 0)

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"agentrec/internal/ops"
@@ -32,13 +34,17 @@ import (
 // once its lease has expired — the classic lease discipline that keeps a
 // SIGSTOP'd owner from silently acking writes after waking up.
 //
-// A write is admitted inside the engine's write primitive, with the shard
-// lock held (lockShardW), by one of three rules on the table: the
-// owner's local write (admitOwner), a stamped forwarded write (Fence), and
-// a follower's apply of a pulled reply (admitApply). So a check and the
+// Every engine carries its table and its server's index in it: Open starts
+// it at the one-server map, which owns every shard, and BindOwnership is
+// how the router, the replicator, replnet's handler and platform.Replica
+// reach it. A write is admitted inside the engine's write primitive, with
+// the shard lock held (lockShardW), by one of three rules on that table:
+// the owner's local write (admitOwner, the rule of the public write API),
+// a stamped forwarded write (Fence), and a follower's apply of a pulled
+// reply (admitApply). So no write goes unfenced, and a check and the
 // mutation it guards can no longer straddle another role's mutation of the
-// same shard. Lock order is shard.mu → OwnershipTable.mu; the table lock is
-// a leaf, and no table method calls into the engine.
+// same shard. A table read takes no lock, and no table method calls into
+// the engine.
 //
 // StaticOwnership(shards, servers) at epoch 1 is exactly the historical
 // shard%N map, so deployments without a coordinator keep today's behaviour
@@ -56,6 +62,9 @@ var (
 	// ErrLeaseExpired refuses local writes on a server whose ownership
 	// lease has lapsed: until it renews, it must assume it was deposed.
 	ErrLeaseExpired = errors.New("recommend: ownership lease expired")
+	// ErrOwnershipBound refuses binding an engine to an ownership map or a
+	// server index other than the ones it is already bound to.
+	ErrOwnershipBound = errors.New("recommend: engine bound to another ownership map")
 )
 
 // OwnershipMap is one versioned shard→server assignment: Assign[shard] is
@@ -140,14 +149,21 @@ func rendezvousWeight(shard, server int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// OwnershipTable is one server's live copy of the ownership map: routers
-// read it per write, the replicator re-reads it per pull, and the lease
-// client advances it whenever the coordinator's grant carries a newer
-// epoch. A table without lease tracking (static deployments) never
-// expires; a leased table refuses local ownership once its expiry passes
-// until the next successful renewal.
+// OwnershipTable is one server's live copy of the ownership map: every
+// write admits against it, routers read it per write, the replicator
+// re-reads it per pull, and the lease client advances it whenever the
+// coordinator's grant carries a newer epoch. A table without lease tracking
+// (static deployments) never expires; a leased table refuses local
+// ownership once its expiry passes until the next successful renewal.
+// Reads take no lock: each change publishes a whole new state, so the
+// writes of every shard read the table without contending on it.
 type OwnershipTable struct {
-	mu         sync.RWMutex
+	mu    sync.Mutex // serializes Advance and Lease
+	state atomic.Pointer[tableState]
+}
+
+// tableState is one immutable look at a table.
+type tableState struct {
 	m          OwnershipMap
 	leased     bool
 	validUntil time.Time
@@ -155,29 +171,19 @@ type OwnershipTable struct {
 
 // NewOwnershipTable returns a table holding m.
 func NewOwnershipTable(m OwnershipMap) *OwnershipTable {
-	return &OwnershipTable{m: m.Clone()}
+	t := &OwnershipTable{}
+	t.state.Store(&tableState{m: m.Clone()})
+	return t
 }
 
 // Current returns a copy of the held map.
-func (t *OwnershipTable) Current() OwnershipMap {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.m.Clone()
-}
+func (t *OwnershipTable) Current() OwnershipMap { return t.state.Load().m.Clone() }
 
 // Epoch returns the held map's epoch.
-func (t *OwnershipTable) Epoch() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.m.Epoch
-}
+func (t *OwnershipTable) Epoch() uint64 { return t.state.Load().m.Epoch }
 
 // Owner reports shard's owner under the held map (-1 when uncovered).
-func (t *OwnershipTable) Owner(shard int) int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.m.Owner(shard)
-}
+func (t *OwnershipTable) Owner(shard int) int { return t.state.Load().m.Owner(shard) }
 
 // Advance adopts m if it is strictly newer than the held map, reporting
 // whether the table changed. Stale or same-epoch maps are ignored, so
@@ -185,10 +191,12 @@ func (t *OwnershipTable) Owner(shard int) int {
 func (t *OwnershipTable) Advance(m OwnershipMap) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if m.Epoch <= t.m.Epoch {
+	st := *t.state.Load()
+	if m.Epoch <= st.m.Epoch {
 		return false
 	}
-	t.m = m.Clone()
+	st.m = m.Clone()
+	t.state.Store(&st)
 	return true
 }
 
@@ -197,24 +205,22 @@ func (t *OwnershipTable) Advance(m OwnershipMap) bool {
 // with ErrLeaseExpired once validUntil passes without another renewal.
 func (t *OwnershipTable) Lease(validUntil time.Time) {
 	t.mu.Lock()
-	t.leased = true
-	t.validUntil = validUntil
-	t.mu.Unlock()
+	defer t.mu.Unlock()
+	st := *t.state.Load()
+	st.leased, st.validUntil = true, validUntil
+	t.state.Store(&st)
 }
 
 // read is one consistent look at the table for shard: the map's epoch, the
 // shard's owner (-1 when uncovered) and the lease's verdict (nil for static
 // tables and live leases). Every admission rule decides from one read.
 func (t *OwnershipTable) read(shard int) (epoch uint64, owner int, lease error) {
-	t.mu.RLock()
-	epoch, owner = t.m.Epoch, t.m.Owner(shard)
-	leased, until := t.leased, t.validUntil
-	t.mu.RUnlock()
-	if leased && time.Now().After(until) {
+	st := t.state.Load()
+	if st.leased && time.Now().After(st.validUntil) {
 		lease = fmt.Errorf("%w (was valid until %s): renew against the coordinator before serving writes",
-			ErrLeaseExpired, until.Format(time.RFC3339Nano))
+			ErrLeaseExpired, st.validUntil.Format(time.RFC3339Nano))
 	}
-	return epoch, owner, lease
+	return st.m.Epoch, st.m.Owner(shard), lease
 }
 
 // Expired reports the lease discipline violation, if any: nil for static
@@ -284,65 +290,83 @@ func owns(shard, owner int, epoch uint64, self int) error {
 }
 
 // admitFunc is one write's admission rule: lockShardW runs it with the
-// shard's write lock held and refuses the write on error. nil admits every
-// write — the public Engine write API of a deployment without a table.
-type admitFunc func(shard int) error
+// shard's write lock held, against the engine's table t and the engine's
+// server index self, and refuses the write on error.
+type admitFunc func(t *OwnershipTable, shard, self int) error
 
-// gatedWriter is a Writer over the engine's gated write path: every
-// mutation is admitted by admit under its shard's lock. The Router's own
-// slot is one, with the owner's local-write rule.
-type gatedWriter struct {
-	e     *Engine
-	admit admitFunc
+// binding is an engine's ownership table and its server's index in it.
+// bound is false until the first BindOwnership, while the engine still
+// holds the one-server map Open gave it.
+type binding struct {
+	table *OwnershipTable
+	self  int
+	bound bool
 }
 
-func (w gatedWriter) SetProfile(p *profile.Profile) error {
-	return w.SetProfiles([]*profile.Profile{p})
+// BindOwnership binds the engine to t as server self and returns the table
+// the engine is bound to. The first call adopts t. Every later call only
+// checks it: a t holding the bound table's map (epoch and assignment) under
+// the same self returns the bound table, and anything else is refused with
+// ErrOwnershipBound. NewRouter, NewReplicator, replnet.Handler and
+// platform.NewReplica all bind, so the parts of one server fence against
+// one table; none of them holds a table of its own.
+func (e *Engine) BindOwnership(t *OwnershipTable, self int) (*OwnershipTable, error) {
+	e.ownMu.Lock()
+	defer e.ownMu.Unlock()
+	b := e.own.Load()
+	if !b.bound {
+		e.own.Store(&binding{table: t, self: self, bound: true})
+		return t, nil
+	}
+	if t == b.table && self == b.self {
+		return t, nil
+	}
+	have, want := b.table.Current(), t.Current()
+	if self != b.self || have.Epoch != want.Epoch || !slices.Equal(have.Assign, want.Assign) {
+		return nil, fmt.Errorf("%w: bound as server %d at epoch %d (map %s), asked for server %d at epoch %d (map %s)",
+			ErrOwnershipBound, b.self, have.Epoch, have.Hash(), self, want.Epoch, want.Hash())
+	}
+	return b.table, nil
 }
 
-func (w gatedWriter) SetProfiles(ps []*profile.Profile) error {
-	return w.e.setProfiles(ps, nil, w.admit)
-}
-
-func (w gatedWriter) RecordPurchase(userID, productID string) error {
-	return w.RecordPurchaseAt(userID, productID, time.Time{})
-}
-
-func (w gatedWriter) RecordPurchaseAt(userID, productID string, at time.Time) error {
-	return w.e.recordPurchaseAt(userID, productID, at, w.admit)
-}
+// Ownership returns the engine's ownership table: the one it was bound to,
+// else the one-server map Open started it at.
+func (e *Engine) Ownership() *OwnershipTable { return e.own.Load().table }
 
 // OwnedWriter is the fenced write surface of a receiving server: each
 // write is stamped with the sender's map epoch as it is made and admitted
-// by the receiver's Fence under the shard lock, exactly as replnet's
-// Handler admits a forwarded frame (it builds one per frame). Routers in
-// replicated in-process deployments use it as the write surface of every
-// remote server, so a deposed sender's routed writes fail loudly there too.
+// by the Fence of the receiving engine's own table under the shard lock,
+// exactly as replnet's Handler admits a forwarded frame (it builds one per
+// frame). Routers in replicated in-process deployments use it as the write
+// surface of every remote server, so a deposed sender's routed writes fail
+// loudly there too.
 //
 // A batch the receiver refuses on arrival — a stale stamp, or a shard it
 // does not own — is refused before anything is installed. Only a table that
 // moves in the middle of a batch splits it: the shards installed before the
 // move stay, the rest are refused.
 type OwnedWriter struct {
-	Local *Engine         // receiving server's engine
-	Self  int             // receiving server's index
-	Table *OwnershipTable // receiving server's table (fences)
+	Local *Engine // receiving server's engine
 	// Sender is the sending server's epoch source: its table in process,
 	// the frame's stamp over the wire.
 	Sender interface{ Epoch() uint64 }
 }
 
-// gated is the write path of one write, stamped now.
-func (w OwnedWriter) gated() gatedWriter {
+// fence is the admission rule of one write, stamped now.
+func (w OwnedWriter) fence() admitFunc {
 	epoch := w.Sender.Epoch()
-	return gatedWriter{e: w.Local, admit: func(shard int) error { return w.Table.Fence(epoch, shard, w.Self) }}
+	return func(t *OwnershipTable, shard, self int) error { return t.Fence(epoch, shard, self) }
 }
 
 // SetProfile implements Writer.
-func (w OwnedWriter) SetProfile(p *profile.Profile) error { return w.gated().SetProfile(p) }
+func (w OwnedWriter) SetProfile(p *profile.Profile) error {
+	return w.SetProfiles([]*profile.Profile{p})
+}
 
 // SetProfiles implements Writer.
-func (w OwnedWriter) SetProfiles(ps []*profile.Profile) error { return w.gated().SetProfiles(ps) }
+func (w OwnedWriter) SetProfiles(ps []*profile.Profile) error {
+	return w.Local.setProfiles(ps, nil, w.fence())
+}
 
 // SetEncodedProfiles is SetProfiles for a write its sender encoded, as a
 // forwarded frame is: the WAL and journal feed keep encoded as it arrived.
@@ -351,18 +375,17 @@ func (w OwnedWriter) SetEncodedProfiles(encoded [][]byte) error {
 	if err != nil {
 		return err
 	}
-	g := w.gated()
-	return g.e.setProfiles(profs, encoded, g.admit)
+	return w.Local.setProfiles(profs, encoded, w.fence())
 }
 
 // RecordPurchase implements Writer.
 func (w OwnedWriter) RecordPurchase(userID, productID string) error {
-	return w.gated().RecordPurchase(userID, productID)
+	return w.RecordPurchaseAt(userID, productID, time.Time{})
 }
 
 // RecordPurchaseAt implements Writer.
 func (w OwnedWriter) RecordPurchaseAt(userID, productID string, at time.Time) error {
-	return w.gated().RecordPurchaseAt(userID, productID, at)
+	return w.Local.recordPurchaseAt(userID, productID, at, w.fence())
 }
 
 var _ Writer = OwnedWriter{}

@@ -2,6 +2,9 @@ package recommend
 
 import (
 	"errors"
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -155,9 +158,9 @@ func TestOwnedWriterFencesRoutedWrites(t *testing.T) {
 	}
 	defer eng.Close()
 
-	recv := NewOwnershipTable(StaticOwnership(4, 1)) // server 0 owns all
+	recv := eng.Ownership() // a lone engine: server 0 owns all
 	send := NewOwnershipTable(StaticOwnership(4, 1))
-	w := OwnedWriter{Local: eng, Self: 0, Table: recv, Sender: send}
+	w := OwnedWriter{Local: eng, Sender: send}
 
 	prof := profile.NewProfile("user-1")
 	if err := w.SetProfile(prof); err != nil {
@@ -180,5 +183,110 @@ func TestOwnedWriterFencesRoutedWrites(t *testing.T) {
 	}
 	if err := w.RecordPurchaseAt("user-1", "p1", time.Now()); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("stale RecordPurchaseAt: err = %v, want ErrStaleEpoch", err)
+	}
+}
+
+// TestBindOwnership pins the binding rules: the first binding adopts the
+// table, a later one only checks it, and a binding under another self or to
+// a map with another epoch or assignment is refused. The router and the
+// replicator bind through the same call.
+func TestBindOwnership(t *testing.T) {
+	static := func(servers int) *OwnershipTable { return NewOwnershipTable(StaticOwnership(4, servers)) }
+	advanced := func() *OwnershipTable {
+		t := static(2)
+		t.Advance(OwnershipMap{Epoch: 2, Assign: []int{0, 1, 0, 1}})
+		return t
+	}
+	for _, tc := range []struct {
+		name        string
+		first, then *OwnershipTable
+		self        int
+		ok          bool
+	}{
+		{"same map and self", static(2), static(2), 1, true},
+		{"other self", static(2), static(2), 0, false},
+		{"other epoch", static(2), advanced(), 1, false},
+		{"other assignment", static(2), static(3), 1, false},
+		{"bound table moved on", advanced(), static(2), 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := Open(nil, WithShards(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := eng.Ownership().Current(); got.Epoch != 1 || !slices.Equal(got.Assign, []int{0, 0, 0, 0}) {
+				t.Fatalf("unbound engine holds %+v, want the one-server map", got)
+			}
+			if got, err := eng.BindOwnership(tc.first, 1); err != nil || got != tc.first || eng.Ownership() != tc.first {
+				t.Fatalf("first binding: table %p, err %v; want %p adopted", got, err, tc.first)
+			}
+			if got, err := eng.BindOwnership(tc.first, 1); err != nil || got != tc.first {
+				t.Fatalf("rebinding the bound table: table %p, err %v", got, err)
+			}
+			got, err := eng.BindOwnership(tc.then, tc.self)
+			if tc.ok {
+				if err != nil || got != tc.first {
+					t.Fatalf("matching binding: table %p, err %v; want the bound %p", got, err, tc.first)
+				}
+				return
+			}
+			if !errors.Is(err, ErrOwnershipBound) || got != nil {
+				t.Fatalf("conflicting binding: table %p, err %v; want ErrOwnershipBound", got, err)
+			}
+			if eng.Ownership() != tc.first {
+				t.Fatal("a refused binding replaced the bound table")
+			}
+		})
+	}
+
+	t.Run("router and replicator", func(t *testing.T) {
+		eng, err := Open(nil, WithShards(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewRouter(eng, 1, []Writer{eng, nil, eng}); err != nil {
+			t.Fatalf("router binding an unbound engine: %v", err)
+		}
+		if _, err := NewRouter(eng, 0, []Writer{nil, eng, eng}); !errors.Is(err, ErrOwnershipBound) {
+			t.Fatalf("router as another self: err = %v, want ErrOwnershipBound", err)
+		}
+		peer := LocalPeer{Engine: eng}
+		if _, err := NewReplicator(eng, 1, []Peer{peer, nil}); !errors.Is(err, ErrOwnershipBound) {
+			t.Fatalf("replicator over another map: err = %v, want ErrOwnershipBound", err)
+		}
+		if _, err := NewReplicator(eng, 1, []Peer{peer, nil, peer}); err != nil {
+			t.Fatalf("replicator over the bound map: %v", err)
+		}
+	})
+}
+
+// TestBindOwnershipConcurrent binds one engine from many goroutines while
+// writes run: every binding of the same map gets the one bound table, and
+// the race detector sees the binding and the writes' reads of it ordered.
+func TestBindOwnershipConcurrent(t *testing.T) {
+	eng, err := Open(nil, WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	tables := make([]*OwnershipTable, 8)
+	for i := range tables {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			tables[i], _ = eng.BindOwnership(NewOwnershipTable(StaticOwnership(4, 1)), 0)
+		}()
+		go func() {
+			defer wg.Done()
+			if err := eng.SetProfile(profile.NewProfile(fmt.Sprintf("u%d", i))); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, tab := range tables {
+		if tab == nil || tab != eng.Ownership() {
+			t.Fatalf("binding %d got table %p, want the bound %p", i, tab, eng.Ownership())
+		}
 	}
 }

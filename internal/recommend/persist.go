@@ -206,15 +206,15 @@ func (e *Engine) CompactState() error {
 
 // lockShardW acquires sh.mu for writing and admits the write. It is the one
 // place a shard mutation takes its lock, so it is the one ownership
-// admission point: admit (nil: every write) runs with the lock held, and a
-// refusal releases the lock and is returned. The caller must Unlock.
+// admission point: admit runs with the lock held, against the engine's
+// table, and a refusal releases the lock and is returned. The caller must
+// Unlock.
 func (e *Engine) lockShardW(sh *shard, admit admitFunc) error {
 	sh.mu.Lock()
-	if admit != nil {
-		if err := admit(sh.id); err != nil {
-			sh.mu.Unlock()
-			return err
-		}
+	b := e.own.Load()
+	if err := admit(b.table, sh.id, b.self); err != nil {
+		sh.mu.Unlock()
+		return err
 	}
 	return nil
 }

@@ -199,6 +199,11 @@ type Engine struct {
 	compactions   atomic.Uint64
 	compactNanos  atomic.Int64 // duration of the most recent compaction
 
+	// Ownership (ownership.go): the table every write is admitted against
+	// and this server's index in it, the one-server map until bound.
+	ownMu sync.Mutex // serializes BindOwnership
+	own   atomic.Pointer[binding]
+
 	// Replication (nil unless WithJournalFeed; see replicate.go).
 	feed    *journalFeed
 	feedCap int
@@ -245,6 +250,7 @@ func Open(cat *catalog.Catalog, opts ...Option) (*Engine, error) {
 		e.shards[i] = newShard(i)
 	}
 	e.index = newCategoryIndex(e.nshards)
+	e.own.Store(&binding{table: NewOwnershipTable(StaticOwnership(e.nshards, 1))})
 	if e.feedCap > 0 {
 		feed, err := newJournalFeed(e.nshards, e.feedCap)
 		if err != nil {
@@ -288,10 +294,11 @@ func (e *Engine) Shards() int { return e.nshards }
 // (Lock order is shard -> index bucket; no path acquires them in reverse.)
 //
 // With persistence the profile is journaled (durably) before the in-memory
-// install; the error is always nil for memory-only engines. Like the rest
-// of the public write API it admits every write: a replicated server
-// writes through its Router or an OwnedWriter instead, whose ownership
-// rule the engine checks under the shard lock.
+// install. Like the rest of the public write API it is the owner's local
+// write: admitted under the shard lock only while this server owns the
+// shard under the engine's ownership table and its lease is live, else
+// refused with ErrNotOwner or ErrLeaseExpired. A lone engine owns every
+// shard.
 func (e *Engine) SetProfile(p *profile.Profile) error { return e.SetProfiles([]*profile.Profile{p}) }
 
 // SetProfiles bulk-installs profiles: one shard lock acquisition, one
@@ -300,7 +307,9 @@ func (e *Engine) SetProfile(p *profile.Profile) error { return e.SetProfiles([]*
 // (later duplicates win). This is the SeedCommunity path: installing a
 // warm community one profile at a time pays nshards times the locking and
 // journaling it needs to.
-func (e *Engine) SetProfiles(ps []*profile.Profile) error { return e.setProfiles(ps, nil, nil) }
+func (e *Engine) SetProfiles(ps []*profile.Profile) error {
+	return e.setProfiles(ps, nil, (*OwnershipTable).admitOwner)
+}
 
 // setProfiles installs ps, encoded as encs. nil encs means ps are still
 // the caller's: each is installed as a copy and encoded by the engine.
@@ -316,15 +325,14 @@ func (e *Engine) setProfiles(ps []*profile.Profile, encs [][]byte, admit admitFu
 		}
 		byShard[s] = append(byShard[s], p)
 	}
-	if admit != nil {
-		// A batch refused on arrival is refused whole, so a misrouted batch
-		// cannot half-apply. This is only an early refusal: each shard is
-		// admitted again under its lock, where the decision is made.
-		for i, group := range byShard {
-			if len(group) > 0 {
-				if err := admit(i); err != nil {
-					return err
-				}
+	// A batch refused on arrival is refused whole, so a misrouted batch
+	// cannot half-apply. This is only an early refusal: each shard is
+	// admitted again under its lock, where the decision is made.
+	b := e.own.Load()
+	for i, group := range byShard {
+		if len(group) > 0 {
+			if err := admit(b.table, i, b.self); err != nil {
+				return err
 			}
 		}
 	}
@@ -342,8 +350,8 @@ func (e *Engine) setProfiles(ps []*profile.Profile, encs [][]byte, admit admitFu
 // installShardProfiles installs profs — private copies, all belonging to
 // sh, encoded as encs (nil: here, if a sink needs them) — journal-first,
 // then into the shard map, candidate index, and journal feed, all inside
-// the shard critical section, once admit (nil: always) admitted the write
-// there. Shared by every profile write and the replication apply path.
+// the shard critical section, once admit admitted the write there. Shared
+// by every profile write and the replication apply path.
 func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile, encs [][]byte, admit admitFunc) error {
 	if encs == nil && (e.persist != nil || e.feed != nil) {
 		var err error

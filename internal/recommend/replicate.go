@@ -386,53 +386,37 @@ var (
 
 // Router routes community writes to the shard owner's engine while reads
 // stay on the local engine. writers[i] is the write surface of server i (a
-// remote forwarder for peers; for self, the local engine's gated write
-// path, which admits a write under the shard lock only while the lease is
-// live and this server owns the shard). Ownership comes from the router's
+// remote forwarder for peers; for self, the local engine, whose public
+// writes it admits under the shard lock only while the lease is live and
+// this server owns the shard). Ownership comes from the local engine's
 // OwnershipTable, re-read per write so a map the coordinator advances
-// re-targets routing immediately; without RouteWithOwnership the table
-// holds the static epoch-1 map and routing is the historical shard%N.
+// re-targets routing immediately; a static deployment's table holds the
+// epoch-1 map and routing is the historical shard%N.
 type Router struct {
 	local   *Engine
-	self    int
 	writers []Writer
 	owners  *OwnershipTable
 }
 
-// RouterOption configures a Router.
-type RouterOption func(*Router)
-
-// RouteWithOwnership makes the router resolve shard owners through t (a
-// live, coordinator-leased table) instead of the static map. Local writes
-// additionally require t's lease to be live: a deposed server refuses its
-// own shards instead of acking writes nobody replicates.
-func RouteWithOwnership(t *OwnershipTable) RouterOption {
-	return func(r *Router) {
-		if t != nil {
-			r.owners = t
-		}
-	}
-}
-
 // NewRouter returns a write router for server self among len(writers)
-// servers. writers[self] is ignored; the local engine is used.
-func NewRouter(local *Engine, self int, writers []Writer, opts ...RouterOption) (*Router, error) {
+// servers. writers[self] is ignored; the local engine is used. It binds the
+// engine as server self to the static map of len(writers) servers (see
+// BindOwnership), so it fails on an engine bound to another map.
+func NewRouter(local *Engine, self int, writers []Writer) (*Router, error) {
 	if self < 0 || self >= len(writers) {
 		return nil, fmt.Errorf("recommend: router self %d out of %d servers", self, len(writers))
 	}
-	r := &Router{local: local, self: self, writers: slices.Clone(writers)}
-	for _, opt := range opts {
-		opt(r)
-	}
-	if r.owners == nil {
-		r.owners = NewOwnershipTable(StaticOwnership(local.nshards, len(writers)))
-	}
-	r.writers[self] = gatedWriter{e: local, admit: func(shard int) error { return r.owners.admitOwner(shard, self) }}
-	for i, w := range r.writers {
-		if w == nil {
+	for i, w := range writers {
+		if w == nil && i != self {
 			return nil, fmt.Errorf("recommend: router writer %d is nil", i)
 		}
 	}
+	owners, err := local.BindOwnership(NewOwnershipTable(StaticOwnership(local.nshards, len(writers))), self)
+	if err != nil {
+		return nil, err
+	}
+	r := &Router{local: local, writers: slices.Clone(writers), owners: owners}
+	r.writers[self] = local
 	return r, nil
 }
 
@@ -532,12 +516,9 @@ func WithPullInterval(d time.Duration) ReplicatorOption {
 	}
 }
 
-// PullWithOwnership makes the replicator resolve shard owners through t (a
-// live, coordinator-leased table) instead of the static map. Each Sync
-// pass re-reads the table, so a map transition re-targets pulls on the
-// next pass: a newly followed shard keeps its old cursor (the new owner's
-// feed epoch differs, forcing snapshot catch-up), and a newly owned shard
-// stops being pulled.
+// PullWithOwnership binds the engine to t in place of the static map of
+// len(peers) servers (see BindOwnership): the first binding adopts t, and
+// an engine already bound must hold t's map.
 func PullWithOwnership(t *OwnershipTable) ReplicatorOption {
 	return func(r *Replicator) {
 		if t != nil {
@@ -591,7 +572,12 @@ type Replicator struct {
 
 // NewReplicator returns a replicator for server self among len(peers)
 // servers; peers[i] tails server i (peers[self] is ignored). The engine
-// must use the same shard count as every peer.
+// must use the same shard count as every peer. It binds the engine as
+// server self to the static map of len(peers) servers (see BindOwnership)
+// and resolves owners through the engine's table. Each Sync pass re-reads
+// the table, so a map transition re-targets pulls on the next pass: a newly
+// followed shard keeps its old cursor (the new owner's feed epoch differs,
+// forcing snapshot catch-up), and a newly owned shard stops being pulled.
 func NewReplicator(e *Engine, self int, peers []Peer, opts ...ReplicatorOption) (*Replicator, error) {
 	if self < 0 || self >= len(peers) {
 		return nil, fmt.Errorf("recommend: replicator self %d out of %d servers", self, len(peers))
@@ -609,7 +595,12 @@ func NewReplicator(e *Engine, self int, peers []Peer, opts ...ReplicatorOption) 
 	if r.owners == nil {
 		r.owners = NewOwnershipTable(StaticOwnership(e.nshards, len(peers)))
 	}
-	initial := r.owners.Current()
+	owners, err := e.BindOwnership(r.owners, self)
+	if err != nil {
+		return nil, err
+	}
+	r.owners = owners
+	initial := owners.Current()
 	for s := 0; s < e.nshards; s++ {
 		if owner := initial.Owner(s); owner != self {
 			if owner < 0 || owner >= len(peers) || peers[owner] == nil {
@@ -764,7 +755,7 @@ func (r *Replicator) pullShard(ctx context.Context, f *follower, owner int) (err
 			return reset(fmt.Errorf("recommend: shard %d journal gap: want record %d, got %d", shard, want, rec.Seq))
 		}
 	}
-	seq, admit := cur.seq, r.from(owner)
+	seq, admit := cur.seq, from(owner)
 	for _, rec := range tr.Records {
 		if err := r.e.applyJournalRecord(shard, rec, admit); err != nil {
 			return err
@@ -787,8 +778,8 @@ func (r *Replicator) pullShard(ctx context.Context, f *follower, owner int) (err
 // from is the admission rule of an apply pulled from owner: the engine
 // drops the reply, under the shard lock, unless owner still owns the shard
 // (admitApply). The caller then leaves cursor and state alone.
-func (r *Replicator) from(owner int) admitFunc {
-	return func(shard int) error { return r.owners.admitApply(shard, owner) }
+func from(owner int) admitFunc {
+	return func(t *OwnershipTable, shard, _ int) error { return t.admitApply(shard, owner) }
 }
 
 // headOf is the owner's feed head carried in the reply, clamped so lag can
@@ -885,7 +876,7 @@ func (r *Replicator) pullShardPaged(ctx context.Context, f *follower, owner int,
 		}
 		token = pg.Next
 	}
-	if err := r.e.applyShardSnapshot(shard, data, r.from(owner)); err != nil {
+	if err := r.e.applyShardSnapshot(shard, data, from(owner)); err != nil {
 		return err
 	}
 	r.mu.Lock()

@@ -249,7 +249,7 @@ func TestPatchedViewEqualsRebuiltView(t *testing.T) {
 							data.Sells[pid]++
 						}
 					}
-					if err := e.applyShardSnapshot(shard, data, nil); err != nil {
+					if err := e.applyShardSnapshot(shard, data, (*OwnershipTable).admitOwner); err != nil {
 						t.Fatal(err)
 					}
 				default:

@@ -236,7 +236,7 @@ func TestSnapshotPagePinMovesOnWholesaleReplace(t *testing.T) {
 	for _, p := range live[:len(live)/2] {
 		half.Profiles = append(half.Profiles, p.Clone())
 	}
-	if err := e.applyShardSnapshot(shard, half, nil); err != nil {
+	if err := e.applyShardSnapshot(shard, half, (*OwnershipTable).admitOwner); err != nil {
 		t.Fatal(err)
 	}
 
@@ -318,7 +318,7 @@ func TestRefusedPageLeavesJournalAndMemoryAgreeing(t *testing.T) {
 	if err := data.addPage(e, 0, pg); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.applyShardSnapshot(0, data, nil); !errors.Is(err, ErrBadKey) {
+	if err := e.applyShardSnapshot(0, data, (*OwnershipTable).admitOwner); !errors.Is(err, ErrBadKey) {
 		t.Fatalf("page with a NUL product id applied with %v, want ErrBadKey", err)
 	}
 	if _, err := e.Profile(ids[0]); err != nil {
@@ -400,12 +400,12 @@ func TestWholesaleReplaceServesItsOwnSells(t *testing.T) {
 		Sells:     map[string]int64{"lap1": 1, "cam1": 1},
 	}
 	shard1 := cloneShardData(liveShard(t, e, 1))
-	if err := e.applyShardSnapshot(0, cloneShardData(replaced), nil); err != nil {
+	if err := e.applyShardSnapshot(0, cloneShardData(replaced), (*OwnershipTable).admitOwner); err != nil {
 		t.Fatal(err)
 	}
 	fresh := NewEngine(cat, WithShards(2))
 	for shard, data := range []ShardData{replaced, shard1} {
-		if err := fresh.applyShardSnapshot(shard, data, nil); err != nil {
+		if err := fresh.applyShardSnapshot(shard, data, (*OwnershipTable).admitOwner); err != nil {
 			t.Fatal(err)
 		}
 	}

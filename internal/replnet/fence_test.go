@@ -35,8 +35,8 @@ func fenceEngine(t *testing.T) *recommend.Engine {
 
 func TestHandlerFencesStaleEpochFrames(t *testing.T) {
 	e := fenceEngine(t)
-	table := recommend.NewOwnershipTable(recommend.StaticOwnership(8, 1)) // server 0 owns all
-	h := Handler(e, 0, 1, WithOwnership(table))
+	h := Handler(e, 0, 1) // server 0 owns all
+	table := e.Ownership()
 
 	prof, err := profile.NewProfile("user-1").Marshal()
 	if err != nil {
@@ -71,8 +71,7 @@ func TestHandlerFencesStaleEpochFrames(t *testing.T) {
 		}
 	}
 
-	// Unstamped frames (epoch 0 — a peer not built WithOwnership) are
-	// equally stale to a fencing handler.
+	// Unstamped frames (epoch 0) are equally stale to a fencing handler.
 	if _, err := h(kindTail, mustJSON(t, tailRequest{Shard: 0})); !errors.Is(err, recommend.ErrStaleEpoch) {
 		t.Fatalf("unstamped tail: err = %v, want ErrStaleEpoch", err)
 	}
@@ -81,8 +80,8 @@ func TestHandlerFencesStaleEpochFrames(t *testing.T) {
 func TestHandlerFencesUnownedShardAndLapsedLease(t *testing.T) {
 	e := fenceEngine(t)
 	// Two servers: this handler is server 0, owning only even shards.
-	table := recommend.NewOwnershipTable(recommend.StaticOwnership(8, 2))
-	h := Handler(e, 0, 2, WithOwnership(table))
+	h := Handler(e, 0, 2)
+	table := e.Ownership()
 
 	if _, err := h(kindTail, mustJSON(t, tailRequest{Shard: 1, OwnerEpoch: 1})); !errors.Is(err, recommend.ErrNotOwner) {
 		t.Fatalf("tail for unowned shard: err = %v, want ErrNotOwner", err)
@@ -104,7 +103,7 @@ func TestHandlerFencesUnownedShardAndLapsedLease(t *testing.T) {
 // installed (found by FuzzHandlerFrames: the owned shard used to land).
 func TestHandlerRefusesMisroutedBatchWhole(t *testing.T) {
 	e := fenceEngine(t)
-	h := Handler(e, 0, 2, WithOwnership(recommend.NewOwnershipTable(recommend.StaticOwnership(8, 2))))
+	h := Handler(e, 0, 2)
 	var batch [][]byte
 	for _, owner := range []int{0, 1} {
 		prof, err := testProfile(ownedUsers(e, owner, 2, 1)[0]).Marshal()
@@ -124,13 +123,13 @@ func TestHandlerRefusesMisroutedBatchWhole(t *testing.T) {
 
 func TestOwnerMapProbeUnfenced(t *testing.T) {
 	e := fenceEngine(t)
-	table := recommend.NewOwnershipTable(recommend.StaticOwnership(8, 2))
+	h := Handler(e, 1, 2)
+	table := e.Ownership()
 	next := table.Current()
 	next.Epoch = 5
 	table.Advance(next)
 	table.Lease(time.Now().Add(-time.Minute)) // even a lapsed server answers
 
-	h := Handler(e, 1, 2, WithOwnership(table))
 	out, err := h(kindOwnerMap, []byte("{}"))
 	if err != nil {
 		t.Fatalf("owner-map probe must be unfenced: %v", err)
@@ -144,8 +143,8 @@ func TestOwnerMapProbeUnfenced(t *testing.T) {
 		t.Fatalf("probe reply = %+v, want hash %s epoch 5 shards 8 servers 2 self 1", info, want.Hash())
 	}
 
-	// Without a table the probe reports the static epoch-1 map.
-	h0 := Handler(e, 0, 2)
+	// A handler whose table never moved reports the static epoch-1 map.
+	h0 := Handler(fenceEngine(t), 0, 2)
 	out, err = h0(kindOwnerMap, []byte("{}"))
 	if err != nil {
 		t.Fatal(err)
@@ -166,4 +165,76 @@ func mustJSON(t testing.TB, v any) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// TestHandlerBindsEngineTable pins Handler's binding: it fences with its
+// engine's own table, so over an engine already bound under another self or
+// to a map with another epoch or assignment it has no table to fence with
+// and refuses every frame, the owner-map probe included, with the binding's
+// error. The cold joiner's sequence — a handler for server 2 of a
+// two-server map, then a replicator across three peers handed that map —
+// binds cleanly.
+func TestHandlerBindsEngineTable(t *testing.T) {
+	bind := func(servers, self int, epoch uint64) func(*recommend.Engine) {
+		return func(e *recommend.Engine) {
+			table, err := e.BindOwnership(recommend.NewOwnershipTable(recommend.StaticOwnership(8, servers)), self)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := table.Current()
+			m.Epoch = epoch
+			table.Advance(m)
+		}
+	}
+	prof, err := testProfile("user-1").Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := map[string][]byte{
+		kindTail:        mustJSON(t, tailRequest{Shard: 0, OwnerEpoch: 1}),
+		kindSnapPage:    mustJSON(t, snapPageRequest{Shard: 0, OwnerEpoch: 1}),
+		kindSetProfiles: mustJSON(t, setProfilesRequest{Profiles: [][]byte{prof}, OwnerEpoch: 1}),
+		kindPurchase:    mustJSON(t, purchaseRequest{UserID: "user-1", ProductID: "p1", OwnerEpoch: 1}),
+		kindOwnerMap:    []byte("{}"),
+	}
+	for _, tc := range []struct {
+		name  string
+		bound func(*recommend.Engine)
+		ok    bool
+	}{
+		{"unbound", func(*recommend.Engine) {}, true},
+		{"same map and self", bind(2, 0, 1), true},
+		{"other self", bind(2, 1, 1), false},
+		{"other epoch", bind(2, 0, 2), false},
+		{"other assignment", bind(3, 0, 1), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := fenceEngine(t)
+			tc.bound(e)
+			h := Handler(e, 0, 2)
+			heads := e.FeedHeads()
+			for kind, data := range frames {
+				_, err := h(kind, data)
+				if refused := errors.Is(err, recommend.ErrOwnershipBound); refused == tc.ok {
+					t.Fatalf("%s frame: err = %v, want ErrOwnershipBound %v", kind, err, !tc.ok)
+				}
+			}
+			if !tc.ok && (!reflect.DeepEqual(e.FeedHeads(), heads) || len(e.Users()) != 0) {
+				t.Fatalf("a handler without a table installed a write: heads %v -> %v", heads, e.FeedHeads())
+			}
+		})
+	}
+
+	t.Run("cold joiner", func(t *testing.T) {
+		e := fenceEngine(t)
+		h := Handler(e, 2, 2)
+		if _, err := h(kindOwnerMap, []byte("{}")); err != nil {
+			t.Fatalf("owner-map probe on the joiner: %v", err)
+		}
+		peer := recommend.LocalPeer{Engine: fenceEngine(t)}
+		owners := recommend.NewOwnershipTable(recommend.StaticOwnership(8, 2))
+		if _, err := recommend.NewReplicator(e, 2, []recommend.Peer{peer, peer, nil}, recommend.PullWithOwnership(owners)); err != nil {
+			t.Fatalf("joiner's replicator: %v", err)
+		}
+	})
 }

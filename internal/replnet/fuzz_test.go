@@ -21,7 +21,8 @@ func fuzzServer(t testing.TB) (*recommend.Engine, atp.JournalHandler) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { e.Close() })
-	table := recommend.NewOwnershipTable(recommend.StaticOwnership(4, 2))
+	h := Handler(e, 0, 2)
+	table := e.Ownership()
 	next := table.Current()
 	next.Epoch = 2
 	table.Advance(next)
@@ -33,14 +34,14 @@ func fuzzServer(t testing.TB) (*recommend.Engine, atp.JournalHandler) {
 			t.Fatal(err)
 		}
 	}
-	return e, Handler(e, 0, 2, WithOwnership(table))
+	return e, h
 }
 
-// FuzzHandlerFrames feeds arbitrary journal frames to a handler built
-// WithOwnership. Whatever arrives, the handler must not panic, and a frame
-// it refuses — undecodable, unfenced, or for a shard it does not serve —
-// must leave every shard's feed head where it was: a refused write is one
-// that did not happen.
+// FuzzHandlerFrames feeds arbitrary journal frames to a handler fencing
+// with its engine's table at epoch 2. Whatever arrives, the handler must
+// not panic, and a frame it refuses — undecodable, unfenced, or for a shard
+// it does not serve — must leave every shard's feed head where it was: a
+// refused write is one that did not happen.
 func FuzzHandlerFrames(f *testing.F) {
 	// A valid write built by today's code, beside the committed corpus in
 	// testdata/fuzz (a valid tail, set-profiles at the right and a stale

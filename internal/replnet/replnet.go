@@ -12,10 +12,9 @@
 //     bounded pages (the one catch-up path), and forwarded writes
 //     ("set-profiles", "purchase") from peers that do not own the
 //     consumer's shard. Install it with atp.Server.SetJournalHandler. Every
-//     frame but the owner-map probe is fenced against the server's
-//     ownership table — the one given WithOwnership, else the static
-//     epoch-1 map — and a forwarded write is admitted by the engine under
-//     the shard lock (recommend.OwnedWriter).
+//     frame but the owner-map probe is fenced against the engine's own
+//     ownership table, and a forwarded write is admitted by the engine
+//     under the shard lock (recommend.OwnedWriter).
 //   - Peer implements recommend.Peer over an atp.Client — the follower
 //     side of journal tailing.
 //   - Writer implements recommend.Writer over an atp.Client — the
@@ -42,24 +41,22 @@ const (
 	kindOwnerMap    = "owner-map"
 )
 
-// wireCfg is the shared option state of Handler, Peer, and Writer.
+// wireCfg is the shared option state of Peer and Writer.
 type wireCfg struct {
 	owners *recommend.OwnershipTable
 }
 
-// Option configures the ownership behaviour of Handler, Peer, and Writer.
+// Option configures the ownership stamp of a Peer or Writer.
 type Option func(*wireCfg)
 
-// WithOwnership fences the wire against t, this server's ownership table,
-// in place of the static epoch-1 map of the deployment's servers. A Handler
-// admits a frame only through its table's Fence — matching epoch, shard
-// owned by this server, live lease — for every frame kind (forwarded
-// writes, journal tails, snapshot pages), so a deposed owner replaying
-// buffered frames at its old epoch is rejected loudly. A Peer or Writer
-// stamps every outgoing request with its table's current epoch, the static
-// epoch 1 without one. Both sides of a deployment must agree on the table:
-// a leased frame never passes a static handler, nor a static frame a
-// handler whose map has moved on.
+// WithOwnership stamps every outgoing request of a Peer or Writer with the
+// current epoch of t, the sending server's ownership table, in place of the
+// static epoch 1. The receiving Handler admits a frame only through its
+// engine table's Fence — matching epoch, shard owned by the receiver, live
+// lease — so a deposed owner replaying buffered frames at its old epoch is
+// rejected loudly. Both sides of a deployment must agree on the map: a
+// leased frame never passes a static handler, nor a static frame a handler
+// whose map has moved on.
 func WithOwnership(t *recommend.OwnershipTable) Option {
 	return func(c *wireCfg) {
 		if t != nil {
@@ -158,27 +155,25 @@ type OwnerMapInfo struct {
 
 // Handler returns the journal surface for e, ready for
 // atp.Server.SetJournalHandler. self and servers describe this server's
-// position in the replicated deployment. Its ownership table is the one
-// given WithOwnership, else the static epoch-1 map of servers. A journal
-// tail or snapshot page is served only when it passes the table's Fence,
-// and a forwarded write is admitted by the engine under the shard lock
-// through a recommend.OwnedWriter stamped with the frame's owner epoch:
-// both need the stamp to match, this server to own the shard, and its
-// lease to be live. So a frame for a shard this server does not own is
-// refused loudly: peer lists that disagree on order (each side computing a
-// different ownership map) fail on the first routed frame instead of
-// silently diverging replicas.
-func Handler(e *recommend.Engine, self, servers int, opts ...Option) atp.JournalHandler {
-	var cfg wireCfg
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	table := cfg.owners
-	if table == nil {
-		table = recommend.NewOwnershipTable(recommend.StaticOwnership(e.Shards(), servers))
+// position in the replicated deployment: Handler binds e as server self to
+// the static epoch-1 map of servers (see recommend.Engine.BindOwnership),
+// and fences with the engine's table from then on. A journal tail or
+// snapshot page is served only when it passes the table's Fence, and a
+// forwarded write is admitted by the engine under the shard lock through a
+// recommend.OwnedWriter stamped with the frame's owner epoch: both need the
+// stamp to match, this server to own the shard, and its lease to be live.
+// So a frame for a shard this server does not own is refused loudly: peer
+// lists that disagree on order (each side computing a different ownership
+// map) fail on the first routed frame instead of silently diverging
+// replicas. An engine already bound to another map or index cannot be
+// fenced: its handler refuses every frame with the binding's error.
+func Handler(e *recommend.Engine, self, servers int) atp.JournalHandler {
+	table, err := e.BindOwnership(recommend.NewOwnershipTable(recommend.StaticOwnership(e.Shards(), servers)), self)
+	if err != nil {
+		return func(string, []byte) ([]byte, error) { return nil, err }
 	}
 	writer := func(senderEpoch uint64) recommend.OwnedWriter {
-		return recommend.OwnedWriter{Local: e, Self: self, Table: table, Sender: ownerEpoch(senderEpoch)}
+		return recommend.OwnedWriter{Local: e, Sender: ownerEpoch(senderEpoch)}
 	}
 	return func(kind string, data []byte) ([]byte, error) {
 		switch kind {

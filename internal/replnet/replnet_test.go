@@ -297,8 +297,8 @@ func atpClient() *atp.Client {
 // loudly instead of silently diverging the replicas.
 func TestMisorderedPeerListRejected(t *testing.T) {
 	servers := startCluster(t, 2)
-	// Swap ownership on server 1's surface only: it now claims self=0.
-	servers[1].srv.SetJournalHandler(Handler(servers[1].engine, 0, 2))
+	// Behind server 1's address now sits a server configured as self=0.
+	servers[1].srv.SetJournalHandler(Handler(fenceEngine(t), 0, 2))
 
 	var remote string
 	for i := 0; ; i++ {
@@ -317,10 +317,10 @@ func TestMisorderedPeerListRejected(t *testing.T) {
 	}
 }
 
-// TestStaticHandlerFencesTails: a handler built without WithOwnership
-// fences journal tails and snapshot pages through its static epoch-1 map,
-// like every other handler: it serves a shard it owns to a peer that
-// stamps the static epoch, and refuses one it does not own.
+// TestStaticHandlerFencesTails: a handler over a static engine fences
+// journal tails and snapshot pages through its epoch-1 map, like every
+// other handler: it serves a shard it owns to a peer that stamps the
+// static epoch, and refuses one it does not own.
 func TestStaticHandlerFencesTails(t *testing.T) {
 	servers := startCluster(t, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
