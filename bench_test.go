@@ -226,8 +226,8 @@ func BenchmarkIFilter(b *testing.B) {
 // BenchmarkRecommendParallel measures recommendation throughput under
 // parallel load over a large community: every goroutine issues CF
 // recommendations for a rotating set of consumers. This is the scaling
-// experiment for the sharded engine — per-shard locks plus the per-category
-// candidate index must let parallel requests proceed without serializing on
+// experiment for the sharded engine — per-shard locks plus the shard views'
+// category lists must let parallel requests proceed without serializing on
 // one engine-wide mutex or rescanning the whole community per request.
 func BenchmarkRecommendParallel(b *testing.B) {
 	e, u := benchEngineSized(b, 10000, 2000, 32)

@@ -410,7 +410,7 @@ func run(ctx context.Context, cfg daemonConfig) error {
 		cfg.shards, rc.Servers, rc.Self, cfg.repl.interval)
 	if cfg.stateDir != "" {
 		st := replica.Engine.Stats()
-		log.Printf("recovered community from %s: %d consumers, %d indexed categories", cfg.stateDir, st.Users, st.IndexedCategories)
+		log.Printf("recovered community from %s: %d consumers", cfg.stateDir, st.Users)
 	}
 	// metrics is this server's slice of the unified stats view, served at
 	// /metrics/snapshot and published by the heartbeat: its engine and

@@ -285,6 +285,24 @@ func (s *Store) Scan(bucket, prefix string) ([]Entry, error) {
 	return out, nil
 }
 
+// Buckets returns the names of the buckets that hold at least one key,
+// sorted, or ErrClosed.
+func (s *Store) Buckets() ([]string, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.closed {
+		return nil, ErrClosed
+	}
+	var out []string
+	for name, b := range s.buckets {
+		if len(b) > 0 {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out, nil
+}
+
 // Count reports the number of keys in bucket, or ErrClosed.
 func (s *Store) Count(bucket string) (int, error) {
 	if bucket == "" {

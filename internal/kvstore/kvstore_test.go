@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -190,6 +191,14 @@ func TestCountAndBuckets(t *testing.T) {
 	if got := count(t, s, "absent"); got != 0 {
 		t.Errorf("Count(absent) = %d, want 0", got)
 	}
+	if got, err := s.Buckets(); err != nil || !slices.Equal(got, []string{"txns", "users"}) {
+		t.Errorf("Buckets = %v, %v; want [txns users]", got, err)
+	}
+	// A bucket whose last key is deleted is no longer listed.
+	s.Delete("txns", "1")
+	if got, err := s.Buckets(); err != nil || !slices.Equal(got, []string{"users"}) {
+		t.Errorf("Buckets after emptying txns = %v, %v; want [users]", got, err)
+	}
 }
 
 func TestClosedStoreRejectsOps(t *testing.T) {
@@ -217,6 +226,9 @@ func TestClosedStoreRejectsOps(t *testing.T) {
 	}
 	if _, err := s.Count("b"); !errors.Is(err, ErrClosed) {
 		t.Errorf("Count after Close = %v", err)
+	}
+	if _, err := s.Buckets(); !errors.Is(err, ErrClosed) {
+		t.Errorf("Buckets after Close = %v", err)
 	}
 	if _, err := s.SizeStats(); !errors.Is(err, ErrClosed) {
 		t.Errorf("SizeStats after Close = %v", err)

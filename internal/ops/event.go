@@ -211,11 +211,8 @@ type TransportSnapshot struct {
 // EngineSnapshot is one recommendation engine's sizing and journal state,
 // what the engine's Stats returns.
 type EngineSnapshot struct {
-	Shards            int    `json:"shards"`
-	Users             int    `json:"users"`
-	IndexedCategories int    `json:"indexed_categories"`
-	Postings          int    `json:"postings"`
-	IndexWrites       uint64 `json:"index_writes"` // posting mutations since construction (catch-up cost gauge)
+	Shards int `json:"shards"`
+	Users  int `json:"users"`
 
 	// Which path the first reader after a write took to a current shard view,
 	// since construction: re-reading the consumers written (O(writes)), or

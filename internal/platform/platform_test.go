@@ -314,8 +314,8 @@ func TestPlatformStateDirWarmRestart(t *testing.T) {
 	}
 }
 
-// TestSeedCommunityBulkPath seeds through the batch install and checks the
-// index sizing matches a per-profile install.
+// TestSeedCommunityBulkPath seeds through the batch install and checks that
+// the seeded consumers, purchases and neighbours are all served.
 func TestSeedCommunityBulkPath(t *testing.T) {
 	p, err := New(Config{Marketplaces: 1, Products: demoProducts()})
 	if err != nil {
@@ -339,8 +339,14 @@ func TestSeedCommunityBulkPath(t *testing.T) {
 	if st.Users != 6 {
 		t.Errorf("seeded users = %d, want 6", st.Users)
 	}
-	if st.Postings == 0 {
-		t.Error("bulk seed built no postings")
+	// u0 and u4 bought the same product, so each is the other's nearest
+	// neighbour in its category.
+	nbs, err := p.Engine.Neighbors("u0", "", recommend.SearchExact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(nbs) == 0 || nbs[0].UserID != "u4" {
+		t.Errorf("u0's neighbours after the bulk seed = %+v, want u4 first", nbs)
 	}
 	if !p.Engine.Snapshot().Purchases("u0")["p1"] {
 		t.Error("seeded purchase missing")

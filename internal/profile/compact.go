@@ -90,11 +90,6 @@ func (c *Compact) Norm() float64 {
 	return math.Sqrt(sq)
 }
 
-// equal reports whether c and o hold the same ids with the same weights.
-func (c *Compact) equal(o *Compact) bool {
-	return slices.Equal(c.IDs, o.IDs) && slices.Equal(c.Weights, o.Weights)
-}
-
 // sortByID establishes the ascending-id invariant. Two entries share an id
 // only when two (category, sub-category, term) paths spell the same flat
 // key ("a/b" + "c" and "a" + "b/c"); the heavier one is kept, so the result

@@ -55,15 +55,15 @@ func TestSummaryCompactAgreesWithVector(t *testing.T) {
 		}
 		var scratch Compact
 		scratch.Set(s.Vec)
-		if !scratch.equal(c) {
+		if !sameCompact(&scratch, c) {
 			t.Fatalf("Set(Vec) = %+v, Summary built %+v", scratch, *c)
 		}
 	}
 }
 
 // TestSummaryBitReproducible: two computations over equal content agree to
-// the last bit in Norm, whatever order the maps iterate in, and
-// Equal sees them as equal; any change to the content breaks Equal.
+// the last bit, in Norm and in the compact form, whatever order the maps
+// iterate in.
 func TestSummaryBitReproducible(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
 	for i := 0; i < 100; i++ {
@@ -74,41 +74,19 @@ func TestSummaryBitReproducible(t *testing.T) {
 			if math.Float64bits(a.Norm) != math.Float64bits(b.Norm) {
 				t.Fatalf("Norm differs between two summaries of one profile: %.17g vs %.17g", a.Norm, b.Norm)
 			}
-			if !a.Equal(b) || !b.Equal(a) {
-				t.Fatal("Equal is false for two summaries of one profile")
+			if !sameCompact(a.Compact, b.Compact) {
+				t.Fatal("two summaries of one profile have different compact forms")
 			}
 		}
 		if want := math.Sqrt(a.Compact.Gather(a.Compact.Scatter(nil))); math.Abs(a.Norm-want) > 1e-12*want {
 			t.Fatalf("Norm = %v, sqrt(v·v) = %v", a.Norm, want)
 		}
+	}
+}
 
-		q := p.Clone()
-		for _, cat := range q.Categories {
-			for term := range cat.Terms {
-				cat.Terms[term] += 0.5
-				break
-			}
-			break
-		}
-		if a.Equal(q.Summary()) {
-			t.Fatal("Equal is true after a weight changed")
-		}
-		q = p.Clone()
-		if err := q.Observe(Evidence{Category: "c0", Terms: map[string]float64{"unseen": 1}, Behaviour: BehaviourBuy}); err != nil {
-			t.Fatal(err)
-		}
-		if a.Equal(q.Summary()) {
-			t.Fatal("Equal is true after a term was added")
-		}
-	}
-	other := NewProfile("someone-else").Summary()
-	if NewProfile("u").Summary().Equal(other) {
-		t.Fatal("Equal is true across consumers")
-	}
-	var none *Summary
-	if !none.Equal(nil) || none.Equal(other) || other.Equal(nil) {
-		t.Fatal("Equal mishandles nil")
-	}
+// sameCompact reports whether c and o hold the same ids with the same weights.
+func sameCompact(c, o *Compact) bool {
+	return slices.Equal(c.IDs, o.IDs) && slices.Equal(c.Weights, o.Weights)
 }
 
 // TestSummarySharesKeyStrings: Vec keys are the dictionary's canonical

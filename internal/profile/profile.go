@@ -28,6 +28,7 @@ import (
 	"math"
 	"sort"
 	"time"
+	"unicode/utf8"
 )
 
 // Behaviour identifies the consumer action that produced an observation.
@@ -318,6 +319,16 @@ func sortWeighted(ts []WeightedTerm) {
 
 // Clone returns a deep copy of the profile.
 func (p *Profile) Clone() *Profile {
+	out, _ := p.CloneUTF8()
+	return out
+}
+
+// CloneUTF8 is Clone, and also reports whether the user id and every key —
+// category, sub-category and term — is valid UTF-8. Marshal keeps such a
+// string as it is only then: JSON rewrites each invalid byte to U+FFFD. The
+// check rides on the copy's walk over the maps, so it costs no walk of its
+// own.
+func (p *Profile) CloneUTF8() (*Profile, bool) {
 	out := &Profile{
 		UserID:     p.UserID,
 		Alpha:      p.Alpha,
@@ -325,16 +336,21 @@ func (p *Profile) Clone() *Profile {
 		Observed:   p.Observed,
 		UpdatedAt:  p.UpdatedAt,
 	}
+	valid := utf8.ValidString(p.UserID)
 	for cname, cat := range p.Categories {
+		valid = valid && utf8.ValidString(cname)
 		nc := &Category{Name: cat.Name, Terms: make(map[string]float64, len(cat.Terms))}
 		for t, w := range cat.Terms {
+			valid = valid && utf8.ValidString(t)
 			nc.Terms[t] = w
 		}
 		if cat.Subs != nil {
 			nc.Subs = make(map[string]*SubCategory, len(cat.Subs))
 			for sname, sub := range cat.Subs {
+				valid = valid && utf8.ValidString(sname)
 				ns := &SubCategory{Name: sub.Name, Terms: make(map[string]float64, len(sub.Terms))}
 				for t, w := range sub.Terms {
+					valid = valid && utf8.ValidString(t)
 					ns.Terms[t] = w
 				}
 				nc.Subs[sname] = ns
@@ -342,7 +358,7 @@ func (p *Profile) Clone() *Profile {
 		}
 		out.Categories[cname] = nc
 	}
-	return out
+	return out, valid
 }
 
 // Marshal serializes the profile to JSON.
@@ -387,9 +403,9 @@ func Unmarshal(data []byte) (*Profile, error) {
 
 // Summary is a cheap immutable fingerprint of a profile: the flattened
 // similarity vector plus the per-category preference values, computed once.
-// The recommendation engine builds one per SetProfile and hands it to the
-// per-category candidate index, so neighbour search never re-flattens or
-// re-sums stored profiles pair by pair. Compact is the same vector in the
+// The recommendation engine builds one per SetProfile and its neighbour
+// search scores the stored summaries, so it never re-flattens or re-sums
+// stored profiles pair by pair. Compact is the same vector in the
 // form the scoring kernel scans; Vec holds it as a map for callers that
 // look terms up by name, its keys shared with every other Summary's through
 // the term dictionary. Norm is summed over Compact in ascending id order, so
@@ -440,20 +456,6 @@ func (p *Profile) Summary() *Summary {
 	s.Compact = c
 	s.Norm = c.Norm()
 	return s
-}
-
-// Equal reports whether two summaries describe identical profile content:
-// same flattened vector, term for term and weight for weight. Prefs and Norm
-// are functions of that content and are not compared. Both sides
-// must come from Profile.Summary. The replication catch-up path uses Equal
-// to skip index churn for consumers a shard snapshot did not actually
-// change, once per consumer, so it compares the compact slices and hashes
-// no string.
-func (s *Summary) Equal(o *Summary) bool {
-	if s == nil || o == nil {
-		return s == o
-	}
-	return s.UserID == o.UserID && s.Terms == o.Terms && s.Compact.equal(o.Compact)
 }
 
 // TermCount reports the total number of weighted terms in the profile,

@@ -46,7 +46,8 @@ func bulkEngine(t testing.TB, u *workload.Universe, profiles []*profile.Profile,
 }
 
 // stripCompact turns a quiet engine into the map-path reference: every
-// stored summary and every posting loses its compact form, so TopKStream
+// stored summary loses its compact form, and every shard its view, so the
+// category lists are built again from the stripped summaries and TopKStream
 // scores them with the map-based Dot. Test-only: it edits state the engine
 // treats as immutable, before any reader exists.
 func stripCompact(e *Engine) {
@@ -54,16 +55,7 @@ func stripCompact(e *Engine) {
 		for _, st := range sh.profiles {
 			st.sum.Compact = nil
 		}
-	}
-	for _, s := range e.index.shards {
-		for cat, m := range s.postings {
-			for id, c := range m {
-				c.Compact = nil
-				m[id] = c
-			}
-			delete(s.cache, cat)
-			delete(s.dirty, cat)
-		}
+		sh.dropView()
 	}
 }
 

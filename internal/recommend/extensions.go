@@ -2,11 +2,13 @@ package recommend
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // This file implements the paper's §5.2 future-work directions 2 and 3:
@@ -61,12 +63,16 @@ func epochMS(at time.Time) int64 {
 // update. The time
 // journaled, and carried to followers in the OpPurchase record, is the time
 // kept, so a follower replays the owner's value rather than reading a clock
-// of its own. Like SetProfile it is the owner's local write.
+// of its own. Like SetProfile it is the owner's local write, and refuses an
+// id that is not valid UTF-8 with ErrBadKey.
 func (e *Engine) RecordPurchaseAt(userID, productID string, at time.Time) error {
 	return e.recordPurchaseAt(userID, productID, at, (*OwnershipTable).admitOwner)
 }
 
 func (e *Engine) recordPurchaseAt(userID, productID string, at time.Time, admit admitFunc) error {
+	if !utf8.ValidString(userID) || !utf8.ValidString(productID) {
+		return fmt.Errorf("%w: purchase %q/%q", ErrBadKey, userID, productID)
+	}
 	ms := epochMS(at)
 	sh := e.shardFor(userID)
 	if err := e.lockShardW(sh, admit); err != nil {

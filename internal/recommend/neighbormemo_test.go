@@ -11,10 +11,9 @@ import (
 )
 
 // The Fig 4.2 task's two reads on one snapshot — the query re-rank, then
-// the cross-sell in the query's category — search once. They therefore see
-// one neighbour enumeration even while the live index moves between them:
-// here bob's laptop posting is withdrawn after the re-rank, which a second
-// search of the index would no longer enumerate.
+// the cross-sell in the query's category — search once, and answer from the
+// snapshot they share: here bob leaves laptops after the re-rank, which
+// only a fresh snapshot sees.
 func TestQueryAndCrossSellShareOneSearch(t *testing.T) {
 	e := fixture(t)
 	snap := e.Snapshot()

@@ -18,8 +18,8 @@ import (
 // Server holds every consumer's interest profile and purchase history, and
 // that community must survive a server restart. The engine therefore
 // write-through journals every mutation to a Persister (one atomic batch
-// per mutation) and recovers the full community — profiles, purchase sets,
-// sell counts, and the per-category candidate index — on construction.
+// per mutation) and recovers the full community — profiles, purchase sets
+// and sell counts — on construction.
 // Every shard stays in memory; the journal is for restart and replication,
 // not for paging state out.
 //
@@ -28,7 +28,7 @@ import (
 // Errors reported by the persistence layer.
 var (
 	ErrNoPersistence = errors.New("recommend: engine has no persistence configured")
-	ErrBadKey        = errors.New("recommend: id is empty or contains a NUL byte")
+	ErrBadKey        = errors.New("recommend: id is empty, not valid UTF-8 or contains a NUL byte")
 )
 
 // ShardData is one community shard as recovered from a Persister: the
@@ -48,8 +48,7 @@ type ShardData struct {
 // replaceShardLocked makes data sh's whole state: the one way a shard is
 // installed wholesale, by restart recovery and snapshot catch-up alike. It
 // adopts data's maps (nil ones made empty) and pairs every profile with its
-// summary, reconciles the candidate index, drops the view and bumps gen.
-// Caller holds sh.mu for writing.
+// summary, drops the view and bumps gen. Caller holds sh.mu for writing.
 func (e *Engine) replaceShardLocked(sh *shard, data ShardData) {
 	profiles := make(map[string]*stored, len(data.Profiles))
 	for _, p := range data.Profiles {
@@ -61,32 +60,9 @@ func (e *Engine) replaceShardLocked(sh *shard, data ShardData) {
 	if data.Sells == nil {
 		data.Sells = make(map[string]int64)
 	}
-	// Consumers gone from the shard lose their postings (an empty
-	// replacement summary removes without installing); everyone else
-	// transitions prev -> new. A consumer whose profile content did not
-	// change produces no transition at all, so catching up a fat shard whose
-	// snapshot repeats most profiles touches only the postings that moved
-	// instead of rebuilding the index (asserted via Stats.IndexWrites).
-	changes := make([]postingChange, 0, len(profiles))
-	for id, old := range sh.profiles {
-		if _, still := profiles[id]; !still {
-			changes = append(changes, postingChange{prev: old.sum, sum: &profile.Summary{UserID: id}})
-		}
-	}
-	for _, st := range profiles {
-		var prev *profile.Summary
-		if old := sh.profiles[st.prof.UserID]; old != nil {
-			prev = old.sum
-			if prev.Equal(st.sum) {
-				continue // identical content: postings already canonical
-			}
-		}
-		changes = append(changes, postingChange{prev: prev, sum: st.sum})
-	}
 	sh.profiles, sh.purchases, sh.sells = profiles, data.Purchases, data.Sells
 	sh.dropView()
 	sh.gen.Add(1)
-	e.index.updateBatch(changes)
 }
 
 // Persister journals community mutations durably and replays them on
@@ -223,11 +199,6 @@ func (e *Engine) lockShardW(sh *shard, admit admitFunc) error {
 // wholesale install snapshot catch-up uses. Nothing is journaled again and
 // the feed is fresh, so there is no sequence number to skip.
 func (e *Engine) recover() error {
-	if kp, ok := e.persist.(*kvPersister); ok {
-		if err := kp.bind(e.nshards); err != nil {
-			return err
-		}
-	}
 	for _, sh := range e.shards {
 		data, err := e.persist.LoadShard(sh.id)
 		if err != nil {
@@ -265,13 +236,14 @@ const CommunityWAL = "community.wal"
 // its own synchronization.
 type kvPersister struct {
 	store  *kvstore.Store
-	shards int // the recovering engine's shard count; 0 reads records as filed
+	shards int // the engine's shard count, which every record is checked against
 }
 
-// OpenPersister opens (creating if needed) the kvstore-backed Persister
-// rooted at dir. Exposed so tools can inspect or compact a community
-// journal without building an Engine.
-func OpenPersister(dir string) (Persister, error) {
+// openPersister opens (creating if needed) the kvstore-backed Persister
+// rooted at dir for an engine of shards shards. A journal with a live
+// record outside the buckets of shards 0..shards-1, which recovery would
+// never load, is refused with ErrShardMismatch.
+func openPersister(dir string, shards int) (*kvPersister, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("recommend: creating state dir: %w", err)
 	}
@@ -279,34 +251,29 @@ func OpenPersister(dir string) (Persister, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &kvPersister{store: store}, nil
-}
-
-// bind keys the journal's reads to an engine of n shards, refusing one with
-// a live record past the buckets of shards 0..n-1, which recovery would
-// never load. The store reports only its live size, so buckets are copied.
-func (kp *kvPersister) bind(n int) error {
-	var loaded int64
-	for s := 0; s < n; s++ {
-		for _, bucket := range []string{profBucket(s), purchBucket(s), sellBucket(s)} {
-			ents, err := kp.store.Scan(bucket, "")
-			m := kvstore.New()
-			for i := 0; err == nil && i < len(ents); i++ {
-				err = m.Put(bucket, ents[i].Key, ents[i].Value)
-			}
-			if err != nil {
-				return err
-			}
-			st, _ := m.SizeStats() // an open memory store reports no error
-			loaded += st.LiveBytes
+	buckets, err := store.Buckets()
+	for i := 0; err == nil && i < len(buckets); i++ {
+		if !shardBucket(buckets[i], shards) {
+			err = fmt.Errorf("%w: journal holds bucket %q, past the buckets of %d shards", ErrShardMismatch, buckets[i], shards)
 		}
 	}
-	all, err := kp.store.SizeStats()
-	if err == nil && all.LiveBytes != loaded {
-		err = fmt.Errorf("%w: journal holds records past the buckets of %d shards", ErrShardMismatch, n)
+	if err != nil {
+		store.Close()
+		return nil, err
 	}
-	kp.shards = n
-	return err
+	return &kvPersister{store: store, shards: shards}, nil
+}
+
+// shardBucket reports whether name is the profile, purchase or sell bucket
+// of one of shards 0..shards-1.
+func shardBucket(name string, shards int) bool {
+	for _, prefix := range []string{bucketProfiles, bucketPurchases, bucketSells} {
+		if rest, ok := strings.CutPrefix(name, prefix); ok {
+			s, err := strconv.Atoi(rest)
+			return err == nil && s >= 0 && s < shards && strconv.Itoa(s) == rest
+		}
+	}
+	return false
 }
 
 // saveProfilesChunk bounds one durable batch well under the kvstore record

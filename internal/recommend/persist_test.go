@@ -43,19 +43,22 @@ func loadEngineErr(t *testing.T, u *workload.Universe, profiles []*profile.Profi
 }
 
 // communityEqual asserts b holds exactly a's community: users, profiles,
-// purchase sets, index sizing, per-strategy recommendations, and the §5.2
-// reads over the purchase sets (purchaseReadsEqual).
+// purchase sets, category streams, per-strategy recommendations, and the
+// §5.2 reads over the purchase sets (purchaseReadsEqual).
 func communityEqual(t *testing.T, a, b *Engine) {
 	t.Helper()
 	usersA, usersB := a.Users(), b.Users()
 	if !reflect.DeepEqual(usersA, usersB) {
 		t.Fatalf("user sets differ: %d vs %d users", len(usersA), len(usersB))
 	}
-	stA, stB := a.Stats(), b.Stats()
-	if stA.Users != stB.Users || stA.IndexedCategories != stB.IndexedCategories || stA.Postings != stB.Postings {
+	if stA, stB := a.Stats(), b.Stats(); stA.Users != stB.Users {
 		t.Fatalf("stats differ: %+v vs %+v", stA, stB)
 	}
 	snapA, snapB := a.Snapshot(), b.Snapshot()
+	cats := append(snapCategories(snapA), snapCategories(snapB)...)
+	if ma, mb := categoryMembers(snapA, cats), categoryMembers(snapB, cats); !reflect.DeepEqual(ma, mb) {
+		t.Fatalf("category streams differ: %d vs %d categories", len(ma), len(mb))
+	}
 	for _, user := range usersA {
 		pa, pb := snapA.Profile(user), snapB.Profile(user)
 		if pa == nil || pb == nil {
@@ -101,7 +104,7 @@ func TestPersistentRestartIdenticalRecommendations(t *testing.T) {
 	}
 	defer e2.Close()
 	// The reopened engine is the same community: identical users,
-	// profiles, purchases, postings, and recommendations.
+	// profiles, purchases, category streams, and recommendations.
 	communityEqual(t, mem, e2)
 }
 
@@ -254,15 +257,14 @@ func TestSetProfilesLaterDuplicateWins(t *testing.T) {
 	if !reflect.DeepEqual(got.Vector(), newer.Vector()) {
 		t.Error("SetProfiles kept the earlier duplicate")
 	}
-	// The index must hold exactly the later profile's categories: stale
-	// postings from the earlier duplicate would leak ghost candidates.
+	// The category streams must hold exactly the later profile's
+	// categories: the earlier duplicate's would leak ghost candidates.
 	seq := NewEngine(u.Catalog)
 	seq.SetProfile(older)
 	seq.SetProfile(newer)
-	a, b := e.Stats(), seq.Stats()
-	if a.Postings != b.Postings || a.IndexedCategories != b.IndexedCategories {
-		t.Errorf("batch index (%d cats, %d postings) != sequential (%d cats, %d postings)",
-			a.IndexedCategories, a.Postings, b.IndexedCategories, b.Postings)
+	cats := []string{prods[0].Category, prods[1].Category}
+	if a, b := categoryMembers(e.Snapshot(), cats), categoryMembers(seq.Snapshot(), cats); !reflect.DeepEqual(a, b) {
+		t.Errorf("batch category streams %v != sequential %v", a, b)
 	}
 }
 
@@ -273,9 +275,10 @@ func TestSetProfilesReplacementDropsStalePostings(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := e.Stats()
+	cats := snapCategories(e.Snapshot())
 
 	// Replace every profile with a fresh single-category one via the bulk
-	// path: all the old multi-category postings must disappear.
+	// path: every consumer must leave the other categories' streams.
 	prod := u.Catalog.All()[0]
 	replacement := make([]*profile.Profile, len(profiles))
 	for i, p := range profiles {
@@ -292,9 +295,10 @@ func TestSetProfilesReplacementDropsStalePostings(t *testing.T) {
 	if after.Users != before.Users {
 		t.Errorf("users changed: %d -> %d", before.Users, after.Users)
 	}
-	if after.IndexedCategories != 1 || after.Postings != len(profiles) {
-		t.Errorf("stale postings leaked: %d categories, %d postings (want 1, %d)",
-			after.IndexedCategories, after.Postings, len(profiles))
+	members := categoryMembers(e.Snapshot(), cats)
+	if len(members) != 1 || len(members[prod.Category]) != len(profiles) {
+		t.Errorf("stale categories streamed: %d categories, %d in %s (want 1, %d)",
+			len(members), len(members[prod.Category]), prod.Category, len(profiles))
 	}
 }
 
@@ -461,12 +465,12 @@ func TestPersistentConcurrentSoak(t *testing.T) {
 	if got, want := len(e2.Users()), len(profiles); got != want {
 		t.Fatalf("recovered %d users, want %d", got, want)
 	}
-	st := e2.Stats()
 	mem := loadEngine(u, profiles, WithNeighbors(8))
-	if mst := mem.Stats(); st.Postings != mst.Postings || st.IndexedCategories != mst.IndexedCategories {
-		t.Errorf("recovered index %+v, want %+v", st, mst)
-	}
 	snap := e2.Snapshot()
+	cats := snapCategories(mem.Snapshot())
+	if got, want := categoryMembers(snap, cats), categoryMembers(mem.Snapshot(), cats); !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered category streams differ from a serial install's: %d vs %d categories", len(got), len(want))
+	}
 	for _, usr := range u.Users {
 		held := make(map[string]bool, len(usr.Held))
 		for _, pid := range usr.Held {

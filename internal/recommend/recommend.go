@@ -25,14 +25,14 @@
 //
 //   - Community state is partitioned into user-keyed shards (fnv-1a on the
 //     consumer id), each with its own lock, so writes contend per shard.
-//   - Every SetProfile maintains an incremental per-category candidate
-//     index (posting lists of profile summaries), so CF's neighbour search
-//     iterates only the consumers active in the target category — an exact
-//     restriction under the Fig 4.5 gate, not an approximation.
 //   - Recommendation requests run lock-free against immutable Snapshots
 //     assembled from per-shard views, which a write dirties one consumer
 //     of and the next reader patches. A product's sell count is the sum of
 //     what each shard's consumers bought, read one shard lock at a time.
+//   - Each view lists, per category, its consumers with evidence there, so
+//     CF's neighbour search iterates only the consumers active in the
+//     target category — an exact restriction under the Fig 4.5 gate, not
+//     an approximation.
 //   - With persistence (Open + WithPersistence) every mutation is
 //     journaled to a WAL-backed store before it mutates memory
 //     (journal-first: an acknowledged write is durable) and state is
@@ -46,14 +46,14 @@
 //
 //   - Recommendation results are identical for any shard count, with or
 //     without persistence, on owner or caught-up follower.
-//   - Lock order: shard → index bucket, shard → journal feed. No path
-//     acquires these in reverse, and no path holds two shard locks at once.
+//   - Lock order: shard → journal feed. No path acquires these in
+//     reverse, and no path holds two shard locks at once.
 //   - A shard's writes are totally ordered by its lock; the journal, the
 //     feed, and memory all observe that one order. Sell counts are
 //     attributed to the buyer's shard durably, so one shard's journal
 //     fully determines its replica; the served totals are the sum over
 //     shards.
-//   - Stored profiles and index postings are immutable in place; every
+//   - Stored profiles and published views are immutable in place; every
 //     install replaces whole entries.
 //
 // See DESIGN.md for the full architecture map.
@@ -62,7 +62,6 @@ package recommend
 import (
 	"errors"
 	"fmt"
-	"iter"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -159,8 +158,8 @@ func WithShards(n int) Option {
 
 // NeighborSearch is the mode parameter of Engine.Neighbors. It has one
 // value, SearchExact: CF's neighbour search is always the exact scan of the
-// per-category posting list (or of the whole community when the gate is
-// ablated).
+// consumers with evidence in the category (or of the whole community when
+// the gate is ablated).
 type NeighborSearch int
 
 // SearchExact is the one neighbour search mode.
@@ -180,8 +179,7 @@ type Engine struct {
 	hybridW   float64
 	nshards   int
 
-	shards []*shard       // community state, fnv(userID) % nshards
-	index  *categoryIndex // per-category candidate posting lists
+	shards []*shard // community state, fnv(userID) % nshards
 
 	// Durability (nil/zero for a memory-only engine; see persist.go).
 	persist   Persister
@@ -249,7 +247,6 @@ func Open(cat *catalog.Catalog, opts ...Option) (*Engine, error) {
 	for i := 0; i < e.nshards; i++ {
 		e.shards[i] = newShard(i)
 	}
-	e.index = newCategoryIndex(e.nshards)
 	e.own.Store(&binding{table: NewOwnershipTable(StaticOwnership(e.nshards, 1))})
 	if e.feedCap > 0 {
 		feed, err := newJournalFeed(e.nshards, e.feedCap)
@@ -259,7 +256,7 @@ func Open(cat *catalog.Catalog, opts ...Option) (*Engine, error) {
 		e.feed = feed
 	}
 	if e.persist == nil && e.stateDir != "" {
-		p, err := OpenPersister(e.stateDir)
+		p, err := openPersister(e.stateDir, e.nshards)
 		if err != nil {
 			return nil, err
 		}
@@ -287,11 +284,9 @@ func (e *Engine) ShardOf(userID string) int { return shardOf(userID, e.nshards) 
 func (e *Engine) Shards() int { return e.nshards }
 
 // SetProfile installs or replaces a consumer's profile. The engine keeps a
-// deep copy; later mutation by the caller has no effect. The consumer's
-// category postings in the candidate index are refreshed inside the same
-// shard critical section, so index updates for one consumer are totally
-// ordered by the shard lock and always match the shard's final state.
-// (Lock order is shard -> index bucket; no path acquires them in reverse.)
+// deep copy; later mutation by the caller has no effect. A profile whose
+// user id or any key — category, sub-category or term — is not valid UTF-8
+// is refused with ErrBadKey, memory-only or durable.
 //
 // With persistence the profile is journaled (durably) before the in-memory
 // install. Like the rest of the public write API it is the owner's local
@@ -301,11 +296,11 @@ func (e *Engine) Shards() int { return e.nshards }
 // shard.
 func (e *Engine) SetProfile(p *profile.Profile) error { return e.SetProfiles([]*profile.Profile{p}) }
 
-// SetProfiles bulk-installs profiles: one shard lock acquisition, one
-// durable batch, and one index pass per touched shard, instead of one each
-// per profile. Equivalent to calling SetProfile for each element in order
-// (later duplicates win). This is the SeedCommunity path: installing a
-// warm community one profile at a time pays nshards times the locking and
+// SetProfiles bulk-installs profiles: one shard lock acquisition and one
+// durable batch per touched shard, instead of one each per profile.
+// Equivalent to calling SetProfile for each element in order (later
+// duplicates win). This is the SeedCommunity path: installing a warm
+// community one profile at a time pays nshards times the locking and
 // journaling it needs to.
 func (e *Engine) SetProfiles(ps []*profile.Profile) error {
 	return e.setProfiles(ps, nil, (*OwnershipTable).admitOwner)
@@ -319,7 +314,14 @@ func (e *Engine) setProfiles(ps []*profile.Profile, encs [][]byte, admit admitFu
 	for i, p := range ps {
 		s := e.ShardOf(p.UserID)
 		if encs == nil {
-			p = p.Clone()
+			// A key that is not valid UTF-8 would be journaled and
+			// forwarded as another one (Profile.CloneUTF8), so the whole
+			// batch is refused before anything is written. Profiles decoded
+			// from encs are valid by construction.
+			var valid bool
+			if p, valid = p.CloneUTF8(); !valid {
+				return fmt.Errorf("%w: a key of user %q's profile", ErrBadKey, p.UserID)
+			}
 		} else {
 			encShard[s] = append(encShard[s], encs[i])
 		}
@@ -349,9 +351,9 @@ func (e *Engine) setProfiles(ps []*profile.Profile, encs [][]byte, admit admitFu
 
 // installShardProfiles installs profs — private copies, all belonging to
 // sh, encoded as encs (nil: here, if a sink needs them) — journal-first,
-// then into the shard map, candidate index, and journal feed, all inside
-// the shard critical section, once admit admitted the write there. Shared
-// by every profile write and the replication apply path.
+// then into the shard map and journal feed, all inside the shard critical
+// section, once admit admitted the write there. Shared by every profile
+// write and the replication apply path.
 func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile, encs [][]byte, admit admitFunc) error {
 	if encs == nil && (e.persist != nil || e.feed != nil) {
 		var err error
@@ -368,19 +370,11 @@ func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile, encs 
 			return err
 		}
 	}
-	changes := make([]postingChange, 0, len(profs))
 	for _, p := range profs {
-		sum := p.Summary()
-		var prev *profile.Summary
-		if old := sh.profiles[p.UserID]; old != nil {
-			prev = old.sum
-		}
-		sh.profiles[p.UserID] = &stored{prof: p, sum: sum}
+		sh.profiles[p.UserID] = &stored{prof: p, sum: p.Summary()}
 		sh.noteWrite(p.UserID)
-		changes = append(changes, postingChange{prev: prev, sum: sum})
 	}
 	seq := sh.gen.Add(1)
-	e.index.updateBatch(changes)
 	if e.feed != nil {
 		// Bulk installs split into several bounded records, so no single
 		// journal record outgrows a network frame when peers tail the feed.
@@ -444,8 +438,6 @@ func (e *Engine) Stats() ops.EngineSnapshot {
 		st.ViewPatches += sh.patches.Load()
 		st.ViewRebuilds += sh.rebuilds.Load()
 	}
-	st.IndexedCategories, st.Postings = e.index.size()
-	st.IndexWrites = e.index.writes.Load()
 	e.fillJournalSizing(&st)
 	return st
 }
@@ -532,16 +524,15 @@ func (e *Engine) neighbors(snap *Snapshot, st *stored, cat string) ([]similarity
 
 // searchNeighbors runs one neighbour search against snap. When the
 // discard gate is live (tolerance below 1) and the target has evidence in
-// the category, the per-category posting list is an exact substitute for
-// the whole community — every consumer missing from it would be gated out
-// anyway (Ty = 0 against Tx > 0). Otherwise fall back to scanning the
-// snapshot.
+// the category, the consumers with evidence there are an exact substitute
+// for the whole community — every other consumer would be gated out anyway
+// (Ty = 0 against Tx > 0). Otherwise it scans the snapshot.
 func (e *Engine) searchNeighbors(snap *Snapshot, st *stored, cat string, tol float64) ([]similarity.Neighbor, error) {
 	tx := st.sum.Prefs[cat]
 	if cat == "" || tol >= 1 || tx <= 0 {
 		return similarity.TopKStream(st.prof.UserID, st.sum.Vec, tx, tol, snap.candidates(cat), e.k)
 	}
-	return similarity.TopKStream(st.prof.UserID, st.sum.Vec, tx, tol, e.indexCandidates(snap, cat), e.k)
+	return similarity.TopKStream(st.prof.UserID, st.sum.Vec, tx, tol, snap.inCategory(cat), e.k)
 }
 
 // Neighbors exposes the CF neighbour search directly: the k most similar
@@ -554,45 +545,6 @@ func (e *Engine) Neighbors(userID, category string, mode NeighborSearch) ([]simi
 		return nil, fmt.Errorf("%w: %s", ErrUnknownUser, userID)
 	}
 	return e.searchNeighbors(snap, st, neighborCategory(st.prof, category), e.tolerance)
-}
-
-// indexCandidates streams the category's posting list reconciled against
-// snap: the index only enumerates candidates; vectors and preference values are taken from the snapshot's
-// stored summaries, so scoring is always consistent with the view the rest
-// of the request sees even while SetProfile runs concurrently. Consumers
-// the snapshot does not know (installed after it was taken) are skipped.
-// The remaining skew is enumeration-only and transient, in both
-// directions: a consumer whose category activity was first indexed after
-// the snapshot was assembled may be missed, and one whose posting was
-// concurrently removed is dropped even though the snapshot still holds
-// them. A candidate is never mis-scored; on a quiet community the posting
-// list matches the snapshot exactly (TestIndexedNeighborsMatchFullScan).
-func (e *Engine) indexCandidates(snap *Snapshot, cat string) iter.Seq[similarity.Candidate] {
-	return func(yield func(similarity.Candidate) bool) {
-		for c := range e.index.candidates(cat) {
-			st := snap.stored(c.UserID)
-			if st == nil {
-				continue
-			}
-			if c.Compact != nil && c.Compact == st.sum.Compact {
-				// The posting was made from the very summary the snapshot
-				// holds (Summary makes a summary and its compact form
-				// together, once), so it already is what candidateOf would
-				// build, without the second look-up in Prefs.
-				if !yield(c) {
-					return
-				}
-				continue
-			}
-			ty := st.sum.Prefs[cat]
-			if ty <= 0 {
-				continue
-			}
-			if !yield(candidateOf(st.sum, ty)) {
-				return
-			}
-		}
-	}
 }
 
 // cf is user-based collaborative filtering over profile similarity.

@@ -264,7 +264,7 @@ func TestDiscardGateAblation(t *testing.T) {
 
 // TestOpenRefusesBadTolerance: a tolerance outside [0, 1] is refused when
 // the engine is built, not by every CF read later. NaN above all: it passed
-// the [0, 1] check, switched the gate off while the posting-list restriction
+// the [0, 1] check, switched the gate off while the category-list restriction
 // that assumes a live gate still applied, and never hit the neighbour memo.
 func TestOpenRefusesBadTolerance(t *testing.T) {
 	for _, tol := range []float64{2, -1, math.NaN()} {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -185,4 +186,125 @@ func FuzzRecoverShard(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestInvalidUTF8KeysRefused: a write naming a consumer, product or profile
+// key that is not valid UTF-8 is refused with ErrBadKey on a memory-only and
+// a durable engine alike, and leaves the journal, the feed and memory as
+// they were. Profiles are journaled and forwarded as JSON, which would keep
+// "f\xff" as "f�": another consumer, in another of 16 shards, so the
+// next Open would refuse the journal.
+func TestInvalidUTF8KeysRefused(t *testing.T) {
+	const bad = "f\xff"
+	profileWith := func(user, cat, sub, term string) *profile.Profile {
+		p := profile.NewProfile(user)
+		if err := p.Observe(profile.Evidence{
+			Category: cat, SubCategory: sub,
+			Terms: map[string]float64{term: 1}, SubTerms: map[string]float64{term: 1},
+			Behaviour: profile.BehaviourBuy,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	refused := []*profile.Profile{
+		profileWith(bad, "laptop", "gaming", "ssd"),
+		profileWith("alice", bad, "gaming", "ssd"),
+		profileWith("alice", "laptop", bad, "ssd"),
+		profileWith("alice", "laptop", "gaming", bad),
+	}
+	for _, tc := range []struct {
+		name string
+		opts func(dir string) []Option
+	}{
+		{"memory", func(string) []Option { return []Option{WithJournalFeed(0)} }},
+		{"durable", func(dir string) []Option { return []Option{WithJournalFeed(0), WithPersistence(dir)} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			e, err := Open(catalog.New(), tc.opts(dir)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			heads := e.FeedHeads()
+			for _, p := range refused {
+				if err := e.SetProfile(p); !errors.Is(err, ErrBadKey) {
+					t.Errorf("SetProfile(%q) = %v, want ErrBadKey", p.UserID, err)
+				}
+				if err := e.SetProfiles([]*profile.Profile{profileWith("bob", "laptop", "", "ssd"), p}); !errors.Is(err, ErrBadKey) {
+					t.Errorf("SetProfiles with %q = %v, want ErrBadKey", p.UserID, err)
+				}
+			}
+			for _, ids := range [][2]string{{bad, "p1"}, {"alice", bad}} {
+				if err := e.RecordPurchase(ids[0], ids[1]); !errors.Is(err, ErrBadKey) {
+					t.Errorf("RecordPurchase(%q, %q) = %v, want ErrBadKey", ids[0], ids[1], err)
+				}
+			}
+			if users := e.Users(); len(users) != 0 {
+				t.Errorf("refused writes installed %v", users)
+			}
+			if got := e.FeedHeads(); !slices.Equal(got, heads) {
+				t.Errorf("refused writes moved the feed: %v -> %v", heads, got)
+			}
+			if got := e.topSellers("", -1, "topseller"); len(got) != 0 {
+				t.Errorf("refused purchases counted: %v", got)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			e, err = Open(catalog.New(), tc.opts(dir)...)
+			if err != nil {
+				t.Fatalf("reopening after the refused writes: %v", err)
+			}
+			defer e.Close()
+			if users := e.Users(); len(users) != 0 {
+				t.Errorf("the journal recovered %v", users)
+			}
+		})
+	}
+}
+
+// TestEmptiedBucketsOpen: buckets whose every key was deleted — by a
+// wholesale replace, or in a journal written under more shards — hold no
+// record recovery would miss, so Open accepts them.
+func TestEmptiedBucketsOpen(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(catalog.New(), WithShards(4), WithPersistence(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		id := fmt.Sprintf("user-%04d", i)
+		if err := e.SetProfile(profile.NewProfile(id)); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.RecordPurchase(id, "p1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.applyShardSnapshot(2, ShardData{}, (*OwnershipTable).admitOwner); err != nil {
+		t.Fatal(err)
+	}
+	want := e.Users()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e, err = Open(catalog.New(), WithShards(4), WithPersistence(dir))
+	if err != nil {
+		t.Fatalf("reopening after a shard was emptied: %v", err)
+	}
+	if got := e.Users(); !slices.Equal(got, want) || len(e.shards[2].profiles) != 0 {
+		t.Fatalf("reopened with %d users, %d in the emptied shard; want %d, 0", len(got), len(e.shards[2].profiles), len(want))
+	}
+	e.Close()
+
+	dir = writeJournal(t, []kvstore.Op{
+		{Bucket: profBucket(7), Key: "user-0001", Value: []byte("{}")},
+		{Bucket: profBucket(7), Key: "user-0001", Delete: true},
+	})
+	e, err = Open(catalog.New(), WithShards(4), WithPersistence(dir))
+	if err != nil {
+		t.Fatalf("a bucket past the count, emptied: %v", err)
+	}
+	e.Close()
 }

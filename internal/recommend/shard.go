@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"agentrec/internal/profile"
+	"agentrec/internal/similarity"
 )
 
 // The engine partitions its community state into user-keyed shards (fnv-1a
@@ -18,7 +19,9 @@ import (
 // the shard: a write only notes which consumer it touched, and the first
 // reader after it brings the cached view up to date by re-reading those
 // consumers alone, then shares the result with every reader until the next
-// write.
+// write. A view also holds, per merchandise category, the list of its
+// consumers with evidence there (shardView.inCategory): CF's neighbour search
+// walks those lists instead of the whole community.
 
 // DefaultShards is the shard count NewEngine uses unless WithShards
 // overrides it.
@@ -127,6 +130,7 @@ type viewBase struct {
 
 	orderOnce sync.Once
 	order     []*stored // profiles' entries by UserID; see shardView.inOrder
+	cats      catLists  // see shardView.inCategory
 }
 
 // shardView is an immutable snapshot of one shard: a base, and over it the
@@ -140,6 +144,49 @@ type shardView struct {
 
 	orderOnce sync.Once
 	order     []*stored // see inOrder
+	cats      catLists  // see inCategory
+}
+
+// catLists holds the category lists a view or a base has built so far. A
+// list is built once, by the first read that asks for it, and then
+// published, so a read of a built list takes no lock.
+type catLists struct {
+	mu    sync.Mutex // one builder at a time
+	built atomic.Pointer[map[string][]similarity.Candidate]
+}
+
+// get returns cat's list, built by build if no read has asked for it yet.
+func (c *catLists) get(cat string, build func() []similarity.Candidate) []similarity.Candidate {
+	if m := c.built.Load(); m != nil {
+		if list, ok := (*m)[cat]; ok {
+			return list
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var old map[string][]similarity.Candidate
+	if m := c.built.Load(); m != nil {
+		old = *m
+	}
+	if list, ok := old[cat]; ok {
+		return list
+	}
+	list := build()
+	m := make(map[string][]similarity.Candidate, len(old)+1)
+	maps.Copy(m, old)
+	m[cat] = list
+	c.built.Store(&m)
+	return list
+}
+
+// candidateOf is the one place a stored summary becomes a similarity
+// candidate: everything the scorer can use rides along by reference, with ty
+// the consumer's preference value in the category being searched.
+func candidateOf(sum *profile.Summary, ty float64) similarity.Candidate {
+	return similarity.Candidate{
+		UserID: sum.UserID, Vec: sum.Vec, Ty: ty,
+		Norm: sum.Norm, Compact: sum.Compact,
+	}
 }
 
 // stored returns the view's profile entry for userID, nil when it has none.
@@ -167,20 +214,11 @@ func (v *shardView) bought(userID string) map[string]bool {
 // scan. Consumers are summarized in the order they arrive, so walking them
 // by id walks their vectors roughly in address order, where ranging over the
 // map jumps about the heap, differently on every run. The order is worked
-// out on the first scan that asks: sorted once per base, and per view one
-// copy of that with the overlay's few consumers spliced in. Reads that
-// follow a posting list never pay for it.
+// out on the first read that asks: sorted once per base, and per view one
+// copy of that with the overlay's few consumers spliced in.
 func (v *shardView) inOrder() []*stored {
 	v.orderOnce.Do(func() {
-		b := v.base
-		b.orderOnce.Do(func() {
-			b.order = make([]*stored, 0, len(b.profiles))
-			for _, st := range b.profiles {
-				b.order = append(b.order, st)
-			}
-			slices.SortFunc(b.order, func(a, b *stored) int { return strings.Compare(a.sum.UserID, b.sum.UserID) })
-		})
-		v.order = b.order
+		v.order = v.base.inOrder()
 		if len(v.over) == 0 {
 			return
 		}
@@ -191,11 +229,72 @@ func (v *shardView) inOrder() []*stored {
 			}
 		}
 		slices.Sort(ids)
-		v.order = spliceByID(b.order, ids,
+		v.order = spliceByID(v.order, ids,
 			func(st *stored) string { return st.sum.UserID },
 			func(id string) (*stored, bool) { return v.over[id].st, true })
 	})
 	return v.order
+}
+
+// inOrder returns the base's profile entries in UserID order.
+func (b *viewBase) inOrder() []*stored {
+	b.orderOnce.Do(func() {
+		b.order = make([]*stored, 0, len(b.profiles))
+		for _, st := range b.profiles {
+			b.order = append(b.order, st)
+		}
+		slices.SortFunc(b.order, func(a, b *stored) int { return strings.Compare(a.sum.UserID, b.sum.UserID) })
+	})
+	return b.order
+}
+
+// inCategory returns the view's consumers with evidence in cat (a positive
+// preference value there), in UserID order, each as the scorer takes them.
+// Under the Fig 4.5 gate these are the only consumers a search in cat can
+// score, so CF walks this list instead of the shard. A base filters its
+// sorted consumers once per category; a view whose overlay changed some
+// consumer's evidence in cat splices those few into a copy of the base's
+// list, and any other view shares the base's list as it is.
+func (v *shardView) inCategory(cat string) []similarity.Candidate {
+	list := v.base.inCategory(cat)
+	if len(v.over) == 0 {
+		return list
+	}
+	return v.cats.get(cat, func() []similarity.Candidate {
+		has := func(st *stored) bool { return st != nil && st.sum.Prefs[cat] > 0 }
+		var ids []string
+		for id, e := range v.over {
+			if old := v.base.profiles[id]; e.st != old && (has(old) || has(e.st)) {
+				ids = append(ids, id)
+			}
+		}
+		if len(ids) == 0 {
+			return list
+		}
+		slices.Sort(ids)
+		return spliceByID(list, ids,
+			func(c similarity.Candidate) string { return c.UserID },
+			func(id string) (similarity.Candidate, bool) {
+				st := v.over[id].st
+				if !has(st) {
+					return similarity.Candidate{}, false
+				}
+				return candidateOf(st.sum, st.sum.Prefs[cat]), true
+			})
+	})
+}
+
+// inCategory is shardView.inCategory for a view with no overlay.
+func (b *viewBase) inCategory(cat string) []similarity.Candidate {
+	return b.cats.get(cat, func() []similarity.Candidate {
+		var list []similarity.Candidate
+		for _, st := range b.inOrder() {
+			if ty := st.sum.Prefs[cat]; ty > 0 {
+				list = append(list, candidateOf(st.sum, ty))
+			}
+		}
+		return list
+	})
 }
 
 // spliceByID returns a copy of old, which is sorted by idOf, with every

@@ -6,11 +6,13 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"agentrec/internal/catalog"
 	"agentrec/internal/profile"
+	"agentrec/internal/similarity"
 )
 
 // viewProfile is a small profile whose content names its version, so two
@@ -105,14 +107,91 @@ func snapshotReads(snap *Snapshot, want community, ids []string) error {
 	if order := slices.Concat(byShard...); !slices.Equal(got, order) {
 		return fmt.Errorf("candidates() order = %v, want %v", got, order)
 	}
+	// Each view's list for a category is the shard's consumers with
+	// evidence there, in id order, each with the summary and preference
+	// value the snapshot's look-ups hold.
+	for _, cat := range viewCategories {
+		for i, v := range snap.views {
+			var inCat []string
+			for _, id := range byShard[i] {
+				if want.profiles[id].PreferenceValue(cat) > 0 {
+					inCat = append(inCat, id)
+				}
+			}
+			list := v.inCategory(cat)
+			got := make([]string, len(list))
+			for j, c := range list {
+				got[j] = c.UserID
+				if st := snap.stored(c.UserID); st == nil || st.sum.Compact != c.Compact || st.sum.Prefs[cat] != c.Ty {
+					return fmt.Errorf("shard %d's %s list holds a candidate %s the snapshot does not", i, cat, c.UserID)
+				}
+			}
+			if !slices.Equal(got, inCat) {
+				return fmt.Errorf("shard %d's %s list = %v, want %v", i, cat, got, inCat)
+			}
+		}
+	}
 	return nil
+}
+
+// viewCategories are the categories viewProfile files evidence under, and
+// one nobody has evidence in.
+var viewCategories = []string{"cat0", "cat1", "cat2", "cat9"}
+
+// checkCategoryStreams reports the first category whose stream in snap is
+// not the full scan's consumers with evidence there, in the scan's order,
+// each with the scan's summary and its preference value in the category.
+func checkCategoryStreams(snap *Snapshot) error {
+	for _, cat := range snapCategories(snap) {
+		var want []similarity.Candidate
+		for c := range snap.candidates(cat) {
+			if c.Ty > 0 {
+				want = append(want, c)
+			}
+		}
+		got := slices.Collect(snap.inCategory(cat))
+		if !slices.EqualFunc(got, want, func(a, b similarity.Candidate) bool {
+			return a.UserID == b.UserID && a.Ty == b.Ty && a.Compact == b.Compact
+		}) {
+			return fmt.Errorf("category %s streams %d candidates, want the %d with evidence there in scan order", cat, len(got), len(want))
+		}
+	}
+	return nil
+}
+
+// snapCategories returns every category some consumer of snap has evidence
+// in, sorted.
+func snapCategories(snap *Snapshot) []string {
+	var cats []string
+	for c := range snap.candidates("") {
+		for cat := range snap.stored(c.UserID).sum.Prefs {
+			cats = append(cats, cat)
+		}
+	}
+	slices.Sort(cats)
+	return slices.Compact(cats)
+}
+
+// categoryMembers returns, for each of cats whose stream in snap yields
+// anyone, the ids it yields, sorted: what a search in the category walks,
+// whatever the shard count.
+func categoryMembers(snap *Snapshot, cats []string) map[string][]string {
+	out := make(map[string][]string)
+	for _, cat := range cats {
+		for c := range snap.inCategory(cat) {
+			out[cat] = append(out[cat], c.UserID)
+		}
+		slices.Sort(out[cat])
+	}
+	return out
 }
 
 // TestPatchedViewEqualsRebuiltView: whatever mix of writes lands between two
 // reads, a view brought up to date from the previous one reads exactly like
-// one built from scratch, and a snapshot taken earlier keeps reading what it
-// read when it was taken. Readers run beside the writer throughout, so under
-// -race it also covers the builder against the write path.
+// one built from scratch — its category lists included — and a snapshot
+// taken earlier keeps reading what it read when it was taken. Readers run
+// beside the writer throughout, so under -race it also covers the view and
+// category-list builders against the write path.
 func TestPatchedViewEqualsRebuiltView(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -162,6 +241,17 @@ func TestPatchedViewEqualsRebuiltView(t *testing.T) {
 							if snap.Profile(id) == nil {
 								t.Errorf("reader: Users() lists %s, Profile has none", id)
 								return
+							}
+						}
+						// Readers build the lists, a base's shared by the
+						// views patched from it, while the writer patches
+						// and folds views.
+						for _, cat := range viewCategories {
+							for c := range snap.inCategory(cat) {
+								if st := snap.stored(c.UserID); st == nil || st.sum.Prefs[cat] != c.Ty || c.Ty <= 0 {
+									t.Errorf("reader: %s streams %s, whom the snapshot does not hold with evidence there", cat, c.UserID)
+									return
+								}
 							}
 						}
 					}
@@ -391,4 +481,41 @@ func TestViewRetentionIsBounded(t *testing.T) {
 	if got := reflect.ValueOf(e.Snapshot().Purchases(quiet)).Pointer(); got != set {
 		t.Error("folding the overlay copied the purchase set of a consumer nobody wrote")
 	}
+}
+
+// TestScanWalksConsumersInOrder: the full-community candidate stream
+// yields every consumer exactly once, each shard's by UserID, and a view
+// taken after a write has the new consumer in place.
+func TestScanWalksConsumersInOrder(t *testing.T) {
+	u, profiles := soakUniverse(t)
+	e := loadEngine(u, profiles)
+	check := func(want int) {
+		t.Helper()
+		snap := e.Snapshot()
+		seen := make(map[string]bool)
+		last, lastShard := "", -1
+		for c := range snap.candidates("") {
+			if seen[c.UserID] {
+				t.Fatalf("%s streamed twice", c.UserID)
+			}
+			seen[c.UserID] = true
+			if sh := snap.shardIdx(c.UserID); sh != lastShard {
+				last, lastShard = "", sh
+			}
+			if strings.Compare(last, c.UserID) >= 0 {
+				t.Fatalf("shard %d: %s streamed after %s", lastShard, c.UserID, last)
+			}
+			last = c.UserID
+		}
+		if len(seen) != want {
+			t.Fatalf("streamed %d consumers, want %d", len(seen), want)
+		}
+	}
+	check(len(profiles))
+	late := profiles[0].Clone()
+	late.UserID = "a-late-arrival"
+	if err := e.SetProfile(late); err != nil {
+		t.Fatal(err)
+	}
+	check(len(profiles) + 1)
 }

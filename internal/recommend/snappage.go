@@ -252,8 +252,7 @@ func (d *ShardData) addPage(e *Engine, shard int, pg SnapshotPage) error {
 	return d.add(shard, e.nshards, pg)
 }
 
-// add is addPage for shard of shards (0: unchecked), and restart recovery's
-// assembly too. A consumer filed under another shard is refused, and so is
+// add is addPage for shard of shards, and restart recovery's assembly too. A consumer filed under another shard is refused, and so is
 // a sell total below one, which no purchase writes and which would cancel
 // other shards' sales in the served sum.
 func (d *ShardData) add(shard, shards int, pg SnapshotPage) error {
@@ -267,7 +266,7 @@ func (d *ShardData) add(shard, shards int, pg SnapshotPage) error {
 		d.Sells = make(map[string]int64)
 	}
 	for _, pp := range pg.Purchases {
-		if shards > 0 && shardOf(pp.UserID, shards) != shard {
+		if shardOf(pp.UserID, shards) != shard {
 			return fmt.Errorf("%w: purchase by %s in shard %d", ErrShardMismatch, pp.UserID, shard)
 		}
 		if d.Purchases[pp.UserID] == nil {

@@ -109,14 +109,32 @@ func (s *Snapshot) Len() int {
 }
 
 // candidates streams every profile in the view as a similarity candidate
-// for category — the full-community fallback for when the posting-list
-// restriction does not apply (gate ablated, or a target with no evidence
-// in the category).
+// for category — the full-community scan for when the gate does not narrow
+// the search to inCategory (gate ablated, or a target with no evidence in
+// the category).
 func (s *Snapshot) candidates(category string) iter.Seq[similarity.Candidate] {
 	return func(yield func(similarity.Candidate) bool) {
 		for _, v := range s.views {
 			for _, st := range v.inOrder() {
 				if !yield(candidateOf(st.sum, st.sum.Prefs[category])) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// inCategory streams the consumers with evidence in category, shard by
+// shard and each shard's in UserID order, as the full scan walks them. The
+// order is part of what a read costs, not of its answer: consumers are
+// summarized in the order they arrive, so walking them by id walks their
+// summaries and vectors roughly in address order, and a read costs the same
+// from one process to the next.
+func (s *Snapshot) inCategory(category string) iter.Seq[similarity.Candidate] {
+	return func(yield func(similarity.Candidate) bool) {
+		for _, v := range s.views {
+			for _, c := range v.inCategory(category) {
+				if !yield(c) {
 					return
 				}
 			}

@@ -6,8 +6,7 @@ package recommend
 // Trending/TiedSales extensions, hunting torn reads; the frozen-community
 // tests then pin down that concurrency never changes answers — the same
 // community gives byte-identical top-N for any shard count, and the
-// posting-list candidate index is an exact substitute for a full community
-// scan.
+// category lists are an exact substitute for a full community scan.
 
 import (
 	"errors"
@@ -93,8 +92,10 @@ func loadEngine(u *workload.Universe, profiles []*profile.Profile, opts ...Optio
 
 // TestConcurrentSoak interleaves writers and readers across every strategy.
 // It asserts nothing about scores — the point is that under -race no
-// goroutine observes a torn profile, purchase set, index posting, or
-// history shard, and no strategy returns an unexpected error mid-churn.
+// goroutine observes a torn profile, purchase set, category list, or
+// history shard, and no strategy returns an unexpected error mid-churn;
+// once the writers stop, every category stream is the full scan's
+// consumers with evidence there.
 func TestConcurrentSoak(t *testing.T) {
 	u, profiles := soakUniverse(t)
 	e := NewEngine(u.Catalog, WithNeighbors(8), WithShards(8))
@@ -153,8 +154,8 @@ func TestConcurrentSoak(t *testing.T) {
 	if st.Shards != 8 {
 		t.Errorf("Shards = %d", st.Shards)
 	}
-	if st.Postings == 0 || st.IndexedCategories == 0 {
-		t.Errorf("index empty after soak: %+v", st)
+	if err := checkCategoryStreams(e.Snapshot()); err != nil {
+		t.Errorf("after soak: %v", err)
 	}
 }
 
@@ -229,10 +230,10 @@ func TestShardCountInvariance(t *testing.T) {
 	}
 }
 
-// TestIndexedNeighborsMatchFullScan proves the posting-list restriction is
-// exact: for every consumer, the neighbours CF finds through the
-// per-category index equal those of a brute-force similarity.TopK over the
-// whole materialized community.
+// TestIndexedNeighborsMatchFullScan proves the category-list restriction is
+// exact: for every consumer, the neighbours CF finds through the category
+// lists equal those of a brute-force similarity.TopK over the whole
+// materialized community.
 func TestIndexedNeighborsMatchFullScan(t *testing.T) {
 	u, profiles := soakUniverse(t)
 	e := loadEngine(u, profiles, WithNeighbors(8))
@@ -304,9 +305,9 @@ func TestSnapshotIsolation(t *testing.T) {
 }
 
 // TestIndexTransitionRemovesOldPostings: replacing a consumer's profile
-// must drop their postings for categories the new profile no longer
+// must drop them from the category streams the new profile no longer
 // covers — across racing SetProfile calls for the same consumer, the shard
-// lock totally orders index updates, so the index ends at the final state.
+// lock totally orders the installs, so the streams end at the final state.
 func TestIndexTransitionRemovesOldPostings(t *testing.T) {
 	mkProf := func(cat string) *profile.Profile {
 		p := profile.NewProfile("u")
@@ -323,20 +324,20 @@ func TestIndexTransitionRemovesOldPostings(t *testing.T) {
 
 	collect := func(cat string) []string {
 		var ids []string
-		for c := range e.index.candidates(cat) {
+		for c := range e.Snapshot().inCategory(cat) {
 			ids = append(ids, c.UserID)
 		}
 		return ids
 	}
 	if got := collect("laptop"); len(got) != 0 {
-		t.Errorf("replaced profile left stale laptop posting: %v", got)
+		t.Errorf("replaced profile still streamed in laptop: %v", got)
 	}
 	if got := collect("camera"); len(got) != 1 || got[0] != "u" {
-		t.Errorf("camera posting = %v, want [u]", got)
+		t.Errorf("camera streams %v, want [u]", got)
 	}
 
 	// Racing replacements for one consumer must converge: after the dust
-	// settles, exactly one category holds the posting.
+	// settles, exactly one category streams the consumer.
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -354,15 +355,15 @@ func TestIndexTransitionRemovesOldPostings(t *testing.T) {
 		total += len(collect(cat))
 	}
 	if total != 0 {
-		t.Errorf("stale postings survive racing replacements: %d", total)
+		t.Errorf("stale categories survive racing replacements: %d", total)
 	}
 	if got := collect("final"); len(got) != 1 {
-		t.Errorf("final posting = %v, want exactly [u]", got)
+		t.Errorf("final streams %v, want exactly [u]", got)
 	}
 }
 
-// TestIndexCandidatesReconcileWithSnapshot: CF scoring data must come from
-// the request's snapshot even when the live index has moved on.
+// TestIndexCandidatesReconcileWithSnapshot: a snapshot's category stream is
+// the snapshot's, however the community moves on after it was taken.
 func TestIndexCandidatesReconcileWithSnapshot(t *testing.T) {
 	u, profiles := soakUniverse(t)
 	e := loadEngine(u, profiles, WithNeighbors(8))
@@ -376,16 +377,42 @@ func TestIndexCandidatesReconcileWithSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.SetProfile(late)
-	for c := range e.indexCandidates(snap, "cat00") {
+	// A consumer who leaves the category after the snapshot is still
+	// streamed from it, with the summary the snapshot holds.
+	var moved string
+	for _, p := range profiles {
+		if p.PreferenceValue("cat00") > 0 {
+			moved = p.UserID
+			break
+		}
+	}
+	away := profile.NewProfile(moved)
+	if err := away.Observe(profile.Evidence{
+		Category: "elsewhere", Terms: map[string]float64{"t": 1}, Behaviour: profile.BehaviourBuy,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	e.SetProfile(away)
+	stayed := false
+	for c := range snap.inCategory("cat00") {
 		if c.UserID == "zz-late" {
 			t.Fatal("post-snapshot consumer enumerated from old snapshot")
 		}
+		if c.UserID == moved {
+			stayed = c.Compact == snap.stored(moved).sum.Compact
+		}
 	}
-	// A fresh snapshot does see them.
+	if !stayed {
+		t.Fatalf("old snapshot lost %s, who left the category after it was taken", moved)
+	}
+	// A fresh snapshot sees both writes.
 	found := false
-	for c := range e.indexCandidates(e.Snapshot(), "cat00") {
+	for c := range e.Snapshot().inCategory("cat00") {
 		if c.UserID == "zz-late" {
 			found = true
+		}
+		if c.UserID == moved {
+			t.Fatalf("fresh snapshot still streams %s in a category they left", moved)
 		}
 	}
 	if !found {

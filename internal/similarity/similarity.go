@@ -210,7 +210,7 @@ func heapFix(h []Neighbor, i int) {
 
 // TopKStream is TopK over a candidate stream instead of a materialized
 // profile slice, with the target pre-flattened: the recommendation engine
-// feeds it a per-category posting list or a shard snapshot so neighbour
+// feeds it a category's candidate lists or a full snapshot scan so neighbour
 // search touches only the candidates that could pass the gate. Semantics
 // match TopK exactly: the Fig 4.5 gate, the positive-score filter, and the
 // deterministic score-then-UserID ordering. Candidates whose UserID equals
