@@ -43,7 +43,7 @@ func BenchmarkProfileUpdate(b *testing.B) {
 	}
 }
 
-func BenchmarkProfileVector(b *testing.B) {
+func BenchmarkProfileSummary(b *testing.B) {
 	u, err := workload.Generate(workload.Config{Seed: 9, Users: 1, Products: 300, RelevantPerUser: 40})
 	if err != nil {
 		b.Fatal(err)
@@ -54,7 +54,7 @@ func BenchmarkProfileVector(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if v := p.Vector(); len(v) == 0 {
+		if s := p.Summary(); len(s.Vec.IDs) == 0 {
 			b.Fatal("empty vector")
 		}
 	}
@@ -89,22 +89,12 @@ func BenchmarkSimilarityPaper(b *testing.B) {
 	}
 }
 
-func BenchmarkSimilarityCosine(b *testing.B) {
-	p1, p2 := benchProfiles(b)
-	v1, v2 := p1.Vector(), p2.Vector()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		similarity.Cosine(v1, v2)
-	}
-}
-
-// BenchmarkDot prices one pair of the Fig 4.5 kernel both ways, on generated
-// profiles at the benchmark's shape (1 200 products, 16 categories): the map
-// path hashes a key string per term, the gather reads one dense-table entry
-// per candidate term. Pairs cycle through 256 consumers so neither side
-// scores one warm pair; the gather's target changes once per cycle, and its
-// scatter and unscatter are timed, spread over the cycle's 256 candidates
-// as a search spreads them over its own.
+// BenchmarkDot prices one pair of the Fig 4.5 kernel, on generated
+// profiles at the benchmark's shape (1 200 products, 16 categories): the
+// gather reads one dense-table entry per candidate term. Pairs cycle
+// through 256 consumers so no run scores one warm pair; the target changes
+// once per cycle, and its scatter and unscatter are timed, spread over the
+// cycle's 256 candidates as a search spreads them over its own.
 func BenchmarkDot(b *testing.B) {
 	u, err := workload.Generate(workload.Config{Seed: 11, Users: 256, Products: 1200, Categories: 16})
 	if err != nil {
@@ -118,26 +108,20 @@ func BenchmarkDot(b *testing.B) {
 		}
 		sums[i] = p.Summary()
 	}
+	b.ResetTimer()
 	var sink float64
-	b.Run("map", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sink += similarity.Dot(sums[0].Vec, sums[i%len(sums)].Vec)
-		}
-	})
-	b.Run("gather", func(b *testing.B) {
-		var dense []float64
-		var target *profile.Compact
-		for i := 0; i < b.N; i++ {
-			if i%len(sums) == 0 {
-				if target != nil {
-					target.Unscatter(dense)
-				}
-				target = sums[i/len(sums)%len(sums)].Compact
-				dense = target.Scatter(dense)
+	var dense []float64
+	var target *profile.Compact
+	for i := 0; i < b.N; i++ {
+		if i%len(sums) == 0 {
+			if target != nil {
+				target.Unscatter(dense)
 			}
-			sink += sums[i%len(sums)].Compact.Gather(dense)
+			target = sums[i/len(sums)%len(sums)].Vec
+			dense = target.Scatter(dense)
 		}
-	})
+		sink += sums[i%len(sums)].Vec.Gather(dense)
+	}
 	_ = sink
 }
 

@@ -2,7 +2,6 @@ package profile
 
 import (
 	"math"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -12,28 +11,15 @@ import (
 // keys interned to process-local ids, ids strictly ascending, Weights[i] the
 // weight of IDs[i]. A Compact is dotted with another by scattering one into
 // a dense table indexed by id and gathering the other's ids from it, with no
-// string hashed.
+// string hashed. Profile.Summary is the one place a Compact is made, and it
+// is immutable once made.
 //
 // Ids are handed out in first-seen order by a dictionary private to this
 // process, so a Compact means nothing outside it: it is never marshalled,
-// journaled or put on the wire. A Compact is immutable once published on a
-// Summary; Set is for a caller-owned scratch value.
+// journaled or put on the wire.
 type Compact struct {
 	IDs     []uint32
 	Weights []float64
-}
-
-// Set makes c the compact form of vec, reusing c's backing arrays. Keys vec
-// holds that the dictionary has not seen are added to it.
-func (c *Compact) Set(vec map[string]float64) {
-	c.IDs, c.Weights = slices.Grow(c.IDs[:0], len(vec)), slices.Grow(c.Weights[:0], len(vec))
-	terms.mu.RLock()
-	for key, w := range vec {
-		c.IDs = append(c.IDs, terms.idRLocked(key))
-		c.Weights = append(c.Weights, w)
-	}
-	terms.mu.RUnlock()
-	c.sortByID()
 }
 
 // Scatter writes c's weights into dense at their ids and returns dense
@@ -119,13 +105,12 @@ func (c *byID) Swap(i, j int) {
 
 // dictionary interns flattened term keys ("category/term",
 // "category/sub/term") to dense ids. It is append-only and bounded by the
-// vocabulary: it grows only by keys of profiles this process was asked to
-// summarize, which is what the process already stores. keys[id] is the one
-// canonical copy of id's key string, which every Summary.Vec shares.
+// vocabulary: it grows only through Profile.Summary, by keys of profiles
+// this process was asked to summarize, which is what the process already
+// stores. It keeps each key once, as its map key; no Summary holds a key.
 type dictionary struct {
-	mu   sync.RWMutex
-	ids  map[string]uint32
-	keys []string
+	mu  sync.RWMutex
+	ids map[string]uint32
 }
 
 // terms is the process's one dictionary. It is package state because
@@ -144,10 +129,8 @@ func (d *dictionary) idRLocked(key string) uint32 {
 	d.mu.Lock()
 	id, ok := d.ids[key]
 	if !ok {
-		owned := strings.Clone(key)
-		id = uint32(len(d.keys))
-		d.keys = append(d.keys, owned)
-		d.ids[owned] = id
+		id = uint32(len(d.ids))
+		d.ids[strings.Clone(key)] = id
 	}
 	d.mu.Unlock()
 	d.mu.RLock()

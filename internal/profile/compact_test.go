@@ -2,7 +2,6 @@ package profile
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -31,32 +30,27 @@ func randomProfile(rng *rand.Rand, id string) *Profile {
 	return p
 }
 
-// TestSummaryCompactAgreesWithVector: the compact form, Vec and Vector() are
-// one vector three ways, ids strictly ascending.
+// TestSummaryCompactAgreesWithVector: Summary.Vec is the flattened vector
+// with its keys interned, ids strictly ascending.
 func TestSummaryCompactAgreesWithVector(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	for i := 0; i < 200; i++ {
 		p := randomProfile(rng, "u")
 		s := p.Summary()
-		if !maps.Equal(s.Vec, p.Vector()) {
-			t.Fatalf("Summary.Vec = %v, Vector() = %v", s.Vec, p.Vector())
-		}
-		c := s.Compact
-		if len(c.IDs) != len(s.Vec) || len(c.Weights) != len(c.IDs) {
-			t.Fatalf("compact form has %d ids, %d weights for %d terms", len(c.IDs), len(c.Weights), len(s.Vec))
+		want := flatten(p)
+		c := s.Vec
+		if len(c.IDs) != len(want) || len(c.Weights) != len(c.IDs) {
+			t.Fatalf("compact form has %d ids, %d weights for %d terms", len(c.IDs), len(c.Weights), len(want))
 		}
 		for j, id := range c.IDs {
 			if j > 0 && c.IDs[j-1] >= id {
 				t.Fatalf("ids not strictly ascending: %v", c.IDs)
 			}
-			if w := s.Vec[terms.keys[id]]; w != c.Weights[j] {
-				t.Fatalf("id %d (%q): compact weight %v, Vec weight %v", id, terms.keys[id], c.Weights[j], w)
-			}
 		}
-		var scratch Compact
-		scratch.Set(s.Vec)
-		if !sameCompact(&scratch, c) {
-			t.Fatalf("Set(Vec) = %+v, Summary built %+v", scratch, *c)
+		for key, w := range want {
+			if got, ok := weightOf(s, key); !ok || got != w {
+				t.Fatalf("%q: compact weight %v (held: %v), flattened weight %v", key, got, ok, w)
+			}
 		}
 	}
 }
@@ -74,11 +68,11 @@ func TestSummaryBitReproducible(t *testing.T) {
 			if math.Float64bits(a.Norm) != math.Float64bits(b.Norm) {
 				t.Fatalf("Norm differs between two summaries of one profile: %.17g vs %.17g", a.Norm, b.Norm)
 			}
-			if !sameCompact(a.Compact, b.Compact) {
+			if !sameCompact(a.Vec, b.Vec) {
 				t.Fatal("two summaries of one profile have different compact forms")
 			}
 		}
-		if want := math.Sqrt(a.Compact.Gather(a.Compact.Scatter(nil))); math.Abs(a.Norm-want) > 1e-12*want {
+		if want := math.Sqrt(a.Vec.Gather(a.Vec.Scatter(nil))); math.Abs(a.Norm-want) > 1e-12*want {
 			t.Fatalf("Norm = %v, sqrt(v·v) = %v", a.Norm, want)
 		}
 	}
@@ -89,9 +83,9 @@ func sameCompact(c, o *Compact) bool {
 	return slices.Equal(c.IDs, o.IDs) && slices.Equal(c.Weights, o.Weights)
 }
 
-// TestSummarySharesKeyStrings: Vec keys are the dictionary's canonical
-// copies, one per vocabulary entry however many consumers hold the term, and
-// summarizing an already-seen vocabulary allocates no key string.
+// TestSummarySharesKeyStrings: the dictionary keeps one key string per
+// vocabulary entry however many consumers hold the term, and summarizing an
+// already-seen vocabulary allocates no key string.
 func TestSummarySharesKeyStrings(t *testing.T) {
 	p := NewProfile("u")
 	if err := p.Observe(Evidence{
@@ -101,17 +95,22 @@ func TestSummarySharesKeyStrings(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	before := len(terms.keys)
+	size := func() int {
+		terms.mu.RLock()
+		defer terms.mu.RUnlock()
+		return len(terms.ids)
+	}
+	before := size()
 	p.Summary()
-	grown := len(terms.keys)
+	grown := size()
 	p.Clone().Summary()
-	if len(terms.keys) != grown {
-		t.Fatalf("dictionary grew from %d to %d entries on a vocabulary it had seen", grown, len(terms.keys))
+	if size() != grown {
+		t.Fatalf("dictionary grew from %d to %d entries on a vocabulary it had seen", grown, size())
 	}
 	if grown-before > 3 {
 		t.Fatalf("dictionary grew by %d entries for 3 terms", grown-before)
 	}
-	// Fixed overhead only: the Summary, its two maps, the compact
+	// Fixed overhead only: the Summary, its Prefs map, the compact
 	// form's three pieces. A key string per term would add three.
 	base := testing.AllocsPerRun(100, func() { p.Summary() })
 	if err := p.Observe(Evidence{Category: "shared", Terms: map[string]float64{"c": 1, "d": 1, "e": 1}, Behaviour: BehaviourBuy}); err != nil {
@@ -134,8 +133,8 @@ func TestSummaryCollidingKeys(t *testing.T) {
 	}}
 	for i := 0; i < 20; i++ {
 		s := p.Summary()
-		if len(s.Vec) != 1 || s.Vec["a/b/c"] != 3 || len(s.Compact.IDs) != 1 || s.Compact.Weights[0] != 3 {
-			t.Fatalf("colliding keys: Vec %v, compact %+v", s.Vec, *s.Compact)
+		if w, _ := weightOf(s, "a/b/c"); len(s.Vec.IDs) != 1 || w != 3 {
+			t.Fatalf("colliding keys: Vec %+v", *s.Vec)
 		}
 	}
 }
@@ -151,12 +150,13 @@ func TestDictionaryConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			vec := make(map[string]float64, keys)
+			cat := &Category{Name: "concurrent", Terms: make(map[string]float64, keys)}
 			for k := 0; k < keys; k++ {
-				vec[fmt.Sprintf("concurrent/k%03d", k)] = float64(k + 1)
+				cat.Terms[fmt.Sprintf("k%03d", k)] = float64(k + 1)
 			}
-			var c Compact
-			c.Set(vec)
+			p := NewProfile("u")
+			p.Categories[cat.Name] = cat
+			c := p.Summary().Vec
 			// Ids ascending; recover the id of each key by its weight.
 			ids := make([]uint32, keys)
 			for i, id := range c.IDs {

@@ -269,24 +269,6 @@ func (p *Profile) PreferenceValue(category string) float64 {
 	return sum
 }
 
-// Vector flattens the profile into a sparse vector keyed
-// "category/term" and "category/sub/term", the form the similarity
-// algorithms consume.
-func (p *Profile) Vector() map[string]float64 {
-	out := make(map[string]float64)
-	for cname, cat := range p.Categories {
-		for term, w := range cat.Terms {
-			out[cname+"/"+term] = w
-		}
-		for sname, sub := range cat.Subs {
-			for term, w := range sub.Terms {
-				out[cname+"/"+sname+"/"+term] = w
-			}
-		}
-	}
-	return out
-}
-
 // WeightedTerm pairs a term with its weight, for ranked listings.
 type WeightedTerm struct {
 	Term   string
@@ -405,22 +387,20 @@ func Unmarshal(data []byte) (*Profile, error) {
 // similarity vector plus the per-category preference values, computed once.
 // The recommendation engine builds one per SetProfile and its neighbour
 // search scores the stored summaries, so it never re-flattens or re-sums
-// stored profiles pair by pair. Compact is the same vector in the
-// form the scoring kernel scans; Vec holds it as a map for callers that
-// look terms up by name, its keys shared with every other Summary's through
-// the term dictionary. Norm is summed over Compact in ascending id order, so
+// stored profiles pair by pair. Vec is the profile's terms flattened to
+// "category/term" and "category/sub/term" and interned, in the form the
+// scoring kernel scans. Norm is summed over Vec in ascending id order, so
 // equal profile content gives a bit-identical value, and it feeds cosine
 // scoring without a per-pair re-sum.
 type Summary struct {
-	UserID  string
-	Vec     map[string]float64 // Vector(), flattened once
-	Compact *Compact           // Vec with interned keys, ids ascending
-	Prefs   map[string]float64 // category -> PreferenceValue; only > 0 entries
-	Terms   int                // TermCount()
-	Norm    float64            // Euclidean norm of Vec, cached at construction
+	UserID string
+	Vec    *Compact           // flattened terms, interned, ids ascending
+	Prefs  map[string]float64 // category -> PreferenceValue; only > 0 entries
+	Terms  int                // TermCount()
+	Norm   float64            // Vec.Norm(), cached at construction
 }
 
-// Summary computes the profile's fingerprint. The returned maps are
+// Summary computes the profile's fingerprint. The returned values are
 // snapshots; mutating the profile afterwards does not affect them.
 func (p *Profile) Summary() *Summary {
 	s := &Summary{
@@ -447,13 +427,9 @@ func (p *Profile) Summary() *Summary {
 			}
 		}
 	}
-	c.sortByID()
-	s.Vec = make(map[string]float64, len(c.IDs))
-	for i, id := range c.IDs {
-		s.Vec[terms.keys[id]] = c.Weights[i]
-	}
 	terms.mu.RUnlock()
-	s.Compact = c
+	c.sortByID()
+	s.Vec = c
 	s.Norm = c.Norm()
 	return s
 }

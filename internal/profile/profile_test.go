@@ -3,6 +3,7 @@ package profile
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -232,13 +233,50 @@ func TestVectorKeys(t *testing.T) {
 		SubCategory: "sub", SubTerms: map[string]float64{"u": 2},
 		Behaviour: BehaviourBuy,
 	})
-	v := p.Vector()
-	if v["cat/t"] != 1 {
-		t.Errorf("cat/t = %v", v["cat/t"])
+	s := p.Summary()
+	if w, ok := weightOf(s, "cat/t"); w != 1 {
+		t.Errorf("cat/t = %v (held: %v)", w, ok)
 	}
-	if v["cat/sub/u"] != 2 {
-		t.Errorf("cat/sub/u = %v", v["cat/sub/u"])
+	if w, ok := weightOf(s, "cat/sub/u"); w != 2 {
+		t.Errorf("cat/sub/u = %v (held: %v)", w, ok)
 	}
+	if len(s.Vec.IDs) != 2 {
+		t.Errorf("vector holds %d terms, want 2", len(s.Vec.IDs))
+	}
+}
+
+// weightOf returns the weight s.Vec holds under the flattened key, and
+// whether it holds the key at all.
+func weightOf(s *Summary, key string) (float64, bool) {
+	terms.mu.RLock()
+	id, ok := terms.ids[key]
+	terms.mu.RUnlock()
+	if !ok {
+		return 0, false
+	}
+	i, ok := slices.BinarySearch(s.Vec.IDs, id)
+	if !ok {
+		return 0, false
+	}
+	return s.Vec.Weights[i], true
+}
+
+// flatten is the map oracle of Summary.Vec: the profile's terms keyed
+// "category/term" and "category/sub/term". Two paths that spell one key
+// keep whichever this walk reaches last.
+func flatten(p *Profile) map[string]float64 {
+	out := make(map[string]float64)
+	for cname, cat := range p.Categories {
+		for term, w := range cat.Terms {
+			out[cname+"/"+term] = w
+		}
+		for sname, sub := range cat.Subs {
+			for term, w := range sub.Terms {
+				out[cname+"/"+sname+"/"+term] = w
+			}
+		}
+	}
+	return out
 }
 
 func TestTopCategoriesAndTerms(t *testing.T) {
@@ -392,7 +430,7 @@ func TestSerializationLosslessProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		v1, v2 := p.Vector(), q.Vector()
+		v1, v2 := flatten(p), flatten(q)
 		if len(v1) != len(v2) {
 			return false
 		}

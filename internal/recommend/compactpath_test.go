@@ -2,13 +2,11 @@ package recommend
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"testing"
 
 	"agentrec/internal/catalog"
 	"agentrec/internal/profile"
-	"agentrec/internal/similarity"
 	"agentrec/internal/workload"
 )
 
@@ -43,87 +41,6 @@ func bulkEngine(t testing.TB, u *workload.Universe, profiles []*profile.Profile,
 		}
 	}
 	return e
-}
-
-// stripCompact turns a quiet engine into the map-path reference: every
-// stored summary loses its compact form, and every shard its view, so the
-// category lists are built again from the stripped summaries and TopKStream
-// scores them with the map-based Dot. Test-only: it edits state the engine
-// treats as immutable, before any reader exists.
-func stripCompact(e *Engine) {
-	for _, sh := range e.shards {
-		for _, st := range sh.profiles {
-			st.sum.Compact = nil
-		}
-		sh.dropView()
-	}
-}
-
-func neighborsEquivalent(got, want []similarity.Neighbor) bool {
-	const eps = 1e-9
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range want {
-		if got[i].UserID != want[i].UserID || math.Abs(got[i].Score-want[i].Score) > eps {
-			return false
-		}
-	}
-	return true
-}
-
-// TestCompactPathMatchesMapPath: the merge-join kernel changes what a pair
-// costs and nothing else. On the benchmark-shaped universe every consumer's
-// neighbours and StrategyAuto answer equal those of an engine whose
-// candidates were stripped of their compact form, gate on and off. With the gate off every read scans the community, so
-// that half probes every eighth consumer.
-func TestCompactPathMatchesMapPath(t *testing.T) {
-	u, profiles := benchUniverse(t)
-	for _, tc := range []struct {
-		name   string
-		opts   []Option
-		stride int
-	}{
-		{"exact/gate", nil, 1},
-		{"exact/nogate", []Option{WithTolerance(1)}, 8},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			compact := bulkEngine(t, u, profiles, tc.opts...)
-			viaMap := bulkEngine(t, u, profiles, tc.opts...)
-			stripCompact(viaMap)
-			scored := 0
-			for i := 0; i < len(profiles); i += tc.stride {
-				id := profiles[i].UserID
-				got, err := compact.Neighbors(id, "", SearchExact)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := viaMap.Neighbors(id, "", SearchExact)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !neighborsEquivalent(got, want) {
-					t.Fatalf("%s neighbours:\ncompact %+v\nmap     %+v", id, got, want)
-				}
-				scored += len(got)
-				cat := neighborCategory(profiles[i], "")
-				gotRecs, err := compact.Recommend(StrategyAuto, id, cat, 10)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantRecs, err := viaMap.Recommend(StrategyAuto, id, cat, 10)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !recsEquivalent(gotRecs, wantRecs) {
-					t.Fatalf("%s recommendations in %s:\ncompact %+v\nmap     %+v", id, cat, gotRecs, wantRecs)
-				}
-			}
-			if scored == 0 {
-				t.Fatal("no neighbour was scored; the test compares nothing")
-			}
-		})
-	}
 }
 
 // TestIFilterFollowsCatalogue: information filtering reads the catalogue's

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-	"unicode/utf8"
 )
 
 // This file implements the paper's §5.2 future-work directions 2 and 3:
@@ -64,13 +63,14 @@ func epochMS(at time.Time) int64 {
 // journaled, and carried to followers in the OpPurchase record, is the time
 // kept, so a follower replays the owner's value rather than reading a clock
 // of its own. Like SetProfile it is the owner's local write, and refuses an
-// id that is not valid UTF-8 with ErrBadKey.
+// id that is empty, not valid UTF-8 or holds a NUL with ErrBadKey, memory-only
+// or durable: a follower's journal could not apply it.
 func (e *Engine) RecordPurchaseAt(userID, productID string, at time.Time) error {
 	return e.recordPurchaseAt(userID, productID, at, (*OwnershipTable).admitOwner)
 }
 
 func (e *Engine) recordPurchaseAt(userID, productID string, at time.Time, admit admitFunc) error {
-	if !utf8.ValidString(userID) || !utf8.ValidString(productID) {
+	if !validID(userID) || !validID(productID) {
 		return fmt.Errorf("%w: purchase %q/%q", ErrBadKey, userID, productID)
 	}
 	ms := epochMS(at)

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"agentrec/internal/kvstore"
 	"agentrec/internal/profile"
@@ -30,6 +31,12 @@ var (
 	ErrNoPersistence = errors.New("recommend: engine has no persistence configured")
 	ErrBadKey        = errors.New("recommend: id is empty, not valid UTF-8 or contains a NUL byte")
 )
+
+// validID reports whether id passes ErrBadKey's rule: a consumer or product
+// id the journal can key and JSON can carry unchanged.
+func validID(id string) bool {
+	return id != "" && utf8.ValidString(id) && !strings.ContainsRune(id, 0)
+}
 
 // ShardData is one community shard as recovered from a Persister: the
 // shard's profiles, its consumers' purchase sets (each product marked with
@@ -290,7 +297,7 @@ func sellBucket(shard int) string  { return bucketSells + strconv.Itoa(shard) }
 // and the 0x01 marker journals written before purchases carried a time reads
 // as 1 ms past the epoch — outside every window anyone asks for.
 func purchaseOp(shard int, userID, productID string, at int64) (kvstore.Op, error) {
-	if strings.ContainsRune(userID, 0) || strings.ContainsRune(productID, 0) {
+	if !validID(userID) || !validID(productID) {
 		return kvstore.Op{}, fmt.Errorf("%w: purchase %q/%q", ErrBadKey, userID, productID)
 	}
 	return kvstore.Op{Bucket: purchBucket(shard), Key: userID + "\x00" + productID, Value: binary.AppendUvarint(nil, uint64(at))}, nil
@@ -298,7 +305,7 @@ func purchaseOp(shard int, userID, productID string, at int64) (kvstore.Op, erro
 
 // profileOp is the upsert of userID's profile, encoded as enc.
 func profileOp(shard int, userID string, enc []byte) (kvstore.Op, error) {
-	if userID == "" || strings.ContainsRune(userID, 0) {
+	if !validID(userID) {
 		return kvstore.Op{}, fmt.Errorf("%w: user %q", ErrBadKey, userID)
 	}
 	return kvstore.Op{Bucket: profBucket(shard), Key: userID, Value: enc}, nil
@@ -306,7 +313,7 @@ func profileOp(shard int, userID string, enc []byte) (kvstore.Op, error) {
 
 // sellOp is the upsert of one product's sell count attributed to shard.
 func sellOp(shard int, productID string, total int64) (kvstore.Op, error) {
-	if productID == "" || strings.ContainsRune(productID, 0) {
+	if !validID(productID) {
 		return kvstore.Op{}, fmt.Errorf("%w: product %q", ErrBadKey, productID)
 	}
 	return kvstore.Op{Bucket: sellBucket(shard), Key: productID, Value: []byte(strconv.FormatInt(total, 10))}, nil

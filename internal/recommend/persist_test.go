@@ -64,7 +64,7 @@ func communityEqual(t *testing.T, a, b *Engine) {
 		if pa == nil || pb == nil {
 			t.Fatalf("profile for %s missing (a=%v b=%v)", user, pa != nil, pb != nil)
 		}
-		if !reflect.DeepEqual(pa.Vector(), pb.Vector()) {
+		if !reflect.DeepEqual(pa.Summary().Vec, pb.Summary().Vec) {
 			t.Fatalf("profile vectors for %s differ", user)
 		}
 		if !reflect.DeepEqual(snapA.Purchases(user), snapB.Purchases(user)) {
@@ -254,7 +254,7 @@ func TestSetProfilesLaterDuplicateWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Vector(), newer.Vector()) {
+	if !reflect.DeepEqual(got.Summary().Vec, newer.Summary().Vec) {
 		t.Error("SetProfiles kept the earlier duplicate")
 	}
 	// The category streams must hold exactly the later profile's

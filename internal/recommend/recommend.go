@@ -285,8 +285,9 @@ func (e *Engine) Shards() int { return e.nshards }
 
 // SetProfile installs or replaces a consumer's profile. The engine keeps a
 // deep copy; later mutation by the caller has no effect. A profile whose
-// user id or any key — category, sub-category or term — is not valid UTF-8
-// is refused with ErrBadKey, memory-only or durable.
+// user id is empty or holds a NUL, or whose user id or any key — category,
+// sub-category or term — is not valid UTF-8, is refused with ErrBadKey,
+// memory-only or durable.
 //
 // With persistence the profile is journaled (durably) before the in-memory
 // install. Like the rest of the public write API it is the owner's local
@@ -315,11 +316,12 @@ func (e *Engine) setProfiles(ps []*profile.Profile, encs [][]byte, admit admitFu
 		s := e.ShardOf(p.UserID)
 		if encs == nil {
 			// A key that is not valid UTF-8 would be journaled and
-			// forwarded as another one (Profile.CloneUTF8), so the whole
-			// batch is refused before anything is written. Profiles decoded
-			// from encs are valid by construction.
+			// forwarded as another one (Profile.CloneUTF8), and a user id
+			// no journal can key would stop every follower's replication,
+			// so the whole batch is refused before anything is written.
+			// Profiles decoded from encs were checked by decodeProfiles.
 			var valid bool
-			if p, valid = p.CloneUTF8(); !valid {
+			if p, valid = p.CloneUTF8(); !valid || !validID(p.UserID) {
 				return fmt.Errorf("%w: a key of user %q's profile", ErrBadKey, p.UserID)
 			}
 		} else {

@@ -1,12 +1,14 @@
 package recommend
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
 	"slices"
 	"strconv"
 	"testing"
+	"time"
 
 	"agentrec/internal/catalog"
 	"agentrec/internal/kvstore"
@@ -260,6 +262,78 @@ func TestInvalidUTF8KeysRefused(t *testing.T) {
 			if users := e.Users(); len(users) != 0 {
 				t.Errorf("the journal recovered %v", users)
 			}
+		})
+	}
+}
+
+// TestUnkeyableIDsRefused: a write naming an empty consumer or product id,
+// or one holding a NUL, is refused with ErrBadKey by a memory-only owner as
+// by a durable one. A durable follower's journal cannot key such an id:
+// acked by the owner, it failed the follower's every Sync, and the owner's
+// later writes never reached it. Refused, they leave the follower applying
+// the owner's next write and converging.
+func TestUnkeyableIDsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"memory", nil},
+		{"durable", []Option{WithPersistence(t.TempDir())}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cat := catalog.New()
+			owner, err := Open(cat, append([]Option{WithJournalFeed(0), WithShards(1)}, tc.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer owner.Close()
+			follower, err := Open(cat, WithJournalFeed(0), WithShards(1), WithPersistence(t.TempDir()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer follower.Close()
+			r, err := NewReplicator(follower, 1, []Peer{LocalPeer{Engine: owner}, nil})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sync := func() {
+				t.Helper()
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				if err := r.Sync(ctx); err != nil {
+					t.Fatalf("follower Sync: %v", err)
+				}
+			}
+			buyer := func(id string) *profile.Profile {
+				p := profile.NewProfile(id)
+				if err := p.Observe(profile.Evidence{Category: "laptop", Terms: map[string]float64{"ssd": 1}, Behaviour: profile.BehaviourBuy}); err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}
+			if err := owner.SetProfile(buyer("alice")); err != nil {
+				t.Fatal(err)
+			}
+			sync()
+			for _, bad := range []string{"", "a\x00b"} {
+				if err := owner.SetProfile(buyer(bad)); !errors.Is(err, ErrBadKey) {
+					t.Errorf("SetProfile(%q) = %v, want ErrBadKey", bad, err)
+				}
+				if err := owner.RecordPurchase(bad, "p0"); !errors.Is(err, ErrBadKey) {
+					t.Errorf("RecordPurchase(%q, p0) = %v, want ErrBadKey", bad, err)
+				}
+				if err := owner.RecordPurchase("alice", bad); !errors.Is(err, ErrBadKey) {
+					t.Errorf("RecordPurchase(alice, %q) = %v, want ErrBadKey", bad, err)
+				}
+			}
+			if err := owner.RecordPurchase("alice", "p1"); err != nil {
+				t.Fatal(err)
+			}
+			sync()
+			if got := follower.Snapshot().Purchases("alice"); len(got) != 1 || !got["p1"] {
+				t.Fatalf("follower holds alice's purchases %v, want [p1]", got)
+			}
+			communityEqual(t, owner, follower)
 		})
 	}
 }

@@ -183,10 +183,7 @@ func (c *catLists) get(cat string, build func() []similarity.Candidate) []simila
 // candidate: everything the scorer can use rides along by reference, with ty
 // the consumer's preference value in the category being searched.
 func candidateOf(sum *profile.Summary, ty float64) similarity.Candidate {
-	return similarity.Candidate{
-		UserID: sum.UserID, Vec: sum.Vec, Ty: ty,
-		Norm: sum.Norm, Compact: sum.Compact,
-	}
+	return similarity.Candidate{UserID: sum.UserID, Vec: sum.Vec, Ty: ty, Norm: sum.Norm}
 }
 
 // stored returns the view's profile entry for userID, nil when it has none.

@@ -74,8 +74,8 @@ func snapshotReads(snap *Snapshot, want community, ids []string) error {
 		if (got == nil) != (p == nil) {
 			return fmt.Errorf("Profile(%s) = %v, want %v", id, got, p)
 		}
-		if p != nil && !reflect.DeepEqual(got.Vector(), p.Vector()) {
-			return fmt.Errorf("Profile(%s) holds %v, want %v", id, got.Vector(), p.Vector())
+		if p != nil && !reflect.DeepEqual(got.Summary().Vec, p.Summary().Vec) {
+			return fmt.Errorf("Profile(%s) holds %v, want %v", id, *got.Summary().Vec, *p.Summary().Vec)
 		}
 		bought := snap.Purchases(id)
 		if len(bought) != len(want.purchases[id]) {
@@ -96,7 +96,7 @@ func snapshotReads(snap *Snapshot, want community, ids []string) error {
 	}
 	scan := slices.Collect(snap.candidates(""))
 	for _, c := range scan {
-		if st := snap.stored(c.UserID); st == nil || st.sum.Compact != c.Compact {
+		if st := snap.stored(c.UserID); st == nil || st.sum.Vec != c.Vec {
 			return fmt.Errorf("candidates() yields a summary of %s the snapshot does not hold", c.UserID)
 		}
 	}
@@ -122,7 +122,7 @@ func snapshotReads(snap *Snapshot, want community, ids []string) error {
 			got := make([]string, len(list))
 			for j, c := range list {
 				got[j] = c.UserID
-				if st := snap.stored(c.UserID); st == nil || st.sum.Compact != c.Compact || st.sum.Prefs[cat] != c.Ty {
+				if st := snap.stored(c.UserID); st == nil || st.sum.Vec != c.Vec || st.sum.Prefs[cat] != c.Ty {
 					return fmt.Errorf("shard %d's %s list holds a candidate %s the snapshot does not", i, cat, c.UserID)
 				}
 			}
@@ -151,7 +151,7 @@ func checkCategoryStreams(snap *Snapshot) error {
 		}
 		got := slices.Collect(snap.inCategory(cat))
 		if !slices.EqualFunc(got, want, func(a, b similarity.Candidate) bool {
-			return a.UserID == b.UserID && a.Ty == b.Ty && a.Compact == b.Compact
+			return a.UserID == b.UserID && a.Ty == b.Ty && a.Vec == b.Vec
 		}) {
 			return fmt.Errorf("category %s streams %d candidates, want the %d with evidence there in scan order", cat, len(got), len(want))
 		}

@@ -399,7 +399,7 @@ func TestIndexCandidatesReconcileWithSnapshot(t *testing.T) {
 			t.Fatal("post-snapshot consumer enumerated from old snapshot")
 		}
 		if c.UserID == moved {
-			stayed = c.Compact == snap.stored(moved).sum.Compact
+			stayed = c.Vec == snap.stored(moved).sum.Vec
 		}
 	}
 	if !stayed {

@@ -9,48 +9,43 @@ import (
 )
 
 // allocCommunity builds n candidates sharing a 32-term vocabulary, with
-// cached norms (the hot-path shape the engine feeds TopKStream) and, when
-// compact is set, the compact form a candidate built from a Summary carries.
-func allocCommunity(n int, compact bool) (Vec, []Candidate) {
+// cached norms: the hot-path shape the engine feeds TopKStream.
+func allocCommunity(n int) (*profile.Compact, []Candidate) {
 	rng := rand.New(rand.NewPCG(5, 5))
-	term := func(i int) string { return fmt.Sprintf("t%02d", i) }
-	target := Vec{}
+	term := func(i int) string { return fmt.Sprintf("t/%02d", i) }
+	target := vec{}
 	for i := 0; i < 12; i++ {
 		target[term(rng.IntN(32))] = 0.2 + rng.Float64()
 	}
 	cands := make([]Candidate, n)
 	for i := range cands {
-		v := Vec{}
+		v := vec{}
 		for j := 0; j < 12; j++ {
 			v[term(rng.IntN(32))] = 0.2 + rng.Float64()
 		}
+		c := compactOf(v)
 		cands[i] = Candidate{
 			UserID: fmt.Sprintf("u%05d", i),
-			Vec:    v,
+			Vec:    c,
 			Ty:     0.8 + 0.4*rng.Float64(),
-			Norm:   Norm(v),
-		}
-		if compact {
-			cands[i].Compact = new(profile.Compact)
-			cands[i].Compact.Set(v)
+			Norm:   c.Norm(),
 		}
 	}
-	return target, cands
+	return compactOf(target), cands
 }
 
 // TestTopKStreamZeroAlloc is the mechanical-sympathy gate for the scoring
 // core: TopKStream must allocate a small constant (pooled scratch, result
 // copy), never per candidate. It compares allocations per run between a
 // small and a 64x larger community — any per-candidate allocation shows up
-// as growth — on the map path and on the merge-join path alike.
+// as growth.
 func TestTopKStreamZeroAlloc(t *testing.T) {
-	t.Run("map", func(t *testing.T) { testTopKStreamZeroAlloc(t, false) })
-	t.Run("compact", func(t *testing.T) { testTopKStreamZeroAlloc(t, true) })
+	t.Run("compact", testTopKStreamZeroAlloc)
 }
 
-func testTopKStreamZeroAlloc(t *testing.T, compact bool) {
+func testTopKStreamZeroAlloc(t *testing.T) {
 	measure := func(n int) float64 {
-		target, cands := allocCommunity(n, compact)
+		target, cands := allocCommunity(n)
 		seq := func(yield func(Candidate) bool) {
 			for i := range cands {
 				if !yield(cands[i]) {

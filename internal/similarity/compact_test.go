@@ -1,20 +1,65 @@
 package similarity
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 
 	"agentrec/internal/profile"
 	"agentrec/internal/workload"
 )
 
-func compactOf(v Vec) *profile.Compact {
-	c := new(profile.Compact)
-	c.Set(v)
-	return c
+// vec is a test vector keyed by flattened term: "c/t" is term t of
+// category c.
+type vec = map[string]float64
+
+// compactOf interns v the one way the engine does, as the Summary of a
+// profile holding v's terms. A key without a "/" is the category of an
+// empty term.
+func compactOf(v vec) *profile.Compact {
+	p := profile.NewProfile("")
+	for key, w := range v {
+		name, term, _ := strings.Cut(key, "/")
+		cat := p.Categories[name]
+		if cat == nil {
+			cat = &profile.Category{Name: name, Terms: map[string]float64{}}
+			p.Categories[name] = cat
+		}
+		cat.Terms[term] = w
+	}
+	return p.Summary().Vec
+}
+
+// mapDot is the map oracle of the dot product: keys matched by string.
+func mapDot(a, b vec) float64 {
+	var dot float64
+	for k, x := range a {
+		if y, ok := b[k]; ok {
+			dot += x * y
+		}
+	}
+	return dot
+}
+
+// flatten is the map oracle of Summary.Vec: p's terms keyed "category/term"
+// and "category/sub/term".
+func flatten(p *profile.Profile) vec {
+	out := vec{}
+	for cname, cat := range p.Categories {
+		for term, w := range cat.Terms {
+			out[cname+"/"+term] = w
+		}
+		for sname, sub := range cat.Subs {
+			for term, w := range sub.Terms {
+				out[cname+"/"+sname+"/"+term] = w
+			}
+		}
+	}
+	return out
 }
 
 // mergeJoinDot is the reference the gather is held to: the sparse dot
@@ -59,28 +104,28 @@ func checkGather(t *testing.T, name string, a, b *profile.Compact) {
 }
 
 // TestCompactDotMatchesMapDot is the kernel's property test: the gather
-// over interned ids gives the map-based Dot, up to summation order, on
+// over interned ids gives the map oracle's dot, up to summation order, on
 // random vectors, on the benchmark's generated profiles, and on the edges.
 func TestCompactDotMatchesMapDot(t *testing.T) {
-	check := func(name string, a, b Vec) {
+	check := func(name string, a, b vec) {
 		t.Helper()
-		want := Dot(a, b)
+		want := mapDot(a, b)
 		for _, got := range []float64{gatherDot(compactOf(a), compactOf(b)), gatherDot(compactOf(b), compactOf(a))} {
 			if math.Abs(got-want) > 1e-12*math.Abs(want) {
 				t.Fatalf("%s: gather dot %v, map dot %v", name, got, want)
 			}
 		}
 	}
-	check("empty/empty", Vec{}, Vec{})
-	check("empty/nil", Vec{}, nil)
-	check("empty/full", Vec{}, Vec{"a": 1, "b": 2})
-	check("disjoint", Vec{"a": 1, "c": 3}, Vec{"b": 2, "d": 4})
-	check("identical", Vec{"a": 1.5, "b": 2.5, "c": 0}, Vec{"a": 1.5, "b": 2.5, "c": 0})
-	check("nested", Vec{"b": 2}, Vec{"a": 1, "b": 2, "c": 3})
+	check("empty/empty", vec{}, vec{})
+	check("empty/nil", vec{}, nil)
+	check("empty/full", vec{}, vec{"a": 1, "b": 2})
+	check("disjoint", vec{"a": 1, "c": 3}, vec{"b": 2, "d": 4})
+	check("identical", vec{"a": 1.5, "b": 2.5, "c": 0}, vec{"a": 1.5, "b": 2.5, "c": 0})
+	check("nested", vec{"b": 2}, vec{"a": 1, "b": 2, "c": 3})
 
 	rng := rand.New(rand.NewPCG(3, 9))
-	random := func() Vec {
-		v := Vec{}
+	random := func() vec {
+		v := vec{}
 		for n := rng.IntN(60); n > 0; n-- {
 			v[fmt.Sprintf("prop/t%03d", rng.IntN(200))] = rng.Float64() * 10
 		}
@@ -90,10 +135,10 @@ func TestCompactDotMatchesMapDot(t *testing.T) {
 		check("random", random(), random())
 	}
 
-	sums := generatedSummaries(t, workload.Config{Seed: 5, Users: 60, Products: 1200, Categories: 16})
-	for _, a := range sums {
-		for _, b := range sums {
-			want, got := Dot(a.Vec, b.Vec), gatherDot(a.Compact, b.Compact)
+	profs := generatedProfiles(t, workload.Config{Seed: 5, Users: 60, Products: 1200, Categories: 16})
+	for _, a := range profs {
+		for _, b := range profs {
+			want, got := mapDot(flatten(a), flatten(b)), gatherDot(a.Summary().Vec, b.Summary().Vec)
 			if math.Abs(got-want) > 1e-12*math.Abs(want) {
 				t.Fatalf("%s·%s: gather dot %v, map dot %v", a.UserID, b.UserID, got, want)
 			}
@@ -101,18 +146,26 @@ func TestCompactDotMatchesMapDot(t *testing.T) {
 	}
 }
 
-func generatedSummaries(t *testing.T, cfg workload.Config) []*profile.Summary {
+func generatedProfiles(t *testing.T, cfg workload.Config) []*profile.Profile {
 	t.Helper()
 	u, err := workload.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sums := make([]*profile.Summary, len(u.Users))
+	profs := make([]*profile.Profile, len(u.Users))
 	for i, usr := range u.Users {
-		p, err := u.BuildProfile(usr)
-		if err != nil {
+		if profs[i], err = u.BuildProfile(usr); err != nil {
 			t.Fatal(err)
 		}
+	}
+	return profs
+}
+
+func generatedSummaries(t *testing.T, cfg workload.Config) []*profile.Summary {
+	t.Helper()
+	profs := generatedProfiles(t, cfg)
+	sums := make([]*profile.Summary, len(profs))
+	for i, p := range profs {
 		sums[i] = p.Summary()
 	}
 	return sums
@@ -122,12 +175,12 @@ func generatedSummaries(t *testing.T, cfg workload.Config) []*profile.Summary {
 // same bits, not merely close values, so replacing one by the other moves no
 // score, ranking or digest.
 func TestCompactGatherMatchesMergeJoin(t *testing.T) {
-	checkGather(t, "empty/empty", compactOf(Vec{}), compactOf(Vec{}))
-	checkGather(t, "empty/nil", compactOf(Vec{}), new(profile.Compact))
-	checkGather(t, "nil/full", new(profile.Compact), compactOf(Vec{"a": 1, "b": 2}))
-	checkGather(t, "disjoint", compactOf(Vec{"a": 1, "c": 3}), compactOf(Vec{"b": 2, "d": 4}))
-	checkGather(t, "identical", compactOf(Vec{"a": 0.1, "b": 0.2, "c": 0}), compactOf(Vec{"a": 0.1, "b": 0.2, "c": 0}))
-	checkGather(t, "nested", compactOf(Vec{"b": 0.3}), compactOf(Vec{"a": 0.7, "b": 0.1, "c": 3}))
+	checkGather(t, "empty/empty", compactOf(vec{}), compactOf(vec{}))
+	checkGather(t, "empty/nil", compactOf(vec{}), new(profile.Compact))
+	checkGather(t, "nil/full", new(profile.Compact), compactOf(vec{"a": 1, "b": 2}))
+	checkGather(t, "disjoint", compactOf(vec{"a": 1, "c": 3}), compactOf(vec{"b": 2, "d": 4}))
+	checkGather(t, "identical", compactOf(vec{"a": 0.1, "b": 0.2, "c": 0}), compactOf(vec{"a": 0.1, "b": 0.2, "c": 0}))
+	checkGather(t, "nested", compactOf(vec{"b": 0.3}), compactOf(vec{"a": 0.7, "b": 0.1, "c": 3}))
 
 	// "a/b"+"c" and "a"+"b/c" flatten to one key, which the summary keeps
 	// once, at the heavier weight.
@@ -136,13 +189,13 @@ func TestCompactGatherMatchesMergeJoin(t *testing.T) {
 	colliding.Categories["a"] = &profile.Category{Name: "a", Terms: map[string]float64{}, Subs: map[string]*profile.SubCategory{
 		"b": {Name: "b", Terms: map[string]float64{"c": 3}},
 	}}
-	checkGather(t, "colliding keys", colliding.Summary().Compact, compactOf(Vec{"a/b/c": 0.3, "a/b/d": 1.7, "e": 2}))
+	checkGather(t, "colliding keys", colliding.Summary().Vec, compactOf(vec{"a/b/c": 0.3, "a/b/d": 1.7, "e": 2}))
 
 	// A candidate can hold terms interned after the target was scattered;
 	// their ids lie past the table, and the gather stops at the first.
-	target := compactOf(Vec{"gather/early1": 0.4, "gather/early2": 1.1})
+	target := compactOf(vec{"gather/early1": 0.4, "gather/early2": 1.1})
 	dense := target.Scatter(nil)
-	late := compactOf(Vec{"gather/early2": 0.9, "gather/late1": 5, "gather/late2": 7})
+	late := compactOf(vec{"gather/early2": 0.9, "gather/late1": 5, "gather/late2": 7})
 	if last := late.IDs[len(late.IDs)-1]; int(last) < len(dense) {
 		t.Fatalf("late id %d lies inside the %d-entry table; the case tests nothing", last, len(dense))
 	}
@@ -156,14 +209,14 @@ func TestCompactGatherMatchesMergeJoin(t *testing.T) {
 	sums := generatedSummaries(t, workload.Config{Seed: 7, Users: 2000, Products: 1200, Categories: 16})
 	dense = nil
 	for _, a := range sums {
-		dense = a.Compact.Scatter(dense)
+		dense = a.Vec.Scatter(dense)
 		for _, b := range sums {
-			want, got := mergeJoinDot(a.Compact, b.Compact), b.Compact.Gather(dense)
+			want, got := mergeJoinDot(a.Vec, b.Vec), b.Vec.Gather(dense)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%s·%s: gather %.17g, merge-join %.17g", a.UserID, b.UserID, got, want)
 			}
 		}
-		a.Compact.Unscatter(dense)
+		a.Vec.Unscatter(dense)
 	}
 	for id, w := range dense[:cap(dense)] {
 		if w != 0 {
@@ -181,7 +234,7 @@ func FuzzCompactGather(f *testing.F) {
 	f.Add([]byte{1, 1, 10, 40, 1, 2, 20, 40})
 	f.Add([]byte{1, 3, 10, 40, 2, 3, 0, 0, 3, 1, 0x80, 63, 200, 2, 7, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		a, b := Vec{}, Vec{}
+		a, b := vec{}, vec{}
 		for ; len(data) >= 4; data = data[4:] {
 			key := fmt.Sprintf("fuzz/t%03d", data[0])
 			w := math.Ldexp(float64(int8(data[2])), int(data[3]%64)-40)
@@ -204,9 +257,9 @@ func TestTopKStreamPoolHygiene(t *testing.T) {
 	keys := make([]string, 16)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("hygiene/t%02d", i)
-		compactOf(Vec{keys[i]: 1}) // intern in this order
+		compactOf(vec{keys[i]: 1}) // intern in this order
 	}
-	a, b := Vec{}, Vec{}
+	a, b := vec{}, vec{}
 	for i, k := range keys {
 		if i%2 == 0 {
 			a[k] = float64(i + 1)
@@ -217,14 +270,14 @@ func TestTopKStreamPoolHygiene(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 4))
 	cands := make([]Candidate, 40)
 	for i := range cands {
-		v := Vec{}
+		v := vec{}
 		for _, k := range keys {
 			if rng.IntN(2) == 0 {
 				v[k] = 0.1 + rng.Float64()
 			}
 		}
 		c := compactOf(v)
-		cands[i] = Candidate{UserID: fmt.Sprintf("c%02d", i), Vec: v, Ty: 1, Norm: c.Norm(), Compact: c}
+		cands[i] = Candidate{UserID: fmt.Sprintf("c%02d", i), Vec: c, Ty: 1, Norm: c.Norm()}
 	}
 	seq := func(yield func(Candidate) bool) {
 		for _, c := range cands {
@@ -233,15 +286,15 @@ func TestTopKStreamPoolHygiene(t *testing.T) {
 			}
 		}
 	}
-	for round, target := range []Vec{a, b, a, b, a} {
-		got, err := TopKStream("self", target, 1, 1, seq, -1)
+	ac, bc := compactOf(a), compactOf(b)
+	for round, tc := range []*profile.Compact{ac, bc, ac, bc, ac} {
+		got, err := TopKStream("self", tc, 1, 1, seq, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tc := compactOf(target)
 		want := map[string]float64{}
 		for _, c := range cands {
-			if dot := mergeJoinDot(tc, c.Compact); dot > 0 {
+			if dot := mergeJoinDot(tc, c.Vec); dot > 0 {
 				want[c.UserID] = dot / (tc.Norm() * c.Norm)
 			}
 		}
@@ -260,17 +313,18 @@ func TestTopKStreamPoolHygiene(t *testing.T) {
 // neighbour, so the search answers before reading the candidate stream
 // instead of walking all of it to keep nothing.
 func TestTopKStreamEmptyTargetReadsNoCandidate(t *testing.T) {
+	x := compactOf(vec{"x": 1})
 	yields := 0
 	seq := func(yield func(Candidate) bool) {
 		for i := 0; i < 100; i++ {
 			yields++
-			if !yield(Candidate{UserID: fmt.Sprint(i), Vec: Vec{"x": 1}, Ty: 1}) {
+			if !yield(Candidate{UserID: fmt.Sprint(i), Vec: x, Ty: 1, Norm: 1}) {
 				return
 			}
 		}
 	}
-	for _, target := range []Vec{nil, {}, {"x": 0}} {
-		got, err := TopKStream("self", target, 0, 0.5, seq, 10)
+	for _, target := range []vec{nil, {}, {"x": 0}} {
+		got, err := TopKStream("self", compactOf(target), 0, 0.5, seq, 10)
 		if err != nil || len(got) != 0 {
 			t.Fatalf("target %v: %+v, %v; want no neighbours", target, got, err)
 		}
@@ -294,10 +348,12 @@ func TestTopKZeroK(t *testing.T) {
 	}
 }
 
-// TestTopKStreamCompactMatchesMap: candidates that carry a compact form
-// rank exactly as the same candidates without one, and their scores repeat
-// bit for bit across independently computed summaries of equal content.
-func TestTopKStreamCompactMatchesMap(t *testing.T) {
+// TestTopKStreamMatchesMergeJoin: TopKStream over summaries equals, bit for
+// bit, the oracle that scores every candidate by the merge-join, gates,
+// drops non-positive scores and sorts by score then UserID; and its scores
+// repeat bit for bit across independently computed summaries of equal
+// content.
+func TestTopKStreamMatchesMergeJoin(t *testing.T) {
 	u, err := workload.Generate(workload.Config{Seed: 8, Users: 300, Products: 600, Categories: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -313,46 +369,58 @@ func TestTopKStreamCompactMatchesMap(t *testing.T) {
 		}
 		return out
 	}
-	rank := func(sums []*profile.Summary, target *profile.Summary, cat string, compact bool) []Neighbor {
+	const tol, k = 0.5, 10
+	rank := func(sums []*profile.Summary, target *profile.Summary, cat string) []Neighbor {
 		seq := func(yield func(Candidate) bool) {
 			for _, s := range sums {
-				c := Candidate{UserID: s.UserID, Vec: s.Vec, Ty: s.Prefs[cat], Norm: s.Norm}
-				if compact {
-					c.Compact = s.Compact
-				}
-				if !yield(c) {
+				if !yield(Candidate{UserID: s.UserID, Vec: s.Vec, Ty: s.Prefs[cat], Norm: s.Norm}) {
 					return
 				}
 			}
 		}
-		got, err := TopKStream(target.UserID, target.Vec, target.Prefs[cat], 0.5, seq, 10)
+		got, err := TopKStream(target.UserID, target.Vec, target.Prefs[cat], tol, seq, k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return got
 	}
+	oracle := func(sums []*profile.Summary, target *profile.Summary, cat string) []Neighbor {
+		var out []Neighbor
+		tx := target.Prefs[cat]
+		for _, s := range sums {
+			ty := s.Prefs[cat]
+			if s.UserID == target.UserID || GateDiscards(tx, ty, tol) {
+				continue
+			}
+			if dot := mergeJoinDot(target.Vec, s.Vec); dot > 0 {
+				score := dot / (target.Norm * s.Norm)
+				out = append(out, Neighbor{UserID: s.UserID, Score: score, Raw: score, Tx: tx, Ty: ty})
+			}
+		}
+		slices.SortFunc(out, func(a, b Neighbor) int {
+			if c := cmp.Compare(b.Score, a.Score); c != 0 {
+				return c
+			}
+			return strings.Compare(a.UserID, b.UserID)
+		})
+		return out[:min(k, len(out))]
+	}
 	first, second := build(), build()
 	scored := 0
 	for i, target := range first[:40] {
 		for cat := range target.Prefs {
-			viaMap, viaCompact := rank(first, target, cat, false), rank(first, target, cat, true)
-			if len(viaMap) != len(viaCompact) {
-				t.Fatalf("%s/%s: %d neighbours over maps, %d over compact forms", target.UserID, cat, len(viaMap), len(viaCompact))
-			}
-			for j := range viaMap {
-				m, c := viaMap[j], viaCompact[j]
-				if m.UserID != c.UserID || math.Abs(m.Score-c.Score) > 1e-12 {
-					t.Fatalf("%s/%s rank %d: map %s %.17g, compact %s %.17g", target.UserID, cat, j, m.UserID, m.Score, c.UserID, c.Score)
-				}
+			got, want := rank(first, target, cat), oracle(first, target, cat)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s/%s:\nTopKStream  %+v\nmerge-join  %+v", target.UserID, cat, got, want)
 			}
 			// Score only: Tx and Ty are the summaries' preference sums, which
 			// are not part of the reproducibility contract.
 			score := func(n Neighbor) Neighbor { return Neighbor{UserID: n.UserID, Score: n.Score} }
-			again := rank(second, second[i], cat, true)
-			if !slices.EqualFunc(viaCompact, again, func(a, b Neighbor) bool { return score(a) == score(b) }) {
-				t.Fatalf("%s/%s: scores differ between two summaries of the same content:\n%+v\n%+v", target.UserID, cat, viaCompact, again)
+			again := rank(second, second[i], cat)
+			if !slices.EqualFunc(got, again, func(a, b Neighbor) bool { return score(a) == score(b) }) {
+				t.Fatalf("%s/%s: scores differ between two summaries of the same content:\n%+v\n%+v", target.UserID, cat, got, again)
 			}
-			scored += len(viaCompact)
+			scored += len(got)
 		}
 	}
 	if scored == 0 {

@@ -39,41 +39,6 @@ func CheckTolerance(tolerance float64) error {
 	return nil
 }
 
-// Vec is a sparse non-negative weight vector, keyed by term.
-type Vec = map[string]float64
-
-// Cosine returns the cosine similarity of a and b in [0, 1] for
-// non-negative vectors; 0 when either is empty or zero.
-func Cosine(a, b Vec) float64 {
-	na, nb := Norm(a), Norm(b)
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return Dot(a, b) / (na * nb)
-}
-
-// Norm returns the Euclidean norm of v. Callers scoring one vector against
-// many candidates compute it once (profile.Summary caches it) instead of
-// letting Cosine re-sum it per pair.
-func Norm(v Vec) float64 {
-	var sq float64
-	for _, x := range v {
-		sq += x * x
-	}
-	return math.Sqrt(sq)
-}
-
-// Dot returns the sparse dot product of a and b.
-func Dot(a, b Vec) float64 {
-	var dot float64
-	for k, x := range a {
-		if y, ok := b[k]; ok {
-			dot += x * y
-		}
-	}
-	return dot
-}
-
 // Result is the outcome of the paper's similarity computation for a pair of
 // consumers with respect to one merchandise category.
 type Result struct {
@@ -102,7 +67,12 @@ func PaperSimilarity(x, y *profile.Profile, category string, tolerance float64) 
 		Tx: x.PreferenceValue(category),
 		Ty: y.PreferenceValue(category),
 	}
-	res.Raw = Cosine(x.Vector(), y.Vector())
+	sx, sy := x.Summary(), y.Summary()
+	sc := topkPool.Get().(*topkScratch)
+	sc.dense = sx.Vec.Scatter(sc.dense)
+	res.Raw = cosine(sy.Vec.Gather(sc.dense), sx.Norm, sy.Norm)
+	sx.Vec.Unscatter(sc.dense)
+	topkPool.Put(sc)
 	res.Score = res.Raw
 	if GateDiscards(res.Tx, res.Ty, tolerance) {
 		res.Discarded = true
@@ -130,21 +100,26 @@ type Neighbor struct {
 	Tx, Ty float64
 }
 
+// cosine is the Fig 4.5 cosine of two vectors with norms na and nb whose
+// dot product is dot: 0 when either vector is zero.
+func cosine(dot, na, nb float64) float64 {
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	return dot / (na * nb)
+}
+
 // Candidate is one consumer in a streaming neighbour search, carrying
 // precomputed profile data (see profile.Summary) so the ranking loop neither
-// re-flattens vectors nor re-sums preference values per pair. Norm and
-// Compact are optional precomputed acceleration data: a zero Norm makes
-// TopKStream recompute it from Vec, and a candidate built from a Summary
-// carries its Compact, which TopKStream scores by a gather against the
-// scattered target. The map-based Dot over Vec remains solely as the
-// fallback for candidates built without a Summary (nil Compact), and for
-// Cosine and PaperSimilarity.
+// re-flattens vectors nor re-sums preference values per pair. Vec is the
+// consumer's Summary.Vec, shared, and Norm its Summary.Norm: TopKStream
+// scores Vec by one gather against the scattered target and divides by
+// Norm as it stands, so a candidate with a zero Norm scores nothing.
 type Candidate struct {
-	UserID  string
-	Vec     Vec              // flattened profile vector
-	Ty      float64          // preference value for the category under consideration
-	Norm    float64          // cached Euclidean norm of Vec (0 = unknown)
-	Compact *profile.Compact // shared profile.Summary.Compact (nil = score over Vec)
+	UserID string
+	Vec    *profile.Compact // the consumer's flattened, interned vector
+	Ty     float64          // preference value for the category under consideration
+	Norm   float64          // Vec.Norm()
 }
 
 // TopK ranks candidates by PaperSimilarity against target with respect to
@@ -154,25 +129,24 @@ type Candidate struct {
 func TopK(target *profile.Profile, candidates []*profile.Profile, category string, tolerance float64, k int) ([]Neighbor, error) {
 	seq := func(yield func(Candidate) bool) {
 		for _, cand := range candidates {
-			c := Candidate{UserID: cand.UserID, Vec: cand.Vector(), Ty: cand.PreferenceValue(category)}
-			if !yield(c) {
+			s := cand.Summary()
+			if !yield(Candidate{UserID: cand.UserID, Vec: s.Vec, Ty: cand.PreferenceValue(category), Norm: s.Norm}) {
 				return
 			}
 		}
 	}
-	return TopKStream(target.UserID, target.Vector(), target.PreferenceValue(category), tolerance, seq, k)
+	return TopKStream(target.UserID, target.Summary().Vec, target.PreferenceValue(category), tolerance, seq, k)
 }
 
 // topkScratch is the pooled working set of one TopKStream call: the
-// bounded min-heap (or unbounded accumulator when k < 0), the target's
-// compact form and the dense table it is scattered into. Pooling it keeps
-// the inner scoring loop at zero heap allocations per candidate — the
-// read-path hot loop runs at memory speed regardless of community size
-// (TestTopKStreamZeroAlloc pins this).
+// bounded min-heap (or unbounded accumulator when k < 0) and the dense
+// table the target is scattered into, which PaperSimilarity borrows too.
+// Pooling it keeps the inner scoring loop at zero heap allocations per
+// candidate — the read-path hot loop runs at memory speed regardless of
+// community size (TestTopKStreamZeroAlloc pins this).
 type topkScratch struct {
-	heap   []Neighbor
-	target profile.Compact // the target vector, interned once per call
-	dense  []float64       // target weights by term id; all zero while pooled
+	heap  []Neighbor
+	dense []float64 // target weights by term id; all zero while pooled
 }
 
 var topkPool = sync.Pool{New: func() any { return new(topkScratch) }}
@@ -209,36 +183,33 @@ func heapFix(h []Neighbor, i int) {
 }
 
 // TopKStream is TopK over a candidate stream instead of a materialized
-// profile slice, with the target pre-flattened: the recommendation engine
-// feeds it a category's candidate lists or a full snapshot scan so neighbour
-// search touches only the candidates that could pass the gate. Semantics
-// match TopK exactly: the Fig 4.5 gate, the positive-score filter, and the
-// deterministic score-then-UserID ordering. Candidates whose UserID equals
-// targetID are skipped. k < 0 returns all.
+// profile slice, with the target already summarized: the recommendation
+// engine feeds it a category's candidate lists or a full snapshot scan so
+// neighbour search touches only the candidates that could pass the gate.
+// Semantics match TopK exactly: the Fig 4.5 gate, the positive-score filter,
+// and the deterministic score-then-UserID ordering. Candidates whose UserID
+// equals targetID are skipped. k < 0 returns all.
 //
-// The scoring loop is allocation-free per candidate: the target's compact
-// form and norm are computed once and the target is scattered into a pooled
-// dense table, candidate norms come precomputed on the Candidate (falling
-// back to a re-sum when absent), and survivors go through a pooled bounded
-// heap sized k instead of an append-everything-then-sort buffer. A candidate
-// that carries a Compact is scored by one gather over its own ids, summed in
-// ascending term-id order, so the same content gives bit-identical scores.
+// The scoring loop is allocation-free per candidate: target, the caller's
+// Summary.Vec, is scattered once into a pooled dense table, each candidate
+// is scored by one gather over its own ids, summed in ascending term-id
+// order, so the same content gives bit-identical scores, candidate norms
+// come precomputed on the Candidate, and survivors go through a pooled
+// bounded heap sized k instead of an append-everything-then-sort buffer.
 // An empty or zero target has no neighbour and reads no candidate.
-func TopKStream(targetID string, targetVec Vec, tx, tolerance float64, candidates iter.Seq[Candidate], k int) ([]Neighbor, error) {
+func TopKStream(targetID string, target *profile.Compact, tx, tolerance float64, candidates iter.Seq[Candidate], k int) ([]Neighbor, error) {
 	if err := CheckTolerance(tolerance); err != nil {
 		return nil, err
 	}
 	if k == 0 {
 		return []Neighbor{}, nil
 	}
-	sc := topkPool.Get().(*topkScratch)
-	sc.target.Set(targetVec)
-	na := sc.target.Norm()
+	na := target.Norm()
 	if na == 0 {
-		topkPool.Put(sc)
 		return []Neighbor{}, nil
 	}
-	sc.dense = sc.target.Scatter(sc.dense)
+	sc := topkPool.Get().(*topkScratch)
+	sc.dense = target.Scatter(sc.dense)
 	heap := sc.heap[:0]
 	if k >= 0 && cap(heap) < k {
 		heap = make([]Neighbor, 0, k)
@@ -250,23 +221,14 @@ func TopKStream(targetID string, targetVec Vec, tx, tolerance float64, candidate
 		if GateDiscards(tx, cand.Ty, tolerance) {
 			continue
 		}
-		nb := cand.Norm
-		if nb == 0 {
-			nb = Norm(cand.Vec)
-			if nb == 0 {
-				continue
-			}
+		if cand.Norm == 0 {
+			continue
 		}
-		var dot float64
-		if cand.Compact != nil {
-			dot = cand.Compact.Gather(sc.dense)
-		} else {
-			dot = Dot(targetVec, cand.Vec)
-		}
+		dot := cand.Vec.Gather(sc.dense)
 		if dot <= 0 {
 			continue
 		}
-		score := dot / (na * nb)
+		score := cosine(dot, na, cand.Norm)
 		n := Neighbor{UserID: cand.UserID, Score: score, Raw: score, Tx: tx, Ty: cand.Ty}
 		switch {
 		case k < 0 || len(heap) < k:
@@ -285,7 +247,7 @@ func TopKStream(targetID string, targetVec Vec, tx, tolerance float64, candidate
 	out := make([]Neighbor, len(heap))
 	copy(out, heap)
 	sc.heap = heap[:0]
-	sc.target.Unscatter(sc.dense)
+	target.Unscatter(sc.dense)
 	topkPool.Put(sc)
 	slices.SortFunc(out, func(a, b Neighbor) int {
 		if a.Score != b.Score {

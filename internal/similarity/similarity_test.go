@@ -11,22 +11,29 @@ import (
 
 func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
+// compactCosine scores a against b the way PaperSimilarity does: the
+// package's cosine of a gather against a scatter.
+func compactCosine(a, b vec) float64 {
+	ca, cb := compactOf(a), compactOf(b)
+	return cosine(gatherDot(ca, cb), ca.Norm(), cb.Norm())
+}
+
 func TestCosine(t *testing.T) {
 	tests := []struct {
 		name string
-		a, b Vec
+		a, b vec
 		want float64
 	}{
-		{"identical", Vec{"x": 1, "y": 2}, Vec{"x": 1, "y": 2}, 1},
-		{"orthogonal", Vec{"x": 1}, Vec{"y": 1}, 0},
-		{"empty a", Vec{}, Vec{"x": 1}, 0},
-		{"both empty", Vec{}, Vec{}, 0},
-		{"scale invariant", Vec{"x": 1, "y": 1}, Vec{"x": 10, "y": 10}, 1},
-		{"45 degrees", Vec{"x": 1}, Vec{"x": 1, "y": 1}, 1 / math.Sqrt2},
+		{"identical", vec{"x": 1, "y": 2}, vec{"x": 1, "y": 2}, 1},
+		{"orthogonal", vec{"x": 1}, vec{"y": 1}, 0},
+		{"empty a", vec{}, vec{"x": 1}, 0},
+		{"both empty", vec{}, vec{}, 0},
+		{"scale invariant", vec{"x": 1, "y": 1}, vec{"x": 10, "y": 10}, 1},
+		{"45 degrees", vec{"x": 1}, vec{"x": 1, "y": 1}, 1 / math.Sqrt2},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := Cosine(tt.a, tt.b); !almostEq(got, tt.want) {
+			if got := compactCosine(tt.a, tt.b); !almostEq(got, tt.want) {
 				t.Errorf("Cosine = %v, want %v", got, tt.want)
 			}
 		})
@@ -35,14 +42,14 @@ func TestCosine(t *testing.T) {
 
 func TestCosineSymmetricProperty(t *testing.T) {
 	fn := func(xs, ys []uint8) bool {
-		a, b := Vec{}, Vec{}
+		a, b := vec{}, vec{}
 		for i, x := range xs {
 			a[string(rune('a'+i%8))] = float64(x)
 		}
 		for i, y := range ys {
 			b[string(rune('a'+i%8))] = float64(y)
 		}
-		s1, s2 := Cosine(a, b), Cosine(b, a)
+		s1, s2 := compactCosine(a, b), compactCosine(b, a)
 		return almostEq(s1, s2) && s1 >= 0 && s1 <= 1+1e-9
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 300}); err != nil {
@@ -145,6 +152,40 @@ func TestPaperSimilaritySymmetric(t *testing.T) {
 	r2, _ := PaperSimilarity(y, x, "laptop", 0.5)
 	if !almostEq(r1.Score, r2.Score) || r1.Discarded != r2.Discarded {
 		t.Errorf("asymmetric: %+v vs %+v", r1, r2)
+	}
+}
+
+// TestPaperSimilarityCollidingKeys: "a/b"+"c" and "a"+"b"+"c" flatten to one
+// key, and the pair's similarity is a function of the two profiles: the
+// heavier of the colliding weights is the one scored, every time, by
+// PaperSimilarity and TopK alike. Keeping whichever weight map iteration
+// reached last gave 1/√2 or 3/√10 from one call to the next.
+func TestPaperSimilarityCollidingKeys(t *testing.T) {
+	x := profile.NewProfile("x")
+	x.Categories["a/b"] = &profile.Category{Name: "a/b", Terms: map[string]float64{"c": 1}}
+	x.Categories["a"] = &profile.Category{Name: "a", Terms: map[string]float64{"d": 1}, Subs: map[string]*profile.SubCategory{
+		"b": {Name: "b", Terms: map[string]float64{"c": 3}},
+	}}
+	y := profile.NewProfile("y")
+	y.Categories["a"] = &profile.Category{Name: "a", Terms: map[string]float64{}, Subs: map[string]*profile.SubCategory{
+		"b": {Name: "b", Terms: map[string]float64{"c": 1}},
+	}}
+	want := 3 / math.Sqrt(10) // x = {a/b/c: 3, a/d: 1}, y = {a/b/c: 1}
+	for i := 0; i < 100; i++ {
+		res, err := PaperSimilarity(x, y, "a", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !almostEq(res.Raw, want) {
+			t.Fatalf("call %d: Raw = %.17g, want %.17g", i, res.Raw, want)
+		}
+		got, err := TopK(y, []*profile.Profile{x}, "a", 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || got[0].Score != res.Raw {
+			t.Fatalf("call %d: TopK = %+v, PaperSimilarity Raw %.17g", i, got, res.Raw)
+		}
 	}
 }
 
