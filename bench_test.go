@@ -314,7 +314,7 @@ func BenchmarkRecommendPersistent(b *testing.B) {
 // Snapshot(), on a single shard the size of the benchmark's (312 consumers)
 // and on one sixteen times that. The writes walk the consumers — the worst
 // case — so every seventeenth read folds a full overlay into a new base, and
-// that copy of two maps of pointers is the part of the number that still
+// that copy of one map of pointers is the part of the number that still
 // grows with the shard; the other sixteen re-read one consumer.
 func BenchmarkSnapshotAfterWrite(b *testing.B) {
 	for _, users := range []int{312, 5000} {

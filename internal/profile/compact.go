@@ -94,6 +94,22 @@ func (c *Compact) sortByID() {
 	c.IDs, c.Weights = c.IDs[:n], c.Weights[:n]
 }
 
+// rescale scales c's weights by the power of two that brings the largest
+// below 1. A cosine does not change, and each weight scales exactly (bar
+// any 2^-1000 below the largest, which go subnormal).
+func (c *Compact) rescale() {
+	var top float64
+	for _, w := range c.Weights {
+		if math.Abs(w) > top {
+			top = math.Abs(w)
+		}
+	}
+	_, exp := math.Frexp(top)
+	for i, w := range c.Weights {
+		c.Weights[i] = math.Ldexp(w, -exp)
+	}
+}
+
 type byID Compact
 
 func (c *byID) Len() int           { return len(c.IDs) }

@@ -251,7 +251,8 @@ func (p *Profile) Prune(minWeight float64) {
 // PreferenceValue returns the aggregate preference weight T for a category:
 // the "preference merchandise item value" the Fig 4.5 discard rule compares
 // between consumers. It sums the category's term weights including
-// sub-categories.
+// sub-categories, saturating at the largest float64 as addWeight does, so
+// the gate never compares an infinity.
 func (p *Profile) PreferenceValue(category string) float64 {
 	cat := p.Categories[category]
 	if cat == nil {
@@ -266,7 +267,7 @@ func (p *Profile) PreferenceValue(category string) float64 {
 			sum += w
 		}
 	}
-	return sum
+	return min(sum, math.MaxFloat64)
 }
 
 // WeightedTerm pairs a term with its weight, for ranked listings.
@@ -301,16 +302,16 @@ func sortWeighted(ts []WeightedTerm) {
 
 // Clone returns a deep copy of the profile.
 func (p *Profile) Clone() *Profile {
-	out, _ := p.CloneUTF8()
+	out, _, _ := p.CloneUTF8()
 	return out
 }
 
 // CloneUTF8 is Clone, and also reports whether the user id and every key —
-// category, sub-category and term — is valid UTF-8. Marshal keeps such a
-// string as it is only then: JSON rewrites each invalid byte to U+FFFD. The
-// check rides on the copy's walk over the maps, so it costs no walk of its
-// own.
-func (p *Profile) CloneUTF8() (*Profile, bool) {
+// category, sub-category and term — is valid UTF-8, and refuses a NaN or
+// infinite weight with ErrBadEvidence (negative ones pass): Marshal keeps a
+// string as it is only then, and cannot encode a non-finite weight. The
+// checks ride on the copy's walk over the maps.
+func (p *Profile) CloneUTF8() (*Profile, bool, error) {
 	out := &Profile{
 		UserID:     p.UserID,
 		Alpha:      p.Alpha,
@@ -318,12 +319,13 @@ func (p *Profile) CloneUTF8() (*Profile, bool) {
 		Observed:   p.Observed,
 		UpdatedAt:  p.UpdatedAt,
 	}
-	valid := utf8.ValidString(p.UserID)
+	valid, finite := utf8.ValidString(p.UserID), true
 	for cname, cat := range p.Categories {
 		valid = valid && utf8.ValidString(cname)
 		nc := &Category{Name: cat.Name, Terms: make(map[string]float64, len(cat.Terms))}
 		for t, w := range cat.Terms {
 			valid = valid && utf8.ValidString(t)
+			finite = finite && !math.IsNaN(w) && !math.IsInf(w, 0)
 			nc.Terms[t] = w
 		}
 		if cat.Subs != nil {
@@ -333,6 +335,7 @@ func (p *Profile) CloneUTF8() (*Profile, bool) {
 				ns := &SubCategory{Name: sub.Name, Terms: make(map[string]float64, len(sub.Terms))}
 				for t, w := range sub.Terms {
 					valid = valid && utf8.ValidString(t)
+					finite = finite && !math.IsNaN(w) && !math.IsInf(w, 0)
 					ns.Terms[t] = w
 				}
 				nc.Subs[sname] = ns
@@ -340,7 +343,10 @@ func (p *Profile) CloneUTF8() (*Profile, bool) {
 		}
 		out.Categories[cname] = nc
 	}
-	return out, valid
+	if !finite {
+		return out, valid, fmt.Errorf("%w: a weight of user %q's profile", ErrBadEvidence, p.UserID)
+	}
+	return out, valid, nil
 }
 
 // Marshal serializes the profile to JSON.
@@ -391,7 +397,10 @@ func Unmarshal(data []byte) (*Profile, error) {
 // "category/term" and "category/sub/term" and interned, in the form the
 // scoring kernel scans. Norm is summed over Vec in ascending id order, so
 // equal profile content gives a bit-identical value, and it feeds cosine
-// scoring without a per-pair re-sum.
+// scoring without a per-pair re-sum. A vector whose norm passes 2^500 is
+// scaled by a power of two first (Compact.rescale), which no cosine
+// notices: at or under it no square, no product of two weights and no
+// product of two norms overflows, so every score is finite.
 type Summary struct {
 	UserID string
 	Vec    *Compact           // flattened terms, interned, ids ascending
@@ -429,8 +438,11 @@ func (p *Profile) Summary() *Summary {
 	}
 	terms.mu.RUnlock()
 	c.sortByID()
+	if s.Norm = c.Norm(); s.Norm > 0x1p500 {
+		c.rescale()
+		s.Norm = c.Norm()
+	}
 	s.Vec = c
-	s.Norm = c.Norm()
 	return s
 }
 

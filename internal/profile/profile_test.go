@@ -461,3 +461,44 @@ func TestRepeatedObservationConverges(t *testing.T) {
 		t.Errorf("weight ratio = %v, want 10 (the document's term ratio)", ratio)
 	}
 }
+
+// TestPreferenceValueSaturates: weights each at the largest float64 sum to
+// it, not to +Inf, so the Fig 4.5 gate still compares two numbers and
+// fires against a consumer with far less evidence.
+func TestPreferenceValueSaturates(t *testing.T) {
+	p := NewProfile("u1")
+	p.Categories["c"] = &Category{Name: "c", Terms: map[string]float64{"a": math.MaxFloat64, "b": math.MaxFloat64},
+		Subs: map[string]*SubCategory{"s": {Name: "s", Terms: map[string]float64{"d": math.MaxFloat64}}}}
+	got := p.PreferenceValue("c")
+	if got != math.MaxFloat64 {
+		t.Fatalf("PreferenceValue = %v, want the largest float64", got)
+	}
+	if s := p.Summary(); s.Prefs["c"] != math.MaxFloat64 || math.IsInf(s.Norm, 0) || math.IsNaN(s.Norm) {
+		t.Fatalf("summary prefs %v, norm %v", s.Prefs, s.Norm)
+	}
+}
+
+// TestCloneUTF8RefusesNonFiniteWeights: a NaN or infinite weight, in a
+// category's terms or a sub-category's, is refused with ErrBadEvidence by
+// the copy's own walk; a negative one passes.
+func TestCloneUTF8RefusesNonFiniteWeights(t *testing.T) {
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		for _, sub := range []bool{false, true} {
+			p := NewProfile("u1")
+			cat := &Category{Name: "c", Terms: map[string]float64{"a": 1}}
+			if sub {
+				cat.Subs = map[string]*SubCategory{"s": {Name: "s", Terms: map[string]float64{"d": w}}}
+			} else {
+				cat.Terms["b"] = w
+			}
+			p.Categories["c"] = cat
+			_, valid, err := p.CloneUTF8()
+			if !valid {
+				t.Fatalf("weight %v: keys reported invalid", w)
+			}
+			if refused := errors.Is(err, ErrBadEvidence); refused != (w != -1) {
+				t.Errorf("weight %v (sub %v): err %v", w, sub, err)
+			}
+		}
+	}
+}

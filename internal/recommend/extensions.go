@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 )
@@ -14,9 +13,9 @@ import (
 // "Provide the more kinds of recommendation information such as weekly
 // hottest merchandise, and tied-sale information."
 //
-//   - Trending ("weekly hottest"): a purchase's marker in the consumer's
-//     purchase set is its time; the hottest list ranks the purchases inside
-//     a sliding window, weighting recent ones higher.
+//   - Trending ("weekly hottest"): a purchase's entry in the consumer's
+//     purchase list carries its time; the hottest list ranks the purchases
+//     inside a sliding window, weighting recent ones higher.
 //   - TiedSales ("tied-sale information", frequently-bought-together):
 //     co-purchase pair counts across consumers, ranked by confidence
 //     P(other | product), with a minimum support to keep noise out.
@@ -41,7 +40,7 @@ type TiedSale struct {
 	Confidence float64 // P(ProductID | anchor) among the anchor's buyers
 }
 
-// epochMS is the marker a purchase made at at leaves in the purchase set:
+// epochMS is the time a purchase made at at leaves in the purchase list:
 // milliseconds since the Unix epoch, truncated toward the past so a purchase
 // stamped `now` lies inside a window ending `now`. The zero time — and the
 // epoch instant itself — is 0, an undated purchase.
@@ -54,10 +53,11 @@ func epochMS(at time.Time) int64 {
 
 // RecordPurchaseAt notes that userID bought productID at at (the zero time:
 // undated), feeding the CF history, the top-seller counts, Trending and
-// TiedSales. Duplicate records are idempotent per user — the set keeps the
+// TiedSales. Duplicate records are idempotent per user — the list keeps the
 // later time — but still bump popularity. The purchase touches the user's
-// shard alone: its purchase set and the product's sell count attributed to
-// the shard, which top sellers sum over shards. With persistence both are
+// shard alone: a new record for the user, its purchase list a copy with the
+// purchase in, and the product's sell count attributed to the shard, which
+// top sellers sum over shards. With persistence both are
 // journaled as one atomic batch, under the shard lock, before the in-memory
 // update. The time
 // journaled, and carried to followers in the OpPurchase record, is the time
@@ -78,9 +78,10 @@ func (e *Engine) recordPurchaseAt(userID, productID string, at time.Time, admit 
 	if err := e.lockShardW(sh, admit); err != nil {
 		return err
 	}
-	set := sh.purchases[userID]
-	if old, again := set[productID]; again && old > ms {
-		ms = old
+	old := sh.consumers[userID]
+	i, again := old.find(productID)
+	if again {
+		ms = max(ms, old.bought[i].at)
 	}
 	total := sh.sells[productID] + 1
 	if e.persist != nil {
@@ -89,11 +90,7 @@ func (e *Engine) recordPurchaseAt(userID, productID string, at time.Time, admit 
 			return err
 		}
 	}
-	if set == nil {
-		set = make(map[string]int64)
-		sh.purchases[userID] = set
-	}
-	set[productID] = ms
+	sh.consumers[userID] = old.withPurchase(i, again, purchase{product: productID, at: ms})
 	sh.sells[productID] = total
 	sh.noteWrite(userID)
 	seq := sh.gen.Add(1)
@@ -106,14 +103,13 @@ func (e *Engine) recordPurchaseAt(userID, productID string, at time.Time, admit 
 	return nil
 }
 
-// eachBasket calls fn with every consumer's purchase set (product ->
-// at_epoch_ms), one shard at a time under that shard's read lock; fn must
-// not keep or mutate the map.
-func (e *Engine) eachBasket(fn func(basket map[string]int64)) {
+// eachBasket calls fn with every consumer's record, one shard at a time
+// under that shard's read lock.
+func (e *Engine) eachBasket(fn func(c *consumer)) {
 	for _, sh := range e.shards {
 		sh.mu.RLock()
-		for _, basket := range sh.purchases {
-			fn(basket)
+		for _, c := range sh.consumers {
+			fn(c)
 		}
 		sh.mu.RUnlock()
 	}
@@ -125,27 +121,24 @@ func (e *Engine) eachBasket(fn func(basket map[string]int64)) {
 // the window ranks below the same spike just now.
 func (e *Engine) Trending(now time.Time, window time.Duration, n int) []TrendEntry {
 	nowMS, cutoff := now.UnixMilli(), now.Add(-window).UnixMilli()
-	type hit struct {
-		productID string
-		at        int64
-	}
-	var hits []hit
-	e.eachBasket(func(basket map[string]int64) {
-		for pid, at := range basket {
-			if at != 0 && at >= cutoff && at <= nowMS {
-				hits = append(hits, hit{pid, at})
+	var hits []purchase
+	e.eachBasket(func(c *consumer) {
+		for _, p := range c.bought {
+			if p.at != 0 && p.at >= cutoff && p.at <= nowMS {
+				hits = append(hits, p)
 			}
 		}
 	})
 	// Scores are float sums: adding each product's weights in time order,
-	// not map order, makes every replica's answer the same to the last bit.
-	slices.SortFunc(hits, func(a, b hit) int {
-		return cmp.Or(strings.Compare(a.productID, b.productID), cmp.Compare(a.at, b.at))
+	// not in the order shards hold consumers, makes every replica's answer
+	// the same to the last bit.
+	slices.SortFunc(hits, func(a, b purchase) int {
+		return cmp.Or(strings.Compare(a.product, b.product), cmp.Compare(a.at, b.at))
 	})
 	out := make([]TrendEntry, 0)
 	for _, h := range hits {
-		if len(out) == 0 || out[len(out)-1].ProductID != h.productID {
-			out = append(out, TrendEntry{ProductID: h.productID})
+		if len(out) == 0 || out[len(out)-1].ProductID != h.product {
+			out = append(out, TrendEntry{ProductID: h.product})
 		}
 		entry := &out[len(out)-1]
 		entry.Count++
@@ -157,16 +150,9 @@ func (e *Engine) Trending(now time.Time, window time.Duration, n int) []TrendEnt
 		}
 		entry.Score += weight
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].ProductID < out[j].ProductID
+	return topN(out, n, func(a, b TrendEntry) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), strings.Compare(a.ProductID, b.ProductID))
 	})
-	if n >= 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
 }
 
 // TiedSales returns up to n products frequently bought together with
@@ -178,14 +164,14 @@ func (e *Engine) TiedSales(productID string, minSupport, n int) []TiedSale {
 	}
 	co := make(map[string]int)
 	anchorBuyers := 0
-	e.eachBasket(func(basket map[string]int64) {
-		if _, bought := basket[productID]; !bought {
+	e.eachBasket(func(c *consumer) {
+		if _, bought := c.find(productID); !bought {
 			return
 		}
 		anchorBuyers++
-		for other := range basket {
-			if other != productID {
-				co[other]++
+		for _, p := range c.bought {
+			if p.product != productID {
+				co[p.product]++
 			}
 		}
 	})
@@ -203,17 +189,8 @@ func (e *Engine) TiedSales(productID string, minSupport, n int) []TiedSale {
 			Confidence: float64(support) / float64(anchorBuyers),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Confidence != out[j].Confidence {
-			return out[i].Confidence > out[j].Confidence
-		}
-		if out[i].Support != out[j].Support {
-			return out[i].Support > out[j].Support
-		}
-		return out[i].ProductID < out[j].ProductID
+	return topN(out, n, func(a, b TiedSale) int {
+		return cmp.Or(cmp.Compare(b.Confidence, a.Confidence), cmp.Compare(b.Support, a.Support),
+			strings.Compare(a.ProductID, b.ProductID))
 	})
-	if n >= 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
 }

@@ -64,7 +64,7 @@ func TestQueryAndCrossSellShareOneSearch(t *testing.T) {
 func TestNeighborMemoKeyedOnTheWholeSearch(t *testing.T) {
 	e := fixture(t)
 	snap := e.Snapshot()
-	alice, bob := snap.stored("alice"), snap.stored("bob")
+	alice, bob := snap.profiled("alice"), snap.profiled("bob")
 	tol := e.tolerance
 	search := func(key neighborKey) *neighborMemo {
 		t.Helper()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -54,20 +55,30 @@ type ShardData struct {
 
 // replaceShardLocked makes data sh's whole state: the one way a shard is
 // installed wholesale, by restart recovery and snapshot catch-up alike. It
-// adopts data's maps (nil ones made empty) and pairs every profile with its
-// summary, drops the view and bumps gen. Caller holds sh.mu for writing.
+// builds one record per consumer, its purchase set a list sorted by product,
+// adopts data's sell map (nil made empty), drops the view and bumps gen.
+// Caller holds sh.mu for writing.
 func (e *Engine) replaceShardLocked(sh *shard, data ShardData) {
-	profiles := make(map[string]*stored, len(data.Profiles))
+	consumers := make(map[string]*consumer, max(len(data.Profiles), len(data.Purchases)))
 	for _, p := range data.Profiles {
-		profiles[p.UserID] = &stored{prof: p, sum: p.Summary()}
+		consumers[p.UserID] = &consumer{prof: p, sum: p.Summary()}
 	}
-	if data.Purchases == nil {
-		data.Purchases = make(map[string]map[string]int64)
+	for user, set := range data.Purchases {
+		c := consumers[user]
+		if c == nil {
+			c = &consumer{}
+			consumers[user] = c
+		}
+		c.bought = make([]purchase, 0, len(set))
+		for pid, at := range set {
+			c.bought = append(c.bought, purchase{product: pid, at: at})
+		}
+		slices.SortFunc(c.bought, func(a, b purchase) int { return strings.Compare(a.product, b.product) })
 	}
 	if data.Sells == nil {
 		data.Sells = make(map[string]int64)
 	}
-	sh.profiles, sh.purchases, sh.sells = profiles, data.Purchases, data.Sells
+	sh.consumers, sh.sells = consumers, data.Sells
 	sh.dropView()
 	sh.gen.Add(1)
 }
@@ -84,7 +95,7 @@ type Persister interface {
 	// SaveProfiles itself errored.
 	SaveProfiles(shard int, profs []*profile.Profile, encoded [][]byte) error
 	// SavePurchase durably records userID buying productID at at (epoch
-	// milliseconds, 0 = undated; the value the purchase set keeps) together
+	// milliseconds, 0 = undated; the value the purchase list keeps) together
 	// with the product's new sell count attributed to the user's shard, as
 	// one atomic batch.
 	SavePurchase(shard int, userID, productID string, at, total int64) error

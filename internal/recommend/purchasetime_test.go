@@ -307,8 +307,8 @@ func TestRepeatPurchaseKeepsLaterTime(t *testing.T) {
 		}
 		entries := 0
 		for _, sh := range e.shards {
-			for _, set := range sh.purchases {
-				entries += len(set)
+			for _, c := range sh.consumers {
+				entries += len(c.bought)
 			}
 		}
 		if entries != 1 {

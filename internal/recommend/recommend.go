@@ -53,16 +53,19 @@
 //     attributed to the buyer's shard durably, so one shard's journal
 //     fully determines its replica; the served totals are the sum over
 //     shards.
-//   - Stored profiles and published views are immutable in place; every
-//     install replaces whole entries.
+//   - A consumer's record (profile, summary and purchase list) and a
+//     published view are immutable in place: every write installs a new
+//     record, sharing what it did not change.
 //
 // See DESIGN.md for the full architecture map.
 package recommend
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -286,7 +289,8 @@ func (e *Engine) Shards() int { return e.nshards }
 // SetProfile installs or replaces a consumer's profile. The engine keeps a
 // deep copy; later mutation by the caller has no effect. A profile whose
 // user id is empty or holds a NUL, or whose user id or any key — category,
-// sub-category or term — is not valid UTF-8, is refused with ErrBadKey,
+// sub-category or term — is not valid UTF-8, is refused with ErrBadKey, and
+// one with a NaN or infinite term weight with profile.ErrBadEvidence,
 // memory-only or durable.
 //
 // With persistence the profile is journaled (durably) before the in-memory
@@ -315,15 +319,19 @@ func (e *Engine) setProfiles(ps []*profile.Profile, encs [][]byte, admit admitFu
 	for i, p := range ps {
 		s := e.ShardOf(p.UserID)
 		if encs == nil {
-			// A key that is not valid UTF-8 would be journaled and
-			// forwarded as another one (Profile.CloneUTF8), and a user id
-			// no journal can key would stop every follower's replication,
-			// so the whole batch is refused before anything is written.
-			// Profiles decoded from encs were checked by decodeProfiles.
-			var valid bool
-			if p, valid = p.CloneUTF8(); !valid || !validID(p.UserID) {
+			// A key that is not valid UTF-8 would be journaled as another
+			// one, a non-finite weight not at all (Profile.CloneUTF8), and
+			// a user id no journal can key would stop every follower, so
+			// the whole batch is refused before anything is written, on
+			// every engine. decodeProfiles checked profiles from encs.
+			cp, valid, err := p.CloneUTF8()
+			if err != nil {
+				return fmt.Errorf("recommend: %w", err)
+			}
+			if !valid || !validID(p.UserID) {
 				return fmt.Errorf("%w: a key of user %q's profile", ErrBadKey, p.UserID)
 			}
+			p = cp
 		} else {
 			encShard[s] = append(encShard[s], encs[i])
 		}
@@ -353,8 +361,8 @@ func (e *Engine) setProfiles(ps []*profile.Profile, encs [][]byte, admit admitFu
 
 // installShardProfiles installs profs — private copies, all belonging to
 // sh, encoded as encs (nil: here, if a sink needs them) — journal-first,
-// then into the shard map and journal feed, all inside the shard critical
-// section, once admit admitted the write there. Shared by every profile
+// then as new records into the shard map and the journal feed, all inside
+// the shard critical section, once admit admitted the write there. Shared by every profile
 // write and the replication apply path.
 func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile, encs [][]byte, admit admitFunc) error {
 	if encs == nil && (e.persist != nil || e.feed != nil) {
@@ -373,7 +381,11 @@ func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile, encs 
 		}
 	}
 	for _, p := range profs {
-		sh.profiles[p.UserID] = &stored{prof: p, sum: p.Summary()}
+		c := &consumer{prof: p, sum: p.Summary()}
+		if old := sh.consumers[p.UserID]; old != nil {
+			c.bought = old.bought
+		}
+		sh.consumers[p.UserID] = c
 		sh.noteWrite(p.UserID)
 	}
 	seq := sh.gen.Add(1)
@@ -400,12 +412,12 @@ func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile, encs 
 func (e *Engine) Profile(userID string) (*profile.Profile, error) {
 	sh := e.shardFor(userID)
 	sh.mu.RLock()
-	st := sh.profiles[userID]
+	c := sh.consumers[userID]
 	sh.mu.RUnlock()
-	if st == nil {
+	if c == nil || c.prof == nil {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownUser, userID)
 	}
-	return st.prof.Clone(), nil
+	return c.prof.Clone(), nil
 }
 
 // RecordPurchase is RecordPurchaseAt for a purchase whose time is not
@@ -416,18 +428,7 @@ func (e *Engine) RecordPurchase(userID, productID string) error {
 }
 
 // Users returns the ids of all consumers with a profile, sorted.
-func (e *Engine) Users() []string {
-	var out []string
-	for _, sh := range e.shards {
-		sh.mu.RLock()
-		for id := range sh.profiles {
-			out = append(out, id)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Strings(out)
-	return out
-}
+func (e *Engine) Users() []string { return e.Snapshot().Users() }
 
 // Stats returns the engine's current sizing and journal state in the ops
 // model.
@@ -435,7 +436,11 @@ func (e *Engine) Stats() ops.EngineSnapshot {
 	st := ops.EngineSnapshot{Shards: e.nshards}
 	for _, sh := range e.shards {
 		sh.mu.RLock()
-		st.Users += len(sh.profiles)
+		for _, c := range sh.consumers {
+			if c.prof != nil {
+				st.Users++
+			}
+		}
 		sh.mu.RUnlock()
 		st.ViewPatches += sh.patches.Load()
 		st.ViewRebuilds += sh.rebuilds.Load()
@@ -507,16 +512,16 @@ func neighborCategory(p *profile.Profile, category string) string {
 	return ""
 }
 
-// neighbors runs the streaming neighbour search for the target entry at
+// neighbors runs the streaming neighbour search for the target record at
 // the engine's tolerance. A search the snapshot has just answered is
 // answered again from its memo (Snapshot.lastSearch); any other search runs
 // and replaces the memo.
-func (e *Engine) neighbors(snap *Snapshot, st *stored, cat string) ([]similarity.Neighbor, error) {
-	key := neighborKey{target: st, cat: cat, tol: e.tolerance}
+func (e *Engine) neighbors(snap *Snapshot, c *consumer, cat string) ([]similarity.Neighbor, error) {
+	key := neighborKey{target: c, cat: cat, tol: e.tolerance}
 	if m := snap.lastSearch.Load(); m != nil && m.key == key {
 		return m.neighbors, nil
 	}
-	nbs, err := e.searchNeighbors(snap, st, cat, e.tolerance)
+	nbs, err := e.searchNeighbors(snap, c.sum, cat, e.tolerance)
 	if err != nil {
 		return nil, err
 	}
@@ -529,12 +534,12 @@ func (e *Engine) neighbors(snap *Snapshot, st *stored, cat string) ([]similarity
 // the category, the consumers with evidence there are an exact substitute
 // for the whole community — every other consumer would be gated out anyway
 // (Ty = 0 against Tx > 0). Otherwise it scans the snapshot.
-func (e *Engine) searchNeighbors(snap *Snapshot, st *stored, cat string, tol float64) ([]similarity.Neighbor, error) {
-	tx := st.sum.Prefs[cat]
+func (e *Engine) searchNeighbors(snap *Snapshot, sum *profile.Summary, cat string, tol float64) ([]similarity.Neighbor, error) {
+	tx := sum.Prefs[cat]
 	if cat == "" || tol >= 1 || tx <= 0 {
-		return similarity.TopKStream(st.prof.UserID, st.sum.Vec, tx, tol, snap.candidates(cat), e.k)
+		return similarity.TopKStream(sum.UserID, sum.Vec, tx, tol, snap.candidates(cat), e.k)
 	}
-	return similarity.TopKStream(st.prof.UserID, st.sum.Vec, tx, tol, snap.inCategory(cat), e.k)
+	return similarity.TopKStream(sum.UserID, sum.Vec, tx, tol, snap.inCategory(cat), e.k)
 }
 
 // Neighbors exposes the CF neighbour search directly: the k most similar
@@ -542,32 +547,31 @@ func (e *Engine) searchNeighbors(snap *Snapshot, st *stored, cat string, tol flo
 // empty). mode has one value, SearchExact, and is ignored.
 func (e *Engine) Neighbors(userID, category string, mode NeighborSearch) ([]similarity.Neighbor, error) {
 	snap := e.Snapshot()
-	st := snap.stored(userID)
-	if st == nil {
+	c := snap.profiled(userID)
+	if c == nil {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownUser, userID)
 	}
-	return e.searchNeighbors(snap, st, neighborCategory(st.prof, category), e.tolerance)
+	return e.searchNeighbors(snap, c.sum, neighborCategory(c.prof, category), e.tolerance)
 }
 
 // cf is user-based collaborative filtering over profile similarity.
 func (e *Engine) cf(snap *Snapshot, userID, category string, n int) ([]Rec, error) {
-	st := snap.stored(userID)
-	if st == nil {
+	c := snap.profiled(userID)
+	if c == nil {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownUser, userID)
 	}
-	neighbors, err := e.neighbors(snap, st, neighborCategory(st.prof, category))
+	neighbors, err := e.neighbors(snap, c, neighborCategory(c.prof, category))
 	if err != nil {
 		return nil, err
 	}
 
-	own := snap.Purchases(userID)
 	scores := make(map[string]float64)
 	for _, nb := range neighbors {
-		for pid := range snap.Purchases(nb.UserID) {
-			if own[pid] {
+		for _, p := range snap.viewFor(nb.UserID).consumer(nb.UserID).bought {
+			if _, own := c.find(p.product); own {
 				continue
 			}
-			scores[pid] += nb.Score
+			scores[p.product] += nb.Score
 		}
 	}
 	return rank(scores, n, "cf"), nil
@@ -576,20 +580,19 @@ func (e *Engine) cf(snap *Snapshot, userID, category string, n int) ([]Rec, erro
 // ifilter is content-based information filtering: merchandise terms against
 // the consumer's own profile weights.
 func (e *Engine) ifilter(snap *Snapshot, userID, category string, n int) ([]Rec, error) {
-	st := snap.stored(userID)
-	if st == nil {
+	c := snap.profiled(userID)
+	if c == nil {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownUser, userID)
 	}
-	own := snap.Purchases(userID)
 
 	// The content view lists the category's products without copying any:
 	// an in-taste read walks its own category, not the catalogue.
 	scores := make(map[string]float64)
 	for _, it := range e.catalog.View().Items(category) {
-		if own[it.ID] {
+		if _, own := c.find(it.ID); own {
 			continue
 		}
-		if s := contentScore(st.prof, it.Category, it.SubCategory, it.Terms); s > 0 {
+		if s := contentScore(c.prof, it.Category, it.SubCategory, it.Terms); s > 0 {
 			scores[it.ID] = s
 		}
 	}
@@ -669,8 +672,7 @@ func (e *Engine) topSellers(category string, n int, source string) []Rec {
 	return rank(scores, n, source)
 }
 
-// rank orders scores descending (ties by id) and truncates to n (n < 0
-// means all).
+// rank returns the top n positive scores as recs (see byScore).
 func rank(scores map[string]float64, n int, source string) []Rec {
 	out := make([]Rec, 0, len(scores))
 	for pid, s := range scores {
@@ -678,16 +680,24 @@ func rank(scores map[string]float64, n int, source string) []Rec {
 			out = append(out, Rec{ProductID: pid, Score: s, Source: source})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].ProductID < out[j].ProductID
-	})
-	if n >= 0 && len(out) > n {
-		out = out[:n]
+	return topN(out, n, byScore)
+}
+
+// byScore orders recs by score descending, ties by id.
+func byScore(a, b Rec) int {
+	if a.Score != b.Score {
+		return cmp.Compare(b.Score, a.Score)
 	}
-	return out
+	return strings.Compare(a.ProductID, b.ProductID)
+}
+
+// topN sorts s by order and truncates it to n (n < 0 means all).
+func topN[T any](s []T, n int, order func(a, b T) int) []T {
+	slices.SortFunc(s, order)
+	if n >= 0 && len(s) > n {
+		s = s[:n]
+	}
+	return s
 }
 
 // normalize scales scores to [0,1] by the max.
@@ -721,16 +731,15 @@ func (e *Engine) RecommendForQuery(userID string, matches []catalog.Match, n int
 
 // RecommendForQueryWith is RecommendForQuery against an existing Snapshot.
 func (e *Engine) RecommendForQueryWith(snap *Snapshot, userID string, matches []catalog.Match, n int) ([]Rec, error) {
-	st := snap.stored(userID)
-	known := st != nil
+	c := snap.profiled(userID)
 	var neighbors []similarity.Neighbor
-	if known {
+	if c != nil {
 		cat := ""
 		if len(matches) > 0 {
 			cat = matches[0].Product.Category
 		}
 		var err error
-		neighbors, err = e.neighbors(snap, st, neighborCategory(st.prof, cat))
+		neighbors, err = e.neighbors(snap, c, neighborCategory(c.prof, cat))
 		if err != nil {
 			return nil, err
 		}
@@ -738,8 +747,8 @@ func (e *Engine) RecommendForQueryWith(snap *Snapshot, userID string, matches []
 
 	nbOwn := make(map[string]float64)
 	for _, nb := range neighbors {
-		for pid := range snap.Purchases(nb.UserID) {
-			nbOwn[pid] += nb.Score
+		for _, p := range snap.viewFor(nb.UserID).consumer(nb.UserID).bought {
+			nbOwn[p.product] += nb.Score
 		}
 	}
 	var maxRel, maxNb, maxContent float64
@@ -751,8 +760,8 @@ func (e *Engine) RecommendForQueryWith(snap *Snapshot, userID string, matches []
 		if nbOwn[m.Product.ID] > maxNb {
 			maxNb = nbOwn[m.Product.ID]
 		}
-		if known {
-			contents[i] = contentScore(st.prof, m.Product.Category, m.Product.SubCategory, m.Product.Terms)
+		if c != nil {
+			contents[i] = contentScore(c.prof, m.Product.Category, m.Product.SubCategory, m.Product.Terms)
 			if contents[i] > maxContent {
 				maxContent = contents[i]
 			}
@@ -764,25 +773,15 @@ func (e *Engine) RecommendForQueryWith(snap *Snapshot, userID string, matches []
 		}
 		return v / max
 	}
-	owned := snap.Purchases(userID)
 	out := make([]Rec, 0, len(matches))
 	for i, m := range matches {
 		score := 0.4*norm(m.Score, maxRel) +
 			0.35*norm(nbOwn[m.Product.ID], maxNb) +
 			0.25*norm(contents[i], maxContent)
-		if known && owned[m.Product.ID] {
+		if _, own := c.find(m.Product.ID); own {
 			score *= 0.1 // owned: sink, don't hide
 		}
 		out = append(out, Rec{ProductID: m.Product.ID, Score: score, Source: "query-rerank"})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].ProductID < out[j].ProductID
-	})
-	if n >= 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out, nil
+	return topN(out, n, byScore), nil
 }

@@ -401,3 +401,43 @@ func TestStrategiesOnUniverse(t *testing.T) {
 		t.Error("CF found nothing at all")
 	}
 }
+
+// TestHugeWeightsScoreFinite: weights near 1e200, which evidence may carry,
+// square past the largest float64. The neighbour search still scores every
+// neighbour with a finite cosine, and finds the same neighbours at 1, 3 and
+// 16 shards, as shard-count invariance asks.
+func TestHugeWeightsScoreFinite(t *testing.T) {
+	with := func(id string, a, b float64) *profile.Profile {
+		p := profile.NewProfile(id)
+		p.Categories["c"] = &profile.Category{Name: "c", Terms: map[string]float64{"a": a, "b": b}}
+		return p
+	}
+	profs := []*profile.Profile{with("target", 1e200, 2e200), with("huge", 1e300, 2e300)}
+	for i := 0; i < 30; i++ {
+		profs = append(profs, with(fmt.Sprintf("u%02d", i), 1e200*float64(1+i), 1e200*float64(60-i)))
+	}
+	var want []similarity.Neighbor
+	for _, shards := range []int{1, 3, 16} {
+		e := NewEngine(catalog.New(), WithShards(shards), WithTolerance(1), WithNeighbors(5))
+		if err := e.SetProfiles(profs); err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.Neighbors("target", "c", SearchExact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nb := range got {
+			if math.IsNaN(nb.Score) || nb.Score <= 0 || nb.Score > 1+1e-12 {
+				t.Fatalf("%d shards: %s scores %v", shards, nb.UserID, nb.Score)
+			}
+		}
+		if len(got) != 5 || got[0].UserID != "huge" {
+			t.Fatalf("%d shards: neighbours %+v, want 5 led by huge", shards, got)
+		}
+		if want == nil {
+			want = got
+		} else if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%d shards: neighbours %+v, want %+v as at 1 shard", shards, got, want)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -190,6 +191,78 @@ func FuzzRecoverShard(f *testing.F) {
 	})
 }
 
+// TestNonFiniteWeightsRefused: a caller-built profile with a NaN or
+// infinite term weight is refused with profile.ErrBadEvidence on a
+// memory-only and a durable engine alike, and leaves the feed and memory as
+// they were: the durable engine could not journal it as JSON, and the
+// memory-only one would serve NaN similarity from it. A negative weight,
+// which a journal may already hold, is still installed, and reopens.
+func TestNonFiniteWeightsRefused(t *testing.T) {
+	withWeight := func(user string, w float64, sub bool) *profile.Profile {
+		p := profile.NewProfile(user)
+		cat := &profile.Category{Name: "laptop", Terms: map[string]float64{"ssd": 1}}
+		if sub {
+			cat.Subs = map[string]*profile.SubCategory{"gaming": {Name: "gaming", Terms: map[string]float64{"gpu": w}}}
+		} else {
+			cat.Terms["fan"] = w
+		}
+		p.Categories["laptop"] = cat
+		return p
+	}
+	var refused []*profile.Profile
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		refused = append(refused, withWeight("alice", w, false), withWeight("alice", w, true))
+	}
+	for _, tc := range []struct {
+		name string
+		opts func(dir string) []Option
+	}{
+		{"memory", func(string) []Option { return nil }},
+		{"durable", func(dir string) []Option { return []Option{WithJournalFeed(0), WithPersistence(dir)} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			e, err := Open(catalog.New(), tc.opts(dir)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			heads := e.FeedHeads()
+			for _, p := range refused {
+				if err := e.SetProfile(p); !errors.Is(err, profile.ErrBadEvidence) {
+					t.Errorf("SetProfile(%v) = %v, want ErrBadEvidence", p.Categories["laptop"], err)
+				}
+				if err := e.SetProfiles([]*profile.Profile{withWeight("bob", 1, false), p}); !errors.Is(err, profile.ErrBadEvidence) {
+					t.Errorf("SetProfiles with %v = %v, want ErrBadEvidence", p.Categories["laptop"], err)
+				}
+			}
+			if users := e.Users(); len(users) != 0 {
+				t.Errorf("refused writes installed %v", users)
+			}
+			if got := e.FeedHeads(); !slices.Equal(got, heads) {
+				t.Errorf("refused writes moved the feed: %v -> %v", heads, got)
+			}
+			if err := e.SetProfile(withWeight("carol", -2, true)); err != nil {
+				t.Fatalf("a negative weight: %v", err)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			e, err = Open(catalog.New(), tc.opts(dir)...)
+			if err != nil {
+				t.Fatalf("reopening after the refused writes: %v", err)
+			}
+			defer e.Close()
+			want := []string{"carol"}
+			if tc.name == "memory" {
+				want = nil
+			}
+			if users := e.Users(); !slices.Equal(users, want) {
+				t.Errorf("reopened with %v, want %v", users, want)
+			}
+		})
+	}
+}
+
 // TestInvalidUTF8KeysRefused: a write naming a consumer, product or profile
 // key that is not valid UTF-8 is refused with ErrBadKey on a memory-only and
 // a durable engine alike, and leaves the journal, the feed and memory as
@@ -367,8 +440,8 @@ func TestEmptiedBucketsOpen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopening after a shard was emptied: %v", err)
 	}
-	if got := e.Users(); !slices.Equal(got, want) || len(e.shards[2].profiles) != 0 {
-		t.Fatalf("reopened with %d users, %d in the emptied shard; want %d, 0", len(got), len(e.shards[2].profiles), len(want))
+	if got := e.Users(); !slices.Equal(got, want) || len(e.shards[2].consumers) != 0 {
+		t.Fatalf("reopened with %d users, %d in the emptied shard; want %d, 0", len(got), len(e.shards[2].consumers), len(want))
 	}
 	e.Close()
 

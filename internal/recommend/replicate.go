@@ -64,7 +64,7 @@ type JournalRecord struct {
 	Profiles  [][]byte `json:"profiles,omitempty"` // OpProfiles: marshaled profiles, install order
 	UserID    string   `json:"user,omitempty"`     // OpPurchase
 	ProductID string   `json:"product,omitempty"`  // OpPurchase
-	// OpPurchase: the time the owner's purchase set kept (absent = undated);
+	// OpPurchase: the time the owner's purchase list kept (absent = undated);
 	// a follower installs it as is.
 	AtEpochMS int64 `json:"at_epoch_ms,omitempty"`
 }
@@ -280,17 +280,6 @@ func (e *Engine) FeedHeads() []uint64 {
 		out[s] = e.feed.next(s) - 1
 	}
 	return out
-}
-
-// stateLocked returns sh's live state. Caller holds sh.mu (read suffices:
-// writers are excluded, so memory, journal, and feed agree); the returned
-// maps are the shard's own and must not be mutated.
-func (sh *shard) stateLocked() ShardData {
-	profs := make([]*profile.Profile, 0, len(sh.profiles))
-	for _, st := range sh.profiles {
-		profs = append(profs, st.prof)
-	}
-	return ShardData{Profiles: profs, Purchases: sh.purchases, Sells: sh.sells}
 }
 
 // applyJournalRecord applies one replicated mutation to shard, through the

@@ -51,20 +51,57 @@ func fnv32a(s string) uint32 {
 	return h
 }
 
-// stored pairs an installed profile with its precomputed fingerprint. Both
-// are immutable once installed: SetProfile replaces the whole entry.
-type stored struct {
-	prof *profile.Profile
-	sum  *profile.Summary
+// purchase is one entry of a consumer's purchase list: a product and the
+// time of their latest purchase of it (at_epoch_ms, 0 = undated).
+type purchase struct {
+	product string
+	at      int64
 }
 
-// shard is one partition of the community: the profiles and purchase
-// histories of the consumers that hash here.
+// consumer is everything a shard holds of one consumer: their profile with
+// its precomputed fingerprint, and their purchases. A record is immutable
+// once a shard installs it: every write installs a new record, sharing what
+// it did not change, so views share records and never copy them.
+type consumer struct {
+	prof   *profile.Profile // nil: purchases only
+	sum    *profile.Summary // nil with prof
+	bought []purchase       // ascending by product; each entry keeps the latest at_epoch_ms
+}
+
+// find returns where productID sits, or would sit, in c's purchase list,
+// and whether c bought it: "already owned" is this binary search. A nil
+// record has bought nothing.
+func (c *consumer) find(productID string) (int, bool) {
+	if c == nil {
+		return 0, false
+	}
+	return slices.BinarySearchFunc(c.bought, productID, func(p purchase, id string) int {
+		return strings.Compare(p.product, id)
+	})
+}
+
+// withPurchase returns a new record: c (nil: a consumer the shard does not
+// hold yet) with a copy of its purchase list holding p at i, in place of the
+// entry there when again.
+func (c *consumer) withPurchase(i int, again bool, p purchase) *consumer {
+	nc := &consumer{}
+	if c != nil {
+		*nc = *c
+	}
+	rest := nc.bought[i:]
+	if again {
+		rest = rest[1:]
+	}
+	nc.bought = append(append(append(make([]purchase, 0, len(nc.bought)+1), nc.bought[:i]...), p), rest...)
+	return nc
+}
+
+// shard is one partition of the community: the records of the consumers
+// that hash here.
 type shard struct {
 	mu        sync.RWMutex
-	profiles  map[string]*stored
-	purchases map[string]map[string]int64 // user -> product -> at_epoch_ms of the latest purchase (0 = undated)
-	sells     map[string]int64            // product -> sales by THIS shard's users
+	consumers map[string]*consumer
+	sells     map[string]int64 // product -> sales by THIS shard's users
 
 	id int // position in Engine.shards, names persister buckets
 
@@ -85,15 +122,14 @@ type shard struct {
 func newShard(id int) *shard {
 	return &shard{
 		id:        id,
-		profiles:  make(map[string]*stored),
-		purchases: make(map[string]map[string]int64),
+		consumers: make(map[string]*consumer),
 		sells:     make(map[string]int64),
 	}
 }
 
-// noteWrite records that userID's profile or purchase set changed, for the
-// next view build. Caller holds mu for writing. The log is bounded: a shard
-// written viewLogCap times with no reader between gives its cached view up.
+// noteWrite records that userID's record was replaced, for the next view
+// build. Caller holds mu for writing. The log is bounded: a shard written
+// viewLogCap times with no reader between gives its cached view up.
 func (sh *shard) noteWrite(userID string) {
 	if sh.view.Load() == nil {
 		return
@@ -106,45 +142,35 @@ func (sh *shard) noteWrite(userID string) {
 }
 
 // dropView forgets the cached view, so the next reader builds from the shard
-// maps alone: for writes that replace the maps wholesale. Views readers
+// map alone: for writes that replace the map wholesale. Views readers
 // already hold are untouched. Caller holds mu for writing.
 func (sh *shard) dropView() {
 	sh.view.Store(nil)
 	sh.dirty = sh.dirty[:0]
 }
 
-// viewEntry is one consumer as a view holds them. st is nil for a consumer
-// with purchases and no profile, bought nil for one who has bought nothing.
-// bought carries ownership only — the CF read path never asks when — and,
-// like st, is never written once a view holds it.
-type viewEntry struct {
-	st     *stored
-	bought map[string]bool
-}
-
 // viewBase is the bulk of a view: every consumer of the shard as of some
 // build, shared unchanged by each view patched from it.
 type viewBase struct {
-	profiles  map[string]*stored
-	purchases map[string]map[string]bool
+	consumers map[string]*consumer
 
 	orderOnce sync.Once
-	order     []*stored // profiles' entries by UserID; see shardView.inOrder
-	cats      catLists  // see shardView.inCategory
+	order     []*profile.Summary // see shardView.inOrder
+	cats      catLists           // see shardView.inCategory
 }
 
 // shardView is an immutable snapshot of one shard: a base, and over it the
-// consumers written since the base was built, whose entries win. Nothing in
+// consumers written since the base was built, whose records win. Nothing in
 // a view is ever written after it is published, so a reader holding one
 // keeps reading exactly what it read first whatever the shard does next.
 type shardView struct {
 	gen  uint64
 	base *viewBase
-	over map[string]viewEntry // at most viewOverlayCap consumers
+	over map[string]*consumer // at most viewOverlayCap consumers
 
 	orderOnce sync.Once
-	order     []*stored // see inOrder
-	cats      catLists  // see inCategory
+	order     []*profile.Summary // see inOrder
+	cats      catLists           // see inCategory
 }
 
 // catLists holds the category lists a view or a base has built so far. A
@@ -186,61 +212,64 @@ func candidateOf(sum *profile.Summary, ty float64) similarity.Candidate {
 	return similarity.Candidate{UserID: sum.UserID, Vec: sum.Vec, Ty: ty, Norm: sum.Norm}
 }
 
-// stored returns the view's profile entry for userID, nil when it has none.
-func (v *shardView) stored(userID string) *stored {
-	if len(v.over) != 0 {
-		if e, ok := v.over[userID]; ok {
-			return e.st
-		}
+// consumer returns the view's record for userID, nil when it has none.
+func (v *shardView) consumer(userID string) *consumer {
+	if c, ok := v.over[userID]; ok {
+		return c
 	}
-	return v.base.profiles[userID]
+	return v.base.consumers[userID]
 }
 
-// bought returns the view's purchase set for userID, nil when it has none.
-func (v *shardView) bought(userID string) map[string]bool {
-	if len(v.over) != 0 {
-		if e, ok := v.over[userID]; ok {
-			return e.bought
+// resummarized returns, sorted, the overlay's consumers whose summary is not
+// the one the base holds (a profile install; a purchase keeps the summary)
+// and for which keep holds of the old or the new summary.
+func (v *shardView) resummarized(keep func(*profile.Summary) bool) []string {
+	var ids []string
+	for id, c := range v.over {
+		var old *profile.Summary
+		if b := v.base.consumers[id]; b != nil {
+			old = b.sum
+		}
+		if c.sum != old && (keep(old) || keep(c.sum)) {
+			ids = append(ids, id)
 		}
 	}
-	return v.base.purchases[userID]
+	slices.Sort(ids)
+	return ids
 }
 
-// inOrder returns the view's profile entries in UserID order, for the
-// readers that walk every consumer: above all the full-community neighbour
-// scan. Consumers are summarized in the order they arrive, so walking them
-// by id walks their vectors roughly in address order, where ranging over the
-// map jumps about the heap, differently on every run. The order is worked
-// out on the first read that asks: sorted once per base, and per view one
-// copy of that with the overlay's few consumers spliced in.
-func (v *shardView) inOrder() []*stored {
+// inOrder returns the view's summaries in UserID order, for the readers
+// that walk every consumer with a profile: above all the full-community
+// neighbour scan. Consumers are summarized in the order they arrive, so
+// walking them by id walks their vectors roughly in address order, where
+// ranging over the map jumps about the heap, differently on every run. The
+// order is worked out on the first read that asks: sorted once per base,
+// and per view one copy of that with the overlay's re-summarized consumers
+// spliced in.
+func (v *shardView) inOrder() []*profile.Summary {
 	v.orderOnce.Do(func() {
 		v.order = v.base.inOrder()
-		if len(v.over) == 0 {
+		ids := v.resummarized(func(s *profile.Summary) bool { return s != nil })
+		if len(ids) == 0 {
 			return
 		}
-		ids := make([]string, 0, len(v.over))
-		for id, e := range v.over {
-			if e.st != nil {
-				ids = append(ids, id)
-			}
-		}
-		slices.Sort(ids)
 		v.order = spliceByID(v.order, ids,
-			func(st *stored) string { return st.sum.UserID },
-			func(id string) (*stored, bool) { return v.over[id].st, true })
+			func(s *profile.Summary) string { return s.UserID },
+			func(id string) (*profile.Summary, bool) { s := v.over[id].sum; return s, s != nil })
 	})
 	return v.order
 }
 
-// inOrder returns the base's profile entries in UserID order.
-func (b *viewBase) inOrder() []*stored {
+// inOrder returns the base's summaries in UserID order.
+func (b *viewBase) inOrder() []*profile.Summary {
 	b.orderOnce.Do(func() {
-		b.order = make([]*stored, 0, len(b.profiles))
-		for _, st := range b.profiles {
-			b.order = append(b.order, st)
+		b.order = make([]*profile.Summary, 0, len(b.consumers))
+		for _, c := range b.consumers {
+			if c.sum != nil {
+				b.order = append(b.order, c.sum)
+			}
 		}
-		slices.SortFunc(b.order, func(a, b *stored) int { return strings.Compare(a.sum.UserID, b.sum.UserID) })
+		slices.SortFunc(b.order, func(a, b *profile.Summary) int { return strings.Compare(a.UserID, b.UserID) })
 	})
 	return b.order
 }
@@ -258,25 +287,19 @@ func (v *shardView) inCategory(cat string) []similarity.Candidate {
 		return list
 	}
 	return v.cats.get(cat, func() []similarity.Candidate {
-		has := func(st *stored) bool { return st != nil && st.sum.Prefs[cat] > 0 }
-		var ids []string
-		for id, e := range v.over {
-			if old := v.base.profiles[id]; e.st != old && (has(old) || has(e.st)) {
-				ids = append(ids, id)
-			}
-		}
+		has := func(s *profile.Summary) bool { return s != nil && s.Prefs[cat] > 0 }
+		ids := v.resummarized(has)
 		if len(ids) == 0 {
 			return list
 		}
-		slices.Sort(ids)
 		return spliceByID(list, ids,
 			func(c similarity.Candidate) string { return c.UserID },
 			func(id string) (similarity.Candidate, bool) {
-				st := v.over[id].st
-				if !has(st) {
+				s := v.over[id].sum
+				if !has(s) {
 					return similarity.Candidate{}, false
 				}
-				return candidateOf(st.sum, st.sum.Prefs[cat]), true
+				return candidateOf(s, s.Prefs[cat]), true
 			})
 	})
 }
@@ -285,9 +308,9 @@ func (v *shardView) inCategory(cat string) []similarity.Candidate {
 func (b *viewBase) inCategory(cat string) []similarity.Candidate {
 	return b.cats.get(cat, func() []similarity.Candidate {
 		var list []similarity.Candidate
-		for _, st := range b.inOrder() {
-			if ty := st.sum.Prefs[cat]; ty > 0 {
-				list = append(list, candidateOf(st.sum, ty))
+		for _, s := range b.inOrder() {
+			if ty := s.Prefs[cat]; ty > 0 {
+				list = append(list, candidateOf(s, ty))
 			}
 		}
 		return list
@@ -352,56 +375,28 @@ func (sh *shard) snapshot() *shardView {
 }
 
 // newBase copies the shard as it stands: the O(shard) build, which only the
-// first reader of a shard, or of one whose view was dropped, pays. Stored
-// profiles are shared (they are immutable in place); purchase sets are
-// copied down to ownership so later RecordPurchase calls cannot tear a
-// reader. Caller holds mu.
+// first reader of a shard, or of one whose view was dropped, pays. It clones
+// one map of pointers: records are immutable, so the base shares every one.
+// Caller holds mu.
 func (sh *shard) newBase() *viewBase {
-	b := &viewBase{
-		profiles:  maps.Clone(sh.profiles),
-		purchases: make(map[string]map[string]bool, len(sh.purchases)),
-	}
-	for id, set := range sh.purchases {
-		b.purchases[id] = ownership(set)
-	}
-	return b
-}
-
-// ownership is a purchase set without its times, in a map of its own.
-func ownership(set map[string]int64) map[string]bool {
-	if set == nil {
-		return nil
-	}
-	cp := make(map[string]bool, len(set))
-	for pid := range set {
-		cp[pid] = true
-	}
-	return cp
+	return &viewBase{consumers: maps.Clone(sh.consumers)}
 }
 
 // patched returns prev's overlay brought up to date: a copy of it with every
-// consumer in the dirty log read again from the shard maps. Caller holds mu.
-func (sh *shard) patched(prev *shardView) map[string]viewEntry {
-	over := make(map[string]viewEntry, len(prev.over)+len(sh.dirty))
+// consumer in the dirty log read again from the shard map. Caller holds mu.
+func (sh *shard) patched(prev *shardView) map[string]*consumer {
+	over := make(map[string]*consumer, len(prev.over)+len(sh.dirty))
 	maps.Copy(over, prev.over)
 	for _, id := range sh.dirty {
-		over[id] = viewEntry{st: sh.profiles[id], bought: ownership(sh.purchases[id])}
+		over[id] = sh.consumers[id]
 	}
 	return over
 }
 
-// folded returns a base holding b with over applied. It copies two maps of
-// pointers; every consumer over does not name keeps the very purchase set b
-// holds, which nothing writes.
-func (b *viewBase) folded(over map[string]viewEntry) *viewBase {
-	nb := &viewBase{profiles: maps.Clone(b.profiles), purchases: maps.Clone(b.purchases)}
-	for id, e := range over {
-		if e.st != nil {
-			nb.profiles[id] = e.st
-		}
-		if e.bought != nil {
-			nb.purchases[id] = e.bought
-		}
-	}
+// folded returns a base holding b with over applied. It clones one map of
+// pointers; every consumer over does not name keeps the very record b holds.
+func (b *viewBase) folded(over map[string]*consumer) *viewBase {
+	nb := &viewBase{consumers: maps.Clone(b.consumers)}
+	maps.Copy(nb.consumers, over)
 	return nb
 }

@@ -96,7 +96,7 @@ func snapshotReads(snap *Snapshot, want community, ids []string) error {
 	}
 	scan := slices.Collect(snap.candidates(""))
 	for _, c := range scan {
-		if st := snap.stored(c.UserID); st == nil || st.sum.Vec != c.Vec {
+		if st := snap.profiled(c.UserID); st == nil || st.sum.Vec != c.Vec {
 			return fmt.Errorf("candidates() yields a summary of %s the snapshot does not hold", c.UserID)
 		}
 	}
@@ -122,7 +122,7 @@ func snapshotReads(snap *Snapshot, want community, ids []string) error {
 			got := make([]string, len(list))
 			for j, c := range list {
 				got[j] = c.UserID
-				if st := snap.stored(c.UserID); st == nil || st.sum.Vec != c.Vec || st.sum.Prefs[cat] != c.Ty {
+				if st := snap.profiled(c.UserID); st == nil || st.sum.Vec != c.Vec || st.sum.Prefs[cat] != c.Ty {
 					return fmt.Errorf("shard %d's %s list holds a candidate %s the snapshot does not", i, cat, c.UserID)
 				}
 			}
@@ -164,7 +164,7 @@ func checkCategoryStreams(snap *Snapshot) error {
 func snapCategories(snap *Snapshot) []string {
 	var cats []string
 	for c := range snap.candidates("") {
-		for cat := range snap.stored(c.UserID).sum.Prefs {
+		for cat := range snap.profiled(c.UserID).sum.Prefs {
 			cats = append(cats, cat)
 		}
 	}
@@ -248,7 +248,7 @@ func TestPatchedViewEqualsRebuiltView(t *testing.T) {
 						// and folds views.
 						for _, cat := range viewCategories {
 							for c := range snap.inCategory(cat) {
-								if st := snap.stored(c.UserID); st == nil || st.sum.Prefs[cat] != c.Ty || c.Ty <= 0 {
+								if st := snap.profiled(c.UserID); st == nil || st.sum.Prefs[cat] != c.Ty || c.Ty <= 0 {
 									t.Errorf("reader: %s streams %s, whom the snapshot does not hold with evidence there", cat, c.UserID)
 									return
 								}
@@ -403,12 +403,12 @@ func oneShard(t testing.TB, n int) (*Engine, []string) {
 	return e, ids
 }
 
-// superseded counts the profile records v keeps reachable though a later
-// install replaced them: the price of sharing a base between views.
+// superseded counts the records v keeps reachable though a later write
+// replaced them: the price of sharing a base between views.
 func superseded(v *shardView) int {
 	n := 0
-	for id, e := range v.over {
-		if old := v.base.profiles[id]; old != nil && old != e.st {
+	for id, c := range v.over {
+		if old := v.base.consumers[id]; old != nil && old != c {
 			n++
 		}
 	}
@@ -416,9 +416,11 @@ func superseded(v *shardView) int {
 }
 
 // TestSnapshotAfterWriteIsConstantWork: the first read after a write costs
-// the consumers written, not the shard. The parent copied the shard — on
-// 2 000 consumers, 2 000 purchase sets and two maps, a little over 2 000
-// allocations — for every one of these.
+// the consumers written, not the shard. Copying the shard — on 2 000
+// consumers, 2 000 purchase sets and two maps, a little over 2 000
+// allocations — for every one of these is what views replaced. A purchase
+// and the read after it measure 7 allocations, and the ceiling is that
+// + 2 %.
 func TestSnapshotAfterWriteIsConstantWork(t *testing.T) {
 	e, ids := oneShard(t, 2000)
 	before := e.Stats()
@@ -429,7 +431,7 @@ func TestSnapshotAfterWriteIsConstantWork(t *testing.T) {
 		}
 		e.Snapshot()
 	})
-	if allocs > 16 {
+	if allocs > 8 {
 		t.Errorf("a purchase and the Snapshot() after it make %.0f allocations on a 2 000-consumer shard, want a small constant", allocs)
 	}
 	after := e.Stats()
@@ -443,8 +445,8 @@ func TestSnapshotAfterWriteIsConstantWork(t *testing.T) {
 
 // TestViewRetentionIsBounded: however often consumers are overwritten, a
 // shard's view keeps at most viewOverlayCap superseded records reachable,
-// and folding an overlay into a new base shares every purchase set it did
-// not touch.
+// and folding an overlay into a new base shares every record it did not
+// touch.
 func TestViewRetentionIsBounded(t *testing.T) {
 	e, ids := oneShard(t, 200)
 	sh := e.shards[0]
@@ -465,7 +467,7 @@ func TestViewRetentionIsBounded(t *testing.T) {
 	}
 
 	quiet := ids[len(ids)-1]
-	set := reflect.ValueOf(e.Snapshot().Purchases(quiet)).Pointer()
+	record := e.Snapshot().viewFor(quiet).consumer(quiet)
 	for i := 0; i < 10000; i++ {
 		if err := e.SetProfile(viewProfile(t, ids[i%40], i)); err != nil {
 			t.Fatal(err)
@@ -478,8 +480,8 @@ func TestViewRetentionIsBounded(t *testing.T) {
 	if folds := e.Stats().ViewRebuilds - st.ViewRebuilds; folds < 10000/40 {
 		t.Fatalf("overlay folded %d times over 10 000 writes round 40 consumers", folds)
 	}
-	if got := reflect.ValueOf(e.Snapshot().Purchases(quiet)).Pointer(); got != set {
-		t.Error("folding the overlay copied the purchase set of a consumer nobody wrote")
+	if e.Snapshot().viewFor(quiet).consumer(quiet) != record {
+		t.Error("folding the overlay copied the record of a consumer nobody wrote")
 	}
 }
 

@@ -29,10 +29,10 @@ package recommend
 import (
 	"encoding/base64"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
-
-	"agentrec/internal/profile"
 )
 
 // SellCount is one product's sell total attributed to the paged shard, the
@@ -161,8 +161,7 @@ func (e *Engine) SnapshotPage(shard int, epoch, seq uint64, token string, maxByt
 	if err != nil {
 		return SnapshotPage{}, err
 	}
-	data := sh.stateLocked()
-	profs, purchases, sells := data.Profiles, data.Purchases, data.Sells
+	ids := slices.Sorted(maps.Keys(sh.consumers))
 
 	pg := SnapshotPage{Shards: e.nshards, Epoch: epoch, Seq: seq}
 	used := 0
@@ -179,21 +178,15 @@ func (e *Engine) SnapshotPage(shard int, epoch, seq uint64, token string, maxByt
 	}
 
 	if section == pageSecProfiles {
-		ids := make([]string, 0, len(profs))
-		byID := make(map[string]*profile.Profile, len(profs))
-		for _, p := range profs {
-			if p.UserID < startKey {
+		for _, id := range ids[sort.SearchStrings(ids, startKey):] {
+			p := sh.consumers[id].prof
+			if p == nil {
 				continue
 			}
-			ids = append(ids, p.UserID)
-			byID[p.UserID] = p
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
 			// Marshal lazily: once the page closes, the remaining profiles
 			// (potentially the whole tail of a large shard) are never
 			// encoded on this request.
-			enc, err := byID[id].Marshal()
+			enc, err := p.Marshal()
 			if err != nil {
 				return SnapshotPage{}, fmt.Errorf("recommend: encoding profile %s for snapshot page: %w", id, err)
 			}
@@ -206,37 +199,31 @@ func (e *Engine) SnapshotPage(shard int, epoch, seq uint64, token string, maxByt
 	}
 
 	if section == pageSecPurchases {
-		pairs := make([]PurchasePair, 0, len(purchases))
-		for user, set := range purchases {
-			for pid, at := range set {
-				pp := PurchasePair{UserID: user, ProductID: pid, AtEpochMS: at}
-				if purchaseKey(pp) >= startKey {
-					pairs = append(pairs, pp)
+		// Ids hold no NUL (validID), so (consumer, product) order is
+		// purchaseKey order: the pairs from startKey on are its consumer's
+		// from its product on, then every later consumer's.
+		user, product, _ := strings.Cut(startKey, "\x00")
+		for _, id := range ids[sort.SearchStrings(ids, user):] {
+			for _, b := range sh.consumers[id].bought {
+				if id == user && b.product < product {
+					continue
 				}
+				pp := PurchasePair{UserID: id, ProductID: b.product, AtEpochMS: b.at}
+				if !fits(purchaseEntryCost(pp), pageSecPurchases, purchaseKey(pp)) {
+					return pg, nil
+				}
+				pg.Purchases = append(pg.Purchases, pp)
 			}
-		}
-		sort.Slice(pairs, func(i, j int) bool { return purchaseKey(pairs[i]) < purchaseKey(pairs[j]) })
-		for _, pp := range pairs {
-			if !fits(purchaseEntryCost(pp), pageSecPurchases, purchaseKey(pp)) {
-				return pg, nil
-			}
-			pg.Purchases = append(pg.Purchases, pp)
 		}
 		startKey = ""
 	}
 
-	pids := make([]string, 0, len(sells))
-	for pid := range sells {
-		if pid >= startKey {
-			pids = append(pids, pid)
-		}
-	}
-	sort.Strings(pids)
-	for _, pid := range pids {
+	pids := slices.Sorted(maps.Keys(sh.sells))
+	for _, pid := range pids[sort.SearchStrings(pids, startKey):] {
 		if !fits(sellEntryCost(pid), pageSecSells, pid) {
 			return pg, nil
 		}
-		pg.Sells = append(pg.Sells, SellCount{ProductID: pid, Total: sells[pid]})
+		pg.Sells = append(pg.Sells, SellCount{ProductID: pid, Total: sh.sells[pid]})
 	}
 	return pg, nil // Next stays empty: the snapshot is complete
 }

@@ -20,14 +20,26 @@ import (
 // replies leave real lag in Stats. The TCP end of the protocol is tested in
 // internal/replnet.
 
-// liveShard returns shard's live state (shard.stateLocked), the reference a
-// paged transfer is compared against. The maps are the shard's own.
+// liveShard returns shard's live state as ShardData, the reference a paged
+// transfer is compared against. The sell map is the shard's own.
 func liveShard(t *testing.T, e *Engine, shard int) ShardData {
 	t.Helper()
 	sh := e.shards[shard]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.stateLocked()
+	data := ShardData{Purchases: make(map[string]map[string]int64), Sells: sh.sells}
+	for id, c := range sh.consumers {
+		if c.prof != nil {
+			data.Profiles = append(data.Profiles, c.prof)
+		}
+		for _, p := range c.bought {
+			if data.Purchases[id] == nil {
+				data.Purchases[id] = make(map[string]int64)
+			}
+			data.Purchases[id][p.product] = p.at
+		}
+	}
+	return data
 }
 
 // pagedShard returns the shard of e that holds the most consumers, with the

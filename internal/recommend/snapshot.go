@@ -15,18 +15,17 @@ import (
 // Profile Agents install profiles and record purchases concurrently —
 // readers never hold a lock while scoring.
 //
-// Consistency is per shard: each shard's profiles and purchases are a
-// coherent pair (a consumer's profile and own purchases always agree,
-// since both live in the consumer's shard); cross-shard skew is bounded by
-// the writes that landed while the snapshot was being assembled.
+// Consistency is per shard: a consumer's profile and own purchases are one
+// record in the consumer's shard, so they always agree; cross-shard skew is
+// bounded by the writes that landed while the snapshot was being assembled.
 //
-// Accessors return shared internal state. Callers must treat returned
-// profiles and purchase sets as read-only.
+// Profile returns shared internal state, which callers must treat as
+// read-only; Purchases builds a map of the caller's own.
 //
 // A Snapshot also remembers its last neighbour search (lastSearch), so the
 // Fig 4.2 task's re-rank and cross-sell, which ask for the same neighbours
 // of the same consumer, search once. The memo needs no invalidation: its
-// key names the target's entry in this immutable view, and the snapshot —
+// key names the target's record in this immutable view, and the snapshot —
 // memo included — dies with the request that took it.
 type Snapshot struct {
 	views      []*shardView
@@ -35,7 +34,7 @@ type Snapshot struct {
 
 // neighborKey names one neighbour search against a snapshot.
 type neighborKey struct {
-	target *stored
+	target *consumer
 	cat    string
 	tol    float64
 }
@@ -66,24 +65,36 @@ func (s *Snapshot) viewFor(userID string) *shardView {
 	return s.views[s.shardIdx(userID)]
 }
 
-// stored returns the profile entry for userID, or nil when unknown.
-func (s *Snapshot) stored(userID string) *stored {
-	return s.viewFor(userID).stored(userID)
+// profiled returns userID's record when it holds a profile, else nil.
+func (s *Snapshot) profiled(userID string) *consumer {
+	if c := s.viewFor(userID).consumer(userID); c != nil && c.prof != nil {
+		return c
+	}
+	return nil
 }
 
 // Profile returns the profile stored for userID, or nil when unknown. The
 // returned profile is shared and must not be mutated.
 func (s *Snapshot) Profile(userID string) *profile.Profile {
-	if st := s.stored(userID); st != nil {
-		return st.prof
+	if c := s.profiled(userID); c != nil {
+		return c.prof
 	}
 	return nil
 }
 
-// Purchases returns userID's purchase set in this view (nil when none).
-// The returned set is shared and must not be mutated.
+// Purchases returns userID's purchase set in this view, nil when they have
+// bought nothing: a map built on each call from their record, and the
+// caller's own.
 func (s *Snapshot) Purchases(userID string) map[string]bool {
-	return s.viewFor(userID).bought(userID)
+	c := s.viewFor(userID).consumer(userID)
+	if c == nil || len(c.bought) == 0 {
+		return nil
+	}
+	set := make(map[string]bool, len(c.bought))
+	for _, p := range c.bought {
+		set[p.product] = true
+	}
+	return set
 }
 
 // Users returns the ids of all consumers with a profile in the view,
@@ -91,8 +102,8 @@ func (s *Snapshot) Purchases(userID string) map[string]bool {
 func (s *Snapshot) Users() []string {
 	var out []string
 	for _, v := range s.views {
-		for _, st := range v.inOrder() {
-			out = append(out, st.sum.UserID)
+		for _, sum := range v.inOrder() {
+			out = append(out, sum.UserID)
 		}
 	}
 	sort.Strings(out)
@@ -115,8 +126,8 @@ func (s *Snapshot) Len() int {
 func (s *Snapshot) candidates(category string) iter.Seq[similarity.Candidate] {
 	return func(yield func(similarity.Candidate) bool) {
 		for _, v := range s.views {
-			for _, st := range v.inOrder() {
-				if !yield(candidateOf(st.sum, st.sum.Prefs[category])) {
+			for _, sum := range v.inOrder() {
+				if !yield(candidateOf(sum, sum.Prefs[category])) {
 					return
 				}
 			}

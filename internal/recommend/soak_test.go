@@ -242,7 +242,7 @@ func TestIndexedNeighborsMatchFullScan(t *testing.T) {
 
 	snap := e.Snapshot()
 	for _, target := range profiles {
-		st := snap.stored(target.UserID)
+		st := snap.profiled(target.UserID)
 		if st == nil {
 			t.Fatalf("missing %s", target.UserID)
 		}
@@ -399,7 +399,7 @@ func TestIndexCandidatesReconcileWithSnapshot(t *testing.T) {
 			t.Fatal("post-snapshot consumer enumerated from old snapshot")
 		}
 		if c.UserID == moved {
-			stayed = c.Vec == snap.stored(moved).sum.Vec
+			stayed = c.Vec == snap.profiled(moved).sum.Vec
 		}
 	}
 	if !stayed {
