@@ -20,7 +20,7 @@ import (
 var Errflow = &Analyzer{
 	Name: "errflow",
 	Doc: "error returns of the write API, kvstore accessors, and the ownership fence must be used\n\n" +
-		"Flags statement-position calls that discard the error result of SetProfile/SetProfiles/RecordPurchase/" +
+		"Flags statement-position calls that discard the error result of SetProfile/SetProfiles/Observe/RecordPurchase/" +
 		"RecordPurchaseAt (any Writer implementation), exported kvstore.Store methods, and OwnershipTable.Fence. " +
 		"An explicit `_ =` discard is visible to reviewers and allowed.",
 	Run: runErrflow,
@@ -32,6 +32,7 @@ var Errflow = &Analyzer{
 var writeAPINames = map[string]bool{
 	"SetProfile":       true,
 	"SetProfiles":      true,
+	"Observe":          true,
 	"RecordPurchase":   true,
 	"RecordPurchaseAt": true,
 }

@@ -35,7 +35,7 @@ var Wiretag = &Analyzer{
 var wireRoots = map[string][]string{
 	opsPath:                         {"*"},
 	recommendPath:                   {"JournalRecord", "TailResult", "SnapshotPage", "OwnershipMap"},
-	replnetPath:                     {"tailRequest", "snapPageRequest", "setProfilesRequest", "purchaseRequest", "OwnerMapInfo"},
+	replnetPath:                     {"tailRequest", "snapPageRequest", "setProfilesRequest", "observeRequest", "purchaseRequest", "OwnerMapInfo"},
 	"agentrec/internal/coordinator": {"LeaseRequest", "LeaseGrant"},
 	"agentrec/internal/loadgen":     {"ScenarioResult", "Scenario"},
 }

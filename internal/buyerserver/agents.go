@@ -3,7 +3,6 @@ package buyerserver
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"time"
 
@@ -164,11 +163,7 @@ func (a *bsmaAgent) register(_ *aglet.Context, req userReq) (aglet.Message, erro
 	if err := s.userDB.EncodeJSON(bucketUsers, userID, rec); err != nil {
 		return aglet.Message{}, err
 	}
-	p := profile.NewProfile(userID)
-	if err := s.storeProfile(p); err != nil {
-		return aglet.Message{}, err
-	}
-	if err := s.writes.SetProfile(p); err != nil {
+	if err := s.writes.SetProfile(profile.NewProfile(userID)); err != nil {
 		return aglet.Message{}, err
 	}
 	return aglet.Message{Kind: kindOK}, nil
@@ -465,9 +460,9 @@ func (a *braAgent) SetState(data []byte) error {
 func (s *Server) launch(_ *aglet.Context, req taskReq) (taskAck, error) {
 	wf := workflowName(req.Spec.Kind)
 	s.tracer.Record(wf, 4, "BRA", "UserDB", "load consumer profile")
-	// The MBA carries no profile, so only its existence matters here; the
-	// PA reads it where it is used (loadProfile).
-	if ok, err := s.userDB.Has(bucketProfiles, req.UserID); err != nil || !ok {
+	// The MBA carries no profile, so only the consumer's existence matters
+	// here; the profile lives in the engine, where the PA updates it.
+	if ok, err := s.userDB.Has(bucketUsers, req.UserID); err != nil || !ok {
 		return taskAck{}, fmt.Errorf("%w: %s", ErrUnknownUser, req.UserID)
 	}
 	s.tracer.Record(wf, 5, "UserDB", "BRA", "profile loaded")
@@ -547,9 +542,9 @@ func (s *Server) complete(ctx *aglet.Context, st mbaState) (aglet.Message, error
 // --- PA ---------------------------------------------------------------
 
 // paHandlers is the message table of the Profile Agent — exactly one per
-// mechanism (§3.3) — which applies the Fig 4.4 update rule for every
-// observed behaviour and keeps UserDB and the recommendation engine in
-// sync.
+// mechanism (§3.3) — which records each sale and has the Fig 4.4 update
+// rule applied to the consumer's one profile, the community engine's, for
+// every observed behaviour.
 func (s *Server) paHandlers() aglet.Handlers {
 	h := aglet.Handlers{}
 	aglet.On(h, kindObserve, s.updateProfile)
@@ -568,18 +563,12 @@ func observe(ctx *aglet.Context, batch observeBatch) error {
 	return err
 }
 
+// updateProfile records the batch's sales, then sends its evidence to the
+// shard owner, which applies the Fig 4.4 rule to the stored profile.
 func (s *Server) updateProfile(_ *aglet.Context, batch observeBatch) (aglet.Message, error) {
-	p, err := s.loadProfile(batch.UserID)
-	if err != nil {
-		if !errors.Is(err, ErrUnknownUser) {
-			return aglet.Message{}, err
-		}
-		p = profile.NewProfile(batch.UserID)
-	}
-	for _, ev := range batch.Events {
-		if err := p.Observe(ev.Evidence); err != nil {
-			return aglet.Message{}, err
-		}
+	evs := make([]profile.Evidence, len(batch.Events))
+	for i, ev := range batch.Events {
+		evs[i] = ev.Evidence
 		if ev.Sale != nil {
 			if err := s.writes.RecordPurchaseAt(batch.UserID, ev.Sale.ProductID, time.Now()); err != nil {
 				return aglet.Message{}, err
@@ -593,10 +582,7 @@ func (s *Server) updateProfile(_ *aglet.Context, batch observeBatch) (aglet.Mess
 	if batch.Step > 0 {
 		s.tracer.Record(batch.Workflow, batch.Step, "PA", "UserDB", "update consumer profile")
 	}
-	if err := s.storeProfile(p); err != nil {
-		return aglet.Message{}, err
-	}
-	if err := s.writes.SetProfile(p); err != nil {
+	if err := s.writes.Observe(batch.UserID, evs); err != nil {
 		return aglet.Message{}, err
 	}
 	return aglet.Message{Kind: kindOK}, nil
@@ -920,24 +906,4 @@ func (s *Server) httpaHandlers() aglet.Handlers {
 		return pass(ctx, aglet.Message{Kind: kindTask, Data: msg.Data})
 	}
 	return aglet.Handlers{kindHTTPTask: task, kindRegister: pass, kindLogin: pass, kindLogout: pass}
-}
-
-// --- profile storage helpers ------------------------------------------
-
-// loadProfile reads a consumer profile from UserDB.
-func (s *Server) loadProfile(userID string) (*profile.Profile, error) {
-	data, err := s.userDB.Get(bucketProfiles, userID)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownUser, userID)
-	}
-	return profile.Unmarshal(data)
-}
-
-// storeProfile writes a consumer profile to UserDB.
-func (s *Server) storeProfile(p *profile.Profile) error {
-	data, err := p.Marshal()
-	if err != nil {
-		return err
-	}
-	return s.userDB.Put(bucketProfiles, p.UserID, data)
 }

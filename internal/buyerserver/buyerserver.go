@@ -6,8 +6,8 @@
 //     management, BSMDB bookkeeping, MBA authentication on return.
 //   - HttpA, the web interface agent: translates web requests into agent
 //     messages (see http.go).
-//   - PA, the single Profile Agent: applies the Fig 4.4 update rule to
-//     consumer profiles on every observed behaviour.
+//   - PA, the single Profile Agent: has the Fig 4.4 update rule applied to
+//     the consumer's profile on every observed behaviour.
 //   - BRA, one Buyer Recommend Agent per online consumer: loads the
 //     profile, launches shopping tasks, generates recommendation
 //     information. Deactivated while its MBA travels (§4.1 principle 3).
@@ -15,8 +15,10 @@
 //     the task, then returns and authenticates to the BSMA (§4.1
 //     principle 2).
 //
-// plus UserDB (profiles, transactions, offline-result inbox) and BSMDB
+// plus UserDB (accounts, transactions, offline-result inbox) and BSMDB
 // (platform directory cache, MBA trip records) on the kvstore substrate.
+// A consumer's profile has one home, the community engine: the PA sends
+// its evidence to the shard owner, which applies the update.
 //
 // The three workflows of §4 are implemented end to end with the exact step
 // numbering of Figs 4.1–4.3; see workflows.go and the trace package.
@@ -49,10 +51,9 @@ const (
 
 // UserDB bucket names.
 const (
-	bucketUsers    = "users"
-	bucketProfiles = "profiles"
-	bucketTxns     = "txns"
-	bucketInbox    = "inbox"
+	bucketUsers = "users"
+	bucketTxns  = "txns"
+	bucketInbox = "inbox"
 )
 
 // BSMDB bucket names.
@@ -130,8 +131,8 @@ func WithMarkets(addrs ...string) Option {
 	return func(s *Server) { s.markets = append([]string(nil), addrs...) }
 }
 
-// WithCommunityWriter routes community writes — profile installs and
-// purchase records — through w instead of the local engine. This is the
+// WithCommunityWriter routes community writes — profile installs, the
+// PA's profile updates and purchase records — through w instead of the local engine. This is the
 // replication seam: in a multi-server deployment w is a recommend.Router
 // that forwards each write to the shard owner's server, while reads
 // (recommendations) keep answering from the local engine's replica.
@@ -140,7 +141,7 @@ func WithCommunityWriter(w recommend.Writer) Option {
 }
 
 // WithStateDir persists the mechanism's databases under dir (created if
-// absent): UserDB (accounts, profiles, transactions, inbox) in userdb.wal
+// absent): UserDB (accounts, transactions, inbox) in userdb.wal
 // and BSMDB (directory cache, MBA trip records) in bsmdb.wal, both
 // WAL-backed and recovered on New.
 func WithStateDir(dir string) Option {
@@ -295,8 +296,10 @@ func (s *Server) Close() error {
 // Like tasks, account operations enter the mechanism at HttpA, the web
 // interface agent, which hands them to the BSMA.
 
-// Register creates a consumer account and an empty profile. Per §4.1
-// principle 1, no BRA is created at registration.
+// Register creates a consumer account and an empty profile. The profile is
+// installed in the community engine, replacing any community profile the
+// consumer had before registering. Per §4.1 principle 1, no BRA is created
+// at registration.
 func (s *Server) Register(ctx context.Context, userID string) error {
 	_, err := s.sendHttpA(ctx, kindRegister, userReq{UserID: userID})
 	return err

@@ -12,6 +12,7 @@ import (
 	"agentrec/internal/catalog"
 	"agentrec/internal/coordinator"
 	"agentrec/internal/marketplace"
+	"agentrec/internal/profile"
 	"agentrec/internal/recommend"
 	"agentrec/internal/trace"
 )
@@ -39,6 +40,13 @@ func marketProducts(seller string) []*catalog.Product {
 }
 
 func newMechanism(t testing.TB, nMarkets int, opts ...Option) *mechanism {
+	t.Helper()
+	return newMechanismOver(t, nMarkets, nil, opts...)
+}
+
+// newMechanismOver is newMechanism with the engine opened under engOpts as
+// well as the default neighbourhood size.
+func newMechanismOver(t testing.TB, nMarkets int, engOpts []recommend.Option, opts ...Option) *mechanism {
 	t.Helper()
 	m := &mechanism{lb: aglet.NewLoopback(), tracer: trace.New()}
 
@@ -84,7 +92,10 @@ func newMechanism(t testing.TB, nMarkets int, opts ...Option) *mechanism {
 	buyerReg := aglet.NewRegistry()
 	buyerHost := aglet.NewHost("buyer-server", buyerReg)
 	m.lb.Attach(buyerHost)
-	engine := recommend.NewEngine(union, recommend.WithNeighbors(5))
+	engine, err := recommend.Open(union, append([]recommend.Option{recommend.WithNeighbors(5)}, engOpts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	caProxy := buyerHost.RemoteProxy("coord", coordinator.CAID)
 	allOpts := append([]Option{
 		WithTracer(m.tracer),
@@ -160,8 +171,20 @@ func TestRegisterLoginLogout(t *testing.T) {
 	m := newMechanism(t, 1)
 	ctx := testCtx(t)
 
+	// A community profile from before the account: registering replaces
+	// it with a fresh one.
+	seeded := profile.NewProfile("alice")
+	if err := seeded.Observe(profile.Evidence{Category: "camera", Terms: map[string]float64{"lens": 1}, Behaviour: profile.BehaviourBuy}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.srv.Engine().SetProfile(seeded); err != nil {
+		t.Fatal(err)
+	}
 	if err := m.srv.Register(ctx, "alice"); err != nil {
 		t.Fatal(err)
+	}
+	if p, err := m.srv.Engine().Profile("alice"); err != nil || p.Observed != 0 || len(p.Categories) != 0 {
+		t.Errorf("community profile after Register = %+v, %v; want a fresh one", p, err)
 	}
 	// Registration does not create a BRA (§4.1 principle 1).
 	if m.srv.Host().Has(braID("alice")) || m.srv.Host().HasStored(braID("alice")) {

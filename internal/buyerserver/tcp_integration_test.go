@@ -2,6 +2,7 @@ package buyerserver
 
 import (
 	"context"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -122,8 +123,9 @@ func TestWorkflowsOverTCP(t *testing.T) {
 	}
 }
 
-// TestDurableUserDB proves profiles and transactions survive a buyer
-// server restart when UserDB is WAL-backed under a state directory.
+// TestDurableUserDB proves the learned profile and the transactions
+// survive a buyer server restart under one state directory: the profile in
+// the engine's journal, the transactions in the WAL-backed UserDB.
 func TestDurableUserDB(t *testing.T) {
 	dir := t.TempDir()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -131,7 +133,16 @@ func TestDurableUserDB(t *testing.T) {
 
 	boot := func() *Server {
 		t.Helper()
-		return newMechanism(t, 1, WithStateDir(dir)).srv
+		return newMechanismOver(t, 1, []recommend.Option{recommend.WithPersistence(filepath.Join(dir, "engine"))}, WithStateDir(dir)).srv
+	}
+	shut := func(srv *Server) {
+		t.Helper()
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Engine().Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	srv := boot()
@@ -144,17 +155,16 @@ func TestDurableUserDB(t *testing.T) {
 	if _, err := srv.Buy(ctx, "alice", "market-1:lap1", 0, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
+	shut(srv)
 
 	// "Restart": a fresh server over the same state directory.
 	srv2 := boot()
+	defer shut(srv2)
 	// No re-registration needed; the profile learned before the restart.
 	if _, err := srv2.Login(ctx, "alice"); err != nil {
 		t.Fatalf("login after restart: %v", err)
 	}
-	p, err := srv2.loadProfile("alice")
+	p, err := srv2.Engine().Profile("alice")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,6 +75,13 @@ func (g gatedWriter) SetProfiles(ps []*profile.Profile) error {
 	return g.w.SetProfiles(ps)
 }
 
+func (g gatedWriter) Observe(userID string, evs []profile.Evidence) error {
+	if err := g.check(); err != nil {
+		return err
+	}
+	return g.w.Observe(userID, evs)
+}
+
 func (g gatedWriter) RecordPurchase(userID, productID string) error {
 	return g.RecordPurchaseAt(userID, productID, time.Time{})
 }

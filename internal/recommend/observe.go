@@ -1,0 +1,85 @@
+package recommend
+
+import (
+	"errors"
+	"fmt"
+	"unicode/utf8"
+
+	"agentrec/internal/profile"
+)
+
+// Observe applies evs, in order, to userID's stored profile by the Fig 4.4
+// update rule (profile.Profile.Observe), starting from an empty
+// profile.NewProfile when the engine holds none, and installs the result as
+// SetProfile would: journaled as an ordinary profile write, so followers,
+// WALs and snapshot pages see the resulting profile and nothing else. This
+// is the Profile Agent's update, made where the one stored profile lives: a
+// write to the consumer between the read and the install sends the update
+// round again on the new record, so no write is lost. A user id or key that
+// SetProfile would refuse is refused with ErrBadKey, and a bad event
+// (profile.ErrBadEvidence, profile.ErrNoCategory) refuses the whole call;
+// either way nothing is written. Like SetProfile it is the owner's local
+// write.
+func (e *Engine) Observe(userID string, evs []profile.Evidence) error {
+	return e.observe(userID, evs, (*OwnershipTable).admitOwner)
+}
+
+// errRecordMoved is observe's signal that the record it read was replaced
+// before its install could take the shard lock.
+var errRecordMoved = errors.New("recommend: consumer record replaced during observe")
+
+func (e *Engine) observe(userID string, evs []profile.Evidence, admit admitFunc) error {
+	if !validID(userID) {
+		return fmt.Errorf("%w: user %q", ErrBadKey, userID)
+	}
+	for _, ev := range evs {
+		if !validEvidenceKeys(ev) {
+			return fmt.Errorf("%w: a key of user %q's evidence", ErrBadKey, userID)
+		}
+	}
+	sh := e.shardFor(userID)
+	for {
+		sh.mu.RLock()
+		read := sh.consumers[userID]
+		sh.mu.RUnlock()
+		// The copy and the update run outside the lock, as SetProfile's
+		// copy does; records are immutable, so read is safe to copy.
+		p := profile.NewProfile(userID)
+		if read != nil && read.prof != nil {
+			p = read.prof.Clone()
+		}
+		for _, ev := range evs {
+			if err := p.Observe(ev); err != nil {
+				return fmt.Errorf("recommend: %w", err)
+			}
+		}
+		err := e.installShardProfiles(sh, []*profile.Profile{p}, nil, func(t *OwnershipTable, shard, self int) error {
+			if err := admit(t, shard, self); err != nil {
+				return err
+			}
+			if sh.consumers[userID] != read {
+				return errRecordMoved
+			}
+			return nil
+		})
+		if !errors.Is(err, errRecordMoved) {
+			return err
+		}
+	}
+}
+
+// validEvidenceKeys reports whether ev's category, sub-category and term
+// keys are valid UTF-8: a profile journals its keys as they are only then.
+func validEvidenceKeys(ev profile.Evidence) bool {
+	if !utf8.ValidString(ev.Category) || !utf8.ValidString(ev.SubCategory) {
+		return false
+	}
+	for _, terms := range []map[string]float64{ev.Terms, ev.SubTerms} {
+		for t := range terms {
+			if !utf8.ValidString(t) {
+				return false
+			}
+		}
+	}
+	return true
+}

@@ -378,6 +378,11 @@ func (w OwnedWriter) SetEncodedProfiles(encoded [][]byte) error {
 	return w.Local.setProfiles(profs, encoded, w.fence())
 }
 
+// Observe implements Writer.
+func (w OwnedWriter) Observe(userID string, evs []profile.Evidence) error {
+	return w.Local.observe(userID, evs, w.fence())
+}
+
 // RecordPurchase implements Writer.
 func (w OwnedWriter) RecordPurchase(userID, productID string) error {
 	return w.RecordPurchaseAt(userID, productID, time.Time{})

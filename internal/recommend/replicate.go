@@ -364,6 +364,7 @@ func OwnerOf(shard, servers int) int {
 type Writer interface {
 	SetProfile(p *profile.Profile) error
 	SetProfiles(ps []*profile.Profile) error
+	Observe(userID string, evs []profile.Evidence) error
 	RecordPurchase(userID, productID string) error
 	RecordPurchaseAt(userID, productID string, at time.Time) error
 }
@@ -443,6 +444,15 @@ func (r *Router) SetProfiles(ps []*profile.Profile) error {
 		}
 	}
 	return nil
+}
+
+// Observe applies the evidence to the profile on the owning server.
+func (r *Router) Observe(userID string, evs []profile.Evidence) error {
+	w, err := r.writerFor(userID)
+	if err != nil {
+		return err
+	}
+	return w.Observe(userID, evs)
 }
 
 // RecordPurchase records the undated purchase on the owning server.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"agentrec/internal/atp"
+	"agentrec/internal/profile"
 	"agentrec/internal/recommend"
 )
 
@@ -43,7 +44,7 @@ func fuzzServer(t testing.TB) (*recommend.Engine, atp.JournalHandler) {
 // it does not serve — must leave every shard's feed head where it was: a
 // refused write is one that did not happen.
 func FuzzHandlerFrames(f *testing.F) {
-	// A valid write built by today's code, beside the committed corpus in
+	// Valid writes built by today's code, beside the committed corpus in
 	// testdata/fuzz (a valid tail, set-profiles at the right and a stale
 	// epoch, negative and out-of-range shards, truncated JSON, an unknown
 	// kind), so a valid frame survives a change of the profile encoding.
@@ -57,6 +58,14 @@ func FuzzHandlerFrames(f *testing.F) {
 		profs = append(profs, data)
 	}
 	f.Add(kindSetProfiles, mustJSON(f, setProfilesRequest{Profiles: profs, OwnerEpoch: 2}))
+	// An observe of an owned consumer at the handler's epoch, and the same
+	// frame stamped by a sender still at epoch 1.
+	observe := observeRequest{UserID: ownedUsers(e, 0, 2, 1)[0], OwnerEpoch: 2, Evidence: []wireEvidence{
+		{Category: "laptop", Terms: map[string]float64{"ssd": 1}, SubCategory: "ultra", SubTerms: map[string]float64{"light": 0.5}, Behaviour: profile.BehaviourBuy},
+	}}
+	f.Add(kindObserve, mustJSON(f, observe))
+	observe.OwnerEpoch = 1
+	f.Add(kindObserve, mustJSON(f, observe))
 
 	f.Fuzz(func(t *testing.T, kind string, data []byte) {
 		e, h := fuzzServer(t)

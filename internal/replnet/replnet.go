@@ -10,7 +10,7 @@
 //   - Handler(engine) serves a server's journal surface: "tail" requests
 //     from followers, "snap-page" requests transferring a whole shard in
 //     bounded pages (the one catch-up path), and forwarded writes
-//     ("set-profiles", "purchase") from peers that do not own the
+//     ("set-profiles", "observe", "purchase") from peers that do not own the
 //     consumer's shard. Install it with atp.Server.SetJournalHandler. Every
 //     frame but the owner-map probe is fenced against the engine's own
 //     ownership table, and a forwarded write is admitted by the engine
@@ -37,6 +37,7 @@ const (
 	kindTail        = "tail"
 	kindSnapPage    = "snap-page"
 	kindSetProfiles = "set-profiles"
+	kindObserve     = "observe"
 	kindPurchase    = "purchase"
 	kindOwnerMap    = "owner-map"
 )
@@ -133,6 +134,25 @@ type setProfilesRequest struct {
 	OwnerEpoch uint64   `json:"owner_epoch,omitempty"`
 }
 
+// observeRequest forwards Engine.Observe: the consumer and every field of
+// each event the Fig 4.4 update reads, so the owner installs the bytes a
+// local observe would.
+type observeRequest struct {
+	UserID     string         `json:"user"`
+	Evidence   []wireEvidence `json:"evidence"`
+	OwnerEpoch uint64         `json:"owner_epoch,omitempty"`
+}
+
+// wireEvidence is profile.Evidence on the wire.
+type wireEvidence struct {
+	Category    string             `json:"category"`
+	Terms       map[string]float64 `json:"terms,omitempty"`
+	SubCategory string             `json:"sub_category,omitempty"`
+	SubTerms    map[string]float64 `json:"sub_terms,omitempty"`
+	Behaviour   profile.Behaviour  `json:"behaviour"`
+	At          time.Time          `json:"at"`
+}
+
 type purchaseRequest struct {
 	UserID     string `json:"user"`
 	ProductID  string `json:"product"`
@@ -209,6 +229,16 @@ func Handler(e *recommend.Engine, self, servers int) atp.JournalHandler {
 				return nil, fmt.Errorf("replnet: decoding profile write: %w", err)
 			}
 			return nil, writer(req.OwnerEpoch).SetEncodedProfiles(req.Profiles)
+		case kindObserve:
+			var req observeRequest
+			if err := json.Unmarshal(data, &req); err != nil {
+				return nil, fmt.Errorf("replnet: decoding observe write: %w", err)
+			}
+			evs := make([]profile.Evidence, len(req.Evidence))
+			for i, ev := range req.Evidence {
+				evs[i] = profile.Evidence(ev)
+			}
+			return nil, writer(req.OwnerEpoch).Observe(req.UserID, evs)
 		case kindPurchase:
 			var req purchaseRequest
 			if err := json.Unmarshal(data, &req); err != nil {
@@ -382,6 +412,16 @@ func (w *Writer) SetProfiles(ps []*profile.Profile) error {
 		size += len(data)
 	}
 	return flush()
+}
+
+// Observe implements recommend.Writer: the owner applies the evidence to
+// the profile it stores.
+func (w *Writer) Observe(userID string, evs []profile.Evidence) error {
+	req := observeRequest{UserID: userID, Evidence: make([]wireEvidence, len(evs)), OwnerEpoch: w.cfg.stamp()}
+	for i, ev := range evs {
+		req.Evidence[i] = wireEvidence(ev)
+	}
+	return w.send(kindObserve, req)
 }
 
 // RecordPurchase implements recommend.Writer.

@@ -176,6 +176,55 @@ func TestTCPForwardedTimestampedPurchase(t *testing.T) {
 	}
 }
 
+// TestForwardedObserveInstallsLocalBytes: an Observe forwarded over the
+// wire installs, on the owner, the profile bytes the same Observe made on
+// the owner's engine installs, for a consumer the owner does not yet hold
+// and for one it does.
+func TestForwardedObserveInstallsLocalBytes(t *testing.T) {
+	servers := startCluster(t, 2)
+	var remote string
+	for i := 0; ; i++ {
+		u := fmt.Sprintf("remote-%d", i)
+		if recommend.OwnerOf(servers[0].engine.ShardOf(u), 2) == 1 {
+			remote = u
+			break
+		}
+	}
+	local, err := recommend.Open(catalogWithP1(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := [][]profile.Evidence{
+		{{Category: "laptop", Terms: map[string]float64{"ssd": 1, "light": 0.25}, Behaviour: profile.BehaviourQuery, At: time.Now()}},
+		{
+			{Category: "laptop", Terms: map[string]float64{"gpu": 0.1}, SubCategory: "gaming",
+				SubTerms: map[string]float64{"rgb": 1e-7}, Behaviour: profile.BehaviourBuy, At: time.Now().In(time.FixedZone("X", 5400))},
+			{Category: "camera", Terms: map[string]float64{"lens": 1.0 / 3}, Behaviour: profile.BehaviourBid},
+		},
+	}
+	for i, evs := range batches {
+		if err := servers[0].router.Observe(remote, evs); err != nil {
+			t.Fatal(err)
+		}
+		if err := local.Observe(remote, evs); err != nil {
+			t.Fatal(err)
+		}
+		forwarded, err := servers[1].engine.Profile(remote)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := local.Profile(remote)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb, _ := forwarded.Marshal()
+		wb, _ := want.Marshal()
+		if string(fb) != string(wb) {
+			t.Fatalf("batch %d: forwarded observe installed %s\nlocal observe installed %s", i, fb, wb)
+		}
+	}
+}
+
 // TestTailTrimmedToFrameBudget shrinks the reply budget so the owner must
 // serve journal records in several bounded pulls; the follower's cursor
 // advances each round, reported lag is nonzero while it is held behind,
