@@ -450,10 +450,11 @@ func (e *Engine) Stats() ops.EngineSnapshot {
 }
 
 // Recommend answers with up to n products for userID in category using the
-// given strategy. category may be empty for cross-category recommendations
-// (CF then skips the discard gate's category test by using the consumer's
-// top category). StrategyAuto uses Hybrid and falls back to top sellers for
-// cold-start consumers.
+// given strategy: with a category, every strategy answers only products
+// the catalogue files under it. category may be empty for cross-category
+// recommendations (CF then takes the discard gate's category from the
+// consumer's top category). StrategyAuto uses Hybrid and falls back to top
+// sellers for cold-start consumers.
 //
 // With WithEventBus, a served top-N that differs from the previous answer
 // for the same (user, category, strategy) additionally publishes a
@@ -554,7 +555,9 @@ func (e *Engine) Neighbors(userID, category string, mode NeighborSearch) ([]simi
 	return e.searchNeighbors(snap, c.sum, neighborCategory(c.prof, category), e.tolerance)
 }
 
-// cf is user-based collaborative filtering over profile similarity.
+// cf is user-based collaborative filtering over profile similarity: the
+// neighbours' purchases, in category when one is asked for (by the
+// catalogue's category of each product), else in any.
 func (e *Engine) cf(snap *Snapshot, userID, category string, n int) ([]Rec, error) {
 	c := snap.profiled(userID)
 	if c == nil {
@@ -565,11 +568,20 @@ func (e *Engine) cf(snap *Snapshot, userID, category string, n int) ([]Rec, erro
 		return nil, err
 	}
 
+	var items *catalog.View
+	if category != "" {
+		items = e.catalog.View()
+	}
 	scores := make(map[string]float64)
 	for _, nb := range neighbors {
 		for _, p := range snap.viewFor(nb.UserID).consumer(nb.UserID).bought {
 			if _, own := c.find(p.product); own {
 				continue
+			}
+			if items != nil {
+				if it, ok := items.Lookup(p.product); !ok || it.Category != category {
+					continue
+				}
 			}
 			scores[p.product] += nb.Score
 		}
@@ -646,8 +658,8 @@ func (e *Engine) hybrid(snap *Snapshot, userID, category string, n int) ([]Rec, 
 // shard's read lock at a time: without a category, for everything sold;
 // with one, for the category's products.
 func (e *Engine) topSellers(category string, n int, source string) []Rec {
-	scores := make(map[string]float64)
 	if category == "" {
+		scores := make(map[string]float64)
 		for _, sh := range e.shards {
 			sh.mu.RLock()
 			for pid, count := range sh.sells {
@@ -666,10 +678,13 @@ func (e *Engine) topSellers(category string, n int, source string) []Rec {
 		}
 		sh.mu.RUnlock()
 	}
+	out := make([]Rec, 0, len(items))
 	for i, it := range items {
-		scores[it.ID] = float64(counts[i])
+		if counts[i] > 0 {
+			out = append(out, Rec{ProductID: it.ID, Score: float64(counts[i]), Source: source})
+		}
 	}
-	return rank(scores, n, source)
+	return topN(out, n, byScore)
 }
 
 // rank returns the top n positive scores as recs (see byScore).
