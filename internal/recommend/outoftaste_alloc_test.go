@@ -1,0 +1,46 @@
+//go:build !race
+
+package recommend
+
+import (
+	"testing"
+
+	"agentrec/internal/profile"
+	"agentrec/internal/workload"
+)
+
+// outOfTaste returns a category of u's catalogue where p has no evidence.
+func outOfTaste(u *workload.Universe, p *profile.Profile) string {
+	for _, it := range u.Catalog.View().Items("") {
+		if p.Categories[it.Category] == nil {
+			return it.Category
+		}
+	}
+	return ""
+}
+
+// TestOutOfTasteReadAllocBudget is TestInTasteReadAllocBudget for a read in
+// a category where the target has no evidence, so the neighbour search
+// scans the whole community (searchNeighbors' Tx = 0 path): 18 allocations
+// measured, 19 under -race, and the budget is the higher + 2 %. The race
+// detector's count differs, so the test runs without it.
+func TestOutOfTasteReadAllocBudget(t *testing.T) {
+	u, profiles := benchUniverse(t)
+	e := bulkEngine(t, u, profiles)
+	const budget = 20
+	for _, p := range profiles[:20] {
+		cat := outOfTaste(u, p)
+		if cat == "" {
+			t.Fatalf("%s has evidence in every category", p.UserID)
+		}
+		read := func() {
+			if _, err := e.Recommend(StrategyAuto, p.UserID, cat, 10); err != nil {
+				t.Fatal(err)
+			}
+		}
+		read()
+		if got := testing.AllocsPerRun(10, read); got > budget {
+			t.Fatalf("%s in %s: %.0f allocations per read, budget %d", p.UserID, cat, got, budget)
+		}
+	}
+}
