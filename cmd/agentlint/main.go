@@ -1,14 +1,10 @@
 // Command agentlint runs the repo's invariant analyzers (internal/analysis)
-// over Go packages. It works two ways:
+// over the production sources of Go packages, from the module root:
 //
-//	agentlint ./...                       # standalone, from the module root
-//	go vet -vettool=$(which agentlint) ./...   # as the vet tool
+//	agentlint ./...
 //
-// Standalone mode loads and type-checks packages itself (via `go list
-// -export` and the gc importer) and exits 1 on findings. Vet-tool mode
-// speaks the cmd/go unitchecker protocol: it answers -V=full and -flags,
-// and analyzes one package per invocation from a JSON *.cfg handed to it
-// by the go command, exiting 2 on findings.
+// It loads and type-checks packages itself (via `go list -export` and the
+// gc importer) and exits 1 on findings.
 //
 // Findings are suppressed only by an in-source justification:
 //
@@ -16,59 +12,16 @@
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"io"
 	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 
 	"agentrec/internal/analysis"
 )
 
 func main() {
-	// Vet-tool protocol: the go command probes with -V=full, asks for the
-	// tool's flag definitions with -flags, then invokes with a single
-	// *.cfg argument per package.
-	if len(os.Args) == 2 {
-		switch {
-		case os.Args[1] == "-V=full":
-			printVersion()
-			return
-		case os.Args[1] == "-flags":
-			fmt.Println("[]")
-			return
-		case strings.HasSuffix(os.Args[1], ".cfg"):
-			runVetUnit(os.Args[1])
-			return
-		}
-	}
-	runStandalone()
-}
-
-// printVersion answers -V=full the way the go command's tool-ID probe
-// expects: "<name> version <ver> buildID=<hex>", where the build ID keys
-// vet's action cache — hashing the executable means a rebuilt agentlint
-// invalidates stale vet results.
-func printVersion() {
-	name := filepath.Base(os.Args[0])
-	h := sha256.New()
-	if f, err := os.Open(os.Args[0]); err == nil {
-		_, _ = io.Copy(h, f)
-		f.Close()
-	}
-	fmt.Printf("%s version devel buildID=%02x\n", name, h.Sum(nil))
-}
-
-// --- standalone mode ---
-
-func runStandalone() {
 	flags := flag.NewFlagSet("agentlint", flag.ExitOnError)
 	list := flags.Bool("list", false, "print the analyzer suite and exit")
 	asJSON := flags.Bool("json", false, "emit diagnostics as JSON")
@@ -130,108 +83,4 @@ func runStandalone() {
 	if len(out) > 0 {
 		os.Exit(1)
 	}
-}
-
-// --- vet-tool mode (cmd/go unitchecker protocol) ---
-
-// vetConfig is the slice of the go command's vet JSON config the tool
-// consumes. ImportMap translates source-level import strings to canonical
-// package paths; PackageFile maps canonical paths to export-data files.
-type vetConfig struct {
-	ID                        string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func runVetUnit(cfgPath string) {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fatalf("reading vet config: %v", err)
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fatalf("parsing vet config %s: %v", cfgPath, err)
-	}
-	// The go command requires the facts file to exist even though agentlint
-	// exports no facts.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fatalf("writing %s: %v", cfg.VetxOutput, err)
-		}
-	}
-	// The go command hands vet the test build of each package — production
-	// sources with _test.go files merged in (and ".test" / " [pkg.test]"
-	// variant units under test binaries). The invariants target serving
-	// code, so analyze production sources only; the _test.go files are
-	// dropped before type-checking (they only add declarations, never ones
-	// the production files depend on).
-	if strings.Contains(cfg.ImportPath, " [") || strings.HasSuffix(cfg.ImportPath, ".test") {
-		return
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		if !filepath.IsAbs(name) {
-			name = filepath.Join(cfg.Dir, name)
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return
-			}
-			fatalf("parsing %s: %v", name, err)
-		}
-		files = append(files, f)
-	}
-	// An external _test package unit has nothing left after the filter.
-	if len(files) == 0 {
-		return
-	}
-
-	// The type checker asks the importer for source-level import strings;
-	// translate them through ImportMap to canonical paths, then to the
-	// export files the go command already compiled.
-	exports := make(map[string]string, len(cfg.PackageFile))
-	for path, file := range cfg.PackageFile {
-		exports[path] = file
-	}
-	for src, canonical := range cfg.ImportMap {
-		if file, ok := cfg.PackageFile[canonical]; ok {
-			exports[src] = file
-		}
-	}
-	imp := analysis.ExportImporter(fset, exports)
-	pkg, err := analysis.CheckFiles(fset, files, cfg.ImportPath, cfg.Dir, imp)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return
-		}
-		fatalf("type-checking %s: %v", cfg.ImportPath, err)
-	}
-
-	diags, err := analysis.RunAnalyzers(analysis.All(), pkg)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s [%s]\n", fset.Position(d.Pos), d.Message, d.Analyzer)
-	}
-	if len(diags) > 0 {
-		os.Exit(2)
-	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "agentlint: "+format+"\n", args...)
-	os.Exit(1)
 }

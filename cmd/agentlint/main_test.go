@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -18,42 +17,6 @@ func buildTool(t *testing.T) string {
 		t.Fatalf("building agentlint: %v\n%s", err, out)
 	}
 	return bin
-}
-
-// TestVetToolProtocol drives the built binary exactly as the go command
-// does: the -V=full identity probe, the -flags probe, and a full
-// `go vet -vettool` pass over a real package, which must exit 0 on the
-// clean tree.
-func TestVetToolProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the tool and runs go vet")
-	}
-	bin := buildTool(t)
-
-	out, err := exec.Command(bin, "-V=full").Output()
-	if err != nil {
-		t.Fatalf("-V=full: %v", err)
-	}
-	version := strings.TrimSpace(string(out))
-	if !strings.Contains(version, " version ") || !strings.Contains(version, "buildID=") {
-		t.Fatalf("-V=full output %q lacks the identity fields the go command keys its cache on", version)
-	}
-
-	out, err = exec.Command(bin, "-flags").Output()
-	if err != nil {
-		t.Fatalf("-flags: %v", err)
-	}
-	if strings.TrimSpace(string(out)) != "[]" {
-		t.Fatalf("-flags = %q, want []", out)
-	}
-
-	vet := exec.Command("go", "vet", "-vettool="+bin, "./internal/ops/", "./internal/kvstore/")
-	vet.Dir = "../.."
-	var stderr bytes.Buffer
-	vet.Stderr = &stderr
-	if err := vet.Run(); err != nil {
-		t.Fatalf("go vet -vettool on a clean tree: %v\n%s", err, stderr.String())
-	}
 }
 
 // TestStandaloneList checks the multichecker's -list output names every

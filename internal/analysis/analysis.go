@@ -1,7 +1,7 @@
 // Package analysis is the repo's static-analysis suite: a small
 // go/analysis-style framework (built on the standard library alone — the
 // container has no golang.org/x/tools) plus the five analyzers that encode
-// the platform's hardest invariants at vet time:
+// the platform's hardest invariants at lint time:
 //
 //   - lockorder: never nested shard locks, no lock held across a Persister
 //     fsync.
@@ -13,8 +13,8 @@
 //   - errflow: error returns of the write API, the kvstore accessors, and
 //     the fence are never silently discarded.
 //
-// The suite ships as cmd/agentlint — a multichecker usable standalone
-// (`agentlint ./...`) and as a `go vet -vettool`. Runtime tests verify the
+// The suite ships as cmd/agentlint, a multichecker run from the module
+// root (`agentlint ./...`). Runtime tests verify the
 // same invariants dynamically; the analyzers catch violations before any
 // chaos test runs. See DESIGN.md "Static analysis".
 //

@@ -16,7 +16,7 @@ func TestErrflowFixtures(t *testing.T)     { runFixtures(t, Errflow) }
 
 // TestSuiteIsClean is the repo gate in test form: the full analyzer suite
 // over the whole module must report nothing. CI runs the same check through
-// `go vet -vettool`; this keeps `go test ./...` sufficient locally.
+// `agentlint ./...`; this keeps `go test ./...` sufficient locally.
 func TestSuiteIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")

@@ -125,7 +125,7 @@ func runFixtures(t *testing.T, a *Analyzer) {
 		}
 		expects := collectWants(t, paths)
 
-		pkg, err := CheckFiles(fset, files, importPath, dir, ExportImporter(fset, exports))
+		pkg, err := checkFiles(fset, files, importPath, dir, exportImporter(fset, exports))
 		if err != nil {
 			t.Fatalf("type-checking fixture %s: %v", importPath, err)
 		}

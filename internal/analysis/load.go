@@ -83,7 +83,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 
 	fset := token.NewFileSet()
-	imp := ExportImporter(fset, exports)
+	imp := exportImporter(fset, exports)
 	var pkgs []*Package
 	for _, t := range targets {
 		if len(t.GoFiles) == 0 {
@@ -98,10 +98,10 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// ExportImporter returns a types.Importer resolving import paths through
+// exportImporter returns a types.Importer resolving import paths through
 // compiled export data files (importPath -> file), as produced by
-// `go list -export` or a vet config's PackageFile map.
-func ExportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
+// `go list -export`.
+func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
 	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := exports[path]
 		if !ok {
@@ -111,10 +111,9 @@ func ExportImporter(fset *token.FileSet, exports map[string]string) types.Import
 	})
 }
 
-// CheckFiles type-checks already-parsed files as importPath with imp and
-// returns a Package ready for RunAnalyzers. The vet-tool mode uses this
-// with an importer built from the vet config's PackageFile map.
-func CheckFiles(fset *token.FileSet, files []*ast.File, importPath, dir string, imp types.Importer) (*Package, error) {
+// checkFiles type-checks already-parsed files as importPath with imp and
+// returns a Package ready for RunAnalyzers.
+func checkFiles(fset *token.FileSet, files []*ast.File, importPath, dir string, imp types.Importer) (*Package, error) {
 	info := NewTypesInfo()
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(importPath, fset, files, info)
@@ -145,7 +144,7 @@ func checkPackage(fset *token.FileSet, imp types.Importer, importPath, dir strin
 		}
 		files = append(files, f)
 	}
-	return CheckFiles(fset, files, importPath, dir, imp)
+	return checkFiles(fset, files, importPath, dir, imp)
 }
 
 // NewTypesInfo allocates the types.Info maps every analyzer relies on.

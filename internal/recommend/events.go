@@ -1,6 +1,7 @@
 package recommend
 
 import (
+	"slices"
 	"time"
 
 	"agentrec/internal/kvstore"
@@ -92,7 +93,7 @@ func (e *Engine) publishRecDelta(strategy Strategy, userID, category string, rec
 		e.lastTop = make(map[string][]string)
 	}
 	prev, seen := e.lastTop[key]
-	if seen && equalIDs(prev, top) {
+	if seen && slices.Equal(prev, top) {
 		e.deltaMu.Unlock()
 		return
 	}
@@ -112,18 +113,6 @@ func (e *Engine) publishRecDelta(strategy Strategy, userID, category string, rec
 		Exited:    exited,
 		LatencyMs: float64(latency) / float64(time.Millisecond),
 	}})
-}
-
-func equalIDs(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // diffIDs reports which ids are new in cur versus prev and which are gone.

@@ -55,7 +55,7 @@ func journalMatchesMemory(t *testing.T, e *Engine, shard int) {
 }
 
 // FuzzSnapshotPage feeds a follower arbitrary bytes as a snapshot page of
-// shard 0: decoded as SnapshotPage JSON, assembled by addPage and installed
+// shard 0: decoded as SnapshotPage JSON, assembled by ShardData.add and installed
 // by applyShardSnapshot over the state the follower already holds. Whether
 // the page is accepted or refused, nothing panics, the shard's journal
 // equals its memory, and every sell count the shard attributes is at least
@@ -66,8 +66,9 @@ func FuzzSnapshotPage(f *testing.F) {
 	// A valid page built by today's code, beside the committed corpus in
 	// testdata/fuzz (a valid page, a purchase whose product id holds a NUL, a
 	// sell count with an empty product id, a negative sell count, a purchase
-	// by another shard's consumer, a truncated token), so a valid page
-	// survives a change of the profile encoding.
+	// by another shard's consumer, a truncated token, and profiles, purchases
+	// and sell counts out of order or repeated), so a valid page survives a
+	// change of the profile encoding.
 	e := pageFollower(f)
 	enc, err := profile.NewProfile(shardIDs(e, 0, 4)[3]).Marshal()
 	if err != nil {
@@ -84,14 +85,14 @@ func FuzzSnapshotPage(f *testing.F) {
 		var pg SnapshotPage
 		if json.Unmarshal(page, &pg) == nil {
 			var data ShardData
-			if data.addPage(e, 0, pg) == nil {
+			if data.add(0, e.nshards, pg) == nil {
 				_ = e.applyShardSnapshot(0, data, (*OwnershipTable).admitOwner) // refused or not, journal and memory must agree
 			}
 		}
 		journalMatchesMemory(t, e, 0)
-		for pid, n := range liveShard(t, e, 0).Sells {
-			if n < 1 {
-				t.Fatalf("shard 0 attributes %d sales of %q, want at least 1", n, pid)
+		for _, sc := range liveShard(t, e, 0).Sells {
+			if sc.Total < 1 {
+				t.Fatalf("shard 0 attributes %d sales of %q, want at least 1", sc.Total, sc.ProductID)
 			}
 		}
 

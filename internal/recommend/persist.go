@@ -1,6 +1,7 @@
 package recommend
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -39,46 +40,55 @@ func validID(id string) bool {
 	return id != "" && utf8.ValidString(id) && !strings.ContainsRune(id, 0)
 }
 
-// ShardData is one community shard as recovered from a Persister: the
-// shard's profiles, its consumers' purchase sets (each product marked with
-// the time of its latest purchase, at_epoch_ms; 0 = undated), and the sell counts
-// *attributed to this shard* — how many times this shard's consumers bought
-// each product. Attributing sells to the buyer's shard (rather than hashing
-// by product) makes every shard's durable state self-contained, which is
-// what lets a replica rebuild a shard from its owner's journal alone; the
-// engine's served totals are the sum of all shards' attributions.
+// ShardData is one community shard image, in the key order its snapshot
+// pages and journal buckets carry it, built only by ShardData.add: the
+// shard's profiles ascending by consumer id beside the bytes each arrived
+// as, its consumers' purchases ascending by (consumer, product), each
+// marked with the time of its latest purchase (at_epoch_ms; 0 = undated),
+// and the sell counts *attributed to this shard*, ascending by product —
+// how many times this shard's consumers bought each product. Attributing
+// sells to the buyer's shard (rather than hashing by product) makes every
+// shard's durable state self-contained, which is what lets a replica
+// rebuild a shard from its owner's journal alone; the engine's served
+// totals are the sum of all shards' attributions.
 type ShardData struct {
 	Profiles  []*profile.Profile
-	Purchases map[string]map[string]int64 // user -> product -> at_epoch_ms
-	Sells     map[string]int64            // product -> sales by this shard's users
+	Encoded   [][]byte // Profiles[i] as it arrived, the bytes SaveShard journals
+	Purchases []PurchasePair
+	Sells     []SellCount
 }
 
 // replaceShardLocked makes data sh's whole state: the one way a shard is
 // installed wholesale, by restart recovery and snapshot catch-up alike. It
-// builds one record per consumer, its purchase set a list sorted by product,
-// adopts data's sell map (nil made empty), drops the view and bumps gen.
-// Caller holds sh.mu for writing.
+// builds one record per consumer, its purchase list that consumer's run of
+// data's ascending pairs, and the shard's sell map, drops the view and
+// bumps gen. Caller holds sh.mu for writing.
 func (e *Engine) replaceShardLocked(sh *shard, data ShardData) {
-	consumers := make(map[string]*consumer, max(len(data.Profiles), len(data.Purchases)))
+	consumers := make(map[string]*consumer, len(data.Profiles))
 	for _, p := range data.Profiles {
 		consumers[p.UserID] = &consumer{prof: p, sum: p.Summary()}
 	}
-	for user, set := range data.Purchases {
+	for pairs := data.Purchases; len(pairs) > 0; {
+		user, n := pairs[0].UserID, 1
+		for n < len(pairs) && pairs[n].UserID == user {
+			n++
+		}
 		c := consumers[user]
 		if c == nil {
 			c = &consumer{}
 			consumers[user] = c
 		}
-		c.bought = make([]purchase, 0, len(set))
-		for pid, at := range set {
-			c.bought = append(c.bought, purchase{product: pid, at: at})
+		c.bought = make([]purchase, n)
+		for i, pp := range pairs[:n] {
+			c.bought[i] = purchase{product: pp.ProductID, at: pp.AtEpochMS}
 		}
-		slices.SortFunc(c.bought, func(a, b purchase) int { return strings.Compare(a.product, b.product) })
+		pairs = pairs[n:]
 	}
-	if data.Sells == nil {
-		data.Sells = make(map[string]int64)
+	sells := make(map[string]int64, len(data.Sells))
+	for _, sc := range data.Sells {
+		sells[sc.ProductID] = sc.Total
 	}
-	sh.consumers, sh.sells = consumers, data.Sells
+	sh.consumers, sh.sells = consumers, sells
 	sh.dropView()
 	sh.gen.Add(1)
 }
@@ -387,54 +397,50 @@ func (kp *kvPersister) SavePurchase(shard int, userID, productID string, at, tot
 }
 
 // SaveShard replaces the shard's three buckets with data: stale keys are
-// deleted, live ones upserted, split into batches under the record cap.
-// Every upsert is encoded before the first delete is queued, so data the
-// journal cannot hold (an empty or NUL id) refuses the replace with the
-// buckets untouched. The deletes then land first, so a crash mid-replace
-// can only lose state the next snapshot catch-up rewrites anyway.
+// deleted, live ones upserted in image order with the profile bytes data
+// arrived as, split into batches under the record cap, so two servers
+// installing one image journal the same bytes. Every upsert is built before
+// the first delete is queued, so data the journal cannot hold (an empty or
+// NUL id) refuses the replace with the buckets untouched. The deletes then
+// land first, so a crash mid-replace can only lose state the next snapshot
+// catch-up rewrites anyway.
 func (kp *kvPersister) SaveShard(shard int, data ShardData) error {
-	encoded, err := encodeProfiles(data.Profiles)
-	if err != nil {
-		return err
-	}
-	ups := make([]kvstore.Op, 0, len(data.Profiles)+len(data.Sells))
+	ups := make([]kvstore.Op, 0, len(data.Profiles)+len(data.Purchases)+len(data.Sells))
 	for i, p := range data.Profiles {
-		op, err := profileOp(shard, p.UserID, encoded[i])
+		op, err := profileOp(shard, p.UserID, data.Encoded[i])
 		if err != nil {
 			return err
 		}
 		ups = append(ups, op)
 	}
-	for user, set := range data.Purchases {
-		for pid, at := range set {
-			op, err := purchaseOp(shard, user, pid, at)
-			if err != nil {
-				return err
-			}
-			ups = append(ups, op)
+	for _, pp := range data.Purchases {
+		op, err := purchaseOp(shard, pp.UserID, pp.ProductID, pp.AtEpochMS)
+		if err != nil {
+			return err
 		}
+		ups = append(ups, op)
 	}
-	for pid, total := range data.Sells {
-		op, err := sellOp(shard, pid, total)
+	for _, sc := range data.Sells {
+		op, err := sellOp(shard, sc.ProductID, sc.Total)
 		if err != nil {
 			return err
 		}
 		ups = append(ups, op)
 	}
 
-	// Deletes for keys the new state no longer has.
-	live := map[string]map[string]bool{profBucket(shard): {}, purchBucket(shard): {}, sellBucket(shard): {}}
-	for _, op := range ups {
-		live[op.Bucket][op.Key] = true
-	}
+	// Deletes for keys the new state no longer has. ups ascends by (bucket,
+	// key): the bucket names sort as the image's sections do, and ids hold
+	// no NUL, so purchase pairs sort as their keys.
 	b := kvBatch{store: kp.store}
-	for bucket, keep := range live {
+	for _, bucket := range []string{profBucket(shard), purchBucket(shard), sellBucket(shard)} {
 		ents, err := kp.store.Scan(bucket, "")
 		if err != nil {
 			return err
 		}
 		for _, ent := range ents {
-			if !keep[ent.Key] {
+			if _, live := slices.BinarySearchFunc(ups, kvstore.Op{Bucket: bucket, Key: ent.Key}, func(a, b kvstore.Op) int {
+				return cmp.Or(strings.Compare(a.Bucket, b.Bucket), strings.Compare(a.Key, b.Key))
+			}); !live {
 				if err := b.add(kvstore.Op{Bucket: bucket, Key: ent.Key, Delete: true}, len(ent.Key)); err != nil {
 					return err
 				}

@@ -156,7 +156,7 @@ func TestDatedTrafficReplicatesByteIdentical(t *testing.T) {
 
 // TestDatedTrafficSurvivesPagedCatchUp: a cold follower that pages the shard
 // in 1 KiB pages holds the owner's purchase times, and so does its journal:
-// the times survive SnapshotPage -> ShardData.addPage -> applyShardSnapshot
+// the times survive SnapshotPage -> ShardData.add -> applyShardSnapshot
 // -> SaveShard -> reopen.
 func TestDatedTrafficSurvivesPagedCatchUp(t *testing.T) {
 	u, profiles := soakUniverse(t)

@@ -29,7 +29,7 @@ import (
 // start, restart, or a pruned feed) the owner answers with a marker pinned
 // at its feed head, never a payload; the follower transfers the shard in
 // bounded pages (snappage.go) — in process and over TCP alike — assembles
-// them into the ShardData recovery already speaks, replaces the
+// them into the ShardData image recovery already speaks, replaces the
 // shard wholesale (applyShardSnapshot) and resumes live tailing from the
 // pinned sequence number.
 //
@@ -310,11 +310,11 @@ func (e *Engine) applyJournalRecord(shard int, rec JournalRecord, admit admitFun
 	}
 }
 
-// applyShardSnapshot replaces shard's entire state with data, whose maps it
-// adopts, once admit admitted it under the shard lock: the durable buckets
+// applyShardSnapshot replaces shard's entire state with data once admit
+// admitted it under the shard lock: the durable buckets
 // (Persister.SaveShard), then memory (replaceShardLocked), then the feed
-// head. Every profile must hash to shard; ShardData.addPage checks that as
-// pages arrive.
+// head. Every entry must belong to shard and follow the one before it;
+// ShardData.add checks that as pages arrive.
 func (e *Engine) applyShardSnapshot(shard int, data ShardData, admit admitFunc) error {
 	if shard < 0 || shard >= e.nshards {
 		return fmt.Errorf("%w: %d of %d", ErrBadShard, shard, e.nshards)
@@ -864,7 +864,7 @@ func (r *Replicator) pullShardPaged(ctx context.Context, f *follower, owner int,
 			f.noteOwnerHead(seq)
 			r.mu.Unlock()
 		}
-		if err := data.addPage(r.e, shard, pg); err != nil {
+		if err := data.add(shard, r.e.nshards, pg); err != nil {
 			return err
 		}
 		r.mu.Lock()

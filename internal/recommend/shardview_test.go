@@ -2,6 +2,7 @@ package recommend
 
 import (
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -314,8 +315,9 @@ func TestPatchedViewEqualsRebuiltView(t *testing.T) {
 					// A wholesale replace, as a follower's catch-up does it:
 					// about half the shard's consumers are gone after it.
 					shard := e.ShardOf(id)
-					data := ShardData{Purchases: map[string]map[string]int64{}, Sells: map[string]int64{}}
-					for uid, p := range model.profiles {
+					var pg SnapshotPage
+					sells := map[string]int64{}
+					for _, uid := range slices.Sorted(maps.Keys(model.profiles)) {
 						if e.ShardOf(uid) != shard {
 							continue
 						}
@@ -323,9 +325,13 @@ func TestPatchedViewEqualsRebuiltView(t *testing.T) {
 							delete(model.profiles, uid)
 							continue
 						}
-						data.Profiles = append(data.Profiles, p.Clone())
+						enc, err := model.profiles[uid].Marshal()
+						if err != nil {
+							t.Fatal(err)
+						}
+						pg.Profiles = append(pg.Profiles, enc)
 					}
-					for uid, set := range model.purchases {
+					for _, uid := range slices.Sorted(maps.Keys(model.purchases)) {
 						if e.ShardOf(uid) != shard {
 							continue
 						}
@@ -333,13 +339,15 @@ func TestPatchedViewEqualsRebuiltView(t *testing.T) {
 							delete(model.purchases, uid)
 							continue
 						}
-						data.Purchases[uid] = map[string]int64{}
-						for pid := range set {
-							data.Purchases[uid][pid] = 0
-							data.Sells[pid]++
+						for _, pid := range slices.Sorted(maps.Keys(model.purchases[uid])) {
+							pg.Purchases = append(pg.Purchases, PurchasePair{UserID: uid, ProductID: pid})
+							sells[pid]++
 						}
 					}
-					if err := e.applyShardSnapshot(shard, data, (*OwnershipTable).admitOwner); err != nil {
+					for _, pid := range slices.Sorted(maps.Keys(sells)) {
+						pg.Sells = append(pg.Sells, SellCount{ProductID: pid, Total: sells[pid]})
+					}
+					if err := e.applyShardSnapshot(shard, imageOf(t, e, shard, pg), (*OwnershipTable).admitOwner); err != nil {
 						t.Fatal(err)
 					}
 				default:

@@ -21,22 +21,25 @@ package recommend
 //     the new transfer. The follower detects the changed (epoch, seq),
 //     discards the pages it assembled, and accumulates afresh.
 //
-// The follower side lives in Replicator.pullShardPaged, which decodes and
-// shard-checks each page as it arrives (ShardData.addPage); the transport
-// bridge (the "snap-page" journal sub-operation and the per-page byte
-// budget) in internal/replnet.
+// The follower side lives in Replicator.pullShardPaged, which decodes,
+// shard-checks and order-checks each page as it arrives (ShardData.add);
+// the transport bridge (the "snap-page" journal sub-operation and the
+// per-page byte budget) in internal/replnet.
 
 import (
+	"cmp"
 	"encoding/base64"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
 	"sort"
 	"strings"
+
+	"agentrec/internal/profile"
 )
 
-// SellCount is one product's sell total attributed to the paged shard, the
-// ordered-page form of ShardData.Sells.
+// SellCount is one product's sell total attributed to the paged shard.
 type SellCount struct {
 	ProductID string `json:"product"`
 	Total     int64  `json:"total"`
@@ -232,40 +235,56 @@ func (e *Engine) SnapshotPage(shard int, epoch, seq uint64, token string, maxByt
 // every printable byte, so a consumer's pairs group contiguously.
 func purchaseKey(p PurchasePair) string { return p.UserID + "\x00" + p.ProductID }
 
-// addPage decodes pg onto d, the state a paged transfer assembles, as the
-// page arrives: a bad page fails the pull before anything is installed, and
-// no second, encoded copy of the shard is held meanwhile.
-func (d *ShardData) addPage(e *Engine, shard int, pg SnapshotPage) error {
-	return d.add(shard, e.nshards, pg)
-}
-
-// add is addPage for shard of shards, and restart recovery's assembly too. A consumer filed under another shard is refused, and so is
-// a sell total below one, which no purchase writes and which would cancel
-// other shards' sales in the served sum.
+// add appends pg to d, the shard image a paged transfer or restart recovery
+// assembles, as the page arrives: a bad page fails before anything is
+// installed, and d is then discarded. It refuses a consumer filed under
+// another shard, a sell total below one (no purchase writes it, and it
+// would cancel other shards' sales in the served sum), and any entry that
+// does not strictly follow the one before it in its section's key order,
+// the order every page is cut in and every journal bucket is scanned in.
 func (d *ShardData) add(shard, shards int, pg SnapshotPage) error {
 	profs, err := decodeProfiles(pg.Profiles, shard, shards)
 	if err != nil {
 		return err
 	}
-	d.Profiles = append(d.Profiles, profs...)
-	if d.Purchases == nil {
-		d.Purchases = make(map[string]map[string]int64)
-		d.Sells = make(map[string]int64)
-	}
 	for _, pp := range pg.Purchases {
 		if shardOf(pp.UserID, shards) != shard {
 			return fmt.Errorf("%w: purchase by %s in shard %d", ErrShardMismatch, pp.UserID, shard)
 		}
-		if d.Purchases[pp.UserID] == nil {
-			d.Purchases[pp.UserID] = make(map[string]int64)
-		}
-		d.Purchases[pp.UserID][pp.ProductID] = pp.AtEpochMS
 	}
 	for _, sc := range pg.Sells {
 		if sc.Total < 1 {
 			return fmt.Errorf("recommend: sell count %d for %q is not positive", sc.Total, sc.ProductID)
 		}
-		d.Sells[sc.ProductID] = sc.Total
+	}
+	var profsOK, purchOK, sellsOK bool
+	d.Profiles, profsOK = appendAscending(d.Profiles, profs, func(a, b *profile.Profile) int { return strings.Compare(a.UserID, b.UserID) })
+	d.Purchases, purchOK = appendAscending(d.Purchases, pg.Purchases, func(a, b PurchasePair) int {
+		return cmp.Or(strings.Compare(a.UserID, b.UserID), strings.Compare(a.ProductID, b.ProductID))
+	})
+	d.Sells, sellsOK = appendAscending(d.Sells, pg.Sells, func(a, b SellCount) int { return strings.Compare(a.ProductID, b.ProductID) })
+	d.Encoded = append(d.Encoded, pg.Profiles...)
+	if !profsOK || !purchOK || !sellsOK {
+		return errOutOfOrder
 	}
 	return nil
+}
+
+// errOutOfOrder refuses a shard image entry that repeats or precedes the one
+// before it.
+var errOutOfOrder = errors.New("recommend: snapshot entry repeats or precedes the one before it")
+
+// appendAscending appends src to dst if each entry of src strictly follows
+// the one before it, dst's last included, under compare; otherwise it
+// reports false and leaves dst as it was.
+func appendAscending[T any](dst, src []T, compare func(a, b T) int) ([]T, bool) {
+	if len(dst) > 0 && len(src) > 0 && compare(dst[len(dst)-1], src[0]) >= 0 {
+		return dst, false
+	}
+	for i := 1; i < len(src); i++ {
+		if compare(src[i-1], src[i]) >= 0 {
+			return dst, false
+		}
+	}
+	return append(dst, src...), true
 }

@@ -1,11 +1,15 @@
 package recommend
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"maps"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -20,24 +24,40 @@ import (
 // replies leave real lag in Stats. The TCP end of the protocol is tested in
 // internal/replnet.
 
-// liveShard returns shard's live state as ShardData, the reference a paged
-// transfer is compared against. The sell map is the shard's own.
+// liveShard returns shard's live state as a ShardData image, the reference
+// a paged transfer is compared against, built straight from memory rather
+// than through ShardData.add.
 func liveShard(t *testing.T, e *Engine, shard int) ShardData {
 	t.Helper()
 	sh := e.shards[shard]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	data := ShardData{Purchases: make(map[string]map[string]int64), Sells: sh.sells}
-	for id, c := range sh.consumers {
+	var data ShardData
+	for _, id := range slices.Sorted(maps.Keys(sh.consumers)) {
+		c := sh.consumers[id]
 		if c.prof != nil {
-			data.Profiles = append(data.Profiles, c.prof)
+			enc, err := c.prof.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			data.Profiles, data.Encoded = append(data.Profiles, c.prof), append(data.Encoded, enc)
 		}
 		for _, p := range c.bought {
-			if data.Purchases[id] == nil {
-				data.Purchases[id] = make(map[string]int64)
-			}
-			data.Purchases[id][p.product] = p.at
+			data.Purchases = append(data.Purchases, PurchasePair{UserID: id, ProductID: p.product, AtEpochMS: p.at})
 		}
+	}
+	for _, pid := range slices.Sorted(maps.Keys(sh.sells)) {
+		data.Sells = append(data.Sells, SellCount{ProductID: pid, Total: sh.sells[pid]})
+	}
+	return data
+}
+
+// imageOf assembles pg, one page of shard on e, into a ShardData image.
+func imageOf(t *testing.T, e *Engine, shard int, pg SnapshotPage) ShardData {
+	t.Helper()
+	var data ShardData
+	if err := data.add(shard, e.nshards, pg); err != nil {
+		t.Fatal(err)
 	}
 	return data
 }
@@ -80,7 +100,7 @@ func pageAll(t *testing.T, e *Engine, shard int, epoch, seq uint64, maxBytes int
 		if pg.Epoch != epoch || pg.Seq != seq {
 			t.Fatalf("pin moved mid-transfer: (%d,%d) -> (%d,%d)", epoch, seq, pg.Epoch, pg.Seq)
 		}
-		if err := data.addPage(e, shard, pg); err != nil {
+		if err := data.add(shard, e.nshards, pg); err != nil {
 			t.Fatal(err)
 		}
 		pages++
@@ -98,42 +118,29 @@ func pageAll(t *testing.T, e *Engine, shard int, epoch, seq uint64, maxBytes int
 	return data
 }
 
-// snapshotsEqual compares two shard states order-insensitively (the live
-// shard follows map iteration order, pages follow key order), profiles by
-// their marshaled bytes, purchases with their times.
+// snapshotsEqual compares two shard images, profiles by their marshaled
+// bytes, purchases with their times.
 func snapshotsEqual(t *testing.T, got, want ShardData) {
 	t.Helper()
-	toSets := func(s ShardData) (profs map[string]bool, purch map[PurchasePair]bool, sells map[string]int64) {
-		profs = make(map[string]bool, len(s.Profiles))
-		for _, p := range s.Profiles {
+	marshaled := func(s ShardData) [][]byte {
+		out := make([][]byte, len(s.Profiles))
+		for i, p := range s.Profiles {
 			enc, err := p.Marshal()
 			if err != nil {
 				t.Fatal(err)
 			}
-			profs[string(enc)] = true
+			out[i] = enc
 		}
-		purch = make(map[PurchasePair]bool)
-		for user, set := range s.Purchases {
-			for pid, at := range set {
-				purch[PurchasePair{UserID: user, ProductID: pid, AtEpochMS: at}] = true
-			}
-		}
-		sells = make(map[string]int64, len(s.Sells))
-		for pid, n := range s.Sells {
-			sells[pid] = n
-		}
-		return profs, purch, sells
+		return out
 	}
-	gp, gu, gs := toSets(got)
-	wp, wu, ws := toSets(want)
-	if !reflect.DeepEqual(gp, wp) {
+	if gp, wp := marshaled(got), marshaled(want); !slices.EqualFunc(gp, wp, bytes.Equal) {
 		t.Fatalf("shard profiles differ: got %d, want %d", len(gp), len(wp))
 	}
-	if !reflect.DeepEqual(gu, wu) {
-		t.Fatalf("shard purchases differ: got %v, want %v", gu, wu)
+	if !slices.Equal(got.Purchases, want.Purchases) {
+		t.Fatalf("shard purchases differ: got %v, want %v", got.Purchases, want.Purchases)
 	}
-	if !reflect.DeepEqual(gs, ws) {
-		t.Fatalf("shard sells differ: got %v, want %v", gs, ws)
+	if !slices.Equal(got.Sells, want.Sells) {
+		t.Fatalf("shard sells differ: got %v, want %v", got.Sells, want.Sells)
 	}
 }
 
@@ -159,6 +166,43 @@ func TestSnapshotPagesReassembleWholeShard(t *testing.T) {
 	shard, tr := pagedShard(t, e)
 	paged := pageAll(t, e, shard, tr.Epoch, tr.Seq, 1024)
 	snapshotsEqual(t, paged, liveShard(t, e, shard))
+}
+
+// TestPagedInstallWALByteIdentical: two durable followers that page the
+// same cut of a shard journal it in the same bytes — the image's key order,
+// never a map's, decides every record — so their community.wal files are
+// identical byte for byte, not only in live state.
+func TestPagedInstallWALByteIdentical(t *testing.T) {
+	u, profiles := soakUniverse(t)
+	owner := bulkEngine(t, u, profiles, WithJournalFeed(0), WithShards(1))
+	var wals [2][]byte
+	for i := range wals {
+		dir := t.TempDir()
+		follower, err := Open(u.Catalog, WithJournalFeed(0), WithShards(1), WithPersistence(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReplicator(follower, 1, []Peer{LocalPeer{Engine: owner, PageBytes: 4096}, nil})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Sync(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if st := r.Stats().Shards[0]; st.Snapshots != 1 || st.Pages < 2 {
+			t.Fatalf("follower %d installed %d snapshot(s) over %d page(s), want one multi-page transfer", i, st.Snapshots, st.Pages)
+		}
+		r.Close()
+		if err := follower.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if wals[i], err = os.ReadFile(filepath.Join(dir, CommunityWAL)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(wals[0]) == 0 || !bytes.Equal(wals[0], wals[1]) {
+		t.Fatalf("the same transfer journaled as %d and %d bytes that differ", len(wals[0]), len(wals[1]))
+	}
 }
 
 // TestSnapshotPageRestartsOnMovedPin: a write between pages moves the
@@ -243,11 +287,8 @@ func TestSnapshotPagePinMovesOnWholesaleReplace(t *testing.T) {
 		t.Fatal("transfer fit one page; shrink the budget")
 	}
 
-	live := liveShard(t, e, shard).Profiles
-	half := ShardData{}
-	for _, p := range live[:len(live)/2] {
-		half.Profiles = append(half.Profiles, p.Clone())
-	}
+	live := liveShard(t, e, shard).Encoded
+	half := imageOf(t, e, shard, SnapshotPage{Profiles: live[:len(live)/2]})
 	if err := e.applyShardSnapshot(shard, half, (*OwnershipTable).admitOwner); err != nil {
 		t.Fatal(err)
 	}
@@ -316,46 +357,50 @@ func TestStaleCursorTailIsConstantWork(t *testing.T) {
 // follower's journal cannot hold — a purchase whose product id holds a NUL,
 // which a memory-only owner accepts — is refused before the follower's
 // journal changes, so a restart recovers what memory went on serving; and a
-// page carrying a purchase by another shard's consumer is refused as it
-// arrives.
+// page carrying a purchase by another shard's consumer, or a profile,
+// purchase or sell count that repeats or precedes the entry before it, is
+// refused as it arrives. Either way the shard keeps the state it held.
 func TestRefusedPageLeavesJournalAndMemoryAgreeing(t *testing.T) {
-	e := pageFollower(t)
-	ids := shardIDs(e, 0, 4)
-	enc, err := profile.NewProfile(ids[3]).Marshal()
-	if err != nil {
-		t.Fatal(err)
+	probe := NewEngine(catalog.New(), WithShards(2))
+	ids, foreign := shardIDs(probe, 0, 4), shardIDs(probe, 1, 1)[0]
+	enc := func(id string) []byte {
+		b, err := profile.NewProfile(id).Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	var data ShardData
-	pg := SnapshotPage{Shards: 2, Profiles: [][]byte{enc}, Purchases: []PurchasePair{{UserID: ids[3], ProductID: "p\x00x"}}}
-	if err := data.addPage(e, 0, pg); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		pg   SnapshotPage
+		want error
+	}{
+		{"nul-product", SnapshotPage{Profiles: [][]byte{enc(ids[3])}, Purchases: []PurchasePair{{UserID: ids[3], ProductID: "p\x00x"}}}, ErrBadKey},
+		{"foreign-purchase", SnapshotPage{Purchases: []PurchasePair{{UserID: foreign, ProductID: "p1"}}}, ErrShardMismatch},
+		{"profiles-out-of-order", SnapshotPage{Profiles: [][]byte{enc(ids[3]), enc(ids[0])}}, errOutOfOrder},
+		{"profiles-repeated", SnapshotPage{Profiles: [][]byte{enc(ids[3]), enc(ids[3])}}, errOutOfOrder},
+		{"purchases-out-of-order", SnapshotPage{Purchases: []PurchasePair{{UserID: ids[3], ProductID: "p2"}, {UserID: ids[3], ProductID: "p1"}}}, errOutOfOrder},
+		{"purchases-repeated", SnapshotPage{Purchases: []PurchasePair{{UserID: ids[3], ProductID: "p1"}, {UserID: ids[3], ProductID: "p1", AtEpochMS: 1}}}, errOutOfOrder},
+		{"sells-out-of-order", SnapshotPage{Sells: []SellCount{{ProductID: "p2", Total: 1}, {ProductID: "p1", Total: 1}}}, errOutOfOrder},
+		{"sells-repeated", SnapshotPage{Sells: []SellCount{{ProductID: "p1", Total: 1}, {ProductID: "p1", Total: 2}}}, errOutOfOrder},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := pageFollower(t)
+			tc.pg.Shards = 2
+			var data ShardData
+			err := data.add(0, e.nshards, tc.pg)
+			if err == nil {
+				err = e.applyShardSnapshot(0, data, (*OwnershipTable).admitOwner)
+			}
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("page installed with %v, want %v", err, tc.want)
+			}
+			if _, err := e.Profile(ids[0]); err != nil {
+				t.Fatalf("refused page dropped %s from memory: %v", ids[0], err)
+			}
+			journalMatchesMemory(t, e, 0)
+		})
 	}
-	if err := e.applyShardSnapshot(0, data, (*OwnershipTable).admitOwner); !errors.Is(err, ErrBadKey) {
-		t.Fatalf("page with a NUL product id applied with %v, want ErrBadKey", err)
-	}
-	if _, err := e.Profile(ids[0]); err != nil {
-		t.Fatalf("refused page dropped %s from memory: %v", ids[0], err)
-	}
-	journalMatchesMemory(t, e, 0)
-
-	foreign := shardIDs(e, 1, 1)[0]
-	pg = SnapshotPage{Shards: 2, Purchases: []PurchasePair{{UserID: foreign, ProductID: "p1"}}}
-	if err := new(ShardData).addPage(e, 0, pg); !errors.Is(err, ErrShardMismatch) {
-		t.Fatalf("purchase by %s (shard 1) in a page of shard 0 assembled with %v, want ErrShardMismatch", foreign, err)
-	}
-}
-
-// cloneShardData deep-copies d, so two engines can each adopt the same
-// state without sharing maps.
-func cloneShardData(d ShardData) ShardData {
-	out := ShardData{Purchases: make(map[string]map[string]int64, len(d.Purchases)), Sells: maps.Clone(d.Sells)}
-	for _, p := range d.Profiles {
-		out.Profiles = append(out.Profiles, p.Clone())
-	}
-	for user, set := range d.Purchases {
-		out.Purchases[user] = maps.Clone(set)
-	}
-	return out
 }
 
 // TestWholesaleReplaceServesItsOwnSells: a wholesale replace of shard 0 that
@@ -406,13 +451,17 @@ func TestWholesaleReplaceServesItsOwnSells(t *testing.T) {
 	before := topSellers(e)
 
 	// Shard 0 now holds one buyer of lap1 and of cam1, and no buyer of lap2.
-	replaced := ShardData{
-		Profiles:  []*profile.Profile{profile.NewProfile(ids0[0])},
-		Purchases: map[string]map[string]int64{ids0[0]: {"lap1": 0, "cam1": 0}},
-		Sells:     map[string]int64{"lap1": 1, "cam1": 1},
+	enc, err := profile.NewProfile(ids0[0]).Marshal()
+	if err != nil {
+		t.Fatal(err)
 	}
-	shard1 := cloneShardData(liveShard(t, e, 1))
-	if err := e.applyShardSnapshot(0, cloneShardData(replaced), (*OwnershipTable).admitOwner); err != nil {
+	replaced := imageOf(t, e, 0, SnapshotPage{
+		Profiles:  [][]byte{enc},
+		Purchases: []PurchasePair{{UserID: ids0[0], ProductID: "cam1"}, {UserID: ids0[0], ProductID: "lap1"}},
+		Sells:     []SellCount{{ProductID: "cam1", Total: 1}, {ProductID: "lap1", Total: 1}},
+	})
+	shard1 := liveShard(t, e, 1)
+	if err := e.applyShardSnapshot(0, replaced, (*OwnershipTable).admitOwner); err != nil {
 		t.Fatal(err)
 	}
 	fresh := NewEngine(cat, WithShards(2))
