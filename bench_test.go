@@ -100,12 +100,12 @@ func BenchmarkDot(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sums := make([]*profile.Summary, len(u.Users))
-	for i, usr := range u.Users {
-		p, err := u.BuildProfile(usr)
-		if err != nil {
-			b.Fatal(err)
-		}
+	profiles, err := u.Profiles()
+	if err != nil {
+		b.Fatal(err)
+	}
+	sums := make([]*profile.Summary, len(profiles))
+	for i, p := range profiles {
 		sums[i] = p.Summary()
 	}
 	b.ResetTimer()
@@ -136,12 +136,12 @@ func benchEngine(b *testing.B, users, products int) (*recommend.Engine, *workloa
 		b.Fatal(err)
 	}
 	e := recommend.NewEngine(u.Catalog, recommend.WithNeighbors(10))
-	for _, usr := range u.Users {
-		p, err := u.BuildProfile(usr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e.SetProfile(p)
+	profiles, err := u.Profiles()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := e.SetProfiles(profiles); err != nil {
+		b.Fatal(err)
 	}
 	for user, pids := range u.Purchases() {
 		for _, pid := range pids {
@@ -233,13 +233,9 @@ func BenchmarkRecommendParallel(b *testing.B) {
 // Agents update while Buyer Recommend Agents read.
 func BenchmarkRecommendParallelMixed(b *testing.B) {
 	e, u := benchEngineSized(b, 10000, 2000, 32)
-	profiles := make([]*profile.Profile, len(u.Users))
-	for i, usr := range u.Users {
-		p, err := u.BuildProfile(usr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		profiles[i] = p
+	profiles, err := u.Profiles()
+	if err != nil {
+		b.Fatal(err)
 	}
 	var next atomic.Uint64
 	b.ResetTimer()
@@ -279,13 +275,9 @@ func BenchmarkRecommendPersistent(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer e.Close()
-	profiles := make([]*profile.Profile, len(u.Users))
-	for i, usr := range u.Users {
-		p, err := u.BuildProfile(usr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		profiles[i] = p
+	profiles, err := u.Profiles()
+	if err != nil {
+		b.Fatal(err)
 	}
 	if err := e.SetProfiles(profiles); err != nil {
 		b.Fatal(err)
@@ -343,12 +335,12 @@ func benchEngineSized(b *testing.B, users, products, categories int, opts ...rec
 		b.Fatal(err)
 	}
 	e := recommend.NewEngine(u.Catalog, append(opts, recommend.WithNeighbors(10))...)
-	for _, usr := range u.Users {
-		p, err := u.BuildProfile(usr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e.SetProfile(p)
+	profiles, err := u.Profiles()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := e.SetProfiles(profiles); err != nil {
+		b.Fatal(err)
 	}
 	for user, pids := range u.Purchases() {
 		for _, pid := range pids {

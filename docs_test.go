@@ -15,8 +15,13 @@ import (
 	"testing"
 
 	"agentrec/internal/analysis"
+	"agentrec/internal/buyerserver"
+	"agentrec/internal/coordinator"
 	"agentrec/internal/loadgen"
 	"agentrec/internal/ops"
+	"agentrec/internal/profile"
+	"agentrec/internal/recommend"
+	"agentrec/internal/replnet"
 )
 
 func readDoc(t *testing.T, name string) string {
@@ -82,37 +87,29 @@ func TestReadmeFlagReferenceMatchesPlatformd(t *testing.T) {
 	}
 }
 
-// jsonLeafTags collects the json tag names of every leaf (non-struct)
-// field reachable from v's type, recursing through pointers, slices, and
-// nested structs. Container fields (the nested struct itself) carry no
-// data of their own, so only leaves must appear in the documentation.
-func jsonLeafTags(t *testing.T, typ reflect.Type, into map[string]bool) {
-	t.Helper()
-	for typ.Kind() == reflect.Pointer || typ.Kind() == reflect.Slice || typ.Kind() == reflect.Map {
-		typ = typ.Elem()
+// TestDocsWireVocabulary is the wire naming rule's one check: every
+// exported field reachable from a type that crosses a wire — the /events
+// and /metrics/snapshot bodies, the engine's journal records, tail replies,
+// snapshot pages and ownership maps, the coordinator's lease wire, the
+// BENCH documents, the owner-map frame, the consumer profile every WAL
+// record, feed record, page and forwarded write carries, and the buyer
+// server's durable rows — carries an explicit snake_case json key.
+// replnet's unexported request frames are checked by replnet's own test.
+func TestDocsWireVocabulary(t *testing.T) {
+	leaves, faults := analysis.WireVocabulary(
+		reflect.TypeFor[ops.Event](), reflect.TypeFor[ops.Snapshot](),
+		reflect.TypeFor[recommend.JournalRecord](), reflect.TypeFor[recommend.TailResult](),
+		reflect.TypeFor[recommend.SnapshotPage](), reflect.TypeFor[recommend.OwnershipMap](),
+		reflect.TypeFor[coordinator.LeaseRequest](), reflect.TypeFor[coordinator.LeaseGrant](),
+		reflect.TypeFor[loadgen.Scenario](), reflect.TypeFor[loadgen.ScenarioResult](),
+		reflect.TypeFor[replnet.OwnerMapInfo](), reflect.TypeFor[profile.Profile](),
+		reflect.TypeFor[buyerserver.UserRecord](), reflect.TypeFor[buyerserver.MBARecord](),
+	)
+	for _, f := range faults {
+		t.Error(f)
 	}
-	if typ.Kind() != reflect.Struct {
-		return
-	}
-	for i := 0; i < typ.NumField(); i++ {
-		f := typ.Field(i)
-		if !f.IsExported() {
-			continue
-		}
-		elem := f.Type
-		for elem.Kind() == reflect.Pointer || elem.Kind() == reflect.Slice || elem.Kind() == reflect.Map {
-			elem = elem.Elem()
-		}
-		if elem.Kind() == reflect.Struct {
-			jsonLeafTags(t, elem, into)
-			continue
-		}
-		tag, _, _ := strings.Cut(f.Tag.Get("json"), ",")
-		if tag == "" || tag == "-" {
-			t.Errorf("%s.%s has no json tag: every wire field must be named explicitly", typ, f.Name)
-			continue
-		}
-		into[tag] = true
+	if len(leaves) < 120 {
+		t.Fatalf("the walk named only %d leaf fields, expected every wire root's vocabulary", len(leaves))
 	}
 }
 
@@ -122,10 +119,7 @@ func jsonLeafTags(t *testing.T, typ reflect.Type, into map[string]bool) {
 // JSON.
 func TestDocsStatsFieldNamesInDesign(t *testing.T) {
 	design := readDoc(t, "DESIGN.md")
-	tags := make(map[string]bool)
-	for _, v := range []any{ops.Event{}, ops.Snapshot{}} {
-		jsonLeafTags(t, reflect.TypeOf(v), tags)
-	}
+	tags, _ := analysis.WireVocabulary(reflect.TypeFor[ops.Event](), reflect.TypeFor[ops.Snapshot]())
 	if len(tags) < 20 {
 		t.Fatalf("walker found only %d tags, expected the full stats/event vocabulary", len(tags))
 	}
@@ -142,10 +136,7 @@ func TestDocsStatsFieldNamesInDesign(t *testing.T) {
 // schema cannot drift from the docs.
 func TestDocsLoadgenSchemaInDesign(t *testing.T) {
 	design := readDoc(t, "DESIGN.md")
-	tags := make(map[string]bool)
-	for _, v := range []any{loadgen.Scenario{}, loadgen.ScenarioResult{}} {
-		jsonLeafTags(t, reflect.TypeOf(v), tags)
-	}
+	tags, _ := analysis.WireVocabulary(reflect.TypeFor[loadgen.Scenario](), reflect.TypeFor[loadgen.ScenarioResult]())
 	if len(tags) < 40 {
 		t.Fatalf("walker found only %d tags, expected the full scenario/result vocabulary", len(tags))
 	}

@@ -1,6 +1,6 @@
 // Package analysis is the repo's static-analysis suite: a small
 // go/analysis-style framework (built on the standard library alone — the
-// container has no golang.org/x/tools) plus the five analyzers that encode
+// container has no golang.org/x/tools) plus the four analyzers that encode
 // the platform's hardest invariants at lint time:
 //
 //   - lockorder: never nested shard locks, no lock held across a Persister
@@ -9,14 +9,15 @@
 //     near the byte-identical wire/WAL writers.
 //   - buspublish: nothing reachable from ops.Bus.Publish blocks, and every
 //     event-hook call site is nil-checked.
-//   - wiretag: wire-bound structs carry explicit snake_case json tags.
 //   - errflow: error returns of the write API, the kvstore accessors, and
 //     the fence are never silently discarded.
 //
 // The suite ships as cmd/agentlint, a multichecker run from the module
 // root (`agentlint ./...`). Runtime tests verify the
 // same invariants dynamically; the analyzers catch violations before any
-// chaos test runs. See DESIGN.md "Static analysis".
+// chaos test runs. The wire naming rule is a property of types, not of
+// source: WireVocabulary checks it by reflection, from the docs and replnet
+// tests. See DESIGN.md "Static analysis".
 //
 // # Suppressions
 //
@@ -41,7 +42,6 @@ import (
 // Import paths of the packages the analyzers key on.
 const (
 	recommendPath = "agentrec/internal/recommend"
-	replnetPath   = "agentrec/internal/replnet"
 	opsPath       = "agentrec/internal/ops"
 	kvstorePath   = "agentrec/internal/kvstore"
 	platformPath  = "agentrec/internal/platform"
@@ -91,19 +91,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		return
 	}
 	p.Report(Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
-}
-
-// Allowed reports whether an allow directive for the running analyzer
-// covers pos. Analyzers use this for declaration-level suppression — e.g.
-// wiretag skipping a whole struct whose type declaration carries a
-// justified allow — where per-diagnostic line matching would force one
-// comment per field.
-func (p *Pass) Allowed(pos token.Pos) bool {
-	if p.allows == nil {
-		p.allows = buildAllowIndex(p.Fset, p.Files)
-	}
-	position := p.Fset.Position(pos)
-	return p.allows.covers(p.Analyzer.Name, position.Filename, position.Line)
 }
 
 // allowRe matches the suppression comment grammar. The reason clause after

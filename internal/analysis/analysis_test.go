@@ -11,7 +11,6 @@ import (
 func TestLockorderFixtures(t *testing.T)   { runFixtures(t, Lockorder) }
 func TestDeterminismFixtures(t *testing.T) { runFixtures(t, Determinism) }
 func TestBuspublishFixtures(t *testing.T)  { runFixtures(t, Buspublish) }
-func TestWiretagFixtures(t *testing.T)     { runFixtures(t, Wiretag) }
 func TestErrflowFixtures(t *testing.T)     { runFixtures(t, Errflow) }
 
 // TestSuiteIsClean is the repo gate in test form: the full analyzer suite
@@ -72,7 +71,7 @@ var b int
 // TestAnalyzerNamesAreStable pins the suite's names and order: docs, allow
 // comments, and the DESIGN.md table all key on them.
 func TestAnalyzerNamesAreStable(t *testing.T) {
-	want := []string{"lockorder", "determinism", "buspublish", "wiretag", "errflow"}
+	want := []string{"lockorder", "determinism", "buspublish", "errflow"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("All() returned %d analyzers, want %d", len(all), len(want))

@@ -9,7 +9,6 @@ func All() []*Analyzer {
 		Lockorder,
 		Determinism,
 		Buspublish,
-		Wiretag,
 		Errflow,
 	}
 }

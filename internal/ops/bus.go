@@ -100,8 +100,6 @@ func (b *Bus) Publish(ev Event) uint64 {
 }
 
 // SubscribeOptions configures a Subscription.
-//
-//agentlint:allow wiretag -- in-process subscription config, never serialized; the SSE handler derives it from query params
 type SubscribeOptions struct {
 	// Kinds restricts delivery to the listed kinds; empty means all.
 	// Synthetic drop markers are always delivered.

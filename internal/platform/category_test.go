@@ -4,7 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"agentrec/internal/profile"
 	"agentrec/internal/recommend"
 	"agentrec/internal/workload"
 )
@@ -18,11 +17,9 @@ func TestCategoryReadAnswersInCategory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiles := make([]*profile.Profile, len(u.Users))
-	for i, usr := range u.Users {
-		if profiles[i], err = u.BuildProfile(usr); err != nil {
-			t.Fatal(err)
-		}
+	profiles, err := u.Profiles()
+	if err != nil {
+		t.Fatal(err)
 	}
 	categoryOf := make(map[string]string, len(u.Products))
 	var categories []string

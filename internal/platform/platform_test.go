@@ -163,11 +163,9 @@ func TestDeploymentShapesAnswerAlike(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiles := make([]*profile.Profile, len(u.Users))
-	for i, usr := range u.Users {
-		if profiles[i], err = u.BuildProfile(usr); err != nil {
-			t.Fatal(err)
-		}
+	profiles, err := u.Profiles()
+	if err != nil {
+		t.Fatal(err)
 	}
 	var shapes []*Platform
 	for _, servers := range []int{1, 3} {

@@ -106,23 +106,11 @@ func TestSharedSnapshotConcurrentReadsMatchSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(u.Catalog, WithNeighbors(8))
-	for _, usr := range u.Users {
-		p, err := u.BuildProfile(usr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.SetProfile(p); err != nil {
-			t.Fatal(err)
-		}
+	profiles, err := u.Profiles()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for user, pids := range u.Purchases() {
-		for _, pid := range pids {
-			if err := e.RecordPurchase(user, pid); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	e := bulkEngine(t, u, profiles, WithNeighbors(8))
 
 	type read struct{ user, cat string }
 	var reads []read

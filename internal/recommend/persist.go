@@ -100,7 +100,8 @@ func (e *Engine) replaceShardLocked(sh *shard, data ShardData) {
 // matches in-memory order.
 type Persister interface {
 	// SaveProfiles durably installs profiles, as encoded, into shard's
-	// bucket, as one atomic batch. It is called before the in-memory install
+	// bucket, as one atomic batch of at most maxBatchBytes encoded bytes
+	// (or one larger profile). It is called before the in-memory install
 	// (journal first), so a crash can lose an acknowledged write only if
 	// SaveProfiles itself errored.
 	SaveProfiles(shard int, profs []*profile.Profile, encoded [][]byte) error
@@ -304,10 +305,28 @@ func shardBucket(name string, shards int) bool {
 	return false
 }
 
-// saveProfilesChunk bounds one durable batch well under the kvstore record
-// cap; a bulk install larger than this is split into several atomic
-// batches (equivalent to a sequence of smaller SetProfiles calls).
-const saveProfilesChunk = 4 << 20 // 4 MiB of encoded profiles
+// maxBatchBytes bounds the encoded profiles of one durable batch, one
+// OpProfiles feed record and, by default, one snapshot page: well under the
+// kvstore record cap, and inside a 16 MiB atp frame after JSON/base64's ~1.4x.
+const maxBatchBytes = 4 << 20
+
+// batchEnds cuts a bulk install's encs into runs whose sizes sum to at most
+// maxBatchBytes, a larger payload alone in its run, and returns the end
+// index of each run: one journal batch and one feed record each.
+func batchEnds(encs [][]byte) []int {
+	var ends []int
+	size := 0
+	for i, enc := range encs {
+		if i > 0 && size+len(enc) > maxBatchBytes {
+			ends, size = append(ends, i), 0
+		}
+		size += len(enc)
+	}
+	if len(encs) > 0 {
+		ends = append(ends, len(encs))
+	}
+	return ends
+}
 
 func profBucket(shard int) string  { return bucketProfiles + strconv.Itoa(shard) }
 func purchBucket(shard int) string { return bucketPurchases + strconv.Itoa(shard) }
@@ -341,7 +360,7 @@ func sellOp(shard int, productID string, total int64) (kvstore.Op, error) {
 }
 
 // kvBatch queues one mutation's ops and applies them in atomic batches of at
-// most saveProfilesChunk encoded bytes each.
+// most maxBatchBytes encoded bytes each.
 type kvBatch struct {
 	store   *kvstore.Store
 	ops     []kvstore.Op
@@ -360,7 +379,7 @@ func (b *kvBatch) flush() error {
 }
 
 func (b *kvBatch) add(op kvstore.Op, size int) error {
-	if b.pending+size > saveProfilesChunk {
+	if b.pending+size > maxBatchBytes {
 		if err := b.flush(); err != nil {
 			return err
 		}
@@ -371,17 +390,15 @@ func (b *kvBatch) add(op kvstore.Op, size int) error {
 }
 
 func (kp *kvPersister) SaveProfiles(shard int, profs []*profile.Profile, encoded [][]byte) error {
-	b := kvBatch{store: kp.store, ops: make([]kvstore.Op, 0, len(profs))}
+	ops := make([]kvstore.Op, len(profs))
 	for i, p := range profs {
 		op, err := profileOp(shard, p.UserID, encoded[i])
 		if err != nil {
 			return err
 		}
-		if err := b.add(op, len(op.Value)); err != nil {
-			return err
-		}
+		ops[i] = op
 	}
-	return b.flush()
+	return kp.store.Apply(ops)
 }
 
 func (kp *kvPersister) SavePurchase(shard int, userID, productID string, at, total int64) error {

@@ -362,8 +362,10 @@ func (e *Engine) setProfiles(ps []*profile.Profile, encs [][]byte, admit admitFu
 // installShardProfiles installs profs — private copies, all belonging to
 // sh, encoded as encs (nil: here, if a sink needs them) — journal-first,
 // then as new records into the shard map and the journal feed, all inside
-// the shard critical section, once admit admitted the write there. Shared by every profile
-// write and the replication apply path.
+// the shard critical section, once admit admitted the write there. encs is
+// cut once into batches (batchEnds): each is one atomic journal batch and
+// one feed record, so a follower applying the records journals the owner's
+// batches. Shared by every profile write and the replication apply path.
 func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile, encs [][]byte, admit admitFunc) error {
 	if encs == nil && (e.persist != nil || e.feed != nil) {
 		var err error
@@ -374,10 +376,15 @@ func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile, encs 
 	if err := e.lockShardW(sh, admit); err != nil {
 		return err
 	}
+	ends := batchEnds(encs)
 	if e.persist != nil {
-		if err := e.persist.SaveProfiles(sh.id, profs, encs); err != nil {
-			sh.mu.Unlock()
-			return err
+		lo := 0
+		for _, hi := range ends {
+			if err := e.persist.SaveProfiles(sh.id, profs[lo:hi], encs[lo:hi]); err != nil {
+				sh.mu.Unlock()
+				return err
+			}
+			lo = hi
 		}
 	}
 	for _, p := range profs {
@@ -390,10 +397,10 @@ func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile, encs 
 	}
 	seq := sh.gen.Add(1)
 	if e.feed != nil {
-		// Bulk installs split into several bounded records, so no single
-		// journal record outgrows a network frame when peers tail the feed.
-		for _, chunk := range chunkEncoded(encs, maxFeedRecordBytes) {
-			seq = e.feed.emit(sh.id, JournalRecord{Op: OpProfiles, Profiles: chunk})
+		lo := 0
+		for _, hi := range ends {
+			seq = e.feed.emit(sh.id, JournalRecord{Op: OpProfiles, Profiles: encs[lo:hi:hi]})
+			lo = hi
 		}
 	}
 	sh.mu.Unlock()

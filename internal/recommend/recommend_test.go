@@ -351,19 +351,11 @@ func TestStrategiesOnUniverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(u.Catalog, WithNeighbors(8))
-	for _, usr := range u.Users {
-		p, err := u.BuildProfile(usr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.SetProfile(p)
+	profiles, err := u.Profiles()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for user, pids := range u.Purchases() {
-		for _, pid := range pids {
-			e.RecordPurchase(user, pid)
-		}
-	}
+	e := bulkEngine(t, u, profiles, WithNeighbors(8))
 
 	hit := func(strategy Strategy) (hits, total int) {
 		for _, usr := range u.Users {

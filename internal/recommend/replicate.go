@@ -222,31 +222,6 @@ func (f *journalFeed) tailSince(shard int, epoch, since uint64) (recs []JournalR
 	return out, head, true
 }
 
-// maxFeedRecordBytes bounds the encoded profile payload of one OpProfiles
-// journal record, keeping every record comfortably inside a network frame
-// (atp.MaxFrame is 16 MiB; JSON/base64 transport overhead is ~1.4x).
-const maxFeedRecordBytes = 4 << 20
-
-// chunkEncoded splits encoded payloads into groups whose byte sizes sum to
-// at most limit each (a single oversized payload still gets its own group).
-func chunkEncoded(encoded [][]byte, limit int) [][][]byte {
-	var out [][][]byte
-	var cur [][]byte
-	size := 0
-	for _, enc := range encoded {
-		if len(cur) > 0 && size+len(enc) > limit {
-			out = append(out, cur)
-			cur, size = nil, 0
-		}
-		cur = append(cur, enc)
-		size += len(enc)
-	}
-	if len(cur) > 0 {
-		out = append(out, cur)
-	}
-	return out
-}
-
 // JournalTail answers a follower's tail request for one shard: records
 // after (epoch, since) when the retained tail covers the cursor, otherwise
 // the Paged marker pinned at (feed epoch, head) — constant work, no shard
@@ -482,7 +457,7 @@ type Peer interface {
 
 // LocalPeer adapts an in-process Engine as a Peer (the platform.Config
 // single-process deployment of Fig 3.1). PageBytes is the snapshot page
-// budget; zero means the engine's default (maxFeedRecordBytes).
+// budget; zero means the engine's default (maxBatchBytes).
 type LocalPeer struct {
 	Engine    *Engine
 	PageBytes int

@@ -303,6 +303,64 @@ func TestReplicatedWALByteIdentical(t *testing.T) {
 			t.Fatalf("compacted WALs differ: %d vs %d bytes", len(raws[0]), len(raws[1]))
 		}
 	})
+	// A bulk install over one batch's maxBatchBytes: the owner journals it
+	// as several batches, one feed record each, and a durable follower that
+	// applies those records journals the same batches, so the two
+	// community.wal files are identical byte for byte, uncompacted.
+	t.Run("bulk install over one batch", func(t *testing.T) {
+		u, profiles := soakUniverse(t)
+		var bulk []*profile.Profile
+		for size := 0; size <= maxBatchBytes*3/2; {
+			p := profiles[len(bulk)%len(profiles)].Clone()
+			p.UserID = fmt.Sprintf("bulk-%05d", len(bulk))
+			enc, err := p.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			bulk, size = append(bulk, p), size+len(enc)
+		}
+		dirs := []string{t.TempDir(), t.TempDir()}
+		var engines [2]*Engine
+		for i, dir := range dirs {
+			e, err := Open(u.Catalog, WithJournalFeed(0), WithShards(1), WithPersistence(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			engines[i] = e
+		}
+		owner, follower := engines[0], engines[1]
+		r, err := NewReplicator(follower, 1, []Peer{LocalPeer{Engine: owner}, nil})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first sync pins the follower's cursor on the empty shard, so
+		// the bulk install reaches it as feed records, not as a page.
+		if err := r.Sync(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := owner.SetProfiles(bulk); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Sync(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if st := r.Stats().Shards[0]; st.Records < 2 || st.Snapshots != 1 {
+			t.Fatalf("follower applied %d record(s) after %d snapshot(s), want the install's batches as records after the empty shard's page", st.Records, st.Snapshots)
+		}
+		r.Close()
+		var wals [2][]byte
+		for i, e := range engines {
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if wals[i], err = os.ReadFile(filepath.Join(dirs[i], CommunityWAL)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(wals[0]) <= maxBatchBytes || !bytes.Equal(wals[0], wals[1]) {
+			t.Fatalf("owner journaled %d bytes, follower %d, and they differ", len(wals[0]), len(wals[1]))
+		}
+	})
 }
 
 // TestFollowerRestartCatchesUp: a restarted follower (fresh cursor, stale

@@ -149,7 +149,7 @@ func (e *Engine) SnapshotPage(shard int, epoch, seq uint64, token string, maxByt
 		return SnapshotPage{}, fmt.Errorf("%w: %d of %d", ErrBadShard, shard, e.nshards)
 	}
 	if maxBytes <= 0 {
-		maxBytes = maxFeedRecordBytes
+		maxBytes = maxBatchBytes
 	}
 	sh := e.shards[shard]
 	sh.mu.RLock()

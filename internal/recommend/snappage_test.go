@@ -683,11 +683,9 @@ func BenchmarkReplicationCatchUp(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	profiles := make([]*profile.Profile, len(u.Users))
-	for i, usr := range u.Users {
-		if profiles[i], err = u.BuildProfile(usr); err != nil {
-			b.Fatal(err)
-		}
+	profiles, err := u.Profiles()
+	if err != nil {
+		b.Fatal(err)
 	}
 	owner, err := Open(u.Catalog, WithJournalFeed(0), WithShards(8))
 	if err != nil {

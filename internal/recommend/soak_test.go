@@ -31,13 +31,9 @@ func soakUniverse(t *testing.T) (*workload.Universe, []*profile.Profile) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiles := make([]*profile.Profile, len(u.Users))
-	for i, usr := range u.Users {
-		p, err := u.BuildProfile(usr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		profiles[i] = p
+	profiles, err := u.Profiles()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return u, profiles
 }

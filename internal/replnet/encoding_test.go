@@ -3,13 +3,30 @@ package replnet
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
 
+	"agentrec/internal/analysis"
 	"agentrec/internal/kvstore"
 	"agentrec/internal/profile"
 	"agentrec/internal/recommend"
 )
+
+// TestRequestFramesWireVocabulary holds the request frames a server sends
+// its peers to the wire naming rule the docs test holds every exported wire
+// type to (analysis.WireVocabulary): every field carries an explicit
+// snake_case json key.
+func TestRequestFramesWireVocabulary(t *testing.T) {
+	_, faults := analysis.WireVocabulary(
+		reflect.TypeFor[tailRequest](), reflect.TypeFor[snapPageRequest](),
+		reflect.TypeFor[setProfilesRequest](), reflect.TypeFor[observeRequest](),
+		reflect.TypeFor[purchaseRequest](),
+	)
+	for _, f := range faults {
+		t.Error(f)
+	}
+}
 
 // lastFeedRecord is the newest record on shard's journal feed of e.
 func lastFeedRecord(t *testing.T, e *recommend.Engine, shard int) recommend.JournalRecord {

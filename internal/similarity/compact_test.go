@@ -152,11 +152,9 @@ func generatedProfiles(t *testing.T, cfg workload.Config) []*profile.Profile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profs := make([]*profile.Profile, len(u.Users))
-	for i, usr := range u.Users {
-		if profs[i], err = u.BuildProfile(usr); err != nil {
-			t.Fatal(err)
-		}
+	profs, err := u.Profiles()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return profs
 }
