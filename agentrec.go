@@ -68,8 +68,7 @@ const (
 // Platform is a running instance of the full agent-based e-commerce
 // architecture. Construct with New; always Close it.
 type Platform struct {
-	inner  *platform.Platform
-	tracer *trace.Recorder
+	inner *platform.Platform
 }
 
 // Option configures New.
@@ -213,12 +212,11 @@ func New(opts ...Option) (*Platform, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	tracer := cfg.Tracer
 	inner, err := platform.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Platform{inner: inner, tracer: tracer}, nil
+	return &Platform{inner: inner}, nil
 }
 
 // Close shuts the platform down, waiting for every agent goroutine.

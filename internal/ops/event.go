@@ -85,7 +85,7 @@ type Event struct {
 type JournalEvent struct {
 	Server       int    `json:"server"`
 	Shard        int    `json:"shard"`
-	Seq          uint64 `json:"seq"` // shard journal sequence (feed seq, or write generation without a feed)
+	Seq          uint64 `json:"seq"` // the shard's version: its feed head
 	Op           string `json:"op"`  // "profiles" or "purchase"
 	Records      int    `json:"records,omitempty"`
 	PayloadBytes int    `json:"payload_bytes,omitempty"` // encoded profile payload carried by the record

@@ -9,9 +9,6 @@ import (
 // The profile codec: a profile write is encoded once, at its origin, and its
 // sinks on every server keep those bytes (WAL, journal feed, followers').
 
-// shardOf is the shard, of shards, that userID's community state lives in.
-func shardOf(userID string, shards int) int { return int(fnv32a(userID) % uint32(shards)) }
-
 // encodeProfiles encodes the profiles of one write, in order.
 func encodeProfiles(profs []*profile.Profile) ([][]byte, error) {
 	out := make([][]byte, len(profs))

@@ -93,10 +93,7 @@ func (e *Engine) recordPurchaseAt(userID, productID string, at time.Time, admit 
 	sh.consumers[userID] = old.withPurchase(i, again, purchase{product: productID, at: ms})
 	sh.sells[productID] = total
 	sh.noteWrite(userID)
-	seq := sh.gen.Add(1)
-	if e.feed != nil {
-		seq = e.feed.emit(sh.id, JournalRecord{Op: OpPurchase, UserID: userID, ProductID: productID, AtEpochMS: ms})
-	}
+	seq := sh.emit(e.feedCap, JournalRecord{Op: OpPurchase, UserID: userID, ProductID: productID, AtEpochMS: ms})
 	sh.mu.Unlock()
 	e.publishJournal(sh.id, seq, OpPurchase, 1, 0)
 	e.noteJournalWrite()

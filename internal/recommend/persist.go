@@ -61,8 +61,9 @@ type ShardData struct {
 // replaceShardLocked makes data sh's whole state: the one way a shard is
 // installed wholesale, by restart recovery and snapshot catch-up alike. It
 // builds one record per consumer, its purchase list that consumer's run of
-// data's ascending pairs, and the shard's sell map, drops the view and
-// bumps gen. Caller holds sh.mu for writing.
+// data's ascending pairs, and the shard's sell map, and drops the view.
+// Caller holds sh.mu for writing; a replace of a live shard also retires
+// its version (shard.retire), while restart recovery leaves it at 0.
 func (e *Engine) replaceShardLocked(sh *shard, data ShardData) {
 	consumers := make(map[string]*consumer, len(data.Profiles))
 	for _, p := range data.Profiles {
@@ -90,7 +91,6 @@ func (e *Engine) replaceShardLocked(sh *shard, data ShardData) {
 	}
 	sh.consumers, sh.sells = consumers, sells
 	sh.dropView()
-	sh.gen.Add(1)
 }
 
 // Persister journals community mutations durably and replays them on
@@ -102,8 +102,10 @@ type Persister interface {
 	// SaveProfiles durably installs profiles, as encoded, into shard's
 	// bucket, as one atomic batch of at most maxBatchBytes encoded bytes
 	// (or one larger profile). It is called before the in-memory install
-	// (journal first), so a crash can lose an acknowledged write only if
-	// SaveProfiles itself errored.
+	// of that batch (journal first), so a crash can lose an acknowledged
+	// write only if SaveProfiles itself errored. An install larger than one
+	// batch commits batch by batch: an error here leaves the install's
+	// earlier batches durable and installed, and its later ones unsaved.
 	SaveProfiles(shard int, profs []*profile.Profile, encoded [][]byte) error
 	// SavePurchase durably records userID buying productID at at (epoch
 	// milliseconds, 0 = undated; the value the purchase list keeps) together
@@ -226,7 +228,8 @@ func (e *Engine) lockShardW(sh *shard, admit admitFunc) error {
 
 // recover installs every shard the Persister holds through the same
 // wholesale install snapshot catch-up uses. Nothing is journaled again and
-// the feed is fresh, so there is no sequence number to skip.
+// no version predates it: each shard's gen, its feed head, stays at 0 in
+// the feed's fresh epoch.
 func (e *Engine) recover() error {
 	for _, sh := range e.shards {
 		data, err := e.persist.LoadShard(sh.id)

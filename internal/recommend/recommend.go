@@ -46,10 +46,11 @@
 //
 //   - Recommendation results are identical for any shard count, with or
 //     without persistence, on owner or caught-up follower.
-//   - Lock order: shard → journal feed. No path acquires these in
-//     reverse, and no path holds two shard locks at once.
+//   - One lock per shard, and no path holds two shard locks at once. A
+//     shard's journal feed lives in the shard, under that lock.
 //   - A shard's writes are totally ordered by its lock; the journal, the
-//     feed, and memory all observe that one order. Sell counts are
+//     feed, and memory all observe that one order, and every state change
+//     moves the shard's one version, which is its feed head. Sell counts are
 //     attributed to the buyer's shard durably, so one shard's journal
 //     fully determines its replica; the served totals are the sum over
 //     shards.
@@ -205,9 +206,10 @@ type Engine struct {
 	ownMu sync.Mutex // serializes BindOwnership
 	own   atomic.Pointer[binding]
 
-	// Replication (nil unless WithJournalFeed; see replicate.go).
-	feed    *journalFeed
-	feedCap int
+	// Replication (zero unless WithJournalFeed; see replicate.go): each
+	// shard retains its last feedCap records, numbered in feedEpoch.
+	feedCap   int
+	feedEpoch uint64
 
 	// Event plane (nil unless WithEventBus; see events.go).
 	events      *ops.Bus
@@ -252,11 +254,11 @@ func Open(cat *catalog.Catalog, opts ...Option) (*Engine, error) {
 	}
 	e.own.Store(&binding{table: NewOwnershipTable(StaticOwnership(e.nshards, 1))})
 	if e.feedCap > 0 {
-		feed, err := newJournalFeed(e.nshards, e.feedCap)
+		epoch, err := newFeedEpoch()
 		if err != nil {
 			return nil, err
 		}
-		e.feed = feed
+		e.feedEpoch = epoch
 	}
 	if e.persist == nil && e.stateDir != "" {
 		p, err := openPersister(e.stateDir, e.nshards)
@@ -301,12 +303,18 @@ func (e *Engine) Shards() int { return e.nshards }
 // shard.
 func (e *Engine) SetProfile(p *profile.Profile) error { return e.SetProfiles([]*profile.Profile{p}) }
 
-// SetProfiles bulk-installs profiles: one shard lock acquisition and one
-// durable batch per touched shard, instead of one each per profile.
-// Equivalent to calling SetProfile for each element in order (later
-// duplicates win). This is the SeedCommunity path: installing a warm
-// community one profile at a time pays nshards times the locking and
-// journaling it needs to.
+// SetProfiles bulk-installs profiles: one shard lock acquisition per
+// touched shard, instead of one per profile. Equivalent to calling
+// SetProfile for each element in order (later duplicates win). This is the
+// SeedCommunity path: installing a warm community one profile at a time
+// pays nshards times the locking and journaling it needs to.
+//
+// A shard's profiles are committed in journal batches of at most
+// maxBatchBytes encoded bytes, each one whole — journaled, installed and
+// emitted on the feed — before the next is journaled. An error stops the
+// install at the batch that failed: the batches committed before it stay
+// durable, served and on the feed, and the shards after it are not
+// touched.
 func (e *Engine) SetProfiles(ps []*profile.Profile) error {
 	return e.setProfiles(ps, nil, (*OwnershipTable).admitOwner)
 }
@@ -360,59 +368,63 @@ func (e *Engine) setProfiles(ps []*profile.Profile, encs [][]byte, admit admitFu
 }
 
 // installShardProfiles installs profs — private copies, all belonging to
-// sh, encoded as encs (nil: here, if a sink needs them) — journal-first,
-// then as new records into the shard map and the journal feed, all inside
-// the shard critical section, once admit admitted the write there. encs is
-// cut once into batches (batchEnds): each is one atomic journal batch and
+// sh, encoded as encs (nil: here, if a sink needs them) — once admit
+// admitted the write under the shard lock. encs is cut once into batches
+// (batchEnds), and inside the one lock hold each batch is committed whole:
+// journaled, installed as new records into the shard map, and emitted as
 // one feed record, so a follower applying the records journals the owner's
-// batches. Shared by every profile write and the replication apply path.
+// batches and an error leaves every earlier batch durable, in memory and on
+// the feed alike. Shared by every profile write and the replication apply
+// path.
 func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile, encs [][]byte, admit admitFunc) error {
-	if encs == nil && (e.persist != nil || e.feed != nil) {
+	if encs == nil && (e.persist != nil || e.feedCap > 0) {
 		var err error
 		if encs, err = encodeProfiles(profs); err != nil {
 			return err
 		}
 	}
+	ends := []int{len(profs)} // no sink: one batch, never encoded
+	if encs != nil {
+		ends = batchEnds(encs)
+	}
 	if err := e.lockShardW(sh, admit); err != nil {
 		return err
 	}
-	ends := batchEnds(encs)
-	if e.persist != nil {
-		lo := 0
-		for _, hi := range ends {
-			if err := e.persist.SaveProfiles(sh.id, profs[lo:hi], encs[lo:hi]); err != nil {
-				sh.mu.Unlock()
-				return err
+	var (
+		err         error
+		seq         uint64
+		lo, payload int
+	)
+	for _, hi := range ends {
+		var batch [][]byte
+		if encs != nil {
+			batch = encs[lo:hi:hi]
+		}
+		if e.persist != nil {
+			if err = e.persist.SaveProfiles(sh.id, profs[lo:hi], batch); err != nil {
+				break
 			}
-			lo = hi
 		}
-	}
-	for _, p := range profs {
-		c := &consumer{prof: p, sum: p.Summary()}
-		if old := sh.consumers[p.UserID]; old != nil {
-			c.bought = old.bought
+		for _, p := range profs[lo:hi] {
+			c := &consumer{prof: p, sum: p.Summary()}
+			if old := sh.consumers[p.UserID]; old != nil {
+				c.bought = old.bought
+			}
+			sh.consumers[p.UserID] = c
+			sh.noteWrite(p.UserID)
 		}
-		sh.consumers[p.UserID] = c
-		sh.noteWrite(p.UserID)
-	}
-	seq := sh.gen.Add(1)
-	if e.feed != nil {
-		lo := 0
-		for _, hi := range ends {
-			seq = e.feed.emit(sh.id, JournalRecord{Op: OpProfiles, Profiles: encs[lo:hi:hi]})
-			lo = hi
-		}
-	}
-	sh.mu.Unlock()
-	if e.events != nil {
-		var payload int
-		for _, enc := range encs {
+		seq = sh.emit(e.feedCap, JournalRecord{Op: OpProfiles, Profiles: batch})
+		for _, enc := range batch {
 			payload += len(enc)
 		}
-		e.publishJournal(sh.id, seq, OpProfiles, len(profs), payload)
+		lo = hi
 	}
-	e.noteJournalWrite()
-	return nil
+	sh.mu.Unlock()
+	if lo > 0 {
+		e.publishJournal(sh.id, seq, OpProfiles, lo, payload)
+		e.noteJournalWrite()
+	}
+	return err
 }
 
 // Profile returns a copy of the stored profile for userID.

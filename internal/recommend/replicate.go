@@ -20,12 +20,13 @@ import (
 //
 // Each community shard has exactly one owner server (OwnerOf: shard modulo
 // server count). Writes are routed to the owner (Router); the owner's
-// engine journals them as usual and additionally retains a bounded,
-// per-shard, totally ordered tail of JournalRecords (journalFeed). Every
-// other server runs a Replicator that tails each owner's feed and applies
-// the records to its own engine through the same install paths local writes
-// use — so a follower's shard state, durable layout included, converges to
-// the owner's. When a follower's cursor predates the retained tail (cold
+// engine journals them as usual and additionally retains, in each shard,
+// a bounded, totally ordered tail of JournalRecords: the shard's journal
+// feed, numbered by the shard's one version (shard.gen) and kept under the
+// shard's own lock (shard.emit). Every other server runs a Replicator that
+// tails each owner's feed and applies the records to its own engine
+// through the same install paths local writes use — so a follower's shard
+// state, durable layout included, converges to the owner's. When a follower's cursor predates the retained tail (cold
 // start, restart, or a pruned feed) the owner answers with a marker pinned
 // at its feed head, never a payload; the follower transfers the shard in
 // bounded pages (snappage.go) — in process and over TCP alike — assembles
@@ -33,13 +34,14 @@ import (
 // shard wholesale (applyShardSnapshot) and resumes live tailing from the
 // pinned sequence number.
 //
-// The feed is in-memory: its epoch is regenerated each Open, so a follower
-// whose cursor carries a stale epoch is forced through snapshot catch-up
-// rather than silently resuming against a different history. Sell counts
-// replicate exactly because they are attributed to the buyer's shard (see
-// ShardData), in memory as in the journal: a shard's journal alone
-// determines its replica, and a wholesale replace swaps only that shard's
-// term of the served sum.
+// The feed is in-memory: its epoch is regenerated each Open and every
+// shard's version restarts at 0, so a follower whose cursor carries a
+// stale epoch is forced through snapshot catch-up rather than silently
+// resuming against a different history. Sell counts replicate exactly
+// because they are attributed to the buyer's shard (see ShardData), in
+// memory as in the journal: a shard's journal alone determines its
+// replica, and a wholesale replace swaps only that shard's term of the
+// served sum.
 
 // Errors reported by the replication layer.
 var (
@@ -89,7 +91,7 @@ type TailResult struct {
 	Shards  int             `json:"shards"` // owner's shard count, for config-drift detection
 	Epoch   uint64          `json:"epoch"`
 	Seq     uint64          `json:"seq"`
-	Head    uint64          `json:"head"` // owner's feed head (next-1) at reply time
+	Head    uint64          `json:"head"` // owner's feed head (the shard's version) at reply time
 	Records []JournalRecord `json:"records,omitempty"`
 	// Paged marks a cursor the retained tail cannot serve (the engine), or
 	// a single record no frame can carry (internal/replnet): the follower
@@ -116,143 +118,61 @@ func WithJournalFeed(n int) Option {
 	}
 }
 
-// journalFeed retains the per-shard record tails. Writers append while
-// holding their shard's write lock (lock order shard -> feed.mu), so a
-// shard's sequence numbers are assigned in the shard's write order; readers
-// holding a shard's read lock therefore observe a seq consistent with the
-// shard state they see.
-type journalFeed struct {
-	epoch uint64
-	cap   int
-
-	mu     sync.Mutex
-	shards []feedShard
-}
-
-// feedShard is one shard's retained tail: a ring of the last cap records.
-// It grows by append until it holds cap records (start stays 0 meanwhile);
-// from then on each emit overwrites the oldest record in place, so a full
-// feed's emit allocates nothing and copies one record.
-type feedShard struct {
-	first uint64          // seq of the oldest retained record; the first record ever is seq 1
-	start int             // ring index of that record
-	ring  []JournalRecord // retained records, oldest at start
-}
-
-// next returns the sequence number the shard's next record will get.
-func (fs *feedShard) next() uint64 { return fs.first + uint64(len(fs.ring)) }
-
-func newJournalFeed(nshards, cap int) (*journalFeed, error) {
+// newFeedEpoch draws the epoch of a journal feed: random per Open, never 0,
+// which means "no cursor".
+func newFeedEpoch() (uint64, error) {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
-		return nil, fmt.Errorf("recommend: journal feed epoch: %w", err)
+		return 0, fmt.Errorf("recommend: journal feed epoch: %w", err)
 	}
-	f := &journalFeed{
-		epoch:  binary.BigEndian.Uint64(b[:]) | 1, // never 0: zero epoch means "no cursor"
-		cap:    cap,
-		shards: make([]feedShard, nshards),
-	}
-	for i := range f.shards {
-		f.shards[i].first = 1
-	}
-	return f, nil
+	return binary.BigEndian.Uint64(b[:]) | 1, nil
 }
 
-// emit appends rec to shard's tail, assigning and returning the next
-// sequence number. The caller holds the shard's write lock.
-func (f *journalFeed) emit(shard int, rec JournalRecord) uint64 {
-	f.mu.Lock()
-	fs := &f.shards[shard]
-	rec.Shard = shard
-	rec.Seq = fs.next()
-	if len(fs.ring) < f.cap {
-		fs.ring = append(fs.ring, rec)
-	} else {
-		fs.ring[fs.start] = rec
-		fs.start = (fs.start + 1) % len(fs.ring)
-		fs.first++
-	}
-	seq := rec.Seq
-	f.mu.Unlock()
-	return seq
-}
-
-// skip retires shard's retained tail and passes over one sequence number
-// without a record: the shard's state was just replaced wholesale, which no
-// record describes, so no pin or cursor taken before the replace may match
-// after it — an older cursor falls off the tail and pages. The caller holds
-// the shard's write lock, as for emit.
-func (f *journalFeed) skip(shard int) {
-	f.mu.Lock()
-	fs := &f.shards[shard]
-	fs.first = fs.next() + 1
-	fs.ring, fs.start = nil, 0
-	f.mu.Unlock()
-}
-
-// next returns the sequence number the shard's next record will get.
-func (f *journalFeed) next(shard int) uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.shards[shard].next()
-}
-
-// tailSince returns a copy of shard's records after seq since plus the
-// shard's feed head (next-1), or ok=false when the cursor cannot be served
-// from the retained tail (epoch mismatch, pruned history, or a cursor from
-// a different history running ahead).
-func (f *journalFeed) tailSince(shard int, epoch, since uint64) (recs []JournalRecord, head uint64, ok bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	fs := &f.shards[shard]
-	next := fs.next()
-	head = next - 1
-	if epoch != f.epoch {
-		return nil, head, false
-	}
-	if since+1 < fs.first || since+1 > next {
-		return nil, head, false
-	}
-	out := make([]JournalRecord, next-(since+1))
-	if len(out) > 0 {
-		i := (fs.start + int(since+1-fs.first)) % len(fs.ring)
-		n := copy(out, fs.ring[i:])
-		copy(out[n:], fs.ring)
-	}
-	return out, head, true
-}
-
-// JournalTail answers a follower's tail request for one shard: records
-// after (epoch, since) when the retained tail covers the cursor, otherwise
-// the Paged marker pinned at (feed epoch, head) — constant work, no shard
-// lock: the state is cut page by page (SnapshotPage), each page verifying
-// the pin under the shard's read lock.
+// JournalTail answers a follower's tail request for one shard: the records
+// after (epoch, since) when the shard's retained records cover the cursor
+// (epoch current, since from one before the oldest to the head), otherwise
+// the Paged marker pinned at (feed epoch, head). Either is cut under the
+// shard's read lock, and the marker is constant work — two loads, no copy:
+// the state itself is cut page by page (SnapshotPage), each page verifying
+// the pin under the same lock.
 func (e *Engine) JournalTail(shard int, epoch, since uint64) (TailResult, error) {
-	if e.feed == nil {
+	if e.feedCap == 0 {
 		return TailResult{}, ErrNoJournalFeed
 	}
 	if shard < 0 || shard >= e.nshards {
 		return TailResult{}, fmt.Errorf("%w: %d of %d", ErrBadShard, shard, e.nshards)
 	}
-	recs, head, ok := e.feed.tailSince(shard, epoch, since)
-	tr := TailResult{Shards: e.nshards, Epoch: e.feed.epoch, Seq: head, Head: head, Paged: !ok}
-	if ok {
-		tr.Seq, tr.Records = since+uint64(len(recs)), recs
+	sh := e.shards[shard]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	head := sh.gen.Load()
+	tr := TailResult{Shards: e.nshards, Epoch: e.feedEpoch, Seq: head, Head: head}
+	oldest := head + 1 - uint64(len(sh.ring))
+	if epoch != e.feedEpoch || since+1 < oldest || since > head {
+		tr.Paged = true
+		return tr, nil
+	}
+	tr.Records = make([]JournalRecord, head-since)
+	if len(tr.Records) > 0 {
+		i := (sh.start + int(since+1-oldest)) % len(sh.ring)
+		n := copy(tr.Records, sh.ring[i:])
+		copy(tr.Records[n:], sh.ring)
 	}
 	return tr, nil
 }
 
-// FeedHeads reports each shard's journal feed head (the seq of the last
-// record emitted; 0 when the shard has none), or nil when the engine was
+// FeedHeads reports each shard's journal feed head — its version, the seq
+// of the last record emitted, moved once more by each wholesale replace; 0
+// when the shard has had neither since Open — or nil when the engine was
 // built without WithJournalFeed. An owner's head is the target a follower
 // of the shard must reach to be fully caught up.
 func (e *Engine) FeedHeads() []uint64 {
-	if e.feed == nil {
+	if e.feedCap == 0 {
 		return nil
 	}
 	out := make([]uint64, e.nshards)
-	for s := range out {
-		out[s] = e.feed.next(s) - 1
+	for s, sh := range e.shards {
+		out[s] = sh.gen.Load()
 	}
 	return out
 }
@@ -305,9 +225,7 @@ func (e *Engine) applyShardSnapshot(shard int, data ShardData, admit admitFunc) 
 		}
 	}
 	e.replaceShardLocked(sh, data)
-	if e.feed != nil {
-		e.feed.skip(sh.id)
-	}
+	sh.retire()
 	sh.mu.Unlock()
 	// One snapshot catch-up rewrites a whole shard's durable buckets — the
 	// follower pressure that outgrows WALs fastest — so evaluate the

@@ -309,16 +309,7 @@ func TestReplicatedWALByteIdentical(t *testing.T) {
 	// community.wal files are identical byte for byte, uncompacted.
 	t.Run("bulk install over one batch", func(t *testing.T) {
 		u, profiles := soakUniverse(t)
-		var bulk []*profile.Profile
-		for size := 0; size <= maxBatchBytes*3/2; {
-			p := profiles[len(bulk)%len(profiles)].Clone()
-			p.UserID = fmt.Sprintf("bulk-%05d", len(bulk))
-			enc, err := p.Marshal()
-			if err != nil {
-				t.Fatal(err)
-			}
-			bulk, size = append(bulk, p), size+len(enc)
-		}
+		bulk := bulkProfiles(t, profiles, maxBatchBytes*3/2)
 		dirs := []string{t.TempDir(), t.TempDir()}
 		var engines [2]*Engine
 		for i, dir := range dirs {

@@ -40,6 +40,9 @@ const (
 	viewLogCap = 64
 )
 
+// shardOf is the shard, of shards, that userID's community state lives in.
+func shardOf(userID string, shards int) int { return int(fnv32a(userID) % uint32(shards)) }
+
 // fnv32a is the 32-bit FNV-1a hash, inlined to keep user-to-shard routing
 // allocation-free.
 func fnv32a(s string) uint32 {
@@ -105,8 +108,14 @@ type shard struct {
 
 	id int // position in Engine.shards, names persister buckets
 
-	gen  atomic.Uint64             // bumped under mu on every write
+	gen  atomic.Uint64             // the shard's version and feed head: moved under mu by every state change (emit, retire)
 	view atomic.Pointer[shardView] // cached immutable view; stale when gen moved, nil when only a build from scratch will do
+
+	// The journal feed, when the engine keeps one: the records of the last
+	// emits, oldest at start, the newest one seq gen, so the oldest is seq
+	// gen+1-len(ring). Guarded by mu.
+	ring  []JournalRecord
+	start int
 
 	// dirty lists the consumers written since view was built (meaningless
 	// while view is nil). Writers append under mu; the one view builder, who
@@ -125,6 +134,35 @@ func newShard(id int) *shard {
 		consumers: make(map[string]*consumer),
 		sells:     make(map[string]int64),
 	}
+}
+
+// emit commits one state change to the shard: it moves gen and returns the
+// new seq. With a journal feed (cap > 0) it retains rec, stamped with the
+// shard and that seq, as the feed's record of it: appended until the ring
+// holds cap records, then over the oldest in place, so a full ring's emit
+// allocates nothing. Caller holds mu for writing.
+func (sh *shard) emit(cap int, rec JournalRecord) uint64 {
+	seq := sh.gen.Add(1)
+	if cap == 0 {
+		return seq
+	}
+	rec.Shard, rec.Seq = sh.id, seq
+	if len(sh.ring) < cap {
+		sh.ring = append(sh.ring, rec)
+	} else {
+		sh.ring[sh.start] = rec
+		sh.start = (sh.start + 1) % len(sh.ring)
+	}
+	return seq
+}
+
+// retire marks a wholesale replace: it moves gen once, with no record, and
+// drops the feed's retained records, which no longer lead to the shard's
+// state, so no pin or cursor taken before the replace matches after it.
+// Caller holds mu for writing.
+func (sh *shard) retire() {
+	sh.gen.Add(1)
+	sh.ring, sh.start = nil, 0
 }
 
 // noteWrite records that userID's record was replaced, for the next view

@@ -92,7 +92,7 @@ func snapshotReads(snap *Snapshot, want community, ids []string) error {
 	// summaries the snapshot's look-ups return.
 	byShard := make([][]string, len(snap.views))
 	for _, id := range users {
-		i := snap.shardIdx(id)
+		i := shardOf(id, len(snap.views))
 		byShard[i] = append(byShard[i], id)
 	}
 	scan := slices.Collect(snap.candidates(""))
@@ -509,7 +509,7 @@ func TestScanWalksConsumersInOrder(t *testing.T) {
 				t.Fatalf("%s streamed twice", c.UserID)
 			}
 			seen[c.UserID] = true
-			if sh := snap.shardIdx(c.UserID); sh != lastShard {
+			if sh := shardOf(c.UserID, len(snap.views)); sh != lastShard {
 				last, lastShard = "", sh
 			}
 			if strings.Compare(last, c.UserID) >= 0 {

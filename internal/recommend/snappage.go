@@ -8,9 +8,10 @@ package recommend
 //   - The cut is pinned to one (epoch, seq): the follower's first page
 //     request names the pin it was handed (or a stale one), and every page
 //     is cut from live state under the shard's read lock only after
-//     verifying the feed still sits exactly at that pin. Every state change
-//     of a shard moves its feed head — a write emits a record, a wholesale
-//     replace skips a number — so an unchanged pin proves the same cut.
+//     verifying the shard still sits exactly at that pin. Every state
+//     change of a shard moves its version, which is its feed head — a
+//     write emits a record, a wholesale replace retires the retained ones
+//     (shard.retire) — so an unchanged pin proves the same cut.
 //   - Pages walk the shard in a stable key order — profiles ascending by
 //     consumer id, then purchases ascending by (consumer, product), then
 //     sell totals ascending by product — so a continuation token (an opaque
@@ -142,7 +143,7 @@ func jsonStringCost(s string) int {
 // the transfer restarts: the reply is the first page of a fresh cut, its
 // changed (Epoch, Seq) telling the follower to discard what it buffered.
 func (e *Engine) SnapshotPage(shard int, epoch, seq uint64, token string, maxBytes int) (SnapshotPage, error) {
-	if e.feed == nil {
+	if e.feedCap == 0 {
 		return SnapshotPage{}, ErrNoJournalFeed
 	}
 	if shard < 0 || shard >= e.nshards {
@@ -154,11 +155,11 @@ func (e *Engine) SnapshotPage(shard int, epoch, seq uint64, token string, maxByt
 	sh := e.shards[shard]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if cur := e.feed.next(shard) - 1; epoch != e.feed.epoch || seq != cur {
+	if cur := sh.gen.Load(); epoch != e.feedEpoch || seq != cur {
 		// The pinned cut is gone: the shard mutated since the pin (every
-		// write bumps the seq) or the owner restarted (fresh epoch).
+		// state change moves gen) or the owner restarted (fresh epoch).
 		// Restart the transfer at the current cut.
-		epoch, seq, token = e.feed.epoch, cur, ""
+		epoch, seq, token = e.feedEpoch, cur, ""
 	}
 	section, startKey, err := decodePageToken(token)
 	if err != nil {

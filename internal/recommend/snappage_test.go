@@ -308,7 +308,7 @@ func TestSnapshotPagePinMovesOnWholesaleReplace(t *testing.T) {
 	if stale, err := e.JournalTail(shard, tr.Epoch, tr.Seq); err != nil || !stale.Paged {
 		t.Fatalf("cursor from before the replace answered %+v (%v), want the paged marker", stale, err)
 	}
-	// The feed keeps working past the skipped number: a cursor at the new
+	// The feed keeps working past the replace: a cursor at the new
 	// head tails the next write as a record.
 	head, err := e.JournalTail(shard, second.Epoch, second.Seq)
 	if err != nil || head.Paged || len(head.Records) != 0 {

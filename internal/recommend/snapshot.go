@@ -57,12 +57,8 @@ func (e *Engine) Snapshot() *Snapshot {
 	return &Snapshot{views: views}
 }
 
-func (s *Snapshot) shardIdx(userID string) int {
-	return int(fnv32a(userID) % uint32(len(s.views)))
-}
-
 func (s *Snapshot) viewFor(userID string) *shardView {
-	return s.views[s.shardIdx(userID)]
+	return s.views[shardOf(userID, len(s.views))]
 }
 
 // profiled returns userID's record when it holds a profile, else nil.
