@@ -24,7 +24,7 @@ type FailoverResult struct {
 	LeaseTTLMs            int     `json:"lease_ttl_ms"`            // coordinator lease TTL in force
 	PromotedEpoch         uint64  `json:"promoted_epoch"`          // map epoch after the failover transition(s)
 	ShardsMoved           int     `json:"shards_moved"`            // shards not on their static owner at the end
-	WriteUnavailabilityMs float64 `json:"write_unavailability_ms"` // kill -> first accepted write to a victim shard
+	WriteUnavailabilityMs float64 `json:"write_unavailability_ms"` // gate close -> first accepted victim-shard write begun after it
 	BlockedWrites         int64   `json:"blocked_writes"`          // write attempts fenced during the window (then retried)
 	StaleWritesRejected   int     `json:"stale_writes_rejected"`   // deposed owner's replayed writes, all rejected
 	AckedWrites           int64   `json:"acked_writes"`            // driver writes acknowledged over the whole run
@@ -130,27 +130,29 @@ func isOwnerUnavailable(err error) bool {
 // server 0 the most shards.
 const victim = 0
 
-// noteAcked records one acknowledged driver write for the lost-write audit.
-// A write to a victim-owned shard after the kill also closes the
-// unavailability window.
-func (w *world) noteAcked(user string) {
+// noteAcked records one acknowledged driver write, whose acknowledged
+// attempt began at begun, for the lost-write audit. A write to a
+// victim-owned shard may also close the unavailability window.
+func (w *world) noteAcked(user string, begun time.Time) {
 	w.ackedWrites.Add(1)
 	w.ackedMu.Lock()
 	w.acked[user] = true
 	w.ackedMu.Unlock()
 	if recommend.OwnerOf(w.replicas[0].Engine.ShardOf(user), len(w.replicas)) == victim {
-		w.noteRecovered()
+		w.noteRecovered(begun)
 	}
 }
 
 // noteRecovered marks the unavailability window closed on the first write
-// accepted for a victim-owned shard after the kill — a driver write that
-// happened to land there, or the dedicated probe loop. Writes to shards the
-// survivors own are accepted throughout and say nothing about the window,
-// so noteAcked only calls this for victim-shard writes.
-func (w *world) noteRecovered() {
+// accepted for a victim-owned shard by an attempt begun after the victim's
+// gate closed — a driver write that happened to land there, or the
+// dedicated probe loop. An attempt admitted before the gate closed may be
+// acknowledged after it, and says nothing about the window; nor do writes
+// to shards the survivors own, so noteAcked only calls this for
+// victim-shard writes.
+func (w *world) noteRecovered(begun time.Time) {
 	w.resMu.Lock()
-	if !w.killedW.IsZero() && w.recovW.IsZero() {
+	if !w.killedW.IsZero() && begun.After(w.killedW) && w.recovW.IsZero() {
 		w.recovW = time.Now()
 	}
 	w.resMu.Unlock()
@@ -185,10 +187,10 @@ func (w *world) victimShard() int {
 // the window until the promoted owner accepts writes again. Called once,
 // mid-run, by the scenario runner.
 func (w *world) Kill(ctx context.Context) error {
+	w.gates[victim].Store(gateWriteDead)
 	w.resMu.Lock()
 	w.killedW = time.Now()
 	w.resMu.Unlock()
-	w.gates[victim].Store(gateWriteDead)
 	// The write path is closed, so the victim's feed heads are final: one
 	// survivor pass drains every acknowledged record before the journal
 	// disappears. The authority cannot promote before this completes — the
@@ -228,10 +230,10 @@ func (w *world) probe(ctx context.Context) {
 			return
 		case <-t.C:
 		}
-		i := w.liveServer()
-		err := w.replicas[i].Router.SetProfile(profile.NewProfile(user))
+		begun := time.Now()
+		err := w.replicas[w.liveServer()].Router.SetProfile(profile.NewProfile(user))
 		if err == nil {
-			w.noteRecovered()
+			w.noteRecovered(begun)
 			return
 		}
 		if isOwnerUnavailable(err) {

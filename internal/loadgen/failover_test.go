@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"agentrec/internal/kvstore"
+	"agentrec/internal/profile"
 	"agentrec/internal/recommend"
+	"agentrec/internal/workload"
 )
 
 // TestFailoverScenarioChaos is the kill-the-owner drill end to end: a
@@ -80,6 +82,64 @@ func TestFailoverScenarioChaos(t *testing.T) {
 	}
 	if len(snap1) == 0 {
 		t.Fatal("survivor WAL live state is empty")
+	}
+}
+
+// TestFailoverWindowIgnoresWriteAdmittedBeforeKill: a victim-shard write
+// admitted before the victim's gate closed and acknowledged only after the
+// kill does not close the write-unavailability window. Only a write begun
+// after the gate closed does, which the probe supplies once a survivor is
+// promoted.
+func TestFailoverWindowIgnoresWriteAdmittedBeforeKill(t *testing.T) {
+	s, ok := Lookup("failover")
+	if !ok {
+		t.Fatal("failover scenario missing from the library")
+	}
+	s = s.Smoke()
+	s.Users, s.Products = 200, 100
+	u, err := workload.Generate(workload.Config{Seed: s.Seed, Users: s.Users, Products: s.Products, Categories: s.Categories})
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiles, err := u.Profiles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := newWorld(s, u, profiles, 3, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	// The write is in flight across the kill: the owner accepts it before
+	// its gate closes, and its acknowledgement reaches the driver after.
+	user := w.userOnShard("in-flight", w.victimShard())
+	begun := time.Now()
+	if err := w.replicas[1].Router.SetProfile(profile.NewProfile(user)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Kill(ctx); err != nil {
+		t.Fatal(err)
+	}
+	w.noteAcked(user, begun)
+	w.resMu.Lock()
+	closedEarly := !w.recovW.IsZero()
+	w.resMu.Unlock()
+	if closedEarly {
+		t.Fatal("a write admitted before the gate closed closed the unavailability window")
+	}
+
+	w.probeWG.Wait()
+	w.resMu.Lock()
+	killedW, recovW, probeEr := w.killedW, w.recovW, w.probeEr
+	w.resMu.Unlock()
+	if probeEr != nil || recovW.IsZero() {
+		t.Fatalf("the probe never closed the window (%v)", probeEr)
+	}
+	if !recovW.After(killedW) {
+		t.Fatalf("window closed at %v, not after the kill at %v", recovW, killedW)
 	}
 }
 

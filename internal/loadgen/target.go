@@ -104,8 +104,8 @@ type world struct {
 	acked       map[string]bool // users with >=1 acknowledged write
 	probeWG     sync.WaitGroup
 	resMu       sync.Mutex
-	killedW     time.Time
-	recovW      time.Time // zero until the first post-kill write lands
+	killedW     time.Time // when the victim's gate closed to writes
+	recovW      time.Time // zero until a write begun after killedW lands
 	probeEr     error
 }
 
@@ -212,11 +212,12 @@ func (w *world) liveServer() int {
 func (w *world) Do(ctx context.Context, op workload.Op) error {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
+		begun := time.Now()
 		r := w.replicas[w.liveServer()]
 		err := w.exec.apply(r.Engine, r.Router, op)
 		if err == nil {
 			if w.s.Failover && (op.Kind == workload.OpSetProfile || op.Kind == workload.OpRecordPurchase) {
-				w.noteAcked(op.UserID)
+				w.noteAcked(op.UserID, begun)
 			}
 			return nil
 		}
@@ -261,7 +262,6 @@ type ColdFollowerResult struct {
 	ShardsBootstrapped int     `json:"shards_bootstrapped"`
 	PagesPulled        uint64  `json:"pages_pulled"`
 	SnapshotsApplied   uint64  `json:"snapshots_applied"`
-	PagedRestarts      uint64  `json:"paged_restarts"` // owner moved past the pin mid-transfer
 	RecordsApplied     uint64  `json:"records_applied"`
 	LagAfterBootstrap  uint64  `json:"lag_records_after_bootstrap"`
 	UsersOnCold        int     `json:"users_on_cold"`
@@ -298,7 +298,6 @@ func (w *world) Bootstrap(ctx context.Context) error {
 		res.ShardsBootstrapped++
 		res.PagesPulled += sh.Pages
 		res.SnapshotsApplied += sh.Snapshots
-		res.PagedRestarts += sh.Restarts
 		res.RecordsApplied += sh.Records
 	}
 	res.LagAfterBootstrap = st.LagRecords

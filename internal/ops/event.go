@@ -252,6 +252,5 @@ type ShardLag struct {
 	Records    uint64 `json:"records"`              // journal records applied since construction
 	Snapshots  uint64 `json:"snapshots,omitempty"`  // snapshot catch-ups since construction
 	Pages      uint64 `json:"pages,omitempty"`      // snapshot pages transferred
-	Restarts   uint64 `json:"restarts,omitempty"`   // paged transfers restarted because the owner's cut moved
 	LastError  string `json:"last_error,omitempty"` // most recent pull/apply error ("" when healthy)
 }

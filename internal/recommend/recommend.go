@@ -47,7 +47,8 @@
 //   - Recommendation results are identical for any shard count, with or
 //     without persistence, on owner or caught-up follower.
 //   - One lock per shard, and no path holds two shard locks at once. A
-//     shard's journal feed lives in the shard, under that lock.
+//     shard's journal feed lives in the shard, under that lock; its
+//     snapshot pins under pinMu, taken inside it.
 //   - A shard's writes are totally ordered by its lock; the journal, the
 //     feed, and memory all observe that one order, and every state change
 //     moves the shard's one version, which is its feed head. Sell counts are

@@ -26,13 +26,14 @@ import (
 // shard's own lock (shard.emit). Every other server runs a Replicator that
 // tails each owner's feed and applies the records to its own engine
 // through the same install paths local writes use — so a follower's shard
-// state, durable layout included, converges to the owner's. When a follower's cursor predates the retained tail (cold
-// start, restart, or a pruned feed) the owner answers with a marker pinned
-// at its feed head, never a payload; the follower transfers the shard in
-// bounded pages (snappage.go) — in process and over TCP alike — assembles
-// them into the ShardData image recovery already speaks, replaces the
-// shard wholesale (applyShardSnapshot) and resumes live tailing from the
-// pinned sequence number.
+// state, durable layout included, converges to the owner's. When a
+// follower's cursor predates the retained tail (cold start, restart, or a
+// pruned feed) the owner answers with a marker at its feed head, never a
+// payload; the follower transfers the shard in bounded pages, all cut from
+// one immutable pin of it (snappage.go) — in process and over TCP alike —
+// assembles them into the ShardData image recovery already speaks,
+// replaces the shard wholesale (applyShardSnapshot) and resumes live
+// tailing from the pin's sequence number.
 //
 // The feed is in-memory: its epoch is regenerated each Open and every
 // shard's version restarts at 0, so a follower whose cursor carries a
@@ -95,8 +96,8 @@ type TailResult struct {
 	Records []JournalRecord `json:"records,omitempty"`
 	// Paged marks a cursor the retained tail cannot serve (the engine), or
 	// a single record no frame can carry (internal/replnet): the follower
-	// must transfer the shard in pages (Peer.SnapshotPage), starting from
-	// the cut pinned at (Epoch, Seq).
+	// must transfer the shard in pages (Peer.SnapshotPage), from a cut at
+	// (Epoch, Seq) or later.
 	Paged bool `json:"paged,omitempty"`
 }
 
@@ -133,8 +134,8 @@ func newFeedEpoch() (uint64, error) {
 // (epoch current, since from one before the oldest to the head), otherwise
 // the Paged marker pinned at (feed epoch, head). Either is cut under the
 // shard's read lock, and the marker is constant work — two loads, no copy:
-// the state itself is cut page by page (SnapshotPage), each page verifying
-// the pin under the same lock.
+// the state itself is cut page by page (SnapshotPage) from a pin the first
+// page takes.
 func (e *Engine) JournalTail(shard int, epoch, since uint64) (TailResult, error) {
 	if e.feedCap == 0 {
 		return TailResult{}, ErrNoJournalFeed
@@ -693,51 +694,42 @@ func (f *follower) noteOwnerHead(head uint64) {
 	}
 }
 
-// maxPagedRestarts bounds how many times one pullShardPaged call lets the
-// owner restart the transfer (the cut moves whenever the shard takes a
-// write mid-transfer). Past the bound the pull reports an error and the
-// next Sync tries again — a hot shard makes progress once its writes pause
-// for one transfer, and the error keeps the stall visible in Stats.
-const maxPagedRestarts = 8
-
 // pagedTransfer is the saved progress of one interrupted paged transfer:
 // the pin it runs under, the continuation token to ask for next, and the
 // pages assembled so far. Saving it across pulls means a bootstrap too
 // large for one pull's context (the background loop bounds each Sync) makes
-// forward progress every tick instead of re-downloading from scratch; the
-// pin check keeps resumption exact — if the owner's cut moved meanwhile,
-// the next pull's marker carries a different pin and the saved transfer is
-// discarded.
+// forward progress every tick instead of re-downloading from scratch. It
+// resumes while the owner's feed epoch is the one it was pinned under; if
+// the owner dropped the pin meanwhile, the continuation comes back at
+// another pin and the pull ends.
 type pagedTransfer struct {
 	epoch, seq uint64
 	token      string
 	data       ShardData
 }
 
-// pullShardPaged transfers shard's state from owner in bounded pages pinned
-// at (epoch, seq), decoding each as it arrives and applying the assembled
-// ShardData wholesale. A page carrying a different (epoch, seq) than
-// requested is the first page of a transfer the owner restarted because the
-// pinned cut was gone; the assembled pages are discarded and accumulation
-// starts over at the new pin.
+// pullShardPaged transfers shard's state from owner in bounded pages, all
+// cut from the pin the owner's first page carries, decoding each as it
+// arrives and applying the assembled ShardData wholesale at the pin. The
+// marker's (epoch, seq) is where the owner's head stood when it answered
+// the tail; the pin may sit past it. A continuation answered at another pin
+// means the owner dropped this one: the assembled pages are discarded, and
+// the pull ends with an error, so the next one starts again from its marker.
 func (r *Replicator) pullShardPaged(ctx context.Context, f *follower, owner int, epoch, seq uint64) error {
 	shard := f.st.Shard
-	// Resume the saved transfer when the owner's pin has not moved since
-	// the pull that was interrupted.
 	var data ShardData
 	token := ""
 	r.mu.Lock()
-	if x := f.xfer; x != nil && x.epoch == epoch && x.seq == seq {
-		data, token = x.data, x.token
+	f.noteOwnerHead(seq)
+	if x := f.xfer; x != nil && x.epoch == epoch {
+		seq, token, data = x.seq, x.token, x.data
 	}
 	f.xfer = nil
-	f.noteOwnerHead(seq)
 	r.mu.Unlock()
-	restarts := 0
 	for {
 		pg, err := r.peers[owner].SnapshotPage(ctx, shard, epoch, seq, token)
 		if err != nil {
-			// Save progress: if the pin is still live on the next pull, the
+			// Save progress: if the pin is still kept on the next pull, the
 			// transfer resumes at this token instead of starting over.
 			r.mu.Lock()
 			f.xfer = &pagedTransfer{epoch: epoch, seq: seq, token: token, data: data}
@@ -747,15 +739,13 @@ func (r *Replicator) pullShardPaged(ctx context.Context, f *follower, owner int,
 		if pg.Shards != r.e.nshards {
 			return fmt.Errorf("%w: owner has %d shards, follower %d", ErrShardMismatch, pg.Shards, r.e.nshards)
 		}
-		if pg.Epoch != epoch || pg.Seq != seq {
-			if restarts++; restarts > maxPagedRestarts {
-				return fmt.Errorf("recommend: shard %d snapshot cut moved %d times mid-transfer (hot shard); retrying on the next pull", shard, restarts)
-			}
-			epoch, seq, token, data = pg.Epoch, pg.Seq, "", ShardData{}
+		if token == "" {
+			epoch, seq = pg.Epoch, pg.Seq
 			r.mu.Lock()
-			f.st.Restarts++
 			f.noteOwnerHead(seq)
 			r.mu.Unlock()
+		} else if pg.Epoch != epoch || pg.Seq != seq {
+			return fmt.Errorf("recommend: shard %d snapshot pin (%x, %d) expired mid-transfer; the next pull starts again", shard, epoch, seq)
 		}
 		if err := data.add(shard, r.e.nshards, pg); err != nil {
 			return err

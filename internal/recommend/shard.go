@@ -117,6 +117,13 @@ type shard struct {
 	ring  []JournalRecord
 	start int
 
+	// pins are the cuts paged transfers are served from (snappage.go),
+	// oldest first, at most maxShardPins, each one the feed ring can still
+	// tail on from. Written under mu for writing, or under mu for reading
+	// and pinMu.
+	pinMu sync.Mutex
+	pins  []*snapPin
+
 	// dirty lists the consumers written since view was built (meaningless
 	// while view is nil). Writers append under mu; the one view builder, who
 	// holds build and mu for reading — so no writer runs beside it — empties
@@ -140,7 +147,8 @@ func newShard(id int) *shard {
 // new seq. With a journal feed (cap > 0) it retains rec, stamped with the
 // shard and that seq, as the feed's record of it: appended until the ring
 // holds cap records, then over the oldest in place, so a full ring's emit
-// allocates nothing. Caller holds mu for writing.
+// allocates nothing. A record overwritten drops the pin that needed it.
+// Caller holds mu for writing.
 func (sh *shard) emit(cap int, rec JournalRecord) uint64 {
 	seq := sh.gen.Add(1)
 	if cap == 0 {
@@ -152,17 +160,20 @@ func (sh *shard) emit(cap int, rec JournalRecord) uint64 {
 	} else {
 		sh.ring[sh.start] = rec
 		sh.start = (sh.start + 1) % len(sh.ring)
+		if len(sh.pins) > 0 && sh.pins[0].seq+uint64(len(sh.ring)) < seq {
+			sh.pins = slices.Delete(sh.pins, 0, 1)
+		}
 	}
 	return seq
 }
 
 // retire marks a wholesale replace: it moves gen once, with no record, and
 // drops the feed's retained records, which no longer lead to the shard's
-// state, so no pin or cursor taken before the replace matches after it.
-// Caller holds mu for writing.
+// state, and every snapshot pin, so no pin or cursor taken before the
+// replace matches after it. Caller holds mu for writing.
 func (sh *shard) retire() {
 	sh.gen.Add(1)
-	sh.ring, sh.start = nil, 0
+	sh.ring, sh.start, sh.pins = nil, 0, nil
 }
 
 // noteWrite records that userID's record was replaced, for the next view

@@ -3,24 +3,24 @@ package recommend
 // Paged snapshot catch-up: the one way a follower — in process or over TCP —
 // replaces a shard wholesale. A whole shard can outgrow any transport frame
 // budget, so its state always travels in bounded pages, never inside a tail
-// reply. The protocol is stateless on the owner:
+// reply. Every page of a transfer is cut from one pin:
 //
-//   - The cut is pinned to one (epoch, seq): the follower's first page
-//     request names the pin it was handed (or a stale one), and every page
-//     is cut from live state under the shard's read lock only after
-//     verifying the shard still sits exactly at that pin. Every state
-//     change of a shard moves its version, which is its feed head — a
-//     write emits a record, a wholesale replace retires the retained ones
-//     (shard.retire) — so an unchanged pin proves the same cut.
-//   - Pages walk the shard in a stable key order — profiles ascending by
+//   - A first page (empty token) pins the shard at (feed epoch, seq = its
+//     version): its record pointers in page order and a copy of its sell
+//     totals. Records are immutable, so every page is cut from the pin with
+//     no shard lock and no sort while the shard keeps taking writes, and
+//     the follower tails the writes after seq from the feed ring — a
+//     snapshot, then the log after it, as in Raft's InstallSnapshot.
+//   - Pages walk the pin in a stable key order — profiles ascending by
 //     consumer id, then purchases ascending by (consumer, product), then
 //     sell totals ascending by product — so a continuation token (an opaque
 //     (section, start-key) cursor) names an exact resume point.
-//   - If the pin is gone (the shard mutated mid-transfer, or the owner
-//     restarted and regenerated its feed epoch), the owner restarts the
-//     transfer: it re-pins at its current cut and serves the first page of
-//     the new transfer. The follower detects the changed (epoch, seq),
-//     discards the pages it assembled, and accumulates afresh.
+//   - A shard drops a pin once its last page is served, once the feed ring
+//     no longer holds the record after it (the follower could not tail on
+//     from it), past maxShardPins (the oldest), and all of them on a
+//     wholesale replace (shard.retire). A continuation at a dropped pin is
+//     answered with the first page of the current one: the follower ends
+//     the transfer, and its next pull starts again.
 //
 // The follower side lives in Replicator.pullShardPaged, which decodes,
 // shard-checks and order-checks each page as it arrives (ShardData.add);
@@ -47,11 +47,11 @@ type SellCount struct {
 }
 
 // SnapshotPage is one page of a paged shard-snapshot transfer. Every page
-// carries the (Epoch, Seq) pin of the cut it belongs to; a page whose pin
-// differs from the one the follower requested is the first page of a
-// restarted transfer. Next is the continuation token for the following
-// page, opaque to the follower; empty means this page completes the
-// snapshot.
+// carries the (Epoch, Seq) pin of the cut it belongs to: a first page names
+// the pin the follower adopts, and a continuation answered at another pin
+// means the requested one expired. Next is the continuation token for the
+// following page, opaque to the follower; empty means this page completes
+// the snapshot.
 type SnapshotPage struct {
 	Shards    int            `json:"shards"` // owner's shard count, for config-drift detection
 	Epoch     uint64         `json:"epoch"`
@@ -134,14 +134,14 @@ func jsonStringCost(s string) int {
 	return n
 }
 
-// SnapshotPage serves one page of shard's snapshot for the cut pinned at
-// (epoch, seq); token resumes a transfer in flight (empty: from the start).
-// maxBytes bounds the page's estimated encoded size (<= 0 for a default);
-// a single entry larger than the whole budget is served as a page of its
-// own rather than erroring, leaving the transport's hard frame cap as the
-// only real ceiling. If the pin no longer matches the owner's live state
-// the transfer restarts: the reply is the first page of a fresh cut, its
-// changed (Epoch, Seq) telling the follower to discard what it buffered.
+// SnapshotPage serves one page of shard's snapshot: with an empty token the
+// first page of a transfer at the shard's current pin, whatever (epoch,
+// seq) names; with a token the next page of the transfer pinned at (epoch,
+// seq), or the first page at the current pin if that one was dropped.
+// maxBytes bounds the page's estimated encoded size (<= 0 for a default); a
+// single entry larger than the whole budget is served as a page of its own
+// rather than erroring, leaving the transport's hard frame cap as the only
+// real ceiling.
 func (e *Engine) SnapshotPage(shard int, epoch, seq uint64, token string, maxBytes int) (SnapshotPage, error) {
 	if e.feedCap == 0 {
 		return SnapshotPage{}, ErrNoJournalFeed
@@ -152,22 +152,85 @@ func (e *Engine) SnapshotPage(shard int, epoch, seq uint64, token string, maxByt
 	if maxBytes <= 0 {
 		maxBytes = maxBatchBytes
 	}
-	sh := e.shards[shard]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if cur := sh.gen.Load(); epoch != e.feedEpoch || seq != cur {
-		// The pinned cut is gone: the shard mutated since the pin (every
-		// state change moves gen) or the owner restarted (fresh epoch).
-		// Restart the transfer at the current cut.
-		epoch, seq, token = e.feedEpoch, cur, ""
-	}
 	section, startKey, err := decodePageToken(token)
 	if err != nil {
 		return SnapshotPage{}, err
 	}
-	ids := slices.Sorted(maps.Keys(sh.consumers))
+	sh := e.shards[shard]
+	cont := token != "" && epoch == e.feedEpoch
+	p := sh.pinFor(cont, seq)
+	if !cont || p.seq != seq {
+		section, startKey = pageSecProfiles, ""
+	}
+	pg := SnapshotPage{Shards: e.nshards, Epoch: e.feedEpoch, Seq: p.seq}
+	if err := p.cut(&pg, section, startKey, maxBytes); err != nil {
+		return SnapshotPage{}, err
+	}
+	if pg.Next == "" {
+		sh.unpin(p)
+	}
+	return pg, nil
+}
 
-	pg := SnapshotPage{Shards: e.nshards, Epoch: epoch, Seq: seq}
+// maxShardPins bounds the pins one shard keeps; taking one more evicts the
+// oldest.
+const maxShardPins = 4
+
+// snapPin is one immutable cut of a shard, pinned at the shard's version seq
+// under the engine's feed epoch, that every page of a transfer is cut from.
+type snapPin struct {
+	seq   uint64
+	ids   []string    // every consumer id of the shard, ascending
+	recs  []*consumer // recs[i] is ids[i]'s record
+	sells []SellCount // ascending by product
+}
+
+// pinFor returns the pin a page request is cut from: the kept pin at seq
+// when cont asks to continue one, else the pin at the shard's current
+// version, kept or taken now — a dropped pin at the current version was
+// this very cut.
+func (sh *shard) pinFor(cont bool, seq uint64) *snapPin {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	sh.pinMu.Lock()
+	defer sh.pinMu.Unlock()
+	gen := sh.gen.Load()
+	i := slices.IndexFunc(sh.pins, func(p *snapPin) bool { return p.seq == seq })
+	if !cont || i < 0 {
+		i = slices.IndexFunc(sh.pins, func(p *snapPin) bool { return p.seq == gen })
+	}
+	if i >= 0 {
+		return sh.pins[i]
+	}
+	p := &snapPin{seq: gen, ids: slices.Sorted(maps.Keys(sh.consumers)), sells: make([]SellCount, 0, len(sh.sells))}
+	p.recs = make([]*consumer, len(p.ids))
+	for i, id := range p.ids {
+		p.recs[i] = sh.consumers[id]
+	}
+	for _, pid := range slices.Sorted(maps.Keys(sh.sells)) {
+		p.sells = append(p.sells, SellCount{ProductID: pid, Total: sh.sells[pid]})
+	}
+	if len(sh.pins) == maxShardPins {
+		sh.pins = slices.Delete(sh.pins, 0, 1)
+	}
+	sh.pins = append(sh.pins, p)
+	return p
+}
+
+// unpin drops p, whose last page has been served, if the shard still keeps
+// it.
+func (sh *shard) unpin(p *snapPin) {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	sh.pinMu.Lock()
+	defer sh.pinMu.Unlock()
+	sh.pins = slices.DeleteFunc(sh.pins, func(q *snapPin) bool { return q == p })
+}
+
+// cut fills pg with the entries of p from (section, startKey) on, closing
+// it with a continuation token at the first entry past maxBytes. It takes
+// no lock: nothing in a pin is written after pinFor returns it.
+func (p *snapPin) cut(pg *SnapshotPage, section, startKey string, maxBytes int) error {
 	used := 0
 	// fits reports whether an entry of the given cost may join the page,
 	// closing the page at next (section, key) when it may not. A lone
@@ -182,20 +245,20 @@ func (e *Engine) SnapshotPage(shard int, epoch, seq uint64, token string, maxByt
 	}
 
 	if section == pageSecProfiles {
-		for _, id := range ids[sort.SearchStrings(ids, startKey):] {
-			p := sh.consumers[id].prof
-			if p == nil {
+		for i := sort.SearchStrings(p.ids, startKey); i < len(p.ids); i++ {
+			prof := p.recs[i].prof
+			if prof == nil {
 				continue
 			}
 			// Marshal lazily: once the page closes, the remaining profiles
 			// (potentially the whole tail of a large shard) are never
 			// encoded on this request.
-			enc, err := p.Marshal()
+			enc, err := prof.Marshal()
 			if err != nil {
-				return SnapshotPage{}, fmt.Errorf("recommend: encoding profile %s for snapshot page: %w", id, err)
+				return fmt.Errorf("recommend: encoding profile %s for snapshot page: %w", p.ids[i], err)
 			}
-			if !fits(profileEntryCost(len(enc)), pageSecProfiles, id) {
-				return pg, nil
+			if !fits(profileEntryCost(len(enc)), pageSecProfiles, p.ids[i]) {
+				return nil
 			}
 			pg.Profiles = append(pg.Profiles, enc)
 		}
@@ -207,14 +270,15 @@ func (e *Engine) SnapshotPage(shard int, epoch, seq uint64, token string, maxByt
 		// purchaseKey order: the pairs from startKey on are its consumer's
 		// from its product on, then every later consumer's.
 		user, product, _ := strings.Cut(startKey, "\x00")
-		for _, id := range ids[sort.SearchStrings(ids, user):] {
-			for _, b := range sh.consumers[id].bought {
+		for i := sort.SearchStrings(p.ids, user); i < len(p.ids); i++ {
+			id := p.ids[i]
+			for _, b := range p.recs[i].bought {
 				if id == user && b.product < product {
 					continue
 				}
 				pp := PurchasePair{UserID: id, ProductID: b.product, AtEpochMS: b.at}
 				if !fits(purchaseEntryCost(pp), pageSecPurchases, purchaseKey(pp)) {
-					return pg, nil
+					return nil
 				}
 				pg.Purchases = append(pg.Purchases, pp)
 			}
@@ -222,14 +286,14 @@ func (e *Engine) SnapshotPage(shard int, epoch, seq uint64, token string, maxByt
 		startKey = ""
 	}
 
-	pids := slices.Sorted(maps.Keys(sh.sells))
-	for _, pid := range pids[sort.SearchStrings(pids, startKey):] {
-		if !fits(sellEntryCost(pid), pageSecSells, pid) {
-			return pg, nil
+	i, _ := slices.BinarySearchFunc(p.sells, startKey, func(sc SellCount, key string) int { return strings.Compare(sc.ProductID, key) })
+	for _, sc := range p.sells[i:] {
+		if !fits(sellEntryCost(sc.ProductID), pageSecSells, sc.ProductID) {
+			return nil
 		}
-		pg.Sells = append(pg.Sells, SellCount{ProductID: pid, Total: sh.sells[pid]})
+		pg.Sells = append(pg.Sells, sc)
 	}
-	return pg, nil // Next stays empty: the snapshot is complete
+	return nil // Next stays empty: the snapshot is complete
 }
 
 // purchaseKey is the stable sort key of one purchase pair; NUL sorts before

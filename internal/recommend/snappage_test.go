@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,9 +21,10 @@ import (
 )
 
 // Unit tests for the paged snapshot protocol: page reassembly equals the
-// live shard, a moved pin restarts the transfer, a page the follower's
-// journal cannot hold leaves journal and memory agreeing, and trimmed tail
-// replies leave real lag in Stats. The TCP end of the protocol is tested in
+// live shard, a write between pages leaves the transfer's pin as it was, a
+// wholesale replace drops it, a page the follower's journal cannot hold
+// leaves journal and memory agreeing, and trimmed tail replies leave real
+// lag in Stats. The TCP end of the protocol is tested in
 // internal/replnet.
 
 // liveShard returns shard's live state as a ShardData image, the reference
@@ -168,6 +171,58 @@ func TestSnapshotPagesReassembleWholeShard(t *testing.T) {
 	snapshotsEqual(t, paged, liveShard(t, e, shard))
 }
 
+// TestConcurrentTransfersSharePin: transfers of one quiet shard running at
+// once share its pin, and the first to serve its last page drops it; a
+// continuation then finds the pin at the shard's unchanged version taken
+// again, the same cut, so every transfer reassembles the live shard.
+func TestConcurrentTransfersSharePin(t *testing.T) {
+	u, profiles := soakUniverse(t)
+	e, err := Open(u.Catalog, WithJournalFeed(0), WithShards(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.SetProfiles(profiles); err != nil {
+		t.Fatal(err)
+	}
+	shard, tr := pagedShard(t, e)
+	want := liveShard(t, e, shard)
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 5 {
+				var data ShardData
+				token := ""
+				for {
+					pg, err := e.SnapshotPage(shard, tr.Epoch, tr.Seq, token, 1024)
+					if err != nil {
+						t.Errorf("transfer %d: %v", g, err)
+						return
+					}
+					if pg.Seq != tr.Seq {
+						t.Errorf("transfer %d answered at seq %d, want the quiet shard's %d", g, pg.Seq, tr.Seq)
+						return
+					}
+					if err := data.add(shard, e.nshards, pg); err != nil {
+						t.Errorf("transfer %d: %v", g, err)
+						return
+					}
+					if pg.Next == "" {
+						break
+					}
+					token = pg.Next
+				}
+				if !slices.EqualFunc(data.Encoded, want.Encoded, bytes.Equal) || !slices.Equal(data.Purchases, want.Purchases) {
+					t.Errorf("transfer %d reassembled %d profiles, want the live shard's %d", g, len(data.Encoded), len(want.Encoded))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestPagedInstallWALByteIdentical: two durable followers that page the
 // same cut of a shard journal it in the same bytes — the image's key order,
 // never a map's, decides every record — so their community.wal files are
@@ -205,10 +260,12 @@ func TestPagedInstallWALByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSnapshotPageRestartsOnMovedPin: a write between pages moves the
-// shard's seq, so the next page request is answered with the first page of
-// a fresh transfer at a new pin, which includes the write.
-func TestSnapshotPageRestartsOnMovedPin(t *testing.T) {
+// TestSnapshotPageServesPinAcrossWrites: a write between pages leaves the
+// transfer at its pin. Every page is cut from the pin the first page took,
+// so the image is the shard as it stood before the write, the shard drops
+// the pin once its last page is served, and a tail from the pin carries
+// the write as its one record.
+func TestSnapshotPageServesPinAcrossWrites(t *testing.T) {
 	u, profiles := soakUniverse(t)
 	e, err := Open(u.Catalog, WithJournalFeed(0), WithShards(8))
 	if err != nil {
@@ -219,6 +276,7 @@ func TestSnapshotPageRestartsOnMovedPin(t *testing.T) {
 		t.Fatal(err)
 	}
 	shard, tr := pagedShard(t, e)
+	before := liveShard(t, e, shard)
 	first, err := e.SnapshotPage(shard, tr.Epoch, tr.Seq, "", 1024)
 	if err != nil {
 		t.Fatal(err)
@@ -226,8 +284,11 @@ func TestSnapshotPageRestartsOnMovedPin(t *testing.T) {
 	if first.Next == "" {
 		t.Fatal("transfer fit one page; shrink the budget")
 	}
+	if first.Epoch != tr.Epoch || first.Seq != tr.Seq {
+		t.Fatalf("first page pinned at (%x,%d), want the marker's (%x,%d)", first.Epoch, first.Seq, tr.Epoch, tr.Seq)
+	}
 
-	// A write to the paged shard moves the pin.
+	// A write to the paged shard moves its version, not the transfer's pin.
 	var moved *profile.Profile
 	for i := 0; ; i++ {
 		id := fmt.Sprintf("mid-transfer-%d", i)
@@ -240,32 +301,38 @@ func TestSnapshotPageRestartsOnMovedPin(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	second, err := e.SnapshotPage(shard, tr.Epoch, tr.Seq, first.Next, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Epoch != tr.Epoch || second.Seq != tr.Seq+1 {
-		t.Fatalf("restarted page pin = (%d,%d), want fresh pin (%d,%d)",
-			second.Epoch, second.Seq, tr.Epoch, tr.Seq+1)
-	}
-	// Completing the restarted transfer yields the post-write state.
-	paged := pageAll(t, e, shard, second.Epoch, second.Seq, 1024)
-	snapshotsEqual(t, paged, liveShard(t, e, shard))
-	found := false
-	for _, p := range paged.Profiles {
-		if p.UserID == moved.UserID {
-			found = true
+	paged := imageOf(t, e, shard, first)
+	for token := first.Next; token != ""; {
+		pg, err := e.SnapshotPage(shard, first.Epoch, first.Seq, token, 1024)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if pg.Epoch != first.Epoch || pg.Seq != first.Seq {
+			t.Fatalf("pin moved mid-transfer: (%x,%d) -> (%x,%d)", first.Epoch, first.Seq, pg.Epoch, pg.Seq)
+		}
+		if err := paged.add(shard, e.nshards, pg); err != nil {
+			t.Fatal(err)
+		}
+		token = pg.Next
 	}
-	if !found {
-		t.Fatalf("restarted transfer misses the mid-transfer write %s", moved.UserID)
+	snapshotsEqual(t, paged, before)
+	if n := len(e.shards[shard].pins); n != 0 {
+		t.Fatalf("shard keeps %d pin(s) after the transfer's last page, want none", n)
+	}
+	next, err := e.JournalTail(shard, first.Epoch, first.Seq)
+	if err != nil || next.Paged || len(next.Records) != 1 || next.Records[0].Seq != first.Seq+1 {
+		t.Fatalf("tail from the pin answered %+v (%v), want the write as one record at seq %d", next, err, first.Seq+1)
+	}
+	if recs := next.Records[0].Profiles; len(recs) != 1 || !bytes.Contains(recs[0], []byte(moved.UserID)) {
+		t.Fatalf("the record after the pin carries %d profile(s), want %s's", len(recs), moved.UserID)
 	}
 }
 
 // TestSnapshotPagePinMovesOnWholesaleReplace: a wholesale install changes a
 // shard's state without a journal record, so it must move the feed head all
-// the same — a page request pinned before the replace is answered with the
-// first page of a fresh cut, never the old pin over the new state (a torn
+// the same and drop the shard's pins — a continuation of a transfer pinned
+// before the replace is refused the old pin and answered with the first
+// page of a fresh cut, never the old pin over the new state (a torn
 // snapshot a server promoted mid-catch-up could hand a joiner), and a tail
 // cursor taken before the replace pages instead of resuming.
 func TestSnapshotPagePinMovesOnWholesaleReplace(t *testing.T) {
@@ -291,6 +358,9 @@ func TestSnapshotPagePinMovesOnWholesaleReplace(t *testing.T) {
 	half := imageOf(t, e, shard, SnapshotPage{Profiles: live[:len(live)/2]})
 	if err := e.applyShardSnapshot(shard, half, (*OwnershipTable).admitOwner); err != nil {
 		t.Fatal(err)
+	}
+	if n := len(e.shards[shard].pins); n != 0 {
+		t.Fatalf("shard keeps %d pin(s) after a wholesale replace, want none", n)
 	}
 
 	second, err := e.SnapshotPage(shard, tr.Epoch, tr.Seq, first.Next, 1024)
@@ -320,6 +390,119 @@ func TestSnapshotPagePinMovesOnWholesaleReplace(t *testing.T) {
 	if next, err := e.JournalTail(shard, second.Epoch, second.Seq); err != nil || len(next.Records) != 1 || next.Records[0].Seq != second.Seq+1 {
 		t.Fatalf("write after the replace tailed as %+v (%v), want one record at seq %d", next, err, second.Seq+1)
 	}
+}
+
+// expiringPeer serves an in-process owner under a 64-byte page budget and,
+// after the first page it serves, runs burst once: writes that make the
+// owner drop the transfer's pin.
+type expiringPeer struct {
+	LocalPeer
+	burst func()
+}
+
+func (p *expiringPeer) SnapshotPage(ctx context.Context, shard int, epoch, seq uint64, token string) (SnapshotPage, error) {
+	pg, err := p.LocalPeer.SnapshotPage(ctx, shard, epoch, seq, token)
+	if burst := p.burst; burst != nil && err == nil {
+		p.burst = nil
+		burst()
+	}
+	return pg, err
+}
+
+// TestSnapshotPinExpiry: a shard keeps at most maxShardPins pins and evicts
+// the oldest, and drops a pin once the feed ring no longer holds the record
+// after it. A continuation at a dropped pin is answered with the first page
+// of the current one, which ends the follower's pull with an error and no
+// saved transfer; its next pull pages afresh and converges.
+func TestSnapshotPinExpiry(t *testing.T) {
+	const ring = 4
+	owner, err := Open(catalog.New(), WithJournalFeed(ring), WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer owner.Close()
+	write := func(id string) {
+		t.Helper()
+		if err := owner.SetProfile(profile.NewProfile(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range 3 {
+		write(fmt.Sprintf("c-%d", i))
+	}
+	firstPage := func() SnapshotPage {
+		t.Helper()
+		pg, err := owner.SnapshotPage(0, 0, 0, "", 64)
+		if err != nil || pg.Next == "" {
+			t.Fatalf("first page: next %q, %v; want a multi-page transfer", pg.Next, err)
+		}
+		return pg
+	}
+	pinSeqs := func() []uint64 {
+		var seqs []uint64
+		for _, p := range owner.shards[0].pins {
+			seqs = append(seqs, p.seq)
+		}
+		return seqs
+	}
+
+	// Eviction: five transfers begun at five versions keep the newest four.
+	var firsts []SnapshotPage
+	for i := range maxShardPins + 1 {
+		firsts = append(firsts, firstPage())
+		write(fmt.Sprintf("evict-%d", i))
+	}
+	if got, want := pinSeqs(), []uint64{firsts[1].Seq, firsts[2].Seq, firsts[3].Seq, firsts[4].Seq}; !slices.Equal(got, want) {
+		t.Fatalf("pins at %v, want the newest %d at %v", got, maxShardPins, want)
+	}
+	head := owner.FeedHeads()[0]
+	if pg, err := owner.SnapshotPage(0, firsts[0].Epoch, firsts[0].Seq, firsts[0].Next, 64); err != nil || pg.Seq != head {
+		t.Fatalf("continuation at the evicted pin answered at seq %d (%v), want the first page at %d", pg.Seq, err, head)
+	}
+
+	// Ring expiry: the pin stays while the ring holds the record after it.
+	pin := firstPage()
+	for i := range ring {
+		write(fmt.Sprintf("ring-%d", i))
+	}
+	if !slices.Contains(pinSeqs(), pin.Seq) {
+		t.Fatalf("pin %d dropped while the ring still holds record %d", pin.Seq, pin.Seq+1)
+	}
+	write("ring-past")
+	if slices.Contains(pinSeqs(), pin.Seq) {
+		t.Fatalf("pin %d kept after the ring dropped record %d", pin.Seq, pin.Seq+1)
+	}
+
+	// The follower's side of an expired pin.
+	follower, err := Open(catalog.New(), WithJournalFeed(0), WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	peer := &expiringPeer{LocalPeer: LocalPeer{Engine: owner, PageBytes: 64}, burst: func() {
+		for i := range ring + 1 {
+			write(fmt.Sprintf("burst-%d", i))
+		}
+	}}
+	r, err := NewReplicator(follower, 1, []Peer{peer, nil})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ctx := context.Background()
+	if err := r.Sync(ctx); err == nil || !strings.Contains(err.Error(), "expired") {
+		t.Fatalf("pull across an expired pin: %v, want the expiry", err)
+	}
+	if st := r.Stats().Shards[0]; st.Snapshots != 0 || !strings.Contains(st.LastError, "expired") {
+		t.Fatalf("after the expiry: %d snapshot(s), last error %q", st.Snapshots, st.LastError)
+	}
+	if r.followed[0].xfer != nil {
+		t.Fatal("an expired transfer was saved for resumption")
+	}
+	if err := r.Sync(ctx); err != nil {
+		t.Fatalf("the pull after the expiry: %v", err)
+	}
+	communityEqual(t, owner, follower)
 }
 
 // TestStaleCursorTailIsConstantWork: a cursor the owner cannot serve is
@@ -671,6 +854,117 @@ func TestPagedTransferResumesAcrossPulls(t *testing.T) {
 	if got, want := follower.Users(), owner.Users(); !reflect.DeepEqual(got, want) || len(got) != seeded {
 		t.Fatalf("user sets differ after resumed transfer: %d vs %d", len(got), len(want))
 	}
+}
+
+// hotPeer serves an in-process owner under a 512-byte page budget and has
+// it take a write on the paged shard between every two pages it serves: a
+// new consumer with buy evidence, then a purchase by them, in turn. Each
+// write runs beside the next page's cut, which reads the pin with no shard
+// lock, and completes before that page is returned.
+type hotPeer struct {
+	LocalPeer
+	u      *workload.Universe
+	writes int
+	wg     sync.WaitGroup
+	err    error // the last write's, read after wg.Wait
+}
+
+func (p *hotPeer) SnapshotPage(ctx context.Context, shard int, epoch, seq uint64, token string) (SnapshotPage, error) {
+	pg, err := p.LocalPeer.SnapshotPage(ctx, shard, epoch, seq, token)
+	p.wg.Wait()
+	if p.err != nil {
+		return pg, p.err
+	}
+	if err != nil || pg.Next == "" {
+		return pg, err
+	}
+	k := p.writes
+	p.writes++
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		id := shardIDs(p.Engine, shard, k/2+1)[k/2]
+		prod := p.u.Products[k%len(p.u.Products)]
+		if k%2 == 1 {
+			p.err = p.Engine.RecordPurchase(id, prod.ID)
+			return
+		}
+		prof := profile.NewProfile(id)
+		if p.err = prof.Observe(prod.Evidence(profile.BehaviourBuy)); p.err == nil {
+			p.err = p.Engine.SetProfile(prof)
+		}
+	}()
+	return pg, nil
+}
+
+// TestColdFollowerPagesHotShard: a cold follower bootstraps shards whose
+// owner takes a write between every two pages. Each transfer completes at
+// the pin its first page took, in one pull and with no expired pin, and one
+// more pull tails every write taken meanwhile, after which the follower's
+// users, profiles and answers equal the owner's.
+func TestColdFollowerPagesHotShard(t *testing.T) {
+	u, profiles := soakUniverse(t)
+	owner, err := Open(u.Catalog, WithJournalFeed(0), WithShards(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer owner.Close()
+	owned := func(user string) bool { return OwnerOf(owner.ShardOf(user), 2) == 0 }
+	for _, p := range profiles {
+		if owned(p.UserID) {
+			if err := owner.SetProfile(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for user, pids := range u.Purchases() {
+		for _, pid := range pids {
+			if owned(user) {
+				if err := owner.RecordPurchase(user, pid); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	follower, err := Open(u.Catalog, WithJournalFeed(0), WithShards(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	peer := &hotPeer{LocalPeer: LocalPeer{Engine: owner, PageBytes: 512}, u: u}
+	r, err := NewReplicator(follower, 1, []Peer{peer, nil})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := r.Sync(ctx); err != nil {
+		t.Fatalf("cold bootstrap of shards taking writes between pages: %v", err)
+	}
+	st := r.Stats()
+	for _, sh := range st.Shards {
+		if sh.Snapshots != 1 || sh.Pages < 2 || sh.LastError != "" {
+			t.Fatalf("shard %d: %d snapshot(s) over %d page(s), last error %q; want one multi-page transfer",
+				sh.Shard, sh.Snapshots, sh.Pages, sh.LastError)
+		}
+	}
+	if peer.writes < 2*len(st.Shards) {
+		t.Fatalf("owner took %d writes between pages of %d transfers; the test no longer bites", peer.writes, len(st.Shards))
+	}
+
+	if err := r.Sync(ctx); err != nil {
+		t.Fatalf("tailing the writes taken during the transfers: %v", err)
+	}
+	var records uint64
+	for _, sh := range r.Stats().Shards {
+		records += sh.Records
+	}
+	if records != uint64(peer.writes) {
+		t.Fatalf("the pull after the bootstrap tailed %d records, want the %d writes taken mid-transfer", records, peer.writes)
+	}
+	communityEqual(t, owner, follower)
 }
 
 // BenchmarkReplicationCatchUp measures a cold follower's full snapshot

@@ -21,8 +21,8 @@ import (
 
 // End-to-end tests of the paged snapshot catch-up over real TCP: a cold
 // follower bootstrapping a shard whose whole-shard snapshot outgrows the
-// (test-shrunken) frame budget, the restart-on-moved-pin path under a
-// mid-transfer owner write, and the poison-record fallback — one journal
+// (test-shrunken) frame budget, a transfer that completes at its pin across
+// a mid-transfer owner write, and the poison-record fallback — one journal
 // record too big for any frame must not wedge replication forever.
 
 // fatProfile builds a profile whose marshaled size scales with terms, so
@@ -225,7 +225,7 @@ func TestColdFollowerPagedBootstrapByteIdentical(t *testing.T) {
 
 // interceptPeer delegates to a real TCP peer but runs onFirstPage once,
 // after the first page of a multi-page transfer is served — between page
-// requests, exactly where a concurrent owner write moves the pinned cut.
+// requests, where a concurrent owner write moves the shard past the pin.
 type interceptPeer struct {
 	recommend.Peer
 	mu          sync.Mutex
@@ -247,11 +247,11 @@ func (p *interceptPeer) SnapshotPage(ctx context.Context, shard int, epoch, seq 
 	return pg, err
 }
 
-// TestPagedCatchUpRestartsOnMidTransferWrite: an owner write between two
-// page requests moves the pinned cut; the owner restarts the transfer, the
-// follower discards its buffered pages, and the completed catch-up
-// includes the mid-transfer write.
-func TestPagedCatchUpRestartsOnMidTransferWrite(t *testing.T) {
+// TestPagedCatchUpCompletesAcrossMidTransferWrite: an owner write between
+// two page requests leaves the transfer at its pin. It completes at the pin
+// its first page took, without the write, and the next pull tails the write
+// as a record.
+func TestPagedCatchUpCompletesAcrossMidTransferWrite(t *testing.T) {
 	old := maxTailBytes
 	maxTailBytes = 2048
 	t.Cleanup(func() { maxTailBytes = old })
@@ -282,18 +282,26 @@ func TestPagedCatchUpRestartsOnMidTransferWrite(t *testing.T) {
 	if injected == "" {
 		t.Fatal("no multi-page transfer happened; the mid-transfer write was never injected")
 	}
-	var restarts uint64
-	for _, sh := range repl.Stats().Shards {
-		restarts += sh.Restarts
+	records := func() uint64 {
+		return sumField(repl.Stats(), func(s ops.ShardLag) uint64 { return s.Records })
 	}
-	if restarts == 0 {
-		t.Fatal("owner write between pages caused no transfer restart")
+	if _, err := follower.Profile(injected); err == nil {
+		t.Fatalf("mid-transfer write %s is in a transfer pinned before it", injected)
+	}
+	if n := records(); n != 0 {
+		t.Fatalf("bootstrap applied %d records, want none", n)
+	}
+	if err := repl.Sync(ctx); err != nil {
+		t.Fatalf("tail after the pinned transfer: %v", err)
+	}
+	if n := records(); n != 1 {
+		t.Fatalf("the tail after the transfer applied %d records, want the mid-transfer write alone", n)
 	}
 	if _, err := follower.Profile(injected); err != nil {
-		t.Fatalf("mid-transfer write %s missing on follower: %v", injected, err)
+		t.Fatalf("mid-transfer write %s missing on follower after the tail: %v", injected, err)
 	}
 	if got, want := follower.Users(), f.owner.Users(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("user sets differ after restarted transfer: %d vs %d", len(got), len(want))
+		t.Fatalf("user sets differ after the tail: %d vs %d", len(got), len(want))
 	}
 }
 
