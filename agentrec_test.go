@@ -369,12 +369,13 @@ func TestDeploymentOptionsTogether(t *testing.T) {
 	if buy.Sale == nil {
 		t.Fatal("no sale")
 	}
+	// The buy is one write: its profile and its purchase, one record.
 	for {
 		ev, err := sub.Next(ctx)
 		if err != nil {
 			t.Fatalf("no journal event for the purchase: %v", err)
 		}
-		if ev.Journal.Op == recommend.OpPurchase {
+		if ev.Journal.Op == recommend.OpProfiles && ev.Journal.Records == 2 {
 			break
 		}
 	}

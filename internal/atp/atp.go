@@ -159,7 +159,7 @@ func readFrame(r io.Reader, v any) error {
 }
 
 // JournalHandler serves engine journal-stream frames: kind names the
-// sub-operation (e.g. "tail", "set-profiles", "purchase" — see
+// sub-operation (e.g. "tail", "set-profiles", "observe" — see
 // internal/replnet) and data/reply are opaque JSON payloads, keeping the
 // transport decoupled from the recommendation engine's types.
 type JournalHandler func(kind string, data []byte) ([]byte, error)

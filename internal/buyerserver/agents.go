@@ -301,8 +301,9 @@ func (a *bsmaAgent) assignTask(ctx *aglet.Context, req taskReq) (aglet.Message, 
 // MBA (§4.1 principle 2) from its header alone, revive the BRA and hand it
 // the MBA's state — the bytes the MBA came home as, so the haul is decoded
 // once, by the BRA. The BRA delivers the final answer to the waiting
-// consumer.
-func (a *bsmaAgent) mbaHome(ctx *aglet.Context, msg aglet.Message) (aglet.Message, error) {
+// consumer; a completion that fails hands its error to the waiting
+// consumer at once.
+func (a *bsmaAgent) mbaHome(ctx *aglet.Context, msg aglet.Message) (_ aglet.Message, err error) {
 	var h mbaHeader
 	if err := aglet.Decode(msg, &h); err != nil {
 		return aglet.Message{}, err
@@ -329,6 +330,11 @@ func (a *bsmaAgent) mbaHome(ctx *aglet.Context, msg aglet.Message) (aglet.Messag
 	if err := a.checkDispatch(mbaID, h); err != nil {
 		return a.rejectMBA(mbaID, h, err)
 	}
+	defer func() {
+		if err != nil {
+			s.fulfil(h.Spec.TaskID, TaskResult{err: err})
+		}
+	}()
 
 	// Replay the trip into the trace: each visited marketplace is one
 	// out/in pair in the figure.
@@ -563,27 +569,32 @@ func observe(ctx *aglet.Context, batch observeBatch) error {
 	return err
 }
 
-// updateProfile records the batch's sales, then sends its evidence to the
-// shard owner, which applies the Fig 4.4 rule to the stored profile.
+// updateProfile sends the batch's evidence and sales to the shard owner as
+// one write, which applies the Fig 4.4 rule to the stored profile, then
+// keeps each sale's transaction record. A batch with neither writes nothing.
 func (s *Server) updateProfile(_ *aglet.Context, batch observeBatch) (aglet.Message, error) {
 	evs := make([]profile.Evidence, len(batch.Events))
+	var sales []recommend.PurchasePair
 	for i, ev := range batch.Events {
 		evs[i] = ev.Evidence
 		if ev.Sale != nil {
-			if err := s.writes.RecordPurchaseAt(batch.UserID, ev.Sale.ProductID, time.Now()); err != nil {
-				return aglet.Message{}, err
-			}
-			key := batch.UserID + "/" + ev.Sale.Receipt
-			if err := s.userDB.EncodeJSON(bucketTxns, key, ev.Sale); err != nil {
-				return aglet.Message{}, err
-			}
+			sales = append(sales, recommend.PurchaseAt(batch.UserID, ev.Sale.ProductID, time.Now()))
 		}
 	}
 	if batch.Step > 0 {
 		s.tracer.Record(batch.Workflow, batch.Step, "PA", "UserDB", "update consumer profile")
 	}
-	if err := s.writes.Observe(batch.UserID, evs); err != nil {
-		return aglet.Message{}, err
+	if len(evs) > 0 {
+		if err := s.writes.Observe(batch.UserID, evs, sales); err != nil {
+			return aglet.Message{}, err
+		}
+	}
+	for _, ev := range batch.Events {
+		if ev.Sale != nil {
+			if err := s.userDB.EncodeJSON(bucketTxns, batch.UserID+"/"+ev.Sale.Receipt, ev.Sale); err != nil {
+				return aglet.Message{}, err
+			}
+		}
 	}
 	return aglet.Message{Kind: kindOK}, nil
 }

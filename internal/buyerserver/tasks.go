@@ -55,6 +55,8 @@ type TaskResult struct {
 	Recommendations []recommend.Rec   `json:"recommendations,omitempty"`
 	CrossSell       []recommend.Rec   `json:"cross_sell,omitempty"`
 	AuthFailed      bool              `json:"auth_failed,omitempty"`
+
+	err error // the error that ended the task's completion, handed to its waiter in process
 }
 
 // AllMatches flattens the per-market query matches.
@@ -99,7 +101,8 @@ func (s *Server) RunTask(ctx context.Context, userID string, spec TaskSpec) (Tas
 // runTask drives the workflow through the agents: HttpA → BSMA → BRA → MBA
 // trip → BSMA (authenticates the MBA from its header and forwards its bytes)
 // → BRA, which generates the recommendation information, records the final
-// step and fulfils the rendezvous channel this call waits on.
+// step and fulfils the rendezvous channel this call waits on. A completion
+// that fails fulfils it with its error.
 func (s *Server) runTask(ctx context.Context, userID string, spec TaskSpec) (TaskResult, error) {
 	s.mu.Lock()
 	closed := s.closed
@@ -133,6 +136,9 @@ func (s *Server) runTask(ctx context.Context, userID string, spec TaskSpec) (Tas
 	}
 	select {
 	case res := <-ch:
+		if res.err != nil {
+			return TaskResult{}, res.err
+		}
 		if res.AuthFailed {
 			return res, ErrAuthFailed
 		}

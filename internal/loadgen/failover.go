@@ -75,11 +75,11 @@ func (g gatedWriter) SetProfiles(ps []*profile.Profile) error {
 	return g.w.SetProfiles(ps)
 }
 
-func (g gatedWriter) Observe(userID string, evs []profile.Evidence) error {
+func (g gatedWriter) Observe(userID string, evs []profile.Evidence, sales []recommend.PurchasePair) error {
 	if err := g.check(); err != nil {
 		return err
 	}
-	return g.w.Observe(userID, evs)
+	return g.w.Observe(userID, evs, sales)
 }
 
 func (g gatedWriter) RecordPurchase(userID, productID string) error {
@@ -87,10 +87,7 @@ func (g gatedWriter) RecordPurchase(userID, productID string) error {
 }
 
 func (g gatedWriter) RecordPurchaseAt(userID, productID string, at time.Time) error {
-	if err := g.check(); err != nil {
-		return err
-	}
-	return g.w.RecordPurchaseAt(userID, productID, at)
+	return g.Observe(userID, nil, []recommend.PurchasePair{recommend.PurchaseAt(userID, productID, at)})
 }
 
 // gatedPeer fronts one server's journal-tail surface with its gate: a

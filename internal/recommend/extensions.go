@@ -2,7 +2,6 @@ package recommend
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -40,64 +39,27 @@ type TiedSale struct {
 	Confidence float64 // P(ProductID | anchor) among the anchor's buyers
 }
 
-// epochMS is the time a purchase made at at leaves in the purchase list:
-// milliseconds since the Unix epoch, truncated toward the past so a purchase
-// stamped `now` lies inside a window ending `now`. The zero time — and the
-// epoch instant itself — is 0, an undated purchase.
-func epochMS(at time.Time) int64 {
-	if at.IsZero() {
-		return 0
+// PurchaseAt is the pair userID's purchase of productID made at at
+// journals: its time in milliseconds since the Unix epoch, truncated toward
+// the past so a purchase stamped `now` lies inside a window ending `now`.
+// The zero time — and the epoch instant itself — is 0, an undated purchase.
+func PurchaseAt(userID, productID string, at time.Time) PurchasePair {
+	pp := PurchasePair{UserID: userID, ProductID: productID}
+	if !at.IsZero() {
+		pp.AtEpochMS = at.UnixMilli()
 	}
-	return at.UnixMilli()
+	return pp
 }
 
 // RecordPurchaseAt notes that userID bought productID at at (the zero time:
 // undated), feeding the CF history, the top-seller counts, Trending and
-// TiedSales. Duplicate records are idempotent per user — the list keeps the
-// later time — but still bump popularity. The purchase touches the user's
-// shard alone: a new record for the user, its purchase list a copy with the
-// purchase in, and the product's sell count attributed to the shard, which
-// top sellers sum over shards. With persistence both are
-// journaled as one atomic batch, under the shard lock, before the in-memory
-// update. The time
-// journaled, and carried to followers in the OpPurchase record, is the time
-// kept, so a follower replays the owner's value rather than reading a clock
-// of its own. Like SetProfile it is the owner's local write, and refuses an
-// id that is empty, not valid UTF-8 or holds a NUL with ErrBadKey, memory-only
-// or durable: a follower's journal could not apply it.
+// TiedSales: it is Observe with no evidence and the one sale. Duplicate
+// records are idempotent per user — the list keeps the later time — but
+// still bump popularity. The time journaled, and carried to followers in
+// the OpPurchase record, is the time kept, so a follower replays the
+// owner's value rather than reading a clock of its own.
 func (e *Engine) RecordPurchaseAt(userID, productID string, at time.Time) error {
-	return e.recordPurchaseAt(userID, productID, at, (*OwnershipTable).admitOwner)
-}
-
-func (e *Engine) recordPurchaseAt(userID, productID string, at time.Time, admit admitFunc) error {
-	if !validID(userID) || !validID(productID) {
-		return fmt.Errorf("%w: purchase %q/%q", ErrBadKey, userID, productID)
-	}
-	ms := epochMS(at)
-	sh := e.shardFor(userID)
-	if err := e.lockShardW(sh, admit); err != nil {
-		return err
-	}
-	old := sh.consumers[userID]
-	i, again := old.find(productID)
-	if again {
-		ms = max(ms, old.bought[i].at)
-	}
-	total := sh.sells[productID] + 1
-	if e.persist != nil {
-		if err := e.persist.SavePurchase(sh.id, userID, productID, ms, total); err != nil {
-			sh.mu.Unlock()
-			return err
-		}
-	}
-	sh.consumers[userID] = old.withPurchase(i, again, purchase{product: productID, at: ms})
-	sh.sells[productID] = total
-	sh.noteWrite(userID)
-	seq := sh.emit(e.feedCap, JournalRecord{Op: OpPurchase, UserID: userID, ProductID: productID, AtEpochMS: ms})
-	sh.mu.Unlock()
-	e.publishJournal(sh.id, seq, OpPurchase, 1, 0)
-	e.noteJournalWrite()
-	return nil
+	return e.Observe(userID, nil, []PurchasePair{PurchaseAt(userID, productID, at)})
 }
 
 // eachBasket calls fn with every consumer's record, one shard at a time

@@ -168,6 +168,16 @@ func FuzzTailReply(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(true, valid)
+	// A profiles record carrying the write's purchases beside its profile.
+	combined, err := json.Marshal(TailResult{Shards: 2, Epoch: tailEpoch, Seq: tailSeq + 1, Head: tailSeq + 1, Records: []JournalRecord{
+		{Seq: tailSeq + 1, Op: OpProfiles, Profiles: [][]byte{enc}, Purchases: []PurchasePair{
+			{UserID: user, ProductID: "p1", AtEpochMS: 1_700_000_000_000}, {UserID: user, ProductID: "p2"},
+		}},
+	}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(true, combined)
 
 	f.Fuzz(func(t *testing.T, booted bool, reply []byte) {
 		ctx := context.Background()

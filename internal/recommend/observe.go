@@ -10,25 +10,26 @@ import (
 
 // Observe applies evs, in order, to userID's stored profile by the Fig 4.4
 // update rule (profile.Profile.Observe), starting from an empty
-// profile.NewProfile when the engine holds none, and installs the result as
-// SetProfile would: journaled as an ordinary profile write, so followers,
-// WALs and snapshot pages see the resulting profile and nothing else. This
-// is the Profile Agent's update, made where the one stored profile lives: a
-// write to the consumer between the read and the install sends the update
-// round again on the new record, so no write is lost. A user id or key that
-// SetProfile would refuse is refused with ErrBadKey, and a bad event
+// profile.NewProfile when the engine holds none, and records sales,
+// purchases by consumers of userID's shard, in the same shard write: both
+// land or neither does. This is the Profile Agent's update, made where the
+// one stored profile lives: a write to the consumer between the read and
+// the install sends the update round again on the new record, so no write
+// is lost. With no evidence no profile is written. An id or key that
+// SetProfile or RecordPurchaseAt would refuse is refused with ErrBadKey, a
+// sale in another shard with ErrShardMismatch, and a bad event
 // (profile.ErrBadEvidence, profile.ErrNoCategory) refuses the whole call;
 // either way nothing is written. Like SetProfile it is the owner's local
 // write.
-func (e *Engine) Observe(userID string, evs []profile.Evidence) error {
-	return e.observe(userID, evs, (*OwnershipTable).admitOwner)
+func (e *Engine) Observe(userID string, evs []profile.Evidence, sales []PurchasePair) error {
+	return e.observe(userID, evs, sales, (*OwnershipTable).admitOwner)
 }
 
 // errRecordMoved is observe's signal that the record it read was replaced
 // before its install could take the shard lock.
 var errRecordMoved = errors.New("recommend: consumer record replaced during observe")
 
-func (e *Engine) observe(userID string, evs []profile.Evidence, admit admitFunc) error {
+func (e *Engine) observe(userID string, evs []profile.Evidence, sales []PurchasePair, admit admitFunc) error {
 	if !validID(userID) {
 		return fmt.Errorf("%w: user %q", ErrBadKey, userID)
 	}
@@ -38,6 +39,12 @@ func (e *Engine) observe(userID string, evs []profile.Evidence, admit admitFunc)
 		}
 	}
 	sh := e.shardFor(userID)
+	if len(evs) == 0 {
+		if len(sales) == 0 {
+			return nil
+		}
+		return e.installShardProfiles(sh, nil, nil, sales, admit)
+	}
 	for {
 		sh.mu.RLock()
 		read := sh.consumers[userID]
@@ -53,7 +60,7 @@ func (e *Engine) observe(userID string, evs []profile.Evidence, admit admitFunc)
 				return fmt.Errorf("recommend: %w", err)
 			}
 		}
-		err := e.installShardProfiles(sh, []*profile.Profile{p}, nil, func(t *OwnershipTable, shard, self int) error {
+		err := e.installShardProfiles(sh, []*profile.Profile{p}, nil, sales, func(t *OwnershipTable, shard, self int) error {
 			if err := admit(t, shard, self); err != nil {
 				return err
 			}

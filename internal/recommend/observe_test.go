@@ -20,7 +20,7 @@ func laptopEvidence(term string) profile.Evidence {
 // stored one, keeping what another write installed in between.
 func TestObserveAppliesToStoredProfile(t *testing.T) {
 	e := NewEngine(catalog.New())
-	if err := e.Observe("alice", []profile.Evidence{laptopEvidence("ssd")}); err != nil {
+	if err := e.Observe("alice", []profile.Evidence{laptopEvidence("ssd")}, nil); err != nil {
 		t.Fatal(err)
 	}
 	p, err := e.Profile("alice")
@@ -31,7 +31,7 @@ func TestObserveAppliesToStoredProfile(t *testing.T) {
 	if err := e.SetProfile(p); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Observe("alice", []profile.Evidence{laptopEvidence("gpu"), laptopEvidence("ssd")}); err != nil {
+	if err := e.Observe("alice", []profile.Evidence{laptopEvidence("gpu"), laptopEvidence("ssd")}, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := profile.NewProfile("alice")
@@ -68,7 +68,7 @@ func TestObserveRefusesWhole(t *testing.T) {
 		{"alice", []profile.Evidence{laptopEvidence("ssd"), laptopEvidence("\xff")}, ErrBadKey},
 		{"", []profile.Evidence{laptopEvidence("ssd")}, ErrBadKey},
 	} {
-		if err := e.Observe(c.user, c.evs); !errors.Is(err, c.want) {
+		if err := e.Observe(c.user, c.evs, nil); !errors.Is(err, c.want) {
 			t.Errorf("Observe(%q, ...) = %v, want %v", c.user, err, c.want)
 		}
 	}
@@ -78,7 +78,9 @@ func TestObserveRefusesWhole(t *testing.T) {
 }
 
 // TestConcurrentObserveLosesNoEvidence: concurrent updates of one consumer
-// all land, each on the record the one before it installed.
+// all land, each on the record the one before it installed, and so do the
+// purchases they carry: every product each buy names is kept, and every
+// buy of the product all of them share counts once in its sell total.
 func TestConcurrentObserveLosesNoEvidence(t *testing.T) {
 	e := NewEngine(catalog.New())
 	const writers = 8
@@ -88,10 +90,14 @@ func TestConcurrentObserveLosesNoEvidence(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			ev := profile.Evidence{Category: fmt.Sprintf("cat%d", i), Terms: map[string]float64{"t": 1}}
-			if err := e.Observe("alice", []profile.Evidence{ev}); err != nil {
+			buys := []PurchasePair{{UserID: "alice", ProductID: fmt.Sprintf("b%d", i)}, {UserID: "alice", ProductID: "shared"}}
+			if err := e.Observe("alice", []profile.Evidence{ev}, buys); err != nil {
 				t.Error(err)
 			}
 			if err := e.RecordPurchase("alice", fmt.Sprintf("p%d", i)); err != nil {
+				t.Error(err)
+			}
+			if err := e.RecordPurchase("alice", "shared"); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -109,7 +115,14 @@ func TestConcurrentObserveLosesNoEvidence(t *testing.T) {
 	if p.Observed != writers || len(cats) != writers {
 		t.Errorf("after %d concurrent observes: observed %d, categories %v", writers, p.Observed, cats)
 	}
-	if got := len(e.Snapshot().Purchases("alice")); got != writers {
-		t.Errorf("purchases = %d, want %d", got, writers)
+	if got := len(e.Snapshot().Purchases("alice")); got != 2*writers+1 {
+		t.Errorf("purchases = %d, want %d", got, 2*writers+1)
+	}
+	sells, err := e.Recommend(StrategyTopSeller, "alice", "", -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sells) != 2*writers+1 || sells[0].ProductID != "shared" || sells[0].Score != 2*writers {
+		t.Errorf("top sellers = %v, want shared sold %d times beside %d products sold once", sells, 2*writers, 2*writers)
 	}
 }

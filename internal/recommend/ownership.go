@@ -379,8 +379,8 @@ func (w OwnedWriter) SetEncodedProfiles(encoded [][]byte) error {
 }
 
 // Observe implements Writer.
-func (w OwnedWriter) Observe(userID string, evs []profile.Evidence) error {
-	return w.Local.observe(userID, evs, w.fence())
+func (w OwnedWriter) Observe(userID string, evs []profile.Evidence, sales []PurchasePair) error {
+	return w.Local.observe(userID, evs, sales, w.fence())
 }
 
 // RecordPurchase implements Writer.
@@ -390,7 +390,7 @@ func (w OwnedWriter) RecordPurchase(userID, productID string) error {
 
 // RecordPurchaseAt implements Writer.
 func (w OwnedWriter) RecordPurchaseAt(userID, productID string, at time.Time) error {
-	return w.Local.recordPurchaseAt(userID, productID, at, w.fence())
+	return w.Observe(userID, nil, []PurchasePair{PurchaseAt(userID, productID, at)})
 }
 
 var _ Writer = OwnedWriter{}

@@ -99,19 +99,17 @@ func (e *Engine) replaceShardLocked(sh *shard, data ShardData) {
 // serialized by that shard's lock, so per-shard write order in the journal
 // matches in-memory order.
 type Persister interface {
-	// SaveProfiles durably installs profiles, as encoded, into shard's
-	// bucket, as one atomic batch of at most maxBatchBytes encoded bytes
-	// (or one larger profile). It is called before the in-memory install
-	// of that batch (journal first), so a crash can lose an acknowledged
-	// write only if SaveProfiles itself errored. An install larger than one
-	// batch commits batch by batch: an error here leaves the install's
-	// earlier batches durable and installed, and its later ones unsaved.
-	SaveProfiles(shard int, profs []*profile.Profile, encoded [][]byte) error
-	// SavePurchase durably records userID buying productID at at (epoch
-	// milliseconds, 0 = undated; the value the purchase list keeps) together
-	// with the product's new sell count attributed to the user's shard, as
-	// one atomic batch.
-	SavePurchase(shard int, userID, productID string, at, total int64) error
+	// SaveWrite durably commits one batch of a shard write into shard's
+	// buckets, as one atomic batch: profiles, as encoded (at most
+	// maxBatchBytes of them, or one larger profile), then each of buys as
+	// the purchase list keeps it (epoch milliseconds, 0 = undated) followed
+	// by sells[i], its product's new sell count attributed to the shard. It
+	// is called before the in-memory install of that batch (journal first),
+	// so a crash can lose an acknowledged write only if SaveWrite itself
+	// errored. A write larger than one batch commits batch by batch, its buys
+	// with the first: an error here leaves its earlier batches durable and
+	// installed, and its later ones unsaved.
+	SaveWrite(shard int, profs []*profile.Profile, encoded [][]byte, buys []PurchasePair, sells []SellCount) error
 	// SaveShard durably replaces shard's entire state with data — the
 	// replication snapshot catch-up path. Stale keys are removed; the write
 	// need not be one atomic batch (a crash mid-replace is healed by the
@@ -392,28 +390,27 @@ func (b *kvBatch) add(op kvstore.Op, size int) error {
 	return nil
 }
 
-func (kp *kvPersister) SaveProfiles(shard int, profs []*profile.Profile, encoded [][]byte) error {
-	ops := make([]kvstore.Op, len(profs))
+func (kp *kvPersister) SaveWrite(shard int, profs []*profile.Profile, encoded [][]byte, buys []PurchasePair, sells []SellCount) error {
+	ops := make([]kvstore.Op, 0, len(profs)+2*len(buys))
 	for i, p := range profs {
 		op, err := profileOp(shard, p.UserID, encoded[i])
 		if err != nil {
 			return err
 		}
-		ops[i] = op
+		ops = append(ops, op)
+	}
+	for i, b := range buys {
+		op, err := purchaseOp(shard, b.UserID, b.ProductID, b.AtEpochMS)
+		if err != nil {
+			return err
+		}
+		sell, err := sellOp(shard, sells[i].ProductID, sells[i].Total)
+		if err != nil {
+			return err
+		}
+		ops = append(ops, op, sell)
 	}
 	return kp.store.Apply(ops)
-}
-
-func (kp *kvPersister) SavePurchase(shard int, userID, productID string, at, total int64) error {
-	op, err := purchaseOp(shard, userID, productID, at)
-	if err != nil {
-		return err
-	}
-	sell, err := sellOp(shard, productID, total)
-	if err != nil {
-		return err
-	}
-	return kp.store.Apply([]kvstore.Op{op, sell})
 }
 
 // SaveShard replaces the shard's three buckets with data: stale keys are

@@ -499,8 +499,7 @@ type failingPersister struct{}
 
 var errInjected = errors.New("injected persister failure")
 
-func (failingPersister) SaveProfiles(int, []*profile.Profile, [][]byte) error { return errInjected }
-func (failingPersister) SavePurchase(int, string, string, int64, int64) error {
+func (failingPersister) SaveWrite(int, []*profile.Profile, [][]byte, []PurchasePair, []SellCount) error {
 	return errInjected
 }
 func (failingPersister) SaveShard(int, ShardData) error   { return errInjected }

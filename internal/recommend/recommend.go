@@ -361,40 +361,53 @@ func (e *Engine) setProfiles(ps []*profile.Profile, encs [][]byte, admit admitFu
 		if len(group) == 0 {
 			continue
 		}
-		if err := e.installShardProfiles(e.shards[i], group, encShard[i], admit); err != nil {
+		if err := e.installShardProfiles(e.shards[i], group, encShard[i], nil, admit); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// installShardProfiles installs profs — private copies, all belonging to
-// sh, encoded as encs (nil: here, if a sink needs them) — once admit
-// admitted the write under the shard lock. encs is cut once into batches
-// (batchEnds), and inside the one lock hold each batch is committed whole:
-// journaled, installed as new records into the shard map, and emitted as
-// one feed record, so a follower applying the records journals the owner's
-// batches and an error leaves every earlier batch durable, in memory and on
-// the feed alike. Shared by every profile write and the replication apply
-// path.
-func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile, encs [][]byte, admit admitFunc) error {
+// installShardProfiles is the one shard write: it installs profs —
+// private copies, all belonging to sh, encoded as encs (nil: here, if a
+// sink needs them) — and then records buys, purchases by consumers of sh,
+// once admit admitted the write under the shard lock. encs is cut once into
+// batches (batchEnds), and inside the one lock hold each batch is committed
+// whole: journaled, installed as new records into the shard map, and
+// emitted as one feed record, so a follower applying the records journals
+// the owner's batches and an error leaves every earlier batch durable, in
+// memory and on the feed alike. The buys ride in the first batch.
+func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile, encs [][]byte, buys []PurchasePair, admit admitFunc) error {
+	for _, b := range buys {
+		if !validID(b.UserID) || !validID(b.ProductID) {
+			return fmt.Errorf("%w: purchase %q/%q", ErrBadKey, b.UserID, b.ProductID)
+		}
+		if shardOf(b.UserID, e.nshards) != sh.id {
+			return fmt.Errorf("%w: purchase by user %s in shard %d", ErrShardMismatch, b.UserID, sh.id)
+		}
+	}
 	if encs == nil && (e.persist != nil || e.feedCap > 0) {
 		var err error
 		if encs, err = encodeProfiles(profs); err != nil {
 			return err
 		}
 	}
-	ends := []int{len(profs)} // no sink: one batch, never encoded
-	if encs != nil {
+	ends := []int{len(profs)} // no sink, or no profile: one batch
+	if len(encs) > 0 {
 		ends = batchEnds(encs)
 	}
 	if err := e.lockShardW(sh, admit); err != nil {
 		return err
 	}
+	kept, sells := buys, []SellCount(nil) // the buys as a journal and a feed keep them
+	if e.persist != nil || e.feedCap > 0 {
+		kept, sells = sh.purchases(buys)
+	}
 	var (
-		err         error
-		seq         uint64
-		lo, payload int
+		err            error
+		rec            JournalRecord
+		seq            uint64
+		lo, n, payload int
 	)
 	for _, hi := range ends {
 		var batch [][]byte
@@ -402,7 +415,7 @@ func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile, encs 
 			batch = encs[lo:hi:hi]
 		}
 		if e.persist != nil {
-			if err = e.persist.SaveProfiles(sh.id, profs[lo:hi], batch); err != nil {
+			if err = e.persist.SaveWrite(sh.id, profs[lo:hi], batch, kept, sells); err != nil {
 				break
 			}
 		}
@@ -414,15 +427,25 @@ func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile, encs 
 			sh.consumers[p.UserID] = c
 			sh.noteWrite(p.UserID)
 		}
-		seq = sh.emit(e.feedCap, JournalRecord{Op: OpProfiles, Profiles: batch})
+		for _, b := range kept {
+			sh.consumers[b.UserID] = sh.consumers[b.UserID].withPurchase(purchase{product: b.ProductID, at: b.AtEpochMS})
+			sh.sells[b.ProductID]++
+			sh.noteWrite(b.UserID)
+		}
+		rec = JournalRecord{Op: OpProfiles, Profiles: batch, Purchases: kept}
+		if len(batch) == 0 && len(kept) == 1 {
+			rec = JournalRecord{Op: OpPurchase, UserID: kept[0].UserID, ProductID: kept[0].ProductID, AtEpochMS: kept[0].AtEpochMS}
+		}
+		seq = sh.emit(e.feedCap, rec)
 		for _, enc := range batch {
 			payload += len(enc)
 		}
-		lo = hi
+		n += hi - lo + len(kept)
+		lo, kept, sells = hi, nil, nil
 	}
 	sh.mu.Unlock()
-	if lo > 0 {
-		e.publishJournal(sh.id, seq, OpProfiles, lo, payload)
+	if n > 0 {
+		e.publishJournal(sh.id, seq, rec.Op, n, payload)
 		e.noteJournalWrite()
 	}
 	return err

@@ -53,27 +53,28 @@ var (
 
 // Journal record operations.
 const (
-	OpProfiles = "profiles" // a batch of profile installs for one shard
-	OpPurchase = "purchase" // one purchase by one of the shard's consumers
+	OpProfiles = "profiles" // a batch of profile installs for one shard, and the write's purchases
+	OpPurchase = "purchase" // one purchase by one of the shard's consumers, and nothing else
 )
 
 // JournalRecord is one replicated mutation of one community shard, in the
-// shard's total write order. Profiles are carried marshaled so records
-// cross process boundaries unchanged.
+// shard's total write order: one batch of one shard write. Profiles are
+// carried marshaled so records cross process boundaries unchanged.
 type JournalRecord struct {
-	Shard     int      `json:"shard"`
-	Seq       uint64   `json:"seq"`
-	Op        string   `json:"op"`
-	Profiles  [][]byte `json:"profiles,omitempty"` // OpProfiles: marshaled profiles, install order
-	UserID    string   `json:"user,omitempty"`     // OpPurchase
-	ProductID string   `json:"product,omitempty"`  // OpPurchase
+	Shard     int            `json:"shard"`
+	Seq       uint64         `json:"seq"`
+	Op        string         `json:"op"`
+	Profiles  [][]byte       `json:"profiles,omitempty"`  // OpProfiles: marshaled profiles, install order
+	Purchases []PurchasePair `json:"purchases,omitempty"` // OpProfiles: purchases after the profiles, as kept
+	UserID    string         `json:"user,omitempty"`      // OpPurchase
+	ProductID string         `json:"product,omitempty"`   // OpPurchase
 	// OpPurchase: the time the owner's purchase list kept (absent = undated);
 	// a follower installs it as is.
 	AtEpochMS int64 `json:"at_epoch_ms,omitempty"`
 }
 
-// PurchasePair is one (consumer, product) ownership edge in a SnapshotPage,
-// with the time of the consumer's latest purchase of it (absent = undated).
+// PurchasePair is one (consumer, product) edge of a SnapshotPage or one
+// purchase of a write, with the time of the latest purchase (absent = undated).
 type PurchasePair struct {
 	UserID    string `json:"user"`
 	ProductID string `json:"product"`
@@ -178,29 +179,27 @@ func (e *Engine) FeedHeads() []uint64 {
 	return out
 }
 
-// applyJournalRecord applies one replicated mutation to shard, through the
-// same install paths local writes take (so it is journaled to this engine's
+// applyJournalRecord applies one replicated mutation to shard through the
+// one shard write local writes take (so it is journaled to this engine's
 // own Persister, indexed, and re-emitted on this engine's feed), admitted
-// by admit under the shard lock.
+// by admit under the shard lock. A profile or purchase of a consumer of
+// another shard is refused with ErrShardMismatch.
 func (e *Engine) applyJournalRecord(shard int, rec JournalRecord, admit admitFunc) error {
 	switch rec.Op {
 	case OpProfiles:
-		if len(rec.Profiles) == 0 {
-			// An owner emits a profiles record only for an install; an
-			// empty one would advance the cursor past a record that moves
-			// no state and no feed head.
-			return errors.New("recommend: replicated profiles record carries no profile")
+		if len(rec.Profiles) == 0 && len(rec.Purchases) == 0 {
+			// An owner emits a profiles record only for a write; an empty
+			// one would advance the cursor past a record that moves no
+			// state and no feed head.
+			return errors.New("recommend: replicated profiles record carries no profile and no purchase")
 		}
 		profs, err := decodeProfiles(rec.Profiles, shard, e.nshards)
 		if err != nil {
 			return err
 		}
-		return e.installShardProfiles(e.shards[shard], profs, rec.Profiles, admit)
+		return e.installShardProfiles(e.shards[shard], profs, rec.Profiles, rec.Purchases, admit)
 	case OpPurchase:
-		if e.ShardOf(rec.UserID) != shard {
-			return fmt.Errorf("%w: user %s", ErrShardMismatch, rec.UserID)
-		}
-		return e.recordPurchaseAt(rec.UserID, rec.ProductID, time.UnixMilli(rec.AtEpochMS), admit)
+		return e.installShardProfiles(e.shards[shard], nil, nil, []PurchasePair{{UserID: rec.UserID, ProductID: rec.ProductID, AtEpochMS: rec.AtEpochMS}}, admit)
 	default:
 		return fmt.Errorf("recommend: unknown journal op %q", rec.Op)
 	}
@@ -254,11 +253,13 @@ func OwnerOf(shard, servers int) int {
 // Writer is the community write surface: the subset of Engine the write
 // path needs, satisfied by both *Engine (local writes) and *Router
 // (ownership-routed writes), so the Buyer Agent Server does not care
-// whether it is the owner.
+// whether it is the owner. Observe is the Profile Agent's one write, sales
+// included; every RecordPurchaseAt is an Observe with no evidence and the
+// one sale.
 type Writer interface {
 	SetProfile(p *profile.Profile) error
 	SetProfiles(ps []*profile.Profile) error
-	Observe(userID string, evs []profile.Evidence) error
+	Observe(userID string, evs []profile.Evidence, sales []PurchasePair) error
 	RecordPurchase(userID, productID string) error
 	RecordPurchaseAt(userID, productID string, at time.Time) error
 }
@@ -340,13 +341,13 @@ func (r *Router) SetProfiles(ps []*profile.Profile) error {
 	return nil
 }
 
-// Observe applies the evidence to the profile on the owning server.
-func (r *Router) Observe(userID string, evs []profile.Evidence) error {
+// Observe makes the consumer's Observe on the owning server.
+func (r *Router) Observe(userID string, evs []profile.Evidence, sales []PurchasePair) error {
 	w, err := r.writerFor(userID)
 	if err != nil {
 		return err
 	}
-	return w.Observe(userID, evs)
+	return w.Observe(userID, evs, sales)
 }
 
 // RecordPurchase records the undated purchase on the owning server.
@@ -356,11 +357,7 @@ func (r *Router) RecordPurchase(userID, productID string) error {
 
 // RecordPurchaseAt records the purchase made at at on the owning server.
 func (r *Router) RecordPurchaseAt(userID, productID string, at time.Time) error {
-	w, err := r.writerFor(userID)
-	if err != nil {
-		return err
-	}
-	return w.RecordPurchaseAt(userID, productID, at)
+	return r.Observe(userID, nil, []PurchasePair{PurchaseAt(userID, productID, at)})
 }
 
 // --- the replicator ---

@@ -352,6 +352,65 @@ func TestReplicatedWALByteIdentical(t *testing.T) {
 			t.Fatalf("owner journaled %d bytes, follower %d, and they differ", len(wals[0]), len(wals[1]))
 		}
 	})
+	// Observe with sales: the owner journals the profile and the purchases
+	// as one batch and one feed record, a repeat keeping the later time, and
+	// a durable follower that applies the records journals the same batches.
+	t.Run("observe with sales", func(t *testing.T) {
+		u, profiles := soakUniverse(t)
+		dirs := []string{t.TempDir(), t.TempDir()}
+		var engines [2]*Engine
+		for i, dir := range dirs {
+			e, err := Open(u.Catalog, WithJournalFeed(0), WithShards(1), WithPersistence(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			engines[i] = e
+		}
+		owner, follower := engines[0], engines[1]
+		r, err := NewReplicator(follower, 1, []Peer{LocalPeer{Engine: owner}, nil})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Sync(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		user, prods := profiles[0].UserID, u.Catalog.All()
+		at := time.UnixMilli(1_700_000_000_000)
+		if err := owner.SetProfile(profiles[0]); err != nil {
+			t.Fatal(err)
+		}
+		for _, sales := range [][]PurchasePair{
+			{PurchaseAt(user, prods[0].ID, at)},
+			{PurchaseAt(user, prods[0].ID, at.Add(-time.Hour)), PurchaseAt(user, prods[1].ID, at), PurchaseAt(user, prods[1].ID, time.Time{})},
+		} {
+			if err := owner.Observe(user, []profile.Evidence{prods[0].Evidence(profile.BehaviourBuy)}, sales); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := owner.RecordPurchaseAt(user, prods[1].ID, at.Add(-time.Minute)); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Sync(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if st := r.Stats().Shards[0]; st.Records != 4 {
+			t.Fatalf("follower applied %d records, want the profile, the two observes and the purchase", st.Records)
+		}
+		communityEqual(t, owner, follower)
+		r.Close()
+		var wals [2][]byte
+		for i, e := range engines {
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if wals[i], err = os.ReadFile(filepath.Join(dirs[i], CommunityWAL)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(wals[0]) == 0 || !bytes.Equal(wals[0], wals[1]) {
+			t.Fatalf("owner journaled %d bytes, follower %d, and they differ", len(wals[0]), len(wals[1]))
+		}
+	})
 }
 
 // TestFollowerRestartCatchesUp: a restarted follower (fresh cursor, stale

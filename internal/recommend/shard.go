@@ -84,19 +84,46 @@ func (c *consumer) find(productID string) (int, bool) {
 }
 
 // withPurchase returns a new record: c (nil: a consumer the shard does not
-// hold yet) with a copy of its purchase list holding p at i, in place of the
-// entry there when again.
-func (c *consumer) withPurchase(i int, again bool, p purchase) *consumer {
+// hold yet) with a copy of its purchase list holding p, in place of an
+// earlier purchase of the product, whose time it keeps when that is later.
+func (c *consumer) withPurchase(p purchase) *consumer {
+	i, again := c.find(p.product)
 	nc := &consumer{}
 	if c != nil {
 		*nc = *c
 	}
 	rest := nc.bought[i:]
 	if again {
+		p.at = max(p.at, rest[0].at)
 		rest = rest[1:]
 	}
 	nc.bought = append(append(append(make([]purchase, 0, len(nc.bought)+1), nc.bought[:i]...), p), rest...)
 	return nc
+}
+
+// purchases works out, without changing anything, what recording buys in
+// order leaves: each buy as the purchase list will keep it (withPurchase)
+// beside its product's new sell count. Caller holds mu.
+func (sh *shard) purchases(buys []PurchasePair) ([]PurchasePair, []SellCount) {
+	kept := slices.Clone(buys)
+	sells := make([]SellCount, len(buys))
+	for i := range kept {
+		b := &kept[i]
+		c := sh.consumers[b.UserID]
+		if j, again := c.find(b.ProductID); again {
+			b.AtEpochMS = max(b.AtEpochMS, c.bought[j].at)
+		}
+		sells[i] = SellCount{ProductID: b.ProductID, Total: sh.sells[b.ProductID] + 1}
+		for j, prev := range kept[:i] { // the write's earlier buys
+			if prev.ProductID == b.ProductID {
+				sells[i].Total = sells[j].Total + 1
+				if prev.UserID == b.UserID {
+					b.AtEpochMS = max(b.AtEpochMS, prev.AtEpochMS)
+				}
+			}
+		}
+	}
+	return kept, sells
 }
 
 // shard is one partition of the community: the records of the consumers

@@ -96,7 +96,7 @@ func TestShardVersionIsFeedHead(t *testing.T) {
 	}
 	check("purchase", owner, 5, true)
 
-	if err := owner.Observe(profiles[0].UserID, []profile.Evidence{{Category: "c1", Terms: map[string]float64{"t": 1}}}); err != nil {
+	if err := owner.Observe(profiles[0].UserID, []profile.Evidence{{Category: "c1", Terms: map[string]float64{"t": 1}}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	check("observe", owner, 6, true)
@@ -130,18 +130,18 @@ func TestShardVersionIsFeedHead(t *testing.T) {
 	check("reopen", reopened, 0, false)
 }
 
-// failNthSave is a Persister whose n-th SaveProfiles call fails, with
+// failNthSave is a Persister whose n-th SaveWrite call fails, with
 // errInjected, without saving.
 type failNthSave struct {
 	Persister
 	n int
 }
 
-func (p *failNthSave) SaveProfiles(shard int, profs []*profile.Profile, encs [][]byte) error {
+func (p *failNthSave) SaveWrite(shard int, profs []*profile.Profile, encs [][]byte, buys []PurchasePair, sells []SellCount) error {
 	if p.n--; p.n == 0 {
 		return errInjected
 	}
-	return p.Persister.SaveProfiles(shard, profs, encs)
+	return p.Persister.SaveWrite(shard, profs, encs, buys, sells)
 }
 
 // TestBulkInstallCommitsBatchByBatch: when the journal refuses the second

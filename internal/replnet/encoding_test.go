@@ -21,7 +21,6 @@ func TestRequestFramesWireVocabulary(t *testing.T) {
 	_, faults := analysis.WireVocabulary(
 		reflect.TypeFor[tailRequest](), reflect.TypeFor[snapPageRequest](),
 		reflect.TypeFor[setProfilesRequest](), reflect.TypeFor[observeRequest](),
-		reflect.TypeFor[purchaseRequest](),
 	)
 	for _, f := range faults {
 		t.Error(f)

@@ -46,7 +46,9 @@ func TestHandlerFencesStaleEpochFrames(t *testing.T) {
 		kindTail:        mustJSON(t, tailRequest{Shard: 0, OwnerEpoch: 1}),
 		kindSnapPage:    mustJSON(t, snapPageRequest{Shard: 0, OwnerEpoch: 1}),
 		kindSetProfiles: mustJSON(t, setProfilesRequest{Profiles: [][]byte{prof}, OwnerEpoch: 1}),
-		kindPurchase:    mustJSON(t, purchaseRequest{UserID: "user-1", ProductID: "p1", AtEpochMS: time.Now().UnixMilli(), OwnerEpoch: 1}),
+		kindObserve: mustJSON(t, observeRequest{UserID: "user-1", OwnerEpoch: 1, Purchases: []recommend.PurchasePair{
+			{UserID: "user-1", ProductID: "p1", AtEpochMS: time.Now().UnixMilli()},
+		}}),
 	}
 
 	// At matching epoch every kind passes the fence (the tail may still
@@ -194,8 +196,10 @@ func TestHandlerBindsEngineTable(t *testing.T) {
 		kindTail:        mustJSON(t, tailRequest{Shard: 0, OwnerEpoch: 1}),
 		kindSnapPage:    mustJSON(t, snapPageRequest{Shard: 0, OwnerEpoch: 1}),
 		kindSetProfiles: mustJSON(t, setProfilesRequest{Profiles: [][]byte{prof}, OwnerEpoch: 1}),
-		kindPurchase:    mustJSON(t, purchaseRequest{UserID: "user-1", ProductID: "p1", OwnerEpoch: 1}),
-		kindOwnerMap:    []byte("{}"),
+		kindObserve: mustJSON(t, observeRequest{UserID: "user-1", OwnerEpoch: 1, Purchases: []recommend.PurchasePair{
+			{UserID: "user-1", ProductID: "p1"},
+		}}),
+		kindOwnerMap: []byte("{}"),
 	}
 	for _, tc := range []struct {
 		name  string

@@ -66,6 +66,15 @@ func FuzzHandlerFrames(f *testing.F) {
 	f.Add(kindObserve, mustJSON(f, observe))
 	observe.OwnerEpoch = 1
 	f.Add(kindObserve, mustJSON(f, observe))
+	// The observe with the consumer's purchases, one write; and with one of
+	// them by a consumer of another shard, which refuses the whole write.
+	observe.OwnerEpoch = 2
+	users := ownedUsers(e, 0, 2, 6)
+	other := users[slices.IndexFunc(users, func(u string) bool { return e.ShardOf(u) != e.ShardOf(observe.UserID) })]
+	observe.Purchases = []recommend.PurchasePair{{UserID: observe.UserID, ProductID: "p1", AtEpochMS: 1_700_000_000_000}, {UserID: observe.UserID, ProductID: "p2"}}
+	f.Add(kindObserve, mustJSON(f, observe))
+	observe.Purchases[1].UserID = other
+	f.Add(kindObserve, mustJSON(f, observe))
 
 	f.Fuzz(func(t *testing.T, kind string, data []byte) {
 		e, h := fuzzServer(t)

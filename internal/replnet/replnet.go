@@ -10,11 +10,12 @@
 //   - Handler(engine) serves a server's journal surface: "tail" requests
 //     from followers, "snap-page" requests transferring a whole shard in
 //     bounded pages (the one catch-up path), and forwarded writes
-//     ("set-profiles", "observe", "purchase") from peers that do not own the
-//     consumer's shard. Install it with atp.Server.SetJournalHandler. Every
-//     frame but the owner-map probe is fenced against the engine's own
-//     ownership table, and a forwarded write is admitted by the engine
-//     under the shard lock (recommend.OwnedWriter).
+//     ("set-profiles"; "observe", a consumer's evidence and purchases as one
+//     write) from peers that do not own the consumer's shard. Install it
+//     with atp.Server.SetJournalHandler. Every frame but the owner-map
+//     probe is fenced against the engine's own ownership table, and a
+//     forwarded write is admitted by the engine under the shard lock
+//     (recommend.OwnedWriter).
 //   - Peer implements recommend.Peer over an atp.Client — the follower
 //     side of journal tailing.
 //   - Writer implements recommend.Writer over an atp.Client — the
@@ -38,7 +39,6 @@ const (
 	kindSnapPage    = "snap-page"
 	kindSetProfiles = "set-profiles"
 	kindObserve     = "observe"
-	kindPurchase    = "purchase"
 	kindOwnerMap    = "owner-map"
 )
 
@@ -134,13 +134,14 @@ type setProfilesRequest struct {
 	OwnerEpoch uint64   `json:"owner_epoch,omitempty"`
 }
 
-// observeRequest forwards Engine.Observe: the consumer and every field of
-// each event the Fig 4.4 update reads, so the owner installs the bytes a
-// local observe would.
+// observeRequest forwards Engine.Observe: the consumer, every field of each
+// event the Fig 4.4 update reads, so the owner installs the bytes a local
+// observe would, and the purchases recorded in the same write.
 type observeRequest struct {
-	UserID     string         `json:"user"`
-	Evidence   []wireEvidence `json:"evidence"`
-	OwnerEpoch uint64         `json:"owner_epoch,omitempty"`
+	UserID     string                   `json:"user"`
+	Evidence   []wireEvidence           `json:"evidence"`
+	Purchases  []recommend.PurchasePair `json:"purchases,omitempty"`
+	OwnerEpoch uint64                   `json:"owner_epoch,omitempty"`
 }
 
 // wireEvidence is profile.Evidence on the wire.
@@ -151,13 +152,6 @@ type wireEvidence struct {
 	SubTerms    map[string]float64 `json:"sub_terms,omitempty"`
 	Behaviour   profile.Behaviour  `json:"behaviour"`
 	At          time.Time          `json:"at"`
-}
-
-type purchaseRequest struct {
-	UserID     string `json:"user"`
-	ProductID  string `json:"product"`
-	AtEpochMS  int64  `json:"at_epoch_ms,omitempty"` // absent: an undated purchase
-	OwnerEpoch uint64 `json:"owner_epoch,omitempty"`
 }
 
 // OwnerMapInfo is the owner-map frame's reply: the receiving server's view
@@ -238,13 +232,7 @@ func Handler(e *recommend.Engine, self, servers int) atp.JournalHandler {
 			for i, ev := range req.Evidence {
 				evs[i] = profile.Evidence(ev)
 			}
-			return nil, writer(req.OwnerEpoch).Observe(req.UserID, evs)
-		case kindPurchase:
-			var req purchaseRequest
-			if err := json.Unmarshal(data, &req); err != nil {
-				return nil, fmt.Errorf("replnet: decoding purchase write: %w", err)
-			}
-			return nil, writer(req.OwnerEpoch).RecordPurchaseAt(req.UserID, req.ProductID, time.UnixMilli(req.AtEpochMS))
+			return nil, writer(req.OwnerEpoch).Observe(req.UserID, evs, req.Purchases)
 		case kindOwnerMap:
 			// The consistency probe is deliberately unfenced: it is how
 			// peers discover they disagree in the first place.
@@ -415,9 +403,9 @@ func (w *Writer) SetProfiles(ps []*profile.Profile) error {
 }
 
 // Observe implements recommend.Writer: the owner applies the evidence to
-// the profile it stores.
-func (w *Writer) Observe(userID string, evs []profile.Evidence) error {
-	req := observeRequest{UserID: userID, Evidence: make([]wireEvidence, len(evs)), OwnerEpoch: w.cfg.stamp()}
+// the profile it stores and records the sales, in one write.
+func (w *Writer) Observe(userID string, evs []profile.Evidence, sales []recommend.PurchasePair) error {
+	req := observeRequest{UserID: userID, Evidence: make([]wireEvidence, len(evs)), Purchases: sales, OwnerEpoch: w.cfg.stamp()}
 	for i, ev := range evs {
 		req.Evidence[i] = wireEvidence(ev)
 	}
@@ -429,14 +417,11 @@ func (w *Writer) RecordPurchase(userID, productID string) error {
 	return w.RecordPurchaseAt(userID, productID, time.Time{})
 }
 
-// RecordPurchaseAt implements recommend.Writer. The zero time travels as an
-// absent at_epoch_ms, the frame an undated purchase always was.
+// RecordPurchaseAt implements recommend.Writer: an observe frame with no
+// evidence and the one purchase, whose zero time travels as an absent
+// at_epoch_ms.
 func (w *Writer) RecordPurchaseAt(userID, productID string, at time.Time) error {
-	req := purchaseRequest{UserID: userID, ProductID: productID, OwnerEpoch: w.cfg.stamp()}
-	if !at.IsZero() {
-		req.AtEpochMS = at.UnixMilli()
-	}
-	return w.send(kindPurchase, req)
+	return w.Observe(userID, nil, []recommend.PurchasePair{recommend.PurchaseAt(userID, productID, at)})
 }
 
 var _ recommend.Writer = (*Writer)(nil)

@@ -203,10 +203,10 @@ func TestForwardedObserveInstallsLocalBytes(t *testing.T) {
 		},
 	}
 	for i, evs := range batches {
-		if err := servers[0].router.Observe(remote, evs); err != nil {
+		if err := servers[0].router.Observe(remote, evs, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := local.Observe(remote, evs); err != nil {
+		if err := local.Observe(remote, evs, nil); err != nil {
 			t.Fatal(err)
 		}
 		forwarded, err := servers[1].engine.Profile(remote)
