@@ -369,13 +369,17 @@ func TestDeploymentOptionsTogether(t *testing.T) {
 	if buy.Sale == nil {
 		t.Fatal("no sale")
 	}
-	// The buy is one write: its profile and its purchase, one record.
+	// The buy is one write: its profile and its purchase, one record, whose
+	// event says it holds a purchase.
 	for {
 		ev, err := sub.Next(ctx)
 		if err != nil {
 			t.Fatalf("no journal event for the purchase: %v", err)
 		}
-		if ev.Journal.Op == recommend.OpProfiles && ev.Journal.Records == 2 {
+		if ev.Journal.Purchases == 1 {
+			if ev.Journal.Op != recommend.OpProfiles || ev.Journal.Records != 2 {
+				t.Fatalf("the buy's journal event = %+v, want one profiles record of a profile and a purchase", ev.Journal)
+			}
 			break
 		}
 	}

@@ -85,9 +85,10 @@ type Event struct {
 type JournalEvent struct {
 	Server       int    `json:"server"`
 	Shard        int    `json:"shard"`
-	Seq          uint64 `json:"seq"` // the shard's version: its feed head
-	Op           string `json:"op"`  // "profiles" or "purchase"
-	Records      int    `json:"records,omitempty"`
+	Seq          uint64 `json:"seq"`                     // the shard's version: its feed head
+	Op           string `json:"op"`                      // "profiles" or "purchase"
+	Records      int    `json:"records,omitempty"`       // profiles and purchases the write committed
+	Purchases    int    `json:"purchases,omitempty"`     // of those, purchases: a buy rides in a "profiles" write with its evidence
 	PayloadBytes int    `json:"payload_bytes,omitempty"` // encoded profile payload carried by the record
 }
 

@@ -38,8 +38,9 @@ func WithEventBus(bus *ops.Bus, server int) Option {
 }
 
 // publishJournal emits one KindJournal event for a committed shard
-// mutation. No-op without a bus.
-func (e *Engine) publishJournal(shard int, seq uint64, op string, records, payloadBytes int) {
+// mutation: records profiles and purchases, purchases of them purchases.
+// No-op without a bus.
+func (e *Engine) publishJournal(shard int, seq uint64, op string, records, purchases, payloadBytes int) {
 	if e.events == nil {
 		return
 	}
@@ -49,6 +50,7 @@ func (e *Engine) publishJournal(shard int, seq uint64, op string, records, paylo
 		Seq:          seq,
 		Op:           op,
 		Records:      records,
+		Purchases:    purchases,
 		PayloadBytes: payloadBytes,
 	}})
 }

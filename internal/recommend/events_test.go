@@ -46,19 +46,27 @@ func TestEventBusJournalEvents(t *testing.T) {
 	if err := e.RecordPurchase("eve", "cam1"); err != nil {
 		t.Fatal(err)
 	}
+	ev := profile.Evidence{Category: "camera", Terms: map[string]float64{"zoom": 1}, Behaviour: profile.BehaviourBuy}
+	if err := e.Observe("eve", []profile.Evidence{ev}, []PurchasePair{{UserID: "eve", ProductID: "cam2"}}); err != nil {
+		t.Fatal(err)
+	}
 	evs := drain(t, sub)
-	if len(evs) != 2 {
-		t.Fatalf("got %d journal events, want 2: %+v", len(evs), evs)
+	if len(evs) != 3 {
+		t.Fatalf("got %d journal events, want 3: %+v", len(evs), evs)
 	}
-	prof, buy := evs[0].Journal, evs[1].Journal
-	if prof.Op != OpProfiles || prof.Records != 1 || prof.PayloadBytes <= 0 {
-		t.Errorf("profile event = %+v, want op=profiles records=1 payload>0", prof)
+	prof, buy, paper := evs[0].Journal, evs[1].Journal, evs[2].Journal
+	if prof.Op != OpProfiles || prof.Records != 1 || prof.Purchases != 0 || prof.PayloadBytes <= 0 {
+		t.Errorf("profile event = %+v, want op=profiles records=1 purchases=0 payload>0", prof)
 	}
-	if buy.Op != OpPurchase || buy.Records != 1 {
-		t.Errorf("purchase event = %+v, want op=purchase records=1", buy)
+	if buy.Op != OpPurchase || buy.Records != 1 || buy.Purchases != 1 {
+		t.Errorf("purchase event = %+v, want op=purchase records=1 purchases=1", buy)
+	}
+	// A buy with its evidence is one profiles write that says it holds one.
+	if paper.Op != OpProfiles || paper.Records != 2 || paper.Purchases != 1 || paper.PayloadBytes <= 0 {
+		t.Errorf("buy-with-evidence event = %+v, want op=profiles records=2 purchases=1 payload>0", paper)
 	}
 	wantShard := e.ShardOf("eve")
-	for _, j := range []ops.JournalEvent{prof, buy} {
+	for _, j := range []ops.JournalEvent{prof, buy, paper} {
 		if j.Server != 3 || j.Shard != wantShard {
 			t.Errorf("journal event = %+v, want server=3 shard=%d", j, wantShard)
 		}

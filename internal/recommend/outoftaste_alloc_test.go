@@ -21,7 +21,8 @@ func outOfTaste(u *workload.Universe, p *profile.Profile) string {
 
 // TestOutOfTasteReadAllocBudget is TestInTasteReadAllocBudget for a read in
 // a category where the target has no evidence, so the neighbour search
-// scans the whole community (searchNeighbors' Tx = 0 path): at most 9
+// walks the consumers who share a category with it (searchNeighbors'
+// Tx = 0 path, Snapshot.outOfTaste), its list heads on the stack: at most 9
 // allocations over these 20 consumers, and the budget is that + 2 %, rounded
 // up. The race detector's count differs (10), so the test runs without it.
 func TestOutOfTasteReadAllocBudget(t *testing.T) {

@@ -357,7 +357,7 @@ func sellOp(shard int, productID string, total int64) (kvstore.Op, error) {
 	if !validID(productID) {
 		return kvstore.Op{}, fmt.Errorf("%w: product %q", ErrBadKey, productID)
 	}
-	return kvstore.Op{Bucket: sellBucket(shard), Key: productID, Value: []byte(strconv.FormatInt(total, 10))}, nil
+	return kvstore.Op{Bucket: sellBucket(shard), Key: productID, Value: strconv.AppendInt(nil, total, 10)}, nil
 }
 
 // kvBatch queues one mutation's ops and applies them in atomic batches of at
@@ -391,7 +391,13 @@ func (b *kvBatch) add(op kvstore.Op, size int) error {
 }
 
 func (kp *kvPersister) SaveWrite(shard int, profs []*profile.Profile, encoded [][]byte, buys []PurchasePair, sells []SellCount) error {
-	ops := make([]kvstore.Op, 0, len(profs)+2*len(buys))
+	// A profile, or a purchase with its sell count, builds its ops on the
+	// stack: Apply keeps none of the slice.
+	var buf [3]kvstore.Op
+	ops := buf[:0]
+	if n := len(profs) + 2*len(buys); n > len(buf) {
+		ops = make([]kvstore.Op, 0, n)
+	}
 	for i, p := range profs {
 		op, err := profileOp(shard, p.UserID, encoded[i])
 		if err != nil {

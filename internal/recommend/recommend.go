@@ -66,6 +66,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"iter"
 	"slices"
 	"strings"
 	"sync"
@@ -401,7 +402,9 @@ func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile, encs 
 	}
 	kept, sells := buys, []SellCount(nil) // the buys as a journal and a feed keep them
 	if e.persist != nil || e.feedCap > 0 {
-		kept, sells = sh.purchases(buys)
+		// The feed keeps the buys in its record, but a lone purchase's.
+		own := e.feedCap > 0 && (len(profs) > 0 || len(buys) > 1)
+		kept, sells = sh.purchases(buys, e.persist != nil, own)
 	}
 	var (
 		err            error
@@ -445,7 +448,7 @@ func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile, encs 
 	}
 	sh.mu.Unlock()
 	if n > 0 {
-		e.publishJournal(sh.id, seq, rec.Op, n, payload)
+		e.publishJournal(sh.id, seq, rec.Op, n, len(buys), payload)
 		e.noteJournalWrite()
 	}
 	return err
@@ -573,17 +576,25 @@ func (e *Engine) neighbors(snap *Snapshot, c *consumer, cat string) ([]similarit
 	return nbs, nil
 }
 
-// searchNeighbors runs one neighbour search against snap. When the
-// discard gate is live (tolerance below 1) and the target has evidence in
-// the category, the consumers with evidence there are an exact substitute
-// for the whole community — every other consumer would be gated out anyway
-// (Ty = 0 against Tx > 0). Otherwise it scans the snapshot.
+// searchNeighbors runs one neighbour search against snap. With the
+// discard gate live (tolerance below 1) it walks only consumers the gate
+// can admit: when the target has evidence in the category, the consumers
+// with evidence there, since every other one is gated out (Ty = 0 against
+// Tx > 0); when it has none, the consumers with none there either who
+// share a category with it (Snapshot.outOfTaste). Without a category, or
+// with the gate ablated, it scans the snapshot.
 func (e *Engine) searchNeighbors(snap *Snapshot, sum *profile.Summary, cat string, tol float64) ([]similarity.Neighbor, error) {
 	tx := sum.Prefs[cat]
-	if cat == "" || tol >= 1 || tx <= 0 {
-		return similarity.TopKStream(sum.UserID, sum.Vec, tx, tol, snap.candidates(cat), e.k)
+	var candidates iter.Seq[similarity.Candidate]
+	switch {
+	case cat == "" || tol >= 1:
+		candidates = snap.candidates(cat)
+	case tx > 0:
+		candidates = snap.inCategory(cat)
+	default:
+		candidates = snap.outOfTaste(sum, cat)
 	}
-	return similarity.TopKStream(sum.UserID, sum.Vec, tx, tol, snap.inCategory(cat), e.k)
+	return similarity.TopKStream(sum.UserID, sum.Vec, tx, tol, candidates, e.k)
 }
 
 // Neighbors exposes the CF neighbour search directly: the k most similar

@@ -103,24 +103,40 @@ func (c *consumer) withPurchase(p purchase) *consumer {
 
 // purchases works out, without changing anything, what recording buys in
 // order leaves: each buy as the purchase list will keep it (withPurchase)
-// beside its product's new sell count. Caller holds mu.
-func (sh *shard) purchases(buys []PurchasePair) ([]PurchasePair, []SellCount) {
-	kept := slices.Clone(buys)
-	sells := make([]SellCount, len(buys))
-	for i := range kept {
-		b := &kept[i]
+// and, with counted set, its product's new sell count beside it. The buys
+// come back as they are while no buy's time moves, and as a copy once one
+// does, or always with own set, for a caller that keeps them. Caller holds
+// mu.
+func (sh *shard) purchases(buys []PurchasePair, counted, own bool) ([]PurchasePair, []SellCount) {
+	kept, sells := buys, []SellCount(nil)
+	if own {
+		kept = slices.Clone(buys)
+	}
+	if counted {
+		sells = make([]SellCount, len(buys))
+	}
+	for i, b := range buys {
+		at, earlier := b.AtEpochMS, int64(0)
 		c := sh.consumers[b.UserID]
 		if j, again := c.find(b.ProductID); again {
-			b.AtEpochMS = max(b.AtEpochMS, c.bought[j].at)
+			at = max(at, c.bought[j].at)
 		}
-		sells[i] = SellCount{ProductID: b.ProductID, Total: sh.sells[b.ProductID] + 1}
-		for j, prev := range kept[:i] { // the write's earlier buys
+		for _, prev := range kept[:i] { // the write's earlier buys, as kept
 			if prev.ProductID == b.ProductID {
-				sells[i].Total = sells[j].Total + 1
+				earlier++
 				if prev.UserID == b.UserID {
-					b.AtEpochMS = max(b.AtEpochMS, prev.AtEpochMS)
+					at = max(at, prev.AtEpochMS)
 				}
 			}
+		}
+		if at != kept[i].AtEpochMS {
+			if !own {
+				kept, own = slices.Clone(buys), true
+			}
+			kept[i].AtEpochMS = at
+		}
+		if counted {
+			sells[i] = SellCount{ProductID: b.ProductID, Total: sh.sells[b.ProductID] + earlier + 1}
 		}
 	}
 	return kept, sells
@@ -230,9 +246,11 @@ func (sh *shard) dropView() {
 type viewBase struct {
 	consumers map[string]*consumer
 
-	orderOnce sync.Once
-	order     []*profile.Summary // see shardView.inOrder
-	cats      catLists           // see shardView.inCategory
+	orderOnce     sync.Once
+	order         []*profile.Summary // see shardView.inOrder
+	cats          catLists           // see shardView.inCategory
+	unlistedOnce  sync.Once
+	unlistedCands []similarity.Candidate // see shardView.unlisted
 }
 
 // shardView is an immutable snapshot of one shard: a base, and over it the
@@ -244,9 +262,11 @@ type shardView struct {
 	base *viewBase
 	over map[string]*consumer // at most viewOverlayCap consumers
 
-	orderOnce sync.Once
-	order     []*profile.Summary // see inOrder
-	cats      catLists           // see inCategory
+	orderOnce     sync.Once
+	order         []*profile.Summary // see inOrder
+	cats          catLists           // see inCategory
+	unlistedOnce  sync.Once
+	unlistedCands []similarity.Candidate // see unlisted
 }
 
 // catLists holds the category lists a view or a base has built so far. A
@@ -391,6 +411,70 @@ func (b *viewBase) inCategory(cat string) []similarity.Candidate {
 		}
 		return list
 	})
+}
+
+// unlisted reports whether sum may score in a category whose list it is
+// not on: it has a negative weight (a category's preference value can then
+// hide a positive term), two of its terms share an id (Summary keeps the
+// heavier, which can hide a negative one), or a category named with a '/'
+// (its ids can then spell another category's, "a/b"+"t" as "a"+"b/t").
+// Neither Observe nor the workloads make one, but SetProfile and a peer's
+// profile can.
+func unlisted(sum *profile.Summary) bool {
+	if len(sum.Vec.IDs) != sum.Terms {
+		return true
+	}
+	for _, w := range sum.Vec.Weights {
+		if w < 0 {
+			return true
+		}
+	}
+	for cat := range sum.Prefs {
+		if strings.Contains(cat, "/") {
+			return true
+		}
+	}
+	return false
+}
+
+// unlisted returns the view's consumers for whom unlisted holds, in UserID
+// order, each as the scorer takes them: the ones a shared-category walk
+// must visit whatever their category lists, normally none. A base filters
+// its sorted consumers once; a view whose overlay changed whether some
+// consumer is unlisted splices those few into a copy of the base's list.
+func (v *shardView) unlisted() []similarity.Candidate {
+	list := v.base.unlisted()
+	if len(v.over) == 0 {
+		return list
+	}
+	v.unlistedOnce.Do(func() {
+		v.unlistedCands = list
+		is := func(s *profile.Summary) bool { return s != nil && unlisted(s) }
+		if ids := v.resummarized(is); len(ids) > 0 {
+			v.unlistedCands = spliceByID(list, ids,
+				func(c similarity.Candidate) string { return c.UserID },
+				func(id string) (similarity.Candidate, bool) {
+					s := v.over[id].sum
+					if !is(s) {
+						return similarity.Candidate{}, false
+					}
+					return candidateOf(s, 0), true
+				})
+		}
+	})
+	return v.unlistedCands
+}
+
+// unlisted is shardView.unlisted for a view with no overlay.
+func (b *viewBase) unlisted() []similarity.Candidate {
+	b.unlistedOnce.Do(func() {
+		for _, s := range b.inOrder() {
+			if unlisted(s) {
+				b.unlistedCands = append(b.unlistedCands, candidateOf(s, 0))
+			}
+		}
+	})
+	return b.unlistedCands
 }
 
 // spliceByID returns a copy of old, which is sorted by idOf, with every

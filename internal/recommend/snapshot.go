@@ -116,9 +116,8 @@ func (s *Snapshot) Len() int {
 }
 
 // candidates streams every profile in the view as a similarity candidate
-// for category — the full-community scan for when the gate does not narrow
-// the search to inCategory (gate ablated, or a target with no evidence in
-// the category).
+// for category: the full-community scan, for a search the gate does not
+// narrow (gate ablated, or no category).
 func (s *Snapshot) candidates(category string) iter.Seq[similarity.Candidate] {
 	return func(yield func(similarity.Candidate) bool) {
 		for _, v := range s.views {
@@ -147,4 +146,118 @@ func (s *Snapshot) inCategory(category string) iter.Seq[similarity.Candidate] {
 			}
 		}
 	}
+}
+
+// maxShared is how many categories a target's shared-category walk merges
+// the lists of; a target with evidence in more takes the complement walk.
+const maxShared = 32
+
+// outOfTaste streams, for a target with no evidence in category, the
+// consumers it can score under the live gate: those with no evidence there
+// either (the gate discards the rest), and of those only the ones that
+// share a category with the target, shard by shard, each shard's in UserID
+// order, every one with no evidence in category.
+//
+// A candidate scores only with a positive dot against the target, so some
+// term id carries a nonzero weight in both. An id spells its category
+// ("cat/term", "cat/sub/term"), so for two consumers neither of whom is
+// unlisted (no negative weight, no two terms on one id, no '/' in a
+// category name) that weight is positive on both sides and lies in a
+// category both have evidence in: the candidate is on the list of one of
+// the target's categories. An unlisted candidate is walked from its view's
+// unlisted list whatever its categories; an unlisted target, or one with
+// more than maxShared categories, takes the plain complement walk. So does
+// any view where the target's lists together are as long as the view.
+// TopKStream ranks by (score, id), a total order, so the walk's order
+// changes no answer.
+func (s *Snapshot) outOfTaste(target *profile.Summary, category string) iter.Seq[similarity.Candidate] {
+	return func(yield func(similarity.Candidate) bool) {
+		var shared [maxShared]string
+		n, narrow := 0, len(target.Prefs) <= maxShared && !unlisted(target)
+		if narrow {
+			for cat := range target.Prefs {
+				shared[n] = cat
+				n++
+			}
+		}
+		for _, v := range s.views {
+			if !v.outOfTaste(shared[:n], narrow, category, yield) {
+				return
+			}
+		}
+	}
+}
+
+// outOfTaste yields, for a target with no evidence in cat, the view's
+// consumers it can score (Snapshot.outOfTaste), each with no evidence in
+// cat, and reports whether yield asked for more. With narrow set, shared
+// holds every category the target has evidence in, and the walk merges
+// their lists and the unlisted consumers unless together they are as long
+// as the view; otherwise it walks the view's consumers. Either way it
+// leaves out cat's list, whose consumers the gate discards.
+func (v *shardView) outOfTaste(shared []string, narrow bool, cat string, yield func(similarity.Candidate) bool) bool {
+	order, in := v.inOrder(), v.inCategory(cat)
+	if narrow {
+		var lists [maxShared + 1][]similarity.Candidate
+		n, total := 0, 0
+		for _, c := range shared {
+			if l := v.inCategory(c); len(l) > 0 {
+				lists[n], n, total = l, n+1, total+len(l)
+			}
+		}
+		if l := v.unlisted(); len(l) > 0 {
+			lists[n], n, total = l, n+1, total+len(l)
+		}
+		if total < len(order) {
+			return union(lists[:n], in, yield)
+		}
+	}
+	// in is a sub-list of order, in the same order.
+	for _, sum := range order {
+		if len(in) > 0 && in[0].UserID == sum.UserID {
+			in = in[1:]
+			continue
+		}
+		if !yield(candidateOf(sum, 0)) {
+			return false
+		}
+	}
+	return true
+}
+
+// union yields, in UserID order and once each, the consumers on any of
+// lists (each in UserID order) and not on minus (likewise), as candidates
+// with no evidence in the searched category, and reports whether yield
+// asked for more. It takes the lists' heads as it goes.
+func union(lists [][]similarity.Candidate, minus []similarity.Candidate, yield func(similarity.Candidate) bool) bool {
+	for len(lists) > 0 {
+		m := 0
+		for i := 1; i < len(lists); i++ {
+			if lists[i][0].UserID < lists[m][0].UserID {
+				m = i
+			}
+		}
+		c := lists[m][0]
+		for i := 0; i < len(lists); {
+			if lists[i][0].UserID == c.UserID {
+				if lists[i] = lists[i][1:]; len(lists[i]) == 0 {
+					last := len(lists) - 1
+					lists[i], lists = lists[last], lists[:last]
+					continue
+				}
+			}
+			i++
+		}
+		for len(minus) > 0 && minus[0].UserID < c.UserID {
+			minus = minus[1:]
+		}
+		if len(minus) > 0 && minus[0].UserID == c.UserID {
+			continue
+		}
+		c.Ty = 0
+		if !yield(c) {
+			return false
+		}
+	}
+	return true
 }

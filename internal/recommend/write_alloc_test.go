@@ -15,7 +15,7 @@ import (
 // first consumer (a 1 511-byte profile) in a durable engine with a journal
 // feed, at GOMAXPROCS 1:
 //
-//   - a purchase (RecordPurchaseAt): 14 allocations;
+//   - a purchase (RecordPurchaseAt): 13 allocations;
 //   - the Profile Agent's Fig 4.3 buy, one Observe with the bought
 //     product's evidence and its sale: 184, what a purchase and an Observe
 //     made as two writes allocated together.
@@ -40,7 +40,7 @@ func TestWriteAllocBudget(t *testing.T) {
 		budget float64
 		write  func() error
 	}{
-		{"purchase", 15, func() error { return e.RecordPurchaseAt(user, prod.ID, time.Now()) }},
+		{"purchase", 14, func() error { return e.RecordPurchaseAt(user, prod.ID, time.Now()) }},
 		{"buy", 188, func() error {
 			return e.Observe(user, []profile.Evidence{ev}, []PurchasePair{PurchaseAt(user, prod.ID, time.Now())})
 		}},
