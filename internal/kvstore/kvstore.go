@@ -89,7 +89,7 @@ var (
 type Op struct {
 	Bucket string
 	Key    string
-	Value  []byte // stored as given; a nil Value stores an empty one
+	Value  []byte // stored as given, not copied (see Apply); a nil Value stores an empty one
 	Delete bool   // remove Key instead; Value is ignored
 }
 
@@ -164,9 +164,10 @@ func validate(bucket, key string) error {
 	return nil
 }
 
-// Put stores value under bucket/key, creating the bucket if needed.
+// Put stores a copy of value under bucket/key, creating the bucket if
+// needed: the caller may reuse value's buffer once Put returns.
 func (s *Store) Put(bucket, key string, value []byte) error {
-	return s.Apply([]Op{{Bucket: bucket, Key: key, Value: value}})
+	return s.Apply([]Op{{Bucket: bucket, Key: key, Value: append([]byte(nil), value...)}})
 }
 
 // Delete removes bucket/key. Deleting an absent key is not an error.
@@ -179,6 +180,10 @@ func (s *Store) Delete(bucket, key string) error {
 // record cap is rejected with ErrBatchTooLarge before any mutation —
 // enforced for memory-only stores too, so a batch that fits in memory can
 // never poison a later Snapshot or a durable reopen.
+//
+// The store keeps each op's Value as given, without a copy: a caller hands
+// the slice over, and must not write to it again once Apply is called.
+// Put is the call for a value whose buffer the caller reuses.
 func (s *Store) Apply(ops []Op) error {
 	for _, op := range ops {
 		if err := validate(op.Bucket, op.Key); err != nil {
@@ -219,10 +224,8 @@ func (s *Store) Apply(ops []Op) error {
 		if existed {
 			s.liveBytes -= liveRecordLen(op.Bucket, op.Key, old)
 		}
-		v := make([]byte, len(op.Value))
-		copy(v, op.Value)
-		b[op.Key] = v
-		s.liveBytes += liveRecordLen(op.Bucket, op.Key, v)
+		b[op.Key] = op.Value
+		s.liveBytes += liveRecordLen(op.Bucket, op.Key, op.Value)
 	}
 	return nil
 }

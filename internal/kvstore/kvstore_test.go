@@ -148,6 +148,31 @@ func TestScanUnknownBucketEmpty(t *testing.T) {
 	}
 }
 
+// TestPutCopiesCallerBuffer: Apply keeps the values it is handed, but Put
+// stores a copy, so a caller that reuses its buffer after a Put, durably
+// or not, still reads back the bytes it put.
+func TestPutCopiesCallerBuffer(t *testing.T) {
+	durable, err := Open(filepath.Join(t.TempDir(), "store.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer durable.Close()
+	for name, s := range map[string]*Store{"memory": New(), "durable": durable} {
+		buf := []byte("first")
+		if err := s.Put("b", "k", buf); err != nil {
+			t.Fatal(err)
+		}
+		copy(buf, "XXXXX")
+		got, err := s.Get("b", "k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != "first" {
+			t.Errorf("%s: Get after the caller reused its buffer = %q, want %q", name, got, "first")
+		}
+	}
+}
+
 func TestApplyAtomicBatch(t *testing.T) {
 	s := New()
 	s.Put("b", "old", []byte("1"))

@@ -143,14 +143,14 @@ func TestIFilterBesideCatalogueWrites(t *testing.T) {
 
 // TestInTasteReadAllocBudget: one in-taste StrategyAuto read over 2 000
 // consumers and 1 200 products allocates a few dozen objects — score maps,
-// ranked lists, the answer: at most 31 over these 20 consumers, 32 under
-// -race, and the budget is the -race count + 2 %, rounded up. A read that
+// ranked lists, the answer: at most 30 over these 20 consumers, with or
+// without -race, and the budget is that + 2 %, rounded up. A read that
 // copied the catalogue took ~3 500; anything that reintroduces a
 // per-product, per-candidate or per-purchase copy breaks the budget.
 func TestInTasteReadAllocBudget(t *testing.T) {
 	u, profiles := benchUniverse(t)
 	e := bulkEngine(t, u, profiles)
-	const budget = 33
+	const budget = 31
 	for _, p := range profiles[:20] {
 		cat := neighborCategory(p, "")
 		read := func() {

@@ -70,7 +70,7 @@ func TestNeighborMemoKeyedOnTheWholeSearch(t *testing.T) {
 		t.Helper()
 		e.tolerance = key.tol
 		defer func() { e.tolerance = tol }()
-		if _, err := e.neighbors(snap, key.target, key.cat); err != nil {
+		if _, err := e.neighbors(snap, key.target, key.cat, nil); err != nil {
 			t.Fatal(err)
 		}
 		return snap.lastSearch.Load()

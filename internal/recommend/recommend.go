@@ -32,7 +32,9 @@
 //   - Each view lists, per category, its consumers with evidence there, so
 //     CF's neighbour search iterates only the consumers active in the
 //     target category — an exact restriction under the Fig 4.5 gate, not
-//     an approximation.
+//     an approximation. A CF read in a category where the consumer has no
+//     evidence stops its search once none of the category's stray buyers
+//     (shardView.strays) can make the top k, exactly too.
 //   - With persistence (Open + WithPersistence) every mutation is
 //     journaled to a WAL-backed store before it mutates memory
 //     (journal-first: an acknowledged write is durable) and state is
@@ -563,38 +565,36 @@ func neighborCategory(p *profile.Profile, category string) string {
 // the engine's tolerance. A search the snapshot has just answered is
 // answered again from its memo (Snapshot.lastSearch); any other search runs
 // and replaces the memo.
-func (e *Engine) neighbors(snap *Snapshot, c *consumer, cat string) ([]similarity.Neighbor, error) {
+//
+// A caller that passes items, with cat its category, keeps only the
+// neighbours' purchases items files under cat. When the gate is live and
+// the target has no evidence in cat, only cat's stray buyers
+// (Snapshot.strays) can then put a product into the caller's answer, so
+// the search gives up as soon as none of them can make the top k
+// (similarity.TopKReaching): it answers nil and leaves the memo as it was,
+// since the neighbours it found are not the whole answer.
+func (e *Engine) neighbors(snap *Snapshot, c *consumer, cat string, items *catalog.View) ([]similarity.Neighbor, error) {
 	key := neighborKey{target: c, cat: cat, tol: e.tolerance}
 	if m := snap.lastSearch.Load(); m != nil && m.key == key {
 		return m.neighbors, nil
 	}
-	nbs, err := e.searchNeighbors(snap, c.sum, cat, e.tolerance)
-	if err != nil {
+	sum, tx := c.sum, c.sum.Prefs[cat]
+	var reach iter.Seq[similarity.Candidate]
+	if items != nil && e.tolerance < 1 && !(tx > 0) {
+		reach = snap.strays(items, cat)
+	}
+	nbs, whole, err := similarity.TopKReaching(sum.UserID, sum.Vec, tx, e.tolerance, reach, snap.admitted(sum, cat, e.tolerance), e.k)
+	if err != nil || !whole {
 		return nil, err
 	}
 	snap.lastSearch.Store(&neighborMemo{key: key, neighbors: nbs})
 	return nbs, nil
 }
 
-// searchNeighbors runs one neighbour search against snap. With the
-// discard gate live (tolerance below 1) it walks only consumers the gate
-// can admit: when the target has evidence in the category, the consumers
-// with evidence there, since every other one is gated out (Ty = 0 against
-// Tx > 0); when it has none, the consumers with none there either who
-// share a category with it (Snapshot.outOfTaste). Without a category, or
-// with the gate ablated, it scans the snapshot.
+// searchNeighbors runs one whole neighbour search against snap, over the
+// consumers the gate can admit (Snapshot.admitted).
 func (e *Engine) searchNeighbors(snap *Snapshot, sum *profile.Summary, cat string, tol float64) ([]similarity.Neighbor, error) {
-	tx := sum.Prefs[cat]
-	var candidates iter.Seq[similarity.Candidate]
-	switch {
-	case cat == "" || tol >= 1:
-		candidates = snap.candidates(cat)
-	case tx > 0:
-		candidates = snap.inCategory(cat)
-	default:
-		candidates = snap.outOfTaste(sum, cat)
-	}
-	return similarity.TopKStream(sum.UserID, sum.Vec, tx, tol, candidates, e.k)
+	return similarity.TopKStream(sum.UserID, sum.Vec, sum.Prefs[cat], tol, snap.admitted(sum, cat, tol), e.k)
 }
 
 // Neighbors exposes the CF neighbour search directly: the k most similar
@@ -611,21 +611,23 @@ func (e *Engine) Neighbors(userID, category string, mode NeighborSearch) ([]simi
 
 // cf is user-based collaborative filtering over profile similarity: the
 // neighbours' purchases, in category when one is asked for (by the
-// catalogue's category of each product), else in any.
+// catalogue's category of each product), else in any. One catalogue view
+// serves the read, so the search's stray buyers and the purchases kept
+// agree on every product's category.
 func (e *Engine) cf(snap *Snapshot, userID, category string, n int) ([]Rec, error) {
 	c := snap.profiled(userID)
 	if c == nil {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownUser, userID)
 	}
-	neighbors, err := e.neighbors(snap, c, neighborCategory(c.prof, category))
-	if err != nil {
-		return nil, err
-	}
-
 	var items *catalog.View
 	if category != "" {
 		items = e.catalog.View()
 	}
+	neighbors, err := e.neighbors(snap, c, neighborCategory(c.prof, category), items)
+	if err != nil {
+		return nil, err
+	}
+
 	scores := make(map[string]float64)
 	for _, nb := range neighbors {
 		for _, p := range snap.viewFor(nb.UserID).consumer(nb.UserID).bought {
@@ -808,7 +810,7 @@ func (e *Engine) RecommendForQueryWith(snap *Snapshot, userID string, matches []
 			cat = matches[0].Product.Category
 		}
 		var err error
-		neighbors, err = e.neighbors(snap, c, neighborCategory(c.prof, cat))
+		neighbors, err = e.neighbors(snap, c, neighborCategory(c.prof, cat), nil)
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"agentrec/internal/catalog"
 	"agentrec/internal/profile"
 	"agentrec/internal/similarity"
 )
@@ -21,7 +22,10 @@ import (
 // consumers alone, then shares the result with every reader until the next
 // write. A view also holds, per merchandise category, the list of its
 // consumers with evidence there (shardView.inCategory): CF's neighbour search
-// walks those lists instead of the whole community.
+// walks those lists instead of the whole community. And it lists, per
+// category, the consumers who bought there without evidence there
+// (shardView.strays): the only ones an out-of-taste CF read can take a
+// product from.
 
 // DefaultShards is the shard count NewEngine uses unless WithShards
 // overrides it.
@@ -251,6 +255,7 @@ type viewBase struct {
 	cats          catLists           // see shardView.inCategory
 	unlistedOnce  sync.Once
 	unlistedCands []similarity.Candidate // see shardView.unlisted
+	strayLists    strayLists             // see shardView.strays
 }
 
 // shardView is an immutable snapshot of one shard: a base, and over it the
@@ -267,6 +272,7 @@ type shardView struct {
 	cats          catLists           // see inCategory
 	unlistedOnce  sync.Once
 	unlistedCands []similarity.Candidate // see unlisted
+	strayLists    strayLists             // see strays
 }
 
 // catLists holds the category lists a view or a base has built so far. A
@@ -475,6 +481,100 @@ func (b *viewBase) unlisted() []similarity.Candidate {
 		}
 	})
 	return b.unlistedCands
+}
+
+// strays returns the view's stray buyers per category, in UserID order,
+// each as the scorer takes them (Ty = 0): the consumers with a summary who
+// bought a product items files under a category while holding no evidence
+// there. Under the Fig 4.5 gate a CF read in a category where the target
+// has no evidence admits only consumers with none there either, and keeps
+// only their purchases in the category, so the category's stray buyers are
+// the only neighbours who can put a product into its answer. A base builds
+// every category's list in one walk of its consumers' purchases, on the
+// first read that asks. A view with an overlay takes the base's lists less
+// the overlay's consumers, and adds back those of them who are stray
+// buyers now: every overlay consumer, since a purchase keeps the summary
+// and resummarized would miss it. The lists hold for one catalogue view,
+// since a product that moves category moves its buyers.
+func (v *shardView) strays(items *catalog.View) map[string][]similarity.Candidate {
+	base := v.base.strayLists.get(items, func() map[string][]similarity.Candidate {
+		return withStrays(nil, v.base.consumers, items)
+	})
+	if len(v.over) == 0 {
+		return base
+	}
+	return v.strayLists.get(items, func() map[string][]similarity.Candidate {
+		return withStrays(base, v.over, items)
+	})
+}
+
+// strayLists holds the stray-buyer lists a view or a base built last, and
+// the catalogue view they were built against. A read against another
+// catalogue view builds them again.
+type strayLists struct {
+	mu    sync.Mutex // one builder at a time
+	built atomic.Pointer[strayIndex]
+}
+
+// strayIndex is one build of the stray-buyer lists: per category, for the
+// catalogue view items.
+type strayIndex struct {
+	items *catalog.View
+	lists map[string][]similarity.Candidate
+}
+
+// get returns the lists built against items, built by build if the last
+// build was against another catalogue view or there was none.
+func (l *strayLists) get(items *catalog.View, build func() map[string][]similarity.Candidate) map[string][]similarity.Candidate {
+	if x := l.built.Load(); x != nil && x.items == items {
+		return x.lists
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if x := l.built.Load(); x != nil && x.items == items {
+		return x.lists
+	}
+	x := &strayIndex{items: items, lists: build()}
+	l.built.Store(x)
+	return x.lists
+}
+
+// withStrays returns a copy of lists (stray-buyer lists, see
+// shardView.strays) without the consumers of cs, and with those of them
+// who are stray buyers against items.
+func withStrays(lists map[string][]similarity.Candidate, cs map[string]*consumer, items *catalog.View) map[string][]similarity.Candidate {
+	m := make(map[string][]similarity.Candidate, len(lists))
+	for cat, l := range lists {
+		m[cat] = slices.DeleteFunc(slices.Clone(l), func(c similarity.Candidate) bool {
+			_, ok := cs[c.UserID]
+			return ok
+		})
+	}
+	for _, c := range cs {
+		if c == nil || c.sum == nil {
+			continue
+		}
+		for _, p := range c.bought {
+			it, ok := items.Lookup(p.product)
+			if !ok || c.sum.Prefs[it.Category] > 0 {
+				continue
+			}
+			// A consumer's categories are appended together, so one already
+			// on the list is its last entry.
+			l := m[it.Category]
+			if n := len(l); n == 0 || l[n-1].UserID != c.sum.UserID {
+				m[it.Category] = append(l, candidateOf(c.sum, 0))
+			}
+		}
+	}
+	for cat, l := range m {
+		if len(l) == 0 {
+			delete(m, cat)
+			continue
+		}
+		slices.SortFunc(l, func(a, b similarity.Candidate) int { return strings.Compare(a.UserID, b.UserID) })
+	}
+	return m
 }
 
 // spliceByID returns a copy of old, which is sorted by idOf, with every

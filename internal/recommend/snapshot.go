@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"agentrec/internal/catalog"
 	"agentrec/internal/profile"
 	"agentrec/internal/similarity"
 )
@@ -115,6 +116,25 @@ func (s *Snapshot) Len() int {
 	return n
 }
 
+// admitted streams the consumers a neighbour search for target in category
+// at tolerance tol must score. With the discard gate live (tolerance below
+// 1) they are only consumers the gate can admit: when the target has
+// evidence in the category, the consumers with evidence there, since every
+// other one is gated out (Ty = 0 against Tx > 0); when it has none, the
+// consumers with none there either who share a category with it
+// (outOfTaste). Without a category, or with the gate ablated, it is the
+// whole snapshot.
+func (s *Snapshot) admitted(target *profile.Summary, category string, tol float64) iter.Seq[similarity.Candidate] {
+	switch {
+	case category == "" || tol >= 1:
+		return s.candidates(category)
+	case target.Prefs[category] > 0:
+		return s.inCategory(category)
+	default:
+		return s.outOfTaste(target, category)
+	}
+}
+
 // candidates streams every profile in the view as a similarity candidate
 // for category: the full-community scan, for a search the gate does not
 // narrow (gate ablated, or no category).
@@ -140,6 +160,20 @@ func (s *Snapshot) inCategory(category string) iter.Seq[similarity.Candidate] {
 	return func(yield func(similarity.Candidate) bool) {
 		for _, v := range s.views {
 			for _, c := range v.inCategory(category) {
+				if !yield(c) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// strays streams category's stray buyers against items (shardView.strays),
+// shard by shard, each shard's in UserID order.
+func (s *Snapshot) strays(items *catalog.View, category string) iter.Seq[similarity.Candidate] {
+	return func(yield func(similarity.Candidate) bool) {
+		for _, v := range s.views {
+			for _, c := range v.strays(items)[category] {
 				if !yield(c) {
 					return
 				}

@@ -243,7 +243,7 @@ func TestIndexedNeighborsMatchFullScan(t *testing.T) {
 			t.Fatalf("missing %s", target.UserID)
 		}
 		cat := neighborCategory(st.prof, "")
-		got, err := e.neighbors(snap, st, cat)
+		got, err := e.neighbors(snap, st, cat, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

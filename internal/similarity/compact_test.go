@@ -425,3 +425,60 @@ func TestTopKStreamMatchesMergeJoin(t *testing.T) {
 		t.Fatal("no neighbour was scored; the test compares nothing")
 	}
 }
+
+// TestTopKReachingStopsOnlyWhenReachMisses: TopKReaching answers exactly
+// TopKStream's list whenever it does not give up, and gives up only when
+// no consumer of reach is in that list, over random reach sets of a random
+// community, ties in score included (every fifth candidate repeats an
+// earlier vector). The reach sets include the case the stop must not fire
+// on: the best of reach is the heap's worst when the heap fills.
+func TestTopKReachingStopsOnlyWhenReachMisses(t *testing.T) {
+	target, cands := allocCommunity(200)
+	for i := 5; i < len(cands); i += 5 {
+		cands[i].Vec, cands[i].Norm = cands[i-5].Vec, cands[i-5].Norm
+	}
+	rng := rand.New(rand.NewPCG(49, 49))
+	gaveUp, whole := 0, 0
+	for _, k := range []int{1, 3, 10} {
+		full, err := TopKStream("self", target, 1, 0.5, slices.Values(cands), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := range 300 {
+			var reach []Candidate
+			switch trial % 3 {
+			case 0: // a few at random
+				for range 1 + rng.IntN(4) {
+					reach = append(reach, cands[rng.IntN(len(cands))])
+				}
+			case 1: // the k-th of the answer, and worse ones
+				reach = append(reach, cands[slices.IndexFunc(cands, func(c Candidate) bool { return c.UserID == full[k-1].UserID })])
+				reach = append(reach, cands[rng.IntN(len(cands))])
+			default: // none who scores
+			}
+			got, ok, err := TopKReaching("self", target, 1, 0.5, slices.Values(reach), slices.Values(cands), k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok {
+				whole++
+				if !slices.Equal(got, full) {
+					t.Fatalf("k=%d reach %d: answered %v, TopKStream %v", k, len(reach), got, full)
+				}
+				continue
+			}
+			gaveUp++
+			if got != nil {
+				t.Fatalf("k=%d: gave up with an answer %v", k, got)
+			}
+			for _, nb := range full {
+				if slices.ContainsFunc(reach, func(c Candidate) bool { return c.UserID == nb.UserID }) {
+					t.Fatalf("k=%d: gave up, but %s of reach is in the top k %v", k, nb.UserID, full)
+				}
+			}
+		}
+	}
+	if gaveUp == 0 || whole == 0 {
+		t.Fatalf("%d searches gave up and %d answered: both sides need a case", gaveUp, whole)
+	}
+}

@@ -147,6 +147,7 @@ func TopK(target *profile.Profile, candidates []*profile.Profile, category strin
 type topkScratch struct {
 	heap  []Neighbor
 	dense []float64 // target weights by term id; all zero while pooled
+	bar   Neighbor  // TopKReaching's bar, while it walks
 }
 
 var topkPool = sync.Pool{New: func() any { return new(topkScratch) }}
@@ -198,57 +199,38 @@ func heapFix(h []Neighbor, i int) {
 // bounded heap sized k instead of an append-everything-then-sort buffer.
 // An empty or zero target has no neighbour and reads no candidate.
 func TopKStream(targetID string, target *profile.Compact, tx, tolerance float64, candidates iter.Seq[Candidate], k int) ([]Neighbor, error) {
+	out, _, err := TopKReaching(targetID, target, tx, tolerance, nil, candidates, k)
+	return out, err
+}
+
+// TopKReaching is TopKStream for a caller that has use for the answer only
+// if it holds one of reach: consumers who are among candidates, each as
+// candidates carries them, or who score nothing. It scores reach first, and
+// the best of them by (score, UserID) is the bar. When none of reach
+// scores, or as soon as the heap holds k candidates that all rank above
+// the bar, no consumer of reach can make the top k: it stops there and
+// returns nil and false. Otherwise it returns TopKStream's answer and true.
+// A nil reach never stops, and is TopKStream.
+func TopKReaching(targetID string, target *profile.Compact, tx, tolerance float64, reach, candidates iter.Seq[Candidate], k int) ([]Neighbor, bool, error) {
 	if err := CheckTolerance(tolerance); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if k == 0 {
-		return []Neighbor{}, nil
+		return []Neighbor{}, true, nil
 	}
 	na := target.Norm()
 	if na == 0 {
-		return []Neighbor{}, nil
+		return []Neighbor{}, true, nil
 	}
 	sc := topkPool.Get().(*topkScratch)
 	sc.dense = target.Scatter(sc.dense)
-	heap := sc.heap[:0]
-	if k >= 0 && cap(heap) < k {
-		heap = make([]Neighbor, 0, k)
-	}
-	for cand := range candidates {
-		if cand.UserID == targetID {
-			continue
-		}
-		if GateDiscards(tx, cand.Ty, tolerance) {
-			continue
-		}
-		if cand.Norm == 0 {
-			continue
-		}
-		dot := cand.Vec.Gather(sc.dense)
-		if dot <= 0 {
-			continue
-		}
-		score := cosine(dot, na, cand.Norm)
-		n := Neighbor{UserID: cand.UserID, Score: score, Raw: score, Tx: tx, Ty: cand.Ty}
-		switch {
-		case k < 0 || len(heap) < k:
-			heap = append(heap, n)
-			if len(heap) == k {
-				// Heapify once, when the bound is first reached.
-				for i := len(heap)/2 - 1; i >= 0; i-- {
-					heapFix(heap, i)
-				}
-			}
-		case worse(&heap[0], &n):
-			heap[0] = n
-			heapFix(heap, 0)
-		}
-	}
-	out := make([]Neighbor, len(heap))
-	copy(out, heap)
-	sc.heap = heap[:0]
+	out, reached := sc.topK(targetID, na, tx, tolerance, reach, candidates, k)
+	sc.heap = sc.heap[:0]
 	target.Unscatter(sc.dense)
 	topkPool.Put(sc)
+	if !reached {
+		return nil, false, nil
+	}
 	slices.SortFunc(out, func(a, b Neighbor) int {
 		if a.Score != b.Score {
 			if a.Score > b.Score {
@@ -264,5 +246,69 @@ func TopKStream(targetID string, target *profile.Compact, tx, tolerance float64,
 		}
 		return 0
 	})
-	return out, nil
+	return out, true, nil
+}
+
+// topK is TopKReaching against the target scattered into sc.dense with
+// norm na: the survivors unsorted, or false where TopKReaching stops.
+func (sc *topkScratch) topK(targetID string, na, tx, tolerance float64, reach, candidates iter.Seq[Candidate], k int) ([]Neighbor, bool) {
+	if reach != nil {
+		if sc.rank(targetID, na, tx, tolerance, reach, 1, false); len(sc.heap) == 0 {
+			return nil, false
+		}
+		sc.bar = sc.heap[0]
+	}
+	if sc.rank(targetID, na, tx, tolerance, candidates, k, reach != nil) {
+		return nil, false
+	}
+	out := make([]Neighbor, len(sc.heap))
+	copy(out, sc.heap)
+	return out, true
+}
+
+// rank is the one scoring loop. It keeps in sc.heap the k best candidates
+// (all of them for k < 0) that pass the gate and score, against the target
+// scattered into sc.dense with norm na. With bounded set, it stops,
+// reporting true, once the heap holds k candidates that all rank above
+// sc.bar. Its state lives in sc, so the loop body captures no variable
+// it writes, and costs one allocation, itself.
+func (sc *topkScratch) rank(targetID string, na, tx, tolerance float64, candidates iter.Seq[Candidate], k int, bounded bool) bool {
+	sc.heap = sc.heap[:0]
+	if k >= 0 && cap(sc.heap) < k {
+		sc.heap = make([]Neighbor, 0, k)
+	}
+	candidates(func(cand Candidate) bool {
+		if cand.UserID == targetID || GateDiscards(tx, cand.Ty, tolerance) || cand.Norm == 0 {
+			return true
+		}
+		dot := cand.Vec.Gather(sc.dense)
+		if dot <= 0 {
+			return true
+		}
+		score := cosine(dot, na, cand.Norm)
+		n := Neighbor{UserID: cand.UserID, Score: score, Raw: score, Tx: tx, Ty: cand.Ty}
+		switch h := sc.heap; {
+		case k < 0 || len(h) < k:
+			sc.heap = append(h, n)
+			if len(sc.heap) == k {
+				// Heapify once, when the bound is first reached.
+				for i := k/2 - 1; i >= 0; i-- {
+					heapFix(sc.heap, i)
+				}
+			}
+		case worse(&h[0], &n):
+			h[0] = n
+			heapFix(h, 0)
+		default:
+			return true
+		}
+		return !bounded || !sc.cleared(k)
+	})
+	return bounded && sc.cleared(k)
+}
+
+// cleared reports whether the heap holds k candidates that all rank above
+// sc.bar. The heap's worst only rises, so once it does, it stays so.
+func (sc *topkScratch) cleared(k int) bool {
+	return len(sc.heap) == k && worse(&sc.bar, &sc.heap[0])
 }
