@@ -32,6 +32,31 @@ func Decode(msg Message, v any) error {
 	return nil
 }
 
+// Raw is a value kept in the codec's bytes, for a carrier that passes it on
+// unread: a field of type Raw encodes as the bytes it holds, and whoever
+// reads the value decodes them with Decode. A null or an empty list decodes
+// to an empty Raw, so an omitempty Raw field is dropped wherever the same
+// field decoded into a slice would be.
+type Raw []byte
+
+// MarshalJSON returns the bytes r holds, or null for an empty r.
+func (r Raw) MarshalJSON() ([]byte, error) {
+	if len(r) == 0 {
+		return []byte("null"), nil
+	}
+	return r, nil
+}
+
+// UnmarshalJSON keeps a copy of data; null and [] leave r empty.
+func (r *Raw) UnmarshalJSON(data []byte) error {
+	if s := string(data); s == "null" || s == "[]" {
+		*r = nil
+		return nil
+	}
+	*r = append(Raw(nil), data...)
+	return nil
+}
+
 // Handlers is an agent's message table: the handler of each kind it
 // understands. A handler filled in by hand sees the raw message (a
 // pass-through, or a kind that carries no payload); On fills in a typed one.

@@ -53,8 +53,46 @@ type taskAck struct {
 type mbaState struct {
 	mbaHeader
 	It      aglet.Itinerary   `json:"itinerary"`
-	Results []MarketResult    `json:"results,omitempty"`
+	Results []marketHaul      `json:"results,omitempty"`
 	Sale    *marketplace.Sale `json:"sale,omitempty"`
+}
+
+// marketHaul is what the MBA carries from one marketplace: a MarketResult
+// whose matches stay the bytes the marketplace answered, so that only the
+// BRA, which reads them, decodes them. It encodes exactly as the
+// MarketResult it decodes to.
+type marketHaul struct {
+	Market  string                     `json:"market"`
+	Matches aglet.Raw                  `json:"matches,omitempty"`
+	Sale    *marketplace.Sale          `json:"sale,omitempty"`
+	Nego    *marketplace.NegoReply     `json:"nego,omitempty"`
+	Auction *marketplace.AuctionStatus `json:"auction,omitempty"`
+	Err     string                     `json:"err,omitempty"`
+}
+
+// queryHaul is a marketplace's query reply with its matches left encoded.
+type queryHaul struct {
+	Matches aglet.Raw `json:"matches"`
+}
+
+// result decodes what the MBA brought home into the task's result. It is
+// the one place the haul's matches are decoded; a haul a visited host left
+// undecodable is an error.
+func (st *mbaState) result() (TaskResult, error) {
+	res := TaskResult{
+		TaskID: st.Spec.TaskID, UserID: st.UserID, Kind: st.Spec.Kind,
+		Results: make([]MarketResult, len(st.Results)), Sale: st.Sale,
+	}
+	for i, h := range st.Results {
+		mr := MarketResult{Market: h.Market, Sale: h.Sale, Nego: h.Nego, Auction: h.Auction, Err: h.Err}
+		if len(h.Matches) > 0 {
+			if err := aglet.Decode(aglet.Message{Kind: "matches", Data: h.Matches}, &mr.Matches); err != nil {
+				return TaskResult{}, fmt.Errorf("buyerserver: haul from %s: %w", h.Market, err)
+			}
+		}
+		res.Results[i] = mr
+	}
+	return res, nil
 }
 
 // mbaHeader is the part of a returning MBA's state the BSMA reads: whom it
@@ -409,12 +447,12 @@ func (a *bsmaAgent) completeOffline(ctx *aglet.Context, msg aglet.Message) (agle
 	if err := aglet.Decode(msg, &st); err != nil {
 		return aglet.Message{}, err
 	}
-	if err := observe(ctx, observeBatchFor(st, workflowName(st.Spec.Kind), 0)); err != nil {
+	res, err := st.result()
+	if err != nil {
 		return aglet.Message{}, err
 	}
-	res := TaskResult{
-		TaskID: st.Spec.TaskID, UserID: st.UserID, Kind: st.Spec.Kind,
-		Results: st.Results, Sale: st.Sale,
+	if err := observe(ctx, observeBatchFor(st.Spec, res, workflowName(st.Spec.Kind), 0)); err != nil {
+		return aglet.Message{}, err
 	}
 	if err := s.userDB.EncodeJSON(bucketInbox, st.UserID+"/"+st.Spec.TaskID, res); err != nil {
 		return aglet.Message{}, err
@@ -503,22 +541,23 @@ func (s *Server) launch(_ *aglet.Context, req taskReq) (taskAck, error) {
 // complete turns what the MBA brought home into the consumer's answer:
 // behaviour goes to the Profile Agent (Fig 4.2 steps 13–14), the
 // recommendation information is generated per §4.4, and the BRA hands it
-// to the waiting consumer (step 15; step 14 of Fig 4.3).
+// to the waiting consumer (step 15; step 14 of Fig 4.3). A haul that does
+// not decode fails the task before the PA or the engine hears of it.
 func (s *Server) complete(ctx *aglet.Context, st mbaState) (aglet.Message, error) {
+	res, err := st.result()
+	if err != nil {
+		return aglet.Message{}, err
+	}
 	wf := workflowName(st.Spec.Kind)
 	paStep, finalStep := 13, 15
 	if wf == "buy" {
 		paStep, finalStep = 12, 14
 	}
 	s.tracer.Record(wf, paStep, "BRA", "PA", "report consumer behaviour")
-	if err := observe(ctx, observeBatchFor(st, wf, paStep+1)); err != nil {
+	if err := observe(ctx, observeBatchFor(st.Spec, res, wf, paStep+1)); err != nil {
 		return aglet.Message{}, err
 	}
 
-	res := TaskResult{
-		TaskID: st.Spec.TaskID, UserID: st.UserID, Kind: st.Spec.Kind,
-		Results: st.Results, Sale: st.Sale,
-	}
 	switch st.Spec.Kind {
 	case TaskQuery:
 		// One snapshot serves both the query re-rank and the cross-sell:
@@ -602,31 +641,31 @@ func (s *Server) updateProfile(_ *aglet.Context, batch observeBatch) (aglet.Mess
 // observeBatchFor derives the profile evidence from a completed task: the
 // query itself for query tasks (what the consumer asked for), the bought
 // product for purchases, the auction's product for bids.
-func observeBatchFor(st mbaState, workflow string, step int) observeBatch {
-	batch := observeBatch{UserID: st.UserID, Workflow: workflow, Step: step}
-	switch st.Spec.Kind {
+func observeBatchFor(spec TaskSpec, res TaskResult, workflow string, step int) observeBatch {
+	batch := observeBatch{UserID: res.UserID, Workflow: workflow, Step: step}
+	switch spec.Kind {
 	case TaskQuery:
-		terms := make(map[string]float64, len(st.Spec.Query.Terms))
-		for _, t := range st.Spec.Query.Terms {
+		terms := make(map[string]float64, len(spec.Query.Terms))
+		for _, t := range spec.Query.Terms {
 			terms[t] = 1
 		}
-		if st.Spec.Query.Category != "" || len(terms) > 0 {
+		if spec.Query.Category != "" || len(terms) > 0 {
 			batch.Events = append(batch.Events, observeEvent{Evidence: profile.Evidence{
-				Category:    st.Spec.Query.Category,
+				Category:    spec.Query.Category,
 				Terms:       terms,
-				SubCategory: st.Spec.Query.SubCategory,
+				SubCategory: spec.Query.SubCategory,
 				Behaviour:   profile.BehaviourQuery,
 				At:          time.Now(),
 			}})
 		}
 	case TaskBuy:
-		for _, mr := range st.Results {
+		for _, mr := range res.Results {
 			for _, m := range mr.Matches {
 				behaviour := profile.BehaviourQuery
 				var sale *marketplace.Sale
-				if st.Sale != nil && st.Sale.ProductID == m.Product.ID && mr.Sale != nil {
+				if res.Sale != nil && res.Sale.ProductID == m.Product.ID && mr.Sale != nil {
 					behaviour = profile.BehaviourBuy
-					sale = st.Sale
+					sale = res.Sale
 				}
 				ev := m.Product.Evidence(behaviour)
 				ev.At = time.Now()
@@ -634,7 +673,7 @@ func observeBatchFor(st mbaState, workflow string, step int) observeBatch {
 			}
 		}
 	case TaskAuction:
-		for _, mr := range st.Results {
+		for _, mr := range res.Results {
 			for _, m := range mr.Matches {
 				ev := m.Product.Evidence(profile.BehaviourBid)
 				ev.At = time.Now()
@@ -723,7 +762,7 @@ func (a *mbaAgent) OnDispatchFailure(ctx *aglet.Context, dest string, err error)
 		ctx.RequestDispose()
 		return
 	}
-	a.st.Results = append(a.st.Results, MarketResult{Market: dest, Err: "unreachable: " + err.Error()})
+	a.st.Results = append(a.st.Results, marketHaul{Market: dest, Err: "unreachable: " + err.Error()})
 	next, it := a.st.It.Advance()
 	a.st.It = it
 	ctx.RequestDispatch(next)
@@ -731,10 +770,10 @@ func (a *mbaAgent) OnDispatchFailure(ctx *aglet.Context, dest string, err error)
 
 var _ aglet.DispatchFailureHandler = (*mbaAgent)(nil)
 
-// deliver hands the gathered state to the BSMA and ends the trip. Delivery
-// failures cannot be reported anywhere — the agent is the message — so the
-// result is recorded in the Err field of a final synthetic MarketResult
-// only when the send itself fails.
+// deliver hands the gathered state to the BSMA and ends the trip. A
+// delivery that fails cannot be reported anywhere — the agent is the
+// message — so it is dropped, the MBA disposes, and the waiting task times
+// out.
 func (a *mbaAgent) deliver(ctx *aglet.Context) {
 	cctx, cancel := agentCtx()
 	defer cancel()
@@ -746,11 +785,12 @@ func (a *mbaAgent) deliver(ctx *aglet.Context) {
 }
 
 // perform executes the assignment against the local marketplace's MSA.
-func (a *mbaAgent) perform(ctx *aglet.Context, market string) MarketResult {
-	res := MarketResult{Market: market}
+// A query's matches are kept as the MSA answered them.
+func (a *mbaAgent) perform(ctx *aglet.Context, market string) marketHaul {
+	res := marketHaul{Market: market}
 	switch a.st.Spec.Kind {
 	case TaskQuery:
-		var qr marketplace.QueryReply
+		var qr queryHaul
 		if err := a.call(ctx, marketplace.KindQuery, marketplace.QueryRequest{Query: a.st.Spec.Query}, &qr); err != nil {
 			res.Err = err.Error()
 			return res
@@ -766,13 +806,16 @@ func (a *mbaAgent) perform(ctx *aglet.Context, market string) MarketResult {
 	return res
 }
 
-func (a *mbaAgent) performBuy(ctx *aglet.Context, res *MarketResult) {
+func (a *mbaAgent) performBuy(ctx *aglet.Context, res *marketHaul) {
 	var gr marketplace.GetReply
 	if err := a.call(ctx, marketplace.KindGet, marketplace.GetRequest{ProductID: a.st.Spec.ProductID}, &gr); err != nil {
 		res.Err = err.Error()
 		return
 	}
-	res.Matches = []catalog.Match{{Product: gr.Product}}
+	if err := res.match(gr.Product); err != nil {
+		res.Err = err.Error()
+		return
+	}
 	budget := a.st.Spec.BudgetCents
 
 	if a.st.Spec.Probe {
@@ -803,7 +846,7 @@ func (a *mbaAgent) performBuy(ctx *aglet.Context, res *MarketResult) {
 
 // bargain negotiates for productID with the local seller's MSA, opening
 // with first and countering by next; a deal is the trip's purchase.
-func (a *mbaAgent) bargain(ctx *aglet.Context, res *MarketResult, productID string, first int64, next func(offer, ask int64) (int64, bool)) {
+func (a *mbaAgent) bargain(ctx *aglet.Context, res *marketHaul, productID string, first int64, next func(offer, ask int64) (int64, bool)) {
 	reply, err := marketplace.Bargain(first, next,
 		func(offer int64) (marketplace.NegoReply, error) {
 			var r marketplace.NegoReply
@@ -827,16 +870,17 @@ func (a *mbaAgent) bargain(ctx *aglet.Context, res *MarketResult, productID stri
 }
 
 // performAuction inspects the auction and places one bid within budget.
-func (a *mbaAgent) performAuction(ctx *aglet.Context, res *MarketResult) {
+func (a *mbaAgent) performAuction(ctx *aglet.Context, res *marketHaul) {
 	var st marketplace.AuctionStatus
 	if err := a.call(ctx, marketplace.KindAuctionState, marketplace.AuctionCloseRequest{AuctionID: a.st.Spec.AuctionID}, &st); err != nil {
 		res.Err = err.Error()
 		return
 	}
-	// Fetch the product for the profile evidence.
+	// Fetch the product for the profile evidence; the bid goes ahead
+	// without it.
 	var gr marketplace.GetReply
 	if err := a.call(ctx, marketplace.KindGet, marketplace.GetRequest{ProductID: st.ProductID}, &gr); err == nil {
-		res.Matches = []catalog.Match{{Product: gr.Product}}
+		_ = res.match(gr.Product)
 	}
 	bid := nextBid(st, a.st.Spec.BudgetCents)
 	if st.Closed || bid <= 0 {
@@ -852,6 +896,14 @@ func (a *mbaAgent) performAuction(ctx *aglet.Context, res *MarketResult) {
 		return
 	}
 	res.Auction = &after
+}
+
+// match makes p, the one product a buy or a bid fetched, the haul's
+// matches, encoded once at the marketplace.
+func (h *marketHaul) match(p *catalog.Product) error {
+	msg, err := aglet.Encode("matches", []catalog.Match{{Product: p}})
+	h.Matches = aglet.Raw(msg.Data)
+	return err
 }
 
 // nextBid picks the minimal competitive bid within budget: 5% over the high

@@ -75,9 +75,10 @@ func TestTaskForUnknownUser(t *testing.T) {
 
 func TestObserveBatchForBuyMarksOnlyPurchasedProduct(t *testing.T) {
 	sale := &marketplace.Sale{Receipt: "r", ProductID: "p1", BuyerID: "u", PriceCents: 1}
-	st := mbaState{
-		mbaHeader: mbaHeader{UserID: "u", Spec: TaskSpec{TaskID: "t", Kind: TaskBuy, ProductID: "p1"}},
-		Sale:      sale,
+	spec := TaskSpec{TaskID: "t", Kind: TaskBuy, ProductID: "p1"}
+	res := TaskResult{
+		UserID: "u",
+		Sale:   sale,
 		Results: []MarketResult{
 			{
 				Market: "m1",
@@ -95,7 +96,7 @@ func TestObserveBatchForBuyMarksOnlyPurchasedProduct(t *testing.T) {
 			},
 		},
 	}
-	batch := observeBatchFor(st, "buy", 13)
+	batch := observeBatchFor(spec, res, "buy", 13)
 	if len(batch.Events) != 2 {
 		t.Fatalf("events = %d", len(batch.Events))
 	}
@@ -120,14 +121,11 @@ func TestObserveBatchForBuyMarksOnlyPurchasedProduct(t *testing.T) {
 }
 
 func TestObserveBatchForQueryUsesQueryTerms(t *testing.T) {
-	st := mbaState{mbaHeader: mbaHeader{
-		UserID: "u",
-		Spec: TaskSpec{
-			TaskID: "t", Kind: TaskQuery,
-			Query: catalog.Query{Category: "laptop", SubCategory: "notebook", Terms: []string{"ssd", "light"}},
-		},
-	}}
-	batch := observeBatchFor(st, "query", 14)
+	spec := TaskSpec{
+		TaskID: "t", Kind: TaskQuery,
+		Query: catalog.Query{Category: "laptop", SubCategory: "notebook", Terms: []string{"ssd", "light"}},
+	}
+	batch := observeBatchFor(spec, TaskResult{UserID: "u"}, "query", 14)
 	if len(batch.Events) != 1 {
 		t.Fatalf("events = %d", len(batch.Events))
 	}
@@ -144,16 +142,14 @@ func TestObserveBatchForQueryUsesQueryTerms(t *testing.T) {
 }
 
 func TestObserveBatchForAuctionUsesBidBehaviour(t *testing.T) {
-	st := mbaState{
-		mbaHeader: mbaHeader{UserID: "u", Spec: TaskSpec{TaskID: "t", Kind: TaskAuction, AuctionID: "a"}},
-		Results: []MarketResult{{
-			Market: "m1",
-			Matches: []catalog.Match{
-				{Product: &catalog.Product{ID: "p", Category: "c", Terms: map[string]float64{"x": 1}}},
-			},
-		}},
-	}
-	batch := observeBatchFor(st, "buy", 13)
+	spec := TaskSpec{TaskID: "t", Kind: TaskAuction, AuctionID: "a"}
+	res := TaskResult{UserID: "u", Results: []MarketResult{{
+		Market: "m1",
+		Matches: []catalog.Match{
+			{Product: &catalog.Product{ID: "p", Category: "c", Terms: map[string]float64{"x": 1}}},
+		},
+	}}}
+	batch := observeBatchFor(spec, res, "buy", 13)
 	if len(batch.Events) != 1 || batch.Events[0].Evidence.Behaviour != profile.BehaviourBid {
 		t.Fatalf("batch = %+v", batch)
 	}

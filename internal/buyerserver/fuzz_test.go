@@ -36,6 +36,7 @@ func FuzzMBAHome(f *testing.F) {
 	f.Add(intact[:len(intact)/2])
 	f.Add([]byte(`{"spec":[]}`))
 	f.Add(append([]byte(`{"user_id":"alice",`), homecoming("bob", TaskQuery)[1:]...))
+	f.Add(bytes.Replace(intact, []byte(`"results":[{"market":"market-1"}]`), []byte(`"results":[{"market":"m","matches":{"x":1}}]`), 1))
 
 	m := newMechanism(f, 1)
 	m.user(f, "alice")

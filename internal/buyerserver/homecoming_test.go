@@ -35,32 +35,13 @@ func TestTamperedMBANeverReachesBRA(t *testing.T) {
 			m := newMechanism(t, 1)
 			m.user(t, "alice")
 			s := m.srv
-			const taskID = "task-home"
-			id := mbaID(taskID)
-			nonce, err := s.challenger.Challenge(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dispatched := MBARecord{MBAID: id, TaskID: taskID, UserID: "alice", Kind: string(TaskQuery), Status: "dispatched"}
-			if err := s.bsmDB.EncodeJSON(bucketMBAs, id, dispatched); err != nil {
-				t.Fatal(err)
-			}
-			st := mbaState{
-				mbaHeader: mbaHeader{
-					UserID:   "alice",
-					Spec:     TaskSpec{TaskID: taskID, Kind: TaskQuery, Query: catalog.Query{Category: "laptop"}},
-					Token:    s.tokens.Issue(id, string(TaskQuery), time.Hour),
-					Nonce:    nonce,
-					Response: s.challenger.Respond(nonce, id),
-				},
-				Results: []MarketResult{{Market: "market-1"}},
-			}
+			st := dispatchQuery(t, s, "task-home")
 			tc.tamper(&st.mbaHeader)
 			data, err := json.Marshal(st)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ch := s.registerPending(taskID)
+			ch := s.registerPending(st.Spec.TaskID)
 			m.tracer.Reset()
 
 			reply, err := s.Host().Send(testCtx(t), BSMAID, aglet.Message{Kind: kindMBAHome, Data: data})
@@ -92,6 +73,78 @@ func TestTamperedMBANeverReachesBRA(t *testing.T) {
 				t.Errorf("BRA took part = %v, want %v\ntranscript:\n%s", braSaw, !tc.reject, m.tracer.Transcript("query"))
 			}
 		})
+	}
+}
+
+// dispatchQuery records alice's laptop query taskID as dispatched, as
+// assignTask would, and returns the state its MBA comes home with: the
+// credentials issued for it and a visit to market-1 that found nothing.
+func dispatchQuery(t *testing.T, s *Server, taskID string) mbaState {
+	t.Helper()
+	id := mbaID(taskID)
+	nonce, err := s.challenger.Challenge(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dispatched := MBARecord{MBAID: id, TaskID: taskID, UserID: "alice", Kind: string(TaskQuery), Status: "dispatched"}
+	if err := s.bsmDB.EncodeJSON(bucketMBAs, id, dispatched); err != nil {
+		t.Fatal(err)
+	}
+	return mbaState{
+		mbaHeader: mbaHeader{
+			UserID:   "alice",
+			Spec:     TaskSpec{TaskID: taskID, Kind: TaskQuery, Query: catalog.Query{Category: "laptop"}},
+			Token:    s.tokens.Issue(id, string(TaskQuery), time.Hour),
+			Nonce:    nonce,
+			Response: s.challenger.Respond(nonce, id),
+		},
+		Results: []marketHaul{{Market: "market-1"}},
+	}
+}
+
+// The BRA decodes the haul before anything else reads it: an MBA whose
+// matches a visited host rewrote into something that is not a list of
+// matches fails its task with an error, as a rewritten state would fail
+// the next hop, and the PA and the engine never hear of it.
+func TestRewrittenHaulFailsTask(t *testing.T) {
+	m := newMechanism(t, 1)
+	m.user(t, "alice")
+	s := m.srv
+	st := dispatchQuery(t, s, "task-haul")
+	st.Results = []marketHaul{{Market: "market-1", Matches: aglet.Raw(`{"x":1}`)}}
+	data, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := s.registerPending(st.Spec.TaskID)
+	m.tracer.Reset()
+	before, err := s.Engine().Profile("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := s.Host().Send(testCtx(t), BSMAID, aglet.Message{Kind: kindMBAHome, Data: data}); err == nil {
+		t.Error("the BSMA accepted a homecoming whose haul does not decode")
+	}
+	select {
+	case res := <-ch:
+		if res.err == nil {
+			t.Errorf("the waiter got %+v, want the completion's error", res)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the waiter was never answered")
+	}
+	for _, ev := range m.tracer.Events() {
+		if ev.From == "PA" || ev.To == "PA" {
+			t.Errorf("the PA took part: %v\ntranscript:\n%s", ev, m.tracer.Transcript("query"))
+		}
+	}
+	after, err := s.Engine().Profile("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Observed != before.Observed {
+		t.Errorf("the engine observed %d behaviours, want %d", after.Observed, before.Observed)
 	}
 }
 
