@@ -356,17 +356,16 @@ func (a *bsmaAgent) mbaHome(ctx *aglet.Context, msg aglet.Message) (_ aglet.Mess
 
 	// Authentication gate: the travel token must verify for this exact
 	// agent and the single-use nonce must answer the challenge.
-	if _, err := s.tokens.Verify(h.Token, mbaID); err != nil {
-		return a.rejectMBA(mbaID, h, err)
+	_, cause := s.tokens.Verify(h.Token, mbaID)
+	if cause == nil {
+		cause = s.challenger.VerifyResponse(mbaID, h.Nonce, h.Response)
 	}
-	if err := s.challenger.VerifyResponse(mbaID, h.Nonce, h.Response); err != nil {
-		return a.rejectMBA(mbaID, h, err)
-	}
-	// Any host the MBA visited could have rewritten the rest of its header:
-	// it must still name the consumer and task kind this server dispatched
-	// it for, as BSMDB recorded them in assignTask.
-	if err := a.checkDispatch(mbaID, h); err != nil {
-		return a.rejectMBA(mbaID, h, err)
+	if err := a.settleMBA(mbaID, h, cause); err != nil {
+		// The waiter sees ErrAuthFailed; the MBA disposes itself regardless.
+		s.fulfil(h.Spec.TaskID, TaskResult{
+			TaskID: h.Spec.TaskID, UserID: h.UserID, Kind: h.Spec.Kind, AuthFailed: true,
+		})
+		return aglet.Encode(kindMBAHome, mbaHomeReply{Accepted: false})
 	}
 	defer func() {
 		if err != nil {
@@ -381,7 +380,6 @@ func (a *bsmaAgent) mbaHome(ctx *aglet.Context, msg aglet.Message) (_ aglet.Mess
 		s.tracer.Record(wf, inStep, "Marketplace", "MBA", "results from "+market)
 	}
 	s.tracer.Record(wf, homeStep, "MBA", "BSMA", "return home and authenticate")
-	a.updateMBARecord(mbaID, "returned")
 
 	id := braID(h.UserID)
 	if !s.host.Has(id) && !s.host.HasStored(id) {
@@ -404,38 +402,28 @@ func (a *bsmaAgent) mbaHome(ctx *aglet.Context, msg aglet.Message) (_ aglet.Mess
 	return aglet.Encode(kindMBAHome, mbaHomeReply{Accepted: true})
 }
 
-// rejectMBA records the failed authentication and reports the outcome to
-// any waiter. The MBA disposes itself regardless.
-func (a *bsmaAgent) rejectMBA(mbaID string, h mbaHeader, cause error) (aglet.Message, error) {
-	a.updateMBARecord(mbaID, "rejected")
-	a.srv.fulfil(h.Spec.TaskID, TaskResult{
-		TaskID: h.Spec.TaskID, UserID: h.UserID, Kind: h.Spec.Kind, AuthFailed: true,
-	})
-	_ = cause // recorded via status; the waiter sees ErrAuthFailed
-	return aglet.Encode(kindMBAHome, mbaHomeReply{Accepted: false})
-}
-
-// checkDispatch returns an error unless h names the consumer and task kind
-// mbaID was dispatched for.
-func (a *bsmaAgent) checkDispatch(mbaID string, h mbaHeader) error {
+// settleMBA is the homecoming's one read-modify-write of mbaID's BSMDB
+// record. Any host the MBA visited could have rewritten the rest of its
+// header, so with no cause from the authentication gate it still refuses a
+// header that does not name the consumer and task kind the record says
+// mbaID was dispatched for (assignTask). It records the MBA as returned,
+// or as rejected when it refuses, and returns why; an MBA BSMDB holds no
+// record of is refused with nothing written.
+func (a *bsmaAgent) settleMBA(mbaID string, h mbaHeader, cause error) error {
 	var rec MBARecord
 	if err := a.srv.bsmDB.DecodeJSON(bucketMBAs, mbaID, &rec); err != nil {
 		return fmt.Errorf("buyerserver: %s was never dispatched: %w", mbaID, err)
 	}
-	if h.UserID != rec.UserID || string(h.Spec.Kind) != rec.Kind {
-		return fmt.Errorf("buyerserver: %s came home as %s's %s task, dispatched as %s's %s task",
+	if cause == nil && (h.UserID != rec.UserID || string(h.Spec.Kind) != rec.Kind) {
+		cause = fmt.Errorf("buyerserver: %s came home as %s's %s task, dispatched as %s's %s task",
 			mbaID, h.UserID, h.Spec.Kind, rec.UserID, rec.Kind)
 	}
-	return nil
-}
-
-func (a *bsmaAgent) updateMBARecord(mbaID, status string) {
-	var rec MBARecord
-	if err := a.srv.bsmDB.DecodeJSON(bucketMBAs, mbaID, &rec); err != nil {
-		return
+	rec.Status = "returned"
+	if cause != nil {
+		rec.Status = "rejected"
 	}
-	rec.Status = status
 	_ = a.srv.bsmDB.EncodeJSON(bucketMBAs, mbaID, rec)
+	return cause
 }
 
 // completeOffline finishes a task whose consumer is gone: profile updates

@@ -11,7 +11,7 @@ import (
 )
 
 func journalEvent(shard int, seq uint64) Event {
-	return Event{Kind: KindJournal, Journal: JournalEvent{Shard: shard, Seq: seq, Op: "purchase"}}
+	return Event{Kind: KindJournal, Journal: JournalEvent{Shard: shard, Seq: seq}}
 }
 
 // TestBusDeliversInPublishOrder checks basic fan-out: every subscriber sees

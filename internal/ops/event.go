@@ -30,8 +30,8 @@ const (
 	// KindRecDelta reports that a consumer's served top-N changed since
 	// the last recommendation for the same (user, category, strategy).
 	KindRecDelta Kind = "rec_delta"
-	// KindJournal is one committed community mutation: a profile batch
-	// or purchase applied to a shard, in the shard's write order.
+	// KindJournal is one committed community mutation: one batch of a
+	// shard write, its profiles and purchases, in the shard's write order.
 	KindJournal Kind = "journal"
 	// KindLag reports a replication lag transition observed by a
 	// follower's pull loop.
@@ -81,14 +81,14 @@ type Event struct {
 }
 
 // JournalEvent is one committed community mutation: what the shard's
-// journal appended, observable live instead of only via replication.
+// journal appended, and its feed record holds, for one batch of a shard
+// write, observable live instead of only via replication.
 type JournalEvent struct {
 	Server       int    `json:"server"`
 	Shard        int    `json:"shard"`
 	Seq          uint64 `json:"seq"`                     // the shard's version: its feed head
-	Op           string `json:"op"`                      // "profiles" or "purchase"
 	Records      int    `json:"records,omitempty"`       // profiles and purchases the write committed
-	Purchases    int    `json:"purchases,omitempty"`     // of those, purchases: a buy rides in a "profiles" write with its evidence
+	Purchases    int    `json:"purchases,omitempty"`     // of those, purchases: a buy rides in one write with its evidence
 	PayloadBytes int    `json:"payload_bytes,omitempty"` // encoded profile payload carried by the record
 }
 

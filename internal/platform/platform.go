@@ -392,10 +392,10 @@ func (p *Platform) SeedCommunity(profiles []*profile.Profile, purchases map[stri
 
 // Seed writes pre-built consumer profiles and purchase histories through
 // r's router. Profiles go through the bulk-install path (one lock
-// acquisition and one durable batch per shard). Purchases replay grouped by
-// shard and then by consumer, never in map order, so the journal a seeding
-// writes is the same on every run. Other servers read the community once
-// they have pulled it.
+// acquisition and one durable batch per shard). Each consumer's purchase
+// history is one write, made grouped by shard and then by consumer, never
+// in map order, so the journal a seeding writes is the same on every run.
+// Other servers read the community once they have pulled it.
 func Seed(r *Replica, profiles []*profile.Profile, purchases map[string][]string) error {
 	if err := r.Router.SetProfiles(profiles); err != nil {
 		return err
@@ -412,10 +412,12 @@ func Seed(r *Replica, profiles []*profile.Profile, purchases map[string][]string
 		return users[i] < users[j]
 	})
 	for _, user := range users {
-		for _, pid := range purchases[user] {
-			if err := r.Router.RecordPurchase(user, pid); err != nil {
-				return err
-			}
+		sales := make([]recommend.PurchasePair, len(purchases[user]))
+		for i, pid := range purchases[user] {
+			sales[i] = recommend.PurchasePair{UserID: user, ProductID: pid}
+		}
+		if err := r.Router.Observe(user, nil, sales); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -40,7 +40,7 @@ func WithEventBus(bus *ops.Bus, server int) Option {
 // publishJournal emits one KindJournal event for a committed shard
 // mutation: records profiles and purchases, purchases of them purchases.
 // No-op without a bus.
-func (e *Engine) publishJournal(shard int, seq uint64, op string, records, purchases, payloadBytes int) {
+func (e *Engine) publishJournal(shard int, seq uint64, records, purchases, payloadBytes int) {
 	if e.events == nil {
 		return
 	}
@@ -48,7 +48,6 @@ func (e *Engine) publishJournal(shard int, seq uint64, op string, records, purch
 		Server:       e.eventServer,
 		Shard:        shard,
 		Seq:          seq,
-		Op:           op,
 		Records:      records,
 		Purchases:    purchases,
 		PayloadBytes: payloadBytes,

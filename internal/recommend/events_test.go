@@ -55,15 +55,15 @@ func TestEventBusJournalEvents(t *testing.T) {
 		t.Fatalf("got %d journal events, want 3: %+v", len(evs), evs)
 	}
 	prof, buy, paper := evs[0].Journal, evs[1].Journal, evs[2].Journal
-	if prof.Op != OpProfiles || prof.Records != 1 || prof.Purchases != 0 || prof.PayloadBytes <= 0 {
-		t.Errorf("profile event = %+v, want op=profiles records=1 purchases=0 payload>0", prof)
+	if prof.Records != 1 || prof.Purchases != 0 || prof.PayloadBytes <= 0 {
+		t.Errorf("profile event = %+v, want records=1 purchases=0 payload>0", prof)
 	}
-	if buy.Op != OpPurchase || buy.Records != 1 || buy.Purchases != 1 {
-		t.Errorf("purchase event = %+v, want op=purchase records=1 purchases=1", buy)
+	if buy.Records != 1 || buy.Purchases != 1 {
+		t.Errorf("purchase event = %+v, want records=1 purchases=1", buy)
 	}
-	// A buy with its evidence is one profiles write that says it holds one.
-	if paper.Op != OpProfiles || paper.Records != 2 || paper.Purchases != 1 || paper.PayloadBytes <= 0 {
-		t.Errorf("buy-with-evidence event = %+v, want op=profiles records=2 purchases=1 payload>0", paper)
+	// A buy with its evidence is one write that says it holds one purchase.
+	if paper.Records != 2 || paper.Purchases != 1 || paper.PayloadBytes <= 0 {
+		t.Errorf("buy-with-evidence event = %+v, want records=2 purchases=1 payload>0", paper)
 	}
 	wantShard := e.ShardOf("eve")
 	for _, j := range []ops.JournalEvent{prof, buy, paper} {

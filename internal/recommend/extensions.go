@@ -56,7 +56,7 @@ func PurchaseAt(userID, productID string, at time.Time) PurchasePair {
 // TiedSales: it is Observe with no evidence and the one sale. Duplicate
 // records are idempotent per user — the list keeps the later time — but
 // still bump popularity. The time journaled, and carried to followers in
-// the OpPurchase record, is the time kept, so a follower replays the
+// the write's feed record, is the time kept, so a follower replays the
 // owner's value rather than reading a clock of its own.
 func (e *Engine) RecordPurchaseAt(userID, productID string, at time.Time) error {
 	return e.Observe(userID, nil, []PurchasePair{PurchaseAt(userID, productID, at)})

@@ -6,10 +6,10 @@ import (
 )
 
 // feedRec is the record emitted as the feed's i-th write (seq i+1 on a
-// fresh shard): its UserID names its write, so a served tail can be
-// checked record by record.
+// fresh shard): its one purchase's UserID names its write, so a served
+// tail can be checked record by record.
 func feedRec(i int) JournalRecord {
-	return JournalRecord{Op: OpPurchase, UserID: strconv.Itoa(i), ProductID: "p"}
+	return JournalRecord{Purchases: []PurchasePair{{UserID: strconv.Itoa(i), ProductID: "p"}}}
 }
 
 // feedEngine returns a memory-only one-shard engine retaining tail records
@@ -53,8 +53,8 @@ func checkTail(t *testing.T, e *Engine, since, head uint64) {
 	}
 	for i, r := range recs {
 		seq := since + 1 + uint64(i)
-		if r.Seq != seq || r.Shard != 0 || r.UserID != strconv.FormatUint(seq-1, 10) {
-			t.Fatalf("tail since %d [%d] = seq %d user %s, want seq %d user %d", since, i, r.Seq, r.UserID, seq, seq-1)
+		if r.Seq != seq || len(r.Purchases) != 1 || r.Purchases[0].UserID != strconv.FormatUint(seq-1, 10) {
+			t.Fatalf("tail since %d [%d] = seq %d purchases %+v, want seq %d user %d", since, i, r.Seq, r.Purchases, seq, seq-1)
 		}
 	}
 }

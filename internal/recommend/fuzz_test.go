@@ -146,14 +146,21 @@ func (p *tailReplyPeer) SnapshotPage(_ context.Context, _ int, _, _ uint64, _ st
 // meets a live cursor; without it the reply meets the zero cursor of a
 // follower that has never pulled. Accepted or refused, the shard's journal
 // equals its memory and the follower's feed head moves by exactly the
-// records it reports applied. A reply no owner could send (undecodable, a
+// records it reports applied, and a record with neither a profile nor a
+// purchase is never accepted. A reply no owner could send (undecodable, a
 // zero or foreign epoch, a seq gap anywhere, a shard-count mismatch, or a
 // paged marker whose pages are refused) changes nothing.
 func FuzzTailReply(f *testing.F) {
 	// A valid two-record reply encoded by the current profile format, beside
-	// the committed corpus in testdata/fuzz (the zero-epoch reply, a seq
-	// gap, a foreign epoch, a record for another shard's consumer, an
-	// unknown op, garbage profile bytes, a valid two-record reply).
+	// the committed corpus in testdata/fuzz: the zero-epoch reply, a foreign
+	// epoch and garbage profile bytes; in the feed's one record shape a
+	// purchase by another shard's consumer (foreign-purchase), a seq gap
+	// (seq-gap-purchases) and a valid two-record reply
+	// (valid-two-purchase-records); and, in the retired encoding whose
+	// "purchase" records carried `op`, `user` and `product`, a record for
+	// another shard's consumer, a seq gap, an unknown op and a two-record
+	// reply, whose purchase records now decode as records with neither a
+	// profile nor a purchase and are refused.
 	e := pageFollower(f)
 	user := shardIDs(e, 0, 4)[3]
 	enc, err := profile.NewProfile(user).Marshal()
@@ -161,16 +168,16 @@ func FuzzTailReply(f *testing.F) {
 		f.Fatal(err)
 	}
 	valid, err := json.Marshal(TailResult{Shards: 2, Epoch: tailEpoch, Seq: tailSeq + 2, Head: tailSeq + 2, Records: []JournalRecord{
-		{Seq: tailSeq + 1, Op: OpProfiles, Profiles: [][]byte{enc}},
-		{Seq: tailSeq + 2, Op: OpPurchase, UserID: user, ProductID: "p2"},
+		{Seq: tailSeq + 1, Profiles: [][]byte{enc}},
+		{Seq: tailSeq + 2, Purchases: []PurchasePair{{UserID: user, ProductID: "p2"}}},
 	}})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(true, valid)
-	// A profiles record carrying the write's purchases beside its profile.
+	// A record carrying the write's purchases beside its profile.
 	combined, err := json.Marshal(TailResult{Shards: 2, Epoch: tailEpoch, Seq: tailSeq + 1, Head: tailSeq + 1, Records: []JournalRecord{
-		{Seq: tailSeq + 1, Op: OpProfiles, Profiles: [][]byte{enc}, Purchases: []PurchasePair{
+		{Seq: tailSeq + 1, Profiles: [][]byte{enc}, Purchases: []PurchasePair{
 			{UserID: user, ProductID: "p1", AtEpochMS: 1_700_000_000_000}, {UserID: user, ProductID: "p2"},
 		}},
 	}})
@@ -223,6 +230,11 @@ func FuzzTailReply(f *testing.F) {
 		var tr TailResult
 		impossible := json.Unmarshal(reply, &tr) != nil || tr.Shards != 2 || tr.Paged ||
 			cur.epoch == 0 || tr.Epoch != cur.epoch
+		for _, rec := range tr.Records {
+			if syncErr == nil && len(rec.Profiles) == 0 && len(rec.Purchases) == 0 {
+				t.Fatalf("Sync accepted a record with neither a profile nor a purchase: %s", reply)
+			}
+		}
 		for i, rec := range tr.Records {
 			impossible = impossible || rec.Seq != cur.seq+uint64(i)+1
 		}

@@ -20,7 +20,8 @@ import (
 // sale in another shard with ErrShardMismatch, and a bad event
 // (profile.ErrBadEvidence, profile.ErrNoCategory) refuses the whole call;
 // either way nothing is written. Like SetProfile it is the owner's local
-// write.
+// write. The write keeps sales without a copy, as its journal batch and its
+// feed record, so the caller must not change them once Observe is called.
 func (e *Engine) Observe(userID string, evs []profile.Evidence, sales []PurchasePair) error {
 	return e.observe(userID, evs, sales, (*OwnershipTable).admitOwner)
 }

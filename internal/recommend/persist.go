@@ -306,9 +306,9 @@ func shardBucket(name string, shards int) bool {
 	return false
 }
 
-// maxBatchBytes bounds the encoded profiles of one durable batch, one
-// OpProfiles feed record and, by default, one snapshot page: well under the
-// kvstore record cap, and inside a 16 MiB atp frame after JSON/base64's ~1.4x.
+// maxBatchBytes bounds the encoded profiles of one durable batch, one feed
+// record and, by default, one snapshot page: well under the kvstore record
+// cap, and inside a 16 MiB atp frame after JSON/base64's ~1.4x.
 const maxBatchBytes = 4 << 20
 
 // batchEnds cuts a bulk install's encs into runs whose sizes sum to at most

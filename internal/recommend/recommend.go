@@ -379,7 +379,8 @@ func (e *Engine) setProfiles(ps []*profile.Profile, encs [][]byte, admit admitFu
 // whole: journaled, installed as new records into the shard map, and
 // emitted as one feed record, so a follower applying the records journals
 // the owner's batches and an error leaves every earlier batch durable, in
-// memory and on the feed alike. The buys ride in the first batch.
+// memory and on the feed alike. The buys ride in the first batch, and the
+// journal and the feed keep them, without a copy while no buy's time moves.
 func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile, encs [][]byte, buys []PurchasePair, admit admitFunc) error {
 	for _, b := range buys {
 		if !validID(b.UserID) || !validID(b.ProductID) {
@@ -404,13 +405,10 @@ func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile, encs 
 	}
 	kept, sells := buys, []SellCount(nil) // the buys as a journal and a feed keep them
 	if e.persist != nil || e.feedCap > 0 {
-		// The feed keeps the buys in its record, but a lone purchase's.
-		own := e.feedCap > 0 && (len(profs) > 0 || len(buys) > 1)
-		kept, sells = sh.purchases(buys, e.persist != nil, own)
+		kept, sells = sh.purchases(buys, e.persist != nil)
 	}
 	var (
 		err            error
-		rec            JournalRecord
 		seq            uint64
 		lo, n, payload int
 	)
@@ -437,11 +435,7 @@ func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile, encs 
 			sh.sells[b.ProductID]++
 			sh.noteWrite(b.UserID)
 		}
-		rec = JournalRecord{Op: OpProfiles, Profiles: batch, Purchases: kept}
-		if len(batch) == 0 && len(kept) == 1 {
-			rec = JournalRecord{Op: OpPurchase, UserID: kept[0].UserID, ProductID: kept[0].ProductID, AtEpochMS: kept[0].AtEpochMS}
-		}
-		seq = sh.emit(e.feedCap, rec)
+		seq = sh.emit(e.feedCap, JournalRecord{Profiles: batch, Purchases: kept})
 		for _, enc := range batch {
 			payload += len(enc)
 		}
@@ -450,7 +444,7 @@ func (e *Engine) installShardProfiles(sh *shard, profs []*profile.Profile, encs 
 	}
 	sh.mu.Unlock()
 	if n > 0 {
-		e.publishJournal(sh.id, seq, rec.Op, n, len(buys), payload)
+		e.publishJournal(sh.id, seq, n, len(buys), payload)
 		e.noteJournalWrite()
 	}
 	return err

@@ -51,26 +51,16 @@ var (
 	ErrShardMismatch = errors.New("recommend: journal record routed to wrong shard (server shard counts differ?)")
 )
 
-// Journal record operations.
-const (
-	OpProfiles = "profiles" // a batch of profile installs for one shard, and the write's purchases
-	OpPurchase = "purchase" // one purchase by one of the shard's consumers, and nothing else
-)
-
 // JournalRecord is one replicated mutation of one community shard, in the
-// shard's total write order: one batch of one shard write. Profiles are
-// carried marshaled so records cross process boundaries unchanged.
+// shard's total write order: one batch of one shard write, as the write
+// kept it. Profiles are carried marshaled, in install order, so records
+// cross process boundaries unchanged; the purchases follow them, each with
+// the time the owner's purchase list kept, which a follower installs as
+// is. A lone purchase is a record of one purchase and no profile.
 type JournalRecord struct {
-	Shard     int            `json:"shard"`
 	Seq       uint64         `json:"seq"`
-	Op        string         `json:"op"`
-	Profiles  [][]byte       `json:"profiles,omitempty"`  // OpProfiles: marshaled profiles, install order
-	Purchases []PurchasePair `json:"purchases,omitempty"` // OpProfiles: purchases after the profiles, as kept
-	UserID    string         `json:"user,omitempty"`      // OpPurchase
-	ProductID string         `json:"product,omitempty"`   // OpPurchase
-	// OpPurchase: the time the owner's purchase list kept (absent = undated);
-	// a follower installs it as is.
-	AtEpochMS int64 `json:"at_epoch_ms,omitempty"`
+	Profiles  [][]byte       `json:"profiles,omitempty"`
+	Purchases []PurchasePair `json:"purchases,omitempty"`
 }
 
 // PurchasePair is one (consumer, product) edge of a SnapshotPage or one
@@ -185,24 +175,17 @@ func (e *Engine) FeedHeads() []uint64 {
 // by admit under the shard lock. A profile or purchase of a consumer of
 // another shard is refused with ErrShardMismatch.
 func (e *Engine) applyJournalRecord(shard int, rec JournalRecord, admit admitFunc) error {
-	switch rec.Op {
-	case OpProfiles:
-		if len(rec.Profiles) == 0 && len(rec.Purchases) == 0 {
-			// An owner emits a profiles record only for a write; an empty
-			// one would advance the cursor past a record that moves no
-			// state and no feed head.
-			return errors.New("recommend: replicated profiles record carries no profile and no purchase")
-		}
-		profs, err := decodeProfiles(rec.Profiles, shard, e.nshards)
-		if err != nil {
-			return err
-		}
-		return e.installShardProfiles(e.shards[shard], profs, rec.Profiles, rec.Purchases, admit)
-	case OpPurchase:
-		return e.installShardProfiles(e.shards[shard], nil, nil, []PurchasePair{{UserID: rec.UserID, ProductID: rec.ProductID, AtEpochMS: rec.AtEpochMS}}, admit)
-	default:
-		return fmt.Errorf("recommend: unknown journal op %q", rec.Op)
+	if len(rec.Profiles) == 0 && len(rec.Purchases) == 0 {
+		// An owner emits a record only for a write; an empty one would
+		// advance the cursor past a record that moves no state and no
+		// feed head.
+		return errors.New("recommend: replicated record carries no profile and no purchase")
 	}
+	profs, err := decodeProfiles(rec.Profiles, shard, e.nshards)
+	if err != nil {
+		return err
+	}
+	return e.installShardProfiles(e.shards[shard], profs, rec.Profiles, rec.Purchases, admit)
 }
 
 // applyShardSnapshot replaces shard's entire state with data once admit
@@ -255,7 +238,9 @@ func OwnerOf(shard, servers int) int {
 // (ownership-routed writes), so the Buyer Agent Server does not care
 // whether it is the owner. Observe is the Profile Agent's one write, sales
 // included; every RecordPurchaseAt is an Observe with no evidence and the
-// one sale.
+// one sale. A write keeps the sales it is handed (the journal and the feed
+// record hold them), so a caller must not change them once Observe is
+// called.
 type Writer interface {
 	SetProfile(p *profile.Profile) error
 	SetProfiles(ps []*profile.Profile) error
@@ -570,7 +555,9 @@ func (r *Replicator) AppliedSeqs() []uint64 {
 	return out
 }
 
-// pullShard tails f's shard from owner once and applies what came back.
+// pullShard tails f's shard from owner once and applies what came back. A
+// cursor the owner's feed cannot serve is paged in (pullShardPaged) and
+// tailed once more from the pin, never paged twice in one pull.
 func (r *Replicator) pullShard(ctx context.Context, f *follower, owner int) (err error) {
 	shard := f.st.Shard
 	defer func() {
@@ -604,18 +591,36 @@ func (r *Replicator) pullShard(ctx context.Context, f *follower, owner int) (err
 		}
 	}()
 
-	r.mu.Lock()
-	cur := f.cur
-	r.mu.Unlock()
-	tr, err := r.peers[owner].JournalTail(ctx, shard, cur.epoch, cur.seq)
-	if err != nil {
-		return fmt.Errorf("recommend: tailing shard %d from server %d: %w", shard, owner, err)
-	}
-	if tr.Shards != r.e.nshards {
-		return fmt.Errorf("%w: owner has %d shards, follower %d", ErrShardMismatch, tr.Shards, r.e.nshards)
-	}
-	if tr.Paged {
-		return r.pullShardPaged(ctx, f, owner, tr.Epoch, tr.Seq)
+	var (
+		cur replCursor
+		tr  TailResult
+	)
+	for paged := false; ; paged = true {
+		r.mu.Lock()
+		cur = f.cur
+		r.mu.Unlock()
+		if tr, err = r.peers[owner].JournalTail(ctx, shard, cur.epoch, cur.seq); err != nil {
+			return fmt.Errorf("recommend: tailing shard %d from server %d: %w", shard, owner, err)
+		}
+		if tr.Shards != r.e.nshards {
+			return fmt.Errorf("%w: owner has %d shards, follower %d", ErrShardMismatch, tr.Shards, r.e.nshards)
+		}
+		if !tr.Paged {
+			break
+		}
+		if paged {
+			// The owner's feed no longer reaches the pin just installed:
+			// its head is lag, and the next pull pages again.
+			r.mu.Lock()
+			f.noteOwnerHead(tr.Seq)
+			r.mu.Unlock()
+			return nil
+		}
+		if err := r.pullShardPaged(ctx, f, owner, tr.Epoch, tr.Seq); err != nil {
+			return err
+		}
+		// The owner kept writing while the pages crossed: tail once more,
+		// from the pin, so the writes are applied or counted as lag.
 	}
 	// Any non-paged reply obsoletes a saved partial transfer for the shard.
 	r.mu.Lock()

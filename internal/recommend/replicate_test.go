@@ -808,7 +808,7 @@ func (p *foreignEpochPeer) JournalTail(ctx context.Context, shard int, epoch, si
 // cursor since with one record installing the consumer "intruder".
 func intruderTail(shard int, epoch, since uint64) (TailResult, error) {
 	intruder, err := profile.NewProfile("intruder").Marshal()
-	rec := JournalRecord{Shard: shard, Seq: since + 1, Op: OpProfiles, Profiles: [][]byte{intruder}}
+	rec := JournalRecord{Seq: since + 1, Profiles: [][]byte{intruder}}
 	return TailResult{Shards: 1, Epoch: epoch, Seq: since + 1, Head: since + 1, Records: []JournalRecord{rec}}, err
 }
 

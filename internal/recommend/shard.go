@@ -109,13 +109,9 @@ func (c *consumer) withPurchase(p purchase) *consumer {
 // order leaves: each buy as the purchase list will keep it (withPurchase)
 // and, with counted set, its product's new sell count beside it. The buys
 // come back as they are while no buy's time moves, and as a copy once one
-// does, or always with own set, for a caller that keeps them. Caller holds
-// mu.
-func (sh *shard) purchases(buys []PurchasePair, counted, own bool) ([]PurchasePair, []SellCount) {
-	kept, sells := buys, []SellCount(nil)
-	if own {
-		kept = slices.Clone(buys)
-	}
+// does. Caller holds mu.
+func (sh *shard) purchases(buys []PurchasePair, counted bool) ([]PurchasePair, []SellCount) {
+	kept, sells, copied := buys, []SellCount(nil), false
 	if counted {
 		sells = make([]SellCount, len(buys))
 	}
@@ -134,8 +130,8 @@ func (sh *shard) purchases(buys []PurchasePair, counted, own bool) ([]PurchasePa
 			}
 		}
 		if at != kept[i].AtEpochMS {
-			if !own {
-				kept, own = slices.Clone(buys), true
+			if !copied {
+				kept, copied = slices.Clone(buys), true
 			}
 			kept[i].AtEpochMS = at
 		}
@@ -191,17 +187,17 @@ func newShard(id int) *shard {
 }
 
 // emit commits one state change to the shard: it moves gen and returns the
-// new seq. With a journal feed (cap > 0) it retains rec, stamped with the
-// shard and that seq, as the feed's record of it: appended until the ring
-// holds cap records, then over the oldest in place, so a full ring's emit
-// allocates nothing. A record overwritten drops the pin that needed it.
-// Caller holds mu for writing.
+// new seq. With a journal feed (cap > 0) it retains rec, stamped with that
+// seq, as the feed's record of it: appended until the ring holds cap
+// records, then over the oldest in place, so a full ring's emit allocates
+// nothing. A record overwritten drops the pin that needed it. Caller holds
+// mu for writing.
 func (sh *shard) emit(cap int, rec JournalRecord) uint64 {
 	seq := sh.gen.Add(1)
 	if cap == 0 {
 		return seq
 	}
-	rec.Shard, rec.Seq = sh.id, seq
+	rec.Seq = seq
 	if len(sh.ring) < cap {
 		sh.ring = append(sh.ring, rec)
 	} else {

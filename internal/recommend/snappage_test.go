@@ -392,9 +392,9 @@ func TestSnapshotPagePinMovesOnWholesaleReplace(t *testing.T) {
 	}
 }
 
-// expiringPeer serves an in-process owner under a 64-byte page budget and,
-// after the first page it serves, runs burst once: writes that make the
-// owner drop the transfer's pin.
+// expiringPeer serves an in-process owner and, after the first page it
+// serves, runs burst once: writes the owner takes while the transfer runs,
+// under a 64-byte page budget enough to make it drop the transfer's pin.
 type expiringPeer struct {
 	LocalPeer
 	burst func()
@@ -407,6 +407,67 @@ func (p *expiringPeer) SnapshotPage(ctx context.Context, shard int, epoch, seq u
 		burst()
 	}
 	return pg, err
+}
+
+// TestPagedBootstrapCountsWritesDuringTransfer: an owner takes writes
+// while a cold follower pages its shard in. Once the Sync that paged it
+// returns, the follower holds those writes when the owner's feed still
+// reaches the transfer's pin, and otherwise counts them as lag; either way
+// it never reads caught up while behind.
+func TestPagedBootstrapCountsWritesDuringTransfer(t *testing.T) {
+	const writes = 5
+	for _, c := range []struct {
+		name string
+		tail int // the owner's feed retention
+		held bool
+	}{
+		{"tailed", 0, true},
+		{"feed overrun", writes - 2, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			owner, err := Open(catalog.New(), WithJournalFeed(c.tail), WithShards(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer owner.Close()
+			ids := shardIDs(owner, 0, writes+3)
+			for _, id := range ids[:3] {
+				if err := owner.SetProfile(profile.NewProfile(id)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			follower, err := Open(catalog.New(), WithJournalFeed(0), WithShards(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer follower.Close()
+			peer := &expiringPeer{LocalPeer: LocalPeer{Engine: owner}, burst: func() {
+				for _, id := range ids[3:] {
+					if err := owner.RecordPurchase(id, "p1"); err != nil {
+						t.Error(err)
+					}
+				}
+			}}
+			r, err := NewReplicator(follower, 1, []Peer{peer, nil})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if err := r.Sync(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			st, head := r.Stats().Shards[0], owner.FeedHeads()[0]
+			if st.Snapshots != 1 || st.OwnerSeq != head {
+				t.Fatalf("shard 0 after the paged pull: %+v; want one snapshot and the owner's head %d", st, head)
+			}
+			if c.held && (st.Records != writes || st.LagRecords != 0 || st.AppliedSeq != head) {
+				t.Fatalf("shard 0 after the paged pull: %+v; want the %d writes applied", st, writes)
+			}
+			if !c.held && (st.Records != 0 || st.LagRecords != writes) {
+				t.Fatalf("shard 0 after the paged pull: %+v; want the %d writes as lag", st, writes)
+			}
+		})
+	}
 }
 
 // TestSnapshotPinExpiry: a shard keeps at most maxShardPins pins and evicts

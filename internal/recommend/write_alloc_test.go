@@ -19,8 +19,9 @@ import (
 //     keeps the values a write hands it (kvstore.Store.Apply) instead of
 //     copying each;
 //   - the Profile Agent's Fig 4.3 buy, one Observe with the bought
-//     product's evidence and its sale: 181; its ceiling stays at 188, set
-//     when it measured 184.
+//     product's evidence and its sale: 180, since its feed record keeps
+//     the sale it is handed; its ceiling stays at 188, set when it
+//     measured 184.
 //
 // The race detector changes what is allocated, so the test runs without it.
 func TestWriteAllocBudget(t *testing.T) {

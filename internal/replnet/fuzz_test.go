@@ -120,8 +120,7 @@ func FuzzTailBounded(f *testing.F) {
 			size := int(binary.LittleEndian.Uint16(sizes[i:])) % (32<<10 + 1)
 			in.Seq++
 			in.Records = append(in.Records, recommend.JournalRecord{
-				Shard: 3, Seq: in.Seq, Op: recommend.OpProfiles,
-				Profiles: [][]byte{bytes.Repeat([]byte{'p'}, size)},
+				Seq: in.Seq, Profiles: [][]byte{bytes.Repeat([]byte{'p'}, size)},
 			})
 		}
 		in.Head = in.Seq + 2 // the feed moved on while the reply was built

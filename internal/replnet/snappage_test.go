@@ -225,12 +225,24 @@ func TestColdFollowerPagedBootstrapByteIdentical(t *testing.T) {
 
 // interceptPeer delegates to a real TCP peer but runs onFirstPage once,
 // after the first page of a multi-page transfer is served — between page
-// requests, where a concurrent owner write moves the shard past the pin.
+// requests, where a concurrent owner write moves the shard past the pin —
+// and, from then on, onTail before every tail it is asked for.
 type interceptPeer struct {
 	recommend.Peer
 	mu          sync.Mutex
 	fired       bool
 	onFirstPage func(shard int)
+	onTail      func(shard int)
+}
+
+func (p *interceptPeer) JournalTail(ctx context.Context, shard int, epoch, since uint64) (recommend.TailResult, error) {
+	p.mu.Lock()
+	fired := p.fired
+	p.mu.Unlock()
+	if fired {
+		p.onTail(shard)
+	}
+	return p.Peer.JournalTail(ctx, shard, epoch, since)
 }
 
 func (p *interceptPeer) SnapshotPage(ctx context.Context, shard int, epoch, seq uint64, token string) (recommend.SnapshotPage, error) {
@@ -249,7 +261,7 @@ func (p *interceptPeer) SnapshotPage(ctx context.Context, shard int, epoch, seq 
 
 // TestPagedCatchUpCompletesAcrossMidTransferWrite: an owner write between
 // two page requests leaves the transfer at its pin. It completes at the pin
-// its first page took, without the write, and the next pull tails the write
+// its first page took, without the write, and the same pull tails the write
 // as a record.
 func TestPagedCatchUpCompletesAcrossMidTransferWrite(t *testing.T) {
 	old := maxTailBytes
@@ -259,20 +271,31 @@ func TestPagedCatchUpCompletesAcrossMidTransferWrite(t *testing.T) {
 	f := newPagedFixture(t)
 	f.seed(48, 24)
 
-	var injected string
+	var (
+		injected   string
+		injectedTo int
+		heldAtTail []bool // per tail of the shard after the write: whether the follower held it
+		follower   *recommend.Engine
+		repl       *recommend.Replicator
+	)
 	peer := &interceptPeer{Peer: NewPeer(f.client, f.srv.Addr()), onFirstPage: func(shard int) {
 		for i := 0; ; i++ {
 			u := fmt.Sprintf("mid-write-%d", i)
 			if f.owner.ShardOf(u) == shard {
-				injected = u
+				injected, injectedTo = u, shard
 				if err := f.owner.SetProfile(fatProfile(u, 24)); err != nil {
 					t.Error(err)
 				}
 				return
 			}
 		}
+	}, onTail: func(shard int) {
+		if shard == injectedTo {
+			_, err := follower.Profile(injected)
+			heldAtTail = append(heldAtTail, err == nil)
+		}
 	}}
-	follower, repl := f.follower(peer)
+	follower, repl = f.follower(peer)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -285,14 +308,8 @@ func TestPagedCatchUpCompletesAcrossMidTransferWrite(t *testing.T) {
 	records := func() uint64 {
 		return sumField(repl.Stats(), func(s ops.ShardLag) uint64 { return s.Records })
 	}
-	if _, err := follower.Profile(injected); err == nil {
-		t.Fatalf("mid-transfer write %s is in a transfer pinned before it", injected)
-	}
-	if n := records(); n != 0 {
-		t.Fatalf("bootstrap applied %d records, want none", n)
-	}
-	if err := repl.Sync(ctx); err != nil {
-		t.Fatalf("tail after the pinned transfer: %v", err)
+	if len(heldAtTail) != 1 || heldAtTail[0] {
+		t.Fatalf("mid-transfer write %s is in a transfer pinned before it (held at the tails after it: %v)", injected, heldAtTail)
 	}
 	if n := records(); n != 1 {
 		t.Fatalf("the tail after the transfer applied %d records, want the mid-transfer write alone", n)
