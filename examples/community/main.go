@@ -14,6 +14,7 @@ import (
 
 	"agentrec"
 	"agentrec/internal/platform"
+	"agentrec/internal/recommend"
 	"agentrec/internal/workload"
 )
 
@@ -153,7 +154,8 @@ func seed(p *agentrec.Platform, u *workload.Universe) error {
 	for user, pids := range u.Purchases() {
 		for _, pid := range pids {
 			age := time.Duration(i%(7*24)) * time.Hour
-			if err := inner.Engine.RecordPurchaseAt(user, pid, now.Add(-age)); err != nil {
+			sale := recommend.PurchaseAt(user, pid, now.Add(-age))
+			if err := inner.Engine.Observe(user, nil, []recommend.PurchasePair{sale}); err != nil {
 				return err
 			}
 			i++

@@ -153,6 +153,7 @@ type DispatchFailureHandler interface {
 type Context struct {
 	host *Host
 	cell *cell
+	msg  context.Context // what the message being handled was sent under
 
 	pendingDispatch string
 	pendingDispose  bool
@@ -166,6 +167,17 @@ func (c *Context) Type() string { return c.cell.typ }
 
 // HostName returns the name of the host the agent currently runs on.
 func (c *Context) HostName() string { return c.host.name }
+
+// Context returns the context the message being handled was sent under, so
+// a handler's own sends share its sender's deadline and cancellation.
+// Outside HandleMessage — in OnCreation, OnArrival or a failure handler —
+// it is context.Background().
+func (c *Context) Context() context.Context {
+	if c.msg == nil {
+		return context.Background()
+	}
+	return c.msg
+}
 
 // RequestDispatch asks the runtime to migrate this agent to dest after the
 // current callback returns.

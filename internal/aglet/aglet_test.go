@@ -772,3 +772,41 @@ func TestItineraryJSONRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+type senderKey struct{}
+
+// senderAgent answers with what its message's context carries under
+// senderKey.
+type senderAgent struct{ Base }
+
+func (*senderAgent) HandleMessage(ctx *Context, _ Message) (Message, error) {
+	v, _ := ctx.Context().Value(senderKey{}).(string)
+	return Message{Kind: "sender", Data: []byte(v)}, nil
+}
+
+// TestHandlerRunsUnderSendersContext: a handler's Context is the one its
+// message was sent under, so its own sends share the sender's deadline and
+// cancellation.
+func TestHandlerRunsUnderSendersContext(t *testing.T) {
+	r := testRegistry()
+	r.Register("sender", func() Aglet { return &senderAgent{} })
+	h := NewHost("h1", r)
+	defer h.Close()
+	p, err := h.Create("sender", "s1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"first", "second"} {
+		reply, err := p.Send(context.WithValue(testCtx(t), senderKey{}, want), Message{Kind: "ping"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(reply.Data) != want {
+			t.Errorf("handler saw %q, want the sender's %q", reply.Data, want)
+		}
+	}
+	var c Context
+	if c.Context() != context.Background() {
+		t.Error("outside a message, Context is not context.Background()")
+	}
+}

@@ -186,7 +186,9 @@ func (h *Host) run(c *cell) {
 			return
 		case env := <-c.inbox:
 			c.ctx.clearPending()
+			c.ctx.msg = env.ctx
 			reply, err := c.agent.HandleMessage(c.ctx, env.msg)
+			c.ctx.msg = nil
 			env.reply <- outcome{msg: reply, err: err}
 			if done := h.settlePending(c, 0); done {
 				return

@@ -7,12 +7,12 @@ import (
 
 // Errflow encodes the durability contract's first rule: an acknowledged
 // write is durable, and an error means it is NOT — so the error returns of
-// the community write API (SetProfile, SetProfiles, RecordPurchase,
-// RecordPurchaseAt — on the Engine, on Writer implementations, and on the
-// Router), of the kvstore accessors, and of the ownership fence must never
-// be silently discarded. A dropped SetProfile error under persistence is a
-// write the caller believes durable and the WAL never saw; a dropped Fence
-// error is a stale-epoch write acked by a deposed owner.
+// the community write API (SetProfile, SetProfiles, Observe, RecordPurchase
+// — on the Engine, on Writer implementations, and on the Router), of the
+// kvstore accessors, and of the ownership fence must never be silently
+// discarded. A dropped SetProfile error under persistence is a write the
+// caller believes durable and the WAL never saw; a dropped Fence error is a
+// stale-epoch write acked by a deposed owner.
 //
 // Statement-position calls (`e.SetProfile(p)` as its own statement, or in
 // a go/defer) are flagged. An explicit `_ = e.SetProfile(p)` is treated as
@@ -20,8 +20,8 @@ import (
 var Errflow = &Analyzer{
 	Name: "errflow",
 	Doc: "error returns of the write API, kvstore accessors, and the ownership fence must be used\n\n" +
-		"Flags statement-position calls that discard the error result of SetProfile/SetProfiles/Observe/RecordPurchase/" +
-		"RecordPurchaseAt (any Writer implementation), exported kvstore.Store methods, and OwnershipTable.Fence. " +
+		"Flags statement-position calls that discard the error result of SetProfile/SetProfiles/Observe/" +
+		"RecordPurchase (any Writer implementation), exported kvstore.Store methods, and OwnershipTable.Fence. " +
 		"An explicit `_ =` discard is visible to reviewers and allowed.",
 	Run: runErrflow,
 }
@@ -30,11 +30,10 @@ var Errflow = &Analyzer{
 // receiver (Engine, Router, OwnedWriter, replnet.Writer, the Writer
 // interface) — every implementation shares the contract.
 var writeAPINames = map[string]bool{
-	"SetProfile":       true,
-	"SetProfiles":      true,
-	"Observe":          true,
-	"RecordPurchase":   true,
-	"RecordPurchaseAt": true,
+	"SetProfile":     true,
+	"SetProfiles":    true,
+	"Observe":        true,
+	"RecordPurchase": true,
 }
 
 func runErrflow(pass *Pass) error {

@@ -137,9 +137,12 @@ func (r *resident) HandleMessage(ctx *aglet.Context, msg aglet.Message) (aglet.M
 	return r.h.Handle(ctx, msg)
 }
 
-func agentCtx() (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), 30*time.Second)
-}
+// agentTimeout bounds one request's passage through the agents, from HttpA
+// (Server.sendHttpA) to its last reply: each handler sends under the
+// context its message arrived with (aglet.Context.Context). The MBA, which
+// travels on its own goroutine, bounds each marketplace arrival and its
+// delivery home by it too.
+const agentTimeout = 30 * time.Second
 
 // --- BSMA -------------------------------------------------------------
 
@@ -297,13 +300,11 @@ func (a *bsmaAgent) assignTask(ctx *aglet.Context, req taskReq) (aglet.Message, 
 	}
 
 	s.tracer.Record(wf, 3, "BSMA", "BRA", "assign "+string(req.Spec.Kind)+" task")
-	cctx, cancel := agentCtx()
-	defer cancel()
 	msg, err := aglet.Encode(kindTask, req)
 	if err != nil {
 		return aglet.Message{}, err
 	}
-	reply, err := ctx.Send(cctx, id, msg)
+	reply, err := ctx.Send(ctx.Context(), id, msg)
 	if err != nil {
 		return aglet.Message{}, err
 	}
@@ -329,7 +330,7 @@ func (a *bsmaAgent) assignTask(ctx *aglet.Context, req taskReq) (aglet.Message, 
 	}
 	// Send the MBA off; the reply comes back before the trip starts, and
 	// the journey then proceeds on the MBA's own goroutine.
-	if _, err := ctx.Send(cctx, ack.MBAID, aglet.Message{Kind: kindEmbark}); err != nil {
+	if _, err := ctx.Send(ctx.Context(), ack.MBAID, aglet.Message{Kind: kindEmbark}); err != nil {
 		return aglet.Message{}, fmt.Errorf("buyerserver: embarking MBA: %w", err)
 	}
 	return reply, nil
@@ -394,9 +395,7 @@ func (a *bsmaAgent) mbaHome(ctx *aglet.Context, msg aglet.Message) (_ aglet.Mess
 		}
 	}
 	s.tracer.Record(wf, homeStep+1, "BSMA", "BRA", "activate BRA; deliver results")
-	cctx, cancel := agentCtx()
-	defer cancel()
-	if _, err := ctx.Send(cctx, id, aglet.Message{Kind: kindTaskDone, Data: msg.Data}); err != nil {
+	if _, err := ctx.Send(ctx.Context(), id, aglet.Message{Kind: kindTaskDone, Data: msg.Data}); err != nil {
 		return aglet.Message{}, err
 	}
 	return aglet.Encode(kindMBAHome, mbaHomeReply{Accepted: true})
@@ -590,9 +589,7 @@ func observe(ctx *aglet.Context, batch observeBatch) error {
 	if err != nil {
 		return err
 	}
-	cctx, cancel := agentCtx()
-	defer cancel()
-	_, err = ctx.Send(cctx, PAID, msg)
+	_, err = ctx.Send(ctx.Context(), PAID, msg)
 	return err
 }
 
@@ -727,7 +724,9 @@ func (a *mbaAgent) OnArrival(ctx *aglet.Context) error {
 		return nil
 	}
 	a.st.TripLog = append(a.st.TripLog, here)
-	a.st.Results = append(a.st.Results, a.perform(ctx, here))
+	cctx, cancel := context.WithTimeout(context.Background(), agentTimeout)
+	a.st.Results = append(a.st.Results, a.perform(cctx, ctx, here))
+	cancel()
 
 	next, it := a.st.It.Advance()
 	a.st.It = it
@@ -763,7 +762,7 @@ var _ aglet.DispatchFailureHandler = (*mbaAgent)(nil)
 // message — so it is dropped, the MBA disposes, and the waiting task times
 // out.
 func (a *mbaAgent) deliver(ctx *aglet.Context) {
-	cctx, cancel := agentCtx()
+	cctx, cancel := context.WithTimeout(context.Background(), agentTimeout)
 	defer cancel()
 	msg, err := aglet.Encode(kindMBAHome, a.st)
 	if err != nil {
@@ -772,31 +771,32 @@ func (a *mbaAgent) deliver(ctx *aglet.Context) {
 	_, _ = ctx.Send(cctx, BSMAID, msg)
 }
 
-// perform executes the assignment against the local marketplace's MSA.
-// A query's matches are kept as the MSA answered them.
-func (a *mbaAgent) perform(ctx *aglet.Context, market string) marketHaul {
+// perform executes the assignment against the local marketplace's MSA,
+// every call under cctx, the arrival's. A query's matches are kept as the
+// MSA answered them.
+func (a *mbaAgent) perform(cctx context.Context, ctx *aglet.Context, market string) marketHaul {
 	res := marketHaul{Market: market}
 	switch a.st.Spec.Kind {
 	case TaskQuery:
 		var qr queryHaul
-		if err := a.call(ctx, marketplace.KindQuery, marketplace.QueryRequest{Query: a.st.Spec.Query}, &qr); err != nil {
+		if err := a.call(cctx, ctx, marketplace.KindQuery, marketplace.QueryRequest{Query: a.st.Spec.Query}, &qr); err != nil {
 			res.Err = err.Error()
 			return res
 		}
 		res.Matches = qr.Matches
 	case TaskBuy:
-		a.performBuy(ctx, &res)
+		a.performBuy(cctx, ctx, &res)
 	case TaskAuction:
-		a.performAuction(ctx, &res)
+		a.performAuction(cctx, ctx, &res)
 	default:
 		res.Err = fmt.Sprintf("unknown task kind %q", a.st.Spec.Kind)
 	}
 	return res
 }
 
-func (a *mbaAgent) performBuy(ctx *aglet.Context, res *marketHaul) {
+func (a *mbaAgent) performBuy(cctx context.Context, ctx *aglet.Context, res *marketHaul) {
 	var gr marketplace.GetReply
-	if err := a.call(ctx, marketplace.KindGet, marketplace.GetRequest{ProductID: a.st.Spec.ProductID}, &gr); err != nil {
+	if err := a.call(cctx, ctx, marketplace.KindGet, marketplace.GetRequest{ProductID: a.st.Spec.ProductID}, &gr); err != nil {
 		res.Err = err.Error()
 		return
 	}
@@ -809,7 +809,7 @@ func (a *mbaAgent) performBuy(ctx *aglet.Context, res *marketHaul) {
 	if a.st.Spec.Probe {
 		// Price discovery: open at 80% of list and raise below the ask
 		// until the seller's concessions dry up; never buy.
-		a.bargain(ctx, res, gr.Product.ID, int64(0.8*float64(gr.Product.PriceCents)), marketplace.ProbeNextOffer)
+		a.bargain(cctx, ctx, res, gr.Product.ID, int64(0.8*float64(gr.Product.PriceCents)), marketplace.ProbeNextOffer)
 		return
 	}
 	if a.st.Spec.Negotiate && budget > 0 {
@@ -817,11 +817,11 @@ func (a *mbaAgent) performBuy(ctx *aglet.Context, res *marketHaul) {
 			next := marketplace.BuyerNextOffer(offer, ask, budget)
 			return next, next <= offer
 		}
-		a.bargain(ctx, res, gr.Product.ID, min(int64(0.7*float64(gr.Product.PriceCents)), budget), within)
+		a.bargain(cctx, ctx, res, gr.Product.ID, min(int64(0.7*float64(gr.Product.PriceCents)), budget), within)
 		return
 	}
 	var br marketplace.BuyReply
-	err := a.call(ctx, marketplace.KindBuy, marketplace.BuyRequest{
+	err := a.call(cctx, ctx, marketplace.KindBuy, marketplace.BuyRequest{
 		BuyerID: a.st.UserID, ProductID: a.st.Spec.ProductID, MaxPriceCents: budget,
 	}, &br)
 	if err != nil {
@@ -834,16 +834,16 @@ func (a *mbaAgent) performBuy(ctx *aglet.Context, res *marketHaul) {
 
 // bargain negotiates for productID with the local seller's MSA, opening
 // with first and countering by next; a deal is the trip's purchase.
-func (a *mbaAgent) bargain(ctx *aglet.Context, res *marketHaul, productID string, first int64, next func(offer, ask int64) (int64, bool)) {
+func (a *mbaAgent) bargain(cctx context.Context, ctx *aglet.Context, res *marketHaul, productID string, first int64, next func(offer, ask int64) (int64, bool)) {
 	reply, err := marketplace.Bargain(first, next,
 		func(offer int64) (marketplace.NegoReply, error) {
 			var r marketplace.NegoReply
-			err := a.call(ctx, marketplace.KindNegoOpen, marketplace.NegoOpenRequest{BuyerID: a.st.UserID, ProductID: productID, OfferCents: offer}, &r)
+			err := a.call(cctx, ctx, marketplace.KindNegoOpen, marketplace.NegoOpenRequest{BuyerID: a.st.UserID, ProductID: productID, OfferCents: offer}, &r)
 			return r, err
 		},
 		func(sessionID string, offer int64) (marketplace.NegoReply, error) {
 			var r marketplace.NegoReply
-			err := a.call(ctx, marketplace.KindNegoOffer, marketplace.NegoOfferRequest{SessionID: sessionID, OfferCents: offer}, &r)
+			err := a.call(cctx, ctx, marketplace.KindNegoOffer, marketplace.NegoOfferRequest{SessionID: sessionID, OfferCents: offer}, &r)
 			return r, err
 		})
 	if err != nil {
@@ -858,16 +858,16 @@ func (a *mbaAgent) bargain(ctx *aglet.Context, res *marketHaul, productID string
 }
 
 // performAuction inspects the auction and places one bid within budget.
-func (a *mbaAgent) performAuction(ctx *aglet.Context, res *marketHaul) {
+func (a *mbaAgent) performAuction(cctx context.Context, ctx *aglet.Context, res *marketHaul) {
 	var st marketplace.AuctionStatus
-	if err := a.call(ctx, marketplace.KindAuctionState, marketplace.AuctionCloseRequest{AuctionID: a.st.Spec.AuctionID}, &st); err != nil {
+	if err := a.call(cctx, ctx, marketplace.KindAuctionState, marketplace.AuctionCloseRequest{AuctionID: a.st.Spec.AuctionID}, &st); err != nil {
 		res.Err = err.Error()
 		return
 	}
 	// Fetch the product for the profile evidence; the bid goes ahead
 	// without it.
 	var gr marketplace.GetReply
-	if err := a.call(ctx, marketplace.KindGet, marketplace.GetRequest{ProductID: st.ProductID}, &gr); err == nil {
+	if err := a.call(cctx, ctx, marketplace.KindGet, marketplace.GetRequest{ProductID: st.ProductID}, &gr); err == nil {
 		_ = res.match(gr.Product)
 	}
 	bid := nextBid(st, a.st.Spec.BudgetCents)
@@ -876,7 +876,7 @@ func (a *mbaAgent) performAuction(ctx *aglet.Context, res *marketHaul) {
 		return
 	}
 	var after marketplace.AuctionStatus
-	if err := a.call(ctx, marketplace.KindAuctionBid, marketplace.AuctionBidRequest{
+	if err := a.call(cctx, ctx, marketplace.KindAuctionBid, marketplace.AuctionBidRequest{
 		AuctionID: a.st.Spec.AuctionID, BidderID: a.st.UserID, AmountCents: bid,
 	}, &after); err != nil {
 		res.Err = err.Error()
@@ -917,10 +917,9 @@ func nextBid(st marketplace.AuctionStatus, budget int64) int64 {
 	return bid
 }
 
-// call sends one typed request to the local MSA and decodes the reply.
-func (a *mbaAgent) call(ctx *aglet.Context, kind string, req, out any) error {
-	cctx, cancel := agentCtx()
-	defer cancel()
+// call sends one typed request to the local MSA under cctx and decodes
+// the reply.
+func (a *mbaAgent) call(cctx context.Context, ctx *aglet.Context, kind string, req, out any) error {
 	msg, err := aglet.Encode(kind, req)
 	if err != nil {
 		return err
@@ -942,9 +941,7 @@ func (a *mbaAgent) call(ctx *aglet.Context, kind string, req, out any) error {
 // only the shopping workflows.
 func (s *Server) httpaHandlers() aglet.Handlers {
 	pass := func(ctx *aglet.Context, msg aglet.Message) (aglet.Message, error) {
-		cctx, cancel := agentCtx()
-		defer cancel()
-		return ctx.Send(cctx, BSMAID, msg)
+		return ctx.Send(ctx.Context(), BSMAID, msg)
 	}
 	task := func(ctx *aglet.Context, msg aglet.Message) (aglet.Message, error) {
 		var req taskReq

@@ -19,9 +19,10 @@ import (
 //     carried home encoded and decoded once, by the BRA;
 //   - a Fig 4.3 list-price buy: 603.
 //
-// Both now measure 16 fewer (657 and 587), since the homecoming reads and
-// writes the MBA's BSMDB record once; the ceilings stay, as a drop under
-// 10 % does not lower them.
+// They have since fallen to 640 and 565: the homecoming reads and writes
+// the MBA's BSMDB record once, and a request is bounded by the agent
+// timeout once, where it enters, instead of at every hop. The ceilings
+// stay, as a drop under 10 % does not lower them.
 //
 // The BSMA's reply to the returning MBA and the MBA's disposal can land
 // after RunTask returns, so each task is counted once the hosts are idle.

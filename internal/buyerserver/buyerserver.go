@@ -334,12 +334,15 @@ func (s *Server) Recommendations(userID, category string, n int) ([]recommend.Re
 }
 
 // sendHttpA hands one request to HttpA, where the buyer enters the
-// mechanism.
+// mechanism, bounded by the agent timeout: every hop the request makes
+// shares the one deadline.
 func (s *Server) sendHttpA(ctx context.Context, kind string, v any) (aglet.Message, error) {
 	msg, err := aglet.Encode(kind, v)
 	if err != nil {
 		return aglet.Message{}, err
 	}
+	ctx, cancel := context.WithTimeout(ctx, agentTimeout)
+	defer cancel()
 	return s.host.Send(ctx, HttpAID, msg)
 }
 

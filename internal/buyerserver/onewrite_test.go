@@ -110,10 +110,6 @@ func (w *countingWriter) Observe(userID string, evs []profile.Evidence, sales []
 	return w.Writer.Observe(userID, evs, sales)
 }
 
-func (w *countingWriter) RecordPurchaseAt(userID, productID string, at time.Time) error {
-	return w.Observe(userID, nil, []recommend.PurchasePair{recommend.PurchaseAt(userID, productID, at)})
-}
-
 // TestNonOwnerBuyForwardsOneWrite: a buy on a server that does not own the
 // consumer's shard forwards one write to the owner, which then holds the
 // purchase and the evidence.

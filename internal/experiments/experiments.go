@@ -149,15 +149,8 @@ func F45DiscardGate(w io.Writer, size Size) error {
 		"tolerance", "precision", "recall", "mean_neighbors")
 	for _, tol := range []float64{0.1, 0.3, 0.5, 0.7, 1.0} {
 		engine := recommend.NewEngine(u.Catalog, recommend.WithNeighbors(10), recommend.WithTolerance(tol))
-		if err := engine.SetProfiles(profiles); err != nil {
+		if err := platform.Seed(engine, engine, profiles, u.Purchases()); err != nil {
 			return err
-		}
-		for user, pids := range u.Purchases() {
-			for _, pid := range pids {
-				if err := engine.RecordPurchase(user, pid); err != nil {
-					return err
-				}
-			}
 		}
 		var recLists, relLists [][]string
 		var neighborSum float64
@@ -351,19 +344,12 @@ func C4SparsityColdStart(w io.Writer, size Size) error {
 			return err
 		}
 		engine := recommend.NewEngine(u.Catalog, recommend.WithNeighbors(10))
-		if err := engine.SetProfiles(profiles); err != nil {
+		if err := platform.Seed(engine, engine, profiles, u.Purchases()); err != nil {
 			return err
 		}
 		events := 0
 		for _, usr := range u.Users {
 			events += len(usr.Train)
-		}
-		for user, pids := range u.Purchases() {
-			for _, pid := range pids {
-				if err := engine.RecordPurchase(user, pid); err != nil {
-					return err
-				}
-			}
 		}
 		density := 100 * float64(events) / float64(len(u.Users)*len(u.Products))
 
@@ -424,15 +410,8 @@ func C5StrategyQuality(w io.Writer, size Size) error {
 
 	build := func(opts ...recommend.Option) (*recommend.Engine, error) {
 		e := recommend.NewEngine(u.Catalog, opts...)
-		if err := e.SetProfiles(profiles); err != nil {
+		if err := platform.Seed(e, e, profiles, purchases); err != nil {
 			return nil, err
-		}
-		for user, pids := range purchases {
-			for _, pid := range pids {
-				if err := e.RecordPurchase(user, pid); err != nil {
-					return nil, err
-				}
-			}
 		}
 		return e, nil
 	}

@@ -83,11 +83,7 @@ func (g gatedWriter) Observe(userID string, evs []profile.Evidence, sales []reco
 }
 
 func (g gatedWriter) RecordPurchase(userID, productID string) error {
-	return g.RecordPurchaseAt(userID, productID, time.Time{})
-}
-
-func (g gatedWriter) RecordPurchaseAt(userID, productID string, at time.Time) error {
-	return g.Observe(userID, nil, []recommend.PurchasePair{recommend.PurchaseAt(userID, productID, at)})
+	return g.Observe(userID, nil, []recommend.PurchasePair{{UserID: userID, ProductID: productID}})
 }
 
 // gatedPeer fronts one server's journal-tail surface with its gate: a

@@ -101,11 +101,7 @@ func TestFailoverWindowIgnoresWriteAdmittedBeforeKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiles, err := u.Profiles()
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := newWorld(s, u, profiles, 3, "")
+	w, err := newWorld(s, u, 3, "")
 	if err != nil {
 		t.Fatal(err)
 	}

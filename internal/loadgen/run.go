@@ -196,26 +196,12 @@ func RunScenario(ctx context.Context, s Scenario, opt RunOptions) (*ScenarioResu
 		return nil, err
 	}
 
-	// The shill target is picked from the hot category's Zipf mid-rank —
-	// a product the honest community barely surfaces, so displacement is
-	// attributable to the attack.
-	tcfg := s.trafficConfig("")
-	shillTarget := ""
-	if s.ShillFraction > 0 {
-		probe, err := workload.NewTraffic(u, workload.TrafficConfig{Seed: s.Seed})
-		if err != nil {
-			return nil, err
-		}
-		hp := probe.HotProducts()
-		shillTarget = hp[len(hp)/2]
-		tcfg = s.trafficConfig(shillTarget)
-	}
-	traffic, err := workload.NewTraffic(u, tcfg)
+	traffic, shillTarget, err := s.traffic(u)
 	if err != nil {
 		return nil, err
 	}
 
-	w, err := newWorld(s, u, profiles, opt.Servers, opt.StateDir)
+	w, err := newWorld(s, u, opt.Servers, opt.StateDir)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +210,7 @@ func RunScenario(ctx context.Context, s Scenario, opt RunOptions) (*ScenarioResu
 
 	logf("scenario %s: seeding %d consumers into %s world (%d servers)",
 		s.Name, len(profiles), target, w.serving)
-	if err := platform.Seed(w.replicas[0], profiles, u.Purchases()); err != nil {
+	if err := platform.Seed(w.replicas[0].Engine, w.replicas[0].Router, profiles, u.Purchases()); err != nil {
 		return nil, fmt.Errorf("loadgen: seeding: %w", err)
 	}
 	seedCtx, cancelSeed := context.WithTimeout(ctx, 30*time.Second)

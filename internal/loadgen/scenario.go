@@ -272,9 +272,20 @@ func (s Scenario) driveConfig(workers int) DriveConfig {
 	return DriveConfig{Rate: s.RateOpsS, Duration: secs(s.DurationS), Workers: workers}
 }
 
-// trafficConfig translates the scenario's mix for a generated universe.
-func (s Scenario) trafficConfig(shillTarget string) workload.TrafficConfig {
-	return workload.TrafficConfig{
+// traffic translates the scenario's mix into a schedule over u. An
+// adversarial scenario's shill target, also returned, is picked from the
+// hot category's Zipf mid-rank — a product the honest community barely
+// surfaces, so displacement is attributable to the attack.
+func (s Scenario) traffic(u *workload.Universe) (t *workload.Traffic, shillTarget string, err error) {
+	if s.ShillFraction > 0 {
+		probe, err := workload.NewTraffic(u, workload.TrafficConfig{Seed: s.Seed})
+		if err != nil {
+			return nil, "", err
+		}
+		hp := probe.HotProducts()
+		shillTarget = hp[len(hp)/2]
+	}
+	t, err = workload.NewTraffic(u, workload.TrafficConfig{
 		Seed:             s.Seed,
 		MixRecommend:     s.MixRecommend,
 		MixSetProfile:    s.MixSetProfile,
@@ -284,7 +295,8 @@ func (s Scenario) trafficConfig(shillTarget string) workload.TrafficConfig {
 		ChurnFraction:    s.ChurnFraction,
 		ShillFraction:    s.ShillFraction,
 		ShillTarget:      shillTarget,
-	}
+	})
+	return t, shillTarget, err
 }
 
 // incident names the world the scenario runs on and when its one mid-run

@@ -18,20 +18,13 @@ import (
 	"agentrec/internal/workload"
 )
 
-// opExec interprets workload ops against an engine/writer pair. Safe for
-// concurrent use (the base profile map is read-only after construction).
+// opExec interprets workload ops against an engine/writer pair. Every
+// write op is one Writer.Observe: the Profile Agent's Fig 4.4 update of the
+// profile the owner stores, with the op's sale, if any, in the same write.
+// Safe for concurrent use.
 type opExec struct {
 	cat    *catalog.Catalog
-	base   map[string]*profile.Profile // seeded profiles, for refresh ops
-	shills atomic.Int64                // shill installs executed
-}
-
-func newOpExec(cat *catalog.Catalog, profiles []*profile.Profile) *opExec {
-	x := &opExec{cat: cat, base: make(map[string]*profile.Profile, len(profiles))}
-	for _, p := range profiles {
-		x.base[p.UserID] = p
-	}
-	return x
+	shills atomic.Int64 // shill installs executed
 }
 
 func (x *opExec) apply(eng *recommend.Engine, w recommend.Writer, op workload.Op) error {
@@ -40,36 +33,39 @@ func (x *opExec) apply(eng *recommend.Engine, w recommend.Writer, op workload.Op
 		_, err := eng.Recommend(recommend.StrategyAuto, op.UserID, op.Category, op.TopN)
 		return err
 	case workload.OpSetProfile:
-		// New consumers (churn, shills) observe with buy-strength evidence
-		// so they enter the CF community immediately; refreshes add one
-		// query-strength observation on top of the seeded profile.
-		var p *profile.Profile
+		// A refresh adds query-strength evidence to the stored profile; a
+		// new consumer (churn, shill) starts from none and observes at buy
+		// strength, so it enters the CF community at once.
 		behaviour := profile.BehaviourQuery
-		if base := x.base[op.UserID]; base != nil && !op.NewUser {
-			p = base.Clone()
-		} else {
-			p = profile.NewProfile(op.UserID)
+		if op.NewUser {
 			behaviour = profile.BehaviourBuy
 		}
-		for _, pid := range op.ObserveProducts {
+		evs := make([]profile.Evidence, len(op.ObserveProducts))
+		for i, pid := range op.ObserveProducts {
 			prod, err := x.cat.Get(pid)
 			if err != nil {
 				return err
 			}
-			if err := p.Observe(prod.Evidence(behaviour)); err != nil {
-				return err
-			}
+			evs[i] = prod.Evidence(behaviour)
 		}
-		if err := w.SetProfile(p); err != nil {
+		var sales []recommend.PurchasePair
+		if op.Shill && op.ProductID != "" {
+			sales = []recommend.PurchasePair{{UserID: op.UserID, ProductID: op.ProductID}}
+		}
+		if err := w.Observe(op.UserID, evs, sales); err != nil {
 			return err
 		}
-		if op.Shill && op.ProductID != "" {
+		if sales != nil {
 			x.shills.Add(1)
-			return w.RecordPurchase(op.UserID, op.ProductID)
 		}
 		return nil
 	case workload.OpRecordPurchase:
-		return w.RecordPurchase(op.UserID, op.ProductID)
+		prod, err := x.cat.Get(op.ProductID)
+		if err != nil {
+			return err
+		}
+		return w.Observe(op.UserID, []profile.Evidence{prod.Evidence(profile.BehaviourBuy)},
+			[]recommend.PurchasePair{{UserID: op.UserID, ProductID: op.ProductID}})
 	default:
 		return fmt.Errorf("loadgen: unknown op kind %v", op.Kind)
 	}
@@ -112,7 +108,7 @@ type world struct {
 // newWorld boots the scenario's servers, seeds nothing, and starts every
 // server but a cold one. stateDir, if set, roots one durable engine
 // directory per server (server-<i>).
-func newWorld(s Scenario, u *workload.Universe, profiles []*profile.Profile, serving int, stateDir string) (w *world, err error) {
+func newWorld(s Scenario, u *workload.Universe, serving int, stateDir string) (w *world, err error) {
 	cat := catalog.New()
 	for _, p := range u.Products {
 		if err := cat.Upsert(p); err != nil {
@@ -130,7 +126,7 @@ func newWorld(s Scenario, u *workload.Universe, profiles []*profile.Profile, ser
 		pull, servers = 25*time.Millisecond, serving
 	}
 	w = &world{
-		s: s, exec: newOpExec(cat, profiles), serving: serving,
+		s: s, exec: &opExec{cat: cat}, serving: serving,
 		gates: make([]atomic.Int32, servers),
 		acked: make(map[string]bool),
 	}

@@ -382,7 +382,7 @@ func (p *Platform) integrate(i int, sellerID string, apply func(*catalog.Integra
 // warm community, and ends with a SyncReplicas barrier so every server
 // reads the seeded community at once.
 func (p *Platform) SeedCommunity(profiles []*profile.Profile, purchases map[string][]string) error {
-	if err := Seed(p.Replicas[0], profiles, purchases); err != nil {
+	if err := Seed(p.Replicas[0].Engine, p.Replicas[0].Router, profiles, purchases); err != nil {
 		return err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -391,13 +391,15 @@ func (p *Platform) SeedCommunity(profiles []*profile.Profile, purchases map[stri
 }
 
 // Seed writes pre-built consumer profiles and purchase histories through
-// r's router. Profiles go through the bulk-install path (one lock
-// acquisition and one durable batch per shard). Each consumer's purchase
-// history is one write, made grouped by shard and then by consumer, never
-// in map order, so the journal a seeding writes is the same on every run.
-// Other servers read the community once they have pulled it.
-func Seed(r *Replica, profiles []*profile.Profile, purchases map[string][]string) error {
-	if err := r.Router.SetProfiles(profiles); err != nil {
+// w, ordered by eng's shard map. Profiles go through the bulk-install path
+// (one lock acquisition and one durable batch per shard). Each consumer's
+// purchase history is one write, made grouped by shard and then by
+// consumer, never in map order, so the journal a seeding writes is the same
+// on every run. The profiles must already hold the purchases' evidence, as
+// workload.BuildProfile's replay of a consumer's history does. Other
+// servers read the community once they have pulled it.
+func Seed(eng *recommend.Engine, w recommend.Writer, profiles []*profile.Profile, purchases map[string][]string) error {
+	if err := w.SetProfiles(profiles); err != nil {
 		return err
 	}
 	users := make([]string, 0, len(purchases))
@@ -405,7 +407,7 @@ func Seed(r *Replica, profiles []*profile.Profile, purchases map[string][]string
 		users = append(users, user)
 	}
 	sort.Slice(users, func(i, j int) bool {
-		si, sj := r.Engine.ShardOf(users[i]), r.Engine.ShardOf(users[j])
+		si, sj := eng.ShardOf(users[i]), eng.ShardOf(users[j])
 		if si != sj {
 			return si < sj
 		}
@@ -416,7 +418,7 @@ func Seed(r *Replica, profiles []*profile.Profile, purchases map[string][]string
 		for i, pid := range purchases[user] {
 			sales[i] = recommend.PurchasePair{UserID: user, ProductID: pid}
 		}
-		if err := r.Router.Observe(user, nil, sales); err != nil {
+		if err := w.Observe(user, nil, sales); err != nil {
 			return err
 		}
 	}

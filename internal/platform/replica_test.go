@@ -343,7 +343,9 @@ func TestDirectEngineWriteFenced(t *testing.T) {
 	writes := map[string]func(user string) error{
 		"set-profile":  func(u string) error { return eng.SetProfile(profile.NewProfile(u)) },
 		"set-profiles": func(u string) error { return eng.SetProfiles([]*profile.Profile{profile.NewProfile(u)}) },
-		"purchase":     func(u string) error { return eng.RecordPurchaseAt(u, "p1", at) },
+		"purchase": func(u string) error {
+			return eng.Observe(u, nil, []recommend.PurchasePair{recommend.PurchaseAt(u, "p1", at)})
+		},
 	}
 	refused := func(name, user string, want error) {
 		t.Helper()

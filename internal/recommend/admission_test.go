@@ -152,7 +152,9 @@ func TestHeldLockLocalWriteRefusedAfterLeaseLapse(t *testing.T) {
 	writes := map[string]func(Writer) error{
 		"set-profile":  func(w Writer) error { return w.SetProfile(profile.NewProfile("local")) },
 		"set-profiles": func(w Writer) error { return w.SetProfiles([]*profile.Profile{profile.NewProfile("local")}) },
-		"purchase":     func(w Writer) error { return w.RecordPurchaseAt("local", "p1", time.Now()) },
+		"purchase": func(w Writer) error {
+			return w.Observe("local", nil, []PurchasePair{PurchaseAt("local", "p1", time.Now())})
+		},
 	}
 	for _, via := range []string{"router", "engine"} {
 		for name, write := range writes {

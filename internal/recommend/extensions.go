@@ -43,23 +43,18 @@ type TiedSale struct {
 // journals: its time in milliseconds since the Unix epoch, truncated toward
 // the past so a purchase stamped `now` lies inside a window ending `now`.
 // The zero time — and the epoch instant itself — is 0, an undated purchase.
+// A sale written through Observe feeds the CF history, the top-seller
+// counts, Trending (when dated) and TiedSales. Duplicate sales are
+// idempotent per user — the list keeps the later time — but still bump
+// popularity. The time journaled, and carried to followers in the write's
+// feed record, is the time kept, so a follower replays the owner's value
+// rather than reading a clock of its own.
 func PurchaseAt(userID, productID string, at time.Time) PurchasePair {
 	pp := PurchasePair{UserID: userID, ProductID: productID}
 	if !at.IsZero() {
 		pp.AtEpochMS = at.UnixMilli()
 	}
 	return pp
-}
-
-// RecordPurchaseAt notes that userID bought productID at at (the zero time:
-// undated), feeding the CF history, the top-seller counts, Trending and
-// TiedSales: it is Observe with no evidence and the one sale. Duplicate
-// records are idempotent per user — the list keeps the later time — but
-// still bump popularity. The time journaled, and carried to followers in
-// the write's feed record, is the time kept, so a follower replays the
-// owner's value rather than reading a clock of its own.
-func (e *Engine) RecordPurchaseAt(userID, productID string, at time.Time) error {
-	return e.Observe(userID, nil, []PurchasePair{PurchaseAt(userID, productID, at)})
 }
 
 // eachBasket calls fn with every consumer's record, one shard at a time

@@ -27,11 +27,11 @@ func TestTrendingWindowFilters(t *testing.T) {
 	week := 7 * 24 * time.Hour
 
 	// Inside the window: "a" twice, "b" once. Outside: "c" many times.
-	e.RecordPurchaseAt("u1", "a", now.Add(-time.Hour))
-	e.RecordPurchaseAt("u2", "a", now.Add(-2*time.Hour))
-	e.RecordPurchaseAt("u3", "b", now.Add(-24*time.Hour))
+	e.Observe("u1", nil, []PurchasePair{PurchaseAt("u1", "a", now.Add(-time.Hour))})
+	e.Observe("u2", nil, []PurchasePair{PurchaseAt("u2", "a", now.Add(-2*time.Hour))})
+	e.Observe("u3", nil, []PurchasePair{PurchaseAt("u3", "b", now.Add(-24*time.Hour))})
 	for i := 0; i < 10; i++ {
-		e.RecordPurchaseAt("u4", "c", now.Add(-8*24*time.Hour))
+		e.Observe("u4", nil, []PurchasePair{PurchaseAt("u4", "c", now.Add(-8*24*time.Hour))})
 	}
 
 	got := e.Trending(now, week, 10)
@@ -53,8 +53,8 @@ func TestTrendingRecencyWeighting(t *testing.T) {
 	now := time.Date(2026, 6, 12, 12, 0, 0, 0, time.UTC)
 	week := 7 * 24 * time.Hour
 	// Same count, different recency: the fresh one ranks first.
-	e.RecordPurchaseAt("u1", "fresh", now.Add(-time.Hour))
-	e.RecordPurchaseAt("u2", "stale", now.Add(-6*24*time.Hour))
+	e.Observe("u1", nil, []PurchasePair{PurchaseAt("u1", "fresh", now.Add(-time.Hour))})
+	e.Observe("u2", nil, []PurchasePair{PurchaseAt("u2", "stale", now.Add(-6*24*time.Hour))})
 	got := e.Trending(now, week, 10)
 	if len(got) != 2 || got[0].ProductID != "fresh" {
 		t.Fatalf("Trending = %+v, want fresh first", got)
@@ -74,7 +74,7 @@ func TestTrendingLimitsAndEmpty(t *testing.T) {
 		t.Errorf("empty engine Trending = %v", got)
 	}
 	for i, id := range []string{"a", "b", "c"} {
-		e.RecordPurchaseAt("u", id, now.Add(-time.Duration(i)*time.Minute))
+		e.Observe("u", nil, []PurchasePair{PurchaseAt("u", id, now.Add(-time.Duration(i)*time.Minute))})
 	}
 	if got := e.Trending(now, time.Hour, 2); len(got) != 2 {
 		t.Errorf("limit not applied: %v", got)
@@ -85,13 +85,13 @@ func TestTiedSales(t *testing.T) {
 	e := extEngine(t)
 	now := time.Now()
 	// Baskets: u1{a,b}, u2{a,b}, u3{a,c}, u4{b}.
-	e.RecordPurchaseAt("u1", "a", now)
-	e.RecordPurchaseAt("u1", "b", now)
-	e.RecordPurchaseAt("u2", "a", now)
-	e.RecordPurchaseAt("u2", "b", now)
-	e.RecordPurchaseAt("u3", "a", now)
-	e.RecordPurchaseAt("u3", "c", now)
-	e.RecordPurchaseAt("u4", "b", now)
+	e.Observe("u1", nil, []PurchasePair{PurchaseAt("u1", "a", now)})
+	e.Observe("u1", nil, []PurchasePair{PurchaseAt("u1", "b", now)})
+	e.Observe("u2", nil, []PurchasePair{PurchaseAt("u2", "a", now)})
+	e.Observe("u2", nil, []PurchasePair{PurchaseAt("u2", "b", now)})
+	e.Observe("u3", nil, []PurchasePair{PurchaseAt("u3", "a", now)})
+	e.Observe("u3", nil, []PurchasePair{PurchaseAt("u3", "c", now)})
+	e.Observe("u4", nil, []PurchasePair{PurchaseAt("u4", "b", now)})
 
 	got := e.TiedSales("a", 1, 10)
 	if len(got) != 2 {
@@ -122,20 +122,20 @@ func TestTiedSalesDuplicatePurchasesCountOnce(t *testing.T) {
 	e := extEngine(t)
 	now := time.Now()
 	// u1 buys a twice and b once: support must still be 1.
-	e.RecordPurchaseAt("u1", "a", now)
-	e.RecordPurchaseAt("u1", "a", now)
-	e.RecordPurchaseAt("u1", "b", now)
+	e.Observe("u1", nil, []PurchasePair{PurchaseAt("u1", "a", now)})
+	e.Observe("u1", nil, []PurchasePair{PurchaseAt("u1", "a", now)})
+	e.Observe("u1", nil, []PurchasePair{PurchaseAt("u1", "b", now)})
 	got := e.TiedSales("a", 1, 5)
 	if len(got) != 1 || got[0].Support != 1 || got[0].Confidence != 1 {
 		t.Errorf("TiedSales = %+v", got)
 	}
 }
 
-func TestRecordPurchaseAtFeedsCoreHistory(t *testing.T) {
+func TestDatedPurchaseFeedsCoreHistory(t *testing.T) {
 	e := extEngine(t)
-	e.RecordPurchaseAt("u1", "a", time.Now())
+	e.Observe("u1", nil, []PurchasePair{PurchaseAt("u1", "a", time.Now())})
 	recs, err := e.Recommend(StrategyTopSeller, "", "", 5)
 	if err != nil || len(recs) != 1 || recs[0].ProductID != "a" {
-		t.Errorf("top sellers after RecordPurchaseAt = %v, %v", recs, err)
+		t.Errorf("top sellers after a dated purchase = %v, %v", recs, err)
 	}
 }

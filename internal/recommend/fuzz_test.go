@@ -36,7 +36,7 @@ func pageFollower(t testing.TB) *Engine {
 		if err := e.SetProfile(profile.NewProfile(id)); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.RecordPurchaseAt(id, "p1", datedNow); err != nil {
+		if err := e.Observe(id, nil, []PurchasePair{PurchaseAt(id, "p1", datedNow)}); err != nil {
 			t.Fatal(err)
 		}
 	}

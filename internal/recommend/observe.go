@@ -16,7 +16,7 @@ import (
 // one stored profile lives: a write to the consumer between the read and
 // the install sends the update round again on the new record, so no write
 // is lost. With no evidence no profile is written. An id or key that
-// SetProfile or RecordPurchaseAt would refuse is refused with ErrBadKey, a
+// SetProfile or RecordPurchase would refuse is refused with ErrBadKey, a
 // sale in another shard with ErrShardMismatch, and a bad event
 // (profile.ErrBadEvidence, profile.ErrNoCategory) refuses the whole call;
 // either way nothing is written. Like SetProfile it is the owner's local

@@ -385,12 +385,7 @@ func (w OwnedWriter) Observe(userID string, evs []profile.Evidence, sales []Purc
 
 // RecordPurchase implements Writer.
 func (w OwnedWriter) RecordPurchase(userID, productID string) error {
-	return w.RecordPurchaseAt(userID, productID, time.Time{})
-}
-
-// RecordPurchaseAt implements Writer.
-func (w OwnedWriter) RecordPurchaseAt(userID, productID string, at time.Time) error {
-	return w.Observe(userID, nil, []PurchasePair{PurchaseAt(userID, productID, at)})
+	return w.Observe(userID, nil, []PurchasePair{{UserID: userID, ProductID: productID}})
 }
 
 var _ Writer = OwnedWriter{}

@@ -181,8 +181,8 @@ func TestOwnedWriterFencesRoutedWrites(t *testing.T) {
 	if err := w.RecordPurchase("user-1", "p1"); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("stale RecordPurchase: err = %v, want ErrStaleEpoch", err)
 	}
-	if err := w.RecordPurchaseAt("user-1", "p1", time.Now()); !errors.Is(err, ErrStaleEpoch) {
-		t.Fatalf("stale RecordPurchaseAt: err = %v, want ErrStaleEpoch", err)
+	if err := w.Observe("user-1", nil, []PurchasePair{PurchaseAt("user-1", "p1", time.Now())}); !errors.Is(err, ErrStaleEpoch) {
+		t.Fatalf("stale dated purchase: err = %v, want ErrStaleEpoch", err)
 	}
 }
 

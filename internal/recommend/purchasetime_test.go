@@ -41,7 +41,7 @@ func buyDated(t testing.TB, u *workload.Universe, w Writer) {
 	}
 	sort.Strings(users)
 	buy := func(user, pid string, at time.Time) {
-		if err := w.RecordPurchaseAt(user, pid, at); err != nil {
+		if err := w.Observe(user, nil, []PurchasePair{PurchaseAt(user, pid, at)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -280,7 +280,7 @@ func TestRepeatPurchaseKeepsLaterTime(t *testing.T) {
 	}
 
 	for i := 0; i < repeats; i++ {
-		if err := owner.RecordPurchaseAt("u", "p", datedNow.Add(-time.Duration(i)*time.Second)); err != nil {
+		if err := owner.Observe("u", nil, []PurchasePair{PurchaseAt("u", "p", datedNow.Add(-time.Duration(i)*time.Second))}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -462,11 +462,14 @@ func (e *Engine) Profile(userID string) (*profile.Profile, error) {
 	return c.prof.Clone(), nil
 }
 
-// RecordPurchase is RecordPurchaseAt for a purchase whose time is not
-// known: it feeds the CF history, the top-seller counts and TiedSales, and
-// never trends.
+// RecordPurchase is the bare purchase: Observe with no evidence and one
+// undated sale, which feeds the CF history, the top-seller counts and
+// TiedSales and never trends. A buyer with no evidence in the product's
+// category becomes a stray buyer; the paper's buy is the Profile Agent's
+// Observe, which carries that evidence. Writer keeps it only for the
+// benchmark harness (bench/), until ROADMAP item 28 deletes it.
 func (e *Engine) RecordPurchase(userID, productID string) error {
-	return e.RecordPurchaseAt(userID, productID, time.Time{})
+	return e.Observe(userID, nil, []PurchasePair{{UserID: userID, ProductID: productID}})
 }
 
 // Users returns the ids of all consumers with a profile, sorted.

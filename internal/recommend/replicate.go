@@ -237,8 +237,10 @@ func OwnerOf(shard, servers int) int {
 // path needs, satisfied by both *Engine (local writes) and *Router
 // (ownership-routed writes), so the Buyer Agent Server does not care
 // whether it is the owner. Observe is the Profile Agent's one write, sales
-// included; every RecordPurchaseAt is an Observe with no evidence and the
-// one sale. A write keeps the sales it is handed (the journal and the feed
+// included; a dated purchase is Observe(user, nil,
+// []PurchasePair{PurchaseAt(user, product, at)}). RecordPurchase, the bare
+// undated purchase (Engine.RecordPurchase), stays only for the benchmark
+// harness. A write keeps the sales it is handed (the journal and the feed
 // record hold them), so a caller must not change them once Observe is
 // called.
 type Writer interface {
@@ -246,7 +248,6 @@ type Writer interface {
 	SetProfiles(ps []*profile.Profile) error
 	Observe(userID string, evs []profile.Evidence, sales []PurchasePair) error
 	RecordPurchase(userID, productID string) error
-	RecordPurchaseAt(userID, productID string, at time.Time) error
 }
 
 var (
@@ -335,14 +336,9 @@ func (r *Router) Observe(userID string, evs []profile.Evidence, sales []Purchase
 	return w.Observe(userID, evs, sales)
 }
 
-// RecordPurchase records the undated purchase on the owning server.
+// RecordPurchase records the bare purchase on the owning server.
 func (r *Router) RecordPurchase(userID, productID string) error {
-	return r.RecordPurchaseAt(userID, productID, time.Time{})
-}
-
-// RecordPurchaseAt records the purchase made at at on the owning server.
-func (r *Router) RecordPurchaseAt(userID, productID string, at time.Time) error {
-	return r.Observe(userID, nil, []PurchasePair{PurchaseAt(userID, productID, at)})
+	return r.Observe(userID, nil, []PurchasePair{{UserID: userID, ProductID: productID}})
 }
 
 // --- the replicator ---

@@ -387,7 +387,7 @@ func TestReplicatedWALByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := owner.RecordPurchaseAt(user, prods[1].ID, at.Add(-time.Minute)); err != nil {
+		if err := owner.Observe(user, nil, []PurchasePair{PurchaseAt(user, prods[1].ID, at.Add(-time.Minute))}); err != nil {
 			t.Fatal(err)
 		}
 		if err := r.Sync(context.Background()); err != nil {

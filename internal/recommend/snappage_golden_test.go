@@ -64,12 +64,12 @@ func goldenShard(t *testing.T) *Engine {
 			if rng.IntN(3) != 0 {
 				when = at.Add(time.Duration(i*100+k) * time.Second)
 			}
-			if err := e.RecordPurchaseAt(id, pid, when); err != nil {
+			if err := e.Observe(id, nil, []PurchasePair{PurchaseAt(id, pid, when)}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := e.RecordPurchaseAt("alice", products[0], at.Add(time.Hour)); err != nil {
+	if err := e.Observe("alice", nil, []PurchasePair{PurchaseAt("alice", products[0], at.Add(time.Hour))}); err != nil {
 		t.Fatal(err)
 	}
 	return e

@@ -118,7 +118,7 @@ func TestConcurrentSoak(t *testing.T) {
 					e.SetProfile(profiles[rng.IntN(len(profiles))])
 				case 1:
 					if pids := purch[usr.ID]; len(pids) > 0 {
-						e.RecordPurchaseAt(usr.ID, pids[rng.IntN(len(pids))], start.Add(time.Duration(i)*time.Millisecond))
+						e.Observe(usr.ID, nil, []PurchasePair{PurchaseAt(usr.ID, pids[rng.IntN(len(pids))], start.Add(time.Duration(i)*time.Millisecond))})
 					}
 				case 2:
 					e.Trending(start.Add(time.Second), time.Hour, 5)

@@ -15,7 +15,7 @@ import (
 // first consumer (a 1 511-byte profile) in a durable engine with a journal
 // feed, at GOMAXPROCS 1:
 //
-//   - a purchase (RecordPurchaseAt): 11 allocations, since the store
+//   - a dated purchase (Observe with no evidence): 11 allocations, since the store
 //     keeps the values a write hands it (kvstore.Store.Apply) instead of
 //     copying each;
 //   - the Profile Agent's Fig 4.3 buy, one Observe with the bought
@@ -43,7 +43,7 @@ func TestWriteAllocBudget(t *testing.T) {
 		budget float64
 		write  func() error
 	}{
-		{"purchase", 12, func() error { return e.RecordPurchaseAt(user, prod.ID, time.Now()) }},
+		{"purchase", 12, func() error { return e.Observe(user, nil, []PurchasePair{PurchaseAt(user, prod.ID, time.Now())}) }},
 		{"buy", 188, func() error {
 			return e.Observe(user, []profile.Evidence{ev}, []PurchasePair{PurchaseAt(user, prod.ID, time.Now())})
 		}},

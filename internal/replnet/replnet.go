@@ -412,16 +412,11 @@ func (w *Writer) Observe(userID string, evs []profile.Evidence, sales []recommen
 	return w.send(kindObserve, req)
 }
 
-// RecordPurchase implements recommend.Writer.
-func (w *Writer) RecordPurchase(userID, productID string) error {
-	return w.RecordPurchaseAt(userID, productID, time.Time{})
-}
-
-// RecordPurchaseAt implements recommend.Writer: an observe frame with no
+// RecordPurchase implements recommend.Writer: an observe frame with no
 // evidence and the one purchase, whose zero time travels as an absent
 // at_epoch_ms.
-func (w *Writer) RecordPurchaseAt(userID, productID string, at time.Time) error {
-	return w.Observe(userID, nil, []recommend.PurchasePair{recommend.PurchaseAt(userID, productID, at)})
+func (w *Writer) RecordPurchase(userID, productID string) error {
+	return w.Observe(userID, nil, []recommend.PurchasePair{{UserID: userID, ProductID: productID}})
 }
 
 var _ recommend.Writer = (*Writer)(nil)

@@ -140,7 +140,7 @@ func TestTCPReplicationConverges(t *testing.T) {
 	}
 }
 
-// TestTCPForwardedTimestampedPurchase pins that RecordPurchaseAt survives
+// TestTCPForwardedTimestampedPurchase pins that a dated purchase survives
 // the wire in both directions: the timestamp reaches the owner's purchase
 // set in the forwarded frame, and comes back to the forwarding server in the
 // journal record, so both answer Trending alike.
@@ -159,7 +159,7 @@ func TestTCPForwardedTimestampedPurchase(t *testing.T) {
 		t.Fatal(err)
 	}
 	at := time.Now()
-	if err := servers[0].router.RecordPurchaseAt(remote, "p1", at); err != nil {
+	if err := servers[0].router.Observe(remote, nil, []recommend.PurchasePair{recommend.PurchaseAt(remote, "p1", at)}); err != nil {
 		t.Fatal(err)
 	}
 	trending := servers[1].engine.Trending(at.Add(time.Minute), time.Hour, 5)

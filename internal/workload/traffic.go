@@ -39,13 +39,20 @@ func (k OpKind) String() string {
 	}
 }
 
-// Op is one scheduled operation. The executing target interprets it:
-// recommend ops read, set_profile ops install a profile built from
-// ObserveProducts (for NewUser consumers a fresh one, for seeded consumers
-// a refreshed copy of their seeded profile), purchase ops record one sale.
-// Shill ops are the poisoning traffic: the target installs an attack
-// profile mimicking the hot category's taste and purchases the promoted
-// product.
+// Op is one scheduled operation. The executing target interprets it; the
+// load harness (internal/loadgen) makes each write op one Profile Agent
+// update (recommend.Writer.Observe) of the profile the owner stores:
+//   - recommend ops read;
+//   - set_profile ops observe ObserveProducts, at query strength on top of
+//     a seeded consumer's stored profile, at buy strength from no profile
+//     for a NewUser consumer;
+//   - purchase ops observe ProductID at buy strength, with its sale in the
+//     same write;
+//   - Shill ops are the poisoning traffic: a NewUser set_profile mimicking
+//     the hot category's taste whose write also buys the promoted product.
+//
+// The repository benchmark (bench/) keeps its own reading of set_profile
+// and purchase.
 type Op struct {
 	Kind            OpKind   `json:"kind"`
 	UserID          string   `json:"user_id"`
