@@ -117,18 +117,18 @@ func WithBuyerServers(n int) Option {
 
 // WithElasticOwnership puts shard ownership under the Coordinator Server's
 // lease authority instead of the static shard%N map: every Buyer Agent
-// Server renews an ownership lease each interval (1s when zero; the
-// authority's lease TTL is three times it), writes route by the leased
+// Server renews an ownership lease each interval (1s when zero or less;
+// the authority's lease TTL is three times it), writes route by the leased
 // epoch-versioned ownership map, every routed write and replication pull
 // is epoch-fenced, and when an owner's lease lapses its shards are
 // promoted to the most caught-up live follower. Map transitions surface as
 // `ownership` events with WithEvents. Requires WithBuyerServers(n) with
 // n >= 2; see DESIGN.md "Ownership & failover".
 func WithElasticOwnership(interval time.Duration) Option {
-	return func(c *platform.Config) {
-		c.ElasticOwnership = true
-		c.OwnershipLease = interval
+	if interval <= 0 {
+		interval = time.Second
 	}
+	return func(c *platform.Config) { c.OwnershipLease = interval }
 }
 
 // WithStateDir makes the platform durable under dir (created if absent):
@@ -156,16 +156,16 @@ func WithCompaction(ratio float64) Option {
 // replicator publishes structured ops events (journal appends, replication
 // lag transitions, compaction passes, recommendation deltas) onto one
 // process-wide bus, a heartbeat publishes a whole-platform Snapshot every
-// interval (DefaultEventsInterval when zero), and the buyer servers' HTTP
-// surface streams it all at GET /events. Consume in process with
-// Platform.Subscribe. Publishing is allocation-free and never blocks
+// interval (DefaultEventsInterval when zero or less), and the buyer
+// servers' HTTP surface streams it all at GET /events. Consume in process
+// with Platform.Subscribe. Publishing is allocation-free and never blocks
 // engine writes; slow consumers lose oldest events with exact drop
 // accounting. See DESIGN.md "Event plane".
 func WithEvents(interval time.Duration) Option {
-	return func(c *platform.Config) {
-		c.Events = true
-		c.EventsInterval = interval
+	if interval <= 0 {
+		interval = DefaultEventsInterval
 	}
+	return func(c *platform.Config) { c.EventsInterval = interval }
 }
 
 // Event-plane re-exports; see package ops for the full model.
@@ -194,7 +194,7 @@ const (
 )
 
 // DefaultEventsInterval is the heartbeat period WithEvents(0) selects.
-const DefaultEventsInterval = platform.DefaultEventsInterval
+const DefaultEventsInterval = ops.DefaultHeartbeatInterval
 
 // Engine re-exports; see package recommend for the full set.
 var (

@@ -398,3 +398,27 @@ func TestDeploymentOptionsTogether(t *testing.T) {
 		t.Fatalf("Hottest = %+v, server 0 %+v", hot, hot0)
 	}
 }
+
+// TestZeroIntervalsTurnFeaturesOn: WithEvents(0) and
+// WithElasticOwnership(0) turn their feature on at its default period —
+// the authority grants three 1s renewals — and elastic ownership still
+// refuses a single buyer server.
+func TestZeroIntervalsTurnFeaturesOn(t *testing.T) {
+	in := demoPlatform(t, WithBuyerServers(2), WithElasticOwnership(0), WithEvents(0)).Internal()
+	if in.Events == nil {
+		t.Error("WithEvents(0) left the event plane off")
+	}
+	if in.Ownership == nil {
+		t.Fatal("WithElasticOwnership(0) left the static map in place")
+	}
+	grant, err := in.Ownership.Renew(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grant.TTLMs != 3000 {
+		t.Errorf("lease TTL = %d ms, want 3000", grant.TTLMs)
+	}
+	if _, err := New(WithElasticOwnership(0)); err == nil {
+		t.Error("elastic ownership on one buyer server must refuse")
+	}
+}

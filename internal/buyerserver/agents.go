@@ -144,6 +144,10 @@ func (r *resident) HandleMessage(ctx *aglet.Context, msg aglet.Message) (aglet.M
 // delivery home by it too.
 const agentTimeout = 30 * time.Second
 
+// mbaTokenTTL bounds the travel token the BSMA issues each dispatched
+// Mobile Buyer Agent: a homecoming later than this is rejected.
+const mbaTokenTTL = time.Hour
+
 // --- BSMA -------------------------------------------------------------
 
 // bsmaAgent is the Buyer Server Management Agent: "the manager of Buyer
@@ -200,11 +204,13 @@ func (a *bsmaAgent) register(_ *aglet.Context, req userReq) (aglet.Message, erro
 	if exists {
 		return aglet.Message{}, fmt.Errorf("%w: %s", ErrUserExists, userID)
 	}
-	rec := UserRecord{ID: userID, RegisteredAt: time.Now()}
-	if err := s.userDB.EncodeJSON(bucketUsers, userID, rec); err != nil {
+	// The profile goes first: an id the engine refuses (ErrBadKey, a shard
+	// this server may not write) must leave no account behind.
+	if err := s.writes.SetProfile(profile.NewProfile(userID)); err != nil {
 		return aglet.Message{}, err
 	}
-	if err := s.writes.SetProfile(profile.NewProfile(userID)); err != nil {
+	rec := UserRecord{ID: userID, RegisteredAt: time.Now()}
+	if err := s.userDB.EncodeJSON(bucketUsers, userID, rec); err != nil {
 		return aglet.Message{}, err
 	}
 	return aglet.Message{Kind: kindOK}, nil

@@ -113,7 +113,7 @@ type Server struct {
 	pending  map[string]chan TaskResult
 	taskSeq  int
 	closed   bool
-	tokenTTL time.Duration
+	tokenTTL time.Duration // mbaTokenTTL; tests shorten it
 	stateDir string
 }
 
@@ -148,15 +148,6 @@ func WithStateDir(dir string) Option {
 	return func(s *Server) { s.stateDir = dir }
 }
 
-// WithTokenTTL bounds MBA travel tokens (default one hour).
-func WithTokenTTL(ttl time.Duration) Option {
-	return func(s *Server) {
-		if ttl > 0 {
-			s.tokenTTL = ttl
-		}
-	}
-}
-
 // New creates a Buyer Agent Server on host, wiring all resident agents. The
 // registry must be host-specific: New registers the bsma/pa/httpa/bra/mba
 // factories on it. engine must not be nil — pass the platform's shared
@@ -177,7 +168,7 @@ func New(host *aglet.Host, reg *aglet.Registry, engine *recommend.Engine, coordC
 		engine:   engine,
 		signer:   signer,
 		pending:  make(map[string]chan TaskResult),
-		tokenTTL: time.Hour,
+		tokenTTL: mbaTokenTTL,
 	}
 	for _, opt := range opts {
 		opt(s)

@@ -527,8 +527,14 @@ func TestOfflineCompletion(t *testing.T) {
 
 // --- MBA authentication (§4.1 principle 2) ----------------------------------
 
+// withTokenTTL bounds the MBA travel tokens the server issues by ttl
+// instead of mbaTokenTTL.
+func withTokenTTL(ttl time.Duration) Option {
+	return func(s *Server) { s.tokenTTL = ttl }
+}
+
 func TestMBAAuthRejectedOnExpiredToken(t *testing.T) {
-	m := newMechanism(t, 1, WithTokenTTL(time.Nanosecond))
+	m := newMechanism(t, 1, withTokenTTL(time.Nanosecond))
 	m.user(t, "alice")
 	_, err := m.srv.Query(testCtx(t), "alice", catalog.Query{Category: "laptop"})
 	if !errors.Is(err, ErrAuthFailed) {

@@ -3,6 +3,8 @@ package buyerserver
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
 	"slices"
 	"testing"
 	"time"
@@ -90,6 +92,56 @@ func FuzzMBAHome(f *testing.F) {
 		}
 		if accepted && (h.UserID != "alice" || h.Spec.Kind != TaskQuery) {
 			t.Fatalf("accepted a homecoming as %s's %s task, dispatched as alice's query: %q", h.UserID, h.Spec.Kind, frame)
+		}
+	})
+}
+
+// httpRoutes are the POST routes FuzzHTTPBodies sends its bodies to.
+var httpRoutes = []string{"/users", "/login", "/logout", "/tasks"}
+
+// FuzzHTTPBodies posts arbitrary bodies to the web interface's POST routes
+// on a one-market mechanism where alice is registered and logged in.
+// Nothing panics, and after any /users request UserDB holds an account for
+// the id the body names only if the engine holds that consumer's profile:
+// registration never half-creates a consumer. With oversize set, the body
+// is led by more than maxBodyBytes of JSON whitespace, so it runs past the
+// bound whatever follows while the input the fuzzer mutates stays small;
+// every route answers it 413 before any agent sees it.
+func FuzzHTTPBodies(f *testing.F) {
+	f.Add(uint8(0), false, []byte(`{"user_id":"bob"}`))
+	f.Add(uint8(0), false, []byte(`{"user_id":"a\u0000b"}`))
+	f.Add(uint8(0), true, []byte(`{"user_id":"carol"}`))
+	f.Add(uint8(1), false, []byte(`{"user_id":"alice"}`))
+	f.Add(uint8(2), false, []byte(`{"user_id":"alice"}`))
+	f.Add(uint8(3), false, []byte(`{"user_id":"alice","spec":{"kind":"query","query":{"category":"laptop"}}}`))
+	f.Add(uint8(3), false, []byte(`{"user_id":"alice","spec":{"kind":"buy","product_id":"lap1"}}`))
+	f.Add(uint8(3), true, []byte(`{"user_id":"alice","spec":{"kind":"query","query":{"category":"laptop"}}}`))
+
+	m := newMechanism(f, 1)
+	m.user(f, "alice")
+	padding := bytes.Repeat([]byte(" "), maxBodyBytes+1)
+
+	f.Fuzz(func(t *testing.T, route uint8, oversize bool, body []byte) {
+		path := httpRoutes[int(route)%len(httpRoutes)]
+		var sent io.Reader = bytes.NewReader(body)
+		if oversize {
+			sent = io.MultiReader(bytes.NewReader(padding), sent)
+		}
+		status := m.post(path, sent)
+		if oversize && status != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s answered a body past the bound %d, want 413: %q", path, status, body)
+		}
+		if path != "/users" || oversize {
+			return
+		}
+		var req userReq
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) != nil || req.UserID == "" {
+			return
+		}
+		if m.hasAccount(t, req.UserID) {
+			if _, err := m.srv.engine.Profile(req.UserID); err != nil {
+				t.Fatalf("UserDB holds an account for %q without an engine profile (%v): %q", req.UserID, err, body)
+			}
 		}
 	})
 }

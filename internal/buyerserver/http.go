@@ -59,19 +59,37 @@ func statusFor(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, ErrAuthFailed):
 		return http.StatusForbidden
-	case errors.Is(err, ErrUnknownMarket):
+	case errors.Is(err, ErrUnknownMarket), errors.Is(err, recommend.ErrBadKey):
 		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError
 	}
 }
 
-// userBody decodes a {"user_id": ...} body; on failure it answers 400
-// itself and reports !ok.
+// maxBodyBytes bounds a request body; a longer one is answered 413.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+}
+
+// badBody answers a body the handler cannot use: 413 when it exceeded
+// maxBodyBytes, 400 naming the expected shape otherwise.
+func badBody(w http.ResponseWriter, err error, shape string) {
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, httpError{Error: fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit)})
+		return
+	}
+	writeJSON(w, http.StatusBadRequest, httpError{Error: "body must be " + shape})
+}
+
+// userBody decodes a {"user_id": ...} body; on failure it answers itself
+// and reports !ok.
 func userBody(w http.ResponseWriter, r *http.Request) (userID string, ok bool) {
 	var req userReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.UserID == "" {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "body must be {\"user_id\": ...}"})
+	if err := decodeBody(w, r, &req); err != nil || req.UserID == "" {
+		badBody(w, err, `{"user_id": ...}`)
 		return "", false
 	}
 	return req.UserID, true
@@ -109,8 +127,8 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 		UserID string   `json:"user_id"`
 		Spec   TaskSpec `json:"spec"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.UserID == "" {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "body must be {\"user_id\": ..., \"spec\": {...}}"})
+	if err := decodeBody(w, r, &req); err != nil || req.UserID == "" {
+		badBody(w, err, `{"user_id": ..., "spec": {...}}`)
 		return
 	}
 	if req.Spec.Kind == "" {

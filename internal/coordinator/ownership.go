@@ -48,6 +48,12 @@ type LeaseGrant struct {
 	Reason string                 `json:"reason,omitempty"`
 }
 
+// joinGraceTTLs is how many lease TTLs after startup a server that has
+// never renewed is still given the benefit of the doubt. Booting and dead
+// look identical before the first renewal; stealing a booting server's
+// static shards would force pointless churn.
+const joinGraceTTLs = 3
+
 // OwnershipConfig sizes an ownership Authority.
 type OwnershipConfig struct {
 	Shards  int // community shard count (every server must agree)
@@ -56,12 +62,8 @@ type OwnershipConfig struct {
 	// LeaseTTL is how long one renewal keeps a server alive [3s]. A
 	// server whose lease lapses is dead: its shards fail over to the most
 	// caught-up live follower on the next renewal that observes the lapse.
+	// A server that has never renewed is given joinGraceTTLs of them.
 	LeaseTTL time.Duration
-	// JoinGrace is how long after startup a server that has never renewed
-	// is still given the benefit of the doubt [3×LeaseTTL]. Booting and
-	// dead look identical before the first renewal; stealing a booting
-	// server's static shards would force pointless churn.
-	JoinGrace time.Duration
 	// Publish, when set, receives one ops ownership event per map
 	// transition (the authority-side view, Server -1).
 	Publish func(ops.Event)
@@ -94,9 +96,6 @@ func NewOwnershipAuthority(cfg OwnershipConfig) (*Authority, error) {
 	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 3 * time.Second
-	}
-	if cfg.JoinGrace <= 0 {
-		cfg.JoinGrace = 3 * cfg.LeaseTTL
 	}
 	if cfg.now == nil {
 		cfg.now = time.Now
@@ -169,8 +168,8 @@ func (a *Authority) liveAt(server int, now time.Time) (live, dead bool) {
 		live = now.Before(a.leaseUntil[server])
 		return live, !live
 	}
-	// Never renewed: booting until JoinGrace elapses, dead after.
-	return false, now.Sub(a.started) > a.cfg.JoinGrace
+	// Never renewed: booting until the join grace elapses, dead after.
+	return false, now.Sub(a.started) > joinGraceTTLs*a.cfg.LeaseTTL
 }
 
 // preferredOwner is the deterministic placement rule: the static (epoch-1)

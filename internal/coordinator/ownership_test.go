@@ -191,7 +191,7 @@ func TestAuthorityJoinGraceProtectsBootingServers(t *testing.T) {
 	clk := newFakeClock()
 	a := newTestAuthority(t, 4, 2, clk, nil)
 
-	// Server 1 has never renewed. Within JoinGrace (3×TTL = 9s) its static
+	// Server 1 has never renewed. Within the join grace (3×TTL = 9s) its static
 	// shards must stay put even as server 0 renews.
 	if _, err := a.Renew(0, []uint64{3, 3, 3, 3}); err != nil {
 		t.Fatal(err)

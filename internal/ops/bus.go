@@ -37,35 +37,19 @@ type Bus struct {
 	closed bool
 }
 
-// DefaultReplay is how many recent events a Bus retains for resume unless
-// WithReplay overrides it.
-const DefaultReplay = 1024
+// defaultReplay is how many recent events a Bus retains for resume.
+const defaultReplay = 1024
 
-// DefaultSubscriberBuffer is a Subscription's ring capacity unless
-// SubscribeOptions.Buffer overrides it.
-const DefaultSubscriberBuffer = 256
+// defaultSubscriberBuffer is a Subscription's ring capacity.
+const defaultSubscriberBuffer = 256
 
-// BusOption configures NewBus.
-type BusOption func(*Bus)
+// NewBus returns a bus that retains the last defaultReplay events for
+// resume.
+func NewBus() *Bus { return newBus(defaultReplay) }
 
-// WithReplay sets the resume ring's capacity: how many recent events a
-// reconnecting consumer can recover. Zero disables resume entirely.
-func WithReplay(n int) BusOption {
-	return func(b *Bus) {
-		if n >= 0 {
-			b.replay = make([]Event, n)
-		}
-	}
-}
-
-// NewBus returns a bus with the default replay retention.
-func NewBus(opts ...BusOption) *Bus {
-	b := &Bus{replay: make([]Event, DefaultReplay)}
-	for _, opt := range opts {
-		opt(b)
-	}
-	return b
-}
+// newBus returns a bus whose resume ring holds replay events; zero
+// disables resume entirely.
+func newBus(replay int) *Bus { return &Bus{replay: make([]Event, replay)} }
 
 // Publish assigns ev the next sequence number and timestamp (unless the
 // producer stamped one) and fans it out. It never blocks on subscribers and
@@ -104,8 +88,6 @@ type SubscribeOptions struct {
 	// Kinds restricts delivery to the listed kinds; empty means all.
 	// Synthetic drop markers are always delivered.
 	Kinds []Kind
-	// Buffer is the subscription's ring capacity [DefaultSubscriberBuffer].
-	Buffer int
 	// Resume replays retained events with Seq > AfterSeq before going
 	// live. Events already pruned from the replay ring are surfaced as
 	// one exact drop marker at the head of the stream.
@@ -113,13 +95,15 @@ type SubscribeOptions struct {
 	AfterSeq uint64
 }
 
-// Subscribe registers a new subscription. On a closed bus the subscription
-// is returned already closed (Next reports ErrSubscriptionClosed).
+// Subscribe registers a new subscription whose ring holds
+// defaultSubscriberBuffer events. On a closed bus the subscription is
+// returned already closed (Next reports ErrSubscriptionClosed).
 func (b *Bus) Subscribe(opt SubscribeOptions) *Subscription {
-	buf := opt.Buffer
-	if buf <= 0 {
-		buf = DefaultSubscriberBuffer
-	}
+	return b.subscribe(opt, defaultSubscriberBuffer)
+}
+
+// subscribe is Subscribe with a ring of buf events.
+func (b *Bus) subscribe(opt SubscribeOptions, buf int) *Subscription {
 	s := &Subscription{
 		bus:    b,
 		ring:   make([]Event, buf),

@@ -63,8 +63,8 @@ func TestBusDeliversInPublishOrder(t *testing.T) {
 // published.
 func TestBusSlowSubscriberNeverBlocksAndDropsExactly(t *testing.T) {
 	const buffer, published = 8, 1000
-	bus := NewBus(WithReplay(0))
-	sub := bus.Subscribe(SubscribeOptions{Buffer: buffer})
+	bus := newBus(0)
+	sub := bus.subscribe(SubscribeOptions{}, buffer)
 
 	for i := 0; i < published; i++ {
 		if seq := bus.Publish(journalEvent(0, uint64(i+1))); seq == 0 {
@@ -116,9 +116,9 @@ func TestBusConcurrentSoak(t *testing.T) {
 	const perProducer = 2000
 	const total = producers * perProducer
 
-	bus := NewBus(WithReplay(0))
-	fast := bus.Subscribe(SubscribeOptions{Buffer: total}) // never drops
-	slow := bus.Subscribe(SubscribeOptions{Buffer: 16})
+	bus := newBus(0)
+	fast := bus.subscribe(SubscribeOptions{}, total) // never drops
+	slow := bus.subscribe(SubscribeOptions{}, 16)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -213,7 +213,7 @@ func TestBusResume(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
-	bus := NewBus(WithReplay(4))
+	bus := newBus(4)
 	for i := 1; i <= 10; i++ {
 		bus.Publish(journalEvent(0, uint64(i)))
 	}
@@ -303,8 +303,8 @@ func TestEventJSONCarriesOnlyItsPayload(t *testing.T) {
 // not allocate per event, with subscribers attached and dropping.
 func TestEventBusPublishZeroAlloc(t *testing.T) {
 	bus := NewBus()
-	bus.Subscribe(SubscribeOptions{Buffer: 64})                         // drops under flood
-	bus.Subscribe(SubscribeOptions{Kinds: []Kind{KindLag}, Buffer: 64}) // filters everything out
+	bus.subscribe(SubscribeOptions{}, 64)                       // drops under flood
+	bus.subscribe(SubscribeOptions{Kinds: []Kind{KindLag}}, 64) // filters everything out
 	ev := journalEvent(3, 1)
 	allocs := testing.AllocsPerRun(1000, func() {
 		bus.Publish(ev)
@@ -319,7 +319,7 @@ func TestEventBusPublishZeroAlloc(t *testing.T) {
 // Gated in CI's bench smoke alongside Recommend/Replicat/Compact.
 func BenchmarkEventBusPublish(b *testing.B) {
 	bus := NewBus()
-	bus.Subscribe(SubscribeOptions{Buffer: 1024})
+	bus.subscribe(SubscribeOptions{}, 1024)
 	ev := journalEvent(1, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -332,7 +332,7 @@ func BenchmarkEventBusPublish(b *testing.B) {
 // shard publishing at once.
 func BenchmarkEventBusPublishParallel(b *testing.B) {
 	bus := NewBus()
-	bus.Subscribe(SubscribeOptions{Buffer: 1024})
+	bus.subscribe(SubscribeOptions{}, 1024)
 	ev := journalEvent(1, 1)
 	b.ReportAllocs()
 	b.ResetTimer()

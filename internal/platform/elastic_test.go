@@ -23,20 +23,19 @@ func TestPlatformElasticOwnership(t *testing.T) {
 		prod.Stock = 100
 	}
 	p, err := New(Config{
-		Marketplaces:     1,
-		BuyerServers:     3,
-		ElasticOwnership: true,
-		OwnershipLease:   20 * time.Millisecond,
-		ReplicationPull:  10 * time.Millisecond,
-		Products:         products,
-		Events:           true,
+		Marketplaces:   1,
+		BuyerServers:   3,
+		OwnershipLease: 20 * time.Millisecond,
+		pull:           10 * time.Millisecond,
+		Products:       products,
+		EventsInterval: ops.DefaultHeartbeatInterval,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 	if p.Ownership == nil {
-		t.Fatal("ElasticOwnership did not attach an authority")
+		t.Fatal("OwnershipLease did not attach an authority")
 	}
 
 	// Lease clients renew immediately: every table arms without the map
@@ -213,7 +212,7 @@ func TestPlatformElasticOwnership(t *testing.T) {
 }
 
 func TestPlatformElasticRequiresReplication(t *testing.T) {
-	if _, err := New(Config{Marketplaces: 1, ElasticOwnership: true, Products: []*catalog.Product{}}); err == nil {
-		t.Fatal("ElasticOwnership on one buyer server must refuse")
+	if _, err := New(Config{Marketplaces: 1, OwnershipLease: time.Second, Products: []*catalog.Product{}}); err == nil {
+		t.Fatal("OwnershipLease on one buyer server must refuse")
 	}
 }

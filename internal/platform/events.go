@@ -14,24 +14,20 @@ import (
 // what the wire endpoints serve.
 
 // ErrEventsDisabled reports a Subscribe on a platform built without
-// Config.Events.
-var ErrEventsDisabled = errors.New("platform: event plane disabled (set Config.Events)")
-
-// DefaultEventsInterval is the snapshot heartbeat period unless
-// Config.EventsInterval overrides it.
-const DefaultEventsInterval = ops.DefaultHeartbeatInterval
+// Config.EventsInterval.
+var ErrEventsDisabled = errors.New("platform: event plane disabled (set Config.EventsInterval)")
 
 // Metrics returns the unified whole-platform snapshot: every buyer server's
 // engine sizing and replication status. This is the stats API — one
 // self-describing ops.Snapshot — and exactly what /metrics/snapshot serves
 // and the KindSnapshot heartbeat publishes. It works with or without
-// Config.Events.
+// Config.EventsInterval.
 func (p *Platform) Metrics() ops.Snapshot { return Snapshots(p.Replicas) }
 
 // Subscribe attaches a consumer to the platform's event bus, filtered to
 // kinds (none = all). The subscription is closed when ctx is cancelled;
 // read it with Next until ops.ErrSubscriptionClosed. ErrEventsDisabled
-// without Config.Events.
+// without Config.EventsInterval.
 func (p *Platform) Subscribe(ctx context.Context, kinds ...ops.Kind) (*ops.Subscription, error) {
 	if p.Events == nil {
 		return nil, ErrEventsDisabled
@@ -56,7 +52,7 @@ func (p *Platform) startHeartbeat(interval time.Duration) {
 }
 
 // closeEventPlane stops the heartbeat and closes the bus so wire consumers
-// drain and disconnect. Idempotent; a no-op without Config.Events.
+// drain and disconnect. Idempotent; a no-op without Config.EventsInterval.
 func (p *Platform) closeEventPlane() {
 	if p.Events == nil {
 		return

@@ -19,7 +19,6 @@ func TestPlatformEventPlane(t *testing.T) {
 		Marketplaces:   1,
 		BuyerServers:   2,
 		Products:       demoProducts(),
-		Events:         true,
 		EventsInterval: 20 * time.Millisecond,
 	})
 	if err != nil {
@@ -27,7 +26,7 @@ func TestPlatformEventPlane(t *testing.T) {
 	}
 	defer p.Close()
 	if p.Events == nil {
-		t.Fatal("Config.Events did not create a bus")
+		t.Fatal("Config.EventsInterval did not create a bus")
 	}
 
 	ctx := testCtx(t)
@@ -137,7 +136,7 @@ func TestPlatformEventsDisabled(t *testing.T) {
 // TestPlatformCloseStopsEventPlane: Close drains subscribers so consumers
 // terminate instead of hanging.
 func TestPlatformCloseStopsEventPlane(t *testing.T) {
-	p, err := New(Config{Marketplaces: 1, Products: demoProducts(), Events: true})
+	p, err := New(Config{Marketplaces: 1, Products: demoProducts(), EventsInterval: ops.DefaultHeartbeatInterval})
 	if err != nil {
 		t.Fatal(err)
 	}

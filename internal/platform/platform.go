@@ -49,44 +49,38 @@ type Config struct {
 	// engine's community WAL: the journal is rewritten down to live state
 	// in the background whenever it exceeds CompactRatio times the encoded
 	// live size. Zero keeps compaction manual (Engine.CompactState), and
-	// it is meaningless without StateDir. Several buyer servers apply the
-	// ratio with eager follower defaults (smaller minimum size, tighter
-	// check interval): a follower journals every applied record AND
+	// it is meaningless without StateDir. With several buyer servers every
+	// engine keeps a journal feed, so it compacts from a smaller journal
+	// and checks more often: a follower journals every applied record AND
 	// rewrites whole shards on snapshot catch-up, so its WAL outgrows an
 	// owner's. [0]
 	CompactRatio float64
 
-	// Events enables the streaming event plane: one ops.Bus per platform
-	// that every engine and replicator publishes into (journal appends,
+	// EventsInterval > 0 enables the streaming event plane and is its
+	// snapshot heartbeat period: one ops.Bus per platform that every
+	// engine and replicator publishes into (journal appends,
 	// recommendation deltas, compaction passes, lag transitions, periodic
 	// snapshot heartbeats), served live on every buyer server's HTTP
 	// surface (GET /events, GET /metrics/snapshot) and to embedders via
-	// Platform.Subscribe / Platform.Metrics. [false]
-	Events bool
-	// EventsInterval is the snapshot heartbeat period
-	// [DefaultEventsInterval]. Only meaningful with Events.
+	// Platform.Subscribe / Platform.Metrics. [0: no event plane]
 	EventsInterval time.Duration
 
-	// ReplicationPull is the background tail interval
-	// [recommend.DefaultPullInterval].
-	ReplicationPull time.Duration
-
-	// ElasticOwnership (only with BuyerServers >= 2) puts shard ownership
-	// under the coordinator's lease authority instead of the static
-	// shard%N map: every server renews an ownership lease each
+	// OwnershipLease > 0 (only with BuyerServers >= 2) puts shard
+	// ownership under the coordinator's lease authority instead of the
+	// static shard%N map, and is the lease renew cadence; the authority's
+	// TTL is three times it. Every server renews an ownership lease each
 	// OwnershipLease, routing and fencing follow the leased
 	// recommend.OwnershipMap, a server whose lease lapses has its shards
 	// promoted to the most caught-up follower, and every map transition is
-	// published as an `ownership` event (with Events). Without it the
-	// static map is used and nothing changes. [false]
-	ElasticOwnership bool
-	// OwnershipLease is the lease renew cadence; the authority's TTL is
-	// three times it. [1s]
+	// published as an `ownership` event (with the event plane). Zero keeps
+	// the static map, and nothing changes. [0]
 	OwnershipLease time.Duration
 
 	Tracer     *trace.Recorder    // optional workflow tracer
 	EngineOpts []recommend.Option // tuning for every engine
 	Products   []*catalog.Product // initial merchandise, distributed round-robin
+
+	pull time.Duration // journal tail interval [recommend.DefaultPullInterval]; tests shorten it
 }
 
 // ErrNoBuyerServers reports a config without any buyer server.
@@ -107,12 +101,13 @@ type Platform struct {
 	// server reads its own replica and converges on the same answers.
 	Engine *recommend.Engine
 
-	// Events is the platform's event bus (nil without Config.Events); see
-	// events.go for the embedder API (Metrics, Subscribe).
+	// Events is the platform's event bus (nil without
+	// Config.EventsInterval); see events.go for the embedder API (Metrics,
+	// Subscribe).
 	Events *ops.Bus
 
 	// Ownership is the coordinator's lease authority (nil without
-	// Config.ElasticOwnership).
+	// Config.OwnershipLease).
 	Ownership *coordinator.Authority
 
 	hosts         []*aglet.Host
@@ -131,8 +126,8 @@ func New(cfg Config) (*Platform, error) {
 	if cfg.BuyerServers < 0 {
 		return nil, ErrNoBuyerServers
 	}
-	if cfg.ElasticOwnership && cfg.BuyerServers < 2 {
-		return nil, errors.New("platform: ElasticOwnership requires BuyerServers >= 2")
+	if cfg.OwnershipLease > 0 && cfg.BuyerServers < 2 {
+		return nil, errors.New("platform: OwnershipLease requires BuyerServers >= 2")
 	}
 
 	p := &Platform{
@@ -179,7 +174,7 @@ func New(cfg Config) (*Platform, error) {
 		}
 	}
 
-	if cfg.Events {
+	if cfg.EventsInterval > 0 {
 		p.Events = ops.NewBus()
 	}
 
@@ -223,11 +218,11 @@ func New(cfg Config) (*Platform, error) {
 // server s%N, writes route to the owner, and each server tails the others.
 // Each engine journals under its own directory of the state root and
 // recovers its community from there, so a restart keeps every consumer.
-// With ElasticOwnership every replica leases the map from an authority
+// With an OwnershipLease every replica leases the map from an authority
 // attached to the coordinator; without it the static map is never leased.
 func (p *Platform) replicate(cfg Config) error {
 	var renew coordinator.RenewFunc
-	if cfg.ElasticOwnership {
+	if cfg.OwnershipLease > 0 {
 		renew = func(_ context.Context, server int, applied []uint64) (coordinator.LeaseGrant, error) {
 			return p.Ownership.Renew(server, applied)
 		}
@@ -251,7 +246,7 @@ func (p *Platform) replicate(cfg Config) error {
 			Servers: cfg.BuyerServers,
 			Catalog: p.Union,
 			Engine:  ec,
-			Pull:    cfg.ReplicationPull,
+			Pull:    cfg.pull,
 			Renew:   renew,
 			Lease:   cfg.OwnershipLease,
 		})
@@ -260,11 +255,7 @@ func (p *Platform) replicate(cfg Config) error {
 		}
 		p.Replicas = append(p.Replicas, r)
 	}
-	if cfg.ElasticOwnership {
-		lease := cfg.OwnershipLease
-		if lease <= 0 {
-			lease = time.Second
-		}
+	if renew != nil {
 		var publish func(ops.Event)
 		if p.Events != nil {
 			publish = func(ev ops.Event) { p.Events.Publish(ev) }
@@ -272,7 +263,7 @@ func (p *Platform) replicate(cfg Config) error {
 		auth, err := coordinator.NewOwnershipAuthority(coordinator.OwnershipConfig{
 			Shards:   p.Replicas[0].Engine.Shards(),
 			Servers:  cfg.BuyerServers,
-			LeaseTTL: 3 * lease,
+			LeaseTTL: 3 * cfg.OwnershipLease,
 			Publish:  publish,
 		})
 		if err != nil {

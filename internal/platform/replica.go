@@ -71,10 +71,10 @@ type Replica struct {
 // NewReplica opens server cfg.Self's engine and binds it to the static
 // epoch-1 map every server (and the authority) starts from, so routing is
 // consistent before the first lease lands. The engine of a
-// multi-server deployment also serves its journal feed and compacts with
-// the eager follower policy: it journals every record it applies from
-// peers and rewrites whole shards on snapshot catch-up, so its WAL outgrows
-// a lone server's.
+// multi-server deployment also serves its journal feed, which makes it
+// compact with the eager follower thresholds: it journals every record it
+// applies from peers and rewrites whole shards on snapshot catch-up, so its
+// WAL outgrows a lone server's.
 func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	ec, replicated := cfg.Engine, cfg.Servers > 1
 	var opts []recommend.Option
@@ -87,11 +87,7 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	if ec.StateDir != "" {
 		opts = append(opts, recommend.WithPersistence(ec.StateDir))
 		if ec.CompactRatio > 0 {
-			pol := recommend.CompactionPolicy{Ratio: ec.CompactRatio}
-			if replicated {
-				pol = recommend.FollowerCompactionPolicy(ec.CompactRatio)
-			}
-			opts = append(opts, recommend.WithAutoCompaction(pol))
+			opts = append(opts, recommend.WithAutoCompaction(recommend.CompactionPolicy{Ratio: ec.CompactRatio}))
 		}
 	}
 	if replicated {

@@ -218,23 +218,22 @@ func TestReplicatedStaticAndElasticAgree(t *testing.T) {
 	var topologies [][]followed
 
 	for _, mode := range []struct {
-		name    string
-		elastic bool
-	}{{"static", false}, {"elastic", true}} {
+		name  string
+		lease time.Duration // 0 keeps the static map
+	}{{"static", 0}, {"elastic", 200 * time.Millisecond}} {
 		t.Run(mode.name, func(t *testing.T) {
 			p, err := New(Config{
-				Marketplaces:     1,
-				BuyerServers:     3,
-				ElasticOwnership: mode.elastic,
-				OwnershipLease:   200 * time.Millisecond,
-				ReplicationPull:  10 * time.Millisecond,
-				Products:         products,
+				Marketplaces:   1,
+				BuyerServers:   3,
+				OwnershipLease: mode.lease,
+				pull:           10 * time.Millisecond,
+				Products:       products,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer p.Close()
-			if mode.elastic {
+			if mode.lease > 0 {
 				for i := range engines(p) {
 					waitFor(t, fmt.Sprintf("server %d's first lease", i), func() bool {
 						return p.Replicas[i].Engine.Ownership().Expired() == nil
@@ -285,7 +284,7 @@ func TestReplicatedStaticAndElasticAgree(t *testing.T) {
 			}
 			topologies = append(topologies, topo)
 
-			if mode.elastic {
+			if mode.lease > 0 {
 				return
 			}
 			// Static is the never-leased epoch-1 table on the fenced path: a

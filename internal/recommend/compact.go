@@ -32,40 +32,29 @@ type CompactionPolicy struct {
 	// Ratio triggers a compaction when the journal holds at least Ratio
 	// times the encoded live state. <= 0 disables automatic compaction;
 	// values at or below 1 compact whenever the journal exceeds the live
-	// state at all (subject to MinBytes).
+	// state at all. Either way the journal must first reach the engine's
+	// minimum size (compactThresholds).
 	Ratio float64
-	// MinBytes is the smallest journal worth compacting; below it the
-	// ratio is ignored [DefaultCompactMinBytes].
-	MinBytes int64
-	// CheckEvery is how many journaled writes elapse between policy
-	// evaluations on the append path [DefaultCompactCheckEvery]. Snapshot
-	// catch-up rewrites (the follower path, where a single apply can
-	// append a whole shard) always evaluate.
-	CheckEvery int
 }
 
-// Compaction policy defaults. The Follower* values are the
-// replication-aware eager variant platform deployments apply when engines
-// are replicated: a follower's WAL accumulates overwrites faster than an
-// owner's, so it is checked more often and compacted from a smaller size.
-const (
-	DefaultCompactMinBytes   = 1 << 20 // 1 MiB
-	DefaultCompactCheckEvery = 64
+// compactThresholds are the journal size below which the ratio is
+// ignored and how many journaled writes pass between policy evaluations on
+// the append path. Snapshot catch-up rewrites (the follower path, where a
+// single apply can append a whole shard) always evaluate.
+type compactThresholds struct {
+	minBytes int64
+	every    uint64
+}
 
-	FollowerCompactMinBytes   = 256 << 10 // 256 KiB
-	FollowerCompactCheckEvery = 16
+// Open picks the thresholds from the engine's role. An engine that keeps
+// a journal feed replicates, so it follows other servers' shards: it
+// journals every record it applies from a peer and rewrites whole shards
+// on snapshot catch-up, so its WAL accumulates overwrites faster than an
+// owner's and is checked more often and compacted from a smaller size.
+var (
+	ownerCompaction    = compactThresholds{minBytes: 1 << 20, every: 64}   // 1 MiB
+	followerCompaction = compactThresholds{minBytes: 256 << 10, every: 16} // 256 KiB
 )
-
-// FollowerCompactionPolicy returns the eager policy for ratio, the variant
-// deployments of several buyer servers (platform.Config.BuyerServers >= 2,
-// platformd -buyer-peers) apply to every server's engine.
-func FollowerCompactionPolicy(ratio float64) CompactionPolicy {
-	return CompactionPolicy{
-		Ratio:      ratio,
-		MinBytes:   FollowerCompactMinBytes,
-		CheckEvery: FollowerCompactCheckEvery,
-	}
-}
 
 // WithAutoCompaction makes the engine compact its persistence journal
 // automatically under p. Only meaningful together with WithPersistence /
@@ -75,17 +64,13 @@ func WithAutoCompaction(p CompactionPolicy) Option {
 }
 
 // noteJournalWrite is called after every journaled mutation commits; every
-// CheckEvery-th call it evaluates the policy. The hot-path cost is two
+// compactAt.every-th call it evaluates the policy. The hot-path cost is two
 // atomic operations.
 func (e *Engine) noteJournalWrite() {
 	if e.persist == nil || e.compactPolicy.Ratio <= 0 {
 		return
 	}
-	every := e.compactPolicy.CheckEvery
-	if every <= 0 {
-		every = DefaultCompactCheckEvery
-	}
-	if e.compactCheck.Add(1)%uint64(every) != 0 {
+	if e.compactCheck.Add(1)%e.compactAt.every != 0 {
 		return
 	}
 	e.checkCompaction()
@@ -96,11 +81,7 @@ func (e *Engine) noteJournalWrite() {
 // (journal == live) never fires, which is what terminates the background
 // re-evaluation loop even for ratios at or below 1.
 func (e *Engine) policyExceeded(js kvstore.SizeStats) bool {
-	min := e.compactPolicy.MinBytes
-	if min <= 0 {
-		min = DefaultCompactMinBytes
-	}
-	return js.JournalBytes >= min &&
+	return js.JournalBytes >= e.compactAt.minBytes &&
 		js.JournalBytes > js.LiveBytes &&
 		float64(js.JournalBytes) >= e.compactPolicy.Ratio*float64(js.LiveBytes)
 }

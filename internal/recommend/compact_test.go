@@ -17,6 +17,13 @@ import (
 	"agentrec/internal/ops"
 )
 
+// withEagerCompaction evaluates the compaction policy after every
+// journaled write from any journal size, so a small test community
+// compacts as soon as it is over the ratio.
+func withEagerCompaction() Option {
+	return func(e *Engine) { e.compactAt = compactThresholds{minBytes: 1, every: 1} }
+}
+
 // withinPolicy reports whether the engine's journal satisfies
 // journal <= ratio x live.
 func withinPolicy(st ops.EngineSnapshot, ratio float64) bool {
@@ -77,7 +84,7 @@ func TestAutoCompactionBoundsWAL(t *testing.T) {
 	dir := t.TempDir()
 	const ratio = 4
 	e := loadEngineErr(t, u, profiles, WithPersistence(dir), WithNeighbors(8),
-		WithAutoCompaction(CompactionPolicy{Ratio: ratio, MinBytes: 1, CheckEvery: 1}))
+		WithAutoCompaction(CompactionPolicy{Ratio: ratio}), withEagerCompaction())
 	defer e.Close()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
@@ -124,7 +131,7 @@ func TestFollowerAutoCompactionBoundsWAL(t *testing.T) {
 			// overflows the tail, so followers catch up by snapshot.
 			WithJournalFeed(4), WithNeighbors(8), WithShards(8),
 			WithPersistence(dirs[i]),
-			WithAutoCompaction(CompactionPolicy{Ratio: ratio, MinBytes: 1, CheckEvery: 1}))
+			WithAutoCompaction(CompactionPolicy{Ratio: ratio}), withEagerCompaction())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +276,7 @@ func TestFollowerAutoCompactionBoundsWAL(t *testing.T) {
 func TestAutoCompactionRatioOneTerminates(t *testing.T) {
 	u, profiles := soakUniverse(t)
 	e := loadEngineErr(t, u, profiles[:20], WithPersistence(t.TempDir()), WithNeighbors(8),
-		WithAutoCompaction(CompactionPolicy{Ratio: 1, MinBytes: 1, CheckEvery: 1}))
+		WithAutoCompaction(CompactionPolicy{Ratio: 1}), withEagerCompaction())
 	defer e.Close()
 	for i := 0; i < 30; i++ {
 		if err := e.SetProfile(profiles[0]); err != nil {
@@ -292,5 +299,53 @@ func TestAutoCompactionRatioOneTerminates(t *testing.T) {
 	after := e.Stats().Compactions
 	if after > before+1 {
 		t.Fatalf("compaction loop did not terminate: %d -> %d in 200ms", before, after)
+	}
+}
+
+// TestCompactionThresholdsFollowJournalFeed: Open picks the compaction
+// thresholds from the engine's role. The same writes leave a journal of
+// about 300 KiB, well over a Ratio-2 policy: an engine that keeps a
+// journal feed (a replica, which follows other servers' shards) compacts
+// it, while one without a feed leaves it alone because it is below the
+// owner's 1 MiB minimum.
+func TestCompactionThresholdsFollowJournalFeed(t *testing.T) {
+	u, profiles := soakUniverse(t)
+	const journalTarget = 300 << 10
+	pol := WithAutoCompaction(CompactionPolicy{Ratio: 2})
+
+	owner := loadEngineErr(t, u, profiles[:20], WithPersistence(t.TempDir()), WithNeighbors(8), pol)
+	defer owner.Close()
+	writes := 0
+	for owner.Stats().JournalBytes < journalTarget {
+		if err := owner.SetProfile(profiles[writes%20]); err != nil {
+			t.Fatal(err)
+		}
+		writes++
+	}
+	st := owner.Stats()
+	if st.JournalBytes >= 1<<20 || float64(st.JournalBytes) < 2*float64(st.LiveBytes) {
+		t.Fatalf("journal %d B, live %d B: want below 1 MiB and over the ratio", st.JournalBytes, st.LiveBytes)
+	}
+	if st.Compactions != 0 {
+		t.Fatalf("engine without a feed compacted a %d B journal %d times", st.JournalBytes, st.Compactions)
+	}
+
+	replica := loadEngineErr(t, u, profiles[:20], WithPersistence(t.TempDir()), WithNeighbors(8), pol,
+		WithJournalFeed(0))
+	defer replica.Close()
+	for i := 0; i < writes; i++ {
+		if err := replica.SetProfile(profiles[i%20]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for replica.Stats().Compactions == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("engine with a feed never compacted after %d writes: %+v", writes, replica.Stats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := replica.Err(); err != nil {
+		t.Fatalf("sticky error after auto compaction: %v", err)
 	}
 }

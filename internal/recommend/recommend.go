@@ -197,10 +197,11 @@ type Engine struct {
 
 	// Automatic journal compaction (zero Ratio = manual only; compact.go).
 	compactPolicy CompactionPolicy
-	compactCheck  atomic.Uint64 // journaled writes, for CheckEvery sampling
-	compacting    atomic.Bool   // single-flight guard for the background rewrite
-	compactGate   sync.Mutex    // orders compactWG.Add against Close's Wait
-	compactClosed bool          // Close ran: no new background compactions
+	compactAt     compactThresholds // picked by Open from the journal feed
+	compactCheck  atomic.Uint64     // journaled writes, for compactAt.every sampling
+	compacting    atomic.Bool       // single-flight guard for the background rewrite
+	compactGate   sync.Mutex        // orders compactWG.Add against Close's Wait
+	compactClosed bool              // Close ran: no new background compactions
 	compactWG     sync.WaitGroup
 	compactions   atomic.Uint64
 	compactNanos  atomic.Int64 // duration of the most recent compaction
@@ -257,6 +258,12 @@ func Open(cat *catalog.Catalog, opts ...Option) (*Engine, error) {
 		e.shards[i] = newShard(i)
 	}
 	e.own.Store(&binding{table: NewOwnershipTable(StaticOwnership(e.nshards, 1))})
+	if e.compactAt == (compactThresholds{}) {
+		e.compactAt = ownerCompaction
+		if e.feedCap > 0 {
+			e.compactAt = followerCompaction
+		}
+	}
 	if e.feedCap > 0 {
 		epoch, err := newFeedEpoch()
 		if err != nil {
