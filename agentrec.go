@@ -116,9 +116,10 @@ func WithBuyerServers(n int) Option {
 }
 
 // WithElasticOwnership puts shard ownership under the Coordinator Server's
-// lease authority instead of the static shard%N map: every Buyer Agent
-// Server renews an ownership lease each interval (1s when zero or less;
-// the authority's lease TTL is three times it), writes route by the leased
+// lease authority instead of the static shard%N map: the authority grants
+// leases of coordinator.LeaseTTL(interval) (interval is 1s when zero or
+// less), every Buyer Agent Server renews each third of the TTL its grant
+// carries — once per interval — writes route by the leased
 // epoch-versioned ownership map, every routed write and replication pull
 // is epoch-fenced, and when an owner's lease lapses its shards are
 // promoted to the most caught-up live follower. Map transitions surface as

@@ -101,6 +101,69 @@ func TestElasticOwnershipOverTCP(t *testing.T) {
 	}
 }
 
+// TestElasticPeersRenewAtTheGrantedCadence: the daemon hosting the CA
+// sets the lease cadence for everyone. Its -lease-interval of 50ms grants
+// 150ms leases; a peer started with -lease-interval 400ms must still renew
+// every third of that grant, so its lease never lapses and the map never
+// leaves epoch 1 — no failover of its shards, no hand-back when it
+// rejoins.
+func TestElasticPeersRenewAtTheGrantedCadence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two TCP daemons")
+	}
+	buyer1, buyer2 := freeAddr(t), freeAddr(t)
+	peers := []string{buyer1, buyer2}
+	coordAddr := freeAddr(t)
+	mk := func(self int, buyerAddr string, lease time.Duration) daemonConfig {
+		return daemonConfig{
+			markets:       1,
+			coordAddr:     coordAddr,
+			marketIP:      "127.0.0.1",
+			basePort:      portOf(t, freeAddr(t)),
+			buyerAddr:     buyerAddr,
+			httpAddr:      freeAddr(t),
+			key:           "test-platform-key",
+			shards:        4,
+			repl:          &replConfig{servers: peers, self: self, interval: 100 * time.Millisecond},
+			elastic:       true,
+			leaseInterval: lease,
+		}
+	}
+	cfg1, cfg2 := mk(0, buyer1, 50*time.Millisecond), mk(1, buyer2, 400*time.Millisecond)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	err1 := startDaemon(ctx, cfg1)
+	waitHTTP(t, "http://"+cfg1.httpAddr+"/metrics/snapshot")
+	err2 := startDaemon(ctx, cfg2)
+	waitHTTP(t, "http://"+cfg2.httpAddr+"/metrics/snapshot")
+	defer func() {
+		cancel()
+		for _, ch := range []chan error{err1, err2} {
+			select {
+			case err := <-ch:
+				if err != nil {
+					t.Errorf("daemon returned %v", err)
+				}
+			case <-time.After(20 * time.Second):
+				t.Error("daemon did not stop")
+			}
+		}
+	}()
+
+	client := atp.NewClient(security.NewSigner([]byte(cfg1.key)))
+	for end := time.Now().Add(2 * time.Second); time.Now().Before(end); time.Sleep(100 * time.Millisecond) {
+		for i, addr := range peers {
+			info, err := replnet.NewPeer(client, addr).OwnerMap(t.Context())
+			if err != nil {
+				t.Fatalf("owner-map probe of daemon %d: %v", i, err)
+			}
+			if info.Epoch != 1 {
+				t.Fatalf("daemon %d holds map epoch %d: the 400ms daemon's lease lapsed under the CA's 150ms TTL", i, info.Epoch)
+			}
+		}
+	}
+}
+
 // TestOwnerMapMismatchFailsStartup: two statically replicated daemons that
 // disagree on -engine-shards must fail their startup consistency check
 // with a descriptive error instead of silently diverging replicas.

@@ -111,7 +111,7 @@ func main() {
 		events       = flag.Bool("events", false, "event plane: stream journal/lag/compaction/rec-delta events and snapshots at GET /events and /metrics/snapshot")
 		eventsEvery  = flag.Duration("events-interval", 5*time.Second, "snapshot heartbeat period on the event plane (needs -events)")
 		elastic      = flag.Bool("coordinator", false, "coordinator-mediated elastic shard ownership: lease the ownership map from the CA at -coord and epoch-fence every replication frame (all daemons must share one -coord address; needs -buyer-peers)")
-		leaseEvery   = flag.Duration("lease-interval", time.Second, "ownership lease renewal cadence; the CA declares a server dead after 3 missed renewals (needs -coordinator)")
+		leaseEvery   = flag.Duration("lease-interval", time.Second, "ownership lease renewal cadence; only the daemon hosting the CA reads it: its leases last 3 intervals, and every daemon renews each third of the lease its last grant carried (needs -coordinator)")
 		verbose      = flag.Bool("trace", false, "print every workflow step")
 	)
 	flag.Parse()
@@ -270,16 +270,17 @@ func run(ctx context.Context, cfg daemonConfig) error {
 		}
 		log.Printf("coordinator up at %s", cfg.coordAddr)
 		if cfg.elastic {
+			ttl := coordinator.LeaseTTL(cfg.leaseInterval)
 			auth, err := coordinator.NewOwnershipAuthority(coordinator.OwnershipConfig{
 				Shards:   cfg.shards,
 				Servers:  len(cfg.repl.servers),
-				LeaseTTL: 3 * cfg.leaseInterval,
+				LeaseTTL: ttl,
 			})
 			if err != nil {
 				return err
 			}
 			coord.AttachOwnership(auth)
-			log.Printf("ownership authority attached: %d shards / %d servers, lease TTL %v", cfg.shards, len(cfg.repl.servers), 3*cfg.leaseInterval)
+			log.Printf("ownership authority attached: %d shards / %d servers, lease TTL %v", cfg.shards, len(cfg.repl.servers), ttl)
 		}
 	}
 	// register adds a directory entry — in-process when this daemon hosts
@@ -381,7 +382,6 @@ func run(ctx context.Context, cfg daemonConfig) error {
 	caProxy := buyerHost.RemoteProxy(cfg.coordAddr, coordinator.CAID)
 	if cfg.elastic {
 		rc.Renew = renewOverWire(caProxy)
-		rc.Lease = cfg.leaseInterval
 		rc.OnLeaseError = func(err error) { log.Printf("ownership lease renewal: %v", err) }
 		if bus != nil {
 			rc.OnTransition = func(ev ops.Event) { bus.Publish(ev) }
@@ -391,7 +391,7 @@ func run(ctx context.Context, cfg daemonConfig) error {
 	if err != nil {
 		return err
 	}
-	defer replica.Close()
+	defer replica.Engine.Close() // after the task group has returned from replica.Run
 	fenced := replnet.WithOwnership(replica.Engine.Ownership())
 	buyerSrv.SetJournalHandler(replnet.Handler(replica.Engine, rc.Self, rc.Servers))
 	writers := make([]recommend.Writer, rc.Servers)
@@ -465,7 +465,7 @@ func run(ctx context.Context, cfg daemonConfig) error {
 	// ownership map before divergence can do damage.
 	g.Go(func() error { return checkOwnerMaps(gctx, client, replica.Engine.Ownership(), cfg) })
 	if cfg.elastic {
-		log.Printf("elastic ownership on: leasing the map from %s every %v", cfg.coordAddr, cfg.leaseInterval)
+		log.Printf("elastic ownership on: leasing the map from %s, renewing every third of the granted TTL", cfg.coordAddr)
 	}
 	if bus != nil {
 		g.Go(func() error { bus.Heartbeat(gctx, cfg.eventsInterval, metrics); return nil })

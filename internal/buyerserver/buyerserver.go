@@ -16,7 +16,7 @@
 //     principle 2).
 //
 // plus UserDB (accounts, transactions, offline-result inbox) and BSMDB
-// (platform directory cache, MBA trip records) on the kvstore substrate.
+// (MBA trip records, its creation marker) on the kvstore substrate.
 // A consumer's profile has one home, the community engine: the PA sends
 // its evidence to the shard owner, which applies the update.
 //
@@ -142,7 +142,7 @@ func WithCommunityWriter(w recommend.Writer) Option {
 
 // WithStateDir persists the mechanism's databases under dir (created if
 // absent): UserDB (accounts, transactions, inbox) in userdb.wal
-// and BSMDB (directory cache, MBA trip records) in bsmdb.wal, both
+// and BSMDB (MBA trip records, creation marker) in bsmdb.wal, both
 // WAL-backed and recovered on New.
 func WithStateDir(dir string) Option {
 	return func(s *Server) { s.stateDir = dir }

@@ -25,7 +25,7 @@ import (
 // The authority is deliberately a small in-memory state machine driven
 // only by renewals and deregistrations (no background goroutine): time
 // enters through now(), so tests drive failover with a fake clock, and a
-// deployment's failover latency is simply its renew cadence.
+// deployment's failover latency is simply the lease TTL every grant carries.
 
 // KindLease is the CA message kind of an ownership lease renewal.
 const KindLease = "ownership-lease"
@@ -47,6 +47,15 @@ type LeaseGrant struct {
 	TTLMs  int64                  `json:"ttl_ms"`
 	Reason string                 `json:"reason,omitempty"`
 }
+
+// LeaseTTL is the TTL of a lease renewed every renewEvery: a server misses
+// renewalsPerTTL renewals in a row before its lease lapses.
+func LeaseTTL(renewEvery time.Duration) time.Duration { return renewalsPerTTL * renewEvery }
+
+const (
+	renewalsPerTTL    = 3
+	firstRenewalRetry = 100 * time.Millisecond // until a grant sets the cadence
+)
 
 // joinGraceTTLs is how many lease TTLs after startup a server that has
 // never renewed is still given the benefit of the doubt. Booting and dead
@@ -95,7 +104,7 @@ func NewOwnershipAuthority(cfg OwnershipConfig) (*Authority, error) {
 			cfg.Shards, cfg.Servers)
 	}
 	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = 3 * time.Second
+		cfg.LeaseTTL = LeaseTTL(time.Second)
 	}
 	if cfg.now == nil {
 		cfg.now = time.Now
@@ -295,26 +304,25 @@ func (c *Coordinator) Ownership() *Authority {
 // in process, a CA round-trip over the wire.
 type RenewFunc func(ctx context.Context, server int, applied []uint64) (LeaseGrant, error)
 
-// LeaseClient keeps one server's OwnershipTable leased: every Interval it
-// renews against the authority with fresh catch-up evidence, advances the
-// table when the grant carries a newer map, and re-arms the lease expiry.
-// If renewals stop succeeding the table simply expires — that is the lease
-// discipline, not an error path: the server stops claiming ownership until
-// it can renew again.
+// LeaseClient keeps one server's OwnershipTable leased: it renews against
+// the authority with fresh catch-up evidence, advances the table when the
+// grant carries a newer map, and re-arms the lease expiry. If renewals
+// stop succeeding the table simply expires — that is the lease discipline,
+// not an error path: the server stops claiming ownership until it can
+// renew again.
 type LeaseClient struct {
-	Self     int
-	Table    *recommend.OwnershipTable
-	Renew    RenewFunc
-	Applied  func() []uint64 // catch-up evidence (Replicator.AppliedSeqs); may be nil
-	Interval time.Duration   // renew cadence [1s]; keep well under the authority's TTL
-	Publish  func(ops.Event) // local ownership-transition events; may be nil
-	OnError  func(error)     // renewal failures (transient by design); may be nil
+	Self    int
+	Table   *recommend.OwnershipTable
+	Renew   RenewFunc
+	Applied func() []uint64 // catch-up evidence (Replicator.AppliedSeqs); may be nil
+	Publish func(ops.Event) // local ownership-transition events; may be nil
+	OnError func(error)     // renewal failures (transient by design); may be nil
 }
 
-// RenewOnce performs one renewal: evidence out, grant in, table advanced
-// and lease re-armed. A map transition observed here is published as this
-// server's view of it (Server = Self).
-func (c *LeaseClient) RenewOnce(ctx context.Context) error {
+// renewOnce performs one renewal: evidence out, grant in, table advanced
+// and lease re-armed, and returns the grant's TTL. A map transition
+// observed here is published as this server's view of it (Server = Self).
+func (c *LeaseClient) renewOnce(ctx context.Context) (time.Duration, error) {
 	var applied []uint64
 	if c.Applied != nil {
 		applied = c.Applied()
@@ -326,11 +334,12 @@ func (c *LeaseClient) RenewOnce(ctx context.Context) error {
 	sent := time.Now()
 	grant, err := c.Renew(ctx, c.Self, applied)
 	if err != nil {
-		return err
+		return 0, err
 	}
+	ttl := time.Duration(grant.TTLMs) * time.Millisecond
 	prev := c.Table.Current()
 	advanced := c.Table.Advance(grant.Map)
-	c.Table.Lease(sent.Add(time.Duration(grant.TTLMs) * time.Millisecond))
+	c.Table.Lease(sent.Add(ttl))
 	if advanced && c.Publish != nil {
 		c.Publish(ops.Event{Kind: ops.KindOwnership, Ownership: ops.OwnershipEvent{
 			Server:    c.Self,
@@ -340,28 +349,32 @@ func (c *LeaseClient) RenewOnce(ctx context.Context) error {
 			Moved:     recommend.DiffOwnership(prev, grant.Map),
 		}})
 	}
-	return nil
+	return ttl, nil
 }
 
-// Run renews every Interval until ctx is done. Renewal errors go to
-// OnError and the loop keeps trying: a lapsed lease already protects the
-// deployment (the table expires), so the client's job is only to come
-// back.
+// Run renews until ctx is done, every third of the TTL the last grant
+// carried (every firstRenewalRetry until a grant arrives), measured from
+// send to send. Renewal errors go to OnError and the loop keeps trying: a
+// lapsed lease already protects the deployment (the table expires), so the
+// client's job is only to come back.
 func (c *LeaseClient) Run(ctx context.Context) error {
-	interval := c.Interval
-	if interval <= 0 {
-		interval = time.Second
-	}
-	t := time.NewTicker(interval)
+	every := firstRenewalRetry
+	t := time.NewTimer(0)
 	defer t.Stop()
 	for {
-		if err := c.RenewOnce(ctx); err != nil && c.OnError != nil {
-			c.OnError(err)
-		}
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-t.C:
 		}
+		sent := time.Now()
+		ttl, err := c.renewOnce(ctx)
+		if err != nil && c.OnError != nil {
+			c.OnError(err)
+		}
+		if ttl > 0 {
+			every = ttl / renewalsPerTTL
+		}
+		t.Reset(time.Until(sent.Add(every)))
 	}
 }

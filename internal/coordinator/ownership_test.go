@@ -229,7 +229,7 @@ func TestLeaseClientAdvancesAndArmsTable(t *testing.T) {
 		Applied: func() []uint64 { return []uint64{9, 9, 9, 9} },
 		Publish: func(ev ops.Event) { published = append(published, ev) },
 	}
-	if err := client.RenewOnce(context.Background()); err != nil {
+	if _, err := client.renewOnce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := table.Expired(); err != nil {
@@ -244,7 +244,7 @@ func TestLeaseClientAdvancesAndArmsTable(t *testing.T) {
 	if err := a.DeregisterServer(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.RenewOnce(context.Background()); err != nil {
+	if _, err := client.renewOnce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if table.Epoch() != 2 {
@@ -276,12 +276,47 @@ func TestLeaseCountsFromRequestNotReply(t *testing.T) {
 		},
 	}
 	sent := time.Now()
-	if err := client.RenewOnce(context.Background()); err != nil {
+	if _, err := client.renewOnce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(time.Until(sent.Add(ttl + 50*time.Millisecond)))
 	if err := table.Expired(); !errors.Is(err, recommend.ErrLeaseExpired) {
 		t.Fatalf("%v after the renewal was sent under a %v TTL: Expired() = %v, want ErrLeaseExpired",
 			time.Since(sent), ttl, err)
+	}
+}
+
+// TestLeaseClientRenewsAtAThirdOfTheGrantedTTL: until its first grant the
+// client retries every firstRenewalRetry; from then on it renews every
+// third of the TTL the grant carried, whatever cadence its peers keep.
+func TestLeaseClientRenewsAtAThirdOfTheGrantedTTL(t *testing.T) {
+	const ttl = 30 * time.Millisecond
+	table := recommend.NewOwnershipTable(recommend.StaticOwnership(4, 2))
+	var calls []time.Time
+	client := &LeaseClient{
+		Self:  0,
+		Table: table,
+		Renew: func(context.Context, int, []uint64) (LeaseGrant, error) {
+			calls = append(calls, time.Now())
+			if len(calls) == 1 {
+				return LeaseGrant{}, errors.New("authority not up yet")
+			}
+			return LeaseGrant{Map: table.Current(), TTLMs: ttl.Milliseconds()}, nil
+		},
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), firstRenewalRetry+200*time.Millisecond)
+	defer cancel()
+	client.Run(ctx)
+
+	if len(calls) < 2 {
+		t.Fatalf("%d renewals, want a retry after the failed first one", len(calls))
+	}
+	if gap := calls[1].Sub(calls[0]); gap < firstRenewalRetry-5*time.Millisecond {
+		t.Fatalf("retried %v after the failed first renewal, want %v", gap, firstRenewalRetry)
+	}
+	// 200ms at one renewal per 10ms is 20; a client stuck at the retry
+	// cadence would make 2.
+	if granted := len(calls) - 2; granted < 8 {
+		t.Fatalf("%d renewals in the 200ms after the first grant, want about 20 (every %v)", granted, ttl/renewalsPerTTL)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"agentrec/internal/platform"
 	"agentrec/internal/profile"
 	"agentrec/internal/recommend"
 )
@@ -188,17 +189,14 @@ func (w *world) Kill(ctx context.Context) error {
 	// survivor pass drains every acknowledged record before the journal
 	// disappears. The authority cannot promote before this completes — the
 	// victim's lease has a full TTL left and promotion needs the lapse.
-	for i, r := range w.replicas {
-		if i == victim {
-			continue
-		}
-		if err := r.Replicator.Sync(ctx); err != nil {
+	for _, i := range w.live() {
+		if err := w.replicas[i].Replicator.Sync(ctx); err != nil {
 			return fmt.Errorf("draining victim journal into server %d: %w", i, err)
 		}
 	}
 	w.gates[victim].Store(gateDead)
-	w.replicas[victim].Stop()
-	// The probe bounds its own lifetime: Finish waits for it, and a run
+	w.stops[victim]() // its engine stays open: replayStaleWrites writes through it
+	// The probe bounds its own lifetime: Drain waits for it, and a run
 	// whose caller context never cancels must not hang on a window that
 	// never closes — it must report it.
 	pctx, cancel := context.WithTimeout(ctx, time.Minute)
@@ -300,12 +298,37 @@ func shardFingerprint(e *recommend.Engine, shard int) (uint64, error) {
 	}
 }
 
+// divergentShards fingerprints every shard on each of servers' engines and
+// returns one error per shard on which a server's replica differs from the
+// first server's, naming the shard and both servers. A lone server has
+// nothing to differ from.
+func divergentShards(rs []*platform.Replica, servers []int) (div []error, err error) {
+	if len(servers) < 2 {
+		return nil, nil
+	}
+	for s := 0; s < rs[servers[0]].Engine.Shards(); s++ {
+		var want uint64
+		for k, i := range servers {
+			fp, err := shardFingerprint(rs[i].Engine, s)
+			if err != nil {
+				return nil, fmt.Errorf("fingerprinting shard %d on server %d: %w", s, i, err)
+			}
+			if k == 0 {
+				want = fp
+			} else if fp != want {
+				div = append(div, fmt.Errorf("shard %d diverged: server %d's replica differs from server %d's", s, i, servers[0]))
+				break
+			}
+		}
+	}
+	return div, nil
+}
+
 // Finish runs the post-drain verdicts: the replay fencing check, the
 // lost-acked-write audit against every survivor, and the cross-survivor
 // divergence fingerprint. Called after the final Drain, when the
 // survivors' replicas have converged.
 func (w *world) Finish() (*FailoverResult, error) {
-	w.probeWG.Wait()
 	w.resMu.Lock()
 	killedW, recovW, probeEr := w.killedW, w.recovW, w.probeEr
 	w.resMu.Unlock()
@@ -354,12 +377,10 @@ func (w *world) Finish() (*FailoverResult, error) {
 	}
 	w.ackedMu.Unlock()
 	sort.Strings(users)
+	survivors := w.live()
 	for _, u := range users {
-		for i, r := range w.replicas {
-			if i == victim {
-				continue
-			}
-			if _, err := r.Engine.Profile(u); err != nil {
+		for _, i := range survivors {
+			if _, err := w.replicas[i].Engine.Profile(u); err != nil {
 				res.LostAckedWrites++
 				break
 			}
@@ -367,25 +388,10 @@ func (w *world) Finish() (*FailoverResult, error) {
 	}
 
 	// Survivor replicas must agree shard by shard.
-	shards := w.replicas[0].Engine.Shards()
-	for s := 0; s < shards; s++ {
-		var want uint64
-		first := true
-		for i, r := range w.replicas {
-			if i == victim {
-				continue
-			}
-			fp, err := shardFingerprint(r.Engine, s)
-			if err != nil {
-				return nil, fmt.Errorf("fingerprinting shard %d on server %d: %w", s, i, err)
-			}
-			if first {
-				want, first = fp, false
-			} else if fp != want {
-				res.DivergentShards++
-				break
-			}
-		}
+	div, err := divergentShards(w.replicas, survivors)
+	if err != nil {
+		return nil, err
 	}
+	res.DivergentShards = len(div)
 	return res, nil
 }

@@ -3,11 +3,15 @@ package loadgen
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 
+	"agentrec/internal/catalog"
 	"agentrec/internal/kvstore"
+	"agentrec/internal/platform"
 	"agentrec/internal/profile"
 	"agentrec/internal/recommend"
 	"agentrec/internal/workload"
@@ -136,6 +140,58 @@ func TestFailoverWindowIgnoresWriteAdmittedBeforeKill(t *testing.T) {
 	}
 	if !recovW.After(killedW) {
 		t.Fatalf("window closed at %v, not after the kill at %v", recovW, killedW)
+	}
+}
+
+// TestDivergentShardsReportsALaggingReplica: the convergence check finds
+// nothing on a caught-up pair of servers, and names the shard and the
+// servers when one replica misses a single purchase.
+func TestDivergentShardsReportsALaggingReplica(t *testing.T) {
+	cat := catalog.New()
+	if err := cat.Upsert(&catalog.Product{ID: "p1", Name: "P1", Category: "laptop", PriceCents: 100, SellerID: "s", Stock: 10}); err != nil {
+		t.Fatal(err)
+	}
+	var rs []*platform.Replica
+	for i := 0; i < 2; i++ {
+		r, err := platform.NewReplica(platform.ReplicaConfig{Self: i, Servers: 2, Catalog: cat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Engine.Close()
+		rs = append(rs, r)
+	}
+	for i, r := range rs {
+		if err := r.Connect(platform.LocalLinks(rs, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buy := func(user string) {
+		t.Helper()
+		if err := rs[0].Router.Observe(user, nil, []recommend.PurchasePair{{UserID: user, ProductID: "p1"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 0; k < 20; k++ {
+		buy("buyer-" + strconv.Itoa(k))
+	}
+	for _, r := range rs {
+		if err := r.Replicator.Sync(t.Context()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if div, err := divergentShards(rs, []int{0, 1}); err != nil || len(div) != 0 {
+		t.Fatalf("caught-up pair: divergence %v, err %v", div, err)
+	}
+
+	// One more purchase that server 1 has not pulled yet.
+	buy("late-buyer")
+	div, err := divergentShards(rs, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("shard %d diverged: server 1's replica differs from server 0's", rs[0].Engine.ShardOf("late-buyer"))
+	if len(div) != 1 || div[0].Error() != want {
+		t.Fatalf("divergence = %v, want [%s]", div, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -278,6 +279,11 @@ func RunScenario(ctx context.Context, s Scenario, opt RunOptions) (*ScenarioResu
 		return nil, fmt.Errorf("loadgen: draining replicas: %w", err)
 	}
 	drainDur := time.Since(drainStart)
+	// Every live server must now hold the same replica of every shard.
+	div, err := divergentShards(w.replicas, w.live())
+	if err := errors.Join(append(div, err)...); err != nil {
+		return nil, fmt.Errorf("loadgen: after the final drain: %w", err)
+	}
 	final := platform.Snapshots(w.replicas)
 
 	res := &ScenarioResult{

@@ -86,6 +86,7 @@ type world struct {
 	s        Scenario
 	exec     *opExec
 	replicas []*platform.Replica
+	stops    []func()       // per server: cancel its Run and wait; nil until started
 	gates    []atomic.Int32 // one liveness gate per server (failover.go)
 	serving  int
 	next     atomic.Uint64
@@ -116,7 +117,6 @@ func newWorld(s Scenario, u *workload.Universe, serving int, stateDir string) (w
 		}
 	}
 	pull, servers := recommend.DefaultPullInterval, serving
-	leaseTTL := time.Duration(s.FailoverLeaseMs) * time.Millisecond
 	switch {
 	case s.ColdFollower:
 		pull, servers = 50*time.Millisecond, serving+1
@@ -127,6 +127,7 @@ func newWorld(s Scenario, u *workload.Universe, serving int, stateDir string) (w
 	}
 	w = &world{
 		s: s, exec: &opExec{cat: cat}, serving: serving,
+		stops: make([]func(), servers),
 		gates: make([]atomic.Int32, servers),
 		acked: make(map[string]bool),
 	}
@@ -146,7 +147,6 @@ func newWorld(s Scenario, u *workload.Universe, serving int, stateDir string) (w
 				}
 				return w.auth.Renew(server, applied)
 			}
-			rc.Lease = leaseTTL / 3
 		}
 		if stateDir != "" {
 			rc.Engine.StateDir = filepath.Join(stateDir, "server-"+strconv.Itoa(i))
@@ -159,7 +159,7 @@ func newWorld(s Scenario, u *workload.Universe, serving int, stateDir string) (w
 	}
 	if s.Failover {
 		if w.auth, err = coordinator.NewOwnershipAuthority(coordinator.OwnershipConfig{
-			Shards: w.replicas[0].Engine.Shards(), Servers: servers, LeaseTTL: leaseTTL,
+			Shards: w.replicas[0].Engine.Shards(), Servers: servers, LeaseTTL: time.Duration(s.FailoverLeaseMs) * time.Millisecond,
 		}); err != nil {
 			return w, err
 		}
@@ -169,10 +169,18 @@ func newWorld(s Scenario, u *workload.Universe, serving int, stateDir string) (w
 			return w, err
 		}
 	}
-	for _, r := range w.replicas[:serving] {
-		r.Start()
+	for i := range w.replicas[:serving] {
+		w.start(i)
 	}
 	return w, nil
+}
+
+// start runs server i's loops until stops[i] cancels them and waits.
+func (w *world) start(i int) {
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { w.replicas[i].Run(ctx); close(done) }()
+	w.stops[i] = func() { cancel(); <-done }
 }
 
 // connect joins server i to the others through their gates. Tails are read
@@ -229,21 +237,38 @@ func (w *world) Do(ctx context.Context, op workload.Op) error {
 	}
 }
 
-// Drain runs one catch-up pass on every connected live server.
-func (w *world) Drain(ctx context.Context) error {
-	var errs []error
+// live lists the connected servers whose gate is live.
+func (w *world) live() []int {
+	var live []int
 	for i, r := range w.replicas {
 		if r.Replicator != nil && w.gates[i].Load() == gateLive {
-			errs = append(errs, r.Replicator.Sync(ctx))
+			live = append(live, i)
 		}
+	}
+	return live
+}
+
+// Drain runs one catch-up pass on every connected live server, once the
+// failover probe's last write (if any) has landed.
+func (w *world) Drain(ctx context.Context) error {
+	w.probeWG.Wait()
+	var errs []error
+	for _, i := range w.live() {
+		errs = append(errs, w.replicas[i].Replicator.Sync(ctx))
 	}
 	return errors.Join(errs...)
 }
 
+// Close stops every started server's loops, then closes the engines.
 func (w *world) Close() error {
+	for _, stop := range w.stops {
+		if stop != nil {
+			stop()
+		}
+	}
 	var errs []error
 	for _, r := range w.replicas {
-		errs = append(errs, r.Close())
+		errs = append(errs, r.Engine.Close())
 	}
 	return errors.Join(errs...)
 }
@@ -278,7 +303,7 @@ func (w *world) Bootstrap(ctx context.Context) error {
 		return fmt.Errorf("loadgen: cold bootstrap: %w", err)
 	}
 	bootstrap := time.Since(start)
-	cold.Start() // keep tailing for the rest of the run
+	w.start(w.serving) // keep tailing for the rest of the run
 
 	res := &ColdFollowerResult{
 		WarmServers: w.serving,

@@ -3,7 +3,6 @@ package platform
 import (
 	"context"
 	"errors"
-	"time"
 
 	"agentrec/internal/ops"
 )
@@ -33,33 +32,6 @@ func (p *Platform) Subscribe(ctx context.Context, kinds ...ops.Kind) (*ops.Subsc
 		return nil, ErrEventsDisabled
 	}
 	sub := p.Events.Subscribe(ops.SubscribeOptions{Kinds: kinds})
-	stop := context.AfterFunc(ctx, sub.Close)
-	_ = stop // the subscription outliving ctx is the only lifecycle; Close is idempotent
+	context.AfterFunc(ctx, sub.Close) // Close is idempotent
 	return sub, nil
-}
-
-// startHeartbeat launches the snapshot heartbeat New owns. Called at the end
-// of New — after every engine and replicator is in place, so a tick never
-// races construction.
-func (p *Platform) startHeartbeat(interval time.Duration) {
-	ctx, cancel := context.WithCancel(context.Background())
-	p.stopHeartbeat = cancel
-	p.heartbeatDone = make(chan struct{})
-	go func() {
-		defer close(p.heartbeatDone)
-		p.Events.Heartbeat(ctx, interval, p.Metrics)
-	}()
-}
-
-// closeEventPlane stops the heartbeat and closes the bus so wire consumers
-// drain and disconnect. Idempotent; a no-op without Config.EventsInterval.
-func (p *Platform) closeEventPlane() {
-	if p.Events == nil {
-		return
-	}
-	if p.stopHeartbeat != nil {
-		p.stopHeartbeat()
-		<-p.heartbeatDone
-	}
-	p.Events.Close()
 }

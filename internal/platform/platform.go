@@ -25,6 +25,7 @@ import (
 	"io"
 	"path/filepath"
 	"sort"
+	"sync"
 	"time"
 
 	"agentrec/internal/aglet"
@@ -67,13 +68,13 @@ type Config struct {
 
 	// OwnershipLease > 0 (only with BuyerServers >= 2) puts shard
 	// ownership under the coordinator's lease authority instead of the
-	// static shard%N map, and is the lease renew cadence; the authority's
-	// TTL is three times it. Every server renews an ownership lease each
-	// OwnershipLease, routing and fencing follow the leased
-	// recommend.OwnershipMap, a server whose lease lapses has its shards
-	// promoted to the most caught-up follower, and every map transition is
-	// published as an `ownership` event (with the event plane). Zero keeps
-	// the static map, and nothing changes. [0]
+	// static shard%N map. The authority grants leases of
+	// coordinator.LeaseTTL(OwnershipLease), and every server renews each
+	// third of the TTL its grant carries: once per OwnershipLease. Routing
+	// and fencing follow the leased recommend.OwnershipMap, a server whose
+	// lease lapses has its shards promoted to the most caught-up follower,
+	// and every map transition is published as an `ownership` event (with
+	// the event plane). Zero keeps the static map, and nothing changes. [0]
 	OwnershipLease time.Duration
 
 	Tracer     *trace.Recorder    // optional workflow tracer
@@ -110,9 +111,9 @@ type Platform struct {
 	// Config.OwnershipLease).
 	Ownership *coordinator.Authority
 
-	hosts         []*aglet.Host
-	stopHeartbeat context.CancelFunc
-	heartbeatDone chan struct{}
+	hosts []*aglet.Host
+	stop  context.CancelFunc // cancels the one context New runs every loop under
+	loops sync.WaitGroup     // every replica's Run and the snapshot heartbeat
 }
 
 // New boots a platform.
@@ -130,9 +131,11 @@ func New(cfg Config) (*Platform, error) {
 		return nil, errors.New("platform: OwnershipLease requires BuyerServers >= 2")
 	}
 
+	ctx, stop := context.WithCancel(context.Background())
 	p := &Platform{
 		Loopback: aglet.NewLoopback(),
 		Union:    catalog.New(),
+		stop:     stop,
 	}
 	ok := false
 	defer func() {
@@ -178,7 +181,7 @@ func New(cfg Config) (*Platform, error) {
 		p.Events = ops.NewBus()
 	}
 
-	if err := p.replicate(cfg); err != nil {
+	if err := p.replicate(ctx, cfg); err != nil {
 		return nil, err
 	}
 	p.Engine = p.Replicas[0].Engine
@@ -208,7 +211,9 @@ func New(cfg Config) (*Platform, error) {
 		p.Buyers = append(p.Buyers, srv)
 	}
 	if p.Events != nil {
-		p.startHeartbeat(cfg.EventsInterval)
+		// Last, so a tick never races construction.
+		p.loops.Add(1)
+		go func() { defer p.loops.Done(); p.Events.Heartbeat(ctx, cfg.EventsInterval, p.Metrics) }()
 	}
 	ok = true
 	return p, nil
@@ -220,7 +225,8 @@ func New(cfg Config) (*Platform, error) {
 // recovers its community from there, so a restart keeps every consumer.
 // With an OwnershipLease every replica leases the map from an authority
 // attached to the coordinator; without it the static map is never leased.
-func (p *Platform) replicate(cfg Config) error {
+// Every replica runs under ctx.
+func (p *Platform) replicate(ctx context.Context, cfg Config) error {
 	var renew coordinator.RenewFunc
 	if cfg.OwnershipLease > 0 {
 		renew = func(_ context.Context, server int, applied []uint64) (coordinator.LeaseGrant, error) {
@@ -248,7 +254,6 @@ func (p *Platform) replicate(cfg Config) error {
 			Engine:  ec,
 			Pull:    cfg.pull,
 			Renew:   renew,
-			Lease:   cfg.OwnershipLease,
 		})
 		if err != nil {
 			return err
@@ -263,7 +268,7 @@ func (p *Platform) replicate(cfg Config) error {
 		auth, err := coordinator.NewOwnershipAuthority(coordinator.OwnershipConfig{
 			Shards:   p.Replicas[0].Engine.Shards(),
 			Servers:  cfg.BuyerServers,
-			LeaseTTL: 3 * cfg.OwnershipLease,
+			LeaseTTL: coordinator.LeaseTTL(cfg.OwnershipLease),
 			Publish:  publish,
 		})
 		if err != nil {
@@ -278,7 +283,8 @@ func (p *Platform) replicate(cfg Config) error {
 		}
 	}
 	for _, r := range p.Replicas {
-		r.Start()
+		p.loops.Add(1)
+		go func() { defer p.loops.Done(); r.Run(ctx) }()
 	}
 	return nil
 }
@@ -416,15 +422,16 @@ func Seed(eng *recommend.Engine, w recommend.Writer, profiles []*profile.Profile
 	return nil
 }
 
-// Close shuts everything down: the event plane first (heartbeat stopped,
-// bus closed so wire consumers drain and disconnect), then the replicas'
-// loops (no new applies or renewals), buyer servers (they own live agents
+// Close shuts everything down: every loop New started first (the replicas'
+// pulls and renewals, the snapshot heartbeat), then the event bus (so wire
+// consumers drain and disconnect), buyer servers (they own live agents
 // with in-flight trips), marketplaces, the coordinator, and the engines'
 // persistence journals.
 func (p *Platform) Close() error {
-	p.closeEventPlane()
-	for _, r := range p.Replicas {
-		r.Stop()
+	p.stop()
+	p.loops.Wait()
+	if p.Events != nil {
+		p.Events.Close()
 	}
 	var first error
 	for _, b := range p.Buyers {

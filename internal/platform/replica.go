@@ -42,17 +42,18 @@ type ReplicaConfig struct {
 	// Renew leases the ownership map from a coordinator — a direct
 	// Authority call in process, a CA round-trip over the wire. Nil is the
 	// no-coordinator deployment: the table stays the static epoch-1 map and
-	// is never leased, so it never expires and nothing ever moves.
+	// is never leased, so it never expires and nothing ever moves. Leases
+	// renew every third of the TTL the authority grants.
 	Renew        coordinator.RenewFunc
-	Lease        time.Duration   // renewal cadence [1s]
 	OnTransition func(ops.Event) // each adopted map transition; may be nil
 	OnLeaseError func(error)     // renewal failures (transient by design); may be nil
 }
 
 // Replica is one Buyer Agent Server of a deployment. NewReplica opens the
 // engine and binds it to its ownership map; Connect joins it to its peers;
-// Run (or Start, its background form) drives journal pulls and lease
-// renewals. The engine's table (Engine.Ownership) is the server's one map,
+// Run drives journal pulls and lease renewals under the context of
+// whoever assembled the deployment, which closes the Engine once Run has
+// returned. The engine's table (Engine.Ownership) is the server's one map,
 // so routing, pulling and fencing take one path: static deployments hold
 // the never-leased epoch-1 shard%N map, leased ones advance it per grant.
 type Replica struct {
@@ -62,10 +63,6 @@ type Replica struct {
 
 	cfg   ReplicaConfig
 	lease *coordinator.LeaseClient // nil without cfg.Renew
-
-	startOnce sync.Once
-	cancel    context.CancelFunc // set by Start; stops its Run
-	done      chan struct{}      // closed when Start's Run has returned
 }
 
 // NewReplica opens server cfg.Self's engine and binds it to the static
@@ -119,13 +116,12 @@ func (r *Replica) Connect(writers []recommend.Writer, peers []recommend.Peer) er
 	r.Router, r.Replicator = router, repl
 	if r.cfg.Renew != nil {
 		r.lease = &coordinator.LeaseClient{
-			Self:     r.cfg.Self,
-			Table:    r.Engine.Ownership(),
-			Renew:    r.cfg.Renew,
-			Applied:  repl.AppliedSeqs,
-			Interval: r.cfg.Lease,
-			Publish:  r.cfg.OnTransition,
-			OnError:  r.cfg.OnLeaseError,
+			Self:    r.cfg.Self,
+			Table:   r.Engine.Ownership(),
+			Renew:   r.cfg.Renew,
+			Applied: repl.AppliedSeqs,
+			Publish: r.cfg.OnTransition,
+			OnError: r.cfg.OnLeaseError,
 		}
 	}
 	return nil
@@ -166,36 +162,6 @@ func (r *Replica) Run(ctx context.Context) error {
 	err := r.Replicator.Run(ctx)
 	renewals.Wait()
 	return err
-}
-
-// Start launches Run in a background goroutine that Stop ends. It is
-// idempotent.
-func (r *Replica) Start() {
-	r.startOnce.Do(func() {
-		ctx, cancel := context.WithCancel(context.Background())
-		r.cancel = cancel
-		r.done = make(chan struct{})
-		go func() {
-			defer close(r.done)
-			r.Run(ctx)
-		}()
-	})
-}
-
-// Stop ends the loops Start launched, if any, and waits for them; the
-// engine stays open, so a stopped server can still be read and written.
-func (r *Replica) Stop() {
-	r.startOnce.Do(func() {}) // orders this read of cancel after Start's write
-	if r.cancel != nil {
-		r.cancel()
-		<-r.done
-	}
-}
-
-// Close stops the replica and closes its engine.
-func (r *Replica) Close() error {
-	r.Stop()
-	return r.Engine.Close()
 }
 
 // Snapshot is this server's slice of the unified stats view.

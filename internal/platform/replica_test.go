@@ -1,11 +1,16 @@
 package platform
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"runtime/pprof"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -41,14 +46,14 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestReplicaRunStopsOnCancel: Run is the whole lifecycle of a replica —
 // while it runs, journal pulls and lease renewals both make progress; once
-// its ctx is cancelled it returns with both loops stopped, and Close leaves
-// no goroutine behind.
+// its ctx is cancelled it returns with both loops stopped, and closing the
+// engines leaves no goroutine behind.
 func TestReplicaRunStopsOnCancel(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	cat := catalog.New()
 	auth, err := coordinator.NewOwnershipAuthority(coordinator.OwnershipConfig{
-		Shards: recommend.DefaultShards, Servers: 2, LeaseTTL: time.Second,
+		Shards: recommend.DefaultShards, Servers: 2, LeaseTTL: coordinator.LeaseTTL(20 * time.Millisecond),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,8 +63,7 @@ func TestReplicaRunStopsOnCancel(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		r, err := NewReplica(ReplicaConfig{
 			Self: i, Servers: 2, Catalog: cat,
-			Pull:  2 * time.Millisecond,
-			Lease: 2 * time.Millisecond,
+			Pull: 2 * time.Millisecond,
 			Renew: func(_ context.Context, server int, applied []uint64) (coordinator.LeaseGrant, error) {
 				renewals.Add(1)
 				return auth.Renew(server, applied)
@@ -116,7 +120,7 @@ func TestReplicaRunStopsOnCancel(t *testing.T) {
 	if err := rs[0].Engine.SetProfile(profile.NewProfile(late)); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(30 * time.Millisecond)
+	time.Sleep(60 * time.Millisecond)
 	if got := renewals.Load(); got != settled {
 		t.Errorf("lease renewals continued after Run returned: %d -> %d", settled, got)
 	}
@@ -125,11 +129,71 @@ func TestReplicaRunStopsOnCancel(t *testing.T) {
 	}
 
 	for _, r := range rs {
-		if err := r.Close(); err != nil {
+		if err := r.Engine.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	waitFor(t, "goroutines to drain", func() bool { return runtime.NumGoroutine() <= before })
+}
+
+// deploymentLoops are the frames of the background loops a platform runs.
+var deploymentLoops = []string{"(*Replica).Run", "(*Replicator).Run", "(*LeaseClient).Run", "(*Bus).Heartbeat"}
+
+// runningLoops returns the deploymentLoops some goroutine's stack holds.
+// A frame is matched with its "+0x" offset, so the closure a loop started
+// (Run.func1), which may still be unwinding after its WaitGroup released
+// the loop, does not count as the loop.
+func runningLoops(t *testing.T) []string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+		t.Fatal(err)
+	}
+	var running []string
+	for _, frame := range deploymentLoops {
+		if strings.Contains(buf.String(), frame+"+0x") {
+			running = append(running, frame)
+		}
+	}
+	return running
+}
+
+// TestPlatformCloseStopsEveryLoop: every loop New starts — each replica's
+// pulls and lease renewals, and the snapshot heartbeat — runs under the
+// one context Close cancels, so none is left once Close returns; nor once
+// a New that fails after its replicas are running has returned.
+func TestPlatformCloseStopsEveryLoop(t *testing.T) {
+	cfg := Config{
+		Marketplaces:   1,
+		BuyerServers:   3,
+		OwnershipLease: 20 * time.Millisecond,
+		EventsInterval: 5 * time.Millisecond,
+		Products:       demoProducts(),
+	}
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "every loop to run", func() bool { return len(runningLoops(t)) == len(deploymentLoops) })
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if running := runningLoops(t); len(running) != 0 {
+		t.Fatalf("loops still running after Close: %v", running)
+	}
+
+	// Buyer server 2's state directory cannot be created, so New fails
+	// after every replica has started.
+	cfg.StateDir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(cfg.StateDir, "buyer-server-2"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(cfg); err == nil {
+		t.Fatal("New succeeded over an unusable buyer server state directory")
+	}
+	if running := runningLoops(t); len(running) != 0 {
+		t.Fatalf("loops still running after a failed New: %v", running)
+	}
 }
 
 // shop runs the Fig 4.3 buy workflow for a fixed set of new consumers, spread

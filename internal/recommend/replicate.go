@@ -768,7 +768,7 @@ func (r *Replicator) pullShardPaged(ctx context.Context, f *follower, owner int,
 }
 
 // Start launches Run in a background goroutine that Close stops. It is
-// idempotent.
+// idempotent, and kept only for bench/ until ROADMAP item 28 deletes it.
 func (r *Replicator) Start() {
 	r.startOnce.Do(func() {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -783,8 +783,8 @@ func (r *Replicator) Start() {
 
 // Run is the pull loop: one Sync pass per interval until ctx is cancelled,
 // then ctx.Err(). Every pass runs under ctx, so cancellation also aborts an
-// in-flight pull against a slow peer. A daemon that owns a shutdown context
-// calls Run itself; Start is `go Run` under a context Close cancels.
+// in-flight pull against a slow peer. Whoever assembles a deployment runs
+// it under the context that deployment's shutdown cancels.
 func (r *Replicator) Run(ctx context.Context) error {
 	t := time.NewTicker(r.interval)
 	defer t.Stop()
@@ -800,8 +800,8 @@ func (r *Replicator) Run(ctx context.Context) error {
 	}
 }
 
-// Close stops the loop Start launched, if any, and waits for it; a later
-// Start is a no-op.
+// Close stops the loop Start launched, if any, and waits; a later Start is
+// a no-op. Like Start, it is kept only for bench/ until item 28.
 func (r *Replicator) Close() error {
 	r.startOnce.Do(func() {}) // orders this read of cancel after Start's write
 	if r.cancel != nil {
